@@ -102,12 +102,9 @@ func main() {
 		}
 
 		// Distribute x by the partitioned edges, y by the partitioned
-		// nodes (SDM_data_view + SDM_import).
+		// nodes (SDM_data_view + SDM_import): both arrays are queued on
+		// one import epoch, so their collectives overlap.
 		xv, err := sdm.NewView(ip.EdgeGlobal, sdm.Double, layout.NumEdges)
-		if err != nil {
-			log.Fatal(err)
-		}
-		xl, err := imp.ImportViewFloat64s("x", xv)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -115,10 +112,18 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		yl, err := imp.ImportViewFloat64s("y", yv)
+		xh, err := imp.QueueView("x", xv)
 		if err != nil {
 			log.Fatal(err)
 		}
+		yh, err := imp.QueueView("y", yv)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := imp.Flush(); err != nil {
+			log.Fatal(err)
+		}
+		xl, yl := xh.Float64s(), yh.Float64s()
 		if err := imp.Release(); err != nil {
 			log.Fatal(err)
 		}

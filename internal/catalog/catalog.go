@@ -447,13 +447,26 @@ type ImportEntry struct {
 	Length       int64 // elements
 }
 
-// RegisterImport records one imported array (SDM_make_importlist).
-func (c *Catalog) RegisterImport(clock *sim.Clock, e ImportEntry) error {
-	c.charge(clock)
-	_, err := c.db.Exec(
-		`INSERT INTO import_table VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)`,
-		e.RunID, e.ImportedName, e.FileName, e.DataType, e.StorageOrder,
-		e.Partition, e.FileContent, e.FileOffset, e.Length)
+// RegisterImports records a whole import list (SDM_make_importlist) as
+// one batched statement — one database round trip and one virtual-cost
+// charge for the list, as RecordWrites does for an epoch's rows.
+func (c *Catalog) RegisterImports(clock *sim.Clock, entries []ImportEntry) error {
+	if len(entries) == 0 {
+		return nil
+	}
+	c.chargeOp(clock, "RegisterImports")
+	var sb strings.Builder
+	sb.WriteString(`INSERT INTO import_table VALUES `)
+	args := make([]any, 0, len(entries)*9)
+	for i, e := range entries {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		sb.WriteString(`(?, ?, ?, ?, ?, ?, ?, ?, ?)`)
+		args = append(args, e.RunID, e.ImportedName, e.FileName, e.DataType, e.StorageOrder,
+			e.Partition, e.FileContent, e.FileOffset, e.Length)
+	}
+	_, err := c.db.Exec(sb.String(), args...)
 	return err
 }
 

@@ -111,10 +111,13 @@ func TestImportLifecycle(t *testing.T) {
 			StorageOrder: "ROW_MAJOR", Partition: "DISTRIBUTED", FileContent: "DATA",
 			FileOffset: 800, Length: 100},
 	}
-	for _, e := range entries {
-		if err := c.RegisterImport(nil, e); err != nil {
-			t.Fatal(err)
-		}
+	clock := sim.NewClock()
+	if err := c.RegisterImports(clock, entries); err != nil {
+		t.Fatal(err)
+	}
+	// The whole list costs one database access.
+	if got := clock.Now().Sub(0); got != c.cost {
+		t.Fatalf("RegisterImports charged %v, want one access (%v)", got, c.cost)
 	}
 	got, err := c.Imports(nil, 1)
 	if err != nil || len(got) != 2 {

@@ -14,7 +14,8 @@
 //	SDM_data_view             -> Group.DataView
 //	SDM_write / SDM_read      -> Group.Write / Group.Read
 //	SDM_make_importlist       -> MakeImportlist -> *Importer
-//	SDM_import                -> Importer.ImportContiguous / ImportView
+//	SDM_import                -> Importer.QueueContiguous / QueueView + Flush
+//	                             (ImportContiguous / ImportView: one-array epochs)
 //	SDM_partition_table       -> PartitionTable
 //	SDM_partition_index       -> PartitionIndex (history-aware)
 //	SDM_partition_index_size  -> IndexPartition.NumEdges
@@ -180,8 +181,8 @@ type Options struct {
 	// at zero cost.
 	Trace *obs.Tracer
 	// Metrics, when non-nil, registers the manager's counters (steps,
-	// flushed files, staged bytes) with the registry. Nil disables
-	// collection.
+	// flushed files, staged bytes, history fallbacks) with the registry.
+	// Nil disables collection.
 	Metrics *obs.Registry
 }
 
@@ -258,6 +259,9 @@ type SDM struct {
 	stepCount    *obs.Counter
 	flushedFiles *obs.Counter
 	stagedBytes  *obs.Counter
+	// historyFallbacks counts PartitionIndex calls that found a
+	// registered history but could not trust its file.
+	historyFallbacks *obs.Counter
 }
 
 // pid is this rank's trace track.
@@ -311,6 +315,7 @@ func Initialize(env Env, app string, opts Options) (*SDM, error) {
 		s.stepCount = r.Counter("core.steps")
 		s.flushedFiles = r.Counter("core.flushed-files")
 		s.stagedBytes = r.Counter("core.staged-bytes")
+		s.historyFallbacks = r.Counter("core.history-fallbacks")
 	}
 	if opts.DisableDB {
 		if opts.AttachRun > 0 {

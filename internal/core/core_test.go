@@ -403,10 +403,11 @@ func TestImportViewIrregular(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		got, err := imp.ImportViewFloat64s("x", v)
+		buf, err := imp.ImportView("x", v)
 		if err != nil {
 			panic(err)
 		}
+		got := bytesToFloat64s(buf)
 		for i, gidx := range m {
 			if got[i] != float64(gidx)*0.5 {
 				panic(fmt.Sprintf("rank %d: got[%d] = %g, want %g",
@@ -738,18 +739,22 @@ func TestFullPipelineMatchesSerial(t *testing.T) {
 			if err != nil {
 				panic(err)
 			}
-			xl, err := imp.ImportViewFloat64s("x", xv)
-			if err != nil {
-				panic(err)
-			}
 			yv, err := NewView(ip.Nodes, Double, layout.NumNodes)
 			if err != nil {
 				panic(err)
 			}
-			yl, err := imp.ImportViewFloat64s("y", yv)
+			xh, err := imp.QueueView("x", xv)
 			if err != nil {
 				panic(err)
 			}
+			yh, err := imp.QueueView("y", yv)
+			if err != nil {
+				panic(err)
+			}
+			if err := imp.Flush(); err != nil {
+				panic(err)
+			}
+			xl, yl := xh.Float64s(), yh.Float64s()
 			if err := imp.Release(); err != nil {
 				panic(err)
 			}

@@ -275,7 +275,7 @@ func (g *Group) stagePuts() {
 	puts := g.ep.puts
 	ts := g.ep.timestep
 	clock := g.s.env.Comm.Clock()
-	sh := g.s.tracer.Begin(g.s.pid(), "core", "stage", clock.Now())
+	t0 := clock.Now()
 	var total int64
 	for i := range puts {
 		total += puts[i].bytes
@@ -312,10 +312,12 @@ func (g *Group) stagePuts() {
 	}
 	g.ep.placed = placed
 	g.ep.recs = recs
-	sh.End(clock.Now(),
-		obs.KV{Key: "step", Val: fmt.Sprint(ts)},
-		obs.KV{Key: "puts", Val: fmt.Sprint(len(puts))},
-		obs.KV{Key: "bytes", Val: fmt.Sprint(total)})
+	if tr := g.s.tracer; tr != nil {
+		tr.Emit(g.s.pid(), "core", "stage", t0, clock.Now(),
+			obs.KV{Key: "step", Val: fmt.Sprint(ts)},
+			obs.KV{Key: "puts", Val: fmt.Sprint(len(puts))},
+			obs.KV{Key: "bytes", Val: fmt.Sprint(total)})
+	}
 }
 
 // issuePutFlushes issues one merged collective write per touched file,

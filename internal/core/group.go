@@ -291,7 +291,7 @@ func (g *Group) DataView(names []string, mapArr []int32) (*View, error) {
 }
 
 // NewView builds a standalone irregular view for use with
-// Importer.ImportView — the paper's SDM_data_view over imported arrays
+// Importer.QueueView — the paper's SDM_data_view over imported arrays
 // (x through the partitioned-edge map, y through the node map).
 func NewView(mapArr []int32, t DataType, globalSize int64) (*View, error) {
 	return newView(mapArr, t.Size(), globalSize)

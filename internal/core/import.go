@@ -5,7 +5,9 @@ import (
 
 	"sdm/internal/catalog"
 	"sdm/internal/mpiio"
+	"sdm/internal/obs"
 	"sdm/internal/pfs"
+	"sdm/internal/sim"
 )
 
 // ImportSpec describes one array inside an externally created file
@@ -28,13 +30,15 @@ type Importer struct {
 	fileName string
 	specs    map[string]ImportSpec
 	file     *mpiio.File
+	queue    []*ImportHandle // the open import epoch, in queue order
 	released bool
 }
 
 // MakeImportlist registers the arrays of an external file in
 // import_table and opens the file collectively.
 func (s *SDM) MakeImportlist(fileName string, specs []ImportSpec) (*Importer, error) {
-	imp := &Importer{s: s, fileName: fileName, specs: make(map[string]ImportSpec)}
+	imp := &Importer{s: s, fileName: fileName, specs: make(map[string]ImportSpec),
+		queue: make([]*ImportHandle, 0, len(specs))}
 	for _, sp := range specs {
 		if sp.Length <= 0 {
 			return nil, fmt.Errorf("core: import %q has non-positive length %d", sp.Name, sp.Length)
@@ -48,23 +52,21 @@ func (s *SDM) MakeImportlist(fileName string, specs []ImportSpec) (*Importer, er
 		imp.specs[sp.Name] = sp
 	}
 	err := s.catalogCall(func() error {
-		for _, sp := range specs {
-			e := catalog.ImportEntry{
+		entries := make([]catalog.ImportEntry, len(specs))
+		for i, sp := range specs {
+			entries[i] = catalog.ImportEntry{
 				RunID:        s.runID,
 				ImportedName: sp.Name,
 				FileName:     fileName,
-				DataType:     imp.specs[sp.Name].Type.String(),
+				DataType:     sp.Type.String(),
 				StorageOrder: "ROW_MAJOR",
 				Partition:    "DISTRIBUTED",
 				FileContent:  imp.specs[sp.Name].Content,
 				FileOffset:   sp.FileOffset,
 				Length:       sp.Length,
 			}
-			if err := s.env.Catalog.RegisterImport(s.env.Comm.Clock(), e); err != nil {
-				return err
-			}
 		}
-		return nil
+		return s.env.Catalog.RegisterImports(s.env.Comm.Clock(), entries)
 	})
 	if err != nil {
 		return nil, err
@@ -85,6 +87,15 @@ func (imp *Importer) Spec(name string) (ImportSpec, error) {
 		return ImportSpec{}, fmt.Errorf("core: no import named %q", name)
 	}
 	return sp, nil
+}
+
+// liveSpec is Spec for the queueing entry points: it also rejects a
+// released import list.
+func (imp *Importer) liveSpec(name string) (ImportSpec, error) {
+	if imp.released {
+		return ImportSpec{}, fmt.Errorf("core: import list already released")
+	}
+	return imp.Spec(name)
 }
 
 // blockRange computes the equal division of n elements among p ranks:
@@ -109,37 +120,47 @@ func min64(a, b int64) int64 {
 	return b
 }
 
-// ImportContiguous imports this rank's equal-division block of a
-// registered array (SDM_import for index arrays: "edges 0 and 1 are
-// imported to process 0, and edges 2 and 3 to process 1"). Collective.
-// The returned buffer holds count elements starting at element start.
-func (imp *Importer) ImportContiguous(name string) (buf []byte, start, count int64, err error) {
-	if imp.released {
-		return nil, 0, 0, fmt.Errorf("core: import list already released")
-	}
-	sp, err := imp.Spec(name)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	c := imp.s.env.Comm
-	start, count = blockRange(sp.Length, c.Size(), c.Rank())
-	es := sp.Type.Size()
-	imp.file.SetView(sp.FileOffset, nil)
-	buf = make([]byte, count*es)
-	if err := imp.file.ReadAtAll(start*es, buf); err != nil {
-		return nil, 0, 0, err
-	}
-	return buf, start, count, nil
+// ImportHandle is one array queued on an import epoch. Its result is
+// valid once the Flush that follows the queueing returns.
+type ImportHandle struct {
+	sp           ImportSpec
+	v            *View // nil: this rank's contiguous equal-division block
+	start, count int64 // element range of a contiguous request
+	n            int64 // result size in bytes
+	buf          []byte
 }
 
-// ImportView imports a registered array through an irregular view: each
-// rank receives the elements its map array names, in map-array order
-// (SDM_import for data arrays x and y after SDM_data_view). Collective.
-func (imp *Importer) ImportView(name string, v *View) ([]byte, error) {
-	if imp.released {
-		return nil, fmt.Errorf("core: import list already released")
+// Bytes returns the imported elements in little-endian wire encoding:
+// map-array order for a view request, file order for a contiguous one.
+// Nil before Flush.
+func (h *ImportHandle) Bytes() []byte { return h.buf }
+
+// Float64s decodes Bytes as float64 elements.
+func (h *ImportHandle) Float64s() []float64 { return bytesToFloat64s(h.buf) }
+
+// QueueContiguous queues this rank's equal-division block of a
+// registered array on the importer's epoch (SDM_import for index
+// arrays: "edges 0 and 1 are imported to process 0, and edges 2 and 3
+// to process 1"). Every rank must queue the same sequence of arrays.
+func (imp *Importer) QueueContiguous(name string) (*ImportHandle, error) {
+	sp, err := imp.liveSpec(name)
+	if err != nil {
+		return nil, err
 	}
-	sp, err := imp.Spec(name)
+	c := imp.s.env.Comm
+	h := &ImportHandle{sp: sp}
+	h.start, h.count = blockRange(sp.Length, c.Size(), c.Rank())
+	h.n = h.count * sp.Type.Size()
+	imp.queue = append(imp.queue, h)
+	return h, nil
+}
+
+// QueueView queues a registered array through an irregular view: each
+// rank receives the elements its map array names, in map-array order
+// (SDM_import for data arrays x and y after SDM_data_view). Every rank
+// must queue the same sequence of arrays.
+func (imp *Importer) QueueView(name string, v *View) (*ImportHandle, error) {
+	sp, err := imp.liveSpec(name)
 	if err != nil {
 		return nil, err
 	}
@@ -151,27 +172,114 @@ func (imp *Importer) ImportView(name string, v *View) ([]byte, error) {
 		return nil, fmt.Errorf("core: view global size %d does not match import %q length %d",
 			v.globalN, name, sp.Length)
 	}
-	imp.file.SetView(sp.FileOffset, v.dtype)
-	fileOrder := make([]byte, int64(v.LocalSize())*v.elemSize)
-	if err := imp.file.ReadAtAll(0, fileOrder); err != nil {
-		return nil, err
-	}
-	out := make([]byte, len(fileOrder))
-	es := v.elemSize
-	for i, p := range v.perm {
-		copy(out[int64(p)*es:(int64(p)+1)*es], fileOrder[int64(i)*es:(int64(i)+1)*es])
-	}
-	imp.s.env.Comm.ComputeItems(int64(len(out)), imp.s.opts.MemCopyRate)
-	return out, nil
+	h := &ImportHandle{sp: sp, v: v, n: int64(v.LocalSize()) * v.elemSize}
+	imp.queue = append(imp.queue, h)
+	return h, nil
 }
 
-// ImportViewFloat64s is ImportView decoded to float64.
-func (imp *Importer) ImportViewFloat64s(name string, v *View) ([]float64, error) {
-	buf, err := imp.ImportView(name, v)
+// Flush imports everything queued as one epoch, modelling
+// MPI_File_iread_at_all: each array's view definition is a blocking
+// metadata operation charged on the rank's main timeline, its
+// collective read then runs on a sub-timeline forked from there, and
+// the clock joins at the latest completion — the arrays' collectives
+// overlap in virtual time, the shared PFS servers serializing where
+// they collide — before the view arrays are permuted into map-array
+// order. On the host the collectives run one after another through the
+// file's scratch and one pooled file-order arena, so only the result
+// buffers outlive the call. A one-array epoch charges exactly what the
+// sequential import did. Collective; flushing an empty queue is an
+// error.
+func (imp *Importer) Flush() error {
+	if imp.released {
+		return fmt.Errorf("core: import list already released")
+	}
+	if len(imp.queue) == 0 {
+		return fmt.Errorf("core: Flush with no imports queued")
+	}
+	// The queue's backing array is reused by the next epoch; the
+	// handles (and the result buffers they own) are dropped from it.
+	queue := imp.queue
+	imp.queue = queue[:0]
+	defer clear(queue)
+	s := imp.s
+	clock := s.env.Comm.Clock()
+	t0 := clock.Now()
+	var arenaN int64
+	for _, h := range queue {
+		if h.v != nil {
+			arenaN = max(arenaN, h.n)
+		}
+	}
+	fileOrder := s.takeArena(arenaN)
+	defer s.putArena(fileOrder)
+	join := t0
+	for _, h := range queue {
+		var off int64
+		var dst []byte
+		if h.v != nil {
+			imp.file.SetView(h.sp.FileOffset, h.v.dtype)
+			dst = fileOrder[:h.n]
+		} else {
+			imp.file.SetView(h.sp.FileOffset, nil)
+			off = h.start * h.sp.Type.Size()
+			h.buf = make([]byte, h.n)
+			dst = h.buf
+		}
+		fork := clock.Now()
+		err := imp.file.ReadAtAll(off, dst)
+		if tr := s.tracer; tr != nil {
+			tr.Emit(s.pid(), "core", "import:read", fork, clock.Now(),
+				obs.KV{Key: "array", Val: h.sp.Name})
+		}
+		join = sim.MaxTime(join, clock.Now())
+		if err != nil {
+			clock.AdvanceTo(join)
+			return err
+		}
+		clock.Rebase(fork)
+		if h.v != nil {
+			h.buf = make([]byte, h.n)
+			permuteBytesFromFile(h.v, dst, h.buf)
+		}
+	}
+	clock.AdvanceTo(join)
+	for _, h := range queue {
+		if h.v != nil {
+			s.env.Comm.ComputeItems(h.n, s.opts.MemCopyRate)
+		}
+	}
+	if tr := s.tracer; tr != nil {
+		tr.Emit(s.pid(), "core", "import:epoch", t0, clock.Now(),
+			obs.KV{Key: "arrays", Val: fmt.Sprint(len(queue))})
+	}
+	return nil
+}
+
+// ImportContiguous is a one-array epoch: QueueContiguous then Flush
+// (which also flushes anything queued earlier). The returned buffer
+// holds count elements starting at element start.
+func (imp *Importer) ImportContiguous(name string) (buf []byte, start, count int64, err error) {
+	h, err := imp.QueueContiguous(name)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	if err := imp.Flush(); err != nil {
+		return nil, 0, 0, err
+	}
+	return h.buf, h.start, h.count, nil
+}
+
+// ImportView is a one-array epoch: QueueView then Flush (which also
+// flushes anything queued earlier).
+func (imp *Importer) ImportView(name string, v *View) ([]byte, error) {
+	h, err := imp.QueueView(name, v)
 	if err != nil {
 		return nil, err
 	}
-	return bytesToFloat64s(buf), nil
+	if err := imp.Flush(); err != nil {
+		return nil, err
+	}
+	return h.buf, nil
 }
 
 // Release frees the import structures and clears import_table rows
@@ -181,6 +289,7 @@ func (imp *Importer) Release() error {
 		return nil
 	}
 	imp.released = true
+	imp.queue = nil
 	if err := imp.file.Close(); err != nil {
 		return err
 	}

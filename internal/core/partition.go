@@ -79,7 +79,8 @@ func (s *SDM) historyFileName(totalEdges int64) string {
 // consults the index tables for a history of this (problem size,
 // process count); on a hit the pre-partitioned edges are read
 // contiguously from the history file, skipping both the edge import and
-// the ring exchange — the paper's optimization. Collective.
+// the ring exchange — the paper's optimization. A history whose file is
+// damaged counts as a miss (see lookupHistory). Collective.
 func (s *SDM) PartitionIndex(imp *Importer, edge1Name, edge2Name string, partVec []int32) (*IndexPartition, error) {
 	sp1, err := imp.Spec(edge1Name)
 	if err != nil {
@@ -102,26 +103,35 @@ func (s *SDM) PartitionIndex(imp *Importer, edge1Name, edge2Name string, partVec
 		return s.loadIndexHistory(hist, partVec)
 	}
 
-	// No history: import the edge blocks and run the ring distribution.
+	// No usable history: import both edge blocks as one epoch and run
+	// the ring distribution.
 	c := s.env.Comm
 	t0 := c.Now()
-	buf1, start, _, err := imp.ImportContiguous(edge1Name)
+	h1, err := imp.QueueContiguous(edge1Name)
 	if err != nil {
 		return nil, err
 	}
-	buf2, _, _, err := imp.ImportContiguous(edge2Name)
+	h2, err := imp.QueueContiguous(edge2Name)
 	if err != nil {
+		return nil, err
+	}
+	if err := imp.Flush(); err != nil {
 		return nil, err
 	}
 	t1 := c.Now()
-	ip := s.distributeIndex(bytesToInt32s(buf1), bytesToInt32s(buf2), start, totalEdges, partVec)
+	ip := s.distributeIndex(bytesToInt32s(h1.buf), bytesToInt32s(h2.buf), h1.start, totalEdges, partVec)
 	ip.ImportTime = t1.Sub(t0)
 	ip.DistributeTime = c.Now().Sub(t1)
 	return ip, nil
 }
 
 // lookupHistory checks index_table for a usable history (rank 0
-// queries, result broadcast).
+// queries, result broadcast). A registered history whose file fails
+// historyIntact is invalidated — its rows deleted, so the caller's
+// IndexRegistry can register the same file name afresh — counted in
+// core.history-fallbacks, and reported as a miss. The decision is rank
+// 0's alone and travels in the broadcast, so every rank takes the same
+// collective branch.
 func (s *SDM) lookupHistory(totalEdges int64) (*catalog.IndexHistory, error) {
 	if s.opts.DisableDB {
 		s.env.Comm.Barrier()
@@ -136,6 +146,11 @@ func (s *SDM) lookupHistory(totalEdges int64) (*catalog.IndexHistory, error) {
 	c := s.env.Comm
 	if c.Rank() == 0 {
 		h, err := s.env.Catalog.LookupIndexHistory(c.Clock(), totalEdges, int64(c.Size()))
+		if err == nil && h != nil && !s.historyIntact(h) {
+			s.historyFallbacks.Add(1)
+			err = s.env.Catalog.DeleteIndexHistory(c.Clock(), h.FileName)
+			h = nil
+		}
 		if err != nil {
 			w.Err = err.Error()
 		} else if h != nil {
@@ -152,6 +167,24 @@ func (s *SDM) lookupHistory(totalEdges int64) (*catalog.IndexHistory, error) {
 	}
 	h := res.Hist
 	return &h, nil
+}
+
+// historyIntact reports whether a registered history can be replayed:
+// it must describe this communicator, and its file must hold exactly
+// the registered edges. Collective reads zero-fill past EOF, so a
+// truncated, half-written, or missing history file would otherwise
+// load as a partition of (0,0,0) edges with no error. The check is a
+// local size query — no virtual-time charge.
+func (s *SDM) historyIntact(hist *catalog.IndexHistory) bool {
+	if len(hist.EdgeSizes) != s.env.Comm.Size() {
+		return false
+	}
+	var edges int64
+	for _, n := range hist.EdgeSizes {
+		edges += n
+	}
+	size, err := s.env.FS.FileSize(hist.FileName)
+	return err == nil && size == edges*12
 }
 
 // distributeIndex is the ring-oriented edge distribution of the paper:

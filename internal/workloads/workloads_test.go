@@ -21,7 +21,15 @@ func newCluster(procs int) *sdm.Cluster {
 }
 
 func TestFig5ShapeOriginalVsSDMVsHistory(t *testing.T) {
-	f := smallFUN3D(t)
+	// 16x16x16, not smallFUN3D's 8x8x8: since the import epoch overlaps
+	// the edge1+edge2 reads the history run skips, the history's fixed
+	// costs (database lookup, file open) only pay for themselves in the
+	// total from about 12x12x12 up (8x8x8: 0.0171 s against the ring's
+	// 0.0166 s; here 0.0397 s against 0.0417 s).
+	f, err := NewFUN3D(FUN3DConfig{NX: 16, NY: 16, NZ: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cl := newCluster(8)
 	if err := f.Stage(cl); err != nil {
 		t.Fatal(err)
@@ -69,7 +77,7 @@ func TestFig5HistoryBeatsRingAtScale(t *testing.T) {
 	// The history file's fixed costs (database lookup, file open) are
 	// only amortized on meshes of realistic size — the regime the paper
 	// measured. At ~100k edges the ring's scan and communication exceed
-	// the history read.
+	// the history read, and the total falls with it.
 	if testing.Short() {
 		t.Skip("scaled mesh; skipped with -short")
 	}
@@ -96,6 +104,10 @@ func TestFig5HistoryBeatsRingAtScale(t *testing.T) {
 		t.Errorf("history distribution %.4fs not below ring %.4fs",
 			withHist.DistributeSec, noHist.DistributeSec)
 	}
+	if withHist.TotalSec >= noHist.TotalSec {
+		t.Errorf("history total %.4fs not below no-history total %.4fs",
+			withHist.TotalSec, noHist.TotalSec)
+	}
 	// The original's two-pass scan also loses to the single-pass ring
 	// at this scale.
 	orig, err := f.ImportAndPartition(cl, ModeOriginal, false)
@@ -105,6 +117,43 @@ func TestFig5HistoryBeatsRingAtScale(t *testing.T) {
 	if orig.DistributeSec <= noHist.DistributeSec {
 		t.Errorf("original two-pass distribution %.4fs not above SDM ring %.4fs",
 			orig.DistributeSec, noHist.DistributeSec)
+	}
+}
+
+// The import epoch forks and rebases the rank clocks; the schedule it
+// produces must not depend on goroutine interleaving. Every fresh job
+// over the same staged mesh and history reports the same virtual times
+// (CI repeats this with -count=20).
+func TestImportEpochDeterministic(t *testing.T) {
+	f := smallFUN3D(t)
+	base := newCluster(8)
+	if err := f.Stage(base); err != nil {
+		t.Fatal(err)
+	}
+	ring, err := f.ImportAndPartition(base, ModeSDM, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first *PartitionStats
+	for i := 0; i < 4; i++ {
+		cl := newCluster(8)
+		cl.AttachStorage(base)
+		st, err := f.ImportAndPartition(cl, ModeSDM, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.FromHistory {
+			t.Fatal("history not replayed")
+		}
+		if st.LocalEdges != ring.LocalEdges || st.LocalNodes != ring.LocalNodes {
+			t.Fatalf("replay gave rank 0 %d edges/%d nodes, ring gave %d/%d",
+				st.LocalEdges, st.LocalNodes, ring.LocalEdges, ring.LocalNodes)
+		}
+		if first == nil {
+			first = st
+		} else if *st != *first {
+			t.Fatalf("run %d differs from run 0:\n%+v\n%+v", i, *st, *first)
+		}
 	}
 }
 

@@ -69,6 +69,9 @@ type (
 	ImportSpec = core.ImportSpec
 	// Importer is an active import list (SDM_make_importlist result).
 	Importer = core.Importer
+	// ImportHandle is one array queued on an Importer's epoch; its
+	// result is valid after Importer.Flush.
+	ImportHandle = core.ImportHandle
 	// IndexPartition is a distributed edge set (SDM_partition_index
 	// result), including ghost edges and the node map arrays.
 	IndexPartition = core.IndexPartition
@@ -122,7 +125,7 @@ func Initialize(env Env, app string, opts Options) (*Manager, error) {
 func MakeDatalist(names ...string) []Attr { return core.MakeDatalist(names...) }
 
 // NewView builds a standalone irregular view from a map array, for use
-// with Importer.ImportView.
+// with Importer.QueueView.
 func NewView(mapArr []int32, t DataType, globalSize int64) (*View, error) {
 	return core.NewView(mapArr, t, globalSize)
 }

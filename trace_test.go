@@ -94,6 +94,79 @@ func TestTracingBitIdentical(t *testing.T) {
 	}
 }
 
+// The import epoch's spans (import:epoch, one import:read per array)
+// observe the forked sub-timelines without touching them: Figure 5's
+// ring and history runs must be bit-identical traced and untraced.
+func TestTracingBitIdenticalImport(t *testing.T) {
+	f := traceFUN3D(t)
+	const procs = 8
+	// run does the ring distribution (registering its history) on one
+	// cluster and replays the history as a new job on a second one.
+	run := func(traced bool) (*sdm.Cluster, *sdm.Tracer, [2]*workloads.PartitionStats) {
+		var tr *sdm.Tracer
+		newCluster := func() *sdm.Cluster {
+			cl := sdm.NewCluster(sdm.Origin2000Config(procs))
+			if traced {
+				cl.SetTracer(tr)
+				cl.SetMetrics(sdm.NewRegistry())
+			}
+			return cl
+		}
+		if traced {
+			tr = sdm.NewTracer()
+		}
+		ringCl, histCl := newCluster(), newCluster()
+		if err := f.Stage(ringCl); err != nil {
+			t.Fatal(err)
+		}
+		var st [2]*workloads.PartitionStats
+		var err error
+		if st[0], err = f.ImportAndPartition(ringCl, workloads.ModeSDM, true); err != nil {
+			t.Fatal(err)
+		}
+		histCl.AttachStorage(ringCl)
+		if st[1], err = f.ImportAndPartition(histCl, workloads.ModeSDM, false); err != nil {
+			t.Fatal(err)
+		}
+		if st[0].FromHistory || !st[1].FromHistory {
+			t.Fatalf("history flags = %v, %v; want ring then replay", st[0].FromHistory, st[1].FromHistory)
+		}
+		return histCl, tr, st
+	}
+	offCl, _, off := run(false)
+	onCl, tr, on := run(true)
+	epochs := 0
+	for _, s := range tr.Spans() {
+		if s.Cat == "core" && s.Name == "import:epoch" {
+			epochs++
+		}
+	}
+	// Per rank: the edge epoch and the data epoch of the ring run, the
+	// data epoch of the history run.
+	if epochs != 3*procs {
+		t.Fatalf("traced run recorded %d import:epoch spans, want %d", epochs, 3*procs)
+	}
+	for i := range off {
+		if *off[i] != *on[i] {
+			t.Fatalf("tracing perturbed import run %d:\noff %+v\non  %+v", i, *off[i], *on[i])
+		}
+	}
+	// Final clocks are compared on the history job only: the ring job's
+	// depend on the host order in which the ranks' asynchronous history
+	// writes reach the I/O servers.
+	for r := 0; r < procs; r++ {
+		if a, b := offCl.World.Comm(r).Now(), onCl.World.Comm(r).Now(); a != b {
+			t.Fatalf("rank %d virtual clock differs: off %v, on %v", r, a, b)
+		}
+	}
+	if a, b := offCl.FS.StatsSnapshot(), onCl.FS.StatsSnapshot(); a != b {
+		t.Fatalf("pfs stats differ:\noff %+v\non  %+v", a, b)
+	}
+	if a, b := offCl.DB.QueryCount(), onCl.DB.QueryCount(); a != b {
+		t.Fatalf("db query counts differ: off %d, on %d", a, b)
+	}
+}
+
 // Span-structure invariants over a real traced run: every Begin was
 // matched by End, no negative spans, flush spans carry their step and
 // stay inside that step's span on the same rank, and a deep pipeline
