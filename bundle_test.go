@@ -506,3 +506,100 @@ func TestBundleResaveIncremental(t *testing.T) {
 		t.Fatalf("re-save changed chunk pool size: %d -> %d bytes", first, second)
 	}
 }
+
+// TestRestartReadAheadNoCatalogLookups is the restart half of
+// metadata-directed read-ahead: OpenGroup ships the run's
+// execution-table rows once, so an attached reader at pipeline depth 4
+// resolves every Get step — and every read-ahead — from them: no
+// LookupWrites after OpenGroup, the depth-1 reader's bytes and
+// file-system work, in less virtual time.
+func TestRestartReadAheadNoCatalogLookups(t *testing.T) {
+	const (
+		procs   = 4
+		globalN = 1 << 12
+		steps   = 6
+	)
+	dir := filepath.Join(t.TempDir(), "bundle")
+	writer := NewCluster(ClusterConfig{Procs: procs})
+	writeDemoRun(t, writer, globalN, steps)
+	if err := writer.SaveBundle(dir); err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"pressure", "velocity"}
+	read := func(depth int) *Cluster {
+		reader, err := OpenBundle(dir, ClusterConfig{Procs: procs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := NewRegistry()
+		reader.SetMetrics(reg)
+		err = reader.Run(func(p *Proc) {
+			s, err := p.Initialize("bundledemo", Options{
+				Organization: Level3, AttachRun: 1, StepPipelineDepth: depth,
+			})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer s.Finalize()
+			g, err := s.OpenGroup(names)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			opened := reg.Snapshot()["catalog.lookup-keys"]
+			mapArr := demoMap(p.Rank(), p.Size(), globalN)
+			if _, err := g.DataView(names, mapArr); err != nil {
+				t.Error(err)
+				return
+			}
+			for ts := int64(0); ts < steps; ts++ {
+				if err := g.BeginStep(ts); err != nil {
+					t.Error(err)
+					return
+				}
+				got := make([][]float64, len(names))
+				for j, name := range names {
+					d, err := DatasetOf[float64](g, name)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					got[j] = make([]float64, len(mapArr))
+					if err := d.Get(got[j]); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if err := g.EndStep(); err != nil {
+					t.Error(err)
+					return
+				}
+				for j, name := range names {
+					for i, gi := range mapArr {
+						if want := demoValue(name, ts, gi); got[j][i] != want {
+							t.Errorf("depth %d rank %d %s@%d elem %d = %g, want %g", depth, p.Rank(), name, ts, gi, got[j][i], want)
+							return
+						}
+					}
+				}
+			}
+			p.Comm.Barrier() // rank 0 has resolved every step by now
+			if after := reg.Snapshot()["catalog.lookup-keys"]; after != opened {
+				t.Errorf("depth %d: %d execution-table keys looked up after OpenGroup, want 0", depth, after-opened)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reader
+	}
+	d1, d4 := read(1), read(4)
+	s1, s4 := d1.FS.Stats(), d4.FS.Stats()
+	if s1 != s4 {
+		t.Fatalf("pfs stats differ:\ndepth 1 %+v\ndepth 4 %+v", s1, s4)
+	}
+	if t1, t4 := d1.World.MaxTime(), d4.World.MaxTime(); t4 >= t1 {
+		t.Fatalf("depth-4 restart finishes at %v, not before depth 1's %v", t4, t1)
+	}
+}

@@ -3,8 +3,8 @@
 // Tracer.WriteChromeFile): it validates the trace against the schema
 // Perfetto expects, then prints the top-N span names by virtual-time
 // self time, per-step span aggregates, and each PFS server's busy/idle
-// fraction over the trace — the idle headroom an adaptive
-// StepPipelineDepth could claim.
+// fraction over the trace — the idle time a deeper StepPipelineDepth
+// could still overlap.
 //
 // Usage:
 //

@@ -140,7 +140,10 @@ type Options struct {
 	// to the bound before issuing a new flush. Depth 1 (the default)
 	// keeps the classic one-outstanding-flush schedule; deeper
 	// pipelines let file-per-timestep layouts stream checkpoints
-	// back-to-back over disjoint files.
+	// back-to-back over disjoint files. The bound counts read-ahead
+	// too: a sequential reader closing its Get steps with the
+	// synchronous EndStep has the following timesteps' reads issued
+	// ahead until this many tokens are outstanding.
 	StepPipelineDepth int
 	// WaitPolicy selects implicit waiting versus loud failure when a
 	// flush would touch a file with an outstanding token (default
@@ -251,6 +254,17 @@ type SDM struct {
 	tokenSeq   int64
 	recScratch []catalog.WriteRecord
 	arenaPool  [][]byte
+
+	// reader is the sequential-read detector behind read-ahead: the
+	// timestep and dataset list of the previous get-only step. getParts
+	// is the current step's list; the two swap at every get-only step, so
+	// their backing arrays are reused.
+	reader struct {
+		armed    bool // the step read its predecessor's successor: issue ahead
+		timestep int64
+		parts    []getPart // empty before the first get-only step
+	}
+	getParts []getPart
 
 	// tracer and the manager-level counters. All stay nil when
 	// observability is off; obs methods no-op on nil receivers, so the

@@ -28,11 +28,12 @@ import (
 type pendingPut struct {
 	di     int
 	bytes  int64
+	file   string // target file, resolved once at queue time
 	encode func(v *View, dst []byte)
 }
 
 // pendingGet is one queued deferred read. decode scatters file-order
-// bytes back into the caller's slice at EndStep.
+// bytes back into the caller's slice when the get flush delivers.
 type pendingGet struct {
 	di     int
 	bytes  int64
@@ -160,7 +161,9 @@ func (g *Group) enqueuePut(dataset string, n int, encode func(v *View, dst []byt
 	if err != nil {
 		return err
 	}
-	g.ep.puts = append(g.ep.puts, pendingPut{di: di, bytes: int64(n) * v.elemSize, encode: encode})
+	g.ep.puts = append(g.ep.puts, pendingPut{
+		di: di, bytes: int64(n) * v.elemSize, file: g.fileFor(di, g.ep.timestep), encode: encode,
+	})
 	return nil
 }
 
@@ -293,7 +296,8 @@ func (g *Group) stagePuts() {
 		p := &puts[i]
 		a := g.attrs[p.di]
 		v := g.views[a.Name]
-		file, physOff, slab := g.place(a.Name, ts, a.GlobalSize*a.Type.Size())
+		file := p.file
+		physOff, slab := g.place(file, a.GlobalSize*a.Type.Size())
 		dst := arena[cur : cur+p.bytes]
 		cur += p.bytes
 		p.encode(v, dst)
@@ -388,12 +392,11 @@ func (g *Group) issuePutFlushes() (sim.Time, error) {
 	return join, flushErr
 }
 
-// cacheWrites caches the staged records rank-locally, so same-session
-// reads resolve placements without a catalog round trip.
+// cacheWrites adds the staged records to the group's placement index,
+// so same-session reads resolve placements without a catalog round trip.
 func (g *Group) cacheWrites() {
 	for i := range g.ep.recs {
-		rec := g.ep.recs[i]
-		g.written[writeKey{rec.Dataset, rec.Timestep}] = rec
+		g.index.add(g.ep.recs[i])
 	}
 }
 
@@ -417,14 +420,14 @@ func (g *Group) flushPuts() error {
 }
 
 // lookupPlacements resolves where each queued (dataset, timestep) slab
-// lives: the rank-local cache first, then one batched rank-0 catalog
-// query (served by the execution table's composite index) broadcast to
-// all ranks. The result is in key order.
+// lives: the rank-local placement index first, then one batched rank-0
+// catalog query (served by the execution table's composite index)
+// broadcast to all ranks. The result is in key order.
 func (g *Group) lookupPlacements(keys []writeKey) ([]catalog.WriteRecord, error) {
 	out := g.ep.resolved[:0]
 	missing := 0
 	for _, k := range keys {
-		rec, ok := g.written[k]
+		rec, ok := g.index.recs[k]
 		if !ok {
 			missing++
 		}
@@ -436,7 +439,7 @@ func (g *Group) lookupPlacements(keys []writeKey) ([]catalog.WriteRecord, error)
 	}
 	if g.s.opts.DisableDB {
 		for _, k := range keys {
-			if _, ok := g.written[k]; !ok {
+			if _, ok := g.index.recs[k]; !ok {
 				return nil, fmt.Errorf("core: dataset %q timestep %d not written in this session and DB disabled", k.dataset, k.timestep)
 			}
 		}
@@ -449,7 +452,7 @@ func (g *Group) lookupPlacements(keys []writeKey) ([]catalog.WriteRecord, error)
 	if g.s.env.Comm.Rank() == 0 {
 		lk := g.ep.lookup[:0]
 		for _, k := range keys {
-			if _, ok := g.written[k]; !ok {
+			if _, ok := g.index.recs[k]; !ok {
 				lk = append(lk, catalog.WriteKey{Dataset: k.dataset, Timestep: k.timestep})
 			}
 		}
@@ -474,7 +477,7 @@ func (g *Group) lookupPlacements(keys []writeKey) ([]catalog.WriteRecord, error)
 	}
 	fill := 0
 	for i, k := range keys {
-		if _, ok := g.written[k]; !ok {
+		if _, ok := g.index.recs[k]; !ok {
 			out[i] = res.Recs[fill]
 			fill++
 		}
@@ -482,18 +485,32 @@ func (g *Group) lookupPlacements(keys []writeKey) ([]catalog.WriteRecord, error)
 	return out, nil
 }
 
-// resolveGets looks up where every queued get's slab lives (rank-local
-// cache, then one batched catalog query) and resolves reads landing in
-// files with an asynchronous flush in flight from another token: the
-// conflicting token is implicitly waited (WaitConflicts) or reported
-// loudly (ErrorOnConflict). tok is the flush being issued; its own
-// claims — a put and a get of one file in the same epoch — are fine.
-func (g *Group) resolveGets(tok *StepToken) ([]catalog.WriteRecord, error) {
-	gets := g.ep.gets
-	ts := g.ep.timestep
+// A get flush has two halves. Issue resolves where each dataset's slab
+// lives, carves a read arena and issues one merged collective read per
+// touched file (open and view charges on the main timeline, the data
+// collectives forked); it needs only the dataset list and the timestep.
+// Deliver joins the collectives and decodes the arena into the
+// caller's slices. EndStep runs them back to back; a read-ahead
+// (step.go) is an issue for a future timestep whose deliver runs when
+// the application's Get step for that timestep arrives.
+
+// getPart is one group's share of a get flush: the datasets read, in
+// queue order.
+type getPart struct {
+	g   *Group
+	dis []int
+}
+
+// resolveGets looks up where each dataset's slab of timestep ts lives
+// (placement index, then one batched catalog query) and resolves reads
+// landing in files with an asynchronous flush in flight from another
+// token: the conflicting token is implicitly waited (WaitConflicts) or
+// reported loudly (ErrorOnConflict). tok is the flush being issued; its
+// own claims — a put and a get of one file in the same epoch — are fine.
+func (g *Group) resolveGets(tok *StepToken, ts int64, dis []int) ([]catalog.WriteRecord, error) {
 	keys := g.ep.keys[:0]
-	for i := range gets {
-		keys = append(keys, writeKey{g.attrs[gets[i].di].Name, ts})
+	for _, di := range dis {
+		keys = append(keys, writeKey{g.attrs[di].Name, ts})
 	}
 	g.ep.keys = keys
 	recs, err := g.lookupPlacements(keys)
@@ -517,14 +534,14 @@ func (g *Group) resolveGets(tok *StepToken) ([]catalog.WriteRecord, error) {
 	return recs, nil
 }
 
-// stageGets carves the read arena and computes each get's view
+// stageGets carves the read arena and computes each dataset's view
 // position, mirroring the legacy Read's slab arithmetic; it fills
-// g.ep.placed.
-func (g *Group) stageGets(recs []catalog.WriteRecord) {
-	gets := g.ep.gets
+// g.ep.placed (placed[i] serves dis[i]) and g.ep.readArena.
+func (g *Group) stageGets(dis []int, recs []catalog.WriteRecord) {
 	var total int64
-	for i := range gets {
-		total += gets[i].bytes
+	for _, di := range dis {
+		v := g.views[g.attrs[di].Name]
+		total += int64(v.LocalSize()) * v.elemSize
 	}
 	if g.ep.readArena != nil {
 		g.s.putArena(g.ep.readArena)
@@ -533,10 +550,8 @@ func (g *Group) stageGets(recs []catalog.WriteRecord) {
 	arena := g.ep.readArena
 	placed := g.ep.placed[:0]
 	var cur int64
-	for i := range gets {
-		gt := &gets[i]
-		a := g.attrs[gt.di]
-		v := g.views[a.Name]
+	for i, di := range dis {
+		v := g.views[g.attrs[di].Name]
 		rec := recs[i]
 		var disp, logicalOff int64
 		switch {
@@ -551,9 +566,10 @@ func (g *Group) stageGets(recs []catalog.WriteRecord) {
 			// by a differently-shaped group and reopened as a subset).
 			disp = rec.FileOffset
 		}
-		buf := arena[cur : cur+gt.bytes]
-		cur += gt.bytes
-		placed = append(placed, placedOp{file: rec.FileName, v: v, disp: disp, off: logicalOff, data: buf, idx: i})
+		n := int64(v.LocalSize()) * v.elemSize
+		buf := arena[cur : cur+n]
+		cur += n
+		placed = append(placed, placedOp{file: rec.FileName, v: v, disp: disp, off: logicalOff, data: buf, bytes: n, idx: i})
 	}
 	g.ep.placed = placed
 }
@@ -563,7 +579,7 @@ func (g *Group) stageGets(recs []catalog.WriteRecord) {
 // clearing is needed: the views' segments partition each request, so
 // the collective (and the zero-filling vectored fallback) overwrite
 // every byte.
-func (g *Group) issueGetFlushes() (sim.Time, error) {
+func (g *Group) issueGetFlushes(ts int64) (sim.Time, error) {
 	clock := g.s.env.Comm.Clock()
 	join := clock.Now()
 	placed := g.ep.placed
@@ -585,7 +601,7 @@ func (g *Group) issueGetFlushes() (sim.Time, error) {
 		if tr := g.s.tracer; tr != nil {
 			tr.Emit(g.s.pid(), "core", "flush:read", fork, clock.Now(),
 				obs.KV{Key: "file", Val: file},
-				obs.KV{Key: "step", Val: fmt.Sprint(g.ep.timestep)})
+				obs.KV{Key: "step", Val: fmt.Sprint(ts)})
 		}
 		join = sim.MaxTime(join, clock.Now())
 		clock.Rebase(fork)
@@ -593,35 +609,51 @@ func (g *Group) issueGetFlushes() (sim.Time, error) {
 	return join, nil
 }
 
-// decodeGets scatters file-order bytes back into the callers' slices,
+// issueGets is the issue half of the group's get flush: datasets dis of
+// timestep ts, for token tok. It returns the join time (the latest file
+// completion) with the clock left at the fork point and the staged
+// reads in g.ep.placed / g.ep.readArena.
+func (g *Group) issueGets(tok *StepToken, ts int64, dis []int) (sim.Time, error) {
+	recs, err := g.resolveGets(tok, ts, dis)
+	if err != nil {
+		return g.s.env.Comm.Clock().Now(), err
+	}
+	g.stageGets(dis, recs)
+	return g.issueGetFlushes(ts)
+}
+
+// deliverGets is the group's share of the deliver half, after the join:
+// it scatters the file-order bytes of placed (this flush's, or an
+// adopted read-ahead's) into the slices of the epoch's queued gets,
 // charging the memory-copy cost of each permutation.
-func (g *Group) decodeGets() {
-	gets := g.ep.gets
-	placed := g.ep.placed
+func (g *Group) deliverGets(placed []placedOp) {
 	for i := range placed {
-		gt := &gets[placed[i].idx]
-		v := placed[i].v
-		gt.decode(v, placed[i].data)
-		g.s.env.Comm.ComputeItems(gt.bytes, g.s.opts.MemCopyRate)
+		g.ep.gets[placed[i].idx].decode(placed[i].v, placed[i].data)
+		g.s.env.Comm.ComputeItems(placed[i].bytes, g.s.opts.MemCopyRate)
 	}
 }
 
-// flushGets performs the read half of a per-group EndStep; tok is the
-// step token being flushed (its own file claims do not conflict).
-func (g *Group) flushGets(tok *StepToken) error {
-	if len(g.ep.gets) == 0 {
-		return nil
+// flushGets is the read half of a step flush for token tok: issue every
+// part's gets, join, deliver. One code path serves per-group and
+// Manager-level steps.
+func (s *SDM) flushGets(tok *StepToken, parts []getPart) error {
+	clock := s.env.Comm.Clock()
+	join := clock.Now()
+	var err error
+	for i := range parts {
+		var j sim.Time
+		j, err = parts[i].g.issueGets(tok, tok.timestep, parts[i].dis)
+		join = sim.MaxTime(join, j)
+		if err != nil {
+			break
+		}
 	}
-	recs, err := g.resolveGets(tok)
+	clock.AdvanceTo(join)
 	if err != nil {
 		return err
 	}
-	g.stageGets(recs)
-	join, err := g.issueGetFlushes()
-	g.s.env.Comm.Clock().AdvanceTo(join)
-	if err != nil {
-		return err
+	for i := range parts {
+		parts[i].g.deliverGets(parts[i].g.ep.placed)
 	}
-	g.decodeGets()
 	return nil
 }

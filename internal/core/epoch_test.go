@@ -45,7 +45,8 @@ func legacyWrite(g *Group, dataset string, timestep int64, data []byte) error {
 	if int64(len(data)) != int64(v.LocalSize())*v.elemSize {
 		return fmt.Errorf("core: dataset %q write has %d bytes", dataset, len(data))
 	}
-	file, physOff, slab := g.place(dataset, timestep, a.GlobalSize*a.Type.Size())
+	file := g.fileFor(g.byName[dataset], timestep)
+	physOff, slab := g.place(file, a.GlobalSize*a.Type.Size())
 	of, err := g.open(file)
 	if err != nil {
 		return err
@@ -73,14 +74,14 @@ func legacyWrite(g *Group, dataset string, timestep int64, data []byte) error {
 		RunID: g.s.runID, Dataset: dataset, Timestep: timestep,
 		FileOffset: physOff, FileName: file,
 	}
-	g.written[writeKey{dataset, timestep}] = rec
+	g.index.add(rec)
 	return g.s.catalogCall(func() error {
 		return g.s.env.Catalog.RecordWrite(g.s.env.Comm.Clock(), rec)
 	})
 }
 
 func legacyLookupPlacement(g *Group, dataset string, timestep int64) (catalog.WriteRecord, error) {
-	if rec, ok := g.written[writeKey{dataset, timestep}]; ok {
+	if rec, ok := g.index.recs[writeKey{dataset, timestep}]; ok {
 		return rec, nil
 	}
 	type wire struct {

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 
 	"sdm/internal/catalog"
 	"sdm/internal/mpiio"
@@ -23,7 +25,12 @@ type Group struct {
 	files      map[string]*openFile
 	appendSlab map[string]int64 // per file: next slab index (uniform groups)
 	appendOff  map[string]int64 // per file: next byte offset (mixed groups)
-	written    map[writeKey]catalog.WriteRecord
+	index      placementIndex
+
+	// fileNames resolves fileFor without formatting on the hot path: per
+	// dataset, the whole name under levels 2 and 3 (fixed for the group's
+	// lifetime) and the prefix up to the timestep under level 1.
+	fileNames []string
 
 	uniform  bool // all datasets same type and global size
 	slabSize int64
@@ -48,6 +55,39 @@ type writeKey struct {
 	timestep int64
 }
 
+// placementIndex is a group's rank-local, catalog-free copy of its
+// execution-table rows: where each (dataset, timestep) slab landed, and
+// the distinct timesteps in ascending order. cacheWrites feeds it as
+// the session writes and OpenGroup seeds it from the rows rank 0
+// already broadcasts, so reads resolve placements — and a sequential
+// reader's next checkpoint — without a catalog round trip. Every rank
+// holds the same contents (both feeds are collective), which is what
+// lets all ranks take the same read-ahead decisions.
+type placementIndex struct {
+	recs  map[writeKey]catalog.WriteRecord
+	steps []int64
+}
+
+// add records rec, replacing an earlier placement of the same slab.
+func (x *placementIndex) add(rec catalog.WriteRecord) {
+	x.recs[writeKey{rec.Dataset, rec.Timestep}] = rec
+	if i, found := slices.BinarySearch(x.steps, rec.Timestep); !found {
+		x.steps = slices.Insert(x.steps, i, rec.Timestep)
+	}
+}
+
+// successor reports the first recorded timestep after ts.
+func (x *placementIndex) successor(ts int64) (int64, bool) {
+	i, found := slices.BinarySearch(x.steps, ts)
+	if found {
+		i++
+	}
+	if i == len(x.steps) {
+		return 0, false
+	}
+	return x.steps[i], true
+}
+
 type openFile struct {
 	f       *mpiio.File
 	sc      *mpiio.Scratch // checked out of the group's pool until close
@@ -69,7 +109,7 @@ func (s *SDM) newGroup(attrs []Attr) (*Group, error) {
 		files:      make(map[string]*openFile),
 		appendSlab: make(map[string]int64),
 		appendOff:  make(map[string]int64),
-		written:    make(map[writeKey]catalog.WriteRecord),
+		index:      placementIndex{recs: make(map[writeKey]catalog.WriteRecord)},
 	}
 	g.uniform = true
 	for i := range attrs {
@@ -89,6 +129,17 @@ func (s *SDM) newGroup(attrs []Attr) (*Group, error) {
 	}
 	if g.uniform {
 		g.slabSize = g.attrs[0].GlobalSize * g.attrs[0].Type.Size()
+	}
+	g.fileNames = make([]string, len(g.attrs))
+	for i, a := range g.attrs {
+		switch s.opts.Organization {
+		case Level1:
+			g.fileNames[i] = fmt.Sprintf("%s_r%d_%s_t", s.app, s.runID, a.Name)
+		case Level2:
+			g.fileNames[i] = fmt.Sprintf("%s_r%d_%s.dat", s.app, s.runID, a.Name)
+		default:
+			g.fileNames[i] = fmt.Sprintf("%s_r%d_g%d.dat", s.app, s.runID, g.idx)
+		}
 	}
 	return g, nil
 }
@@ -140,12 +191,17 @@ func (s *SDM) OpenGroup(names []string) (*Group, error) {
 	if s.opts.DisableDB {
 		return nil, fmt.Errorf("core: OpenGroup requires the metadata catalog")
 	}
+	// Two broadcasts, as a receiver needs the row count before it can
+	// post the receive for the rows: a fixed-size header (attributes,
+	// error, count) and then the run's execution-table rows at the 64
+	// bytes per record lookupPlacements charges.
 	type wire struct {
 		Attrs []Attr
-		Recs  []catalog.WriteRecord
+		NRecs int
 		Err   string
 	}
 	var w wire
+	var recs []catalog.WriteRecord
 	if s.env.Comm.Rank() == 0 {
 		for _, n := range names {
 			info, err := s.env.Catalog.LookupDataset(s.env.Comm.Clock(), s.runID, n)
@@ -171,23 +227,35 @@ func (s *SDM) OpenGroup(names []string) (*Group, error) {
 			})
 		}
 		if w.Err == "" {
-			recs, err := s.env.Catalog.WritesForRun(s.env.Comm.Clock(), s.runID)
-			if err != nil {
+			var err error
+			if recs, err = s.env.Catalog.WritesForRun(s.env.Comm.Clock(), s.runID); err != nil {
 				w.Err = err.Error()
-			} else {
-				w.Recs = recs
 			}
+			w.NRecs = len(recs)
 		}
 	}
 	res := s.env.Comm.Bcast(0, w, 256).(wire)
 	if res.Err != "" {
 		return nil, fmt.Errorf("%s", res.Err)
 	}
+	recs = s.env.Comm.Bcast(0, recs, 64*int64(res.NRecs)).([]catalog.WriteRecord)
 	g, err := s.newGroup(res.Attrs)
 	if err != nil {
 		return nil, err
 	}
-	g.primeAppendState(res.Recs)
+	g.primeAppendState(recs)
+	// Seed the placement index with the group's own rows, so the
+	// restart's Get steps resolve locally instead of paying a LookupWrites
+	// round trip and a broadcast per step for rows that just arrived. The
+	// first row of a rewritten slab wins, as it does in LookupWrites.
+	for _, rec := range recs {
+		if _, ok := g.byName[rec.Dataset]; !ok {
+			continue
+		}
+		if _, dup := g.index.recs[writeKey{rec.Dataset, rec.Timestep}]; !dup {
+			g.index.add(rec)
+		}
+	}
 	s.groups = append(s.groups, g)
 	return g, nil
 }
@@ -357,17 +425,20 @@ func permuteBytesFromFile(v *View, fileData, out []byte) {
 	}
 }
 
-// fileFor determines which file a dataset write goes to under the
-// group's organization level.
-func (g *Group) fileFor(dataset string, timestep int64) string {
-	switch g.s.opts.Organization {
-	case Level1:
-		return fmt.Sprintf("%s_r%d_%s_t%d.dat", g.s.app, g.s.runID, dataset, timestep)
-	case Level2:
-		return fmt.Sprintf("%s_r%d_%s.dat", g.s.app, g.s.runID, dataset)
-	default:
-		return fmt.Sprintf("%s_r%d_g%d.dat", g.s.app, g.s.runID, g.idx)
+// fileFor determines which file a write of dataset di at timestep goes
+// to under the group's organization level. Levels 2 and 3 return the
+// name resolved at registration; level 1 appends the timestep to the
+// dataset's prefix, one string per call — enqueuePut resolves it once
+// per queued put and the claim and the placement share that.
+func (g *Group) fileFor(di int, timestep int64) string {
+	if g.s.opts.Organization != Level1 {
+		return g.fileNames[di]
 	}
+	var buf [96]byte
+	b := append(buf[:0], g.fileNames[di]...)
+	b = strconv.AppendInt(b, timestep, 10)
+	b = append(b, ".dat"...)
+	return string(b)
 }
 
 // open returns the cached handle for a file, opening it on first use.
@@ -420,23 +491,21 @@ func (g *Group) closeFiles() error {
 	return firstErr
 }
 
-// place computes where a write of `dataset` at `timestep` lands: the
-// file, the physical byte offset of the slab (recorded in the execution
-// table), and the slab index within the file (-1 for byte-append
-// placement in mixed groups).
-func (g *Group) place(dataset string, timestep int64, slabBytes int64) (file string, physOff, slab int64) {
-	file = g.fileFor(dataset, timestep)
+// place computes where one slab written to file lands: the physical
+// byte offset of the slab (recorded in the execution table) and the slab
+// index within the file (-1 for byte-append placement in mixed groups).
+func (g *Group) place(file string, slabBytes int64) (physOff, slab int64) {
 	switch {
 	case g.s.opts.Organization == Level1:
-		return file, 0, 0
+		return 0, 0
 	case g.uniform:
 		slab = g.appendSlab[file]
 		g.appendSlab[file] = slab + 1
-		return file, slab * g.slabSize, slab
+		return slab * g.slabSize, slab
 	default:
 		off := g.appendOff[file]
 		g.appendOff[file] = off + slabBytes
-		return file, off, -1
+		return off, -1
 	}
 }
 
@@ -527,7 +596,7 @@ func (g *Group) ReadFloat64s(dataset string, timestep int64, n int) ([]float64, 
 func (g *Group) FileNames() []string {
 	seen := map[string]bool{}
 	var names []string
-	for _, rec := range g.written {
+	for _, rec := range g.index.recs {
 		if !seen[rec.FileName] {
 			seen[rec.FileName] = true
 			names = append(names, rec.FileName)

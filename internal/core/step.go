@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"sdm/internal/obs"
 	"sdm/internal/sim"
@@ -30,6 +31,23 @@ import (
 // — the earliest-finishing flush releases its files and staging arenas
 // first — not issue order.
 //
+// Read-ahead. The placement index knows every (dataset, timestep) of
+// the run, so a sequential reader's next checkpoint is a lookup, not a
+// guess: after a get-only step whose timestep is the index successor of
+// the previous get-only step's (same datasets), SDM issues the same
+// datasets' gets for the following timesteps — the issue half of the
+// ordinary get flush, each on its own forked sub-timeline — until
+// StepPipelineDepth tokens are outstanding. The Get step that arrives
+// for such a timestep adopts the token (no second flush, no second
+// token), joins it and decodes; any other get-only step joins and
+// discards what it skipped and takes the ordinary path. A read-ahead is
+// an ordinary token to Wait, DrainSteps, Finalize and the depth bound,
+// and a flush that writes a file a read-ahead has read joins and
+// discards it first (WaitConflicts) or fails loudly (ErrorOnConflict),
+// so a misprediction costs its virtual time and never delivers stale
+// bytes. Depth 1 leaves no room beside the step's own token: nothing is
+// issued.
+//
 // Manager-level cross-group steps (SDM.BeginStep/EndStep) merge the
 // per-group epochs of every registered group into one rendezvous: the
 // groups' files flush as concurrently forked collectives and the whole
@@ -51,6 +69,18 @@ type StepToken struct {
 	done     sim.Time // flush completion on the forked timeline
 	err      error    // flush error, surfaced by Wait
 	waited   bool
+
+	// ahead is the issued, undelivered half of a read-ahead: per group,
+	// the datasets read and where their bytes sit in the token's arenas.
+	// Nil for ordinary tokens and once a Get step has adopted the token.
+	ahead []aheadPart
+}
+
+// aheadPart is one group's share of a read-ahead: placed[i] holds the
+// file-order bytes of dataset dis[i].
+type aheadPart struct {
+	getPart
+	placed []placedOp
 }
 
 // newToken allocates a token for a flush of the given timestep.
@@ -88,6 +118,7 @@ func (t *StepToken) Wait() error {
 		t.s.putArena(a)
 		t.arenas[i] = nil
 	}
+	t.ahead = nil // an unconsumed read-ahead is discarded, its cost joined below
 	clock := t.s.env.Comm.Clock()
 	now := clock.Now()
 	clock.AdvanceTo(t.done)
@@ -161,10 +192,14 @@ func (s *SDM) admitFlush() error {
 // claimFile records tok as the in-flight flush owning file in the
 // per-file dependency registry. An outstanding conflicting token is
 // implicitly waited (WaitConflicts) or reported loudly
-// (ErrorOnConflict). Two groups writing one file within a single
-// cross-group step is always an error: the conflict is inside the
-// epoch itself, so there is no token to wait on.
+// (ErrorOnConflict); so is an outstanding read-ahead that has read the
+// file. Two groups writing one file within a single cross-group step is
+// always an error: the conflict is inside the epoch itself, so there is
+// no token to wait on.
 func (s *SDM) claimFile(file string, tok *StepToken) error {
+	if err := s.invalidateAhead(file); err != nil {
+		return err
+	}
 	for {
 		other := s.pending[file]
 		if other == nil {
@@ -190,7 +225,7 @@ func (s *SDM) claimFile(file string, tok *StepToken) error {
 func (g *Group) claimPutFiles(tok *StepToken) error {
 	start := len(tok.files)
 	for i := range g.ep.puts {
-		file := g.fileFor(g.attrs[g.ep.puts[i].di].Name, g.ep.timestep)
+		file := g.ep.puts[i].file
 		dup := false
 		for _, f := range tok.files[start:] {
 			if f == file {
@@ -265,36 +300,297 @@ func (g *Group) EndStepAsync() (*StepToken, error) {
 		g.cancelStep()
 		return tok, nil
 	}
-	if err := g.s.admitFlush(); err != nil {
+	s := g.s
+	parts := s.collectGets(s.groups[g.idx:g.idx+1], false)
+	getOnly := len(g.ep.puts) == 0
+	if getOnly {
+		if tok := s.deliverAhead(g.ep.timestep, parts); tok != nil {
+			g.cancelStep()
+			return tok, nil
+		}
+	}
+	if err := s.admitFlush(); err != nil {
 		g.cancelStep()
 		return nil, err
 	}
-	tok := g.s.newToken(g.ep.timestep)
+	tok := s.newToken(g.ep.timestep)
 	if err := g.claimPutFiles(tok); err != nil {
 		tok.release()
 		g.cancelStep()
 		return nil, err
 	}
 	g.ep.open = false
-	clock := g.s.env.Comm.Clock()
+	clock := s.env.Comm.Clock()
 	fork := clock.Now()
 	flushErr := g.flushPuts()
 	if flushErr == nil {
-		flushErr = g.flushGets(tok)
+		flushErr = s.flushGets(tok, parts)
 	}
 	tok.err = flushErr
 	tok.done = clock.Now()
 	tok.adopt(g)
-	g.cancelStep() // release queued closures and the caller slices they capture
+	s.tokens = append(s.tokens, tok)
 	clock.Rebase(fork)
-	g.s.tokens = append(g.s.tokens, tok)
-	g.s.stepCount.Add(1)
-	if tr := g.s.tracer; tr != nil {
-		tr.Emit(g.s.pid(), "core", "step", fork, tok.done,
+	if getOnly && flushErr == nil {
+		s.noteGetStep(tok.timestep, parts)
+		s.topUpAhead()
+	}
+	g.cancelStep() // release queued closures and the caller slices they capture
+	s.endStepSpan(tok, fork)
+	return tok, nil
+}
+
+// endStepSpan counts a closed step and records its span: from the
+// EndStepAsync call to the flush's completion on the forked timeline.
+func (s *SDM) endStepSpan(tok *StepToken, fork sim.Time) {
+	s.stepCount.Add(1)
+	if tr := s.tracer; tr != nil {
+		tr.Emit(s.pid(), "core", "step", fork, tok.done,
 			obs.KV{Key: "step", Val: fmt.Sprint(tok.timestep)},
 			obs.KV{Key: "seq", Val: fmt.Sprint(tok.seq)})
 	}
-	return tok, nil
+}
+
+// ---------------------------------------------------------------------------
+// Read-ahead
+// ---------------------------------------------------------------------------
+
+// collectGets lists the gets queued in the open epochs of groups
+// (Manager-owned epochs or not, per managed) as the step's get parts,
+// in s.getParts — reused, with its dataset lists, across steps.
+func (s *SDM) collectGets(groups []*Group, managed bool) []getPart {
+	parts := s.getParts[:0]
+	for _, g := range groups {
+		if !g.ep.open || g.ep.managed != managed || len(g.ep.gets) == 0 {
+			continue
+		}
+		if n := len(parts); n < cap(parts) {
+			parts = parts[:n+1] // revive the slot with its dataset list's backing array
+		} else {
+			parts = append(parts, getPart{})
+		}
+		pt := &parts[len(parts)-1]
+		pt.g = g
+		pt.dis = pt.dis[:0]
+		for i := range g.ep.gets {
+			pt.dis = append(pt.dis, g.ep.gets[i].di)
+		}
+	}
+	s.getParts = parts
+	return parts
+}
+
+// sameGets reports whether two steps read the same datasets of the same
+// groups in the same order.
+func sameGets(a, b []getPart) bool {
+	return slices.EqualFunc(a, b, func(x, y getPart) bool {
+		return x.g == y.g && slices.Equal(x.dis, y.dis)
+	})
+}
+
+// serves reports whether t is an undelivered read-ahead of exactly this
+// get-only step: same timestep, same datasets, through the views the
+// groups have installed now.
+func (t *StepToken) serves(ts int64, parts []getPart) bool {
+	if t.ahead == nil || t.timestep != ts || len(t.ahead) != len(parts) {
+		return false
+	}
+	for i := range parts {
+		a := &t.ahead[i]
+		if a.g != parts[i].g || !slices.Equal(a.dis, parts[i].dis) {
+			return false
+		}
+		for j, di := range a.dis {
+			if a.placed[j].v != a.g.views[a.g.attrs[di].Name] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// discardAhead joins and discards outstanding read-aheads in issue
+// order, stopping at keep (nil: all of them). Their completion times
+// are charged: a misprediction costs what it cost.
+func (s *SDM) discardAhead(keep *StepToken) {
+	for i := 0; i < len(s.tokens); {
+		t := s.tokens[i]
+		if t == keep {
+			return
+		}
+		if t.ahead == nil {
+			i++
+			continue
+		}
+		_ = t.Wait() // a read-ahead token carries no error; Wait unlinks it from s.tokens
+	}
+}
+
+// deliverAhead closes a get-only step from an outstanding read-ahead:
+// the matching token is adopted as the step's token, the window is
+// topped up, and the token's join and the decode into the step's queued
+// gets are charged on the step's forked timeline. Read-aheads issued
+// before the match — every one of them, when nothing matches — were
+// skipped by the reader and are discarded. It returns nil when nothing
+// matched and the step must take the ordinary path.
+func (s *SDM) deliverAhead(ts int64, parts []getPart) *StepToken {
+	var tok *StepToken
+	for _, t := range s.tokens {
+		if t.serves(ts, parts) {
+			tok = t
+			break
+		}
+	}
+	s.discardAhead(tok)
+	if tok == nil {
+		return nil
+	}
+	// Post the next read-ahead before blocking on this step's own.
+	s.noteGetStep(ts, parts)
+	s.topUpAhead()
+	clock := s.env.Comm.Clock()
+	fork := clock.Now()
+	clock.AdvanceTo(tok.done)
+	for i := range tok.ahead {
+		tok.ahead[i].g.deliverGets(tok.ahead[i].placed)
+	}
+	tok.ahead = nil
+	tok.done = clock.Now()
+	clock.Rebase(fork)
+	s.endStepSpan(tok, fork)
+	return tok
+}
+
+// noteGetStep feeds the sequential-read detector with a get-only step:
+// read-ahead is armed while each such step reads the datasets of the
+// previous one at that step's index successor. Every rank decides from
+// the collective call sequence and the placement index, so every rank
+// issues the same read-ahead collectives.
+func (s *SDM) noteGetStep(ts int64, parts []getPart) {
+	rd := &s.reader
+	next, ok := parts[0].g.index.successor(rd.timestep)
+	rd.armed = ok && next == ts && sameGets(rd.parts, parts)
+	rd.timestep = ts
+	rd.parts, s.getParts = parts, rd.parts
+}
+
+// topUpAhead issues read-aheads for the armed reader's following
+// timesteps until StepPipelineDepth tokens — the closing step's own
+// included — are outstanding, each forked from the clock's current
+// position: the EndStepAsync call point of the get-only step that found
+// the room, which knows on entry whether the reader is sequential and
+// posts the next reads before it blocks on its own.
+func (s *SDM) topUpAhead() {
+	rd := &s.reader
+	if !rd.armed {
+		return
+	}
+	last := rd.timestep
+	for _, t := range s.tokens {
+		if t.ahead != nil {
+			last = t.timestep // the far end of the issued window
+		}
+	}
+	index := &rd.parts[0].g.index
+	for len(s.tokens) < s.opts.StepPipelineDepth {
+		next, ok := index.successor(last)
+		if !ok || !s.issueAhead(next, rd.parts) {
+			return
+		}
+		last = next
+	}
+}
+
+// issueAhead issues the get flush of parts for timestep ts as a
+// read-ahead: the issue half only, on a sub-timeline forked from the
+// clock's current position, into arenas the new token owns. It declines
+// (false) when a slab is not in the placement index or a flush to one
+// of the files is still in flight — a speculation never waits and never
+// asks the catalog.
+func (s *SDM) issueAhead(ts int64, parts []getPart) bool {
+	for i := range parts {
+		g := parts[i].g
+		for _, di := range parts[i].dis {
+			rec, ok := g.index.recs[writeKey{g.attrs[di].Name, ts}]
+			if !ok || s.pending[rec.FileName] != nil {
+				return false
+			}
+		}
+	}
+	tok := s.newToken(ts)
+	tok.ahead = make([]aheadPart, 0, len(parts))
+	clock := s.env.Comm.Clock()
+	fork := clock.Now()
+	join := fork
+	var err error
+	for i := range parts {
+		g := parts[i].g
+		var j sim.Time
+		j, err = g.issueGets(tok, ts, parts[i].dis)
+		join = sim.MaxTime(join, j)
+		tok.adopt(g)
+		if err != nil {
+			break
+		}
+		tok.ahead = append(tok.ahead, aheadPart{
+			getPart: getPart{g: g, dis: slices.Clone(parts[i].dis)},
+			placed:  slices.Clone(g.ep.placed),
+		})
+	}
+	tok.done = join
+	if err != nil {
+		// A failed speculation is dropped, its partial I/O charged: the
+		// application's own Get of this timestep takes the ordinary path
+		// and surfaces the error itself. Stop predicting.
+		clock.AdvanceTo(join)
+		for _, a := range tok.arenas {
+			s.putArena(a)
+		}
+		s.reader.armed = false
+		return false
+	}
+	clock.Rebase(fork)
+	s.tokens = append(s.tokens, tok)
+	if tr := s.tracer; tr != nil {
+		tr.Emit(s.pid(), "core", "readahead", fork, join,
+			obs.KV{Key: "step", Val: fmt.Sprint(ts)},
+			obs.KV{Key: "seq", Val: fmt.Sprint(tok.seq)})
+	}
+	return true
+}
+
+// invalidateAhead resolves a write to a file an outstanding read-ahead
+// has read, so stale bytes are never delivered: the read-ahead is
+// joined and discarded (WaitConflicts) or the write fails loudly
+// (ErrorOnConflict). The reader stops predicting until its next
+// sequential get-only step.
+func (s *SDM) invalidateAhead(file string) error {
+	for i := 0; i < len(s.tokens); {
+		t := s.tokens[i]
+		if !t.readAheadOf(file) {
+			i++
+			continue
+		}
+		if s.opts.WaitPolicy == ErrorOnConflict {
+			return fmt.Errorf("core: step flush would write %q under the outstanding read-ahead of step %d; DrainSteps first", file, t.timestep)
+		}
+		s.reader.armed = false
+		_ = t.Wait() // a read-ahead token carries no error; Wait unlinks it from s.tokens
+	}
+	return nil
+}
+
+// readAheadOf reports whether t is an undelivered read-ahead holding
+// bytes read from file.
+func (t *StepToken) readAheadOf(file string) bool {
+	for i := range t.ahead {
+		for j := range t.ahead[i].placed {
+			if t.ahead[i].placed[j].file == file {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // ---------------------------------------------------------------------------
@@ -368,11 +664,19 @@ func (s *SDM) EndStepAsync() (*StepToken, error) {
 	// An empty step never drains the pipeline (there is nothing to
 	// conflict with); it still runs the rendezvous below, since a
 	// Manager step is collective regardless of what was queued.
-	empty := true
+	empty, getOnly := true, true
 	for _, g := range s.groups {
 		if g.ep.managed && (len(g.ep.puts) > 0 || len(g.ep.gets) > 0) {
 			empty = false
-			break
+			getOnly = getOnly && len(g.ep.puts) == 0
+		}
+	}
+	getOnly = getOnly && !empty
+	parts := s.collectGets(s.groups, true)
+	if getOnly {
+		if tok := s.deliverAhead(s.step.timestep, parts); tok != nil {
+			s.cancelManagedStep()
+			return tok, nil
 		}
 	}
 	if !empty {
@@ -431,36 +735,10 @@ func (s *SDM) EndStepAsync() (*StepToken, error) {
 	}
 	clock.AdvanceTo(join)
 
-	// Reads: resolve and stage every group's gets (lookups are main-
-	// timeline work), fork each file's collective, join, then decode.
+	// Reads, after all puts are recorded: lookups are main-timeline
+	// work, each file's collective forks, then the join and the decodes.
 	if flushErr == nil {
-		readJoin := clock.Now()
-		for _, g := range s.groups {
-			if !g.ep.managed || len(g.ep.gets) == 0 {
-				continue
-			}
-			recs, err := g.resolveGets(tok)
-			if err != nil {
-				flushErr = err
-				break
-			}
-			g.stageGets(recs)
-			j, err := g.issueGetFlushes()
-			readJoin = sim.MaxTime(readJoin, j)
-			if err != nil {
-				flushErr = err
-				break
-			}
-		}
-		clock.AdvanceTo(readJoin)
-		if flushErr == nil {
-			// All gets flushed cleanly; deliver them.
-			for _, g := range s.groups {
-				if g.ep.managed && len(g.ep.gets) > 0 {
-					g.decodeGets()
-				}
-			}
-		}
+		flushErr = s.flushGets(tok, parts)
 	}
 
 	tok.err = flushErr
@@ -468,16 +746,15 @@ func (s *SDM) EndStepAsync() (*StepToken, error) {
 	for _, g := range s.groups {
 		if g.ep.managed {
 			tok.adopt(g)
-			g.cancelStep()
 		}
 	}
-	clock.Rebase(fork)
 	s.tokens = append(s.tokens, tok)
-	s.stepCount.Add(1)
-	if tr := s.tracer; tr != nil {
-		tr.Emit(s.pid(), "core", "step", fork, tok.done,
-			obs.KV{Key: "step", Val: fmt.Sprint(tok.timestep)},
-			obs.KV{Key: "seq", Val: fmt.Sprint(tok.seq)})
+	clock.Rebase(fork)
+	if getOnly && flushErr == nil {
+		s.noteGetStep(tok.timestep, parts)
+		s.topUpAhead()
 	}
+	s.cancelManagedStep()
+	s.endStepSpan(tok, fork)
 	return tok, nil
 }

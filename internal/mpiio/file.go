@@ -16,20 +16,11 @@ type Hints struct {
 	// CBNodes is the number of aggregator ranks in collective I/O.
 	// Zero means every rank aggregates (the dense default).
 	CBNodes int
-	// CBBufferSize mirrors ROMIO's cb_buffer_size hint (default
-	// 4 MiB). It is currently a no-op: the vectored file-system
-	// interface coalesces adjacent staging chunks into one contiguous
-	// stripe span server-side, so aggregator runs are issued as single
-	// requests regardless of staging granularity. The field is
-	// retained (and still normalized at Open) for hint compatibility.
-	CBBufferSize int64
 	// DisableCollective forces WriteAtAll/ReadAtAll to fall back to
 	// independent per-segment requests — the ablation knob for
 	// measuring what collective buffering buys.
 	DisableCollective bool
 }
-
-const defaultCBBufferSize = 4 << 20
 
 // File is an MPI-IO style file handle: a pfs handle plus a view, bound
 // to one rank's communicator. Collective operations must be called by
@@ -42,7 +33,17 @@ type File struct {
 	disp     int64
 	filetype *Datatype
 
+	// scratch is the private staging bundle, allocated on first use: a
+	// File handed a shared bundle by UseScratch never needs one.
 	scratch *ioScratch
+}
+
+// scr returns the staging buffers the file's operations use.
+func (f *File) scr() *ioScratch {
+	if f.scratch == nil {
+		f.scratch = &ioScratch{}
+	}
+	return f.scratch
 }
 
 // ioScratch holds the per-File reusable buffers of the read/write hot
@@ -145,13 +146,10 @@ func Open(c *mpi.Comm, sys *pfs.System, name string, mode pfs.Mode, hints Hints)
 	if err != nil {
 		return nil, err
 	}
-	if hints.CBBufferSize <= 0 {
-		hints.CBBufferSize = defaultCBBufferSize
-	}
 	if hints.CBNodes <= 0 || hints.CBNodes > c.Size() {
 		hints.CBNodes = c.Size()
 	}
-	return &File{h: h, comm: c, hints: hints, disp: 0, filetype: nil, scratch: &ioScratch{}}, nil
+	return &File{h: h, comm: c, hints: hints, disp: 0, filetype: nil}, nil
 }
 
 // Close releases the handle.
@@ -175,7 +173,7 @@ func (f *File) SetView(disp int64, filetype *Datatype) {
 // into the File's reusable segment scratch. The result is valid until
 // the next physSegments call on this File.
 func (f *File) physSegments(off, n int64) []Segment {
-	segs := f.scratch.segs[:0]
+	segs := f.scr().segs[:0]
 	if f.filetype == nil {
 		if n > 0 {
 			segs = append(segs, Segment{Off: f.disp + off, Len: n})
@@ -183,7 +181,7 @@ func (f *File) physSegments(off, n int64) []Segment {
 	} else {
 		segs = f.filetype.mapRangeInto(segs, f.disp, off, n)
 	}
-	f.scratch.segs = segs
+	f.scr().segs = segs
 	return segs
 }
 
@@ -220,8 +218,8 @@ func (f *File) ReadAt(off int64, data []byte) error {
 // iovec-style buffer lists that alias the callers' staging buffers, so
 // no payload concatenation copy is made on the sending side.
 // Phase 2: aggregators coalesce the segments in their domain and issue
-// large vectored file-system requests, bounded by cb_buffer_size; for
-// reads the data flows back through a second all-to-all.
+// large vectored file-system requests; for reads the data flows back
+// through a second all-to-all.
 // ---------------------------------------------------------------------------
 
 // BatchOp is one operation of a multi-op collective batch: data written
@@ -301,8 +299,8 @@ func alignUp(n, align int64) int64 {
 // construction; when ops interleave in file space, a bottom-up merge of
 // the per-op runs restores global order.
 func (f *File) flattenOps(ops []BatchOp) []flatSeg {
-	flat := f.scratch.flat[:0]
-	bounds := f.scratch.opBounds[:0]
+	flat := f.scr().flat[:0]
+	bounds := f.scr().opBounds[:0]
 	sorted := true
 	for i := range ops {
 		op := &ops[i]
@@ -321,24 +319,24 @@ func (f *File) flattenOps(ops []BatchOp) []flatSeg {
 		}
 	}
 	bounds = append(bounds, len(flat))
-	f.scratch.opBounds = bounds
+	f.scr().opBounds = bounds
 	if sorted || len(bounds) <= 2 {
-		f.scratch.flat = flat
+		f.scr().flat = flat
 		return flat
 	}
-	if cap(f.scratch.flatAux) < len(flat) {
-		f.scratch.flatAux = make([]flatSeg, len(flat))
+	if cap(f.scr().flatAux) < len(flat) {
+		f.scr().flatAux = make([]flatSeg, len(flat))
 	}
-	aux := f.scratch.flatAux[:len(flat)]
-	if cap(f.scratch.opBoundsAx) < len(bounds) {
-		f.scratch.opBoundsAx = make([]int, 0, len(bounds))
+	aux := f.scr().flatAux[:len(flat)]
+	if cap(f.scr().opBoundsAx) < len(bounds) {
+		f.scr().opBoundsAx = make([]int, 0, len(bounds))
 	}
-	res := mergeSortedRuns(flat, aux, bounds, f.scratch.opBoundsAx[:0],
+	res := mergeSortedRuns(flat, aux, bounds, f.scr().opBoundsAx[:0],
 		func(a, b flatSeg) bool { return a.seg.Off < b.seg.Off })
 	if &res[0] == &aux[0] {
-		f.scratch.flat, f.scratch.flatAux = aux, flat[:0]
+		f.scr().flat, f.scr().flatAux = aux, flat[:0]
 	} else {
-		f.scratch.flat = flat
+		f.scr().flat = flat
 	}
 	return res
 }
@@ -371,7 +369,7 @@ func (f *File) collectiveRange(flat []flatSeg) (lo, hi, domain int64, nAgg int) 
 // zero-copy routing.
 func (f *File) routeSegments(flat []flatSeg, lo, domain int64, nAgg int) []ioParcel {
 	size := f.comm.Size()
-	parcels := f.scratch.parcels
+	parcels := f.scr().parcels
 	if cap(parcels) < size {
 		parcels = make([]ioParcel, size)
 	} else {
@@ -381,7 +379,7 @@ func (f *File) routeSegments(flat []flatSeg, lo, domain int64, nAgg int) []ioPar
 		parcels[i].Segs = parcels[i].Segs[:0]
 		parcels[i].Bufs = parcels[i].Bufs[:0]
 	}
-	f.scratch.parcels = parcels
+	f.scr().parcels = parcels
 	for _, fs := range flat {
 		remaining := fs.seg
 		buf := fs.buf
@@ -413,15 +411,15 @@ func (f *File) routeSegments(flat []flatSeg, lo, domain int64, nAgg int) []ioPar
 // whether Bufs count as wire traffic (writes) or are local-only scatter
 // destinations (reads).
 func (f *File) exchangeParcels(parcels []ioParcel, withPayload bool) []ioParcel {
-	anyParts := f.scratch.anyParts[:0]
+	anyParts := f.scr().anyParts[:0]
 	var total int64
 	for i := range parcels {
 		anyParts = append(anyParts, &parcels[i])
 		total += parcels[i].bytes(withPayload)
 	}
-	f.scratch.anyParts = anyParts
+	f.scr().anyParts = anyParts
 	res := f.comm.Alltoall(anyParts, total)
-	incoming := f.scratch.incoming
+	incoming := f.scr().incoming
 	if cap(incoming) < len(res) {
 		incoming = make([]ioParcel, len(res))
 	} else {
@@ -434,7 +432,7 @@ func (f *File) exchangeParcels(parcels []ioParcel, withPayload bool) []ioParcel 
 			incoming[i] = ioParcel{}
 		}
 	}
-	f.scratch.incoming = incoming
+	f.scr().incoming = incoming
 	return incoming
 }
 
@@ -452,8 +450,8 @@ type aggSeg struct {
 // merge of the per-source runs rather than a full sort. Ties take the
 // lower source rank first, making aggregation deterministic.
 func (f *File) gatherAggSegs(incoming []ioParcel) []aggSeg {
-	all := f.scratch.aggs[:0]
-	bounds := f.scratch.bounds[:0]
+	all := f.scr().aggs[:0]
+	bounds := f.scr().bounds[:0]
 	sorted := true
 	for src := range incoming {
 		p := &incoming[src]
@@ -469,26 +467,26 @@ func (f *File) gatherAggSegs(incoming []ioParcel) []aggSeg {
 		}
 	}
 	bounds = append(bounds, len(all))
-	f.scratch.bounds = bounds
+	f.scr().bounds = bounds
 	if sorted || len(bounds) <= 2 {
-		f.scratch.aggs = all
+		f.scr().aggs = all
 		return all
 	}
-	if cap(f.scratch.aggsAux) < len(all) {
-		f.scratch.aggsAux = make([]aggSeg, len(all))
+	if cap(f.scr().aggsAux) < len(all) {
+		f.scr().aggsAux = make([]aggSeg, len(all))
 	}
-	aux := f.scratch.aggsAux[:len(all)]
-	if cap(f.scratch.boundsAux) < len(bounds) {
-		f.scratch.boundsAux = make([]int, 0, len(bounds))
+	aux := f.scr().aggsAux[:len(all)]
+	if cap(f.scr().boundsAux) < len(bounds) {
+		f.scr().boundsAux = make([]int, 0, len(bounds))
 	}
-	res := mergeSortedRuns(all, aux, bounds, f.scratch.boundsAux[:0],
+	res := mergeSortedRuns(all, aux, bounds, f.scr().boundsAux[:0],
 		func(a, b aggSeg) bool { return a.seg.Off < b.seg.Off })
 	// Keep both buffers' capacity regardless of which side the merge
 	// finished on.
 	if &res[0] == &aux[0] {
-		f.scratch.aggs, f.scratch.aggsAux = aux, all[:0]
+		f.scr().aggs, f.scr().aggsAux = aux, all[:0]
 	} else {
-		f.scratch.aggs = all
+		f.scr().aggs = all
 	}
 	return res
 }
@@ -576,21 +574,20 @@ func sieveRunsInto(dst []sieveRun, all []aggSeg, maxGap int64) []sieveRun {
 
 // chunkedWriteAt issues buf at off as one vectored request beginning at
 // virtual time `at`, returning the completion time without touching the
-// rank's clock — the unit of a forked phase-2 sub-timeline. Adjacent
-// cb_buffer_size chunks coalesce into a single contiguous stripe span
-// server-side, so each I/O server is charged once for its share of the
-// whole run instead of once per staging-buffer chunk.
+// rank's clock — the unit of a forked phase-2 sub-timeline. The run is
+// a single contiguous stripe span server-side, so each I/O server is
+// charged once for its share of the whole run.
 func (f *File) chunkedWriteAt(buf []byte, off int64, at sim.Time) (sim.Time, error) {
-	f.scratch.ext[0] = Segment{Off: off, Len: int64(len(buf))}
-	done, _, err := f.h.WriteAtVecTime(buf, f.scratch.ext[:], at)
+	f.scr().ext[0] = Segment{Off: off, Len: int64(len(buf))}
+	done, _, err := f.h.WriteAtVecTime(buf, f.scr().ext[:], at)
 	return done, err
 }
 
 // chunkedReadAt fills buf from off as one vectored request beginning at
 // `at`, returning the completion time; reads past EOF zero-fill.
 func (f *File) chunkedReadAt(buf []byte, off int64, at sim.Time) (sim.Time, error) {
-	f.scratch.ext[0] = Segment{Off: off, Len: int64(len(buf))}
-	done, _, err := f.h.ReadAtVecTime(buf, f.scratch.ext[:], at)
+	f.scr().ext[0] = Segment{Off: off, Len: int64(len(buf))}
+	done, _, err := f.h.ReadAtVecTime(buf, f.scr().ext[:], at)
 	if err != nil && err != io.EOF {
 		return done, err
 	}
@@ -601,11 +598,11 @@ func (f *File) chunkedReadAt(buf []byte, off int64, at sim.Time) (sim.Time, erro
 // through the view. Every rank of the communicator must participate
 // (pass a nil/empty slice to contribute nothing).
 func (f *File) WriteAtAll(off int64, data []byte) error {
-	f.scratch.ops[0] = BatchOp{Disp: f.disp, Type: f.filetype, Off: off, Data: data}
-	err := f.WriteAtAllOps(f.scratch.ops[:1])
+	f.scr().ops[0] = BatchOp{Disp: f.disp, Type: f.filetype, Off: off, Data: data}
+	err := f.WriteAtAllOps(f.scr().ops[:1])
 	// Drop the op-slot alias; flat/parcel scratch still references the
 	// buffer until the next collective, per the ioScratch protocol.
-	f.scratch.ops[0] = BatchOp{}
+	f.scr().ops[0] = BatchOp{}
 	return err
 }
 
@@ -661,15 +658,15 @@ func (f *File) WriteAtAllOps(ops []BatchOp) error {
 	// the read chains before the write within the run's sub-timeline.
 	if f.comm.Rank() < nAgg {
 		all := f.gatherAggSegs(incoming)
-		runs := sieveRunsInto(f.scratch.runs[:0], all, f.h.SieveGap())
-		f.scratch.runs = runs
+		runs := sieveRunsInto(f.scr().runs[:0], all, f.h.SieveGap())
+		f.scr().runs = runs
 		clock := f.comm.Clock()
 		fork := clock.Now()
 		join := fork
 		for _, run := range runs {
 			at := fork
-			f.scratch.writeStage = grow(f.scratch.writeStage, run.end-run.start)
-			buf := f.scratch.writeStage
+			f.scr().writeStage = grow(f.scr().writeStage, run.end-run.start)
+			buf := f.scr().writeStage
 			if run.holes {
 				var err error
 				if at, err = f.chunkedReadAt(buf, run.start, at); err != nil {
@@ -701,7 +698,7 @@ func (f *File) WriteAtAllOps(ops []BatchOp) error {
 // independent (DisableCollective) fallback issues as one vectored
 // request, with the op's Data already concatenated in segment order.
 func (f *File) opSegments(op *BatchOp) []Segment {
-	segs := f.scratch.segs[:0]
+	segs := f.scr().segs[:0]
 	n := int64(len(op.Data))
 	if op.Type == nil {
 		if n > 0 {
@@ -710,7 +707,7 @@ func (f *File) opSegments(op *BatchOp) []Segment {
 	} else {
 		segs = op.Type.mapRangeInto(segs, op.Disp, op.Off, n)
 	}
-	f.scratch.segs = segs
+	f.scr().segs = segs
 	return segs
 }
 
@@ -734,11 +731,11 @@ func (r *readReply) bytes() int64 {
 // a collective read of a hole; an error is returned only for structural
 // failures.
 func (f *File) ReadAtAll(off int64, data []byte) error {
-	f.scratch.ops[0] = BatchOp{Disp: f.disp, Type: f.filetype, Off: off, Data: data}
-	err := f.ReadAtAllOps(f.scratch.ops[:1])
+	f.scr().ops[0] = BatchOp{Disp: f.disp, Type: f.filetype, Off: off, Data: data}
+	err := f.ReadAtAllOps(f.scr().ops[:1])
 	// Drop the op-slot alias; flat/parcel scratch still references the
 	// buffer until the next collective, per the ioScratch protocol.
-	f.scratch.ops[0] = BatchOp{}
+	f.scr().ops[0] = BatchOp{}
 	return err
 }
 
@@ -777,13 +774,13 @@ func (f *File) ReadAtAllOps(ops []BatchOp) error {
 	// Reply slices alias the read arena; runs carve disjoint arena
 	// regions so replies stay intact for the whole operation.
 	size := f.comm.Size()
-	replies := f.scratch.replies
+	replies := f.scr().replies
 	if cap(replies) < size {
 		replies = make([]readReply, size)
 	} else {
 		replies = replies[:size]
 	}
-	f.scratch.replies = replies
+	f.scr().replies = replies
 	for i := range replies {
 		replies[i].Data = replies[i].Data[:0]
 	}
@@ -798,14 +795,14 @@ func (f *File) ReadAtAllOps(ops []BatchOp) error {
 			}
 		}
 		all := f.gatherAggSegs(incoming)
-		runs := sieveRunsInto(f.scratch.runs[:0], all, f.h.SieveGap())
-		f.scratch.runs = runs
+		runs := sieveRunsInto(f.scr().runs[:0], all, f.h.SieveGap())
+		f.scr().runs = runs
 		var need int64
 		for _, run := range runs {
 			need += run.end - run.start
 		}
-		f.scratch.readArena = grow(f.scratch.readArena, need)
-		arena := f.scratch.readArena
+		f.scr().readArena = grow(f.scr().readArena, need)
+		arena := f.scr().readArena
 		// Forked sub-timeline per run, as on the write side: runs carve
 		// disjoint arena regions and file spans, so they are issued
 		// concurrently from the phase-2 fork point and the clock joins
@@ -832,13 +829,13 @@ func (f *File) ReadAtAllOps(ops []BatchOp) error {
 		}
 		clock.AdvanceTo(join)
 	}
-	anyReplies := f.scratch.anyParts[:0]
+	anyReplies := f.scr().anyParts[:0]
 	var total int64
 	for i := range replies {
 		anyReplies = append(anyReplies, &replies[i])
 		total += replies[i].bytes()
 	}
-	f.scratch.anyParts = anyReplies
+	f.scr().anyParts = anyReplies
 	back := f.comm.Alltoall(anyReplies, total)
 
 	// Scatter returned data into the callers' buffers through the

@@ -218,15 +218,13 @@ func TestFewerAggregatorsThanRanks(t *testing.T) {
 	}
 }
 
-func TestSmallCBBufferStaysVectored(t *testing.T) {
+func TestAggregatorRunIsOneRequest(t *testing.T) {
 	// With the vectored file-system interface, an aggregator run is one
-	// request regardless of the staging-buffer size: adjacent chunks
-	// coalesce into a single contiguous stripe span server-side. A tiny
-	// cb buffer therefore must NOT inflate the request count the way
-	// per-chunk issuance used to.
+	// request however large it is: the run reaches the file system as a
+	// single contiguous stripe span, not as staging-buffer-sized chunks.
 	sys := freeSys()
 	runIO(t, 2, sys, func(c *mpi.Comm) {
-		f, _ := Open(c, sys, "f", pfs.CreateMode, Hints{CBBufferSize: 512})
+		f, _ := Open(c, sys, "f", pfs.CreateMode, Hints{})
 		defer f.Close()
 		buf := make([]byte, 4096)
 		for i := range buf {

@@ -160,8 +160,8 @@ func usToDur(us float64) time.Duration {
 }
 
 // WriteReport prints the analysis: top-N span self-time and per-server
-// busy/idle fractions — the signal the adaptive pipeline-depth work
-// reads to find the server saturation knee.
+// busy/idle fractions — how much of the array's time the traced run
+// left unused.
 func (a *Analysis) WriteReport(w io.Writer, topN int) error {
 	if _, err := fmt.Fprintf(w, "trace: %d spans over %v of virtual time\n", a.Spans, a.TraceSpan); err != nil {
 		return err
@@ -194,7 +194,7 @@ func (a *Analysis) WriteReport(w io.Writer, topN int) error {
 			span += s.Span
 		}
 		if span > 0 {
-			fmt.Fprintf(w, "  %-12s busy fraction %.1f%% — idle %.1f%% is the headroom adaptive StepPipelineDepth can claim\n",
+			fmt.Fprintf(w, "  %-12s busy fraction %.1f%% — idle %.1f%% is what a deeper StepPipelineDepth (writes and read-ahead) could still overlap\n",
 				"aggregate:", 100*float64(busy)/float64(span), 100*(1-float64(busy)/float64(span)))
 		}
 	}

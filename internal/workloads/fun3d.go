@@ -353,9 +353,12 @@ func (f *FUN3D) WriteReadBandwidthHints(cl *sdm.Cluster, level sdm.FileOrganizat
 // steps write disjoint files, so per-file dependency tracking lets the
 // next checkpoint's collectives overlap the previous ones' I/O in
 // virtual time. Depth 1 reproduces the classic one-outstanding-flush
-// schedule; the sdmbench `pipeline` experiment sweeps the depth.
+// schedule; the sdmbench `pipeline` experiment sweeps the depth. After
+// the writes have drained the checkpoints are read back in order
+// through synchronous EndStep closes — the sequential reader SDM's
+// metadata-directed read-ahead streams at the same depth.
 func (f *FUN3D) PipelineWriteBandwidth(cl *sdm.Cluster, steps, depth int) (*Fig6Stats, error) {
-	return f.fig6Run(cl, sdm.Level1, steps, sdm.Hints{}, depth, false)
+	return f.fig6Run(cl, sdm.Level1, steps, sdm.Hints{}, depth, true)
 }
 
 // fig6Run is the shared body beneath the Figure-6 bandwidth runs and
