@@ -445,7 +445,8 @@ func runFig6(nx, procs, steps int, bl *benchLog) {
 	w.Flush()
 	fmt.Printf("paper shape: level3 >= level2, open/view costs grow as the level drops; at this\n" +
 		"sub-paper data size level1's file-per-step layout can win back raw bandwidth through\n" +
-		"starting-server rotation while paying the most metadata (see the open-cost ablation)\n")
+		"starting-server rotation while paying the most metadata (see the open-cost ablation).\n" +
+		"opens are charged opens: only a file's aggregator set opens it, not every rank\n")
 }
 
 func runFig7(rtnx, rtsteps int, bl *benchLog) {

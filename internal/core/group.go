@@ -35,6 +35,10 @@ type Group struct {
 	uniform  bool // all datasets same type and global size
 	slabSize int64
 
+	// cbNodes is the aggregator-set size the group's files open with when
+	// the caller left Hints.CBNodes at zero (see aggregatorSet).
+	cbNodes int
+
 	// ep is the group's deferred step epoch (BeginStep/EndStep) and its
 	// flush scratch; legacy Write/Read run as one-operation epochs over
 	// the same engine.
@@ -130,6 +134,7 @@ func (s *SDM) newGroup(attrs []Attr) (*Group, error) {
 	if g.uniform {
 		g.slabSize = g.attrs[0].GlobalSize * g.attrs[0].Type.Size()
 	}
+	g.cbNodes = g.aggregatorSet()
 	g.fileNames = make([]string, len(g.attrs))
 	for i, a := range g.attrs {
 		switch s.opts.Organization {
@@ -142,6 +147,35 @@ func (s *SDM) newGroup(attrs []Attr) (*Group, error) {
 		}
 	}
 	return g, nil
+}
+
+// aggregatorSet sizes the aggregator set of the group's files from the
+// attributes alone: the number of stripes the largest extent one step
+// writes to a file can touch. A level-1 file holds one slab from offset
+// zero; a level-2 file takes one slab per step and a level-3 file the
+// whole group's slabs, neither starting on a stripe boundary (hence the
+// extra stripe). That many aggregators give the collective the same
+// one-stripe file domains the dense default produces, so the file system
+// sees the same requests and only the ranks issuing them open the file.
+func (g *Group) aggregatorSet() int {
+	var largest, sum int64
+	for _, a := range g.attrs {
+		slab := a.GlobalSize * a.Type.Size()
+		largest = max(largest, slab)
+		sum += slab
+	}
+	stripe := g.s.env.FS.StripeSize()
+	stripes := func(n int64) int64 { return (n + stripe - 1) / stripe }
+	var n int64
+	switch g.s.opts.Organization {
+	case Level1:
+		n = stripes(largest)
+	case Level2:
+		n = stripes(largest) + 1
+	default:
+		n = stripes(sum) + 1
+	}
+	return int(min(n, int64(g.s.env.Comm.Size())))
 }
 
 // SetAttributes registers a data group: all dataset metadata goes to
@@ -449,7 +483,11 @@ func (g *Group) open(name string) (*openFile, error) {
 	if of, ok := g.files[name]; ok {
 		return of, nil
 	}
-	f, err := mpiio.Open(g.s.env.Comm, g.s.env.FS, name, pfs.CreateMode, g.s.opts.Hints)
+	hints := g.s.opts.Hints
+	if hints.CBNodes == 0 {
+		hints.CBNodes = g.cbNodes
+	}
+	f, err := mpiio.Open(g.s.env.Comm, g.s.env.FS, name, pfs.CreateMode, hints)
 	if err != nil {
 		return nil, err
 	}

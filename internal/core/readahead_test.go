@@ -79,9 +79,12 @@ func (a *raApp) put(ts int64, n, rev int) error {
 
 // get reads one checkpoint through a synchronous get-only step and
 // checks every element against revision rev.
-func (a *raApp) get(ts int64, rev int) {
+func (a *raApp) get(ts int64, rev int) { a.getN(ts, a.nsets(), rev) }
+
+// getN is get over the first n datasets.
+func (a *raApp) getN(ts int64, n, rev int) {
 	a.begin(ts)
-	out := make([][]float64, a.nsets())
+	out := make([][]float64, n)
 	for j := range out {
 		out[j] = make([]float64, len(a.maps[j]))
 		if err := a.ds[j].Get(out[j]); err != nil {

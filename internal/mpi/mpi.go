@@ -165,6 +165,7 @@ type Comm struct {
 	clock *sim.Clock
 
 	atPayload alltoallPayload // reused Alltoall contribution
+	bcPayload bcastPayload    // reused Bcast contribution
 }
 
 // Rank reports this process's rank in [0, Size).
@@ -403,15 +404,29 @@ func (c *Comm) Barrier() {
 	c.exchange("Barrier", nil, func([]any) (any, sim.Duration) { return nil, cost })
 }
 
+// bcastPayload carries a rank's Bcast contribution through exchange
+// together with the size it declared, by pointer (one payload cached per
+// Comm), like alltoallPayload.
+type bcastPayload struct {
+	v     any
+	bytes int64
+}
+
 // Bcast distributes root's value to every rank. bytes is the payload
-// size for cost accounting. Non-root ranks pass their (ignored) local
-// value, typically nil.
+// size for cost accounting; the size the ROOT passes is the one charged
+// — a receiver cannot know the length of a message it has not received,
+// and charging whichever rank happened to arrive last would make
+// virtual time depend on host scheduling. Non-root ranks pass their
+// (ignored) local value, typically nil.
 func (c *Comm) Bcast(root int, v any, bytes int64) any {
 	c.checkRoot(root, "Bcast")
-	cost := c.treeCost(bytes)
-	return c.exchange("Bcast", v, func(slots []any) (any, sim.Duration) {
-		return slots[root], cost
+	c.bcPayload = bcastPayload{v: v, bytes: bytes}
+	res := c.exchange("Bcast", &c.bcPayload, func(slots []any) (any, sim.Duration) {
+		pl := slots[root].(*bcastPayload)
+		return pl.v, c.treeCost(pl.bytes)
 	})
+	c.bcPayload.v = nil // the result is out; do not pin the value until the next Bcast
+	return res
 }
 
 // Gather collects one value from every rank, in rank order, delivered

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -395,6 +396,38 @@ func TestBcastTreeCost(t *testing.T) {
 		want := sim.Time(3*(time.Millisecond+8*time.Nanosecond) + 3*2*time.Millisecond)
 		if c.Now() != want {
 			t.Errorf("clock %v, want %v", c.Now(), want)
+		}
+	})
+}
+
+// TestBcastChargesRootSize: when only the root knows the payload size,
+// the cost is the root's declared size whichever rank arrives last in
+// host order. The non-root ranks hold back until the root has entered
+// the rendezvous, so the last arriver — whose size used to be charged —
+// is never the root.
+func TestBcastChargesRootSize(t *testing.T) {
+	cfg := Config{Latency: time.Millisecond, Bandwidth: 1e9}
+	const root, size = 1, 1_000_000 // 1 ms per round at 1 GB/s
+	run(t, 8, cfg, func(c *Comm) {
+		var v any
+		bytes := int64(16)
+		if c.Rank() == root {
+			v, bytes = "payload", size
+		} else {
+			for rv := c.world.rv; ; runtime.Gosched() {
+				rv.mu.Lock()
+				arrived := rv.arrived
+				rv.mu.Unlock()
+				if arrived > 0 {
+					break
+				}
+			}
+		}
+		if got := c.Bcast(root, v, bytes); got != "payload" {
+			t.Errorf("rank %d received %v", c.Rank(), got)
+		}
+		if want := sim.Time(3 * 2 * time.Millisecond); c.Now() != want {
+			t.Errorf("rank %d clock %v, want %v (three rounds of the root's size)", c.Rank(), c.Now(), want)
 		}
 	})
 }

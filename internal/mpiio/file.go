@@ -13,8 +13,9 @@ import (
 // Hints mirror the MPI-IO info keys ROMIO's two-phase implementation
 // consumes.
 type Hints struct {
-	// CBNodes is the number of aggregator ranks in collective I/O.
-	// Zero means every rank aggregates (the dense default).
+	// CBNodes is the number of aggregator ranks in collective I/O: the
+	// size of the file's aggregator set, the only ranks that open the
+	// file at Open. Zero means every rank aggregates (the dense default).
 	CBNodes int
 	// DisableCollective forces WriteAtAll/ReadAtAll to fall back to
 	// independent per-segment requests — the ablation knob for
@@ -22,13 +23,31 @@ type Hints struct {
 	DisableCollective bool
 }
 
-// File is an MPI-IO style file handle: a pfs handle plus a view, bound
-// to one rank's communicator. Collective operations must be called by
-// every rank of the communicator, as in MPI.
+// File is an MPI-IO style file handle: a view over a named file, bound
+// to one rank's communicator, plus — on the ranks that need one — a pfs
+// handle. Collective operations must be called by every rank of the
+// communicator, as in MPI.
+//
+// Aggregator set and deferred open. A file's aggregators are the
+// Hints.CBNodes consecutive ranks starting at rot, a stable hash of the
+// file name, so the small files of a file-per-dataset layout spread
+// their aggregation (and their opens) over the communicator instead of
+// piling on rank 0; file domain k belongs to rank (rot+k) mod P. Only
+// set members touch the file in a collective operation, so only they
+// open it at Open (ROMIO's deferred open); any other rank opens on its
+// first independent access, and Close charges only where an open
+// happened.
 type File struct {
-	h     *pfs.Handle
-	comm  *mpi.Comm
-	hints Hints
+	sys  *pfs.System
+	name string
+	mode pfs.Mode
+	// h is nil on a rank outside the aggregator set that has made no
+	// independent access.
+	h      *pfs.Handle
+	closed bool
+	comm   *mpi.Comm
+	hints  Hints
+	rot    int // rank of aggregator 0
 
 	disp     int64
 	filetype *Datatype
@@ -69,9 +88,9 @@ type ioScratch struct {
 	opBounds   []int       // per-op run boundaries within flat
 	opBoundsAx []int       // merge ping-pong buffer
 	ops        [1]BatchOp  // single-op buffer for the legacy entry points
-	parcels    []ioParcel  // outgoing phase-1 parcels, one per rank
-	incoming   []ioParcel  // received phase-1 parcels
-	anyParts   []any       // boxing buffer for Alltoall
+	parcels    []ioParcel  // outgoing phase-1 parcels, one per aggregator index
+	incoming   []ioParcel  // aggregator: received phase-1 parcels, one per rank
+	anyParts   []any       // boxing buffer for Alltoall, one per rank
 	aggs       []aggSeg    // aggregator: gathered incoming segments, sorted
 	aggsAux    []aggSeg    // merge ping-pong buffer
 	bounds     []int       // per-source run boundaries within aggs
@@ -79,7 +98,8 @@ type ioScratch struct {
 	runs       []sieveRun  // aggregator: coalesced spanning runs
 	writeStage []byte      // aggregator: staging buffer, one run at a time
 	readArena  []byte      // aggregator: staging arena carved across runs
-	replies    []readReply // read phase-2 replies, one per rank
+	replies    []readReply // aggregator: read phase-2 replies, one per rank
+	replyData  [][]byte    // aggregator: backing array the replies' Data are carved from
 	ext        [1]Segment  // single-extent buffer for contiguous vectored calls
 }
 
@@ -139,34 +159,110 @@ func (p *ScratchPool) Put(sc *Scratch) {
 // asserting steady-state reuse.
 func (p *ScratchPool) Size() int { return len(p.free) }
 
-// Open opens name collectively: every rank calls Open and receives its
-// own handle. The initial view is contiguous bytes from offset zero.
+// Open opens name collectively: every rank calls Open, and the members
+// of the file's aggregator set open it in the file system, in parallel,
+// each on its own clock. The initial view is contiguous bytes from
+// offset zero.
+//
+// Open is collective but, like MPI_File_open, not synchronizing: it has
+// no rendezvous, because a collective advances every clock to the last
+// arrival and would put the openers' cost back on every rank's
+// timeline. A rank outside the set therefore learns of a missing file
+// from an uncharged existence check, so that a failed open fails on
+// every rank before any of them enters a collective operation.
 func Open(c *mpi.Comm, sys *pfs.System, name string, mode pfs.Mode, hints Hints) (*File, error) {
-	h, err := sys.Open(name, mode, c.Clock())
-	if err != nil {
-		return nil, err
+	size := c.Size()
+	if hints.CBNodes <= 0 || hints.CBNodes > size {
+		hints.CBNodes = size
 	}
-	if hints.CBNodes <= 0 || hints.CBNodes > c.Size() {
-		hints.CBNodes = c.Size()
+	f := &File{sys: sys, name: name, mode: mode, comm: c, hints: hints,
+		rot: int(pfs.NameHash(name) % uint64(size))}
+	if f.aggIndex(c.Rank()) < hints.CBNodes {
+		if err := f.open(true); err != nil {
+			return nil, err
+		}
+	} else if mode != pfs.CreateMode && !sys.Exists(name) {
+		return nil, fmt.Errorf("open %q: %w", name, pfs.ErrNotExist)
 	}
-	return &File{h: h, comm: c, hints: hints, disp: 0, filetype: nil}, nil
+	return f, nil
 }
 
-// Close releases the handle.
-func (f *File) Close() error { return f.h.Close() }
+// aggRank returns the rank aggregating file domain k.
+func (f *File) aggRank(k int) int { return (f.rot + k) % f.comm.Size() }
 
-// Handle exposes the underlying pfs handle (for size queries in tests).
-func (f *File) Handle() *pfs.Handle { return f.h }
+// aggIndex returns the file domain rank would aggregate if the set were
+// that large: rank is a member of an n-aggregator set when
+// aggIndex(rank) < n.
+func (f *File) aggIndex(rank int) int {
+	return (rank - f.rot + f.comm.Size()) % f.comm.Size()
+}
+
+// open opens the file in the file system, charging this rank's clock.
+// member distinguishes the aggregator set's opens at Open from a
+// non-member's deferred one.
+func (f *File) open(member bool) error {
+	t0 := f.comm.Now()
+	h, err := f.sys.Open(f.name, f.mode, f.comm.Clock())
+	if err != nil {
+		return err
+	}
+	f.h = h
+	if tr := f.sys.Tracer(); tr != nil {
+		tr.Emit(obs.PidRank(f.comm.Rank()), "mpiio", "open", t0, f.comm.Now(),
+			obs.KV{Key: "file", Val: f.name},
+			obs.KV{Key: "member", Val: fmt.Sprint(member)},
+			obs.KV{Key: "set", Val: fmt.Sprint(f.hints.CBNodes)})
+	}
+	return nil
+}
+
+// handle returns the rank's pfs handle for an independent access,
+// opening the file first on a rank that has not needed one so far.
+func (f *File) handle() (*pfs.Handle, error) {
+	if f.closed {
+		return nil, pfs.ErrClosed
+	}
+	if f.h == nil {
+		if err := f.open(false); err != nil {
+			return nil, err
+		}
+	}
+	return f.h, nil
+}
+
+// Close releases the file. A rank that never opened it pays nothing.
+func (f *File) Close() error {
+	if f.closed {
+		return pfs.ErrClosed
+	}
+	f.closed = true
+	if f.h == nil {
+		return nil
+	}
+	t0 := f.comm.Now()
+	err := f.h.Close()
+	if tr := f.sys.Tracer(); tr != nil {
+		tr.Emit(obs.PidRank(f.comm.Rank()), "mpiio", "close", t0, f.comm.Now(),
+			obs.KV{Key: "file", Val: f.name})
+	}
+	return err
+}
 
 // SetView installs a file view: logical byte L of subsequent reads and
 // writes maps to the L-th data byte of filetype tiled from displacement
 // disp (MPI_File_set_view with etype = MPI_BYTE). A nil filetype means
 // contiguous bytes. Charges the view-definition cost the paper's level
-// comparison measures.
+// comparison measures, on every rank: a view is local state and needs
+// no open handle.
 func (f *File) SetView(disp int64, filetype *Datatype) {
 	f.disp = disp
 	f.filetype = filetype
-	f.h.ChargeView()
+	t0 := f.comm.Now()
+	f.sys.ChargeView(f.comm.Clock())
+	if tr := f.sys.Tracer(); tr != nil {
+		tr.Emit(obs.PidRank(f.comm.Rank()), "mpiio", "view", t0, f.comm.Now(),
+			obs.KV{Key: "file", Val: f.name})
+	}
 }
 
 // physSegments maps the logical range [off, off+n) through the view
@@ -190,8 +286,11 @@ func (f *File) physSegments(off, n int64) []Segment {
 // physical segment. This is the path the paper's "original"
 // applications and the ablation use.
 func (f *File) WriteAt(off int64, data []byte) error {
-	segs := f.physSegments(off, int64(len(data)))
-	_, err := f.h.WriteAtVec(data, segs)
+	h, err := f.handle()
+	if err != nil {
+		return err
+	}
+	_, err = h.WriteAtVec(data, f.physSegments(off, int64(len(data))))
 	return err
 }
 
@@ -199,8 +298,11 @@ func (f *File) WriteAt(off int64, data []byte) error {
 // independently. Reads extending past EOF return io.EOF with the
 // missing tail zero-filled, matching pfs vectored-read semantics.
 func (f *File) ReadAt(off int64, data []byte) error {
-	segs := f.physSegments(off, int64(len(data)))
-	_, err := f.h.ReadAtVec(data, segs)
+	h, err := f.handle()
+	if err != nil {
+		return err
+	}
+	_, err = h.ReadAtVec(data, f.physSegments(off, int64(len(data))))
 	return err
 }
 
@@ -211,8 +313,11 @@ func (f *File) ReadAt(off int64, data []byte) error {
 // deferred-step batch of (view, offset, buffer) operations — into a
 // single sorted physical segment list (the same flattening feeds the
 // extent agreement and the routing) and the ranks agree (allreduce) on
-// the union's extent. The extent is split into stripe-aligned file
-// domains, one per aggregator.
+// the union's extent. The extent is split into file domains, one per
+// aggregator: equal shares rounded up to a whole number of stripes,
+// laid out from the extent's own (unaligned) start — stripe-SIZED, not
+// stripe-aligned, so an aggregator's run generally straddles two
+// servers.
 // Phase 1: each rank routes segment descriptors (plus data, for writes)
 // to the owning aggregators with an all-to-all. Parcels carry
 // iovec-style buffer lists that alias the callers' staging buffers, so
@@ -356,25 +461,25 @@ func (f *File) collectiveRange(flat []flatSeg) (lo, hi, domain int64, nAgg int) 
 		return 0, 0, 0, 0
 	}
 	nAgg = f.hints.CBNodes
-	stripe := f.h.StripeSize()
+	stripe := f.sys.StripeSize()
 	domain = alignUp(alignUp(hi-lo, int64(nAgg))/int64(nAgg), stripe)
 	return lo, hi, domain, nAgg
 }
 
 // routeSegments splits this rank's flattened segments across aggregator
-// domains, producing one parcel per aggregator rank in the File's
-// reusable parcel scratch. Aggregators are ranks 0..nAgg-1 (rank r
-// aggregates domain r). Buffer pieces are split alongside their
+// domains, producing one parcel per domain in the File's reusable
+// parcel scratch. Parcels are indexed by aggregator index, not rank, so
+// a scratch bundle shared by files with different rotations keeps each
+// slot's grown capacity. Buffer pieces are split alongside their
 // segments and keep aliasing the callers' memory — the iovec-style
 // zero-copy routing.
 func (f *File) routeSegments(flat []flatSeg, lo, domain int64, nAgg int) []ioParcel {
-	size := f.comm.Size()
 	parcels := f.scr().parcels
-	if cap(parcels) < size {
-		parcels = make([]ioParcel, size)
-	} else {
-		parcels = parcels[:size]
+	if cap(parcels) < nAgg {
+		// Carry the grown slots over: a wider set must not re-grow them.
+		parcels = append(parcels[:cap(parcels)], make([]ioParcel, nAgg-cap(parcels))...)
 	}
+	parcels = parcels[:nAgg]
 	for i := range parcels {
 		parcels[i].Segs = parcels[i].Segs[:0]
 		parcels[i].Bufs = parcels[i].Bufs[:0]
@@ -404,21 +509,39 @@ func (f *File) routeSegments(flat []flatSeg, lo, domain int64, nAgg int) []ioPar
 	return parcels
 }
 
-// exchangeParcels performs the phase-1 all-to-all. Parcels travel by
-// pointer (boxing a pointer into an interface does not allocate); the
-// receivers' references stay valid until the owners' next collective
-// operation, per the ioScratch reuse protocol. withPayload selects
-// whether Bufs count as wire traffic (writes) or are local-only scatter
-// destinations (reads).
-func (f *File) exchangeParcels(parcels []ioParcel, withPayload bool) []ioParcel {
-	anyParts := f.scr().anyParts[:0]
-	var total int64
-	for i := range parcels {
-		anyParts = append(anyParts, &parcels[i])
-		total += parcels[i].bytes(withPayload)
+// nilParts returns the File's Alltoall boxing buffer, one nil part per
+// rank.
+func (f *File) nilParts() []any {
+	size := f.comm.Size()
+	parts := f.scr().anyParts
+	if cap(parts) < size {
+		parts = make([]any, size)
+		f.scr().anyParts = parts
 	}
-	f.scr().anyParts = anyParts
+	parts = parts[:size]
+	clear(parts)
+	return parts
+}
+
+// exchangeParcels performs the phase-1 all-to-all: parcel k goes to the
+// rank aggregating domain k, nothing to the other ranks. Parcels travel
+// by pointer (boxing a pointer into an interface does not allocate);
+// the receivers' references stay valid until the owners' next
+// collective operation, per the ioScratch reuse protocol. withPayload
+// selects whether Bufs count as wire traffic (writes) or are local-only
+// scatter destinations (reads). Only an aggregator receives anything;
+// the other ranks get nil.
+func (f *File) exchangeParcels(parcels []ioParcel, withPayload bool) []ioParcel {
+	anyParts := f.nilParts()
+	var total int64
+	for k := range parcels {
+		anyParts[f.aggRank(k)] = &parcels[k]
+		total += parcels[k].bytes(withPayload)
+	}
 	res := f.comm.Alltoall(anyParts, total)
+	if f.aggIndex(f.comm.Rank()) >= len(parcels) {
+		return nil
+	}
 	incoming := f.scr().incoming
 	if cap(incoming) < len(res) {
 		incoming = make([]ioParcel, len(res))
@@ -450,6 +573,21 @@ type aggSeg struct {
 // merge of the per-source runs rather than a full sort. Ties take the
 // lower source rank first, making aggregation deterministic.
 func (f *File) gatherAggSegs(incoming []ioParcel) []aggSeg {
+	// Size the lists from the incoming counts: a rank's first duty as an
+	// aggregator then costs one allocation each, not a doubling series.
+	var total, sources int
+	for src := range incoming {
+		if n := len(incoming[src].Segs); n > 0 {
+			total += n
+			sources++
+		}
+	}
+	if cap(f.scr().aggs) < total {
+		f.scr().aggs = make([]aggSeg, 0, total)
+	}
+	if cap(f.scr().bounds) < sources+1 {
+		f.scr().bounds = make([]int, 0, sources+1)
+	}
 	all := f.scr().aggs[:0]
 	bounds := f.scr().bounds[:0]
 	sorted := true
@@ -576,7 +714,8 @@ func sieveRunsInto(dst []sieveRun, all []aggSeg, maxGap int64) []sieveRun {
 // virtual time `at`, returning the completion time without touching the
 // rank's clock — the unit of a forked phase-2 sub-timeline. The run is
 // a single contiguous stripe span server-side, so each I/O server is
-// charged once for its share of the whole run.
+// charged once for its share of the whole run. Phase 2 runs on
+// aggregators only, and every aggregator opened the file at Open.
 func (f *File) chunkedWriteAt(buf []byte, off int64, at sim.Time) (sim.Time, error) {
 	f.scr().ext[0] = Segment{Off: off, Len: int64(len(buf))}
 	done, _, err := f.h.WriteAtVecTime(buf, f.scr().ext[:], at)
@@ -624,17 +763,14 @@ func (f *File) WriteAtAll(off int64, data []byte) error {
 // the execution-table rendezvous that follows every put flush.
 func (f *File) WriteAtAllOps(ops []BatchOp) error {
 	if f.hints.DisableCollective {
-		var firstErr error
-		for i := range ops {
-			segs := f.opSegments(&ops[i])
-			if _, err := f.h.WriteAtVec(ops[i].Data, segs); err != nil && firstErr == nil {
-				firstErr = err
-			}
+		h, err := f.handle()
+		for i := 0; err == nil && i < len(ops); i++ {
+			_, err = h.WriteAtVec(ops[i].Data, f.opSegments(&ops[i]))
 		}
 		f.comm.Barrier()
-		return firstErr
+		return err
 	}
-	tr := f.h.Tracer()
+	tr := f.sys.Tracer()
 	p1 := f.comm.Clock().Now()
 	flat := f.flattenOps(ops)
 	lo, _, domain, nAgg := f.collectiveRange(flat)
@@ -645,7 +781,7 @@ func (f *File) WriteAtAllOps(ops []BatchOp) error {
 	incoming := f.exchangeParcels(parcels, true)
 	if tr != nil {
 		tr.Emit(obs.PidRank(f.comm.Rank()), "mpiio", "phase1:write", p1, f.comm.Clock().Now(),
-			obs.KV{Key: "file", Val: f.h.Name()})
+			obs.KV{Key: "file", Val: f.name})
 	}
 
 	// Phase 2: aggregate and issue vectored contiguous writes. Every
@@ -656,9 +792,9 @@ func (f *File) WriteAtAllOps(ops []BatchOp) error {
 	// completion. Runs with small interior holes are data-sieved:
 	// read-modify-write of the whole span beats per-piece requests, and
 	// the read chains before the write within the run's sub-timeline.
-	if f.comm.Rank() < nAgg {
+	if incoming != nil {
 		all := f.gatherAggSegs(incoming)
-		runs := sieveRunsInto(f.scr().runs[:0], all, f.h.SieveGap())
+		runs := sieveRunsInto(f.scr().runs[:0], all, f.sys.SieveGap())
 		f.scr().runs = runs
 		clock := f.comm.Clock()
 		fork := clock.Now()
@@ -745,17 +881,16 @@ func (f *File) ReadAtAll(off int64, data []byte) error {
 // Short reads zero-fill.
 func (f *File) ReadAtAllOps(ops []BatchOp) error {
 	if f.hints.DisableCollective {
-		var firstErr error
-		for i := range ops {
-			segs := f.opSegments(&ops[i])
-			if _, err := f.h.ReadAtVec(ops[i].Data, segs); err != nil && err != io.EOF && firstErr == nil {
-				firstErr = err
+		h, err := f.handle()
+		for i := 0; err == nil && i < len(ops); i++ {
+			if _, e := h.ReadAtVec(ops[i].Data, f.opSegments(&ops[i])); e != io.EOF {
+				err = e
 			}
 		}
 		f.comm.Barrier()
-		return firstErr
+		return err
 	}
-	tr := f.h.Tracer()
+	tr := f.sys.Tracer()
 	p1 := f.comm.Clock().Now()
 	flat := f.flattenOps(ops)
 	lo, _, domain, nAgg := f.collectiveRange(flat)
@@ -766,36 +901,20 @@ func (f *File) ReadAtAllOps(ops []BatchOp) error {
 	incoming := f.exchangeParcels(parcels, false)
 	if tr != nil {
 		tr.Emit(obs.PidRank(f.comm.Rank()), "mpiio", "phase1:read", p1, f.comm.Clock().Now(),
-			obs.KV{Key: "file", Val: f.h.Name()})
+			obs.KV{Key: "file", Val: f.name})
 	}
 
 	// Phase 2: aggregators read their domains as spanning runs (data
 	// sieving through small holes) and split the data per requester.
 	// Reply slices alias the read arena; runs carve disjoint arena
-	// regions so replies stay intact for the whole operation.
-	size := f.comm.Size()
-	replies := f.scr().replies
-	if cap(replies) < size {
-		replies = make([]readReply, size)
-	} else {
-		replies = replies[:size]
-	}
-	f.scr().replies = replies
-	for i := range replies {
-		replies[i].Data = replies[i].Data[:0]
-	}
-	if f.comm.Rank() < nAgg {
-		for i := range replies {
-			n := len(incoming[i].Segs)
-			if cap(replies[i].Data) < n {
-				replies[i].Data = make([][]byte, n)
-			} else {
-				replies[i].Data = replies[i].Data[:n]
-				clear(replies[i].Data)
-			}
-		}
+	// regions so replies stay intact for the whole operation. The other
+	// ranks send nothing back.
+	anyReplies := f.nilParts()
+	var total int64
+	if incoming != nil {
+		replies := f.carveReplies(incoming)
 		all := f.gatherAggSegs(incoming)
-		runs := sieveRunsInto(f.scr().runs[:0], all, f.h.SieveGap())
+		runs := sieveRunsInto(f.scr().runs[:0], all, f.sys.SieveGap())
 		f.scr().runs = runs
 		var need int64
 		for _, run := range runs {
@@ -828,26 +947,49 @@ func (f *File) ReadAtAllOps(ops []BatchOp) error {
 			}
 		}
 		clock.AdvanceTo(join)
+		for i := range replies {
+			anyReplies[i] = &replies[i]
+			total += replies[i].bytes()
+		}
 	}
-	anyReplies := f.scr().anyParts[:0]
-	var total int64
-	for i := range replies {
-		anyReplies = append(anyReplies, &replies[i])
-		total += replies[i].bytes()
-	}
-	f.scr().anyParts = anyReplies
 	back := f.comm.Alltoall(anyReplies, total)
 
 	// Scatter returned data into the callers' buffers through the
-	// destination slices recorded when routing.
-	for agg, v := range back {
-		if v == nil {
-			continue
-		}
-		reply := v.(*readReply)
+	// destination slices recorded when routing: aggregator k answered
+	// parcel k.
+	for k := range parcels {
+		reply := back[f.aggRank(k)].(*readReply)
 		for i, d := range reply.Data {
-			copy(parcels[agg].Bufs[i], d)
+			copy(parcels[k].Bufs[i], d)
 		}
 	}
 	return nil
+}
+
+// carveReplies sizes the aggregator's reply table for one read: entry i
+// gets one (still nil) data slot per segment rank i requested, all
+// carved from a single backing array — one growth per bundle, however
+// many ranks ask.
+func (f *File) carveReplies(incoming []ioParcel) []readReply {
+	replies := f.scr().replies
+	if cap(replies) < len(incoming) {
+		replies = make([]readReply, len(incoming))
+		f.scr().replies = replies
+	}
+	replies = replies[:len(incoming)]
+	var total int
+	for i := range incoming {
+		total += len(incoming[i].Segs)
+	}
+	if cap(f.scr().replyData) < total {
+		f.scr().replyData = make([][]byte, total)
+	}
+	data := f.scr().replyData[:total]
+	clear(data)
+	for i := range incoming {
+		n := len(incoming[i].Segs)
+		replies[i].Data = data[:n:n]
+		data = data[n:]
+	}
+	return replies
 }

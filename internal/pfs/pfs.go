@@ -215,10 +215,39 @@ func (s *System) SetTracer(t *obs.Tracer) {
 	}
 }
 
-// Tracer returns the attached span tracer (nil when tracing is off).
-// The collective I/O layer reaches its tracer through the handle it
-// already holds.
+// Tracer returns the attached span tracer (nil when tracing is off);
+// the collective I/O layer emits its spans through it.
 func (s *System) Tracer() *obs.Tracer { return s.tracer }
+
+// StripeSize reports the file system's stripe unit, which collective
+// I/O layers use to size aggregator file domains.
+func (s *System) StripeSize() int64 { return s.cfg.StripeSize }
+
+// SieveGap reports the data-sieving break-even gap: holes smaller than
+// this are cheaper to read through than to skip with a separate
+// request, because a request costs RequestLatency while reading a gap
+// costs gap/bandwidth. I/O layers use it to decide when to coalesce
+// hole-separated accesses into one spanning request.
+func (s *System) SieveGap() int64 {
+	if s.cfg.RequestLatency <= 0 {
+		return 0
+	}
+	if s.cfg.ServerBandwidth <= 0 {
+		return 1 << 40 // requests cost latency, transfers are free: always sieve
+	}
+	return int64(s.cfg.RequestLatency.Seconds() * s.cfg.ServerBandwidth)
+}
+
+// ChargeView charges one file-view definition (MPI_File_set_view) to
+// clock. A view is rank-local state of the I/O library, so it needs no
+// open handle: mpiio calls this from SetView on every rank, including
+// the ranks that never open the file themselves.
+func (s *System) ChargeView(clock *sim.Clock) {
+	if clock != nil {
+		clock.Advance(s.cfg.ViewCost)
+	}
+	s.stats.views.Add(1)
+}
 
 // RegisterMetrics registers the file system's counters and the
 // per-request service-time histogram with a metrics registry. The
@@ -390,10 +419,17 @@ func (s *System) Open(name string, mode Mode, clock *sim.Clock) (*Handle, error)
 // round-robin OST selection; XFS allocation groups behave similarly),
 // so a workload flushing several files concurrently engages the whole
 // array instead of queueing every file's low stripes on server 0. The
-// choice is a stable hash of the name (FNV-1a), keeping placement — and
+// choice is a stable hash of the name, keeping placement — and
 // therefore every virtual-time figure — deterministic across runs and
 // backends.
 func (s *System) startingServer(name string) int {
+	return int(NameHash(name) % uint64(s.cfg.NumServers))
+}
+
+// NameHash is the stable hash of a file name (FNV-1a) behind every
+// per-file rotation: the starting server here, and the first rank of
+// the file's aggregator set in the collective I/O layer.
+func NameHash(name string) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -403,7 +439,7 @@ func (s *System) startingServer(name string) int {
 		h ^= uint64(name[i])
 		h *= prime64
 	}
-	return int(h % uint64(s.cfg.NumServers))
+	return h
 }
 
 // Exists reports whether a file is present.
@@ -464,33 +500,6 @@ func (s *System) FileSize(name string) (int64, error) {
 // manifests). A no-op for volatile backends.
 func (s *System) Sync() error { return s.backend.Sync() }
 
-// Name reports the handle's file name.
-func (h *Handle) Name() string { return h.name }
-
-// Tracer reports the owning system's span tracer (nil when tracing is
-// off); the collective I/O layer emits its phase spans through it.
-func (h *Handle) Tracer() *obs.Tracer { return h.sys.tracer }
-
-// StripeSize reports the file system's stripe unit, which collective
-// I/O layers use to align aggregator file domains.
-func (h *Handle) StripeSize() int64 { return h.sys.cfg.StripeSize }
-
-// SieveGap reports the data-sieving break-even gap: holes smaller than
-// this are cheaper to read through than to skip with a separate
-// request, because a request costs RequestLatency while reading a gap
-// costs gap/bandwidth. I/O layers use it to decide when to coalesce
-// hole-separated accesses into one spanning request.
-func (h *Handle) SieveGap() int64 {
-	cfg := h.sys.cfg
-	if cfg.RequestLatency <= 0 {
-		return 0
-	}
-	if cfg.ServerBandwidth <= 0 {
-		return 1 << 40 // requests cost latency, transfers are free: always sieve
-	}
-	return int64(cfg.RequestLatency.Seconds() * cfg.ServerBandwidth)
-}
-
 // Size reports the file's current size.
 func (h *Handle) Size() int64 {
 	return h.f.size()
@@ -518,15 +527,6 @@ func (h *Handle) Close() error {
 	}
 	h.sys.stats.closes.Add(1)
 	return nil
-}
-
-// ChargeView charges one file-view definition (MPI_File_set_view) to
-// the handle's clock. mpiio calls this from SetView.
-func (h *Handle) ChargeView() {
-	if h.clock != nil {
-		h.clock.Advance(h.sys.cfg.ViewCost)
-	}
-	h.sys.stats.views.Add(1)
 }
 
 // serverSpan is the portion of one request that lands on one server.

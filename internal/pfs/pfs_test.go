@@ -201,8 +201,7 @@ func TestViewCostCharged(t *testing.T) {
 	cfg.ViewCost = 5 * time.Millisecond
 	s := NewSystem(cfg)
 	clock := sim.NewClock()
-	h, _ := s.Open("f", CreateMode, clock)
-	h.ChargeView()
+	s.ChargeView(clock)
 	if clock.Now() != sim.Time(5*time.Millisecond) {
 		t.Fatalf("clock=%v", clock.Now())
 	}

@@ -325,7 +325,7 @@ type Fig6Stats struct {
 	ReadMBps   float64
 	TotalMB    float64
 	Files      int
-	FileOpens  int64
+	FileOpens  int64 // charged opens: one per aggregator-set member per file open, not one per rank
 	FileViews  int64
 	WriteReqs  int64
 	WriteSteps int
