@@ -1,7 +1,9 @@
 package sdm
 
 import (
+	"crypto/sha256"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -28,8 +30,13 @@ func demoValue(dataset string, timestep int64, g int32) float64 {
 
 func writeDemoRun(t *testing.T, cl *Cluster, globalN, steps int) {
 	t.Helper()
+	writeDemoRunOpts(t, cl, globalN, steps, Options{Organization: Level3})
+}
+
+func writeDemoRunOpts(t *testing.T, cl *Cluster, globalN, steps int, opts Options) {
+	t.Helper()
 	err := cl.Run(func(p *Proc) {
-		s, err := p.Initialize("bundledemo", Options{Organization: Level3})
+		s, err := p.Initialize("bundledemo", opts)
 		if err != nil {
 			t.Error(err)
 			return
@@ -601,5 +608,91 @@ func TestRestartReadAheadNoCatalogLookups(t *testing.T) {
 	}
 	if t1, t4 := d1.World.MaxTime(), d4.World.MaxTime(); t4 >= t1 {
 		t.Fatalf("depth-4 restart finishes at %v, not before depth 1's %v", t4, t1)
+	}
+}
+
+// treeDigest hashes every file under root, path and bytes, in walk
+// (lexical) order.
+func treeDigest(t *testing.T, root string) string {
+	t.Helper()
+	h := sha256.New()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		fmt.Fprintf(h, "%s %d\n", rel, len(data))
+		h.Write(data)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestLayoutNeverChangesBytes: the stripe unit is a property of the
+// simulated file system, not of the data. The same run under three
+// units — the one SDM chooses, a 256 KiB hint, the file system's 512 KiB
+// default — leaves identical files and identical bundle data trees, and
+// a bundle saved under 256 KiB units restores, default layout, into a
+// cluster that reads every value back.
+func TestLayoutNeverChangesBytes(t *testing.T) {
+	const (
+		procs   = 8
+		globalN = 1 << 16 // 512 KiB per dataset: a 1 MiB level-3 step
+		steps   = 2
+	)
+	stripe := Origin2000Config(procs).Storage.StripeSize
+	units := []int64{0, 256 << 10, stripe}
+	for _, backend := range []string{"dir", "cas"} {
+		var refFiles map[string]string
+		var refDigest string
+		for _, unit := range units {
+			cl := NewCluster(Origin2000Config(procs))
+			writeDemoRunOpts(t, cl, globalN, steps, Options{Organization: Level3, Hints: Hints{StripingUnit: unit}})
+			files := map[string]string{}
+			for _, name := range cl.ListFiles() {
+				data, err := cl.FS.ReadFile(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				files[name] = sha256hex(data)
+				want := unit
+				if unit == 0 {
+					want = 128 << 10 // 1 MiB over ten servers, in 64 KiB granules
+				}
+				if got, _ := cl.FS.StripeUnit(name); got != want {
+					t.Fatalf("unit hint %d: %s striped by %d, want %d", unit, name, got, want)
+				}
+			}
+			dir := filepath.Join(t.TempDir(), "bundle")
+			if err := cl.SaveBundleOpts(dir, BundleOptions{Backend: backend}); err != nil {
+				t.Fatal(err)
+			}
+			digest := treeDigest(t, filepath.Join(dir, "data"))
+			if refFiles == nil {
+				refFiles, refDigest = files, digest
+			} else if fmt.Sprint(files) != fmt.Sprint(refFiles) || digest != refDigest {
+				t.Fatalf("%s, unit hint %d: files or bundle data differ from the first run's", backend, unit)
+			}
+			if unit != 256<<10 {
+				continue
+			}
+			reader, err := OpenBundle(dir, Origin2000Config(procs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range reader.ListFiles() {
+				if got, _ := reader.FS.StripeUnit(name); got != stripe {
+					t.Fatalf("restored %s striped by %d, want the restoring system's default %d", name, got, stripe)
+				}
+			}
+			readDemoRun(t, reader, globalN, steps)
+		}
 	}
 }

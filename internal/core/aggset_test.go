@@ -14,12 +14,14 @@ import (
 	"sdm/internal/sim"
 )
 
-// Tests of metadata-sized aggregator sets: Group.open fills
-// Hints.CBNodes from the group's attributes when the caller left it
-// zero, so only the ranks that will touch a file's stripes open it. The
-// dense schedule (Hints{CBNodes: P}, through the same code) is the
-// differential reference: same bytes, same requests, fewer opens, and
-// never a later finish.
+// Tests of metadata-sized layouts: Group.open fills Hints.StripingUnit
+// and Hints.CBNodes from the group's attributes when the caller left
+// them zero, so one step's extent covers every I/O server once and only
+// the ranks that will touch a file's stripes open it. The old schedule
+// (the file system's default unit under the dense set,
+// Hints{StripingUnit: Config.StripeSize, CBNodes: P}, through the same
+// code) is the differential reference: same bytes, opens equal to the
+// set sizes, and never a later finish.
 
 // aggFixture is what one run of the fixture application leaves behind.
 type aggFixture struct {
@@ -41,12 +43,21 @@ func latest(ts []sim.Time) sim.Time {
 	return m
 }
 
+// aggSmall and aggLarge are aggRun's dataset sizes in elements: 32 KiB
+// datasets fit one 64 KiB stripe, 256 KiB ones (1 MiB for the large
+// dataset and for a level-3 step) take several stripes of any unit.
+const (
+	aggSmall = 4096
+	aggLarge = 32768
+)
+
 // aggRun writes `steps` checkpoints of two groups — "a" with four
-// uniform 32 KiB datasets, "b" with one 128 KiB dataset — reads them
-// back verified, and finalizes. Group steps drive group a alone;
+// uniform datasets of nA float64 elements, "b" with one of 4×nA — reads
+// them back verified, and finalizes. Group steps drive group a alone;
 // Manager steps drive both.
-func aggRun(t *testing.T, n, steps int, opts Options, manager bool) *aggFixture {
+func aggRun(t *testing.T, n, steps, nA int, opts Options, manager bool) *aggFixture {
 	t.Helper()
+	nB := 4 * nA
 	fx := &aggFixture{
 		te:       newCostedEnv(n),
 		writeEnd: make([]sim.Time, n),
@@ -58,17 +69,16 @@ func aggRun(t *testing.T, n, steps int, opts Options, manager bool) *aggFixture 
 		if err != nil {
 			panic(err)
 		}
-		const nA, nB = 4096, 4 * 4096
 		attrs := MakeDatalist(names[:4]...)
 		for i := range attrs {
-			attrs[i].GlobalSize = nA
+			attrs[i].GlobalSize = int64(nA)
 		}
 		ga, err := s.SetAttributes(attrs)
 		if err != nil {
 			panic(err)
 		}
 		battrs := MakeDatalist(names[4])
-		battrs[0].GlobalSize = nB
+		battrs[0].GlobalSize = int64(nB)
 		gb, err := s.SetAttributes(battrs)
 		if err != nil {
 			panic(err)
@@ -155,58 +165,58 @@ func sameFiles(t *testing.T, a, b *pfs.System) {
 	}
 }
 
-// (a) Default (metadata-sized) against dense sets, every level, group
-// and Manager steps.
+// oldSchedule is the differential reference: the file system's default
+// stripe unit under the dense aggregator set.
+func oldSchedule(n int) mpiio.Hints {
+	return mpiio.Hints{StripingUnit: pfs.DefaultConfig().StripeSize, CBNodes: n}
+}
+
+// (b) Default (metadata-sized unit and set) against the old schedule,
+// every level, group and Manager steps.
 func TestAggregatorSetDifferential(t *testing.T) {
-	const n, steps = 4, 3
+	const n, steps = 8, 3
 	for _, level := range []FileOrganization{Level1, Level2, Level3} {
 		for _, manager := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%v/manager=%v", level, manager), func(t *testing.T) {
-				sized := aggRun(t, n, steps, Options{Organization: level}, manager)
-				dense := aggRun(t, n, steps, Options{Organization: level, Hints: mpiio.Hints{CBNodes: n}}, manager)
-				sameFiles(t, sized.te.fs, dense.te.fs)
-				ss, ds := sized.te.fs.Stats(), dense.te.fs.Stats()
-				if ss.WriteReqs != ds.WriteReqs || ss.BytesWritten != ds.BytesWritten ||
-					ss.ReadRequests != ds.ReadRequests || ss.BytesRead != ds.BytesRead || ss.Views != ds.Views {
-					t.Fatalf("requests differ:\nsized %+v\ndense %+v", ss, ds)
+				sized := aggRun(t, n, steps, aggLarge, Options{Organization: level}, manager)
+				old := aggRun(t, n, steps, aggLarge, Options{Organization: level, Hints: oldSchedule(n)}, manager)
+				sameFiles(t, sized.te.fs, old.te.fs)
+				ss, rs := sized.te.fs.Stats(), old.te.fs.Stats()
+				if ss.BytesWritten != rs.BytesWritten || ss.BytesRead != rs.BytesRead || ss.Views != rs.Views {
+					t.Fatalf("bytes or views differ:\nsized %+v\nold   %+v", ss, rs)
 				}
-				for _, fx := range []*aggFixture{sized, dense} {
+				for _, fx := range []*aggFixture{sized, old} {
 					st := fx.te.fs.Stats()
 					if st.Opens != fx.fileOpens || st.Closes != st.Opens {
 						t.Fatalf("%d opens, %d closes, want the sum of the set sizes %d for both", st.Opens, st.Closes, fx.fileOpens)
 					}
 				}
-				if ss.Opens >= ds.Opens {
-					t.Fatalf("sized sets paid %d opens, dense %d", ss.Opens, ds.Opens)
-				}
 				for _, ph := range []struct {
-					name         string
-					sized, dense []sim.Time
+					name       string
+					sized, old []sim.Time
 				}{
-					{"write phase", sized.writeEnd, dense.writeEnd},
-					{"read phase", sized.readEnd, dense.readEnd},
-					{"finalize", sized.end, dense.end},
+					{"write phase", sized.writeEnd, old.writeEnd},
+					{"read phase", sized.readEnd, old.readEnd},
+					{"finalize", sized.end, old.end},
 				} {
-					if latest(ph.sized) > latest(ph.dense) {
-						t.Errorf("%s finishes at %v, later than the dense schedule's %v", ph.name, latest(ph.sized), latest(ph.dense))
+					// A level-1 step opens a file per dataset, which the dense
+					// set pays on every rank; at levels 2 and 3 the whole gain
+					// is the layout: a step's stripes cover the servers once.
+					if latest(ph.sized) >= latest(ph.old) {
+						t.Errorf("%s finishes at %v, not earlier than the old schedule's %v", ph.name, latest(ph.sized), latest(ph.old))
 					}
-				}
-				// A level-1 step of four (or five) datasets opens as many
-				// files: the dense schedule pays every open on every rank's
-				// main timeline, the sized one a rank's own share.
-				if level == Level1 && latest(sized.writeEnd) >= latest(dense.writeEnd) {
-					t.Errorf("level-1 write phase finishes at %v, not earlier than dense %v", latest(sized.writeEnd), latest(dense.writeEnd))
 				}
 			})
 		}
 	}
 }
 
-// (d) A caller's CBNodes is respected as given: core fills the hint only
-// when it was left zero.
+// (d) A caller's CBNodes and StripingUnit are respected as given: core
+// fills each hint only when it was left zero, and sizes the set over the
+// unit the files will really have.
 func TestAggregatorSetCallerHintRespected(t *testing.T) {
 	const n, steps = 4, 2
-	fx := aggRun(t, n, steps, Options{Organization: Level1, Hints: mpiio.Hints{CBNodes: 3}}, false)
+	fx := aggRun(t, n, steps, aggSmall, Options{Organization: Level1, Hints: mpiio.Hints{CBNodes: 3}}, false)
 	// Four files per step, each opened for the write and for the read.
 	if want := int64(3 * 2 * 4 * steps); fx.fileOpens != want {
 		t.Fatalf("fixture expects %d opens, want %d", fx.fileOpens, want)
@@ -214,26 +224,66 @@ func TestAggregatorSetCallerHintRespected(t *testing.T) {
 	if st := fx.te.fs.Stats(); st.Opens != fx.fileOpens || st.Closes != st.Opens {
 		t.Fatalf("%d opens, %d closes, want %d", st.Opens, st.Closes, fx.fileOpens)
 	}
+
+	// A 128 KiB unit on 256 KiB level-1 files: two stripes, so a set of
+	// two, and files that really are striped by 128 KiB.
+	const unit = 128 << 10
+	fx = aggRun(t, n, steps, aggLarge, Options{Organization: Level1, Hints: mpiio.Hints{StripingUnit: unit}}, false)
+	if want := int64(2 * 2 * 4 * steps); fx.fileOpens != want || fx.te.fs.Stats().Opens != want {
+		t.Fatalf("%d opens (fixture expects %d), want %d", fx.te.fs.Stats().Opens, fx.fileOpens, want)
+	}
+	for _, name := range fx.te.fs.List() {
+		if got, _ := fx.te.fs.StripeUnit(name); got != unit {
+			t.Fatalf("%s is striped by %d, want the caller's %d", name, got, unit)
+		}
+	}
 }
 
-// The sizing rule itself, per level, on the default 512 KiB stripe.
+// (a) The layout rule itself: the (unit, set) pair per level.
 func TestAggregatorSetSizing(t *testing.T) {
-	const n = 8
+	const (
+		n   = 8
+		KiB = 1 << 10
+	)
 	for _, tc := range []struct {
-		level  FileOrganization
-		elems  []int64 // global sizes of the group's float64 datasets
-		expect int
+		level   FileOrganization
+		elems   []int64 // global sizes of the group's float64 datasets
+		servers int
+		stripe  int64 // the file system's default unit
+		unit    int64
+		set     int
 	}{
-		{Level1, []int64{4913}, 1},                   // 39 304 B: one stripe, file starts at 0
-		{Level1, []int64{100_000, 10}, 2},            // the largest dataset decides
-		{Level2, []int64{4913}, 2},                   // a slab anywhere in the file straddles two
-		{Level2, []int64{65536}, 2},                  // exactly one stripe of data, unaligned
-		{Level3, []int64{65536, 65536, 65536}, 4},    // the whole group's step
-		{Level3, []int64{1 << 20, 1 << 20}, n},       // 16 MiB of step: capped at P
-		{Level1, []int64{1 << 20}, n},                // 8 MiB slab over 8 ranks: dense
-		{Level3, []int64{4913, 4913, 4913, 4913}, 2}, // small group: one stripe + 1
+		// Below one granule: one stripe, one aggregator, as under any unit.
+		{Level1, []int64{4913}, 10, 512 * KiB, 64 * KiB, 1},
+		// The 64 KiB floor: 160 KB over ten servers would be 16 KB units.
+		{Level1, []int64{20_000}, 10, 512 * KiB, 64 * KiB, 3},
+		// The largest dataset decides at levels 1 and 2: 800 KB / 10
+		// rounds up to 128 KiB, seven stripes.
+		{Level1, []int64{100_000, 10}, 10, 512 * KiB, 128 * KiB, 7},
+		// A slab anywhere in a level-2 file straddles one more stripe.
+		{Level2, []int64{4913}, 10, 512 * KiB, 64 * KiB, 2},
+		{Level2, []int64{65536}, 10, 512 * KiB, 64 * KiB, n}, // 8 + 1 stripes: capped at P
+		// Level 3 spreads the whole group's step: 2 200 000 B / 10 rounds
+		// up to 256 KiB; nine stripes + 1 would be ten aggregators.
+		{Level3, []int64{55_000, 55_000, 55_000, 55_000, 55_000}, 10, 512 * KiB, 256 * KiB, n},
+		{Level3, []int64{4913, 4913, 4913, 4913}, 10, 512 * KiB, 64 * KiB, 4},
+		// The Config.StripeSize cap: 16 MiB over ten servers would be
+		// 1.6 MiB units.
+		{Level3, []int64{1 << 20, 1 << 20}, 10, 512 * KiB, 512 * KiB, n},
+		{Level1, []int64{1 << 20}, 10, 512 * KiB, 512 * KiB, n},
+		// A file system whose default is below the granule keeps its own.
+		{Level2, []int64{4913}, 4, 4096, 4096, n},
+		// The server count sets the spread: one server caps at the
+		// default, five double the unit of ten, twenty halve it.
+		{Level3, []int64{131072}, 1, 512 * KiB, 512 * KiB, 3},
+		{Level3, []int64{131072}, 5, 512 * KiB, 256 * KiB, 5},
+		{Level3, []int64{131072}, 10, 512 * KiB, 128 * KiB, n},
+		{Level3, []int64{131072}, 20, 512 * KiB, 64 * KiB, n},
 	} {
 		te := newCostedEnv(n)
+		cfg := pfs.DefaultConfig()
+		cfg.NumServers, cfg.StripeSize = tc.servers, tc.stripe
+		te.fs = pfs.NewSystem(cfg)
 		te.run(t, Options{Organization: tc.level}, func(s *SDM) {
 			attrs := make([]Attr, len(tc.elems))
 			for i, e := range tc.elems {
@@ -243,10 +293,42 @@ func TestAggregatorSetSizing(t *testing.T) {
 			if err != nil {
 				panic(err)
 			}
-			if g.cbNodes != tc.expect && s.env.Comm.Rank() == 0 {
-				t.Errorf("%v %v: set of %d, want %d", tc.level, tc.elems, g.cbNodes, tc.expect)
+			if (g.stripeUnit != tc.unit || g.cbNodes != tc.set) && s.env.Comm.Rank() == 0 {
+				t.Errorf("%v %v on %d servers of %d: unit %d set %d, want unit %d set %d", tc.level,
+					tc.elems, tc.servers, tc.stripe, g.stripeUnit, g.cbNodes, tc.unit, tc.set)
 			}
 		})
+	}
+}
+
+// (f) Level 3, two groups flushing concurrently through a pipelined
+// Manager step: which server a stripe lives on and which rank writes it
+// are functions of the file names and the attributes, never of host
+// scheduling.
+func TestStripedDomainsDeterministic(t *testing.T) {
+	const n, steps = 8, 4
+	run := func() *aggFixture {
+		return aggRun(t, n, steps, aggLarge, Options{Organization: Level3, StepPipelineDepth: 2}, true)
+	}
+	ref := run()
+	for i := 0; i < 3; i++ {
+		sameRun(t, i, ref, run())
+	}
+}
+
+// sameRun fails the test unless got repeats ref: per-rank clocks at the
+// three phase ends and the file system's counters.
+func sameRun(t *testing.T, i int, ref, got *aggFixture) {
+	t.Helper()
+	for _, ph := range [][2][]sim.Time{{ref.writeEnd, got.writeEnd}, {ref.readEnd, got.readEnd}, {ref.end, got.end}} {
+		for r := range ph[0] {
+			if ph[0][r] != ph[1][r] {
+				t.Fatalf("run %d: rank %d clock %v, first run %v", i, r, ph[1][r], ph[0][r])
+			}
+		}
+	}
+	if a, b := ref.te.fs.Stats(), got.te.fs.Stats(); a != b {
+		t.Fatalf("run %d: pfs stats differ:\n%+v\n%+v", i, a, b)
 	}
 }
 
@@ -292,21 +374,11 @@ func TestDeferredOpenMissingFilesFailEverywhere(t *testing.T) {
 func TestDeferredOpenDeterministic(t *testing.T) {
 	const n, steps = 4, 4
 	run := func() *aggFixture {
-		return aggRun(t, n, steps, Options{Organization: Level1, StepPipelineDepth: 4}, true)
+		return aggRun(t, n, steps, aggSmall, Options{Organization: Level1, StepPipelineDepth: 4}, true)
 	}
 	ref := run()
 	for i := 0; i < 3; i++ {
-		got := run()
-		for _, ph := range [][2][]sim.Time{{ref.writeEnd, got.writeEnd}, {ref.readEnd, got.readEnd}, {ref.end, got.end}} {
-			for r := range ph[0] {
-				if ph[0][r] != ph[1][r] {
-					t.Fatalf("run %d: rank %d clock %v, first run %v", i, r, ph[1][r], ph[0][r])
-				}
-			}
-		}
-		if a, b := ref.te.fs.Stats(), got.te.fs.Stats(); a != b {
-			t.Fatalf("run %d: pfs stats differ:\n%+v\n%+v", i, a, b)
-		}
+		sameRun(t, i, ref, run())
 	}
 }
 

@@ -132,7 +132,9 @@ const (
 type Options struct {
 	// Organization selects the file layout (default Level3).
 	Organization FileOrganization
-	// Hints passes MPI-IO hints through to collective I/O.
+	// Hints passes MPI-IO hints through to collective I/O. CBNodes and
+	// StripingUnit left at zero are chosen per data group from its
+	// dataset attributes (see Group.layout).
 	Hints mpiio.Hints
 	// StepPipelineDepth bounds how many asynchronous step flushes
 	// (unwaited StepTokens) may be in flight at once across the

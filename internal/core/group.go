@@ -35,9 +35,11 @@ type Group struct {
 	uniform  bool // all datasets same type and global size
 	slabSize int64
 
-	// cbNodes is the aggregator-set size the group's files open with when
-	// the caller left Hints.CBNodes at zero (see aggregatorSet).
-	cbNodes int
+	// stripeUnit and cbNodes are the layout the group's files are created
+	// with and the aggregator-set size they open with, each used when the
+	// caller left the matching Hints field at zero (see layout).
+	stripeUnit int64
+	cbNodes    int
 
 	// ep is the group's deferred step epoch (BeginStep/EndStep) and its
 	// flush scratch; legacy Write/Read run as one-operation epochs over
@@ -134,7 +136,7 @@ func (s *SDM) newGroup(attrs []Attr) (*Group, error) {
 	if g.uniform {
 		g.slabSize = g.attrs[0].GlobalSize * g.attrs[0].Type.Size()
 	}
-	g.cbNodes = g.aggregatorSet()
+	g.stripeUnit, g.cbNodes = g.layout()
 	g.fileNames = make([]string, len(g.attrs))
 	for i, a := range g.attrs {
 		switch s.opts.Organization {
@@ -149,33 +151,53 @@ func (s *SDM) newGroup(attrs []Attr) (*Group, error) {
 	return g, nil
 }
 
-// aggregatorSet sizes the aggregator set of the group's files from the
-// attributes alone: the number of stripes the largest extent one step
-// writes to a file can touch. A level-1 file holds one slab from offset
-// zero; a level-2 file takes one slab per step and a level-3 file the
-// whole group's slabs, neither starting on a stripe boundary (hence the
-// extra stripe). That many aggregators give the collective the same
-// one-stripe file domains the dense default produces, so the file system
-// sees the same requests and only the ranks issuing them open the file.
-func (g *Group) aggregatorSet() int {
+// minStripeUnit is the smallest stripe unit layout chooses: the usual
+// stripe granule, 2.3 times the default platform's sieve gap, so that a
+// one-stripe request spends under a third of its service time on
+// latency.
+const minStripeUnit = 64 << 10
+
+// layout chooses, from the attributes alone, the stripe unit the group's
+// files are created with and the size of their aggregator set.
+//
+// The unit spreads the extent one step writes to a file — one slab under
+// levels 1 and 2, the whole group's slabs under level 3 — over every I/O
+// server once: extent/NumServers rounded up to the 64 KiB granule, never
+// below one granule nor above the file system's default unit. Under the
+// default unit a 2 MB step covers four of ten servers, and two files
+// flushing together queue two stripes on some servers while others idle.
+//
+// The set is the number of stripes of that unit the extent can touch: a
+// level-1 file holds one slab from offset zero; a level-2 slab and a
+// level-3 step start anywhere in their file, hence the extra stripe.
+// That many aggregators make every file domain one stripe, so each
+// phase-2 run is one request to one server, and only the ranks issuing
+// them open the file. A file below one granule keeps one stripe and one
+// aggregator whatever the default unit is. A caller's
+// Hints.StripingUnit replaces the chosen unit, and the set is sized over
+// it.
+func (g *Group) layout() (unit int64, set int) {
 	var largest, sum int64
 	for _, a := range g.attrs {
 		slab := a.GlobalSize * a.Type.Size()
 		largest = max(largest, slab)
 		sum += slab
 	}
-	stripe := g.s.env.FS.StripeSize()
-	stripes := func(n int64) int64 { return (n + stripe - 1) / stripe }
-	var n int64
-	switch g.s.opts.Organization {
-	case Level1:
-		n = stripes(largest)
-	case Level2:
-		n = stripes(largest) + 1
-	default:
-		n = stripes(sum) + 1
+	extent := largest
+	if g.s.opts.Organization == Level3 {
+		extent = sum
 	}
-	return int(min(n, int64(g.s.env.Comm.Size())))
+	ceilDiv := func(n, d int64) int64 { return (n + d - 1) / d }
+	if unit = g.s.opts.Hints.StripingUnit; unit <= 0 {
+		cfg := g.s.env.FS.Config()
+		unit = ceilDiv(ceilDiv(extent, int64(cfg.NumServers)), minStripeUnit) * minStripeUnit
+		unit = min(unit, cfg.StripeSize)
+	}
+	stripes := ceilDiv(extent, unit)
+	if g.s.opts.Organization != Level1 {
+		stripes++
+	}
+	return unit, int(min(stripes, int64(g.s.env.Comm.Size())))
 }
 
 // SetAttributes registers a data group: all dataset metadata goes to
@@ -487,6 +509,7 @@ func (g *Group) open(name string) (*openFile, error) {
 	if hints.CBNodes == 0 {
 		hints.CBNodes = g.cbNodes
 	}
+	hints.StripingUnit = g.stripeUnit
 	f, err := mpiio.Open(g.s.env.Comm, g.s.env.FS, name, pfs.CreateMode, hints)
 	if err != nil {
 		return nil, err

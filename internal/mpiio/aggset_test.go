@@ -326,72 +326,96 @@ func TestDeferredOpenSpans(t *testing.T) {
 // the duty costs each new aggregator a handful of allocations, and once
 // both rotations have warmed the bundle a further open-write-read-close
 // cycle of either file allocates only its handles — nothing that grows
-// with the segment count or the number of requesting ranks.
+// with the segment count, the number of requesting ranks or, on the
+// requester side, the number of aggregators a rank routes to.
 func TestAggregatorSetScratchAllocs(t *testing.T) {
-	const p, elems = 4, 2048
-	names := namesWithDistinctRot(2, p)
-	sys := pfs.NewSystem(pfs.Config{NumServers: 4, StripeSize: 64 * 1024})
-	world := fastWorld(p)
-	scratch := make([]Scratch, p)
-	types := make([]*Datatype, p)
-	bufs := make([][]byte, p)
-	for r := range types {
-		displs := make([]int, elems)
-		for k := range displs {
-			displs[k] = k*p + r
-		}
-		types[r] = IndexedBlock(1, displs, Bytes(8))
-		bufs[r] = make([]byte, elems*8)
-	}
-	cycle := func(name string) {
-		err := world.Run(func(c *mpi.Comm) {
-			f, err := Open(c, sys, name, pfs.CreateMode, Hints{CBNodes: 1})
-			if err != nil {
-				panic(err)
+	const elems = 2048 // 16 KiB per rank
+	for _, tc := range []struct {
+		name   string
+		p, set int
+		unit   int64 // stripe unit hint; each rank's 16 KiB interleave over p*16 KiB
+		// warm is what a warmed cycle may still allocate: world.Run's
+		// goroutines and closures, one File per rank, and one pfs handle
+		// per member. first is the budget of the cold cycle on top of that.
+		warm, first uint64
+	}{
+		// One aggregator, one 64 KiB stripe (warm 26 when written). The
+		// second file's aggregator is a different rank doing its first
+		// duty: it must size its lists from the incoming counts — one
+		// allocation each (42 in all), not the doubling series 8192
+		// segments from four ranks would take.
+		{"1-slot", 4, 1, 0, 8 * 4, 20},
+		// Eleven aggregators over eleven 16 KiB stripes: every rank routes
+		// to eleven slots carved from two backing arrays per bundle, and
+		// every rank starts from a cold bundle, as requester and as
+		// aggregator. 557 cold and 64 warm when written; append-doubling
+		// each slot's Segs and Bufs took 2748 and 97.
+		{"11-slot", 11, 11, 16 * 1024, 7 * 11, 48 * 11},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := tc.p
+			names := namesWithDistinctRot(2, p)
+			sys := pfs.NewSystem(pfs.Config{NumServers: 4, StripeSize: 64 * 1024})
+			world := fastWorld(p)
+			scratch := make([]Scratch, p)
+			types := make([]*Datatype, p)
+			bufs := make([][]byte, p)
+			for r := range types {
+				displs := make([]int, elems)
+				for k := range displs {
+					displs[k] = k*p + r
+				}
+				types[r] = IndexedBlock(1, displs, Bytes(8))
+				bufs[r] = make([]byte, elems*8)
 			}
-			f.UseScratch(&scratch[c.Rank()])
-			f.SetView(0, types[c.Rank()])
-			if err := f.WriteAtAll(0, bufs[c.Rank()]); err != nil {
-				panic(err)
+			cycle := func(name string) {
+				err := world.Run(func(c *mpi.Comm) {
+					f, err := Open(c, sys, name, pfs.CreateMode, Hints{CBNodes: tc.set, StripingUnit: tc.unit})
+					if err != nil {
+						panic(err)
+					}
+					f.UseScratch(&scratch[c.Rank()])
+					f.SetView(0, types[c.Rank()])
+					if err := f.WriteAtAll(0, bufs[c.Rank()]); err != nil {
+						panic(err)
+					}
+					if err := f.ReadAtAll(0, bufs[c.Rank()]); err != nil {
+						panic(err)
+					}
+					if n := len(f.scr().parcels); n != tc.set {
+						panic(fmt.Sprintf("routed to %d slots, want %d", n, tc.set))
+					}
+					if err := f.Close(); err != nil {
+						panic(err)
+					}
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
 			}
-			if err := f.ReadAtAll(0, bufs[c.Rank()]); err != nil {
-				panic(err)
+			mallocs := func(fn func()) uint64 {
+				var m0, m1 runtime.MemStats
+				runtime.ReadMemStats(&m0)
+				fn()
+				runtime.ReadMemStats(&m1)
+				return m1.Mallocs - m0.Mallocs
 			}
-			if err := f.Close(); err != nil {
-				panic(err)
+			for _, name := range names {
+				cycle(name) // lay the files' pages down, so only scratch is cold below
+			}
+			clear(scratch)
+			cycle(names[0])
+			if tc.set == p {
+				clear(scratch) // every rank already served: measure a cold bundle instead
+			}
+			if n := mallocs(func() { cycle(names[1]) }); n > tc.warm+tc.first {
+				t.Errorf("a cold aggregator's first duty allocated %d times, budget %d", n, tc.warm+tc.first)
+			}
+			for _, name := range names {
+				if allocs := testing.AllocsPerRun(5, func() { cycle(name) }); allocs > float64(tc.warm) {
+					t.Errorf("%s: %.0f allocations per warmed cycle, budget %d", name, allocs, tc.warm)
+				}
 			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	mallocs := func(fn func()) uint64 {
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		fn()
-		runtime.ReadMemStats(&m1)
-		return m1.Mallocs - m0.Mallocs
-	}
-	// What a warmed cycle may still allocate: world.Run's goroutines and
-	// closures, one File per rank, and the one member's pfs handle with
-	// its cost-accounting scratch (29 when written).
-	const warm = 12 * p
-	// The first file warms every rank's requester side and its own
-	// aggregator. The second file's aggregator is a different rank doing
-	// its first duty: it must size its lists from the incoming counts —
-	// one allocation each (49 in all when written), not the doubling
-	// series 8192 segments from four ranks would take (65).
-	for _, name := range names {
-		cycle(name) // lay the files' pages down, so only scratch is cold below
-	}
-	clear(scratch)
-	cycle(names[0])
-	if n := mallocs(func() { cycle(names[1]) }); n > warm+8 {
-		t.Errorf("a new aggregator's first duty allocated %d times, budget %d", n, warm+8)
-	}
-	for _, name := range names {
-		if allocs := testing.AllocsPerRun(5, func() { cycle(name) }); allocs > warm {
-			t.Errorf("%s: %.0f allocations per warmed cycle, budget %d", name, allocs, warm)
-		}
 	}
 }

@@ -17,6 +17,11 @@ type Hints struct {
 	// size of the file's aggregator set, the only ranks that open the
 	// file at Open. Zero means every rank aggregates (the dense default).
 	CBNodes int
+	// StripingUnit is the stripe unit, in bytes, of a file this open
+	// creates (ROMIO's striping_unit). Zero means the file system's
+	// default. Like ROMIO's it is a creation-time hint: a file that
+	// already exists keeps the layout it was created with.
+	StripingUnit int64
 	// DisableCollective forces WriteAtAll/ReadAtAll to fall back to
 	// independent per-segment requests — the ablation knob for
 	// measuring what collective buffering buys.
@@ -37,10 +42,18 @@ type Hints struct {
 // open it at Open (ROMIO's deferred open); any other rank opens on its
 // first independent access, and Close charges only where an open
 // happened.
+//
+// Layout. File domains are whole stripes of the file's own stripe unit:
+// the unit an existing file was created with, otherwise
+// Hints.StripingUnit, which the set members create it with. A rank
+// without a handle asks the file system for it (uncharged) inside its
+// first collective operation, by which time the members have opened the
+// file.
 type File struct {
 	sys  *pfs.System
 	name string
 	mode pfs.Mode
+	unit int64 // the file's stripe unit; 0 until this rank has learned it
 	// h is nil on a rank outside the aggregator set that has made no
 	// independent access.
 	h      *pfs.Handle
@@ -72,8 +85,9 @@ func (f *File) scr() *ioScratch {
 // plumbing. A File belongs to one rank goroutine, so reuse is
 // race-free locally.
 //
-// Cross-rank safety: parcels, replies, and the read arena are
-// referenced by OTHER ranks during a collective operation. They are
+// Cross-rank safety: parcels (with the routeSegs/routeBufs arrays their
+// lists are carved from), replies, and the read arena are referenced by
+// OTHER ranks during a collective operation. They are
 // reused only by the NEXT operation on this file, and every reuse
 // point is preceded by a rendezvous collective (the next operation's
 // Allreduce/Alltoall or the trailing Barrier) that every rank —
@@ -89,6 +103,9 @@ type ioScratch struct {
 	opBoundsAx []int       // merge ping-pong buffer
 	ops        [1]BatchOp  // single-op buffer for the legacy entry points
 	parcels    []ioParcel  // outgoing phase-1 parcels, one per aggregator index
+	routeN     []int       // routing: segment pieces per aggregator index
+	routeSegs  []Segment   // backing array the parcels' Segs are carved from
+	routeBufs  [][]byte    // backing array the parcels' Bufs are carved from
 	incoming   []ioParcel  // aggregator: received phase-1 parcels, one per rank
 	anyParts   []any       // boxing buffer for Alltoall, one per rank
 	aggs       []aggSeg    // aggregator: gathered incoming segments, sorted
@@ -202,16 +219,24 @@ func (f *File) aggIndex(rank int) int {
 // non-member's deferred one.
 func (f *File) open(member bool) error {
 	t0 := f.comm.Now()
-	h, err := f.sys.Open(f.name, f.mode, f.comm.Clock())
+	var h *pfs.Handle
+	var err error
+	if f.mode == pfs.CreateMode {
+		h, err = f.sys.Create(f.name, f.hints.StripingUnit, f.comm.Clock())
+	} else {
+		h, err = f.sys.Open(f.name, f.mode, f.comm.Clock())
+	}
 	if err != nil {
 		return err
 	}
 	f.h = h
+	f.unit = h.StripeUnit()
 	if tr := f.sys.Tracer(); tr != nil {
 		tr.Emit(obs.PidRank(f.comm.Rank()), "mpiio", "open", t0, f.comm.Now(),
 			obs.KV{Key: "file", Val: f.name},
 			obs.KV{Key: "member", Val: fmt.Sprint(member)},
-			obs.KV{Key: "set", Val: fmt.Sprint(f.hints.CBNodes)})
+			obs.KV{Key: "set", Val: fmt.Sprint(f.hints.CBNodes)},
+			obs.KV{Key: "unit", Val: fmt.Sprint(f.unit)})
 	}
 	return nil
 }
@@ -313,11 +338,12 @@ func (f *File) ReadAt(off int64, data []byte) error {
 // deferred-step batch of (view, offset, buffer) operations — into a
 // single sorted physical segment list (the same flattening feeds the
 // extent agreement and the routing) and the ranks agree (allreduce) on
-// the union's extent. The extent is split into file domains, one per
-// aggregator: equal shares rounded up to a whole number of stripes,
-// laid out from the extent's own (unaligned) start — stripe-SIZED, not
-// stripe-aligned, so an aggregator's run generally straddles two
-// servers.
+// the union's extent. The extent, its start aligned down to the file's
+// own stripe unit (fixed when the file was created; see
+// Hints.StripingUnit), is split into file domains, one per aggregator:
+// equal shares rounded up to a whole number of stripes. Domains are
+// stripe-ALIGNED, so with at least as many aggregators as the extent
+// has stripes every phase-2 run lies inside one stripe, on one server.
 // Phase 1: each rank routes segment descriptors (plus data, for writes)
 // to the owning aggregators with an all-to-all. Parcels carry
 // iovec-style buffer lists that alias the callers' staging buffers, so
@@ -387,14 +413,12 @@ func domainOf(off, lo int64, domain int64) int {
 
 // alignUp rounds n up to a multiple of align (align >= 1).
 func alignUp(n, align int64) int64 {
-	if align <= 1 {
-		return n
-	}
-	r := n % align
-	if r == 0 {
-		return n
-	}
-	return n + align - r
+	return alignDown(n+align-1, align)
+}
+
+// alignDown rounds n down to a multiple of align (n >= 0, align >= 1).
+func alignDown(n, align int64) int64 {
+	return n - n%align
 }
 
 // flattenOps maps every op of a batch through its view and merges the
@@ -446,8 +470,10 @@ func (f *File) flattenOps(ops []BatchOp) []flatSeg {
 	return res
 }
 
-// collectiveRange agrees on the global [lo, hi) extent of this
-// collective operation and the per-aggregator domain size.
+// collectiveRange agrees on the global extent of this collective
+// operation and cuts it into file domains: [lo, hi) with lo aligned down
+// to the file's stripe unit, and the per-aggregator domain size, a whole
+// number of stripes.
 func (f *File) collectiveRange(flat []flatSeg) (lo, hi, domain int64, nAgg int) {
 	myLo, myHi := int64(1<<62), int64(-1)
 	if len(flat) > 0 {
@@ -460,39 +486,74 @@ func (f *File) collectiveRange(flat []flatSeg) (lo, hi, domain int64, nAgg int) 
 	if hi <= lo {
 		return 0, 0, 0, 0
 	}
+	if f.unit == 0 {
+		// No handle here. The allreduce above was a rendezvous the set
+		// members entered after opening (or creating) the file, so every
+		// rank now reads the same, final layout. (Domains only route: were
+		// the file unlinked meanwhile, the default unit is as correct.)
+		var ok bool
+		if f.unit, ok = f.sys.StripeUnit(f.name); !ok {
+			f.unit = f.sys.StripeSize()
+		}
+	}
 	nAgg = f.hints.CBNodes
-	stripe := f.sys.StripeSize()
-	domain = alignUp(alignUp(hi-lo, int64(nAgg))/int64(nAgg), stripe)
+	lo, domain = fileDomains(lo, hi, f.unit, nAgg)
 	return lo, hi, domain, nAgg
+}
+
+// fileDomains cuts the extent [lo, hi) of a file striped by unit into
+// nAgg stripe-aligned domains: domain k is [lo' + k*domain, lo' +
+// (k+1)*domain) with lo' = lo aligned down to the unit and domain the
+// fewest whole stripes that let nAgg domains cover [lo', hi).
+func fileDomains(lo, hi, unit int64, nAgg int) (alignedLo, domain int64) {
+	alignedLo = alignDown(lo, unit)
+	stripes := alignUp(hi-alignedLo, unit) / unit
+	domain = alignUp(stripes, int64(nAgg)) / int64(nAgg) * unit
+	return alignedLo, domain
 }
 
 // routeSegments splits this rank's flattened segments across aggregator
 // domains, producing one parcel per domain in the File's reusable
-// parcel scratch. Parcels are indexed by aggregator index, not rank, so
-// a scratch bundle shared by files with different rotations keeps each
-// slot's grown capacity. Buffer pieces are split alongside their
+// parcel scratch. A first pass counts the pieces each domain receives,
+// so that every parcel's Segs and Bufs are carved from two backing
+// arrays of the scratch bundle: two growths per bundle however many
+// aggregators the file has. Buffer pieces are split alongside their
 // segments and keep aliasing the callers' memory — the iovec-style
 // zero-copy routing.
 func (f *File) routeSegments(flat []flatSeg, lo, domain int64, nAgg int) []ioParcel {
-	parcels := f.scr().parcels
-	if cap(parcels) < nAgg {
-		// Carry the grown slots over: a wider set must not re-grow them.
-		parcels = append(parcels[:cap(parcels)], make([]ioParcel, nAgg-cap(parcels))...)
+	sc := f.scr()
+	if cap(sc.parcels) < nAgg {
+		sc.parcels = make([]ioParcel, nAgg)
+		sc.routeN = make([]int, nAgg)
 	}
-	parcels = parcels[:nAgg]
-	for i := range parcels {
-		parcels[i].Segs = parcels[i].Segs[:0]
-		parcels[i].Bufs = parcels[i].Bufs[:0]
+	parcels, counts := sc.parcels[:nAgg], sc.routeN[:nAgg]
+	sc.parcels = parcels
+	clear(counts)
+	total := 0
+	for _, fs := range flat {
+		first := min(domainOf(fs.seg.Off, lo, domain), nAgg-1)
+		last := min(domainOf(fs.seg.Off+fs.seg.Len-1, lo, domain), nAgg-1)
+		for k := first; k <= last; k++ {
+			counts[k]++
+		}
+		total += last - first + 1
 	}
-	f.scr().parcels = parcels
+	if cap(sc.routeSegs) < total {
+		sc.routeSegs = make([]Segment, total)
+		sc.routeBufs = make([][]byte, total)
+	}
+	segs, bufs := sc.routeSegs[:total], sc.routeBufs[:total]
+	for k, n := range counts {
+		// Empty, with room for exactly the pieces counted: the appends
+		// below fill the carved region and never reallocate.
+		parcels[k].Segs, segs = segs[:0:n], segs[n:]
+		parcels[k].Bufs, bufs = bufs[:0:n], bufs[n:]
+	}
 	for _, fs := range flat {
 		remaining := fs.seg
 		buf := fs.buf
 		for remaining.Len > 0 {
-			agg := domainOf(remaining.Off, lo, domain)
-			if agg >= nAgg {
-				agg = nAgg - 1
-			}
+			agg := min(domainOf(remaining.Off, lo, domain), nAgg-1)
 			domainEnd := lo + int64(agg+1)*domain
 			take := remaining.Len
 			if remaining.Off+take > domainEnd && agg != nAgg-1 {

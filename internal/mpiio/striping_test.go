@@ -1,0 +1,199 @@
+package mpiio
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"sdm/internal/mpi"
+	"sdm/internal/obs"
+	"sdm/internal/pfs"
+)
+
+// Tests of whole-stripe file domains over a per-file stripe unit: domains
+// are cut from the extent aligned down to the file's own unit, every
+// rank — handle or not — cuts the same ones, and with a set as large as
+// the extent has stripes a phase-2 run never leaves its stripe.
+
+// TestStripedDomainsTileAligned is the property of the cut itself, over
+// random extents, units and set sizes.
+func TestStripedDomainsTileAligned(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for i := 0; i < 5000; i++ {
+		unit := 1 + rng.Int63n(1<<uint(1+rng.Intn(20)))
+		lo := rng.Int63n(1 << 30)
+		hi := lo + 1 + rng.Int63n(1<<uint(1+rng.Intn(26)))
+		nAgg := 1 + rng.Intn(64)
+		n := nAgg
+		start, domain := fileDomains(lo, hi, unit, n)
+		tc := fmt.Sprintf("lo %d hi %d unit %d set %d: start %d domain %d", lo, hi, unit, nAgg, start, domain)
+		if start%unit != 0 || start > lo || lo-start >= unit {
+			t.Fatalf("%s: start is not lo aligned down to the unit", tc)
+		}
+		if domain <= 0 || domain%unit != 0 {
+			t.Fatalf("%s: domain is not a whole number of stripes", tc)
+		}
+		// The domains tile [start, hi): they reach hi, and one stripe
+		// less per domain would not.
+		if start+int64(n)*domain < hi {
+			t.Fatalf("%s: domains end at %d, short of hi", tc, start+int64(n)*domain)
+		}
+		if start+int64(n)*(domain-unit) >= hi {
+			t.Fatalf("%s: a smaller domain would cover the extent too", tc)
+		}
+		// With a set at least as large as the stripes touched, a domain is
+		// one stripe, so whatever an aggregator issues inside it stays on
+		// one server.
+		if stripes := (hi - start + unit - 1) / unit; int64(nAgg) >= stripes && domain != unit {
+			t.Fatalf("%s: %d stripes but domains of %d stripes", tc, stripes, domain/unit)
+		}
+		for _, off := range []int64{lo, hi - 1, lo + (hi-lo)/2} {
+			k := domainOf(off, start, domain)
+			if k < 0 || k >= n || off < start+int64(k)*domain || off >= start+int64(k+1)*domain {
+				t.Fatalf("%s: offset %d is not inside its domain %d", tc, off, k)
+			}
+		}
+	}
+}
+
+// stripedRoundTrip opens name with the hints, writes every rank's share
+// of elems*P interleaved 8-byte elements placed from byte offset disp,
+// reads it back verified, and returns the (lo, domain, nAgg) the rank cut
+// for one more (empty-handed but collective) extent agreement.
+func stripedRoundTrip(c *mpi.Comm, sys *pfs.System, name string, hints Hints, disp int64, elems int) ([3]int64, error) {
+	f, err := Open(c, sys, name, pfs.CreateMode, hints)
+	if err != nil {
+		return [3]int64{}, err
+	}
+	displs := make([]int, elems)
+	for k := range displs {
+		displs[k] = k*c.Size() + c.Rank()
+	}
+	f.SetView(disp, IndexedBlock(1, displs, Bytes(8)))
+	buf := make([]byte, elems*8)
+	for i := range buf {
+		buf[i] = byte(c.Rank()*37 + i + len(name))
+	}
+	if err := f.WriteAtAll(0, buf); err != nil {
+		return [3]int64{}, err
+	}
+	got := make([]byte, len(buf))
+	if err := f.ReadAtAll(0, got); err != nil {
+		return [3]int64{}, err
+	}
+	if !bytes.Equal(got, buf) {
+		return [3]int64{}, fmt.Errorf("rank %d read back different bytes", c.Rank())
+	}
+	ops := []BatchOp{{Disp: f.disp, Type: f.filetype, Data: buf}}
+	lo, _, domain, nAgg := f.collectiveRange(f.flattenOps(ops))
+	if (f.h != nil) != (f.aggIndex(c.Rank()) < hints.CBNodes) {
+		return [3]int64{}, fmt.Errorf("rank %d: handle %v does not match set membership", c.Rank(), f.h != nil)
+	}
+	return [3]int64{lo, domain, int64(nAgg)}, f.Close()
+}
+
+// TestStripedDomainsOneServerPerRun: random extents, units and ranks,
+// the set sized to the stripes the extent touches — every phase-2 run is
+// then served as exactly one request by exactly one server.
+func TestStripedDomainsOneServerPerRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	ran := 0
+	for i := 0; i < 40; i++ {
+		p := 2 + rng.Intn(7)
+		unit := int64(8 * (16 + rng.Intn(240))) // 128 B .. 2 KiB
+		stripes := 1 + rng.Intn(p)              // what the set can cover
+		disp := rng.Int63n(4*unit) / 8 * 8      // unaligned start
+		bytesTotal := int64(stripes)*unit - disp%unit - rng.Int63n(unit/2)/8*8
+		elems := int(bytesTotal / 8 / int64(p))
+		if elems <= 0 {
+			continue
+		}
+		ran++
+		lo, hi := disp, disp+int64(elems*p)*8
+		touched := int((hi - alignDown(lo, unit) + unit - 1) / unit)
+		sys := pfs.NewSystem(pfs.Config{NumServers: 1 + rng.Intn(6), StripeSize: 4096})
+		tr := obs.NewTracer()
+		sys.SetTracer(tr)
+		hints := Hints{CBNodes: touched, StripingUnit: unit}
+		runIO(t, p, sys, func(c *mpi.Comm) {
+			if _, err := stripedRoundTrip(c, sys, "f", hints, disp, elems); err != nil {
+				t.Error(err)
+			}
+		})
+		runs, serves := 0, 0
+		for _, sp := range tr.Spans() {
+			switch {
+			case sp.Cat == "mpiio" && (sp.Name == "phase2:write-run" || sp.Name == "phase2:read-run"):
+				runs++
+			case sp.Cat == "pfs" && sp.Name == "serve":
+				serves++
+				for _, kv := range sp.Args {
+					if kv.Key == "unit" && kv.Val != fmt.Sprint(unit) {
+						t.Fatalf("served under unit %s, file created with %d", kv.Val, unit)
+					}
+				}
+			}
+		}
+		if runs == 0 || serves != runs {
+			t.Fatalf("p %d unit %d extent [%d,%d) set %d: %d phase-2 runs took %d server requests",
+				p, unit, lo, hi, touched, runs, serves)
+		}
+		if st := sys.Stats(); int(st.WriteReqs) != touched || int(st.ReadRequests) != touched {
+			t.Fatalf("p %d unit %d extent [%d,%d): %d write and %d read requests, want one per stripe (%d)",
+				p, unit, lo, hi, st.WriteReqs, st.ReadRequests, touched)
+		}
+	}
+	if ran < 30 {
+		t.Fatalf("only %d of 40 random cases had data to write", ran)
+	}
+}
+
+// TestStripedLayoutSameDomainsOnEveryRank: the unit is fixed when the
+// file is created, and a rank outside the set — no handle — cuts the
+// domains the members cut, for a fresh file (the hint), for a file
+// re-opened under another hint, and for one that existed before with a
+// layout nobody hinted.
+func TestStripedLayoutSameDomainsOnEveryRank(t *testing.T) {
+	const p, elems = 6, 256 // 12 KiB per collective
+	const disp = 5000
+	sys := pfs.NewSystem(pfs.Config{NumServers: 4, StripeSize: 4096})
+	h, err := sys.Create("old", 3072, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		hint int64
+		unit int64 // the layout every rank must work with
+	}{
+		{"fresh", 1024, 1024},
+		{"fresh", 2048, 1024}, // second open, another unit: the first stays
+		{"fresh-default", 0, 4096},
+		{"old", 1024, 3072},
+	} {
+		var mu sync.Mutex
+		cuts := map[[3]int64]int{}
+		runIO(t, p, sys, func(c *mpi.Comm) {
+			cut, err := stripedRoundTrip(c, sys, tc.name, Hints{CBNodes: 2, StripingUnit: tc.hint}, disp, elems)
+			if err != nil {
+				t.Error(err)
+			}
+			mu.Lock()
+			cuts[cut]++
+			mu.Unlock()
+		})
+		lo, domain := fileDomains(disp, disp+p*elems*8, tc.unit, 2)
+		want := [3]int64{lo, domain, 2}
+		if len(cuts) != 1 || cuts[want] != p {
+			t.Fatalf("%s (hint %d): ranks cut %v, want all %d at %v", tc.name, tc.hint, cuts, p, want)
+		}
+		if u, _ := sys.StripeUnit(tc.name); u != tc.unit {
+			t.Fatalf("%s (hint %d): file striped by %d, want %d", tc.name, tc.hint, u, tc.unit)
+		}
+	}
+}

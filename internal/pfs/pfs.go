@@ -219,8 +219,8 @@ func (s *System) SetTracer(t *obs.Tracer) {
 // the collective I/O layer emits its spans through it.
 func (s *System) Tracer() *obs.Tracer { return s.tracer }
 
-// StripeSize reports the file system's stripe unit, which collective
-// I/O layers use to size aggregator file domains.
+// StripeSize reports the file system's default stripe unit: the layout
+// of every file created without one of its own (see Create).
 func (s *System) StripeSize() int64 { return s.cfg.StripeSize }
 
 // SieveGap reports the data-sieving break-even gap: holes smaller than
@@ -296,10 +296,13 @@ func (s *System) ResetSchedules() {
 }
 
 // file is the shared state of one open file: a lock serializing
-// mutation around the backend object holding the bytes.
+// mutation around the backend object holding the bytes, and the file's
+// layout. unit is the stripe unit, fixed when the file is created and
+// immutable afterwards, so handles read it without the lock.
 type file struct {
-	mu  sync.RWMutex
-	obj store.Object
+	mu   sync.RWMutex
+	obj  store.Object
+	unit int64
 }
 
 func (f *file) writeAt(p []byte, off int64) error {
@@ -355,16 +358,25 @@ type Handle struct {
 
 	// Reusable cost-accounting scratch. A Handle belongs to one rank
 	// goroutine, so reuse is race-free; capacity is retained across
-	// operations so the steady-state I/O path allocates nothing.
+	// operations so the steady-state I/O path allocates nothing. The span
+	// lists start in the embedded buffers — a request inside one stripe
+	// needs one span, a contiguous vectored call one run — so an open is a
+	// single allocation; totScratch exists only once a request has
+	// crossed a stripe boundary.
 	totScratch  []int64
 	spanScratch []serverSpan
 	vecScratch  []vecSpan
+	spanBuf     [2]serverSpan
+	vecBuf      [1]vecSpan
 }
 
 // lookup returns the cached wrapper for name, opening the backend
-// object on first touch and creating it when create is set. The
-// boolean reports whether the object was newly created.
-func (s *System) lookup(name string, create bool) (*file, bool, error) {
+// object on first touch and creating it when create is set, striped by
+// unit (0 = the system default). The boolean reports whether the object
+// was newly created. A file found in the backend — a restored bundle —
+// is laid out by this system's default, as a copy to another file
+// system would be.
+func (s *System) lookup(name string, create bool, unit int64) (*file, bool, error) {
 	s.mu.RLock()
 	f := s.files[name]
 	s.mu.RUnlock()
@@ -388,15 +400,31 @@ func (s *System) lookup(name string, create bool) (*file, bool, error) {
 	if err != nil {
 		return nil, false, fmt.Errorf("pfs: %w", err)
 	}
-	f = &file{obj: obj}
+	if !created || unit <= 0 {
+		unit = s.cfg.StripeSize
+	}
+	f = &file{obj: obj, unit: unit}
 	s.files[name] = f
 	return f, created, nil
 }
 
 // Open opens (or with CreateMode, creates) a file, charging the open
-// cost to the opening rank's clock.
+// cost to the opening rank's clock. A file it creates is striped by the
+// system default.
 func (s *System) Open(name string, mode Mode, clock *sim.Clock) (*Handle, error) {
-	f, created, err := s.lookup(name, mode == CreateMode)
+	return s.open(name, mode, 0, clock)
+}
+
+// Create is Open in CreateMode for a caller that chooses the layout:
+// a file it creates is striped by unit bytes (0 = the system default).
+// The layout is fixed at creation; on a file that already exists unit
+// is ignored, as ROMIO's striping_unit hint is.
+func (s *System) Create(name string, unit int64, clock *sim.Clock) (*Handle, error) {
+	return s.open(name, CreateMode, unit, clock)
+}
+
+func (s *System) open(name string, mode Mode, unit int64, clock *sim.Clock) (*Handle, error) {
+	f, created, err := s.lookup(name, mode == CreateMode, unit)
 	if err != nil {
 		return nil, err
 	}
@@ -411,7 +439,9 @@ func (s *System) Open(name string, mode Mode, clock *sim.Clock) (*Handle, error)
 	if created {
 		s.stats.creates.Add(1)
 	}
-	return &Handle{sys: s, f: f, name: name, shift: s.startingServer(name), clock: clock, mode: mode}, nil
+	h := &Handle{sys: s, f: f, name: name, shift: s.startingServer(name), clock: clock, mode: mode}
+	h.spanScratch, h.vecScratch = h.spanBuf[:0], h.vecBuf[:0]
+	return h, nil
 }
 
 // startingServer picks the I/O server holding a file's first stripe.
@@ -452,6 +482,23 @@ func (s *System) Exists(name string) bool {
 	}
 	_, err := s.backend.Stat(name)
 	return err == nil
+}
+
+// StripeUnit reports the stripe unit of an existing file without opening
+// it or charging anything, so a rank that holds no handle can learn the
+// layout the way it learns of the file's existence. ok is false when the
+// file does not exist.
+func (s *System) StripeUnit(name string) (unit int64, ok bool) {
+	s.mu.RLock()
+	f := s.files[name]
+	s.mu.RUnlock()
+	if f != nil {
+		return f.unit, true
+	}
+	if _, err := s.backend.Stat(name); err != nil {
+		return 0, false
+	}
+	return s.cfg.StripeSize, true
 }
 
 // Remove deletes a file from the namespace. With the memory backend,
@@ -505,6 +552,9 @@ func (h *Handle) Size() int64 {
 	return h.f.size()
 }
 
+// StripeUnit reports the file's stripe unit.
+func (h *Handle) StripeUnit() int64 { return h.f.unit }
+
 // Truncate sets the file size.
 func (h *Handle) Truncate(n int64) error {
 	if h.closed {
@@ -535,23 +585,21 @@ type serverSpan struct {
 	bytes  int64
 }
 
+// serverOf returns the I/O server holding a file's given stripe; shift
+// rotates the file's stripe-0 server (see startingServer).
+func (s *System) serverOf(stripe int64, shift int) int {
+	return int((stripe + int64(shift)) % int64(s.cfg.NumServers))
+}
+
 // spansInto splits the byte range [off, off+n) into per-server totals
-// according to the striping layout, appending to dst (reused across
-// calls by the owning Handle). shift rotates the file's stripe-0 server
-// (see startingServer). totals must have NumServers entries and be
-// zeroed; it is re-zeroed before returning.
-func (s *System) spansInto(dst []serverSpan, totals []int64, off, n int64, shift int) []serverSpan {
-	if n <= 0 {
-		return dst
-	}
+// according to a file's striping layout (stripe unit and stripe-0
+// server), appending to dst (reused across calls by the owning Handle).
+// totals must have NumServers entries and be zeroed; it is re-zeroed
+// before returning.
+func (s *System) spansInto(dst []serverSpan, totals []int64, off, n, unit int64, shift int) []serverSpan {
 	for n > 0 {
-		stripe := off / s.cfg.StripeSize
-		srv := int((stripe + int64(shift)) % int64(s.cfg.NumServers))
-		in := s.cfg.StripeSize - off%s.cfg.StripeSize
-		if in > n {
-			in = n
-		}
-		totals[srv] += in
+		in := min(unit-off%unit, n)
+		totals[s.serverOf(off/unit, shift)] += in
 		off += in
 		n -= in
 	}
@@ -564,27 +612,27 @@ func (s *System) spansInto(dst []serverSpan, totals []int64, off, n int64, shift
 	return dst
 }
 
-// spansFor is the allocating convenience form of spansInto, with no
-// starting-server rotation.
-func (s *System) spansFor(off, n int64) []serverSpan {
-	if n <= 0 {
-		return nil
-	}
-	return s.spansInto(nil, make([]int64, s.cfg.NumServers), off, n, 0)
-}
-
 // charge schedules the I/O cost of an n-byte access at offset off
 // starting at virtual time `at`, and returns the completion time. Each
 // involved server serves its share as one request (latency + bytes/bw);
 // servers work in parallel, so completion is the max across them.
 func (h *Handle) charge(off, n int64, at sim.Time) sim.Time {
 	s := h.sys
-	if h.totScratch == nil {
-		h.totScratch = make([]int64, s.cfg.NumServers)
+	unit := h.f.unit
+	spans := h.spanScratch[:0]
+	if n > 0 && off%unit+n <= unit {
+		// Inside one stripe — every run of a stripe-aligned file domain:
+		// one server, no per-server totals to sum.
+		spans = append(spans, serverSpan{server: s.serverOf(off/unit, h.shift), bytes: n})
+	} else {
+		if h.totScratch == nil {
+			h.totScratch = make([]int64, s.cfg.NumServers)
+		}
+		spans = s.spansInto(spans, h.totScratch, off, n, unit, h.shift)
 	}
-	h.spanScratch = s.spansInto(h.spanScratch[:0], h.totScratch, off, n, h.shift)
+	h.spanScratch = spans
 	done := at
-	for _, sp := range h.spanScratch {
+	for _, sp := range spans {
 		service := s.cfg.RequestLatency +
 			sim.TransferCost(sp.bytes, 0, s.cfg.ServerBandwidth)
 		d := s.servers[sp.server].Acquire(at, service)
@@ -594,7 +642,8 @@ func (h *Handle) charge(off, n int64, at sim.Time) sim.Time {
 			s.tracer.EmitOn(obs.PidServers, sp.server, "pfs", "serve",
 				d.Add(-service), d,
 				obs.KV{Key: "file", Val: h.name},
-				obs.KV{Key: "bytes", Val: fmt.Sprint(sp.bytes)})
+				obs.KV{Key: "bytes", Val: fmt.Sprint(sp.bytes)},
+				obs.KV{Key: "unit", Val: fmt.Sprint(unit)})
 		}
 		if h := s.serviceHist; h != nil {
 			h.Observe(service)
@@ -706,9 +755,6 @@ type vecSpan struct {
 // the given order merge, so callers control request granularity by the
 // order they pass.
 func (h *Handle) coalesce(exts []Extent) ([]vecSpan, int64, error) {
-	if h.vecScratch == nil {
-		h.vecScratch = make([]vecSpan, 0, 8)
-	}
 	spans := h.vecScratch[:0]
 	var pos int64
 	for _, e := range exts {
@@ -826,6 +872,9 @@ func (h *Handle) ReadAtVecTime(p []byte, exts []Extent, at sim.Time) (sim.Time, 
 
 // Dump writes every file to dir on the host file system, flattening
 // path separators, so example programs can leave inspectable artifacts.
+// Only bytes travel: a file's stripe unit is not part of a dump (or of
+// a run bundle), and Load lays every file out by the loading system's
+// default.
 func (s *System) Dump(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -884,7 +933,7 @@ func (s *System) WriteFile(name string, data []byte) error {
 
 // ReadFile returns a file's full contents without cost accounting.
 func (s *System) ReadFile(name string) ([]byte, error) {
-	f, _, err := s.lookup(name, false)
+	f, _, err := s.lookup(name, false, 0)
 	if err != nil {
 		if errors.Is(err, ErrNotExist) {
 			return nil, fmt.Errorf("read %q: %w", name, ErrNotExist)

@@ -3,6 +3,7 @@ package pfs
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -164,7 +165,8 @@ func TestTruncate(t *testing.T) {
 
 func TestStripingMapsToServers(t *testing.T) {
 	s := NewSystem(Config{NumServers: 4, StripeSize: 100})
-	spans := s.spansFor(50, 400)
+	totals := make([]int64, 4)
+	spans := s.spansInto(nil, totals, 50, 400, 100, 0)
 	// [50,100)=s0, [100,200)=s1, [200,300)=s2, [300,400)=s3, [400,450)=s0
 	want := map[int]int64{0: 100, 1: 100, 2: 100, 3: 100}
 	if len(spans) != 4 {
@@ -175,8 +177,14 @@ func TestStripingMapsToServers(t *testing.T) {
 			t.Errorf("server %d got %d bytes, want %d", sp.server, sp.bytes, want[sp.server])
 		}
 	}
-	if s.spansFor(0, 0) != nil {
+	if s.spansInto(nil, totals, 0, 0, 100, 0) != nil {
 		t.Error("zero-length span not empty")
+	}
+	// The same range under a 200-byte unit starting on server 1:
+	// [50,200)=s1, [200,400)=s2, [400,450)=s3.
+	spans = s.spansInto(spans[:0], totals, 50, 400, 200, 1)
+	if fmt.Sprint(spans) != fmt.Sprint([]serverSpan{{1, 150}, {2, 200}, {3, 50}}) {
+		t.Fatalf("200-byte unit, shift 1: spans = %+v", spans)
 	}
 }
 
@@ -397,7 +405,8 @@ func TestSpansCoverRequestExactly(t *testing.T) {
 		}
 		s := NewSystem(cfg)
 		var total int64
-		for _, sp := range s.spansFor(int64(off), int64(n)) {
+		totals := make([]int64, cfg.NumServers)
+		for _, sp := range s.spansInto(nil, totals, int64(off), int64(n), cfg.StripeSize, int(off)%cfg.NumServers) {
 			if sp.server < 0 || sp.server >= cfg.NumServers || sp.bytes <= 0 {
 				return false
 			}

@@ -330,6 +330,9 @@ type Fig6Stats struct {
 	WriteReqs  int64
 	WriteSteps int
 	Depth      int // step-pipeline depth the run used
+	// MinStripeUnit and MaxStripeUnit bound the stripe units of the files
+	// the run created: the node-dataset files' and the flux file's.
+	MinStripeUnit, MaxStripeUnit int64
 }
 
 // WriteReadBandwidth reproduces Figure 6's experiment: after
@@ -382,7 +385,10 @@ func (f *FUN3D) fig6RunMode(cl *sdm.Cluster, level sdm.FileOrganization, steps i
 	stats := &Fig6Stats{Level: level, WriteSteps: steps, Depth: depth}
 	var mu sync.Mutex
 	statsBefore := cl.FS.Stats()
-	filesBefore := len(cl.FS.List())
+	filesBefore := make(map[string]bool)
+	for _, name := range cl.FS.List() {
+		filesBefore[name] = true
+	}
 
 	err = cl.Run(func(p *sdm.Proc) {
 		s, err := p.Initialize("fun3d", sdm.Options{
@@ -522,7 +528,17 @@ func (f *FUN3D) fig6RunMode(cl *sdm.Cluster, level sdm.FileOrganization, steps i
 		return nil, err
 	}
 	statsAfter := cl.FS.Stats()
-	stats.Files = len(cl.FS.List()) - filesBefore
+	for _, name := range cl.FS.List() {
+		if filesBefore[name] {
+			continue
+		}
+		stats.Files++
+		unit, _ := cl.FS.StripeUnit(name)
+		if stats.MinStripeUnit == 0 || unit < stats.MinStripeUnit {
+			stats.MinStripeUnit = unit
+		}
+		stats.MaxStripeUnit = max(stats.MaxStripeUnit, unit)
+	}
 	stats.FileOpens = statsAfter.Opens - statsBefore.Opens
 	stats.FileViews = statsAfter.Views - statsBefore.Views
 	stats.WriteReqs = statsAfter.WriteReqs - statsBefore.WriteReqs

@@ -194,6 +194,40 @@ func TestFig6ShapeLevels(t *testing.T) {
 	}
 }
 
+// TestFig6PaperScaleShape carries the assertion the toy-scale test above
+// cannot: at sdmbench's default fig6 scale (nx=32, 64 ranks, 2 steps)
+// the organizations order as in the paper's Figure 6 — level 3 at or
+// above level 2 at or above level 1, writing and reading. With every
+// file striped so that one step covers the servers once, what separates
+// the levels is how often opens and views are paid.
+func TestFig6PaperScaleShape(t *testing.T) {
+	f, err := NewFUN3D(FUN3DConfig{NX: 32, NY: 32, NZ: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var write, read []float64
+	for _, level := range []sdm.FileOrganization{sdm.Level1, sdm.Level2, sdm.Level3} {
+		cl := newCluster(64)
+		if err := f.Stage(cl); err != nil {
+			t.Fatal(err)
+		}
+		st, err := f.WriteReadBandwidth(cl, level, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		write, read = append(write, st.WriteMBps), append(read, st.ReadMBps)
+	}
+	for _, bw := range []struct {
+		name string
+		v    []float64
+	}{{"write", write}, {"read", read}} {
+		if !(bw.v[2] >= bw.v[1] && bw.v[1] >= bw.v[0]) {
+			t.Errorf("%s MB/s level1/2/3 = %.1f / %.1f / %.1f, want level3 >= level2 >= level1",
+				bw.name, bw.v[0], bw.v[1], bw.v[2])
+		}
+	}
+}
+
 // TestFig6PipelinedDepth1BitIdenticalToSync is the workload-level
 // differential pin: across fig6's levels 1–3, the pipelined loop at
 // depth 1 (implicit joins, DrainSteps tail) must be bit-identical to

@@ -81,8 +81,8 @@ type (
 	FileOrganization = core.FileOrganization
 	// OriginalPartitionResult carries the non-SDM baseline's result.
 	OriginalPartitionResult = core.OriginalPartitionResult
-	// Hints passes MPI-IO tuning knobs (aggregator count, collective
-	// buffer size, collective on/off) through Options.
+	// Hints passes MPI-IO tuning knobs (aggregator count, stripe unit of
+	// created files, collective on/off) through Options.
 	Hints = mpiio.Hints
 	// WaitPolicy selects how a step flush behaves when it would touch a
 	// file an outstanding asynchronous flush still owns (see Options).
