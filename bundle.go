@@ -100,9 +100,11 @@ type BundleOptions struct {
 	// driving the save/open path through torn writes, partial reads,
 	// and transient unavailability.
 	Faults *FaultConfig
-	// DisableWAL saves directly, without the write-ahead log (the
-	// pre-WAL behavior): faster, but a crash mid-save can corrupt the
-	// bundle. Only for benchmarking the WAL's overhead on ephemeral
+	// DisableWAL skips the write-ahead log and nothing else: the save
+	// still stages every object, syncs, and promotes by rename, but
+	// writes no intent or commit records, hashes nothing and pays no log
+	// fsyncs — so a crash mid-save can leave a hybrid bundle that no
+	// recovery repairs. Only for pricing the log on ephemeral
 	// directories.
 	DisableWAL bool
 	// Metrics, when non-nil, counts the bundle's store-backend
@@ -155,6 +157,48 @@ type bundleManifest struct {
 type bundleFile struct {
 	Name string `json:"name"`
 	Size int64  `json:"size"`
+}
+
+// bundleFormat is the manifest format this build reads and writes.
+const bundleFormat = 1
+
+// ManifestError reports a MANIFEST.json that cannot be acted on:
+// unreadable, not JSON, or of a format this build does not understand.
+// Everything that derives a live set from the manifest and then removes
+// what is not in it (GC, the migrate and fsck sweeps) stops on it.
+type ManifestError struct {
+	Path   string
+	Format int   // the manifest's format when it parsed but is unsupported
+	Err    error // the read or parse failure; nil for an unsupported format
+}
+
+func (e *ManifestError) Error() string {
+	if e.Err == nil {
+		return fmt.Sprintf("%s: unsupported bundle format %d (this build reads %d)", e.Path, e.Format, bundleFormat)
+	}
+	return fmt.Sprintf("manifest: %v", e.Err)
+}
+
+// Unwrap exposes the underlying failure, so errors.Is(err,
+// os.ErrNotExist) tells "no bundle here" from a bad one.
+func (e *ManifestError) Unwrap() error { return e.Err }
+
+// readManifest is the one reader of a bundle's MANIFEST.json: it returns
+// the manifest only if it parses and has the supported format.
+func readManifest(dir string) (*bundleManifest, error) {
+	path := filepath.Join(dir, bundleManifestName)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, &ManifestError{Path: path, Err: err}
+	}
+	var m bundleManifest
+	if err := json.Unmarshal(raw, &m); err != nil {
+		return nil, &ManifestError{Path: path, Err: fmt.Errorf("%s is corrupt: %w", path, err)}
+	}
+	if m.Format != bundleFormat {
+		return nil, &ManifestError{Path: path, Format: m.Format}
+	}
+	return &m, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -382,7 +426,7 @@ func saveBundle(cl *Cluster, dir string, opts BundleOptions) error {
 	}
 	plan := make([]bundlePlanEntry, 0, len(names))
 	m := bundleManifest{
-		Format:    1,
+		Format:    bundleFormat,
 		CreatedAt: time.Now().UTC().Format(time.RFC3339),
 		Backend:   opts.Backend,
 		Compress:  opts.Compress,
@@ -410,9 +454,6 @@ func saveBundle(cl *Cluster, dir string, opts BundleOptions) error {
 	}
 	manifestJSON = append(manifestJSON, '\n')
 
-	if opts.DisableWAL {
-		return saveDirect(dir, b, plan, catBuf.Bytes(), manifestJSON)
-	}
 	if err := writeBundleWAL(dir, b, plan, catBuf.Bytes(), manifestJSON, &opts); err != nil {
 		return err
 	}
@@ -429,17 +470,25 @@ func saveBundle(cl *Cluster, dir string, opts BundleOptions) error {
 // files than plan stages — an incremental commit (MigrateBundle's
 // delta) keeps the unchanged ones in place, protected from the apply
 // sweep by the manifest inventory. Shared verbatim by SaveBundle and
-// MigrateBundle so both get the same crash boundaries.
+// MigrateBundle so both get the same crash boundaries. With
+// opts.DisableWAL the log is the nil *store.WAL, which records nothing:
+// the same staging, syncs and renames run without intent records,
+// content hashes or log fsyncs.
 func writeBundleWAL(dir string, b store.Backend, plan []bundlePlanEntry, catBytes, manifestJSON []byte, opts *BundleOptions) error {
 	// Intent phase: every record describing the new bundle is durable
 	// in the log before a single data byte moves.
-	w, err := store.CreateWAL(filepath.Join(dir, bundleWALName))
-	if err != nil {
-		return err
+	var w *store.WAL
+	hash := func([]byte) string { return "" }
+	if !opts.DisableWAL {
+		var err error
+		if w, err = store.CreateWAL(filepath.Join(dir, bundleWALName)); err != nil {
+			return err
+		}
+		defer w.Close()
+		hash = sha256hex
 	}
-	defer w.Close()
 	beginRec := store.WALBeginRecord{
-		Format: 1, Backend: opts.Backend, Compress: opts.Compress, ChunkSize: opts.ChunkSize,
+		Format: bundleFormat, Backend: opts.Backend, Compress: opts.Compress, ChunkSize: opts.ChunkSize,
 	}
 	if opts.Backend == "obj" {
 		beginRec.Endpoint = bundleEndpoint(dir, opts.Endpoint)
@@ -457,7 +506,7 @@ func writeBundleWAL(dir string, b store.Backend, plan []bundlePlanEntry, catByte
 			Name:   e.name,
 			Stage:  bundleStagePrefix + e.name,
 			Size:   int64(len(e.data)),
-			SHA256: sha256hex(e.data),
+			SHA256: hash(e.data),
 		}
 		if err := w.Append(store.WALPut, puts[i]); err != nil {
 			return err
@@ -467,7 +516,7 @@ func writeBundleWAL(dir string, b store.Backend, plan []bundlePlanEntry, catByte
 		}
 	}
 	if err := w.Append(store.WALCatalog, store.WALCatalogRecord{
-		Stage: bundleCatalogStage, SHA256: sha256hex(catBytes),
+		Stage: bundleCatalogStage, SHA256: hash(catBytes),
 	}); err != nil {
 		return err
 	}
@@ -526,7 +575,7 @@ func writeBundleWAL(dir string, b store.Backend, plan []bundlePlanEntry, catByte
 	if err := applyWAL(dir, b, puts, bundleCatalogStage, manifestJSON, opts.crashFn); err != nil {
 		return err
 	}
-	if r := opts.Metrics; r != nil {
+	if r := opts.Metrics; r != nil && w != nil {
 		// begin + one put per file + catalog + commit.
 		r.Counter("bundle.wal.records").Add(int64(len(puts)) + 3)
 	}
@@ -537,52 +586,6 @@ func writeBundleWAL(dir string, b store.Backend, plan []bundlePlanEntry, catByte
 type bundlePlanEntry struct {
 	name string
 	data []byte
-}
-
-// saveDirect is the WAL-less save (opts.DisableWAL): the pre-WAL
-// behavior kept for benchmarking the durability tax.
-func saveDirect(dir string, b store.Backend, plan []bundlePlanEntry, catBytes, manifestJSON []byte) error {
-	want := make(map[string]bool, len(plan))
-	for _, e := range plan {
-		// Replace any object a previous save left, so re-saving into
-		// one directory is incremental (cas reuses unchanged chunks).
-		if _, err := b.Stat(e.name); err == nil {
-			if err := b.Remove(e.name); err != nil {
-				return fmt.Errorf("sdm: replacing %q in bundle: %w", e.name, err)
-			}
-		}
-		obj, err := b.Create(e.name)
-		if err != nil {
-			return fmt.Errorf("sdm: storing %q in bundle: %w", e.name, err)
-		}
-		if len(e.data) > 0 {
-			if _, err := obj.WriteAt(e.data, 0); err != nil {
-				return fmt.Errorf("sdm: storing %q in bundle: %w", e.name, err)
-			}
-		}
-		want[e.name] = true
-	}
-	// Drop objects from a previous save that no longer exist.
-	existing, err := b.List()
-	if err != nil {
-		return fmt.Errorf("sdm: listing bundle contents: %w", err)
-	}
-	for _, name := range existing {
-		if !want[name] {
-			_ = b.Remove(name)
-		}
-	}
-	if err := b.Sync(); err != nil {
-		return fmt.Errorf("sdm: syncing bundle data: %w", err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, bundleCatalogName), catBytes, 0o644); err != nil {
-		return err
-	}
-	tmp := filepath.Join(dir, bundleManifestName+".tmp")
-	if err := os.WriteFile(tmp, manifestJSON, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(dir, bundleManifestName))
 }
 
 // ---------------------------------------------------------------------------
@@ -682,7 +685,11 @@ func applyWAL(dir string, b store.Backend, puts []store.WALPutRecord, catStage s
 	if err := syncDir(dir); err != nil {
 		return err
 	}
-	return os.Remove(filepath.Join(dir, bundleWALName))
+	// A save without a log (BundleOptions.DisableWAL) has none to retire.
+	if err := os.Remove(filepath.Join(dir, bundleWALName)); err != nil && !os.IsNotExist(err) {
+		return err
+	}
+	return nil
 }
 
 // rollbackWAL undoes an uncommitted save: staged objects and the
@@ -698,11 +705,8 @@ func rollbackWAL(dir string, haveBegin bool, begin store.WALBeginRecord, catStag
 		// been torn by corruption, not just an early kill). Learn the
 		// backend from the previous manifest, or failing that from the
 		// data dir's shape — a cas root carries objects.json.
-		if raw, err := os.ReadFile(filepath.Join(dir, bundleManifestName)); err == nil {
-			var m bundleManifest
-			if json.Unmarshal(raw, &m) == nil && m.Backend != "" {
-				sp = m.spec()
-			}
+		if m, err := readManifest(dir); err == nil {
+			sp = m.spec()
 		}
 		if sp.kind == "" {
 			if _, err := os.Stat(filepath.Join(dir, bundleDataDir, "objects.json")); err == nil {
@@ -845,13 +849,9 @@ func GCBundle(dir string) (store.GCStats, error) {
 	if err := recoverBundleLocked(dir, nil); err != nil {
 		return st, fmt.Errorf("sdm: recovering before gc: %w", err)
 	}
-	raw, err := os.ReadFile(filepath.Join(dir, bundleManifestName))
+	m, err := readManifest(dir)
 	if err != nil {
-		return st, fmt.Errorf("sdm: opening bundle for gc: %w", err)
-	}
-	var m bundleManifest
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return st, fmt.Errorf("sdm: corrupt bundle manifest: %w", err)
+		return st, fmt.Errorf("sdm: bundle gc: %w", err)
 	}
 	live := make(map[string]bool, len(m.Files))
 	for _, f := range m.Files {
@@ -900,16 +900,9 @@ func openBundle(dir string, cfg ClusterConfig, opts BundleOptions) (*Cluster, er
 		return nil, fmt.Errorf("sdm: recovering bundle: %w", err)
 	}
 	mu.Unlock()
-	raw, err := os.ReadFile(filepath.Join(dir, bundleManifestName))
+	m, err := readManifest(dir)
 	if err != nil {
 		return nil, fmt.Errorf("sdm: opening bundle: %w", err)
-	}
-	var m bundleManifest
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return nil, fmt.Errorf("sdm: corrupt bundle manifest: %w", err)
-	}
-	if m.Format != 1 {
-		return nil, fmt.Errorf("sdm: unsupported bundle format %d", m.Format)
 	}
 	msp := m.spec()
 	msp.cost = opts.ObjCost

@@ -1,11 +1,14 @@
 package sdm
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -19,6 +22,25 @@ func demoMap(rank, size, globalN int) []int32 {
 		mapArr = append(mapArr, int32(g))
 	}
 	return mapArr
+}
+
+// putAt and getAt write and read one timestep of a float64 dataset
+// through a typed handle: SDM_write / SDM_read in one call.
+func putAt(g *Group, name string, ts int64, vals []float64) error {
+	d, err := DatasetOf[float64](g, name)
+	if err != nil {
+		return err
+	}
+	return d.PutAt(ts, vals)
+}
+
+func getAt(g *Group, name string, ts int64, n int) ([]float64, error) {
+	d, err := DatasetOf[float64](g, name)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, n)
+	return out, d.GetAt(ts, out)
 }
 
 func demoValue(dataset string, timestep int64, g int32) float64 {
@@ -62,7 +84,7 @@ func writeDemoRunOpts(t *testing.T, cl *Cluster, globalN, steps int, opts Option
 				for i, gi := range mapArr {
 					vals[i] = demoValue(ds, int64(ts), gi)
 				}
-				if err := g.WriteFloat64s(ds, int64(ts), vals); err != nil {
+				if err := putAt(g, ds, int64(ts), vals); err != nil {
 					t.Error(err)
 					return
 				}
@@ -132,7 +154,7 @@ func TestBundleRoundTrip(t *testing.T) {
 				}
 				for ts := 0; ts < steps; ts++ {
 					for _, ds := range []string{"pressure", "velocity"} {
-						got, err := g.ReadFloat64s(ds, int64(ts), len(mapArr))
+						got, err := getAt(g, ds, int64(ts), len(mapArr))
 						if err != nil {
 							t.Errorf("read %s@%d: %v", ds, ts, err)
 							return
@@ -151,11 +173,11 @@ func TestBundleRoundTrip(t *testing.T) {
 				for i, gi := range mapArr {
 					extra[i] = demoValue("pressure", steps, gi)
 				}
-				if err := g.WriteFloat64s("pressure", int64(steps), extra); err != nil {
+				if err := putAt(g, "pressure", int64(steps), extra); err != nil {
 					t.Error(err)
 					return
 				}
-				got, err := g.ReadFloat64s("pressure", 0, len(mapArr))
+				got, err := getAt(g, "pressure", 0, len(mapArr))
 				if err != nil {
 					t.Error(err)
 					return
@@ -217,7 +239,7 @@ func TestBundleSubsetReopenNoClobber(t *testing.T) {
 		for i, gi := range mapArr {
 			vals[i] = demoValue("pressure", steps, gi)
 		}
-		if err := g.WriteFloat64s("pressure", steps, vals); err != nil {
+		if err := putAt(g, "pressure", steps, vals); err != nil {
 			t.Error(err)
 			return
 		}
@@ -249,7 +271,7 @@ func TestBundleSubsetReopenNoClobber(t *testing.T) {
 			return
 		}
 		check := func(ds string, ts int64) {
-			got, err := g.ReadFloat64s(ds, ts, len(mapArr))
+			got, err := getAt(g, ds, ts, len(mapArr))
 			if err != nil {
 				t.Errorf("read %s@%d: %v", ds, ts, err)
 				return
@@ -319,11 +341,11 @@ func TestBundleMixedGroupSubsetRead(t *testing.T) {
 			for i, gi := range mapB {
 				vb[i] = demoValue("velocity", ts, gi)
 			}
-			if err := g.WriteFloat64s("a", ts, va); err != nil {
+			if err := putAt(g, "a", ts, va); err != nil {
 				t.Error(err)
 				return
 			}
-			if err := g.WriteFloat64s("b", ts, vb); err != nil {
+			if err := putAt(g, "b", ts, vb); err != nil {
 				t.Error(err)
 				return
 			}
@@ -358,7 +380,7 @@ func TestBundleMixedGroupSubsetRead(t *testing.T) {
 			return
 		}
 		for ts := int64(0); ts < steps; ts++ {
-			got, err := g.ReadFloat64s("b", ts, len(mapB))
+			got, err := getAt(g, "b", ts, len(mapB))
 			if err != nil {
 				t.Errorf("read b@%d: %v", ts, err)
 				return
@@ -403,7 +425,7 @@ func readDemoRun(t *testing.T, cl *Cluster, globalN, steps int) {
 		}
 		for ts := 0; ts < steps; ts++ {
 			for _, ds := range []string{"pressure", "velocity"} {
-				got, err := g.ReadFloat64s(ds, int64(ts), len(mapArr))
+				got, err := getAt(g, ds, int64(ts), len(mapArr))
 				if err != nil {
 					t.Errorf("read %s@%d: %v", ds, ts, err)
 					return
@@ -694,5 +716,161 @@ func TestLayoutNeverChangesBytes(t *testing.T) {
 			}
 			readDemoRun(t, reader, globalN, steps)
 		}
+	}
+}
+
+// futureBundle saves files as a bundle and rewrites its manifest the way
+// a later build might: format 2, with the inventory under another key —
+// so a format-1 reader that trusted it would see a bundle naming no
+// files.
+func futureBundle(t *testing.T, dir string, files map[string][]byte) {
+	t.Helper()
+	if err := crashCluster(t, files, "future").SaveBundleOpts(dir, BundleOptions{Backend: "dir"}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, bundleManifestName)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw = bytes.Replace(raw, []byte(`"format": 1`), []byte(`"format": 2`), 1)
+	raw = bytes.Replace(raw, []byte(`"files"`), []byte(`"inventory"`), 1)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestUnsupportedManifestStopsDestructivePaths: everything that derives
+// a live set from MANIFEST.json and removes what is not in it — GC, a
+// migration reading it as source, a migration sweeping it as existing
+// destination, fsck in repair mode — refuses a manifest of a format it
+// does not understand and leaves the bundle byte-identical.
+func TestUnsupportedManifestStopsDestructivePaths(t *testing.T) {
+	base := t.TempDir()
+	good := filepath.Join(base, "good")
+	if err := crashCluster(t, crashOldFiles(), "v1").SaveBundleOpts(good, BundleOptions{Backend: "dir"}); err != nil {
+		t.Fatal(err)
+	}
+	future := filepath.Join(base, "future")
+	futureBundle(t, future, crashNewFiles())
+	goodBefore, futureBefore := treeDigest(t, good), treeDigest(t, future)
+
+	refused := func(op string, err error) {
+		t.Helper()
+		var me *ManifestError
+		if !errors.As(err, &me) || me.Format != 2 {
+			t.Errorf("%s on a format-2 manifest: error %v, want a *ManifestError naming format 2", op, err)
+		}
+		if got := treeDigest(t, future); got != futureBefore {
+			t.Fatalf("%s changed the bundle it could not read", op)
+		}
+		if got := treeDigest(t, good); got != goodBefore {
+			t.Fatalf("%s changed the other bundle", op)
+		}
+	}
+	_, err := GCBundle(future)
+	refused("GCBundle", err)
+
+	dst := filepath.Join(base, "dst")
+	_, err = MigrateBundle(future, dst, BundleOptions{Backend: "dir"})
+	refused("MigrateBundle (source)", err)
+	if _, err := os.Stat(filepath.Join(dst, bundleManifestName)); !os.IsNotExist(err) {
+		t.Errorf("a destination bundle was committed from an unreadable source (stat: %v)", err)
+	}
+
+	_, err = MigrateBundle(good, future, BundleOptions{Backend: "dir"})
+	refused("MigrateBundle (existing destination)", err)
+
+	_, err = OpenBundle(future, ClusterConfig{Procs: 2})
+	refused("OpenBundle", err)
+
+	rep, err := FsckBundle(future, true)
+	if err != nil || len(rep.Errors) == 0 || len(rep.Repaired) != 0 {
+		t.Errorf("fsck -repair: report %+v (err %v), want an error and no repair", rep, err)
+	}
+	if got := treeDigest(t, future); got != futureBefore {
+		t.Fatal("fsck -repair changed a bundle it could not read")
+	}
+}
+
+// TestDisableWALSameBundle: BundleOptions.DisableWAL skips the log and
+// nothing else. The same cluster saved with and without it leaves the
+// same bundle — data tree, catalog bytes, manifest — with no log or
+// staging leftovers, both saves are counted, and a second WAL-less save
+// over the first sweeps what the new state no longer names.
+func TestDisableWALSameBundle(t *testing.T) {
+	for _, backend := range []string{"dir", "cas"} {
+		t.Run(backend, func(t *testing.T) {
+			base := t.TempDir()
+			dirs := map[bool]string{false: filepath.Join(base, "wal"), true: filepath.Join(base, "nowal")}
+			save := func(cl *Cluster, noWAL bool) {
+				t.Helper()
+				reg := NewRegistry()
+				opts := BundleOptions{Backend: backend, DisableWAL: noWAL, Metrics: reg}
+				if err := cl.SaveBundleOpts(dirs[noWAL], opts); err != nil {
+					t.Fatal(err)
+				}
+				snap := reg.Snapshot()
+				if got := snap["bundle.saves"]; got != 1 {
+					t.Errorf("DisableWAL=%v: bundle.saves = %d, want 1", noWAL, got)
+				}
+				if got := snap["bundle.wal.records"]; (got == 0) != noWAL {
+					t.Errorf("DisableWAL=%v: bundle.wal.records = %d", noWAL, got)
+				}
+			}
+			same := func(ctx string) {
+				t.Helper()
+				for noWAL, dir := range dirs {
+					err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+						if name := d.Name(); name == bundleWALName || name == bundleCatalogStage ||
+							strings.HasPrefix(name, bundleStagePrefix) || strings.HasSuffix(name, ".tmp") {
+							t.Errorf("%s: DisableWAL=%v left %s behind", ctx, noWAL, path)
+						}
+						return err
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				data := func(noWAL bool) string { return treeDigest(t, filepath.Join(dirs[noWAL], bundleDataDir)) }
+				if data(false) != data(true) {
+					t.Errorf("%s: data trees differ with and without the log", ctx)
+				}
+				var cats [2][]byte
+				var ms [2]*bundleManifest
+				for i, noWAL := range []bool{false, true} {
+					var err error
+					if cats[i], err = os.ReadFile(filepath.Join(dirs[noWAL], bundleCatalogName)); err != nil {
+						t.Fatal(err)
+					}
+					if ms[i], err = readManifest(dirs[noWAL]); err != nil {
+						t.Fatal(err)
+					}
+					ms[i].CreatedAt = ""
+				}
+				if !bytes.Equal(cats[0], cats[1]) {
+					t.Errorf("%s: catalog bytes differ with and without the log", ctx)
+				}
+				if !reflect.DeepEqual(ms[0], ms[1]) {
+					t.Errorf("%s: manifests differ: %+v vs %+v", ctx, ms[0], ms[1])
+				}
+			}
+
+			old := crashCluster(t, crashOldFiles(), "old")
+			save(old, false)
+			save(old, true)
+			same("first save")
+
+			// The re-save changes one file, drops one, adds one.
+			next := crashCluster(t, crashNewFiles(), "new")
+			save(next, false)
+			save(next, true)
+			same("re-save")
+			files, marker := readBundleState(t, dirs[true])
+			if marker != "new" || !sameFiles(files, crashNewFiles()) {
+				t.Errorf("WAL-less re-save holds marker %q and %d files, want the new state", marker, len(files))
+			}
+			assertFsckClean(t, dirs[true], "WAL-less re-save") // an unswept gone.dat would be an orphan
+		})
 	}
 }

@@ -1,9 +1,6 @@
 package sdm
 
 import (
-	"fmt"
-	"os"
-
 	"sdm/internal/catalog"
 	"sdm/internal/core"
 	"sdm/internal/metadb"
@@ -104,9 +101,6 @@ func (cl *Cluster) SetTracer(t *obs.Tracer) {
 	cl.Catalog.SetTracer(t)
 }
 
-// Tracer reports the installed tracer (nil when tracing is off).
-func (cl *Cluster) Tracer() *obs.Tracer { return cl.tracer }
-
 // SetMetrics registers the substrates' statistics (pfs, catalog,
 // metadb) as snapshot sources of r and threads the registry into every
 // Manager subsequently created through Proc.Initialize. Call before
@@ -119,9 +113,6 @@ func (cl *Cluster) SetMetrics(r *obs.Registry) {
 	cl.FS.RegisterMetrics(r)
 	cl.Catalog.RegisterMetrics(r)
 }
-
-// Metrics reports the installed registry (nil when collection is off).
-func (cl *Cluster) Metrics() *obs.Registry { return cl.metrics }
 
 // Proc is one rank's context inside Cluster.Run.
 type Proc struct {
@@ -139,7 +130,7 @@ func (p *Proc) Initialize(app string, opts Options) (*Manager, error) {
 	if opts.Metrics == nil {
 		opts.Metrics = p.cluster.metrics
 	}
-	return core.Initialize(Env{Comm: p.Comm, FS: p.cluster.FS, Catalog: p.cluster.Catalog}, app, opts)
+	return core.Initialize(core.Env{Comm: p.Comm, FS: p.cluster.FS, Catalog: p.cluster.Catalog}, app, opts)
 }
 
 // Rank reports this process's rank.
@@ -178,37 +169,6 @@ func (cl *Cluster) ListFiles() []string { return cl.FS.List() }
 func (cl *Cluster) Elapsed() sim.Duration {
 	return sim.Duration(cl.World.MaxTime())
 }
-
-// SaveCatalog persists the metadata database to a host file, modelling
-// MySQL's durability across application runs.
-func (cl *Cluster) SaveCatalog(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := cl.DB.Save(f); err != nil {
-		return fmt.Errorf("sdm: saving catalog: %w", err)
-	}
-	return nil
-}
-
-// LoadCatalog restores a previously saved metadata database.
-func (cl *Cluster) LoadCatalog(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := cl.DB.Load(f); err != nil {
-		return fmt.Errorf("sdm: loading catalog: %w", err)
-	}
-	return nil
-}
-
-// DumpFiles writes every simulated file to a host directory for
-// inspection.
-func (cl *Cluster) DumpFiles(dir string) error { return cl.FS.Dump(dir) }
 
 // SaveBundle persists the cluster as a self-contained run bundle:
 // metadata catalog plus every simulated file's bytes under dir, so a

@@ -1,8 +1,6 @@
 package sdm_test
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 
 	"sdm"
@@ -49,12 +47,17 @@ func TestClusterRoundTripThroughPublicAPI(t *testing.T) {
 		for i, gi := range m {
 			vals[i] = float64(gi) * 2
 		}
-		if err := g.WriteFloat64s("d", 5, vals); err != nil {
+		d, err := sdm.DatasetOf[float64](g, "d")
+		if err != nil {
 			t.Error(err)
 			return
 		}
-		got, err := g.ReadFloat64s("d", 5, len(m))
-		if err != nil {
+		if err := d.PutAt(5, vals); err != nil {
+			t.Error(err)
+			return
+		}
+		got := make([]float64, len(m))
+		if err := d.GetAt(5, got); err != nil {
 			t.Error(err)
 			return
 		}
@@ -73,37 +76,6 @@ func TestClusterRoundTripThroughPublicAPI(t *testing.T) {
 	}
 	if len(cl.ListFiles()) != 1 {
 		t.Fatalf("files = %v", cl.ListFiles())
-	}
-}
-
-func TestSaveLoadCatalog(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "catalog.db")
-	cl := sdm.NewCluster(sdm.ClusterConfig{Procs: 2})
-	err := cl.Run(func(p *sdm.Proc) {
-		s, err := p.Initialize("persisted", sdm.Options{})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		defer s.Finalize()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.SaveCatalog(path); err != nil {
-		t.Fatal(err)
-	}
-	cl2 := sdm.NewCluster(sdm.ClusterConfig{Procs: 2})
-	if err := cl2.LoadCatalog(path); err != nil {
-		t.Fatal(err)
-	}
-	runs, err := cl2.Catalog.Runs(nil)
-	if err != nil || len(runs) != 1 || runs[0].Application != "persisted" {
-		t.Fatalf("restored runs = %+v, %v", runs, err)
-	}
-	if err := cl2.LoadCatalog(filepath.Join(dir, "missing.db")); err == nil {
-		t.Fatal("loading missing catalog succeeded")
 	}
 }
 
@@ -172,21 +144,6 @@ func TestAttachStorageSharesHistoryAcrossClusters(t *testing.T) {
 	second.AttachStorage(base)
 	if !runOnce(second) {
 		t.Fatal("attached cluster did not find the history")
-	}
-}
-
-func TestDumpFiles(t *testing.T) {
-	dir := t.TempDir()
-	cl := sdm.NewCluster(sdm.ClusterConfig{Procs: 1})
-	if err := cl.StageFile("hello.dat", []byte("world")); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.DumpFiles(dir); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "hello.dat"))
-	if err != nil || string(data) != "world" {
-		t.Fatalf("dumped file: %q, %v", data, err)
 	}
 }
 

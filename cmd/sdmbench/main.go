@@ -8,11 +8,17 @@
 // With -json, every measured case is also appended to a
 // machine-readable results file (workload, configuration, simulated
 // metrics, host wall time and allocations), so successive commits
-// leave a comparable BENCH_*.json perf trajectory.
+// leave a comparable BENCH_*.json perf trajectory. When another
+// BENCH_*.json sits beside the -json target the run is also a gate: the
+// newest of them is the baseline, and sdmbench exits non-zero if a
+// deterministic metric (sim-*, remote-*, trace-spans, files, *-MB) is
+// not bit-identical to it, or a row of it was not measured again,
+// unless the BENCH_MOVED file in the same directory names the row
+// ("experiment/case/metric — reason"; a trailing * matches any suffix).
 //
 // Usage:
 //
-//	sdmbench [-experiment all|fig5|fig6|fig7|pipeline|ablations|bundle|trace|serve|metadata|objstore] [-nx 32]
+//	sdmbench [-experiment all|fig5|fig6|fig7|pipeline|ablations|bundle|trace|objstore] [-nx 32]
 //	         [-rtnx 40] [-procs 64] [-steps 2] [-rtsteps 5] [-pipesteps 8]
 //	         [-json BENCH.json] [-bundle DIR] [-trace out.json]
 //
@@ -31,21 +37,16 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"text/tabwriter"
 	"time"
 
 	"sdm"
-	"sdm/internal/server"
 	"sdm/internal/workloads"
-	"sdm/sdmclient"
 )
 
 // benchRecord is one measured case of one experiment.
@@ -135,7 +136,7 @@ func (bl *benchLog) write(path string) error {
 }
 
 func main() {
-	experiment := flag.String("experiment", "all", "fig5, fig6, fig7, pipeline, ablations, bundle, trace, serve, metadata, objstore, or all")
+	experiment := flag.String("experiment", "all", "fig5, fig6, fig7, pipeline, ablations, bundle, trace, objstore, or all")
 	nx := flag.Int("nx", 32, "FUN3D mesh cells per dimension (paper: ~18M edges; 32 => ~245k)")
 	rtnx := flag.Int("rtnx", 40, "RT mesh cells per dimension")
 	procs := flag.Int("procs", 64, "process count for fig5/fig6")
@@ -174,10 +175,6 @@ func main() {
 		runBundleBench(*nx, *procs, *steps, bl)
 	case "trace":
 		runTraceOverhead(*nx, *procs, *pipesteps, bl)
-	case "serve":
-		runServe(*nx, *procs, *steps, bl)
-	case "metadata":
-		runMetadata(bl)
 	case "objstore":
 		runObjstore(*nx, *procs, *steps, bl)
 	case "all":
@@ -188,8 +185,6 @@ func main() {
 		runAblations(*nx, *procs, bl)
 		runBundleBench(*nx, *procs, *steps, bl)
 		runTraceOverhead(*nx, *procs, *pipesteps, bl)
-		runServe(*nx, *procs, *steps, bl)
-		runMetadata(bl)
 		runObjstore(*nx, *procs, *steps, bl)
 	default:
 		log.Fatalf("unknown experiment %q", *experiment)
@@ -206,13 +201,14 @@ func main() {
 			lastTracer.SpanCount(), tracePath)
 	}
 
+	var drift []string
 	if bl != nil {
 		fresh := bl.Records
 		if err := bl.write(*jsonPath); err != nil {
 			log.Fatalf("writing %s: %v", *jsonPath, err)
 		}
 		fmt.Printf("\nwrote %d records to %s (%d total)\n", len(fresh), *jsonPath, len(bl.Records))
-		printDelta(*jsonPath, fresh)
+		drift = printDelta(*jsonPath, fresh, *experiment == "all")
 	}
 	if *bundlePath != "" {
 		if lastCluster == nil {
@@ -223,31 +219,96 @@ func main() {
 		}
 		fmt.Printf("saved run bundle to %s\n", *bundlePath)
 	}
+	if len(drift) > 0 {
+		for _, d := range drift {
+			fmt.Fprintln(os.Stderr, "sdmbench:", d)
+		}
+		log.Fatalf("%d deterministic rows differ from the previous BENCH file and BENCH_MOVED does not name them", len(drift))
+	}
 }
 
-// printDelta compares the freshly measured simulated metrics against
-// the newest other BENCH_*.json beside path and prints a one-line
-// summary, so a perf regression is visible in a PR's text output
-// rather than only as raw JSON churn. Bandwidth metrics (MB/s) count
-// as improved when they rise, time metrics (…-s, …-s/op) when they
-// fall; other metrics (sizes) are skipped. Metrics with no counterpart
-// in the previous file are reported as newly added, not silently
-// dropped.
-func printDelta(path string, fresh []benchRecord) {
+// deterministic reports whether a metric must repeat bit for bit on any
+// host: simulated times and bandwidths, the simulated remote's ledger,
+// span and file counts, byte volumes. Everything else — host-*
+// throughputs, *-pct overheads, */sec rates, hit ratios — depends on
+// timing and never gates.
+func deterministic(metric string) bool {
+	return strings.HasPrefix(metric, "sim-") || strings.HasPrefix(metric, "remote-") ||
+		metric == "trace-spans" || metric == "files" || strings.HasSuffix(metric, "-MB")
+}
+
+// movedRows reads the BENCH_MOVED file beside the results: one
+// "experiment/case/metric — reason" line per row this change moves or
+// removes on purpose (a trailing * matches any suffix; # starts a
+// comment). A line without a reason is an error.
+func movedRows(dir string) ([]string, error) {
+	raw, err := os.ReadFile(filepath.Join(dir, "BENCH_MOVED"))
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	var rows []string
+	for _, line := range strings.Split(string(raw), "\n") {
+		line = strings.TrimSpace(line)
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		row, reason, ok := strings.Cut(line, " — ")
+		if !ok || strings.TrimSpace(reason) == "" {
+			return nil, fmt.Errorf("BENCH_MOVED: %q has no \" — reason\"", line)
+		}
+		rows = append(rows, strings.TrimSpace(row))
+	}
+	return rows, nil
+}
+
+func isMoved(rows []string, key string) bool {
+	for _, row := range rows {
+		if prefix, wild := strings.CutSuffix(row, "*"); row == key || wild && strings.HasPrefix(key, prefix) {
+			return true
+		}
+	}
+	return false
+}
+
+// printDelta compares the freshly measured metrics against the newest
+// other BENCH_*.json beside path. It prints a one-line summary
+// (bandwidth metrics count as improved when they rise, time metrics
+// when they fall; sizes and counts are not better or worse), lists
+// metrics with no counterpart in the previous file as newly added and
+// metrics of the previous file that were not measured again as
+// vanished, and returns what fails the gate: every deterministic metric
+// whose value is not bit-identical to the previous file's, and every
+// vanished row, unless BENCH_MOVED names it. all says every experiment
+// ran; otherwise only the experiments present in fresh are in scope.
+func printDelta(path string, fresh []benchRecord, all bool) (failures []string) {
 	prevPath := latestOtherBench(path)
 	if prevPath == "" {
-		return
+		return nil
 	}
 	raw, err := os.ReadFile(prevPath)
 	if err != nil {
-		return
+		return nil
 	}
 	var old benchLog
 	if err := json.Unmarshal(raw, &old); err != nil {
-		return
+		return nil
+	}
+	moved, err := movedRows(filepath.Dir(path))
+	if err != nil {
+		return []string{err.Error()}
+	}
+	inScope := map[string]bool{}
+	for _, r := range fresh {
+		inScope[r.Experiment] = true
 	}
 	prev := make(map[string]float64)
 	for _, r := range old.Records { // later records win, matching append order
+		if !all && !inScope[r.Experiment] {
+			continue
+		}
 		for m, v := range r.SimMetrics {
 			prev[r.Experiment+"/"+r.Case+"/"+m] = v
 		}
@@ -264,12 +325,13 @@ func printDelta(path string, fresh []benchRecord) {
 				added = append(added, key)
 				continue
 			}
-			if pv == 0 {
-				continue
+			delete(prev, key)
+			if deterministic(m) && v != pv && !isMoved(moved, key) {
+				failures = append(failures, fmt.Sprintf("%s drifted: %v -> %v", key, pv, v))
 			}
 			higherBetter := strings.Contains(m, "MB/s")
-			if !higherBetter && !strings.Contains(m, "-s") {
-				continue // sizes and counts are not better/worse
+			if pv == 0 || v == 0 || !higherBetter && !strings.Contains(m, "-s") {
+				continue // nothing to divide by; sizes and counts are not better/worse
 			}
 			compared++
 			gain := v/pv - 1
@@ -290,27 +352,35 @@ func printDelta(path string, fresh []benchRecord) {
 			}
 		}
 	}
-	if compared == 0 && len(added) == 0 {
-		return
+	vanished := make([]string, 0, len(prev)) // what was not measured again
+	for key := range prev {
+		vanished = append(vanished, key)
+		if !isMoved(moved, key) {
+			failures = append(failures, key+" vanished")
+		}
 	}
 	line := fmt.Sprintf("delta vs %s: %s%d metrics compared, %d improved, %d regressed >1%%",
 		filepath.Base(prevPath), headline, compared, improved, regressed)
 	if worstKey != "" {
 		line += fmt.Sprintf(" (worst %s %.1f%%)", worstKey, worst*100)
 	}
-	if len(added) > 0 {
-		sort.Strings(added)
-		show := added
-		if len(show) > 3 {
-			show = show[:3]
-		}
-		line += fmt.Sprintf("; %d newly added (%s", len(added), strings.Join(show, ", "))
-		if len(added) > len(show) {
-			line += ", …"
-		}
-		line += ")"
-	}
+	line += listSome("newly added", added) + listSome("vanished", vanished)
 	fmt.Println(line)
+	sort.Strings(failures)
+	return failures
+}
+
+// listSome renders "; N label (a, b, c, …)" for a non-empty key list.
+func listSome(label string, keys []string) string {
+	if len(keys) == 0 {
+		return ""
+	}
+	sort.Strings(keys)
+	show := keys
+	if len(show) > 3 {
+		show = append(show[:3:3], "…")
+	}
+	return fmt.Sprintf("; %d %s (%s)", len(keys), label, strings.Join(show, ", "))
 }
 
 // latestOtherBench returns the lexically newest BENCH_*.json in path's
@@ -680,10 +750,10 @@ func runAblations(nx, procs int, bl *benchLog) {
 
 // runBundleBench prices crash consistency: the same fig6-populated
 // cluster is saved as a run bundle with the write-ahead log on (the
-// default, crash-consistent path) and off (the raw pre-WAL path), for
-// both storage backends. The save is host work, not simulated work, so
-// the cost is reported as wall time; the overhead column is the WAL's
-// durability tax.
+// default) and off (the same protocol minus the log's records, hashes
+// and fsyncs), for both storage backends. The save is host work, not
+// simulated work, so the cost is reported as wall time; the overhead
+// column is the WAL's durability tax.
 func runBundleBench(nx, procs, steps int, bl *benchLog) {
 	fmt.Printf("\n=== Bundle: crash-consistent save cost (WAL on vs off) ===\n")
 	f := newFUN3D(nx)
@@ -755,8 +825,8 @@ func runBundleBench(nx, procs, steps int, bl *benchLog) {
 		}
 	}
 	w.Flush()
-	fmt.Printf("expected: the WAL costs extra fsyncs and a staging pass, not extra data copies —\n" +
-		"overhead tracks the host's sync latency (noisy on shared machines), not data volume;\n" +
+	fmt.Printf("expected: the WAL costs its records, content hashes and two log fsyncs, not extra data\n" +
+		"copies — overhead tracks the host's sync latency (noisy on shared machines), not data volume;\n" +
 		"bundle sizes must match with and without the WAL\n")
 }
 
@@ -858,146 +928,4 @@ func dirSizeMB(dir string) float64 {
 		return nil
 	})
 	return float64(total) / 1e6
-}
-
-// serveClients is the concurrent client count of the serve experiment,
-// matching the acceptance bar of the network service (>= 8 concurrent
-// readers against one daemon).
-const serveClients = 8
-
-// runServe prices the network path: a FUN3D checkpoint run is saved as
-// a bundle, reopened, and served by an in-process sdmd core on a real
-// TCP socket; serveClients concurrent sdmclient readers then pull
-// every recorded slab twice. The cold pass pays backend reads (with
-// singleflight collapsing the 8-way pileup per block); the warm pass
-// runs out of the block cache, and its hit ratio is the experiment's
-// correctness gate. Throughputs are host MB/s — real wall time over a
-// real socket — unlike the sim-* metrics elsewhere in this file.
-func runServe(nx, procs, steps int, bl *benchLog) {
-	fmt.Printf("\n=== Serve: sdmd network reads, %d concurrent clients, cold vs warm cache ===\n", serveClients)
-	f := newFUN3D(nx)
-	cl := newCluster(sdm.Origin2000Config(procs))
-	if err := f.Stage(cl); err != nil {
-		log.Fatal(err)
-	}
-	if _, err := f.WriteReadBandwidth(cl, sdm.Level3, steps); err != nil {
-		log.Fatal(err)
-	}
-	tmp, err := os.MkdirTemp("", "sdmbench-serve-")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer os.RemoveAll(tmp)
-	dir := filepath.Join(tmp, "bundle")
-	if err := cl.SaveBundle(dir); err != nil {
-		log.Fatal(err)
-	}
-
-	served, err := sdm.OpenBundle(dir, sdm.ClusterConfig{Procs: procs})
-	if err != nil {
-		log.Fatal(err)
-	}
-	srv := server.New(server.Config{CacheBytes: 256 << 20, Metrics: sdm.NewRegistry()})
-	if err := srv.Mount("bench", server.Source{Catalog: served.Catalog, FS: served.FS}); err != nil {
-		log.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	hs := &http.Server{Handler: srv}
-	go func() { _ = hs.Serve(ln) }()
-	defer hs.Close()
-	base := "http://" + ln.Addr().String()
-
-	// Work list: every (dataset, timestep) slab the run recorded.
-	served.Catalog.SetAccessCost(0)
-	runs, err := served.Catalog.Runs(nil)
-	if err != nil || len(runs) == 0 {
-		log.Fatalf("served bundle has no runs (err %v)", err)
-	}
-	runID := runs[len(runs)-1].RunID
-	recs, err := served.Catalog.WritesForRun(nil, runID)
-	if err != nil || len(recs) == 0 {
-		log.Fatalf("served run has no writes (err %v)", err)
-	}
-
-	// pass has every client read every slab once, returning aggregate MB.
-	pass := func() float64 {
-		var wg sync.WaitGroup
-		var totalBytes int64
-		var mu sync.Mutex
-		for i := 0; i < serveClients; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				c := sdmclient.New(base)
-				at, err := c.Attach(sdmclient.AttachOptions{Run: runID})
-				if err != nil {
-					log.Fatalf("attach: %v", err)
-				}
-				var mine int64
-				for _, rec := range recs {
-					buf, err := c.ReadDataset(at.Run.RunID, rec.Dataset, rec.Timestep)
-					if err != nil {
-						log.Fatalf("read %s@%d: %v", rec.Dataset, rec.Timestep, err)
-					}
-					mine += int64(len(buf))
-				}
-				if err := c.Detach(); err != nil {
-					log.Fatalf("detach: %v", err)
-				}
-				mu.Lock()
-				totalBytes += mine
-				mu.Unlock()
-			}()
-		}
-		wg.Wait()
-		return float64(totalBytes) / 1e6
-	}
-
-	var coldMB, warmMB float64
-	coldWall, coldAllocs, _ := measure(func() error { coldMB = pass(); return nil })
-	coldStats := srv.CacheStats()
-	warmWall, _, _ := measure(func() error { warmMB = pass(); return nil })
-	warmStats := srv.CacheStats()
-
-	coldMBps := coldMB / coldWall.Seconds()
-	warmMBps := warmMB / warmWall.Seconds()
-
-	// The server's stats are cumulative; subtract the cold snapshot to
-	// get the warm pass on its own.
-	warmHits := warmStats.Hits - coldStats.Hits
-	warmMisses := warmStats.Misses - coldStats.Misses
-	warmWaits := warmStats.Waits - coldStats.Waits
-	warmRatio := 0.0
-	if total := warmHits + warmMisses + warmWaits; total > 0 {
-		warmRatio = float64(warmHits) / float64(total)
-	}
-	if warmRatio <= 0 {
-		log.Fatalf("warm cache hit ratio is %v, want > 0 (stats %+v)", warmRatio, warmStats)
-	}
-
-	w := table()
-	fmt.Fprintf(w, "pass\tclients\tMB/s\thits\tmisses\twaits\thit ratio\n")
-	fmt.Fprintf(w, "cold\t%d\t%.1f\t%d\t%d\t%d\t%.3f\n", serveClients, coldMBps,
-		coldStats.Hits, coldStats.Misses, coldStats.Waits, coldStats.HitRatio)
-	fmt.Fprintf(w, "warm\t%d\t%.1f\t%d\t%d\t%d\t%.3f\n", serveClients, warmMBps,
-		warmHits, warmMisses, warmWaits, warmRatio)
-	w.Flush()
-	fmt.Printf("expected: warm beats cold (no backend reads), and even the cold pass shows hits+waits —\n" +
-		"8 clients pulling the same slabs share fetches via singleflight rather than multiplying them\n")
-
-	bl.add(benchRecord{
-		Experiment: "serve", Case: fmt.Sprintf("clients%d", serveClients), Workload: "fun3d",
-		Config: map[string]any{"nx": nx, "procs": procs, "steps": steps,
-			"clients": serveClients, "cache_mb": 256},
-		SimMetrics: map[string]float64{
-			"host-cold-MB/s": coldMBps,
-			"host-warm-MB/s": warmMBps,
-			"warm-hit-ratio": warmRatio,
-			"cold-hit-ratio": coldStats.HitRatio,
-		},
-		WallNs: coldWall.Nanoseconds(), AllocsPerOp: coldAllocs,
-	})
 }

@@ -1,7 +1,8 @@
-// Command sdmls inspects a saved SDM metadata catalog (a metadb
-// snapshot written by Cluster.SaveCatalog): the runs, datasets, write
-// records, imports, and index histories of the paper's six tables —
-// the execution-flow picture of the paper's Figure 4 as text.
+// Command sdmls inspects a saved SDM metadata catalog (a run bundle's
+// catalog.db, the metadb snapshot SaveBundle writes): the runs,
+// datasets, write records, imports, and index histories of the paper's
+// six tables — the execution-flow picture of the paper's Figure 4 as
+// text.
 //
 // Usage:
 //

@@ -110,7 +110,11 @@ func main() {
 		pending.WriteByte('\n')
 		stmts, rest := splitStatements(pending.String())
 		pending.Reset()
-		pending.WriteString(rest)
+		// Keep only an unfinished statement: the newline after a ';' must
+		// not hide the next line's meta command.
+		if strings.TrimSpace(rest) != "" {
+			pending.WriteString(rest)
+		}
 		for _, stmt := range stmts {
 			execute(db, stmt)
 		}

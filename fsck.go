@@ -1,7 +1,6 @@
 package sdm
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -91,18 +90,9 @@ func FsckBundle(dir string, repair bool) (*FsckReport, error) {
 	}
 
 	// Phase 2: the manifest.
-	raw, err := os.ReadFile(filepath.Join(dir, bundleManifestName))
+	m, err := readManifest(dir)
 	if err != nil {
 		rep.errorf("manifest: %v", err)
-		return rep, nil
-	}
-	var m bundleManifest
-	if err := json.Unmarshal(raw, &m); err != nil {
-		rep.errorf("manifest: corrupt: %v", err)
-		return rep, nil
-	}
-	if m.Format != 1 {
-		rep.errorf("manifest: unsupported format %d", m.Format)
 		return rep, nil
 	}
 

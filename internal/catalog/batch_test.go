@@ -58,7 +58,7 @@ func TestLookupWritesBatchAndCompositeIndex(t *testing.T) {
 	}
 	keys := []WriteKey{{"p", 3}, {"q", 5}, {"p", 99}} // last one missing
 	clock := sim.NewClock()
-	st0 := c.DBStats()
+	st0 := c.db.StatsSnapshot()
 	before := clock.Now()
 	recs, err := c.LookupWrites(clock, 1, keys)
 	if err != nil {
@@ -73,7 +73,7 @@ func TestLookupWritesBatchAndCompositeIndex(t *testing.T) {
 	if recs[0].FileOffset != 300 || recs[1].FileOffset != 500 {
 		t.Fatalf("batch lookup offsets: %+v %+v", recs[0], recs[1])
 	}
-	st := c.DBStats()
+	st := c.db.StatsSnapshot()
 	if gotHits := st.IndexHits - st0.IndexHits; gotHits != 3 {
 		t.Fatalf("IndexHits delta = %d, want 3 (one per probe)", gotHits)
 	}
@@ -108,7 +108,7 @@ func TestLookupWriteUsesCompositeIndex(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st0 := c.DBStats()
+	st0 := c.db.StatsSnapshot()
 	rec, err := c.LookupWrite(nil, 1, "p", 17)
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestLookupWriteUsesCompositeIndex(t *testing.T) {
 	if rec == nil || rec.FileOffset != 17 {
 		t.Fatalf("lookup = %+v", rec)
 	}
-	st := c.DBStats()
+	st := c.db.StatsSnapshot()
 	if got := st.RowsScanned - st0.RowsScanned; got != 1 {
 		t.Fatalf("LookupWrite scanned %d rows, want 1 via composite index", got)
 	}

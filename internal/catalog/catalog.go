@@ -47,11 +47,6 @@ func New(db *metadb.DB) *Catalog {
 // DB exposes the underlying database (for inspection tools).
 func (c *Catalog) DB() *metadb.DB { return c.db }
 
-// DBStats returns one consistent snapshot of the underlying database's
-// query statistics — the stable surface for pinning catalog query
-// behavior (counts, plan kinds, shard targeting) in tests and tools.
-func (c *Catalog) DBStats() metadb.Stats { return c.db.StatsSnapshot() }
-
 // SetAccessCost overrides the per-query virtual cost (zero disables
 // cost charging entirely).
 func (c *Catalog) SetAccessCost(d sim.Duration) { c.cost = d }

@@ -128,7 +128,11 @@ func aggRun(t *testing.T, n, steps, nA int, opts Options, manager bool) *aggFixt
 				if set == 0 {
 					set = int64(g.cbNodes)
 				}
-				fx.fileOpens += set * perFile * int64(len(g.FileNames()))
+				files := map[string]bool{}
+				for _, rec := range g.index.recs {
+					files[rec.FileName] = true
+				}
+				fx.fileOpens += set * perFile * int64(len(files))
 			}
 		}
 		if err := s.Finalize(); err != nil {

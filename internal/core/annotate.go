@@ -6,8 +6,8 @@ import "fmt"
 // with annotations": free-form metadata an application attaches to its
 // data, stored in the database alongside the structural tables. Scopes
 // namespace the keys (a dataset name, a layer name, anything); runID 0
-// addresses the global namespace shared by all runs, which derived
-// layers (sdm/ncsdm) use for cross-run headers.
+// addresses the global namespace shared by all runs, for cross-run
+// headers.
 
 // Annotate stores one annotation. Collective; rank 0 writes.
 func (s *SDM) Annotate(runID int64, scope, key string, value []byte) error {

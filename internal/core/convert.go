@@ -8,26 +8,6 @@ import (
 // Binary conversion helpers between typed slices and the little-endian
 // byte buffers SDM moves through its I/O paths.
 
-func float64sToBytes(vals []float64) []byte {
-	return float64sToBytesInto(nil, vals)
-}
-
-// float64sToBytesInto converts into buf when it has capacity,
-// reallocating only on growth, so per-timestep writes reuse one
-// conversion buffer.
-func float64sToBytesInto(buf []byte, vals []float64) []byte {
-	n := len(vals) * 8
-	if cap(buf) < n {
-		buf = make([]byte, n)
-	} else {
-		buf = buf[:n]
-	}
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
-	}
-	return buf
-}
-
 func bytesToFloat64s(buf []byte) []float64 {
 	out := make([]float64, len(buf)/8)
 	for i := range out {
@@ -48,22 +28,6 @@ func bytesToInt32s(buf []byte) []int32 {
 	out := make([]int32, len(buf)/4)
 	for i := range out {
 		out[i] = int32(binary.LittleEndian.Uint32(buf[i*4:]))
-	}
-	return out
-}
-
-func int64sToBytes(vals []int64) []byte {
-	out := make([]byte, len(vals)*8)
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(out[i*8:], uint64(v))
-	}
-	return out
-}
-
-func bytesToInt64s(buf []byte) []int64 {
-	out := make([]int64, len(buf)/8)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(buf[i*8:]))
 	}
 	return out
 }

@@ -12,10 +12,10 @@
 //	SDM_associate_attributes /
 //	SDM_set_attributes        -> MakeDatalist, SetAttributes -> *Group
 //	SDM_data_view             -> Group.DataView
-//	SDM_write / SDM_read      -> Group.Write / Group.Read
+//	SDM_write / SDM_read      -> Dataset[T].Put / Get inside BeginStep/EndStep
+//	                             (PutAt / GetAt: the one-call form)
 //	SDM_make_importlist       -> MakeImportlist -> *Importer
 //	SDM_import                -> Importer.QueueContiguous / QueueView + Flush
-//	                             (ImportContiguous / ImportView: one-array epochs)
 //	SDM_partition_table       -> PartitionTable
 //	SDM_partition_index       -> PartitionIndex (history-aware)
 //	SDM_partition_index_size  -> IndexPartition.NumEdges
@@ -109,25 +109,6 @@ func (l FileOrganization) String() string {
 	return fmt.Sprintf("level%d", int(l))
 }
 
-// WaitPolicy selects what a step flush (or a read resolving into a
-// pending file) does when it would touch a file that an outstanding
-// asynchronous flush still owns.
-type WaitPolicy int
-
-const (
-	// WaitConflicts (the default) implicitly Waits on just the
-	// conflicting tokens — not every outstanding one — before touching
-	// the file, so pipelined loops over a shared file serialize on the
-	// file's own dependency chain while flushes to disjoint files keep
-	// flowing. With StepPipelineDepth 1 this reproduces the synchronous
-	// EndStep schedule bit-identically.
-	WaitConflicts WaitPolicy = iota
-	// ErrorOnConflict preserves the historical behavior: a flush or
-	// read that would overlap an outstanding flush of the same file
-	// fails loudly and the caller must Wait explicitly.
-	ErrorOnConflict
-)
-
 // Options tunes an SDM instance.
 type Options struct {
 	// Organization selects the file layout (default Level3).
@@ -147,10 +128,6 @@ type Options struct {
 	// synchronous EndStep has the following timesteps' reads issued
 	// ahead until this many tokens are outstanding.
 	StepPipelineDepth int
-	// WaitPolicy selects implicit waiting versus loud failure when a
-	// flush would touch a file with an outstanding token (default
-	// WaitConflicts).
-	WaitPolicy WaitPolicy
 	// EdgeScanRate is the simulated rate (edges/second) at which a rank
 	// examines edges during index partitioning (default 4e6,
 	// an R10000-era processing rate). It determines the computation
@@ -242,10 +219,10 @@ type SDM struct {
 	// to the asynchronous step flush still in flight over them. Any
 	// number of tokens may be live as long as their target-file sets
 	// are disjoint; a flush (or read) that would touch a pending file
-	// either implicitly Waits on just the conflicting token or fails
-	// loudly, per Options.WaitPolicy. tokens holds every unwaited token
-	// (bounded by Options.StepPipelineDepth) so EndStepAsync and
-	// Finalize can drain them in completion order. recScratch is the
+	// implicitly Waits on just the conflicting token. tokens holds every
+	// unwaited token (bounded by Options.StepPipelineDepth) so
+	// EndStepAsync and Finalize can drain them in completion order.
+	// recScratch is the
 	// cross-group RecordWrites merge buffer. arenaPool recycles flush
 	// staging arenas across epochs: each in-flight token owns the
 	// arenas its flush staged through and returns them at Wait, so an
@@ -377,9 +354,6 @@ func (s *SDM) RunID() int64 { return s.runID }
 // Comm exposes the communicator (for applications layering extra
 // communication on SDM's).
 func (s *SDM) Comm() *mpi.Comm { return s.env.Comm }
-
-// Organization reports the configured file organization level.
-func (s *SDM) Organization() FileOrganization { return s.opts.Organization }
 
 // catalogCall runs fn on rank 0 only and broadcasts success; other
 // ranks wait. fn may be nil on non-zero ranks.

@@ -47,6 +47,25 @@ func (te *testEnv) run(t *testing.T, opts Options, fn func(s *SDM)) {
 	}
 }
 
+// putAt and getAt write and read one timestep of a float64 dataset
+// through a typed handle: the one-call form of SDM_write / SDM_read.
+func putAt(g *Group, name string, ts int64, vals []float64) error {
+	d, err := DatasetOf[float64](g, name)
+	if err != nil {
+		return err
+	}
+	return d.PutAt(ts, vals)
+}
+
+func getAt(g *Group, name string, ts int64, n int) ([]float64, error) {
+	d, err := DatasetOf[float64](g, name)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, n)
+	return out, d.GetAt(ts, out)
+}
+
 // roundRobinMap builds the per-rank map array assigning element i*p+r
 // to rank r.
 func roundRobinMap(rank, size, globalN int) []int32 {
@@ -143,16 +162,16 @@ func writeReadRoundTrip(t *testing.T, level FileOrganization, nRanks int, timest
 			if ts == 0 {
 				mu[s.Comm().Rank()] = pv
 			}
-			if err := g.WriteFloat64s("p", int64(ts*10), pv); err != nil {
+			if err := putAt(g, "p", int64(ts*10), pv); err != nil {
 				panic(err)
 			}
-			if err := g.WriteFloat64s("q", int64(ts*10), qv); err != nil {
+			if err := putAt(g, "q", int64(ts*10), qv); err != nil {
 				panic(err)
 			}
 		}
 		// Read back every timestep of p and verify.
 		for ts := 0; ts < timesteps; ts++ {
-			got, err := g.ReadFloat64s("p", int64(ts*10), len(m))
+			got, err := getAt(g, "p", int64(ts*10), len(m))
 			if err != nil {
 				panic(err)
 			}
@@ -191,7 +210,7 @@ func TestGlobalFileOrderedByNodeNumber(t *testing.T) {
 			for i, gidx := range m {
 				vals[i] = float64(gidx) * 1.5
 			}
-			if err := g.WriteFloat64s("p", 0, vals); err != nil {
+			if err := putAt(g, "p", 0, vals); err != nil {
 				panic(err)
 			}
 		})
@@ -234,10 +253,10 @@ func TestLevelFileAndViewCounts(t *testing.T) {
 			_, _ = g.DataView([]string{"p", "q"}, m)
 			vals := make([]float64, len(m))
 			for ts := 0; ts < 3; ts++ {
-				if err := g.WriteFloat64s("p", int64(ts), vals); err != nil {
+				if err := putAt(g, "p", int64(ts), vals); err != nil {
 					panic(err)
 				}
-				if err := g.WriteFloat64s("q", int64(ts), vals); err != nil {
+				if err := putAt(g, "q", int64(ts), vals); err != nil {
 					panic(err)
 				}
 			}
@@ -262,8 +281,8 @@ func TestExecutionTableRecordsWrites(t *testing.T) {
 		m := roundRobinMap(s.Comm().Rank(), 2, 8)
 		_, _ = g.DataView([]string{"p"}, m)
 		vals := make([]float64, len(m))
-		_ = g.WriteFloat64s("p", 0, vals)
-		_ = g.WriteFloat64s("p", 10, vals)
+		_ = putAt(g, "p", 0, vals)
+		_ = putAt(g, "p", 10, vals)
 	})
 	recs, err := te.cat.WritesForRun(nil, 1)
 	if err != nil || len(recs) != 2 {
@@ -287,7 +306,7 @@ func TestReadAcrossSessionsViaExecutionTable(t *testing.T) {
 		for i, gidx := range m {
 			vals[i] = float64(gidx) + 7
 		}
-		if err := g.WriteFloat64s("p", 42, vals); err != nil {
+		if err := putAt(g, "p", 42, vals); err != nil {
 			panic(err)
 		}
 	})
@@ -313,16 +332,16 @@ func TestWriteValidation(t *testing.T) {
 	te := newTestEnv(1)
 	te.run(t, Options{}, func(s *SDM) {
 		g, _ := s.SetAttributes([]Attr{{Name: "p", GlobalSize: 8, Type: Double}})
-		if err := g.WriteFloat64s("p", 0, nil); err == nil {
+		if err := putAt(g, "p", 0, nil); err == nil {
 			t.Error("write without view accepted")
 		}
 		if _, err := g.DataView([]string{"p"}, []int32{0, 1}); err != nil {
 			panic(err)
 		}
-		if err := g.WriteFloat64s("p", 0, make([]float64, 5)); err == nil {
+		if err := putAt(g, "p", 0, make([]float64, 5)); err == nil {
 			t.Error("wrong buffer size accepted")
 		}
-		if err := g.WriteFloat64s("zz", 0, nil); err == nil {
+		if err := putAt(g, "zz", 0, nil); err == nil {
 			t.Error("unknown dataset accepted")
 		}
 		if _, err := g.DataView([]string{"p"}, []int32{0, 99}); err == nil {
@@ -351,10 +370,14 @@ func TestImportContiguousEqualDivision(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		buf, start, count, err := imp.ImportContiguous("a")
+		h, err := imp.QueueContiguous("a")
+		if err == nil {
+			err = imp.Flush()
+		}
 		if err != nil {
 			panic(err)
 		}
+		buf, start, count := h.Bytes(), h.start, h.count
 		// 10 over 3 ranks: 4, 3, 3.
 		wantCount := []int64{4, 3, 3}[s.Comm().Rank()]
 		wantStart := []int64{0, 4, 7}[s.Comm().Rank()]
@@ -403,11 +426,14 @@ func TestImportViewIrregular(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		buf, err := imp.ImportView("x", v)
+		h, err := imp.QueueView("x", v)
+		if err == nil {
+			err = imp.Flush()
+		}
 		if err != nil {
 			panic(err)
 		}
-		got := bytesToFloat64s(buf)
+		got := h.Float64s()
 		for i, gidx := range m {
 			if got[i] != float64(gidx)*0.5 {
 				panic(fmt.Sprintf("rank %d: got[%d] = %g, want %g",
@@ -425,11 +451,11 @@ func TestImportViewTypeMismatch(t *testing.T) {
 			{Name: "x", Type: Double, FileOffset: 0, Length: 20},
 		})
 		v, _ := NewView([]int32{0}, Integer, 20)
-		if _, err := imp.ImportView("x", v); err == nil {
+		if _, err := imp.QueueView("x", v); err == nil {
 			t.Error("element size mismatch accepted")
 		}
 		v2, _ := NewView([]int32{0}, Double, 10)
-		if _, err := imp.ImportView("x", v2); err == nil {
+		if _, err := imp.QueueView("x", v2); err == nil {
 			t.Error("global size mismatch accepted")
 		}
 	})
@@ -774,10 +800,10 @@ func TestFullPipelineMatchesSerial(t *testing.T) {
 					qOwned = append(qOwned, ql[i])
 				}
 			}
-			if err := g.WriteFloat64s("p", 0, pOwned); err != nil {
+			if err := putAt(g, "p", 0, pOwned); err != nil {
 				panic(err)
 			}
-			if err := g.WriteFloat64s("q", 0, qOwned); err != nil {
+			if err := putAt(g, "q", 0, qOwned); err != nil {
 				panic(err)
 			}
 			_ = c

@@ -50,12 +50,6 @@ func DatasetOf[T Element](g *Group, name string) (*Dataset[T], error) {
 	return &Dataset[T]{g: g, name: name}, nil
 }
 
-// Name reports the dataset's registered name.
-func (d *Dataset[T]) Name() string { return d.name }
-
-// Group reports the group the handle belongs to.
-func (d *Dataset[T]) Group() *Group { return d.g }
-
 // encodeElems returns the fused permute-and-serialize closure for a
 // Put: at flush time, file-order slot i receives vals[perm[i]] in the
 // dataset's little-endian wire encoding — one pass instead of the old
@@ -125,14 +119,14 @@ func (d *Dataset[T]) Get(out []T) error {
 	return d.g.enqueueGet(d.name, len(out), decodeElems(out))
 }
 
-// PutAt writes one timestep as a one-operation epoch — the migration
-// target for the deprecated WriteFloat64s.
+// PutAt writes one timestep as a one-operation epoch: SDM_write in one
+// call.
 func (d *Dataset[T]) PutAt(timestep int64, vals []T) error {
 	return d.g.oneOpEpoch(timestep, func() error { return d.Put(vals) })
 }
 
-// GetAt reads one timestep as a one-operation epoch — the migration
-// target for the deprecated ReadFloat64s.
+// GetAt reads one timestep as a one-operation epoch: SDM_read in one
+// call.
 func (d *Dataset[T]) GetAt(timestep int64, out []T) error {
 	return d.g.oneOpEpoch(timestep, func() error { return d.Get(out) })
 }

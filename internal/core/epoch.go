@@ -10,8 +10,7 @@ import (
 )
 
 // Step-scoped deferred I/O: BeginStep opens an epoch on a group,
-// Dataset.Put/Get (and the byte-level queue entry points beneath
-// Group.Write/Read) record operations zero-copy against the caller's
+// Dataset.Put/Get record operations zero-copy against the caller's
 // slices, and EndStep flushes everything queued in one merged
 // collective per file — one extent agreement, one all-to-all, and
 // coalesced file requests across the step's datasets, with the whole
@@ -88,7 +87,7 @@ type placedOp struct {
 // Asynchronous flushes from earlier epochs may still be outstanding:
 // the new epoch queues into a fresh (pooled) staging arena, and any
 // file-level conflict with an in-flight flush is resolved at flush
-// time per Options.WaitPolicy.
+// time by waiting on the conflicting token.
 func (g *Group) BeginStep(timestep int64) error {
 	if g.ep.open {
 		return fmt.Errorf("core: BeginStep(%d) with step %d already open", timestep, g.ep.timestep)
@@ -106,9 +105,6 @@ func (g *Group) openStep(timestep int64, managed bool) {
 	g.ep.puts = g.ep.puts[:0]
 	g.ep.gets = g.ep.gets[:0]
 }
-
-// StepOpen reports whether a deferred epoch is currently open.
-func (g *Group) StepOpen() bool { return g.ep.open }
 
 // cancelStep drops an open epoch and everything queued in it, used
 // when queueing fails partway through a convenience wrapper. Queued
@@ -195,10 +191,9 @@ func (g *Group) EndStep() error {
 }
 
 // oneOpEpoch wraps a single queued operation in its own
-// BeginStep/EndStep epoch — the shared shape beneath the legacy
-// Group.Write/Read and the typed handles' PutAt/GetAt. A failed
-// enqueue cancels the epoch; a failed BeginStep (epoch already open)
-// leaves the caller's epoch untouched.
+// BeginStep/EndStep epoch — the shape beneath the typed handles'
+// PutAt/GetAt. A failed enqueue cancels the epoch; a failed BeginStep
+// (epoch already open) leaves the caller's epoch untouched.
 func (g *Group) oneOpEpoch(timestep int64, op func() error) error {
 	if err := g.BeginStep(timestep); err != nil {
 		return err
@@ -253,8 +248,8 @@ func (g *Group) opsForFile(of *openFile, placed []placedOp, file string) []mpiio
 }
 
 // closeIfLevel1 closes and forgets the file under Level-1 organization
-// (one file per write), the same post-collective step the legacy paths
-// took. The file's I/O scratch bundle returns to the group's pool.
+// (one file per write). The file's I/O scratch bundle returns to the
+// group's pool.
 func (g *Group) closeIfLevel1(of *openFile, file string) error {
 	if g.s.opts.Organization != Level1 {
 		return nil
@@ -270,7 +265,7 @@ func (g *Group) closeIfLevel1(of *openFile, file string) error {
 
 // stagePuts performs the staging half of a put flush: it places every
 // queued put (allocating slabs in queue order, exactly as the same
-// sequence of legacy Writes would), then fuses each put's permutation
+// sequence of one-operation epochs would), then fuses each put's permutation
 // and serialization straight into the epoch arena, charging the
 // memory-copy cost the staged bytes represent. It fills g.ep.placed and
 // g.ep.recs.
@@ -335,8 +330,8 @@ func (g *Group) stagePuts() {
 // If a file's batch fails partway through the epoch, the files already
 // flushed have their bytes on disk — g.ep.recs is trimmed to those
 // files so the caller records them anyway and the data stays reachable,
-// exactly as the legacy per-write path recorded each successful write
-// before a later one failed.
+// exactly as one epoch per write would have recorded each successful
+// write before a later one failed.
 func (g *Group) issuePutFlushes() (sim.Time, error) {
 	clock := g.s.env.Comm.Clock()
 	join := clock.Now()
@@ -504,9 +499,8 @@ type getPart struct {
 // resolveGets looks up where each dataset's slab of timestep ts lives
 // (placement index, then one batched catalog query) and resolves reads
 // landing in files with an asynchronous flush in flight from another
-// token: the conflicting token is implicitly waited (WaitConflicts) or
-// reported loudly (ErrorOnConflict). tok is the flush being issued; its
-// own claims — a put and a get of one file in the same epoch — are fine.
+// token: the conflicting token is implicitly waited. tok is the flush
+// being issued; its own claims — a put and a get of one file in the same epoch — are fine.
 func (g *Group) resolveGets(tok *StepToken, ts int64, dis []int) ([]catalog.WriteRecord, error) {
 	keys := g.ep.keys[:0]
 	for _, di := range dis {
@@ -523,9 +517,6 @@ func (g *Group) resolveGets(tok *StepToken, ts int64, dis []int) ([]catalog.Writ
 			if other == nil || other == tok {
 				break
 			}
-			if g.s.opts.WaitPolicy == ErrorOnConflict {
-				return nil, fmt.Errorf("core: reading %q while an async step flush to it is outstanding; Wait on its token first", recs[i].FileName)
-			}
 			if err := other.Wait(); err != nil {
 				return nil, fmt.Errorf("core: implicit wait on the outstanding flush of %q: %w", recs[i].FileName, err)
 			}
@@ -535,8 +526,8 @@ func (g *Group) resolveGets(tok *StepToken, ts int64, dis []int) ([]catalog.Writ
 }
 
 // stageGets carves the read arena and computes each dataset's view
-// position, mirroring the legacy Read's slab arithmetic; it fills
-// g.ep.placed (placed[i] serves dis[i]) and g.ep.readArena.
+// position; it fills g.ep.placed (placed[i] serves dis[i]) and
+// g.ep.readArena.
 func (g *Group) stageGets(dis []int, recs []catalog.WriteRecord) {
 	var total int64
 	for _, di := range dis {

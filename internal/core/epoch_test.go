@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -32,6 +34,25 @@ func newCostedEnv(n int) *testEnv {
 // file only, as the differential baseline the epoch engine must match
 // bit-for-bit on single-operation epochs.
 // ---------------------------------------------------------------------------
+
+// float64sToBytes is the conversion the byte-level legacy calls took as
+// a separate pass before the permutation.
+func float64sToBytes(vals []float64) []byte {
+	buf := make([]byte, len(vals)*8)
+	for i, v := range vals {
+		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
+	}
+	return buf
+}
+
+// permuteBytesToFile reorders a user buffer (map-array order) into the
+// sorted order the file view consumes.
+func permuteBytesToFile(v *View, data, out []byte) {
+	es := v.elemSize
+	for i, p := range v.perm {
+		copy(out[int64(i)*es:(int64(i)+1)*es], data[int64(p)*es:(int64(p)+1)*es])
+	}
+}
 
 func legacyWrite(g *Group, dataset string, timestep int64, data []byte) error {
 	a, err := g.Attr(dataset)
@@ -226,8 +247,7 @@ func runScript(t *testing.T, sc diffScript, mode epochMode) *testEnv {
 				}
 			case modeOneOp:
 				for ds := range sc.sizes {
-					buf := float64sToBytes(fill(ds, ts))
-					if err := g.Write(attrs[ds].Name, int64(ts), buf); err != nil {
+					if err := handles[ds].PutAt(int64(ts), fill(ds, ts)); err != nil {
 						panic(err)
 					}
 				}
@@ -280,11 +300,11 @@ func runScript(t *testing.T, sc diffScript, mode epochMode) *testEnv {
 				}
 			case modeOneOp:
 				for ds := range sc.sizes {
-					out := make([]byte, len(maps[ds])*8)
-					if err := g.Read(attrs[ds].Name, int64(ts), out); err != nil {
+					out := make([]float64, len(maps[ds]))
+					if err := handles[ds].GetAt(int64(ts), out); err != nil {
 						panic(err)
 					}
-					check(ds, ts, bytesToFloat64s(out))
+					check(ds, ts, out)
 				}
 			case modeBatched, modeAsync:
 				if err := g.BeginStep(int64(ts)); err != nil {
@@ -506,7 +526,7 @@ func TestEpochEdgeCases(t *testing.T) {
 		if err := g.BeginStep(2); err == nil {
 			t.Error("double BeginStep accepted")
 		}
-		if !g.StepOpen() {
+		if !g.ep.open {
 			t.Error("epoch closed by failed BeginStep")
 		}
 		if err := d.Put(vals); err != nil {
@@ -776,13 +796,13 @@ func TestLegacyWriteInsideEpochRejected(t *testing.T) {
 		if err := g.BeginStep(0); err != nil {
 			panic(err)
 		}
-		if err := g.WriteFloat64s("p", 0, vals); err == nil {
-			t.Error("WriteFloat64s inside an open epoch accepted")
+		if err := putAt(g, "p", 0, vals); err == nil {
+			t.Error("PutAt inside an open epoch accepted")
 		}
 		if err := d.PutAt(0, vals); err == nil {
 			t.Error("PutAt inside an open epoch accepted")
 		}
-		if !g.StepOpen() {
+		if !g.ep.open {
 			t.Error("open epoch destroyed by rejected nested write")
 		}
 		if err := d.Put(vals); err != nil {

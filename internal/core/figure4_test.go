@@ -69,10 +69,10 @@ func TestCatalogFlowMatchesFigure4(t *testing.T) {
 		}
 		buf := make([]float64, len(ip.OwnedNodes))
 		for _, ts := range []int64{0, 10, 20} {
-			if err := g.WriteFloat64s("p", ts, buf); err != nil {
+			if err := putAt(g, "p", ts, buf); err != nil {
 				panic(err)
 			}
-			if err := g.WriteFloat64s("q", ts, buf); err != nil {
+			if err := putAt(g, "q", ts, buf); err != nil {
 				panic(err)
 			}
 		}
@@ -156,10 +156,10 @@ func TestWriteReadPropertyAcrossLevels(t *testing.T) {
 			for i, gi := range m {
 				vals[i] = float64(gi) + 0.25
 			}
-			if err := g.WriteFloat64s("d", 0, vals); err != nil {
+			if err := putAt(g, "d", 0, vals); err != nil {
 				panic(err)
 			}
-			got, err := g.ReadFloat64s("d", 0, len(m))
+			got, err := getAt(g, "d", 0, len(m))
 			if err != nil {
 				panic(err)
 			}

@@ -42,18 +42,13 @@ type Group struct {
 	cbNodes    int
 
 	// ep is the group's deferred step epoch (BeginStep/EndStep) and its
-	// flush scratch; legacy Write/Read run as one-operation epochs over
-	// the same engine.
+	// flush scratch.
 	ep stepEpoch
 
-	// Reusable per-rank staging buffers for the write/read hot path.
-	// A Group belongs to one rank goroutine; the collective I/O layer
-	// copies payloads out before returning, so reuse across operations
-	// is safe. Each open file checks its I/O scratch bundle out of the
-	// pool (returned at close), so per-file collectives from different
+	// Each open file checks its I/O scratch bundle out of the pool
+	// (returned at close), so per-file collectives from different
 	// in-flight epochs never share staging buffers.
-	convScratch []byte
-	scratch     mpiio.ScratchPool
+	scratch mpiio.ScratchPool
 }
 
 type writeKey struct {
@@ -380,9 +375,6 @@ type View struct {
 // LocalSize reports the number of local elements the view maps.
 func (v *View) LocalSize() int { return len(v.mapArr) }
 
-// MapArray returns the view's map array (not copied; do not mutate).
-func (v *View) MapArray() []int32 { return v.mapArr }
-
 // DataView installs one shared view for the named datasets, mirroring
 // the paper's SDM_data_view(handle, ndata, firstName, &map, &size)
 // where one map array serves several datasets of the group. mapArr[i]
@@ -449,25 +441,9 @@ func newView(mapArr []int32, elemSize, globalN int64) (*View, error) {
 	}, nil
 }
 
-// permuteBytesToFile reorders a user buffer (map-array order) into the
-// sorted order the file view consumes. Pure data movement; the caller
-// charges the memory-copy cost.
-func permuteBytesToFile(v *View, data, out []byte) {
-	es := v.elemSize
-	if es == 8 {
-		// The dominant case (doubles and int64 indices): a fixed-size
-		// element copy the compiler turns into a single 8-byte move.
-		for i, p := range v.perm {
-			*(*[8]byte)(out[i*8:]) = *(*[8]byte)(data[int(p)*8:])
-		}
-	} else {
-		for i, p := range v.perm {
-			copy(out[int64(i)*es:(int64(i)+1)*es], data[int64(p)*es:(int64(p)+1)*es])
-		}
-	}
-}
-
-// permuteBytesFromFile is the inverse, for reads.
+// permuteBytesFromFile scatters file-order bytes (the sorted order the
+// file view delivers) into map-array order. Pure data movement; the
+// caller charges the memory-copy cost.
 func permuteBytesFromFile(v *View, fileData, out []byte) {
 	es := v.elemSize
 	if es == 8 {
@@ -568,101 +544,4 @@ func (g *Group) place(file string, slabBytes int64) (physOff, slab int64) {
 		g.appendOff[file] = off + slabBytes
 		return off, -1
 	}
-}
-
-// putBytes queues raw file-encoded bytes (map-array order) into the
-// open epoch — the byte-level path beneath the legacy Write, validated
-// with the historical error messages.
-func (g *Group) putBytes(dataset string, data []byte) error {
-	if _, err := g.Attr(dataset); err != nil {
-		return err
-	}
-	v, ok := g.views[dataset]
-	if !ok {
-		return fmt.Errorf("core: no view installed for dataset %q", dataset)
-	}
-	if int64(len(data)) != int64(v.LocalSize())*v.elemSize {
-		return fmt.Errorf("core: dataset %q write has %d bytes, view maps %d elements of %d bytes",
-			dataset, len(data), v.LocalSize(), v.elemSize)
-	}
-	return g.enqueuePut(dataset, v.LocalSize(), func(v *View, dst []byte) {
-		permuteBytesToFile(v, data, dst)
-	})
-}
-
-// getBytes queues a raw byte read (map-array order) into the open
-// epoch, the byte-level path beneath the legacy Read.
-func (g *Group) getBytes(dataset string, out []byte) error {
-	if _, err := g.Attr(dataset); err != nil {
-		return err
-	}
-	v, ok := g.views[dataset]
-	if !ok {
-		return fmt.Errorf("core: no view installed for dataset %q", dataset)
-	}
-	if int64(len(out)) != int64(v.LocalSize())*v.elemSize {
-		return fmt.Errorf("core: dataset %q read buffer has %d bytes, view maps %d elements",
-			dataset, len(out), v.LocalSize())
-	}
-	return g.enqueueGet(dataset, v.LocalSize(), func(v *View, src []byte) {
-		permuteBytesFromFile(v, src, out)
-	})
-}
-
-// Write stores one timestep of a dataset (the paper's SDM_write).
-// data is the rank's local elements in map-array order; a view must
-// have been installed with DataView. Collective. Process 0 records the
-// write in the execution table. Since the step-epoch redesign, Write
-// is a one-operation BeginStep/Put/EndStep epoch over the deferred
-// engine; batch several datasets of a timestep with
-// BeginStep/Dataset.Put/EndStep to merge their collectives.
-func (g *Group) Write(dataset string, timestep int64, data []byte) error {
-	return g.oneOpEpoch(timestep, func() error { return g.putBytes(dataset, data) })
-}
-
-// Read fetches one timestep of a dataset back into map-array order
-// (the paper's SDM_read — reading data created within SDM). Collective.
-// A one-operation epoch over the deferred engine, like Write.
-func (g *Group) Read(dataset string, timestep int64, out []byte) error {
-	return g.oneOpEpoch(timestep, func() error { return g.getBytes(dataset, out) })
-}
-
-// WriteFloat64s is Write for float64 data.
-//
-// Deprecated: build a typed handle with DatasetOf[float64] and use
-// Put (inside BeginStep/EndStep) or PutAt — the typed path fuses
-// conversion and permutation and batches whole timesteps.
-func (g *Group) WriteFloat64s(dataset string, timestep int64, vals []float64) error {
-	g.convScratch = float64sToBytesInto(g.convScratch, vals)
-	return g.Write(dataset, timestep, g.convScratch)
-}
-
-// ReadFloat64s is Read for float64 data.
-//
-// Deprecated: build a typed handle with DatasetOf[float64] and use
-// Get (inside BeginStep/EndStep) or GetAt.
-func (g *Group) ReadFloat64s(dataset string, timestep int64, n int) ([]float64, error) {
-	if cap(g.convScratch) < n*8 {
-		g.convScratch = make([]byte, n*8)
-	}
-	buf := g.convScratch[:n*8]
-	if err := g.Read(dataset, timestep, buf); err != nil {
-		return nil, err
-	}
-	return bytesToFloat64s(buf), nil
-}
-
-// FileNames lists the files this group has written so far, in the
-// deterministic order of the file system namespace.
-func (g *Group) FileNames() []string {
-	seen := map[string]bool{}
-	var names []string
-	for _, rec := range g.index.recs {
-		if !seen[rec.FileName] {
-			seen[rec.FileName] = true
-			names = append(names, rec.FileName)
-		}
-	}
-	sort.Strings(names)
-	return names
 }

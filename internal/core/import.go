@@ -255,33 +255,6 @@ func (imp *Importer) Flush() error {
 	return nil
 }
 
-// ImportContiguous is a one-array epoch: QueueContiguous then Flush
-// (which also flushes anything queued earlier). The returned buffer
-// holds count elements starting at element start.
-func (imp *Importer) ImportContiguous(name string) (buf []byte, start, count int64, err error) {
-	h, err := imp.QueueContiguous(name)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	if err := imp.Flush(); err != nil {
-		return nil, 0, 0, err
-	}
-	return h.buf, h.start, h.count, nil
-}
-
-// ImportView is a one-array epoch: QueueView then Flush (which also
-// flushes anything queued earlier).
-func (imp *Importer) ImportView(name string, v *View) ([]byte, error) {
-	h, err := imp.QueueView(name, v)
-	if err != nil {
-		return nil, err
-	}
-	if err := imp.Flush(); err != nil {
-		return nil, err
-	}
-	return h.buf, nil
-}
-
 // Release frees the import structures and clears import_table rows
 // (SDM_release_importlist). Collective.
 func (imp *Importer) Release() error {

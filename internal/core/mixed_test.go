@@ -43,16 +43,16 @@ func TestMixedGroupLevel3AppendsSlabs(t *testing.T) {
 		}
 		// Interleave writes across two timesteps; slabs append in call
 		// order: small@0, large@64, small@224, large@288.
-		if err := g.WriteFloat64s("small", 0, fill(ms, 100)); err != nil {
+		if err := putAt(g, "small", 0, fill(ms, 100)); err != nil {
 			panic(err)
 		}
-		if err := g.WriteFloat64s("large", 0, fill(ml, 200)); err != nil {
+		if err := putAt(g, "large", 0, fill(ml, 200)); err != nil {
 			panic(err)
 		}
-		if err := g.WriteFloat64s("small", 1, fill(ms, 300)); err != nil {
+		if err := putAt(g, "small", 1, fill(ms, 300)); err != nil {
 			panic(err)
 		}
-		if err := g.WriteFloat64s("large", 1, fill(ml, 400)); err != nil {
+		if err := putAt(g, "large", 1, fill(ml, 400)); err != nil {
 			panic(err)
 		}
 		// Read everything back through the same group.
@@ -65,7 +65,7 @@ func TestMixedGroupLevel3AppendsSlabs(t *testing.T) {
 			{"small", 0, ms, 100}, {"large", 0, ml, 200},
 			{"small", 1, ms, 300}, {"large", 1, ml, 400},
 		} {
-			got, err := g.ReadFloat64s(tc.name, tc.ts, len(tc.m))
+			got, err := getAt(g, tc.name, tc.ts, len(tc.m))
 			if err != nil {
 				panic(err)
 			}
@@ -186,13 +186,13 @@ func TestLevel2ReadBackAfterManySteps(t *testing.T) {
 			for i := range vals {
 				vals[i] = float64(ts*100 + i)
 			}
-			if err := g.WriteFloat64s("d", int64(ts), vals); err != nil {
+			if err := putAt(g, "d", int64(ts), vals); err != nil {
 				panic(err)
 			}
 		}
 		// Read steps out of order.
 		for _, ts := range []int64{5, 0, 6, 3} {
-			got, err := g.ReadFloat64s("d", ts, len(m))
+			got, err := getAt(g, "d", ts, len(m))
 			if err != nil {
 				panic(err)
 			}

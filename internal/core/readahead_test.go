@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"sdm/internal/mpi"
@@ -68,7 +67,7 @@ func (a *raApp) put(ts int64, n, rev int) error {
 	for j := 0; j < n; j++ {
 		vals := make([]float64, len(a.maps[j]))
 		for i, g := range a.maps[j] {
-			vals[i] = raValue(a.ds[j].Name(), ts, g, rev)
+			vals[i] = raValue(a.ds[j].name, ts, g, rev)
 		}
 		if err := a.ds[j].Put(vals); err != nil {
 			panic(err)
@@ -96,9 +95,9 @@ func (a *raApp) getN(ts int64, n, rev int) {
 	}
 	for j := range out {
 		for i, g := range a.maps[j] {
-			if want := raValue(a.ds[j].Name(), ts, g, rev); out[j][i] != want {
+			if want := raValue(a.ds[j].name, ts, g, rev); out[j][i] != want {
 				a.t.Errorf("rank %d %s@%d element %d = %v, want %v",
-					a.s.env.Comm.Rank(), a.ds[j].Name(), ts, g, out[j][i], want)
+					a.s.env.Comm.Rank(), a.ds[j].name, ts, g, out[j][i], want)
 				return
 			}
 		}
@@ -311,7 +310,7 @@ func TestReadAheadMisprediction(t *testing.T) {
 // (c) A Put to something a read-ahead has read joins and discards it
 // first, so the Get returns the new bytes: the rewritten (dataset,
 // timestep) file under level 1, the group file a rewritten slab is
-// appended to under level 3. ErrorOnConflict fails the Put loudly.
+// appended to under level 3.
 func TestReadAheadInvalidation(t *testing.T) {
 	const n, steps, depth = 4, 8, 4
 	for _, level := range []FileOrganization{Level1, Level3} {
@@ -345,30 +344,6 @@ func TestReadAheadInvalidation(t *testing.T) {
 			}, nil)
 		})
 	}
-	t.Run("ErrorOnConflict", func(t *testing.T) {
-		raRun(t, n, steps, Options{Organization: Level1, StepPipelineDepth: depth, WaitPolicy: ErrorOnConflict}, false, func(a *raApp) {
-			a.get(0, 0)
-			a.get(raStride, 0)
-			before := len(aheadTokens(a.s))
-			if before == 0 {
-				t.Fatal("reader not armed")
-			}
-			err := a.put(2*raStride, 2, 1)
-			if err == nil || !strings.Contains(err.Error(), "read-ahead") {
-				t.Errorf("Put under an outstanding read-ahead: %v, want a read-ahead conflict error", err)
-			}
-			if got := len(aheadTokens(a.s)); got != before {
-				t.Errorf("ErrorOnConflict joined read-aheads implicitly: %d left of %d", got, before)
-			}
-			if err := a.s.DrainSteps(); err != nil {
-				panic(err)
-			}
-			if err := a.put(2*raStride, 2, 1); err != nil {
-				t.Errorf("Put after DrainSteps: %v", err)
-			}
-			a.get(2*raStride, 1)
-		}, nil)
-	})
 }
 
 // A view replaced between issue and Get makes the issued bytes useless

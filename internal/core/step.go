@@ -26,10 +26,11 @@ import (
 // sets are disjoint (Options.StepPipelineDepth bounds the count), so a
 // file-per-timestep layout streams checkpoints back-to-back. A flush
 // that would touch a pending file implicitly Waits on just the
-// conflicting tokens (Options.WaitPolicy WaitConflicts, the default)
-// or fails loudly (ErrorOnConflict). Joins happen in completion order
-// — the earliest-finishing flush releases its files and staging arenas
-// first — not issue order.
+// conflicting tokens, so pipelined loops over a shared file serialize on
+// the file's own dependency chain; with StepPipelineDepth 1 this
+// reproduces the synchronous EndStep schedule bit-identically. Joins
+// happen in completion order — the earliest-finishing flush releases its
+// files and staging arenas first — not issue order.
 //
 // Read-ahead. The placement index knows every (dataset, timestep) of
 // the run, so a sequential reader's next checkpoint is a lookup, not a
@@ -43,10 +44,9 @@ import (
 // discards what it skipped and takes the ordinary path. A read-ahead is
 // an ordinary token to Wait, DrainSteps, Finalize and the depth bound,
 // and a flush that writes a file a read-ahead has read joins and
-// discards it first (WaitConflicts) or fails loudly (ErrorOnConflict),
-// so a misprediction costs its virtual time and never delivers stale
-// bytes. Depth 1 leaves no room beside the step's own token: nothing is
-// issued.
+// discards it first, so a misprediction costs its virtual time and
+// never delivers stale bytes. Depth 1 leaves no room beside the step's
+// own token: nothing is issued.
 //
 // Manager-level cross-group steps (SDM.BeginStep/EndStep) merge the
 // per-group epochs of every registered group into one rendezvous: the
@@ -131,12 +131,6 @@ func (t *StepToken) Wait() error {
 	return t.err
 }
 
-// Done reports whether Wait has been called.
-func (t *StepToken) Done() bool { return t.waited }
-
-// Timestep reports the timestep of the epoch this token flushed.
-func (t *StepToken) Timestep() int64 { return t.timestep }
-
 // waitEarliest joins the outstanding token with the earliest completion
 // time (ties broken by issue order: s.tokens is kept in issue order, so
 // the first token at the earliest completion has the lowest seq).
@@ -177,29 +171,21 @@ func (s *SDM) drainToDepth(max int) error {
 // Local, like Wait.
 func (s *SDM) DrainSteps() error { return s.drainToDepth(0) }
 
-// admitFlush makes room in the pipeline for one more in-flight flush.
-// Under WaitConflicts the earliest-completing outstanding tokens are
-// implicitly joined down to StepPipelineDepth-1; under ErrorOnConflict
-// tokens are managed explicitly by the application (historical
-// semantics), so the depth bound does not drain anything.
+// admitFlush makes room in the pipeline for one more in-flight flush:
+// the earliest-completing outstanding tokens are implicitly joined down
+// to StepPipelineDepth-1.
 func (s *SDM) admitFlush() error {
-	if s.opts.WaitPolicy == ErrorOnConflict {
-		return nil
-	}
 	return s.drainToDepth(s.opts.StepPipelineDepth - 1)
 }
 
 // claimFile records tok as the in-flight flush owning file in the
 // per-file dependency registry. An outstanding conflicting token is
-// implicitly waited (WaitConflicts) or reported loudly
-// (ErrorOnConflict); so is an outstanding read-ahead that has read the
-// file. Two groups writing one file within a single cross-group step is
-// always an error: the conflict is inside the epoch itself, so there is
-// no token to wait on.
+// implicitly waited, and an outstanding read-ahead that has read the
+// file is joined and discarded. Two groups writing one file within a
+// single cross-group step is an error: the conflict is inside the epoch
+// itself, so there is no token to wait on.
 func (s *SDM) claimFile(file string, tok *StepToken) error {
-	if err := s.invalidateAhead(file); err != nil {
-		return err
-	}
+	s.invalidateAhead(file)
 	for {
 		other := s.pending[file]
 		if other == nil {
@@ -209,9 +195,6 @@ func (s *SDM) claimFile(file string, tok *StepToken) error {
 		if other == tok {
 			return fmt.Errorf("core: cross-group step writes %q from two groups in one epoch", file)
 		}
-		if s.opts.WaitPolicy == ErrorOnConflict {
-			return fmt.Errorf("core: step flush would overlap the outstanding async flush of %q; Wait on its token first", file)
-		}
 		if err := other.Wait(); err != nil {
 			return fmt.Errorf("core: implicit wait on the outstanding flush of %q: %w", file, err)
 		}
@@ -219,8 +202,8 @@ func (s *SDM) claimFile(file string, tok *StepToken) error {
 }
 
 // claimPutFiles appends the epoch's distinct target files to tok.files
-// and claims each in the manager's per-file registry, resolving
-// conflicts with outstanding flushes per the wait policy. Claims are
+// and claims each in the manager's per-file registry, implicitly
+// waiting on outstanding flushes that conflict. Claims are
 // released at Wait (or by release on a failed EndStepAsync).
 func (g *Group) claimPutFiles(tok *StepToken) error {
 	start := len(tok.files)
@@ -561,23 +544,18 @@ func (s *SDM) issueAhead(ts int64, parts []getPart) bool {
 
 // invalidateAhead resolves a write to a file an outstanding read-ahead
 // has read, so stale bytes are never delivered: the read-ahead is
-// joined and discarded (WaitConflicts) or the write fails loudly
-// (ErrorOnConflict). The reader stops predicting until its next
+// joined and discarded. The reader stops predicting until its next
 // sequential get-only step.
-func (s *SDM) invalidateAhead(file string) error {
+func (s *SDM) invalidateAhead(file string) {
 	for i := 0; i < len(s.tokens); {
 		t := s.tokens[i]
 		if !t.readAheadOf(file) {
 			i++
 			continue
 		}
-		if s.opts.WaitPolicy == ErrorOnConflict {
-			return fmt.Errorf("core: step flush would write %q under the outstanding read-ahead of step %d; DrainSteps first", file, t.timestep)
-		}
 		s.reader.armed = false
 		_ = t.Wait() // a read-ahead token carries no error; Wait unlinks it from s.tokens
 	}
-	return nil
 }
 
 // readAheadOf reports whether t is an undelivered read-ahead holding
@@ -622,9 +600,6 @@ func (s *SDM) BeginStep(timestep int64) error {
 	return nil
 }
 
-// StepOpen reports whether a Manager-level cross-group step is open.
-func (s *SDM) StepOpen() bool { return s.step.open }
-
 // EndStep closes the Manager-level step and flushes every group's epoch
 // synchronously — exactly EndStepAsync().Wait().
 func (s *SDM) EndStep() error {
@@ -655,8 +630,8 @@ func (s *SDM) cancelManagedStep() {
 // in ONE rank-0 RecordWrites batch at the join. Gets flush after all
 // puts are recorded, their per-file collectives forked the same way.
 // Earlier steps' flushes stay in flight when their files are disjoint;
-// conflicting ones are joined per the wait policy, and the pipeline
-// depth bound drains the earliest completions first.
+// conflicting ones are joined, and the pipeline depth bound drains the
+// earliest completions first.
 func (s *SDM) EndStepAsync() (*StepToken, error) {
 	if !s.step.open {
 		return nil, fmt.Errorf("core: Manager EndStep without an open BeginStep step")

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"sdm/internal/sim"
@@ -110,7 +109,7 @@ func TestPipelineDepthReducesTime(t *testing.T) {
 	}
 }
 
-// TestConflictImplicitlyWaits pins the default WaitConflicts policy:
+// TestConflictImplicitlyWaits pins the conflict policy:
 // a flush (and a read) landing in a file with an outstanding flush
 // joins just the conflicting token instead of failing, and only the
 // conflicting one — a token over a disjoint file stays in flight.
@@ -165,10 +164,10 @@ func TestConflictImplicitlyWaits(t *testing.T) {
 		// Group B flushes the same file as A: A's token joins
 		// implicitly, C's stays outstanding.
 		tokB := put(gb, db, 1, vb)
-		if !tokA.Done() {
+		if !tokA.waited {
 			t.Error("conflicting flush did not join the outstanding token")
 		}
-		if tokC.Done() {
+		if tokC.waited {
 			t.Error("flush of a disjoint file was joined by an unrelated conflict")
 		}
 		// A read of the shared file joins B's token the same way. Both
@@ -179,7 +178,7 @@ func TestConflictImplicitlyWaits(t *testing.T) {
 		if err := da.GetAt(0, out); err != nil {
 			panic(err)
 		}
-		if !tokB.Done() {
+		if !tokB.waited {
 			t.Error("read did not join the conflicting flush")
 		}
 		for i := range out {
@@ -359,7 +358,7 @@ func TestEmptyEpochKeepsPipelineOverlap(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		if tok.Done() {
+		if tok.waited {
 			t.Error("empty epoch drained the outstanding flush")
 		}
 		if s.env.Comm.Now() != before {
@@ -375,48 +374,6 @@ func TestEmptyEpochKeepsPipelineOverlap(t *testing.T) {
 			t.Error("double Wait on an empty-epoch token accepted")
 		}
 		if err := tok.Wait(); err != nil {
-			panic(err)
-		}
-	})
-}
-
-// TestErrorOnConflictPolicy pins the opt-in historical semantics: with
-// WaitPolicy ErrorOnConflict nothing is joined implicitly — a full
-// overlap fails loudly and tokens are managed explicitly.
-func TestErrorOnConflictPolicy(t *testing.T) {
-	te := newTestEnv(2)
-	te.run(t, Options{Organization: Level2, WaitPolicy: ErrorOnConflict}, func(s *SDM) {
-		g, d, m := epochGroup(t, te, s, 32)
-		vals := make([]float64, len(m))
-		if err := g.BeginStep(0); err != nil {
-			panic(err)
-		}
-		if err := d.Put(vals); err != nil {
-			panic(err)
-		}
-		tok, err := g.EndStepAsync()
-		if err != nil {
-			panic(err)
-		}
-		// Same Level2 file next step: must fail loudly, not join.
-		if err := g.BeginStep(1); err != nil {
-			panic(err)
-		}
-		if err := d.Put(vals); err != nil {
-			panic(err)
-		}
-		if _, err := g.EndStepAsync(); err == nil {
-			t.Error("overlapping flush accepted under ErrorOnConflict")
-		} else if !strings.Contains(err.Error(), "outstanding") {
-			t.Errorf("overlap error does not name the conflict: %v", err)
-		}
-		if tok.Done() {
-			t.Error("ErrorOnConflict joined the outstanding token implicitly")
-		}
-		if err := tok.Wait(); err != nil {
-			panic(err)
-		}
-		if err := d.PutAt(1, vals); err != nil {
 			panic(err)
 		}
 	})
@@ -575,7 +532,7 @@ func TestTokenRegistryRandomized(t *testing.T) {
 						toks = append(toks, tok)
 					case "wait":
 						tok := toks[op.tok]
-						if tok.Done() {
+						if tok.waited {
 							before := s.env.Comm.Now()
 							if err := tok.Wait(); err == nil {
 								panic("second Wait on a joined token accepted")
@@ -608,7 +565,7 @@ func TestTokenRegistryRandomized(t *testing.T) {
 				}
 				// Any epoch still open cancels nothing written; close it.
 				for g := 0; g < 2; g++ {
-					if groups[g].StepOpen() {
+					if groups[g].ep.open {
 						if err := groups[g].EndStep(); err != nil {
 							panic(err)
 						}

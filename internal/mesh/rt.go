@@ -44,9 +44,6 @@ func (r *RT) Mesh() *Mesh { return r.mesh }
 // NumTriangles reports the boundary triangle count.
 func (r *RT) NumTriangles() int { return len(r.tris) }
 
-// Triangles returns the boundary triangles.
-func (r *RT) Triangles() [][3]int32 { return r.tris }
-
 // interfaceHeight is the perturbed interface z-position at (x, y) and
 // time t: a single-mode perturbation growing exponentially (linear
 // regime) and saturating (nonlinear regime).

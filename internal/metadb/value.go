@@ -183,9 +183,6 @@ func compareBytes(a, b []byte) int {
 	return 0
 }
 
-// equal is equality under compare semantics.
-func equal(a, b Value) bool { return compare(a, b) == 0 }
-
 // hashKey produces a map key for index lookups. Numeric values hash by
 // their real representation so Int(3) and Real(3.0) collide, matching
 // compare.

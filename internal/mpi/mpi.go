@@ -2,9 +2,8 @@
 // in-process analogue of the MPI runtime the paper uses. Ranks are
 // goroutines; point-to-point messages move through per-rank mailboxes
 // with MPI's non-overtaking tag-matching semantics; the collectives SDM
-// needs (Barrier, Bcast, Gather(v), Allgather(v), Scatter(v),
-// Alltoall(v), Reduce, Allreduce, Scan, Sendrecv) are provided with
-// deterministic results.
+// needs (Barrier, Bcast, Allgather, Alltoall, Allreduce, Sendrecv) are
+// provided with deterministic results.
 //
 // Every rank carries a virtual clock (internal/sim). Communication
 // advances the clocks according to a latency/bandwidth model, so the
@@ -82,9 +81,6 @@ func NewWorld(n int, cfg Config) *World {
 	}
 	return w
 }
-
-// Size reports the number of ranks in the world.
-func (w *World) Size() int { return w.size }
 
 // Comm returns the communicator handle of the given rank. It is
 // intended for harness code that inspects clocks after Run returns.
@@ -429,24 +425,6 @@ func (c *Comm) Bcast(root int, v any, bytes int64) any {
 	return res
 }
 
-// Gather collects one value from every rank, in rank order, delivered
-// to root; other ranks receive nil. bytes is the per-rank payload size.
-func (c *Comm) Gather(root int, v any, bytes int64) []any {
-	c.checkRoot(root, "Gather")
-	total := bytes * int64(c.world.size)
-	cost := sim.Duration(log2ceil(c.world.size))*c.world.cfg.Latency +
-		sim.TransferCost(total-bytes, 0, c.world.cfg.Bandwidth)
-	res := c.exchange("Gather", v, func(slots []any) (any, sim.Duration) {
-		out := make([]any, len(slots))
-		copy(out, slots)
-		return out, cost
-	})
-	if c.rank != root {
-		return nil
-	}
-	return res.([]any)
-}
-
 // Allgather collects one value from every rank, in rank order, and
 // delivers the full array to all ranks (ring algorithm cost).
 func (c *Comm) Allgather(v any, bytes int64) []any {
@@ -458,24 +436,6 @@ func (c *Comm) Allgather(v any, bytes int64) []any {
 		return out, cost
 	})
 	return res.([]any)
-}
-
-// Scatter distributes root's slice of per-rank values; rank i receives
-// values[i]. bytes is the per-destination payload size. Non-root ranks
-// pass nil.
-func (c *Comm) Scatter(root int, values []any, bytes int64) any {
-	c.checkRoot(root, "Scatter")
-	if c.rank == root && len(values) != c.world.size {
-		panic(fmt.Sprintf("mpi: Scatter root provided %d values for %d ranks", len(values), c.world.size))
-	}
-	total := bytes * int64(c.world.size)
-	cost := sim.Duration(log2ceil(c.world.size))*c.world.cfg.Latency +
-		sim.TransferCost(total-bytes, 0, c.world.cfg.Bandwidth)
-	res := c.exchange("Scatter", values, func(slots []any) (any, sim.Duration) {
-		return slots[root], cost
-	})
-	all := res.([]any)
-	return all[c.rank]
 }
 
 // alltoallPayload carries each rank's outgoing parts through exchange.
@@ -597,43 +557,6 @@ func (c *Comm) AllreduceFloat64(v float64, op Op) float64 {
 	return res.(float64)
 }
 
-// ReduceInt64 reduces to root; other ranks receive 0.
-func (c *Comm) ReduceInt64(root int, v int64, op Op) int64 {
-	c.checkRoot(root, "ReduceInt64")
-	cost := c.treeCost(8)
-	res := c.exchange("ReduceInt64", v, func(slots []any) (any, sim.Duration) {
-		return reduceInt64(slots, op), cost
-	})
-	if c.rank != root {
-		return 0
-	}
-	return res.(int64)
-}
-
-// ScanInt64 returns the inclusive prefix reduction over ranks 0..Rank.
-// With OpSum this is the offset-computation idiom SDM uses to place
-// each rank's block in a shared file.
-func (c *Comm) ScanInt64(v int64, op Op) int64 {
-	cost := c.treeCost(8)
-	res := c.exchange("ScanInt64", v, func(slots []any) (any, sim.Duration) {
-		prefixes := make([]int64, len(slots))
-		for i := range slots {
-			prefixes[i] = reduceInt64(slots[:i+1], op)
-		}
-		return prefixes, cost
-	})
-	return res.([]int64)[c.rank]
-}
-
-// ExscanInt64 returns the exclusive prefix sum (0 at rank 0).
-func (c *Comm) ExscanInt64(v int64, op Op) int64 {
-	incl := c.ScanInt64(v, op)
-	if op == OpSum {
-		return incl - v
-	}
-	panic("mpi: ExscanInt64 supports OpSum only")
-}
-
 func (c *Comm) checkRoot(root int, op string) {
 	if root < 0 || root >= c.world.size {
 		panic(fmt.Sprintf("mpi: %s with invalid root %d (size %d)", op, root, c.world.size))
@@ -649,20 +572,6 @@ func (c *Comm) checkRoot(root int, op string) {
 func sliceBytes[T any](n int) int64 {
 	var zero T
 	return int64(n) * int64(reflect.TypeOf(zero).Size())
-}
-
-// SendSlice sends a typed slice point-to-point.
-func SendSlice[T any](c *Comm, dst, tag int, s []T) {
-	c.Send(dst, tag, s, sliceBytes[T](len(s)))
-}
-
-// RecvSlice receives a typed slice point-to-point.
-func RecvSlice[T any](c *Comm, src, tag int) ([]T, Status) {
-	payload, st := c.Recv(src, tag)
-	if payload == nil {
-		return nil, st
-	}
-	return payload.([]T), st
 }
 
 // SendrecvSlice exchanges typed slices with ring neighbours.
@@ -693,40 +602,6 @@ func BcastSlice[T any](c *Comm, root int, s []T) []T {
 // holds rank i's contribution at index i.
 func AllgatherSlice[T any](c *Comm, s []T) [][]T {
 	res := c.Allgather(s, sliceBytes[T](len(s)))
-	out := make([][]T, len(res))
-	for i, v := range res {
-		if v != nil {
-			out[i] = v.([]T)
-		}
-	}
-	return out
-}
-
-// GatherSlice gathers to root (others receive nil).
-func GatherSlice[T any](c *Comm, root int, s []T) [][]T {
-	res := c.Gather(root, s, sliceBytes[T](len(s)))
-	if res == nil {
-		return nil
-	}
-	out := make([][]T, len(res))
-	for i, v := range res {
-		if v != nil {
-			out[i] = v.([]T)
-		}
-	}
-	return out
-}
-
-// AlltoallSlices sends parts[i] to rank i and returns the received
-// parts indexed by source rank.
-func AlltoallSlices[T any](c *Comm, parts [][]T) [][]T {
-	anyParts := make([]any, len(parts))
-	var total int
-	for i, p := range parts {
-		anyParts[i] = p
-		total += len(p)
-	}
-	res := c.Alltoall(anyParts, sliceBytes[T](total))
 	out := make([][]T, len(res))
 	for i, v := range res {
 		if v != nil {

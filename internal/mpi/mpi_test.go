@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"fmt"
 	"runtime"
 	"sort"
 	"strings"
@@ -26,12 +25,41 @@ func run(t *testing.T, n int, cfg Config, fn func(*Comm)) *World {
 	return w
 }
 
+// sendSlice and recvSlice move a typed slice through Send and Recv,
+// sized by its element type.
+func sendSlice[T any](c *Comm, dst, tag int, s []T) {
+	c.Send(dst, tag, s, sliceBytes[T](len(s)))
+}
+
+func recvSlice[T any](c *Comm, src, tag int) ([]T, Status) {
+	payload, st := c.Recv(src, tag)
+	return payload.([]T), st
+}
+
+// alltoall sends parts[i] to rank i through Alltoall and returns a copy
+// of the received parts indexed by source rank (the result row itself is
+// reused by the next Alltoall).
+func alltoall(c *Comm, parts [][]int64) [][]int64 {
+	boxed := make([]any, len(parts))
+	var total int
+	for i, p := range parts {
+		boxed[i] = p
+		total += len(p)
+	}
+	res := c.Alltoall(boxed, sliceBytes[int64](total))
+	out := make([][]int64, len(res))
+	for i, v := range res {
+		out[i] = v.([]int64)
+	}
+	return out
+}
+
 func TestSendRecvBasic(t *testing.T) {
 	run(t, 2, fastConfig(), func(c *Comm) {
 		if c.Rank() == 0 {
-			SendSlice(c, 1, 7, []int64{1, 2, 3})
+			sendSlice(c, 1, 7, []int64{1, 2, 3})
 		} else {
-			got, st := RecvSlice[int64](c, 0, 7)
+			got, st := recvSlice[int64](c, 0, 7)
 			if st.Source != 0 || st.Tag != 7 || st.Bytes != 24 {
 				t.Errorf("status = %+v", st)
 			}
@@ -46,13 +74,13 @@ func TestRecvAnySourceAnyTag(t *testing.T) {
 	run(t, 3, fastConfig(), func(c *Comm) {
 		switch c.Rank() {
 		case 0:
-			SendSlice(c, 2, 11, []int32{int32(c.Rank())})
+			sendSlice(c, 2, 11, []int32{int32(c.Rank())})
 		case 1:
-			SendSlice(c, 2, 12, []int32{int32(c.Rank())})
+			sendSlice(c, 2, 12, []int32{int32(c.Rank())})
 		case 2:
 			seen := map[int]bool{}
 			for i := 0; i < 2; i++ {
-				got, st := RecvSlice[int32](c, AnySource, AnyTag)
+				got, st := recvSlice[int32](c, AnySource, AnyTag)
 				if int(got[0]) != st.Source {
 					t.Errorf("payload %v from source %d", got, st.Source)
 				}
@@ -72,11 +100,11 @@ func TestNonOvertaking(t *testing.T) {
 		const k = 50
 		if c.Rank() == 0 {
 			for i := 0; i < k; i++ {
-				SendSlice(c, 1, 3, []int64{int64(i)})
+				sendSlice(c, 1, 3, []int64{int64(i)})
 			}
 		} else {
 			for i := 0; i < k; i++ {
-				got, _ := RecvSlice[int64](c, 0, 3)
+				got, _ := recvSlice[int64](c, 0, 3)
 				if got[0] != int64(i) {
 					t.Errorf("message %d arrived out of order: %v", i, got)
 				}
@@ -88,12 +116,12 @@ func TestNonOvertaking(t *testing.T) {
 func TestTagSelectivity(t *testing.T) {
 	run(t, 2, fastConfig(), func(c *Comm) {
 		if c.Rank() == 0 {
-			SendSlice(c, 1, 1, []int64{111})
-			SendSlice(c, 1, 2, []int64{222})
+			sendSlice(c, 1, 1, []int64{111})
+			sendSlice(c, 1, 2, []int64{222})
 		} else {
 			// Receive tag 2 first even though tag 1 was sent first.
-			got2, _ := RecvSlice[int64](c, 0, 2)
-			got1, _ := RecvSlice[int64](c, 0, 1)
+			got2, _ := recvSlice[int64](c, 0, 2)
+			got1, _ := recvSlice[int64](c, 0, 1)
 			if got2[0] != 222 || got1[0] != 111 {
 				t.Errorf("tag matching wrong: %v %v", got1, got2)
 			}
@@ -105,13 +133,13 @@ func TestSendCostAdvancesClocks(t *testing.T) {
 	cfg := Config{Latency: time.Millisecond, Bandwidth: 1e6} // 1 MB/s
 	run(t, 2, cfg, func(c *Comm) {
 		if c.Rank() == 0 {
-			SendSlice(c, 1, 0, make([]int64, 125_000)) // 1 MB => 1s + 1ms
+			sendSlice(c, 1, 0, make([]int64, 125_000)) // 1 MB => 1s + 1ms
 			want := sim.Time(time.Second + time.Millisecond)
 			if c.Now() != want {
 				t.Errorf("sender clock %v, want %v", c.Now(), want)
 			}
 		} else {
-			_, _ = RecvSlice[int64](c, 0, 0)
+			_, _ = recvSlice[int64](c, 0, 0)
 			want := sim.Time(time.Second + time.Millisecond)
 			if c.Now() != want {
 				t.Errorf("receiver clock %v, want %v", c.Now(), want)
@@ -124,10 +152,10 @@ func TestRecvAfterComputeKeepsLaterClock(t *testing.T) {
 	cfg := Config{Latency: time.Millisecond, Bandwidth: 0}
 	run(t, 2, cfg, func(c *Comm) {
 		if c.Rank() == 0 {
-			SendSlice(c, 1, 0, []int64{1}) // arrives at 1ms
+			sendSlice(c, 1, 0, []int64{1}) // arrives at 1ms
 		} else {
 			c.Compute(time.Second) // receiver is busy until 1s
-			_, _ = RecvSlice[int64](c, 0, 0)
+			_, _ = recvSlice[int64](c, 0, 0)
 			if c.Now() != sim.Time(time.Second) {
 				t.Errorf("receiver clock %v, want 1s (message already waiting)", c.Now())
 			}
@@ -208,23 +236,6 @@ func TestBcast(t *testing.T) {
 	})
 }
 
-func TestGatherOrdersByRank(t *testing.T) {
-	run(t, 5, fastConfig(), func(c *Comm) {
-		parts := GatherSlice(c, 0, []int64{int64(c.Rank() * 10)})
-		if c.Rank() != 0 {
-			if parts != nil {
-				t.Errorf("non-root received %v", parts)
-			}
-			return
-		}
-		for i, p := range parts {
-			if len(p) != 1 || p[0] != int64(i*10) {
-				t.Errorf("slot %d = %v", i, p)
-			}
-		}
-	})
-}
-
 func TestAllgather(t *testing.T) {
 	run(t, 4, fastConfig(), func(c *Comm) {
 		parts := AllgatherSlice(c, []int32{int32(c.Rank()), int32(c.Rank() * 2)})
@@ -239,19 +250,6 @@ func TestAllgather(t *testing.T) {
 	})
 }
 
-func TestScatter(t *testing.T) {
-	run(t, 3, fastConfig(), func(c *Comm) {
-		var values []any
-		if c.Rank() == 1 {
-			values = []any{[]int64{0}, []int64{10}, []int64{20}}
-		}
-		got := c.Scatter(1, values, 8).([]int64)
-		if got[0] != int64(c.Rank()*10) {
-			t.Errorf("rank %d got %v", c.Rank(), got)
-		}
-	})
-}
-
 func TestAlltoallSlices(t *testing.T) {
 	const n = 4
 	run(t, n, fastConfig(), func(c *Comm) {
@@ -259,7 +257,7 @@ func TestAlltoallSlices(t *testing.T) {
 		for i := range parts {
 			parts[i] = []int64{int64(c.Rank()*100 + i)}
 		}
-		got := AlltoallSlices(c, parts)
+		got := alltoall(c, parts)
 		for src, p := range got {
 			want := int64(src*100 + c.Rank())
 			if len(p) != 1 || p[0] != want {
@@ -282,33 +280,6 @@ func TestAllreduce(t *testing.T) {
 		}
 		if got := c.AllreduceFloat64(0.5, OpSum); got != 2.5 {
 			t.Errorf("fsum = %v, want 2.5", got)
-		}
-	})
-}
-
-func TestReduceToRoot(t *testing.T) {
-	run(t, 4, fastConfig(), func(c *Comm) {
-		got := c.ReduceInt64(2, 10, OpSum)
-		if c.Rank() == 2 && got != 40 {
-			t.Errorf("root sum = %d, want 40", got)
-		}
-		if c.Rank() != 2 && got != 0 {
-			t.Errorf("non-root got %d", got)
-		}
-	})
-}
-
-func TestScanExscan(t *testing.T) {
-	run(t, 6, fastConfig(), func(c *Comm) {
-		v := int64(c.Rank() + 1)
-		incl := c.ScanInt64(v, OpSum)
-		wantIncl := int64((c.Rank() + 1) * (c.Rank() + 2) / 2)
-		if incl != wantIncl {
-			t.Errorf("rank %d scan = %d, want %d", c.Rank(), incl, wantIncl)
-		}
-		excl := c.ExscanInt64(v, OpSum)
-		if excl != wantIncl-v {
-			t.Errorf("rank %d exscan = %d, want %d", c.Rank(), excl, wantIncl-v)
 		}
 	})
 }
@@ -357,9 +328,9 @@ func TestTrafficCounters(t *testing.T) {
 	w := NewWorld(2, fastConfig())
 	_ = w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
-			SendSlice(c, 1, 0, make([]float64, 100)) // 800 bytes
+			sendSlice(c, 1, 0, make([]float64, 100)) // 800 bytes
 		} else {
-			_, _ = RecvSlice[float64](c, 0, 0)
+			_, _ = recvSlice[float64](c, 0, 0)
 		}
 	})
 	bytes, msgs := w.Traffic()
@@ -480,8 +451,8 @@ func TestAlltoallTransposeProperty(t *testing.T) {
 			for i := range parts {
 				parts[i] = []int64{seed + int64(c.Rank())*1000 + int64(i)}
 			}
-			recv := AlltoallSlices(c, parts)
-			back := AlltoallSlices(c, recv)
+			recv := alltoall(c, parts)
+			back := alltoall(c, recv)
 			// back[i] must be what this rank originally addressed to i...
 			// after two transposes each part returns to its owner.
 			for i := range back {
@@ -514,14 +485,4 @@ func TestMaxTime(t *testing.T) {
 	if got := w.MaxTime(); got != sim.Time(2*time.Second) {
 		t.Fatalf("MaxTime = %v, want 2s", got)
 	}
-}
-
-func ExampleComm_ScanInt64() {
-	w := NewWorld(4, Config{})
-	results := make([]int64, 4)
-	_ = w.Run(func(c *Comm) {
-		results[c.Rank()] = c.ExscanInt64(10, OpSum)
-	})
-	fmt.Println(results)
-	// Output: [0 10 20 30]
 }

@@ -37,19 +37,6 @@ type Datatype struct {
 	extent int64   // span of one tile including holes
 }
 
-// Size returns the number of data bytes in one tile of the type.
-func (d *Datatype) Size() int64 { return d.size }
-
-// Extent returns the tile span including holes.
-func (d *Datatype) Extent() int64 { return d.extent }
-
-// Segments returns a copy of the flattened segment list.
-func (d *Datatype) Segments() []Segment {
-	out := make([]Segment, len(d.segs))
-	copy(out, d.segs)
-	return out
-}
-
 // newDatatype normalizes segments: sorts, validates non-overlap,
 // coalesces adjacency, and builds the prefix table.
 func newDatatype(segs []Segment, extent int64) *Datatype {
@@ -115,44 +102,6 @@ const (
 	SizeFloat64 = 8
 )
 
-// Contiguous repeats old count times back to back.
-func Contiguous(count int, old *Datatype) *Datatype {
-	if count < 0 {
-		panic(fmt.Sprintf("mpiio: Contiguous(%d)", count))
-	}
-	segs := make([]Segment, 0, count*len(old.segs))
-	for i := 0; i < count; i++ {
-		base := int64(i) * old.extent
-		for _, s := range old.segs {
-			segs = append(segs, Segment{Off: base + s.Off, Len: s.Len})
-		}
-	}
-	return newDatatype(segs, int64(count)*old.extent)
-}
-
-// Vector places count blocks of blocklen olds, with consecutive block
-// starts stride olds apart (MPI_Type_vector).
-func Vector(count, blocklen, stride int, old *Datatype) *Datatype {
-	if count < 0 || blocklen < 0 {
-		panic("mpiio: Vector with negative count or blocklen")
-	}
-	segs := make([]Segment, 0, count*blocklen*len(old.segs))
-	for i := 0; i < count; i++ {
-		blockBase := int64(i) * int64(stride) * old.extent
-		for j := 0; j < blocklen; j++ {
-			base := blockBase + int64(j)*old.extent
-			for _, s := range old.segs {
-				segs = append(segs, Segment{Off: base + s.Off, Len: s.Len})
-			}
-		}
-	}
-	extent := int64(0)
-	if count > 0 {
-		extent = int64((count-1)*stride+blocklen) * old.extent
-	}
-	return newDatatype(segs, extent)
-}
-
 // Indexed places blocks of old at displacements measured in units of
 // old's extent (MPI_Type_indexed). blocklens and displs must have equal
 // length. This is the constructor SDM uses for irregular map arrays:
@@ -187,50 +136,6 @@ func IndexedBlock(blocklen int, displs []int, old *Datatype) *Datatype {
 	return Indexed(lens, displs, old)
 }
 
-// Hindexed places blocks at byte displacements
-// (MPI_Type_create_hindexed).
-func Hindexed(blocklens []int, displs []int64, old *Datatype) *Datatype {
-	if len(blocklens) != len(displs) {
-		panic(fmt.Sprintf("mpiio: Hindexed with %d blocklens, %d displs", len(blocklens), len(displs)))
-	}
-	segs := make([]Segment, 0, len(displs)*len(old.segs))
-	extent := int64(0)
-	for k, disp := range displs {
-		for j := 0; j < blocklens[k]; j++ {
-			base := disp + int64(j)*old.extent
-			for _, s := range old.segs {
-				segs = append(segs, Segment{Off: base + s.Off, Len: s.Len})
-			}
-		}
-		if e := disp + int64(blocklens[k])*old.extent; e > extent {
-			extent = e
-		}
-	}
-	return newDatatype(segs, extent)
-}
-
-// StructType combines heterogeneous types at byte displacements
-// (MPI_Type_create_struct).
-func StructType(blocklens []int, displs []int64, types []*Datatype) *Datatype {
-	if len(blocklens) != len(displs) || len(displs) != len(types) {
-		panic("mpiio: StructType with mismatched argument lengths")
-	}
-	var segs []Segment
-	extent := int64(0)
-	for k, dt := range types {
-		for j := 0; j < blocklens[k]; j++ {
-			base := displs[k] + int64(j)*dt.extent
-			for _, s := range dt.segs {
-				segs = append(segs, Segment{Off: base + s.Off, Len: s.Len})
-			}
-		}
-		if e := displs[k] + int64(blocklens[k])*dt.extent; e > extent {
-			extent = e
-		}
-	}
-	return newDatatype(segs, extent)
-}
-
 // Resized returns old with its extent changed
 // (MPI_Type_create_resized). SDM uses it to tile an irregular map-array
 // type over a global array whose size exceeds the local pattern's span:
@@ -242,73 +147,14 @@ func Resized(old *Datatype, extent int64) *Datatype {
 	return newDatatype(segs, extent)
 }
 
-// Subarray describes a row-major subarray of a larger array
-// (MPI_Type_create_subarray): sizes is the full array shape, subsizes
-// the selected block, starts its origin, all in elements of old.
-func Subarray(sizes, subsizes, starts []int, old *Datatype) *Datatype {
-	n := len(sizes)
-	if len(subsizes) != n || len(starts) != n || n == 0 {
-		panic("mpiio: Subarray with mismatched dimensions")
-	}
-	empty := false
-	for d := 0; d < n; d++ {
-		if subsizes[d] < 0 || starts[d] < 0 || starts[d]+subsizes[d] > sizes[d] {
-			panic(fmt.Sprintf("mpiio: Subarray dim %d out of bounds", d))
-		}
-		if subsizes[d] == 0 {
-			empty = true
-		}
-	}
-	// Row-major strides in elements.
-	strides := make([]int64, n)
-	strides[n-1] = 1
-	for d := n - 2; d >= 0; d-- {
-		strides[d] = strides[d+1] * int64(sizes[d+1])
-	}
-	total := int64(1)
-	for _, s := range sizes {
-		total *= int64(s)
-	}
-	if empty {
-		return newDatatype(nil, total*old.extent)
-	}
-	// Enumerate rows of the innermost dimension.
-	var segs []Segment
-	idx := make([]int, n-1)
-	for {
-		elem := int64(starts[n-1])
-		for d := 0; d < n-1; d++ {
-			elem += int64(starts[d]+idx[d]) * strides[d]
-		}
-		segs = append(segs, Segment{Off: elem * old.extent, Len: int64(subsizes[n-1]) * old.extent})
-		// Odometer increment over the outer dimensions.
-		d := n - 2
-		for ; d >= 0; d-- {
-			idx[d]++
-			if idx[d] < subsizes[d] {
-				break
-			}
-			idx[d] = 0
-		}
-		if d < 0 {
-			break
-		}
-	}
-	return newDatatype(segs, total*old.extent)
-}
-
-// mapRange translates a logical range of the tiled datatype into
-// physical segments. disp is the absolute byte displacement of tile 0;
-// logical byte L of the view corresponds to the L-th data byte of the
-// infinite tiling. Returned segments are absolute, sorted, and
-// coalesced across tile boundaries where physically adjacent.
-func (d *Datatype) mapRange(disp, logical, n int64) []Segment {
-	return d.mapRangeInto(nil, disp, logical, n)
-}
-
-// mapRangeInto is mapRange appending into dst, so steady-state callers
-// that keep a scratch slice (pass dst[:0]) flatten a request without
-// allocating once the scratch has grown to the request's segment count.
+// mapRangeInto translates a logical range of the tiled datatype into
+// physical segments, appended to dst. disp is the absolute byte
+// displacement of tile 0; logical byte L of the view corresponds to the
+// L-th data byte of the infinite tiling. The appended segments are
+// absolute, sorted, and coalesced across tile boundaries where
+// physically adjacent. Steady-state callers that keep a scratch slice
+// (pass dst[:0]) flatten a request without allocating once the scratch
+// has grown to the request's segment count.
 func (d *Datatype) mapRangeInto(dst []Segment, disp, logical, n int64) []Segment {
 	if n <= 0 {
 		return dst

@@ -6,44 +6,18 @@ import (
 	"testing/quick"
 )
 
-func segsOf(d *Datatype) []Segment { return d.Segments() }
+func segsOf(d *Datatype) []Segment { return d.segs }
 
 func TestBytesType(t *testing.T) {
 	d := Bytes(10)
-	if d.Size() != 10 || d.Extent() != 10 {
-		t.Fatalf("size=%d extent=%d", d.Size(), d.Extent())
+	if d.size != 10 || d.extent != 10 {
+		t.Fatalf("size=%d extent=%d", d.size, d.extent)
 	}
 	if got := segsOf(d); !reflect.DeepEqual(got, []Segment{{Off: 0, Len: 10}}) {
 		t.Fatalf("segs = %v", got)
 	}
-	if z := Bytes(0); z.Size() != 0 || len(z.Segments()) != 0 {
+	if z := Bytes(0); z.size != 0 || len(z.segs) != 0 {
 		t.Fatal("Bytes(0) not empty")
-	}
-}
-
-func TestContiguous(t *testing.T) {
-	d := Contiguous(3, Bytes(4))
-	if d.Size() != 12 || d.Extent() != 12 {
-		t.Fatalf("size=%d extent=%d", d.Size(), d.Extent())
-	}
-	// Adjacent blocks coalesce into one segment.
-	if got := segsOf(d); !reflect.DeepEqual(got, []Segment{{Off: 0, Len: 12}}) {
-		t.Fatalf("segs = %v", got)
-	}
-}
-
-func TestVector(t *testing.T) {
-	// 3 blocks of 2 elements (4 bytes each), stride 5 elements.
-	d := Vector(3, 2, 5, Bytes(4))
-	want := []Segment{{Off: 0, Len: 8}, {Off: 20, Len: 8}, {Off: 40, Len: 8}}
-	if got := segsOf(d); !reflect.DeepEqual(got, want) {
-		t.Fatalf("segs = %v, want %v", got, want)
-	}
-	if d.Size() != 24 {
-		t.Fatalf("size = %d", d.Size())
-	}
-	if d.Extent() != 48 { // (2 full strides)*20 + blocklen 2*4
-		t.Fatalf("extent = %d", d.Extent())
 	}
 }
 
@@ -54,8 +28,8 @@ func TestIndexed(t *testing.T) {
 	if got := segsOf(d); !reflect.DeepEqual(got, want) {
 		t.Fatalf("segs = %v, want %v", got, want)
 	}
-	if d.Size() != 24 || d.Extent() != 64 {
-		t.Fatalf("size=%d extent=%d", d.Size(), d.Extent())
+	if d.size != 24 || d.extent != 64 {
+		t.Fatalf("size=%d extent=%d", d.size, d.extent)
 	}
 }
 
@@ -75,60 +49,6 @@ func TestIndexedVariableBlocks(t *testing.T) {
 	}
 }
 
-func TestHindexed(t *testing.T) {
-	d := Hindexed([]int{1, 2}, []int64{100, 3}, Bytes(8))
-	want := []Segment{{Off: 3, Len: 16}, {Off: 100, Len: 8}}
-	if got := segsOf(d); !reflect.DeepEqual(got, want) {
-		t.Fatalf("segs = %v", got)
-	}
-}
-
-func TestStructType(t *testing.T) {
-	d := StructType([]int{1, 1}, []int64{0, 10}, []*Datatype{Bytes(4), Bytes(8)})
-	want := []Segment{{Off: 0, Len: 4}, {Off: 10, Len: 8}}
-	if got := segsOf(d); !reflect.DeepEqual(got, want) {
-		t.Fatalf("segs = %v", got)
-	}
-	if d.Size() != 12 || d.Extent() != 18 {
-		t.Fatalf("size=%d extent=%d", d.Size(), d.Extent())
-	}
-}
-
-func TestSubarray2D(t *testing.T) {
-	// 4x6 array of 8-byte elements; take rows 1-2, cols 2-4.
-	d := Subarray([]int{4, 6}, []int{2, 3}, []int{1, 2}, Bytes(8))
-	want := []Segment{{Off: (1*6 + 2) * 8, Len: 24}, {Off: (2*6 + 2) * 8, Len: 24}}
-	if got := segsOf(d); !reflect.DeepEqual(got, want) {
-		t.Fatalf("segs = %v, want %v", got, want)
-	}
-	if d.Extent() != 4*6*8 {
-		t.Fatalf("extent = %d", d.Extent())
-	}
-}
-
-func TestSubarray1DAnd3D(t *testing.T) {
-	d1 := Subarray([]int{10}, []int{4}, []int{3}, Bytes(2))
-	if got := segsOf(d1); !reflect.DeepEqual(got, []Segment{{Off: 6, Len: 8}}) {
-		t.Fatalf("1d segs = %v", got)
-	}
-	d3 := Subarray([]int{2, 3, 4}, []int{2, 2, 2}, []int{0, 1, 1}, Bytes(1))
-	// rows: (0,1,*),(0,2,*),(1,1,*),(1,2,*) each 2 bytes from col 1
-	want := []Segment{{Off: 5, Len: 2}, {Off: 9, Len: 2}, {Off: 17, Len: 2}, {Off: 21, Len: 2}}
-	if got := segsOf(d3); !reflect.DeepEqual(got, want) {
-		t.Fatalf("3d segs = %v, want %v", got, want)
-	}
-}
-
-func TestSubarrayEmpty(t *testing.T) {
-	d := Subarray([]int{4, 4}, []int{0, 2}, []int{0, 0}, Bytes(8))
-	if d.Size() != 0 {
-		t.Fatalf("empty subarray has size %d", d.Size())
-	}
-	if d.Extent() != 4*4*8 {
-		t.Fatalf("empty subarray extent %d", d.Extent())
-	}
-}
-
 func TestOverlapPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -140,7 +60,7 @@ func TestOverlapPanics(t *testing.T) {
 
 func TestMapRangeContiguous(t *testing.T) {
 	d := Bytes(100)
-	got := d.mapRange(1000, 30, 50)
+	got := d.mapRangeInto(nil, 1000, 30, 50)
 	if !reflect.DeepEqual(got, []Segment{{Off: 1030, Len: 50}}) {
 		t.Fatalf("segs = %v", got)
 	}
@@ -150,7 +70,7 @@ func TestMapRangeTiling(t *testing.T) {
 	// Type: 4 data bytes at offset 0 of an 8-byte extent. Logical bytes
 	// 0..3 -> phys 0..3, logical 4..7 -> phys 8..11, etc.
 	d := newDatatype([]Segment{{Off: 0, Len: 4}}, 8)
-	got := d.mapRange(0, 2, 8)
+	got := d.mapRangeInto(nil, 0, 2, 8)
 	want := []Segment{{Off: 2, Len: 2}, {Off: 8, Len: 4}, {Off: 16, Len: 2}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("segs = %v, want %v", got, want)
@@ -161,7 +81,7 @@ func TestMapRangeCrossTileCoalesce(t *testing.T) {
 	// Data at the tail of the extent followed by data at the head of
 	// the next tile is physically adjacent and must coalesce.
 	d := newDatatype([]Segment{{Off: 4, Len: 4}}, 8)
-	got := d.mapRange(0, 0, 8)
+	got := d.mapRangeInto(nil, 0, 0, 8)
 	// tile0 data at [4,8), tile1 data at [12,16): not adjacent.
 	want := []Segment{{Off: 4, Len: 4}, {Off: 12, Len: 4}}
 	if !reflect.DeepEqual(got, want) {
@@ -169,7 +89,7 @@ func TestMapRangeCrossTileCoalesce(t *testing.T) {
 	}
 
 	full := newDatatype([]Segment{{Off: 0, Len: 8}}, 8)
-	got = full.mapRange(0, 0, 24)
+	got = full.mapRangeInto(nil, 0, 0, 24)
 	if !reflect.DeepEqual(got, []Segment{{Off: 0, Len: 24}}) {
 		t.Fatalf("full tiling segs = %v", got)
 	}
@@ -180,13 +100,13 @@ func TestMapRangeIrregularView(t *testing.T) {
 	// global slots 5, 0, 3. Note segments are sorted by offset, so the
 	// local order is recovered via the sorted displacements 0,3,5.
 	d := IndexedBlock(1, []int{5, 0, 3}, Bytes(8))
-	got := d.mapRange(0, 0, 24)
+	got := d.mapRangeInto(nil, 0, 0, 24)
 	want := []Segment{{Off: 0, Len: 8}, {Off: 24, Len: 8}, {Off: 40, Len: 8}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("segs = %v, want %v", got, want)
 	}
 	// Partial range within one tile.
-	got = d.mapRange(0, 8, 8)
+	got = d.mapRangeInto(nil, 0, 8, 8)
 	if !reflect.DeepEqual(got, []Segment{{Off: 24, Len: 8}}) {
 		t.Fatalf("partial segs = %v", got)
 	}
@@ -194,7 +114,7 @@ func TestMapRangeIrregularView(t *testing.T) {
 
 func TestMapRangeWithDisplacement(t *testing.T) {
 	d := IndexedBlock(1, []int{1, 3}, Bytes(4))
-	got := d.mapRange(100, 0, 8)
+	got := d.mapRangeInto(nil, 100, 0, 8)
 	want := []Segment{{Off: 104, Len: 4}, {Off: 112, Len: 4}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("segs = %v, want %v", got, want)
@@ -202,7 +122,7 @@ func TestMapRangeWithDisplacement(t *testing.T) {
 }
 
 func TestMapRangeZeroLen(t *testing.T) {
-	if got := Bytes(8).mapRange(0, 0, 0); got != nil {
+	if got := Bytes(8).mapRangeInto(nil, 0, 0, 0); got != nil {
 		t.Fatalf("zero-length mapRange = %v", got)
 	}
 }
@@ -213,7 +133,7 @@ func TestMapRangeZeroSizePanics(t *testing.T) {
 			t.Fatal("mapRange on empty type did not panic")
 		}
 	}()
-	Bytes(0).mapRange(0, 0, 1)
+	Bytes(0).mapRangeInto(nil, 0, 0, 1)
 }
 
 // Property: mapped segments preserve total length, are sorted,
@@ -225,13 +145,13 @@ func TestMapRangeProperty(t *testing.T) {
 			newDatatype([]Segment{{Off: 0, Len: 4}}, 8),
 			newDatatype([]Segment{{Off: 2, Len: 3}, {Off: 7, Len: 1}}, 10),
 			IndexedBlock(1, []int{9, 1, 4}, Bytes(8)),
-			Vector(3, 2, 4, Bytes(4)),
+			newDatatype([]Segment{{Off: 0, Len: 8}, {Off: 16, Len: 8}, {Off: 32, Len: 8}}, 40),
 		}
 		d := types[int(pick)%len(types)]
 		disp := int64(dispRaw % 512)
 		logical := int64(logicalRaw % 1024)
 		n := int64(nRaw%512) + 1
-		segs := d.mapRange(disp, logical, n)
+		segs := d.mapRangeInto(nil, disp, logical, n)
 		var total int64
 		prevEnd := int64(-1)
 		for _, s := range segs {
@@ -258,9 +178,9 @@ func TestMapRangeSplitConsistencyProperty(t *testing.T) {
 	f := func(aRaw, bRaw uint16) bool {
 		a := int64(aRaw % 200)
 		b := a + int64(bRaw%200) + 1
-		first := d.mapRange(0, 0, a)
-		second := d.mapRange(0, a, b-a)
-		whole := d.mapRange(0, 0, b)
+		first := d.mapRangeInto(nil, 0, 0, a)
+		second := d.mapRangeInto(nil, 0, a, b-a)
+		whole := d.mapRangeInto(nil, 0, 0, b)
 		merged := append(append([]Segment{}, first...), second...)
 		// Re-coalesce merged.
 		var out []Segment

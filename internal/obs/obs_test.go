@@ -12,29 +12,16 @@ import (
 // default when observability is off.
 func TestNilSafety(t *testing.T) {
 	var tr *Tracer
-	if tr.Enabled() {
-		t.Fatal("nil tracer reports enabled")
-	}
 	tr.NameProcess(1, "x")
 	tr.NameThread(1, 0, "x")
 	tr.Emit(1, "c", "n", 0, 10)
 	tr.EmitOn(1, 2, "c", "n", 0, 10)
-	h := tr.Begin(1, "c", "n", 0)
-	h.End(5)
-	if tr.OpenCount() != 0 || tr.SpanCount() != 0 || tr.Spans() != nil {
+	if tr.SpanCount() != 0 || tr.Spans() != nil {
 		t.Fatal("nil tracer recorded something")
 	}
-	tr.Reset()
 	ct := tr.ChromeTrace()
 	if len(ct.TraceEvents) != 0 {
 		t.Fatal("nil tracer exported events")
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteSummary(&buf, 5); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "disabled") {
-		t.Fatalf("nil summary = %q", buf.String())
 	}
 
 	var r *Registry
@@ -44,30 +31,6 @@ func TestNilSafety(t *testing.T) {
 	r.RegisterSource("s", func(put func(string, int64)) { put("k", 1) })
 	if r.Snapshot() != nil {
 		t.Fatal("nil registry snapshot non-nil")
-	}
-}
-
-func TestBeginEndOpenCount(t *testing.T) {
-	tr := NewTracer()
-	h1 := tr.Begin(1, "c", "outer", 0)
-	h2 := tr.Begin(1, "c", "inner", 10)
-	if got := tr.OpenCount(); got != 2 {
-		t.Fatalf("open = %d, want 2", got)
-	}
-	h2.End(20)
-	h1.End(100)
-	if got := tr.OpenCount(); got != 0 {
-		t.Fatalf("open after End = %d, want 0", got)
-	}
-	if got := tr.SpanCount(); got != 2 {
-		t.Fatalf("spans = %d, want 2", got)
-	}
-	// End before start clamps rather than producing a negative span.
-	h3 := tr.Begin(1, "c", "clamped", 50)
-	h3.End(40)
-	sp := tr.Spans()[2]
-	if sp.Start != 50 || sp.End != 50 {
-		t.Fatalf("clamped span = [%d,%d], want [50,50]", sp.Start, sp.End)
 	}
 }
 
@@ -129,6 +92,11 @@ func TestExplicitLanesPassThrough(t *testing.T) {
 	tr.NameProcess(PidServers, "pfs servers")
 	tr.NameThread(PidServers, 3, "server 3")
 	tr.EmitOn(PidServers, 3, "pfs", "serve", 5, 15)
+	// An end before the start clamps rather than producing a negative span.
+	tr.EmitOn(PidServers, 3, "pfs", "clamped", 50, 40)
+	if sp := tr.Spans()[1]; sp.Start != 50 || sp.End != 50 {
+		t.Fatalf("clamped span = [%d,%d], want [50,50]", sp.Start, sp.End)
+	}
 	ct := tr.ChromeTrace()
 	var found bool
 	for _, ev := range ct.TraceEvents {
@@ -341,15 +309,4 @@ func sortedLines(lines []string) bool {
 		}
 	}
 	return true
-}
-
-func TestTracerReset(t *testing.T) {
-	tr := NewTracer()
-	tr.NameProcess(1, "p")
-	tr.Emit(1, "c", "n", 0, 1)
-	tr.Begin(1, "c", "open", 0) // deliberately left open
-	tr.Reset()
-	if tr.SpanCount() != 0 || tr.OpenCount() != 0 {
-		t.Fatal("reset left state behind")
-	}
 }

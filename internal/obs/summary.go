@@ -201,16 +201,6 @@ func (a *Analysis) WriteReport(w io.Writer, topN int) error {
 	return nil
 }
 
-// WriteSummary renders the tracer's own spans as the plaintext
-// per-step summary report (the non-JSON exporter).
-func (t *Tracer) WriteSummary(w io.Writer, topN int) error {
-	if t == nil {
-		_, err := fmt.Fprintln(w, "trace: disabled")
-		return err
-	}
-	return Analyze(t.ChromeTrace()).WriteReport(w, topN)
-}
-
 func clip(s string, n int) string {
 	if len(s) <= n {
 		return s

@@ -82,7 +82,6 @@ func (s *Span) Dur() sim.Duration { return s.End.Sub(s.Start) }
 type Tracer struct {
 	mu      sync.Mutex
 	spans   []Span
-	open    int
 	procs   map[int]string
 	threads map[[2]int]string
 }
@@ -94,9 +93,6 @@ func NewTracer() *Tracer {
 		threads: make(map[[2]int]string),
 	}
 }
-
-// Enabled reports whether spans are being recorded.
-func (t *Tracer) Enabled() bool { return t != nil }
 
 // NameProcess labels a pid in the exported trace.
 func (t *Tracer) NameProcess(pid int, name string) {
@@ -137,53 +133,6 @@ func (t *Tracer) EmitOn(pid, tid int, cat, name string, start, end sim.Time, arg
 	t.mu.Unlock()
 }
 
-// SpanHandle is an in-progress span returned by Begin. The zero value
-// (from a nil tracer) is a no-op.
-type SpanHandle struct {
-	t     *Tracer
-	pid   int
-	cat   string
-	name  string
-	start sim.Time
-}
-
-// Begin opens a span at the given virtual time. Every Begin must be
-// matched by End; OpenCount reports the imbalance for leak tests.
-func (t *Tracer) Begin(pid int, cat, name string, start sim.Time) SpanHandle {
-	if t == nil {
-		return SpanHandle{}
-	}
-	t.mu.Lock()
-	t.open++
-	t.mu.Unlock()
-	return SpanHandle{t: t, pid: pid, cat: cat, name: name, start: start}
-}
-
-// End closes the span at the given virtual time.
-func (h SpanHandle) End(end sim.Time, args ...KV) {
-	if h.t == nil {
-		return
-	}
-	if end < h.start {
-		end = h.start
-	}
-	h.t.mu.Lock()
-	h.t.open--
-	h.t.spans = append(h.t.spans, Span{Pid: h.pid, Tid: AutoLane, Cat: h.cat, Name: h.name, Start: h.start, End: end, Args: args})
-	h.t.mu.Unlock()
-}
-
-// OpenCount reports spans begun but not yet ended — zero after a clean
-// Finalize.
-func (t *Tracer) OpenCount() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.open
-}
-
 // SpanCount reports the number of recorded spans.
 func (t *Tracer) SpanCount() int {
 	if t == nil {
@@ -204,19 +153,6 @@ func (t *Tracer) Spans() []Span {
 	out := make([]Span, len(t.spans))
 	copy(out, t.spans)
 	return out
-}
-
-// Reset discards all recorded spans and labels.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.spans = t.spans[:0]
-	t.open = 0
-	t.procs = make(map[int]string)
-	t.threads = make(map[[2]int]string)
-	t.mu.Unlock()
 }
 
 // laidSpan is a span with its final lane, after layout.

@@ -21,9 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -274,16 +271,6 @@ func (s *System) RegisterMetrics(r *obs.Registry) {
 			put(fmt.Sprintf("server.%d.requests", i), reqs)
 		}
 	})
-}
-
-// ServerBusy reports each server's cumulative busy time, for
-// utilization analysis.
-func (s *System) ServerBusy() []sim.Duration {
-	out := make([]sim.Duration, len(s.servers))
-	for i, r := range s.servers {
-		out[i], _ = r.Stats()
-	}
-	return out
 }
 
 // ResetSchedules clears all server and metadata queues (not file
@@ -543,28 +530,8 @@ func (s *System) FileSize(name string) (int64, error) {
 	return n, nil
 }
 
-// Sync flushes the storage backend's durable state (chunk files,
-// manifests). A no-op for volatile backends.
-func (s *System) Sync() error { return s.backend.Sync() }
-
-// Size reports the file's current size.
-func (h *Handle) Size() int64 {
-	return h.f.size()
-}
-
 // StripeUnit reports the file's stripe unit.
 func (h *Handle) StripeUnit() int64 { return h.f.unit }
-
-// Truncate sets the file size.
-func (h *Handle) Truncate(n int64) error {
-	if h.closed {
-		return ErrClosed
-	}
-	if h.mode == ReadOnly {
-		return ErrReadOnly
-	}
-	return h.f.truncate(n)
-}
 
 // Close releases the handle, charging the close cost.
 func (h *Handle) Close() error {
@@ -868,50 +835,6 @@ func (h *Handle) ReadAtVecTime(p []byte, exts []Extent, at sim.Time) (sim.Time, 
 		return done, int(read), io.EOF
 	}
 	return done, int(read), nil
-}
-
-// Dump writes every file to dir on the host file system, flattening
-// path separators, so example programs can leave inspectable artifacts.
-// Only bytes travel: a file's stripe unit is not part of a dump (or of
-// a run bundle), and Load lays every file out by the loading system's
-// default.
-func (s *System) Dump(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for _, name := range s.List() {
-		buf, err := s.ReadFile(name)
-		if err != nil {
-			return err
-		}
-		hostName := strings.ReplaceAll(name, "/", "_")
-		if err := os.WriteFile(filepath.Join(dir, hostName), buf, 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Load imports every regular file in dir into the file system,
-// bypassing cost accounting (it models staging data from outside).
-func (s *System) Load(dir string) error {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			return err
-		}
-		if err := s.WriteFile(e.Name(), data); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // WriteFile stores data as name without cost accounting, for staging

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"testing"
 	"testing/quick"
 	"time"
@@ -37,8 +35,8 @@ func TestReadAfterWrite(t *testing.T) {
 	if !bytes.Equal(got, msg) {
 		t.Fatalf("read %q, want %q", got, msg)
 	}
-	if h.Size() != 100+int64(len(msg)) {
-		t.Fatalf("size %d", h.Size())
+	if sz, err := s.FileSize("data"); err != nil || sz != 100+int64(len(msg)) {
+		t.Fatalf("size %d (%v)", sz, err)
 	}
 }
 
@@ -106,9 +104,6 @@ func TestReadOnlyRejectsWrites(t *testing.T) {
 	if _, err := h.WriteAt([]byte("y"), 0); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("err = %v", err)
 	}
-	if err := h.Truncate(0); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("truncate err = %v", err)
-	}
 }
 
 func TestClosedHandle(t *testing.T) {
@@ -144,17 +139,21 @@ func TestRemoveAndList(t *testing.T) {
 	}
 }
 
+// WriteFile truncates before it writes (the one truncation left in the
+// file system): bytes past the new end must be gone even after the file
+// regrows over them.
 func TestTruncate(t *testing.T) {
 	s := NewSystem(freeConfig())
-	h, _ := s.Open("f", CreateMode, nil)
-	_, _ = h.WriteAt(make([]byte, 200_000), 0)
-	if err := h.Truncate(10); err != nil {
+	if err := s.WriteFile("f", bytes.Repeat([]byte{0xEE}, 200_000)); err != nil {
 		t.Fatal(err)
 	}
-	if h.Size() != 10 {
-		t.Fatalf("size %d", h.Size())
+	if err := s.WriteFile("f", make([]byte, 10)); err != nil {
+		t.Fatal(err)
 	}
-	// Data past the truncation point must be gone even after regrowth.
+	if sz, err := s.FileSize("f"); err != nil || sz != 10 {
+		t.Fatalf("size %d (%v)", sz, err)
+	}
+	h, _ := s.Open("f", CreateMode, nil)
 	_, _ = h.WriteAt([]byte{1}, 150_000)
 	got := make([]byte, 4)
 	_, _ = h.ReadAt(got, 100_000)
@@ -313,26 +312,6 @@ func TestStats(t *testing.T) {
 	}
 	if st.WriteReqs != 1 || st.ReadRequests != 1 {
 		t.Fatalf("request stats %+v", st)
-	}
-}
-
-func TestDumpLoadRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	s := NewSystem(freeConfig())
-	_ = s.WriteFile("alpha", []byte("AAA"))
-	_ = s.WriteFile("beta/gamma", []byte("BBBB"))
-	if err := s.Dump(dir); err != nil {
-		t.Fatal(err)
-	}
-	if data, err := os.ReadFile(filepath.Join(dir, "beta_gamma")); err != nil || string(data) != "BBBB" {
-		t.Fatalf("dumped file: %q, %v", data, err)
-	}
-	s2 := NewSystem(freeConfig())
-	if err := s2.Load(dir); err != nil {
-		t.Fatal(err)
-	}
-	if data, _ := s2.ReadFile("alpha"); string(data) != "AAA" {
-		t.Fatalf("loaded alpha = %q", data)
 	}
 }
 

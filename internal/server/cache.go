@@ -93,9 +93,6 @@ func (c *BlockCache) RegisterMetrics(r *obs.Registry) {
 	c.blocksGauge = r.Gauge("server.cache.blocks")
 }
 
-// BlockSize reports the cache granularity.
-func (c *BlockCache) BlockSize() int64 { return c.blockSize }
-
 // Stats snapshots the cache's counters.
 func (c *BlockCache) Stats() wire.CacheStats {
 	c.mu.Lock()

@@ -93,21 +93,11 @@ func (c *Clock) AdvanceTo(t Time) {
 // sequentially in host time, fork/join changes only the cost model;
 // determinism is untouched.
 //
-// Fork/Join below are the boxed form of the model. The allocation-free
-// hot paths (mpiio phase 2, the core epoch pipeline) express the same
-// pattern directly on one clock with Time values: fork := c.Now();
-// cost the branch; join = MaxTime(join, c.Now()); c.Rebase(fork); and
-// finally c.AdvanceTo(join) at the join barrier — Rebase exists for
-// exactly that idiom and for split-collective tokens.
+// The pattern is written directly on one clock with Time values, which
+// allocates nothing: fork := c.Now(); cost the branch; join =
+// MaxTime(join, c.Now()); c.Rebase(fork); and finally c.AdvanceTo(join)
+// at the join barrier.
 // ---------------------------------------------------------------------------
-
-// Fork returns a new sub-timeline clock positioned at c's current time.
-// The sub-timeline advances independently of c; fold it back with Join.
-func (c *Clock) Fork() *Clock { return &Clock{now: c.now} }
-
-// Join advances c to sub's time if later — the join barrier of a forked
-// sub-timeline.
-func (c *Clock) Join(sub *Clock) { c.AdvanceTo(sub.now) }
 
 // Rebase sets the clock to exactly t, moving backwards if necessary.
 // It exists for split-collective simulation only: the caller marks a
@@ -144,13 +134,6 @@ func (r *Resource) Acquire(at Time, service Duration) Time {
 	r.requests++
 	r.mu.Unlock()
 	return done
-}
-
-// BusyUntil reports the time at which the resource becomes free.
-func (r *Resource) BusyUntil() Time {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.busyUntil
 }
 
 // Stats reports the cumulative busy time and request count.
@@ -191,15 +174,6 @@ func ComputeCost(n int64, rate float64) Duration {
 	return Duration(float64(n) / rate * 1e9)
 }
 
-// Bandwidth converts an amount of data moved in a span of virtual time
-// into MB/s (decimal megabytes, matching the paper's reporting).
-func Bandwidth(bytes int64, elapsed Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(bytes) / 1e6 / elapsed.Seconds()
-}
-
 // RNG is a small deterministic pseudo-random generator (xorshift64*)
 // used wherever the simulation needs reproducible randomness without
 // importing math/rand state into hot paths.
@@ -232,19 +206,8 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Float64 returns a pseudo-random float in [0, 1).
-func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / float64(1<<53)
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	return r.PermInto(make([]int, n))
-}
-
-// PermInto fills p with a pseudo-random permutation of [0, len(p)),
-// drawing the same variates as Perm, so callers can reuse one buffer
-// across repeated shuffles.
+// PermInto fills p with a pseudo-random permutation of [0, len(p)), so
+// callers can reuse one buffer across repeated shuffles.
 func (r *RNG) PermInto(p []int) []int {
 	for i := range p {
 		p[i] = i

@@ -38,23 +38,24 @@ func TestClockAdvanceTo(t *testing.T) {
 func TestClockForkJoin(t *testing.T) {
 	c := NewClock()
 	c.Advance(10 * time.Millisecond)
-	// Two sub-timelines forked at 10ms advance independently.
-	a, b := c.Fork(), c.Fork()
-	if a.Now() != c.Now() || b.Now() != c.Now() {
-		t.Fatalf("forks start at %v/%v, want %v", a.Now(), b.Now(), c.Now())
-	}
-	a.Advance(5 * time.Millisecond)
-	b.Advance(30 * time.Millisecond)
+	// Two sub-timelines forked at 10ms advance independently: each is
+	// costed on the clock from the fork point and rebased away.
+	fork := c.Now()
+	c.Advance(5 * time.Millisecond)
+	a := c.Now()
+	c.Rebase(fork)
+	c.Advance(30 * time.Millisecond)
+	b := c.Now()
+	c.Rebase(fork)
 	if c.Now() != Time(10*time.Millisecond) {
-		t.Fatal("advancing a fork moved the parent clock")
+		t.Fatal("costing a fork moved the parent timeline")
 	}
-	c.Join(a)
-	c.Join(b)
+	c.AdvanceTo(MaxTime(a, b))
 	if got := c.Now(); got != Time(40*time.Millisecond) {
 		t.Fatalf("join left clock at %v, want 40ms (latest sub-timeline)", got)
 	}
 	// Joining an earlier sub-timeline is a no-op.
-	c.Join(a)
+	c.AdvanceTo(a)
 	if got := c.Now(); got != Time(40*time.Millisecond) {
 		t.Fatalf("joining an earlier fork moved clock to %v", got)
 	}
@@ -67,11 +68,14 @@ func TestClockForkedResourceContention(t *testing.T) {
 	// phase-2 runs against one I/O server must cost.
 	c := NewClock()
 	var r Resource
-	a, b := c.Fork(), c.Fork()
-	a.AdvanceTo(r.Acquire(a.Now(), 10*time.Millisecond))
-	b.AdvanceTo(r.Acquire(b.Now(), 10*time.Millisecond))
-	c.Join(a)
-	c.Join(b)
+	fork := c.Now()
+	join := fork
+	for range 2 {
+		c.AdvanceTo(r.Acquire(c.Now(), 10*time.Millisecond))
+		join = MaxTime(join, c.Now())
+		c.Rebase(fork)
+	}
+	c.AdvanceTo(join)
 	if got := c.Now(); got != Time(20*time.Millisecond) {
 		t.Fatalf("contending forks joined at %v, want 20ms", got)
 	}
@@ -154,7 +158,7 @@ func TestResourceReset(t *testing.T) {
 	var r Resource
 	r.Acquire(0, time.Second)
 	r.Reset()
-	if r.BusyUntil() != 0 {
+	if r.busyUntil != 0 {
 		t.Fatal("Reset did not clear schedule")
 	}
 	if busy, n := r.Stats(); busy != 0 || n != 0 {
@@ -179,8 +183,8 @@ func TestResourceConcurrentTotal(t *testing.T) {
 	}
 	wg.Wait()
 	want := Time(workers * each * int(time.Millisecond))
-	if r.BusyUntil() != want {
-		t.Fatalf("busyUntil = %v, want %v", r.BusyUntil(), want)
+	if r.busyUntil != want {
+		t.Fatalf("busyUntil = %v, want %v", r.busyUntil, want)
 	}
 }
 
@@ -211,16 +215,6 @@ func TestComputeCost(t *testing.T) {
 	}
 }
 
-func TestBandwidth(t *testing.T) {
-	// 100 MB in 1s = 100 MB/s.
-	if got := Bandwidth(100e6, time.Second); got != 100 {
-		t.Fatalf("Bandwidth = %v, want 100", got)
-	}
-	if Bandwidth(1, 0) != 0 {
-		t.Fatal("zero elapsed must report 0 bandwidth")
-	}
-}
-
 func TestRNGDeterministic(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
 	for i := 0; i < 100; i++ {
@@ -238,9 +232,6 @@ func TestRNGRanges(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		if v := r.Intn(10); v < 0 || v >= 10 {
 			t.Fatalf("Intn out of range: %d", v)
-		}
-		if f := r.Float64(); f < 0 || f >= 1 {
-			t.Fatalf("Float64 out of range: %v", f)
 		}
 	}
 }

@@ -82,12 +82,6 @@ type CAS struct {
 	inflIn bytes.Reader // reusable compressed-input reader
 }
 
-// NewCAS creates a memory-only content-addressed backend.
-func NewCAS(opts CASOptions) *CAS {
-	c, _ := OpenCAS("", opts)
-	return c
-}
-
 // OpenCAS opens (creating if needed) a content-addressed backend
 // rooted at root; an existing manifest restores the namespace, with
 // chunk payloads loaded lazily on first read. An empty root keeps
@@ -114,9 +108,6 @@ func OpenCAS(root string, opts CASOptions) (*CAS, error) {
 
 // Kind reports "cas".
 func (c *CAS) Kind() string { return "cas" }
-
-// Options reports the effective options (after defaulting).
-func (c *CAS) Options() CASOptions { return c.opts }
 
 // Stats snapshots pool occupancy.
 func (c *CAS) Stats() CASStats {

@@ -11,7 +11,7 @@ import (
 // asserts the pool stores each distinct chunk once: stored bytes must
 // be a small fraction of logical bytes.
 func TestCASDedupRatio(t *testing.T) {
-	c := NewCAS(CASOptions{})
+	c, _ := OpenCAS("", CASOptions{})
 	payload := make([]byte, 8*DefaultChunkSize)
 	rand.New(rand.NewSource(1)).Read(payload)
 	const copies = 10
@@ -46,7 +46,7 @@ func TestCASDedupRatio(t *testing.T) {
 // smooth simulation fields) and asserts flate pulls stored bytes well
 // below logical bytes even without any duplication.
 func TestCASCompressionRatio(t *testing.T) {
-	c := NewCAS(CASOptions{Compress: true})
+	c, _ := OpenCAS("", CASOptions{Compress: true})
 	payload := make([]byte, 16*DefaultChunkSize)
 	for i := range payload {
 		payload[i] = byte(i / 1024) // long runs: highly compressible
@@ -103,7 +103,7 @@ func TestCASPersistRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c2.Options().ChunkSize; got != 1024 {
+	if got := c2.opts.ChunkSize; got != 1024 {
 		t.Fatalf("reopened chunk size = %d, want 1024 from manifest", got)
 	}
 	o2, err := c2.Open("data")
@@ -146,7 +146,7 @@ func TestCASPersistRoundTrip(t *testing.T) {
 // identical objects keeps the shared chunks; removing both empties the
 // pool.
 func TestCASRemoveReclaims(t *testing.T) {
-	c := NewCAS(CASOptions{ChunkSize: 256})
+	c, _ := OpenCAS("", CASOptions{ChunkSize: 256})
 	payload := bytes.Repeat([]byte("chunky"), 200)
 	for _, name := range []string{"a", "b"} {
 		o, err := c.Create(name)

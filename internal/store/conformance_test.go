@@ -37,6 +37,12 @@ func newObjBackend() *objstore.Backend {
 // flush), and fault-injected flavors of each family behind a retry
 // layer — the conformance suite demands those behave byte- and
 // error-identically to the clean backends.
+// memCAS is a memory-only content-addressed backend (no root).
+func memCAS() store.Backend {
+	c, _ := store.OpenCAS("", store.CASOptions{ChunkSize: 512})
+	return c
+}
+
 func backendsUnderTest(t *testing.T) map[string]store.Backend {
 	t.Helper()
 	diskDir, err := store.NewDir(filepath.Join(t.TempDir(), "dir"))
@@ -55,7 +61,7 @@ func backendsUnderTest(t *testing.T) map[string]store.Backend {
 		"mem":          store.NewMem(),
 		"dir":          diskDir,
 		"dir-atomic":   atomicDir,
-		"cas-mem":      store.NewCAS(store.CASOptions{ChunkSize: 512}),
+		"cas-mem":      memCAS(),
 		"cas-disk-zip": diskCAS,
 		"obj":          newObjBackend(),
 	}
@@ -81,7 +87,7 @@ func backendsUnderTest(t *testing.T) map[string]store.Backend {
 		t.Fatal(err)
 	}
 	addFaulty("dir", faultyDir, 12)
-	addFaulty("cas-mem", store.NewCAS(store.CASOptions{ChunkSize: 512}), 13)
+	addFaulty("cas-mem", memCAS(), 13)
 	addFaulty("obj", newObjBackend(), 14)
 	t.Cleanup(func() {
 		if t.Failed() {

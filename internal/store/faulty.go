@@ -121,9 +121,6 @@ func (f *Faulty) Stats() FaultStats {
 	return f.stats
 }
 
-// Inner returns the wrapped backend.
-func (f *Faulty) Inner() Backend { return f.inner }
-
 // eligible reports whether op may receive Transient injection.
 func (f *Faulty) eligible(op Op) bool {
 	if f.cfg.Ops != nil {

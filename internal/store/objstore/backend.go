@@ -65,10 +65,6 @@ func New(svc *Service, opts Options) *Backend {
 	return &Backend{svc: svc, opts: opts, handles: make(map[string]*object)}
 }
 
-// Service exposes the underlying remote for stats and fault/crash
-// control.
-func (b *Backend) Service() *Service { return b.svc }
-
 // The one-shot request primitives below run under the backend's retry
 // policy so transient remote failures are masked at the request layer,
 // matching flush and List. All four are idempotent: Head, ranged Get,
@@ -105,9 +101,6 @@ func (b *Backend) svcCopy(src, dst string) (gen int64, err error) {
 	})
 	return
 }
-
-// PartSize reports the configured multipart threshold.
-func (b *Backend) PartSize() int64 { return b.opts.PartSize }
 
 // Kind identifies the backend flavor.
 func (b *Backend) Kind() string { return "obj" }

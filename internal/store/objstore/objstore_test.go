@@ -206,8 +206,8 @@ func TestServiceCostAccounting(t *testing.T) {
 	s2 := NewService(CostModel{})
 	s2.Put("k", make([]byte, 1_000_000), AnyGeneration)
 	s2.Get("k", 0, p)
-	if s2.RemoteNow() != st2.RemoteTime {
-		t.Fatalf("remote time not deterministic: %v vs %v", s2.RemoteNow(), st2.RemoteTime)
+	if got := s2.Stats().RemoteTime; got != st2.RemoteTime {
+		t.Fatalf("remote time not deterministic: %v vs %v", got, st2.RemoteTime)
 	}
 }
 

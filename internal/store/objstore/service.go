@@ -211,13 +211,6 @@ func (s *Service) Stats() Stats {
 	return st
 }
 
-// RemoteNow reports the accumulated remote virtual time.
-func (s *Service) RemoteNow() sim.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats.RemoteTime
-}
-
 // SetFaults arms seeded transient-failure injection: each request
 // fails with store.ErrUnavailable with probability p. For UploadPart
 // a coin decides whether the failure strikes before or after the part

@@ -145,9 +145,6 @@ func (r *Retry) Stats() RetryStats {
 	return r.stats
 }
 
-// Inner returns the wrapped backend.
-func (r *Retry) Inner() Backend { return r.inner }
-
 // retriable reports whether op may be re-issued under this policy.
 func (r *Retry) retriable(op Op) bool {
 	if idempotentOps[op] {

@@ -99,7 +99,9 @@ func (r WALRecord) Decode(v any) error {
 var walCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // WAL is an append-only, fsync-ordered record log backed by one host
-// file. Appends buffer in the OS; Sync is the durability barrier.
+// file. Appends buffer in the OS; Sync is the durability barrier. A nil
+// *WAL is the null log — Append, Sync and Close do nothing — so a save
+// that opted out of logging runs the same protocol without one.
 type WAL struct {
 	f    *os.File
 	path string
@@ -117,6 +119,9 @@ func CreateWAL(path string) (*WAL, error) {
 
 // Append writes one record; v is JSON-marshalled into the payload.
 func (w *WAL) Append(typ byte, v any) error {
+	if w == nil {
+		return nil
+	}
 	payload, err := json.Marshal(v)
 	if err != nil {
 		return err
@@ -135,11 +140,21 @@ func (w *WAL) Append(typ byte, v any) error {
 
 // Sync is the durability barrier: every record appended so far is made
 // durable before Sync returns.
-func (w *WAL) Sync() error { return w.f.Sync() }
+func (w *WAL) Sync() error {
+	if w == nil {
+		return nil
+	}
+	return w.f.Sync()
+}
 
 // Close closes the log file (the log itself stays on disk until the
 // save's apply phase removes it).
-func (w *WAL) Close() error { return w.f.Close() }
+func (w *WAL) Close() error {
+	if w == nil {
+		return nil
+	}
+	return w.f.Close()
+}
 
 // ReadWAL parses the log at path. A missing file returns (nil, false,
 // nil). A torn tail — truncated record, CRC mismatch, impossible

@@ -3,6 +3,7 @@ package sdm
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -142,13 +143,9 @@ func MigrateBundle(srcDir, dstDir string, opts BundleOptions) (MigrateStats, err
 	}
 
 	// Source inventory and catalog.
-	rawSrc, err := os.ReadFile(filepath.Join(srcDir, bundleManifestName))
+	srcM, err := readManifest(srcDir)
 	if err != nil {
-		return st, fmt.Errorf("sdm: migrate: opening source bundle: %w", err)
-	}
-	var srcM bundleManifest
-	if err := json.Unmarshal(rawSrc, &srcM); err != nil {
-		return st, fmt.Errorf("sdm: migrate: corrupt source manifest: %w", err)
+		return st, fmt.Errorf("sdm: migrate: source bundle: %w", err)
 	}
 	srcB, _, err := bundleBackend(srcDir, srcM.spec(), opts.Faults, opts.Retry)
 	if err != nil {
@@ -164,11 +161,12 @@ func MigrateBundle(srcDir, dstDir string, opts BundleOptions) (MigrateStats, err
 	copyAll := true
 	changed := map[string]bool{}
 	dstSizes := map[string]int64{}
-	if rawDst, err := os.ReadFile(filepath.Join(dstDir, bundleManifestName)); err == nil {
-		var dstM bundleManifest
-		if err := json.Unmarshal(rawDst, &dstM); err != nil {
-			return st, fmt.Errorf("sdm: migrate: corrupt destination manifest: %w", err)
-		}
+	dstM, err := readManifest(dstDir)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		// An existing destination this build cannot read is never swept.
+		return st, fmt.Errorf("sdm: migrate: destination bundle: %w", err)
+	}
+	if err == nil {
 		if dstM.Backend != opts.Backend {
 			return st, fmt.Errorf("sdm: migrate: destination bundle is %q, asked for %q — use a fresh directory",
 				dstM.Backend, opts.Backend)
@@ -203,7 +201,7 @@ func MigrateBundle(srcDir, dstDir string, opts BundleOptions) (MigrateStats, err
 	// heal on the next migration).
 	plan := make([]bundlePlanEntry, 0, len(srcM.Files))
 	m := bundleManifest{
-		Format:    1,
+		Format:    bundleFormat,
 		CreatedAt: time.Now().UTC().Format(time.RFC3339),
 		Backend:   opts.Backend,
 		Compress:  opts.Compress,

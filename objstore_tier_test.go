@@ -382,7 +382,7 @@ func tierReadWorkload(t *testing.T, dir string, procs, globalN, steps int) tierR
 		var vals []float64
 		for ts := 0; ts < steps; ts++ {
 			for _, ds := range []string{"pressure", "velocity"} {
-				got, err := g.ReadFloat64s(ds, int64(ts), len(mapArr))
+				got, err := getAt(g, ds, int64(ts), len(mapArr))
 				if err != nil {
 					t.Errorf("read %s@%d: %v", ds, ts, err)
 					return

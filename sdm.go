@@ -57,8 +57,6 @@ type (
 	Manager = core.SDM
 	// Options tunes a Manager (file organization, hints, cost model).
 	Options = core.Options
-	// Env is the substrate a Manager runs on; usually built by Cluster.
-	Env = core.Env
 	// Attr describes one dataset of a data group.
 	Attr = core.Attr
 	// Group is a registered data group (SDM_set_attributes result).
@@ -84,20 +82,6 @@ type (
 	// Hints passes MPI-IO tuning knobs (aggregator count, stripe unit of
 	// created files, collective on/off) through Options.
 	Hints = mpiio.Hints
-	// WaitPolicy selects how a step flush behaves when it would touch a
-	// file an outstanding asynchronous flush still owns (see Options).
-	WaitPolicy = core.WaitPolicy
-)
-
-// Wait policies for Options.WaitPolicy.
-const (
-	// WaitConflicts (default) implicitly joins just the conflicting
-	// step tokens, so pipelined checkpoint loops need no explicit token
-	// plumbing.
-	WaitConflicts = core.WaitConflicts
-	// ErrorOnConflict fails loudly on any overlap; tokens are managed
-	// explicitly by the application.
-	ErrorOnConflict = core.ErrorOnConflict
 )
 
 // Element types.
@@ -113,12 +97,6 @@ const (
 	Level2 = core.Level2
 	Level3 = core.Level3
 )
-
-// Initialize creates a Manager on an explicitly assembled Env. Most
-// callers use Cluster.Run and Proc.Initialize instead.
-func Initialize(env Env, app string, opts Options) (*Manager, error) {
-	return core.Initialize(env, app, opts)
-}
 
 // MakeDatalist builds a default attribute list for the named datasets
 // (the paper's SDM_make_datalist idiom).
@@ -143,9 +121,9 @@ func NewView(mapArr []int32, t DataType, globalSize int64) (*View, error) {
 // Flush dependencies are tracked per file: up to
 // Options.StepPipelineDepth tokens stay in flight as long as their
 // target-file sets are disjoint, conflicts implicitly join just the
-// conflicting token (Options.WaitPolicy), and Manager.DrainSteps (or
-// Finalize) joins whatever is still outstanding in completion order —
-// so checkpoint loops can pipeline without holding tokens at all.
+// conflicting token, and Manager.DrainSteps (or Finalize) joins
+// whatever is still outstanding in completion order — so checkpoint
+// loops can pipeline without holding tokens at all.
 type StepToken = core.StepToken
 
 // Observability (see internal/obs): a Tracer records spans of virtual
@@ -155,7 +133,8 @@ type StepToken = core.StepToken
 // substrates' existing statistics. Both are nil-safe no-ops when
 // disabled, and tracing never perturbs a simulated timestamp. Install
 // with Cluster.SetTracer/SetMetrics before Run; export with
-// Tracer.WriteChromeFile (Perfetto/chrome://tracing) or WriteSummary.
+// Tracer.WriteChromeFile (Perfetto/chrome://tracing) and analyze with
+// cmd/sdmtrace.
 type (
 	// Tracer records virtual-time spans for Chrome-trace export.
 	Tracer = obs.Tracer

@@ -237,13 +237,6 @@ func (c *Client) Attach(opts AttachOptions) (wire.AttachResponse, error) {
 	return out, nil
 }
 
-// Session reports the client's current session id ("" if detached).
-func (c *Client) Session() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.session
-}
-
 // Detach ends the client's session. Detaching an expired or already
 // detached session returns ErrNotFound; the client forgets the session
 // either way.
@@ -322,27 +315,4 @@ func (c *Client) ReadRange(run int64, dataset string, timestep, off, n int64) ([
 		return nil, fmt.Errorf("%w: short body: got %d of %d bytes", ErrUnreachable, buf.Len(), size)
 	}
 	return buf.Bytes(), nil
-}
-
-// CacheStats snapshots the daemon's block cache.
-func (c *Client) CacheStats() (wire.CacheStats, error) {
-	var st wire.CacheStats
-	err := c.getJSON("/v1/cache", &st)
-	return st, err
-}
-
-// MetricsText fetches the daemon's metrics dump (sorted "key value"
-// lines).
-func (c *Client) MetricsText() (string, error) {
-	req, err := http.NewRequest(http.MethodGet, c.base+"/v1/metrics", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	return string(b), err
 }

@@ -177,9 +177,6 @@ func TestSpanInvariants(t *testing.T) {
 	for _, depth := range []int{1, 2, 4} {
 		t.Run("depth"+strconv.Itoa(depth), func(t *testing.T) {
 			_, tr, _ := runPipeline(t, f, procs, steps, depth, true)
-			if got := tr.OpenCount(); got != 0 {
-				t.Fatalf("open spans after Finalize = %d, want 0", got)
-			}
 			spans := tr.Spans()
 			if len(spans) == 0 {
 				t.Fatal("no spans recorded")
