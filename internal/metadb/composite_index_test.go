@@ -3,6 +3,7 @@ package metadb
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -137,28 +138,56 @@ func TestCompositeIndexMutationMaintenance(t *testing.T) {
 	}
 }
 
-// TestCompositeKeyNoBoundaryCollisions guards the tuple hash key
-// against column-boundary ambiguity: ("ab", "c") must not collide with
-// ("a", "bc").
+// TestCompositeKeyNoBoundaryCollisions guards composite index keys
+// against column-boundary ambiguity — ("ab", "c") must not answer for
+// ("a", "bc") — first under the real tuple hash, which keeps the two
+// apart, then with every tuple forced onto one hash, where only the
+// index's comparison of the colliding tuples by value can: each probe
+// must still scan and return exactly its own row, through UPDATE,
+// DELETE, ORDER BY and a range over a single-column index too.
 func TestCompositeKeyNoBoundaryCollisions(t *testing.T) {
+	t.Run("hashed", testKeyCollisions)
+	t.Run("one hash for every tuple", func(t *testing.T) {
+		real := hashTuple
+		hashTuple = func([]Value, []int) uint64 { return 42 }
+		defer func() { hashTuple = real }()
+		testKeyCollisions(t)
+	})
+}
+
+func testKeyCollisions(t *testing.T) {
 	db := New()
 	mustExec(t, db, `CREATE TABLE kv (a TEXT, b TEXT, v INTEGER)`)
 	mustExec(t, db, `CREATE INDEX kv_ab ON kv (a, b)`)
-	mustExec(t, db, `INSERT INTO kv VALUES ('ab', 'c', 1), ('a', 'bc', 2)`)
-	row, err := db.QueryRow(`SELECT v FROM kv WHERE a = 'ab' AND b = 'c'`)
-	if err != nil {
-		t.Fatal(err)
+	mustExec(t, db, `CREATE INDEX kv_v ON kv (v)`)
+	mustExec(t, db, `INSERT INTO kv VALUES ('ab', 'c', 1), ('a', 'bc', 2), ('ab', 'c', 3), ('', 'abc', 4)`)
+	probe := func(a, b, want string) {
+		t.Helper()
+		scanned0 := db.RowsScanned()
+		got := rowsString(mustQuery(t, db, `SELECT v FROM kv WHERE a = ? AND b = ?`, a, b))
+		if got != want {
+			t.Errorf("probe (%q,%q) = %q, want %q", a, b, got, want)
+		}
+		if scanned, rows := db.RowsScanned()-scanned0, int64(strings.Count(want, "\n")); scanned != rows {
+			t.Errorf("probe (%q,%q) scanned %d candidates for %d rows", a, b, scanned, rows)
+		}
 	}
-	if row == nil || row[0].AsInt() != 1 {
-		t.Fatalf("probe ('ab','c') = %v", row)
+	probe("ab", "c", "1\n3\n")
+	probe("a", "bc", "2\n")
+	probe("", "abc", "4\n")
+	probe("abc", "", "")
+	mustExec(t, db, `UPDATE kv SET b = 'bc', a = 'a' WHERE v = 3`)
+	probe("ab", "c", "1\n")
+	probe("a", "bc", "2\n3\n")
+	mustExec(t, db, `DELETE FROM kv WHERE a = 'a' AND b = 'bc' AND v = 2`)
+	probe("a", "bc", "3\n")
+	if got := rowsString(mustQuery(t, db, `SELECT v FROM kv WHERE v >= 3 ORDER BY v DESC`)); got != "4\n3\n" {
+		t.Errorf("range over the colliding single-column index = %q", got)
 	}
-	row, err = db.QueryRow(`SELECT v FROM kv WHERE a = 'a' AND b = 'bc'`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row == nil || row[0].AsInt() != 2 {
-		t.Fatalf("probe ('a','bc') = %v", row)
-	}
+	// Bulk-built indexes (Load) resolve the collisions the same way.
+	db = loaded(t, saved(t, db), 8)
+	probe("ab", "c", "1\n")
+	probe("a", "bc", "3\n")
 }
 
 // TestCompositeIndexPersistRoundTrip snapshots a database holding a

@@ -2,8 +2,8 @@ package metadb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,6 +20,7 @@ import (
 type DB struct {
 	state   atomic.Pointer[dbState]
 	nshards int
+	editGen atomic.Uint64 // names each copy-on-write edit, see tree.go
 
 	// commitMu serializes publication of new states; the critical
 	// section is a shallow rebase onto the latest tip, not the edit.
@@ -64,246 +65,156 @@ type cachedStmt struct {
 	nparams int
 }
 
-// indexKey is the map key an index is registered under: its column
-// names joined by commas, so a single-column index is found under the
-// bare column name (range and ORDER BY lookups use that) and composite
-// indexes never shadow it.
-func indexKey(cols []string) string { return strings.Join(cols, ",") }
-
-// bucket holds the row ids sharing one distinct tuple of the indexed
-// columns, remembering the tuple itself so single-column buckets can be
-// ordered for range scans.
-type bucket struct {
-	vals []Value
-	ids  []int64
-}
-
-// index is a hash index over one or more columns; each shard holds its
-// own instance covering that shard's rows. Single-column indexes
+// index is one shard's instance of a hash index over one or more
+// columns (its indexDef lives in the table). Single-column indexes
 // additionally support range scans and ORDER BY service through the
-// sorted bucket cache; composite (multi-column) indexes answer only
+// sorted view; composite (multi-column) indexes answer only
 // full-equality lookups — the shape of the catalog's
 // (runid, dataset, timestep) execution-table probes.
 type index struct {
-	name   string
-	cols   []string
-	colPos []int
-	m      map[string]*bucket
-	// sorted caches the buckets ordered by compare(vals[0]); nil when a
-	// structural change (new or emptied bucket) made it stale. Range
-	// predicates rebuild it lazily and binary-search it; sortMu
-	// serializes racing rebuilds. Published indexes are otherwise
-	// immutable (writers clone copy-on-write), so this is the one
-	// tolerated in-place mutation and it is idempotent. Only maintained
-	// meaningfully for single-column indexes.
+	ents tree[idxEntry]
+	// sorted is the single-column index's view in value order, built
+	// lazily by the first range or ORDER BY statement to need it; sortMu
+	// serializes racing builds. A published index is otherwise immutable
+	// (a commit gives every shard it edits fresh index values), so this
+	// is the one tolerated in-place mutation and it is idempotent.
 	sortMu sync.Mutex
-	sorted []*bucket
+	sorted []group
 }
 
-func newIndex(name string, cols []string, colPos []int) *index {
-	return &index{name: name, cols: cols, colPos: colPos, m: make(map[string]*bucket)}
+// group is the rows sharing one distinct value of a single-column
+// index, ascending by id.
+type group struct {
+	val  Value
+	rows []rowEntry
 }
 
-// single reports whether this is a one-column index (range/order
-// capable).
-func (idx *index) single() bool { return len(idx.colPos) == 1 }
-
-// writeTupleKey appends one component of a composite hash key: the
-// value's hashKey, length-prefixed so concatenations never collide
-// across column boundaries. keyOf and rowKey both encode through it,
-// keeping lookup and maintenance keys byte-identical.
-func writeTupleKey(sb *strings.Builder, v Value) {
-	k := v.hashKey()
-	sb.WriteString(strconv.Itoa(len(k)))
-	sb.WriteByte(':')
-	sb.WriteString(k)
-}
-
-// keyOf builds the unambiguous hash key of a value tuple.
-func keyOf(vals []Value) string {
-	if len(vals) == 1 {
-		return vals[0].hashKey()
-	}
-	var sb strings.Builder
-	for _, v := range vals {
-		writeTupleKey(&sb, v)
-	}
-	return sb.String()
-}
-
-// rowKey extracts the indexed columns' tuple key from a full row.
-func (idx *index) rowKey(row []Value) string {
-	if idx.single() {
-		return row[idx.colPos[0]].hashKey()
-	}
-	var sb strings.Builder
-	for _, p := range idx.colPos {
-		writeTupleKey(&sb, row[p])
-	}
-	return sb.String()
-}
-
-// insert records id under the row's indexed tuple. Only used while
-// bulk-building a fresh (unpublished) index; published indexes mutate
-// through editIndex's copy-on-write path.
-func (idx *index) insert(row []Value, id int64) {
-	key := idx.rowKey(row)
-	b, ok := idx.m[key]
-	if !ok {
-		vals := make([]Value, len(idx.colPos))
-		for i, p := range idx.colPos {
-			vals[i] = row[p]
+// lookupEq appends the rows whose index-column tuple equals an equality
+// plan's probe tuple (one value per indexed column, in index column
+// order), ascending by id. Rows filed under the same hash with another
+// tuple are not candidates.
+func (sh *shardData) lookupEq(p queryPlan, out []rowEntry) []rowEntry {
+	h := hashTuple(p.eqVals, nil)
+	for c := sh.idx[p.pos].ents.from(idxEntry{hash: h}); ; {
+		e, ok := c.next()
+		if !ok || e.hash != h {
+			return out
 		}
-		b = &bucket{vals: vals}
-		idx.m[key] = b
+		r, _ := sh.rows.get(rowEntry{id: e.id})
+		same := true
+		for k, col := range p.def.colPos {
+			same = same && sameKey(r.vals[col], p.eqVals[k])
+		}
+		if same {
+			out = append(out, r)
+		}
 	}
-	b.ids = append(b.ids, id)
 }
 
-// lookupEq returns the ids matching a value tuple exactly. vals must
-// have one value per indexed column, in index column order.
-func (idx *index) lookupEq(vals []Value) []int64 {
-	if b, ok := idx.m[keyOf(vals)]; ok {
-		return b.ids
+// sortedGroups builds (once per index version) and returns the value-
+// ordered view of single-column index i. Entries arrive grouped by
+// hash; the rows of one hash usually share one value, and are split by
+// value where two collided.
+func (sh *shardData) sortedGroups(d *indexDef, i int) []group {
+	ix := sh.idx[i]
+	ix.sortMu.Lock()
+	defer ix.sortMu.Unlock()
+	if ix.sorted != nil {
+		return ix.sorted
 	}
-	return nil
+	gs := make([]group, 0, 16)
+	first, hash := 0, uint64(0) // where the current hash's groups start
+	for c := ix.ents.from(idxEntry{}); ; {
+		e, ok := c.next()
+		if !ok {
+			break
+		}
+		if e.hash != hash {
+			first, hash = len(gs), e.hash
+		}
+		r, _ := sh.rows.get(rowEntry{id: e.id})
+		v := r.vals[d.colPos[0]]
+		g := first
+		for g < len(gs) && !sameKey(gs[g].val, v) {
+			g++
+		}
+		if g == len(gs) {
+			gs = append(gs, group{val: v})
+		}
+		gs[g].rows = append(gs[g].rows, r)
+	}
+	slices.SortFunc(gs, func(a, b group) int { return compare(a.val, b.val) })
+	ix.sorted = gs
+	return gs
 }
 
-// ensureSorted (re)builds the ordered bucket list and returns it.
-// Safe for concurrent readers: the rebuild is serialized by sortMu,
-// rebuilds are idempotent, and the bucket set itself never changes
-// after publication.
-func (idx *index) ensureSorted() []*bucket {
-	idx.sortMu.Lock()
-	defer idx.sortMu.Unlock()
-	if idx.sorted != nil {
-		return idx.sorted
-	}
-	s := make([]*bucket, 0, len(idx.m))
-	for _, b := range idx.m {
-		s = append(s, b)
-	}
-	sort.Slice(s, func(i, j int) bool { return compare(s[i].vals[0], s[j].vals[0]) < 0 })
-	idx.sorted = s
-	return s
-}
-
-// lookupRange returns the ids of every bucket within the given bounds.
+// lookupRange returns the rows of every group within the given bounds.
 // A nil bound is unbounded on that side. The result is a fresh slice in
-// arbitrary bucket order; callers re-evaluate the full predicate and
-// sort, so over-approximation is harmless.
-func (idx *index) lookupRange(lo *Value, loInc bool, hi *Value, hiInc bool) []int64 {
-	s := idx.ensureSorted()
+// group order; callers re-evaluate the full predicate and sort, so
+// over-approximation is harmless.
+func (sh *shardData) lookupRange(p queryPlan, out []rowEntry) []rowEntry {
+	s := sh.sortedGroups(p.def, p.pos)
 	start := 0
-	if lo != nil {
+	if p.lo != nil {
 		start = sort.Search(len(s), func(i int) bool {
-			c := compare(s[i].vals[0], *lo)
-			if loInc {
-				return c >= 0
-			}
-			return c > 0
+			c := compare(s[i].val, *p.lo)
+			return c > 0 || (c == 0 && p.loInc)
 		})
 	}
 	end := len(s)
-	if hi != nil {
+	if p.hi != nil {
 		end = sort.Search(len(s), func(i int) bool {
-			c := compare(s[i].vals[0], *hi)
-			if hiInc {
-				return c > 0
-			}
-			return c >= 0
+			c := compare(s[i].val, *p.hi)
+			return c > 0 || (c == 0 && !p.hiInc)
 		})
 	}
-	if end < start { // contradictory bounds select nothing
-		end = start
-	}
-	var out []int64
-	for _, b := range s[start:end] {
-		out = append(out, b.ids...)
+	for _, g := range s[start:max(start, end)] { // contradictory bounds select nothing
+		out = append(out, g.rows...)
 	}
 	return out
 }
 
-// orderIDs reorders matched row ids into an index's value order —
-// buckets ascending (or descending) by compare, ids ascending within
+// orderRows reorders matched rows into an index's value order —
+// groups ascending (or descending) by compare, ids ascending within
 // each distinct value — which is exactly what the stable result sort
 // over insertion-ordered rows produces, so serving ORDER BY from the
-// index is output-identical to sorting. Across shards the per-shard
-// sorted bucket lists are merged; buckets comparing equal in different
-// shards combine, their matched ids interleaved in ascending id
-// (insertion) order, preserving the stable sort's tie order.
-func (t *tableData) orderIDs(key string, ids []int64, desc bool, scr *sortScratch) []int64 {
-	var want map[int64]bool
-	if scr != nil {
-		if scr.want == nil {
-			scr.want = make(map[int64]bool, len(ids))
-		} else {
-			clear(scr.want)
-		}
-		want = scr.want
-	} else {
-		want = make(map[int64]bool, len(ids))
+// index is output-identical to sorting. The per-shard views are merged
+// by a stable sort of their groups (one pass over runs already in
+// order); groups comparing equal in different shards combine, their
+// matched rows interleaved in ascending id (insertion) order.
+func (t *tableData) orderRows(pos int, matched []rowEntry, desc bool, scr *sortScratch) []rowEntry {
+	if scr == nil {
+		scr = &sortScratch{}
 	}
-	for _, id := range ids {
-		want[id] = true
+	if scr.want == nil {
+		scr.want = make(map[int64]bool, len(matched))
 	}
-	lists := make([][]*bucket, len(t.shards))
-	heads := make([]int, len(t.shards))
-	for s, sh := range t.shards {
-		lists[s] = sh.indexes[key].ensureSorted()
-		if desc {
-			heads[s] = len(lists[s]) - 1
+	clear(scr.want)
+	for _, m := range matched {
+		scr.want[m.id] = true
+	}
+	var groups []*group
+	for _, sh := range t.shards {
+		view := sh.sortedGroups(&t.defs[pos], pos)
+		for i := range view {
+			groups = append(groups, &view[i])
 		}
 	}
-	// The per-shard lists ascend; cursors walk forward for ASC and
-	// backward for DESC.
-	live := func(s int) bool {
-		if desc {
-			return heads[s] >= 0
-		}
-		return heads[s] < len(lists[s])
+	slices.SortStableFunc(groups, func(a, b *group) int { return compare(a.val, b.val) })
+	if desc {
+		slices.Reverse(groups)
 	}
-	out := make([]int64, 0, len(ids))
-	var group []int64
-	for {
-		best := -1
-		for s := range lists {
-			if !live(s) {
-				continue
-			}
-			if best < 0 {
-				best = s
-				continue
-			}
-			c := compare(lists[s][heads[s]].vals[0], lists[best][heads[best]].vals[0])
-			if (!desc && c < 0) || (desc && c > 0) {
-				best = s
+	out := make([]rowEntry, 0, len(matched))
+	for i, from := 0, 0; i < len(groups); i++ {
+		for _, r := range groups[i].rows {
+			if scr.want[r.id] {
+				out = append(out, r)
 			}
 		}
-		if best < 0 {
-			break
+		if i+1 == len(groups) || compare(groups[i].val, groups[i+1].val) != 0 {
+			slices.SortFunc(out[from:], rowEntry.cmp)
+			from = len(out)
 		}
-		bv := lists[best][heads[best]].vals[0]
-		group = group[:0]
-		for s := range lists {
-			if live(s) && compare(lists[s][heads[s]].vals[0], bv) == 0 {
-				for _, id := range lists[s][heads[s]].ids {
-					if want[id] {
-						group = append(group, id)
-					}
-				}
-				if desc {
-					heads[s]--
-				} else {
-					heads[s]++
-				}
-			}
-		}
-		// A bucket's id order can drift from insertion order after
-		// UPDATEs (remove + re-insert); restore it so ties keep the
-		// stable-sort tie order.
-		sort.Slice(group, func(i, j int) bool { return group[i] < group[j] })
-		out = append(out, group...)
 	}
 	return out
 }
@@ -544,16 +455,19 @@ func (db *DB) execExplain(st *dbState, s explainStmt, params []Value) (*Rows, er
 		return nil, fmt.Errorf("metadb: no such table %q", s.sel.table)
 	}
 	plan := t.planFor(s.sel.where, params)
-	cands, _ := t.runPlan(plan)
+	ncands := t.rowCount()
+	if plan.kind != planScan {
+		ncands = len(t.probe(plan))
+	}
 	lines := []string{
 		plan.String(),
 		fmt.Sprintf("shards: %d of %d", t.shardsTouched(plan), len(t.shards)),
-		fmt.Sprintf("estimate: scan %d of %d row(s)", len(cands), t.rowCount()),
+		fmt.Sprintf("estimate: scan %d of %d row(s)", ncands, t.rowCount()),
 	}
 	if len(s.sel.orderBy) == 1 {
-		if idx, ok := t.shards[0].indexes[normalizeIdent(s.sel.orderBy[0].col)]; ok && idx.single() {
+		if i := t.indexOf(normalizeIdent(s.sel.orderBy[0].col)); i >= 0 {
 			lines = append(lines, fmt.Sprintf("order by %s served from index %s (no sort)",
-				s.sel.orderBy[0].col, idx.name))
+				s.sel.orderBy[0].col, t.defs[i].name))
 		}
 	}
 	rows := &Rows{Columns: []string{"plan"}}
@@ -852,8 +766,8 @@ const (
 // so the plan printed is by construction the plan executed.
 type queryPlan struct {
 	kind   planKind
-	idx    *index // shard 0's instance; nil for planScan
-	key    string // index map key, valid in every shard
+	def    *indexDef // nil for planScan
+	pos    int       // the index's position in every shard's idx
 	reason string
 
 	eqVals       []Value // planEq probe tuple, in idx.cols order
@@ -872,10 +786,10 @@ func (p queryPlan) String() string {
 	switch p.kind {
 	case planEq:
 		return fmt.Sprintf("equality probe on index %s (%s): %s",
-			p.idx.name, strings.Join(p.idx.cols, ", "), p.reason)
+			p.def.name, strings.Join(p.def.cols, ", "), p.reason)
 	case planRange:
 		return fmt.Sprintf("range scan on index %s (%s): %s",
-			p.idx.name, strings.Join(p.idx.cols, ", "), p.reason)
+			p.def.name, strings.Join(p.def.cols, ", "), p.reason)
 	default:
 		return "full table scan: " + p.reason
 	}
@@ -929,37 +843,33 @@ func (t *tableData) planFor(where expr, params []Value) queryPlan {
 		}
 	}
 	if eqCols != nil {
-		var best *index
-		var bestKey string
-		for key, idx := range t.shards[0].indexes {
+		best := -1
+		for i, d := range t.defs { // sorted by key, so the first of a width wins
 			covered := true
-			for _, c := range idx.cols {
+			for _, c := range d.cols {
 				if _, ok := eqCols[c]; !ok {
 					covered = false
 					break
 				}
 			}
-			if !covered {
-				continue
-			}
-			if best == nil || len(idx.cols) > len(best.cols) ||
-				(len(idx.cols) == len(best.cols) && key < bestKey) {
-				best, bestKey = idx, key
+			if covered && (best < 0 || len(d.cols) > len(t.defs[best].cols)) {
+				best = i
 			}
 		}
-		if best != nil {
-			vals := make([]Value, len(best.cols))
-			for i, c := range best.cols {
+		if best >= 0 {
+			d := &t.defs[best]
+			vals := make([]Value, len(d.cols))
+			for i, c := range d.cols {
 				vals[i] = eqCols[c]
 			}
 			p := queryPlan{
-				kind: planEq, idx: best, key: bestKey,
+				kind: planEq, def: d, pos: best,
 				reason: fmt.Sprintf("%d equality conjunct(s) cover all %d index column(s)",
-					len(eqCols), len(best.cols)),
+					len(eqCols), len(d.cols)),
 				eqVals: vals, shard: -1,
 			}
 			if t.shardCol >= 0 {
-				for i, pos := range best.colPos {
+				for i, pos := range d.colPos {
 					if pos == t.shardCol {
 						p.shard = t.shardOfValue(vals[i])
 						break
@@ -975,12 +885,12 @@ func (t *tableData) planFor(where expr, params []Value) queryPlan {
 		lo, hi       *Value
 		loInc, hiInc bool
 		bounded      bool
-		idx          *index
+		pos          int
 	}
 	windows := make(map[string]*window)
 	for _, bd := range bounds {
-		idx, ok := t.shards[0].indexes[bd.col]
-		if !ok {
+		pos := t.indexOf(bd.col)
+		if pos < 0 {
 			continue
 		}
 		v, err := ctx.eval(bd.e)
@@ -989,7 +899,7 @@ func (t *tableData) planFor(where expr, params []Value) queryPlan {
 		}
 		w := windows[bd.col]
 		if w == nil {
-			w = &window{idx: idx}
+			w = &window{pos: pos}
 			windows[bd.col] = w
 		}
 		val := v
@@ -1025,8 +935,8 @@ func (t *tableData) planFor(where expr, params []Value) queryPlan {
 		return queryPlan{kind: planScan, reason: "range conjuncts bind no indexed column", shard: -1}
 	}
 	return queryPlan{
-		kind: planRange, idx: best.idx, key: best.idx.cols[0],
-		reason: windowReason(best.idx.cols[0], best.lo, best.loInc, best.hi, best.hiInc),
+		kind: planRange, def: &t.defs[best.pos], pos: best.pos,
+		reason: windowReason(t.defs[best.pos].key, best.lo, best.loInc, best.hi, best.hiInc),
 		lo:     best.lo, hi: best.hi, loInc: best.loInc, hiInc: best.hiInc,
 		shard: -1,
 	}
@@ -1055,40 +965,27 @@ func windowReason(col string, lo *Value, loInc bool, hi *Value, hiInc bool) stri
 	return sb.String()
 }
 
-// runPlan yields a plan's candidate row ids; the boolean reports
-// whether they came from an index. Candidate sets are shard-count
-// independent: an equality probe narrowed to one shard sees exactly
-// the rows a 1-shard bucket would hold (the probe binds the shard
-// column, so every matching row hashes to that shard), and
-// scatter-gather plans concatenate per-shard results whose union is
-// the 1-shard candidate set — which keeps RowsScanned and friends
-// bit-identical across shard counts.
-func (t *tableData) runPlan(p queryPlan) ([]int64, bool) {
-	switch p.kind {
-	case planEq:
-		if p.shard >= 0 {
-			return t.shards[p.shard].indexes[p.key].lookupEq(p.eqVals), true
-		}
-		if len(t.shards) == 1 {
-			return t.shards[0].indexes[p.key].lookupEq(p.eqVals), true
-		}
-		var out []int64
-		for _, sh := range t.shards {
-			out = append(out, sh.indexes[p.key].lookupEq(p.eqVals)...)
-		}
-		return out, true
-	case planRange:
-		if len(t.shards) == 1 {
-			return t.shards[0].indexes[p.key].lookupRange(p.lo, p.loInc, p.hi, p.hiInc), true
-		}
-		var out []int64
-		for _, sh := range t.shards {
-			out = append(out, sh.indexes[p.key].lookupRange(p.lo, p.loInc, p.hi, p.hiInc)...)
-		}
-		return out, true
-	default:
-		return t.globalOrder(), false
+// probe yields an index plan's candidate rows, in a fresh slice and no
+// particular order. Candidate sets are shard-count independent: an
+// equality probe narrowed to one shard sees exactly the rows a 1-shard
+// probe would (it binds the shard column, so every matching row hashes
+// to that shard), and scatter-gather plans concatenate per-shard
+// results whose union is the 1-shard candidate set — which keeps
+// RowsScanned and friends bit-identical across shard counts.
+func (t *tableData) probe(p queryPlan) []rowEntry {
+	shards := t.shards
+	if p.kind == planEq && p.shard >= 0 {
+		shards = shards[p.shard : p.shard+1]
 	}
+	var out []rowEntry
+	for _, sh := range shards {
+		if p.kind == planRange {
+			out = sh.lookupRange(p, out)
+		} else {
+			out = sh.lookupEq(p, out)
+		}
+	}
+	return out
 }
 
 func isConstExpr(e expr) bool {
@@ -1103,52 +1000,58 @@ func isConstExpr(e expr) bool {
 	return false
 }
 
-// matchingIDs evaluates the WHERE clause over candidates, preserving
-// insertion order, and accounts the rows examined so callers can
-// verify scans were avoided.
-func (db *DB) matchingIDs(t *tableData, where expr, params []Value) ([]int64, error) {
+// matchingRows evaluates the WHERE clause over candidates, returns the
+// rows it keeps in insertion order, and accounts the rows examined so
+// callers can verify scans were avoided.
+func (db *DB) matchingRows(t *tableData, where expr, params []Value) ([]rowEntry, error) {
 	plan := t.planFor(where, params)
-	cands, fromIndex := t.runPlan(plan)
-	switch plan.kind {
-	case planEq:
-		db.planEqCount.Add(1)
-	case planRange:
-		db.planRangeCount.Add(1)
-	default:
-		db.planScanCount.Add(1)
-	}
 	if t.shardsTouched(plan) == 1 {
 		db.planSingleShard.Add(1)
 	} else {
 		db.planScatter.Add(1)
 	}
-	db.rowsScanned.Add(int64(len(cands)))
-	if fromIndex {
-		db.indexHits.Add(1)
-	}
-	var out []int64
 	ctx := &evalCtx{t: t, params: params}
-	for _, id := range cands {
-		row, ok := t.rowOf(id)
-		if !ok {
-			continue
-		}
-		if where != nil {
-			ctx.row = row
-			v, err := ctx.eval(where)
-			if err != nil {
+	if plan.kind == planScan {
+		db.planScanCount.Add(1)
+		db.rowsScanned.Add(int64(t.rowCount()))
+		var out []rowEntry
+		for r := range t.scan() {
+			if ok, err := ctx.matches(where, r.vals); err != nil {
 				return nil, err
-			}
-			if v.IsNull() || !truthy(v) {
-				continue
+			} else if ok {
+				out = append(out, r)
 			}
 		}
-		out = append(out, id)
+		return out, nil
 	}
-	if fromIndex {
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	if plan.kind == planEq {
+		db.planEqCount.Add(1)
+	} else {
+		db.planRangeCount.Add(1)
 	}
+	cands := t.probe(plan)
+	db.rowsScanned.Add(int64(len(cands)))
+	db.indexHits.Add(1)
+	out := cands[:0]
+	for _, r := range cands {
+		if ok, err := ctx.matches(where, r.vals); err != nil {
+			return nil, err
+		} else if ok {
+			out = append(out, r)
+		}
+	}
+	slices.SortFunc(out, rowEntry.cmp)
 	return out, nil
+}
+
+// matches reports whether a row satisfies a WHERE clause (nil: all do).
+func (ctx *evalCtx) matches(where expr, row []Value) (bool, error) {
+	if where == nil {
+		return true, nil
+	}
+	ctx.row = row
+	v, err := ctx.eval(where)
+	return err == nil && !v.IsNull() && truthy(v), err
 }
 
 // validateColumns rejects references to columns the table lacks, so
@@ -1191,7 +1094,7 @@ func (db *DB) execSelect(st *dbState, s selectStmt, params []Value, scr *sortScr
 			return nil, err
 		}
 	}
-	ids, err := db.matchingIDs(t, s.where, params)
+	matched, err := db.matchingRows(t, s.where, params)
 	if err != nil {
 		return nil, err
 	}
@@ -1229,8 +1132,8 @@ func (db *DB) execSelect(st *dbState, s selectStmt, params []Value, scr *sortScr
 	if aggregated {
 		out := make([]Value, len(items))
 		counts := make([]int64, len(items))
-		for _, id := range ids {
-			ctx.row, _ = t.rowOf(id)
+		for _, m := range matched {
+			ctx.row = m.vals
 			for i, it := range items {
 				switch it.agg {
 				case "COUNT":
@@ -1276,16 +1179,15 @@ func (db *DB) execSelect(st *dbState, s selectStmt, params []Value, scr *sortScr
 	// sort was skipped.
 	orderedByIndex := false
 	if len(s.orderBy) == 1 {
-		key := normalizeIdent(s.orderBy[0].col)
-		if _, ok := t.shards[0].indexes[key]; ok {
-			ids = t.orderIDs(key, ids, s.orderBy[0].desc, scr)
+		if pos := t.indexOf(normalizeIdent(s.orderBy[0].col)); pos >= 0 {
+			matched = t.orderRows(pos, matched, s.orderBy[0].desc, scr)
 			orderedByIndex = true
 			db.orderSkips.Add(1)
 		}
 	}
 
-	for _, id := range ids {
-		ctx.row, _ = t.rowOf(id)
+	for _, m := range matched {
+		ctx.row = m.vals
 		row := make([]Value, len(items))
 		for i, it := range items {
 			v, err := ctx.eval(it.expr)
@@ -1301,35 +1203,18 @@ func (db *DB) execSelect(st *dbState, s selectStmt, params []Value, scr *sortScr
 		// Order by the projected column when present; otherwise fall
 		// back to the source row's column value.
 		keyPos := make([]int, len(s.orderBy))
+		srcPos := make([]int, len(s.orderBy))
 		for i, k := range s.orderBy {
-			if _, ok := t.colIdx[normalizeIdent(k.col)]; !ok {
+			pos, ok := t.colIdx[normalizeIdent(k.col)]
+			if !ok {
 				return nil, fmt.Errorf("metadb: ORDER BY unknown column %q", k.col)
 			}
-			keyPos[i] = -1
+			keyPos[i], srcPos[i] = -1, pos
 			for j, c := range cols {
 				if normalizeIdent(c) == normalizeIdent(k.col) {
 					keyPos[i] = j
 					break
 				}
-			}
-		}
-		// For non-projected order columns, precompute key values.
-		var extKeys [][]Value
-		needExt := false
-		for _, kp := range keyPos {
-			if kp == -1 {
-				needExt = true
-			}
-		}
-		if needExt {
-			extKeys = make([][]Value, len(ids))
-			for r, id := range ids {
-				row, _ := t.rowOf(id)
-				keys := make([]Value, len(s.orderBy))
-				for i, k := range s.orderBy {
-					keys[i] = row[t.colIdx[normalizeIdent(k.col)]]
-				}
-				extKeys[r] = keys
 			}
 		}
 		type sortable struct {
@@ -1343,7 +1228,7 @@ func (db *DB) execSelect(st *dbState, s selectStmt, params []Value, scr *sortScr
 				if kp >= 0 {
 					keys[i] = res.Data[r][kp]
 				} else {
-					keys[i] = extKeys[r][i]
+					keys[i] = matched[r].vals[srcPos[i]]
 				}
 			}
 			items2[r] = sortable{res.Data[r], keys}

@@ -9,8 +9,11 @@ package metadb
 // atomically; see the write paths below for the locking protocol.
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"iter"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -28,10 +31,10 @@ const (
 )
 
 // dbState is one immutable version of the whole database. Everything
-// reachable from it — tables, shards, rows, index buckets — is frozen
-// at publish time; the only tolerated in-place mutation is an index's
-// lazily rebuilt sorted-bucket cache, which is serialized by its own
-// mutex and idempotent.
+// reachable from it — tables, shards, tree nodes, rows — is frozen at
+// publish time; the only tolerated in-place mutation is an index's
+// lazily built sorted view, which is serialized by its own mutex and
+// idempotent.
 type dbState struct {
 	version int64
 	tables  map[string]*tableData
@@ -43,6 +46,9 @@ type tableData struct {
 	name   string
 	cols   []columnDef
 	colIdx map[string]int
+	// defs lists the indexes sorted by key; every shard's idx slice is
+	// parallel to it.
+	defs []indexDef
 
 	// shardCol is the position of the column whose hash routes a row
 	// to its shard: the leading column of the widest index (lexically
@@ -53,23 +59,63 @@ type tableData struct {
 	shards   []*shardData
 }
 
-// shardData holds one shard's rows in ascending-id (insertion) order,
-// plus that shard's slice of every index. All shards carry the same
-// index set; a lookup merges per-shard results.
-type shardData struct {
-	order   []int64
-	rows    map[int64][]Value
-	indexes map[string]*index
+// indexDef is the schema-level identity of an index, shared by every
+// shard's instance of it. key is the column names joined by commas, so
+// a single-column index is found under the bare column name (range and
+// ORDER BY lookups use that) and composite indexes never shadow it.
+type indexDef struct {
+	name   string
+	key    string
+	cols   []string
+	colPos []int
 }
 
-func newShardData() *shardData {
-	return &shardData{rows: make(map[int64][]Value), indexes: make(map[string]*index)}
+func newIndexDef(name string, cols []string, colPos []int) indexDef {
+	return indexDef{name, strings.Join(cols, ","), cols, colPos}
+}
+
+// byKey is the order a table lists its indexes in.
+func byKey(a, b indexDef) int { return strings.Compare(a.key, b.key) }
+
+// maxIndexes bounds the indexes of one table, and with it what a
+// snapshot's index list can make Load build per row.
+const maxIndexes = 32
+
+// rowEntry is one stored row. Ids ascend in insertion order.
+type rowEntry struct {
+	id   int64
+	vals []Value
+}
+
+func (a rowEntry) cmp(b rowEntry) int { return cmp.Compare(a.id, b.id) }
+
+// idxEntry files a row id under the hash of its index-column tuple.
+// The tuple itself is not stored: a probe reads it back from the row,
+// which is also how tuples colliding on one hash are told apart.
+type idxEntry struct {
+	hash uint64
+	id   int64
+}
+
+func (a idxEntry) cmp(b idxEntry) int {
+	if c := cmp.Compare(a.hash, b.hash); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.id, b.id)
+}
+
+// shardData holds one shard's rows by ascending id, plus that shard's
+// slice of every index. All shards carry the same index set; a lookup
+// merges per-shard results.
+type shardData struct {
+	rows tree[rowEntry]
+	idx  []*index
 }
 
 func newTableData(name string, cols []columnDef, colIdx map[string]int, nshards int) *tableData {
 	t := &tableData{name: name, cols: cols, colIdx: colIdx, shardCol: -1, shards: make([]*shardData, nshards)}
 	for i := range t.shards {
-		t.shards[i] = newShardData()
+		t.shards[i] = &shardData{}
 	}
 	return t
 }
@@ -77,33 +123,23 @@ func newTableData(name string, cols []columnDef, colIdx map[string]int, nshards 
 func (t *tableData) rowCount() int {
 	n := 0
 	for _, sh := range t.shards {
-		n += len(sh.order)
+		n += sh.rows.n
 	}
 	return n
 }
 
-func (t *tableData) rowOf(id int64) ([]Value, bool) {
-	row, ok := t.shards[int(id&shardIdxMask)].rows[id]
-	return row, ok
+// indexOf returns the position in defs of the index with this key, or
+// -1.
+func (t *tableData) indexOf(key string) int {
+	return slices.IndexFunc(t.defs, func(d indexDef) bool { return d.key == key })
 }
 
-// shardOfValue routes a shard-column value to its shard (FNV-1a over
-// the value's canonical hash key).
+// shardOfValue routes a shard-column value to its shard.
 func (t *tableData) shardOfValue(v Value) int {
 	if len(t.shards) == 1 {
 		return 0
 	}
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	k := v.hashKey()
-	for i := 0; i < len(k); i++ {
-		h ^= uint32(k[i])
-		h *= prime32
-	}
-	return int(h % uint32(len(t.shards)))
+	return int(v.hash(hashSeed) % uint64(len(t.shards)))
 }
 
 func (t *tableData) rowShard(row []Value) int {
@@ -113,55 +149,39 @@ func (t *tableData) rowShard(row []Value) int {
 	return t.shardOfValue(row[t.shardCol])
 }
 
-// globalOrder merges the per-shard insertion orders into the global
-// one. Per-shard orders ascend by id and ids ascend in allocation
-// order, so an ascending merge by id reproduces exactly the row order
-// a 1-shard table keeps.
-func (t *tableData) globalOrder() []int64 {
-	if len(t.shards) == 1 {
-		return t.shards[0].order
-	}
-	total := t.rowCount()
-	out := make([]int64, 0, total)
-	heads := make([]int, len(t.shards))
-	for len(out) < total {
-		best := -1
-		var bestID int64
-		for s, sh := range t.shards {
-			if heads[s] < len(sh.order) {
-				if id := sh.order[heads[s]]; best < 0 || id < bestID {
-					best, bestID = s, id
-				}
+// scan yields every row in global insertion order. Per-shard trees
+// ascend by id and ids ascend in allocation order, so an ascending
+// merge by id reproduces exactly the row order a 1-shard table keeps.
+func (t *tableData) scan() iter.Seq[rowEntry] {
+	return func(yield func(rowEntry) bool) {
+		type head struct {
+			c cursor[rowEntry]
+			e rowEntry
+		}
+		heads := make([]head, 0, len(t.shards))
+		for _, sh := range t.shards {
+			c := sh.rows.from(rowEntry{})
+			if e, ok := c.next(); ok {
+				heads = append(heads, head{c, e})
 			}
 		}
-		out = append(out, bestID)
-		heads[best]++
+		for len(heads) > 0 {
+			b := 0
+			for i := range heads {
+				if heads[i].e.id < heads[b].e.id {
+					b = i
+				}
+			}
+			if !yield(heads[b].e) {
+				return
+			}
+			if e, ok := heads[b].c.next(); ok {
+				heads[b].e = e
+			} else {
+				heads = slices.Delete(heads, b, b+1)
+			}
+		}
 	}
-	return out
-}
-
-// indexDef is the schema-level identity of an index, shared by every
-// shard's instance of it.
-type indexDef struct {
-	name   string
-	cols   []string
-	colPos []int
-}
-
-// indexDefs lists the table's index definitions sorted by key.
-func (t *tableData) indexDefs() []indexDef {
-	sh := t.shards[0]
-	keys := make([]string, 0, len(sh.indexes))
-	for k := range sh.indexes {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	defs := make([]indexDef, 0, len(keys))
-	for _, k := range keys {
-		idx := sh.indexes[k]
-		defs = append(defs, indexDef{idx.name, idx.cols, idx.colPos})
-	}
-	return defs
 }
 
 // chooseShardCol picks the shard-routing column for a set of index
@@ -170,70 +190,68 @@ func (t *tableData) indexDefs() []indexDef {
 func chooseShardCol(defs []indexDef) int {
 	best, bestW, bestKey := -1, 0, ""
 	for _, d := range defs {
-		key := indexKey(d.cols)
-		if best < 0 || len(d.cols) > bestW || (len(d.cols) == bestW && key < bestKey) {
-			best, bestW, bestKey = d.colPos[0], len(d.cols), key
+		if best < 0 || len(d.cols) > bestW || (len(d.cols) == bestW && d.key < bestKey) {
+			best, bestW, bestKey = d.colPos[0], len(d.cols), d.key
 		}
 	}
 	return best
 }
 
-// buildTable constructs a fully indexed, sharded table from rows given
-// in global insertion order with their seqs (the high id bits, which
-// must ascend). Shared by CREATE INDEX resharding and Load.
-func buildTable(name string, cols []columnDef, colIdx map[string]int, nshards int, defs []indexDef, seqs []int64, rows [][]Value) *tableData {
-	t := newTableData(name, cols, colIdx, nshards)
-	t.shardCol = chooseShardCol(defs)
-	for _, sh := range t.shards {
-		for _, d := range defs {
-			sh.indexes[indexKey(d.cols)] = newIndex(d.name, d.cols, d.colPos)
-		}
+// buildIndex bulk-builds one shard's instance of an index from that
+// shard's rows.
+func buildIndex(d indexDef, rows []rowEntry, ents []idxEntry) *index {
+	for i, r := range rows {
+		ents[i] = idxEntry{hashTuple(r.vals, d.colPos), r.id}
 	}
-	for i, row := range rows {
-		shard := t.rowShard(row)
-		id := seqs[i]<<shardBits | int64(shard)
-		sh := t.shards[shard]
-		sh.rows[id] = row
-		sh.order = append(sh.order, id)
-		for _, idx := range sh.indexes {
-			idx.insert(row, id)
+	slices.SortFunc(ents, idxEntry.cmp)
+	return &index{ents: bulkTree(ents)}
+}
+
+// buildTable constructs a fully indexed, sharded table from rows given
+// in global insertion order, each id carrying its seq in the high bits
+// (the shard bits are overwritten). Shared by CREATE INDEX resharding
+// and Load. It gives up rows.
+func buildTable(name string, cols []columnDef, colIdx map[string]int, nshards int, defs []indexDef, rows []rowEntry) *tableData {
+	t := newTableData(name, cols, colIdx, nshards)
+	t.defs, t.shardCol = defs, chooseShardCol(defs)
+	// Counting sort by shard keeps each shard's rows in id order.
+	shardOf := make([]uint8, len(rows))
+	starts := make([]int, nshards+1)
+	for i, r := range rows {
+		s := t.rowShard(r.vals)
+		shardOf[i] = uint8(s)
+		starts[s+1]++
+	}
+	for s := range nshards {
+		starts[s+1] += starts[s]
+	}
+	sorted := make([]rowEntry, len(rows))
+	fill := slices.Clone(starts)
+	for i, r := range rows {
+		s := int(shardOf[i])
+		sorted[fill[s]] = rowEntry{r.id&^shardIdxMask | int64(s), r.vals}
+		fill[s]++
+	}
+	ents := make([]idxEntry, len(rows)*len(defs))
+	for s, sh := range t.shards {
+		part := sorted[starts[s]:starts[s+1]:starts[s+1]]
+		sh.idx = make([]*index, len(defs))
+		for i, d := range defs {
+			lo := i*len(rows) + starts[s]
+			sh.idx[i] = buildIndex(d, part, ents[lo:lo+len(part):lo+len(part)])
 		}
+		sh.rows = bulkTree(part)
 	}
 	return t
 }
 
-// withIndex returns a copy of the table with one index added. When the
-// new index changes the shard-routing column, every row is re-routed;
-// seqs are preserved so global insertion order survives.
-func (t *tableData) withIndex(name, key string, cols []string, colPos []int) *tableData {
-	defs := append(t.indexDefs(), indexDef{name, cols, colPos})
-	if chooseShardCol(defs) != t.shardCol {
-		order := t.globalOrder()
-		seqs := make([]int64, len(order))
-		rows := make([][]Value, len(order))
-		for i, id := range order {
-			seqs[i] = id >> shardBits
-			rows[i], _ = t.rowOf(id)
-		}
-		return buildTable(t.name, t.cols, t.colIdx, len(t.shards), defs, seqs, rows)
-	}
-	// Same routing: clone each shard, adding the new index built from
-	// that shard's rows in insertion order.
-	nt := *t
-	nt.shards = make([]*shardData, len(t.shards))
-	for s, sh := range t.shards {
-		idx := newIndex(name, cols, colPos)
-		for _, id := range sh.order {
-			idx.insert(sh.rows[id], id)
-		}
-		idxs := make(map[string]*index, len(sh.indexes)+1)
-		for k, v := range sh.indexes {
-			idxs[k] = v
-		}
-		idxs[key] = idx
-		nt.shards[s] = &shardData{order: sh.order, rows: sh.rows, indexes: idxs}
-	}
-	return &nt
+// withIndex returns a copy of the table with one index added, rebuilt
+// whole: the new index may move the shard-routing column, re-routing
+// every row. Seqs are preserved, so global insertion order survives.
+func (t *tableData) withIndex(d indexDef) *tableData {
+	defs := append(slices.Clone(t.defs), d)
+	slices.SortFunc(defs, byKey)
+	return buildTable(t.name, t.cols, t.colIdx, len(t.shards), defs, slices.Collect(t.scan()))
 }
 
 // ---------------------------------------------------------------------------
@@ -295,14 +313,16 @@ func allShards(n int) []int {
 // unlocked shards of the same table (and all other tables) are taken
 // from the current tip, so disjoint-shard writers never lose each
 // other's commits.
-func (db *DB) publishShards(name string, sealed map[int]*shardData) {
+func (db *DB) publishShards(name string, edited []*shardData) {
 	db.commitMu.Lock()
 	cur := db.state.Load()
 	t := cur.tables[name]
 	nt := *t
-	nt.shards = append([]*shardData(nil), t.shards...)
-	for s, sd := range sealed {
-		nt.shards[s] = sd
+	nt.shards = slices.Clone(t.shards)
+	for s, sd := range edited {
+		if sd != nil {
+			nt.shards[s] = sd
+		}
 	}
 	tables := make(map[string]*tableData, len(cur.tables))
 	for n, tt := range cur.tables {
@@ -337,142 +357,62 @@ func (db *DB) publishTableDef(name string, t *tableData) {
 // Copy-on-write edits
 // ---------------------------------------------------------------------------
 
-// editIndex wraps a cloned index whose buckets are still shared with
-// the published version; a bucket is deep-copied the first time this
-// edit mutates it, so untouched buckets cost nothing.
-type editIndex struct {
-	idx   *index
-	owned map[string]bool
-}
-
-func (ei *editIndex) insert(row []Value, id int64) {
-	key := ei.idx.rowKey(row)
-	b, ok := ei.idx.m[key]
-	switch {
-	case !ok:
-		vals := make([]Value, len(ei.idx.colPos))
-		for i, p := range ei.idx.colPos {
-			vals[i] = row[p]
-		}
-		b = &bucket{vals: vals}
-		ei.idx.m[key] = b
-		ei.owned[key] = true
-	case !ei.owned[key]:
-		b = &bucket{vals: b.vals, ids: append([]int64(nil), b.ids...)}
-		ei.idx.m[key] = b
-		ei.owned[key] = true
-	}
-	b.ids = append(b.ids, id)
-}
-
-func (ei *editIndex) remove(row []Value, id int64) {
-	key := ei.idx.rowKey(row)
-	b, ok := ei.idx.m[key]
-	if !ok {
-		return
-	}
-	if !ei.owned[key] {
-		b = &bucket{vals: b.vals, ids: append([]int64(nil), b.ids...)}
-		ei.idx.m[key] = b
-		ei.owned[key] = true
-	}
-	for i, x := range b.ids {
-		if x == id {
-			b.ids = append(b.ids[:i], b.ids[i+1:]...)
-			break
-		}
-	}
-	if len(b.ids) == 0 {
-		delete(ei.idx.m, key)
-	}
-}
-
-// shardEdit is a mutable copy of one shard under construction. The
-// order slice and rows map are copied up front; index buckets copy
-// lazily via editIndex.
-type shardEdit struct {
-	order   []int64
-	rows    map[int64][]Value
-	indexes map[string]*editIndex
-}
-
-func (se *shardEdit) insert(id int64, row []Value) {
-	se.rows[id] = row
-	if n := len(se.order); n == 0 || id > se.order[n-1] {
-		se.order = append(se.order, id)
-	} else {
-		// Only UPDATE-moved rows land mid-order (their seq predates the
-		// shard's tail); keep the slice ascending.
-		i := sort.Search(n, func(j int) bool { return se.order[j] > id })
-		se.order = append(se.order, 0)
-		copy(se.order[i+1:], se.order[i:])
-		se.order[i] = id
-	}
-	for _, ei := range se.indexes {
-		ei.insert(row, id)
-	}
-}
-
-func (se *shardEdit) remove(id int64, row []Value) {
-	delete(se.rows, id)
-	for i, x := range se.order {
-		if x == id {
-			se.order = append(se.order[:i], se.order[i+1:]...)
-			break
-		}
-	}
-	for _, ei := range se.indexes {
-		ei.remove(row, id)
-	}
-}
-
 // tableEdit accumulates copy-on-write edits to some of a table's
-// shards. The writer must hold the locks of every shard it edits from
-// before the base state is loaded until after publish.
+// shards. An edited shard starts as a copy of the published shard's
+// tree roots; put and del then copy only the nodes on the paths they
+// change (see tree.go), so a commit costs what its batch touches, not
+// what the shard holds — TestCommitCostFlatInTableSize pins that. The
+// writer must hold the locks of every shard it edits from before the
+// base state is loaded until after publish.
 type tableEdit struct {
-	t     *tableData
-	edits map[int]*shardEdit
+	t      *tableData
+	gen    uint64
+	shards []*shardData // by shard number; nil where untouched
 }
 
-func newTableEdit(t *tableData) *tableEdit {
-	return &tableEdit{t: t, edits: make(map[int]*shardEdit)}
+func (db *DB) newTableEdit(t *tableData) *tableEdit {
+	return &tableEdit{t: t, gen: db.editGen.Add(1), shards: make([]*shardData, len(t.shards))}
 }
 
-func (te *tableEdit) shard(s int) *shardEdit {
-	if se, ok := te.edits[s]; ok {
-		return se
-	}
-	base := te.t.shards[s]
-	se := &shardEdit{
-		order:   append([]int64(nil), base.order...),
-		rows:    make(map[int64][]Value, len(base.rows)+1),
-		indexes: make(map[string]*editIndex, len(base.indexes)),
-	}
-	for id, row := range base.rows {
-		se.rows[id] = row
-	}
-	for key, idx := range base.indexes {
-		clone := newIndex(idx.name, idx.cols, idx.colPos)
-		for k, b := range idx.m {
-			clone.m[k] = b
+func (te *tableEdit) shard(s int) *shardData {
+	if te.shards[s] == nil {
+		base := te.t.shards[s]
+		sd := &shardData{rows: base.rows, idx: make([]*index, len(base.idx))}
+		for i, ix := range base.idx {
+			sd.idx[i] = &index{ents: ix.ents}
 		}
-		se.indexes[key] = &editIndex{idx: clone, owned: make(map[string]bool)}
+		te.shards[s] = sd
 	}
-	te.edits[s] = se
-	return se
+	return te.shards[s]
 }
 
-// seal freezes the edits into immutable shardData ready to publish.
-func (te *tableEdit) seal() map[int]*shardData {
-	out := make(map[int]*shardData, len(te.edits))
-	for s, se := range te.edits {
-		sd := &shardData{order: se.order, rows: se.rows, indexes: make(map[string]*index, len(se.indexes))}
-		for key, ei := range se.indexes {
-			sd.indexes[key] = ei.idx
-		}
-		out[s] = sd
+func (te *tableEdit) insert(s int, id int64, row []Value) {
+	sd := te.shard(s)
+	sd.rows.put(te.gen, rowEntry{id, row})
+	for i, d := range te.t.defs {
+		sd.idx[i].ents.put(te.gen, idxEntry{hashTuple(row, d.colPos), id})
 	}
-	return out
+}
+
+func (te *tableEdit) remove(s int, id int64, row []Value) {
+	sd := te.shard(s)
+	sd.rows.del(te.gen, rowEntry{id: id})
+	for i, d := range te.t.defs {
+		sd.idx[i].ents.del(te.gen, idxEntry{hashTuple(row, d.colPos), id})
+	}
+}
+
+// replace swaps a row's values in place (same id, same shard), moving
+// its entry in the indexes whose tuple changed.
+func (te *tableEdit) replace(s int, id int64, old, row []Value) {
+	sd := te.shard(s)
+	sd.rows.put(te.gen, rowEntry{id, row})
+	for i, d := range te.t.defs {
+		if oh, nh := hashTuple(old, d.colPos), hashTuple(row, d.colPos); oh != nh {
+			sd.idx[i].ents.del(te.gen, idxEntry{oh, id})
+			sd.idx[i].ents.put(te.gen, idxEntry{nh, id})
+		}
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -525,14 +465,17 @@ func (db *DB) execCreateIndex(s createIndexStmt) error {
 		cols[i] = col
 		colPos[i] = pos
 	}
-	key := indexKey(cols)
-	if _, exists := t.shards[0].indexes[key]; exists {
+	d := newIndexDef(normalizeIdent(s.name), cols, colPos)
+	if t.indexOf(d.key) >= 0 {
 		if s.ifNotExists {
 			return nil
 		}
-		return fmt.Errorf("metadb: index on %s(%s) already exists", s.table, key)
+		return fmt.Errorf("metadb: index on %s(%s) already exists", s.table, d.key)
 	}
-	db.publishTableDef(t.name, t.withIndex(normalizeIdent(s.name), key, cols, colPos))
+	if len(t.defs) == maxIndexes {
+		return fmt.Errorf("metadb: table %q already has %d indexes", s.table, maxIndexes)
+	}
+	db.publishTableDef(t.name, t.withIndex(d))
 	return nil
 }
 
@@ -631,12 +574,12 @@ eval:
 	defer unlockShards(lk, affected)
 	// Re-read the tip: disjoint-shard writers may have published since
 	// the first load; the shards locked above are now quiescent.
-	te := newTableEdit(db.state.Load().tables[t.name])
+	te := db.newTableEdit(db.state.Load().tables[t.name])
 	for i, row := range rows {
 		seq := lk.nextSeq.Add(1) - 1
-		te.shard(shards[i]).insert(seq<<shardBits|int64(shards[i]), row)
+		te.insert(shards[i], seq<<shardBits|int64(shards[i]), row)
 	}
-	db.publishShards(t.name, te.seal())
+	db.publishShards(t.name, te.shards)
 	return len(rows), evalErr
 }
 
@@ -656,19 +599,20 @@ func (db *DB) execUpdate(s updateStmt, params []Value) (int, error) {
 	db.lockShards(lk, all)
 	defer unlockShards(lk, all)
 	t := db.state.Load().tables[t0.name]
-	ids, err := db.matchingIDs(t, s.where, params)
+	matched, err := db.matchingRows(t, s.where, params)
 	if err != nil {
 		return 0, err
 	}
-	te := newTableEdit(t)
+	te := db.newTableEdit(t)
+	edited := false
 	publish := func() {
-		if len(te.edits) > 0 {
-			db.publishShards(t.name, te.seal())
+		if edited {
+			db.publishShards(t.name, te.shards)
 		}
 	}
 	ctx := &evalCtx{t: t, params: params}
-	for _, id := range ids {
-		row, _ := t.rowOf(id)
+	for _, m := range matched {
+		id, row := m.id, m.vals
 		ctx.row = row
 		newRow := append([]Value(nil), row...)
 		for _, sc := range s.sets {
@@ -689,26 +633,19 @@ func (db *DB) execUpdate(s updateStmt, params []Value) (int, error) {
 			}
 			newRow[pos] = cv
 		}
+		edited = true
 		oldShard := int(id & shardIdxMask)
-		newShard := t.rowShard(newRow)
-		if newShard == oldShard {
-			se := te.shard(oldShard)
-			for _, ei := range se.indexes {
-				if ei.idx.rowKey(row) != ei.idx.rowKey(newRow) {
-					ei.remove(row, id)
-					ei.insert(newRow, id)
-				}
-			}
-			se.rows[id] = newRow
+		if newShard := t.rowShard(newRow); newShard == oldShard {
+			te.replace(oldShard, id, row, newRow)
 		} else {
 			// The new shard-column value re-routes the row; the seq (and
 			// with it the global insertion-order position) is preserved.
-			te.shard(oldShard).remove(id, row)
-			te.shard(newShard).insert(id&^int64(shardIdxMask)|int64(newShard), newRow)
+			te.remove(oldShard, id, row)
+			te.insert(newShard, id&^shardIdxMask|int64(newShard), newRow)
 		}
 	}
 	publish()
-	return len(ids), nil
+	return len(matched), nil
 }
 
 func (db *DB) execDelete(s deleteStmt, params []Value) (int, error) {
@@ -723,18 +660,17 @@ func (db *DB) execDelete(s deleteStmt, params []Value) (int, error) {
 	db.lockShards(lk, all)
 	defer unlockShards(lk, all)
 	t := db.state.Load().tables[t0.name]
-	ids, err := db.matchingIDs(t, s.where, params)
+	matched, err := db.matchingRows(t, s.where, params)
 	if err != nil {
 		return 0, err
 	}
-	if len(ids) == 0 {
+	if len(matched) == 0 {
 		return 0, nil
 	}
-	te := newTableEdit(t)
-	for _, id := range ids {
-		row, _ := t.rowOf(id)
-		te.shard(int(id&shardIdxMask)).remove(id, row)
+	te := db.newTableEdit(t)
+	for _, m := range matched {
+		te.remove(int(m.id&shardIdxMask), m.id, m.vals)
 	}
-	db.publishShards(t.name, te.seal())
-	return len(ids), nil
+	db.publishShards(t.name, te.shards)
+	return len(matched), nil
 }

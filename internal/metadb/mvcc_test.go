@@ -407,6 +407,10 @@ func TestShardedDifferentialRandomized(t *testing.T) {
 		if err := loaded.Load(bytes.NewReader(b8.Bytes())); err != nil {
 			t.Fatal(err)
 		}
+		var again bytes.Buffer
+		if err := loaded.Save(&again); err != nil || !bytes.Equal(again.Bytes(), b8.Bytes()) {
+			t.Errorf("image loaded into %d shards saves %d bytes (%v), not the %d it was loaded from", n, again.Len(), err, b8.Len())
+		}
 		for _, q := range []string{
 			`SELECT * FROM exec ORDER BY dataset`,
 			`SELECT COUNT(*) FROM exec`,

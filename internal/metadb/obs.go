@@ -45,7 +45,7 @@ func (db *DB) RegisterMetrics(r *obs.Registry) {
 				continue
 			}
 			for i, sh := range t.shards {
-				put(fmt.Sprintf("rows.%s.shard%d", n, i), int64(len(sh.order)))
+				put(fmt.Sprintf("rows.%s.shard%d", n, i), int64(sh.rows.n))
 			}
 		}
 	})

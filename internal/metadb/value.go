@@ -12,7 +12,9 @@
 package metadb
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -156,49 +158,78 @@ func compare(a, b Value) int {
 		}
 		return 0
 	case KindBlob:
-		return compareBytes(a.b, b.b)
+		return bytes.Compare(a.b, b.b)
 	}
 	return 0
 }
 
-func compareBytes(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	}
-	return 0
+// hashSeed starts every tuple hash; the multiplier is FNV-1a's.
+const (
+	hashSeed  = 14695981039346656037
+	hashPrime = 1099511628211
+)
+
+func hashWord(h, x uint64) uint64 {
+	h = (h ^ x) * 0x9E3779B97F4A7C15
+	return h ^ h>>29
 }
 
-// hashKey produces a map key for index lookups. Numeric values hash by
-// their real representation so Int(3) and Real(3.0) collide, matching
-// compare.
-func (v Value) hashKey() string {
+func hashBytes[T string | []byte](h uint64, b T) uint64 {
+	for i := 0; i < len(b); i++ {
+		h = (h ^ uint64(b[i])) * hashPrime
+	}
+	return hashWord(h, uint64(len(b))) // the length keeps ("ab","c") off ("a","bc")
+}
+
+// hash folds v into the running tuple hash h. Values that sameKey
+// equates hash alike: numbers by their real representation, so Int(3)
+// and Real(3.0) collide, matching compare.
+func (v Value) hash(h uint64) uint64 {
 	switch v.kind {
-	case KindNull:
-		return "n"
 	case KindInt, KindReal:
-		return "f" + strconv.FormatFloat(v.AsReal(), 'b', -1, 64)
+		return hashWord(h^1, keyBits(v.AsReal()))
 	case KindText:
-		return "t" + v.s
+		return hashBytes(h^2, v.s)
 	case KindBlob:
-		return "b" + string(v.b)
+		return hashBytes(h^3, v.b)
 	}
-	return "?"
+	return hashWord(h, 0)
 }
+
+// keyBits is the bit pattern a number is indexed under: -0 as +0 and
+// every NaN as one.
+func keyBits(f float64) uint64 {
+	switch {
+	case f == 0:
+		return 0
+	case f != f:
+		return math.Float64bits(math.NaN())
+	}
+	return math.Float64bits(f)
+}
+
+// hashTuple hashes the index key of a row: the values at the given
+// positions, or every value in order when pos is nil (a probe tuple).
+// A variable so the collision test can force distinct tuples onto one
+// hash.
+var hashTuple = func(vals []Value, pos []int) uint64 {
+	h := uint64(hashSeed)
+	if pos == nil {
+		for _, v := range vals {
+			h = v.hash(h)
+		}
+		return h
+	}
+	for _, p := range pos {
+		h = vals[p].hash(h)
+	}
+	return h
+}
+
+// sameKey reports whether two values are one index key — equal as the
+// WHERE clause's = has it, except that NULL is a key too: the relation
+// an index resolves colliding hashes with.
+func sameKey(a, b Value) bool { return a.IsNull() == b.IsNull() && compare(a, b) == 0 }
 
 // coerce converts v for storage into a column of kind k.
 func coerce(v Value, k Kind) (Value, error) {

@@ -105,6 +105,12 @@ run "$bin/sdmcat" -dataset pressure -timestep 2 -head 5 "$t/bundle"
 run "$bin/sdmcat" -dataset pressure -timestep 1 -as raw -o "$t/local.bin" "$t/bundle"
 run "$bin/sdmls" "$t/bundle/catalog.db"
 run "$bin/sdmls" -sql 'SELECT runid, dataset FROM execution_table WHERE timestep = 1' "$t/bundle/catalog.db"
+# A catalog.db of a bundle saved before PR 18 is an MDB1 snapshot;
+# nothing in the tree writes one any more, so the golden stands in.
+run "$bin/sdmls" -sql 'SELECT id, name, payload FROM obs' "$root/internal/metadb/testdata/golden_v1.mdb"
+# ...and a snapshot cut short is refused, not listed as a shorter table.
+head -c 300 "$root/internal/metadb/testdata/golden_v1.mdb" >"$t/cut.mdb"
+fails "$bin/sdmls" -sql 'SELECT id FROM obs' "$t/cut.mdb"
 # The SQL a user can type at the shell: DDL, DML, range and ordered
 # plans, EXPLAIN, the meta commands, and a write-back.
 cp "$t/bundle/catalog.db" "$t/scratch.db"
