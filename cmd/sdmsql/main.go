@@ -9,7 +9,7 @@
 //
 // Meta commands (on their own line): \t lists tables, \d <table>
 // shows columns, \stats prints the engine's query statistics
-// (plan-kind and single-shard vs scatter counts included), \w writes
+// (plan-kind counts and writer waits included), \w writes
 // the database back to the -db file, \q quits.
 //
 // Usage:
@@ -181,8 +181,8 @@ func execute(db *metadb.DB, stmt string) {
 }
 
 // printStats dumps one consistent snapshot of the engine's counters,
-// including how queries split across plan kinds and across
-// single-shard vs scatter execution.
+// including how queries split across plan kinds and how often a writer
+// found the writer mutex held.
 func printStats(db *metadb.DB) {
 	st := db.StatsSnapshot()
 	w := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
@@ -193,12 +193,9 @@ func printStats(db *metadb.DB) {
 	fmt.Fprintf(w, "plan eq\t%d\n", st.PlanEq)
 	fmt.Fprintf(w, "plan range\t%d\n", st.PlanRange)
 	fmt.Fprintf(w, "plan scan\t%d\n", st.PlanScan)
-	fmt.Fprintf(w, "single-shard plans\t%d\n", st.PlanSingleShard)
-	fmt.Fprintf(w, "scatter plans\t%d\n", st.PlanScatter)
 	fmt.Fprintf(w, "snapshots\t%d\n", st.Snapshots)
 	fmt.Fprintf(w, "commits\t%d\n", st.Commits)
-	fmt.Fprintf(w, "shard waits\t%d\n", st.ShardWaits)
-	fmt.Fprintf(w, "shards\t%d\n", int64(db.NumShards()))
+	fmt.Fprintf(w, "writer waits\t%d\n", st.ShardWaits)
 	w.Flush()
 }
 

@@ -82,16 +82,8 @@ func TestLookupWritesBatchAndCompositeIndex(t *testing.T) {
 	if gotScanned := st.RowsScanned - st0.RowsScanned; gotScanned != 2 {
 		t.Fatalf("RowsScanned delta = %d, want 2", gotScanned)
 	}
-	// Each probe binds runid, the execution table's shard column, so a
-	// sharded engine serves it from exactly one shard.
 	if gotEq := st.PlanEq - st0.PlanEq; gotEq != 3 {
 		t.Fatalf("PlanEq delta = %d, want 3", gotEq)
-	}
-	if gotSingle := st.PlanSingleShard - st0.PlanSingleShard; gotSingle != 3 {
-		t.Fatalf("PlanSingleShard delta = %d, want 3 (probes bind the shard column)", gotSingle)
-	}
-	if gotScatter := st.PlanScatter - st0.PlanScatter; gotScatter != 0 {
-		t.Fatalf("PlanScatter delta = %d, want 0", gotScatter)
 	}
 }
 
@@ -120,7 +112,7 @@ func TestLookupWriteUsesCompositeIndex(t *testing.T) {
 	if got := st.RowsScanned - st0.RowsScanned; got != 1 {
 		t.Fatalf("LookupWrite scanned %d rows, want 1 via composite index", got)
 	}
-	if got := st.PlanSingleShard - st0.PlanSingleShard; got != 1 {
-		t.Fatalf("LookupWrite used %d single-shard plans, want 1", got)
+	if eq, hits := st.PlanEq-st0.PlanEq, st.IndexHits-st0.IndexHits; eq != 1 || hits != 1 {
+		t.Fatalf("LookupWrite ran %d equality plans with %d index hits, want 1 and 1", eq, hits)
 	}
 }

@@ -21,10 +21,9 @@ func stepRecords(step int64) []WriteRecord {
 	return recs
 }
 
-// commitCost grows one run to rows execution-table rows — every row in
-// the shard its run id hashes to, the deepest trees a table of that
-// size can have — and measures what recording one more checkpoint
-// allocates, as the mean over the next 64.
+// commitCost grows one run to rows execution-table rows and measures
+// what recording one more checkpoint allocates, as the mean over the
+// next 64.
 func commitCost(t *testing.T, rows int) (bytes, objects float64) {
 	t.Helper()
 	c := New(metadb.New())
@@ -57,11 +56,11 @@ func commitCost(t *testing.T, rows int) (bytes, objects float64) {
 // TestCommitCostFlatInTableSize pins the copy-on-write contract of
 // metadb's commits: a batch copies the tree paths it changes — for
 // each row a leaf of the row tree and of both indexes, and the branch
-// above it — never the shard, so what a 16-row RecordWrites allocates
+// above it — never the table, so what a 16-row RecordWrites allocates
 // follows the depth of the trees, not the rows in them. Ten times the
 // rows is at most one more level of a fanout-32 tree, some 290 bytes
-// per index entry: each decade may add a quarter, and adds 18 % and
-// 15 % (35 KB, 41 KB, 47 KB) today. (The whole-shard-cloning commit of
+// per index entry: each decade may add a quarter, and adds 19 % and
+// 15 % (34 KB, 40 KB, 46 KB) today. (The whole-shard-cloning commit of
 // PR 17 allocated 208 KB, 894 KB and 7.0 MB here.) The object
 // ceilings are what that commit allocated in the issue's measurement
 // of it, a little under its 416, 470 and 809 in this one.

@@ -34,7 +34,7 @@ func execTable(t *testing.T, nRuns, nDatasets, nSteps int) *DB {
 // would have scanned the dataset's entire history).
 func TestCompositeIndexFullEqualityProbe(t *testing.T) {
 	db := execTable(t, 3, 4, 10)
-	hits0, scanned0 := db.IndexHits(), db.RowsScanned()
+	hits0, scanned0 := db.StatsSnapshot().IndexHits, db.StatsSnapshot().RowsScanned
 	row, err := db.QueryRow(`SELECT off FROM exec WHERE runid = ? AND dataset = ? AND timestep = ?`,
 		2, "ds3", 7)
 	if err != nil {
@@ -43,10 +43,10 @@ func TestCompositeIndexFullEqualityProbe(t *testing.T) {
 	if row == nil || row[0].AsInt() != 2*1000+3*100+7 {
 		t.Fatalf("probe returned %v", row)
 	}
-	if got := db.IndexHits() - hits0; got != 1 {
+	if got := db.StatsSnapshot().IndexHits - hits0; got != 1 {
 		t.Fatalf("IndexHits delta = %d, want 1", got)
 	}
-	if got := db.RowsScanned() - scanned0; got != 1 {
+	if got := db.StatsSnapshot().RowsScanned - scanned0; got != 1 {
 		t.Fatalf("RowsScanned delta = %d, want 1 (composite bucket is exact)", got)
 	}
 }
@@ -63,20 +63,20 @@ func TestCompositePreferredOverSingleColumn(t *testing.T) {
 	for s := 0; s < nSteps; s++ {
 		mustExec(t, db, `INSERT INTO exec VALUES (1, 'p', ?, ?)`, s, s)
 	}
-	scanned0 := db.RowsScanned()
+	scanned0 := db.StatsSnapshot().RowsScanned
 	if _, err := db.QueryRow(`SELECT off FROM exec WHERE runid = 1 AND dataset = 'p' AND timestep = 13`); err != nil {
 		t.Fatal(err)
 	}
-	if got := db.RowsScanned() - scanned0; got != nSteps {
+	if got := db.StatsSnapshot().RowsScanned - scanned0; got != nSteps {
 		t.Fatalf("single-column probe scanned %d rows, want %d", got, nSteps)
 	}
 
 	mustExec(t, db, `CREATE INDEX exec_cmp ON exec (runid, dataset, timestep)`)
-	scanned1 := db.RowsScanned()
+	scanned1 := db.StatsSnapshot().RowsScanned
 	if _, err := db.QueryRow(`SELECT off FROM exec WHERE runid = 1 AND dataset = 'p' AND timestep = 13`); err != nil {
 		t.Fatal(err)
 	}
-	if got := db.RowsScanned() - scanned1; got != 1 {
+	if got := db.StatsSnapshot().RowsScanned - scanned1; got != 1 {
 		t.Fatalf("composite probe scanned %d rows, want 1", got)
 	}
 }
@@ -96,7 +96,7 @@ func TestCompositePartialBindingFallsBack(t *testing.T) {
 	}
 	// Only timestep bound: no covering index at all -> full scan, right
 	// answer regardless.
-	scanned0 := db.RowsScanned()
+	scanned0 := db.StatsSnapshot().RowsScanned
 	rows, err = db.Query(`SELECT off FROM exec WHERE timestep = 4`)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestCompositePartialBindingFallsBack(t *testing.T) {
 	if rows.Len() != 2*3 {
 		t.Fatalf("timestep probe returned %d rows, want 6", rows.Len())
 	}
-	if got := db.RowsScanned() - scanned0; got != 2*3*5 {
+	if got := db.StatsSnapshot().RowsScanned - scanned0; got != 2*3*5 {
 		t.Fatalf("unindexed probe scanned %d rows, want full table %d", got, 2*3*5)
 	}
 }
@@ -163,12 +163,12 @@ func testKeyCollisions(t *testing.T) {
 	mustExec(t, db, `INSERT INTO kv VALUES ('ab', 'c', 1), ('a', 'bc', 2), ('ab', 'c', 3), ('', 'abc', 4)`)
 	probe := func(a, b, want string) {
 		t.Helper()
-		scanned0 := db.RowsScanned()
+		scanned0 := db.StatsSnapshot().RowsScanned
 		got := rowsString(mustQuery(t, db, `SELECT v FROM kv WHERE a = ? AND b = ?`, a, b))
 		if got != want {
 			t.Errorf("probe (%q,%q) = %q, want %q", a, b, got, want)
 		}
-		if scanned, rows := db.RowsScanned()-scanned0, int64(strings.Count(want, "\n")); scanned != rows {
+		if scanned, rows := db.StatsSnapshot().RowsScanned-scanned0, int64(strings.Count(want, "\n")); scanned != rows {
 			t.Errorf("probe (%q,%q) scanned %d candidates for %d rows", a, b, scanned, rows)
 		}
 	}
@@ -185,7 +185,7 @@ func testKeyCollisions(t *testing.T) {
 		t.Errorf("range over the colliding single-column index = %q", got)
 	}
 	// Bulk-built indexes (Load) resolve the collisions the same way.
-	db = loaded(t, saved(t, db), 8)
+	db = loaded(t, saved(t, db))
 	probe("ab", "c", "1\n")
 	probe("a", "bc", "3\n")
 }
@@ -203,7 +203,7 @@ func TestCompositeIndexPersistRoundTrip(t *testing.T) {
 	if err := db2.Load(&buf); err != nil {
 		t.Fatal(err)
 	}
-	hits0, scanned0 := db2.IndexHits(), db2.RowsScanned()
+	hits0, scanned0 := db2.StatsSnapshot().IndexHits, db2.StatsSnapshot().RowsScanned
 	row, err := db2.QueryRow(`SELECT off FROM exec WHERE runid = 2 AND dataset = 'ds2' AND timestep = 1`)
 	if err != nil {
 		t.Fatal(err)
@@ -211,8 +211,8 @@ func TestCompositeIndexPersistRoundTrip(t *testing.T) {
 	if row == nil || row[0].AsInt() != 2*1000+2*100+1 {
 		t.Fatalf("reloaded probe returned %v", row)
 	}
-	if db2.IndexHits()-hits0 != 1 || db2.RowsScanned()-scanned0 != 1 {
+	if db2.StatsSnapshot().IndexHits-hits0 != 1 || db2.StatsSnapshot().RowsScanned-scanned0 != 1 {
 		t.Fatalf("reloaded composite index not used: hits %d scanned %d",
-			db2.IndexHits()-hits0, db2.RowsScanned()-scanned0)
+			db2.StatsSnapshot().IndexHits-hits0, db2.StatsSnapshot().RowsScanned-scanned0)
 	}
 }

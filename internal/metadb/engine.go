@@ -13,26 +13,15 @@ import (
 // and readers scale: every SELECT/EXPLAIN runs against an immutable
 // MVCC snapshot obtained with one atomic pointer load, so readers
 // never block the writer and never observe a half-applied multi-row
-// batch. Tables are hash-sharded by the leading column of their widest
-// index; writers build new shard versions copy-on-write under
-// per-shard locks, so batches routed to disjoint shards commit in
-// parallel (see mvcc.go for the protocol).
+// batch. Writers — INSERT/UPDATE/DELETE, DDL and Load — build the next
+// version copy-on-write one at a time (see mvcc.go).
 type DB struct {
-	state   atomic.Pointer[dbState]
-	nshards int
-	editGen atomic.Uint64 // names each copy-on-write edit, see tree.go
+	state atomic.Pointer[dbState]
 
-	// commitMu serializes publication of new states; the critical
-	// section is a shallow rebase onto the latest tip, not the edit.
-	commitMu sync.Mutex
-	// ddlMu fences schema changes: DML takes the read side, DDL and
-	// Load the write side, so a statement's table metadata cannot
-	// change under it.
-	ddlMu sync.RWMutex
-	// locksMu guards the per-table writer-lock registry (entries are
-	// created by DDL, looked up by DML).
-	locksMu sync.RWMutex
-	locks   map[string]*tableLocks
+	// writeMu orders all writers; no reader takes it. editGen names each
+	// copy-on-write edit (see tree.go) and is guarded by it.
+	writeMu sync.Mutex
+	editGen uint64
 
 	// stmtMu guards the shared prepared-statement cache used by the
 	// DB-level convenience methods; Session handles bypass it.
@@ -50,14 +39,10 @@ type DB struct {
 	planEqCount    atomic.Int64
 	planRangeCount atomic.Int64
 	planScanCount  atomic.Int64
-	// The same statements split by shard targeting: plans that read
-	// exactly one shard vs scatter-gather plans that merge all shards.
-	planSingleShard atomic.Int64
-	planScatter     atomic.Int64
 
-	snapshots  atomic.Int64 // MVCC snapshots taken by read statements
-	commits    atomic.Int64 // state versions published by writers
-	shardWaits atomic.Int64 // contended shard-lock acquisitions
+	snapshots   atomic.Int64 // MVCC snapshots taken by read statements
+	commits     atomic.Int64 // state versions published by writers
+	writerWaits atomic.Int64 // contended acquisitions of writeMu
 }
 
 type cachedStmt struct {
@@ -65,8 +50,8 @@ type cachedStmt struct {
 	nparams int
 }
 
-// index is one shard's instance of a hash index over one or more
-// columns (its indexDef lives in the table). Single-column indexes
+// index is one version of a hash index over one or more columns (its
+// indexDef lives in the table). Single-column indexes
 // additionally support range scans and ORDER BY service through the
 // sorted view; composite (multi-column) indexes answer only
 // full-equality lookups — the shape of the catalog's
@@ -76,8 +61,8 @@ type index struct {
 	// sorted is the single-column index's view in value order, built
 	// lazily by the first range or ORDER BY statement to need it; sortMu
 	// serializes racing builds. A published index is otherwise immutable
-	// (a commit gives every shard it edits fresh index values), so this
-	// is the one tolerated in-place mutation and it is idempotent.
+	// (a commit gives the table it edits fresh index values), so this is
+	// the one tolerated in-place mutation and it is idempotent.
 	sortMu sync.Mutex
 	sorted []group
 }
@@ -89,18 +74,19 @@ type group struct {
 	rows []rowEntry
 }
 
-// lookupEq appends the rows whose index-column tuple equals an equality
+// lookupEq returns the rows whose index-column tuple equals an equality
 // plan's probe tuple (one value per indexed column, in index column
 // order), ascending by id. Rows filed under the same hash with another
 // tuple are not candidates.
-func (sh *shardData) lookupEq(p queryPlan, out []rowEntry) []rowEntry {
+func (t *tableData) lookupEq(p queryPlan) []rowEntry {
+	var out []rowEntry
 	h := hashTuple(p.eqVals, nil)
-	for c := sh.idx[p.pos].ents.from(idxEntry{hash: h}); ; {
+	for c := t.idx[p.pos].ents.from(idxEntry{hash: h}); ; {
 		e, ok := c.next()
 		if !ok || e.hash != h {
 			return out
 		}
-		r, _ := sh.rows.get(rowEntry{id: e.id})
+		r, _ := t.rows.get(rowEntry{id: e.id})
 		same := true
 		for k, col := range p.def.colPos {
 			same = same && sameKey(r.vals[col], p.eqVals[k])
@@ -115,8 +101,8 @@ func (sh *shardData) lookupEq(p queryPlan, out []rowEntry) []rowEntry {
 // ordered view of single-column index i. Entries arrive grouped by
 // hash; the rows of one hash usually share one value, and are split by
 // value where two collided.
-func (sh *shardData) sortedGroups(d *indexDef, i int) []group {
-	ix := sh.idx[i]
+func (t *tableData) sortedGroups(i int) []group {
+	ix := t.idx[i]
 	ix.sortMu.Lock()
 	defer ix.sortMu.Unlock()
 	if ix.sorted != nil {
@@ -124,16 +110,12 @@ func (sh *shardData) sortedGroups(d *indexDef, i int) []group {
 	}
 	gs := make([]group, 0, 16)
 	first, hash := 0, uint64(0) // where the current hash's groups start
-	for c := ix.ents.from(idxEntry{}); ; {
-		e, ok := c.next()
-		if !ok {
-			break
-		}
+	for e := range ix.ents.all() {
 		if e.hash != hash {
 			first, hash = len(gs), e.hash
 		}
-		r, _ := sh.rows.get(rowEntry{id: e.id})
-		v := r.vals[d.colPos[0]]
+		r, _ := t.rows.get(rowEntry{id: e.id})
+		v := r.vals[t.defs[i].colPos[0]]
 		g := first
 		for g < len(gs) && !sameKey(gs[g].val, v) {
 			g++
@@ -152,8 +134,9 @@ func (sh *shardData) sortedGroups(d *indexDef, i int) []group {
 // A nil bound is unbounded on that side. The result is a fresh slice in
 // group order; callers re-evaluate the full predicate and sort, so
 // over-approximation is harmless.
-func (sh *shardData) lookupRange(p queryPlan, out []rowEntry) []rowEntry {
-	s := sh.sortedGroups(p.def, p.pos)
+func (t *tableData) lookupRange(p queryPlan) []rowEntry {
+	var out []rowEntry
+	s := t.sortedGroups(p.pos)
 	start := 0
 	if p.lo != nil {
 		start = sort.Search(len(s), func(i int) bool {
@@ -178,10 +161,7 @@ func (sh *shardData) lookupRange(p queryPlan, out []rowEntry) []rowEntry {
 // groups ascending (or descending) by compare, ids ascending within
 // each distinct value — which is exactly what the stable result sort
 // over insertion-ordered rows produces, so serving ORDER BY from the
-// index is output-identical to sorting. The per-shard views are merged
-// by a stable sort of their groups (one pass over runs already in
-// order); groups comparing equal in different shards combine, their
-// matched rows interleaved in ascending id (insertion) order.
+// index is output-identical to sorting.
 func (t *tableData) orderRows(pos int, matched []rowEntry, desc bool, scr *sortScratch) []rowEntry {
 	if scr == nil {
 		scr = &sortScratch{}
@@ -193,57 +173,27 @@ func (t *tableData) orderRows(pos int, matched []rowEntry, desc bool, scr *sortS
 	for _, m := range matched {
 		scr.want[m.id] = true
 	}
-	var groups []*group
-	for _, sh := range t.shards {
-		view := sh.sortedGroups(&t.defs[pos], pos)
-		for i := range view {
-			groups = append(groups, &view[i])
-		}
-	}
-	slices.SortStableFunc(groups, func(a, b *group) int { return compare(a.val, b.val) })
-	if desc {
-		slices.Reverse(groups)
-	}
+	view := t.sortedGroups(pos)
 	out := make([]rowEntry, 0, len(matched))
-	for i, from := 0, 0; i < len(groups); i++ {
-		for _, r := range groups[i].rows {
+	for i := range view {
+		if desc {
+			i = len(view) - 1 - i
+		}
+		for _, r := range view[i].rows {
 			if scr.want[r.id] {
 				out = append(out, r)
 			}
-		}
-		if i+1 == len(groups) || compare(groups[i].val, groups[i+1].val) != 0 {
-			slices.SortFunc(out[from:], rowEntry.cmp)
-			from = len(out)
 		}
 	}
 	return out
 }
 
-// New creates an empty database with the default shard count.
-func New() *DB { return NewWithShards(DefaultShards) }
-
-// NewWithShards creates an empty database whose tables are hash-split
-// into n shards (clamped to [1, MaxShards]). One shard reproduces the
-// historical unsharded engine exactly; the differential tests pin the
-// two configurations against each other.
-func NewWithShards(n int) *DB {
-	if n < 1 {
-		n = 1
-	}
-	if n > MaxShards {
-		n = MaxShards
-	}
-	db := &DB{
-		nshards:   n,
-		locks:     make(map[string]*tableLocks),
-		stmtCache: make(map[string]cachedStmt),
-	}
+// New creates an empty database.
+func New() *DB {
+	db := &DB{stmtCache: make(map[string]cachedStmt)}
 	db.state.Store(&dbState{tables: make(map[string]*tableData)})
 	return db
 }
-
-// NumShards reports the configured shard count.
-func (db *DB) NumShards() int { return db.nshards }
 
 // read takes an MVCC snapshot: one atomic load, no locks. Everything
 // reachable from the returned state is immutable.
@@ -256,68 +206,48 @@ func (db *DB) read() *dbState {
 // catalog layer uses to charge simulated database-access time.
 func (db *DB) QueryCount() int64 { return db.queryCount.Load() }
 
-// RowsScanned reports the cumulative number of candidate rows the
-// WHERE evaluator examined. Together with QueryCount it exposes
-// whether a statement was answered from an index (few candidates) or a
-// full table scan (all rows).
-func (db *DB) RowsScanned() int64 { return db.rowsScanned.Load() }
-
-// IndexHits reports how many statements obtained their candidate rows
-// from an index (equality or range) instead of a full scan.
-func (db *DB) IndexHits() int64 { return db.indexHits.Load() }
-
-// OrderSkips reports how many SELECTs had their ORDER BY served from
-// an index's value order instead of sorting the result rows.
-func (db *DB) OrderSkips() int64 { return db.orderSkips.Load() }
-
-// PlanCounts reports how many statements obtained candidates from an
-// equality index probe, an index range window, and a full table scan,
-// respectively.
-func (db *DB) PlanCounts() (eq, rng, scan int64) {
-	return db.planEqCount.Load(), db.planRangeCount.Load(), db.planScanCount.Load()
-}
-
-// ShardPlanCounts splits the same statements by shard targeting:
-// single is plans that read exactly one shard (an equality probe whose
-// tuple binds the shard column, or any plan on a 1-shard database);
-// scatter is plans that merge every shard.
-func (db *DB) ShardPlanCounts() (single, scatter int64) {
-	return db.planSingleShard.Load(), db.planScatter.Load()
-}
-
-// Stats is one consistent view of every DB counter.
+// Stats is one consistent view of every DB counter: statements
+// executed, candidate rows the WHERE evaluator examined, statements
+// answered from an index (equality or range), ORDER BYs served from
+// index order, and how candidates were obtained, by plan kind.
 type Stats struct {
 	Queries     int64
 	RowsScanned int64
 	IndexHits   int64
 	OrderSkips  int64
 
-	PlanEq          int64
-	PlanRange       int64
-	PlanScan        int64
+	PlanEq    int64
+	PlanRange int64
+	PlanScan  int64
+
+	Snapshots int64
+	Commits   int64
+
+	// Named for the hash-sharded engine this one replaced and kept
+	// because benchmark/ reads them; a benchmark-archetype PR retires
+	// them. Every table is one tree set, so PlanSingleShard is every
+	// planned statement and PlanScatter is 0; ShardWaits is the
+	// contended acquisitions of the writer mutex.
 	PlanSingleShard int64
 	PlanScatter     int64
-
-	Snapshots  int64
-	Commits    int64
-	ShardWaits int64
+	ShardWaits      int64
 }
 
 func (db *DB) loadStats() Stats {
-	return Stats{
-		Queries:         db.queryCount.Load(),
-		RowsScanned:     db.rowsScanned.Load(),
-		IndexHits:       db.indexHits.Load(),
-		OrderSkips:      db.orderSkips.Load(),
-		PlanEq:          db.planEqCount.Load(),
-		PlanRange:       db.planRangeCount.Load(),
-		PlanScan:        db.planScanCount.Load(),
-		PlanSingleShard: db.planSingleShard.Load(),
-		PlanScatter:     db.planScatter.Load(),
-		Snapshots:       db.snapshots.Load(),
-		Commits:         db.commits.Load(),
-		ShardWaits:      db.shardWaits.Load(),
+	st := Stats{
+		Queries:     db.queryCount.Load(),
+		RowsScanned: db.rowsScanned.Load(),
+		IndexHits:   db.indexHits.Load(),
+		OrderSkips:  db.orderSkips.Load(),
+		PlanEq:      db.planEqCount.Load(),
+		PlanRange:   db.planRangeCount.Load(),
+		PlanScan:    db.planScanCount.Load(),
+		Snapshots:   db.snapshots.Load(),
+		Commits:     db.commits.Load(),
+		ShardWaits:  db.writerWaits.Load(),
 	}
+	st.PlanSingleShard = st.PlanEq + st.PlanRange + st.PlanScan
+	return st
 }
 
 // StatsSnapshot returns a stable snapshot of the counters: it re-reads
@@ -393,19 +323,21 @@ func (db *DB) Exec(src string, args ...any) (int, error) {
 
 func (db *DB) execStmt(stmt statement, params []Value) (int, error) {
 	db.queryCount.Add(1)
+	cur := db.beginWrite()
+	defer db.writeMu.Unlock()
 	switch s := stmt.(type) {
 	case createTableStmt:
-		return 0, db.execCreateTable(s)
+		return 0, db.execCreateTable(cur, s)
 	case createIndexStmt:
-		return 0, db.execCreateIndex(s)
+		return 0, db.execCreateIndex(cur, s)
 	case dropTableStmt:
-		return 0, db.execDropTable(s)
+		return 0, db.execDropTable(cur, s)
 	case insertStmt:
-		return db.execInsert(s, params)
+		return db.execInsert(cur, s, params)
 	case updateStmt:
-		return db.execUpdate(s, params)
+		return db.execUpdate(cur, s, params)
 	case deleteStmt:
-		return db.execDelete(s, params)
+		return db.execDelete(cur, s, params)
 	case selectStmt:
 		return 0, fmt.Errorf("metadb: use Query for SELECT")
 	}
@@ -437,15 +369,8 @@ func (db *DB) queryStmt(stmt statement, params []Value, scr *sortScratch) (*Rows
 	return nil, fmt.Errorf("metadb: Query requires a SELECT statement")
 }
 
-// Explain reports the access plan a SELECT would use, without running
-// it: the plan line, the shard targeting, and an estimated-rows line.
-// Equivalent to Query("EXPLAIN "+src, ...).
-func (db *DB) Explain(src string, args ...any) (*Rows, error) {
-	return db.Query("EXPLAIN "+src, args...)
-}
-
 // execExplain resolves the wrapped SELECT's plan against the snapshot.
-// It shares planFor/runPlan with execution, so the printed plan cannot
+// It shares planFor/probe with execution, so the printed plan cannot
 // diverge from the executed one; the estimate is the candidate count
 // the plan yields right now (the re-evaluation of the full predicate
 // may keep fewer rows).
@@ -455,14 +380,13 @@ func (db *DB) execExplain(st *dbState, s explainStmt, params []Value) (*Rows, er
 		return nil, fmt.Errorf("metadb: no such table %q", s.sel.table)
 	}
 	plan := t.planFor(s.sel.where, params)
-	ncands := t.rowCount()
+	ncands := t.rows.n
 	if plan.kind != planScan {
 		ncands = len(t.probe(plan))
 	}
 	lines := []string{
 		plan.String(),
-		fmt.Sprintf("shards: %d of %d", t.shardsTouched(plan), len(t.shards)),
-		fmt.Sprintf("estimate: scan %d of %d row(s)", ncands, t.rowCount()),
+		fmt.Sprintf("estimate: scan %d of %d row(s)", ncands, t.rows.n),
 	}
 	if len(s.sel.orderBy) == 1 {
 		if i := t.indexOf(normalizeIdent(s.sel.orderBy[0].col)); i >= 0 {
@@ -762,45 +686,36 @@ const (
 
 // queryPlan is the chosen access path for one WHERE clause: which
 // index (if any), why, and the probe parameters. The execution path
-// (runPlan) and the EXPLAIN report are both driven by this one value,
-// so the plan printed is by construction the plan executed.
+// (matchingRows) and the EXPLAIN report are both driven by this one
+// value, so the plan printed is by construction the plan executed. It
+// keeps the numbers behind the EXPLAIN sentence, not the sentence:
+// only String formats, and only EXPLAIN calls it.
 type queryPlan struct {
-	kind   planKind
-	def    *indexDef // nil for planScan
-	pos    int       // the index's position in every shard's idx
-	reason string
+	kind planKind
+	def  *indexDef // nil for planScan
+	pos  int       // the index's position in the table's idx
 
-	eqVals       []Value // planEq probe tuple, in idx.cols order
-	lo, hi       *Value  // planRange window
+	scanWhy string // planScan: why no index serves the WHERE clause
+
+	eqVals []Value // planEq probe tuple, in def.cols order
+	nEq    int     // planEq: columns the WHERE clause binds by equality
+
+	lo, hi       *Value // planRange window
 	loInc, hiInc bool
-
-	// shard is the single shard an equality probe can be narrowed to
-	// when the probe tuple binds the table's shard column (every
-	// matching row hashes there, so other shards provably contribute
-	// nothing); -1 means the plan must merge all shards.
-	shard int
 }
 
 // String renders the plan as the EXPLAIN line.
 func (p queryPlan) String() string {
 	switch p.kind {
 	case planEq:
-		return fmt.Sprintf("equality probe on index %s (%s): %s",
-			p.def.name, strings.Join(p.def.cols, ", "), p.reason)
+		return fmt.Sprintf("equality probe on index %s (%s): %d equality conjunct(s) cover all %d index column(s)",
+			p.def.name, strings.Join(p.def.cols, ", "), p.nEq, len(p.def.cols))
 	case planRange:
 		return fmt.Sprintf("range scan on index %s (%s): %s",
-			p.def.name, strings.Join(p.def.cols, ", "), p.reason)
+			p.def.name, strings.Join(p.def.cols, ", "), p.window())
 	default:
-		return "full table scan: " + p.reason
+		return "full table scan: " + p.scanWhy
 	}
-}
-
-// shardsTouched reports how many shards a plan reads.
-func (t *tableData) shardsTouched(p queryPlan) int {
-	if p.kind == planEq && p.shard >= 0 {
-		return 1
-	}
-	return len(t.shards)
 }
 
 // planFor chooses the access path for a WHERE clause. The index whose
@@ -816,11 +731,11 @@ func (t *tableData) shardsTouched(p queryPlan) int {
 func (t *tableData) planFor(where expr, params []Value) queryPlan {
 	bounds := collectBounds(where, nil)
 	if len(bounds) == 0 {
-		reason := "no WHERE clause"
+		why := "no WHERE clause"
 		if where != nil {
-			reason = "no indexable conjunct in WHERE"
+			why = "no indexable conjunct in WHERE"
 		}
-		return queryPlan{kind: planScan, reason: reason, shard: -1}
+		return queryPlan{kind: planScan, scanWhy: why}
 	}
 	ctx := &evalCtx{params: params}
 	// Prefer an exact equality lookup: gather the equality-bound
@@ -862,21 +777,7 @@ func (t *tableData) planFor(where expr, params []Value) queryPlan {
 			for i, c := range d.cols {
 				vals[i] = eqCols[c]
 			}
-			p := queryPlan{
-				kind: planEq, def: d, pos: best,
-				reason: fmt.Sprintf("%d equality conjunct(s) cover all %d index column(s)",
-					len(eqCols), len(d.cols)),
-				eqVals: vals, shard: -1,
-			}
-			if t.shardCol >= 0 {
-				for i, pos := range d.colPos {
-					if pos == t.shardCol {
-						p.shard = t.shardOfValue(vals[i])
-						break
-					}
-				}
-			}
-			return p
+			return queryPlan{kind: planEq, def: d, pos: best, eqVals: vals, nEq: len(eqCols)}
 		}
 	}
 	// Otherwise intersect the range conjuncts per indexed column and
@@ -932,60 +833,44 @@ func (t *tableData) planFor(where expr, params []Value) queryPlan {
 		}
 	}
 	if best == nil {
-		return queryPlan{kind: planScan, reason: "range conjuncts bind no indexed column", shard: -1}
+		return queryPlan{kind: planScan, scanWhy: "range conjuncts bind no indexed column"}
 	}
 	return queryPlan{
 		kind: planRange, def: &t.defs[best.pos], pos: best.pos,
-		reason: windowReason(t.defs[best.pos].key, best.lo, best.loInc, best.hi, best.hiInc),
-		lo:     best.lo, hi: best.hi, loInc: best.loInc, hiInc: best.hiInc,
-		shard: -1,
+		lo: best.lo, hi: best.hi, loInc: best.loInc, hiInc: best.hiInc,
 	}
 }
 
-// windowReason describes a range window, e.g. "10 <= timestep < 20".
-func windowReason(col string, lo *Value, loInc bool, hi *Value, hiInc bool) string {
+// window describes a range plan's window, e.g. "10 <= timestep < 20".
+func (p queryPlan) window() string {
 	var sb strings.Builder
-	if lo != nil {
-		sb.WriteString(lo.String())
-		if loInc {
+	if p.lo != nil {
+		sb.WriteString(p.lo.String())
+		if p.loInc {
 			sb.WriteString(" <= ")
 		} else {
 			sb.WriteString(" < ")
 		}
 	}
-	sb.WriteString(col)
-	if hi != nil {
-		if hiInc {
+	sb.WriteString(p.def.key)
+	if p.hi != nil {
+		if p.hiInc {
 			sb.WriteString(" <= ")
 		} else {
 			sb.WriteString(" < ")
 		}
-		sb.WriteString(hi.String())
+		sb.WriteString(p.hi.String())
 	}
 	return sb.String()
 }
 
 // probe yields an index plan's candidate rows, in a fresh slice and no
-// particular order. Candidate sets are shard-count independent: an
-// equality probe narrowed to one shard sees exactly the rows a 1-shard
-// probe would (it binds the shard column, so every matching row hashes
-// to that shard), and scatter-gather plans concatenate per-shard
-// results whose union is the 1-shard candidate set — which keeps
-// RowsScanned and friends bit-identical across shard counts.
+// particular order.
 func (t *tableData) probe(p queryPlan) []rowEntry {
-	shards := t.shards
-	if p.kind == planEq && p.shard >= 0 {
-		shards = shards[p.shard : p.shard+1]
+	if p.kind == planRange {
+		return t.lookupRange(p)
 	}
-	var out []rowEntry
-	for _, sh := range shards {
-		if p.kind == planRange {
-			out = sh.lookupRange(p, out)
-		} else {
-			out = sh.lookupEq(p, out)
-		}
-	}
-	return out
+	return t.lookupEq(p)
 }
 
 func isConstExpr(e expr) bool {
@@ -1005,17 +890,12 @@ func isConstExpr(e expr) bool {
 // callers can verify scans were avoided.
 func (db *DB) matchingRows(t *tableData, where expr, params []Value) ([]rowEntry, error) {
 	plan := t.planFor(where, params)
-	if t.shardsTouched(plan) == 1 {
-		db.planSingleShard.Add(1)
-	} else {
-		db.planScatter.Add(1)
-	}
 	ctx := &evalCtx{t: t, params: params}
 	if plan.kind == planScan {
 		db.planScanCount.Add(1)
-		db.rowsScanned.Add(int64(t.rowCount()))
+		db.rowsScanned.Add(int64(t.rows.n))
 		var out []rowEntry
-		for r := range t.scan() {
+		for r := range t.rows.all() {
 			if ok, err := ctx.matches(where, r.vals); err != nil {
 				return nil, err
 			} else if ok {

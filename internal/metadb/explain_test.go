@@ -34,6 +34,12 @@ func planText(t *testing.T, db *DB, sql string, args ...any) string {
 	return strings.Join(lines, "\n")
 }
 
+// planCounts reads the per-plan-kind statement counters.
+func planCounts(db *DB) (eq, rng, scan int64) {
+	st := db.StatsSnapshot()
+	return st.PlanEq, st.PlanRange, st.PlanScan
+}
+
 func TestExplainPlanKinds(t *testing.T) {
 	db := explainDB(t)
 
@@ -77,7 +83,7 @@ func TestExplainEstimate(t *testing.T) {
 }
 
 // EXPLAIN shares planFor with execution, so the printed plan kind must
-// match what running the same statement counts in PlanCounts.
+// match what running the same statement counts in planCounts.
 func TestExplainMatchesExecutedPlan(t *testing.T) {
 	db := explainDB(t)
 	cases := []struct {
@@ -93,9 +99,9 @@ func TestExplainMatchesExecutedPlan(t *testing.T) {
 		if !strings.Contains(plan, tc.kind) {
 			t.Fatalf("EXPLAIN %q = %q, want kind %q", tc.sql, plan, tc.kind)
 		}
-		eq0, rng0, scan0 := db.PlanCounts()
+		eq0, rng0, scan0 := planCounts(db)
 		mustQuery(t, db, tc.sql)
-		eq1, rng1, scan1 := db.PlanCounts()
+		eq1, rng1, scan1 := planCounts(db)
 		var bumped string
 		switch {
 		case eq1 == eq0+1 && rng1 == rng0 && scan1 == scan0:
@@ -130,7 +136,7 @@ func TestExplainOrderByIndexLine(t *testing.T) {
 // EXPLAIN with placeholder params plans against the bound values.
 func TestExplainWithParams(t *testing.T) {
 	db := explainDB(t)
-	rows, err := db.Explain(`SELECT * FROM runs WHERE runid = ?`, 2)
+	rows, err := db.Query(`EXPLAIN SELECT * FROM runs WHERE runid = ?`, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,12 +151,12 @@ func TestExplainWithParams(t *testing.T) {
 func TestExplainDoesNotExecute(t *testing.T) {
 	db := explainDB(t)
 	q0 := db.QueryCount()
-	eq0, rng0, scan0 := db.PlanCounts()
+	eq0, rng0, scan0 := planCounts(db)
 	planText(t, db, `SELECT * FROM runs WHERE runid = 1`)
 	if got := db.QueryCount(); got != q0 {
 		t.Fatalf("EXPLAIN bumped QueryCount: %d -> %d", q0, got)
 	}
-	eq1, rng1, scan1 := db.PlanCounts()
+	eq1, rng1, scan1 := planCounts(db)
 	if eq1 != eq0 || rng1 != rng0 || scan1 != scan0 {
 		t.Fatalf("EXPLAIN moved plan counts: (%d,%d,%d) -> (%d,%d,%d)",
 			eq0, rng0, scan0, eq1, rng1, scan1)

@@ -2,6 +2,7 @@ package metadb
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -45,17 +46,17 @@ func TestRangePredicatesUseIndex(t *testing.T) {
 		{"SELECT id FROM runs WHERE 100 > ts", nil, 10}, // column on the right
 	}
 	for _, tc := range cases {
-		before := db.RowsScanned()
-		hitsBefore := db.IndexHits()
+		before := db.StatsSnapshot().RowsScanned
+		hitsBefore := db.StatsSnapshot().IndexHits
 		got := queryIDs(t, db, tc.sql, tc.args...)
 		if len(got) != tc.want {
 			t.Errorf("%s: got %d rows, want %d", tc.sql, len(got), tc.want)
 		}
-		scanned := db.RowsScanned() - before
+		scanned := db.StatsSnapshot().RowsScanned - before
 		if scanned >= 1000 {
 			t.Errorf("%s: scanned %d candidate rows, want an index-bounded scan", tc.sql, scanned)
 		}
-		if db.IndexHits() != hitsBefore+1 {
+		if db.StatsSnapshot().IndexHits != hitsBefore+1 {
 			t.Errorf("%s: expected an index hit", tc.sql)
 		}
 	}
@@ -89,12 +90,12 @@ func TestRangeResultsMatchFullScan(t *testing.T) {
 
 func TestUnindexedRangeStillScans(t *testing.T) {
 	db := rangeDB(t)
-	before := db.RowsScanned()
+	before := db.StatsSnapshot().RowsScanned
 	got := queryIDs(t, db, "SELECT id FROM runs WHERE id < 10")
 	if len(got) != 10 {
 		t.Fatalf("got %d rows", len(got))
 	}
-	if scanned := db.RowsScanned() - before; scanned != 1000 {
+	if scanned := db.StatsSnapshot().RowsScanned - before; scanned != 1000 {
 		t.Fatalf("unindexed predicate scanned %d rows, want full scan of 1000", scanned)
 	}
 }
@@ -132,5 +133,41 @@ func TestRangeIndexSurvivesMutation(t *testing.T) {
 	got := queryIDs(t, db, "SELECT id FROM runs WHERE ts >= 100 AND ts < 200")
 	if len(got) != 1 || got[0] != 5 {
 		t.Fatalf("after mutation got rows %v, want [5]", got)
+	}
+}
+
+// TestBigIntegersCompareExactly pins INTEGER comparison above 2^53,
+// where neighbouring int64s round to one float64: a byte offset of
+// 9007199254740993 is not 9007199254740992, with or without an index,
+// in equality probes, range plans, aggregates and ORDER BY alike.
+func TestBigIntegersCompareExactly(t *testing.T) {
+	for _, indexed := range []bool{true, false} {
+		db := New()
+		mustExec(t, db, `CREATE TABLE f (name TEXT, off INTEGER)`)
+		if indexed {
+			mustExec(t, db, `CREATE INDEX f_off ON f (off)`)
+		}
+		mustExec(t, db, `INSERT INTO f VALUES ('even', 9007199254740992), ('odd', 9007199254740993)`)
+		for _, tc := range []struct{ sql, want string }{
+			{`SELECT name FROM f WHERE off = 9007199254740993`, "odd\n"},
+			{`SELECT MAX(off) FROM f`, "9007199254740993\n"},
+			{`SELECT COUNT(*) FROM f WHERE off > 9007199254740992`, "1\n"},
+			{`SELECT name FROM f ORDER BY off DESC`, "odd\neven\n"},
+			{`SELECT name FROM f WHERE off >= ?`, "odd\n"},
+		} {
+			var args []any
+			if strings.Contains(tc.sql, "?") {
+				args = []any{int64(9007199254740993)}
+			}
+			if got := rowsString(mustQuery(t, db, tc.sql, args...)); got != tc.want {
+				t.Errorf("indexed=%v: %s = %q, want %q", indexed, tc.sql, got, tc.want)
+			}
+		}
+		if indexed {
+			plan := planText(t, db, `SELECT name FROM f WHERE off >= 9007199254740993`)
+			if !strings.Contains(plan, "range scan on index f_off") {
+				t.Errorf("off >= ? is not a range plan:\n%s", plan)
+			}
+		}
 	}
 }

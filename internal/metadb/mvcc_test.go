@@ -2,6 +2,8 @@ package metadb
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -9,12 +11,11 @@ import (
 	"testing"
 )
 
-// execSchema creates the execution-table shape the catalog uses —
-// single-column index plus the widest composite, which makes runid the
-// shard-routing column — in a DB with the given shard count.
-func execSchema(t *testing.T, n int) *DB {
+// execSchema creates the execution-table shape the catalog uses: a
+// single-column index plus the widest composite.
+func execSchema(t *testing.T) *DB {
 	t.Helper()
-	db := NewWithShards(n)
+	db := New()
 	for _, sql := range []string{
 		`CREATE TABLE exec (runid INTEGER, dataset TEXT, timestep INTEGER, bytes INTEGER)`,
 		`CREATE INDEX exec_dataset ON exec (dataset)`,
@@ -29,12 +30,12 @@ func execSchema(t *testing.T, n int) *DB {
 
 // TestSnapshotReadersSeeNoTornBatch is the MVCC atomicity pin: one
 // writer INSERTs multi-row batches (every row of a batch carries the
-// batch's tag, rows spread across shards via distinct runids) and
-// occasionally deletes whole batches, while readers COUNT rows by tag.
+// batch's tag, under distinct runids) and occasionally deletes whole
+// batches, while readers COUNT rows by tag.
 // A snapshot must show a batch entirely or not at all — any
 // intermediate count means a reader caught a half-published batch.
 func TestSnapshotReadersSeeNoTornBatch(t *testing.T) {
-	db := execSchema(t, DefaultShards)
+	db := execSchema(t)
 	const batchRows = 6
 	const readers = 4
 
@@ -60,8 +61,6 @@ func TestSnapshotReadersSeeNoTornBatch(t *testing.T) {
 			}
 			args := make([]any, 0, batchRows*4)
 			for i := 0; i < batchRows; i++ {
-				// Distinct runids per batch row → the batch spans shards,
-				// so a torn publish would be observable per shard.
 				args = append(args, tag*int64(batchRows)+int64(i), fmt.Sprintf("ds%d", i%3), tag, tag)
 			}
 			if _, err := db.Exec(sql, args...); err != nil {
@@ -92,12 +91,12 @@ func TestSnapshotReadersSeeNoTornBatch(t *testing.T) {
 				if op%2 == 1 {
 					tag = 1 + rand.Int63n(tag) // any historical batch
 				}
-				row, err := sess.QueryRow(`SELECT COUNT(*) FROM exec WHERE bytes = ?`, tag)
+				rows, err := sess.Query(`SELECT COUNT(*) FROM exec WHERE bytes = ?`, tag)
 				if err != nil {
 					t.Errorf("count: %v", err)
 					return
 				}
-				if n := row[0].AsInt(); n != 0 && n != batchRows {
+				if n := rows.Data[0][0].AsInt(); n != 0 && n != batchRows {
 					t.Errorf("torn batch: tag %d visible with %d of %d rows", tag, n, batchRows)
 					return
 				}
@@ -110,46 +109,63 @@ func TestSnapshotReadersSeeNoTornBatch(t *testing.T) {
 	writerWG.Wait()
 }
 
-// TestConcurrentShardWritersAndPersist drives M writers over disjoint
-// runids (disjoint shards, so their batches commit in parallel), N
-// snapshot readers, and a concurrent Save/Load round-trip loop, all
-// under -race. Loaded snapshots must be internally consistent — every
-// writer's rows appear in whole batches — and the final table must
-// hold exactly what the writers inserted.
-func TestConcurrentShardWritersAndPersist(t *testing.T) {
-	db := execSchema(t, DefaultShards)
-	const writers = 4
+// TestConcurrentWritersAndPersist drives writers that share one table
+// (distinct runids) and writers that each own a table of their own,
+// beside snapshot readers and a concurrent Save/Load round-trip loop,
+// all under -race. The writer mutex must lose no commit — every table
+// ends holding exactly what its writers inserted — and every loaded
+// snapshot must be internally consistent: whole batches only.
+func TestConcurrentWritersAndPersist(t *testing.T) {
+	db := execSchema(t)
+	const writers = 4 // on exec
+	const others = 2  // one table each
 	const batches = 40
 	const batchRows = 3
 
+	insertBatches := func(table string, run int64) {
+		sess := db.Session()
+		for b := 0; b < batches; b++ {
+			args := make([]any, 0, batchRows*4)
+			sql := `INSERT INTO ` + table + ` VALUES `
+			for i := 0; i < batchRows; i++ {
+				if i > 0 {
+					sql += ", "
+				}
+				sql += `(?, ?, ?, ?)`
+				args = append(args, run, fmt.Sprintf("ds%d", i), int64(b), run)
+			}
+			if _, err := sess.Exec(sql, args...); err != nil {
+				t.Errorf("writer %d on %s: %v", run, table, err)
+				return
+			}
+		}
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sess := db.Session()
-			for b := 0; b < batches; b++ {
-				args := make([]any, 0, batchRows*4)
-				sql := `INSERT INTO exec VALUES `
-				for i := 0; i < batchRows; i++ {
-					if i > 0 {
-						sql += ", "
-					}
-					sql += `(?, ?, ?, ?)`
-					args = append(args, int64(w), fmt.Sprintf("ds%d", i), int64(b), int64(w))
-				}
-				if _, err := sess.Exec(sql, args...); err != nil {
-					t.Errorf("writer %d: %v", w, err)
-					return
-				}
-			}
+			insertBatches("exec", int64(w))
 		}(w)
+	}
+	for o := 0; o < others; o++ {
+		wg.Add(1)
+		go func(o int) {
+			defer wg.Done()
+			// DDL takes its turn on the same mutex as the inserts.
+			table := fmt.Sprintf("other%d", o)
+			if _, err := db.Exec(`CREATE TABLE ` + table + ` (runid INTEGER, dataset TEXT, timestep INTEGER, bytes INTEGER)`); err != nil {
+				t.Errorf("create %s: %v", table, err)
+				return
+			}
+			insertBatches(table, int64(o))
+		}(o)
 	}
 
 	stop := make(chan struct{})
 	var auxWG sync.WaitGroup
-	// Readers: per-run lookups through the composite index (single
-	// shard) and scatter counts.
+	// Readers: per-run lookups through the composite index and whole-
+	// table counts.
 	for r := 0; r < 3; r++ {
 		auxWG.Add(1)
 		go func(r int) {
@@ -166,7 +182,7 @@ func TestConcurrentShardWritersAndPersist(t *testing.T) {
 					t.Errorf("lookup: %v", err)
 					return
 				}
-				if _, err := sess.QueryRow(`SELECT COUNT(*) FROM exec`); err != nil {
+				if _, err := sess.Query(`SELECT COUNT(*) FROM exec`); err != nil {
 					t.Errorf("count: %v", err)
 					return
 				}
@@ -189,7 +205,7 @@ func TestConcurrentShardWritersAndPersist(t *testing.T) {
 				t.Errorf("save: %v", err)
 				return
 			}
-			loaded := NewWithShards(DefaultShards)
+			loaded := New()
 			if err := loaded.Load(&buf); err != nil {
 				t.Errorf("load: %v", err)
 				return
@@ -212,72 +228,37 @@ func TestConcurrentShardWritersAndPersist(t *testing.T) {
 	close(stop)
 	auxWG.Wait()
 
-	row, err := db.QueryRow(`SELECT COUNT(*) FROM exec`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := row[0].AsInt(), int64(writers*batches*batchRows); got != want {
-		t.Fatalf("final row count %d, want %d", got, want)
-	}
-	for w := 0; w < writers; w++ {
-		row, err := db.QueryRow(`SELECT COUNT(*) FROM exec WHERE runid = ?`, int64(w))
+	count := func(sql string, args ...any) int64 {
+		t.Helper()
+		row, err := db.QueryRow(sql, args...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := row[0].AsInt(), int64(batches*batchRows); got != want {
+		return row[0].AsInt()
+	}
+	if got, want := count(`SELECT COUNT(*) FROM exec`), int64(writers*batches*batchRows); got != want {
+		t.Fatalf("final row count %d, want %d", got, want)
+	}
+	for w := 0; w < writers; w++ {
+		if got, want := count(`SELECT COUNT(*) FROM exec WHERE runid = ?`, int64(w)), int64(batches*batchRows); got != want {
 			t.Fatalf("writer %d: %d rows, want %d", w, got, want)
+		}
+	}
+	for o := 0; o < others; o++ {
+		if got, want := count(fmt.Sprintf(`SELECT COUNT(*) FROM other%d`, o)), int64(batches*batchRows); got != want {
+			t.Fatalf("other%d: %d rows, want %d", o, got, want)
 		}
 	}
 }
 
-// TestShardedDifferentialRandomized pins the sharded engine
-// behaviorally identical to a 1-shard engine: the same randomized
-// statement stream (inserts, cross-bucket and cross-shard updates,
-// deletes, mid-stream CREATE INDEX forcing a reshard, every plan kind,
-// index-served and sorted ORDER BY, aggregates, LIMIT, error paths)
-// must produce identical rows in identical order, identical affected
-// counts and errors, identical RowsScanned/IndexHits/OrderSkips and
-// plan-kind counters, and byte-identical Save images.
-func TestShardedDifferentialRandomized(t *testing.T) {
-	one := NewWithShards(1)
-	many := NewWithShards(8)
-	dbs := []*DB{one, many}
+// randomizedStream drives a fixed pseudo-random statement stream
+// through exec and query: inserts, updates that move index entries,
+// deletes, two mid-stream CREATE INDEXes, every plan kind, index-served
+// and sorted ORDER BY, aggregates, LIMIT and error paths.
+func randomizedStream(exec, query func(sql string, args ...any)) {
 	rng := rand.New(rand.NewSource(42))
-
-	exec := func(sql string, args ...any) {
-		t.Helper()
-		n1, err1 := one.Exec(sql, args...)
-		n2, err2 := many.Exec(sql, args...)
-		if n1 != n2 || (err1 == nil) != (err2 == nil) {
-			t.Fatalf("exec diverged: %s -> (%d,%v) vs (%d,%v)", sql, n1, err1, n2, err2)
-		}
-		if err1 != nil && err2 != nil && err1.Error() != err2.Error() {
-			t.Fatalf("exec errors diverged: %q vs %q", err1, err2)
-		}
-	}
-	query := func(sql string, args ...any) {
-		t.Helper()
-		r1, err1 := one.Query(sql, args...)
-		r2, err2 := many.Query(sql, args...)
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("query diverged: %s -> %v vs %v", sql, err1, err2)
-		}
-		if err1 != nil {
-			return
-		}
-		if got, want := rowsString(r2), rowsString(r1); got != want {
-			t.Fatalf("%s:\n8 shards:\n%s1 shard:\n%s", sql, got, want)
-		}
-	}
-
-	for _, db := range dbs {
-		if _, err := db.Exec(`CREATE TABLE exec (runid INTEGER, dataset TEXT, timestep INTEGER, bytes INTEGER)`); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := db.Exec(`CREATE INDEX exec_dataset ON exec (dataset)`); err != nil {
-			t.Fatal(err)
-		}
-	}
+	exec(`CREATE TABLE exec (runid INTEGER, dataset TEXT, timestep INTEGER, bytes INTEGER)`)
+	exec(`CREATE INDEX exec_dataset ON exec (dataset)`)
 
 	datasets := []string{"pressure", "velocity", "mesh", "energy"}
 	insertBatch := func() {
@@ -297,7 +278,7 @@ func TestShardedDifferentialRandomized(t *testing.T) {
 	selects := func() {
 		run, ds, ts := int64(rng.Intn(6)), datasets[rng.Intn(len(datasets))], int64(rng.Intn(40))
 		switch rng.Intn(8) {
-		case 0: // composite equality probe (single-shard once resharded)
+		case 0: // composite equality probe
 			query(`SELECT * FROM exec WHERE runid = ? AND dataset = ? AND timestep = ?`, run, ds, ts)
 		case 1: // single-column equality
 			query(`SELECT runid, timestep FROM exec WHERE dataset = ?`, ds)
@@ -322,24 +303,24 @@ func TestShardedDifferentialRandomized(t *testing.T) {
 
 	mutate := func() {
 		switch rng.Intn(5) {
-		case 0: // value update, index buckets unchanged
+		case 0: // value update, index entries unchanged
 			exec(`UPDATE exec SET bytes = ? WHERE timestep = ?`, int64(rng.Intn(1000)), int64(rng.Intn(40)))
-		case 1: // moves composite-index buckets
+		case 1: // moves composite-index entries
 			exec(`UPDATE exec SET timestep = ? WHERE dataset = ? AND timestep = ?`,
 				int64(rng.Intn(40)), datasets[rng.Intn(len(datasets))], int64(rng.Intn(40)))
-		case 2: // moves rows across shards (runid is the shard column)
+		case 2: // rewrites the composite index's leading column
 			exec(`UPDATE exec SET runid = ? WHERE runid = ? AND timestep = ?`,
 				int64(rng.Intn(6)), int64(rng.Intn(6)), int64(rng.Intn(40)))
 		case 3:
 			exec(`DELETE FROM exec WHERE runid = ? AND timestep = ?`, int64(rng.Intn(6)), int64(rng.Intn(40)))
-		case 4: // mid-batch coercion error: leading rows persist, batch count+error identical
+		case 4: // mid-batch coercion error: leading rows persist
 			exec(`INSERT INTO exec VALUES (?, ?, ?, ?), (?, ?, 'boom', ?)`,
 				int64(rng.Intn(6)), "errds", int64(rng.Intn(40)), int64(7),
 				int64(rng.Intn(6)), "errds2", int64(8))
 		}
 	}
 
-	// Phase 1: dataset index only (shard column = dataset).
+	// Phase 1: dataset index only.
 	for i := 0; i < 150; i++ {
 		insertBatch()
 		if i%3 == 0 {
@@ -349,8 +330,7 @@ func TestShardedDifferentialRandomized(t *testing.T) {
 			mutate()
 		}
 	}
-	// Phase 2: the composite index arrives mid-stream; the widest-index
-	// rule moves the shard column to runid, resharding live data.
+	// Phase 2: the composite index arrives over live data.
 	exec(`CREATE INDEX exec_run_ds_ts ON exec (runid, dataset, timestep)`)
 	for i := 0; i < 150; i++ {
 		insertBatch()
@@ -359,7 +339,7 @@ func TestShardedDifferentialRandomized(t *testing.T) {
 			mutate()
 		}
 	}
-	// Phase 3: a timestep index (no shard-column change) enables ranges.
+	// Phase 3: a timestep index enables ranges.
 	exec(`CREATE INDEX exec_ts ON exec (timestep)`)
 	for i := 0; i < 100; i++ {
 		selects()
@@ -367,59 +347,62 @@ func TestShardedDifferentialRandomized(t *testing.T) {
 			mutate()
 		}
 	}
+}
 
-	// Counter identity: candidate sets are shard-count independent.
-	s1, s8 := one.StatsSnapshot(), many.StatsSnapshot()
-	if s1.RowsScanned != s8.RowsScanned {
-		t.Errorf("RowsScanned diverged: 1-shard %d vs 8-shard %d", s1.RowsScanned, s8.RowsScanned)
-	}
-	if s1.IndexHits != s8.IndexHits {
-		t.Errorf("IndexHits diverged: %d vs %d", s1.IndexHits, s8.IndexHits)
-	}
-	if s1.OrderSkips != s8.OrderSkips {
-		t.Errorf("OrderSkips diverged: %d vs %d", s1.OrderSkips, s8.OrderSkips)
-	}
-	if s1.PlanEq != s8.PlanEq || s1.PlanRange != s8.PlanRange || s1.PlanScan != s8.PlanScan {
-		t.Errorf("plan counts diverged: (%d,%d,%d) vs (%d,%d,%d)",
-			s1.PlanEq, s1.PlanRange, s1.PlanScan, s8.PlanEq, s8.PlanRange, s8.PlanScan)
-	}
-	if s1.Queries != s8.Queries {
-		t.Errorf("Queries diverged: %d vs %d", s1.Queries, s8.Queries)
-	}
-
-	// Persist identity: rows serialize in global insertion order, so
-	// the snapshot bytes cannot depend on the shard count.
-	var b1, b8 bytes.Buffer
-	if err := one.Save(&b1); err != nil {
-		t.Fatal(err)
-	}
-	if err := many.Save(&b8); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1.Bytes(), b8.Bytes()) {
-		t.Errorf("Save bytes differ between shard counts (%d vs %d bytes)", b1.Len(), b8.Len())
-	}
-
-	// Round-trip: the 8-shard image loads into either shard count and
-	// still answers identically.
-	for _, n := range []int{1, 8} {
-		loaded := NewWithShards(n)
-		if err := loaded.Load(bytes.NewReader(b8.Bytes())); err != nil {
-			t.Fatal(err)
-		}
-		var again bytes.Buffer
-		if err := loaded.Save(&again); err != nil || !bytes.Equal(again.Bytes(), b8.Bytes()) {
-			t.Errorf("image loaded into %d shards saves %d bytes (%v), not the %d it was loaded from", n, again.Len(), err, b8.Len())
-		}
-		for _, q := range []string{
-			`SELECT * FROM exec ORDER BY dataset`,
-			`SELECT COUNT(*) FROM exec`,
-			`SELECT runid, dataset, timestep FROM exec ORDER BY runid, timestep DESC`,
-		} {
-			want := rowsString(mustQuery(t, one, q))
-			if got := rowsString(mustQuery(t, loaded, q)); got != want {
-				t.Fatalf("after Load into %d shards, %s diverged:\n%svs\n%s", n, q, got, want)
+// streamTranscript runs the randomized stream against db and returns
+// the SHA-256 of everything it answered — every query's rows, every
+// statement's affected count and error text, the final planner
+// counters and the final Save image — with the image.
+func streamTranscript(t *testing.T, db *DB) (digest string, image []byte) {
+	t.Helper()
+	h := sha256.New()
+	randomizedStream(
+		func(sql string, args ...any) {
+			n, err := db.Exec(sql, args...)
+			fmt.Fprintf(h, "exec %d %v\n", n, err)
+		},
+		func(sql string, args ...any) {
+			r, err := db.Query(sql, args...)
+			if err != nil {
+				fmt.Fprintf(h, "query %v\n", err)
+				return
 			}
+			fmt.Fprintf(h, "query\n%s", rowsString(r))
+		})
+	st := db.StatsSnapshot()
+	fmt.Fprintf(h, "scanned %d hits %d eq %d range %d scan %d queries %d\n",
+		st.RowsScanned, st.IndexHits, st.PlanEq, st.PlanRange, st.PlanScan, st.Queries)
+	image = saved(t, db)
+	h.Write(image)
+	return hex.EncodeToString(h.Sum(nil)), image
+}
+
+// streamDigest is what streamTranscript returned for the engine this
+// one replaced, with its tables hash-sharded one way and eight ways
+// alike (commit 7e3c552): the single-tree engine must answer the
+// stream to the byte as both did.
+const streamDigest = "fd6dab2729f5c8fd383205d1869af851b281467f86d63f537016c810b1232ccf"
+
+func TestRandomizedStreamTranscript(t *testing.T) {
+	db := New()
+	digest, image := streamTranscript(t, db)
+	if digest != streamDigest {
+		t.Errorf("transcript digest %s, want %s", digest, streamDigest)
+	}
+	// Save∘Load∘Save is a fixed point, and the loaded image answers as
+	// the database that wrote it.
+	re := loaded(t, image)
+	if again := saved(t, re); !bytes.Equal(again, image) {
+		t.Errorf("loaded image saves %d bytes that differ from the %d it was loaded from", len(again), len(image))
+	}
+	for _, q := range []string{
+		`SELECT * FROM exec ORDER BY dataset`,
+		`SELECT COUNT(*) FROM exec`,
+		`SELECT runid, dataset, timestep FROM exec ORDER BY runid, timestep DESC`,
+	} {
+		want := rowsString(mustQuery(t, db, q))
+		if got := rowsString(mustQuery(t, re, q)); got != want {
+			t.Fatalf("after Load, %s diverged:\n%svs\n%s", q, got, want)
 		}
 	}
 }
@@ -428,25 +411,22 @@ func TestShardedDifferentialRandomized(t *testing.T) {
 // hit the shared data, the session-local statement cache serves
 // repeats, and per-goroutine sessions run race-free in parallel.
 func TestSessionBasics(t *testing.T) {
-	db := execSchema(t, DefaultShards)
+	db := execSchema(t)
 	s := db.Session()
-	if s.DB() != db {
-		t.Fatal("Session.DB() lost its engine")
-	}
 	if _, err := s.Exec(`INSERT INTO exec VALUES (1, 'p', 0, 10)`); err != nil {
 		t.Fatal(err)
 	}
 	// Visible through the DB and a second session alike.
 	for range 3 {
-		row, err := db.Session().QueryRow(`SELECT bytes FROM exec WHERE runid = 1 AND dataset = 'p' AND timestep = 0`)
+		rows, err := db.Session().Query(`SELECT bytes FROM exec WHERE runid = 1 AND dataset = 'p' AND timestep = 0`)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if row == nil || row[0].AsInt() != 10 {
-			t.Fatalf("session write invisible: %v", row)
+		if rows.Len() != 1 || rows.Data[0][0].AsInt() != 10 {
+			t.Fatalf("session write invisible: %v", rows.Data)
 		}
 	}
-	if rows, err := s.Explain(`SELECT * FROM exec WHERE runid = 1 AND dataset = 'p' AND timestep = 0`); err != nil || rows.Len() == 0 {
+	if rows, err := s.Query(`EXPLAIN SELECT * FROM exec WHERE runid = 1 AND dataset = 'p' AND timestep = 0`); err != nil || rows.Len() == 0 {
 		t.Fatalf("session explain: %v", err)
 	}
 
@@ -478,50 +458,4 @@ func TestSessionBasics(t *testing.T) {
 	if got := row[0].AsInt(); got != 601 {
 		t.Fatalf("row count after concurrent sessions: %d, want 601", got)
 	}
-}
-
-// TestExplainShardsLine pins the EXPLAIN shard-targeting report and
-// the single-shard/scatter counters: a composite probe binding the
-// shard column reads one shard, everything else scatters.
-func TestExplainShardsLine(t *testing.T) {
-	db := execSchema(t, 8)
-	if _, err := db.Exec(`INSERT INTO exec VALUES (1, 'p', 0, 10), (2, 'q', 1, 20)`); err != nil {
-		t.Fatal(err)
-	}
-
-	probe := planText(t, db, `SELECT * FROM exec WHERE runid = 1 AND dataset = 'p' AND timestep = 0`)
-	if !containsLine(probe, "shards: 1 of 8") {
-		t.Errorf("composite probe should target one shard:\n%s", probe)
-	}
-	scatter := planText(t, db, `SELECT * FROM exec WHERE dataset = 'p'`)
-	if !containsLine(scatter, "shards: 8 of 8") {
-		t.Errorf("non-shard-column probe should scatter:\n%s", scatter)
-	}
-	scan := planText(t, db, `SELECT * FROM exec`)
-	if !containsLine(scan, "shards: 8 of 8") {
-		t.Errorf("scan should scatter:\n%s", scan)
-	}
-
-	// EXPLAIN observes without counting; execution moves the split.
-	single0, scatter0 := db.ShardPlanCounts()
-	if _, err := db.Query(`SELECT * FROM exec WHERE runid = 1 AND dataset = 'p' AND timestep = 0`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Query(`SELECT * FROM exec WHERE dataset = 'p'`); err != nil {
-		t.Fatal(err)
-	}
-	single, scatterN := db.ShardPlanCounts()
-	if single != single0+1 || scatterN != scatter0+1 {
-		t.Errorf("ShardPlanCounts moved (%d,%d) -> (%d,%d), want +1/+1", single0, scatter0, single, scatterN)
-	}
-
-	// A 1-shard DB reports every plan as single-shard.
-	db1 := execSchema(t, 1)
-	if got := planText(t, db1, `SELECT * FROM exec`); !containsLine(got, "shards: 1 of 1") {
-		t.Errorf("1-shard scan:\n%s", got)
-	}
-}
-
-func containsLine(text, line string) bool {
-	return bytes.Contains([]byte(text), []byte(line))
 }

@@ -63,17 +63,17 @@ func TestOrderByServedFromIndex(t *testing.T) {
 		`SELECT k, label FROM obs WHERE k = 3 ORDER BY k`,
 	}
 	for _, q := range queries {
-		before := indexed.OrderSkips()
+		before := indexed.StatsSnapshot().OrderSkips
 		got := rowsString(mustQuery(t, indexed, q))
-		if indexed.OrderSkips() != before+1 {
-			t.Errorf("%s: sort was not skipped (OrderSkips %d -> %d)", q, before, indexed.OrderSkips())
+		if indexed.StatsSnapshot().OrderSkips != before+1 {
+			t.Errorf("%s: sort was not skipped (OrderSkips %d -> %d)", q, before, indexed.StatsSnapshot().OrderSkips)
 		}
 		want := rowsString(mustQuery(t, plain, q))
 		if got != want {
 			t.Errorf("%s:\nindexed path:\n%splain sort:\n%s", q, got, want)
 		}
 	}
-	if skips := plain.OrderSkips(); skips != 0 {
+	if skips := plain.StatsSnapshot().OrderSkips; skips != 0 {
 		t.Errorf("unindexed DB skipped %d sorts", skips)
 	}
 }
@@ -87,9 +87,9 @@ func TestOrderByIndexIneligible(t *testing.T) {
 		`SELECT k, label FROM obs ORDER BY k, label`,
 		`SELECT k, label FROM obs ORDER BY label`,
 	} {
-		before := indexed.OrderSkips()
+		before := indexed.StatsSnapshot().OrderSkips
 		got := rowsString(mustQuery(t, indexed, q))
-		if indexed.OrderSkips() != before {
+		if indexed.StatsSnapshot().OrderSkips != before {
 			t.Errorf("%s: expected a real sort, but it was skipped", q)
 		}
 		if want := rowsString(mustQuery(t, plain, q)); got != want {
@@ -153,17 +153,17 @@ func TestPersistRebuildsIndexState(t *testing.T) {
 	// Every query must be answered from the rebuilt index: candidate
 	// rows from index lookups where a WHERE exists, and the sort
 	// skipped for all of them.
-	hits0, skips0 := loaded.IndexHits(), loaded.OrderSkips()
+	hits0, skips0 := loaded.StatsSnapshot().IndexHits, loaded.StatsSnapshot().OrderSkips
 	for i, q := range queries {
 		if got := rowsString(mustQuery(t, loaded, q)); got != want[i] {
 			t.Errorf("after Load, %s:\ngot:\n%swant:\n%s", q, got, want[i])
 		}
 	}
-	if got := loaded.OrderSkips() - skips0; got != int64(len(queries)) {
+	if got := loaded.StatsSnapshot().OrderSkips - skips0; got != int64(len(queries)) {
 		t.Errorf("loaded DB skipped %d sorts, want %d", got, len(queries))
 	}
 	// The two WHERE-bearing queries (equality + range) must hit the index.
-	if got := loaded.IndexHits() - hits0; got != 2 {
+	if got := loaded.StatsSnapshot().IndexHits - hits0; got != 2 {
 		t.Errorf("loaded DB had %d index hits, want 2", got)
 	}
 

@@ -32,9 +32,8 @@ import (
 //
 // A typed column carries no per-cell kind: INSERT and UPDATE coerce
 // every cell to its column's kind, so NULL is the only exception.
-// Rows serialize in global insertion order and indexes by sorted key,
-// so the bytes are independent of the in-memory shard count: a DB
-// sharded 8 ways saves the identical snapshot a 1-shard DB would.
+// Rows serialize in insertion order and indexes by sorted key; row ids
+// are not stored, Load numbers the rows from 0.
 //
 // Load also reads "MDB1", the row-major format of earlier releases
 // (u32 counts and lengths, every cell a kind byte and a fixed-width
@@ -168,7 +167,7 @@ func (db *DB) Save(w io.Writer) error {
 			b = appendString(appendString(b, d.name), d.key)
 		}
 		rows = rows[:0]
-		for r := range t.scan() {
+		for r := range t.rows.all() {
 			rows = append(rows, r.vals)
 		}
 		b = binary.AppendUvarint(b, uint64(len(rows)))
@@ -364,7 +363,7 @@ func (r *reader) cellV1(kind Kind) Value {
 }
 
 // table reads one table of either format.
-func (r *reader) table(nshards int) *tableData {
+func (r *reader) table() *tableData {
 	name := r.str()
 	cols := make([]columnDef, r.count("columns", 2))
 	colIdx := make(map[string]int, len(cols))
@@ -419,18 +418,17 @@ func (r *reader) table(nshards int) *tableData {
 	}
 	rows := make([]rowEntry, nrows)
 	for i := range rows {
-		rows[i] = rowEntry{int64(i) << shardBits, slab[i*len(cols) : (i+1)*len(cols) : (i+1)*len(cols)]}
+		rows[i] = rowEntry{int64(i), slab[i*len(cols) : (i+1)*len(cols) : (i+1)*len(cols)]}
 	}
-	return buildTable(name, cols, colIdx, nshards, defs, rows)
+	return buildTable(name, cols, colIdx, defs, rows)
 }
 
 // Load replaces the database contents with a snapshot previously
 // written by Save. The input is read whole and every count and length
 // in it checked against the bytes that remain before anything is
 // allocated for it, so a truncated or hostile snapshot is an
-// ErrCorruptSnapshot, never a short table. The new state is rebuilt
-// sharded, published atomically, and the writer-lock registry is reset
-// with seq allocators continuing past the loaded rows.
+// ErrCorruptSnapshot, never a short table. The new state is built
+// beside the old one and published atomically, as any writer's.
 func (db *DB) Load(src io.Reader) error {
 	b, err := io.ReadAll(src)
 	if err != nil {
@@ -442,7 +440,7 @@ func (db *DB) Load(src io.Reader) error {
 	r := &reader{b: b[4:], v1: string(b[:4]) == magicV1}
 	tables := make(map[string]*tableData)
 	for range r.count("tables", 3) {
-		t := r.table(db.nshards)
+		t := r.table()
 		if r.err != nil {
 			return r.err
 		}
@@ -457,21 +455,9 @@ func (db *DB) Load(src io.Reader) error {
 	if r.err != nil {
 		return r.err
 	}
-	db.ddlMu.Lock()
-	defer db.ddlMu.Unlock()
-	locks := make(map[string]*tableLocks, len(tables))
-	for name, t := range tables {
-		lk := db.newTableLocks()
-		lk.nextSeq.Store(int64(t.rowCount()))
-		locks[name] = lk
-	}
-	db.locksMu.Lock()
-	db.locks = locks
-	db.locksMu.Unlock()
-	db.commitMu.Lock()
-	cur := db.state.Load()
+	cur := db.beginWrite()
+	defer db.writeMu.Unlock()
 	db.state.Store(&dbState{version: cur.version + 1, tables: tables})
-	db.commitMu.Unlock()
 	db.commits.Add(1)
 	return nil
 }

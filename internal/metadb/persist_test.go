@@ -12,7 +12,7 @@ import (
 
 // The goldens: golden_v1.mdb was written by the MDB1 Save of PR 17 over
 // a database with all five kinds, NULLs in every column, a composite
-// index, updated rows, a row moved across shards and deleted rows;
+// index, updated rows and deleted rows;
 // golden_v2.mdb is what this Save writes after loading it, pinning the
 // MDB2 bytes.
 func golden(t testing.TB, name string) []byte {
@@ -24,9 +24,9 @@ func golden(t testing.TB, name string) []byte {
 	return b
 }
 
-func loaded(t testing.TB, image []byte, shards int) *DB {
+func loaded(t testing.TB, image []byte) *DB {
 	t.Helper()
-	db := NewWithShards(shards)
+	db := New()
 	if err := db.Load(bytes.NewReader(image)); err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func saved(t testing.TB, db *DB) []byte {
 	return buf.Bytes()
 }
 
-// TestGoldenV1 loads the MDB1 golden into 1 and 8 shards and checks
+// TestGoldenV1 loads the MDB1 golden and checks
 // the rows, the index plans and EXPLAIN against what the database that
 // wrote it answered, then that it re-saves as the MDB2 golden, which
 // loads to the same answers and saves to itself.
@@ -63,40 +63,36 @@ func TestGoldenV1(t *testing.T) {
 		{`SELECT id FROM obs WHERE name = 'alpha' ORDER BY name`, "1\n-9000000000\n12\n"},
 		{`EXPLAIN SELECT * FROM obs WHERE id = 12 AND name = 'alpha'`,
 			"equality probe on index obs_id_name (id, name): 2 equality conjunct(s) cover all 2 index column(s)\n" +
-				"shards: 1 of #\nestimate: scan 1 of 10 row(s)\n"},
+				"estimate: scan 1 of 10 row(s)\n"},
 		{`EXPLAIN SELECT * FROM obs WHERE name = 'alpha'`,
 			"equality probe on index obs_name (name): 1 equality conjunct(s) cover all 1 index column(s)\n" +
-				"shards: # of #\nestimate: scan 3 of 10 row(s)\n"},
+				"estimate: scan 3 of 10 row(s)\n"},
 		{`EXPLAIN SELECT * FROM runs WHERE runid >= 2 ORDER BY runid`,
 			"range scan on index runs_runid (runid): 2 <= runid\n" +
-				"shards: # of #\nestimate: scan 2 of 3 row(s)\n" +
+				"estimate: scan 2 of 3 row(s)\n" +
 				"order by runid served from index runs_runid (no sort)\n"},
 		{`EXPLAIN SELECT * FROM obs WHERE score > 1`,
 			"full table scan: range conjuncts bind no indexed column\n" +
-				"shards: # of #\nestimate: scan 10 of 10 row(s)\n"},
+				"estimate: scan 10 of 10 row(s)\n"},
 	}
 	v1, v2 := golden(t, "golden_v1.mdb"), golden(t, "golden_v2.mdb")
 	if string(v1[:4]) != magicV1 || string(v2[:4]) != magicV2 {
 		t.Fatalf("goldens start %q and %q", v1[:4], v2[:4])
 	}
 	for _, image := range [][]byte{v1, v2} {
-		for _, shards := range []int{1, 8} {
-			db := loaded(t, image, shards)
-			for _, w := range want {
-				got := rowsString(mustQuery(t, db, w.sql))
-				wantRows := bytes.ReplaceAll([]byte(w.rows), []byte("#"), fmt.Append(nil, shards))
-				if got != string(wantRows) {
-					t.Errorf("%s from %s in %d shard(s):\n%swant:\n%s", image[:4], w.sql, shards, got, wantRows)
-				}
+		db := loaded(t, image)
+		for _, w := range want {
+			if got := rowsString(mustQuery(t, db, w.sql)); got != w.rows {
+				t.Errorf("%s from %s:\n%swant:\n%s", image[:4], w.sql, got, w.rows)
 			}
-			if got := saved(t, db); !bytes.Equal(got, v2) {
-				t.Errorf("%s loaded into %d shard(s) saves %d bytes that differ from golden_v2.mdb (%d)", image[:4], shards, len(got), len(v2))
-			}
-			// The loaded rows take ids 0..n-1; the next insert continues.
-			mustExec(t, db, `INSERT INTO runs VALUES (4, 'rt', 2)`)
-			if got := rowsString(mustQuery(t, db, `SELECT runid FROM runs`)); got != "1\n2\n3\n4\n" {
-				t.Errorf("insert after load: %q", got)
-			}
+		}
+		if got := saved(t, db); !bytes.Equal(got, v2) {
+			t.Errorf("%s loaded saves %d bytes that differ from golden_v2.mdb (%d)", image[:4], len(got), len(v2))
+		}
+		// The loaded rows take ids 0..n-1; the next insert continues.
+		mustExec(t, db, `INSERT INTO runs VALUES (4, 'rt', 2)`)
+		if got := rowsString(mustQuery(t, db, `SELECT runid FROM runs`)); got != "1\n2\n3\n4\n" {
+			t.Errorf("insert after load: %q", got)
 		}
 	}
 }
@@ -182,7 +178,7 @@ func TestLoadHostileInput(t *testing.T) {
 		}
 	}
 	// What the vectors above should have said does load.
-	db := loaded(t, v2(append(ints, 0, 2, 0, 0, 2, 'x', 'z', 1, 1, 1, 'y', 0, 1, 1, 0)...), 8)
+	db := loaded(t, v2(append(ints, 0, 2, 0, 0, 2, 'x', 'z', 1, 1, 1, 'y', 0, 1, 1, 0)...))
 	if got := rowsString(mustQuery(t, db, `SELECT * FROM t`)); got != "1\txz\n2\txyz\n3\txyz\n4\txz\n" {
 		t.Errorf("well-formed vectors loaded as %q", got)
 	}
@@ -193,7 +189,7 @@ func TestLoadHostileInput(t *testing.T) {
 // stored, but the format could say: it is coerced as an INSERT would
 // coerce it, and refused where an INSERT would refuse.
 func TestLoadV1CoercesOffKindCells(t *testing.T) {
-	db := loaded(t, v1Image([]Kind{KindReal, KindBlob}, 1, v1Int(3), v1Text(2, "hi")), 8)
+	db := loaded(t, v1Image([]Kind{KindReal, KindBlob}, 1, v1Int(3), v1Text(2, "hi")))
 	row, err := db.QueryRow(`SELECT a, b FROM t`)
 	if err != nil || row[0].Kind() != KindReal || row[0].AsReal() != 3 || row[1].Kind() != KindBlob || string(row[1].AsBlob()) != "hi" {
 		t.Fatalf("coerced row = %v, %v", row, err)
@@ -252,7 +248,7 @@ func TestSnapshotBytesPerRow(t *testing.T) {
 	}
 	// And they are the same rows: file_name has too many distinct values
 	// for a dictionary, so this is the round trip of front-coded text.
-	back := loaded(t, image, 1)
+	back := loaded(t, image)
 	const all = `SELECT * FROM execution_table`
 	if rowsString(mustQuery(t, back, all)) != rowsString(mustQuery(t, db, all)) {
 		t.Error("the loaded execution table differs from the saved one")
@@ -308,7 +304,7 @@ func FuzzLoad(f *testing.F) {
 			return
 		}
 		image := saved(t, db)
-		if again := saved(t, loaded(t, image, 1)); !bytes.Equal(image, again) {
+		if again := saved(t, loaded(t, image)); !bytes.Equal(image, again) {
 			t.Fatalf("the loaded database saved %d bytes, reloaded and saved %d different ones", len(image), len(again))
 		}
 	})

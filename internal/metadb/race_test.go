@@ -89,7 +89,7 @@ func TestConcurrentReadersVsWriter(t *testing.T) {
 						return
 					}
 				case 2:
-					res, err := db.Explain(`SELECT v FROM kv WHERE k = ?`, k)
+					res, err := db.Query(`EXPLAIN SELECT v FROM kv WHERE k = ?`, k)
 					if err != nil {
 						t.Errorf("explain: %v", err)
 						return

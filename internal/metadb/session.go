@@ -28,9 +28,6 @@ func (db *DB) Session() *Session {
 	return &Session{db: db, stmts: make(map[string]cachedStmt)}
 }
 
-// DB returns the underlying database.
-func (s *Session) DB() *DB { return s.db }
-
 // prepare consults the session-local cache first; a miss fills it
 // through the DB's shared cache, so parse work is still done once per
 // statement text per database.
@@ -71,23 +68,4 @@ func (s *Session) Query(src string, args ...any) (*Rows, error) {
 		return nil, err
 	}
 	return s.db.queryStmt(stmt, params, &s.scratch)
-}
-
-// QueryRow runs a SELECT expected to produce at most one row; it
-// returns (nil, nil) when no row matches.
-func (s *Session) QueryRow(src string, args ...any) ([]Value, error) {
-	rows, err := s.Query(src, args...)
-	if err != nil {
-		return nil, err
-	}
-	if rows.Len() == 0 {
-		return nil, nil
-	}
-	return rows.Data[0], nil
-}
-
-// Explain reports the access plan a SELECT would use, without running
-// it. Equivalent to Query("EXPLAIN "+src, ...).
-func (s *Session) Explain(src string, args ...any) (*Rows, error) {
-	return s.Query("EXPLAIN "+src, args...)
 }

@@ -1,6 +1,9 @@
 package metadb
 
-import "slices"
+import (
+	"iter"
+	"slices"
+)
 
 // A tree is a persistent B+tree, the one container behind both row
 // storage (entries ordered by id) and indexes (entries ordered by
@@ -269,6 +272,18 @@ func (t tree[E]) from(key E) cursor[E] {
 		return cursor[E]{root: t.root, rest: rest}
 	}
 	return cursor[E]{}
+}
+
+// all yields every entry in order.
+func (t tree[E]) all() iter.Seq[E] {
+	return func(yield func(E) bool) {
+		var zero E
+		for c := t.from(zero); ; {
+			if e, ok := c.next(); !ok || !yield(e) {
+				return
+			}
+		}
+	}
 }
 
 func (c *cursor[E]) next() (e E, ok bool) {

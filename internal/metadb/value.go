@@ -13,6 +13,7 @@ package metadb
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -120,7 +121,10 @@ func (v Value) numeric() bool { return v.kind == KindInt || v.kind == KindReal }
 // compare orders two values. NULL sorts before everything; numbers
 // compare numerically across int/real; text and blobs compare
 // lexicographically. Cross-type comparisons order by kind, mirroring
-// SQLite's type ordering, so sorting is always total.
+// SQLite's type ordering, so sorting is always total. Two INTEGERs
+// compare as int64, exactly; an INTEGER beside a REAL compares as
+// float64, so there — and only there — integers above 2^53 that round
+// to one float are equal.
 func compare(a, b Value) int {
 	if a.kind == KindNull || b.kind == KindNull {
 		switch {
@@ -131,6 +135,9 @@ func compare(a, b Value) int {
 		default:
 			return 1
 		}
+	}
+	if a.kind == KindInt && b.kind == KindInt {
+		return cmp.Compare(a.i, b.i)
 	}
 	if a.numeric() && b.numeric() {
 		av, bv := a.AsReal(), b.AsReal()
@@ -183,7 +190,9 @@ func hashBytes[T string | []byte](h uint64, b T) uint64 {
 
 // hash folds v into the running tuple hash h. Values that sameKey
 // equates hash alike: numbers by their real representation, so Int(3)
-// and Real(3.0) collide, matching compare.
+// and Real(3.0) collide, matching compare. So do INTEGERs above 2^53
+// that round to one float, which compare then tells apart like any
+// other collision.
 func (v Value) hash(h uint64) uint64 {
 	switch v.kind {
 	case KindInt, KindReal:

@@ -33,6 +33,10 @@ type Dir struct {
 	root    string
 	atomic  bool
 	pending map[string]*dirObject // created but not yet promoted (atomic mode)
+	// dirty records that the namespace changed (Create, Remove, Rename)
+	// since the last Sync, whose directory fsync must then run even with
+	// nothing left to promote.
+	dirty bool
 }
 
 // DirOptions tunes a host-directory backend.
@@ -95,6 +99,7 @@ func (d *Dir) tempPath(name string) string {
 func (d *Dir) Create(name string) (Object, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.dirty = true
 	path := d.hostPath(name)
 	if d.atomic {
 		if _, ok := d.pending[name]; ok {
@@ -166,6 +171,7 @@ func (d *Dir) Stat(name string) (int64, error) {
 func (d *Dir) Remove(name string) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.dirty = true
 	if _, ok := d.pending[name]; ok {
 		delete(d.pending, name)
 		return os.Remove(d.tempPath(name))
@@ -186,6 +192,7 @@ func (d *Dir) Remove(name string) error {
 func (d *Dir) Rename(oldName, newName string) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.dirty = true
 	if o, ok := d.pending[oldName]; ok {
 		if err := os.Rename(d.tempPath(oldName), d.tempPath(newName)); err != nil {
 			return err
@@ -232,16 +239,18 @@ func (d *Dir) List() ([]string, error) {
 }
 
 // Sync promotes pending objects in atomic mode: each temp file is
-// fsynced, renamed onto its final path, and the root directory entry
-// is fsynced, so promoted files survive a crash whole. In plain mode
-// writes go straight to the host file system and Sync is a no-op.
+// fsynced, renamed onto its final path, and the root directory is
+// fsynced, so promoted files survive a crash whole — and so do the
+// Renames and Removes of objects promoted earlier, which leave nothing
+// pending. In plain mode writes go straight to the host file system
+// and Sync is a no-op.
 func (d *Dir) Sync() error {
 	if !d.atomic {
 		return nil
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if len(d.pending) == 0 {
+	if !d.dirty {
 		return nil
 	}
 	for name, o := range d.pending {
@@ -253,8 +262,17 @@ func (d *Dir) Sync() error {
 		}
 		delete(d.pending, name)
 	}
-	// fsync the directory so the renames' entries are durable.
-	df, err := os.Open(d.root)
+	if err := syncDir(d.root); err != nil {
+		return err
+	}
+	d.dirty = false
+	return nil
+}
+
+// syncDir fsyncs a directory so the entries created, renamed and
+// removed in it are durable. A variable so a test can count the calls.
+var syncDir = func(dir string) error {
+	df, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
