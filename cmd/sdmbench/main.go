@@ -6,9 +6,10 @@
 // wins, by roughly what factor, and where the crossovers fall.
 //
 // With -json, every measured case is also appended to a
-// machine-readable results file (workload, configuration, simulated
-// metrics, host wall time and allocations), so successive commits
-// leave a comparable BENCH_*.json perf trajectory. When another
+// machine-readable results file (workload, configuration, metrics), so
+// successive commits leave a comparable BENCH_*.json trajectory. Host
+// time and allocations are not recorded: a single shot of either does
+// not repeat (benchmark/ measures host cost, with repeats). When another
 // BENCH_*.json sits beside the -json target the run is also a gate: the
 // newest of them is the baseline, and sdmbench exits non-zero if a
 // deterministic metric (sim-*, remote-*, trace-spans, files, *-MB) is
@@ -51,13 +52,11 @@ import (
 
 // benchRecord is one measured case of one experiment.
 type benchRecord struct {
-	Experiment  string             `json:"experiment"`
-	Case        string             `json:"case"`
-	Workload    string             `json:"workload"`
-	Config      map[string]any     `json:"config"`
-	SimMetrics  map[string]float64 `json:"sim_metrics"`
-	WallNs      int64              `json:"wall_ns_per_op"`
-	AllocsPerOp uint64             `json:"allocs_per_op"`
+	Experiment string             `json:"experiment"`
+	Case       string             `json:"case"`
+	Workload   string             `json:"workload"`
+	Config     map[string]any     `json:"config"`
+	SimMetrics map[string]float64 `json:"sim_metrics"`
 }
 
 // benchLog accumulates records for -json output. A nil *benchLog
@@ -96,17 +95,6 @@ func newCluster(cfg sdm.ClusterConfig) *sdm.Cluster {
 		cl.SetMetrics(sdm.NewRegistry())
 	}
 	return cl
-}
-
-// measure runs fn, returning its wall time and allocation count.
-func measure(fn func() error) (time.Duration, uint64, error) {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	t0 := time.Now()
-	err := fn()
-	wall := time.Since(t0)
-	runtime.ReadMemStats(&after)
-	return wall, after.Mallocs - before.Mallocs, err
 }
 
 func (bl *benchLog) add(rec benchRecord) {
@@ -229,9 +217,8 @@ func main() {
 
 // deterministic reports whether a metric must repeat bit for bit on any
 // host: simulated times and bandwidths, the simulated remote's ledger,
-// span and file counts, byte volumes. Everything else — host-*
-// throughputs, *-pct overheads, */sec rates, hit ratios — depends on
-// timing and never gates.
+// span and file counts, byte volumes. The host-* throughputs depend on
+// timing and never gate.
 func deterministic(metric string) bool {
 	return strings.HasPrefix(metric, "sim-") || strings.HasPrefix(metric, "remote-") ||
 		metric == "trace-spans" || metric == "files" || strings.HasSuffix(metric, "-MB")
@@ -436,12 +423,7 @@ func runFig5(nx, procs int, bl *benchLog) {
 		log.Fatal(err)
 	}
 	run := func(name string, mode workloads.PartitionMode, history bool) *workloads.PartitionStats {
-		var st *workloads.PartitionStats
-		wall, allocs, err := measure(func() error {
-			var err error
-			st, err = f.ImportAndPartition(cl, mode, history)
-			return err
-		})
+		st, err := f.ImportAndPartition(cl, mode, history)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -452,7 +434,6 @@ func runFig5(nx, procs int, bl *benchLog) {
 				"sim-distri-s/op": st.DistributeSec,
 				"sim-total-s/op":  st.TotalSec,
 			},
-			WallNs: wall.Nanoseconds(), AllocsPerOp: allocs,
 		})
 		return st
 	}
@@ -478,12 +459,7 @@ func fig6Case(f *workloads.FUN3D, level sdm.FileOrganization, procs, steps int,
 	if err := f.Stage(cl); err != nil {
 		log.Fatal(err)
 	}
-	var st *workloads.Fig6Stats
-	wall, allocs, err := measure(func() error {
-		var err error
-		st, err = f.WriteReadBandwidthHints(cl, level, steps, hints)
-		return err
-	})
+	st, err := f.WriteReadBandwidthHints(cl, level, steps, hints)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -496,7 +472,6 @@ func fig6Case(f *workloads.FUN3D, level sdm.FileOrganization, procs, steps int,
 			"sim-write-MB/s": st.WriteMBps,
 			"sim-read-MB/s":  st.ReadMBps,
 		},
-		WallNs: wall.Nanoseconds(), AllocsPerOp: allocs,
 	})
 	return st
 }
@@ -542,12 +517,7 @@ func runFig7(rtnx, rtsteps int, bl *benchLog) {
 	for _, mode := range []workloads.RTMode{workloads.RTOriginal, workloads.RTLevel1, workloads.RTLevel23} {
 		for _, procs := range []int{32, 64} {
 			cl := newCluster(sdm.Origin2000Config(procs))
-			var st *workloads.RTStats
-			wall, allocs, err := measure(func() error {
-				var err error
-				st, err = r.WriteBandwidth(cl, mode)
-				return err
-			})
+			st, err := r.WriteBandwidth(cl, mode)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -560,7 +530,6 @@ func runFig7(rtnx, rtsteps int, bl *benchLog) {
 					"sim-write-s":    st.WriteSec,
 					"total-MB":       st.TotalMB,
 				},
-				WallNs: wall.Nanoseconds(), AllocsPerOp: allocs,
 			})
 			fmt.Fprintf(w, "%v\t%d\t%.1f\t%.3f\t%.1f\n",
 				mode, procs, st.TotalMB, st.WriteSec, st.MBps)
@@ -583,12 +552,7 @@ func runPipeline(nx, procs, steps int, bl *benchLog) {
 		if err := f.Stage(cl); err != nil {
 			log.Fatal(err)
 		}
-		var st *workloads.Fig6Stats
-		wall, allocs, err := measure(func() error {
-			var err error
-			st, err = f.PipelineWriteBandwidth(cl, steps, depth)
-			return err
-		})
+		st, err := f.PipelineWriteBandwidth(cl, steps, depth)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -600,7 +564,6 @@ func runPipeline(nx, procs, steps int, bl *benchLog) {
 				"sim-write-MB/s": st.WriteMBps,
 				"sim-read-MB/s":  st.ReadMBps,
 			},
-			WallNs: wall.Nanoseconds(), AllocsPerOp: allocs,
 		})
 		if depth == 1 {
 			base, baseRead = st.WriteMBps, st.ReadMBps
@@ -665,12 +628,7 @@ func runAblations(nx, procs int, bl *benchLog) {
 		if err := f.Stage(cl); err != nil {
 			log.Fatal(err)
 		}
-		var st *workloads.Fig6Stats
-		wall, allocs, err := measure(func() error {
-			var err error
-			st, err = f.WriteReadBandwidth(cl, sdm.Level3, 1)
-			return err
-		})
+		st, err := f.WriteReadBandwidth(cl, sdm.Level3, 1)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -681,7 +639,6 @@ func runAblations(nx, procs int, bl *benchLog) {
 			SimMetrics: map[string]float64{
 				"sim-write-MB/s": st.WriteMBps,
 			},
-			WallNs: wall.Nanoseconds(), AllocsPerOp: allocs,
 		})
 		fmt.Fprintf(w, "%d\t%.1f\n", servers, st.WriteMBps)
 	}
@@ -748,14 +705,14 @@ func runAblations(nx, procs int, bl *benchLog) {
 	fmt.Printf("expected: with expensive opens, level3's advantage over level1 widens sharply\n")
 }
 
-// runBundleBench prices crash consistency: the same fig6-populated
-// cluster is saved as a run bundle with the write-ahead log on (the
-// default) and off (the same protocol minus the log's records, hashes
-// and fsyncs), for both storage backends. The save is host work, not
-// simulated work, so the cost is reported as wall time; the overhead
-// column is the WAL's durability tax.
+// runBundleBench saves the same fig6-populated cluster as a run bundle
+// with the write-ahead log on (the default) and off (the same protocol
+// minus the log's records, hashes and fsyncs), for both local backends,
+// and records what the bundle holds. The log is retired by the save that
+// wrote it, so the sizes must agree; what the log costs in host time is
+// benchmark/'s sdm.wal_overhead_pct, measured with repeats.
 func runBundleBench(nx, procs, steps int, bl *benchLog) {
-	fmt.Printf("\n=== Bundle: crash-consistent save cost (WAL on vs off) ===\n")
+	fmt.Printf("\n=== Bundle: what a crash-consistent save stores (WAL on vs off) ===\n")
 	f := newFUN3D(nx)
 	cl := newCluster(sdm.Origin2000Config(procs))
 	if err := f.Stage(cl); err != nil {
@@ -772,8 +729,7 @@ func runBundleBench(nx, procs, steps int, bl *benchLog) {
 		}
 		totalMB += float64(len(data)) / 1e6
 	}
-	fmt.Printf("cluster holds %d files, %.1f MB; %d save reps each, best kept\n",
-		len(cl.ListFiles()), totalMB, bundleBenchReps)
+	fmt.Printf("cluster holds %d files, %.1f MB\n", len(cl.ListFiles()), totalMB)
 
 	tmp, err := os.MkdirTemp("", "sdmbench-bundle-")
 	if err != nil {
@@ -782,76 +738,49 @@ func runBundleBench(nx, procs, steps int, bl *benchLog) {
 	defer os.RemoveAll(tmp)
 
 	w := table()
-	fmt.Fprintf(w, "backend\tWAL\tsave (ms)\tbundle (MB)\toverhead\n")
+	fmt.Fprintf(w, "backend\tWAL\tbundle (MB)\n")
 	for _, backend := range []string{"dir", "cas"} {
-		times := map[bool]time.Duration{}
+		sizes := map[bool]float64{}
 		for _, wal := range []bool{false, true} {
-			var best time.Duration
-			var allocs uint64
-			var sizeMB float64
-			for rep := 0; rep < bundleBenchReps; rep++ {
-				dir := filepath.Join(tmp, fmt.Sprintf("%s-wal%v-%d", backend, wal, rep))
-				wall, a, err := measure(func() error {
-					return cl.SaveBundleOpts(dir, sdm.BundleOptions{Backend: backend, DisableWAL: !wal})
-				})
-				if err != nil {
-					log.Fatal(err)
-				}
-				if rep == 0 || wall < best {
-					best, allocs = wall, a
-				}
-				sizeMB = dirSizeMB(dir)
+			dir := filepath.Join(tmp, fmt.Sprintf("%s-wal%v", backend, wal))
+			if err := cl.SaveBundleOpts(dir, sdm.BundleOptions{Backend: backend, DisableWAL: !wal}); err != nil {
+				log.Fatal(err)
 			}
-			times[wal] = best
+			sizes[wal] = dirSizeMB(dir)
 			caseName := backend + "-nowal"
-			metrics := map[string]float64{"bundle-MB": sizeMB}
 			if wal {
 				caseName = backend + "-wal"
-				metrics["wal-overhead-pct"] = (float64(best)/float64(times[false]) - 1) * 100
 			}
 			bl.add(benchRecord{
 				Experiment: "bundle", Case: caseName, Workload: "fun3d",
 				Config: map[string]any{"nx": nx, "procs": procs, "steps": steps,
 					"backend": backend, "wal": wal},
-				SimMetrics: metrics,
-				WallNs:     best.Nanoseconds(), AllocsPerOp: allocs,
+				SimMetrics: map[string]float64{"bundle-MB": sizes[wal]},
 			})
-			overhead := "-"
-			if wal {
-				overhead = fmt.Sprintf("%+.1f%%", metrics["wal-overhead-pct"])
-			}
-			fmt.Fprintf(w, "%s\t%v\t%.1f\t%.1f\t%s\n",
-				backend, wal, float64(best.Nanoseconds())/1e6, sizeMB, overhead)
+			fmt.Fprintf(w, "%s\t%v\t%.1f\n", backend, wal, sizes[wal])
+		}
+		if sizes[true] != sizes[false] {
+			log.Fatalf("a %s bundle holds %v MB saved with the WAL and %v MB without", backend, sizes[true], sizes[false])
 		}
 	}
 	w.Flush()
 	fmt.Printf("expected: the WAL costs its records, content hashes and two log fsyncs, not extra data\n" +
-		"copies — overhead tracks the host's sync latency (noisy on shared machines), not data volume;\n" +
-		"bundle sizes must match with and without the WAL\n")
+		"copies — bundle sizes match with and without it\n")
 }
 
-// bundleBenchReps is how many times each bundle save is repeated (the
-// fastest rep is recorded, de-noising host timing).
-const bundleBenchReps = 3
-
-// runTraceOverhead prices observability itself: the same depth-4
-// pipelined checkpoint workload runs with tracing off and on. The
-// simulated metrics must be bit-identical either way — the tracer only
-// observes clock values, never advances them — so tracing's entire
-// cost is host wall time and allocations, recorded as an overhead
-// percentage in the results file.
+// runTraceOverhead checks that observing does not perturb: the same
+// depth-4 pipelined checkpoint workload runs with tracing off and on, and
+// the simulated metrics must be bit-identical either way and from rep to
+// rep — the tracer only observes clock values, never advances them. What
+// tracing costs the host is benchmark/'s obs.trace_overhead_pct.
 func runTraceOverhead(nx, procs, steps int, bl *benchLog) {
-	fmt.Printf("\n=== Trace: observability overhead (spans off vs on) ===\n")
+	fmt.Printf("\n=== Trace: spans off vs on ===\n")
 	f := newFUN3D(nx)
 	const reps, depth = 3, 4
-	fmt.Printf("level1 pipelined writes, depth %d, %d checkpoints, %d processes; %d reps each, best kept\n",
+	fmt.Printf("level1 pipelined writes, depth %d, %d checkpoints, %d processes; %d reps each\n",
 		depth, steps, procs, reps)
 
-	run := func(traced bool) (time.Duration, uint64, float64, int) {
-		var best time.Duration
-		var allocs uint64
-		var mbps float64
-		spans := 0
+	run := func(traced bool) (mbps float64, spans int) {
 		for rep := 0; rep < reps; rep++ {
 			cl := sdm.NewCluster(sdm.Origin2000Config(procs))
 			lastCluster = cl
@@ -864,17 +793,9 @@ func runTraceOverhead(nx, procs, steps int, bl *benchLog) {
 			if err := f.Stage(cl); err != nil {
 				log.Fatal(err)
 			}
-			var st *workloads.Fig6Stats
-			wall, a, err := measure(func() error {
-				var err error
-				st, err = f.PipelineWriteBandwidth(cl, steps, depth)
-				return err
-			})
+			st, err := f.PipelineWriteBandwidth(cl, steps, depth)
 			if err != nil {
 				log.Fatal(err)
-			}
-			if rep == 0 || wall < best {
-				best, allocs = wall, a
 			}
 			if rep == 0 {
 				mbps = st.WriteMBps
@@ -883,38 +804,33 @@ func runTraceOverhead(nx, procs, steps int, bl *benchLog) {
 			}
 			spans = tr.SpanCount() // nil-safe: 0 when untraced
 		}
-		return best, allocs, mbps, spans
+		return mbps, spans
 	}
 
-	offBest, offAllocs, offMBps, _ := run(false)
-	onBest, onAllocs, onMBps, spans := run(true)
+	offMBps, _ := run(false)
+	onMBps, spans := run(true)
 	if onMBps != offMBps {
 		log.Fatalf("tracing perturbed the simulation: %v MB/s traced vs %v untraced", onMBps, offMBps)
 	}
-	overhead := (float64(onBest)/float64(offBest) - 1) * 100
 
 	w := table()
-	fmt.Fprintf(w, "tracing\twrite (MB/s)\twall (ms)\tallocs\tspans\n")
-	fmt.Fprintf(w, "off\t%.1f\t%.1f\t%d\t-\n", offMBps, float64(offBest.Nanoseconds())/1e6, offAllocs)
-	fmt.Fprintf(w, "on\t%.1f\t%.1f\t%d\t%d\n", onMBps, float64(onBest.Nanoseconds())/1e6, onAllocs, spans)
+	fmt.Fprintf(w, "tracing\twrite (MB/s)\tspans\n")
+	fmt.Fprintf(w, "off\t%.1f\t-\n", offMBps)
+	fmt.Fprintf(w, "on\t%.1f\t%d\n", onMBps, spans)
 	w.Flush()
-	fmt.Printf("tracing overhead %+.1f%% wall time; simulated metrics bit-identical (%.3f MB/s both ways)\n",
-		overhead, onMBps)
+	fmt.Printf("simulated metrics bit-identical (%.3f MB/s both ways)\n", onMBps)
 
 	cfg := map[string]any{"nx": nx, "procs": procs, "steps": steps, "depth": depth}
 	bl.add(benchRecord{
 		Experiment: "trace-overhead", Case: "off", Workload: "fun3d", Config: cfg,
 		SimMetrics: map[string]float64{"sim-write-MB/s": offMBps},
-		WallNs:     offBest.Nanoseconds(), AllocsPerOp: offAllocs,
 	})
 	bl.add(benchRecord{
 		Experiment: "trace-overhead", Case: "on", Workload: "fun3d", Config: cfg,
 		SimMetrics: map[string]float64{
-			"sim-write-MB/s":     onMBps,
-			"trace-overhead-pct": overhead,
-			"trace-spans":        float64(spans),
+			"sim-write-MB/s": onMBps,
+			"trace-spans":    float64(spans),
 		},
-		WallNs: onBest.Nanoseconds(), AllocsPerOp: onAllocs,
 	})
 }
 

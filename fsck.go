@@ -108,7 +108,7 @@ func FsckBundle(dir string, repair bool) (*FsckReport, error) {
 	}
 
 	// Phase 4: the file inventory against the backend.
-	b, svc, err := bundleBackend(dir, m.spec(), nil, nil)
+	b, err := openBundleStore(dir, m.Spec, nil)
 	if err != nil {
 		rep.errorf("backend: %v", err)
 		return rep, nil
@@ -152,44 +152,9 @@ func FsckBundle(dir string, repair bool) (*FsckReport, error) {
 		}
 	}
 
-	// Phase 5: cas-specific audit — refcounts and orphan chunk files.
-	if cas, ok := b.(*store.CAS); ok {
-		if err := cas.CheckRefs(); err != nil {
-			rep.errorf("cas refcount audit: %v", err)
-		}
-		orphans, err := cas.OrphanChunkFiles()
-		if err != nil {
-			rep.errorf("cas orphan scan: %v", err)
-		} else if orphans > 0 {
-			rep.Orphans += orphans
-			if repair {
-				st, err := cas.GC(func(name string) bool { return live[name] })
-				if err != nil {
-					rep.errorf("cas gc: %v", err)
-				} else {
-					rep.repairedf("cas gc reclaimed %d orphan chunk files (%d chunks, %d bytes)",
-						st.OrphansRemoved, st.ChunksReclaimed, st.BytesReclaimed)
-				}
-			} else {
-				rep.errorf("cas: %d orphan chunk files on disk (repair reclaims them)", orphans)
-			}
-		}
-	}
-	// Phase 6: obj-specific audit — multipart sessions no live save
-	// owns (the bundle lock is held, so any session seen here is
-	// abandoned).
-	if svc != nil {
-		if abandoned := svc.AbandonedUploads(); len(abandoned) > 0 {
-			if repair {
-				svc.AbortAllUploads()
-				rep.repairedf("objstore: aborted %d abandoned multipart upload(s)", len(abandoned))
-			} else {
-				for id, key := range abandoned {
-					rep.errorf("objstore: abandoned multipart upload %s targeting %q (repair aborts it)", id, key)
-				}
-			}
-		}
-	}
+	// Phases 5 and 6: what only this kind of store can get wrong — see
+	// the list above.
+	b.audit(rep, func(name string) bool { return live[name] }, repair)
 	if repair {
 		if err := b.Sync(); err != nil {
 			rep.errorf("backend sync: %v", err)

@@ -131,8 +131,7 @@ var schema = []string{
 
 	// annotation_table backs the paper's "high-level description,
 	// together with annotations": free-form metadata applications
-	// attach to runs, datasets, or derived layers (the netCDF-style
-	// layer stores its headers here).
+	// attach to runs, datasets, or derived layers (SDM.Annotate).
 	`CREATE TABLE IF NOT EXISTS annotation_table (
 		runid INTEGER, scope TEXT, k TEXT, v BLOB)`,
 	`CREATE INDEX IF NOT EXISTS annotation_scope ON annotation_table (scope)`,

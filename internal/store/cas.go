@@ -106,9 +106,6 @@ func OpenCAS(root string, opts CASOptions) (*CAS, error) {
 	return c, nil
 }
 
-// Kind reports "cas".
-func (c *CAS) Kind() string { return "cas" }
-
 // Stats snapshots pool occupancy.
 func (c *CAS) Stats() CASStats {
 	c.mu.Lock()

@@ -76,9 +76,6 @@ func NewDirOpts(root string, opts DirOptions) (*Dir, error) {
 	return d, nil
 }
 
-// Kind reports "dir".
-func (d *Dir) Kind() string { return "dir" }
-
 // dirTempPrefix marks unpromoted staging files in atomic mode. It
 // contains a character PathEscape always escapes in object names, so
 // no escaped object name can collide with a temp file.

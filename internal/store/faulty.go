@@ -101,8 +101,8 @@ type FaultStats struct {
 // and assert that Retry plus the WAL mask or recover every injected
 // fault.
 type Faulty struct {
-	inner Backend
-	cfg   FaultConfig
+	Backend // the wrapped store, every operation routed through hook
+	cfg     FaultConfig
 
 	mu    sync.Mutex
 	rng   *rand.Rand
@@ -111,7 +111,9 @@ type Faulty struct {
 
 // NewFaulty wraps a backend in a fault injector.
 func NewFaulty(b Backend, cfg FaultConfig) *Faulty {
-	return &Faulty{inner: b, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	f := &Faulty{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	f.Backend = Wrap(b, f.hook)
+	return f
 }
 
 // Stats snapshots injection counters.
@@ -184,120 +186,25 @@ func fail(op Op, v verdict) error {
 	return fmt.Errorf("%s: %w", op, ErrUnavailable)
 }
 
-// Kind reports the wrapped backend's kind (bundles reopen with the
-// clean flavor; injection is a test-time wrapper, not a format).
-func (f *Faulty) Kind() string { return f.inner.Kind() }
-
-// Create makes an empty object (failures injected before the op runs).
-func (f *Faulty) Create(name string) (Object, error) {
-	if v, _ := f.decide(OpCreate); v != vOK {
-		return nil, fail(OpCreate, v)
-	}
-	o, err := f.inner.Create(name)
-	if err != nil {
-		return nil, err
-	}
-	return &faultyObject{f: f, inner: o}, nil
-}
-
-// Open returns an existing object wrapped in the injector.
-func (f *Faulty) Open(name string) (Object, error) {
-	if v, _ := f.decide(OpOpen); v != vOK {
-		return nil, fail(OpOpen, v)
-	}
-	o, err := f.inner.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	return &faultyObject{f: f, inner: o}, nil
-}
-
-// Stat reports an object's size.
-func (f *Faulty) Stat(name string) (int64, error) {
-	if v, _ := f.decide(OpStat); v != vOK {
-		return 0, fail(OpStat, v)
-	}
-	return f.inner.Stat(name)
-}
-
-// Remove deletes an object (failures injected before the op runs).
-func (f *Faulty) Remove(name string) error {
-	if v, _ := f.decide(OpRemove); v != vOK {
-		return fail(OpRemove, v)
-	}
-	return f.inner.Remove(name)
-}
-
-// Rename moves an object (failures injected before the op runs).
-func (f *Faulty) Rename(oldName, newName string) error {
-	if v, _ := f.decide(OpRename); v != vOK {
-		return fail(OpRename, v)
-	}
-	return f.inner.Rename(oldName, newName)
-}
-
-// List returns all object names.
-func (f *Faulty) List() ([]string, error) {
-	if v, _ := f.decide(OpList); v != vOK {
-		return nil, fail(OpList, v)
-	}
-	return f.inner.List()
-}
-
-// Sync flushes the wrapped backend.
-func (f *Faulty) Sync() error {
-	if v, _ := f.decide(OpSync); v != vOK {
-		return fail(OpSync, v)
-	}
-	return f.inner.Sync()
-}
-
-// faultyObject threads object I/O through the shared injector.
-type faultyObject struct {
-	f     *Faulty
-	inner Object
-}
-
-// Size is metadata already in memory; never injected.
-func (o *faultyObject) Size() int64 { return o.inner.Size() }
-
-func (o *faultyObject) WriteAt(p []byte, off int64) (int, error) {
-	v, frac := o.f.decide(OpWrite)
+// hook injects the op's fate. Failures are decided before the op runs,
+// so an op that fails outright did not happen; a torn write or partial
+// read acts on a prefix of the buffer first.
+func (f *Faulty) hook(c Call) (int, error) {
+	v, frac := f.decide(c.Op)
 	switch v {
-	case vUnavailable, vCrashed:
-		return 0, fail(OpWrite, v)
-	case vTorn, vCrashTear:
-		n := int(frac * float64(len(p)))
+	case vOK:
+		return c.Do()
+	case vTorn, vCrashTear: // reads and writes only, see decide
+		n := int(frac * float64(len(c.P)))
 		if n > 0 {
-			if wn, err := o.inner.WriteAt(p[:n], off); err != nil {
-				return wn, err
+			c.P = c.P[:n]
+			// A prefix read that came up short for its own reasons (EOF)
+			// reports those; a prefix write reports any failure.
+			if got, err := c.Do(); err != nil && (c.Op == OpWrite || got < n) {
+				return got, err
 			}
 		}
-		return n, fail(OpWrite, v)
+		return n, fail(c.Op, v)
 	}
-	return o.inner.WriteAt(p, off)
-}
-
-func (o *faultyObject) ReadAt(p []byte, off int64) (int, error) {
-	v, frac := o.f.decide(OpRead)
-	switch v {
-	case vUnavailable, vCrashed:
-		return 0, fail(OpRead, v)
-	case vTorn, vCrashTear:
-		n := int(frac * float64(len(p)))
-		if n > 0 {
-			if rn, err := o.inner.ReadAt(p[:n], off); err != nil && rn < n {
-				return rn, err
-			}
-		}
-		return n, fail(OpRead, v)
-	}
-	return o.inner.ReadAt(p, off)
-}
-
-func (o *faultyObject) Truncate(n int64) error {
-	if v, _ := o.f.decide(OpTruncate); v != vOK {
-		return fail(OpTruncate, v)
-	}
-	return o.inner.Truncate(n)
+	return 0, fail(c.Op, v)
 }

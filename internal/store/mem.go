@@ -24,9 +24,6 @@ func NewMem() *Mem {
 	return &Mem{objs: make(map[string]*memObject)}
 }
 
-// Kind reports "mem".
-func (m *Mem) Kind() string { return "mem" }
-
 // Create makes an empty object.
 func (m *Mem) Create(name string) (Object, error) {
 	m.mu.Lock()

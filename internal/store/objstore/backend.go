@@ -102,9 +102,6 @@ func (b *Backend) svcCopy(src, dst string) (gen int64, err error) {
 	return
 }
 
-// Kind identifies the backend flavor.
-func (b *Backend) Kind() string { return "obj" }
-
 // object implements store.Object. Exactly one of two states holds:
 // dirty (buf is authoritative, nothing staged remotely) or clean (the
 // remote blob at generation gen is authoritative; buf is nil).

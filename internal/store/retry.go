@@ -87,13 +87,14 @@ func backoffDelay(p *RetryPolicy, n int, jitter float64) time.Duration {
 
 // Do runs one idempotent operation under the policy's retry loop,
 // outside any Backend decorator — the hook the objstore multipart path
-// uses to retry individual part uploads and aborts. Transient errors
-// (IsTransient) are re-issued under the same attempt/backoff/deadline
-// bounds as Retry; anything else surfaces immediately. On exhaustion
-// the returned *ExhaustedError wraps the last underlying error.
+// uses to retry individual part uploads and aborts, and the one loop
+// Retry runs every operation under. Transient errors (IsTransient) are
+// re-issued within the attempt/backoff/deadline bounds; anything else
+// surfaces immediately. On exhaustion the returned *ExhaustedError wraps
+// the last underlying error.
 func (p RetryPolicy) Do(op Op, fn func() error) error {
 	p.fill()
-	rng := rand.New(rand.NewSource(p.Seed))
+	var rng *rand.Rand // seeded at the first retry: most operations never need one
 	start := time.Now()
 	for attempt := 1; ; attempt++ {
 		err := fn()
@@ -102,6 +103,9 @@ func (p RetryPolicy) Do(op Op, fn func() error) error {
 		}
 		if attempt >= p.MaxAttempts || time.Since(start) >= p.MaxElapsed {
 			return &ExhaustedError{Op: op, Attempts: attempt, Elapsed: time.Since(start), Err: err}
+		}
+		if rng == nil {
+			rng = rand.New(rand.NewSource(p.Seed))
 		}
 		p.Sleep(backoffDelay(&p, attempt, rng.Float64()))
 	}
@@ -124,18 +128,18 @@ type RetryStats struct {
 // WriteAt retries are safe against torn writes because WriteAt is
 // positional: re-issuing rewrites the same bytes at the same offset.
 type Retry struct {
-	inner  Backend
-	policy RetryPolicy
+	Backend // the wrapped store, every operation routed through hook
+	policy  RetryPolicy
 
 	mu    sync.Mutex
-	rng   *rand.Rand
 	stats RetryStats
 }
 
 // WithRetry wraps a backend in a retry decorator.
 func WithRetry(b Backend, policy RetryPolicy) *Retry {
-	policy.fill()
-	return &Retry{inner: b, policy: policy, rng: rand.New(rand.NewSource(policy.Seed))}
+	r := &Retry{policy: policy}
+	r.Backend = Wrap(b, r.hook)
+	return r
 }
 
 // Stats snapshots retry counters.
@@ -145,124 +149,26 @@ func (r *Retry) Stats() RetryStats {
 	return r.stats
 }
 
-// retriable reports whether op may be re-issued under this policy.
-func (r *Retry) retriable(op Op) bool {
-	if idempotentOps[op] {
-		return true
+// hook runs an idempotent operation (or, with NamespaceOps, any) under
+// the policy's loop and everything else once. Object I/O is re-issued
+// whole: ReadAt/WriteAt are positional, so a partial read or torn write
+// is simply done again from the top.
+func (r *Retry) hook(c Call) (n int, err error) {
+	attempts := int64(0)
+	once := func() error { attempts++; n, err = c.Do(); return err }
+	retriable := idempotentOps[c.Op] || r.policy.NamespaceOps
+	if retriable {
+		err = r.policy.Do(c.Op, once)
+	} else {
+		err = once()
 	}
-	return r.policy.NamespaceOps
-}
-
-// backoff computes the sleep before retry attempt number n (1-based).
-func (r *Retry) backoff(n int) time.Duration {
-	d := r.policy.BaseDelay << (n - 1)
-	if d > r.policy.MaxDelay || d <= 0 {
-		d = r.policy.MaxDelay
-	}
-	r.mu.Lock()
-	jitter := 0.5 + r.rng.Float64()
-	r.mu.Unlock()
-	return time.Duration(float64(d) * jitter)
-}
-
-// do runs fn under the retry loop.
-func (r *Retry) do(op Op, fn func() error) error {
 	r.mu.Lock()
 	r.stats.Ops++
+	r.stats.Retries += attempts - 1
+	// The loop hands back a transient error only when it gave up on it.
+	if retriable && IsTransient(err) {
+		r.stats.Exhausted++
+	}
 	r.mu.Unlock()
-	start := time.Now()
-	for attempt := 1; ; attempt++ {
-		err := fn()
-		if err == nil || !IsTransient(err) || !r.retriable(op) {
-			return err
-		}
-		if attempt >= r.policy.MaxAttempts || time.Since(start) >= r.policy.MaxElapsed {
-			r.mu.Lock()
-			r.stats.Exhausted++
-			r.mu.Unlock()
-			return err
-		}
-		r.mu.Lock()
-		r.stats.Retries++
-		r.mu.Unlock()
-		r.policy.Sleep(r.backoff(attempt))
-	}
-}
-
-// Kind reports the wrapped backend's kind.
-func (r *Retry) Kind() string { return r.inner.Kind() }
-
-// Create makes an empty object (retried only with NamespaceOps).
-func (r *Retry) Create(name string) (Object, error) {
-	var o Object
-	err := r.do(OpCreate, func() (e error) { o, e = r.inner.Create(name); return })
-	if err != nil {
-		return nil, err
-	}
-	return &retryObject{r: r, inner: o}, nil
-}
-
-// Open returns an existing object wrapped in the retrier.
-func (r *Retry) Open(name string) (Object, error) {
-	var o Object
-	err := r.do(OpOpen, func() (e error) { o, e = r.inner.Open(name); return })
-	if err != nil {
-		return nil, err
-	}
-	return &retryObject{r: r, inner: o}, nil
-}
-
-// Stat reports an object's size.
-func (r *Retry) Stat(name string) (int64, error) {
-	var n int64
-	err := r.do(OpStat, func() (e error) { n, e = r.inner.Stat(name); return })
 	return n, err
-}
-
-// Remove deletes an object (retried only with NamespaceOps).
-func (r *Retry) Remove(name string) error {
-	return r.do(OpRemove, func() error { return r.inner.Remove(name) })
-}
-
-// Rename moves an object (retried only with NamespaceOps).
-func (r *Retry) Rename(oldName, newName string) error {
-	return r.do(OpRename, func() error { return r.inner.Rename(oldName, newName) })
-}
-
-// List returns all object names.
-func (r *Retry) List() ([]string, error) {
-	var names []string
-	err := r.do(OpList, func() (e error) { names, e = r.inner.List(); return })
-	return names, err
-}
-
-// Sync flushes the wrapped backend.
-func (r *Retry) Sync() error {
-	return r.do(OpSync, func() error { return r.inner.Sync() })
-}
-
-// retryObject re-issues failed object I/O whole: ReadAt/WriteAt are
-// positional and therefore idempotent, so a partial read or torn write
-// is simply done again from the top.
-type retryObject struct {
-	r     *Retry
-	inner Object
-}
-
-func (o *retryObject) Size() int64 { return o.inner.Size() }
-
-func (o *retryObject) WriteAt(p []byte, off int64) (int, error) {
-	var n int
-	err := o.r.do(OpWrite, func() (e error) { n, e = o.inner.WriteAt(p, off); return })
-	return n, err
-}
-
-func (o *retryObject) ReadAt(p []byte, off int64) (int, error) {
-	var n int
-	err := o.r.do(OpRead, func() (e error) { n, e = o.inner.ReadAt(p, off); return })
-	return n, err
-}
-
-func (o *retryObject) Truncate(n int64) error {
-	return o.r.do(OpTruncate, func() error { return o.inner.Truncate(n) })
 }

@@ -22,9 +22,11 @@
 //     in memory.
 //
 // The run-bundle layer (sdm.SaveBundle / sdm.OpenBundle) persists a
-// cluster's PFS contents through a Dir or CAS backend so a later
-// process can reopen earlier results by name through the metadata
-// catalog.
+// cluster's PFS contents through a Dir or CAS backend (or objstore's
+// simulated remote) so a later process can reopen earlier results by
+// name through the metadata catalog; a Spec is what it records to find
+// the store again. Wrap is the one decorator: fault injection (Faulty),
+// retries (Retry) and the bundle layer's metering are hooks over it.
 package store
 
 import "errors"
@@ -47,6 +49,24 @@ var (
 // backend failure rather than a semantic error (ErrNotExist/ErrExist)
 // or a dead backend (ErrCrashed).
 func IsTransient(err error) bool { return errors.Is(err, ErrUnavailable) }
+
+// Spec names a bundle's byte store and its geometry. It is recorded twice,
+// under the same JSON keys — in the bundle manifest and in the write-ahead
+// log's begin record — so open, GC, fsck and crash recovery all rebuild the
+// store a save wrote through. Which fields a kind reads is the bundle
+// layer's business (its one constructor); this package only carries them.
+type Spec struct {
+	// Backend is the store kind.
+	Backend string `json:"backend"`
+	// Compress and ChunkSize are the content-addressed pool's geometry.
+	Compress  bool  `json:"compress,omitempty"`
+	ChunkSize int64 `json:"chunk_size,omitempty"`
+	// Endpoint and PartSize locate a remote object store and fix its
+	// multipart geometry. Endpoint is empty exactly when the bytes live
+	// under the bundle directory.
+	Endpoint string `json:"endpoint,omitempty"`
+	PartSize int64  `json:"part_size,omitempty"`
+}
 
 // Object is one named byte array inside a Backend. Semantics follow
 // the simulated PFS's needs (and os.File where they overlap):
@@ -72,9 +92,6 @@ type Object interface {
 // Backend is a flat namespace of Objects. Namespace operations are
 // safe for concurrent use.
 type Backend interface {
-	// Kind names the backend flavor ("mem", "dir", "cas"), recorded in
-	// bundle manifests so the right implementation reopens the data.
-	Kind() string
 	// Create makes an empty object, failing with ErrExist if present.
 	Create(name string) (Object, error)
 	// Open returns an existing object, or ErrNotExist.

@@ -3,6 +3,7 @@ package store
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -47,17 +48,12 @@ const (
 	WALCommit byte = 4
 )
 
-// WALBeginRecord is the payload of a WALBegin record. Endpoint and
-// PartSize are set for remote ("obj") backends so recovery can
-// reconnect to the same simulated remote with the same multipart
-// geometry.
+// WALBeginRecord is the payload of a WALBegin record: the store the
+// save stages into, so recovery can reopen it (for a remote one, the
+// same endpoint with the same multipart geometry).
 type WALBeginRecord struct {
-	Format    int    `json:"format"`
-	Backend   string `json:"backend"`
-	Compress  bool   `json:"compress,omitempty"`
-	ChunkSize int64  `json:"chunk_size,omitempty"`
-	Endpoint  string `json:"endpoint,omitempty"`
-	PartSize  int64  `json:"part_size,omitempty"`
+	Format int `json:"format"`
+	Spec
 }
 
 // WALPutRecord is the payload of a WALPut record: the intent to
@@ -88,10 +84,15 @@ type WALRecord struct {
 	Payload []byte
 }
 
-// Decode unmarshals the record's JSON payload into v.
+// ErrCorruptWAL marks a record whose checksum holds but whose payload is
+// not the JSON its type calls for — a log no save of this program wrote.
+var ErrCorruptWAL = errors.New("store: corrupt wal record")
+
+// Decode unmarshals the record's JSON payload into v, or returns an
+// error wrapping ErrCorruptWAL.
 func (r WALRecord) Decode(v any) error {
 	if err := json.Unmarshal(r.Payload, v); err != nil {
-		return fmt.Errorf("store: corrupt wal record type %d: %w", r.Type, err)
+		return fmt.Errorf("%w of type %d: %v", ErrCorruptWAL, r.Type, err)
 	}
 	return nil
 }

@@ -2,14 +2,12 @@ package sdm
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"sdm/internal/metadb"
 	"sdm/internal/store"
@@ -92,6 +90,11 @@ func readBundleObject(b store.Backend, name string, size int64) ([]byte, error) 
 	if err != nil {
 		return nil, err
 	}
+	// The size is the manifest's word; the allocation below trusts only
+	// what the store confirms.
+	if got := obj.Size(); got != size {
+		return nil, fmt.Errorf("store holds %d bytes, manifest says %d", got, size)
+	}
 	data := make([]byte, size)
 	if size > 0 {
 		if _, err := obj.ReadAt(data, 0); err != nil && err != io.EOF {
@@ -102,21 +105,12 @@ func readBundleObject(b store.Backend, name string, size int64) ([]byte, error) 
 }
 
 // MigrateBundle migrates the bundle in srcDir into dstDir under opts'
-// backend (default "dir"); see the package comment above for the
+// backend (the default kind if unset); see the package comment above for the
 // incremental-delta and crash-consistency contract. The source is
 // never modified.
 func MigrateBundle(srcDir, dstDir string, opts BundleOptions) (MigrateStats, error) {
 	var st MigrateStats
-	if opts.Backend == "" {
-		opts.Backend = "dir"
-	}
-	absSrc, absDst := srcDir, dstDir
-	if a, err := filepath.Abs(srcDir); err == nil {
-		absSrc = filepath.Clean(a)
-	}
-	if a, err := filepath.Abs(dstDir); err == nil {
-		absDst = filepath.Clean(a)
-	}
+	absSrc, absDst := bundlePath(srcDir), bundlePath(dstDir)
 	if absSrc == absDst {
 		return st, fmt.Errorf("sdm: migrate: source and destination are the same bundle %q", absSrc)
 	}
@@ -147,7 +141,7 @@ func MigrateBundle(srcDir, dstDir string, opts BundleOptions) (MigrateStats, err
 	if err != nil {
 		return st, fmt.Errorf("sdm: migrate: source bundle: %w", err)
 	}
-	srcB, _, err := bundleBackend(srcDir, srcM.spec(), opts.Faults, opts.Retry)
+	srcB, err := openBundleStore(srcDir, srcM.Spec, &BundleOptions{Faults: opts.Faults, Retry: opts.Retry})
 	if err != nil {
 		return st, err
 	}
@@ -167,9 +161,9 @@ func MigrateBundle(srcDir, dstDir string, opts BundleOptions) (MigrateStats, err
 		return st, fmt.Errorf("sdm: migrate: destination bundle: %w", err)
 	}
 	if err == nil {
-		if dstM.Backend != opts.Backend {
+		if want := opts.spec().Backend; dstM.Backend != want {
 			return st, fmt.Errorf("sdm: migrate: destination bundle is %q, asked for %q — use a fresh directory",
-				dstM.Backend, opts.Backend)
+				dstM.Backend, want)
 		}
 		dstCat, err := os.ReadFile(filepath.Join(dstDir, bundleCatalogName))
 		if err != nil {
@@ -200,18 +194,6 @@ func MigrateBundle(srcDir, dstDir string, opts BundleOptions) (MigrateStats, err
 	// lacks or holds at the wrong size (a GC'd or corrupt tier must
 	// heal on the next migration).
 	plan := make([]bundlePlanEntry, 0, len(srcM.Files))
-	m := bundleManifest{
-		Format:    bundleFormat,
-		CreatedAt: time.Now().UTC().Format(time.RFC3339),
-		Backend:   opts.Backend,
-		Compress:  opts.Compress,
-		ChunkSize: opts.ChunkSize,
-		Files:     srcM.Files,
-	}
-	if opts.Backend == "obj" {
-		m.Endpoint = bundleEndpoint(dstDir, opts.Endpoint)
-		m.PartSize = opts.PartSize
-	}
 	for _, f := range srcM.Files {
 		sz, have := dstSizes[f.Name]
 		if !copyAll && have && sz == f.Size && !changed[f.Name] {
@@ -228,25 +210,15 @@ func MigrateBundle(srcDir, dstDir string, opts BundleOptions) (MigrateStats, err
 	}
 	st.Files = len(srcM.Files)
 
-	manifestJSON, err := json.MarshalIndent(&m, "", " ")
+	dstB, err := openBundleStore(dstDir, opts.spec(), &opts)
 	if err != nil {
 		return st, err
 	}
-	manifestJSON = append(manifestJSON, '\n')
-
-	dstB, svc, err := bundleBackend(dstDir, opts.spec(), opts.Faults, opts.Retry)
-	if err != nil {
+	if err := writeBundleWAL(dstDir, dstB, plan, srcM.Files, catBytes, &opts); err != nil {
 		return st, err
 	}
-	dstB = meterBackend(dstB, opts.Metrics)
-	registerObjstoreMetrics(opts.Metrics, svc)
-	if err := writeBundleWAL(dstDir, dstB, plan, catBytes, manifestJSON, &opts); err != nil {
-		return st, err
-	}
-	if r := opts.Metrics; r != nil {
-		r.Counter("bundle.migrations").Add(1)
-		r.Counter("bundle.migrate.files_copied").Add(int64(st.FilesCopied))
-		r.Counter("bundle.migrate.bytes_copied").Add(st.BytesCopied)
-	}
+	opts.Metrics.Counter("bundle.migrations").Add(1)
+	opts.Metrics.Counter("bundle.migrate.files_copied").Add(int64(st.FilesCopied))
+	opts.Metrics.Counter("bundle.migrate.bytes_copied").Add(st.BytesCopied)
 	return st, nil
 }
