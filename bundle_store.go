@@ -217,7 +217,6 @@ func meterHook(r *obs.Registry) store.Hook {
 			read.Add(int64(n))
 		case store.OpWrite:
 			written.Add(int64(n))
-		case store.OpTruncate:
 		default:
 			ops.Add(1)
 			if err != nil {

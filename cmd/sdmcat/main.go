@@ -13,9 +13,10 @@
 //
 // With -remote the bundle lives behind a running sdmd daemon instead
 // of on the local disk; everything else — flags, output, bytes — is
-// identical, byte for byte. With -as raw the slab's bytes go to stdout
-// (or -o) verbatim; the typed forms print one value per line, decoded
-// per the dataset's registered data type.
+// identical, byte for byte: both are a wire.Reader, and nothing below
+// open knows which. With -as raw the slab's bytes go to stdout (or -o)
+// verbatim; the typed forms print one value per line, decoded per the
+// dataset's registered data type.
 package main
 
 import (
@@ -24,80 +25,82 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"os"
 	"text/tabwriter"
-	"time"
 
 	"sdm"
-	"sdm/internal/pfs"
+	"sdm/internal/server"
 	"sdm/internal/wire"
 	"sdm/sdmclient"
 )
 
-// inventory is the tool's bundle view, loadable from a local bundle
-// directory or a remote daemon so the print path is shared.
-type inventory struct {
-	runs     []wire.Run
-	datasets func(run int64) ([]wire.Dataset, error)
-	writes   func(run int64) ([]wire.WriteRecord, error)
-	// read resolves and fetches one full slab plus its type info.
-	read func(run int64, dataset string, timestep int64) ([]byte, wire.Dataset, error)
+func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.As(err, new(usage)) {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		log.Fatal(describe(err))
+	}
 }
 
-func main() {
-	list := flag.Bool("list", false, "list the bundle's runs, datasets, and recorded writes")
-	run := flag.Int64("run", 0, "run id (default: the bundle's latest run)")
-	dataset := flag.String("dataset", "", "dataset name to dump")
-	timestep := flag.Int64("timestep", 0, "timestep to dump")
-	as := flag.String("as", "auto", "output form: auto, raw, double, int, long")
-	head := flag.Int64("head", 0, "print only the first N values (0 = all)")
-	out := flag.String("o", "", "write raw bytes to this file instead of stdout")
-	remote := flag.String("remote", "", "read from a sdmd daemon at this base URL instead of a local bundle")
-	bundle := flag.String("bundle", "", "with -remote: bundle name on a multi-bundle daemon")
-	flag.Parse()
+// usage is the error of a command line that names no bundle (exit 2).
+type usage string
 
-	var inv *inventory
-	var err error
-	switch {
-	case *remote != "":
-		if flag.NArg() != 0 {
-			fmt.Fprintln(os.Stderr, "usage: sdmcat -remote URL [-bundle name] [-list | -dataset name [options]]")
-			os.Exit(2)
-		}
-		inv, err = openRemote(*remote, *bundle)
-	default:
-		if flag.NArg() != 1 {
-			fmt.Fprintln(os.Stderr, "usage: sdmcat [-list | -dataset name [options]] BUNDLEDIR")
-			os.Exit(2)
-		}
-		if *bundle != "" {
-			log.Fatal("sdmcat: -bundle requires -remote")
-		}
-		inv, err = openLocal(flag.Arg(0))
-	}
+func (u usage) Error() string { return "usage: " + string(u) }
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("sdmcat", flag.ExitOnError)
+	list := fs.Bool("list", false, "list the bundle's runs, datasets, and recorded writes")
+	runID := fs.Int64("run", 0, "run id (default: the bundle's latest run)")
+	dataset := fs.String("dataset", "", "dataset name to dump")
+	timestep := fs.Int64("timestep", 0, "timestep to dump")
+	as := fs.String("as", "auto", "output form: auto, raw, double, int, long")
+	head := fs.Int64("head", 0, "print only the first N values (0 = all)")
+	out := fs.String("o", "", "write raw bytes to this file instead of stdout")
+	remote := fs.String("remote", "", "read from a sdmd daemon at this base URL instead of a local bundle")
+	bundle := fs.String("bundle", "", "with -remote: bundle name on a multi-bundle daemon")
+	fs.Parse(args)
+
+	b, err := open(*remote, *bundle, fs.Args())
 	if err != nil {
-		log.Fatal(describe(err))
+		return err
 	}
-
+	runs, err := b.Runs()
+	if err != nil {
+		return err
+	}
 	if *list {
-		printInventory(inv)
-		return
+		return printInventory(stdout, b, runs)
 	}
 	if *dataset == "" {
-		log.Fatal("sdmcat: -dataset is required (or use -list)")
+		return errors.New("-dataset is required (or use -list)")
 	}
-	if *run == 0 {
-		if len(inv.runs) == 0 {
-			log.Fatal("sdmcat: bundle has no runs")
+	if *runID == 0 {
+		if len(runs) == 0 {
+			return errors.New("bundle has no runs")
 		}
-		*run = inv.runs[len(inv.runs)-1].RunID
+		*runID = runs[len(runs)-1].RunID
 	}
-
-	buf, info, err := inv.read(*run, *dataset, *timestep)
+	infos, err := b.Datasets(*runID)
 	if err != nil {
-		log.Fatal(describe(err))
+		return err
+	}
+	var info *wire.Dataset
+	for i := range infos {
+		if infos[i].Dataset == *dataset {
+			info = &infos[i]
+		}
+	}
+	if info == nil {
+		return fmt.Errorf("dataset %q not registered for run %d", *dataset, *runID)
+	}
+	buf, err := b.ReadDataset(*runID, *dataset, *timestep)
+	if err != nil {
+		return err
 	}
 
 	form := *as
@@ -111,23 +114,20 @@ func main() {
 			form = "double"
 		}
 	}
-	w := os.Stdout
+	w := stdout
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer f.Close()
 		w = f
 	}
 	if form == "raw" {
-		if _, err := w.Write(buf); err != nil {
-			log.Fatal(err)
-		}
-		return
+		_, err := w.Write(buf)
+		return err
 	}
 	bw := bufio.NewWriter(w)
-	defer bw.Flush()
 	n := info.GlobalSize
 	if *head > 0 && *head < n {
 		n = *head
@@ -142,165 +142,68 @@ func main() {
 		case "long":
 			fmt.Fprintf(bw, "%d\n", int64(binary.LittleEndian.Uint64(buf[i*8:])))
 		default:
-			log.Fatalf("sdmcat: unknown -as form %q", form)
+			return fmt.Errorf("unknown -as form %q", form)
 		}
 	}
+	return bw.Flush()
 }
 
 // describe prefixes errors with operator-facing context: a refused
 // connection ("is sdmd running?") reads nothing like a missing
 // dataset, because they need opposite fixes.
 func describe(err error) string {
-	switch {
-	case errors.Is(err, sdmclient.ErrUnreachable):
+	if errors.Is(err, sdmclient.ErrUnreachable) {
 		return fmt.Sprintf("sdmcat: cannot reach daemon: %v", err)
-	case errors.Is(err, sdmclient.ErrNotFound):
-		return fmt.Sprintf("sdmcat: %v", err)
-	default:
-		return fmt.Sprintf("sdmcat: %v", err)
 	}
+	return fmt.Sprintf("sdmcat: %v", err)
 }
 
-// openLocal loads the inventory straight from a bundle directory.
-func openLocal(dir string) (*inventory, error) {
-	cl, err := sdm.OpenBundle(dir, sdm.ClusterConfig{})
-	if err != nil {
-		return nil, err
-	}
-	cat := cl.Catalog
-	cat.SetAccessCost(0)
-	runs, err := cat.Runs(nil)
-	if err != nil {
-		return nil, err
-	}
-	inv := &inventory{
-		datasets: func(run int64) ([]wire.Dataset, error) {
-			infos, err := cat.Datasets(nil, run)
-			if err != nil {
-				return nil, err
-			}
-			out := make([]wire.Dataset, len(infos))
-			for i, d := range infos {
-				out[i] = wire.Dataset{RunID: d.RunID, Dataset: d.Dataset, AccessPattern: d.AccessPattern,
-					DataType: d.DataType, StorageOrder: d.StorageOrder, GlobalSize: d.GlobalSize}
-			}
-			return out, nil
-		},
-		writes: func(run int64) ([]wire.WriteRecord, error) {
-			recs, err := cat.WritesForRun(nil, run)
-			if err != nil {
-				return nil, err
-			}
-			out := make([]wire.WriteRecord, len(recs))
-			for i, r := range recs {
-				out[i] = wire.WriteRecord{RunID: r.RunID, Dataset: r.Dataset, Timestep: r.Timestep,
-					FileOffset: r.FileOffset, FileName: r.FileName}
-			}
-			return out, nil
-		},
-		read: func(run int64, dataset string, timestep int64) ([]byte, wire.Dataset, error) {
-			var none wire.Dataset
-			info, err := cat.LookupDataset(nil, run, dataset)
-			if err != nil {
-				return nil, none, err
-			}
-			if info == nil {
-				return nil, none, fmt.Errorf("dataset %q not registered for run %d", dataset, run)
-			}
-			rec, err := cat.LookupWrite(nil, run, dataset, timestep)
-			if err != nil {
-				return nil, none, err
-			}
-			if rec == nil {
-				return nil, none, fmt.Errorf("no execution_table entry for run %d dataset %q timestep %d",
-					run, dataset, timestep)
-			}
-			wd := wire.Dataset{RunID: info.RunID, Dataset: info.Dataset, DataType: info.DataType,
-				StorageOrder: info.StorageOrder, AccessPattern: info.AccessPattern, GlobalSize: info.GlobalSize}
-			buf := make([]byte, info.GlobalSize*wd.ElemSize())
-			h, err := cl.FS.Open(rec.FileName, pfs.ReadOnly, nil)
-			if err != nil {
-				return nil, none, err
-			}
-			if _, err := h.ReadAt(buf, rec.FileOffset); err != nil {
-				return nil, none, fmt.Errorf("reading %s@%d: %v", rec.FileName, rec.FileOffset, err)
-			}
-			return buf, wd, nil
-		},
-	}
-	for _, r := range runs {
-		inv.runs = append(inv.runs, wire.Run{RunID: r.RunID, Application: r.Application,
-			Dimension: r.Dimension, ProblemSize: r.ProblemSize, Timesteps: r.Timesteps,
-			Stamp: r.Stamp.Format("2006-01-02 15:04")})
-	}
-	return inv, nil
-}
-
-// openRemote loads the inventory from a sdmd daemon via the client SDK.
-func openRemote(base, bundle string) (*inventory, error) {
-	var opts []sdmclient.Option
-	if bundle != "" {
-		opts = append(opts, sdmclient.WithBundle(bundle))
-	}
-	c := sdmclient.New(base, opts...)
-	runs, err := c.Runs()
-	if err != nil {
-		return nil, err
-	}
-	for i := range runs {
-		if t, perr := time.Parse(time.RFC3339, runs[i].Stamp); perr == nil {
-			runs[i].Stamp = t.Format("2006-01-02 15:04")
+// open puts the bundle behind the one reader interface: a bundle
+// directory opened in this process, or a sdmd daemon via the client SDK.
+func open(remote, bundle string, args []string) (wire.Reader, error) {
+	if remote != "" {
+		if len(args) != 0 {
+			return nil, usage("sdmcat -remote URL [-bundle name] [-list | -dataset name [options]]")
 		}
+		var opts []sdmclient.Option
+		if bundle != "" {
+			opts = append(opts, sdmclient.WithBundle(bundle))
+		}
+		return sdmclient.New(remote, opts...), nil
 	}
-	return &inventory{
-		runs:     runs,
-		datasets: c.Datasets,
-		writes:   c.Writes,
-		read: func(run int64, dataset string, timestep int64) ([]byte, wire.Dataset, error) {
-			var none wire.Dataset
-			infos, err := c.Datasets(run)
-			if err != nil {
-				return nil, none, err
-			}
-			var info *wire.Dataset
-			for i := range infos {
-				if infos[i].Dataset == dataset {
-					info = &infos[i]
-					break
-				}
-			}
-			if info == nil {
-				return nil, none, fmt.Errorf("%w: dataset %q not registered for run %d", sdmclient.ErrNotFound, dataset, run)
-			}
-			buf, err := c.ReadDataset(run, dataset, timestep)
-			if err != nil {
-				return nil, none, err
-			}
-			return buf, *info, nil
-		},
-	}, nil
+	if len(args) != 1 {
+		return nil, usage("sdmcat [-list | -dataset name [options]] BUNDLEDIR")
+	}
+	if bundle != "" {
+		return nil, errors.New("-bundle requires -remote")
+	}
+	cl, err := sdm.OpenBundle(args[0], sdm.ClusterConfig{})
+	if err != nil {
+		return nil, err
+	}
+	return server.Source{Catalog: cl.Catalog, FS: cl.FS}, nil
 }
 
 // printInventory lists what the bundle's catalog knows: runs, their
 // datasets, and every recorded write.
-func printInventory(inv *inventory) {
-	w := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
-	for _, r := range inv.runs {
-		fmt.Fprintf(w, "run %d\t%s\t%s\n", r.RunID, r.Application, r.Stamp)
-		infos, err := inv.datasets(r.RunID)
+func printInventory(stdout io.Writer, b wire.Reader, runs []wire.Run) error {
+	w := tabwriter.NewWriter(stdout, 0, 4, 2, ' ', 0)
+	for _, r := range runs {
+		fmt.Fprintf(w, "run %d\t%s\t%s\n", r.RunID, r.Application, r.Stamp.Format("2006-01-02 15:04"))
+		infos, err := b.Datasets(r.RunID)
 		if err != nil {
-			log.Fatal(describe(err))
+			return err
 		}
 		for _, d := range infos {
 			fmt.Fprintf(w, "  dataset %s\t%s x %d\t%s\n", d.Dataset, d.DataType, d.GlobalSize, d.AccessPattern)
 		}
-		recs, err := inv.writes(r.RunID)
+		recs, err := b.Writes(r.RunID)
 		if err != nil {
-			log.Fatal(describe(err))
+			return err
 		}
 		for _, rec := range recs {
 			fmt.Fprintf(w, "  write %s@%d\t%s\toffset %d\n", rec.Dataset, rec.Timestep, rec.FileName, rec.FileOffset)
 		}
 	}
-	w.Flush()
+	return w.Flush()
 }

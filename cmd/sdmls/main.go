@@ -11,103 +11,112 @@
 //	sdmls -remote http://host:8080 [-bundle name] [-table ...]
 //
 // With -remote the tables come from a running sdmd daemon via the
-// client SDK; -sql is local-only (the daemon does not expose raw SQL).
+// client SDK — the same wire.Reader the local catalog sits behind, so
+// the print path cannot tell them apart; -sql is local-only (the daemon
+// does not expose raw SQL).
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
 	"text/tabwriter"
-	"time"
 
 	"sdm/internal/catalog"
 	"sdm/internal/metadb"
+	"sdm/internal/server"
 	"sdm/internal/wire"
 	"sdm/sdmclient"
 )
 
-// view is the tool's catalog view in wire types, loadable from a local
-// catalog.db or a remote daemon so the print path is shared.
-type view struct {
-	runs      []wire.Run
-	datasets  func(run int64) ([]wire.Dataset, error)
-	writes    func(run int64) ([]wire.WriteRecord, error)
-	imports   func(run int64) ([]wire.ImportEntry, error)
-	histories func() ([]wire.IndexHistory, error)
+func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.As(err, new(usage)) {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		log.Fatal(describe(err))
+	}
 }
 
-func main() {
-	table := flag.String("table", "all", "which table(s) to show")
-	sql := flag.String("sql", "", "run a raw SQL query instead (local only)")
-	remote := flag.String("remote", "", "read from a sdmd daemon at this base URL instead of a local catalog.db")
-	bundle := flag.String("bundle", "", "with -remote: bundle name on a multi-bundle daemon")
-	flag.Parse()
+// usage is the error of a command line that names no catalog (exit 2).
+type usage string
 
-	var v *view
+func (u usage) Error() string { return "usage: " + string(u) }
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("sdmls", flag.ExitOnError)
+	table := fs.String("table", "all", "which table(s) to show")
+	sql := fs.String("sql", "", "run a raw SQL query instead (local only)")
+	remote := fs.String("remote", "", "read from a sdmd daemon at this base URL instead of a local catalog.db")
+	bundle := fs.String("bundle", "", "with -remote: bundle name on a multi-bundle daemon")
+	fs.Parse(args)
+
+	var b wire.Reader
 	switch {
 	case *remote != "":
-		if flag.NArg() != 0 {
-			fmt.Fprintln(os.Stderr, "usage: sdmls -remote URL [-bundle name] [-table name]")
-			os.Exit(2)
+		if fs.NArg() != 0 {
+			return usage("sdmls -remote URL [-bundle name] [-table name]")
 		}
 		if *sql != "" {
-			log.Fatal("sdmls: -sql needs a local catalog.db (the daemon does not expose raw SQL)")
+			return errors.New("-sql needs a local catalog.db (the daemon does not expose raw SQL)")
 		}
-		var err error
-		v, err = openRemote(*remote, *bundle)
-		if err != nil {
-			log.Fatal(describe(err))
+		var opts []sdmclient.Option
+		if *bundle != "" {
+			opts = append(opts, sdmclient.WithBundle(*bundle))
 		}
+		b = sdmclient.New(*remote, opts...)
 	default:
-		if flag.NArg() != 1 {
-			fmt.Fprintln(os.Stderr, "usage: sdmls [-table name | -sql query] catalog.db")
-			os.Exit(2)
+		if fs.NArg() != 1 {
+			return usage("sdmls [-table name | -sql query] catalog.db")
 		}
 		if *bundle != "" {
-			log.Fatal("sdmls: -bundle requires -remote")
+			return errors.New("-bundle requires -remote")
 		}
-		f, err := os.Open(flag.Arg(0))
+		f, err := os.Open(fs.Arg(0))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer f.Close()
 		db := metadb.New()
 		if err := db.Load(f); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if *sql != "" {
-			runSQL(db, *sql)
-			return
+			return runSQL(stdout, db, *sql)
 		}
-		v, err = openLocal(db)
-		if err != nil {
-			log.Fatal(err)
-		}
+		// A catalog with no file system beside it: every listing works,
+		// only ReadDataset (which sdmls never calls) needs the bytes.
+		b = server.Source{Catalog: catalog.New(db)}
 	}
 
+	runs, err := b.Runs()
+	if err != nil {
+		return err
+	}
 	show := func(name string) bool { return *table == "all" || *table == name }
-	w := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(stdout, 0, 4, 2, ' ', 0)
 
 	if show("runs") {
-		fmt.Fprintf(w, "== run_table (%d rows) ==\n", len(v.runs))
+		fmt.Fprintf(w, "== run_table (%d rows) ==\n", len(runs))
 		fmt.Fprintln(w, "runid\tapplication\tdimension\tproblem_size\ttimesteps\tstamp")
-		for _, r := range v.runs {
-			fmt.Fprintf(w, "%d\t%s\t%d\t%d\t%d\t%s\n",
-				r.RunID, r.Application, r.Dimension, r.ProblemSize, r.Timesteps, r.Stamp)
+		for _, r := range runs {
+			fmt.Fprintf(w, "%d\t%s\t%d\t%d\t%d\t%s\n", r.RunID, r.Application, r.Dimension,
+				r.ProblemSize, r.Timesteps, r.Stamp.Format("2006-01-02 15:04"))
 		}
 		w.Flush()
 	}
 	if show("datasets") {
 		fmt.Fprintln(w, "\n== access_pattern_table ==")
 		fmt.Fprintln(w, "runid\tdataset\tpattern\ttype\torder\tglobal_size")
-		for _, r := range v.runs {
-			infos, err := v.datasets(r.RunID)
+		for _, r := range runs {
+			infos, err := b.Datasets(r.RunID)
 			if err != nil {
-				log.Fatal(describe(err))
+				return err
 			}
 			for _, d := range infos {
 				fmt.Fprintf(w, "%d\t%s\t%s\t%s\t%s\t%d\n",
@@ -119,10 +128,10 @@ func main() {
 	if show("writes") {
 		fmt.Fprintln(w, "\n== execution_table ==")
 		fmt.Fprintln(w, "runid\tdataset\ttimestep\tfile_offset\tfile_name")
-		for _, r := range v.runs {
-			recs, err := v.writes(r.RunID)
+		for _, r := range runs {
+			recs, err := b.Writes(r.RunID)
 			if err != nil {
-				log.Fatal(describe(err))
+				return err
 			}
 			for _, rec := range recs {
 				fmt.Fprintf(w, "%d\t%s\t%d\t%d\t%s\n",
@@ -134,10 +143,10 @@ func main() {
 	if show("imports") {
 		fmt.Fprintln(w, "\n== import_table ==")
 		fmt.Fprintln(w, "runid\timported_name\tfile\ttype\tcontent\toffset\tlength")
-		for _, r := range v.runs {
-			imps, err := v.imports(r.RunID)
+		for _, r := range runs {
+			imps, err := b.Imports(r.RunID)
 			if err != nil {
-				log.Fatal(describe(err))
+				return err
 			}
 			for _, e := range imps {
 				fmt.Fprintf(w, "%d\t%s\t%s\t%s\t%s\t%d\t%d\n",
@@ -147,9 +156,9 @@ func main() {
 		w.Flush()
 	}
 	if show("histories") {
-		hists, err := v.histories()
+		hists, err := b.Histories()
 		if err != nil {
-			log.Fatal(describe(err))
+			return err
 		}
 		fmt.Fprintf(w, "\n== index_table (%d histories) ==\n", len(hists))
 		fmt.Fprintln(w, "problem_size\tnum_nodes\tnprocs\tfile")
@@ -158,6 +167,7 @@ func main() {
 		}
 		w.Flush()
 	}
+	return nil
 }
 
 // describe keeps the two operator-facing failure classes distinct:
@@ -171,12 +181,12 @@ func describe(err error) string {
 }
 
 // runSQL executes one raw query against a loaded local snapshot.
-func runSQL(db *metadb.DB, sql string) {
+func runSQL(stdout io.Writer, db *metadb.DB, sql string) error {
 	rows, err := db.Query(sql)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	w := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(stdout, 0, 4, 2, ' ', 0)
 	fmt.Fprintln(w, strings.Join(rows.Columns, "\t"))
 	for _, row := range rows.Data {
 		cells := make([]string, len(row))
@@ -185,97 +195,5 @@ func runSQL(db *metadb.DB, sql string) {
 		}
 		fmt.Fprintln(w, strings.Join(cells, "\t"))
 	}
-	w.Flush()
-}
-
-// openLocal adapts a loaded metadb snapshot to the shared view.
-func openLocal(db *metadb.DB) (*view, error) {
-	cat := catalog.New(db)
-	cat.SetAccessCost(0)
-	runs, err := cat.Runs(nil)
-	if err != nil {
-		return nil, err
-	}
-	v := &view{
-		datasets: func(run int64) ([]wire.Dataset, error) {
-			infos, err := cat.Datasets(nil, run)
-			if err != nil {
-				return nil, err
-			}
-			out := make([]wire.Dataset, len(infos))
-			for i, d := range infos {
-				out[i] = wire.Dataset{RunID: d.RunID, Dataset: d.Dataset, AccessPattern: d.AccessPattern,
-					DataType: d.DataType, StorageOrder: d.StorageOrder, GlobalSize: d.GlobalSize}
-			}
-			return out, nil
-		},
-		writes: func(run int64) ([]wire.WriteRecord, error) {
-			recs, err := cat.WritesForRun(nil, run)
-			if err != nil {
-				return nil, err
-			}
-			out := make([]wire.WriteRecord, len(recs))
-			for i, r := range recs {
-				out[i] = wire.WriteRecord{RunID: r.RunID, Dataset: r.Dataset, Timestep: r.Timestep,
-					FileOffset: r.FileOffset, FileName: r.FileName}
-			}
-			return out, nil
-		},
-		imports: func(run int64) ([]wire.ImportEntry, error) {
-			imps, err := cat.Imports(nil, run)
-			if err != nil {
-				return nil, err
-			}
-			out := make([]wire.ImportEntry, len(imps))
-			for i, e := range imps {
-				out[i] = wire.ImportEntry{RunID: e.RunID, ImportedName: e.ImportedName, FileName: e.FileName,
-					DataType: e.DataType, StorageOrder: e.StorageOrder, Partition: e.Partition,
-					FileContent: e.FileContent, FileOffset: e.FileOffset, Length: e.Length}
-			}
-			return out, nil
-		},
-		histories: func() ([]wire.IndexHistory, error) {
-			hists, err := cat.Histories(nil)
-			if err != nil {
-				return nil, err
-			}
-			out := make([]wire.IndexHistory, len(hists))
-			for i, h := range hists {
-				out[i] = wire.IndexHistory{ProblemSize: h.ProblemSize, NumNodes: h.NumNodes,
-					NProcs: h.NProcs, Dimension: h.Dimension, FileName: h.FileName}
-			}
-			return out, nil
-		},
-	}
-	for _, r := range runs {
-		v.runs = append(v.runs, wire.Run{RunID: r.RunID, Application: r.Application,
-			Dimension: r.Dimension, ProblemSize: r.ProblemSize, Timesteps: r.Timesteps,
-			Stamp: r.Stamp.Format("2006-01-02 15:04")})
-	}
-	return v, nil
-}
-
-// openRemote adapts a sdmd daemon to the shared view.
-func openRemote(base, bundle string) (*view, error) {
-	var opts []sdmclient.Option
-	if bundle != "" {
-		opts = append(opts, sdmclient.WithBundle(bundle))
-	}
-	c := sdmclient.New(base, opts...)
-	runs, err := c.Runs()
-	if err != nil {
-		return nil, err
-	}
-	for i := range runs {
-		if t, perr := time.Parse(time.RFC3339, runs[i].Stamp); perr == nil {
-			runs[i].Stamp = t.Format("2006-01-02 15:04")
-		}
-	}
-	return &view{
-		runs:      runs,
-		datasets:  c.Datasets,
-		writes:    c.Writes,
-		imports:   c.Imports,
-		histories: c.Histories,
-	}, nil
+	return w.Flush()
 }

@@ -18,6 +18,7 @@ import (
 	"math"
 
 	"sdm"
+	"sdm/internal/server"
 	"sdm/meshgen"
 	"sdm/partitioner"
 )
@@ -193,17 +194,15 @@ func main() {
 
 	// ----- Verify the final global file against the serial sweep.
 	pRef, _ := meshgen.SweepSerial(m.Edge1, m.Edge2, x, y, m.NumNodes())
-	rec, err := cluster.Catalog.LookupWrite(nil, 1, "p", int64(*steps))
-	if err != nil || rec == nil {
-		log.Fatalf("final checkpoint not in execution_table: %v", err)
-	}
-	raw, err := cluster.ReadFile(rec.FileName)
+	// Read it the way any later reader of the run would: by name, through
+	// the execution table.
+	raw, err := server.Source{Catalog: cluster.Catalog, FS: cluster.FS}.ReadDataset(1, "p", int64(*steps))
 	if err != nil {
-		log.Fatal(err)
+		log.Fatalf("final checkpoint: %v", err)
 	}
 	maxErr := 0.0
 	for g := 0; g < m.NumNodes(); g++ {
-		bits := binary.LittleEndian.Uint64(raw[rec.FileOffset+int64(g)*8:])
+		bits := binary.LittleEndian.Uint64(raw[g*8:])
 		diff := math.Abs(math.Float64frombits(bits) - pRef[g])
 		if diff > maxErr {
 			maxErr = diff

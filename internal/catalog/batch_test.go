@@ -56,7 +56,7 @@ func TestLookupWritesBatchAndCompositeIndex(t *testing.T) {
 			}
 		}
 	}
-	keys := []WriteKey{{"p", 3}, {"q", 5}, {"p", 99}} // last one missing
+	keys := []WriteKey{{Dataset: "p", Timestep: 3}, {Dataset: "q", Timestep: 5}, {Dataset: "p", Timestep: 99}} // last one missing
 	clock := sim.NewClock()
 	st0 := c.db.StatsSnapshot()
 	before := clock.Now()

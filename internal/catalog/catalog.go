@@ -8,6 +8,10 @@
 // charge a configurable per-query virtual time to the calling rank's
 // clock, so the "database cost to access the metadata" that the paper
 // folds into the history path is represented.
+//
+// One row of each table is one struct, declared in internal/wire so that
+// the daemon, the client SDK and the tools speak of the same record; the
+// accessors here are what fills them.
 package catalog
 
 import (
@@ -18,6 +22,7 @@ import (
 	"sdm/internal/metadb"
 	"sdm/internal/obs"
 	"sdm/internal/sim"
+	"sdm/internal/wire"
 )
 
 // AccessCost is the default virtual time charged per catalog query,
@@ -148,19 +153,28 @@ func (c *Catalog) EnsureSchema() error {
 	return nil
 }
 
+// The row types are declared once, in internal/wire (the form they take
+// on sdmd's wire and in the tools); these are the names the catalog's
+// callers know them by.
+type (
+	Run          = wire.Run          // run_table
+	DatasetInfo  = wire.Dataset      // access_pattern_table
+	WriteRecord  = wire.WriteRecord  // execution_table
+	WriteKey     = wire.WriteKey     // one (dataset, timestep) of a batched lookup
+	ImportEntry  = wire.ImportEntry  // import_table
+	IndexHistory = wire.IndexHistory // index_table + index_history_table
+)
+
+// NotFound is the error of a lookup that has to find its row: the
+// catalog answered, and does not hold the run, dataset or write asked
+// for. sdmd turns it into a 404, which sdmclient maps to ErrNotFound.
+type NotFound string
+
+func (e NotFound) Error() string { return string(e) }
+
 // ---------------------------------------------------------------------------
 // run_table
 // ---------------------------------------------------------------------------
-
-// Run is one row of run_table.
-type Run struct {
-	RunID       int64
-	Application string
-	Dimension   int64
-	ProblemSize int64
-	Timesteps   int64
-	Stamp       time.Time
-}
 
 // RegisterRun allocates the next run id and records the run, stamping
 // it with the supplied wall-clock time (the paper stores
@@ -196,15 +210,30 @@ func (c *Catalog) LookupRun(clock *sim.Clock, runid int64) (*Run, error) {
 	if err != nil || row == nil {
 		return nil, err
 	}
-	return &Run{
-		RunID:       row[0].AsInt(),
-		Application: row[1].AsText(),
-		Dimension:   row[2].AsInt(),
-		ProblemSize: row[3].AsInt(),
-		Timesteps:   row[4].AsInt(),
-		Stamp: time.Date(int(row[5].AsInt()), time.Month(row[6].AsInt()),
-			int(row[7].AsInt()), int(row[8].AsInt()), int(row[9].AsInt()), 0, 0, time.UTC),
-	}, nil
+	run := scanRun(row)
+	return &run, nil
+}
+
+// scanRun fills a Run from the ten run_table columns.
+func scanRun(r []metadb.Value) Run {
+	return Run{
+		RunID:       r[0].AsInt(),
+		Application: r[1].AsText(),
+		Dimension:   r[2].AsInt(),
+		ProblemSize: r[3].AsInt(),
+		Timesteps:   r[4].AsInt(),
+		Stamp: time.Date(int(r[5].AsInt()), time.Month(r[6].AsInt()),
+			int(r[7].AsInt()), int(r[8].AsInt()), int(r[9].AsInt()), 0, 0, time.UTC),
+	}
+}
+
+// FindRun is LookupRun for a caller that needs the run to exist.
+func (c *Catalog) FindRun(clock *sim.Clock, runid int64) (*Run, error) {
+	run, err := c.LookupRun(clock, runid)
+	if err == nil && run == nil {
+		err = NotFound(fmt.Sprintf("run %d not found", runid))
+	}
+	return run, err
 }
 
 // Runs lists all registered runs in id order.
@@ -219,15 +248,7 @@ func (c *Catalog) Runs(clock *sim.Clock) ([]Run, error) {
 	}
 	out := make([]Run, 0, rows.Len())
 	for _, r := range rows.Data {
-		out = append(out, Run{
-			RunID:       r[0].AsInt(),
-			Application: r[1].AsText(),
-			Dimension:   r[2].AsInt(),
-			ProblemSize: r[3].AsInt(),
-			Timesteps:   r[4].AsInt(),
-			Stamp: time.Date(int(r[5].AsInt()), time.Month(r[6].AsInt()),
-				int(r[7].AsInt()), int(r[8].AsInt()), int(r[9].AsInt()), 0, 0, time.UTC),
-		})
+		out = append(out, scanRun(r))
 	}
 	return out, nil
 }
@@ -235,17 +256,6 @@ func (c *Catalog) Runs(clock *sim.Clock) ([]Run, error) {
 // ---------------------------------------------------------------------------
 // access_pattern_table
 // ---------------------------------------------------------------------------
-
-// DatasetInfo is one row of access_pattern_table: the registered shape
-// of one dataset within a run's data group.
-type DatasetInfo struct {
-	RunID         int64
-	Dataset       string
-	AccessPattern string // e.g. "IRREGULAR"
-	DataType      string // e.g. "DOUBLE"
-	StorageOrder  string // e.g. "ROW_MAJOR"
-	GlobalSize    int64  // elements in the global array
-}
 
 // RegisterDataset records a dataset's access pattern metadata
 // (SDM_set_attributes writes these rows).
@@ -268,14 +278,21 @@ func (c *Catalog) LookupDataset(clock *sim.Clock, runid int64, dataset string) (
 	if err != nil || row == nil {
 		return nil, err
 	}
-	return &DatasetInfo{
-		RunID:         row[0].AsInt(),
-		Dataset:       row[1].AsText(),
-		AccessPattern: row[2].AsText(),
-		DataType:      row[3].AsText(),
-		StorageOrder:  row[4].AsText(),
-		GlobalSize:    row[5].AsInt(),
-	}, nil
+	info := scanDataset(row)
+	return &info, nil
+}
+
+// scanDataset fills a DatasetInfo from the six access_pattern_table
+// columns.
+func scanDataset(r []metadb.Value) DatasetInfo {
+	return DatasetInfo{
+		RunID:         r[0].AsInt(),
+		Dataset:       r[1].AsText(),
+		AccessPattern: r[2].AsText(),
+		DataType:      r[3].AsText(),
+		StorageOrder:  r[4].AsText(),
+		GlobalSize:    r[5].AsInt(),
+	}
 }
 
 // Datasets lists the datasets registered for a run.
@@ -289,14 +306,7 @@ func (c *Catalog) Datasets(clock *sim.Clock, runid int64) ([]DatasetInfo, error)
 	}
 	out := make([]DatasetInfo, 0, rows.Len())
 	for _, r := range rows.Data {
-		out = append(out, DatasetInfo{
-			RunID:         r[0].AsInt(),
-			Dataset:       r[1].AsText(),
-			AccessPattern: r[2].AsText(),
-			DataType:      r[3].AsText(),
-			StorageOrder:  r[4].AsText(),
-			GlobalSize:    r[5].AsInt(),
-		})
+		out = append(out, scanDataset(r))
 	}
 	return out, nil
 }
@@ -304,17 +314,6 @@ func (c *Catalog) Datasets(clock *sim.Clock, runid int64) ([]DatasetInfo, error)
 // ---------------------------------------------------------------------------
 // execution_table
 // ---------------------------------------------------------------------------
-
-// WriteRecord is one row of execution_table: where one timestep of one
-// dataset landed. Level-2 and level-3 file organizations rely on these
-// offsets to append and to find data again.
-type WriteRecord struct {
-	RunID      int64
-	Dataset    string
-	Timestep   int64
-	FileOffset int64
-	FileName   string
-}
 
 // RecordWrite inserts an execution_table row (done by process 0 in
 // SDM_write, per the paper).
@@ -350,20 +349,15 @@ func (c *Catalog) RecordWrites(clock *sim.Clock, recs []WriteRecord) error {
 	return err
 }
 
-// WriteKey names one (dataset, timestep) slab for batched lookups.
-type WriteKey struct {
-	Dataset  string
-	Timestep int64
-}
-
 // LookupWrites resolves a batch of (dataset, timestep) placements in
 // one metadata round trip (the virtual cost is charged once), each
 // probe served by the execution table's composite
 // (runid, dataset, timestep) index. Missing entries come back as nil
-// slots, in key order.
+// slots, in key order; no keys is no round trip and an empty (non-nil)
+// answer.
 func (c *Catalog) LookupWrites(clock *sim.Clock, runid int64, keys []WriteKey) ([]*WriteRecord, error) {
 	if len(keys) == 0 {
-		return nil, nil
+		return []*WriteRecord{}, nil
 	}
 	c.chargeOp(clock, "LookupWrites")
 	c.lookupKeys.Add(int64(len(keys)))
@@ -379,15 +373,21 @@ func (c *Catalog) LookupWrites(clock *sim.Clock, runid int64, keys []WriteKey) (
 		if row == nil {
 			continue
 		}
-		out[i] = &WriteRecord{
-			RunID:      row[0].AsInt(),
-			Dataset:    row[1].AsText(),
-			Timestep:   row[2].AsInt(),
-			FileOffset: row[3].AsInt(),
-			FileName:   row[4].AsText(),
-		}
+		rec := scanWrite(row)
+		out[i] = &rec
 	}
 	return out, nil
+}
+
+// scanWrite fills a WriteRecord from the five execution_table columns.
+func scanWrite(r []metadb.Value) WriteRecord {
+	return WriteRecord{
+		RunID:      r[0].AsInt(),
+		Dataset:    r[1].AsText(),
+		Timestep:   r[2].AsInt(),
+		FileOffset: r[3].AsInt(),
+		FileName:   r[4].AsText(),
+	}
 }
 
 // LookupWrite finds where a dataset's timestep was written; nil when
@@ -398,6 +398,33 @@ func (c *Catalog) LookupWrite(clock *sim.Clock, runid int64, dataset string, tim
 		return nil, err
 	}
 	return recs[0], nil
+}
+
+// Slab resolves one timestep of a dataset to what a reader needs to
+// fetch it: the dataset's registered shape (info.Bytes() is the slab's
+// length) and the execution_table row placing it in a file. This is the
+// one resolver behind sdmd's reads, the tools' local reads and the
+// examples' read-back checks, with a distinct NotFound for each way of
+// missing: no such run, dataset not registered, no write recorded.
+func (c *Catalog) Slab(clock *sim.Clock, runid int64, dataset string, timestep int64) (*DatasetInfo, *WriteRecord, error) {
+	info, err := c.LookupDataset(clock, runid, dataset)
+	if err != nil {
+		return nil, nil, err
+	}
+	if info == nil {
+		if _, err := c.FindRun(clock, runid); err != nil {
+			return nil, nil, err
+		}
+		return nil, nil, NotFound(fmt.Sprintf("dataset %q not registered for run %d", dataset, runid))
+	}
+	rec, err := c.LookupWrite(clock, runid, dataset, timestep)
+	if err != nil {
+		return nil, nil, err
+	}
+	if rec == nil {
+		return nil, nil, NotFound(fmt.Sprintf("no write recorded for run %d dataset %q timestep %d", runid, dataset, timestep))
+	}
+	return info, rec, nil
 }
 
 // WritesForRun lists all recorded writes of a run ordered by dataset
@@ -412,13 +439,7 @@ func (c *Catalog) WritesForRun(clock *sim.Clock, runid int64) ([]WriteRecord, er
 	}
 	out := make([]WriteRecord, 0, rows.Len())
 	for _, r := range rows.Data {
-		out = append(out, WriteRecord{
-			RunID:      r[0].AsInt(),
-			Dataset:    r[1].AsText(),
-			Timestep:   r[2].AsInt(),
-			FileOffset: r[3].AsInt(),
-			FileName:   r[4].AsText(),
-		})
+		out = append(out, scanWrite(r))
 	}
 	return out, nil
 }
@@ -426,20 +447,6 @@ func (c *Catalog) WritesForRun(clock *sim.Clock, runid int64) ([]WriteRecord, er
 // ---------------------------------------------------------------------------
 // import_table
 // ---------------------------------------------------------------------------
-
-// ImportEntry is one row of import_table: an externally created array
-// that SDM imports (the paper's uns3d.msh contents).
-type ImportEntry struct {
-	RunID        int64
-	ImportedName string
-	FileName     string
-	DataType     string // "INTEGER" | "DOUBLE"
-	StorageOrder string // "ROW_MAJOR"
-	Partition    string // "DISTRIBUTED"
-	FileContent  string // "INDEX" | "DATA"
-	FileOffset   int64
-	Length       int64 // elements
-}
 
 // RegisterImports records a whole import list (SDM_make_importlist) as
 // one batched statement — one database round trip and one virtual-cost
@@ -502,21 +509,6 @@ func (c *Catalog) ReleaseImports(clock *sim.Clock, runid int64) error {
 // index_table + index_history_table
 // ---------------------------------------------------------------------------
 
-// IndexHistory describes one registered index distribution: the history
-// file holding every rank's already partitioned edges, and each rank's
-// partitioned sizes. A history is only valid for the exact problem
-// size and process count it was created with — the paper's stated
-// limitation.
-type IndexHistory struct {
-	ProblemSize int64 // total edges
-	NumNodes    int64
-	NProcs      int64
-	Dimension   int64
-	FileName    string
-	EdgeSizes   []int64 // per-rank partitioned edge count (incl. ghosts)
-	NodeSizes   []int64 // per-rank partitioned node count (incl. ghosts)
-}
-
 // RegisterIndexHistory records a new history (SDM_index_registry): one
 // index_table row plus one index_history_table row per rank.
 func (c *Catalog) RegisterIndexHistory(clock *sim.Clock, h IndexHistory) error {
@@ -553,13 +545,7 @@ func (c *Catalog) LookupIndexHistory(clock *sim.Clock, problemSize, nprocs int64
 	if err != nil || row == nil {
 		return nil, err
 	}
-	h := &IndexHistory{
-		ProblemSize: row[0].AsInt(),
-		NumNodes:    row[1].AsInt(),
-		NProcs:      row[2].AsInt(),
-		Dimension:   row[3].AsInt(),
-		FileName:    row[4].AsText(),
-	}
+	h := scanHistory(row)
 	rows, err := c.db.Query(
 		`SELECT rank, partitioned_size, node_size FROM index_history_table
 		 WHERE registered_file_name = ? ORDER BY rank`, h.FileName)
@@ -579,7 +565,18 @@ func (c *Catalog) LookupIndexHistory(clock *sim.Clock, problemSize, nprocs int64
 		h.EdgeSizes[i] = r[1].AsInt()
 		h.NodeSizes[i] = r[2].AsInt()
 	}
-	return h, nil
+	return &h, nil
+}
+
+// scanHistory fills the index_table half of an IndexHistory.
+func scanHistory(r []metadb.Value) IndexHistory {
+	return IndexHistory{
+		ProblemSize: r[0].AsInt(),
+		NumNodes:    r[1].AsInt(),
+		NProcs:      r[2].AsInt(),
+		Dimension:   r[3].AsInt(),
+		FileName:    r[4].AsText(),
+	}
 }
 
 // Histories lists all registered index histories.
@@ -593,13 +590,7 @@ func (c *Catalog) Histories(clock *sim.Clock) ([]IndexHistory, error) {
 	}
 	out := make([]IndexHistory, 0, rows.Len())
 	for _, r := range rows.Data {
-		out = append(out, IndexHistory{
-			ProblemSize: r[0].AsInt(),
-			NumNodes:    r[1].AsInt(),
-			NProcs:      r[2].AsInt(),
-			Dimension:   r[3].AsInt(),
-			FileName:    r[4].AsText(),
-		})
+		out = append(out, scanHistory(r))
 	}
 	return out, nil
 }

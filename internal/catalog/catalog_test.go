@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -303,5 +304,42 @@ func TestAnnotations(t *testing.T) {
 	}
 	if v, _ := c.GetAnnotation(nil, 1, "scope-b", "key1"); v != nil {
 		t.Fatal("annotation leaked across scopes")
+	}
+}
+
+// TestSlabNamesWhatIsMissing: the one (run, dataset, timestep) resolver
+// finds a recorded slab, and says which of the three things is absent
+// when it cannot — each a NotFound, each a different sentence.
+func TestSlabNamesWhatIsMissing(t *testing.T) {
+	c := newCat(t)
+	run, err := c.RegisterRun(nil, "app", 3, 0, 0, time.Date(2001, 2, 20, 12, 0, 0, 0, time.UTC))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RegisterDataset(nil, DatasetInfo{RunID: run, Dataset: "edges", DataType: "INTEGER", GlobalSize: 98}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RecordWrite(nil, WriteRecord{RunID: run, Dataset: "edges", Timestep: 2, FileOffset: 784, FileName: "f.dat"}); err != nil {
+		t.Fatal(err)
+	}
+	info, rec, err := c.Slab(nil, run, "edges", 2)
+	if err != nil || info.Bytes() != 392 || rec.FileName != "f.dat" || rec.FileOffset != 784 {
+		t.Fatalf("Slab = %+v, %+v, %v", info, rec, err)
+	}
+	seen := map[string]bool{}
+	for _, miss := range []struct {
+		run      int64
+		dataset  string
+		timestep int64
+	}{{run + 1, "edges", 2}, {run, "nodes", 2}, {run, "edges", 3}} {
+		_, _, err := c.Slab(nil, miss.run, miss.dataset, miss.timestep)
+		var nf NotFound
+		if !errors.As(err, &nf) || seen[err.Error()] {
+			t.Errorf("Slab(%d, %q, %d): %v", miss.run, miss.dataset, miss.timestep, err)
+		}
+		seen[err.Error()] = true
+	}
+	if _, err := c.FindRun(nil, run); err != nil {
+		t.Errorf("FindRun(%d): %v", run, err)
 	}
 }

@@ -11,10 +11,6 @@ import "fmt"
 
 // Annotate stores one annotation. Collective; rank 0 writes.
 func (s *SDM) Annotate(runID int64, scope, key string, value []byte) error {
-	if s.opts.DisableDB {
-		s.env.Comm.Barrier()
-		return fmt.Errorf("core: annotations require the metadata database")
-	}
 	return s.catalogCall(func() error {
 		return s.env.Catalog.PutAnnotation(s.env.Comm.Clock(), runID, scope, key, value)
 	})
@@ -23,10 +19,6 @@ func (s *SDM) Annotate(runID int64, scope, key string, value []byte) error {
 // Annotation fetches one annotation (nil when absent). Collective;
 // rank 0 reads and broadcasts.
 func (s *SDM) Annotation(runID int64, scope, key string) ([]byte, error) {
-	if s.opts.DisableDB {
-		s.env.Comm.Barrier()
-		return nil, fmt.Errorf("core: annotations require the metadata database")
-	}
 	type wire struct {
 		Val []byte
 		Err string
@@ -49,10 +41,6 @@ func (s *SDM) Annotation(runID int64, scope, key string) ([]byte, error) {
 // Annotations lists a scope's annotations. Collective; rank 0 reads
 // and broadcasts.
 func (s *SDM) Annotations(runID int64, scope string) (map[string][]byte, error) {
-	if s.opts.DisableDB {
-		s.env.Comm.Barrier()
-		return nil, fmt.Errorf("core: annotations require the metadata database")
-	}
 	type wire struct {
 		Vals map[string][]byte
 		Err  string

@@ -39,6 +39,7 @@ import (
 	"sdm/internal/obs"
 	"sdm/internal/pfs"
 	"sdm/internal/sim"
+	"sdm/internal/wire"
 )
 
 // DataType enumerates the element types SDM stores, matching the
@@ -52,40 +53,35 @@ const (
 	Long                    // 8-byte int64, metadata value "LONG"
 )
 
+// entry is the type's row in the one table of element types,
+// wire.DataTypes, which this enumeration indexes; a value outside it
+// reads as Double.
+func (d DataType) entry() (name string, size int64) {
+	if d < 0 || int(d) >= len(wire.DataTypes) {
+		d = Double
+	}
+	return wire.DataTypes[d].Name, wire.DataTypes[d].Size
+}
+
 // Size reports the element size in bytes.
 func (d DataType) Size() int64 {
-	switch d {
-	case Integer:
-		return 4
-	case Long:
-		return 8
-	default:
-		return 8
-	}
+	_, size := d.entry()
+	return size
 }
 
 func (d DataType) String() string {
-	switch d {
-	case Integer:
-		return "INTEGER"
-	case Long:
-		return "LONG"
-	default:
-		return "DOUBLE"
-	}
+	name, _ := d.entry()
+	return name
 }
 
 // ParseDataType maps a metadata value ("DOUBLE", "INTEGER", "LONG")
 // back to its DataType, for reconstructing attributes from the
 // catalog.
 func ParseDataType(s string) (DataType, error) {
-	switch s {
-	case "DOUBLE":
-		return Double, nil
-	case "INTEGER":
-		return Integer, nil
-	case "LONG":
-		return Long, nil
+	for i, t := range wire.DataTypes {
+		if t.Name == s {
+			return DataType(i), nil
+		}
 	}
 	return 0, fmt.Errorf("core: unknown data type %q", s)
 }
@@ -109,6 +105,19 @@ func (l FileOrganization) String() string {
 	return fmt.Sprintf("level%d", int(l))
 }
 
+// The processor model behind every ComputeItems charge: fixed, because
+// the figures are calibrated against them and nothing ever set another.
+const (
+	// edgeScanRate is the simulated rate (edges/second) at which a rank
+	// examines edges during index partitioning, an R10000-era processing
+	// rate. It determines the computation share of the paper's "index
+	// distri." cost.
+	edgeScanRate = 4e6
+	// memCopyRate is the simulated memory bandwidth (bytes/second) for
+	// buffer assembly, era-appropriate.
+	memCopyRate = 150e6
+)
+
 // Options tunes an SDM instance.
 type Options struct {
 	// Organization selects the file layout (default Level3).
@@ -128,23 +137,6 @@ type Options struct {
 	// synchronous EndStep has the following timesteps' reads issued
 	// ahead until this many tokens are outstanding.
 	StepPipelineDepth int
-	// EdgeScanRate is the simulated rate (edges/second) at which a rank
-	// examines edges during index partitioning (default 4e6,
-	// an R10000-era processing rate). It determines the computation
-	// share of the paper's "index distri." cost.
-	EdgeScanRate float64
-	// MemCopyRate is the simulated memory bandwidth (bytes/second) for
-	// buffer assembly (default 150e6, era-appropriate).
-	MemCopyRate float64
-	// TwoPassImport models the original application's sizing pass: the
-	// partitioning scan reads the edges twice. SDM's memory-doubling
-	// single pass (the realloc optimization the paper describes) leaves
-	// this false.
-	TwoPassImport bool
-	// DisableDB runs without a metadata catalog. Import and write paths
-	// still function (history registration becomes a no-op), supporting
-	// the ablation that isolates database cost.
-	DisableDB bool
 	// AttachRun, when positive, attaches to an existing run_table row
 	// instead of registering a new run — the restart path: a process
 	// reopening a saved bundle can re-read (or extend) an earlier run's
@@ -175,12 +167,6 @@ func (o *Options) fill() {
 	if o.StepPipelineDepth <= 0 {
 		o.StepPipelineDepth = 1
 	}
-	if o.EdgeScanRate <= 0 {
-		o.EdgeScanRate = 4e6
-	}
-	if o.MemCopyRate <= 0 {
-		o.MemCopyRate = 150e6
-	}
 	if o.Stamp.IsZero() {
 		o.Stamp = time.Date(2001, 2, 20, 12, 0, 0, 0, time.UTC)
 	}
@@ -191,7 +177,7 @@ func (o *Options) fill() {
 type Env struct {
 	Comm    *mpi.Comm
 	FS      *pfs.System
-	Catalog *catalog.Catalog // may be nil with Options.DisableDB
+	Catalog *catalog.Catalog
 }
 
 // SDM is one rank's handle on the data manager (the result of
@@ -293,11 +279,8 @@ func (s *SDM) putArena(buf []byte) {
 // metadata tables if needed, and registers this run. Collective.
 func Initialize(env Env, app string, opts Options) (*SDM, error) {
 	opts.fill()
-	if env.Comm == nil || env.FS == nil {
-		return nil, fmt.Errorf("core: Env requires Comm and FS")
-	}
-	if env.Catalog == nil && !opts.DisableDB {
-		return nil, fmt.Errorf("core: Env requires Catalog unless Options.DisableDB")
+	if env.Comm == nil || env.FS == nil || env.Catalog == nil {
+		return nil, fmt.Errorf("core: Env requires Comm, FS and Catalog")
 	}
 	s := &SDM{env: env, app: app, opts: opts, pending: make(map[string]*StepToken)}
 	s.tracer = opts.Trace
@@ -309,14 +292,6 @@ func Initialize(env Env, app string, opts Options) (*SDM, error) {
 		s.flushedFiles = r.Counter("core.flushed-files")
 		s.stagedBytes = r.Counter("core.staged-bytes")
 		s.historyFallbacks = r.Counter("core.history-fallbacks")
-	}
-	if opts.DisableDB {
-		if opts.AttachRun > 0 {
-			return nil, fmt.Errorf("core: Options.AttachRun requires the metadata catalog")
-		}
-		s.runID = 1
-		env.Comm.Barrier()
-		return s, nil
 	}
 	var runID int64
 	var initErr error
@@ -358,10 +333,6 @@ func (s *SDM) Comm() *mpi.Comm { return s.env.Comm }
 // catalogCall runs fn on rank 0 only and broadcasts success; other
 // ranks wait. fn may be nil on non-zero ranks.
 func (s *SDM) catalogCall(fn func() error) error {
-	if s.opts.DisableDB {
-		s.env.Comm.Barrier()
-		return nil
-	}
 	var err error
 	if s.env.Comm.Rank() == 0 {
 		err = fn()

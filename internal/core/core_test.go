@@ -684,42 +684,6 @@ func TestHistoryIgnoredForDifferentNprocs(t *testing.T) {
 	}
 }
 
-func TestDisableDBStillFunctions(t *testing.T) {
-	te := newTestEnv(2)
-	m, layout := stageMesh(t, te.fs, 2, 2, 2)
-	partVec := make([]int32, m.NumNodes())
-	for i := range partVec {
-		partVec[i] = int32(i % 2)
-	}
-	err := te.world.Run(func(c *mpi.Comm) {
-		s, err := Initialize(Env{Comm: c, FS: te.fs}, "nodb", Options{DisableDB: true})
-		if err != nil {
-			panic(err)
-		}
-		imp, err := s.MakeImportlist("uns3d.msh", edgeSpecs(layout))
-		if err != nil {
-			panic(err)
-		}
-		ip, err := s.PartitionIndex(imp, "edge1", "edge2", partVec)
-		if err != nil {
-			panic(err)
-		}
-		if ip.NumEdges() == 0 {
-			panic("no edges partitioned")
-		}
-		// Registry is a silent no-op without a DB.
-		if err := s.IndexRegistry(ip, layout.NumEdges, partVec); err != nil {
-			panic(err)
-		}
-		if err := s.Finalize(); err != nil {
-			panic(err)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestFullPipelineMatchesSerial is the paper's Figure 1 end to end:
 // import, partition, distribute data, sweep, write results ordered by
 // global node number — validated against the serial sweep for several
@@ -975,7 +939,7 @@ func TestInitializeValidation(t *testing.T) {
 			t.Error("empty env accepted")
 		}
 		if _, err := Initialize(Env{Comm: c, FS: pfs.NewSystem(pfs.Config{NumServers: 1, StripeSize: 1})}, "x", Options{}); err == nil {
-			t.Error("missing catalog accepted without DisableDB")
+			t.Error("missing catalog accepted")
 		}
 	})
 }

@@ -296,7 +296,7 @@ func (g *Group) stagePuts() {
 		dst := arena[cur : cur+p.bytes]
 		cur += p.bytes
 		p.encode(v, dst)
-		g.s.env.Comm.ComputeItems(p.bytes, g.s.opts.MemCopyRate)
+		g.s.env.Comm.ComputeItems(p.bytes, memCopyRate)
 		var disp, logicalOff int64
 		if slab >= 0 {
 			logicalOff = slab * int64(v.LocalSize()) * v.elemSize
@@ -431,13 +431,6 @@ func (g *Group) lookupPlacements(keys []writeKey) ([]catalog.WriteRecord, error)
 	g.ep.resolved = out
 	if missing == 0 {
 		return out, nil
-	}
-	if g.s.opts.DisableDB {
-		for _, k := range keys {
-			if _, ok := g.index.recs[k]; !ok {
-				return nil, fmt.Errorf("core: dataset %q timestep %d not written in this session and DB disabled", k.dataset, k.timestep)
-			}
-		}
 	}
 	type wire struct {
 		Recs []catalog.WriteRecord
@@ -620,7 +613,7 @@ func (g *Group) issueGets(tok *StepToken, ts int64, dis []int) (sim.Time, error)
 func (g *Group) deliverGets(placed []placedOp) {
 	for i := range placed {
 		g.ep.gets[placed[i].idx].decode(placed[i].v, placed[i].data)
-		g.s.env.Comm.ComputeItems(placed[i].bytes, g.s.opts.MemCopyRate)
+		g.s.env.Comm.ComputeItems(placed[i].bytes, memCopyRate)
 	}
 }
 

@@ -81,7 +81,7 @@ func legacyWrite(g *Group, dataset string, timestep int64, data []byte) error {
 	of.applyView(disp, v)
 	buf := make([]byte, len(data))
 	permuteBytesToFile(v, data, buf)
-	g.s.env.Comm.ComputeItems(int64(len(data)), g.s.opts.MemCopyRate)
+	g.s.env.Comm.ComputeItems(int64(len(data)), memCopyRate)
 	if err := of.f.WriteAtAll(logicalOff, buf); err != nil {
 		return err
 	}
@@ -162,7 +162,7 @@ func legacyRead(g *Group, dataset string, timestep int64, out []byte) error {
 		return err
 	}
 	permuteBytesFromFile(v, buf, out)
-	g.s.env.Comm.ComputeItems(int64(len(out)), g.s.opts.MemCopyRate)
+	g.s.env.Comm.ComputeItems(int64(len(out)), memCopyRate)
 	if g.s.opts.Organization == Level1 {
 		if err := of.f.Close(); err != nil {
 			return err

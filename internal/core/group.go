@@ -239,9 +239,6 @@ func (s *SDM) OpenGroup(names []string) (*Group, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("core: OpenGroup with no dataset names")
 	}
-	if s.opts.DisableDB {
-		return nil, fmt.Errorf("core: OpenGroup requires the metadata catalog")
-	}
 	// Two broadcasts, as a receiver needs the row count before it can
 	// post the receive for the rows: a fixed-size header (attributes,
 	// error, count) and then the run's execution-table rows at the 64

@@ -245,7 +245,7 @@ func (imp *Importer) Flush() error {
 	clock.AdvanceTo(join)
 	for _, h := range queue {
 		if h.v != nil {
-			s.env.Comm.ComputeItems(h.n, s.opts.MemCopyRate)
+			s.env.Comm.ComputeItems(h.n, memCopyRate)
 		}
 	}
 	if tr := s.tracer; tr != nil {

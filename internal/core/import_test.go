@@ -52,7 +52,7 @@ func legacyImportView(imp *Importer, name string, v *View) ([]byte, error) {
 	for i, p := range v.perm {
 		copy(out[int64(p)*es:(int64(p)+1)*es], fileOrder[int64(i)*es:(int64(i)+1)*es])
 	}
-	imp.s.env.Comm.ComputeItems(int64(len(out)), imp.s.opts.MemCopyRate)
+	imp.s.env.Comm.ComputeItems(int64(len(out)), memCopyRate)
 	return out, nil
 }
 

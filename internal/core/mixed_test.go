@@ -2,8 +2,6 @@ package core
 
 import (
 	"testing"
-
-	"sdm/internal/mpi"
 )
 
 // TestMixedGroupLevel3AppendsSlabs covers the non-uniform group path:
@@ -148,29 +146,6 @@ func TestAnnotations(t *testing.T) {
 			panic("missing annotation should be nil")
 		}
 	})
-}
-
-func TestAnnotationsRequireDB(t *testing.T) {
-	te := newTestEnv(1)
-	err := te.world.Run(func(c *mpi.Comm) {
-		s, err := Initialize(Env{Comm: c, FS: te.fs}, "nodb", Options{DisableDB: true})
-		if err != nil {
-			panic(err)
-		}
-		defer s.Finalize()
-		if err := s.Annotate(1, "x", "k", nil); err == nil {
-			t.Error("Annotate without DB accepted")
-		}
-		if _, err := s.Annotation(1, "x", "k"); err == nil {
-			t.Error("Annotation without DB accepted")
-		}
-		if _, err := s.Annotations(1, "x"); err == nil {
-			t.Error("Annotations without DB accepted")
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestLevel2ReadBackAfterManySteps(t *testing.T) {

@@ -77,7 +77,7 @@ func OriginalImportAndPartition(s *SDM, fileName string, edge1Off, edge2Off int6
 			count++
 		}
 	}
-	c.ComputeItems(totalEdges, s.opts.EdgeScanRate)
+	c.ComputeItems(totalEdges, edgeScanRate)
 
 	// Pass 2: fill exactly-sized arrays.
 	keptG := make([]int32, 0, count)
@@ -90,7 +90,7 @@ func OriginalImportAndPartition(s *SDM, fileName string, edge1Off, edge2Off int6
 			kept2 = append(kept2, edge2[e])
 		}
 	}
-	c.ComputeItems(totalEdges, s.opts.EdgeScanRate)
+	c.ComputeItems(totalEdges, edgeScanRate)
 
 	ip := s.buildPartition(keptG, kept1, kept2, partVec)
 	return &OriginalPartitionResult{
@@ -98,18 +98,6 @@ func OriginalImportAndPartition(s *SDM, fileName string, edge1Off, edge2Off int6
 		ImportTime:     t1.Sub(t0),
 		DistributeTime: c.Now().Sub(t1),
 	}, nil
-}
-
-// OriginalSelectLocal models the original code's distribution of a
-// broadcast data array: every rank already holds the whole array (from
-// OriginalImport) and copies out the elements its map array names.
-func OriginalSelectLocal(c *mpi.Comm, opts Options, full []byte, mapArr []int32, elemSize int64) []byte {
-	out := make([]byte, int64(len(mapArr))*elemSize)
-	for i, g := range mapArr {
-		copy(out[int64(i)*elemSize:], full[int64(g)*elemSize:int64(g)*elemSize+elemSize])
-	}
-	c.ComputeItems(int64(len(out)), opts.MemCopyRate)
-	return out
 }
 
 // OriginalSequentialWrite models the original RT output path: all ranks

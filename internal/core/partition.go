@@ -65,7 +65,7 @@ func (s *SDM) PartitionTable(partVec []int32) []int32 {
 			owned = append(owned, int32(node))
 		}
 	}
-	s.env.Comm.ComputeItems(int64(len(partVec)), s.opts.EdgeScanRate)
+	s.env.Comm.ComputeItems(int64(len(partVec)), edgeScanRate)
 	return owned
 }
 
@@ -133,10 +133,6 @@ func (s *SDM) PartitionIndex(imp *Importer, edge1Name, edge2Name string, partVec
 // 0's alone and travels in the broadcast, so every rank takes the same
 // collective branch.
 func (s *SDM) lookupHistory(totalEdges int64) (*catalog.IndexHistory, error) {
-	if s.opts.DisableDB {
-		s.env.Comm.Barrier()
-		return nil, nil
-	}
 	type wire struct {
 		Hist catalog.IndexHistory
 		Hit  bool
@@ -209,7 +205,7 @@ func (s *SDM) distributeIndex(block1, block2 []int32, start, totalEdges int64, p
 				kept2 = append(kept2, v)
 			}
 		}
-		c.ComputeItems(int64(len(b1)), s.opts.EdgeScanRate)
+		c.ComputeItems(int64(len(b1)), edgeScanRate)
 	}
 
 	cur1, cur2 := block1, block2
@@ -267,7 +263,7 @@ func (s *SDM) buildPartition(keptG, kept1, kept2 []int32, partVec []int32) *Inde
 		e1l[i] = g2l[kept1[i]]
 		e2l[i] = g2l[kept2[i]]
 	}
-	s.env.Comm.ComputeItems(int64(len(kept1)+len(nodes)), s.opts.EdgeScanRate)
+	s.env.Comm.ComputeItems(int64(len(kept1)+len(nodes)), edgeScanRate)
 	return &IndexPartition{
 		EdgeGlobal: keptG,
 		Edge1G:     kept1,
@@ -286,10 +282,6 @@ func (s *SDM) buildPartition(keptG, kept1, kept2 []int32, partVec []int32) *Inde
 // index_table / index_history_table. Optional, as in the paper.
 // Collective.
 func (s *SDM) IndexRegistry(ip *IndexPartition, totalEdges int64, partVec []int32) error {
-	if s.opts.DisableDB {
-		s.env.Comm.Barrier()
-		return nil
-	}
 	c := s.env.Comm
 	edgeCounts := mpi.AllgatherSlice(c, []int64{int64(ip.NumEdges())})
 	nodeCounts := mpi.AllgatherSlice(c, []int64{int64(ip.NumNodes())})
@@ -315,7 +307,7 @@ func (s *SDM) IndexRegistry(ip *IndexPartition, totalEdges int64, partVec []int3
 		rec = append(rec, ip.EdgeGlobal[i], ip.Edge1G[i], ip.Edge2G[i])
 	}
 	payload := int32sToBytes(rec)
-	c.ComputeItems(int64(len(payload)), s.opts.MemCopyRate)
+	c.ComputeItems(int64(len(payload)), memCopyRate)
 	// Asynchronous write: the server is scheduled now, the rank's clock
 	// is not advanced; Finalize joins the completion.
 	done, _, err := h.WriteAtTime(payload, myOff*12, c.Now())

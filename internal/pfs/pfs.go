@@ -308,12 +308,6 @@ func (f *file) readAt(p []byte, off int64) (int, error) {
 	return f.obj.ReadAt(p, off)
 }
 
-func (f *file) truncate(n int64) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.obj.Truncate(n)
-}
-
 func (f *file) size() int64 {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
@@ -839,13 +833,14 @@ func (h *Handle) ReadAtVecTime(p []byte, exts []Extent, at sim.Time) (sim.Time, 
 
 // WriteFile stores data as name without cost accounting, for staging
 // input files (the role of data created "outside of SDM" that import
-// reads).
+// reads). A file already under that name is replaced, not overwritten
+// in place: nothing of it shows through where the new one is shorter.
 func (s *System) WriteFile(name string, data []byte) error {
-	h, err := s.Open(name, CreateMode, nil)
-	if err != nil {
+	if err := s.Remove(name); err != nil && !errors.Is(err, ErrNotExist) {
 		return err
 	}
-	if err := h.f.truncate(0); err != nil {
+	h, err := s.Open(name, CreateMode, nil)
+	if err != nil {
 		return err
 	}
 	if err := h.f.writeAt(data, 0); err != nil {

@@ -11,8 +11,9 @@
 //
 // Layering (in the style of datamon's httpd/web/sdk split): this
 // package is the daemon core over internal/catalog + internal/pfs;
-// internal/wire defines the protocol types; sdmclient is the thin SDK;
-// cmd/sdmd is the process wrapper. The server only ever reads its
+// internal/wire declares the protocol types, the catalog's six row types
+// among them (declared once: what a query returns is what a handler
+// marshals); sdmclient is the thin SDK; cmd/sdmd is the process wrapper. The server only ever reads its
 // sources — bundles are quiescent while mounted — which is what makes
 // lock-free sharing of cached blocks sound.
 package server
@@ -35,14 +36,103 @@ import (
 	"sdm/internal/wire"
 )
 
-// Source is one mounted bundle: the metadata catalog resolving names
-// to placements and the file system holding the bytes. The server
-// reads the catalog with nil clocks (network clients have no simulated
-// rank clock to charge) and the bytes directly from the store backend
-// beneath the pfs — both paths are safe for concurrent readers.
+// Source is a bundle opened in this process: the metadata catalog
+// resolving names to placements and the file system holding the bytes.
+// It reads the catalog with nil clocks (a reader outside the simulated
+// job has no rank clock to charge) and the bytes directly from the store
+// backend beneath the pfs — both paths are safe for concurrent readers.
+//
+// Its methods are *sdmclient.Client's, signature for signature, and
+// return the catalog's rows unconverted: the handlers below reply with
+// what they return, and sdmcat and sdmls hold either one behind a
+// wire.Reader. A Source with no FS (sdmls over a bare catalog.db) lists
+// everything and reads nothing; Mount refuses it.
 type Source struct {
 	Catalog *catalog.Catalog
 	FS      *pfs.System
+}
+
+var _ wire.Reader = Source{}
+
+// Runs lists run_table.
+func (src Source) Runs() ([]wire.Run, error) { return src.Catalog.Runs(nil) }
+
+// Histories lists index_table.
+func (src Source) Histories() ([]wire.IndexHistory, error) { return src.Catalog.Histories(nil) }
+
+// Datasets lists a run's access_pattern_table rows.
+func (src Source) Datasets(run int64) ([]wire.Dataset, error) {
+	return listRun(src, run, src.Catalog.Datasets)
+}
+
+// Writes lists a run's execution_table rows.
+func (src Source) Writes(run int64) ([]wire.WriteRecord, error) {
+	return listRun(src, run, src.Catalog.WritesForRun)
+}
+
+// Imports lists a run's import_table rows.
+func (src Source) Imports(run int64) ([]wire.ImportEntry, error) {
+	return listRun(src, run, src.Catalog.Imports)
+}
+
+// listRun runs one per-run catalog listing; a run the bundle does not
+// hold is catalog.NotFound, not an empty list.
+func listRun[T any](src Source, run int64, list func(*sim.Clock, int64) ([]T, error)) ([]T, error) {
+	if _, err := src.Catalog.FindRun(nil, run); err != nil {
+		return nil, err
+	}
+	return list(nil, run)
+}
+
+// Lookup resolves a batch of placements in one catalog call; missing
+// slabs are nil slots, in key order.
+func (src Source) Lookup(run int64, keys []wire.WriteKey) ([]*wire.WriteRecord, error) {
+	if _, err := src.Catalog.FindRun(nil, run); err != nil {
+		return nil, err
+	}
+	return src.Catalog.LookupWrites(nil, run, keys)
+}
+
+// ReadDataset reads one timestep's full slab of a dataset straight from
+// the store object holding it (the store contract zero-fills holes, as
+// the pfs read path does).
+func (src Source) ReadDataset(run int64, dataset string, timestep int64) ([]byte, error) {
+	info, rec, err := src.Catalog.Slab(nil, run, dataset, timestep)
+	if err != nil {
+		return nil, err
+	}
+	obj, err := src.FS.Backend().Open(rec.FileName)
+	if err != nil {
+		return nil, fmt.Errorf("opening %q: %w", rec.FileName, err)
+	}
+	full := info.Bytes()
+	if err := slabInside(rec, full, obj.Size()); err != nil {
+		return nil, err
+	}
+	return fetch(obj, rec.FileOffset, full)
+}
+
+// slabInside refuses a placement its file cannot hold: the catalog row
+// is outside input as much as a query string is.
+func slabInside(rec *wire.WriteRecord, full, size int64) error {
+	if rec.FileOffset+full > size {
+		return errRange("file %q holds %d bytes, slab needs [%d,%d)",
+			rec.FileName, size, rec.FileOffset, rec.FileOffset+full)
+	}
+	return nil
+}
+
+// fetch reads exactly [off, off+n) of a store object.
+func fetch(obj store.Object, off, n int64) ([]byte, error) {
+	buf := make([]byte, n)
+	got, err := obj.ReadAt(buf, off)
+	if err == io.EOF && int64(got) == n {
+		err = nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	return buf, nil
 }
 
 // mount wraps a Source with the server's per-bundle state: a cache of
@@ -189,11 +279,11 @@ func (s *Server) ActiveSessions() int { return s.sessions.active() }
 func (s *Server) routes() {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/ping", s.handlePing)
-	mux.HandleFunc("GET /v1/runs", s.handleRuns)
-	mux.HandleFunc("GET /v1/runs/{run}/datasets", s.handleDatasets)
-	mux.HandleFunc("GET /v1/runs/{run}/writes", s.handleWrites)
-	mux.HandleFunc("GET /v1/runs/{run}/imports", s.handleImports)
-	mux.HandleFunc("GET /v1/histories", s.handleHistories)
+	mux.HandleFunc("GET /v1/runs", bundleListing(s, Source.Runs))
+	mux.HandleFunc("GET /v1/runs/{run}/datasets", runListing(s, Source.Datasets))
+	mux.HandleFunc("GET /v1/runs/{run}/writes", runListing(s, Source.Writes))
+	mux.HandleFunc("GET /v1/runs/{run}/imports", runListing(s, Source.Imports))
+	mux.HandleFunc("GET /v1/histories", bundleListing(s, Source.Histories))
 	mux.HandleFunc("POST /v1/runs/{run}/lookup", s.handleLookup)
 	mux.HandleFunc("POST /v1/sessions", s.handleAttach)
 	mux.HandleFunc("GET /v1/sessions/{id}", s.handleSessionInfo)
@@ -201,6 +291,12 @@ func (s *Server) routes() {
 	mux.HandleFunc("GET /v1/read/{run}/{dataset}/{timestep}", s.handleRead)
 	mux.HandleFunc("GET /v1/cache", s.handleCache)
 	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
+	// Everything else — an unknown path, or a known one under a method it
+	// does not serve — gets the protocol's error envelope, not net/http's
+	// text/plain 404 and 405 (FuzzServeHTTP's first finding).
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		fail(w, errNotFound("no endpoint %s %s", r.Method, r.URL.Path))
+	})
 	s.mux = mux
 }
 
@@ -260,7 +356,12 @@ func errRange(format string, args ...any) *httpError {
 // fail writes the error envelope, mapping untyped errors to 500.
 func fail(w http.ResponseWriter, err error) {
 	he, ok := err.(*httpError)
-	if !ok {
+	var missing catalog.NotFound
+	switch {
+	case ok:
+	case errors.As(err, &missing):
+		he = errNotFound("%s", string(missing))
+	default:
 		he = &httpError{http.StatusInternalServerError, wire.CodeInternal, err.Error()}
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -268,10 +369,15 @@ func fail(w http.ResponseWriter, err error) {
 	_ = json.NewEncoder(w).Encode(wire.Error{Code: he.code, Message: he.msg})
 }
 
-// reply writes a JSON response.
+// reply writes a JSON response. A row that will not encode (a run_table
+// stamp outside the years JSON times can carry) fails before the encoder
+// writes anything, so it is still answered with the error envelope.
 func reply(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
+	var unencodable *json.MarshalerError
+	if err := json.NewEncoder(w).Encode(v); errors.As(err, &unencodable) {
+		fail(w, err)
+	}
 }
 
 // bundleFor resolves the request's ?bundle= (default: first mount).
@@ -301,200 +407,65 @@ func pathInt64(r *http.Request, name string) (int64, error) {
 	return v, nil
 }
 
+// runFor is the preamble of every /{run}/ handler: the request's bundle
+// and its run id. Whether the bundle holds that run is the Source
+// method's answer.
+func (s *Server) runFor(r *http.Request) (*mount, int64, error) {
+	m, err := s.bundleFor(r)
+	if err != nil {
+		return nil, 0, err
+	}
+	run, err := pathInt64(r, "run")
+	return m, run, err
+}
+
 // ---------------------------------------------------------------------------
-// Metadata handlers
+// Metadata handlers: parse the request, call the Source, reply with the
+// rows it returned.
 // ---------------------------------------------------------------------------
 
 func (s *Server) handlePing(w http.ResponseWriter, r *http.Request) {
 	reply(w, wire.Ping{OK: true, Bundles: s.Bundles()})
 }
 
-func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
-	m, err := s.bundleFor(r)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	runs, err := m.src.Catalog.Runs(nil)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	out := make([]wire.Run, len(runs))
-	for i, rr := range runs {
-		out[i] = toWireRun(rr)
-	}
-	reply(w, out)
-}
-
-func toWireRun(r catalog.Run) wire.Run {
-	return wire.Run{
-		RunID:       r.RunID,
-		Application: r.Application,
-		Dimension:   r.Dimension,
-		ProblemSize: r.ProblemSize,
-		Timesteps:   r.Timesteps,
-		Stamp:       r.Stamp.Format(time.RFC3339),
-	}
-}
-
-func toWireDataset(d catalog.DatasetInfo) wire.Dataset {
-	return wire.Dataset{
-		RunID:         d.RunID,
-		Dataset:       d.Dataset,
-		AccessPattern: d.AccessPattern,
-		DataType:      d.DataType,
-		StorageOrder:  d.StorageOrder,
-		GlobalSize:    d.GlobalSize,
-	}
-}
-
-func toWireWrite(r catalog.WriteRecord) wire.WriteRecord {
-	return wire.WriteRecord{
-		RunID:      r.RunID,
-		Dataset:    r.Dataset,
-		Timestep:   r.Timestep,
-		FileOffset: r.FileOffset,
-		FileName:   r.FileName,
-	}
-}
-
-// lookupRun fetches a run row, 404ing when absent.
-func (s *Server) lookupRun(m *mount, runID int64) (*catalog.Run, error) {
-	run, err := m.src.Catalog.LookupRun(nil, runID)
-	if err != nil {
-		return nil, err
-	}
-	if run == nil {
-		return nil, errNotFound("run %d not found in bundle %q", runID, m.name)
-	}
-	return run, nil
-}
-
-func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
-	m, err := s.bundleFor(r)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	runID, err := pathInt64(r, "run")
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	if _, err := s.lookupRun(m, runID); err != nil {
-		fail(w, err)
-		return
-	}
-	infos, err := m.src.Catalog.Datasets(nil, runID)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	out := make([]wire.Dataset, len(infos))
-	for i, d := range infos {
-		out[i] = toWireDataset(d)
-	}
-	reply(w, out)
-}
-
-func (s *Server) handleWrites(w http.ResponseWriter, r *http.Request) {
-	m, err := s.bundleFor(r)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	runID, err := pathInt64(r, "run")
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	if _, err := s.lookupRun(m, runID); err != nil {
-		fail(w, err)
-		return
-	}
-	recs, err := m.src.Catalog.WritesForRun(nil, runID)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	out := make([]wire.WriteRecord, len(recs))
-	for i, rec := range recs {
-		out[i] = toWireWrite(rec)
-	}
-	reply(w, out)
-}
-
-func (s *Server) handleImports(w http.ResponseWriter, r *http.Request) {
-	m, err := s.bundleFor(r)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	runID, err := pathInt64(r, "run")
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	if _, err := s.lookupRun(m, runID); err != nil {
-		fail(w, err)
-		return
-	}
-	imps, err := m.src.Catalog.Imports(nil, runID)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	out := make([]wire.ImportEntry, len(imps))
-	for i, e := range imps {
-		out[i] = wire.ImportEntry{
-			RunID:        e.RunID,
-			ImportedName: e.ImportedName,
-			FileName:     e.FileName,
-			DataType:     e.DataType,
-			StorageOrder: e.StorageOrder,
-			Partition:    e.Partition,
-			FileContent:  e.FileContent,
-			FileOffset:   e.FileOffset,
-			Length:       e.Length,
+// bundleListing serves a bundle-wide table.
+func bundleListing[T any](s *Server, list func(Source) ([]T, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		m, err := s.bundleFor(r)
+		if err != nil {
+			fail(w, err)
+			return
 		}
+		rows, err := list(m.src)
+		if err != nil {
+			fail(w, err)
+			return
+		}
+		reply(w, rows)
 	}
-	reply(w, out)
 }
 
-func (s *Server) handleHistories(w http.ResponseWriter, r *http.Request) {
-	m, err := s.bundleFor(r)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	hists, err := m.src.Catalog.Histories(nil)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	out := make([]wire.IndexHistory, len(hists))
-	for i, h := range hists {
-		out[i] = wire.IndexHistory{
-			ProblemSize: h.ProblemSize,
-			NumNodes:    h.NumNodes,
-			NProcs:      h.NProcs,
-			Dimension:   h.Dimension,
-			FileName:    h.FileName,
+// runListing serves one run's rows of a table.
+func runListing[T any](s *Server, list func(Source, int64) ([]T, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		m, run, err := s.runFor(r)
+		if err != nil {
+			fail(w, err)
+			return
 		}
+		rows, err := list(m.src, run)
+		if err != nil {
+			fail(w, err)
+			return
+		}
+		reply(w, rows)
 	}
-	reply(w, out)
 }
 
 // handleLookup is the server-side batched LookupWrites: the whole key
 // batch resolves in one catalog call, one round trip, one JSON body.
 func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
-	m, err := s.bundleFor(r)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	runID, err := pathInt64(r, "run")
+	m, run, err := s.runFor(r)
 	if err != nil {
 		fail(w, err)
 		return
@@ -504,28 +475,13 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 		fail(w, errBadRequest("bad lookup body: %v", err))
 		return
 	}
-	if _, err := s.lookupRun(m, runID); err != nil {
-		fail(w, err)
-		return
-	}
-	keys := make([]catalog.WriteKey, len(req.Keys))
-	for i, k := range req.Keys {
-		keys[i] = catalog.WriteKey{Dataset: k.Dataset, Timestep: k.Timestep}
-	}
-	s.lookups.Add(int64(len(keys)))
-	recs, err := m.src.Catalog.LookupWrites(nil, runID, keys)
+	recs, err := m.src.Lookup(run, req.Keys)
 	if err != nil {
 		fail(w, err)
 		return
 	}
-	out := wire.LookupResponse{Records: make([]*wire.WriteRecord, len(recs))}
-	for i, rec := range recs {
-		if rec != nil {
-			wr := toWireWrite(*rec)
-			out.Records[i] = &wr
-		}
-	}
-	reply(w, out)
+	s.lookups.Add(int64(len(req.Keys)))
+	reply(w, wire.LookupResponse{Records: recs})
 }
 
 // ---------------------------------------------------------------------------
@@ -551,7 +507,7 @@ func (s *Server) handleAttach(w http.ResponseWriter, r *http.Request) {
 	}
 	runID := req.Run
 	if runID == 0 {
-		runs, err := m.src.Catalog.Runs(nil)
+		runs, err := m.src.Runs()
 		if err != nil {
 			fail(w, err)
 			return
@@ -562,12 +518,12 @@ func (s *Server) handleAttach(w http.ResponseWriter, r *http.Request) {
 		}
 		runID = runs[len(runs)-1].RunID
 	}
-	run, err := s.lookupRun(m, runID)
+	run, err := m.src.Catalog.FindRun(nil, runID)
 	if err != nil {
 		fail(w, err)
 		return
 	}
-	infos, err := m.src.Catalog.Datasets(nil, runID)
+	infos, err := m.src.Datasets(runID)
 	if err != nil {
 		fail(w, err)
 		return
@@ -577,16 +533,7 @@ func (s *Server) handleAttach(w http.ResponseWriter, r *http.Request) {
 		fail(w, err)
 		return
 	}
-	out := wire.AttachResponse{
-		Session:  sess.id,
-		Bundle:   m.name,
-		Run:      toWireRun(*run),
-		Datasets: make([]wire.Dataset, len(infos)),
-	}
-	for i, d := range infos {
-		out.Datasets[i] = toWireDataset(d)
-	}
-	reply(w, out)
+	reply(w, wire.AttachResponse{Session: sess.id, Bundle: m.name, Run: *run, Datasets: infos})
 }
 
 func (s *Server) handleSessionInfo(w http.ResponseWriter, r *http.Request) {
@@ -611,16 +558,11 @@ func (s *Server) handleDetach(w http.ResponseWriter, r *http.Request) {
 // ---------------------------------------------------------------------------
 
 // handleRead streams a dataset slab (or a ranged piece of it) through
-// the block cache. The slab is resolved exactly as local sdmcat does —
-// access_pattern_table for shape, execution_table for placement — so
-// remote bytes are pinned identical to a local bundle read.
+// the block cache. The slab is resolved by catalog.Slab, as a local
+// Source.ReadDataset resolves it, so remote bytes are pinned identical
+// to a local bundle read.
 func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
-	m, err := s.bundleFor(r)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	runID, err := pathInt64(r, "run")
+	m, runID, err := s.runFor(r)
 	if err != nil {
 		fail(w, err)
 		return
@@ -647,30 +589,13 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	info, err := m.src.Catalog.LookupDataset(nil, runID, dataset)
+	info, rec, err := m.src.Catalog.Slab(nil, runID, dataset, ts)
 	if err != nil {
 		fail(w, err)
-		return
-	}
-	if info == nil {
-		if _, err := s.lookupRun(m, runID); err != nil {
-			fail(w, err)
-			return
-		}
-		fail(w, errNotFound("dataset %q not registered for run %d", dataset, runID))
-		return
-	}
-	rec, err := m.src.Catalog.LookupWrite(nil, runID, dataset, ts)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	if rec == nil {
-		fail(w, errNotFound("no write recorded for run %d dataset %q timestep %d", runID, dataset, ts))
 		return
 	}
 
-	full := info.GlobalSize * wire.DataTypeSize(info.DataType)
+	full := info.Bytes()
 	off, n := int64(0), full
 	q := r.URL.Query()
 	if v := q.Get("off"); v != "" {
@@ -699,9 +624,8 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 		fail(w, fmt.Errorf("opening %q: %w", rec.FileName, err))
 		return
 	}
-	if rec.FileOffset+full > size {
-		fail(w, errRange("file %q holds %d bytes, slab needs [%d,%d)",
-			rec.FileName, size, rec.FileOffset, rec.FileOffset+full))
+	if err := slabInside(rec, full, size); err != nil {
+		fail(w, err)
 		return
 	}
 
@@ -712,21 +636,10 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 	s.reads.Add(1)
 
 	// Cache keys are bundle-qualified file names; fetches read the
-	// store object directly (the store contract zero-fills holes, as
-	// the pfs read path does, so bytes match a local read exactly).
+	// store object directly, so bytes match a local read exactly.
 	cacheFile := m.name + "\x00" + rec.FileName
-	fetch := func(fo, fn int64) ([]byte, error) {
-		buf := make([]byte, fn)
-		got, err := obj.ReadAt(buf, fo)
-		if err == io.EOF && int64(got) == fn {
-			err = nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		return buf, nil
-	}
-	written, err := s.cache.WriteRange(w, cacheFile, size, rec.FileOffset+off, n, fetch)
+	written, err := s.cache.WriteRange(w, cacheFile, size, rec.FileOffset+off, n,
+		func(fo, fn int64) ([]byte, error) { return fetch(obj, fo, fn) })
 	s.bytesServed.Add(written)
 	if err != nil && written == 0 {
 		// Nothing hit the wire yet, so the header block is still

@@ -416,36 +416,6 @@ func (o *casObject) ReadAt(p []byte, off int64) (int, error) {
 	return int(read), nil
 }
 
-func (o *casObject) Truncate(n int64) error {
-	c := o.cas
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if n >= o.size {
-		o.grow(n)
-		return nil
-	}
-	cs := c.opts.ChunkSize
-	keep := int((n + cs - 1) / cs)
-	for i := keep; i < len(o.chunks); i++ {
-		c.deref(o.chunks[i])
-	}
-	o.chunks = o.chunks[:keep]
-	// Re-intern the boundary chunk with its tail zeroed, so regrowth
-	// exposes zeros and the stored form stays canonical for dedup.
-	if rem := n % cs; rem != 0 && keep > 0 && o.chunks[keep-1] != nil {
-		raw := o.chunkBuf()
-		if err := c.decodeInto(raw, o.chunks[keep-1]); err != nil {
-			return err
-		}
-		clear(raw[rem:])
-		nc := c.put(raw)
-		c.deref(o.chunks[keep-1])
-		o.chunks[keep-1] = nc
-	}
-	o.size = n
-	return nil
-}
-
 // ---------------------------------------------------------------------------
 // Durability
 // ---------------------------------------------------------------------------

@@ -187,21 +187,6 @@ func TestConformanceScripted(t *testing.T) {
 				t.Fatalf("re-dirtied read = (%d, %v, %q)", n, err, buf[:n])
 			}
 
-			// Truncate down then regrow: the exposed tail must be zeros.
-			if err := o.Truncate(1003); err != nil {
-				t.Fatal(err)
-			}
-			if err := o.Truncate(1006); err != nil {
-				t.Fatal(err)
-			}
-			tail := make([]byte, 6)
-			if n, err := o.ReadAt(tail, 1000); n != 6 || err != nil {
-				t.Fatalf("tail read = (%d, %v)", n, err)
-			}
-			if string(tail) != "XAB\x00\x00\x00" {
-				t.Fatalf("tail = %q, want \"XAB\\x00\\x00\\x00\"", tail)
-			}
-
 			// Namespace bookkeeping.
 			if _, err := b.Create("b"); err != nil {
 				t.Fatal(err)
@@ -210,7 +195,7 @@ func TestConformanceScripted(t *testing.T) {
 			if err != nil || fmt.Sprint(names) != "[a b]" {
 				t.Fatalf("List = %v (%v)", names, err)
 			}
-			if sz, err := b.Stat("a"); err != nil || sz != 1006 {
+			if sz, err := b.Stat("a"); err != nil || sz != 1007 {
 				t.Fatalf("Stat(a) = (%d, %v)", sz, err)
 			}
 			if err := b.Remove("b"); err != nil {
@@ -257,7 +242,7 @@ func TestConformanceRandomized(t *testing.T) {
 			}
 			for i := 0; i < ops; i++ {
 				m := pick()
-				switch rng.Intn(5) {
+				switch rng.Intn(4) {
 				case 0, 1: // write
 					off := rng.Intn(maxSize)
 					n := rng.Intn(2000) + 1
@@ -296,17 +281,7 @@ func TestConformanceRandomized(t *testing.T) {
 					if !bytes.Equal(got[:gn], want[:wn]) {
 						t.Fatalf("op %d: read bytes diverge from model", i)
 					}
-				case 3: // truncate
-					n := rng.Intn(maxSize)
-					if err := m.obj.Truncate(int64(n)); err != nil {
-						t.Fatal(err)
-					}
-					if n <= len(m.data) {
-						m.data = m.data[:n]
-					} else {
-						m.data = append(m.data, make([]byte, n-len(m.data))...)
-					}
-				case 4: // flush — write-back backends push staged state remote
+				case 3: // flush — write-back backends push staged state remote
 					if err := b.Sync(); err != nil {
 						t.Fatalf("op %d: Sync: %v", i, err)
 					}
@@ -348,11 +323,6 @@ func TestCrossBackendIdenticalBytes(t *testing.T) {
 			rng.Read(p)
 			if _, err := o.WriteAt(p, int64(rng.Intn(20000))); err != nil {
 				t.Fatal(err)
-			}
-			if i%37 == 0 {
-				if err := o.Truncate(int64(rng.Intn(20000))); err != nil {
-					t.Fatal(err)
-				}
 			}
 			if i%53 == 0 {
 				if err := b.Sync(); err != nil {

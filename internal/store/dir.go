@@ -307,11 +307,3 @@ func (o *dirObject) ReadAt(p []byte, off int64) (int, error) {
 	}
 	return o.f.ReadAt(p, off)
 }
-
-func (o *dirObject) Truncate(n int64) error {
-	if err := o.f.Truncate(n); err != nil {
-		return err
-	}
-	o.size = n
-	return nil
-}

@@ -21,11 +21,10 @@ const (
 	OpSync
 	OpRead
 	OpWrite
-	OpTruncate
 	numOps
 )
 
-var opNames = [numOps]string{"create", "open", "stat", "remove", "rename", "list", "sync", "read", "write", "truncate"}
+var opNames = [numOps]string{"create", "open", "stat", "remove", "rename", "list", "sync", "read", "write"}
 
 func (o Op) String() string {
 	if int(o) < len(opNames) {
@@ -36,12 +35,12 @@ func (o Op) String() string {
 
 // idempotentOps are safe to re-issue blindly: re-running them cannot
 // change the outcome (WriteAt rewrites the same bytes at the same
-// offset; reads, stats, syncs, truncates are naturally idempotent).
+// offset; reads, stats, syncs are naturally idempotent).
 // Create/Remove/Rename are namespace mutations whose retry needs
 // knowledge of where the failure hit — see RetryPolicy.NamespaceOps.
 var idempotentOps = map[Op]bool{
 	OpOpen: true, OpStat: true, OpList: true, OpSync: true,
-	OpRead: true, OpWrite: true, OpTruncate: true,
+	OpRead: true, OpWrite: true,
 }
 
 // AllOps returns a FaultConfig.Ops set with every operation
@@ -80,7 +79,7 @@ type FaultConfig struct {
 	CrashAtOp int64
 	// Ops restricts which operations are eligible for Transient
 	// injection. Nil means the idempotent set (open, stat, list, sync,
-	// read, write, truncate), which a default Retry fully masks.
+	// read, write), which a default Retry fully masks.
 	Ops map[Op]bool
 }
 

@@ -50,11 +50,7 @@ func driveOps(t *testing.T, b Backend, seed int64) map[string][]byte {
 			if _, err := o.ReadAt(p, int64(rng.Intn(8000))); err != nil && err != io.EOF {
 				t.Fatalf("op %d read: %v", i, err)
 			}
-		case 3:
-			if err := o.Truncate(int64(rng.Intn(8000))); err != nil {
-				t.Fatalf("op %d truncate: %v", i, err)
-			}
-		case 4:
+		case 3, 4:
 			if _, err := b.Stat(n); err != nil {
 				t.Fatalf("op %d stat: %v", i, err)
 			}

@@ -168,20 +168,3 @@ func (o *memObject) ReadAt(p []byte, off int64) (int, error) {
 	}
 	return int(read), nil
 }
-
-func (o *memObject) Truncate(n int64) error {
-	// Zero the retained tail of the boundary page so regrowth exposes
-	// zeros, not stale bytes.
-	if n < o.size {
-		if buf := o.pages[n/memPageSize]; buf != nil {
-			clear(buf[n%memPageSize:])
-		}
-	}
-	o.size = n
-	for page := range o.pages {
-		if page*memPageSize >= n {
-			delete(o.pages, page)
-		}
-	}
-	return nil
-}

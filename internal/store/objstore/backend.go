@@ -445,26 +445,6 @@ func (o *object) WriteAt(p []byte, off int64) (int, error) {
 	return len(p), nil
 }
 
-// Truncate resizes the staged contents, zero-filling growth.
-func (o *object) Truncate(size int64) error {
-	if size < 0 {
-		return fmt.Errorf("objstore: negative size %d", size)
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if err := o.materialize(); err != nil {
-		return err
-	}
-	if size <= int64(len(o.buf)) {
-		o.buf = o.buf[:size]
-	} else {
-		grown := make([]byte, size)
-		copy(grown, o.buf)
-		o.buf = grown
-	}
-	return nil
-}
-
 // materialize turns a clean handle dirty by fetching the full remote
 // contents into the staging buffer. Callers hold o.mu.
 func (o *object) materialize() error {

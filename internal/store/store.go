@@ -75,8 +75,6 @@ type Spec struct {
 //   - ReadAt zero-fills holes. A read extending past the current size
 //     returns the short count with io.EOF; a read at or past the size
 //     returns (0, io.EOF). Zero-length reads return (0, nil).
-//   - Truncate sets the size, discarding data past the new end;
-//     growing exposes a zero-filled tail.
 //
 // Offsets are non-negative; callers (the pfs layer) validate before
 // calling. Objects are not safe for concurrent mutation — the pfs
@@ -85,7 +83,6 @@ type Spec struct {
 type Object interface {
 	ReadAt(p []byte, off int64) (int, error)
 	WriteAt(p []byte, off int64) (int, error)
-	Truncate(n int64) error
 	Size() int64
 }
 

@@ -98,7 +98,3 @@ func (o *wrappedObject) ReadAt(p []byte, off int64) (int, error) {
 func (o *wrappedObject) WriteAt(p []byte, off int64) (int, error) {
 	return o.w.hook(Call{Op: OpWrite, P: p, Off: off, obj: o.inner})
 }
-
-func (o *wrappedObject) Truncate(n int64) error {
-	return o.w.call(OpTruncate, func() error { return o.inner.Truncate(n) })
-}

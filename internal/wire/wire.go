@@ -1,10 +1,13 @@
-// Package wire defines the JSON types of sdmd's HTTP protocol — the
-// contract between internal/server (the daemon) and sdmclient (the
-// SDK). The protocol is deliberately plain: JSON for metadata,
+// Package wire declares SDM's metadata records and the JSON types of
+// sdmd's HTTP protocol — the contract between internal/catalog (which
+// fills the six row types from the database), internal/server (the
+// daemon, which marshals them as they are) and sdmclient (the SDK, which
+// decodes into them). It imports nothing of SDM's, so every layer can
+// import it. The protocol is deliberately plain: JSON for metadata,
 // application/octet-stream for dataset bytes, standard HTTP status
-// codes for errors (404 for unknown runs/datasets/timesteps/sessions,
-// 400 for malformed requests, 416 for out-of-range reads), so a
-// dataset is one curl away.
+// codes for errors (404 for unknown runs/datasets/timesteps/sessions
+// and for paths that are no endpoint, 400 for malformed requests, 416
+// for out-of-range reads), so a dataset is one curl away.
 //
 // Endpoints (all under /v1):
 //
@@ -25,6 +28,8 @@
 // Multi-bundle daemons qualify requests with ?bundle=NAME; the first
 // mounted bundle is the default.
 package wire
+
+import "time"
 
 // SessionHeader carries a session id on read requests, scoping the
 // read to an attached run and refreshing the session's idle deadline.
@@ -52,38 +57,59 @@ type Ping struct {
 	Bundles []string `json:"bundles"`
 }
 
-// Run mirrors catalog.Run (one run_table row).
+// The six row types below are the catalog's rows — one struct per table
+// of the paper's Figure 4, declared here once: internal/catalog fills
+// them from query results (its Run, DatasetInfo, WriteRecord, WriteKey,
+// ImportEntry and IndexHistory are aliases of these), sdmd marshals what
+// the catalog returned, and sdmclient decodes into the same types.
+
+// Run is one row of run_table. Stamp is the wall-clock time the run
+// registered with, at the minute resolution the table stores (UTC).
 type Run struct {
-	RunID       int64  `json:"runid"`
-	Application string `json:"application"`
-	Dimension   int64  `json:"dimension"`
-	ProblemSize int64  `json:"problem_size"`
-	Timesteps   int64  `json:"num_timesteps"`
-	Stamp       string `json:"stamp"` // RFC 3339
+	RunID       int64     `json:"runid"`
+	Application string    `json:"application"`
+	Dimension   int64     `json:"dimension"`
+	ProblemSize int64     `json:"problem_size"`
+	Timesteps   int64     `json:"num_timesteps"`
+	Stamp       time.Time `json:"stamp"` // RFC 3339 on the wire
 }
 
-// Dataset mirrors catalog.DatasetInfo (one access_pattern_table row).
+// Dataset is one row of access_pattern_table: the registered shape of
+// one dataset within a run's data group.
 type Dataset struct {
 	RunID         int64  `json:"runid"`
 	Dataset       string `json:"dataset"`
-	AccessPattern string `json:"access_pattern"`
-	DataType      string `json:"data_type"`
-	StorageOrder  string `json:"storage_order"`
-	GlobalSize    int64  `json:"global_size"`
+	AccessPattern string `json:"access_pattern"` // e.g. "IRREGULAR"
+	DataType      string `json:"data_type"`      // a DataTypes name
+	StorageOrder  string `json:"storage_order"`  // e.g. "ROW_MAJOR"
+	GlobalSize    int64  `json:"global_size"`    // elements in the global array
 }
 
-// ElemSize reports the dataset's element width in bytes.
-func (d Dataset) ElemSize() int64 { return DataTypeSize(d.DataType) }
+// Bytes reports the byte length of one timestep's slab of the dataset.
+func (d Dataset) Bytes() int64 { return d.GlobalSize * DataTypeSize(d.DataType) }
 
-// DataTypeSize maps a catalog data-type name to its element width.
+// DataTypes is the one table of element types: the catalog name of each
+// (the data_type column) and its width in bytes, indexed by
+// core.DataType's value.
+var DataTypes = [...]struct {
+	Name string
+	Size int64
+}{{"DOUBLE", 8}, {"INTEGER", 4}, {"LONG", 8}}
+
+// DataTypeSize maps a catalog data-type name to its element width; a
+// name outside the table reads as 8-byte elements.
 func DataTypeSize(dataType string) int64 {
-	if dataType == "INTEGER" {
-		return 4
+	for _, t := range DataTypes {
+		if t.Name == dataType {
+			return t.Size
+		}
 	}
-	return 8 // DOUBLE, LONG
+	return 8
 }
 
-// WriteRecord mirrors catalog.WriteRecord (one execution_table row).
+// WriteRecord is one row of execution_table: where one timestep of one
+// dataset landed. Level-2 and level-3 file organizations rely on these
+// offsets to append and to find data again.
 type WriteRecord struct {
 	RunID      int64  `json:"runid"`
 	Dataset    string `json:"dataset"`
@@ -110,26 +136,47 @@ type LookupResponse struct {
 	Records []*WriteRecord `json:"records"`
 }
 
-// ImportEntry mirrors catalog.ImportEntry (one import_table row).
+// ImportEntry is one row of import_table: an externally created array
+// that SDM imports (the paper's uns3d.msh contents).
 type ImportEntry struct {
 	RunID        int64  `json:"runid"`
 	ImportedName string `json:"imported_name"`
 	FileName     string `json:"file_name"`
-	DataType     string `json:"data_type"`
-	StorageOrder string `json:"storage_order"`
-	Partition    string `json:"partition"`
-	FileContent  string `json:"file_content"`
+	DataType     string `json:"data_type"`     // "INTEGER" | "DOUBLE"
+	StorageOrder string `json:"storage_order"` // "ROW_MAJOR"
+	Partition    string `json:"partition"`     // "DISTRIBUTED"
+	FileContent  string `json:"file_content"`  // "INDEX" | "DATA"
 	FileOffset   int64  `json:"file_offset"`
-	Length       int64  `json:"length"`
+	Length       int64  `json:"length"` // elements
 }
 
-// IndexHistory mirrors the index_table half of catalog.IndexHistory.
+// IndexHistory describes one registered index distribution: the history
+// file holding every rank's already partitioned edges (the index_table
+// row), and each rank's partitioned sizes (its index_history_table rows,
+// which stay off the wire). A history is only valid for the exact
+// problem size and process count it was created with — the paper's
+// stated limitation.
 type IndexHistory struct {
-	ProblemSize int64  `json:"problem_size"`
-	NumNodes    int64  `json:"num_nodes"`
-	NProcs      int64  `json:"nprocs"`
-	Dimension   int64  `json:"dimension"`
-	FileName    string `json:"registered_file_name"`
+	ProblemSize int64   `json:"problem_size"` // total edges
+	NumNodes    int64   `json:"num_nodes"`
+	NProcs      int64   `json:"nprocs"`
+	Dimension   int64   `json:"dimension"`
+	FileName    string  `json:"registered_file_name"`
+	EdgeSizes   []int64 `json:"-"` // per-rank partitioned edge count (incl. ghosts)
+	NodeSizes   []int64 `json:"-"` // per-rank partitioned node count (incl. ghosts)
+}
+
+// Reader is a run bundle as its readers see it — the catalog's listings
+// and one slab's bytes — whether the bundle is open in this process
+// (server.Source) or behind a daemon (*sdmclient.Client). A run,
+// dataset or timestep the bundle does not hold is an error.
+type Reader interface {
+	Runs() ([]Run, error)
+	Datasets(run int64) ([]Dataset, error)
+	Writes(run int64) ([]WriteRecord, error)
+	Imports(run int64) ([]ImportEntry, error)
+	Histories() ([]IndexHistory, error)
+	ReadDataset(run int64, dataset string, timestep int64) ([]byte, error)
 }
 
 // AttachRequest opens a session on a run (the network form of

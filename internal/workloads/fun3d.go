@@ -234,23 +234,20 @@ func (f *FUN3D) ImportAndPartition(cl *sdm.Cluster, mode PartitionMode, register
 			importDur = orig.ImportTime
 			distrDur = orig.DistributeTime
 			// The eight data arrays also flow through rank 0 in the
-			// original application.
+			// original application. (Each rank then copies out its own
+			// elements; that copy has never been charged — see ROADMAP.)
 			t0 := p.Comm.Now()
 			for k := 0; k < f.Cfg.EdgeArrays; k++ {
-				full, err := core.OriginalImport(p.Comm, cl.FS, MshFileName,
-					f.Layout.EdgeDataOffset(k), f.Layout.NumEdges, 8)
-				if err != nil {
+				if _, err := core.OriginalImport(p.Comm, cl.FS, MshFileName,
+					f.Layout.EdgeDataOffset(k), f.Layout.NumEdges, 8); err != nil {
 					panic(err)
 				}
-				core.OriginalSelectLocal(p.Comm, sdm.Options{}, full, ip.EdgeGlobal, 8)
 			}
 			for k := 0; k < f.Cfg.NodeArrays; k++ {
-				full, err := core.OriginalImport(p.Comm, cl.FS, MshFileName,
-					f.Layout.NodeDataOffset(k), f.Layout.NumNodes, 8)
-				if err != nil {
+				if _, err := core.OriginalImport(p.Comm, cl.FS, MshFileName,
+					f.Layout.NodeDataOffset(k), f.Layout.NumNodes, 8); err != nil {
 					panic(err)
 				}
-				core.OriginalSelectLocal(p.Comm, sdm.Options{}, full, ip.Nodes, 8)
 			}
 			importDur += p.Comm.Now().Sub(t0)
 		case ModeSDM:

@@ -104,6 +104,9 @@ run "$bin/sdmcat" -list "$t/bundle"
 run "$bin/sdmcat" -dataset pressure -timestep 2 -head 5 "$t/bundle"
 run "$bin/sdmcat" -dataset pressure -timestep 1 -as raw -o "$t/local.bin" "$t/bundle"
 run "$bin/sdmls" "$t/bundle/catalog.db"
+fails "$bin/sdmcat" -dataset pressure -timestep 99 "$t/bundle" # no write recorded: catalog.NotFound, said locally
+fails "$bin/sdmcat" -list                                       # no bundle named: usage, exit 2
+fails "$bin/sdmls"
 run "$bin/sdmls" -sql 'SELECT runid, dataset FROM execution_table WHERE timestep = 1' "$t/bundle/catalog.db"
 # A catalog.db of a bundle saved before PR 18 is an MDB1 snapshot;
 # nothing in the tree writes one any more, so the golden stands in.

@@ -56,6 +56,10 @@ type Client struct {
 	run     int64
 }
 
+// A Client reads a bundle the way server.Source reads one opened in
+// this process; the tools hold either behind a wire.Reader.
+var _ wire.Reader = (*Client)(nil)
+
 // Option configures a Client.
 type Option func(*Client)
 
