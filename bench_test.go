@@ -1,237 +1,48 @@
-// Benchmarks regenerating the paper's evaluation figures. Each
-// benchmark drives the same workload implementations as cmd/sdmbench
-// (internal/workloads) at a reduced default scale so `go test -bench=.`
+// Benchmarks regenerating the paper's evaluation figures.
+// BenchmarkFigures loops the table cmd/sdmbench prints
+// (workloads.Figures) at a reduced scale so `go test -bench=.`
 // completes quickly; run cmd/sdmbench for paper-scale tables.
 //
 // Wall-clock ns/op measures the simulator, not the modelled machine:
-// the reproduction's results are the custom metrics —
-// sim-seconds/op for Figure 5 and simMB/s for Figures 6 and 7.
+// the reproduction's results are the custom metrics, one per case and
+// metric of each figure (sim seconds for Figure 5, sim MB/s for
+// Figures 6 and 7).
 package sdm_test
 
 import (
-	"sync"
+	"strings"
 	"testing"
-	"time"
 
 	"sdm"
 	"sdm/internal/workloads"
 )
 
-// benchFUN3D caches the generated FUN3D workload across benchmarks.
-// 20^3 cells (~60k edges) is the smallest mesh where the history
-// file's fixed costs (database lookup, open) amortize, as they do at
-// the paper's 18M-edge scale.
-var benchFUN3D = sync.OnceValues(func() (*workloads.FUN3D, error) {
-	return workloads.NewFUN3D(workloads.FUN3DConfig{NX: 20, NY: 20, NZ: 20})
-})
+// benchScale is the reduced scale. 20^3 cells (~60k edges) is the
+// smallest FUN3D mesh where the history file's fixed costs (database
+// lookup, open) amortize, as they do at the paper's 18M-edge scale.
+var benchScale = workloads.Scale{NX: 20, Procs: 16, Steps: 2, RTNX: 16, RTSteps: 3, PipeSteps: 4}
 
-// benchRT caches the generated RT workload.
-var benchRT = sync.OnceValues(func() (*workloads.RTWorkload, error) {
-	return workloads.NewRT(workloads.RTConfig{NX: 16, NY: 16, NZ: 16, Steps: 3})
-})
-
-const benchProcs = 16
-
-// BenchmarkFig5_IndexDistribution regenerates Figure 5: the cost of
-// importing and partitioning the FUN3D mesh under the original
-// application, SDM without a history file, and SDM with one.
-func BenchmarkFig5_IndexDistribution(b *testing.B) {
-	f, err := benchFUN3D()
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(b *testing.B, mode workloads.PartitionMode, history bool) {
-		var importSec, distrSec float64
-		for i := 0; i < b.N; i++ {
-			cl := sdm.NewCluster(sdm.Origin2000Config(benchProcs))
-			if err := f.Stage(cl); err != nil {
-				b.Fatal(err)
-			}
-			if history {
-				// Prime the history file, unmeasured.
-				if _, err := f.ImportAndPartition(cl, workloads.ModeSDM, true); err != nil {
-					b.Fatal(err)
-				}
-			}
-			st, err := f.ImportAndPartition(cl, mode, history)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if history && !st.FromHistory {
-				b.Fatal("history not used")
-			}
-			importSec += st.ImportSec
-			distrSec += st.DistributeSec
-		}
-		b.ReportMetric(importSec/float64(b.N), "sim-import-s/op")
-		b.ReportMetric(distrSec/float64(b.N), "sim-distri-s/op")
-		b.ReportMetric((importSec+distrSec)/float64(b.N), "sim-total-s/op")
-	}
-	b.Run("original", func(b *testing.B) { run(b, workloads.ModeOriginal, false) })
-	b.Run("sdm-nohistory", func(b *testing.B) { run(b, workloads.ModeSDM, false) })
-	b.Run("sdm-history", func(b *testing.B) { run(b, workloads.ModeSDM, true) })
-}
-
-// BenchmarkFig6_FileOrganization regenerates Figure 6: write and read
-// bandwidth under the three file-organization levels.
-func BenchmarkFig6_FileOrganization(b *testing.B) {
-	f, err := benchFUN3D()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, level := range []sdm.FileOrganization{sdm.Level1, sdm.Level2, sdm.Level3} {
-		b.Run(level.String(), func(b *testing.B) {
-			var writeMBps, readMBps float64
+// BenchmarkFigures regenerates every figure and ablation of the table.
+func BenchmarkFigures(b *testing.B) {
+	for _, fig := range workloads.Figures {
+		b.Run(fig.Name, func(b *testing.B) {
+			sums := map[string]float64{}
 			for i := 0; i < b.N; i++ {
-				cl := sdm.NewCluster(sdm.Origin2000Config(benchProcs))
-				if err := f.Stage(cl); err != nil {
-					b.Fatal(err)
-				}
-				st, err := f.WriteReadBandwidth(cl, level, 2)
+				rows, err := fig.Run(benchScale, sdm.NewCluster)
 				if err != nil {
 					b.Fatal(err)
 				}
-				writeMBps += st.WriteMBps
-				readMBps += st.ReadMBps
+				for _, r := range rows {
+					for m, v := range r.Metrics {
+						// A unit may not hold a space.
+						sums[strings.ReplaceAll(r.Case, " ", "-")+":"+m] += v
+					}
+				}
 			}
-			b.ReportMetric(writeMBps/float64(b.N), "sim-write-MB/s")
-			b.ReportMetric(readMBps/float64(b.N), "sim-read-MB/s")
-		})
-	}
-}
-
-// BenchmarkFig7_RT regenerates Figure 7: RT write bandwidth for the
-// original sequential code and SDM's level 1 and level 2/3, at two
-// process counts.
-func BenchmarkFig7_RT(b *testing.B) {
-	r, err := benchRT()
-	if err != nil {
-		b.Fatal(err)
-	}
-	cases := []struct {
-		name  string
-		mode  workloads.RTMode
-		procs int
-	}{
-		{"original-8", workloads.RTOriginal, 8},
-		{"original-16", workloads.RTOriginal, 16},
-		{"level1-8", workloads.RTLevel1, 8},
-		{"level1-16", workloads.RTLevel1, 16},
-		{"level23-8", workloads.RTLevel23, 8},
-		{"level23-16", workloads.RTLevel23, 16},
-	}
-	for _, tc := range cases {
-		b.Run(tc.name, func(b *testing.B) {
-			var mbps float64
-			for i := 0; i < b.N; i++ {
-				cl := sdm.NewCluster(sdm.Origin2000Config(tc.procs))
-				st, err := r.WriteBandwidth(cl, tc.mode)
-				if err != nil {
-					b.Fatal(err)
-				}
-				mbps += st.MBps
+			for unit, sum := range sums {
+				b.ReportMetric(sum/float64(b.N), unit)
 			}
-			b.ReportMetric(mbps/float64(b.N), "sim-write-MB/s")
 		})
-	}
-}
-
-// BenchmarkAblation_TwoPhaseIO isolates the paper's key I/O
-// optimization: collective two-phase writes versus independent
-// noncontiguous writes of the same irregular data.
-func BenchmarkAblation_TwoPhaseIO(b *testing.B) {
-	f, err := benchFUN3D()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name    string
-		disable bool
-	}{{"collective", false}, {"independent", true}} {
-		b.Run(tc.name, func(b *testing.B) {
-			var mbps float64
-			for i := 0; i < b.N; i++ {
-				cl := sdm.NewCluster(sdm.Origin2000Config(benchProcs))
-				if err := f.Stage(cl); err != nil {
-					b.Fatal(err)
-				}
-				st, err := f.WriteReadBandwidthHints(cl, sdm.Level3, 1,
-					sdm.Hints{DisableCollective: tc.disable})
-				if err != nil {
-					b.Fatal(err)
-				}
-				mbps += st.WriteMBps
-			}
-			b.ReportMetric(mbps/float64(b.N), "sim-write-MB/s")
-		})
-	}
-}
-
-// BenchmarkAblation_OpenCost shows when the level 3 organization
-// matters: on a file system with expensive opens (the paper's
-// motivating scenario), fewer files wins big.
-func BenchmarkAblation_OpenCost(b *testing.B) {
-	f, err := benchFUN3D()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name       string
-		multiplier int64
-	}{{"xfs-cheap-opens", 1}, {"expensive-opens-100x", 100}} {
-		for _, level := range []sdm.FileOrganization{sdm.Level1, sdm.Level3} {
-			b.Run(tc.name+"/"+level.String(), func(b *testing.B) {
-				var mbps float64
-				for i := 0; i < b.N; i++ {
-					cfg := sdm.Origin2000Config(benchProcs)
-					cfg.Storage.OpenCost *= time.Duration(tc.multiplier)
-					cfg.Storage.ViewCost *= time.Duration(tc.multiplier)
-					cl := sdm.NewCluster(cfg)
-					if err := f.Stage(cl); err != nil {
-						b.Fatal(err)
-					}
-					st, err := f.WriteReadBandwidth(cl, level, 2)
-					if err != nil {
-						b.Fatal(err)
-					}
-					mbps += st.WriteMBps
-				}
-				b.ReportMetric(mbps/float64(b.N), "sim-write-MB/s")
-			})
-		}
-	}
-}
-
-// BenchmarkAblation_StripeWidth sweeps the I/O server count, showing
-// where collective bandwidth saturates.
-func BenchmarkAblation_StripeWidth(b *testing.B) {
-	f, err := benchFUN3D()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, servers := range []int{1, 2, 5, 10} {
-		b.Run(map[int]string{1: "servers-1", 2: "servers-2", 5: "servers-5", 10: "servers-10"}[servers],
-			func(b *testing.B) {
-				var mbps float64
-				for i := 0; i < b.N; i++ {
-					cfg := sdm.Origin2000Config(benchProcs)
-					cfg.Storage.NumServers = servers
-					// A smaller stripe unit keeps the reduced-scale
-					// write spread across all servers; paper-scale runs
-					// (cmd/sdmbench) use the default 512 KiB stripes.
-					cfg.Storage.StripeSize = 64 * 1024
-					cl := sdm.NewCluster(cfg)
-					if err := f.Stage(cl); err != nil {
-						b.Fatal(err)
-					}
-					st, err := f.WriteReadBandwidth(cl, sdm.Level3, 1)
-					if err != nil {
-						b.Fatal(err)
-					}
-					mbps += st.WriteMBps
-				}
-				b.ReportMetric(mbps/float64(b.N), "sim-write-MB/s")
-			})
 	}
 }
 
@@ -239,7 +50,7 @@ func BenchmarkAblation_StripeWidth(b *testing.B) {
 // history (the asynchronous write plus database rows) adds to a cold
 // partition run — the price paid once to enable every later replay.
 func BenchmarkAblation_HistoryRegistryCost(b *testing.B) {
-	f, err := benchFUN3D()
+	f, err := workloads.NewFUN3D(workloads.FUN3DConfig{NX: benchScale.NX, NY: benchScale.NX, NZ: benchScale.NX})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -250,7 +61,7 @@ func BenchmarkAblation_HistoryRegistryCost(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			var total float64
 			for i := 0; i < b.N; i++ {
-				cl := sdm.NewCluster(sdm.Origin2000Config(benchProcs))
+				cl := sdm.NewCluster(sdm.Origin2000Config(benchScale.Procs))
 				if err := f.Stage(cl); err != nil {
 					b.Fatal(err)
 				}

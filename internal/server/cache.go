@@ -115,7 +115,7 @@ func (c *BlockCache) Stats() wire.CacheStats {
 
 // Fetcher reads exactly n bytes of the underlying file at off. The
 // cache guarantees [off, off+n) lies within the size the caller passed
-// to WriteRange/ReadAt.
+// to WriteRange.
 type Fetcher func(off, n int64) ([]byte, error)
 
 // block returns the cached block idx of file (whose total size is
@@ -234,27 +234,4 @@ func (c *BlockCache) WriteRange(w io.Writer, file string, size, off, n int64, fe
 		n -= hi - lo
 	}
 	return written, nil
-}
-
-// ReadAt fills p with the bytes at [off, off+len(p)) of the named
-// file, through the cache.
-func (c *BlockCache) ReadAt(p []byte, file string, size, off int64, fetch Fetcher) error {
-	w := sliceWriter{p: p}
-	_, err := c.WriteRange(&w, file, size, off, int64(len(p)), fetch)
-	return err
-}
-
-// sliceWriter writes into a fixed destination slice.
-type sliceWriter struct {
-	p []byte
-	n int
-}
-
-func (w *sliceWriter) Write(b []byte) (int, error) {
-	m := copy(w.p[w.n:], b)
-	w.n += m
-	if m < len(b) {
-		return m, io.ErrShortWrite
-	}
-	return m, nil
 }

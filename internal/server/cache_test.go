@@ -33,6 +33,15 @@ func (f *backingFile) fetch(off, n int64) ([]byte, error) {
 	return append([]byte(nil), f.data[off:off+n]...), nil
 }
 
+// readAt fills p with [off, off+len(p)) of the named file through
+// WriteRange, the one entry point the handlers serve through.
+func readAt(c *BlockCache, p []byte, file string, size, off int64, fetch Fetcher) error {
+	var buf bytes.Buffer
+	_, err := c.WriteRange(&buf, file, size, off, int64(len(p)), fetch)
+	copy(p, buf.Bytes())
+	return err
+}
+
 // TestCacheByteIdentity pins the core promise: bytes read through the
 // cache — at every offset/length alignment, hot or cold — are the
 // backing file's bytes.
@@ -46,7 +55,7 @@ func TestCacheByteIdentity(t *testing.T) {
 		off := rng.Int63n(size)
 		n := rng.Int63n(size - off + 1)
 		got := make([]byte, n)
-		if err := c.ReadAt(got, "f", size, off, f.fetch); err != nil {
+		if err := readAt(c, got, "f", size, off, f.fetch); err != nil {
 			t.Fatalf("ReadAt(off=%d, n=%d): %v", off, n, err)
 		}
 		if !bytes.Equal(got, f.data[off:off+n]) {
@@ -92,7 +101,7 @@ func TestCacheBoundedMemory(t *testing.T) {
 			buf := make([]byte, 3*blockSize)
 			for i := 0; i < 300; i++ {
 				off := rng.Int63n(fileSize - int64(len(buf)))
-				if err := c.ReadAt(buf, "f", fileSize, off, f.fetch); err != nil {
+				if err := readAt(c, buf, "f", fileSize, off, f.fetch); err != nil {
 					t.Errorf("ReadAt: %v", err)
 					return
 				}
@@ -144,7 +153,7 @@ func TestCacheSingleflight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			buf := make([]byte, blockSize)
-			if err := c.ReadAt(buf, "f", int64(len(f.data)), 0, slowFetch); err != nil {
+			if err := readAt(c, buf, "f", int64(len(f.data)), 0, slowFetch); err != nil {
 				t.Errorf("reader %d: %v", i, err)
 				return
 			}
@@ -185,7 +194,7 @@ func TestCacheHitRatio(t *testing.T) {
 	buf := make([]byte, blockSize)
 	for pass := 0; pass < 2; pass++ {
 		for b := int64(0); b < blocks; b++ {
-			if err := c.ReadAt(buf, "f", size, b*blockSize, f.fetch); err != nil {
+			if err := readAt(c, buf, "f", size, b*blockSize, f.fetch); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -209,7 +218,7 @@ func TestCacheOversizedBlockServed(t *testing.T) {
 	f := newBackingFile(6, blockSize)
 	c := NewBlockCache(blockSize, blockSize/2) // capacity below one block
 	buf := make([]byte, blockSize)
-	if err := c.ReadAt(buf, "f", blockSize, 0, f.fetch); err != nil {
+	if err := readAt(c, buf, "f", blockSize, 0, f.fetch); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf, f.data) {
@@ -241,14 +250,14 @@ func TestCacheFetcherPanicReleasesWaiters(t *testing.T) {
 	go func() {
 		defer func() { _ = recover() }() // play net/http: swallow it
 		buf := make([]byte, blockSize)
-		_ = c.ReadAt(buf, "f", size, 0, panicFetch)
+		_ = readAt(c, buf, "f", size, 0, panicFetch)
 	}()
 	<-arrived // leader is parked inside the fetch, inflight registered
 
 	waiterErr := make(chan error, 1)
 	go func() {
 		buf := make([]byte, blockSize)
-		waiterErr <- c.ReadAt(buf, "f", size, 0, f.fetch)
+		waiterErr <- readAt(c, buf, "f", size, 0, f.fetch)
 	}()
 	for c.Stats().Waits == 0 { // waiter has coalesced onto the leader
 		time.Sleep(time.Millisecond)
@@ -266,7 +275,7 @@ func TestCacheFetcherPanicReleasesWaiters(t *testing.T) {
 
 	// The inflight entry is gone: a fresh read retries and succeeds.
 	buf := make([]byte, blockSize)
-	if err := c.ReadAt(buf, "f", size, 0, f.fetch); err != nil {
+	if err := readAt(c, buf, "f", size, 0, f.fetch); err != nil {
 		t.Fatalf("read after panicked fetch: %v", err)
 	}
 	if !bytes.Equal(buf, f.data[:blockSize]) {
@@ -305,10 +314,10 @@ func TestCacheDistinctFilesDontAlias(t *testing.T) {
 	c := NewBlockCache(1024, 64<<10)
 	bufA := make([]byte, 4096)
 	bufB := make([]byte, 4096)
-	if err := c.ReadAt(bufA, "bundleA\x00f", 4096, 0, a.fetch); err != nil {
+	if err := readAt(c, bufA, "bundleA\x00f", 4096, 0, a.fetch); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.ReadAt(bufB, "bundleB\x00f", 4096, 0, b.fetch); err != nil {
+	if err := readAt(c, bufB, "bundleB\x00f", 4096, 0, b.fetch); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(bufA, a.data) || !bytes.Equal(bufB, b.data) {

@@ -182,7 +182,6 @@ const (
 // PartitionStats reports the two phases of Figure 5, as the maximum
 // virtual time across ranks.
 type PartitionStats struct {
-	Mode           PartitionMode
 	FromHistory    bool
 	ImportSec      float64 // reading edges + the eight data arrays
 	DistributeSec  float64 // partitioning the edges
@@ -202,7 +201,7 @@ func (f *FUN3D) ImportAndPartition(cl *sdm.Cluster, mode PartitionMode, register
 	if err != nil {
 		return nil, err
 	}
-	stats := &PartitionStats{Mode: mode}
+	stats := &PartitionStats{}
 	var mu sync.Mutex
 	trafficBefore, _ := cl.World.Traffic()
 
@@ -317,16 +316,14 @@ func (f *FUN3D) ImportAndPartition(cl *sdm.Cluster, mode PartitionMode, register
 // Fig6Stats reports Figure 6's write and read bandwidths for one file
 // organization level.
 type Fig6Stats struct {
-	Level      sdm.FileOrganization
-	WriteMBps  float64
-	ReadMBps   float64
-	TotalMB    float64
-	Files      int
-	FileOpens  int64 // charged opens: one per aggregator-set member per file open, not one per rank
-	FileViews  int64
-	WriteReqs  int64
-	WriteSteps int
-	Depth      int // step-pipeline depth the run used
+	Level     sdm.FileOrganization
+	WriteMBps float64
+	ReadMBps  float64
+	Files     int
+	FileOpens int64 // charged opens: one per aggregator-set member per file open, not one per rank
+	FileViews int64
+	WriteReqs int64
+	Depth     int // step-pipeline depth the run used
 	// MinStripeUnit and MaxStripeUnit bound the stripe units of the files
 	// the run created: the node-dataset files' and the flux file's.
 	MinStripeUnit, MaxStripeUnit int64
@@ -338,13 +335,7 @@ type Fig6Stats struct {
 // paper's 4x21MB + 105MB), then reads everything back, under the given
 // file organization. Bandwidth is global bytes over max virtual time.
 func (f *FUN3D) WriteReadBandwidth(cl *sdm.Cluster, level sdm.FileOrganization, steps int) (*Fig6Stats, error) {
-	return f.WriteReadBandwidthHints(cl, level, steps, sdm.Hints{})
-}
-
-// WriteReadBandwidthHints is WriteReadBandwidth with explicit MPI-IO
-// hints, the knob the collective-vs-independent ablation turns.
-func (f *FUN3D) WriteReadBandwidthHints(cl *sdm.Cluster, level sdm.FileOrganization, steps int, hints sdm.Hints) (*Fig6Stats, error) {
-	return f.fig6Run(cl, level, steps, hints, 1, true)
+	return f.checkpoints(cl, checkpointRun{level: level, steps: steps, depth: 1})
 }
 
 // PipelineWriteBandwidth streams `steps` file-per-timestep checkpoints
@@ -353,33 +344,40 @@ func (f *FUN3D) WriteReadBandwidthHints(cl *sdm.Cluster, level sdm.FileOrganizat
 // steps write disjoint files, so per-file dependency tracking lets the
 // next checkpoint's collectives overlap the previous ones' I/O in
 // virtual time. Depth 1 reproduces the classic one-outstanding-flush
-// schedule; the sdmbench `pipeline` experiment sweeps the depth. After
-// the writes have drained the checkpoints are read back in order
-// through synchronous EndStep closes — the sequential reader SDM's
+// schedule; the `pipeline` figure sweeps the depth. After the writes
+// have drained the checkpoints are read back in order through
+// synchronous EndStep closes — the sequential reader SDM's
 // metadata-directed read-ahead streams at the same depth.
 func (f *FUN3D) PipelineWriteBandwidth(cl *sdm.Cluster, steps, depth int) (*Fig6Stats, error) {
-	return f.fig6Run(cl, sdm.Level1, steps, sdm.Hints{}, depth, true)
+	return f.checkpoints(cl, checkpointRun{level: sdm.Level1, steps: steps, depth: depth})
 }
 
-// fig6Run is the shared body beneath the Figure-6 bandwidth runs and
-// the pipeline experiment: write `steps` cross-group checkpoints under
-// the given organization and pipeline depth, then optionally read
-// everything back.
-func (f *FUN3D) fig6Run(cl *sdm.Cluster, level sdm.FileOrganization, steps int, hints sdm.Hints, depth int, readBack bool) (*Fig6Stats, error) {
-	return f.fig6RunMode(cl, level, steps, hints, depth, readBack, false)
+// checkpointRun is what the figures and ablations vary over the one
+// checkpoint body: the file organization, the step count, the MPI-IO
+// hints (the collective-vs-independent and striping ablations), the
+// step-pipeline depth, and fully synchronous step closes (EndStep
+// instead of the pipelined EndStepAsync) — the reference the depth-1
+// differential test pins the pipeline against.
+type checkpointRun struct {
+	level   sdm.FileOrganization
+	steps   int
+	hints   sdm.Hints
+	depth   int
+	syncEnd bool
 }
 
-// fig6RunMode additionally selects fully synchronous step closes
-// (EndStep instead of the pipelined EndStepAsync), the reference the
-// depth-1 differential test pins the pipeline against.
-func (f *FUN3D) fig6RunMode(cl *sdm.Cluster, level sdm.FileOrganization, steps int, hints sdm.Hints, depth int, readBack, syncEnd bool) (*Fig6Stats, error) {
+// checkpoints is the body beneath the Figure-6 bandwidth runs, the
+// pipeline figure and the ablations: write run.steps cross-group
+// checkpoints, then read everything back.
+func (f *FUN3D) checkpoints(cl *sdm.Cluster, run checkpointRun) (*Fig6Stats, error) {
+	level, steps, depth := run.level, run.steps, run.depth
 	partVec, err := f.PartVec(cl.Procs())
 	if err != nil {
 		return nil, err
 	}
 	nNodes := int64(f.Mesh.NumNodes())
 	bigN := 5 * nNodes
-	stats := &Fig6Stats{Level: level, WriteSteps: steps, Depth: depth}
+	stats := &Fig6Stats{Level: level, Depth: depth}
 	var mu sync.Mutex
 	statsBefore := cl.FS.Stats()
 	filesBefore := make(map[string]bool)
@@ -389,7 +387,7 @@ func (f *FUN3D) fig6RunMode(cl *sdm.Cluster, level sdm.FileOrganization, steps i
 
 	err = cl.Run(func(p *sdm.Proc) {
 		s, err := p.Initialize("fun3d", sdm.Options{
-			Organization: level, Hints: hints, StepPipelineDepth: depth,
+			Organization: level, Hints: run.hints, StepPipelineDepth: depth,
 		})
 		if err != nil {
 			panic(err)
@@ -474,7 +472,7 @@ func (f *FUN3D) fig6RunMode(cl *sdm.Cluster, level sdm.FileOrganization, steps i
 			if err := flux.Put(bufB); err != nil {
 				panic(err)
 			}
-			if syncEnd {
+			if run.syncEnd {
 				if err := s.EndStep(); err != nil {
 					panic(err)
 				}
@@ -487,22 +485,20 @@ func (f *FUN3D) fig6RunMode(cl *sdm.Cluster, level sdm.FileOrganization, steps i
 		}
 		p.Comm.Barrier()
 		t1 := p.Comm.Now()
-		if readBack {
-			for ts := 0; ts < steps; ts++ {
-				if err := s.BeginStep(int64(ts * 10)); err != nil {
+		for ts := 0; ts < steps; ts++ {
+			if err := s.BeginStep(int64(ts * 10)); err != nil {
+				panic(err)
+			}
+			for _, d := range dsA {
+				if err := d.Get(readA); err != nil {
 					panic(err)
 				}
-				for _, d := range dsA {
-					if err := d.Get(readA); err != nil {
-						panic(err)
-					}
-				}
-				if err := flux.Get(readB); err != nil {
-					panic(err)
-				}
-				if err := s.EndStep(); err != nil {
-					panic(err)
-				}
+			}
+			if err := flux.Get(readB); err != nil {
+				panic(err)
+			}
+			if err := s.EndStep(); err != nil {
+				panic(err)
 			}
 		}
 		p.Comm.Barrier()
@@ -513,11 +509,8 @@ func (f *FUN3D) fig6RunMode(cl *sdm.Cluster, level sdm.FileOrganization, steps i
 		if p.Rank() == 0 {
 			totalBytes := float64(steps) * (4*float64(nNodes) + float64(bigN)) * 8
 			mu.Lock()
-			stats.TotalMB = totalBytes / 1e6
 			stats.WriteMBps = totalBytes / 1e6 / writeSec
-			if readBack {
-				stats.ReadMBps = totalBytes / 1e6 / readSec
-			}
+			stats.ReadMBps = totalBytes / 1e6 / readSec
 			mu.Unlock()
 		}
 	})
@@ -547,7 +540,7 @@ func (f *FUN3D) fig6RunMode(cl *sdm.Cluster, level sdm.FileOrganization, steps i
 func blockMapArray(globalN int64, size, rank int) []int32 {
 	per := globalN / int64(size)
 	rem := globalN % int64(size)
-	start := int64(rank)*per + min64(int64(rank), rem)
+	start := int64(rank)*per + min(int64(rank), rem)
 	count := per
 	if int64(rank) < rem {
 		count++
@@ -557,11 +550,4 @@ func blockMapArray(globalN int64, size, rank int) []int32 {
 		out[i] = int32(start + int64(i))
 	}
 	return out
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -41,6 +41,12 @@ type RTWorkload struct {
 	Cfg RTConfig
 	RT  *mesh.RT
 
+	// node and tri are every checkpoint's two datasets. They depend on
+	// the mesh and the checkpoint time alone, and no simulated time is
+	// charged for producing them, so they are synthesised once, by NewRT,
+	// and shared read-only by every rank, mode and process count.
+	node, tri [][]float64
+
 	mu       sync.Mutex
 	partVecs map[int][]int32
 }
@@ -52,7 +58,13 @@ func NewRT(cfg RTConfig) (*RTWorkload, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &RTWorkload{Cfg: cfg, RT: mesh.NewRT(m), partVecs: make(map[int][]int32)}, nil
+	r := &RTWorkload{Cfg: cfg, RT: mesh.NewRT(m), partVecs: make(map[int][]int32)}
+	for ts := 0; ts < cfg.Steps; ts++ {
+		tm := float64(ts) * 0.5
+		r.node = append(r.node, r.RT.NodeDataset(tm))
+		r.tri = append(r.tri, r.RT.TriangleDataset(tm))
+	}
+	return r, nil
 }
 
 // PartVec returns the cached node partitioning vector for nparts.
@@ -103,7 +115,6 @@ func (m RTMode) String() string {
 
 // RTStats reports one Figure 7 measurement.
 type RTStats struct {
-	Mode     RTMode
 	Procs    int
 	TotalMB  float64
 	WriteSec float64
@@ -122,7 +133,7 @@ func (r *RTWorkload) WriteBandwidth(cl *sdm.Cluster, mode RTMode) (*RTStats, err
 	nNodes := int64(m.NumNodes())
 	nTris := int64(r.RT.NumTriangles())
 	steps := r.Cfg.Steps
-	stats := &RTStats{Mode: mode, Procs: cl.Procs()}
+	stats := &RTStats{Procs: cl.Procs()}
 	var mu sync.Mutex
 
 	err = cl.Run(func(p *sdm.Proc) {
@@ -181,9 +192,7 @@ func (r *RTWorkload) WriteBandwidth(cl *sdm.Cluster, mode RTMode) (*RTStats, err
 		p.Comm.Barrier()
 		t0 := p.Comm.Now()
 		for ts := 0; ts < steps; ts++ {
-			tm := float64(ts) * 0.5
-			nodeFull := r.RT.NodeDataset(tm)
-			triFull := r.RT.TriangleDataset(tm)
+			nodeFull, triFull := r.node[ts], r.tri[ts]
 			nodeLocal := make([]float64, len(owned))
 			for i, g := range owned {
 				nodeLocal[i] = nodeFull[g]

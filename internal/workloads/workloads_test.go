@@ -194,36 +194,101 @@ func TestFig6ShapeLevels(t *testing.T) {
 	}
 }
 
-// TestFig6PaperScaleShape carries the assertion the toy-scale test above
-// cannot: at sdmbench's default fig6 scale (nx=32, 64 ranks, 2 steps)
-// the organizations order as in the paper's Figure 6 — level 3 at or
-// above level 2 at or above level 1, writing and reading. With every
-// file striped so that one step covers the servers once, what separates
-// the levels is how often opens and views are paid.
-func TestFig6PaperScaleShape(t *testing.T) {
-	f, err := NewFUN3D(FUN3DConfig{NX: 32, NY: 32, NZ: 32})
-	if err != nil {
-		t.Fatal(err)
+// TestFiguresPaperScaleShape carries the assertions the toy-scale tests
+// around it cannot: at PaperScale — sdmbench's defaults, the scale of the
+// BENCH files — every figure and ablation of the table shows the shape
+// the paper claims of it. For Figure 6 that is level 3 at or above level
+// 2 at or above level 1, writing and reading: with every file striped so
+// that one step covers the servers once, what separates the levels is
+// how often opens and views are paid.
+func TestFiguresPaperScaleShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper scale; skipped with -short")
 	}
-	var write, read []float64
-	for _, level := range []sdm.FileOrganization{sdm.Level1, sdm.Level2, sdm.Level3} {
-		cl := newCluster(64)
-		if err := f.Stage(cl); err != nil {
-			t.Fatal(err)
-		}
-		st, err := f.WriteReadBandwidth(cl, level, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		write, read = append(write, st.WriteMBps), append(read, st.ReadMBps)
+	for i := range Figures {
+		fig := &Figures[i]
+		t.Run(fig.Name, func(t *testing.T) {
+			rows, err := fig.Run(PaperScale, sdm.NewCluster)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fig.Shape(rows); err != nil {
+				t.Errorf("%s: %v\nclaim: %s", fig.Name, err, fig.Claim)
+			}
+		})
 	}
-	for _, bw := range []struct {
-		name string
-		v    []float64
-	}{{"write", write}, {"read", read}} {
-		if !(bw.v[2] >= bw.v[1] && bw.v[1] >= bw.v[0]) {
-			t.Errorf("%s MB/s level1/2/3 = %.1f / %.1f / %.1f, want level3 >= level2 >= level1",
-				bw.name, bw.v[0], bw.v[1], bw.v[2])
+}
+
+// TestShapesFailWhenBroken feeds each figure's Shape rows that hold its
+// claim and rows that break it: a Shape that cannot fail checks nothing.
+func TestShapesFailWhenBroken(t *testing.T) {
+	row := func(name string, kv ...any) Row {
+		m := map[string]float64{}
+		for i := 0; i < len(kv); i += 2 {
+			m[kv[i].(string)] = kv[i+1].(float64)
+		}
+		return Row{Case: name, Metrics: m}
+	}
+	fig5 := func(name string, imp, distri float64) Row {
+		return row(name, "sim-import-s/op", imp, "sim-distri-s/op", distri, "sim-total-s/op", imp+distri)
+	}
+	rw := func(name string, w, r float64) Row { return row(name, writeMBps, w, readMBps, r) }
+	fig7 := func(o32, o64, a32, a64, b32, b64 float64) []Row {
+		return []Row{row("original-32", writeMBps, o32), row("original-64", writeMBps, o64),
+			row("level1-32", writeMBps, a32), row("level1-64", writeMBps, a64),
+			row("level2/3-32", writeMBps, b32), row("level2/3-64", writeMBps, b64)}
+	}
+	sweep := func(bw ...float64) (rows []Row) {
+		for i, servers := range []string{"servers-1", "servers-2", "servers-5", "servers-10", "servers-20"} {
+			rows = append(rows, row(servers, writeMBps, bw[i]))
+		}
+		return rows
+	}
+	openCost := func(name string, cheap, expensive float64) Row {
+		return row(name, writeMBps+"-cheap", cheap, writeMBps+"-expensive", expensive)
+	}
+	for _, tc := range []struct {
+		fig, breaks  string
+		good, broken []Row
+	}{
+		{"fig5", "history slower than ring",
+			[]Row{fig5("original", 0.5, 0.12), fig5("sdm-nohistory", 0.06, 0.07), fig5("sdm-history", 0.04, 0.02)},
+			[]Row{fig5("original", 0.5, 0.12), fig5("sdm-nohistory", 0.06, 0.07), fig5("sdm-history", 0.04, 0.11)}},
+		{"fig6", "level 1 above level 3",
+			[]Row{rw("level1", 145, 128), rw("level2", 159, 149), rw("level3", 195, 180)},
+			[]Row{rw("level1", 196, 128), rw("level2", 159, 149), rw("level3", 195, 180)}},
+		{"fig7", "64 ranks faster than 32", fig7(9, 5, 85, 83, 107, 103), fig7(9, 5, 85, 83, 103, 107)},
+		{"fig7", "SDM no better than original", fig7(9, 5, 85, 83, 107, 103), fig7(60, 50, 85, 83, 107, 103)},
+		{"pipeline", "depth 2 within 15% of depth 1",
+			[]Row{rw("depth-1", 147, 128), rw("depth-2", 210, 186), rw("depth-4", 212, 192)},
+			[]Row{rw("depth-1", 147, 128), rw("depth-2", 160, 186), rw("depth-4", 212, 192)}},
+		{"ablation-two-phase", "independent above collective",
+			[]Row{rw("two-phase collective", 183, 180), rw("independent", 0.5, 0.7)},
+			[]Row{rw("two-phase collective", 183, 180), rw("independent", 190, 0.7)}},
+		{"ablation-stripe-width", "saturated before 20 servers", sweep(31, 55, 119, 183, 249), sweep(31, 55, 119, 183, 180)},
+		{"ablation-striping", "default unit above metadata-sized",
+			[]Row{rw("default-unit", 88, 80), rw("metadata-sized", 196, 181)},
+			[]Row{rw("default-unit", 88, 190), rw("metadata-sized", 196, 181)}},
+		{"ablation-open-cost", "expensive opens do not widen level 3's lead",
+			[]Row{openCost("level1", 145, 5.6), openCost("level3", 196, 22.5)},
+			[]Row{openCost("level1", 145, 15), openCost("level3", 196, 22.5)}},
+		{"fig6", "a case missing", []Row{rw("level1", 145, 128), rw("level2", 159, 149), rw("level3", 195, 180)},
+			[]Row{rw("level1", 145, 128), rw("level3", 195, 180)}},
+	} {
+		var fig *Figure
+		for i := range Figures {
+			if Figures[i].Name == tc.fig {
+				fig = &Figures[i]
+			}
+		}
+		if fig == nil {
+			t.Fatalf("no figure %q", tc.fig)
+		}
+		if err := fig.Shape(tc.good); err != nil {
+			t.Errorf("%s: rows that hold the claim rejected: %v", tc.fig, err)
+		}
+		if err := fig.Shape(tc.broken); err == nil {
+			t.Errorf("%s: %s, and Shape accepted it", tc.fig, tc.breaks)
 		}
 	}
 }
@@ -243,7 +308,7 @@ func TestFig6PipelinedDepth1BitIdenticalToSync(t *testing.T) {
 				if err := f.Stage(cl); err != nil {
 					t.Fatal(err)
 				}
-				st, err := f.fig6RunMode(cl, level, steps, sdm.Hints{}, 1, true, syncEnd)
+				st, err := f.checkpoints(cl, checkpointRun{level: level, steps: steps, depth: 1, syncEnd: syncEnd})
 				if err != nil {
 					t.Fatal(err)
 				}

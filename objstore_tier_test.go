@@ -126,8 +126,12 @@ func TestMigrateBundleRoundTrip(t *testing.T) {
 	}
 	assertFsckClean(t, cold, "cold tier")
 
-	if _, err := MigrateBundle(cold, back, BundleOptions{Backend: "dir"}); err != nil {
+	rst, err := MigrateBundle(cold, back, BundleOptions{Backend: "dir"})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if rst.Files != st.Files || rst.FilesCopied != st.Files || rst.BytesCopied != st.BytesCopied {
+		t.Fatalf("restore moved %+v, the migration out %+v: want the same files and bytes", rst, st)
 	}
 	gotBack, marker := readBundleState(t, back)
 	if marker != "hot" || !sameFiles(gotBack, files) {

@@ -7,7 +7,7 @@
 #
 #   - every other package's tests (each package's profile is taken with
 #     -coverpkg=./... and the lines of the package under test are dropped);
-#   - the root benchmarks (bench_test.go: the figure workloads);
+#   - the root benchmarks (bench_test.go: the figure table);
 #   - the benchmark/ module's tests (own go.mod, -coverpkg=sdm/...);
 #   - every cmd/ and examples/ program, built with `go build -cover` and
 #     driven through the smokes CI runs (restart write/fsck/read, sdmd +
@@ -166,10 +166,9 @@ sdmd_pid=""
 fails "$bin/sdmls" -remote "http://127.0.0.1:$port" # nobody listening any more
 
 log "smokes: sdmbench per experiment, sdmtrace"
-for e in fig5 fig6 fig7 ablations bundle trace; do
+for e in fig5 fig6 fig7 ablations; do
 	run "$bin/sdmbench" -experiment "$e" -nx 12 -rtnx 12 -procs 8 -rtsteps 2 -pipesteps 4
 done
-run "$bin/sdmbench" -experiment objstore -nx 16 -procs 16
 run "$bin/sdmbench" -experiment pipeline -nx 12 -procs 8 -pipesteps 4 \
 	-trace "$t/pipe-trace.json" -json "$t/BENCH_1.json" -bundle "$t/bench-bundle"
 # A second -json run beside the first drives the drift gate: the same
