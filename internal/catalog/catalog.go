@@ -112,10 +112,10 @@ var schema = []string{
 	`CREATE TABLE IF NOT EXISTS execution_table (
 		runid INTEGER, dataset TEXT, timestep INTEGER,
 		file_offset INTEGER, file_name TEXT)`,
-	`CREATE INDEX IF NOT EXISTS execution_dataset ON execution_table (dataset)`,
-	// Composite index serving the (run, dataset, timestep) probes the
-	// write/read paths issue — LookupWrite(s) touch exactly the rows
-	// they return instead of scanning a dataset's whole history.
+	// The one index every statement on the table probes: LookupWrite(s)
+	// bind all three columns and WritesForRun the first, so each touches
+	// exactly the rows it returns. (Catalogs saved before PR 24 also list
+	// an index on dataset alone, which they keep; nothing binds it.)
 	`CREATE INDEX IF NOT EXISTS execution_run_ds_ts ON execution_table (runid, dataset, timestep)`,
 
 	`CREATE TABLE IF NOT EXISTS import_table (
@@ -428,7 +428,8 @@ func (c *Catalog) Slab(clock *sim.Clock, runid int64, dataset string, timestep i
 }
 
 // WritesForRun lists all recorded writes of a run ordered by dataset
-// then timestep.
+// then timestep: the window under runid in the execution table's
+// composite index, which holds them in that order.
 func (c *Catalog) WritesForRun(clock *sim.Clock, runid int64) ([]WriteRecord, error) {
 	c.charge(clock)
 	rows, err := c.db.Query(

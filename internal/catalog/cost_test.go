@@ -80,3 +80,76 @@ func TestCommitCostFlatInTableSize(t *testing.T) {
 		last = b
 	}
 }
+
+// TestRestartCostFollowsTheRun pins what reading one run back costs:
+// beside 500, 5 k and 50 k execution-table rows of other runs' history
+// (each run with its own datasets and import list), every call a restart
+// makes for run 1 examines run 1's rows and no others, through an index
+// — no plan is a scan. WritesForRun (the window under runid in the
+// composite index; before PR 24 a scan of the whole table: 560, 5,056
+// and 50,064 rows here), Datasets, Imports and LookupWrites examine
+// exactly the rows they return; LookupDataset, whose table is indexed
+// by runid alone, the run's four dataset rows for the one it returns.
+func TestRestartCostFollowsTheRun(t *testing.T) {
+	const datasets, steps, imports = 4, 16, 3
+	c := newCat(t)
+	register := func(run int64) {
+		t.Helper()
+		var recs []WriteRecord
+		for ds := range datasets {
+			name := fmt.Sprintf("d%d", ds)
+			if err := c.RegisterDataset(nil, DatasetInfo{RunID: run, Dataset: name, DataType: "DOUBLE", GlobalSize: 1 << 10}); err != nil {
+				t.Fatal(err)
+			}
+			for ts := range int64(steps) {
+				recs = append(recs, WriteRecord{RunID: run, Dataset: name, Timestep: ts, FileOffset: ts << 13, FileName: fmt.Sprintf("r%d_%s.dat", run, name)})
+			}
+		}
+		if err := c.RecordWrites(nil, recs); err != nil {
+			t.Fatal(err)
+		}
+		list := make([]ImportEntry, imports)
+		for i := range list {
+			list[i] = ImportEntry{RunID: run, ImportedName: fmt.Sprintf("in%d", i), FileName: "mesh.msh", Length: 1 << 10}
+		}
+		if err := c.RegisterImports(nil, list); err != nil {
+			t.Fatal(err)
+		}
+	}
+	register(1)
+	keys := make([]WriteKey, 8)
+	for i := range keys {
+		keys[i] = WriteKey{Dataset: fmt.Sprintf("d%d", i%datasets), Timestep: int64(i)}
+	}
+	nextRun := int64(2)
+	for _, history := range []int{500, 5_000, 50_000} {
+		for ; (nextRun-2)*datasets*steps < int64(history); nextRun++ {
+			register(nextRun)
+		}
+		for _, call := range []struct {
+			name    string
+			examine int64 // rows it may examine
+			rows    func() (int, error)
+		}{
+			{"WritesForRun", datasets * steps, func() (int, error) { r, err := c.WritesForRun(nil, 1); return len(r), err }},
+			{"Datasets", datasets, func() (int, error) { r, err := c.Datasets(nil, 1); return len(r), err }},
+			{"Imports", imports, func() (int, error) { r, err := c.Imports(nil, 1); return len(r), err }},
+			{"LookupWrites", int64(len(keys)), func() (int, error) { r, err := c.LookupWrites(nil, 1, keys); return len(r), err }},
+			{"LookupDataset", datasets, func() (int, error) { _, err := c.LookupDataset(nil, 1, "d2"); return datasets, err }},
+		} {
+			st0 := c.db.StatsSnapshot()
+			n, err := call.rows()
+			if err != nil {
+				t.Fatalf("%s: %v", call.name, err)
+			}
+			st := c.db.StatsSnapshot()
+			if scanned := st.RowsScanned - st0.RowsScanned; scanned != call.examine || int64(n) != call.examine {
+				t.Errorf("%s beside %d rows of history: examined %d rows and returned %d, want %d and %d",
+					call.name, history, scanned, n, call.examine, call.examine)
+			}
+			if st.PlanScan != st0.PlanScan {
+				t.Errorf("%s beside %d rows of history ran %d full scan(s)", call.name, history, st.PlanScan-st0.PlanScan)
+			}
+		}
+	}
+}

@@ -105,19 +105,12 @@ func (imp *Importer) liveSpec(name string) (ImportSpec, error) {
 func blockRange(n int64, p, r int) (start, count int64) {
 	per := n / int64(p)
 	rem := n % int64(p)
-	start = int64(r)*per + min64(int64(r), rem)
+	start = int64(r)*per + min(int64(r), rem)
 	count = per
 	if int64(r) < rem {
 		count++
 	}
 	return start, count
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // ImportHandle is one array queued on an import epoch. Its result is

@@ -20,9 +20,7 @@ import (
 
 // dbState is one immutable version of the whole database. Everything
 // reachable from it — tables, tree nodes, rows — is frozen at publish
-// time; the only tolerated in-place mutation is an index's lazily
-// built sorted view, which is serialized by its own mutex and
-// idempotent.
+// time.
 type dbState struct {
 	version int64
 	tables  map[string]*tableData
@@ -38,25 +36,45 @@ type tableData struct {
 	defs []indexDef
 
 	rows tree[rowEntry]
-	idx  []*index
+	idx  []tree[idxEntry]
 	// nextID is the id the next inserted row gets. Ids are never reused,
 	// so ascending id order is insertion order.
 	nextID int64
 }
 
 // indexDef is the schema-level identity of an index. key is the column
-// names joined by commas, so a single-column index is found under the
-// bare column name (range and ORDER BY lookups use that) and composite
-// indexes never shadow it.
+// names joined by commas, which is how an index is found and what a
+// table may hold only one of. adjacent: the columns lie side by side in
+// the table, in index order.
 type indexDef struct {
-	name   string
-	key    string
-	cols   []string
-	colPos []int
+	name     string
+	key      string
+	cols     []string
+	colPos   []int
+	adjacent bool
 }
 
 func newIndexDef(name string, cols []string, colPos []int) indexDef {
-	return indexDef{name, strings.Join(cols, ","), cols, colPos}
+	adjacent := true
+	for i, p := range colPos {
+		adjacent = adjacent && p == colPos[0]+i
+	}
+	return indexDef{name, strings.Join(cols, ","), cols, colPos, adjacent}
+}
+
+// entry files a row in the index. Where the index columns are adjacent,
+// as those of every index the catalog declares are, the key is the
+// row's own values; otherwise a copy of them.
+func (d *indexDef) entry(id int64, row []Value) idxEntry {
+	if d.adjacent {
+		lo, hi := d.colPos[0], d.colPos[0]+len(d.colPos)
+		return idxEntry{row[lo:hi:hi], id}
+	}
+	key := make([]Value, len(d.colPos))
+	for i, p := range d.colPos {
+		key[i] = row[p]
+	}
+	return idxEntry{key, id}
 }
 
 // byKey is the order a table lists its indexes in.
@@ -74,16 +92,22 @@ type rowEntry struct {
 
 func (a rowEntry) cmp(b rowEntry) int { return cmp.Compare(a.id, b.id) }
 
-// idxEntry files a row id under the hash of its index-column tuple.
-// The tuple itself is not stored: a probe reads it back from the row,
-// which is also how tuples colliding on one hash are told apart.
+// idxEntry files a row under the values of its index columns, then its
+// id: the order of compare, column by column, which is total. A probe
+// is an entry whose key may stop short; it sorts before every key it
+// prefixes, so a cursor from it starts at the first of them.
 type idxEntry struct {
-	hash uint64
-	id   int64
+	key []Value
+	id  int64
 }
 
 func (a idxEntry) cmp(b idxEntry) int {
-	if c := cmp.Compare(a.hash, b.hash); c != 0 {
+	for i := range min(len(a.key), len(b.key)) {
+		if c := a.key[i].compare(&b.key[i]); c != 0 {
+			return c
+		}
+	}
+	if c := cmp.Compare(len(a.key), len(b.key)); c != 0 {
 		return c
 	}
 	return cmp.Compare(a.id, b.id)
@@ -97,12 +121,12 @@ func (t *tableData) indexOf(key string) int {
 
 // buildIndex bulk-builds an index over rows, using ents (one per row)
 // as the tree's storage.
-func buildIndex(d indexDef, rows []rowEntry, ents []idxEntry) *index {
+func buildIndex(d indexDef, rows []rowEntry, ents []idxEntry) tree[idxEntry] {
 	for i, r := range rows {
-		ents[i] = idxEntry{hashTuple(r.vals, d.colPos), r.id}
+		ents[i] = d.entry(r.id, r.vals)
 	}
 	slices.SortFunc(ents, idxEntry.cmp)
-	return &index{ents: bulkTree(ents)}
+	return bulkTree(ents)
 }
 
 // buildTable constructs a fully indexed table from rows in insertion
@@ -110,7 +134,7 @@ func buildIndex(d indexDef, rows []rowEntry, ents []idxEntry) *index {
 func buildTable(name string, cols []columnDef, colIdx map[string]int, defs []indexDef, rows []rowEntry) *tableData {
 	t := &tableData{name: name, cols: cols, colIdx: colIdx, defs: defs, nextID: int64(len(rows))}
 	ents := make([]idxEntry, len(rows)*len(defs))
-	t.idx = make([]*index, len(defs))
+	t.idx = make([]tree[idxEntry], len(defs))
 	for i, d := range defs {
 		lo, hi := i*len(rows), (i+1)*len(rows)
 		t.idx[i] = buildIndex(d, rows, ents[lo:hi:hi])
@@ -165,8 +189,7 @@ func (db *DB) publish(cur *dbState, name string, t *tableData) {
 // the published version's tree roots; put and del then copy only the
 // nodes on the paths they change (see tree.go), so a commit costs what
 // its batch touches, not what the table holds —
-// TestCommitCostFlatInTableSize pins that. Every index value is fresh:
-// a sorted view built over the old rows must not outlive them.
+// TestCommitCostFlatInTableSize pins that.
 type tableEdit struct {
 	t   *tableData
 	gen uint64
@@ -177,10 +200,7 @@ type tableEdit struct {
 func (db *DB) newTableEdit(t *tableData) *tableEdit {
 	db.editGen++
 	nt := *t
-	nt.idx = make([]*index, len(t.idx))
-	for i, ix := range t.idx {
-		nt.idx[i] = &index{ents: ix.ents}
-	}
+	nt.idx = slices.Clone(t.idx)
 	return &tableEdit{t: &nt, gen: db.editGen}
 }
 
@@ -188,27 +208,29 @@ func (te *tableEdit) insert(row []Value) {
 	id := te.t.nextID
 	te.t.nextID++
 	te.t.rows.put(te.gen, rowEntry{id, row})
-	for i, d := range te.t.defs {
-		te.t.idx[i].ents.put(te.gen, idxEntry{hashTuple(row, d.colPos), id})
+	for i := range te.t.defs {
+		te.t.idx[i].put(te.gen, te.t.defs[i].entry(id, row))
 	}
 }
 
 func (te *tableEdit) remove(id int64, row []Value) {
 	te.t.rows.del(te.gen, rowEntry{id: id})
-	for i, d := range te.t.defs {
-		te.t.idx[i].ents.del(te.gen, idxEntry{hashTuple(row, d.colPos), id})
+	for i := range te.t.defs {
+		te.t.idx[i].del(te.gen, te.t.defs[i].entry(id, row))
 	}
 }
 
-// replace swaps a row's values in place (same id), moving its entry in
-// the indexes whose tuple changed.
+// replace swaps a row's values in place (same id). Every index is given
+// the entry of the new values — moved, where they differ in its columns
+// — so none keeps the old row alive through its key.
 func (te *tableEdit) replace(id int64, old, row []Value) {
 	te.t.rows.put(te.gen, rowEntry{id, row})
-	for i, d := range te.t.defs {
-		if oh, nh := hashTuple(old, d.colPos), hashTuple(row, d.colPos); oh != nh {
-			te.t.idx[i].ents.del(te.gen, idxEntry{oh, id})
-			te.t.idx[i].ents.put(te.gen, idxEntry{nh, id})
+	for i := range te.t.defs {
+		was, is := te.t.defs[i].entry(id, old), te.t.defs[i].entry(id, row)
+		if was.cmp(is) != 0 {
+			te.t.idx[i].del(te.gen, was)
 		}
+		te.t.idx[i].put(te.gen, is)
 	}
 }
 
@@ -346,7 +368,7 @@ func (db *DB) execUpdate(cur *dbState, s updateStmt, params []Value) (int, error
 	if !ok {
 		return 0, fmt.Errorf("metadb: no such table %q", s.table)
 	}
-	matched, err := db.matchingRows(t, s.where, params)
+	matched, _, err := db.matchingRows(t, s.where, params, nil)
 	if err != nil || len(matched) == 0 {
 		return 0, err
 	}
@@ -394,7 +416,7 @@ func (db *DB) execDelete(cur *dbState, s deleteStmt, params []Value) (int, error
 	if !ok {
 		return 0, fmt.Errorf("metadb: no such table %q", s.table)
 	}
-	matched, err := db.matchingRows(t, s.where, params)
+	matched, _, err := db.matchingRows(t, s.where, params, nil)
 	if err != nil || len(matched) == 0 {
 		return 0, err
 	}

@@ -1,7 +1,6 @@
 package metadb
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -127,12 +126,12 @@ func appendColumn(b []byte, col columnDef, rows [][]Value, ci int) ([]byte, erro
 		switch v := r[ci]; {
 		case v.kind == KindNull:
 		case col.kind == KindInt:
-			b = binary.AppendVarint(b, v.i-prevInt)
-			prevInt = v.i
+			b = binary.AppendVarint(b, v.int()-prevInt)
+			prevInt = v.int()
 		case col.kind == KindReal:
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.r))
+			b = binary.LittleEndian.AppendUint64(b, v.n)
 		case col.kind == KindBlob:
-			b = append(binary.AppendUvarint(b, uint64(len(v.b))), v.b...)
+			b = append(binary.AppendUvarint(b, uint64(len(v.s))), v.s...)
 		case len(dict) > 0:
 			b = binary.AppendUvarint(b, uint64(dict[v.s]))
 		default:
@@ -326,7 +325,7 @@ func (r *reader) column(kind Kind, slab []Value, ci, ncols int, isNull []bool) {
 		case kind == KindReal:
 			*v = Real(math.Float64frombits(r.u64()))
 		case kind == KindBlob:
-			*v = Blob(bytes.Clone(r.bytes()))
+			*v = Blob(r.bytes())
 		case dict != nil:
 			if i := r.uvarint(); i < uint64(len(dict)) {
 				*v = Text(dict[i])
@@ -351,7 +350,7 @@ func (r *reader) cellV1(kind Kind) Value {
 	case KindText:
 		v = Text(r.str())
 	case KindBlob:
-		v = Blob(bytes.Clone(r.bytes()))
+		v = Blob(r.bytes())
 	default:
 		r.fail("value kind %d", k)
 	}

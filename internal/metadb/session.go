@@ -2,25 +2,18 @@ package metadb
 
 // Session is a cheap per-caller handle onto a DB (the rita-style
 // session/engine split): it owns an unsynchronized prepared-statement
-// cache and reusable sort scratch, so a caller issuing many statements
-// pays no cache-lock contention against other sessions. The data it
-// reads and writes is the shared DB's — sessions add no isolation
-// beyond the per-statement MVCC snapshots every reader gets.
+// cache, so a caller issuing many statements pays no cache-lock
+// contention against other sessions. The data it reads and writes is
+// the shared DB's — sessions add no isolation beyond the per-statement
+// MVCC snapshots every reader gets.
 //
 // A Session is NOT safe for concurrent use; give each goroutine its
 // own (Session() is allocation-cheap). The DB's own Query/Exec methods
 // remain safe for concurrent use and are equivalent to a throwaway
 // session per call.
 type Session struct {
-	db      *DB
-	stmts   map[string]cachedStmt
-	scratch sortScratch
-}
-
-// sortScratch holds buffers the ORDER-BY-from-index path reuses across
-// statements to avoid per-query allocation.
-type sortScratch struct {
-	want map[int64]bool
+	db    *DB
+	stmts map[string]cachedStmt
 }
 
 // Session returns a new handle on the database.
@@ -67,5 +60,5 @@ func (s *Session) Query(src string, args ...any) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.db.queryStmt(stmt, params, &s.scratch)
+	return s.db.queryStmt(stmt, params)
 }

@@ -6,12 +6,13 @@ import (
 )
 
 // A tree is a persistent B+tree, the one container behind both row
-// storage (entries ordered by id) and indexes (entries ordered by
-// tuple hash, then id). Published nodes are immutable: a writer passes
-// its edit's generation to put and del, which copy each node on the
-// path the first time that edit touches it and mutate nodes the edit
-// already owns in place. A commit therefore allocates O(batch × depth)
-// nodes whatever the table holds, and every version shares the rest.
+// storage (entries ordered by id) and indexes (entries ordered by their
+// rows' index-column values, then id). Published nodes are immutable: a
+// writer passes its edit's generation to put and del, which copy each
+// node on the path the first time that edit touches it and mutate nodes
+// the edit already owns in place. A commit therefore allocates
+// O(batch × depth) nodes whatever the table holds, and every version
+// shares the rest.
 //
 // Deletion does not rebalance: nodes may run underfull and are dropped
 // only when empty, which keeps the structure valid and — in a store
@@ -263,7 +264,8 @@ type cursor[E ordered[E]] struct {
 }
 
 // from returns a cursor at the first entry not below key; the zero
-// entry is below every id and hash in use, so from(zero) walks it all.
+// entry is below every id and index key in use, so from(zero) walks it
+// all.
 func (t tree[E]) from(key E) cursor[E] {
 	if t.root == nil {
 		return cursor[E]{}

@@ -1,15 +1,30 @@
 package metadb
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"testing"
 )
 
+// pair is the tests' entry: two fields ordered one after the other, as
+// an index entry's key and id are, and comparable with ==.
+type pair struct {
+	k  uint64
+	id int64
+}
+
+func (a pair) cmp(b pair) int {
+	if c := cmp.Compare(a.k, b.k); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.id, b.id)
+}
+
 // treeEntries walks a tree version from its smallest entry.
-func treeEntries(t tree[idxEntry]) []idxEntry {
-	var out []idxEntry
-	for c := t.from(idxEntry{}); ; {
+func treeEntries(t tree[pair]) []pair {
+	var out []pair
+	for c := t.from(pair{}); ; {
 		e, ok := c.next()
 		if !ok {
 			return out
@@ -21,12 +36,12 @@ func treeEntries(t tree[idxEntry]) []idxEntry {
 // checkShape verifies the structural invariants: ordered leaves within
 // fanout, every branch's lo the smallest entry below it, all leaves at
 // one depth, and n the entry count.
-func checkShape(t *testing.T, tr tree[idxEntry]) {
+func checkShape(t *testing.T, tr tree[pair]) {
 	t.Helper()
-	var walk func(nd *node[idxEntry]) (depth, n int)
-	walk = func(nd *node[idxEntry]) (int, int) {
+	var walk func(nd *node[pair]) (depth, n int)
+	walk = func(nd *node[pair]) (int, int) {
 		if nd.kids == nil {
-			if len(nd.ents) == 0 || len(nd.ents) > fanout || !slices.IsSortedFunc(nd.ents, idxEntry.cmp) {
+			if len(nd.ents) == 0 || len(nd.ents) > fanout || !slices.IsSortedFunc(nd.ents, pair.cmp) {
 				t.Fatalf("bad leaf of %d entries", len(nd.ents))
 			}
 			return 1, len(nd.ents)
@@ -66,18 +81,18 @@ func checkShape(t *testing.T, tr tree[idxEntry]) {
 // nothing a published version can reach.
 func TestTreeAgainstModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	var tr tree[idxEntry]
-	var model []idxEntry
+	var tr tree[pair]
+	var model []pair
 	type version struct {
-		tr   tree[idxEntry]
-		want []idxEntry
+		tr   tree[pair]
+		want []pair
 	}
 	var versions []version
 	for gen := uint64(1); gen <= 400; gen++ {
 		for range 1 + rng.Intn(24) {
-			// Few distinct hashes, so runs of one hash span leaves.
-			e := idxEntry{uint64(rng.Intn(40)), int64(rng.Intn(300))}
-			i, found := slices.BinarySearchFunc(model, e, idxEntry.cmp)
+			// Few distinct keys, so runs of one key span leaves.
+			e := pair{uint64(rng.Intn(40)), int64(rng.Intn(300))}
+			i, found := slices.BinarySearchFunc(model, e, pair.cmp)
 			if gen > 250 || rng.Intn(3) == 0 { // the last generations drain the tree
 				if tr.del(gen, e) != found {
 					t.Fatalf("del(%v) = %v, want %v", e, !found, found)
@@ -107,9 +122,9 @@ func TestTreeAgainstModel(t *testing.T) {
 	}
 	// Cursors start mid-tree, between entries and past the end alike.
 	for range 200 {
-		key := idxEntry{uint64(rng.Intn(42)), int64(rng.Intn(300))}
+		key := pair{uint64(rng.Intn(42)), int64(rng.Intn(300))}
 		v := versions[rng.Intn(len(versions))]
-		i, _ := slices.BinarySearchFunc(v.want, key, idxEntry.cmp)
+		i, _ := slices.BinarySearchFunc(v.want, key, pair.cmp)
 		c := v.tr.from(key)
 		for _, want := range v.want[i:] {
 			if got, ok := c.next(); !ok || got != want {
@@ -127,15 +142,15 @@ func TestTreeAgainstModel(t *testing.T) {
 // first put into a full leaf must split a copy, not the slab.
 func TestBulkTreeThenEdit(t *testing.T) {
 	for n := 0; n <= 3*fanout*fanout+1; n += 7 {
-		ents := make([]idxEntry, n)
+		ents := make([]pair, n)
 		for i := range ents {
-			ents[i] = idxEntry{uint64(i / 3), int64(2 * i)}
+			ents[i] = pair{uint64(i / 3), int64(2 * i)}
 		}
 		base := bulkTree(slices.Clone(ents))
 		checkShape(t, base)
 		edited := base
 		for i := 0; i < n; i += 5 {
-			edited.put(1, idxEntry{uint64(i / 3), int64(2*i + 1)})
+			edited.put(1, pair{uint64(i / 3), int64(2*i + 1)})
 		}
 		checkShape(t, edited)
 		if got := treeEntries(base); !slices.Equal(got, ents) {

@@ -2,8 +2,9 @@
 // dialect, standing in for the MySQL instance the paper stores SDM's
 // metadata in. It supports CREATE TABLE / CREATE INDEX / INSERT /
 // SELECT / UPDATE / DELETE with WHERE filters, ORDER BY, LIMIT and `?`
-// parameter placeholders, hash indexes used automatically for equality
-// lookups, and binary snapshot persistence.
+// parameter placeholders, ordered indexes used automatically for
+// equality, leading-prefix and range lookups and for ORDER BY, and
+// binary snapshot persistence.
 //
 // The subset is exactly what SDM's six metadata tables need (run_table,
 // access_pattern_table, execution_table, import_table, index_table,
@@ -12,11 +13,11 @@
 package metadb
 
 import (
-	"bytes"
 	"cmp"
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 )
 
 // Kind enumerates column/value types.
@@ -47,29 +48,29 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// Value is one cell. The zero Value is NULL.
+// Value is one cell. The zero Value is NULL. A row is a slice of these
+// and a table holds them by the hundred thousand, so a Value has one
+// word for a number and one string for bytes, 32 bytes in all.
 type Value struct {
 	kind Kind
-	i    int64
-	r    float64
-	s    string
-	b    []byte
+	n    uint64 // INTEGER: the int64; REAL: the float64's bits
+	s    string // TEXT: the text; BLOB: the bytes
 }
 
 // Null returns the SQL NULL value.
 func Null() Value { return Value{} }
 
 // Int wraps an int64.
-func Int(v int64) Value { return Value{kind: KindInt, i: v} }
+func Int(v int64) Value { return Value{kind: KindInt, n: uint64(v)} }
 
 // Real wraps a float64.
-func Real(v float64) Value { return Value{kind: KindReal, r: v} }
+func Real(v float64) Value { return Value{kind: KindReal, n: math.Float64bits(v)} }
 
 // Text wraps a string.
 func Text(v string) Value { return Value{kind: KindText, s: v} }
 
-// Blob wraps a byte slice (not copied).
-func Blob(v []byte) Value { return Value{kind: KindBlob, b: v} }
+// Blob wraps a copy of a byte slice.
+func Blob(v []byte) Value { return Value{kind: KindBlob, s: string(v)} }
 
 // Kind reports the value's type.
 func (v Value) Kind() Kind { return v.kind }
@@ -80,37 +81,52 @@ func (v Value) IsNull() bool { return v.kind == KindNull }
 // AsInt returns the integer contents (real values truncate).
 func (v Value) AsInt() int64 {
 	if v.kind == KindReal {
-		return int64(v.r)
+		return int64(v.real())
 	}
-	return v.i
+	return v.int()
 }
 
 // AsReal returns the floating contents (integers widen).
 func (v Value) AsReal() float64 {
 	if v.kind == KindInt {
-		return float64(v.i)
+		return float64(v.int())
 	}
-	return v.r
+	return v.real()
 }
 
 // AsText returns the string contents.
-func (v Value) AsText() string { return v.s }
+func (v Value) AsText() string {
+	if v.kind != KindText {
+		return ""
+	}
+	return v.s
+}
 
-// AsBlob returns the raw bytes.
-func (v Value) AsBlob() []byte { return v.b }
+// AsBlob returns a copy of the raw bytes.
+func (v Value) AsBlob() []byte {
+	if v.kind != KindBlob {
+		return nil
+	}
+	return []byte(v.s)
+}
+
+// int and real read n as the kind that wrote it; n is zero, and so are
+// both, in a value that is not a number.
+func (v *Value) int() int64    { return int64(v.n) }
+func (v *Value) real() float64 { return math.Float64frombits(v.n) }
 
 func (v Value) String() string {
 	switch v.kind {
 	case KindNull:
 		return "NULL"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.int(), 10)
 	case KindReal:
-		return strconv.FormatFloat(v.r, 'g', -1, 64)
+		return strconv.FormatFloat(v.real(), 'g', -1, 64)
 	case KindText:
 		return v.s
 	case KindBlob:
-		return fmt.Sprintf("x'%x'", v.b)
+		return fmt.Sprintf("x'%x'", v.s)
 	}
 	return "?"
 }
@@ -118,127 +134,54 @@ func (v Value) String() string {
 // numeric reports whether v participates in arithmetic.
 func (v Value) numeric() bool { return v.kind == KindInt || v.kind == KindReal }
 
-// compare orders two values. NULL sorts before everything; numbers
-// compare numerically across int/real; text and blobs compare
-// lexicographically. Cross-type comparisons order by kind, mirroring
-// SQLite's type ordering, so sorting is always total. Two INTEGERs
-// compare as int64, exactly; an INTEGER beside a REAL compares as
-// float64, so there — and only there — integers above 2^53 that round
-// to one float are equal.
-func compare(a, b Value) int {
-	if a.kind == KindNull || b.kind == KindNull {
-		switch {
-		case a.kind == b.kind:
-			return 0
-		case a.kind == KindNull:
-			return -1
-		default:
-			return 1
-		}
-	}
-	if a.kind == KindInt && b.kind == KindInt {
-		return cmp.Compare(a.i, b.i)
-	}
-	if a.numeric() && b.numeric() {
-		av, bv := a.AsReal(), b.AsReal()
-		switch {
-		case av < bv:
-			return -1
-		case av > bv:
-			return 1
-		}
-		return 0
-	}
-	if a.kind != b.kind {
-		if a.kind < b.kind {
-			return -1
-		}
-		return 1
+// compare is the one order over values: what =, <, ORDER BY, MIN and
+// MAX decide by and what every index files its rows in. It is total.
+// NULL sorts first, then numbers, text and blobs, mirroring SQLite's
+// type ordering. Numbers compare by value whatever their kind, and
+// exactly: NaN equals only NaN and sorts before every other number, -0
+// equals +0, and an INTEGER beside a REAL is not rounded to it. Text
+// and blobs compare lexicographically.
+func compare(a, b Value) int { return a.compare(&b) }
+
+// compare by reference, for the index descent: a Value is 32 bytes, and
+// a bulk build or a probe compares keys by the million.
+func (a *Value) compare(b *Value) int {
+	switch {
+	case a.kind == KindInt && b.kind == KindReal:
+		return compareIntReal(a.int(), b.real())
+	case a.kind == KindReal && b.kind == KindInt:
+		return -compareIntReal(b.int(), a.real())
+	case a.kind != b.kind:
+		return cmp.Compare(a.kind, b.kind)
 	}
 	switch a.kind {
-	case KindText:
-		switch {
-		case a.s < b.s:
-			return -1
-		case a.s > b.s:
-			return 1
-		}
-		return 0
-	case KindBlob:
-		return bytes.Compare(a.b, b.b)
+	case KindInt:
+		return cmp.Compare(a.int(), b.int())
+	case KindReal:
+		return cmp.Compare(a.real(), b.real())
+	case KindText, KindBlob:
+		return strings.Compare(a.s, b.s)
 	}
 	return 0
 }
 
-// hashSeed starts every tuple hash; the multiplier is FNV-1a's.
-const (
-	hashSeed  = 14695981039346656037
-	hashPrime = 1099511628211
-)
-
-func hashWord(h, x uint64) uint64 {
-	h = (h ^ x) * 0x9E3779B97F4A7C15
-	return h ^ h>>29
-}
-
-func hashBytes[T string | []byte](h uint64, b T) uint64 {
-	for i := 0; i < len(b); i++ {
-		h = (h ^ uint64(b[i])) * hashPrime
-	}
-	return hashWord(h, uint64(len(b))) // the length keeps ("ab","c") off ("a","bc")
-}
-
-// hash folds v into the running tuple hash h. Values that sameKey
-// equates hash alike: numbers by their real representation, so Int(3)
-// and Real(3.0) collide, matching compare. So do INTEGERs above 2^53
-// that round to one float, which compare then tells apart like any
-// other collision.
-func (v Value) hash(h uint64) uint64 {
-	switch v.kind {
-	case KindInt, KindReal:
-		return hashWord(h^1, keyBits(v.AsReal()))
-	case KindText:
-		return hashBytes(h^2, v.s)
-	case KindBlob:
-		return hashBytes(h^3, v.b)
-	}
-	return hashWord(h, 0)
-}
-
-// keyBits is the bit pattern a number is indexed under: -0 as +0 and
-// every NaN as one.
-func keyBits(f float64) uint64 {
+// compareIntReal orders an INTEGER against a REAL without converting
+// the integer: above 2^53 neighbouring integers round to one float64,
+// and an order calling both equal to it, though not to each other,
+// would not be transitive.
+func compareIntReal(i int64, f float64) int {
 	switch {
-	case f == 0:
-		return 0
-	case f != f:
-		return math.Float64bits(math.NaN())
+	case f != f || f < -(1<<63):
+		return 1
+	case f >= 1<<63:
+		return -1
 	}
-	return math.Float64bits(f)
+	whole := int64(f) // exact: f lies within int64, and conversion truncates
+	if c := cmp.Compare(i, whole); c != 0 {
+		return c
+	}
+	return cmp.Compare(float64(whole), f) // the fraction truncation dropped
 }
-
-// hashTuple hashes the index key of a row: the values at the given
-// positions, or every value in order when pos is nil (a probe tuple).
-// A variable so the collision test can force distinct tuples onto one
-// hash.
-var hashTuple = func(vals []Value, pos []int) uint64 {
-	h := uint64(hashSeed)
-	if pos == nil {
-		for _, v := range vals {
-			h = v.hash(h)
-		}
-		return h
-	}
-	for _, p := range pos {
-		h = vals[p].hash(h)
-	}
-	return h
-}
-
-// sameKey reports whether two values are one index key — equal as the
-// WHERE clause's = has it, except that NULL is a key too: the relation
-// an index resolves colliding hashes with.
-func sameKey(a, b Value) bool { return a.IsNull() == b.IsNull() && compare(a, b) == 0 }
 
 // coerce converts v for storage into a column of kind k.
 func coerce(v Value, k Kind) (Value, error) {
@@ -247,13 +190,13 @@ func coerce(v Value, k Kind) (Value, error) {
 	}
 	switch {
 	case k == KindReal && v.kind == KindInt:
-		return Real(float64(v.i)), nil
+		return Real(float64(v.int())), nil
 	case k == KindInt && v.kind == KindReal:
-		if v.r == float64(int64(v.r)) {
-			return Int(int64(v.r)), nil
+		if r := v.real(); r == float64(int64(r)) {
+			return Int(int64(r)), nil
 		}
 	case k == KindBlob && v.kind == KindText:
-		return Blob([]byte(v.s)), nil
+		return Value{kind: KindBlob, s: v.s}, nil
 	}
 	return Value{}, fmt.Errorf("metadb: cannot store %s value into %s column", v.kind, k)
 }

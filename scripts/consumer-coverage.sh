@@ -126,6 +126,7 @@ INSERT INTO t (x, y, z) VALUES (3, 'c;d', 2.5);
 SELECT * FROM t WHERE x >= 2 AND x < 3 ORDER BY x DESC LIMIT 1;
 SELECT COUNT(*), MAX(x), MIN(z) FROM t
   WHERE y != 'a';
+SELECT y, x + z FROM t WHERE z > 1;
 EXPLAIN SELECT * FROM t WHERE x > 1;
 UPDATE t SET y = 'e' WHERE x = 2;
 DELETE FROM t WHERE x = 1;
