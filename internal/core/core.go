@@ -128,8 +128,10 @@ type Options struct {
 	Hints mpiio.Hints
 	// StepPipelineDepth bounds how many asynchronous step flushes
 	// (unwaited StepTokens) may be in flight at once across the
-	// manager. EndStepAsync drains the earliest-completing tokens down
-	// to the bound before issuing a new flush. Depth 1 (the default)
+	// manager. EndStepAsync — a group's or the Manager's, one engine —
+	// drains the earliest-completing tokens down to the bound before
+	// issuing a new flush; a step that queued nothing issues none, so it
+	// neither drains nor counts. Depth 1 (the default)
 	// keeps the classic one-outstanding-flush schedule; deeper
 	// pipelines let file-per-timestep layouts stream checkpoints
 	// back-to-back over disjoint files. The bound counts read-ahead
@@ -196,10 +198,12 @@ type SDM struct {
 	asyncDone []sim.Time
 
 	// step is the Manager-level cross-group epoch (SDM.BeginStep), which
-	// merges every group's per-step datasets into one rendezvous.
+	// merges the per-step datasets of the groups it opened into one
+	// rendezvous.
 	step struct {
 		open     bool
 		timestep int64
+		groups   []*Group
 	}
 	// pending is the per-file dependency registry: it maps file names
 	// to the asynchronous step flush still in flight over them. Any

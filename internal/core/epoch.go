@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"sdm/internal/catalog"
 	"sdm/internal/mpiio"
@@ -15,10 +16,14 @@ import (
 // collective per file — one extent agreement, one all-to-all, and
 // coalesced file requests across the step's datasets, with the whole
 // epoch's execution-table rows recorded in one rank-0 database batch.
+// This file holds a group's half of the flush (stage, issue per file,
+// resolve, deliver); step.go's endStep drives it.
 //
-// A single-operation epoch reduces to exactly the pre-epoch Write/Read
-// sequence (same charges in the same order), which is what the
-// differential tests in epoch_test.go pin down.
+// A single-operation epoch issues exactly the pre-epoch Write/Read
+// sequence's file-system requests and catalog statements, with the same
+// bytes; its execution-table row is recorded while the write is in
+// flight instead of after it, so it never finishes later. The
+// differential tests in epoch_test.go pin both.
 
 // pendingPut is one queued deferred write. encode performs the fused
 // permute-and-serialize from the caller's values into a file-order
@@ -292,18 +297,13 @@ func (g *Group) stagePuts() {
 		a := g.attrs[p.di]
 		v := g.views[a.Name]
 		file := p.file
-		physOff, slab := g.place(file, a.GlobalSize*a.Type.Size())
+		physOff := g.place(file, a.GlobalSize*a.Type.Size())
 		dst := arena[cur : cur+p.bytes]
 		cur += p.bytes
 		p.encode(v, dst)
 		g.s.env.Comm.ComputeItems(p.bytes, memCopyRate)
-		var disp, logicalOff int64
-		if slab >= 0 {
-			logicalOff = slab * int64(v.LocalSize()) * v.elemSize
-		} else {
-			disp = physOff
-		}
-		placed = append(placed, placedOp{file: file, v: v, disp: disp, off: logicalOff, data: dst, idx: i})
+		disp, off := g.viewPos(v, physOff)
+		placed = append(placed, placedOp{file: file, v: v, disp: disp, off: off, data: dst, idx: i})
 		recs = append(recs, catalog.WriteRecord{
 			RunID: g.s.runID, Dataset: a.Name, Timestep: ts,
 			FileOffset: physOff, FileName: file,
@@ -319,72 +319,84 @@ func (g *Group) stagePuts() {
 	}
 }
 
-// issuePutFlushes issues one merged collective write per touched file,
-// each on a sub-timeline forked from the clock's current position —
-// the overlappable pipeline: different files flow through different
-// collectives concurrently in virtual time, shared PFS servers
-// serializing where they collide. It returns the join time (the latest
-// file completion) with the clock left at the fork point; the caller
-// joins with AdvanceTo.
+// viewPos is where a slab at byte offset fileOff of its file sits for
+// view v, as the view displacement and the offset within the view: in a
+// uniform group a slab on the group's slab grid is the view's n-th tile
+// (disp 0, so consecutive slabs share one installed view); anything
+// else — a mixed group, or a slab off this group's grid (written by a
+// differently-shaped group and reopened as a subset) — is
+// byte-addressed by the displacement.
+func (g *Group) viewPos(v *View, fileOff int64) (disp, off int64) {
+	if g.uniform && fileOff%g.slabSize == 0 {
+		return 0, fileOff / g.slabSize * int64(v.LocalSize()) * v.elemSize
+	}
+	return fileOff, 0
+}
+
+// issueFiles issues one merged collective per file g.ep.placed touches
+// — writes when write is set, reads otherwise — each on a sub-timeline
+// forked from the clock's current position: different files flow
+// through different collectives concurrently in virtual time, shared
+// PFS servers serializing where they collide. Opening the file and
+// installing views are blocking metadata operations (MPI_File_open is a
+// synchronous collective): they charge the main timeline. Only the data
+// collective — and, for level 1, the close that must follow it — runs
+// on the fork. It returns the join time (the latest file completion)
+// with the clock left at the fork point; the caller joins with
+// AdvanceTo. No clearing is needed on reads: the views' segments
+// partition each request, so the collective (and the zero-filling
+// vectored fallback) overwrite every byte.
 //
-// If a file's batch fails partway through the epoch, the files already
-// flushed have their bytes on disk — g.ep.recs is trimmed to those
-// files so the caller records them anyway and the data stays reachable,
-// exactly as one epoch per write would have recorded each successful
-// write before a later one failed.
-func (g *Group) issuePutFlushes() (sim.Time, error) {
+// If a file fails partway through, its partial charges still
+// happened-before the join. On writes the files already flushed have
+// their bytes on disk: g.ep.recs is trimmed to those files so the caller
+// records them anyway and the data stays reachable, exactly as one
+// epoch per write would have recorded each successful write before a
+// later one failed.
+func (g *Group) issueFiles(ts int64, write bool) (sim.Time, error) {
 	clock := g.s.env.Comm.Clock()
 	join := clock.Now()
-	var flushErr error
-	flushed := 0
 	placed := g.ep.placed
-	for _, file := range g.groupByFile(placed) {
-		// Opening the file and installing views are blocking metadata
-		// operations (MPI_File_open is a synchronous collective): they
-		// charge the main timeline. Only the data collective — and, for
-		// level 1, the close that must follow it — runs on the fork.
+	files := g.groupByFile(placed)
+	for n, file := range files {
 		of, err := g.open(file)
-		if err != nil {
-			flushErr = err
-			break
-		}
-		ops := g.opsForFile(of, placed, file)
 		fork := clock.Now()
-		if err := of.f.WriteAtAllOps(ops); err != nil {
-			flushErr = err
-			break
-		}
-		if err := g.closeIfLevel1(of, file); err != nil {
-			flushErr = err
-			break
-		}
-		if tr := g.s.tracer; tr != nil {
-			tr.Emit(g.s.pid(), "core", "flush:write", fork, clock.Now(),
-				obs.KV{Key: "file", Val: file},
-				obs.KV{Key: "step", Val: fmt.Sprint(g.ep.timestep)})
-		}
-		g.s.flushedFiles.Add(1)
-		join = sim.MaxTime(join, clock.Now())
-		clock.Rebase(fork)
-		flushed++
-	}
-	if flushErr != nil {
-		// An aborted file's partial charges still happened-before the
-		// join; keep only the records of files whose batch completed.
-		join = sim.MaxTime(join, clock.Now())
-		ok := g.ep.fileOrd[:flushed]
-		kept := g.ep.recs[:0]
-		for i := range placed {
-			for _, f := range ok {
-				if placed[i].file == f {
-					kept = append(kept, g.ep.recs[i])
-					break
-				}
+		if err == nil {
+			ops := g.opsForFile(of, placed, file)
+			fork = clock.Now()
+			if write {
+				err = of.f.WriteAtAllOps(ops)
+			} else {
+				err = of.f.ReadAtAllOps(ops)
 			}
 		}
-		g.ep.recs = kept
+		if err == nil {
+			err = g.closeIfLevel1(of, file)
+		}
+		if err != nil {
+			if write {
+				g.ep.recs = slices.DeleteFunc(g.ep.recs, func(r catalog.WriteRecord) bool {
+					return !slices.Contains(files[:n], r.FileName)
+				})
+			}
+			return sim.MaxTime(join, clock.Now()), err
+		}
+		if tr := g.s.tracer; tr != nil {
+			name := "flush:read"
+			if write {
+				name = "flush:write"
+			}
+			tr.Emit(g.s.pid(), "core", name, fork, clock.Now(),
+				obs.KV{Key: "file", Val: file},
+				obs.KV{Key: "step", Val: fmt.Sprint(ts)})
+		}
+		if write {
+			g.s.flushedFiles.Add(1)
+		}
+		join = sim.MaxTime(join, clock.Now())
+		clock.Rebase(fork)
 	}
-	return join, flushErr
+	return join, nil
 }
 
 // cacheWrites adds the staged records to the group's placement index,
@@ -393,25 +405,6 @@ func (g *Group) cacheWrites() {
 	for i := range g.ep.recs {
 		g.index.add(g.ep.recs[i])
 	}
-}
-
-// flushPuts performs the write half of a per-group EndStep: stage,
-// forked per-file collectives, join, then the whole epoch's
-// execution-table rows in one rank-0 database batch.
-func (g *Group) flushPuts() error {
-	if len(g.ep.puts) == 0 {
-		return nil
-	}
-	g.stagePuts()
-	join, flushErr := g.issuePutFlushes()
-	g.s.env.Comm.Clock().AdvanceTo(join)
-	g.cacheWrites()
-	if err := g.s.catalogCall(func() error {
-		return g.s.env.Catalog.RecordWrites(g.s.env.Comm.Clock(), g.ep.recs)
-	}); flushErr == nil {
-		flushErr = err
-	}
-	return flushErr
 }
 
 // lookupPlacements resolves where each queued (dataset, timestep) slab
@@ -505,14 +498,8 @@ func (g *Group) resolveGets(tok *StepToken, ts int64, dis []int) ([]catalog.Writ
 		return nil, err
 	}
 	for i := range recs {
-		for {
-			other := g.s.pending[recs[i].FileName]
-			if other == nil || other == tok {
-				break
-			}
-			if err := other.Wait(); err != nil {
-				return nil, fmt.Errorf("core: implicit wait on the outstanding flush of %q: %w", recs[i].FileName, err)
-			}
+		if err := g.s.awaitFile(recs[i].FileName, tok); err != nil {
+			return nil, err
 		}
 	}
 	return recs, nil
@@ -537,60 +524,13 @@ func (g *Group) stageGets(dis []int, recs []catalog.WriteRecord) {
 	for i, di := range dis {
 		v := g.views[g.attrs[di].Name]
 		rec := recs[i]
-		var disp, logicalOff int64
-		switch {
-		case g.s.opts.Organization == Level1:
-			disp, logicalOff = 0, 0
-		case g.uniform && rec.FileOffset%g.slabSize == 0:
-			slab := rec.FileOffset / g.slabSize
-			logicalOff = slab * int64(v.LocalSize()) * v.elemSize
-		default:
-			// Byte-addressed placement: either a mixed group, or a slab
-			// whose offset doesn't sit on this group's slab grid (written
-			// by a differently-shaped group and reopened as a subset).
-			disp = rec.FileOffset
-		}
+		disp, off := g.viewPos(v, rec.FileOffset)
 		n := int64(v.LocalSize()) * v.elemSize
 		buf := arena[cur : cur+n]
 		cur += n
-		placed = append(placed, placedOp{file: rec.FileName, v: v, disp: disp, off: logicalOff, data: buf, bytes: n, idx: i})
+		placed = append(placed, placedOp{file: rec.FileName, v: v, disp: disp, off: off, data: buf, bytes: n, idx: i})
 	}
 	g.ep.placed = placed
-}
-
-// issueGetFlushes issues one merged collective read per touched file on
-// forked sub-timelines, the read counterpart of issuePutFlushes. No
-// clearing is needed: the views' segments partition each request, so
-// the collective (and the zero-filling vectored fallback) overwrite
-// every byte.
-func (g *Group) issueGetFlushes(ts int64) (sim.Time, error) {
-	clock := g.s.env.Comm.Clock()
-	join := clock.Now()
-	placed := g.ep.placed
-	for _, file := range g.groupByFile(placed) {
-		// As on the write side: open and view charges stay on the main
-		// timeline, the data collective (and a level-1 close) forks.
-		of, err := g.open(file)
-		if err != nil {
-			return sim.MaxTime(join, clock.Now()), err
-		}
-		ops := g.opsForFile(of, placed, file)
-		fork := clock.Now()
-		if err := of.f.ReadAtAllOps(ops); err != nil {
-			return sim.MaxTime(join, clock.Now()), err
-		}
-		if err := g.closeIfLevel1(of, file); err != nil {
-			return sim.MaxTime(join, clock.Now()), err
-		}
-		if tr := g.s.tracer; tr != nil {
-			tr.Emit(g.s.pid(), "core", "flush:read", fork, clock.Now(),
-				obs.KV{Key: "file", Val: file},
-				obs.KV{Key: "step", Val: fmt.Sprint(ts)})
-		}
-		join = sim.MaxTime(join, clock.Now())
-		clock.Rebase(fork)
-	}
-	return join, nil
 }
 
 // issueGets is the issue half of the group's get flush: datasets dis of
@@ -603,7 +543,7 @@ func (g *Group) issueGets(tok *StepToken, ts int64, dis []int) (sim.Time, error)
 		return g.s.env.Comm.Clock().Now(), err
 	}
 	g.stageGets(dis, recs)
-	return g.issueGetFlushes(ts)
+	return g.issueFiles(ts, false)
 }
 
 // deliverGets is the group's share of the deliver half, after the join:
@@ -615,29 +555,4 @@ func (g *Group) deliverGets(placed []placedOp) {
 		g.ep.gets[placed[i].idx].decode(placed[i].v, placed[i].data)
 		g.s.env.Comm.ComputeItems(placed[i].bytes, memCopyRate)
 	}
-}
-
-// flushGets is the read half of a step flush for token tok: issue every
-// part's gets, join, deliver. One code path serves per-group and
-// Manager-level steps.
-func (s *SDM) flushGets(tok *StepToken, parts []getPart) error {
-	clock := s.env.Comm.Clock()
-	join := clock.Now()
-	var err error
-	for i := range parts {
-		var j sim.Time
-		j, err = parts[i].g.issueGets(tok, tok.timestep, parts[i].dis)
-		join = sim.MaxTime(join, j)
-		if err != nil {
-			break
-		}
-	}
-	clock.AdvanceTo(join)
-	if err != nil {
-		return err
-	}
-	for i := range parts {
-		parts[i].g.deliverGets(parts[i].g.ep.placed)
-	}
-	return nil
 }

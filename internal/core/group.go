@@ -526,19 +526,19 @@ func (g *Group) closeFiles() error {
 }
 
 // place computes where one slab written to file lands: the physical
-// byte offset of the slab (recorded in the execution table) and the slab
-// index within the file (-1 for byte-append placement in mixed groups).
-func (g *Group) place(file string, slabBytes int64) (physOff, slab int64) {
+// byte offset of the slab, recorded in the execution table — the next
+// slab of the grid in a uniform group, the next byte in a mixed one.
+func (g *Group) place(file string, slabBytes int64) int64 {
 	switch {
 	case g.s.opts.Organization == Level1:
-		return 0, 0
+		return 0
 	case g.uniform:
-		slab = g.appendSlab[file]
+		slab := g.appendSlab[file]
 		g.appendSlab[file] = slab + 1
-		return slab * g.slabSize, slab
+		return slab * g.slabSize
 	default:
 		off := g.appendOff[file]
 		g.appendOff[file] = off + slabBytes
-		return off, -1
+		return off
 	}
 }

@@ -10,16 +10,30 @@ import (
 
 // Split-collective step epochs with N-deep pipelining.
 //
-// EndStepAsync generalizes the paper's asynchronous history-file write
-// to every dataset: the epoch's flush — staging, the merged collectives,
-// the execution-table batch — is costed on a forked sub-timeline while
-// the application's own clock stays at the call point, so the next
-// step's computation overlaps the flush in virtual time. The returned
-// StepToken is the MPI_Request analogue: Wait joins the flush's
-// completion back into the rank's timeline, charging only whatever the
-// overlapped computation did not already cover. The work itself still
-// executes inside EndStepAsync in host time (the simulation stays
-// deterministic); only the cost model is split.
+// One engine closes every step: endStep, over the one group a
+// Group.EndStepAsync closes or the groups a Manager-level
+// SDM.BeginStep opened. A step costs the same virtual time whichever
+// handle closes it. Its flush — staging, the merged collectives, the
+// execution-table batch — is costed on a forked sub-timeline while the
+// application's own clock stays at the call point, so the next step's
+// computation overlaps the flush in virtual time (the paper's
+// asynchronous history-file write, generalized to every dataset). The
+// returned StepToken is the MPI_Request analogue: Wait joins the
+// flush's completion back into the rank's timeline, charging only
+// whatever the overlapped computation did not already cover. The work
+// itself still executes inside EndStepAsync in host time (the
+// simulation stays deterministic); only the cost model is split. A step
+// that queued nothing costs nothing: no rendezvous, no drain, no
+// registered token.
+//
+// Within a flush, each group is staged in turn on the main timeline and
+// every file it touches gets one merged collective, forked as soon as
+// its data is staged — so one group's I/O overlaps the next group's
+// staging and the other files' collectives — and the whole step's
+// execution-table rows go to rank 0 in one RecordWrites batch issued
+// from the post-staging clock, overlapping the I/O join. Gets flush
+// after the puts are recorded, their per-file collectives forked the
+// same way.
 //
 // Dependencies between flushes are tracked per FILE, not per epoch:
 // any number of tokens may be in flight as long as their target-file
@@ -47,12 +61,6 @@ import (
 // discards it first, so a misprediction costs its virtual time and
 // never delivers stale bytes. Depth 1 leaves no room beside the step's
 // own token: nothing is issued.
-//
-// Manager-level cross-group steps (SDM.BeginStep/EndStep) merge the
-// per-group epochs of every registered group into one rendezvous: the
-// groups' files flush as concurrently forked collectives and the whole
-// step's execution-table rows land in a single rank-0 RecordWrites
-// batch, instead of one rendezvous and one batch per group.
 
 // StepToken is the handle of an asynchronous (split-collective) step
 // flush, returned by Group.EndStepAsync and SDM.EndStepAsync. The flush
@@ -103,11 +111,7 @@ func (t *StepToken) Wait() error {
 	// registration, and the arena ownership are all released before the
 	// flush error is surfaced, so a failed flush never leaves files
 	// claimed in the pending registry.
-	for _, f := range t.files {
-		if t.s.pending[f] == t {
-			delete(t.s.pending, f)
-		}
-	}
+	t.release()
 	for i, tok := range t.s.tokens {
 		if tok == t {
 			t.s.tokens = append(t.s.tokens[:i], t.s.tokens[i+1:]...)
@@ -129,6 +133,16 @@ func (t *StepToken) Wait() error {
 			obs.KV{Key: "step", Val: fmt.Sprint(t.timestep)})
 	}
 	return t.err
+}
+
+// release drops the token's file claims: at Wait, and when EndStepAsync
+// fails before the token is handed to the caller.
+func (t *StepToken) release() {
+	for _, f := range t.files {
+		if t.s.pending[f] == t {
+			delete(t.s.pending, f)
+		}
+	}
 }
 
 // waitEarliest joins the outstanding token with the earliest completion
@@ -171,34 +185,49 @@ func (s *SDM) drainToDepth(max int) error {
 // Local, like Wait.
 func (s *SDM) DrainSteps() error { return s.drainToDepth(0) }
 
-// admitFlush makes room in the pipeline for one more in-flight flush:
-// the earliest-completing outstanding tokens are implicitly joined down
-// to StepPipelineDepth-1.
-func (s *SDM) admitFlush() error {
-	return s.drainToDepth(s.opts.StepPipelineDepth - 1)
-}
-
-// claimFile records tok as the in-flight flush owning file in the
-// per-file dependency registry. An outstanding conflicting token is
-// implicitly waited, and an outstanding read-ahead that has read the
-// file is joined and discarded. Two groups writing one file within a
-// single cross-group step is an error: the conflict is inside the epoch
-// itself, so there is no token to wait on.
-func (s *SDM) claimFile(file string, tok *StepToken) error {
-	s.invalidateAhead(file)
+// awaitFile joins the outstanding flush of file, unless that flush is
+// tok's own.
+func (s *SDM) awaitFile(file string, tok *StepToken) error {
 	for {
 		other := s.pending[file]
-		if other == nil {
-			s.pending[file] = tok
+		if other == nil || other == tok {
 			return nil
-		}
-		if other == tok {
-			return fmt.Errorf("core: cross-group step writes %q from two groups in one epoch", file)
 		}
 		if err := other.Wait(); err != nil {
 			return fmt.Errorf("core: implicit wait on the outstanding flush of %q: %w", file, err)
 		}
 	}
+}
+
+// claimFile records tok as the in-flight flush owning file in the
+// per-file dependency registry. An outstanding read-ahead that has read
+// the file is joined and discarded (and the reader stops predicting
+// until its next sequential get-only step), and an outstanding
+// conflicting token is implicitly waited. Two groups writing one file
+// within a single cross-group step is an error: the conflict is inside
+// the epoch itself, so there is no token to wait on.
+func (s *SDM) claimFile(file string, tok *StepToken) error {
+	read := func(t *StepToken) bool {
+		for i := range t.ahead {
+			for j := range t.ahead[i].placed {
+				if t.ahead[i].placed[j].file == file {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	if s.discardAhead(read) {
+		s.reader.armed = false
+	}
+	if s.pending[file] == tok {
+		return fmt.Errorf("core: cross-group step writes %q from two groups in one epoch", file)
+	}
+	if err := s.awaitFile(file, tok); err != nil {
+		return err
+	}
+	s.pending[file] = tok
+	return nil
 }
 
 // claimPutFiles appends the epoch's distinct target files to tok.files
@@ -208,15 +237,7 @@ func (s *SDM) claimFile(file string, tok *StepToken) error {
 func (g *Group) claimPutFiles(tok *StepToken) error {
 	start := len(tok.files)
 	for i := range g.ep.puts {
-		file := g.ep.puts[i].file
-		dup := false
-		for _, f := range tok.files[start:] {
-			if f == file {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if file := g.ep.puts[i].file; !slices.Contains(tok.files[start:], file) {
 			tok.files = append(tok.files, file)
 		}
 	}
@@ -244,16 +265,6 @@ func (tok *StepToken) adopt(g *Group) {
 	}
 }
 
-// release undoes a token's claims when EndStepAsync fails before the
-// token is handed to the caller.
-func (tok *StepToken) release() {
-	for _, f := range tok.files {
-		if tok.s.pending[f] == tok {
-			delete(tok.s.pending, f)
-		}
-	}
-}
-
 // EndStepAsync closes the epoch and issues its flush as a
 // split-collective: all ranks run the flush's collectives now (every
 // rank must call it, like EndStep), but the cost lands on a forked
@@ -265,7 +276,8 @@ func (tok *StepToken) release() {
 // before the new flush issues. The caller's Put slices may be reused as
 // soon as EndStepAsync returns (the arena snapshot happened); Get
 // results are valid only after Wait. A flush error surfaced by an
-// implicit join cancels the epoch and is returned here.
+// implicit join cancels the epoch and is returned here. It is the
+// Manager's EndStepAsync over this one group.
 func (g *Group) EndStepAsync() (*StepToken, error) {
 	if !g.ep.open {
 		return nil, fmt.Errorf("core: EndStepAsync without an open BeginStep epoch")
@@ -273,78 +285,146 @@ func (g *Group) EndStepAsync() (*StepToken, error) {
 	if g.ep.managed {
 		return nil, fmt.Errorf("core: group epoch is owned by a Manager-level step; close it with the Manager's EndStep")
 	}
-	if len(g.ep.puts) == 0 && len(g.ep.gets) == 0 {
-		// An empty epoch costs nothing: no flush to issue, no files to
-		// claim, and — critically — no reason to drain the pipeline, so
-		// outstanding flushes keep overlapping. The returned token is
-		// already complete; Wait is a no-op.
-		tok := g.s.newToken(g.ep.timestep)
-		tok.done = g.s.env.Comm.Clock().Now()
-		g.cancelStep()
-		return tok, nil
-	}
-	s := g.s
-	parts := s.collectGets(s.groups[g.idx:g.idx+1], false)
-	getOnly := len(g.ep.puts) == 0
-	if getOnly {
-		if tok := s.deliverAhead(g.ep.timestep, parts); tok != nil {
-			g.cancelStep()
-			return tok, nil
-		}
-	}
-	if err := s.admitFlush(); err != nil {
-		g.cancelStep()
-		return nil, err
-	}
-	tok := s.newToken(g.ep.timestep)
-	if err := g.claimPutFiles(tok); err != nil {
-		tok.release()
-		g.cancelStep()
-		return nil, err
-	}
-	g.ep.open = false
-	clock := s.env.Comm.Clock()
-	fork := clock.Now()
-	flushErr := g.flushPuts()
-	if flushErr == nil {
-		flushErr = s.flushGets(tok, parts)
-	}
-	tok.err = flushErr
-	tok.done = clock.Now()
-	tok.adopt(g)
-	s.tokens = append(s.tokens, tok)
-	clock.Rebase(fork)
-	if getOnly && flushErr == nil {
-		s.noteGetStep(tok.timestep, parts)
-		s.topUpAhead()
-	}
-	g.cancelStep() // release queued closures and the caller slices they capture
-	s.endStepSpan(tok, fork)
-	return tok, nil
+	return g.s.endStep(g.s.groups[g.idx:g.idx+1], g.ep.timestep)
 }
 
-// endStepSpan counts a closed step and records its span: from the
-// EndStepAsync call to the flush's completion on the forked timeline.
-func (s *SDM) endStepSpan(tok *StepToken, fork sim.Time) {
+// endStep closes the open epochs of groups, all at timestep ts, and
+// issues their flush (see the file comment). Every path closes the
+// epochs, a failed one included.
+func (s *SDM) endStep(groups []*Group, ts int64) (*StepToken, error) {
+	defer func() {
+		for _, g := range groups {
+			g.cancelStep() // release queued closures and the caller slices they capture
+		}
+	}()
+	empty, getOnly := true, true
+	for _, g := range groups {
+		if len(g.ep.puts) > 0 || len(g.ep.gets) > 0 {
+			empty = false
+			getOnly = getOnly && len(g.ep.puts) == 0
+		}
+	}
+	clock := s.env.Comm.Clock()
+	if empty {
+		// Nothing to flush, no files to claim, and — critically — no
+		// reason to drain the pipeline, so outstanding flushes keep
+		// overlapping. The token is already complete and unregistered.
+		tok := s.newToken(ts)
+		tok.done = clock.Now()
+		return tok, nil
+	}
+	parts := s.collectGets(groups)
+	var tok *StepToken
+	if getOnly {
+		tok = s.adoptAhead(ts, parts)
+	}
+	fork := clock.Now()
+	if tok != nil {
+		// A read-ahead issued this step's reads: its join and the
+		// decode into the step's queued gets are charged on the fork.
+		clock.AdvanceTo(tok.done)
+		for i := range tok.ahead {
+			tok.ahead[i].g.deliverGets(tok.ahead[i].placed)
+		}
+		tok.ahead = nil
+	} else {
+		if err := s.drainToDepth(s.opts.StepPipelineDepth - 1); err != nil {
+			return nil, err
+		}
+		tok = s.newToken(ts)
+		for _, g := range groups {
+			if err := g.claimPutFiles(tok); err != nil {
+				tok.release()
+				return nil, err
+			}
+		}
+		fork = clock.Now()
+		tok.err = s.flushStep(tok, groups, parts)
+		for _, g := range groups {
+			tok.adopt(g)
+		}
+		s.tokens = append(s.tokens, tok)
+	}
+	tok.done = clock.Now()
+	clock.Rebase(fork)
+	if getOnly && tok.err == nil {
+		// Post the next read-aheads from the call point.
+		s.noteGetStep(ts, parts)
+		s.topUpAhead()
+	}
 	s.stepCount.Add(1)
 	if tr := s.tracer; tr != nil {
 		tr.Emit(s.pid(), "core", "step", fork, tok.done,
-			obs.KV{Key: "step", Val: fmt.Sprint(tok.timestep)},
+			obs.KV{Key: "step", Val: fmt.Sprint(ts)},
 			obs.KV{Key: "seq", Val: fmt.Sprint(tok.seq)})
 	}
+	return tok, nil
+}
+
+// flushStep is a step's flush for token tok on the clock's current
+// timeline, returning the flush error. Writes: each group is staged in
+// order and its files' collectives forked from the post-staging time.
+// The records' contents (files, offsets) were fixed at staging time,
+// so the execution-table batch is issued from the post-staging clock —
+// before the I/O join — and the writes complete at the later of the
+// database round trip and the data collectives. Reads, after all puts
+// are recorded: lookups are main-timeline work, each file's collective
+// forks, then the join and the decodes.
+func (s *SDM) flushStep(tok *StepToken, groups []*Group, parts []getPart) error {
+	clock := s.env.Comm.Clock()
+	join := clock.Now()
+	recs := s.recScratch[:0]
+	var flushErr error
+	for _, g := range groups {
+		if len(g.ep.puts) == 0 {
+			continue
+		}
+		g.stagePuts()
+		j, err := g.issueFiles(tok.timestep, true)
+		join = sim.MaxTime(join, j)
+		g.cacheWrites()
+		recs = append(recs, g.ep.recs...)
+		if err != nil {
+			flushErr = err
+			break
+		}
+	}
+	s.recScratch = recs[:0]
+	if err := s.catalogCall(func() error {
+		return s.env.Catalog.RecordWrites(clock, recs)
+	}); flushErr == nil {
+		flushErr = err
+	}
+	clock.AdvanceTo(join)
+	if flushErr != nil {
+		return flushErr
+	}
+	for i := range parts {
+		j, err := parts[i].g.issueGets(tok, tok.timestep, parts[i].dis)
+		join = sim.MaxTime(join, j)
+		if err != nil {
+			clock.AdvanceTo(join)
+			return err
+		}
+	}
+	clock.AdvanceTo(join)
+	for i := range parts {
+		parts[i].g.deliverGets(parts[i].g.ep.placed)
+	}
+	return nil
 }
 
 // ---------------------------------------------------------------------------
 // Read-ahead
 // ---------------------------------------------------------------------------
 
-// collectGets lists the gets queued in the open epochs of groups
-// (Manager-owned epochs or not, per managed) as the step's get parts,
-// in s.getParts — reused, with its dataset lists, across steps.
-func (s *SDM) collectGets(groups []*Group, managed bool) []getPart {
+// collectGets lists the gets queued in the epochs of groups as the
+// step's get parts, in s.getParts — reused, with its dataset lists,
+// across steps.
+func (s *SDM) collectGets(groups []*Group) []getPart {
 	parts := s.getParts[:0]
 	for _, g := range groups {
-		if !g.ep.open || g.ep.managed != managed || len(g.ep.gets) == 0 {
+		if len(g.ep.gets) == 0 {
 			continue
 		}
 		if n := len(parts); n < cap(parts) {
@@ -392,31 +472,28 @@ func (t *StepToken) serves(ts int64, parts []getPart) bool {
 	return true
 }
 
-// discardAhead joins and discards outstanding read-aheads in issue
-// order, stopping at keep (nil: all of them). Their completion times
-// are charged: a misprediction costs what it cost.
-func (s *SDM) discardAhead(keep *StepToken) {
+// discardAhead joins and discards, in issue order, the outstanding
+// read-aheads drop selects, and reports whether there were any. Their
+// completion times are charged: a misprediction costs what it cost.
+func (s *SDM) discardAhead(drop func(t *StepToken) bool) bool {
+	dropped := false
 	for i := 0; i < len(s.tokens); {
 		t := s.tokens[i]
-		if t == keep {
-			return
-		}
-		if t.ahead == nil {
+		if t.ahead == nil || !drop(t) {
 			i++
 			continue
 		}
+		dropped = true
 		_ = t.Wait() // a read-ahead token carries no error; Wait unlinks it from s.tokens
 	}
+	return dropped
 }
 
-// deliverAhead closes a get-only step from an outstanding read-ahead:
-// the matching token is adopted as the step's token, the window is
-// topped up, and the token's join and the decode into the step's queued
-// gets are charged on the step's forked timeline. Read-aheads issued
-// before the match — every one of them, when nothing matches — were
-// skipped by the reader and are discarded. It returns nil when nothing
-// matched and the step must take the ordinary path.
-func (s *SDM) deliverAhead(ts int64, parts []getPart) *StepToken {
+// adoptAhead returns the outstanding read-ahead that serves this
+// get-only step, or nil when the step must take the ordinary path.
+// Read-aheads issued before the match — every one of them, when nothing
+// matches — were skipped by the reader and are discarded.
+func (s *SDM) adoptAhead(ts int64, parts []getPart) *StepToken {
 	var tok *StepToken
 	for _, t := range s.tokens {
 		if t.serves(ts, parts) {
@@ -424,23 +501,7 @@ func (s *SDM) deliverAhead(ts int64, parts []getPart) *StepToken {
 			break
 		}
 	}
-	s.discardAhead(tok)
-	if tok == nil {
-		return nil
-	}
-	// Post the next read-ahead before blocking on this step's own.
-	s.noteGetStep(ts, parts)
-	s.topUpAhead()
-	clock := s.env.Comm.Clock()
-	fork := clock.Now()
-	clock.AdvanceTo(tok.done)
-	for i := range tok.ahead {
-		tok.ahead[i].g.deliverGets(tok.ahead[i].placed)
-	}
-	tok.ahead = nil
-	tok.done = clock.Now()
-	clock.Rebase(fork)
-	s.endStepSpan(tok, fork)
+	s.discardAhead(func(t *StepToken) bool { return tok == nil || t.seq < tok.seq })
 	return tok
 }
 
@@ -461,8 +522,7 @@ func (s *SDM) noteGetStep(ts int64, parts []getPart) {
 // timesteps until StepPipelineDepth tokens — the closing step's own
 // included — are outstanding, each forked from the clock's current
 // position: the EndStepAsync call point of the get-only step that found
-// the room, which knows on entry whether the reader is sequential and
-// posts the next reads before it blocks on its own.
+// the room.
 func (s *SDM) topUpAhead() {
 	rd := &s.reader
 	if !rd.armed {
@@ -542,35 +602,6 @@ func (s *SDM) issueAhead(ts int64, parts []getPart) bool {
 	return true
 }
 
-// invalidateAhead resolves a write to a file an outstanding read-ahead
-// has read, so stale bytes are never delivered: the read-ahead is
-// joined and discarded. The reader stops predicting until its next
-// sequential get-only step.
-func (s *SDM) invalidateAhead(file string) {
-	for i := 0; i < len(s.tokens); {
-		t := s.tokens[i]
-		if !t.readAheadOf(file) {
-			i++
-			continue
-		}
-		s.reader.armed = false
-		_ = t.Wait() // a read-ahead token carries no error; Wait unlinks it from s.tokens
-	}
-}
-
-// readAheadOf reports whether t is an undelivered read-ahead holding
-// bytes read from file.
-func (t *StepToken) readAheadOf(file string) bool {
-	for i := range t.ahead {
-		for j := range t.ahead[i].placed {
-			if t.ahead[i].placed[j].file == file {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // ---------------------------------------------------------------------------
 // Manager-level cross-group steps
 // ---------------------------------------------------------------------------
@@ -597,6 +628,7 @@ func (s *SDM) BeginStep(timestep int64) error {
 	}
 	s.step.open = true
 	s.step.timestep = timestep
+	s.step.groups = s.groups
 	return nil
 }
 
@@ -610,126 +642,17 @@ func (s *SDM) EndStep() error {
 	return tok.Wait()
 }
 
-// cancelManagedStep drops every group epoch owned by the open manager
-// step and closes the step, for EndStepAsync failure paths.
-func (s *SDM) cancelManagedStep() {
-	for _, g := range s.groups {
-		if g.ep.managed {
-			g.cancelStep()
-		}
-	}
-	s.step.open = false
-}
-
 // EndStepAsync closes the Manager-level step and issues the merged
-// flush as a split-collective. The pipeline is the point: each group's
-// staging runs on the main timeline (it is CPU work), every touched
-// file's collective is forked as soon as its data is staged — so one
-// group's I/O overlaps the next group's staging and the other files'
-// collectives — and the whole step's execution-table rows are recorded
-// in ONE rank-0 RecordWrites batch at the join. Gets flush after all
-// puts are recorded, their per-file collectives forked the same way.
-// Earlier steps' flushes stay in flight when their files are disjoint;
-// conflicting ones are joined, and the pipeline depth bound drains the
-// earliest completions first.
+// flush of every group its BeginStep opened as a split-collective — the
+// same engine, and the same schedule, as a group's EndStepAsync (see
+// the file comment). Earlier steps' flushes stay in flight when their
+// files are disjoint; conflicting ones are joined, and the pipeline
+// depth bound drains the earliest completions first.
 func (s *SDM) EndStepAsync() (*StepToken, error) {
 	if !s.step.open {
 		return nil, fmt.Errorf("core: Manager EndStep without an open BeginStep step")
 	}
-	// An empty step never drains the pipeline (there is nothing to
-	// conflict with); it still runs the rendezvous below, since a
-	// Manager step is collective regardless of what was queued.
-	empty, getOnly := true, true
-	for _, g := range s.groups {
-		if g.ep.managed && (len(g.ep.puts) > 0 || len(g.ep.gets) > 0) {
-			empty = false
-			getOnly = getOnly && len(g.ep.puts) == 0
-		}
-	}
-	getOnly = getOnly && !empty
-	parts := s.collectGets(s.groups, true)
-	if getOnly {
-		if tok := s.deliverAhead(s.step.timestep, parts); tok != nil {
-			s.cancelManagedStep()
-			return tok, nil
-		}
-	}
-	if !empty {
-		if err := s.admitFlush(); err != nil {
-			s.cancelManagedStep()
-			return nil, err
-		}
-	}
-	tok := s.newToken(s.step.timestep)
-	for _, g := range s.groups {
-		if !g.ep.open || !g.ep.managed {
-			continue
-		}
-		if err := g.claimPutFiles(tok); err != nil {
-			tok.release()
-			s.cancelManagedStep()
-			return nil, err
-		}
-	}
-	s.step.open = false
-	clock := s.env.Comm.Clock()
-	fork := clock.Now()
-
-	// Writes: stage each group in registration order on the main
-	// timeline, issuing its files' collectives forked from the
-	// post-staging time; the join is the latest completion across all
-	// groups' files.
-	join := fork
-	recs := s.recScratch[:0]
-	var flushErr error
-	for _, g := range s.groups {
-		if !g.ep.managed || len(g.ep.puts) == 0 {
-			continue
-		}
-		g.ep.open = false
-		g.stagePuts()
-		j, err := g.issuePutFlushes()
-		join = sim.MaxTime(join, j)
-		g.cacheWrites()
-		recs = append(recs, g.ep.recs...)
-		if err != nil {
-			flushErr = err
-			break
-		}
-	}
-	s.recScratch = recs[:0]
-	// The execution-table batch overlaps the array: the records'
-	// contents (files, offsets) were fixed at staging time, so the
-	// catalog call is issued from the post-staging clock — before the
-	// I/O join — and the step completes at the later of the database
-	// round trip and the data collectives.
-	if err := s.catalogCall(func() error {
-		return s.env.Catalog.RecordWrites(s.env.Comm.Clock(), recs)
-	}); flushErr == nil {
-		flushErr = err
-	}
-	clock.AdvanceTo(join)
-
-	// Reads, after all puts are recorded: lookups are main-timeline
-	// work, each file's collective forks, then the join and the decodes.
-	if flushErr == nil {
-		flushErr = s.flushGets(tok, parts)
-	}
-
-	tok.err = flushErr
-	tok.done = clock.Now()
-	for _, g := range s.groups {
-		if g.ep.managed {
-			tok.adopt(g)
-		}
-	}
-	s.tokens = append(s.tokens, tok)
-	clock.Rebase(fork)
-	if getOnly && flushErr == nil {
-		s.noteGetStep(tok.timestep, parts)
-		s.topUpAhead()
-	}
-	s.cancelManagedStep()
-	s.endStepSpan(tok, fork)
-	return tok, nil
+	groups := s.step.groups
+	s.step.open, s.step.groups = false, nil
+	return s.endStep(groups, s.step.timestep)
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"sdm/internal/obs"
 	"sdm/internal/sim"
 )
 
@@ -212,6 +213,162 @@ func TestManagerCrossGroupStep(t *testing.T) {
 	rt, mt := ref.world.MaxTime(), mgr.world.MaxTime()
 	if mt >= rt {
 		t.Fatalf("manager step virtual time %v, per-group %v; want lower", mt, rt)
+	}
+}
+
+// handleStep is one step of TestGroupStepIsManagerStep's script: the
+// datasets it writes and the datasets it reads back, at one timestep,
+// and whether every outstanding flush is joined after it.
+type handleStep struct {
+	ts         int64
+	puts, gets []int
+	drain      bool
+}
+
+// handleScript writes, mixes, skips a step, reads sequentially (which
+// arms read-ahead at depth > 1; the drain before leaves no write in
+// flight for it to decline on), jumps back (which discards it), and
+// rewrites.
+var handleScript = []handleStep{
+	{ts: 0, puts: []int{0, 1}},
+	{ts: 1, puts: []int{0, 1}},
+	{ts: 2, puts: []int{0, 1}, gets: []int{0}}, // reads what it just wrote
+	{ts: 3, drain: true},                       // queues nothing
+	{ts: 0, gets: []int{0, 1}},
+	{ts: 1, gets: []int{0, 1}},
+	{ts: 2, gets: []int{0, 1}},
+	{ts: 0, gets: []int{1}},
+	{ts: 3, puts: []int{1}},
+	{ts: 3, gets: []int{1}},
+}
+
+// runHandleScript runs handleScript over one mixed-size group, closing
+// every step through the group's handle or the Manager's (the group is
+// the only one registered), synchronously or with tokens left to the
+// pipeline and drained at the end. It also reports how many read-aheads
+// rank 0 issued.
+func runHandleScript(t *testing.T, level FileOrganization, depth int, manager, async bool) (*testEnv, int) {
+	t.Helper()
+	const n = 3
+	te := newCostedEnv(n)
+	tr := obs.NewTracer()
+	te.run(t, Options{Organization: level, StepPipelineDepth: depth, Trace: tr}, func(s *SDM) {
+		attrs := []Attr{{Name: "u", Type: Double, GlobalSize: 96}, {Name: "w", Type: Double, GlobalSize: 160}}
+		g, err := s.SetAttributes(attrs)
+		if err != nil {
+			panic(err)
+		}
+		var ds [2]*Dataset[float64]
+		var maps [2][]int32
+		for i, a := range attrs {
+			maps[i] = roundRobinMap(s.env.Comm.Rank(), n, int(a.GlobalSize))
+			if _, err := g.DataView([]string{a.Name}, maps[i]); err != nil {
+				panic(err)
+			}
+			if ds[i], err = DatasetOf[float64](g, a.Name); err != nil {
+				panic(err)
+			}
+		}
+		type check struct {
+			ts, ds int
+			out    []float64
+		}
+		var checks []check
+		for _, st := range handleScript {
+			var err error
+			if manager {
+				err = s.BeginStep(st.ts)
+			} else {
+				err = g.BeginStep(st.ts)
+			}
+			if err != nil {
+				panic(err)
+			}
+			for _, d := range st.puts {
+				vals := make([]float64, len(maps[d]))
+				for i, gi := range maps[d] {
+					vals[i] = scriptValue(d, int(st.ts), int(gi))
+				}
+				if err := ds[d].Put(vals); err != nil {
+					panic(err)
+				}
+			}
+			for _, d := range st.gets {
+				c := check{int(st.ts), d, make([]float64, len(maps[d]))}
+				checks = append(checks, c)
+				if err := ds[d].Get(c.out); err != nil {
+					panic(err)
+				}
+			}
+			switch {
+			case async && manager:
+				_, err = s.EndStepAsync()
+			case async:
+				_, err = g.EndStepAsync()
+			case manager:
+				err = s.EndStep()
+			default:
+				err = g.EndStep()
+			}
+			if err != nil {
+				panic(err)
+			}
+			if st.drain {
+				if err := s.DrainSteps(); err != nil {
+					panic(err)
+				}
+			}
+		}
+		if err := s.DrainSteps(); err != nil {
+			panic(err)
+		}
+		for _, c := range checks {
+			for i, gi := range maps[c.ds] {
+				if want := scriptValue(c.ds, c.ts, int(gi)); c.out[i] != want {
+					panic(fmt.Sprintf("d%d@%d element %d = %g, want %g", c.ds, c.ts, gi, c.out[i], want))
+				}
+			}
+		}
+	})
+	ahead := 0
+	for _, sp := range tr.Spans() {
+		if sp.Pid == obs.PidRank(0) && sp.Name == "readahead" {
+			ahead++
+		}
+	}
+	return te, ahead
+}
+
+// TestGroupStepIsManagerStep pins the one step engine: a step closed by
+// the group's EndStep/EndStepAsync and the same step closed by the
+// Manager's, with only that group registered, cost the same — per-rank
+// clocks, pfs stats, file bytes and query counts — at every level, for
+// puts, gets, mixed and empty steps, with and without read-ahead.
+func TestGroupStepIsManagerStep(t *testing.T) {
+	for _, level := range []FileOrganization{Level1, Level2, Level3} {
+		for _, depth := range []int{1, 4} {
+			for _, async := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%v/depth%d/async=%v", level, depth, async), func(t *testing.T) {
+					grp, ahead := runHandleScript(t, level, depth, false, async)
+					mgr, _ := runHandleScript(t, level, depth, true, async)
+					if depth > 1 && ahead == 0 {
+						t.Fatal("the script issued no read-ahead")
+					}
+					filesEqual(t, "group vs manager", snapshotFiles(t, grp.fs), snapshotFiles(t, mgr.fs))
+					if a, b := grp.fs.Stats(), mgr.fs.Stats(); a != b {
+						t.Fatalf("pfs stats differ:\ngroup   %+v\nmanager %+v", a, b)
+					}
+					for r, c := range clocks(grp, 3) {
+						if m := clocks(mgr, 3)[r]; c != m {
+							t.Fatalf("rank %d clock: group %v, manager %v", r, c, m)
+						}
+					}
+					if a, b := grp.cat.DB().QueryCount(), mgr.cat.DB().QueryCount(); a != b {
+						t.Fatalf("db query counts differ: group %d, manager %d", a, b)
+					}
+				})
+			}
+		}
 	}
 }
 

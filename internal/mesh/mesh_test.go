@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -140,6 +141,47 @@ func TestDecodeMshShortBuffer(t *testing.T) {
 	if _, _, _, _, err := DecodeMsh(make([]byte, 10), l); err == nil {
 		t.Fatal("short buffer accepted")
 	}
+}
+
+// FuzzDecodeMsh feeds DecodeMsh hostile layouts — negative counts,
+// products that wrap int64, more arrays than bytes — over arbitrary
+// bytes. It must never panic, and every layout it accepts must
+// round-trip: EncodeMsh of what it decoded is the layout and the
+// layout's prefix of the bytes.
+func FuzzDecodeMsh(f *testing.F) {
+	m, _ := GenerateTet(1, 1, 1)
+	buf, l, err := EncodeMsh(m, [][]float64{m.EdgeData(0)}, [][]float64{m.NodeData(0)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf, l.NumEdges, l.NumNodes, l.EdgeArrays, l.NodeArrays)
+	f.Add(buf, l.NumEdges-1, l.NumNodes, l.EdgeArrays, l.NodeArrays+1)
+	f.Add(buf, int64(-1), l.NumNodes, l.EdgeArrays, l.NodeArrays)
+	f.Add(buf, l.NumEdges, l.NumNodes, -1, l.NodeArrays)
+	f.Add([]byte{}, int64(1)<<61, int64(0), 0, 0)     // 8·NumEdges wraps to 0
+	f.Add([]byte{}, int64(0), int64(1)<<60, 0, 2)     // 2·8·NumNodes wraps to 0
+	f.Add([]byte{}, int64(0), int64(0), 1<<40, 1<<40) // empty arrays, no bytes
+	f.Fuzz(func(t *testing.T, buf []byte, numEdges, numNodes int64, edgeArrays, nodeArrays int) {
+		l := MshLayout{NumEdges: numEdges, NumNodes: numNodes, EdgeArrays: edgeArrays, NodeArrays: nodeArrays}
+		e1, e2, ed, nd, err := DecodeMsh(buf, l)
+		if err != nil {
+			return
+		}
+		if l.NumNodes > int64(len(buf)) {
+			return // a node count no array spans: building its mesh would cost memory the input did not
+		}
+		m := &Mesh{Coords: make([][3]float64, l.NumNodes), Edge1: e1, Edge2: e2}
+		out, got, err := EncodeMsh(m, ed, nd)
+		if err != nil {
+			t.Fatalf("accepted layout %+v does not re-encode: %v", l, err)
+		}
+		if got != l {
+			t.Fatalf("layout %+v re-encodes as %+v", l, got)
+		}
+		if !bytes.Equal(out, buf[:l.TotalSize()]) {
+			t.Fatalf("layout %+v: re-encoded bytes differ from the input's first %d", l, l.TotalSize())
+		}
+	})
 }
 
 func TestEncodeMshValidatesLengths(t *testing.T) {

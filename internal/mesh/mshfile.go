@@ -46,6 +46,34 @@ func (l MshLayout) TotalSize() int64 {
 	return l.NodeDataOffset(l.NodeArrays)
 }
 
+// fits checks a layout read from outside against a file of n bytes: no
+// negative count, no more arrays than the file has bytes (empty arrays
+// are free in the file but not in memory), and every array inside the
+// file — checked by division, so no product can wrap past the bound.
+func (l MshLayout) fits(n int64) error {
+	if l.NumEdges < 0 || l.NumNodes < 0 || l.EdgeArrays < 0 || l.NodeArrays < 0 {
+		return fmt.Errorf("mesh: layout %+v has a negative count", l)
+	}
+	if int64(l.EdgeArrays) > n || int64(l.NodeArrays) > n {
+		return fmt.Errorf("mesh: layout %+v names more arrays than the file's %d bytes", l, n)
+	}
+	left := n
+	for _, a := range [...]struct{ arrays, elems, size int64 }{
+		{2, l.NumEdges, 4},
+		{int64(l.EdgeArrays), l.NumEdges, 8},
+		{int64(l.NodeArrays), l.NumNodes, 8},
+	} {
+		if a.arrays == 0 || a.elems == 0 {
+			continue
+		}
+		if a.elems > left/a.size/a.arrays {
+			return fmt.Errorf("mesh: file has %d bytes, layout %+v needs more", n, l)
+		}
+		left -= a.arrays * a.elems * a.size
+	}
+	return nil
+}
+
 // EncodeMsh serializes a mesh plus its data arrays into the msh layout.
 func EncodeMsh(m *Mesh, edgeData, nodeData [][]float64) ([]byte, MshLayout, error) {
 	layout := MshLayout{
@@ -81,8 +109,8 @@ func EncodeMsh(m *Mesh, edgeData, nodeData [][]float64) ([]byte, MshLayout, erro
 // has no control over the arrays except to read them, by specifying
 // their data type, appropriate file offset, and length").
 func DecodeMsh(buf []byte, layout MshLayout) (edge1, edge2 []int32, edgeData, nodeData [][]float64, err error) {
-	if int64(len(buf)) < layout.TotalSize() {
-		return nil, nil, nil, nil, fmt.Errorf("mesh: file has %d bytes, layout needs %d", len(buf), layout.TotalSize())
+	if err := layout.fits(int64(len(buf))); err != nil {
+		return nil, nil, nil, nil, err
 	}
 	edge1 = GetInt32s(buf[layout.Edge1Offset():], int(layout.NumEdges))
 	edge2 = GetInt32s(buf[layout.Edge2Offset():], int(layout.NumEdges))
