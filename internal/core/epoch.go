@@ -334,7 +334,8 @@ func (g *Group) viewPos(v *View, fileOff int64) (disp, off int64) {
 }
 
 // issueFiles issues one merged collective per file g.ep.placed touches
-// — writes when write is set, reads otherwise — each on a sub-timeline
+// — writes when write is set, reads otherwise — each file placed by the
+// step's cursor cur in groupByFile order, and each on a sub-timeline
 // forked from the clock's current position: different files flow
 // through different collectives concurrently in virtual time, shared
 // PFS servers serializing where they collide. Opening the file and
@@ -353,13 +354,13 @@ func (g *Group) viewPos(v *View, fileOff int64) (disp, off int64) {
 // records them anyway and the data stays reachable, exactly as one
 // epoch per write would have recorded each successful write before a
 // later one failed.
-func (g *Group) issueFiles(ts int64, write bool) (sim.Time, error) {
+func (g *Group) issueFiles(ts int64, write bool, cur *mpiio.Cursor) (sim.Time, error) {
 	clock := g.s.env.Comm.Clock()
 	join := clock.Now()
 	placed := g.ep.placed
 	files := g.groupByFile(placed)
 	for n, file := range files {
-		of, err := g.open(file)
+		of, err := g.open(file, cur)
 		fork := clock.Now()
 		if err == nil {
 			ops := g.opsForFile(of, placed, file)
@@ -534,16 +535,17 @@ func (g *Group) stageGets(dis []int, recs []catalog.WriteRecord) {
 }
 
 // issueGets is the issue half of the group's get flush: datasets dis of
-// timestep ts, for token tok. It returns the join time (the latest file
-// completion) with the clock left at the fork point and the staged
-// reads in g.ep.placed / g.ep.readArena.
-func (g *Group) issueGets(tok *StepToken, ts int64, dis []int) (sim.Time, error) {
+// timestep ts, for token tok, their files placed by the step's cursor
+// cur. It returns the join time (the latest file completion) with the
+// clock left at the fork point and the staged reads in g.ep.placed /
+// g.ep.readArena.
+func (g *Group) issueGets(tok *StepToken, ts int64, dis []int, cur *mpiio.Cursor) (sim.Time, error) {
 	recs, err := g.resolveGets(tok, ts, dis)
 	if err != nil {
 		return g.s.env.Comm.Clock().Now(), err
 	}
 	g.stageGets(dis, recs)
-	return g.issueFiles(ts, false)
+	return g.issueFiles(ts, false, cur)
 }
 
 // deliverGets is the group's share of the deliver half, after the join:

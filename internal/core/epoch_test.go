@@ -10,6 +10,7 @@ import (
 	"sdm/internal/catalog"
 	"sdm/internal/metadb"
 	"sdm/internal/mpi"
+	"sdm/internal/mpiio"
 	"sdm/internal/pfs"
 	"sdm/internal/sim"
 )
@@ -69,7 +70,8 @@ func legacyWrite(g *Group, dataset string, timestep int64, data []byte) error {
 	}
 	file := g.fileFor(g.byName[dataset], timestep)
 	physOff := g.place(file, a.GlobalSize*a.Type.Size())
-	of, err := g.open(file)
+	alone := mpiio.NewCursor(g.s.env.Comm, g.s.env.FS) // one file: where its name hash puts it
+	of, err := g.open(file, &alone)
 	if err != nil {
 		return err
 	}
@@ -143,7 +145,8 @@ func legacyRead(g *Group, dataset string, timestep int64, out []byte) error {
 	if err != nil {
 		return err
 	}
-	of, err := g.open(rec.FileName)
+	alone := mpiio.NewCursor(g.s.env.Comm, g.s.env.FS)
+	of, err := g.open(rec.FileName, &alone)
 	if err != nil {
 		return err
 	}

@@ -37,9 +37,11 @@ type Group struct {
 
 	// stripeUnit and cbNodes are the layout the group's files are created
 	// with and the aggregator-set size they open with, each used when the
-	// caller left the matching Hints field at zero (see layout).
+	// caller left the matching Hints field at zero; stripes is how many
+	// stripes one step's extent fills (see layout).
 	stripeUnit int64
 	cbNodes    int
+	stripes    int
 
 	// ep is the group's deferred step epoch (BeginStep/EndStep) and its
 	// flush scratch.
@@ -131,7 +133,7 @@ func (s *SDM) newGroup(attrs []Attr) (*Group, error) {
 	if g.uniform {
 		g.slabSize = g.attrs[0].GlobalSize * g.attrs[0].Type.Size()
 	}
-	g.stripeUnit, g.cbNodes = g.layout()
+	g.stripeUnit, g.cbNodes, g.stripes = g.layout()
 	g.fileNames = make([]string, len(g.attrs))
 	for i, a := range g.attrs {
 		switch s.opts.Organization {
@@ -153,7 +155,9 @@ func (s *SDM) newGroup(attrs []Attr) (*Group, error) {
 const minStripeUnit = 64 << 10
 
 // layout chooses, from the attributes alone, the stripe unit the group's
-// files are created with and the size of their aggregator set.
+// files are created with, the size of their aggregator set, and the
+// number of stripes one step's extent fills — the servers a file takes
+// in its step's placement (see Group.open).
 //
 // The unit spreads the extent one step writes to a file — one slab under
 // levels 1 and 2, the whole group's slabs under level 3 — over every I/O
@@ -171,7 +175,7 @@ const minStripeUnit = 64 << 10
 // aggregator whatever the default unit is. A caller's
 // Hints.StripingUnit replaces the chosen unit, and the set is sized over
 // it.
-func (g *Group) layout() (unit int64, set int) {
+func (g *Group) layout() (unit int64, set, stripes int) {
 	var largest, sum int64
 	for _, a := range g.attrs {
 		slab := a.GlobalSize * a.Type.Size()
@@ -188,11 +192,12 @@ func (g *Group) layout() (unit int64, set int) {
 		unit = ceilDiv(ceilDiv(extent, int64(cfg.NumServers)), minStripeUnit) * minStripeUnit
 		unit = min(unit, cfg.StripeSize)
 	}
-	stripes := ceilDiv(extent, unit)
+	stripes = int(ceilDiv(extent, unit))
+	set = stripes
 	if g.s.opts.Organization != Level1 {
-		stripes++
+		set++
 	}
-	return unit, int(min(stripes, int64(g.s.env.Comm.Size())))
+	return unit, min(set, g.s.env.Comm.Size()), stripes
 }
 
 // SetAttributes registers a data group: all dataset metadata goes to
@@ -474,16 +479,23 @@ func (g *Group) fileFor(di int, timestep int64) string {
 // Level 1 callers close immediately after the access; levels 2 and 3
 // keep handles open until Finalize, which is where the paper's
 // open-cost differences between levels come from.
-func (g *Group) open(name string) (*openFile, error) {
-	if of, ok := g.files[name]; ok {
-		return of, nil
-	}
+//
+// Every file of a step takes its place from the step's cursor, opened
+// here or not: the next aggregator set of ranks and, if this open creates
+// the file, the next g.stripes servers from its first stripe on. A step
+// of one file is where its name hash puts it, as mpiio.Open puts any
+// file.
+func (g *Group) open(name string, cur *mpiio.Cursor) (*openFile, error) {
 	hints := g.s.opts.Hints
 	if hints.CBNodes == 0 {
 		hints.CBNodes = g.cbNodes
 	}
 	hints.StripingUnit = g.stripeUnit
-	f, err := mpiio.Open(g.s.env.Comm, g.s.env.FS, name, pfs.CreateMode, hints)
+	at := cur.Next(name, hints.CBNodes, g.stripes)
+	if of, ok := g.files[name]; ok {
+		return of, nil
+	}
+	f, err := mpiio.OpenAt(g.s.env.Comm, g.s.env.FS, name, pfs.CreateMode, hints, at)
 	if err != nil {
 		return nil, err
 	}

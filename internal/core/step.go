@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"sdm/internal/mpiio"
 	"sdm/internal/obs"
 	"sdm/internal/sim"
 )
@@ -33,7 +34,16 @@ import (
 // execution-table rows go to rank 0 in one RecordWrites batch issued
 // from the post-staging clock, overlapping the I/O join. Gets flush
 // after the puts are recorded, their per-file collectives forked the
-// same way.
+// same way. A get-only step records nothing and skips that rendezvous.
+//
+// Placement. A flush places the step's files as one set: one
+// mpiio.Cursor walks them in group order, then groupByFile order — the
+// same on every rank — starting at the name hash of the first, and each
+// file takes the next aggregator set of ranks and, when the step creates
+// it, the next stripes servers (Group.open). A step's small files thus
+// land one per rank and evenly over the servers, so no rank waits in
+// the phase-1 exchange for a rank opening two of them. A read-ahead
+// places its step's files the same way.
 //
 // Dependencies between flushes are tracked per FILE, not per epoch:
 // any number of tokens may be in flight as long as their target-file
@@ -369,18 +379,22 @@ func (s *SDM) endStep(groups []*Group, ts int64) (*StepToken, error) {
 // before the I/O join — and the writes complete at the later of the
 // database round trip and the data collectives. Reads, after all puts
 // are recorded: lookups are main-timeline work, each file's collective
-// forks, then the join and the decodes.
+// forks, then the join and the decodes. One cursor places every file the
+// flush touches (see the file comment).
 func (s *SDM) flushStep(tok *StepToken, groups []*Group, parts []getPart) error {
 	clock := s.env.Comm.Clock()
 	join := clock.Now()
+	cur := mpiio.NewCursor(s.env.Comm, s.env.FS)
 	recs := s.recScratch[:0]
+	wrote := false
 	var flushErr error
 	for _, g := range groups {
 		if len(g.ep.puts) == 0 {
 			continue
 		}
+		wrote = true
 		g.stagePuts()
-		j, err := g.issueFiles(tok.timestep, true)
+		j, err := g.issueFiles(tok.timestep, true, &cur)
 		join = sim.MaxTime(join, j)
 		g.cacheWrites()
 		recs = append(recs, g.ep.recs...)
@@ -390,17 +404,23 @@ func (s *SDM) flushStep(tok *StepToken, groups []*Group, parts []getPart) error 
 		}
 	}
 	s.recScratch = recs[:0]
-	if err := s.catalogCall(func() error {
-		return s.env.Catalog.RecordWrites(clock, recs)
-	}); flushErr == nil {
-		flushErr = err
+	// The rendezvous is how ranks agree on a write error (a failed file
+	// trims recs differently per rank) and what WriteAtAllOps' staging
+	// buffers rely on, so a step that queued puts always has it; one
+	// that queued none — the same on every rank — has nothing to record.
+	if wrote {
+		if err := s.catalogCall(func() error {
+			return s.env.Catalog.RecordWrites(clock, recs)
+		}); flushErr == nil {
+			flushErr = err
+		}
 	}
 	clock.AdvanceTo(join)
 	if flushErr != nil {
 		return flushErr
 	}
 	for i := range parts {
-		j, err := parts[i].g.issueGets(tok, tok.timestep, parts[i].dis)
+		j, err := parts[i].g.issueGets(tok, tok.timestep, parts[i].dis, &cur)
 		join = sim.MaxTime(join, j)
 		if err != nil {
 			clock.AdvanceTo(join)
@@ -565,11 +585,12 @@ func (s *SDM) issueAhead(ts int64, parts []getPart) bool {
 	clock := s.env.Comm.Clock()
 	fork := clock.Now()
 	join := fork
+	cur := mpiio.NewCursor(s.env.Comm, s.env.FS)
 	var err error
 	for i := range parts {
 		g := parts[i].g
 		var j sim.Time
-		j, err = g.issueGets(tok, ts, parts[i].dis)
+		j, err = g.issueGets(tok, ts, parts[i].dis, &cur)
 		join = sim.MaxTime(join, j)
 		tok.adopt(g)
 		if err != nil {

@@ -419,3 +419,68 @@ func TestAggregatorSetScratchAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestPlacementCursor: a cursor starts where the first file's name hash
+// puts it and moves each file past its set and its stripes; OpenAt opens
+// on the placed ranks, creates the file with its first stripe on the
+// placed server, and refuses a placement outside the world on every rank.
+func TestPlacementCursor(t *testing.T) {
+	const p, servers = 6, 4
+	sys := freeSys()
+	tr := obs.NewTracer()
+	sys.SetTracer(tr)
+	runIO(t, p, sys, func(c *mpi.Comm) {
+		cur := NewCursor(c, sys)
+		h := pfs.NameHash("a")
+		want := Placement{Rank: int(h % p), Server: int(h % servers)}
+		for _, step := range []struct {
+			name          string
+			set, stripes  int
+			dRank, dServe int
+		}{
+			{"a", 2, 3, 2, 3},
+			{"b", 0, 1, 0, 1}, // an unset CBNodes is every rank: the set wraps once
+			{"c", p + 1, 5, 0, 5},
+			{"d", 1, 0, 1, 0},
+		} {
+			if got := cur.Next(step.name, step.set, step.stripes); got != want {
+				t.Errorf("rank %d: %s placed at %+v, want %+v", c.Rank(), step.name, got, want)
+			}
+			want = Placement{Rank: (want.Rank + step.dRank) % p, Server: (want.Server + step.dServe) % servers}
+		}
+
+		f, err := OpenAt(c, sys, "placed", pfs.CreateMode, Hints{CBNodes: 3}, Placement{Rank: 4, Server: 3})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if member := (c.Rank()-4+p)%p < 3; (f.h != nil) != member {
+			t.Errorf("rank %d: opened=%v, want %v", c.Rank(), f.h != nil, member)
+		}
+		if c.Rank() == 4 {
+			if err := f.WriteAt(0, []byte{1}); err != nil {
+				t.Error(err)
+			}
+		}
+		if err := f.Close(); err != nil {
+			t.Error(err)
+		}
+		for _, bad := range []Placement{{Rank: -1}, {Rank: p}, {Server: -1}, {Server: servers}} {
+			if _, err := OpenAt(c, sys, "bad", pfs.CreateMode, Hints{}, bad); err == nil {
+				t.Errorf("rank %d: OpenAt %+v succeeded", c.Rank(), bad)
+			}
+		}
+	})
+	var served []int
+	for _, sp := range tr.Spans() {
+		if sp.Pid == obs.PidServers {
+			served = append(served, sp.Tid)
+		}
+	}
+	if fmt.Sprint(served) != "[3]" {
+		t.Errorf("stripe 0 of the placed file served by servers %v, want [3]", served)
+	}
+	if sys.Exists("bad") {
+		t.Error("a refused placement created its file")
+	}
+}

@@ -32,13 +32,13 @@ type Hints struct {
 // communicator, as in MPI.
 //
 // Aggregator set and deferred open. A file's aggregators are the
-// Hints.CBNodes consecutive ranks starting at rot, a stable hash of the
-// file name, so the small files of a file-per-dataset layout spread
-// their aggregation (and their opens) over the communicator instead of
-// piling on rank 0; file domain k belongs to rank (rot+k) mod P. Only
-// set members touch the file in a collective operation, so only they
-// open it at Open (ROMIO's deferred open); any other rank opens on its
-// first independent access, and Close charges only where an open
+// Hints.CBNodes consecutive ranks starting at rot, the rank its
+// Placement names, so the small files of a file-per-dataset layout
+// spread their aggregation (and their opens) over the communicator
+// instead of piling on rank 0; file domain k belongs to rank (rot+k) mod
+// P. Only set members touch the file in a collective operation, so only
+// they open it at Open (ROMIO's deferred open); any other rank opens on
+// its first independent access, and Close charges only where an open
 // happened.
 //
 // Layout. File domains are whole stripes of the file's own stripe unit:
@@ -59,6 +59,7 @@ type File struct {
 	comm   *mpi.Comm
 	hints  Hints
 	rot    int // rank of aggregator 0
+	first  int // server of stripe 0, if this open creates the file
 
 	disp     int64
 	filetype *Datatype
@@ -174,24 +175,81 @@ func (p *ScratchPool) Put(sc *Scratch) {
 // asserting steady-state reuse.
 func (p *ScratchPool) Size() int { return len(p.free) }
 
-// Open opens name collectively: every rank calls Open, and the members
-// of the file's aggregator set open it in the file system, in parallel,
-// each on its own clock. The initial view is contiguous bytes from
-// offset zero.
+// Placement is where one file's work lands: Rank is the first rank of
+// its aggregator set, and Server the I/O server of its first stripe if
+// the open creates the file (one that exists keeps the server it was
+// created with, as it keeps its unit).
+type Placement struct{ Rank, Server int }
+
+// Cursor places a run of files one after another over a communicator's
+// ranks and a file system's servers. It starts where the name hash of
+// the first file puts it; each file then takes the next set ranks as its
+// aggregator set and the next stripes servers from its first stripe on,
+// so a step's small files spread evenly over both instead of landing
+// wherever their own hashes fall. A run of one file is where its name
+// hash puts it, which is the placement Open gives every file. Ranks that
+// walk the same files in the same order compute the same placements.
+type Cursor struct {
+	ranks, servers int
+	at             Placement
+	started        bool
+}
+
+// NewCursor returns a cursor over c's ranks and sys's servers that starts
+// at the first file it places.
+func NewCursor(c *mpi.Comm, sys *pfs.System) Cursor {
+	return Cursor{ranks: c.Size(), servers: sys.Config().NumServers}
+}
+
+// Next places file name, opened with an aggregator set of set ranks
+// (sized as Open sizes Hints.CBNodes) and spanning stripes servers, and
+// moves the cursor past it.
+func (p *Cursor) Next(name string, set, stripes int) Placement {
+	if !p.started {
+		h := pfs.NameHash(name)
+		p.at = Placement{Rank: int(h % uint64(p.ranks)), Server: int(h % uint64(p.servers))}
+		p.started = true
+	}
+	at := p.at
+	p.at.Rank = (at.Rank + setSize(set, p.ranks)) % p.ranks
+	p.at.Server = (at.Server + stripes) % p.servers
+	return at
+}
+
+// setSize is the aggregator-set size a CBNodes hint asks for on size
+// ranks: the hint, or every rank when it is unset or too large.
+func setSize(cbNodes, size int) int {
+	if cbNodes <= 0 || cbNodes > size {
+		return size
+	}
+	return cbNodes
+}
+
+// Open opens name collectively where its name hash places it: the one-file
+// case of Cursor. See OpenAt.
+func Open(c *mpi.Comm, sys *pfs.System, name string, mode pfs.Mode, hints Hints) (*File, error) {
+	cur := NewCursor(c, sys)
+	return OpenAt(c, sys, name, mode, hints, cur.Next(name, 0, 0))
+}
+
+// OpenAt opens name collectively at placement at: every rank calls it
+// with the same placement, and the members of the file's aggregator set
+// open it in the file system, in parallel, each on its own clock. The
+// initial view is contiguous bytes from offset zero.
 //
-// Open is collective but, like MPI_File_open, not synchronizing: it has
-// no rendezvous, because a collective advances every clock to the last
-// arrival and would put the openers' cost back on every rank's
+// OpenAt is collective but, like MPI_File_open, not synchronizing: it
+// has no rendezvous, because a collective advances every clock to the
+// last arrival and would put the openers' cost back on every rank's
 // timeline. A rank outside the set therefore learns of a missing file
 // from an uncharged existence check, so that a failed open fails on
 // every rank before any of them enters a collective operation.
-func Open(c *mpi.Comm, sys *pfs.System, name string, mode pfs.Mode, hints Hints) (*File, error) {
-	size := c.Size()
-	if hints.CBNodes <= 0 || hints.CBNodes > size {
-		hints.CBNodes = size
+func OpenAt(c *mpi.Comm, sys *pfs.System, name string, mode pfs.Mode, hints Hints, at Placement) (*File, error) {
+	if n := sys.Config().NumServers; at.Rank < 0 || at.Rank >= c.Size() || at.Server < 0 || at.Server >= n {
+		return nil, fmt.Errorf("mpiio: open %q at rank %d, server %d: outside %d ranks and %d servers",
+			name, at.Rank, at.Server, c.Size(), n)
 	}
-	f := &File{sys: sys, name: name, mode: mode, comm: c, hints: hints,
-		rot: int(pfs.NameHash(name) % uint64(size))}
+	hints.CBNodes = setSize(hints.CBNodes, c.Size())
+	f := &File{sys: sys, name: name, mode: mode, comm: c, hints: hints, rot: at.Rank, first: at.Server}
 	if f.aggIndex(c.Rank()) < hints.CBNodes {
 		if err := f.open(true); err != nil {
 			return nil, err
@@ -220,7 +278,7 @@ func (f *File) open(member bool) error {
 	var h *pfs.Handle
 	var err error
 	if f.mode == pfs.CreateMode {
-		h, err = f.sys.Create(f.name, f.hints.StripingUnit, f.comm.Clock())
+		h, err = f.sys.Create(f.name, f.hints.StripingUnit, f.first, f.comm.Clock())
 	} else {
 		h, err = f.sys.Open(f.name, f.mode, f.comm.Clock())
 	}

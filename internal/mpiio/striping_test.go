@@ -159,7 +159,7 @@ func TestStripedLayoutSameDomainsOnEveryRank(t *testing.T) {
 	const p, elems = 6, 256 // 12 KiB per collective
 	const disp = 5000
 	sys := pfs.NewSystem(pfs.Config{NumServers: 4, StripeSize: 4096})
-	h, err := sys.Create("old", 3072, nil)
+	h, err := sys.Create("old", 3072, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,28 +10,30 @@ import (
 	"sdm/internal/store"
 )
 
-// Tests of the per-file stripe unit: a layout attribute fixed when the
-// file is created, which the cost model stripes by and which travels
-// with nothing but the System that created the file.
+// Tests of the per-file layout — the stripe unit and the server holding
+// stripe 0: attributes fixed when the file is created, which the cost
+// model stripes by and which travel with nothing but the System that
+// created the file.
 
 // TestLayoutFixedAtCreation: the first Create decides; every later open,
-// whatever unit it asks for, sees that layout, and so does a rank that
-// only queries.
+// whatever unit and starting server it asks for, sees that layout, and
+// so does a rank that only queries.
 func TestLayoutFixedAtCreation(t *testing.T) {
 	s := NewSystem(Config{NumServers: 4, StripeSize: 4096})
 	if _, ok := s.StripeUnit("f"); ok {
 		t.Fatal("StripeUnit reports a file that does not exist")
 	}
-	h, err := s.Create("f", 1024, nil)
+	first := (s.startingServer("f") + 1) % 4 // not where the name hash puts it
+	h, err := s.Create("f", 1024, first, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.StripeUnit() != 1024 {
-		t.Fatalf("created with unit %d, want 1024", h.StripeUnit())
+	if h.StripeUnit() != 1024 || h.f.first != first {
+		t.Fatalf("created with unit %d from server %d, want 1024 from %d", h.StripeUnit(), h.f.first, first)
 	}
 	for _, reopen := range []func() (*Handle, error){
-		func() (*Handle, error) { return s.Create("f", 256, nil) },
-		func() (*Handle, error) { return s.Create("f", 0, nil) },
+		func() (*Handle, error) { return s.Create("f", 256, (first+1)%4, nil) },
+		func() (*Handle, error) { return s.Create("f", 0, 0, nil) },
 		func() (*Handle, error) { return s.Open("f", ReadWrite, nil) },
 		func() (*Handle, error) { return s.Open("f", CreateMode, nil) },
 	} {
@@ -39,8 +41,13 @@ func TestLayoutFixedAtCreation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if h2.StripeUnit() != 1024 {
-			t.Fatalf("a later open changed the unit to %d", h2.StripeUnit())
+		if h2.StripeUnit() != 1024 || h2.f.first != first {
+			t.Fatalf("a later open changed the layout to unit %d from server %d", h2.StripeUnit(), h2.f.first)
+		}
+	}
+	for _, bad := range []int{-1, 4} {
+		if _, err := s.Create("g", 0, bad, nil); err == nil || s.Exists("g") {
+			t.Fatalf("Create from server %d of 4: %v, exists %v; want an error and no file", bad, err, s.Exists("g"))
 		}
 	}
 	if u, ok := s.StripeUnit("f"); !ok || u != 1024 {
@@ -50,7 +57,7 @@ func TestLayoutFixedAtCreation(t *testing.T) {
 	for _, name := range []string{"g", "h"} {
 		var h *Handle
 		if name == "g" {
-			h, err = s.Create(name, 0, nil)
+			h, err = s.Create(name, 0, 0, nil)
 		} else {
 			h, err = s.Open(name, CreateMode, nil)
 		}
@@ -65,18 +72,19 @@ func TestLayoutFixedAtCreation(t *testing.T) {
 	if err := s.Remove("f"); err != nil {
 		t.Fatal(err)
 	}
-	if h, err = s.Create("f", 256, nil); err != nil || h.StripeUnit() != 256 {
+	if h, err = s.Create("f", 256, 0, nil); err != nil || h.StripeUnit() != 256 {
 		t.Fatalf("re-created with unit %d (%v), want 256", h.StripeUnit(), err)
 	}
 }
 
 // TestLayoutNotCarriedByTheBytes: a second System over the same backend
-// (a reopened bundle) lays the file out by its own default, with the
-// bytes intact.
+// (a reopened bundle) lays the file out by its own defaults — its default
+// unit, from the server the name hash picks — with the bytes intact.
 func TestLayoutNotCarriedByTheBytes(t *testing.T) {
 	backend := store.NewMem()
 	a := NewSystemOn(Config{NumServers: 4, StripeSize: 4096}, backend)
-	h, err := a.Create("f", 512, nil)
+	hashed := a.startingServer("f")
+	h, err := a.Create("f", 512, (hashed+1)%4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +96,10 @@ func TestLayoutNotCarriedByTheBytes(t *testing.T) {
 	if u, ok := b.StripeUnit("f"); !ok || u != 2048 {
 		t.Fatalf("reopened backend: unit %d, %v, want the new system's 2048", u, ok)
 	}
-	if hb, err := b.Create("f", 512, nil); err != nil || hb.StripeUnit() != 2048 {
-		t.Fatalf("reopened backend: handle unit %d (%v), want 2048", hb.StripeUnit(), err)
+	hb, err := b.Create("f", 512, (hashed+1)%4, nil)
+	if err != nil || hb.StripeUnit() != 2048 || hb.f.first != hashed {
+		t.Fatalf("reopened backend: handle unit %d from server %d (%v), want 2048 from the name hash's %d",
+			hb.StripeUnit(), hb.f.first, err, hashed)
 	}
 	if got, err := b.ReadFile("f"); err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("bytes changed with the layout (%v)", err)
@@ -104,7 +114,7 @@ func TestLayoutStripesByFileUnit(t *testing.T) {
 	cost := func(unit int64) sim.Duration {
 		s := NewSystem(cfg)
 		clock := sim.NewClock()
-		h, err := s.Create("f", unit, clock)
+		h, err := s.Create("f", unit, 0, clock)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +141,7 @@ func TestLayoutSingleStripeFastPath(t *testing.T) {
 		cfg := Config{NumServers: 1 + rng.Intn(7), StripeSize: 4096, ServerBandwidth: 1e6, RequestLatency: time.Millisecond}
 		unit := int64(1 + rng.Intn(5000))
 		s := NewSystem(cfg)
-		h, err := s.Create("f", unit, nil)
+		h, err := s.Create("f", unit, rng.Intn(cfg.NumServers), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +149,7 @@ func TestLayoutSingleStripeFastPath(t *testing.T) {
 		in := rng.Int63n(unit)
 		n := 1 + rng.Int63n(unit-in)
 		off := rng.Int63n(64)*unit + in
-		want := s.spansInto(nil, make([]int64, cfg.NumServers), off, n, unit, h.shift)
+		want := s.spansInto(nil, make([]int64, cfg.NumServers), off, n, unit, h.f.first)
 		if len(want) != 1 {
 			t.Fatalf("unit %d off %d n %d: %d spans from the general split", unit, off, n, len(want))
 		}

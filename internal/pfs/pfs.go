@@ -284,12 +284,14 @@ func (s *System) ResetSchedules() {
 
 // file is the shared state of one open file: a lock serializing
 // mutation around the backend object holding the bytes, and the file's
-// layout. unit is the stripe unit, fixed when the file is created and
-// immutable afterwards, so handles read it without the lock.
+// layout. unit is the stripe unit and first the server holding stripe 0,
+// both fixed when the file is created and immutable afterwards, so
+// handles read them without the lock.
 type file struct {
-	mu   sync.RWMutex
-	obj  store.Object
-	unit int64
+	mu    sync.RWMutex
+	obj   store.Object
+	unit  int64
+	first int
 }
 
 func (f *file) writeAt(p []byte, off int64) error {
@@ -332,7 +334,6 @@ type Handle struct {
 	sys    *System
 	f      *file
 	name   string
-	shift  int // starting-server rotation for this file's stripe 0
 	clock  *sim.Clock
 	mode   Mode
 	closed bool
@@ -353,11 +354,12 @@ type Handle struct {
 
 // lookup returns the cached wrapper for name, opening the backend
 // object on first touch and creating it when create is set, striped by
-// unit (0 = the system default). The boolean reports whether the object
-// was newly created. A file found in the backend — a restored bundle —
-// is laid out by this system's default, as a copy to another file
-// system would be.
-func (s *System) lookup(name string, create bool, unit int64) (*file, bool, error) {
+// unit (0 = the system default) from server first on. The boolean
+// reports whether the object was newly created. A file found in the
+// backend — a restored bundle — is laid out by this system's defaults,
+// the default unit from its name's starting server, as a copy to another
+// file system would be.
+func (s *System) lookup(name string, create bool, unit int64, first int) (*file, bool, error) {
 	s.mu.RLock()
 	f := s.files[name]
 	s.mu.RUnlock()
@@ -381,31 +383,37 @@ func (s *System) lookup(name string, create bool, unit int64) (*file, bool, erro
 	if err != nil {
 		return nil, false, fmt.Errorf("pfs: %w", err)
 	}
-	if !created || unit <= 0 {
+	if !created {
+		unit, first = s.cfg.StripeSize, s.startingServer(name)
+	} else if unit <= 0 {
 		unit = s.cfg.StripeSize
 	}
-	f = &file{obj: obj, unit: unit}
+	f = &file{obj: obj, unit: unit, first: first}
 	s.files[name] = f
 	return f, created, nil
 }
 
 // Open opens (or with CreateMode, creates) a file, charging the open
-// cost to the opening rank's clock. A file it creates is striped by the
-// system default.
+// cost to the opening rank's clock. A file it creates is laid out by the
+// system defaults: the default unit, from its name's starting server.
 func (s *System) Open(name string, mode Mode, clock *sim.Clock) (*Handle, error) {
-	return s.open(name, mode, 0, clock)
+	return s.open(name, mode, 0, s.startingServer(name), clock)
 }
 
-// Create is Open in CreateMode for a caller that chooses the layout:
-// a file it creates is striped by unit bytes (0 = the system default).
-// The layout is fixed at creation; on a file that already exists unit
-// is ignored, as ROMIO's striping_unit hint is.
-func (s *System) Create(name string, unit int64, clock *sim.Clock) (*Handle, error) {
-	return s.open(name, CreateMode, unit, clock)
+// Create is Open in CreateMode for a caller that chooses the layout: a
+// file it creates is striped by unit bytes (0 = the system default) with
+// its first stripe on server first, in [0, NumServers). The layout is
+// fixed at creation; on a file that already exists unit and first are
+// ignored, as ROMIO's striping hints are.
+func (s *System) Create(name string, unit int64, first int, clock *sim.Clock) (*Handle, error) {
+	if first < 0 || first >= s.cfg.NumServers {
+		return nil, fmt.Errorf("pfs: create %q: starting server %d outside [0, %d)", name, first, s.cfg.NumServers)
+	}
+	return s.open(name, CreateMode, unit, first, clock)
 }
 
-func (s *System) open(name string, mode Mode, unit int64, clock *sim.Clock) (*Handle, error) {
-	f, created, err := s.lookup(name, mode == CreateMode, unit)
+func (s *System) open(name string, mode Mode, unit int64, first int, clock *sim.Clock) (*Handle, error) {
+	f, created, err := s.lookup(name, mode == CreateMode, unit, first)
 	if err != nil {
 		return nil, err
 	}
@@ -420,26 +428,28 @@ func (s *System) open(name string, mode Mode, unit int64, clock *sim.Clock) (*Ha
 	if created {
 		s.stats.creates.Add(1)
 	}
-	h := &Handle{sys: s, f: f, name: name, shift: s.startingServer(name), clock: clock, mode: mode}
+	h := &Handle{sys: s, f: f, name: name, clock: clock, mode: mode}
 	h.spanScratch, h.vecScratch = h.spanBuf[:0], h.vecBuf[:0]
 	return h, nil
 }
 
-// startingServer picks the I/O server holding a file's first stripe.
-// Striped file systems rotate each file's starting device (Lustre's
-// round-robin OST selection; XFS allocation groups behave similarly),
-// so a workload flushing several files concurrently engages the whole
-// array instead of queueing every file's low stripes on server 0. The
-// choice is a stable hash of the name, keeping placement — and
-// therefore every virtual-time figure — deterministic across runs and
-// backends.
+// startingServer is the I/O server holding the first stripe of a file
+// nobody placed: one created by Open, or found in the backend. Striped
+// file systems rotate each file's starting device (Lustre's round-robin
+// OST selection; XFS allocation groups behave similarly), so a workload
+// flushing several files concurrently engages the whole array instead
+// of queueing every file's low stripes on server 0. The choice is a
+// stable hash of the name, keeping placement — and therefore every
+// virtual-time figure — deterministic across runs and backends. A caller
+// that knows the other files of a step places them together instead
+// (Create's first).
 func (s *System) startingServer(name string) int {
 	return int(NameHash(name) % uint64(s.cfg.NumServers))
 }
 
 // NameHash is the stable hash of a file name (FNV-1a) behind every
-// per-file rotation: the starting server here, and the first rank of
-// the file's aggregator set in the collective I/O layer.
+// placement nobody chose otherwise: the starting server here, and where
+// the collective I/O layer's cursor starts a run of files.
 func NameHash(name string) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -546,10 +556,10 @@ type serverSpan struct {
 	bytes  int64
 }
 
-// serverOf returns the I/O server holding a file's given stripe; shift
-// rotates the file's stripe-0 server (see startingServer).
-func (s *System) serverOf(stripe int64, shift int) int {
-	return int((stripe + int64(shift)) % int64(s.cfg.NumServers))
+// serverOf returns the I/O server holding a file's given stripe, for a
+// file whose stripe 0 is on server first.
+func (s *System) serverOf(stripe int64, first int) int {
+	return int((stripe + int64(first)) % int64(s.cfg.NumServers))
 }
 
 // spansInto splits the byte range [off, off+n) into per-server totals
@@ -557,10 +567,10 @@ func (s *System) serverOf(stripe int64, shift int) int {
 // server), appending to dst (reused across calls by the owning Handle).
 // totals must have NumServers entries and be zeroed; it is re-zeroed
 // before returning.
-func (s *System) spansInto(dst []serverSpan, totals []int64, off, n, unit int64, shift int) []serverSpan {
+func (s *System) spansInto(dst []serverSpan, totals []int64, off, n, unit int64, first int) []serverSpan {
 	for n > 0 {
 		in := min(unit-off%unit, n)
-		totals[s.serverOf(off/unit, shift)] += in
+		totals[s.serverOf(off/unit, first)] += in
 		off += in
 		n -= in
 	}
@@ -584,12 +594,12 @@ func (h *Handle) charge(off, n int64, at sim.Time) sim.Time {
 	if n > 0 && off%unit+n <= unit {
 		// Inside one stripe — every run of a stripe-aligned file domain:
 		// one server, no per-server totals to sum.
-		spans = append(spans, serverSpan{server: s.serverOf(off/unit, h.shift), bytes: n})
+		spans = append(spans, serverSpan{server: s.serverOf(off/unit, h.f.first), bytes: n})
 	} else {
 		if h.totScratch == nil {
 			h.totScratch = make([]int64, s.cfg.NumServers)
 		}
-		spans = s.spansInto(spans, h.totScratch, off, n, unit, h.shift)
+		spans = s.spansInto(spans, h.totScratch, off, n, unit, h.f.first)
 	}
 	h.spanScratch = spans
 	done := at
@@ -851,7 +861,7 @@ func (s *System) WriteFile(name string, data []byte) error {
 
 // ReadFile returns a file's full contents without cost accounting.
 func (s *System) ReadFile(name string) ([]byte, error) {
-	f, _, err := s.lookup(name, false, 0)
+	f, _, err := s.lookup(name, false, 0, 0)
 	if err != nil {
 		if errors.Is(err, ErrNotExist) {
 			return nil, fmt.Errorf("read %q: %w", name, ErrNotExist)
