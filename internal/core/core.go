@@ -92,7 +92,7 @@ type FileOrganization int
 
 const (
 	// Level1 writes each dataset of each timestep to its own file:
-	// simple, but pays file-open and file-view costs at every step.
+	// simple, but pays file-open and file-close costs at every step.
 	Level1 FileOrganization = iota + 1
 	// Level2 appends all timesteps of one dataset to one file.
 	Level2

@@ -238,39 +238,47 @@ func TestGlobalFileOrderedByNodeNumber(t *testing.T) {
 }
 
 func TestLevelFileAndViewCounts(t *testing.T) {
-	// 2 datasets x 3 timesteps. Level 1: 6 files, >=6 views. Level 2:
-	// 2 files. Level 3 (uniform group, shared view): 1 file, 1 view.
-	counts := map[FileOrganization][2]int{} // level -> {files, views}
+	// 3 datasets x 3 timesteps, written and read back, on 2 ranks. Level
+	// 1: 9 files; Level 2: 3; Level 3 (uniform group): 1. p and q share
+	// one view and r has its own, so each rank installs 2 datatypes, on
+	// up to 9 files and at up to 9 displacements: a view is flattened once
+	// per datatype per rank, so every level charges 2 x 2 views.
+	const ranks, datatypes = 2, 2
 	for _, level := range []FileOrganization{Level1, Level2, Level3} {
-		te := newTestEnv(2)
+		te := newTestEnv(ranks)
 		te.run(t, Options{Organization: level}, func(s *SDM) {
-			attrs := MakeDatalist("p", "q")
+			attrs := MakeDatalist("p", "q", "r")
 			for i := range attrs {
 				attrs[i].GlobalSize = 16
 			}
 			g, _ := s.SetAttributes(attrs)
-			m := roundRobinMap(s.Comm().Rank(), 2, 16)
+			m := roundRobinMap(s.Comm().Rank(), ranks, 16)
 			_, _ = g.DataView([]string{"p", "q"}, m)
+			_, _ = g.DataView([]string{"r"}, m)
 			vals := make([]float64, len(m))
-			for ts := 0; ts < 3; ts++ {
-				if err := putAt(g, "p", int64(ts), vals); err != nil {
-					panic(err)
+			for ts := int64(0); ts < 3; ts++ {
+				for _, name := range []string{"p", "q", "r"} {
+					if err := putAt(g, name, ts, vals); err != nil {
+						panic(err)
+					}
 				}
-				if err := putAt(g, "q", int64(ts), vals); err != nil {
-					panic(err)
+			}
+			for ts := int64(0); ts < 3; ts++ {
+				for _, name := range []string{"p", "q", "r"} {
+					if _, err := getAt(g, name, ts, len(m)); err != nil {
+						panic(err)
+					}
 				}
 			}
 		})
-		st := te.fs.Stats()
-		counts[level] = [2]int{len(te.fs.List()), int(st.Views)}
-	}
-	if counts[Level1][0] != 6 || counts[Level2][0] != 2 || counts[Level3][0] != 1 {
-		t.Fatalf("file counts: L1=%d L2=%d L3=%d, want 6/2/1",
-			counts[Level1][0], counts[Level2][0], counts[Level3][0])
-	}
-	if !(counts[Level3][1] < counts[Level2][1] && counts[Level2][1] < counts[Level1][1]) {
-		t.Fatalf("view counts not decreasing: L1=%d L2=%d L3=%d",
-			counts[Level1][1], counts[Level2][1], counts[Level3][1])
+		wantFiles := map[FileOrganization]int{Level1: 9, Level2: 3, Level3: 1}[level]
+		if n := len(te.fs.List()); n != wantFiles {
+			t.Fatalf("level %v: %d files, want %d", level, n, wantFiles)
+		}
+		if v := te.fs.Stats().Views; v != ranks*datatypes {
+			t.Fatalf("level %v: %d views charged, want %d (%d datatypes on each of %d ranks)",
+				level, v, ranks*datatypes, datatypes, ranks)
+		}
 	}
 }
 

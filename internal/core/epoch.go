@@ -233,16 +233,16 @@ func (g *Group) groupByFile(placed []placedOp) []string {
 }
 
 // opsForFile builds one file's share of the epoch batch in queue
-// order: each placed op installs its view on the open file and
-// contributes one BatchOp. The returned slice lives in the epoch's
-// reusable ops scratch.
+// order: each placed op installs its view on the open file (a rank pays
+// for a view only at its first install) and contributes one BatchOp.
+// The returned slice lives in the epoch's reusable ops scratch.
 func (g *Group) opsForFile(of *openFile, placed []placedOp, file string) []mpiio.BatchOp {
 	ops := g.ep.ops[:0]
 	for i := range placed {
 		if placed[i].file != file {
 			continue
 		}
-		of.applyView(placed[i].disp, placed[i].v)
+		of.f.SetView(placed[i].disp, placed[i].v.dtype)
 		ops = append(ops, mpiio.BatchOp{
 			Disp: placed[i].disp, Type: placed[i].v.dtype,
 			Off: placed[i].off, Data: placed[i].data,

@@ -81,7 +81,7 @@ func legacyWrite(g *Group, dataset string, timestep int64, data []byte) error {
 	} else {
 		disp = physOff
 	}
-	of.applyView(disp, v)
+	of.f.SetView(disp, v.dtype)
 	buf := make([]byte, len(data))
 	permuteBytesToFile(v, data, buf)
 	g.s.env.Comm.ComputeItems(int64(len(data)), memCopyRate)
@@ -160,7 +160,7 @@ func legacyRead(g *Group, dataset string, timestep int64, out []byte) error {
 	default:
 		disp = rec.FileOffset
 	}
-	of.applyView(disp, v)
+	of.f.SetView(disp, v.dtype)
 	buf := make([]byte, len(out))
 	if err := of.f.ReadAtAll(logicalOff, buf); err != nil {
 		return err

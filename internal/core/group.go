@@ -92,11 +92,8 @@ func (x *placementIndex) successor(ts int64) (int64, bool) {
 }
 
 type openFile struct {
-	f       *mpiio.File
-	sc      *mpiio.Scratch // checked out of the group's pool until close
-	curView *View
-	curDisp int64
-	hasView bool
+	f  *mpiio.File
+	sc *mpiio.Scratch // checked out of the group's pool until close
 }
 
 // newGroup assembles a Group from attributes without touching the
@@ -508,18 +505,6 @@ func (g *Group) open(name string, cur *mpiio.Cursor) (*openFile, error) {
 	of := &openFile{f: f, sc: sc}
 	g.files[name] = of
 	return of, nil
-}
-
-// applyView installs (disp, view) on the file if different from the
-// current one; the view-definition cost is charged only on change.
-func (of *openFile) applyView(disp int64, v *View) {
-	if of.hasView && of.curView == v && of.curDisp == disp {
-		return
-	}
-	of.f.SetView(disp, v.dtype)
-	of.curView = v
-	of.curDisp = disp
-	of.hasView = true
 }
 
 // closeFiles closes all cached handles (Finalize), returning their

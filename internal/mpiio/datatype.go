@@ -14,8 +14,11 @@ package mpiio
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
+	"sdm/internal/mpi"
 	"sdm/internal/pfs"
 )
 
@@ -35,6 +38,37 @@ type Datatype struct {
 	prefix []int64 // prefix[i] = sum of segs[:i].Len; len = len(segs)+1
 	size   int64   // bytes of data per tile
 	extent int64   // span of one tile including holes
+
+	installed rankSet // ranks that have installed the type as a file view
+}
+
+// rankSet records the ranks a datatype has been flattened for. ROMIO
+// flattens a filetype once and caches the list on the type; here the
+// segments are flattened when the type is built, and the set is what
+// lets File.SetView charge a rank for that flatten once. The first rank
+// takes an inline slot, so a type built and installed by one rank — every
+// view SDM builds — records it without allocating. Further ranks, when a
+// type is shared between rank goroutines, go to a list.
+type rankSet struct {
+	mu    sync.Mutex
+	first *mpi.Comm
+	more  []*mpi.Comm
+}
+
+// add records c and reports whether it was not recorded before. Each
+// rank is new exactly once, whatever order concurrent ranks arrive in.
+func (s *rankSet) add(c *mpi.Comm) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case s.first == c || slices.Contains(s.more, c):
+		return false
+	case s.first == nil:
+		s.first = c
+	default:
+		s.more = append(s.more, c)
+	}
+	return true
 }
 
 // newDatatype normalizes segments: sorts, validates non-overlap,

@@ -332,12 +332,19 @@ func (f *File) Close() error {
 // SetView installs a file view: logical byte L of subsequent reads and
 // writes maps to the L-th data byte of filetype tiled from displacement
 // disp (MPI_File_set_view with etype = MPI_BYTE). A nil filetype means
-// contiguous bytes. Charges the view-definition cost the paper's level
-// comparison measures, on every rank: a view is local state and needs
-// no open handle.
+// contiguous bytes. A view is local state of the rank's I/O library and
+// needs no open handle, so members and non-members alike pay the
+// view-definition cost: the flatten of the filetype into segments, which
+// is cached on the type. A rank pays it the first time it installs a
+// filetype, and later installs of that type, on any file and at any
+// displacement, are free. A nil filetype has no type to cache on and is
+// charged at every install.
 func (f *File) SetView(disp int64, filetype *Datatype) {
 	f.disp = disp
 	f.filetype = filetype
+	if filetype != nil && !filetype.installed.add(f.comm) {
+		return
+	}
 	t0 := f.comm.Now()
 	f.sys.ChargeView(f.comm.Clock())
 	if tr := f.sys.Tracer(); tr != nil {

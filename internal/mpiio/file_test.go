@@ -3,11 +3,14 @@ package mpiio
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"sdm/internal/mpi"
+	"sdm/internal/obs"
 	"sdm/internal/pfs"
+	"sdm/internal/sim"
 )
 
 func freeSys() *pfs.System {
@@ -279,6 +282,131 @@ func TestViewCostCharged(t *testing.T) {
 		if c.Now()-before != 1000 {
 			t.Errorf("view cost not charged: %v", c.Now()-before)
 		}
+	})
+}
+
+// TestViewFlattenedOncePerRank: a rank pays the view-definition cost the
+// first time it installs a datatype, whatever file and displacement it
+// installs it on, and only then; a second datatype is a second flatten,
+// and a contiguous view (nil filetype) is charged at every install. A
+// datatype shared by rank goroutines is charged to each rank exactly
+// once, and installing one allocates nothing, the first time or later.
+func TestViewFlattenedOncePerRank(t *testing.T) {
+	const cost = 1000
+	traced := func() (*pfs.System, *obs.Tracer) {
+		sys := pfs.NewSystem(pfs.Config{NumServers: 2, StripeSize: 1024, ViewCost: cost})
+		tr := obs.NewTracer()
+		sys.SetTracer(tr)
+		return sys, tr
+	}
+	viewSpans := func(tr *obs.Tracer) map[int]int { // per rank lane
+		n := map[int]int{}
+		for _, sp := range tr.Spans() {
+			if sp.Cat == "mpiio" && sp.Name == "view" {
+				if sp.Dur() != cost {
+					t.Errorf("view span lasts %v, want %v", sp.Dur(), sim.Duration(cost))
+				}
+				n[sp.Pid]++
+			}
+		}
+		return n
+	}
+	openN := func(c *mpi.Comm, sys *pfs.System, n int) []*File {
+		files := make([]*File, n)
+		for i := range files {
+			f, err := Open(c, sys, fmt.Sprintf("f%d", i), pfs.CreateMode, Hints{})
+			if err != nil {
+				panic(err)
+			}
+			files[i] = f
+		}
+		return files
+	}
+
+	t.Run("one rank", func(t *testing.T) {
+		sys, tr := traced()
+		runIO(t, 1, sys, func(c *mpi.Comm) {
+			files := openN(c, sys, 4)
+			dt := IndexedBlock(1, []int{0, 2}, Bytes(8))
+			for i, f := range files {
+				before := c.Now()
+				f.SetView(int64(i)*4096, dt)
+				want := sim.Duration(0)
+				if i == 0 {
+					want = cost
+				}
+				if got := c.Now().Sub(before); got != want {
+					t.Errorf("install %d of one datatype charged %v, want %v", i, got, want)
+				}
+			}
+			if v := sys.Stats().Views; v != 1 {
+				t.Errorf("one datatype over 4 files: %d views, want 1", v)
+			}
+			before := c.Now()
+			files[0].SetView(0, Resized(dt, 64))
+			files[1].SetView(0, Resized(dt, 64))
+			if got := c.Now().Sub(before); got != 2*cost {
+				t.Errorf("two new datatypes charged %v, want %v", got, sim.Duration(2*cost))
+			}
+			before = c.Now()
+			files[2].SetView(0, nil)
+			files[2].SetView(0, nil)
+			files[3].SetView(0, nil)
+			if got := c.Now().Sub(before); got != 3*cost {
+				t.Errorf("three contiguous views charged %v, want %v", got, sim.Duration(3*cost))
+			}
+			for _, f := range files {
+				_ = f.Close()
+			}
+		})
+		if v := sys.Stats().Views; v != 6 {
+			t.Errorf("%d views counted, want 6", v)
+		}
+		if n := viewSpans(tr); n[obs.PidRank(0)] != 6 || len(n) != 1 {
+			t.Errorf("view spans %v, want 6 on rank 0's lane", n)
+		}
+	})
+
+	t.Run("shared by two ranks", func(t *testing.T) {
+		sys, tr := traced()
+		dt := IndexedBlock(1, []int{1, 3}, Bytes(8))
+		runIO(t, 2, sys, func(c *mpi.Comm) {
+			files := openN(c, sys, 3)
+			for i, f := range files {
+				f.SetView(int64(i)*64, dt)
+			}
+			if c.Now() != cost {
+				t.Errorf("rank %d: charged %v for one datatype on 3 files, want %v", c.Rank(), c.Now(), sim.Duration(cost))
+			}
+			for _, f := range files {
+				_ = f.Close()
+			}
+		})
+		if v := sys.Stats().Views; v != 2 {
+			t.Errorf("%d views counted, want 2 (one per rank)", v)
+		}
+		if n := viewSpans(tr); n[obs.PidRank(0)] != 1 || n[obs.PidRank(1)] != 1 || len(n) != 2 {
+			t.Errorf("view spans %v, want one per rank", n)
+		}
+	})
+
+	t.Run("allocation-free", func(t *testing.T) {
+		sys := pfs.NewSystem(pfs.Config{NumServers: 2, StripeSize: 1024, ViewCost: cost})
+		fresh := make([]*Datatype, 201)
+		for i := range fresh {
+			fresh[i] = Bytes(8)
+		}
+		runIO(t, 1, sys, func(c *mpi.Comm) {
+			f := openN(c, sys, 1)[0]
+			defer f.Close()
+			next := 0
+			if n := testing.AllocsPerRun(100, func() { f.SetView(0, fresh[next]); next++ }); n != 0 {
+				t.Errorf("a first install allocates %v times", n)
+			}
+			if n := testing.AllocsPerRun(100, func() { f.SetView(0, fresh[0]) }); n != 0 {
+				t.Errorf("a repeat install allocates %v times", n)
+			}
+		})
 	})
 }
 

@@ -54,8 +54,9 @@ type Config struct {
 	RequestLatency sim.Duration
 	// OpenCost, CloseCost and ViewCost are metadata costs charged per
 	// file open, close, and file-view definition respectively. The
-	// paper's level 1/2/3 file organizations differ exactly in how
-	// often these are paid.
+	// paper's level 1/2/3 file organizations differ in how often opens
+	// and closes are paid; a view is defined once per filetype per rank
+	// (see ChargeView), at every level alike.
 	OpenCost  sim.Duration
 	CloseCost sim.Duration
 	ViewCost  sim.Duration
@@ -80,7 +81,7 @@ type Stats struct {
 	Opens        int64
 	Creates      int64
 	Closes       int64
-	Views        int64
+	Views        int64 // view definitions charged (see ChargeView)
 	ReadRequests int64
 	WriteReqs    int64
 	BytesRead    int64
@@ -238,7 +239,9 @@ func (s *System) SieveGap() int64 {
 // ChargeView charges one file-view definition (MPI_File_set_view) to
 // clock. A view is rank-local state of the I/O library, so it needs no
 // open handle: mpiio calls this from SetView on every rank, including
-// the ranks that never open the file themselves.
+// the ranks that never open the file themselves — once per filetype a
+// rank installs, when it flattens the type, and at every contiguous
+// view.
 func (s *System) ChargeView(clock *sim.Clock) {
 	if clock != nil {
 		clock.Advance(s.cfg.ViewCost)

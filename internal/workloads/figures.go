@@ -79,7 +79,7 @@ var Figures = []Figure{
 	{
 		Name: "fig6", Title: "Figure 6: I/O bandwidth for writing/reading data in FUN3D", Workload: "fun3d",
 		Columns: []string{writeMBps, readMBps, "files", "stripe unit", "opens", "views"},
-		Claim:   "level3 >= level2 >= level1, writing and reading: opens and views are paid less often as the level rises",
+		Claim:   "level3 >= level2 >= level1, writing and reading: opens are paid less often as the level rises",
 		Run: onFUN3D(func(b *fun3dBench) ([]Row, error) {
 			var cases []levelCase
 			for _, level := range levels {
@@ -165,7 +165,12 @@ var Figures = []Figure{
 		},
 	},
 	{
-		// The paper's motivating claim for level 3.
+		// The paper's motivating claim for level 3. Expensive means the
+		// file system's per-file costs, OpenCost and CloseCost, at 100x;
+		// ViewCost stays as it is, because a view is library state in the
+		// rank's memory, flattened once per datatype at every level: scaled,
+		// it adds the same time to every level and hides the open
+		// sensitivity the ablation exists to show.
 		Name: "ablation-open-cost", Title: "level sensitivity to file-open cost (100x XFS)", Workload: "fun3d",
 		Columns: []string{writeMBps + "-cheap", writeMBps + "-expensive"},
 		Claim:   "with expensive opens, level3's advantage over level1 widens sharply (2x or more)",
@@ -372,7 +377,7 @@ func openCostRows(b *fun3dBench) ([]Row, error) {
 		}
 		expensive, err := b.checkpoints(run, func(cfg *sdm.ClusterConfig) {
 			cfg.Storage.OpenCost *= multiplier
-			cfg.Storage.ViewCost *= multiplier
+			cfg.Storage.CloseCost *= multiplier
 		})
 		if err != nil {
 			return nil, err

@@ -200,7 +200,7 @@ func TestFig6ShapeLevels(t *testing.T) {
 // the paper claims of it. For Figure 6 that is level 3 at or above level
 // 2 at or above level 1, writing and reading: with every file striped so
 // that one step covers the servers once, what separates the levels is
-// how often opens and views are paid.
+// how often opens are paid.
 func TestFiguresPaperScaleShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper scale; skipped with -short")
