@@ -85,7 +85,7 @@ func legacyWrite(g *Group, dataset string, timestep int64, data []byte) error {
 	buf := make([]byte, len(data))
 	permuteBytesToFile(v, data, buf)
 	g.s.env.Comm.ComputeItems(int64(len(data)), memCopyRate)
-	if err := of.f.WriteAtAll(logicalOff, buf); err != nil {
+	if err := of.f.WriteAtAllOps([]mpiio.BatchOp{{Disp: disp, Type: v.dtype, Off: logicalOff, Data: buf}}); err != nil {
 		return err
 	}
 	if g.s.opts.Organization == Level1 {
@@ -162,7 +162,7 @@ func legacyRead(g *Group, dataset string, timestep int64, out []byte) error {
 	}
 	of.f.SetView(disp, v.dtype)
 	buf := make([]byte, len(out))
-	if err := of.f.ReadAtAll(logicalOff, buf); err != nil {
+	if err := of.f.ReadAtAllOps([]mpiio.BatchOp{{Disp: disp, Type: v.dtype, Off: logicalOff, Data: buf}}); err != nil {
 		return err
 	}
 	permuteBytesFromFile(v, buf, out)

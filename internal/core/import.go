@@ -35,13 +35,25 @@ type Importer struct {
 }
 
 // MakeImportlist registers the arrays of an external file in
-// import_table and opens the file collectively.
+// import_table and opens the file collectively. Every rank first checks
+// each array against the file's size (a local, uncharged query, as
+// historyIntact's), so an array that does not lie inside the file is
+// refused on every rank before any of them enters a collective.
 func (s *SDM) MakeImportlist(fileName string, specs []ImportSpec) (*Importer, error) {
 	imp := &Importer{s: s, fileName: fileName, specs: make(map[string]ImportSpec),
 		queue: make([]*ImportHandle, 0, len(specs))}
+	size, err := s.env.FS.FileSize(fileName)
+	if err != nil {
+		return nil, err
+	}
 	for _, sp := range specs {
 		if sp.Length <= 0 {
 			return nil, fmt.Errorf("core: import %q has non-positive length %d", sp.Name, sp.Length)
+		}
+		// Written as a quotient, the bound cannot overflow.
+		if sp.FileOffset < 0 || sp.Length > (size-sp.FileOffset)/sp.Type.Size() {
+			return nil, fmt.Errorf("core: import %q (%d %s elements at offset %d) does not lie inside %q (%d bytes)",
+				sp.Name, sp.Length, sp.Type, sp.FileOffset, fileName, size)
 		}
 		if _, dup := imp.specs[sp.Name]; dup {
 			return nil, fmt.Errorf("core: duplicate import name %q", sp.Name)
@@ -51,7 +63,7 @@ func (s *SDM) MakeImportlist(fileName string, specs []ImportSpec) (*Importer, er
 		}
 		imp.specs[sp.Name] = sp
 	}
-	err := s.catalogCall(func() error {
+	err = s.catalogCall(func() error {
 		entries := make([]catalog.ImportEntry, len(specs))
 		for i, sp := range specs {
 			entries[i] = catalog.ImportEntry{
@@ -207,19 +219,17 @@ func (imp *Importer) Flush() error {
 	defer s.putArena(fileOrder)
 	join := t0
 	for _, h := range queue {
-		var off int64
-		var dst []byte
+		op := mpiio.BatchOp{Disp: h.sp.FileOffset}
 		if h.v != nil {
-			imp.file.SetView(h.sp.FileOffset, h.v.dtype)
-			dst = fileOrder[:h.n]
+			op.Type, op.Data = h.v.dtype, fileOrder[:h.n]
 		} else {
-			imp.file.SetView(h.sp.FileOffset, nil)
-			off = h.start * h.sp.Type.Size()
+			op.Off = h.start * h.sp.Type.Size()
 			h.buf = make([]byte, h.n)
-			dst = h.buf
+			op.Data = h.buf
 		}
+		imp.file.SetView(op.Disp, op.Type)
 		fork := clock.Now()
-		err := imp.file.ReadAtAll(off, dst)
+		err := imp.file.ReadAtAllOps([]mpiio.BatchOp{op})
 		if tr := s.tracer; tr != nil {
 			tr.Emit(s.pid(), "core", "import:read", fork, clock.Now(),
 				obs.KV{Key: "array", Val: h.sp.Name})
@@ -232,7 +242,7 @@ func (imp *Importer) Flush() error {
 		clock.Rebase(fork)
 		if h.v != nil {
 			h.buf = make([]byte, h.n)
-			permuteBytesFromFile(h.v, dst, h.buf)
+			permuteBytesFromFile(h.v, op.Data, h.buf)
 		}
 	}
 	clock.AdvanceTo(join)

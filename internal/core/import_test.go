@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sdm/internal/mesh"
+	"sdm/internal/mpiio"
 	"sdm/internal/obs"
 	"sdm/internal/pfs"
 	"sdm/internal/sim"
@@ -31,7 +32,7 @@ func legacyImportContiguous(imp *Importer, name string) (buf []byte, start, coun
 	es := sp.Type.Size()
 	imp.file.SetView(sp.FileOffset, nil)
 	buf = make([]byte, count*es)
-	if err := imp.file.ReadAtAll(start*es, buf); err != nil {
+	if err := imp.file.ReadAtAllOps([]mpiio.BatchOp{{Disp: sp.FileOffset, Off: start * es, Data: buf}}); err != nil {
 		return nil, 0, 0, err
 	}
 	return buf, start, count, nil
@@ -44,7 +45,7 @@ func legacyImportView(imp *Importer, name string, v *View) ([]byte, error) {
 	}
 	imp.file.SetView(sp.FileOffset, v.dtype)
 	fileOrder := make([]byte, int64(v.LocalSize())*v.elemSize)
-	if err := imp.file.ReadAtAll(0, fileOrder); err != nil {
+	if err := imp.file.ReadAtAllOps([]mpiio.BatchOp{{Disp: sp.FileOffset, Type: v.dtype, Data: fileOrder}}); err != nil {
 		return nil, err
 	}
 	out := make([]byte, len(fileOrder))

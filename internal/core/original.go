@@ -26,7 +26,7 @@ func OriginalImport(c *mpi.Comm, fs *pfs.System, fileName string, offset int64, 
 			return nil, err
 		}
 		buf = make([]byte, elems*elemSize)
-		if _, err := h.ReadAt(buf, offset); err != nil {
+		if _, err := h.ReadAtVec(buf, []pfs.Extent{{Off: offset, Len: int64(len(buf))}}); err != nil {
 			return nil, fmt.Errorf("core: original import: %w", err)
 		}
 		if err := h.Close(); err != nil {
@@ -116,7 +116,7 @@ func OriginalSequentialWrite(c *mpi.Comm, fs *pfs.System, fileName string, data 
 		// Wait for the previous writer's completion token.
 		_, _ = c.Recv(c.Rank()-1, tokenTag)
 	}
-	if _, err := h.WriteAt(data, offset); err != nil {
+	if _, err := h.WriteAtVec(data, []pfs.Extent{{Off: offset, Len: int64(len(data))}}); err != nil {
 		return err
 	}
 	if c.Rank() < c.Size()-1 {

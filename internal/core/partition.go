@@ -308,13 +308,15 @@ func (s *SDM) IndexRegistry(ip *IndexPartition, totalEdges int64, partVec []int3
 	}
 	payload := int32sToBytes(rec)
 	c.ComputeItems(int64(len(payload)), memCopyRate)
-	// Asynchronous write: the server is scheduled now, the rank's clock
-	// is not advanced; Finalize joins the completion.
-	done, _, err := h.WriteAtTime(payload, myOff*12, c.Now())
-	if err != nil {
+	// Asynchronous write, on a sub-timeline forked here: the server is
+	// scheduled now, the rank goes on from the fork point, and Finalize
+	// joins the completion.
+	fork := c.Now()
+	if _, err := h.WriteAtVec(payload, []pfs.Extent{{Off: myOff * 12, Len: int64(len(payload))}}); err != nil {
 		return err
 	}
-	s.asyncDone = append(s.asyncDone, done)
+	s.asyncDone = append(s.asyncDone, c.Now())
+	c.Clock().Rebase(fork)
 	if err := h.Close(); err != nil {
 		return err
 	}
@@ -349,7 +351,7 @@ func (s *SDM) loadIndexHistory(hist *catalog.IndexHistory, partVec []int32) (*In
 		return nil, fmt.Errorf("core: history file missing: %w", err)
 	}
 	buf := make([]byte, myEdges*12)
-	if err := h.ReadAtAll(myOff*12, buf); err != nil {
+	if err := h.ReadAtAllOps([]mpiio.BatchOp{{Off: myOff * 12, Data: buf}}); err != nil {
 		return nil, fmt.Errorf("core: reading history: %w", err)
 	}
 	if err := h.Close(); err != nil {

@@ -50,11 +50,11 @@ func interleavedRoundTrip(f *File, c *mpi.Comm, elems int) error {
 	for i := range buf {
 		buf[i] = byte(c.Rank()*41 + i)
 	}
-	if err := f.WriteAtAll(0, buf); err != nil {
+	if err := writeAll(f, 0, buf); err != nil {
 		return err
 	}
 	got := make([]byte, len(buf))
-	if err := f.ReadAtAll(0, got); err != nil {
+	if err := readAll(f, 0, got); err != nil {
 		return err
 	}
 	if !bytes.Equal(got, buf) {
@@ -242,7 +242,7 @@ func TestDeferredOpenMissingFileFailsEverywhere(t *testing.T) {
 			if err == nil {
 				// A rank that got a file would now enter the collective the
 				// others skipped: a mismatch or a hang.
-				_ = f.ReadAtAll(0, make([]byte, 8))
+				_ = readAll(f, 0, make([]byte, 8))
 				return
 			}
 			if !errors.Is(err, pfs.ErrNotExist) {
@@ -376,10 +376,10 @@ func TestAggregatorSetScratchAllocs(t *testing.T) {
 					}
 					f.UseScratch(&scratch[c.Rank()])
 					f.SetView(0, types[c.Rank()])
-					if err := f.WriteAtAll(0, bufs[c.Rank()]); err != nil {
+					if err := writeAll(f, 0, bufs[c.Rank()]); err != nil {
 						panic(err)
 					}
-					if err := f.ReadAtAll(0, bufs[c.Rank()]); err != nil {
+					if err := readAll(f, 0, bufs[c.Rank()]); err != nil {
 						panic(err)
 					}
 					if n := len(f.scr().parcels); n != tc.set {

@@ -53,18 +53,17 @@ func TestMapRangeMatchesMapRangeInto(t *testing.T) {
 	}
 }
 
-func TestPhysSegmentsZeroAllocsSteadyState(t *testing.T) {
-	sys := pfs.NewSystem(pfs.Config{NumServers: 4, StripeSize: 64 * 1024})
+func TestOpSegmentsZeroAllocsSteadyState(t *testing.T) {
 	f := &File{h: nil, scratch: &ioScratch{}}
-	f.filetype = irregularType()
-	f.physSegments(0, f.filetype.size) // warm
+	op := BatchOp{Type: irregularType()}
+	op.Data = make([]byte, op.Type.size)
+	f.opSegments(&op) // warm
 	allocs := testing.AllocsPerRun(100, func() {
-		f.physSegments(0, f.filetype.size)
+		f.opSegments(&op)
 	})
 	if allocs != 0 {
-		t.Fatalf("physSegments allocated %.1f times per run, want 0", allocs)
+		t.Fatalf("opSegments allocated %.1f times per run, want 0", allocs)
 	}
-	_ = sys
 }
 
 // TestCollectiveScratchReuseAcrossOps drives many back-to-back
@@ -92,10 +91,10 @@ func TestCollectiveScratchReuseAcrossOps(t *testing.T) {
 			for i := range buf {
 				buf[i] = byte((op*31 + c.Rank()*7 + i) % 253)
 			}
-			if err := f.WriteAtAll(0, buf); err != nil {
+			if err := writeAll(f, 0, buf); err != nil {
 				panic(err)
 			}
-			if err := f.ReadAtAll(0, got); err != nil {
+			if err := readAll(f, 0, got); err != nil {
 				panic(err)
 			}
 			for i := range buf {

@@ -48,7 +48,7 @@ func roundRobinView(c *mpi.Comm, elems int) *Datatype {
 
 // TestBatchedWriteMatchesSequential proves the tentpole contract: a
 // multi-op WriteAtAllOps batch produces a bit-identical file to the
-// same ops issued as separate WriteAtAll collectives, while issuing
+// same ops issued as separate one-op collectives, while issuing
 // fewer file-system write requests and finishing in less virtual time.
 func TestBatchedWriteMatchesSequential(t *testing.T) {
 	const ranks, elems, nOps = 4, 256, 5
@@ -70,7 +70,7 @@ func TestBatchedWriteMatchesSequential(t *testing.T) {
 				}
 			} else {
 				for _, op := range ops {
-					if err := f.WriteAtAll(op.Off, op.Data); err != nil {
+					if err := writeAll(f, op.Off, op.Data); err != nil {
 						panic(err)
 					}
 				}
@@ -147,7 +147,7 @@ func TestBatchedReadRoundTrip(t *testing.T) {
 		// And per-op, for the same answer.
 		single := make([]byte, elems*8)
 		for k := 0; k < nOps; k++ {
-			if err := f.ReadAtAll(int64(k*elems*8), single); err != nil {
+			if err := readAll(f, int64(k*elems*8), single); err != nil {
 				panic(err)
 			}
 			if !bytes.Equal(single, all[k*elems*8:(k+1)*elems*8]) {

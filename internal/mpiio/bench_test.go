@@ -99,7 +99,7 @@ func BenchmarkTwoPhaseWrite(b *testing.B) {
 				displs[k] = k*ranks + c.Rank()
 			}
 			f.SetView(0, IndexedBlock(1, displs, Bytes(8)))
-			if err := f.WriteAtAll(0, make([]byte, elemsPerRank*8)); err != nil {
+			if err := writeAll(f, 0, make([]byte, elemsPerRank*8)); err != nil {
 				panic(err)
 			}
 		})

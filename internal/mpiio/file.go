@@ -20,9 +20,9 @@ type Hints struct {
 	// default. Like ROMIO's it is a creation-time hint: a file that
 	// already exists keeps the layout it was created with.
 	StripingUnit int64
-	// DisableCollective forces WriteAtAll/ReadAtAll to fall back to
-	// independent per-segment requests — the ablation knob for
-	// measuring what collective buffering buys.
+	// DisableCollective forces WriteAtAllOps/ReadAtAllOps to fall back
+	// to independent requests, one vectored request per op — the
+	// ablation knob for measuring what collective buffering buys.
 	DisableCollective bool
 }
 
@@ -100,7 +100,6 @@ type ioScratch struct {
 	flatAux    []flatSeg   // merge ping-pong buffer
 	opBounds   []int       // per-op run boundaries within flat
 	opBoundsAx []int       // merge ping-pong buffer
-	ops        [1]BatchOp  // single-op buffer for the legacy entry points
 	parcels    []ioParcel  // outgoing phase-1 parcels, one per aggregator index
 	routeN     []int       // routing: segment pieces per aggregator index
 	routeSegs  []Segment   // backing array the parcels' Segs are carved from
@@ -353,32 +352,17 @@ func (f *File) SetView(disp int64, filetype *Datatype) {
 	}
 }
 
-// physSegments maps the logical range [off, off+n) through the view
-// into the File's reusable segment scratch. The result is valid until
-// the next physSegments call on this File.
-func (f *File) physSegments(off, n int64) []Segment {
-	segs := f.scr().segs[:0]
-	if f.filetype == nil {
-		if n > 0 {
-			segs = append(segs, Segment{Off: f.disp + off, Len: n})
-		}
-	} else {
-		segs = f.filetype.mapRangeInto(segs, f.disp, off, n)
-	}
-	f.scr().segs = segs
-	return segs
-}
-
 // WriteAt writes data at logical offset off through the view,
 // independently, as one vectored file-system request covering every
-// physical segment. This is the path the paper's "original"
-// applications and the ablation use.
+// physical segment, mapped as the independent fallback of
+// WriteAtAllOps maps each op: the reference the collectives are tested
+// against.
 func (f *File) WriteAt(off int64, data []byte) error {
 	h, err := f.handle()
 	if err != nil {
 		return err
 	}
-	_, err = h.WriteAtVec(data, f.physSegments(off, int64(len(data))))
+	_, err = h.WriteAtVec(data, f.opSegments(&BatchOp{Disp: f.disp, Type: f.filetype, Off: off, Data: data}))
 	return err
 }
 
@@ -390,6 +374,6 @@ func (f *File) ReadAt(off int64, data []byte) error {
 	if err != nil {
 		return err
 	}
-	_, err = h.ReadAtVec(data, f.physSegments(off, int64(len(data))))
+	_, err = h.ReadAtVec(data, f.opSegments(&BatchOp{Disp: f.disp, Type: f.filetype, Off: off, Data: data}))
 	return err
 }

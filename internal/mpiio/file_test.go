@@ -86,7 +86,7 @@ func TestCollectiveWriteMatchesIndependent(t *testing.T) {
 				displs[i] = i*4 + c.Rank()
 			}
 			f.SetView(0, IndexedBlock(1, displs, Bytes(8)))
-			if err := f.WriteAtAll(0, mkData(c.Rank())); err != nil {
+			if err := writeAll(f, 0, mkData(c.Rank())); err != nil {
 				t.Error(err)
 			}
 		})
@@ -119,11 +119,11 @@ func TestCollectiveReadMatchesWrite(t *testing.T) {
 			buf[i] = byte(c.Rank()*91 + i)
 		}
 		wrote[c.Rank()] = buf
-		if err := f.WriteAtAll(0, buf); err != nil {
+		if err := writeAll(f, 0, buf); err != nil {
 			t.Error(err)
 		}
 		got := make([]byte, 80)
-		if err := f.ReadAtAll(0, got); err != nil {
+		if err := readAll(f, 0, got); err != nil {
 			t.Error(err)
 		}
 		read[c.Rank()] = got
@@ -143,12 +143,12 @@ func TestCollectiveWithIdleRanks(t *testing.T) {
 		defer f.Close()
 		if c.Rank() == 2 {
 			f.SetView(0, Bytes(16))
-			if err := f.WriteAtAll(0, []byte("0123456789abcdef")); err != nil {
+			if err := writeAll(f, 0, []byte("0123456789abcdef")); err != nil {
 				t.Error(err)
 			}
 		} else {
 			f.SetView(0, Bytes(16))
-			if err := f.WriteAtAll(0, nil); err != nil {
+			if err := writeAll(f, 0, nil); err != nil {
 				t.Error(err)
 			}
 		}
@@ -164,10 +164,10 @@ func TestCollectiveAllEmpty(t *testing.T) {
 	runIO(t, 3, sys, func(c *mpi.Comm) {
 		f, _ := Open(c, sys, "f", pfs.CreateMode, Hints{})
 		defer f.Close()
-		if err := f.WriteAtAll(0, nil); err != nil {
+		if err := writeAll(f, 0, nil); err != nil {
 			t.Error(err)
 		}
-		if err := f.ReadAtAll(0, nil); err != nil {
+		if err := readAll(f, 0, nil); err != nil {
 			t.Error(err)
 		}
 	})
@@ -180,7 +180,7 @@ func TestReadAtAllZeroFillsPastEOF(t *testing.T) {
 		f, _ := Open(c, sys, "f", pfs.ReadOnly, Hints{})
 		defer f.Close()
 		buf := []byte{7, 7, 7, 7}
-		if err := f.ReadAtAll(int64(c.Rank())*4, buf); err != nil {
+		if err := readAll(f, int64(c.Rank())*4, buf); err != nil {
 			t.Error(err)
 		}
 		if c.Rank() == 0 && (buf[0] != 9 || buf[2] != 0) {
@@ -206,7 +206,7 @@ func TestFewerAggregatorsThanRanks(t *testing.T) {
 		for i := range buf {
 			buf[i] = byte(c.Rank() + 1)
 		}
-		if err := f.WriteAtAll(int64(c.Rank())*1000, buf); err != nil {
+		if err := writeAll(f, int64(c.Rank())*1000, buf); err != nil {
 			t.Error(err)
 		}
 	})
@@ -233,7 +233,7 @@ func TestAggregatorRunIsOneRequest(t *testing.T) {
 		for i := range buf {
 			buf[i] = byte(c.Rank()*3 + 1)
 		}
-		if err := f.WriteAtAll(int64(c.Rank())*4096, buf); err != nil {
+		if err := writeAll(f, int64(c.Rank())*4096, buf); err != nil {
 			t.Error(err)
 		}
 	})
@@ -260,7 +260,7 @@ func TestCollectiveCoalescesRequests(t *testing.T) {
 				displs[i] = i*4 + c.Rank()
 			}
 			f.SetView(0, IndexedBlock(1, displs, Bytes(8)))
-			_ = f.WriteAtAll(0, make([]byte, 1024))
+			_ = writeAll(f, 0, make([]byte, 1024))
 		})
 		return sys.Stats().WriteReqs
 	}
@@ -465,11 +465,11 @@ func TestTwoPhaseRandomLayoutsProperty(t *testing.T) {
 			for i, g := range sorted {
 				binary.LittleEndian.PutUint64(buf[i*8:], uint64(g))
 			}
-			if err := f.WriteAtAll(0, buf); err != nil {
+			if err := writeAll(f, 0, buf); err != nil {
 				ok = false
 			}
 			got := make([]byte, len(buf))
-			if err := f.ReadAtAll(0, got); err != nil {
+			if err := readAll(f, 0, got); err != nil {
 				ok = false
 			}
 			if !bytes.Equal(got, buf) {

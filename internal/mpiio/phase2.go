@@ -159,39 +159,25 @@ func sieveRunsInto(dst []sieveRun, all []aggSeg, maxGap int64) []sieveRun {
 	return dst
 }
 
-// chunkedWriteAt issues buf at off as one vectored request beginning at
-// virtual time `at`, returning the completion time without touching the
-// rank's clock — the unit of a forked phase-2 sub-timeline. The run is
-// a single contiguous stripe span server-side, so each I/O server is
-// charged once for its share of the whole run. Phase 2 runs on
-// aggregators only, and every aggregator opened the file at Open.
-func (f *File) chunkedWriteAt(buf []byte, off int64, at sim.Time) (sim.Time, error) {
+// writeRun writes buf at off as one one-extent vectored request on the
+// rank's clock: the unit of a phase-2 sub-timeline. The run is a single
+// contiguous stripe span server-side, so each I/O server is charged once
+// for its share of the whole run. Phase 2 runs on aggregators only, and
+// every aggregator opened the file at Open.
+func (f *File) writeRun(buf []byte, off int64) error {
 	f.scr().ext[0] = Segment{Off: off, Len: int64(len(buf))}
-	done, _, err := f.h.WriteAtVecTime(buf, f.scr().ext[:], at)
-	return done, err
-}
-
-// chunkedReadAt fills buf from off as one vectored request beginning at
-// `at`, returning the completion time; reads past EOF zero-fill.
-func (f *File) chunkedReadAt(buf []byte, off int64, at sim.Time) (sim.Time, error) {
-	f.scr().ext[0] = Segment{Off: off, Len: int64(len(buf))}
-	done, _, err := f.h.ReadAtVecTime(buf, f.scr().ext[:], at)
-	if err != nil && err != io.EOF {
-		return done, err
-	}
-	return done, nil
-}
-
-// WriteAtAll collectively writes each rank's data at its logical offset
-// through the view. Every rank of the communicator must participate
-// (pass a nil/empty slice to contribute nothing).
-func (f *File) WriteAtAll(off int64, data []byte) error {
-	f.scr().ops[0] = BatchOp{Disp: f.disp, Type: f.filetype, Off: off, Data: data}
-	err := f.WriteAtAllOps(f.scr().ops[:1])
-	// Drop the op-slot alias; flat/parcel scratch still references the
-	// buffer until the next collective, per the ioScratch protocol.
-	f.scr().ops[0] = BatchOp{}
+	_, err := f.h.WriteAtVec(buf, f.scr().ext[:])
 	return err
+}
+
+// readRun fills buf from off as one one-extent vectored request on the
+// rank's clock; reads past EOF zero-fill.
+func (f *File) readRun(buf []byte, off int64) error {
+	f.scr().ext[0] = Segment{Off: off, Len: int64(len(buf))}
+	if _, err := f.h.ReadAtVec(buf, f.scr().ext[:]); err != io.EOF {
+		return err
+	}
+	return nil
 }
 
 // WriteAtAllOps collectively writes a whole batch of operations as ONE
@@ -249,28 +235,26 @@ func (f *File) WriteAtAllOps(ops []BatchOp) error {
 		fork := clock.Now()
 		join := fork
 		for _, run := range runs {
-			at := fork
 			f.scr().writeStage = grow(f.scr().writeStage, run.end-run.start)
 			buf := f.scr().writeStage
 			if run.holes {
-				var err error
-				if at, err = f.chunkedReadAt(buf, run.start, at); err != nil {
+				if err := f.readRun(buf, run.start); err != nil {
 					return err
 				}
 			}
 			for _, a := range all[run.lo:run.hi] {
 				copy(buf[a.seg.Off-run.start:], incoming[a.src].Bufs[a.srcIdx])
 			}
-			at, err := f.chunkedWriteAt(buf, run.start, at)
-			if err != nil {
+			if err := f.writeRun(buf, run.start); err != nil {
 				return err
 			}
 			if tr != nil {
-				tr.Emit(obs.PidRank(f.comm.Rank()), "mpiio", "phase2:write-run", fork, at,
+				tr.Emit(obs.PidRank(f.comm.Rank()), "mpiio", "phase2:write-run", fork, clock.Now(),
 					obs.KV{Key: "bytes", Val: fmt.Sprint(run.end - run.start)},
 					obs.KV{Key: "sieved", Val: fmt.Sprint(run.holes)})
 			}
-			join = sim.MaxTime(join, at)
+			join = sim.MaxTime(join, clock.Now())
+			clock.Rebase(fork)
 		}
 		clock.AdvanceTo(join)
 	}
@@ -279,9 +263,11 @@ func (f *File) WriteAtAllOps(ops []BatchOp) error {
 }
 
 // opSegments maps one op's logical range through its view into the
-// File's reusable segment scratch — the per-op flattening the
-// independent (DisableCollective) fallback issues as one vectored
-// request, with the op's Data already concatenated in segment order.
+// File's reusable segment scratch — the one flattening beneath the
+// two-phase batch, its independent (DisableCollective) fallback and
+// WriteAt/ReadAt, the last two issuing the list as one vectored request
+// with the op's Data already concatenated in segment order. The result
+// is valid until the next opSegments call on this File.
 func (f *File) opSegments(op *BatchOp) []Segment {
 	segs := f.scr().segs[:0]
 	n := int64(len(op.Data))
@@ -311,23 +297,11 @@ func (r *readReply) bytes() int64 {
 	return n
 }
 
-// ReadAtAll collectively fills each rank's buffer from its logical
-// offset through the view. Short reads (past EOF) zero-fill, mirroring
-// a collective read of a hole; an error is returned only for structural
-// failures.
-func (f *File) ReadAtAll(off int64, data []byte) error {
-	f.scr().ops[0] = BatchOp{Disp: f.disp, Type: f.filetype, Off: off, Data: data}
-	err := f.ReadAtAllOps(f.scr().ops[:1])
-	// Drop the op-slot alias; flat/parcel scratch still references the
-	// buffer until the next collective, per the ioScratch protocol.
-	f.scr().ops[0] = BatchOp{}
-	return err
-}
-
 // ReadAtAllOps collectively fills a whole batch of operations as one
 // two-phase collective, the read counterpart of WriteAtAllOps: each
 // op's Data receives the bytes its (Disp, Type, Off) range maps to.
-// Short reads zero-fill.
+// Short reads (past EOF) zero-fill, mirroring a collective read of a
+// hole; an error is returned only for structural failures.
 func (f *File) ReadAtAllOps(ops []BatchOp) error {
 	if f.hints.DisableCollective {
 		h, err := f.handle()
@@ -382,15 +356,15 @@ func (f *File) ReadAtAllOps(ops []BatchOp) error {
 		for _, run := range runs {
 			buf := arena[cur : cur+run.end-run.start]
 			cur += run.end - run.start
-			done, err := f.chunkedReadAt(buf, run.start, fork)
-			if err != nil {
+			if err := f.readRun(buf, run.start); err != nil {
 				return err
 			}
 			if tr != nil {
-				tr.Emit(obs.PidRank(f.comm.Rank()), "mpiio", "phase2:read-run", fork, done,
+				tr.Emit(obs.PidRank(f.comm.Rank()), "mpiio", "phase2:read-run", fork, clock.Now(),
 					obs.KV{Key: "bytes", Val: fmt.Sprint(run.end - run.start)})
 			}
-			join = sim.MaxTime(join, done)
+			join = sim.MaxTime(join, clock.Now())
+			clock.Rebase(fork)
 			for _, a := range all[run.lo:run.hi] {
 				replies[a.src].Data[a.srcIdx] = buf[a.seg.Off-run.start : a.seg.Off-run.start+a.seg.Len]
 			}

@@ -76,11 +76,11 @@ func stripedRoundTrip(c *mpi.Comm, sys *pfs.System, name string, hints Hints, di
 	for i := range buf {
 		buf[i] = byte(c.Rank()*37 + i + len(name))
 	}
-	if err := f.WriteAtAll(0, buf); err != nil {
+	if err := writeAll(f, 0, buf); err != nil {
 		return [3]int64{}, err
 	}
 	got := make([]byte, len(buf))
-	if err := f.ReadAtAll(0, got); err != nil {
+	if err := readAll(f, 0, got); err != nil {
 		return [3]int64{}, err
 	}
 	if !bytes.Equal(got, buf) {

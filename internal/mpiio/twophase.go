@@ -24,9 +24,11 @@ import "sdm/internal/mpi"
 // through a second all-to-all.
 // ---------------------------------------------------------------------------
 
-// BatchOp is one operation of a multi-op collective batch: data written
-// to (or read into) the logical offset Off through the view (Disp,
-// Type). A nil Type means contiguous bytes from Disp. Batching a whole
+// BatchOp is one operation of a collective batch: data written to (or
+// read into) the logical offset Off through the view (Disp, Type). A
+// nil Type means contiguous bytes from Disp. A single collective is a
+// batch of one op that names its view (the one SetView installed and
+// charged, for a caller that keeps the MPI shape). Batching a whole
 // timestep's datasets into one WriteAtAllOps/ReadAtAllOps call merges
 // their segments into a single two-phase collective — one extent
 // agreement, one all-to-all, and coalesced file requests across the

@@ -70,10 +70,10 @@ func TestCostIdenticalAcrossBackends(t *testing.T) {
 		rng := rand.New(rand.NewSource(99))
 		payload := make([]byte, 300*1024)
 		rng.Read(payload)
-		if _, err := h.WriteAt(payload, 0); err != nil {
+		if _, err := writeAt(h, payload, 0); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := h.WriteAt(payload[:70000], 1<<20); err != nil {
+		if _, err := writeAt(h, payload[:70000], 1<<20); err != nil {
 			t.Fatal(err)
 		}
 		exts := []Extent{{Off: 0, Len: 5000}, {Off: 5000, Len: 5000}, {Off: 600000, Len: 8000}}
@@ -81,7 +81,7 @@ func TestCostIdenticalAcrossBackends(t *testing.T) {
 			t.Fatal(err)
 		}
 		buf := make([]byte, 256*1024)
-		if _, err := h.ReadAt(buf, 100); err != nil {
+		if _, err := readAt(h, buf, 100); err != nil {
 			t.Fatal(err)
 		}
 		vbuf := make([]byte, 18000)
@@ -95,7 +95,7 @@ func TestCostIdenticalAcrossBackends(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		results[name] = outcome{now: clock.Now(), stats: sys.StatsSnapshot(), data: full}
+		results[name] = outcome{now: clock.Now(), stats: sys.Stats(), data: full}
 	}
 	ref := results["mem"]
 	for name, got := range results {
@@ -142,7 +142,7 @@ func TestBundleReopenVisibleFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 5)
-	if _, err := h.ReadAt(buf, 0); err != nil || string(buf) != "hello" {
+	if _, err := readAt(h, buf, 0); err != nil || string(buf) != "hello" {
 		t.Fatalf("handle read = (%q, %v)", buf, err)
 	}
 }

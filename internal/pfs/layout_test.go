@@ -89,7 +89,7 @@ func TestLayoutNotCarriedByTheBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := bytes.Repeat([]byte("layout"), 1000)
-	if _, err := h.WriteAt(data, 0); err != nil {
+	if _, err := writeAt(h, data, 0); err != nil {
 		t.Fatal(err)
 	}
 	b := NewSystemOn(Config{NumServers: 4, StripeSize: 2048}, backend)
@@ -118,7 +118,7 @@ func TestLayoutStripesByFileUnit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := h.WriteAt(make([]byte, 4096), 0); err != nil {
+		if _, err := writeAt(h, make([]byte, 4096), 0); err != nil {
 			t.Fatal(err)
 		}
 		return clock.Now().Sub(0)

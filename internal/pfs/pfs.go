@@ -176,19 +176,13 @@ func (s *System) Config() Config { return s.cfg }
 // Backend exposes the storage backend holding the file bytes.
 func (s *System) Backend() store.Backend { return s.backend }
 
-// Stats returns a snapshot of cumulative activity counters. It is an
-// alias for StatsSnapshot, kept for the many existing call sites.
-func (s *System) Stats() Stats {
-	return s.StatsSnapshot()
-}
-
-// StatsSnapshot returns a single atomically consistent copy of the
-// counters: the eight fields are loaded repeatedly until two
+// Stats returns a single atomically consistent copy of the cumulative
+// activity counters: the eight fields are loaded repeatedly until two
 // consecutive reads agree, so a snapshot taken while rank goroutines
 // are mid-update never pairs a bumped request count with a not-yet
 // bumped byte count. At quiescence (where tests read it) the first
 // double-read already agrees.
-func (s *System) StatsSnapshot() Stats {
+func (s *System) Stats() Stats {
 	prev := s.stats.snapshot()
 	for i := 0; i < 64; i++ {
 		cur := s.stats.snapshot()
@@ -251,15 +245,15 @@ func (s *System) ChargeView(clock *sim.Clock) {
 
 // RegisterMetrics registers the file system's counters and the
 // per-request service-time histogram with a metrics registry. The
-// existing atomic stats are exposed behind StatsSnapshot as a
-// snapshot source — no hot-path changes.
+// existing atomic stats are exposed behind Stats as a snapshot source —
+// no hot-path changes.
 func (s *System) RegisterMetrics(r *obs.Registry) {
 	if r == nil {
 		return
 	}
 	s.serviceHist = r.Histogram("pfs.server.service")
 	r.RegisterSource("pfs", func(put func(key string, val int64)) {
-		st := s.StatsSnapshot()
+		st := s.Stats()
 		put("opens", st.Opens)
 		put("creates", st.Creates)
 		put("closes", st.Closes)
@@ -627,86 +621,21 @@ func (h *Handle) charge(off, n int64, at sim.Time) sim.Time {
 	return done
 }
 
-// WriteAt stores p at offset off, charging simulated time to the
-// handle's clock.
-func (h *Handle) WriteAt(p []byte, off int64) (int, error) {
-	var at sim.Time
-	if h.clock != nil {
-		at = h.clock.Now()
-	}
-	done, n, err := h.WriteAtTime(p, off, at)
-	if h.clock != nil {
-		h.clock.AdvanceTo(done)
-	}
-	return n, err
-}
-
-// WriteAtTime is WriteAt with explicit virtual timing: the write begins
-// at `at` and the returned time is its completion. The handle's clock
-// is not touched, which is how SDM models its asynchronous history-file
-// write — the server becomes busy but the issuing rank continues.
-func (h *Handle) WriteAtTime(p []byte, off int64, at sim.Time) (sim.Time, int, error) {
-	if h.closed {
-		return at, 0, ErrClosed
-	}
-	if h.mode == ReadOnly {
-		return at, 0, ErrReadOnly
-	}
-	if off < 0 {
-		return at, 0, fmt.Errorf("pfs: negative offset %d", off)
-	}
-	if err := h.f.writeAt(p, off); err != nil {
-		return at, 0, err
-	}
-	done := h.charge(off, int64(len(p)), at)
-	h.sys.stats.writeReqs.Add(1)
-	h.sys.stats.bytesWritten.Add(int64(len(p)))
-	return done, len(p), nil
-}
-
-// ReadAt fills p from offset off, charging simulated time. Like
-// os.File.ReadAt it returns io.EOF with a short count when the read
-// extends past end of file.
-func (h *Handle) ReadAt(p []byte, off int64) (int, error) {
-	var at sim.Time
-	if h.clock != nil {
-		at = h.clock.Now()
-	}
-	done, n, err := h.ReadAtTime(p, off, at)
-	if h.clock != nil {
-		h.clock.AdvanceTo(done)
-	}
-	return n, err
-}
-
-// ReadAtTime is ReadAt with explicit virtual timing (see WriteAtTime).
-func (h *Handle) ReadAtTime(p []byte, off int64, at sim.Time) (sim.Time, int, error) {
-	if h.closed {
-		return at, 0, ErrClosed
-	}
-	if off < 0 {
-		return at, 0, fmt.Errorf("pfs: negative offset %d", off)
-	}
-	n, err := h.f.readAt(p, off)
-	done := h.charge(off, int64(n), at)
-	h.sys.stats.readRequests.Add(1)
-	h.sys.stats.bytesRead.Add(int64(n))
-	return done, n, err
-}
-
 // ---------------------------------------------------------------------------
 // Vectored I/O
 //
-// A vectored request carries a whole batch of (offset, length) extents
-// in one handle call — the shape ROMIO's two-phase aggregators and
-// data-sieving layer produce. Extents that are physically adjacent
-// coalesce into one contiguous span, and each I/O server is charged one
-// request per span it participates in, instead of one request per
-// extent per call. Spans are serviced in order: span i+1 is issued at
-// span i's completion, exactly as a loop of WriteAt/ReadAt calls would
-// be, so a batch of disjoint extents costs the same virtual time as the
-// call-per-extent loop it replaces while doing one handle call, one
-// stats update, and zero allocations.
+// A request is one vectored call on a handle: a batch of (offset,
+// length) extents — the shape ROMIO's two-phase aggregators and
+// data-sieving layer produce — and a contiguous access is a batch of one
+// extent. Extents that are physically adjacent coalesce into one
+// contiguous span, and each I/O server is charged one request per span
+// it participates in. The call is issued at the handle's clock (time
+// zero on a handle without one, as staging opens them) and its spans are
+// serviced in order, span i+1 issued at span i's completion, chained
+// through the call rather than through the clock; the clock then
+// advances to the last completion. A request the rank does not wait for
+// is issued on a forked clock (sim.Clock.Rebase). One call is one stats
+// update and, in steady state, zero allocations.
 // ---------------------------------------------------------------------------
 
 // Extent is one (offset, length) piece of a vectored request.
@@ -749,46 +678,52 @@ func (h *Handle) coalesce(exts []Extent) ([]vecSpan, int64, error) {
 	return spans, pos, nil
 }
 
+// start is the virtual time a request on this handle is issued at.
+func (h *Handle) start() sim.Time {
+	if h.clock == nil {
+		return 0
+	}
+	return h.clock.Now()
+}
+
+// finish advances the handle's clock to a request's completion.
+func (h *Handle) finish(done sim.Time) {
+	if h.clock != nil {
+		h.clock.AdvanceTo(done)
+	}
+}
+
 // WriteAtVec stores a batch of extents in one vectored request. p holds
 // the payloads concatenated in extent order and must be at least as
 // long as the extents' total length.
 func (h *Handle) WriteAtVec(p []byte, exts []Extent) (int, error) {
-	var at sim.Time
-	if h.clock != nil {
-		at = h.clock.Now()
-	}
-	done, n, err := h.WriteAtVecTime(p, exts, at)
-	if h.clock != nil {
-		h.clock.AdvanceTo(done)
-	}
-	return n, err
-}
-
-// WriteAtVecTime is WriteAtVec with explicit virtual timing.
-func (h *Handle) WriteAtVecTime(p []byte, exts []Extent, at sim.Time) (sim.Time, int, error) {
 	if h.closed {
-		return at, 0, ErrClosed
+		return 0, ErrClosed
 	}
 	if h.mode == ReadOnly {
-		return at, 0, ErrReadOnly
+		return 0, ErrReadOnly
 	}
 	spans, total, err := h.coalesce(exts)
 	if err != nil {
-		return at, 0, err
+		return 0, err
 	}
 	if total > int64(len(p)) {
-		return at, 0, fmt.Errorf("pfs: vectored write of %d extent bytes with %d payload bytes", total, len(p))
+		return 0, fmt.Errorf("pfs: vectored write of %d extent bytes with %d payload bytes", total, len(p))
 	}
-	done := at
+	done := h.start()
 	for _, sp := range spans {
-		if err := h.f.writeAt(p[sp.pPos:sp.pPos+sp.n], sp.off); err != nil {
-			return done, 0, err
+		if err = h.f.writeAt(p[sp.pPos:sp.pPos+sp.n], sp.off); err != nil {
+			break
 		}
 		done = h.charge(sp.off, sp.n, done)
 	}
+	h.finish(done)
+	if err != nil {
+		return 0, err
+	}
 	h.sys.stats.writeReqs.Add(int64(len(spans)))
 	h.sys.stats.bytesWritten.Add(total)
-	return done, int(total), nil
+	return int(total), nil
 }
 
 // ReadAtVec fills a batch of extents in one vectored request. p
@@ -797,51 +732,41 @@ func (h *Handle) WriteAtVecTime(p []byte, exts []Extent, at sim.Time) (sim.Time,
 // returned alongside the byte count actually read from the file, so
 // reusable staging buffers never leak stale bytes.
 func (h *Handle) ReadAtVec(p []byte, exts []Extent) (int, error) {
-	var at sim.Time
-	if h.clock != nil {
-		at = h.clock.Now()
-	}
-	done, n, err := h.ReadAtVecTime(p, exts, at)
-	if h.clock != nil {
-		h.clock.AdvanceTo(done)
-	}
-	return n, err
-}
-
-// ReadAtVecTime is ReadAtVec with explicit virtual timing.
-func (h *Handle) ReadAtVecTime(p []byte, exts []Extent, at sim.Time) (sim.Time, int, error) {
 	if h.closed {
-		return at, 0, ErrClosed
+		return 0, ErrClosed
 	}
 	spans, total, err := h.coalesce(exts)
 	if err != nil {
-		return at, 0, err
+		return 0, err
 	}
 	if total > int64(len(p)) {
-		return at, 0, fmt.Errorf("pfs: vectored read of %d extent bytes into %d payload bytes", total, len(p))
+		return 0, fmt.Errorf("pfs: vectored read of %d extent bytes into %d payload bytes", total, len(p))
 	}
-	done := at
+	done := h.start()
 	var read int64
-	short := false
 	for _, sp := range spans {
 		buf := p[sp.pPos : sp.pPos+sp.n]
-		n, err := h.f.readAt(buf, sp.off)
+		n, rerr := h.f.readAt(buf, sp.off)
 		if int64(n) < sp.n {
 			clear(buf[n:])
-			short = true
-			if err != nil && err != io.EOF {
-				return done, int(read), err
+			if rerr != nil && rerr != io.EOF {
+				err = rerr
+				break
 			}
 		}
 		read += int64(n)
 		done = h.charge(sp.off, int64(n), done)
 	}
+	h.finish(done)
+	if err != nil {
+		return int(read), err
+	}
 	h.sys.stats.readRequests.Add(int64(len(spans)))
 	h.sys.stats.bytesRead.Add(read)
-	if short {
-		return done, int(read), io.EOF
+	if read < total {
+		return int(read), io.EOF
 	}
-	return done, int(read), nil
+	return int(read), nil
 }
 
 // WriteFile stores data as name without cost accounting, for staging

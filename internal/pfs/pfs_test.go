@@ -25,11 +25,11 @@ func TestReadAfterWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	msg := []byte("hello, parallel world")
-	if _, err := h.WriteAt(msg, 100); err != nil {
+	if _, err := writeAt(h, msg, 100); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, len(msg))
-	if _, err := h.ReadAt(got, 100); err != nil {
+	if _, err := readAt(h, got, 100); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, msg) {
@@ -43,9 +43,9 @@ func TestReadAfterWrite(t *testing.T) {
 func TestSparseReadReturnsZeros(t *testing.T) {
 	s := NewSystem(freeConfig())
 	h, _ := s.Open("sparse", CreateMode, nil)
-	_, _ = h.WriteAt([]byte{0xFF}, 100_000) // leaves a hole before it
+	_, _ = writeAt(h, []byte{0xFF}, 100_000) // leaves a hole before it
 	got := make([]byte, 16)
-	if _, err := h.ReadAt(got, 50_000); err != nil {
+	if _, err := readAt(h, got, 50_000); err != nil {
 		t.Fatal(err)
 	}
 	for _, b := range got {
@@ -58,16 +58,16 @@ func TestSparseReadReturnsZeros(t *testing.T) {
 func TestReadPastEOF(t *testing.T) {
 	s := NewSystem(freeConfig())
 	h, _ := s.Open("f", CreateMode, nil)
-	_, _ = h.WriteAt([]byte("abcd"), 0)
+	_, _ = writeAt(h, []byte("abcd"), 0)
 	got := make([]byte, 10)
-	n, err := h.ReadAt(got, 2)
+	n, err := readAt(h, got, 2)
 	if n != 2 || !errors.Is(err, io.EOF) {
 		t.Fatalf("n=%d err=%v, want 2, EOF", n, err)
 	}
 	if string(got[:n]) != "cd" {
 		t.Fatalf("got %q", got[:n])
 	}
-	if _, err := h.ReadAt(got, 100); !errors.Is(err, io.EOF) {
+	if _, err := readAt(h, got, 100); !errors.Is(err, io.EOF) {
 		t.Fatalf("read far past EOF: %v", err)
 	}
 }
@@ -80,9 +80,9 @@ func TestCrossPageWrite(t *testing.T) {
 		data[i] = byte(i * 31)
 	}
 	off := int64(64*1024 - 5)
-	_, _ = h.WriteAt(data, off)
+	_, _ = writeAt(h, data, off)
 	got := make([]byte, len(data))
-	if _, err := h.ReadAt(got, off); err != nil {
+	if _, err := readAt(h, got, off); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {
@@ -101,7 +101,7 @@ func TestReadOnlyRejectsWrites(t *testing.T) {
 	s := NewSystem(freeConfig())
 	_ = s.WriteFile("f", []byte("x"))
 	h, _ := s.Open("f", ReadOnly, nil)
-	if _, err := h.WriteAt([]byte("y"), 0); !errors.Is(err, ErrReadOnly) {
+	if _, err := writeAt(h, []byte("y"), 0); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -110,10 +110,10 @@ func TestClosedHandle(t *testing.T) {
 	s := NewSystem(freeConfig())
 	h, _ := s.Open("f", CreateMode, nil)
 	_ = h.Close()
-	if _, err := h.WriteAt([]byte("x"), 0); !errors.Is(err, ErrClosed) {
+	if _, err := writeAt(h, []byte("x"), 0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("write err = %v", err)
 	}
-	if _, err := h.ReadAt(make([]byte, 1), 0); !errors.Is(err, ErrClosed) {
+	if _, err := readAt(h, make([]byte, 1), 0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("read err = %v", err)
 	}
 	if err := h.Close(); !errors.Is(err, ErrClosed) {
@@ -154,9 +154,9 @@ func TestTruncate(t *testing.T) {
 		t.Fatalf("size %d (%v)", sz, err)
 	}
 	h, _ := s.Open("f", CreateMode, nil)
-	_, _ = h.WriteAt([]byte{1}, 150_000)
+	_, _ = writeAt(h, []byte{1}, 150_000)
 	got := make([]byte, 4)
-	_, _ = h.ReadAt(got, 100_000)
+	_, _ = readAt(h, got, 100_000)
 	if got[0] != 0 {
 		t.Fatal("truncated data resurfaced")
 	}
@@ -212,7 +212,7 @@ func TestViewCostCharged(t *testing.T) {
 	if clock.Now() != sim.Time(5*time.Millisecond) {
 		t.Fatalf("clock=%v", clock.Now())
 	}
-	if s.StatsSnapshot().Views != 1 {
+	if s.Stats().Views != 1 {
 		t.Fatal("view not counted")
 	}
 }
@@ -224,7 +224,7 @@ func TestTransferCostParallelServers(t *testing.T) {
 	s := NewSystem(cfg)
 	clock := sim.NewClock()
 	h, _ := s.Open("f", CreateMode, clock)
-	_, _ = h.WriteAt(make([]byte, 1<<20), 0)
+	_, _ = writeAt(h, make([]byte, 1<<20), 0)
 	got := clock.Now()
 	want := sim.Time(262_144_000) // 256 KiB at 1 MB/s = 0.262144s
 	if got != want {
@@ -239,8 +239,8 @@ func TestSingleServerContention(t *testing.T) {
 	c1, c2 := sim.NewClock(), sim.NewClock()
 	h1, _ := s.Open("f", CreateMode, c1)
 	h2, _ := s.Open("f", ReadWrite, c2)
-	_, _ = h1.WriteAt(make([]byte, 1e6), 0)
-	_, _ = h2.WriteAt(make([]byte, 1e6), 0)
+	_, _ = writeAt(h1, make([]byte, 1e6), 0)
+	_, _ = writeAt(h2, make([]byte, 1e6), 0)
 	if c1.Now() != sim.Time(time.Second) {
 		t.Fatalf("first writer done at %v", c1.Now())
 	}
@@ -256,7 +256,7 @@ func TestRequestLatencyPenalizesSmallIO(t *testing.T) {
 	// One 1 MB request...
 	c1 := sim.NewClock()
 	h, _ := s.Open("f", CreateMode, c1)
-	_, _ = h.WriteAt(make([]byte, 1<<20), 0)
+	_, _ = writeAt(h, make([]byte, 1<<20), 0)
 	oneBig := c1.Now()
 
 	// ...versus 64 requests of 16 KiB.
@@ -264,7 +264,7 @@ func TestRequestLatencyPenalizesSmallIO(t *testing.T) {
 	c2 := sim.NewClock()
 	h2, _ := s2.Open("f", CreateMode, c2)
 	for i := 0; i < 64; i++ {
-		_, _ = h2.WriteAt(make([]byte, 16*1024), int64(i*16*1024))
+		_, _ = writeAt(h2, make([]byte, 16*1024), int64(i*16*1024))
 	}
 	manySmall := c2.Now()
 	if manySmall <= oneBig {
@@ -275,15 +275,20 @@ func TestRequestLatencyPenalizesSmallIO(t *testing.T) {
 	}
 }
 
+// An asynchronous write is a request issued on a forked sub-timeline:
+// the rank rebases to the fork point and goes on, while the server stays
+// busy until the completion the request returned.
 func TestAsyncWriteDoesNotBlockClock(t *testing.T) {
 	cfg := Config{NumServers: 1, StripeSize: 1 << 20, ServerBandwidth: 1e6}
 	s := NewSystem(cfg)
 	clock := sim.NewClock()
 	h, _ := s.Open("hist", CreateMode, clock)
-	done, _, err := h.WriteAtTime(make([]byte, 1e6), 0, clock.Now())
-	if err != nil {
+	fork := clock.Now()
+	if _, err := writeAt(h, make([]byte, 1e6), 0); err != nil {
 		t.Fatal(err)
 	}
+	done := clock.Now()
+	clock.Rebase(fork)
 	if clock.Now() != 0 {
 		t.Fatalf("async write advanced issuing clock to %v", clock.Now())
 	}
@@ -291,7 +296,7 @@ func TestAsyncWriteDoesNotBlockClock(t *testing.T) {
 		t.Fatalf("completion %v, want 1s", done)
 	}
 	// A later synchronous access to the same server queues behind it.
-	_, _ = h.ReadAt(make([]byte, 1), 0)
+	_, _ = readAt(h, make([]byte, 1), 0)
 	if clock.Now() <= sim.Time(time.Second) {
 		t.Fatalf("subsequent read did not queue behind async write: %v", clock.Now())
 	}
@@ -300,10 +305,10 @@ func TestAsyncWriteDoesNotBlockClock(t *testing.T) {
 func TestStats(t *testing.T) {
 	s := NewSystem(freeConfig())
 	h, _ := s.Open("f", CreateMode, nil)
-	_, _ = h.WriteAt(make([]byte, 100), 0)
-	_, _ = h.ReadAt(make([]byte, 40), 0)
+	_, _ = writeAt(h, make([]byte, 100), 0)
+	_, _ = readAt(h, make([]byte, 40), 0)
 	_ = h.Close()
-	st := s.StatsSnapshot()
+	st := s.Stats()
 	if st.Opens != 1 || st.Creates != 1 || st.Closes != 1 {
 		t.Fatalf("open/create/close stats %+v", st)
 	}
@@ -342,11 +347,11 @@ func TestResetSchedules(t *testing.T) {
 	cfg := Config{NumServers: 1, StripeSize: 1024, ServerBandwidth: 1e6}
 	s := NewSystem(cfg)
 	h, _ := s.Open("f", CreateMode, nil)
-	_, _ = h.WriteAt(make([]byte, 1e6), 0)
+	_, _ = writeAt(h, make([]byte, 1e6), 0)
 	s.ResetSchedules()
 	clock := sim.NewClock()
 	h2, _ := s.Open("f", ReadWrite, clock)
-	_, _ = h2.ReadAt(make([]byte, 10), 0)
+	_, _ = readAt(h2, make([]byte, 10), 0)
 	if clock.Now() > sim.Time(time.Millisecond) {
 		t.Fatalf("schedule not reset, clock %v", clock.Now())
 	}
@@ -362,11 +367,11 @@ func TestWriteReadProperty(t *testing.T) {
 			return true
 		}
 		o := int64(off % 10_000_000)
-		if _, err := h.WriteAt(data, o); err != nil {
+		if _, err := writeAt(h, data, o); err != nil {
 			return false
 		}
 		got := make([]byte, len(data))
-		if _, err := h.ReadAt(got, o); err != nil && !errors.Is(err, io.EOF) {
+		if _, err := readAt(h, got, o); err != nil && !errors.Is(err, io.EOF) {
 			return false
 		}
 		return bytes.Equal(got, data)

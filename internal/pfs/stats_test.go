@@ -15,7 +15,7 @@ func statsLE(a, b Stats) bool {
 		a.BytesRead <= b.BytesRead && a.BytesWritten <= b.BytesWritten
 }
 
-// StatsSnapshot must stay monotonic and land on the exact totals while
+// Stats must stay monotonic and land on the exact totals while
 // rank goroutines hammer the counters — the race the consistent
 // snapshot closed (field-by-field reads could pair a bumped request
 // count with a stale byte count, or tear across a concurrent reset).
@@ -33,14 +33,14 @@ func TestStatsSnapshotUnderConcurrency(t *testing.T) {
 	readerWG.Add(1)
 	go func() {
 		defer readerWG.Done()
-		prev := s.StatsSnapshot()
+		prev := s.Stats()
 		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			cur := s.StatsSnapshot()
+			cur := s.Stats()
 			if !statsLE(prev, cur) {
 				snapErr = fmt.Errorf("snapshot went backwards:\nprev %+v\ncur  %+v", prev, cur)
 				return
@@ -61,11 +61,11 @@ func TestStatsSnapshotUnderConcurrency(t *testing.T) {
 			}
 			buf := make([]byte, chunk)
 			for i := 0; i < rounds; i++ {
-				if _, err := h.WriteAt(buf, int64(i*chunk)); err != nil {
+				if _, err := writeAt(h, buf, int64(i*chunk)); err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := h.ReadAt(buf, int64(i*chunk)); err != nil {
+				if _, err := readAt(h, buf, int64(i*chunk)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -91,10 +91,7 @@ func TestStatsSnapshotUnderConcurrency(t *testing.T) {
 		BytesRead:    writers * rounds * chunk,
 		BytesWritten: writers * rounds * chunk,
 	}
-	if st := s.StatsSnapshot(); st != want {
-		t.Fatalf("final stats %+v, want %+v", st, want)
-	}
 	if st := s.Stats(); st != want {
-		t.Fatalf("Stats() = %+v, want %+v (must alias StatsSnapshot)", st, want)
+		t.Fatalf("final stats %+v, want %+v", st, want)
 	}
 }

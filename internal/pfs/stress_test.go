@@ -40,8 +40,8 @@ func TestConcurrentRankGoroutines(t *testing.T) {
 			pattern := bytes.Repeat([]byte{byte(rank + 1)}, 256)
 			exts := []Extent{{0, 128}, {1024, 64}, {4096, 64}}
 			for i := 0; i < rounds; i++ {
-				// Private file: scalar and vectored writes, then verify.
-				if _, err := ph.WriteAt(pattern, int64(i*256)); err != nil {
+				// Private file: one-extent and three-extent writes, then verify.
+				if _, err := writeAt(ph, pattern, int64(i*256)); err != nil {
 					errs <- err
 					return
 				}
@@ -50,7 +50,7 @@ func TestConcurrentRankGoroutines(t *testing.T) {
 					return
 				}
 				got := make([]byte, 256)
-				if _, err := ph.ReadAt(got, int64(i*256)); err != nil {
+				if _, err := readAt(ph, got, int64(i*256)); err != nil {
 					errs <- err
 					return
 				}
@@ -60,7 +60,7 @@ func TestConcurrentRankGoroutines(t *testing.T) {
 				}
 				// Shared file: disjoint per-rank regions.
 				off := int64(rank) * 256
-				if _, err := sh.WriteAt(pattern, off); err != nil {
+				if _, err := writeAt(sh, pattern, off); err != nil {
 					errs <- err
 					return
 				}
@@ -113,14 +113,14 @@ func TestConcurrentRankGoroutines(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := make([]byte, 256)
-		if _, err := h.ReadAt(got, int64(r)*256); err != nil {
+		if _, err := readAt(h, got, int64(r)*256); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, bytes.Repeat([]byte{byte(r + 1)}, 256)) {
 			t.Fatalf("rank %d region of shared file corrupted", r)
 		}
 	}
-	st := sys.StatsSnapshot()
+	st := sys.Stats()
 	if st.Opens != ranks*2+ranks+ranks*rounds || st.Closes != ranks*2 {
 		t.Logf("stats: %+v", st) // counts are informative; exactness depends on helper opens
 	}

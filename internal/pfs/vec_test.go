@@ -18,7 +18,9 @@ func vecConfig() Config {
 	}
 }
 
-func TestWriteAtVecMatchesScalarWrites(t *testing.T) {
+// One N-extent call equals the same extents issued as N one-extent
+// calls: the same bytes, the same clock and the same Stats.
+func TestWriteAtVecMatchesOneExtentCalls(t *testing.T) {
 	exts := []Extent{{0, 100}, {500, 200}, {4096, 300}}
 	payload := make([]byte, 600)
 	for i := range payload {
@@ -37,7 +39,7 @@ func TestWriteAtVecMatchesScalarWrites(t *testing.T) {
 	hb, _ := sysB.Open("f", CreateMode, clockB)
 	pos := int64(0)
 	for _, e := range exts {
-		if _, err := hb.WriteAt(payload[pos:pos+e.Len], e.Off); err != nil {
+		if _, err := writeAt(hb, payload[pos:pos+e.Len], e.Off); err != nil {
 			t.Fatal(err)
 		}
 		pos += e.Len
@@ -47,16 +49,19 @@ func TestWriteAtVecMatchesScalarWrites(t *testing.T) {
 	da, _ := sysA.ReadFile("f")
 	db, _ := sysB.ReadFile("f")
 	if !bytes.Equal(da, db) {
-		t.Fatal("vectored write content differs from scalar writes")
+		t.Fatal("N-extent write content differs from one-extent writes")
 	}
 	// Identical virtual cost: disjoint extents charge span by span,
 	// sequentially, exactly like the call-per-extent loop.
 	if clockA.Now() != clockB.Now() {
-		t.Fatalf("vectored cost %v != scalar cost %v", clockA.Now(), clockB.Now())
+		t.Fatalf("N-extent cost %v != one-extent cost %v", clockA.Now(), clockB.Now())
 	}
-	// One request per extent (none adjacent here).
-	if got := sysA.StatsSnapshot().WriteReqs; got != int64(len(exts)) {
+	// One request per extent (none adjacent here), and nothing else apart.
+	if got := sysA.Stats().WriteReqs; got != int64(len(exts)) {
 		t.Fatalf("WriteReqs = %d, want %d", got, len(exts))
+	}
+	if a, b := sysA.Stats(), sysB.Stats(); a != b {
+		t.Fatalf("N-extent stats %+v != one-extent stats %+v", a, b)
 	}
 }
 
@@ -74,7 +79,7 @@ func TestVecCoalescesAdjacentExtents(t *testing.T) {
 	if _, err := h.WriteAtVec(payload, exts); err != nil {
 		t.Fatal(err)
 	}
-	if got := sys.StatsSnapshot().WriteReqs; got != 1 {
+	if got := sys.Stats().WriteReqs; got != 1 {
 		t.Fatalf("WriteReqs = %d, want 1 coalesced request", got)
 	}
 	got := make([]byte, 1536)
@@ -89,7 +94,7 @@ func TestVecCoalescesAdjacentExtents(t *testing.T) {
 func TestReadAtVecZeroFillsPastEOF(t *testing.T) {
 	sys := NewSystem(vecConfig())
 	h, _ := sys.Open("f", CreateMode, nil)
-	if _, err := h.WriteAt([]byte{1, 2, 3, 4}, 0); err != nil {
+	if _, err := writeAt(h, []byte{1, 2, 3, 4}, 0); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 8)

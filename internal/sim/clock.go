@@ -85,13 +85,13 @@ func (c *Clock) AdvanceTo(t Time) {
 //
 // Concurrency inside one simulated process — an aggregator issuing its
 // coalesced phase-2 runs at once, a split-collective flush overlapping
-// the next step's compute — is expressed with forked sub-timelines: a
-// fork captures the current time, the concurrent work is costed from
-// that common base (shared Resources still serialize contending
-// requests in virtual time), and a join folds the latest completion
-// back into the owning timeline. Because the work itself still executes
-// sequentially in host time, fork/join changes only the cost model;
-// determinism is untouched.
+// the next step's compute, an asynchronous write the rank does not wait
+// for — is expressed with forked sub-timelines: a fork captures the
+// current time, the concurrent work is costed from that common base
+// (shared Resources still serialize contending requests in virtual
+// time), and a join folds the latest completion back into the owning
+// timeline. Because the work itself still executes sequentially in host
+// time, fork/join changes only the cost model; determinism is untouched.
 //
 // The pattern is written directly on one clock with Time values, which
 // allocates nothing: fork := c.Now(); cost the branch; join =
@@ -100,11 +100,11 @@ func (c *Clock) AdvanceTo(t Time) {
 // ---------------------------------------------------------------------------
 
 // Rebase sets the clock to exactly t, moving backwards if necessary.
-// It exists for split-collective simulation only: the caller marks a
-// fork point (Now), runs an asynchronous phase whose charges advance
-// this clock, captures the phase's completion time, rebases back to the
-// fork point, and joins the completion later (AdvanceTo at the wait
-// call). Ordinary cost accounting must use Advance/AdvanceTo, which
+// It is the one way to fork a sub-timeline: the caller marks a fork
+// point (Now), runs the concurrent work with its ordinary charges on
+// this clock, captures the work's completion time (Now), rebases back to
+// the fork point, and joins the completion later (AdvanceTo at the join
+// or wait). Ordinary cost accounting must use Advance/AdvanceTo, which
 // never move time backwards.
 func (c *Clock) Rebase(t Time) { c.now = t }
 

@@ -503,7 +503,7 @@ func TestObjstoreBundlePromotionServe(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := h.ReadAt(buf, rec.FileOffset); err != nil {
+			if _, err := h.ReadAtVec(buf, []pfs.Extent{{Off: rec.FileOffset, Len: int64(len(buf))}}); err != nil {
 				t.Fatal(err)
 			}
 			want[key{ds, ts}] = buf

@@ -67,7 +67,7 @@ func TestServeBundleOverHTTP(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := h.ReadAt(want, rec.FileOffset); err != nil {
+			if _, err := h.ReadAtVec(want, []pfs.Extent{{Off: rec.FileOffset, Len: int64(len(want))}}); err != nil {
 				t.Fatal(err)
 			}
 

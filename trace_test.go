@@ -64,7 +64,7 @@ func TestTracingBitIdentical(t *testing.T) {
 					t.Fatalf("rank %d virtual clock differs: off %v, on %v", r, a, b)
 				}
 			}
-			if a, b := offCl.FS.StatsSnapshot(), onCl.FS.StatsSnapshot(); a != b {
+			if a, b := offCl.FS.Stats(), onCl.FS.Stats(); a != b {
 				t.Fatalf("pfs stats differ:\noff %+v\non  %+v", a, b)
 			}
 			if a, b := offCl.DB.QueryCount(), onCl.DB.QueryCount(); a != b {
@@ -159,7 +159,7 @@ func TestTracingBitIdenticalImport(t *testing.T) {
 			t.Fatalf("rank %d virtual clock differs: off %v, on %v", r, a, b)
 		}
 	}
-	if a, b := offCl.FS.StatsSnapshot(), onCl.FS.StatsSnapshot(); a != b {
+	if a, b := offCl.FS.Stats(), onCl.FS.Stats(); a != b {
 		t.Fatalf("pfs stats differ:\noff %+v\non  %+v", a, b)
 	}
 	if a, b := offCl.DB.QueryCount(), onCl.DB.QueryCount(); a != b {
@@ -364,7 +364,7 @@ func TestClusterMetricsRegistry(t *testing.T) {
 		}
 	}
 	// The snapshot source must agree with the subsystem accessor.
-	if got, want := snap["pfs.bytes-written"], cl.FS.StatsSnapshot().BytesWritten; got != want {
+	if got, want := snap["pfs.bytes-written"], cl.FS.Stats().BytesWritten; got != want {
 		t.Fatalf("pfs.bytes-written = %d, accessor says %d", got, want)
 	}
 	if got, want := snap["metadb.queries"], cl.DB.QueryCount(); got != want {
