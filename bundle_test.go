@@ -686,7 +686,7 @@ func TestLayoutNeverChangesBytes(t *testing.T) {
 				files[name] = sha256hex(data)
 				want := unit
 				if unit == 0 {
-					want = 128 << 10 // 1 MiB over ten servers, in 64 KiB granules
+					want = 104_858 // 1 MiB over ten servers, rounded up to a byte
 				}
 				if got, _ := cl.FS.StripeUnit(name); got != want {
 					t.Fatalf("unit hint %d: %s striped by %d, want %d", unit, name, got, want)

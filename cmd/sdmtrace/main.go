@@ -2,9 +2,10 @@
 // the simulator's span tracer (sdmbench -trace, or
 // Tracer.WriteChromeFile): it validates the trace against the schema
 // Perfetto expects, then prints the top-N span names by virtual-time
-// self time, per-step span aggregates, and each PFS server's busy/idle
-// fraction over the trace — the idle time a deeper StepPipelineDepth
-// could still overlap.
+// self time, per-step span aggregates, and each PFS server's requests,
+// bytes and busy/idle fraction over the trace — the bytes show how evenly
+// the steps spread over the servers, the idle time what a deeper
+// StepPipelineDepth could still overlap.
 //
 // Usage:
 //

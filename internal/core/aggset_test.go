@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
+	"strconv"
 	"sync"
 	"testing"
 
 	"sdm/internal/catalog"
 	"sdm/internal/mpi"
 	"sdm/internal/mpiio"
+	"sdm/internal/obs"
 	"sdm/internal/pfs"
 	"sdm/internal/sim"
 )
@@ -26,9 +30,11 @@ import (
 // aggFixture is what one run of the fixture application leaves behind.
 type aggFixture struct {
 	te *testEnv
-	// writeEnd, readEnd and end are per-rank clocks after the last write
-	// step, after the last read-back step, and after Finalize.
-	writeEnd, readEnd, end []sim.Time
+	// stepEnds holds every rank's clock after each write step and then
+	// after each read-back step; end holds them after Finalize.
+	stepEnds [][]sim.Time
+	end      []sim.Time
+	tr       *obs.Tracer // the file system's spans
 	// fileOpens is what the run should have paid in opens: per file, the
 	// aggregator-set size times the number of times the level opens it.
 	fileOpens int64
@@ -60,9 +66,13 @@ func aggRun(t *testing.T, n, steps, nA int, opts Options, manager bool) *aggFixt
 	nB := 4 * nA
 	fx := &aggFixture{
 		te:       newCostedEnv(n),
-		writeEnd: make([]sim.Time, n),
-		readEnd:  make([]sim.Time, n),
+		stepEnds: make([][]sim.Time, 2*steps),
+		tr:       obs.NewTracer(),
 	}
+	for i := range fx.stepEnds {
+		fx.stepEnds[i] = make([]sim.Time, n)
+	}
+	fx.te.fs.SetTracer(fx.tr)
 	names := []string{"p", "q", "r", "s", "f"}
 	err := fx.te.world.Run(func(c *mpi.Comm) {
 		s, err := Initialize(Env{Comm: c, FS: fx.te.fs, Catalog: fx.te.cat}, "agg", opts)
@@ -112,12 +122,12 @@ func aggRun(t *testing.T, n, steps, nA int, opts Options, manager bool) *aggFixt
 			if err := a.put(int64(k), nsets, 0); err != nil {
 				panic(err)
 			}
+			fx.stepEnds[k][c.Rank()] = c.Now()
 		}
-		fx.writeEnd[c.Rank()] = c.Now()
 		for k := 0; k < steps; k++ {
 			a.getN(int64(k), nsets, 0)
+			fx.stepEnds[steps+k][c.Rank()] = c.Now()
 		}
-		fx.readEnd[c.Rank()] = c.Now()
 		if c.Rank() == 0 {
 			perFile := int64(1)
 			if opts.Organization == Level1 {
@@ -199,8 +209,8 @@ func TestAggregatorSetDifferential(t *testing.T) {
 					name       string
 					sized, old []sim.Time
 				}{
-					{"write phase", sized.writeEnd, old.writeEnd},
-					{"read phase", sized.readEnd, old.readEnd},
+					{"write phase", sized.stepEnds[steps-1], old.stepEnds[steps-1]},
+					{"read phase", sized.stepEnds[2*steps-1], old.stepEnds[2*steps-1]},
 					{"finalize", sized.end, old.end},
 				} {
 					// A level-1 step opens a file per dataset, which the dense
@@ -261,15 +271,15 @@ func TestAggregatorSetSizing(t *testing.T) {
 		{Level1, []int64{4913}, 10, 512 * KiB, 64 * KiB, 1},
 		// The 64 KiB floor: 160 KB over ten servers would be 16 KB units.
 		{Level1, []int64{20_000}, 10, 512 * KiB, 64 * KiB, 3},
-		// The largest dataset decides at levels 1 and 2: 800 KB / 10
-		// rounds up to 128 KiB, seven stripes.
-		{Level1, []int64{100_000, 10}, 10, 512 * KiB, 128 * KiB, 7},
+		// The largest dataset decides at levels 1 and 2: 800 KB / 10 is
+		// an 80 000 B unit, ten stripes: capped at P.
+		{Level1, []int64{100_000, 10}, 10, 512 * KiB, 80_000, n},
 		// A slab anywhere in a level-2 file straddles one more stripe.
 		{Level2, []int64{4913}, 10, 512 * KiB, 64 * KiB, 2},
 		{Level2, []int64{65536}, 10, 512 * KiB, 64 * KiB, n}, // 8 + 1 stripes: capped at P
-		// Level 3 spreads the whole group's step: 2 200 000 B / 10 rounds
-		// up to 256 KiB; nine stripes + 1 would be ten aggregators.
-		{Level3, []int64{55_000, 55_000, 55_000, 55_000, 55_000}, 10, 512 * KiB, 256 * KiB, n},
+		// Level 3 spreads the whole group's step: 2 200 000 B / 10 is a
+		// 220 000 B unit; ten stripes + 1 would be eleven aggregators.
+		{Level3, []int64{55_000, 55_000, 55_000, 55_000, 55_000}, 10, 512 * KiB, 220_000, n},
 		{Level3, []int64{4913, 4913, 4913, 4913}, 10, 512 * KiB, 64 * KiB, 4},
 		// The Config.StripeSize cap: 16 MiB over ten servers would be
 		// 1.6 MiB units.
@@ -278,10 +288,11 @@ func TestAggregatorSetSizing(t *testing.T) {
 		// A file system whose default is below the granule keeps its own.
 		{Level2, []int64{4913}, 4, 4096, 4096, n},
 		// The server count sets the spread: one server caps at the
-		// default, five double the unit of ten, twenty halve it.
+		// default, five double the unit of ten (1 MiB / 5 and / 10,
+		// rounded up to a byte), twenty stop at the floor.
 		{Level3, []int64{131072}, 1, 512 * KiB, 512 * KiB, 3},
-		{Level3, []int64{131072}, 5, 512 * KiB, 256 * KiB, 5},
-		{Level3, []int64{131072}, 10, 512 * KiB, 128 * KiB, n},
+		{Level3, []int64{131072}, 5, 512 * KiB, 209_716, 6},
+		{Level3, []int64{131072}, 10, 512 * KiB, 104_858, n},
 		{Level3, []int64{131072}, 20, 512 * KiB, 64 * KiB, n},
 	} {
 		te := newCostedEnv(n)
@@ -305,6 +316,100 @@ func TestAggregatorSetSizing(t *testing.T) {
 	}
 }
 
+// TestStepSpreadsEvenlyOverServers: two Level-3 groups whose step
+// extents span ten granules and are no multiple of the server count, as
+// on fun3d-l3. In every write step and every read-back step each server
+// serves the even share of the step to within NumServers bytes per file
+// — the extent over the servers, rounded up to a byte, leaves a drift of
+// under one byte per server — and takes one request of each file, but
+// for one server per file that takes the step's two ends when the drift
+// moves them off a stripe boundary.
+func TestStepSpreadsEvenlyOverServers(t *testing.T) {
+	const (
+		n, steps = 16, 4 // sixteen ranks: room for eleven aggregators
+		nA       = 27_561
+		extent   = 4 * nA * 8 // 881,952 B: group a's four slabs, group b's one
+	)
+	servers := pfs.DefaultConfig().NumServers
+	if extent < 10*minStripeUnit || extent%int64(servers) == 0 {
+		t.Fatalf("fixture extent %d must span ten granules and not divide by %d", extent, servers)
+	}
+	fx := aggRun(t, n, steps, nA, Options{Organization: Level3}, true)
+
+	// A step's requests all finish by the last rank's return from its
+	// EndStep, and the next step's exchange waits for every rank first.
+	bounds := make([]sim.Time, len(fx.stepEnds))
+	for k, ends := range fx.stepEnds {
+		bounds[k] = latest(ends)
+	}
+	type use struct {
+		bytes int64
+		reqs  map[string]int // file -> requests
+	}
+	perStep := make([][]use, len(bounds))
+	for k := range perStep {
+		perStep[k] = make([]use, servers)
+		for srv := range perStep[k] {
+			perStep[k][srv].reqs = map[string]int{}
+		}
+	}
+	for _, sp := range fx.tr.Spans() {
+		if sp.Pid != obs.PidServers || sp.Name != "serve" {
+			continue
+		}
+		k := sort.Search(len(bounds), func(i int) bool { return sp.End <= bounds[i] })
+		if k == len(bounds) {
+			t.Fatalf("server %d served a request ending at %v, after the last step (%v)", sp.Tid, sp.End, bounds[k-1])
+		}
+		u := &perStep[k][sp.Tid]
+		for _, kv := range sp.Args {
+			switch kv.Key {
+			case "bytes":
+				b, _ := strconv.ParseInt(kv.Val, 10, 64)
+				u.bytes += b
+			case "file":
+				u.reqs[kv.Val]++
+			}
+		}
+	}
+
+	const files = 2
+	share := int64(files * extent / servers)
+	for k, srvs := range perStep {
+		phase, ts := "write", k
+		if k >= steps {
+			phase, ts = "read", k-steps
+		}
+		var total int64
+		doubled := map[string]int{}
+		for srv, u := range srvs {
+			total += u.bytes
+			if d := u.bytes - share; d < -int64(files*servers) || d > int64(files*servers) {
+				t.Errorf("%s step %d: server %d serves %d B, want %d ± %d", phase, ts, srv, u.bytes, share, files*servers)
+			}
+			if len(u.reqs) != files {
+				t.Errorf("%s step %d: server %d serves %d files, want %d (%v)", phase, ts, srv, len(u.reqs), files, u.reqs)
+			}
+			for f, r := range u.reqs {
+				if r > 2 {
+					t.Errorf("%s step %d: server %d takes %d requests of %s, want at most 2", phase, ts, srv, r, f)
+				}
+				if r == 2 {
+					doubled[f]++
+				}
+			}
+		}
+		if total != files*extent {
+			t.Errorf("%s step %d: servers serve %d B, want the step's %d", phase, ts, total, files*extent)
+		}
+		for f, d := range doubled {
+			if d > 1 {
+				t.Errorf("%s step %d: %d servers take two requests of %s, want at most one", phase, ts, d, f)
+			}
+		}
+	}
+}
+
 // (f) Level 3, two groups flushing concurrently through a pipelined
 // Manager step: which server a stripe lives on and which rank writes it
 // are functions of the file names and the attributes, never of host
@@ -320,14 +425,16 @@ func TestStripedDomainsDeterministic(t *testing.T) {
 	}
 }
 
-// sameRun fails the test unless got repeats ref: per-rank clocks at the
-// three phase ends and the file system's counters.
+// sameRun fails the test unless got repeats ref: per-rank clocks after
+// every step and after Finalize, and the file system's counters.
 func sameRun(t *testing.T, i int, ref, got *aggFixture) {
 	t.Helper()
-	for _, ph := range [][2][]sim.Time{{ref.writeEnd, got.writeEnd}, {ref.readEnd, got.readEnd}, {ref.end, got.end}} {
-		for r := range ph[0] {
-			if ph[0][r] != ph[1][r] {
-				t.Fatalf("run %d: rank %d clock %v, first run %v", i, r, ph[1][r], ph[0][r])
+	refEnds := slices.Concat(ref.stepEnds, [][]sim.Time{ref.end})
+	gotEnds := slices.Concat(got.stepEnds, [][]sim.Time{got.end})
+	for k := range refEnds {
+		for r := range refEnds[k] {
+			if refEnds[k][r] != gotEnds[k][r] {
+				t.Fatalf("run %d: rank %d clock %v after step %d, first run %v", i, r, gotEnds[k][r], k, refEnds[k][r])
 			}
 		}
 	}

@@ -158,10 +158,15 @@ const minStripeUnit = 64 << 10
 //
 // The unit spreads the extent one step writes to a file — one slab under
 // levels 1 and 2, the whole group's slabs under level 3 — over every I/O
-// server once: extent/NumServers rounded up to the 64 KiB granule, never
-// below one granule nor above the file system's default unit. Under the
-// default unit a 2 MB step covers four of ten servers, and two files
-// flushing together queue two stripes on some servers while others idle.
+// server once: extent/NumServers rounded up to a byte, never below one
+// 64 KiB granule nor above the file system's default unit, so every
+// server carries the same bytes of a step. Under the default unit a 2 MB
+// step covers four of ten servers, and two files flushing together queue
+// two stripes on some servers while others idle. An extent that is no
+// multiple of NumServers falls short of its stripes by fewer than
+// NumServers bytes, so each step starts that much earlier in its stripe
+// than the last and one stripe holds both of the step's ends: one server
+// takes one extra request.
 //
 // The set is the number of stripes of that unit the extent can touch: a
 // level-1 file holds one slab from offset zero; a level-2 slab and a
@@ -186,8 +191,7 @@ func (g *Group) layout() (unit int64, set, stripes int) {
 	ceilDiv := func(n, d int64) int64 { return (n + d - 1) / d }
 	if unit = g.s.opts.Hints.StripingUnit; unit <= 0 {
 		cfg := g.s.env.FS.Config()
-		unit = ceilDiv(ceilDiv(extent, int64(cfg.NumServers)), minStripeUnit) * minStripeUnit
-		unit = min(unit, cfg.StripeSize)
+		unit = min(max(ceilDiv(extent, int64(cfg.NumServers)), minStripeUnit), cfg.StripeSize)
 	}
 	stripes = int(ceilDiv(extent, unit))
 	set = stripes

@@ -189,15 +189,15 @@ func TestAnalyzeServerUse(t *testing.T) {
 	tr := NewTracer()
 	tr.NameThread(PidServers, 0, "server 0")
 	tr.Emit(1, "core", "step", 0, 100_000) // defines the trace span
-	tr.EmitOn(PidServers, 0, "pfs", "serve", 0, 25_000)
-	tr.EmitOn(PidServers, 0, "pfs", "serve", 50_000, 75_000)
+	tr.EmitOn(PidServers, 0, "pfs", "serve", 0, 25_000, KV{Key: "bytes", Val: "4096"})
+	tr.EmitOn(PidServers, 0, "pfs", "serve", 50_000, 75_000, KV{Key: "bytes", Val: "100"})
 	a := Analyze(tr.ChromeTrace())
 	if len(a.Servers) != 1 {
 		t.Fatalf("servers = %d, want 1", len(a.Servers))
 	}
 	s := a.Servers[0]
-	if s.Requests != 2 {
-		t.Fatalf("requests = %d, want 2", s.Requests)
+	if s.Requests != 2 || s.Bytes != 4196 {
+		t.Fatalf("requests = %d, bytes = %d, want 2 and 4196", s.Requests, s.Bytes)
 	}
 	if got := s.Busyness(); got < 0.49 || got > 0.51 {
 		t.Fatalf("busyness = %v, want 0.5", got)
@@ -206,8 +206,8 @@ func TestAnalyzeServerUse(t *testing.T) {
 	if err := a.WriteReport(&buf, 10); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "idle") {
-		t.Fatalf("report missing idle fractions:\n%s", buf.String())
+	if !strings.Contains(buf.String(), "idle") || !strings.Contains(buf.String(), " 4196 B ") {
+		t.Fatalf("report missing idle fractions or bytes:\n%s", buf.String())
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -26,6 +27,7 @@ type ServerUse struct {
 	Busy     time.Duration
 	Span     time.Duration // first span start to last span end, whole trace
 	Requests int
+	Bytes    int64 // summed from each span's "bytes" arg
 }
 
 // Busyness reports the busy fraction (0 when the trace is empty).
@@ -148,6 +150,8 @@ func Analyze(tr *ChromeTrace) *Analysis {
 		for _, ev := range evs {
 			u.Busy += usToDur(ev.Dur)
 			u.Requests++
+			n, _ := strconv.ParseInt(ev.Args["bytes"], 10, 64)
+			u.Bytes += n
 		}
 		a.Servers = append(a.Servers, u)
 	}
@@ -160,8 +164,8 @@ func usToDur(us float64) time.Duration {
 }
 
 // WriteReport prints the analysis: top-N span self-time and per-server
-// busy/idle fractions — how much of the array's time the traced run
-// left unused.
+// requests, bytes and busy/idle fractions — how evenly the traced run
+// spread its bytes, and how much of the array's time it left unused.
 func (a *Analysis) WriteReport(w io.Writer, topN int) error {
 	if _, err := fmt.Fprintf(w, "trace: %d spans over %v of virtual time\n", a.Spans, a.TraceSpan); err != nil {
 		return err
@@ -188,8 +192,8 @@ func (a *Analysis) WriteReport(w io.Writer, topN int) error {
 			if name == "" {
 				name = fmt.Sprintf("server %d", s.Tid)
 			}
-			fmt.Fprintf(w, "  %-12s %6d reqs  busy %12v  (%5.1f%% busy, %5.1f%% idle)\n",
-				name, s.Requests, s.Busy, 100*s.Busyness(), 100*(1-s.Busyness()))
+			fmt.Fprintf(w, "  %-12s %6d reqs %12d B  busy %12v  (%5.1f%% busy, %5.1f%% idle)\n",
+				name, s.Requests, s.Bytes, s.Busy, 100*s.Busyness(), 100*(1-s.Busyness()))
 			busy += s.Busy
 			span += s.Span
 		}
