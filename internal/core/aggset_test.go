@@ -281,10 +281,14 @@ func TestAggregatorSetSizing(t *testing.T) {
 		// 220 000 B unit; ten stripes + 1 would be eleven aggregators.
 		{Level3, []int64{55_000, 55_000, 55_000, 55_000, 55_000}, 10, 512 * KiB, 220_000, n},
 		{Level3, []int64{4913, 4913, 4913, 4913}, 10, 512 * KiB, 64 * KiB, 4},
-		// The Config.StripeSize cap: 16 MiB over ten servers would be
-		// 1.6 MiB units.
-		{Level3, []int64{1 << 20, 1 << 20}, 10, 512 * KiB, 512 * KiB, n},
-		{Level1, []int64{1 << 20}, 10, 512 * KiB, 512 * KiB, n},
+		// The Config.StripeSize cap cuts a step into rows of ten stripes:
+		// 16 MiB over ten servers would be 1.6 MiB units, so four rows of
+		// 419 431 B; 8 MiB is two rows of the same unit.
+		{Level3, []int64{1 << 20, 1 << 20}, 10, 512 * KiB, 419_431, n},
+		{Level1, []int64{1 << 20}, 10, 512 * KiB, 419_431, n},
+		// 2 200 000 B on two servers is above 2 × 512 KiB: three rows of
+		// two 366 667 B stripes, six stripes + 1.
+		{Level3, []int64{55_000, 55_000, 55_000, 55_000, 55_000}, 2, 512 * KiB, 366_667, 7},
 		// A file system whose default is below the granule keeps its own.
 		{Level2, []int64{4913}, 4, 4096, 4096, n},
 		// The server count sets the spread: one server caps at the
@@ -407,6 +411,114 @@ func TestStepSpreadsEvenlyOverServers(t *testing.T) {
 				t.Errorf("%s step %d: %d servers take two requests of %s, want at most one", phase, ts, d, f)
 			}
 		}
+	}
+}
+
+// TestHistoryFileSpreadsEvenly: the index history is laid out by the
+// rule a group's step is, so a later job's replay — one collective read
+// of the whole file — puts the same bytes on every server, rows stripes
+// each: within N·rows bytes of the even share (the extent falls short of
+// its N·rows stripes by less than that) and at most rows + 1 requests
+// per server. Below N·C the history is one row; on two servers under a
+// 128 KiB default, above the 64 KiB floor, the cap cuts it into rows.
+// Under the file system's default unit a history a few stripes long
+// lands on a few servers and leaves the rest idle.
+func TestHistoryFileSpreadsEvenly(t *testing.T) {
+	const n = 16
+	for _, tc := range []struct {
+		name    string
+		servers int
+		stripe  int64 // C, the file system's default unit
+		rows    int64
+	}{
+		{"one row", 10, 512 << 10, 1},
+		{"rows", 2, 128 << 10, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := pfs.DefaultConfig()
+			cfg.NumServers, cfg.StripeSize = tc.servers, tc.stripe
+			te := newCostedEnv(n)
+			te.fs = pfs.NewSystem(cfg)
+			m, layout := stageMesh(t, te.fs, 20, 20, 20)
+			partVec := make([]int32, m.NumNodes())
+			for i := range partVec {
+				partVec[i] = int32(i * n / len(partVec))
+			}
+			var replayed [n]bool
+			job := func(register bool) {
+				te.run(t, Options{}, func(s *SDM) {
+					imp, err := s.MakeImportlist("uns3d.msh", edgeSpecs(layout))
+					if err != nil {
+						panic(err)
+					}
+					ip, err := s.PartitionIndex(imp, "edge1", "edge2", partVec)
+					if err != nil {
+						panic(err)
+					}
+					replayed[s.Comm().Rank()] = ip.FromHistory
+					if register {
+						if err := s.IndexRegistry(ip, layout.NumEdges, partVec); err != nil {
+							panic(err)
+						}
+					}
+				})
+			}
+			job(true)
+			// A new job on the same storage: fresh clocks, idle servers.
+			tr := obs.NewTracer()
+			te.world = mpi.NewWorld(n, mpi.DefaultConfig())
+			te.fs.ResetSchedules()
+			te.fs.SetTracer(tr)
+			job(false)
+			for r, ok := range replayed {
+				if !ok {
+					t.Fatalf("rank %d did not replay the history", r)
+				}
+			}
+
+			var hist string
+			for _, name := range te.fs.List() {
+				if isHistFile(name) {
+					hist = name
+				}
+			}
+			size, err := te.fs.FileSize(hist)
+			if err != nil {
+				t.Fatal(err)
+			}
+			servers := int64(tc.servers)
+			if rows := ceilDiv(size, servers*tc.stripe); rows != tc.rows || size < servers*minStripeUnit {
+				t.Fatalf("fixture history of %d B is %d rows of %d servers, want %d rows of at least a granule", size, rows, servers, tc.rows)
+			}
+			served := make([]int64, servers)
+			reqs := make([]int64, servers)
+			for _, sp := range tr.Spans() {
+				if sp.Pid != obs.PidServers || sp.Name != "serve" || !slices.Contains(sp.Args, obs.KV{Key: "file", Val: hist}) {
+					continue
+				}
+				for _, kv := range sp.Args {
+					if kv.Key == "bytes" {
+						b, _ := strconv.ParseInt(kv.Val, 10, 64)
+						served[sp.Tid] += b
+					}
+				}
+				reqs[sp.Tid]++
+			}
+			share, slack := size/servers, servers*tc.rows
+			var total int64
+			for srv := range served {
+				total += served[srv]
+				if d := served[srv] - share; d < -slack || d > slack {
+					t.Errorf("server %d serves %d B of the history, want %d ± %d", srv, served[srv], share, slack)
+				}
+				if reqs[srv] > tc.rows+1 {
+					t.Errorf("server %d takes %d requests of the history, want at most %d", srv, reqs[srv], tc.rows+1)
+				}
+			}
+			if total != size {
+				t.Errorf("servers serve %d B of the history, want its %d", total, size)
+			}
+		})
 	}
 }
 

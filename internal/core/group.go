@@ -151,22 +151,41 @@ func (s *SDM) newGroup(attrs []Attr) (*Group, error) {
 // latency.
 const minStripeUnit = 64 << 10
 
+// stripeUnit is the layout rule for every file SDM creates: the unit
+// that spreads the extent one access moves — a group's step, or the whole
+// index history — evenly over the I/O servers. A caller's
+// Hints.StripingUnit is used as given. Otherwise an extent E on N servers
+// under the file system's default unit C is cut into the fewest whole
+// rows of N stripes that keep the unit at or under C,
+// rows = ceil(E / (N·C)), and the unit is ceil(E / (N·rows)), never below
+// one 64 KiB granule nor above C: every server carries rows stripes of
+// the extent, short by fewer than N·rows bytes in all, where C-sized
+// stripes would leave some servers one more than others.
+func (s *SDM) stripeUnit(extent int64) int64 {
+	if unit := s.opts.Hints.StripingUnit; unit > 0 {
+		return unit
+	}
+	cfg := s.env.FS.Config()
+	n, c := int64(cfg.NumServers), cfg.StripeSize
+	rows := max(ceilDiv(extent, n*c), 1)
+	return min(max(ceilDiv(extent, n*rows), minStripeUnit), c)
+}
+
+func ceilDiv(n, d int64) int64 { return (n + d - 1) / d }
+
 // layout chooses, from the attributes alone, the stripe unit the group's
 // files are created with, the size of their aggregator set, and the
 // number of stripes one step's extent fills — the servers a file takes
 // in its step's placement (see Group.open).
 //
-// The unit spreads the extent one step writes to a file — one slab under
-// levels 1 and 2, the whole group's slabs under level 3 — over every I/O
-// server once: extent/NumServers rounded up to a byte, never below one
-// 64 KiB granule nor above the file system's default unit, so every
-// server carries the same bytes of a step. Under the default unit a 2 MB
-// step covers four of ten servers, and two files flushing together queue
-// two stripes on some servers while others idle. An extent that is no
-// multiple of NumServers falls short of its stripes by fewer than
-// NumServers bytes, so each step starts that much earlier in its stripe
-// than the last and one stripe holds both of the step's ends: one server
-// takes one extra request.
+// The unit is stripeUnit of the extent one step writes to a file — one
+// slab under levels 1 and 2, the whole group's slabs under level 3 — so
+// every server carries the same bytes of a step. Under the default unit
+// a 2 MB step covers four of ten servers, and two files flushing
+// together queue two stripes on some servers while others idle. Each
+// step of an extent that is no multiple of its stripes starts a little
+// earlier in its stripe than the last, so one stripe holds both of the
+// step's ends: one server takes one extra request.
 //
 // The set is the number of stripes of that unit the extent can touch: a
 // level-1 file holds one slab from offset zero; a level-2 slab and a
@@ -188,11 +207,7 @@ func (g *Group) layout() (unit int64, set, stripes int) {
 	if g.s.opts.Organization == Level3 {
 		extent = sum
 	}
-	ceilDiv := func(n, d int64) int64 { return (n + d - 1) / d }
-	if unit = g.s.opts.Hints.StripingUnit; unit <= 0 {
-		cfg := g.s.env.FS.Config()
-		unit = min(max(ceilDiv(extent, int64(cfg.NumServers)), minStripeUnit), cfg.StripeSize)
-	}
+	unit = g.s.stripeUnit(extent)
 	stripes = int(ceilDiv(extent, unit))
 	set = stripes
 	if g.s.opts.Organization != Level1 {

@@ -370,11 +370,13 @@ func TestImportEpochMisuse(t *testing.T) {
 	})
 }
 
-// A truncated or missing history file must not load as a partition of
-// zero-filled edges: PartitionIndex falls back to the ring distribution,
-// counts the fallback and invalidates the stale registration, so the
-// application's usual `if !ip.FromHistory { IndexRegistry }` repairs the
-// history and the run after that replays it.
+// A truncated, extended or missing history file must not load as a
+// partition of zero-filled or stray edges: PartitionIndex falls back to
+// the ring distribution, counts the fallback and invalidates the stale
+// registration and file, so the application's usual
+// `if !ip.FromHistory { IndexRegistry }` creates the history afresh —
+// at its own length, laid out by the rule — and the run after that
+// replays it.
 func TestDamagedHistoryFallsBackToRing(t *testing.T) {
 	damage := map[string]func(t *testing.T, fs *pfs.System, name string){
 		"truncated": func(t *testing.T, fs *pfs.System, name string) {
@@ -389,6 +391,15 @@ func TestDamagedHistoryFallsBackToRing(t *testing.T) {
 				t.Fatal(err)
 			}
 		},
+		"extended": func(t *testing.T, fs *pfs.System, name string) {
+			data, err := fs.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.WriteFile(name, append(data, make([]byte, 24)...)); err != nil {
+				t.Fatal(err)
+			}
+		},
 		"missing": func(t *testing.T, fs *pfs.System, name string) {
 			if err := fs.Remove(name); err != nil {
 				t.Fatal(err)
@@ -399,6 +410,9 @@ func TestDamagedHistoryFallsBackToRing(t *testing.T) {
 		t.Run(label, func(t *testing.T) {
 			const nRanks = 3
 			te := newTestEnv(nRanks)
+			// The default 512 KiB unit, so that the rule's unit for a
+			// history of a few KB, one 64 KiB granule, is not it.
+			te.fs = pfs.NewSystem(pfs.DefaultConfig())
 			m, layout := stageMesh(t, te.fs, 2, 3, 2)
 			partVec := make([]int32, m.NumNodes())
 			for i := range partVec {
@@ -443,6 +457,9 @@ func TestDamagedHistoryFallsBackToRing(t *testing.T) {
 			session(3, true) // repaired history: replayed
 			if got := reg.Snapshot()["core.history-fallbacks"]; got != 1 {
 				t.Fatalf("fallbacks = %d after one damaged-history run, want 1", got)
+			}
+			if unit, _ := te.fs.StripeUnit(hist); unit != minStripeUnit {
+				t.Fatalf("repaired history is striped by %d, want the rule's %d", unit, minStripeUnit)
 			}
 			for r := 0; r < nRanks; r++ {
 				if !parts[1][r].FromHistory {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -127,8 +128,10 @@ func (s *SDM) PartitionIndex(imp *Importer, edge1Name, edge2Name string, partVec
 
 // lookupHistory checks index_table for a usable history (rank 0
 // queries, result broadcast). A registered history whose file fails
-// historyIntact is invalidated — its rows deleted, so the caller's
-// IndexRegistry can register the same file name afresh — counted in
+// historyIntact is invalidated — its rows deleted and its file removed
+// (uncharged, like the size check), so the caller's IndexRegistry
+// creates the same file name afresh, at its own length and layout,
+// rather than writing over a stale one in place — counted in
 // core.history-fallbacks, and reported as a miss. The decision is rank
 // 0's alone and travels in the broadcast, so every rank takes the same
 // collective branch.
@@ -145,6 +148,9 @@ func (s *SDM) lookupHistory(totalEdges int64) (*catalog.IndexHistory, error) {
 		if err == nil && h != nil && !s.historyIntact(h) {
 			s.historyFallbacks.Add(1)
 			err = s.env.Catalog.DeleteIndexHistory(c.Clock(), h.FileName)
+			if rerr := s.env.FS.Remove(h.FileName); err == nil && !errors.Is(rerr, pfs.ErrNotExist) {
+				err = rerr
+			}
 			h = nil
 		}
 		if err != nil {
@@ -281,23 +287,31 @@ func (s *SDM) buildPartition(keptG, kept1, kept2 []int32, partVec []int32) *Inde
 // asynchronously to a history file and the metadata lands in
 // index_table / index_history_table. Optional, as in the paper.
 // Collective.
+//
+// The history file is laid out like a group's step (stripeUnit): the
+// replay reads all of it in one collective, so its whole extent,
+// 12·ΣEdgeSizes bytes, is spread evenly over the servers, in rows of
+// NumServers stripes under the file system's default unit. Its first
+// stripe is where its name hash puts it, as for any one-file placement.
 func (s *SDM) IndexRegistry(ip *IndexPartition, totalEdges int64, partVec []int32) error {
 	c := s.env.Comm
 	edgeCounts := mpi.AllgatherSlice(c, []int64{int64(ip.NumEdges())})
 	nodeCounts := mpi.AllgatherSlice(c, []int64{int64(ip.NumNodes())})
-	var myOff int64
+	var myOff, edges int64
 	edgeSizes := make([]int64, c.Size())
 	nodeSizes := make([]int64, c.Size())
 	for r := 0; r < c.Size(); r++ {
 		edgeSizes[r] = edgeCounts[r][0]
 		nodeSizes[r] = nodeCounts[r][0]
+		edges += edgeSizes[r]
 		if r < c.Rank() {
 			myOff += edgeCounts[r][0]
 		}
 	}
 
 	name := s.historyFileName(totalEdges)
-	h, err := s.env.FS.Open(name, pfs.CreateMode, c.Clock())
+	cur := mpiio.NewCursor(c, s.env.FS)
+	h, err := s.env.FS.Create(name, s.stripeUnit(edges*12), cur.Next(name, 0, 0).Server, c.Clock())
 	if err != nil {
 		return err
 	}
