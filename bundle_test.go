@@ -583,7 +583,7 @@ func TestRestartReadAheadNoCatalogLookups(t *testing.T) {
 				return
 			}
 			for ts := int64(0); ts < steps; ts++ {
-				if err := g.BeginStep(ts); err != nil {
+				if err := s.BeginStep(ts); err != nil {
 					t.Error(err)
 					return
 				}
@@ -600,7 +600,7 @@ func TestRestartReadAheadNoCatalogLookups(t *testing.T) {
 						return
 					}
 				}
-				if err := g.EndStep(); err != nil {
+				if err := s.EndStep(); err != nil {
 					t.Error(err)
 					return
 				}

@@ -167,9 +167,9 @@ func main() {
 					log.Fatal(err)
 				}
 			}
-			// Checkpoint: the whole timestep is one deferred epoch, so
+			// Checkpoint: the whole timestep is one deferred step, so
 			// both flow variables flush in a single merged collective.
-			if err := group.BeginStep(int64(ts)); err != nil {
+			if err := s.BeginStep(int64(ts)); err != nil {
 				log.Fatal(err)
 			}
 			if err := dsP.Put(pOwned); err != nil {
@@ -178,7 +178,7 @@ func main() {
 			if err := dsQ.Put(qOwned); err != nil {
 				log.Fatal(err)
 			}
-			if tok, err = group.EndStepAsync(); err != nil {
+			if tok, err = s.EndStepAsync(); err != nil {
 				log.Fatal(err)
 			}
 		}

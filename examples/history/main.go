@@ -92,7 +92,7 @@ func main() {
 			// Stream the run's result checkpoints through the async
 			// split-collective step API: every timestep writes its own
 			// level-1 file, so the 4-deep pipeline keeps several flushes
-			// in flight at once — BeginStep opens the next epoch while
+			// in flight at once — BeginStep opens the next step while
 			// earlier tokens are still outstanding, and EndStepAsync
 			// joins only what the depth bound (or a file conflict)
 			// requires. Finalize drains whatever is still in flight —

@@ -65,7 +65,7 @@ func main() {
 			log.Fatal(err)
 		}
 
-		// Write three checkpoints; each timestep is one deferred epoch,
+		// Write three checkpoints; each timestep is one deferred step,
 		// so both datasets flush in a single merged collective and the
 		// execution table records the whole step in one rank-0 batch.
 		pr := make([]float64, len(mapArr))
@@ -75,7 +75,7 @@ func main() {
 				pr[i] = float64(g) + float64(ts)*0.001
 				ve[i] = -float64(g)
 			}
-			if err := group.BeginStep(int64(ts * 10)); err != nil {
+			if err := s.BeginStep(int64(ts * 10)); err != nil {
 				log.Fatal(err)
 			}
 			if err := pressure.Put(pr); err != nil {
@@ -84,7 +84,7 @@ func main() {
 			if err := velocity.Put(ve); err != nil {
 				log.Fatal(err)
 			}
-			if err := group.EndStep(); err != nil {
+			if err := s.EndStep(); err != nil {
 				log.Fatal(err)
 			}
 		}

@@ -97,7 +97,7 @@ func writePhase(dir string, procs int, backend string, compress bool) {
 			log.Fatal(err)
 		}
 		// Typed handles and value buffers are hoisted out of the step
-		// loop; each checkpoint is then one deferred epoch, both
+		// loop; each checkpoint is then one deferred step, both
 		// datasets flushing in a single merged collective.
 		names := []string{"pressure", "velocity"}
 		handles := make(map[string]*sdm.Dataset[float64], len(names))
@@ -111,7 +111,7 @@ func writePhase(dir string, procs int, backend string, compress bool) {
 			vals[ds] = make([]float64, len(mapArr))
 		}
 		for ts := int64(0); ts < steps; ts++ {
-			if err := g.BeginStep(ts); err != nil {
+			if err := s.BeginStep(ts); err != nil {
 				log.Fatal(err)
 			}
 			for _, ds := range names {
@@ -122,7 +122,7 @@ func writePhase(dir string, procs int, backend string, compress bool) {
 					log.Fatal(err)
 				}
 			}
-			if err := g.EndStep(); err != nil {
+			if err := s.EndStep(); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -166,7 +166,7 @@ func readPhase(dir string, procs int) {
 		if _, err := g.DataView([]string{"pressure", "velocity"}, mapArr); err != nil {
 			log.Fatal(err)
 		}
-		// Read each checkpoint back as one batched epoch through typed
+		// Read each checkpoint back as one batched step through typed
 		// handles (hoisted out of the loop) and verify.
 		names := []string{"pressure", "velocity"}
 		handles := make(map[string]*sdm.Dataset[float64], len(names))
@@ -180,7 +180,7 @@ func readPhase(dir string, procs int) {
 			got[ds] = make([]float64, len(mapArr))
 		}
 		for ts := int64(0); ts < steps; ts++ {
-			if err := g.BeginStep(ts); err != nil {
+			if err := s.BeginStep(ts); err != nil {
 				log.Fatal(err)
 			}
 			for _, ds := range names {
@@ -188,7 +188,7 @@ func readPhase(dir string, procs int) {
 					log.Fatal(err)
 				}
 			}
-			if err := g.EndStep(); err != nil {
+			if err := s.EndStep(); err != nil {
 				log.Fatal(err)
 			}
 			for _, ds := range names {

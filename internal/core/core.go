@@ -128,11 +128,10 @@ type Options struct {
 	Hints mpiio.Hints
 	// StepPipelineDepth bounds how many asynchronous step flushes
 	// (unwaited StepTokens) may be in flight at once across the
-	// manager. EndStepAsync — a group's or the Manager's, one engine —
-	// drains the earliest-completing tokens down to the bound before
-	// issuing a new flush; a step that queued nothing issues none, so it
-	// neither drains nor counts. Depth 1 (the default)
-	// keeps the classic one-outstanding-flush schedule; deeper
+	// manager. EndStepAsync drains the earliest-completing tokens down
+	// to the bound before issuing a new flush; a step that queued
+	// nothing issues none, so it neither drains nor counts. Depth 1 (the
+	// default) keeps the classic one-outstanding-flush schedule; deeper
 	// pipelines let file-per-timestep layouts stream checkpoints
 	// back-to-back over disjoint files. The bound counts read-ahead
 	// too: a sequential reader closing its Get steps with the
@@ -146,9 +145,6 @@ type Options struct {
 	// and the file organization should match the one the run was
 	// written with. See SDM.OpenGroup.
 	AttachRun int64
-	// Stamp is the wall-clock time recorded in run_table (defaults to
-	// a fixed date for reproducibility).
-	Stamp time.Time
 	// Trace, when non-nil, records virtual-time spans for the rank's
 	// step pipeline (staging, per-file collective flushes, catalog
 	// batches) alongside whatever the substrates emit. The tracer only
@@ -169,10 +165,11 @@ func (o *Options) fill() {
 	if o.StepPipelineDepth <= 0 {
 		o.StepPipelineDepth = 1
 	}
-	if o.Stamp.IsZero() {
-		o.Stamp = time.Date(2001, 2, 20, 12, 0, 0, 0, time.UTC)
-	}
 }
+
+// runStamp is the wall-clock time every run records in run_table: a
+// fixed date, so a run's catalog is reproducible byte for byte.
+var runStamp = time.Date(2001, 2, 20, 12, 0, 0, 0, time.UTC)
 
 // Env bundles the substrate an SDM instance runs on. The file system
 // and catalog are shared across ranks; the communicator is per rank.
@@ -197,8 +194,8 @@ type SDM struct {
 	// to be joined at Finalize.
 	asyncDone []sim.Time
 
-	// step is the Manager-level cross-group epoch (SDM.BeginStep), which
-	// merges the per-step datasets of the groups it opened into one
+	// step is the open step (SDM.BeginStep): its timestep and the groups
+	// registered when it opened, whose epochs it merges into one
 	// rendezvous.
 	step struct {
 		open     bool
@@ -313,7 +310,7 @@ func Initialize(env Env, app string, opts Options) (*SDM, error) {
 				runID = run.RunID
 			}
 		} else {
-			runID, initErr = env.Catalog.RegisterRun(env.Comm.Clock(), app, 3, 0, 0, opts.Stamp)
+			runID, initErr = env.Catalog.RegisterRun(env.Comm.Clock(), app, 3, 0, 0, runStamp)
 		}
 	}
 	errFlag := int64(0)
@@ -384,8 +381,14 @@ func MakeDatalist(names ...string) []Attr {
 }
 
 // Finalize joins outstanding asynchronous writes, closes group files,
-// and synchronizes. Collective.
+// and synchronizes. Collective. A step still open is cancelled, its
+// queued operations dropped, and reported as an error.
 func (s *SDM) Finalize() error {
+	var firstErr error
+	if s.step.open {
+		firstErr = fmt.Errorf("core: Finalize with step %d open; its queued puts and gets were dropped", s.step.timestep)
+		s.cancelStep()
+	}
 	// Join asynchronous history writes: the rank blocks until its async
 	// I/O has drained, the virtual-time analogue of waiting on an
 	// MPI_Request from a split-collective write.
@@ -396,7 +399,9 @@ func (s *SDM) Finalize() error {
 	// Drain unwaited split-collective step tokens, so an application
 	// that issued EndStepAsync without a matching Wait still charges the
 	// flush before its files close.
-	firstErr := s.DrainSteps()
+	if err := s.DrainSteps(); err != nil && firstErr == nil {
+		firstErr = err
+	}
 	for _, g := range s.groups {
 		if err := g.closeFiles(); err != nil && firstErr == nil {
 			firstErr = err

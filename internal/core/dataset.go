@@ -14,9 +14,9 @@ type Element interface {
 
 // Dataset is a typed handle on one dataset of a group — the
 // SDM_write/SDM_read surface redesigned around element types and
-// deferred step epochs. Inside a BeginStep/EndStep epoch, Put and Get
-// queue operations zero-copy against the caller's slices; PutAt and
-// GetAt wrap a whole one-operation epoch for callers that don't batch.
+// deferred steps. Inside a Manager's BeginStep/EndStep step, Put and
+// Get queue operations zero-copy against the caller's slices; PutAt and
+// GetAt wrap a whole one-operation step for callers that don't batch.
 type Dataset[T Element] struct {
 	g    *Group
 	name string
@@ -104,29 +104,31 @@ func decodeElems[T Element](out []T) func(v *View, src []byte) {
 	}
 }
 
-// Put queues one timestep of the dataset into the group's open epoch:
-// vals holds this rank's local elements in map-array order. The slice
-// is captured zero-copy and must stay unmodified until EndStep, which
-// performs the write. Returns an error outside an open epoch.
+// Put queues one timestep of the dataset into the open step: vals
+// holds this rank's local elements in map-array order, written through
+// the view installed now. The slice is captured zero-copy and must stay
+// unmodified until EndStep, which performs the write. Returns an error
+// outside an open step.
 func (d *Dataset[T]) Put(vals []T) error {
 	return d.g.enqueuePut(d.name, len(vals), encodeElems(vals))
 }
 
-// Get queues a read of the dataset at the epoch's timestep: out
-// receives this rank's local elements in map-array order when EndStep
-// flushes. Returns an error outside an open epoch.
+// Get queues a read of the dataset at the step's timestep: out
+// receives this rank's local elements in map-array order, read through
+// the view installed now, when EndStep flushes. Returns an error
+// outside an open step.
 func (d *Dataset[T]) Get(out []T) error {
 	return d.g.enqueueGet(d.name, len(out), decodeElems(out))
 }
 
-// PutAt writes one timestep as a one-operation epoch: SDM_write in one
+// PutAt writes one timestep as a one-operation step: SDM_write in one
 // call.
 func (d *Dataset[T]) PutAt(timestep int64, vals []T) error {
-	return d.g.oneOpEpoch(timestep, func() error { return d.Put(vals) })
+	return d.g.s.oneOpStep(timestep, func() error { return d.Put(vals) })
 }
 
-// GetAt reads one timestep as a one-operation epoch: SDM_read in one
+// GetAt reads one timestep as a one-operation step: SDM_read in one
 // call.
 func (d *Dataset[T]) GetAt(timestep int64, out []T) error {
-	return d.g.oneOpEpoch(timestep, func() error { return d.Get(out) })
+	return d.g.s.oneOpStep(timestep, func() error { return d.Get(out) })
 }

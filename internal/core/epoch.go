@@ -10,16 +10,16 @@ import (
 	"sdm/internal/sim"
 )
 
-// Step-scoped deferred I/O: BeginStep opens an epoch on a group,
-// Dataset.Put/Get record operations zero-copy against the caller's
-// slices, and EndStep flushes everything queued in one merged
+// Step-scoped deferred I/O: SDM.BeginStep opens a step, Dataset.Put/Get
+// record operations zero-copy against the caller's slices into their
+// group's epoch, and EndStep flushes everything queued in one merged
 // collective per file — one extent agreement, one all-to-all, and
 // coalesced file requests across the step's datasets, with the whole
-// epoch's execution-table rows recorded in one rank-0 database batch.
+// step's execution-table rows recorded in one rank-0 database batch.
 // This file holds a group's half of the flush (stage, issue per file,
-// resolve, deliver); step.go's endStep drives it.
+// resolve, deliver); step.go's EndStepAsync drives it.
 //
-// A single-operation epoch issues exactly the pre-epoch Write/Read
+// A single-operation step issues exactly the pre-epoch Write/Read
 // sequence's file-system requests and catalog statements, with the same
 // bytes; its execution-table row is recorded while the write is in
 // flight instead of after it, so it never finishes later. The
@@ -27,34 +27,34 @@ import (
 
 // pendingPut is one queued deferred write. encode performs the fused
 // permute-and-serialize from the caller's values into a file-order
-// byte slice of the step's staging arena; it runs at EndStep, so the
-// caller's slice must stay valid (and unmodified) until then.
+// byte slice of the step's staging arena through v, the view installed
+// when the Put was queued; it runs at EndStep, so the caller's slice
+// must stay valid (and unmodified) until then.
 type pendingPut struct {
 	di     int
+	v      *View
 	bytes  int64
 	file   string // target file, resolved once at queue time
 	encode func(v *View, dst []byte)
 }
 
 // pendingGet is one queued deferred read. decode scatters file-order
-// bytes back into the caller's slice when the get flush delivers.
+// bytes, read through v (the view installed when the Get was queued),
+// back into the caller's slice when the get flush delivers.
 type pendingGet struct {
 	di     int
-	bytes  int64
+	v      *View
 	decode func(v *View, src []byte)
 }
 
-// stepEpoch is a group's open deferred step, plus the flush scratch
-// reused across epochs (staging arena, placement lists, batch-op and
-// record buffers). Queueing still costs one small closure per Put/Get;
-// the bulk staging and collective plumbing beneath is allocation-free
-// in steady state.
+// stepEpoch is a group's share of the open step — its queued puts and
+// gets — plus the flush scratch reused across steps (staging arena,
+// placement lists, batch-op and record buffers). Queueing still costs
+// one small closure per Put/Get; the bulk staging and collective
+// plumbing beneath is allocation-free in steady state.
 type stepEpoch struct {
-	open     bool
-	managed  bool // opened by a Manager-level cross-group step
-	timestep int64
-	puts     []pendingPut
-	gets     []pendingGet
+	puts []pendingPut
+	gets []pendingGet
 
 	// Flush staging arenas, checked out of the manager's arena pool at
 	// staging time and owned by the step token until Wait returns them
@@ -84,41 +84,13 @@ type placedOp struct {
 	idx   int // index into puts/gets, for decode
 }
 
-// BeginStep opens a deferred-I/O epoch for one timestep of the group
-// (the paper's Level-3 rationale made first-class: a whole step's
-// datasets amortize one collective). Every rank must open and close the
-// same epochs with the same queued dataset sequence. An epoch is
-// per-group; opening a second epoch before EndStep is an error.
-// Asynchronous flushes from earlier epochs may still be outstanding:
-// the new epoch queues into a fresh (pooled) staging arena, and any
-// file-level conflict with an in-flight flush is resolved at flush
-// time by waiting on the conflicting token.
-func (g *Group) BeginStep(timestep int64) error {
-	if g.ep.open {
-		return fmt.Errorf("core: BeginStep(%d) with step %d already open", timestep, g.ep.timestep)
-	}
-	g.openStep(timestep, false)
-	return nil
-}
-
-// openStep resets the epoch for a new timestep. managed marks epochs
-// opened (and owned) by a Manager-level cross-group step.
-func (g *Group) openStep(timestep int64, managed bool) {
-	g.ep.open = true
-	g.ep.managed = managed
-	g.ep.timestep = timestep
-	g.ep.puts = g.ep.puts[:0]
-	g.ep.gets = g.ep.gets[:0]
-}
-
-// cancelStep drops an open epoch and everything queued in it, used
-// when queueing fails partway through a convenience wrapper. Queued
-// entries are zeroed so their closures (and the caller slices they
-// capture) do not stay reachable through the reusable backing arrays.
-// Staging arenas not adopted by a token go back to the pool.
+// cancelStep drops everything queued in the group's epoch: at every
+// step's close, and when queueing fails partway through a one-call
+// step. Queued entries are zeroed so their closures (and the caller
+// slices they capture) do not stay reachable through the reusable
+// backing arrays. Staging arenas not adopted by a token go back to the
+// pool.
 func (g *Group) cancelStep() {
-	g.ep.open = false
-	g.ep.managed = false
 	clear(g.ep.puts)
 	clear(g.ep.gets)
 	g.ep.puts = g.ep.puts[:0]
@@ -133,12 +105,19 @@ func (g *Group) cancelStep() {
 	}
 }
 
-// prepareOp validates a queue request: the epoch must be open, the
-// dataset registered, a view installed, and the element count must
-// match the view.
+// prepareOp validates a queue request: a step must be open and must
+// have opened the group (a group registered after BeginStep joins the
+// next step), the dataset registered, a view installed, and the element
+// count must match the view. The view returned is the one the operation
+// flushes through, whatever DataView installs before EndStep.
 func (g *Group) prepareOp(verb, dataset string, n int) (int, *View, error) {
-	if !g.ep.open {
-		return 0, nil, fmt.Errorf("core: %s on dataset %q outside a BeginStep/EndStep epoch", verb, dataset)
+	st := &g.s.step
+	if !st.open {
+		return 0, nil, fmt.Errorf("core: %s on dataset %q outside a BeginStep/EndStep step", verb, dataset)
+	}
+	if g.idx >= len(st.groups) {
+		return 0, nil, fmt.Errorf("core: %s on dataset %q of a group registered after BeginStep(%d); the group joins the next step",
+			verb, dataset, st.timestep)
 	}
 	di, ok := g.byName[dataset]
 	if !ok {
@@ -163,7 +142,7 @@ func (g *Group) enqueuePut(dataset string, n int, encode func(v *View, dst []byt
 		return err
 	}
 	g.ep.puts = append(g.ep.puts, pendingPut{
-		di: di, bytes: int64(n) * v.elemSize, file: g.fileFor(di, g.ep.timestep), encode: encode,
+		di: di, v: v, bytes: int64(n) * v.elemSize, file: g.fileFor(di, g.s.step.timestep), encode: encode,
 	})
 	return nil
 }
@@ -175,39 +154,8 @@ func (g *Group) enqueueGet(dataset string, n int, decode func(v *View, src []byt
 	if err != nil {
 		return err
 	}
-	g.ep.gets = append(g.ep.gets, pendingGet{di: di, bytes: int64(n) * v.elemSize, decode: decode})
+	g.ep.gets = append(g.ep.gets, pendingGet{di: di, v: v, decode: decode})
 	return nil
-}
-
-// EndStep closes the epoch and flushes it synchronously: all queued
-// puts first (one merged collective write per touched file, one batched
-// execution-table insert), then all queued gets (one batched placement
-// lookup, one merged collective read per file, then the decodes back
-// into the callers' slices). Collective whenever anything was queued;
-// an empty epoch costs nothing. EndStep is exactly
-// EndStepAsync().Wait(): the split-collective path with the wait issued
-// immediately, pinned bit-identical by the differential tests.
-func (g *Group) EndStep() error {
-	tok, err := g.EndStepAsync()
-	if err != nil {
-		return err
-	}
-	return tok.Wait()
-}
-
-// oneOpEpoch wraps a single queued operation in its own
-// BeginStep/EndStep epoch — the shape beneath the typed handles'
-// PutAt/GetAt. A failed enqueue cancels the epoch; a failed BeginStep
-// (epoch already open) leaves the caller's epoch untouched.
-func (g *Group) oneOpEpoch(timestep int64, op func() error) error {
-	if err := g.BeginStep(timestep); err != nil {
-		return err
-	}
-	if err := op(); err != nil {
-		g.cancelStep()
-		return err
-	}
-	return g.EndStep()
 }
 
 // groupByFile partitions placed operations by target file, preserving
@@ -268,15 +216,14 @@ func (g *Group) closeIfLevel1(of *openFile, file string) error {
 	return nil
 }
 
-// stagePuts performs the staging half of a put flush: it places every
-// queued put (allocating slabs in queue order, exactly as the same
-// sequence of one-operation epochs would), then fuses each put's permutation
-// and serialization straight into the epoch arena, charging the
-// memory-copy cost the staged bytes represent. It fills g.ep.placed and
-// g.ep.recs.
-func (g *Group) stagePuts() {
+// stagePuts performs the staging half of a put flush at timestep ts: it
+// places every queued put (allocating slabs in queue order, exactly as
+// the same sequence of one-operation steps would), then fuses each put's
+// permutation and serialization straight into the epoch arena through
+// the put's queued view, charging the memory-copy cost the staged bytes
+// represent. It fills g.ep.placed and g.ep.recs.
+func (g *Group) stagePuts(ts int64) {
 	puts := g.ep.puts
-	ts := g.ep.timestep
 	clock := g.s.env.Comm.Clock()
 	t0 := clock.Now()
 	var total int64
@@ -295,7 +242,7 @@ func (g *Group) stagePuts() {
 	for i := range puts {
 		p := &puts[i]
 		a := g.attrs[p.di]
-		v := g.views[a.Name]
+		v := p.v
 		file := p.file
 		physOff := g.place(file, a.GlobalSize*a.Type.Size())
 		dst := arena[cur : cur+p.bytes]
@@ -506,14 +453,15 @@ func (g *Group) resolveGets(tok *StepToken, ts int64, dis []int) ([]catalog.Writ
 	return recs, nil
 }
 
-// stageGets carves the read arena and computes each dataset's view
-// position; it fills g.ep.placed (placed[i] serves dis[i]) and
+// stageGets carves the read arena and computes each read's position in
+// the view its get was queued with — recs[i] holds the slab of
+// g.ep.gets[i]; it fills g.ep.placed (placed[i] serves g.ep.gets[i]) and
 // g.ep.readArena.
-func (g *Group) stageGets(dis []int, recs []catalog.WriteRecord) {
+func (g *Group) stageGets(recs []catalog.WriteRecord) {
+	gets := g.ep.gets
 	var total int64
-	for _, di := range dis {
-		v := g.views[g.attrs[di].Name]
-		total += int64(v.LocalSize()) * v.elemSize
+	for i := range gets {
+		total += int64(gets[i].v.LocalSize()) * gets[i].v.elemSize
 	}
 	if g.ep.readArena != nil {
 		g.s.putArena(g.ep.readArena)
@@ -522,8 +470,8 @@ func (g *Group) stageGets(dis []int, recs []catalog.WriteRecord) {
 	arena := g.ep.readArena
 	placed := g.ep.placed[:0]
 	var cur int64
-	for i, di := range dis {
-		v := g.views[g.attrs[di].Name]
+	for i := range gets {
+		v := gets[i].v
 		rec := recs[i]
 		disp, off := g.viewPos(v, rec.FileOffset)
 		n := int64(v.LocalSize()) * v.elemSize
@@ -534,17 +482,17 @@ func (g *Group) stageGets(dis []int, recs []catalog.WriteRecord) {
 	g.ep.placed = placed
 }
 
-// issueGets is the issue half of the group's get flush: datasets dis of
-// timestep ts, for token tok, their files placed by the step's cursor
-// cur. It returns the join time (the latest file completion) with the
-// clock left at the fork point and the staged reads in g.ep.placed /
-// g.ep.readArena.
+// issueGets is the issue half of the group's get flush: datasets dis —
+// those of the step's queued gets — at timestep ts, for token tok, their
+// files placed by the step's cursor cur. It returns the join time (the
+// latest file completion) with the clock left at the fork point and the
+// staged reads in g.ep.placed / g.ep.readArena.
 func (g *Group) issueGets(tok *StepToken, ts int64, dis []int, cur *mpiio.Cursor) (sim.Time, error) {
 	recs, err := g.resolveGets(tok, ts, dis)
 	if err != nil {
 		return g.s.env.Comm.Clock().Now(), err
 	}
-	g.stageGets(dis, recs)
+	g.stageGets(recs)
 	return g.issueFiles(ts, false, cur)
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sdm/internal/catalog"
@@ -256,7 +257,7 @@ func runScript(t *testing.T, sc diffScript, mode epochMode) *testEnv {
 					}
 				}
 			case modeBatched, modeAsync:
-				if err := g.BeginStep(int64(ts)); err != nil {
+				if err := s.BeginStep(int64(ts)); err != nil {
 					panic(err)
 				}
 				staged := make([][]float64, len(sc.sizes))
@@ -268,14 +269,14 @@ func runScript(t *testing.T, sc diffScript, mode epochMode) *testEnv {
 					}
 				}
 				if mode == modeAsync {
-					tok, err := g.EndStepAsync()
+					tok, err := s.EndStepAsync()
 					if err != nil {
 						panic(err)
 					}
 					if err := tok.Wait(); err != nil {
 						panic(err)
 					}
-				} else if err := g.EndStep(); err != nil {
+				} else if err := s.EndStep(); err != nil {
 					panic(err)
 				}
 			}
@@ -311,7 +312,7 @@ func runScript(t *testing.T, sc diffScript, mode epochMode) *testEnv {
 					check(ds, ts, out)
 				}
 			case modeBatched, modeAsync:
-				if err := g.BeginStep(int64(ts)); err != nil {
+				if err := s.BeginStep(int64(ts)); err != nil {
 					panic(err)
 				}
 				outs := make([][]float64, len(sc.sizes))
@@ -322,14 +323,14 @@ func runScript(t *testing.T, sc diffScript, mode epochMode) *testEnv {
 					}
 				}
 				if mode == modeAsync {
-					tok, err := g.EndStepAsync()
+					tok, err := s.EndStepAsync()
 					if err != nil {
 						panic(err)
 					}
 					if err := tok.Wait(); err != nil {
 						panic(err)
 					}
-				} else if err := g.EndStep(); err != nil {
+				} else if err := s.EndStep(); err != nil {
 					panic(err)
 				}
 				for ds := range sc.sizes {
@@ -519,31 +520,31 @@ func epochGroup(t *testing.T, te *testEnv, s *SDM, globalN int64) (*Group, *Data
 func TestEpochEdgeCases(t *testing.T) {
 	te := newTestEnv(2)
 	te.run(t, Options{Organization: Level3}, func(s *SDM) {
-		g, d, m := epochGroup(t, te, s, 32)
+		_, d, m := epochGroup(t, te, s, 32)
 		vals := make([]float64, len(m))
 
 		// Empty epoch: no collectives, no error, nothing recorded.
-		if err := g.BeginStep(0); err != nil {
+		if err := s.BeginStep(0); err != nil {
 			panic(err)
 		}
-		if err := g.EndStep(); err != nil {
+		if err := s.EndStep(); err != nil {
 			t.Errorf("empty epoch: %v", err)
 		}
 
 		// Double BeginStep.
-		if err := g.BeginStep(1); err != nil {
+		if err := s.BeginStep(1); err != nil {
 			panic(err)
 		}
-		if err := g.BeginStep(2); err == nil {
+		if err := s.BeginStep(2); err == nil {
 			t.Error("double BeginStep accepted")
 		}
-		if !g.ep.open {
+		if !s.step.open {
 			t.Error("epoch closed by failed BeginStep")
 		}
 		if err := d.Put(vals); err != nil {
 			panic(err)
 		}
-		if err := g.EndStep(); err != nil {
+		if err := s.EndStep(); err != nil {
 			panic(err)
 		}
 
@@ -555,12 +556,12 @@ func TestEpochEdgeCases(t *testing.T) {
 			t.Error("Get after EndStep accepted")
 		}
 		// EndStep without BeginStep.
-		if err := g.EndStep(); err == nil {
+		if err := s.EndStep(); err == nil {
 			t.Error("EndStep without BeginStep accepted")
 		}
 
 		// Wrong element count.
-		if err := g.BeginStep(3); err != nil {
+		if err := s.BeginStep(3); err != nil {
 			panic(err)
 		}
 		if err := d.Put(make([]float64, len(m)+1)); err == nil {
@@ -570,7 +571,7 @@ func TestEpochEdgeCases(t *testing.T) {
 		if err := d.Put(vals); err != nil {
 			panic(err)
 		}
-		if err := g.EndStep(); err != nil {
+		if err := s.EndStep(); err != nil {
 			panic(err)
 		}
 
@@ -587,6 +588,89 @@ func TestEpochEdgeCases(t *testing.T) {
 	recs, err := te.cat.WritesForRun(nil, 1)
 	if err != nil || len(recs) != 2 {
 		t.Fatalf("execution table has %d records (%v), want 2", len(recs), err)
+	}
+}
+
+// TestViewSwapBeforeEndStep: a Put or Get flushes through the view
+// installed when it was queued, whatever DataView installs before
+// EndStep — another permutation of the same elements, or a view of
+// another size.
+func TestViewSwapBeforeEndStep(t *testing.T) {
+	const n = 32
+	for _, tc := range []struct {
+		name  string
+		other func(rank int, m []int32) []int32
+	}{
+		{"permuted", func(_ int, m []int32) []int32 {
+			r := slices.Clone(m)
+			slices.Reverse(r)
+			return r
+		}},
+		{"resized", func(rank int, _ []int32) []int32 { // 24 elements on rank 0, 8 on rank 1
+			lo, hi := 0, 24
+			if rank == 1 {
+				lo, hi = 24, n
+			}
+			var out []int32
+			for gi := lo; gi < hi; gi++ {
+				out = append(out, int32(gi))
+			}
+			return out
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			te := newTestEnv(2)
+			te.run(t, Options{Organization: Level3}, func(s *SDM) {
+				g, d, m := epochGroup(t, te, s, n)
+				other := tc.other(s.env.Comm.Rank(), m)
+				swap := func(m []int32) {
+					if _, err := g.DataView([]string{"p"}, m); err != nil {
+						panic(err)
+					}
+				}
+				vals := make([]float64, len(m))
+				for i, gi := range m {
+					vals[i] = float64(gi) + 0.5
+				}
+				if err := s.BeginStep(0); err != nil {
+					panic(err)
+				}
+				if err := d.Put(vals); err != nil {
+					panic(err)
+				}
+				swap(other)
+				if err := s.EndStep(); err != nil {
+					panic(err)
+				}
+				swap(m)
+				got := make([]float64, len(m))
+				if err := s.BeginStep(0); err != nil {
+					panic(err)
+				}
+				if err := d.Get(got); err != nil {
+					panic(err)
+				}
+				swap(other)
+				if err := s.EndStep(); err != nil {
+					panic(err)
+				}
+				for i := range got {
+					if got[i] != vals[i] {
+						t.Errorf("rank %d: element %d read back %g, want %g", s.env.Comm.Rank(), m[i], got[i], vals[i])
+						break
+					}
+				}
+			})
+			raw, err := te.fs.ReadFile("testapp_r1_g0.dat")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for gi, v := range bytesToFloat64s(raw) {
+				if want := float64(gi) + 0.5; v != want {
+					t.Fatalf("file element %d = %g, want %g", gi, v, want)
+				}
+			}
+		})
 	}
 }
 
@@ -616,7 +700,7 @@ func TestEpochMixedPutsAndGets(t *testing.T) {
 			wa[i], wb[i] = float64(gi)+0.5, -float64(gi)
 		}
 		got := make([]float64, len(m))
-		if err := g.BeginStep(7); err != nil {
+		if err := s.BeginStep(7); err != nil {
 			panic(err)
 		}
 		if err := da.Put(wa); err != nil {
@@ -628,7 +712,7 @@ func TestEpochMixedPutsAndGets(t *testing.T) {
 		if err := da.Get(got); err != nil {
 			panic(err)
 		}
-		if err := g.EndStep(); err != nil {
+		if err := s.EndStep(); err != nil {
 			panic(err)
 		}
 		for i := range got {
@@ -680,7 +764,7 @@ func TestEpochTypedHandles(t *testing.T) {
 		for i, gi := range m {
 			wi[i], wc[i] = gi*3, int64(gi)*1_000_000_007
 		}
-		if err := g.BeginStep(0); err != nil {
+		if err := s.BeginStep(0); err != nil {
 			panic(err)
 		}
 		if err := di.Put(wi); err != nil {
@@ -689,7 +773,7 @@ func TestEpochTypedHandles(t *testing.T) {
 		if err := dc.Put(wc); err != nil {
 			panic(err)
 		}
-		if err := g.EndStep(); err != nil {
+		if err := s.EndStep(); err != nil {
 			panic(err)
 		}
 		gi32 := make([]int32, len(m))
@@ -746,7 +830,7 @@ func TestEpochMixedOrganizationGroups(t *testing.T) {
 					return out
 				}
 				for ts := 0; ts < 2; ts++ {
-					if err := g.BeginStep(int64(ts)); err != nil {
+					if err := s.BeginStep(int64(ts)); err != nil {
 						panic(err)
 					}
 					if err := dsSmall.Put(mk(ms, ts)); err != nil {
@@ -755,14 +839,14 @@ func TestEpochMixedOrganizationGroups(t *testing.T) {
 					if err := dsLarge.Put(mk(ml, ts)); err != nil {
 						panic(err)
 					}
-					if err := g.EndStep(); err != nil {
+					if err := s.EndStep(); err != nil {
 						panic(err)
 					}
 				}
 				for ts := 0; ts < 2; ts++ {
 					gs := make([]float64, len(ms))
 					gl := make([]float64, len(ml))
-					if err := g.BeginStep(int64(ts)); err != nil {
+					if err := s.BeginStep(int64(ts)); err != nil {
 						panic(err)
 					}
 					if err := dsSmall.Get(gs); err != nil {
@@ -771,7 +855,7 @@ func TestEpochMixedOrganizationGroups(t *testing.T) {
 					if err := dsLarge.Get(gl); err != nil {
 						panic(err)
 					}
-					if err := g.EndStep(); err != nil {
+					if err := s.EndStep(); err != nil {
 						panic(err)
 					}
 					ws, wl := mk(ms, ts), mk(ml, ts)
@@ -804,7 +888,7 @@ func TestLegacyWriteInsideEpochRejected(t *testing.T) {
 	te.run(t, Options{}, func(s *SDM) {
 		g, d, m := epochGroup(t, te, s, 16)
 		vals := make([]float64, len(m))
-		if err := g.BeginStep(0); err != nil {
+		if err := s.BeginStep(0); err != nil {
 			panic(err)
 		}
 		if err := putAt(g, "p", 0, vals); err == nil {
@@ -813,13 +897,13 @@ func TestLegacyWriteInsideEpochRejected(t *testing.T) {
 		if err := d.PutAt(0, vals); err == nil {
 			t.Error("PutAt inside an open epoch accepted")
 		}
-		if !g.ep.open {
+		if !s.step.open {
 			t.Error("open epoch destroyed by rejected nested write")
 		}
 		if err := d.Put(vals); err != nil {
 			panic(err)
 		}
-		if err := g.EndStep(); err != nil {
+		if err := s.EndStep(); err != nil {
 			panic(err)
 		}
 	})

@@ -43,8 +43,8 @@ type Group struct {
 	cbNodes    int
 	stripes    int
 
-	// ep is the group's deferred step epoch (BeginStep/EndStep) and its
-	// flush scratch.
+	// ep is the group's share of the open step (SDM.BeginStep/EndStep)
+	// and its flush scratch.
 	ep stepEpoch
 
 	// Each open file checks its I/O scratch bundle out of the pool

@@ -75,7 +75,7 @@ func TestStepPlacementSpreadsFiles(t *testing.T) {
 				panic(err)
 			}
 			if oneStep {
-				if err := g.BeginStep(0); err != nil {
+				if err := s.BeginStep(0); err != nil {
 					panic(err)
 				}
 			}
@@ -101,7 +101,7 @@ func TestStepPlacementSpreadsFiles(t *testing.T) {
 				}
 			}
 			if oneStep {
-				if err := g.EndStep(); err != nil {
+				if err := s.EndStep(); err != nil {
 					panic(err)
 				}
 			}

@@ -32,7 +32,7 @@ type raApp struct {
 	ga, gb  *Group
 	ds      []*Dataset[float64] // p, q, f
 	maps    [][]int32           // the view of each dataset
-	manager bool                // Manager-level steps (both groups) or group a alone
+	manager bool                // steps queue into both groups, or into group a alone
 }
 
 func (a *raApp) nsets() int {
@@ -43,23 +43,12 @@ func (a *raApp) nsets() int {
 }
 
 func (a *raApp) begin(ts int64) {
-	var err error
-	if a.manager {
-		err = a.s.BeginStep(ts)
-	} else {
-		err = a.ga.BeginStep(ts)
-	}
-	if err != nil {
+	if err := a.s.BeginStep(ts); err != nil {
 		panic(err)
 	}
 }
 
-func (a *raApp) end() error {
-	if a.manager {
-		return a.s.EndStep()
-	}
-	return a.ga.EndStep()
-}
+func (a *raApp) end() error { return a.s.EndStep() }
 
 // put writes one checkpoint of the first n datasets synchronously.
 func (a *raApp) put(ts int64, n, rev int) error {
@@ -181,7 +170,7 @@ func readStats(st pfs.Stats) [4]int64 {
 
 // (a) A depth-4 get-only loop delivers the bytes of the depth-1 loop
 // for the same opens, views, read requests and bytes, and finishes
-// strictly earlier — per-group and Manager-level steps, every file
+// strictly earlier — steps over one group and over both, every file
 // organization.
 func TestReadAheadDifferential(t *testing.T) {
 	const n, steps = 4, 8

@@ -11,13 +11,14 @@ import (
 
 // Split-collective step epochs with N-deep pipelining.
 //
-// One engine closes every step: endStep, over the one group a
-// Group.EndStepAsync closes or the groups a Manager-level
-// SDM.BeginStep opened. A step costs the same virtual time whichever
-// handle closes it. Its flush — staging, the merged collectives, the
-// execution-table batch — is costed on a forked sub-timeline while the
-// application's own clock stays at the call point, so the next step's
-// computation overlaps the flush in virtual time (the paper's
+// A step belongs to the Manager: SDM.BeginStep opens it over every group
+// registered so far, Dataset Puts and Gets queue into their group's
+// epoch, and SDM.EndStepAsync (EndStep is EndStepAsync().Wait()) closes
+// it. A one-call PutAt/GetAt is a one-op step. The step's flush —
+// staging, the merged collectives, the execution-table batch — is
+// costed on a forked sub-timeline while the application's own clock
+// stays at the call point, so the next step's computation overlaps the
+// flush in virtual time (the paper's
 // asynchronous history-file write, generalized to every dataset). The
 // returned StepToken is the MPI_Request analogue: Wait joins the
 // flush's completion back into the rank's timeline, charging only
@@ -73,11 +74,11 @@ import (
 // own token: nothing is issued.
 
 // StepToken is the handle of an asynchronous (split-collective) step
-// flush, returned by Group.EndStepAsync and SDM.EndStepAsync. The flush
-// has been issued; Wait joins its completion into the rank's timeline
-// and surfaces any flush error. Exactly one Wait per token; waiting
-// twice fails loudly. Get results decoded by an asynchronous flush must
-// not be consumed before Wait returns.
+// flush, returned by SDM.EndStepAsync. The flush has been issued; Wait
+// joins its completion into the rank's timeline and surfaces any flush
+// error. Exactly one Wait per token; waiting twice fails loudly. Get
+// results decoded by an asynchronous flush must not be consumed before
+// Wait returns.
 type StepToken struct {
 	s        *SDM
 	seq      int64    // issue order, breaking completion-time ties
@@ -275,38 +276,25 @@ func (tok *StepToken) adopt(g *Group) {
 	}
 }
 
-// EndStepAsync closes the epoch and issues its flush as a
-// split-collective: all ranks run the flush's collectives now (every
-// rank must call it, like EndStep), but the cost lands on a forked
-// sub-timeline and the caller's clock stays put, so subsequent
-// computation overlaps the flush in virtual time. The returned token's
-// Wait joins the completion and reports flush errors; alternatively the
-// pipeline bounds itself — when Options.StepPipelineDepth flushes are
-// already in flight, the earliest-completing ones are joined here
-// before the new flush issues. The caller's Put slices may be reused as
-// soon as EndStepAsync returns (the arena snapshot happened); Get
-// results are valid only after Wait. A flush error surfaced by an
-// implicit join cancels the epoch and is returned here. It is the
-// Manager's EndStepAsync over this one group.
-func (g *Group) EndStepAsync() (*StepToken, error) {
-	if !g.ep.open {
-		return nil, fmt.Errorf("core: EndStepAsync without an open BeginStep epoch")
+// EndStepAsync closes the step and issues its flush as a
+// split-collective (see the file comment): all ranks run the flush's
+// collectives now (every rank must call it, like EndStep), but the cost
+// lands on a forked sub-timeline and the caller's clock stays put, so
+// subsequent computation overlaps the flush in virtual time. The
+// returned token's Wait joins the completion and reports flush errors;
+// alternatively the pipeline bounds itself — when
+// Options.StepPipelineDepth flushes are already in flight, the
+// earliest-completing ones are joined here before the new flush issues.
+// The caller's Put slices may be reused as soon as EndStepAsync returns
+// (the arena snapshot happened); Get results are valid only after Wait.
+// A flush error surfaced by an implicit join cancels the step and is
+// returned here. Every path closes the step, a failed one included.
+func (s *SDM) EndStepAsync() (*StepToken, error) {
+	if !s.step.open {
+		return nil, fmt.Errorf("core: EndStep without an open BeginStep step")
 	}
-	if g.ep.managed {
-		return nil, fmt.Errorf("core: group epoch is owned by a Manager-level step; close it with the Manager's EndStep")
-	}
-	return g.s.endStep(g.s.groups[g.idx:g.idx+1], g.ep.timestep)
-}
-
-// endStep closes the open epochs of groups, all at timestep ts, and
-// issues their flush (see the file comment). Every path closes the
-// epochs, a failed one included.
-func (s *SDM) endStep(groups []*Group, ts int64) (*StepToken, error) {
-	defer func() {
-		for _, g := range groups {
-			g.cancelStep() // release queued closures and the caller slices they capture
-		}
-	}()
+	defer s.cancelStep()
+	groups, ts := s.step.groups, s.step.timestep
 	empty, getOnly := true, true
 	for _, g := range groups {
 		if len(g.ep.puts) > 0 || len(g.ep.gets) > 0 {
@@ -393,7 +381,7 @@ func (s *SDM) flushStep(tok *StepToken, groups []*Group, parts []getPart) error 
 			continue
 		}
 		wrote = true
-		g.stagePuts()
+		g.stagePuts(tok.timestep)
 		j, err := g.issueFiles(tok.timestep, true, &cur)
 		join = sim.MaxTime(join, j)
 		g.cacheWrites()
@@ -473,7 +461,7 @@ func sameGets(a, b []getPart) bool {
 
 // serves reports whether t is an undelivered read-ahead of exactly this
 // get-only step: same timestep, same datasets, through the views the
-// groups have installed now.
+// step's gets were queued with.
 func (t *StepToken) serves(ts int64, parts []getPart) bool {
 	if t.ahead == nil || t.timestep != ts || len(t.ahead) != len(parts) {
 		return false
@@ -483,8 +471,8 @@ func (t *StepToken) serves(ts int64, parts []getPart) bool {
 		if a.g != parts[i].g || !slices.Equal(a.dis, parts[i].dis) {
 			return false
 		}
-		for j, di := range a.dis {
-			if a.placed[j].v != a.g.views[a.g.attrs[di].Name] {
+		for j := range a.placed {
+			if a.placed[j].v != a.g.ep.gets[j].v {
 				return false
 			}
 		}
@@ -566,7 +554,9 @@ func (s *SDM) topUpAhead() {
 
 // issueAhead issues the get flush of parts for timestep ts as a
 // read-ahead: the issue half only, on a sub-timeline forked from the
-// clock's current position, into arenas the new token owns. It declines
+// clock's current position, into arenas the new token owns, through the
+// views the closing get-only step's gets were queued with (parts are its
+// gets, still queued while EndStepAsync runs). It declines
 // (false) when a slab is not in the placement index or a flush to one
 // of the files is still in flight — a speculation never waits and never
 // asks the catalog.
@@ -624,56 +614,63 @@ func (s *SDM) issueAhead(ts int64, parts []getPart) bool {
 }
 
 // ---------------------------------------------------------------------------
-// Manager-level cross-group steps
+// Opening and closing a step
 // ---------------------------------------------------------------------------
 
-// BeginStep opens one deferred epoch for the given timestep on every
-// group registered so far — the cross-group generalization of
-// Group.BeginStep. Dataset Puts and Gets queue into their own group's
-// epoch as usual; the Manager's EndStep (or EndStepAsync) then flushes
-// all groups in one rendezvous with a single execution-table batch.
-// Asynchronous flushes from earlier steps may still be outstanding;
-// they are joined per file at flush time. Collective; every rank must
-// open and close the same manager steps.
+// BeginStep opens the step for the given timestep over every group
+// registered so far (the paper's Level-3 rationale made first-class: a
+// whole step's datasets amortize one collective). Dataset Puts and Gets
+// queue into their own group's epoch; EndStep (or EndStepAsync) then
+// flushes all groups in one rendezvous with a single execution-table
+// batch. A group registered while the step is open joins the next one.
+// Asynchronous flushes from earlier steps may still be outstanding: the
+// new step queues into fresh (pooled) staging arenas, and any file-level
+// conflict with an in-flight flush is resolved at flush time by waiting
+// on the conflicting token. Collective; every rank must open and close
+// the same steps with the same queued dataset sequence.
 func (s *SDM) BeginStep(timestep int64) error {
 	if s.step.open {
-		return fmt.Errorf("core: Manager BeginStep(%d) with step %d already open", timestep, s.step.timestep)
+		return fmt.Errorf("core: BeginStep(%d) with step %d already open", timestep, s.step.timestep)
 	}
-	for _, g := range s.groups {
-		if g.ep.open {
-			return fmt.Errorf("core: Manager BeginStep(%d) with a group epoch (step %d) already open", timestep, g.ep.timestep)
-		}
-	}
-	for _, g := range s.groups {
-		g.openStep(timestep, true)
-	}
-	s.step.open = true
-	s.step.timestep = timestep
-	s.step.groups = s.groups
+	s.step.open, s.step.timestep, s.step.groups = true, timestep, s.groups
 	return nil
 }
 
-// EndStep closes the Manager-level step and flushes every group's epoch
-// synchronously — exactly EndStepAsync().Wait().
+// cancelStep closes the open step and drops everything its groups
+// queued, releasing the closures and the caller slices they capture.
+func (s *SDM) cancelStep() {
+	for _, g := range s.step.groups {
+		g.cancelStep()
+	}
+	s.step.open, s.step.groups = false, nil
+}
+
+// oneOpStep wraps a single queued operation in its own step — the shape
+// beneath the typed handles' PutAt/GetAt. A failed enqueue cancels the
+// step; a failed BeginStep (a step already open) leaves the caller's
+// step untouched.
+func (s *SDM) oneOpStep(timestep int64, op func() error) error {
+	if err := s.BeginStep(timestep); err != nil {
+		return err
+	}
+	if err := op(); err != nil {
+		s.cancelStep()
+		return err
+	}
+	return s.EndStep()
+}
+
+// EndStep closes the step and flushes it synchronously: all queued puts
+// first (one merged collective write per touched file, one batched
+// execution-table insert), then all queued gets (one batched placement
+// lookup, one merged collective read per file, then the decodes back
+// into the callers' slices). Collective whenever anything was queued; a
+// step that queued nothing costs nothing. EndStep is exactly
+// EndStepAsync().Wait(), pinned bit-identical by the differential tests.
 func (s *SDM) EndStep() error {
 	tok, err := s.EndStepAsync()
 	if err != nil {
 		return err
 	}
 	return tok.Wait()
-}
-
-// EndStepAsync closes the Manager-level step and issues the merged
-// flush of every group its BeginStep opened as a split-collective — the
-// same engine, and the same schedule, as a group's EndStepAsync (see
-// the file comment). Earlier steps' flushes stay in flight when their
-// files are disjoint; conflicting ones are joined, and the pipeline
-// depth bound drains the earliest completions first.
-func (s *SDM) EndStepAsync() (*StepToken, error) {
-	if !s.step.open {
-		return nil, fmt.Errorf("core: Manager EndStep without an open BeginStep step")
-	}
-	groups := s.step.groups
-	s.step.open, s.step.groups = false, nil
-	return s.endStep(groups, s.step.timestep)
 }

@@ -20,19 +20,19 @@ func pipelineWorkload(t *testing.T, n, steps, depth int, level FileOrganization,
 	t.Helper()
 	te := newCostedEnv(n)
 	te.run(t, Options{Organization: level, StepPipelineDepth: depth}, func(s *SDM) {
-		g, d, m := epochGroup(t, te, s, 4096)
+		_, d, m := epochGroup(t, te, s, 4096)
 		vals := make([]float64, len(m))
 		for i, gi := range m {
 			vals[i] = float64(gi)
 		}
 		for ts := 0; ts < steps; ts++ {
-			if err := g.BeginStep(int64(ts)); err != nil {
+			if err := s.BeginStep(int64(ts)); err != nil {
 				panic(err)
 			}
 			if err := d.Put(vals); err != nil {
 				panic(err)
 			}
-			if _, err := g.EndStepAsync(); err != nil {
+			if _, err := s.EndStepAsync(); err != nil {
 				panic(err)
 			}
 			s.env.Comm.Compute(compute)
@@ -57,19 +57,19 @@ func TestPipelineDepth1BitIdenticalToSync(t *testing.T) {
 			sync := func() *testEnv {
 				te := newCostedEnv(n)
 				te.run(t, Options{Organization: level}, func(s *SDM) {
-					g, d, m := epochGroup(t, te, s, 4096)
+					_, d, m := epochGroup(t, te, s, 4096)
 					vals := make([]float64, len(m))
 					for i, gi := range m {
 						vals[i] = float64(gi)
 					}
 					for ts := 0; ts < steps; ts++ {
-						if err := g.BeginStep(int64(ts)); err != nil {
+						if err := s.BeginStep(int64(ts)); err != nil {
 							panic(err)
 						}
 						if err := d.Put(vals); err != nil {
 							panic(err)
 						}
-						if err := g.EndStep(); err != nil {
+						if err := s.EndStep(); err != nil {
 							panic(err)
 						}
 					}
@@ -116,7 +116,7 @@ func TestPipelineDepthReducesTime(t *testing.T) {
 func TestConflictImplicitlyWaits(t *testing.T) {
 	te := newTestEnv(2)
 	te.run(t, Options{Organization: Level2, StepPipelineDepth: 4}, func(s *SDM) {
-		mk := func(name string, mark float64) (*Group, *Dataset[float64], []float64) {
+		mk := func(name string, mark float64) (*Dataset[float64], []float64) {
 			attrs := MakeDatalist(name)
 			attrs[0].GlobalSize = 32
 			g, err := s.SetAttributes(attrs)
@@ -135,35 +135,34 @@ func TestConflictImplicitlyWaits(t *testing.T) {
 			for i, gi := range m {
 				vals[i] = float64(gi) + mark
 			}
-			return g, d, vals
+			return d, vals
 		}
 		// Two groups registering the same dataset name share a Level2
 		// file (each appending from its own slab cursor, so B's write
 		// lands over A's — the aliasing is exactly why the registry must
 		// serialize them); a third group writes its own file.
-		ga, da, va := mk("shared", 0.25)
-		gb, db, vb := mk("shared", 0.75)
-		gc, dc, vc := mk("other", 0.5)
-		_ = va
+		da, va := mk("shared", 0.25)
+		db, vb := mk("shared", 0.75)
+		dc, vc := mk("other", 0.5)
 
-		put := func(g *Group, d *Dataset[float64], ts int64, vals []float64) *StepToken {
-			if err := g.BeginStep(ts); err != nil {
+		put := func(d *Dataset[float64], ts int64, vals []float64) *StepToken {
+			if err := s.BeginStep(ts); err != nil {
 				panic(err)
 			}
 			if err := d.Put(vals); err != nil {
 				panic(err)
 			}
-			tok, err := g.EndStepAsync()
+			tok, err := s.EndStepAsync()
 			if err != nil {
 				panic(err)
 			}
 			return tok
 		}
-		tokA := put(ga, da, 0, va)
-		tokC := put(gc, dc, 0, vc)
+		tokA := put(da, 0, va)
+		tokC := put(dc, 0, vc)
 		// Group B flushes the same file as A: A's token joins
 		// implicitly, C's stays outstanding.
-		tokB := put(gb, db, 1, vb)
+		tokB := put(db, 1, vb)
 		if !tokA.waited {
 			t.Error("conflicting flush did not join the outstanding token")
 		}
@@ -218,19 +217,19 @@ func TestWaitErrorReleasesClaims(t *testing.T) {
 
 		// The epoch claims a's file for the put, then fails flushing the
 		// get: timestep 99 of b was never written.
-		if err := g.BeginStep(0); err != nil {
+		if err := s.BeginStep(0); err != nil {
 			panic(err)
 		}
 		if err := da.Put(vals); err != nil {
 			panic(err)
 		}
-		if err := g.BeginStep(0); err == nil {
+		if err := s.BeginStep(0); err == nil {
 			panic("double BeginStep accepted")
 		}
 		if err := db.Get(vals); err != nil {
 			panic(err)
 		}
-		tok, err := g.EndStepAsync()
+		tok, err := s.EndStepAsync()
 		if err != nil {
 			panic(err)
 		}
@@ -262,16 +261,16 @@ func TestRecordWritesCommitInTimestepOrder(t *testing.T) {
 	te := newTestEnv(2)
 	const steps = 6
 	te.run(t, Options{Organization: Level1, StepPipelineDepth: 4}, func(s *SDM) {
-		g, d, m := epochGroup(t, te, s, 64)
+		_, d, m := epochGroup(t, te, s, 64)
 		vals := make([]float64, len(m))
 		for ts := 0; ts < steps; ts++ {
-			if err := g.BeginStep(int64(ts)); err != nil {
+			if err := s.BeginStep(int64(ts)); err != nil {
 				panic(err)
 			}
 			if err := d.Put(vals); err != nil {
 				panic(err)
 			}
-			if _, err := g.EndStepAsync(); err != nil {
+			if _, err := s.EndStepAsync(); err != nil {
 				panic(err)
 			}
 		}
@@ -304,13 +303,13 @@ func TestPipelinePoolsBounded(t *testing.T) {
 		g, d, m := epochGroup(t, te, s, 256)
 		vals := make([]float64, len(m))
 		for ts := 0; ts < steps; ts++ {
-			if err := g.BeginStep(int64(ts)); err != nil {
+			if err := s.BeginStep(int64(ts)); err != nil {
 				panic(err)
 			}
 			if err := d.Put(vals); err != nil {
 				panic(err)
 			}
-			if _, err := g.EndStepAsync(); err != nil {
+			if _, err := s.EndStepAsync(); err != nil {
 				panic(err)
 			}
 			if len(s.tokens) > depth {
@@ -336,25 +335,25 @@ func TestPipelinePoolsBounded(t *testing.T) {
 func TestEmptyEpochKeepsPipelineOverlap(t *testing.T) {
 	te := newCostedEnv(2)
 	te.run(t, Options{Organization: Level1, StepPipelineDepth: 1}, func(s *SDM) {
-		g, d, m := epochGroup(t, te, s, 2048)
+		_, d, m := epochGroup(t, te, s, 2048)
 		vals := make([]float64, len(m))
-		if err := g.BeginStep(0); err != nil {
+		if err := s.BeginStep(0); err != nil {
 			panic(err)
 		}
 		if err := d.Put(vals); err != nil {
 			panic(err)
 		}
-		tok, err := g.EndStepAsync()
+		tok, err := s.EndStepAsync()
 		if err != nil {
 			panic(err)
 		}
 		before := s.env.Comm.Now()
 		// A no-output timestep: must not join the outstanding flush even
 		// at depth 1, and must not register a new token.
-		if err := g.BeginStep(1); err != nil {
+		if err := s.BeginStep(1); err != nil {
 			panic(err)
 		}
-		empty, err := g.EndStepAsync()
+		empty, err := s.EndStepAsync()
 		if err != nil {
 			panic(err)
 		}
@@ -391,59 +390,63 @@ type pipeOp struct {
 	group int    // 0 or 1
 	ds    int    // dataset index within the group
 	tok   int    // index into the issued-token list (wait)
-	ts    int64  // epoch timestep (begin) or read target (get)
+	ts    int64  // step timestep (begin) or read target (get)
 }
 
-// writtenStep records one closed epoch: its timestep and how many of
-// the group's datasets it queued (datasets 0..n-1 were written).
+// writtenStep records one closed step of a group: its timestep and how
+// many of the group's datasets it queued (datasets 0..n-1 were written).
 type writtenStep struct {
 	ts int64
 	n  int
 }
 
 // genScript generates a deterministic op sequence for a trial. It
-// tracks just enough state (open epochs, issued token count, written
+// tracks just enough state (the open step, issued token count, written
 // timesteps, queued puts) to keep the script structurally valid.
 func genScript(rng *rand.Rand, nOps int) []pipeOp {
 	var (
 		ops     []pipeOp
-		open    [2]bool
+		open    bool
 		queued  [2]int
-		nextTS  [2]int64
+		nextTS  int64
 		written [2][]writtenStep
 		tokens  int
 	)
 	for len(ops) < nOps {
 		g := rng.Intn(2)
 		switch {
-		case !open[g] && rng.Intn(4) == 0 && tokens > 0:
+		case !open && rng.Intn(4) == 0 && tokens > 0:
 			ops = append(ops, pipeOp{kind: "wait", tok: rng.Intn(tokens)})
-		case !open[g] && rng.Intn(5) == 0 && len(written[g]) > 0:
+		case !open && rng.Intn(5) == 0 && len(written[g]) > 0:
 			w := written[g][rng.Intn(len(written[g]))]
 			ops = append(ops, pipeOp{kind: "get", group: g, ds: rng.Intn(w.n), ts: w.ts})
-		case !open[g] && rng.Intn(8) == 0:
+		case !open && rng.Intn(8) == 0:
 			ops = append(ops, pipeOp{kind: "misuse", group: g})
-		case !open[g]:
-			ops = append(ops, pipeOp{kind: "begin", group: g, ts: nextTS[g]})
-			open[g] = true
+		case !open:
+			ops = append(ops, pipeOp{kind: "begin", ts: nextTS})
+			open = true
 		case queued[g] < 2 && rng.Intn(3) != 0:
 			ops = append(ops, pipeOp{kind: "put", group: g, ds: queued[g]})
 			queued[g]++
-		case queued[g] == 0:
-			// Close an empty epoch synchronously (free) to keep moving.
-			ops = append(ops, pipeOp{kind: "end", group: g})
-			open[g] = false
-		case rng.Intn(3) == 0:
-			ops = append(ops, pipeOp{kind: "end", group: g})
-			written[g] = append(written[g], writtenStep{nextTS[g], queued[g]})
-			nextTS[g]++
-			open[g], queued[g] = false, 0
+		case queued == [2]int{}:
+			// Close an empty step synchronously (free) to keep moving.
+			ops = append(ops, pipeOp{kind: "end"})
+			open = false
 		default:
-			ops = append(ops, pipeOp{kind: "endAsync", group: g})
-			written[g] = append(written[g], writtenStep{nextTS[g], queued[g]})
-			nextTS[g]++
-			open[g], queued[g] = false, 0
-			tokens++
+			kind := "endAsync"
+			if rng.Intn(3) == 0 {
+				kind = "end"
+			} else {
+				tokens++
+			}
+			ops = append(ops, pipeOp{kind: kind})
+			for h := range queued {
+				if queued[h] > 0 {
+					written[h] = append(written[h], writtenStep{nextTS, queued[h]})
+				}
+			}
+			nextTS++
+			open, queued = false, [2]int{}
 		}
 	}
 	return ops
@@ -474,7 +477,6 @@ func TestTokenRegistryRandomized(t *testing.T) {
 				if s.env.Comm.Rank() == 0 {
 					mgr = s
 				}
-				var groups [2]*Group
 				var ds [2][2]*Dataset[float64]
 				var maps [2][]int32
 				for g := 0; g < 2; g++ {
@@ -490,7 +492,6 @@ func TestTokenRegistryRandomized(t *testing.T) {
 					if _, err := gr.DataView([]string{attrs[0].Name, attrs[1].Name}, maps[g]); err != nil {
 						panic(err)
 					}
-					groups[g] = gr
 					for k := 0; k < 2; k++ {
 						h, err := DatasetOf[float64](gr, attrs[k].Name)
 						if err != nil {
@@ -501,31 +502,31 @@ func TestTokenRegistryRandomized(t *testing.T) {
 				}
 
 				var toks []*StepToken
-				var curTS [2]int64
+				var curTS int64
 				var bufs [][]float64 // keep queued slices alive until flush
 				for _, op := range script {
 					g := op.group
 					switch op.kind {
 					case "begin":
-						curTS[g] = op.ts
-						if err := groups[g].BeginStep(op.ts); err != nil {
+						curTS = op.ts
+						if err := s.BeginStep(op.ts); err != nil {
 							panic(err)
 						}
 					case "put":
 						vals := make([]float64, len(maps[g]))
 						for i, gi := range maps[g] {
-							vals[i] = value(g, op.ds, curTS[g], gi)
+							vals[i] = value(g, op.ds, curTS, gi)
 						}
 						bufs = append(bufs, vals)
 						if err := ds[g][op.ds].Put(vals); err != nil {
 							panic(err)
 						}
 					case "end":
-						if err := groups[g].EndStep(); err != nil {
+						if err := s.EndStep(); err != nil {
 							panic(err)
 						}
 					case "endAsync":
-						tok, err := groups[g].EndStepAsync()
+						tok, err := s.EndStepAsync()
 						if err != nil {
 							panic(err)
 						}
@@ -555,20 +556,18 @@ func TestTokenRegistryRandomized(t *testing.T) {
 							}
 						}
 					case "misuse":
-						if err := groups[g].EndStep(); err == nil {
-							panic("EndStep without an open epoch accepted")
+						if err := s.EndStep(); err == nil {
+							panic("EndStep without an open step accepted")
 						}
 						if err := ds[g][0].Put(nil); err == nil {
-							panic("Put outside an epoch accepted")
+							panic("Put outside a step accepted")
 						}
 					}
 				}
-				// Any epoch still open cancels nothing written; close it.
-				for g := 0; g < 2; g++ {
-					if groups[g].ep.open {
-						if err := groups[g].EndStep(); err != nil {
-							panic(err)
-						}
+				// A step still open has written nothing yet; close it.
+				if s.step.open {
+					if err := s.EndStep(); err != nil {
+						panic(err)
 					}
 				}
 				// No lost writes: every written timestep of every dataset
@@ -628,7 +627,7 @@ func TestPipelineRaceStress(t *testing.T) {
 	const nRanks, steps, depth = 4, 8, 3
 	te := newTestEnv(nRanks)
 	te.run(t, Options{Organization: Level1, StepPipelineDepth: depth}, func(s *SDM) {
-		gw, dw, mw := epochGroup(t, te, s, 512)
+		_, dw, mw := epochGroup(t, te, s, 512)
 		attrs := MakeDatalist("r")
 		attrs[0].GlobalSize = 512
 		gr, err := s.SetAttributes(attrs)
@@ -651,22 +650,22 @@ func TestPipelineRaceStress(t *testing.T) {
 			}
 			// Writer stream: p at ts, r at ts (two groups, two files per
 			// step, all disjoint across steps under level 1).
-			if err := gw.BeginStep(int64(ts)); err != nil {
+			if err := s.BeginStep(int64(ts)); err != nil {
 				panic(err)
 			}
 			if err := dw.Put(vals); err != nil {
 				panic(err)
 			}
-			if _, err := gw.EndStepAsync(); err != nil {
+			if _, err := s.EndStepAsync(); err != nil {
 				panic(err)
 			}
-			if err := gr.BeginStep(int64(ts)); err != nil {
+			if err := s.BeginStep(int64(ts)); err != nil {
 				panic(err)
 			}
 			if err := dr.Put(vals); err != nil {
 				panic(err)
 			}
-			if _, err := gr.EndStepAsync(); err != nil {
+			if _, err := s.EndStepAsync(); err != nil {
 				panic(err)
 			}
 			// Reader: fetch an earlier, already-joined-or-conflicting

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"sdm/internal/mpi"
 	"sdm/internal/obs"
 	"sdm/internal/sim"
 )
@@ -48,7 +49,7 @@ func stepWorkload(t *testing.T, n, steps int, compute sim.Duration, async bool) 
 	t.Helper()
 	te := newCostedEnv(n)
 	te.run(t, Options{Organization: Level3}, func(s *SDM) {
-		g, d, m := epochGroup(t, te, s, 4096)
+		_, d, m := epochGroup(t, te, s, 4096)
 		vals := make([]float64, len(m))
 		for i, gi := range m {
 			vals[i] = float64(gi)
@@ -60,7 +61,7 @@ func stepWorkload(t *testing.T, n, steps int, compute sim.Duration, async bool) 
 					panic(err)
 				}
 			}
-			if err := g.BeginStep(int64(ts)); err != nil {
+			if err := s.BeginStep(int64(ts)); err != nil {
 				panic(err)
 			}
 			if err := d.Put(vals); err != nil {
@@ -68,12 +69,12 @@ func stepWorkload(t *testing.T, n, steps int, compute sim.Duration, async bool) 
 			}
 			if async {
 				var err error
-				if tok, err = g.EndStepAsync(); err != nil {
+				if tok, err = s.EndStepAsync(); err != nil {
 					panic(err)
 				}
 				s.env.Comm.Compute(compute) // next step's work overlaps the flush
 			} else {
-				if err := g.EndStep(); err != nil {
+				if err := s.EndStep(); err != nil {
 					panic(err)
 				}
 				s.env.Comm.Compute(compute)
@@ -104,8 +105,8 @@ func TestAsyncOverlapReducesTime(t *testing.T) {
 }
 
 // managerWorkload writes (and reads back) two groups with different
-// global sizes for several steps, either through Manager-level
-// cross-group steps or per-group epochs.
+// global sizes for several steps, either through one step over both
+// groups or one one-call step per dataset.
 func managerWorkload(t *testing.T, n, steps int, manager bool) *testEnv {
 	t.Helper()
 	te := newCostedEnv(n)
@@ -228,7 +229,7 @@ type handleStep struct {
 // handleScript writes, mixes, skips a step, reads sequentially (which
 // arms read-ahead at depth > 1; the drain before leaves no write in
 // flight for it to decline on), jumps back (which discards it), and
-// rewrites.
+// rewrites. Its last three steps hold one operation each.
 var handleScript = []handleStep{
 	{ts: 0, puts: []int{0, 1}},
 	{ts: 1, puts: []int{0, 1}},
@@ -242,12 +243,13 @@ var handleScript = []handleStep{
 	{ts: 3, gets: []int{1}},
 }
 
-// runHandleScript runs handleScript over one mixed-size group, closing
-// every step through the group's handle or the Manager's (the group is
-// the only one registered), synchronously or with tokens left to the
-// pipeline and drained at the end. It also reports how many read-aheads
-// rank 0 issued.
-func runHandleScript(t *testing.T, level FileOrganization, depth int, manager, async bool) (*testEnv, int) {
+// runHandleScript runs handleScript over one mixed-size group and checks
+// every element it reads. Every step closes through EndStepAsync, its
+// token left to the pipeline and drained at the end, when async is set,
+// and through EndStep otherwise; with oneCall set (sync only) the
+// one-op steps go through the datasets' PutAt/GetAt instead. It also
+// reports how many read-aheads rank 0 issued.
+func runHandleScript(t *testing.T, level FileOrganization, depth int, oneCall, async bool) (*testEnv, int) {
 	t.Helper()
 	const n = 3
 	te := newCostedEnv(n)
@@ -274,41 +276,45 @@ func runHandleScript(t *testing.T, level FileOrganization, depth int, manager, a
 			out    []float64
 		}
 		var checks []check
+		values := func(d int, ts int64) []float64 {
+			vals := make([]float64, len(maps[d]))
+			for i, gi := range maps[d] {
+				vals[i] = scriptValue(d, int(ts), int(gi))
+			}
+			return vals
+		}
+		out := func(d int, ts int64) []float64 {
+			c := check{int(ts), d, make([]float64, len(maps[d]))}
+			checks = append(checks, c)
+			return c.out
+		}
 		for _, st := range handleScript {
+			oneOp := len(st.puts)+len(st.gets) == 1
 			var err error
-			if manager {
-				err = s.BeginStep(st.ts)
-			} else {
-				err = g.BeginStep(st.ts)
-			}
-			if err != nil {
-				panic(err)
-			}
-			for _, d := range st.puts {
-				vals := make([]float64, len(maps[d]))
-				for i, gi := range maps[d] {
-					vals[i] = scriptValue(d, int(st.ts), int(gi))
-				}
-				if err := ds[d].Put(vals); err != nil {
-					panic(err)
-				}
-			}
-			for _, d := range st.gets {
-				c := check{int(st.ts), d, make([]float64, len(maps[d]))}
-				checks = append(checks, c)
-				if err := ds[d].Get(c.out); err != nil {
-					panic(err)
-				}
-			}
 			switch {
-			case async && manager:
-				_, err = s.EndStepAsync()
-			case async:
-				_, err = g.EndStepAsync()
-			case manager:
-				err = s.EndStep()
+			case oneCall && oneOp && len(st.puts) == 1:
+				err = ds[st.puts[0]].PutAt(st.ts, values(st.puts[0], st.ts))
+			case oneCall && oneOp:
+				err = ds[st.gets[0]].GetAt(st.ts, out(st.gets[0], st.ts))
 			default:
-				err = g.EndStep()
+				if err := s.BeginStep(st.ts); err != nil {
+					panic(err)
+				}
+				for _, d := range st.puts {
+					if err := ds[d].Put(values(d, st.ts)); err != nil {
+						panic(err)
+					}
+				}
+				for _, d := range st.gets {
+					if err := ds[d].Get(out(d, st.ts)); err != nil {
+						panic(err)
+					}
+				}
+				if async {
+					_, err = s.EndStepAsync()
+				} else {
+					err = s.EndStep()
+				}
 			}
 			if err != nil {
 				panic(err)
@@ -339,32 +345,37 @@ func runHandleScript(t *testing.T, level FileOrganization, depth int, manager, a
 	return te, ahead
 }
 
-// TestGroupStepIsManagerStep pins the one step engine: a step closed by
-// the group's EndStep/EndStepAsync and the same step closed by the
-// Manager's, with only that group registered, cost the same — per-rank
-// clocks, pfs stats, file bytes and query counts — at every level, for
-// puts, gets, mixed and empty steps, with and without read-ahead.
+// TestGroupStepIsManagerStep runs the handle script through the Manager
+// at every level, depths 1 and 4, sync and async (where a get-only step
+// reads a file whose put is still in flight), and checks every element
+// it reads back. In the sync runs it also pins that a one-call
+// PutAt/GetAt is the Manager's step: the script with its one-op steps
+// issued that way costs the same — per-rank clocks, pfs stats, file
+// bytes and query counts — as with BeginStep/EndStep.
 func TestGroupStepIsManagerStep(t *testing.T) {
 	for _, level := range []FileOrganization{Level1, Level2, Level3} {
 		for _, depth := range []int{1, 4} {
 			for _, async := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%v/depth%d/async=%v", level, depth, async), func(t *testing.T) {
-					grp, ahead := runHandleScript(t, level, depth, false, async)
-					mgr, _ := runHandleScript(t, level, depth, true, async)
+					mgr, ahead := runHandleScript(t, level, depth, false, async)
 					if depth > 1 && ahead == 0 {
 						t.Fatal("the script issued no read-ahead")
 					}
-					filesEqual(t, "group vs manager", snapshotFiles(t, grp.fs), snapshotFiles(t, mgr.fs))
-					if a, b := grp.fs.Stats(), mgr.fs.Stats(); a != b {
-						t.Fatalf("pfs stats differ:\ngroup   %+v\nmanager %+v", a, b)
+					if async {
+						return
 					}
-					for r, c := range clocks(grp, 3) {
+					one, _ := runHandleScript(t, level, depth, true, false)
+					filesEqual(t, "one-call vs step", snapshotFiles(t, one.fs), snapshotFiles(t, mgr.fs))
+					if a, b := one.fs.Stats(), mgr.fs.Stats(); a != b {
+						t.Fatalf("pfs stats differ:\none-call %+v\nstep     %+v", a, b)
+					}
+					for r, c := range clocks(one, 3) {
 						if m := clocks(mgr, 3)[r]; c != m {
-							t.Fatalf("rank %d clock: group %v, manager %v", r, c, m)
+							t.Fatalf("rank %d clock: one-call %v, step %v", r, c, m)
 						}
 					}
-					if a, b := grp.cat.DB().QueryCount(), mgr.cat.DB().QueryCount(); a != b {
-						t.Fatalf("db query counts differ: group %d, manager %d", a, b)
+					if a, b := one.cat.DB().QueryCount(), mgr.cat.DB().QueryCount(); a != b {
+						t.Fatalf("db query counts differ: one-call %d, step %d", a, b)
 					}
 				})
 			}
@@ -372,22 +383,22 @@ func TestGroupStepIsManagerStep(t *testing.T) {
 	}
 }
 
-// TestStepMisuse drives every misuse path of the async/cross-group API:
-// each must fail loudly without corrupting the engine.
+// TestStepMisuse drives every misuse path of the async step API: each
+// must fail loudly without corrupting the engine.
 func TestStepMisuse(t *testing.T) {
 	te := newTestEnv(2)
 	te.run(t, Options{Organization: Level3}, func(s *SDM) {
-		g, d, m := epochGroup(t, te, s, 32)
+		_, d, m := epochGroup(t, te, s, 32)
 		vals := make([]float64, len(m))
 
 		// Wait called twice.
-		if err := g.BeginStep(0); err != nil {
+		if err := s.BeginStep(0); err != nil {
 			panic(err)
 		}
 		if err := d.Put(vals); err != nil {
 			panic(err)
 		}
-		tok, err := g.EndStepAsync()
+		tok, err := s.EndStepAsync()
 		if err != nil {
 			panic(err)
 		}
@@ -399,25 +410,25 @@ func TestStepMisuse(t *testing.T) {
 		}
 
 		// BeginStep while a token is outstanding: allowed since per-file
-		// dependency tracking (the next epoch queues into a fresh arena);
+		// dependency tracking (the next step queues into a fresh arena);
 		// the conflicting flush implicitly waits on the token.
-		if err := g.BeginStep(1); err != nil {
+		if err := s.BeginStep(1); err != nil {
 			panic(err)
 		}
 		if err := d.Put(vals); err != nil {
 			panic(err)
 		}
-		tok, err = g.EndStepAsync()
+		tok, err = s.EndStepAsync()
 		if err != nil {
 			panic(err)
 		}
-		if err := g.BeginStep(2); err != nil {
+		if err := s.BeginStep(2); err != nil {
 			t.Errorf("BeginStep with an outstanding token rejected: %v", err)
 		}
 		if err := d.Put(vals); err != nil {
 			panic(err)
 		}
-		tok2, err := g.EndStepAsync()
+		tok2, err := s.EndStepAsync()
 		if err != nil {
 			panic(err)
 		}
@@ -431,38 +442,124 @@ func TestStepMisuse(t *testing.T) {
 			panic(err)
 		}
 
-		// EndStepAsync without an open epoch.
-		if _, err := g.EndStepAsync(); err == nil {
+		// EndStepAsync and EndStep without an open step.
+		if _, err := s.EndStepAsync(); err == nil {
 			t.Error("EndStepAsync without BeginStep accepted")
 		}
-		// Manager EndStep without a manager step.
 		if err := s.EndStep(); err == nil {
-			t.Error("Manager EndStep without BeginStep accepted")
+			t.Error("EndStep without BeginStep accepted")
 		}
+	})
+}
 
-		// A group epoch owned by a manager step cannot be closed alone.
-		if err := s.BeginStep(3); err != nil {
-			panic(err)
+// TestGroupRegisteredMidStep: a group registered while a step is open is
+// not part of it — a Put on it fails and says why — and takes part in
+// the next step.
+func TestGroupRegisteredMidStep(t *testing.T) {
+	te := newTestEnv(2)
+	te.run(t, Options{Organization: Level3}, func(s *SDM) {
+		_, d, m := epochGroup(t, te, s, 32)
+		vals := make([]float64, len(m))
+		for i, gi := range m {
+			vals[i] = float64(gi) + 0.5
 		}
-		if !s.step.open {
-			t.Error("StepOpen false inside a manager step")
+		if err := s.BeginStep(5); err != nil {
+			panic(err)
 		}
 		if err := d.Put(vals); err != nil {
 			panic(err)
 		}
-		if err := g.EndStep(); err == nil {
-			t.Error("group EndStep inside a manager step accepted")
+		attrs := MakeDatalist("late")
+		attrs[0].GlobalSize = 32
+		g, err := s.SetAttributes(attrs)
+		if err != nil {
+			panic(err)
 		}
-		if _, err := g.EndStepAsync(); err == nil {
-			t.Error("group EndStepAsync inside a manager step accepted")
+		if _, err := g.DataView([]string{"late"}, m); err != nil {
+			panic(err)
 		}
-		if err := g.BeginStep(4); err == nil {
-			t.Error("group BeginStep inside a manager step accepted")
+		late, err := DatasetOf[float64](g, "late")
+		if err != nil {
+			panic(err)
+		}
+		if err := late.Put(vals); err == nil {
+			t.Error("Put on a group registered after BeginStep accepted")
+		} else if !strings.Contains(err.Error(), "registered after BeginStep(5)") {
+			t.Errorf("mid-step group error does not explain itself: %v", err)
 		}
 		if err := s.EndStep(); err != nil {
 			panic(err)
 		}
+		if err := s.BeginStep(6); err != nil {
+			panic(err)
+		}
+		if err := late.Put(vals); err != nil {
+			t.Errorf("Put on the late group in the next step: %v", err)
+		}
+		if err := s.EndStep(); err != nil {
+			panic(err)
+		}
+		got := make([]float64, len(m))
+		if err := late.GetAt(6, got); err != nil {
+			panic(err)
+		}
+		for i := range got {
+			if got[i] != vals[i] {
+				t.Errorf("late@6 element %d = %g, want %g", m[i], got[i], vals[i])
+				break
+			}
+		}
 	})
+	recs, err := te.cat.WritesForRun(nil, 1)
+	if err != nil || len(recs) != 2 {
+		t.Fatalf("execution table has %d records (%v), want p@5 and late@6", len(recs), err)
+	}
+}
+
+// TestFinalizeCancelsOpenStep: Finalize with a step still open drops
+// what the step queued — releasing the caller's slices — reports the
+// step on every rank, and still reaches its barrier.
+func TestFinalizeCancelsOpenStep(t *testing.T) {
+	const n = 2
+	te := newTestEnv(n)
+	var errs [n]error
+	var groups [n]*Group
+	err := te.world.Run(func(c *mpi.Comm) {
+		s, err := Initialize(Env{Comm: c, FS: te.fs, Catalog: te.cat}, "testapp", Options{})
+		if err != nil {
+			panic(err)
+		}
+		g, d, m := epochGroup(t, te, s, 32)
+		if err := s.BeginStep(7); err != nil {
+			panic(err)
+		}
+		if err := d.Put(make([]float64, len(m))); err != nil {
+			panic(err)
+		}
+		errs[c.Rank()] = s.Finalize()
+		groups[c.Rank()] = g
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, err := range errs {
+		if err == nil || !strings.Contains(err.Error(), "step 7") {
+			t.Errorf("rank %d: Finalize with step 7 open returned %v", r, err)
+		}
+	}
+	for r, g := range groups {
+		if g.s.step.open {
+			t.Errorf("rank %d: step still open after Finalize", r)
+		}
+		for _, p := range g.ep.puts[:cap(g.ep.puts)] {
+			if p.encode != nil {
+				t.Errorf("rank %d: the cancelled step still holds its Put's closure", r)
+			}
+		}
+	}
+	if files := te.fs.List(); len(files) != 0 {
+		t.Errorf("cancelled step wrote %v", files)
+	}
 }
 
 // TestManagerStepSameFileTwoGroupsRejected: a cross-group step whose
@@ -502,7 +599,7 @@ func TestManagerStepSameFileTwoGroupsRejected(t *testing.T) {
 		} else if !strings.Contains(err.Error(), "two groups") {
 			t.Errorf("cross-group conflict error does not explain itself: %v", err)
 		}
-		// The failed step cancelled cleanly: a fresh per-group epoch works.
+		// The failed step cancelled cleanly: a fresh one-call step works.
 		if err := ds[0].PutAt(1, vals[0]); err != nil {
 			panic(err)
 		}
@@ -515,18 +612,18 @@ func TestFinalizeDrainsTokens(t *testing.T) {
 	te := newCostedEnv(2)
 	var issued, finalized sim.Time
 	te.run(t, Options{Organization: Level3}, func(s *SDM) {
-		g, d, m := epochGroup(t, te, s, 256)
+		_, d, m := epochGroup(t, te, s, 256)
 		vals := make([]float64, len(m))
 		for i := range vals {
 			vals[i] = float64(i)
 		}
-		if err := g.BeginStep(0); err != nil {
+		if err := s.BeginStep(0); err != nil {
 			panic(err)
 		}
 		if err := d.Put(vals); err != nil {
 			panic(err)
 		}
-		if _, err := g.EndStepAsync(); err != nil {
+		if _, err := s.EndStepAsync(); err != nil {
 			panic(err)
 		}
 		if s.env.Comm.Rank() == 0 {

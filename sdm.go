@@ -34,10 +34,10 @@
 //		density, _ := sdm.DatasetOf[float64](g, "density")
 //		energy, _ := sdm.DatasetOf[float64](g, "energy")
 //		for ts := int64(0); ts < steps; ts++ {
-//			g.BeginStep(ts)        // open the step's deferred epoch
+//			s.BeginStep(ts)        // open the step
 //			density.Put(myDensity) // queued zero-copy
 //			energy.Put(myEnergy)
-//			g.EndStep()            // one merged collective for the whole step
+//			s.EndStep()            // one merged collective for the whole step
 //		}
 //	})
 //
@@ -109,14 +109,14 @@ func NewView(mapArr []int32, t DataType, globalSize int64) (*View, error) {
 }
 
 // StepToken is the handle of an asynchronous (split-collective) step
-// flush, returned by Group.EndStepAsync and Manager.EndStepAsync: the
-// epoch's collectives have been issued on a forked virtual sub-timeline
-// and Wait joins the completion back into the rank's clock, charging
-// only whatever subsequent computation did not overlap — the paper's
-// asynchronous history-file write generalized to every dataset.
-// Manager.BeginStep/EndStep open cross-group steps that merge every
-// group's epoch into one rendezvous with a single execution-table
-// batch.
+// flush, returned by Manager.EndStepAsync: the step's collectives have
+// been issued on a forked virtual sub-timeline and Wait joins the
+// completion back into the rank's clock, charging only whatever
+// subsequent computation did not overlap — the paper's asynchronous
+// history-file write generalized to every dataset. A step is the
+// Manager's: Manager.BeginStep opens it over every registered group,
+// and EndStep or EndStepAsync flushes what every group queued in one
+// rendezvous with a single execution-table batch.
 //
 // Flush dependencies are tracked per file: up to
 // Options.StepPipelineDepth tokens stay in flight as long as their
@@ -153,10 +153,10 @@ func NewRegistry() *Registry { return obs.NewRegistry() }
 type Element = core.Element
 
 // Dataset is a typed handle on one dataset of a group. Inside a
-// Group.BeginStep/EndStep epoch, Put and Get queue operations
+// Manager.BeginStep/EndStep step, Put and Get queue operations
 // zero-copy against the caller's slices and EndStep flushes the whole
 // timestep as one merged collective; PutAt/GetAt wrap one-operation
-// epochs.
+// steps.
 type Dataset[T Element] = core.Dataset[T]
 
 // DatasetOf builds a typed handle on a registered dataset; the element
