@@ -231,6 +231,10 @@ type SDM struct {
 		parts    []getPart // empty before the first get-only step
 	}
 	getParts []getPart
+	// readOrd is readOrder's result, in readOrdBuf while a step reads
+	// that few groups: a Manager's first get flush allocates nothing.
+	readOrd    []int
+	readOrdBuf [4]int
 
 	// tracer and the manager-level counters. All stay nil when
 	// observability is off; obs methods no-op on nil receivers, so the

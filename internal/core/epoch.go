@@ -430,6 +430,17 @@ type getPart struct {
 	dis []int
 }
 
+// bytes is the size of the part's read: its datasets' global slabs, the
+// same on every rank.
+func (p *getPart) bytes() int64 {
+	var n int64
+	for _, di := range p.dis {
+		a := &p.g.attrs[di]
+		n += a.GlobalSize * a.Type.Size()
+	}
+	return n
+}
+
 // resolveGets looks up where each dataset's slab of timestep ts lives
 // (placement index, then one batched catalog query) and resolves reads
 // landing in files with an asynchronous flush in flight from another

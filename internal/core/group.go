@@ -184,8 +184,12 @@ func ceilDiv(n, d int64) int64 { return (n + d - 1) / d }
 // a 2 MB step covers four of ten servers, and two files flushing
 // together queue two stripes on some servers while others idle. Each
 // step of an extent that is no multiple of its stripes starts a little
-// earlier in its stripe than the last, so one stripe holds both of the
-// step's ends: one server takes one extra request.
+// earlier in its stripe than the last, so one server holds both of the
+// step's ends, next to each other in its object. In a step of one row of
+// stripes the collective sends both to one aggregator, which issues them
+// as one request (mpiio's wrapped domain): every server takes one
+// request of the step. A step of several rows leaves that server one
+// extra request.
 //
 // The set is the number of stripes of that unit the extent can touch: a
 // level-1 file holds one slab from offset zero; a level-2 slab and a

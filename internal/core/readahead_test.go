@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sdm/internal/mpi"
+	"sdm/internal/mpiio"
 	"sdm/internal/obs"
 	"sdm/internal/pfs"
 	"sdm/internal/sim"
@@ -452,4 +453,117 @@ func TestReadAheadDeterministic(t *testing.T) {
 			t.Fatalf("run %d: db query counts differ: %d vs %d", i, a, b)
 		}
 	}
+}
+
+// groupOrderGetStep is the reference the read order is measured against:
+// the open get-only step closed the way EndStep closed it before a get
+// flush ordered its groups, each group's collective issued in group
+// order. Only for a synchronous step with nothing in flight.
+func groupOrderGetStep(s *SDM) error {
+	defer s.cancelStep()
+	ts := s.step.timestep
+	parts := s.collectGets(s.step.groups)
+	tok := s.newToken(ts)
+	clock := s.env.Comm.Clock()
+	join := clock.Now()
+	cur := mpiio.NewCursor(s.env.Comm, s.env.FS)
+	for i := range parts {
+		j, err := parts[i].g.issueGets(tok, ts, parts[i].dis, &cur)
+		join = sim.MaxTime(join, j)
+		if err != nil {
+			return err
+		}
+	}
+	clock.AdvanceTo(join)
+	for i := range parts {
+		parts[i].g.deliverGets(parts[i].g.ep.placed)
+	}
+	return nil
+}
+
+// TestReadLargestGroupFirst: a get step over two groups issues the larger
+// group's collective first on every rank — group b's f, four times group
+// a's p and q together, though b registered second — and every rank
+// ends it no later than the same step issued in group order, with the
+// same bytes delivered.
+func TestReadLargestGroupFirst(t *testing.T) {
+	const n, steps = 4, 2
+	const ts = raStride
+	for _, level := range []FileOrganization{Level2, Level3} {
+		t.Run(level.String(), func(t *testing.T) {
+			var ends [2][n]sim.Time
+			for k, reference := range []bool{false, true} {
+				tr := obs.NewTracer()
+				raRun(t, n, steps, Options{Organization: level, Trace: tr}, true, func(a *raApp) {
+					a.begin(ts)
+					out := make([][]float64, a.nsets())
+					for j := range out {
+						out[j] = make([]float64, len(a.maps[j]))
+						if err := a.ds[j].Get(out[j]); err != nil {
+							panic(err)
+						}
+					}
+					var err error
+					if reference {
+						err = groupOrderGetStep(a.s)
+					} else {
+						err = a.end()
+					}
+					if err != nil {
+						panic(err)
+					}
+					c := a.s.env.Comm
+					ends[k][c.Rank()] = c.Now()
+					for j := range out {
+						for i, g := range a.maps[j] {
+							if want := raValue(a.ds[j].name, ts, g, 0); out[j][i] != want {
+								t.Errorf("rank %d %s@%d element %d = %v, want %v", c.Rank(), a.ds[j].name, ts, g, out[j][i], want)
+								return
+							}
+						}
+					}
+				}, nil)
+				if reference {
+					continue
+				}
+				fb := raFile(level, "f")
+				for r := 0; r < n; r++ {
+					var first string
+					for _, sp := range tr.Spans() {
+						if sp.Pid == obs.PidRank(r) && sp.Cat == "core" && sp.Name == "flush:read" {
+							first = spanArg(sp, "file")
+							break
+						}
+					}
+					if first != fb {
+						t.Errorf("rank %d reads %q first, want group b's %q", r, first, fb)
+					}
+				}
+			}
+			for r := 0; r < n; r++ {
+				if ends[0][r] > ends[1][r] {
+					t.Errorf("rank %d: largest first ends at %v, after group order's %v", r, ends[0][r], ends[1][r])
+				}
+			}
+		})
+	}
+}
+
+// raFile is the file raRun's dataset ds lives in at level: its own
+// under Level 2, group b's under Level 3 (f is group b's only dataset).
+func raFile(level FileOrganization, ds string) string {
+	if level == Level3 {
+		return "ra_r1_g1.dat"
+	}
+	return "ra_r1_" + ds + ".dat"
+}
+
+// spanArg returns the value of the span's key argument.
+func spanArg(sp obs.Span, key string) string {
+	for _, kv := range sp.Args {
+		if kv.Key == key {
+			return kv.Val
+		}
+	}
+	return ""
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -407,7 +408,7 @@ func (s *SDM) flushStep(tok *StepToken, groups []*Group, parts []getPart) error 
 	if flushErr != nil {
 		return flushErr
 	}
-	for i := range parts {
+	for _, i := range s.readOrder(parts) {
 		j, err := parts[i].g.issueGets(tok, tok.timestep, parts[i].dis, &cur)
 		join = sim.MaxTime(join, j)
 		if err != nil {
@@ -420,6 +421,27 @@ func (s *SDM) flushStep(tok *StepToken, groups []*Group, parts []getPart) error 
 		parts[i].g.deliverGets(parts[i].g.ep.placed)
 	}
 	return nil
+}
+
+// readOrder returns the order a get flush issues its parts in: the
+// largest read first, ties in group order. Each group's scatter waits
+// for its collective, and the last one issued ends the step exposed, so
+// it is best the smallest. An ordinary get flush and a read-ahead issue
+// in this order; every rank computes the same one. The result is valid
+// until the next call.
+func (s *SDM) readOrder(parts []getPart) []int {
+	ord := s.readOrd[:0]
+	if ord == nil {
+		ord = s.readOrdBuf[:0]
+	}
+	for i := range parts {
+		ord = append(ord, i)
+	}
+	slices.SortStableFunc(ord, func(a, b int) int {
+		return cmp.Compare(parts[b].bytes(), parts[a].bytes())
+	})
+	s.readOrd = ord
+	return ord
 }
 
 // ---------------------------------------------------------------------------
@@ -571,13 +593,13 @@ func (s *SDM) issueAhead(ts int64, parts []getPart) bool {
 		}
 	}
 	tok := s.newToken(ts)
-	tok.ahead = make([]aheadPart, 0, len(parts))
+	tok.ahead = make([]aheadPart, len(parts)) // in group order, as the step's parts
 	clock := s.env.Comm.Clock()
 	fork := clock.Now()
 	join := fork
 	cur := mpiio.NewCursor(s.env.Comm, s.env.FS)
 	var err error
-	for i := range parts {
+	for _, i := range s.readOrder(parts) {
 		g := parts[i].g
 		var j sim.Time
 		j, err = g.issueGets(tok, ts, parts[i].dis, &cur)
@@ -586,10 +608,10 @@ func (s *SDM) issueAhead(ts int64, parts []getPart) bool {
 		if err != nil {
 			break
 		}
-		tok.ahead = append(tok.ahead, aheadPart{
+		tok.ahead[i] = aheadPart{
 			getPart: getPart{g: g, dis: slices.Clone(parts[i].dis)},
 			placed:  slices.Clone(g.ep.placed),
-		})
+		}
 	}
 	tok.done = join
 	if err != nil {

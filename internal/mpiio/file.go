@@ -115,7 +115,7 @@ type ioScratch struct {
 	readArena  []byte      // aggregator: staging arena carved across runs
 	replies    []readReply // aggregator: read phase-2 replies, one per rank
 	replyData  [][]byte    // aggregator: backing array the replies' Data are carved from
-	ext        [1]Segment  // single-extent buffer for contiguous vectored calls
+	ext        [2]Segment  // aggregator: the extents of one phase-2 call
 }
 
 // grow returns buf resized to n bytes, reallocating only on growth.

@@ -132,14 +132,16 @@ type sieveRun struct {
 // dst: adjacent and overlapping segments always share a run (reads of
 // ghost elements arrive from several ranks and legitimately overlap);
 // hole-separated segments share one when the hole is below maxGap
-// (cheaper to read through than to re-request). Runs are the units the
-// aggregator turns into vectored file requests.
-func sieveRunsInto(dst []sieveRun, all []aggSeg, maxGap int64) []sieveRun {
+// (cheaper to read through than to re-request). No run crosses split,
+// where a wrapped last domain starts: the stripes between are other
+// aggregators' to write. Runs are the units the aggregator turns into
+// vectored file requests.
+func sieveRunsInto(dst []sieveRun, all []aggSeg, maxGap, split int64) []sieveRun {
 	var cur sieveRun
 	for i, a := range all {
 		if cur.hi > cur.lo {
 			gap := a.seg.Off - cur.end // negative on overlap
-			if gap <= maxGap {
+			if gap <= maxGap && (cur.start >= split || a.seg.Off < split) {
 				if gap > 0 {
 					cur.holes = true
 				}
@@ -159,22 +161,36 @@ func sieveRunsInto(dst []sieveRun, all []aggSeg, maxGap int64) []sieveRun {
 	return dst
 }
 
-// writeRun writes buf at off as one one-extent vectored request on the
-// rank's clock: the unit of a phase-2 sub-timeline. The run is a single
-// contiguous stripe span server-side, so each I/O server is charged once
-// for its share of the whole run. Phase 2 runs on aggregators only, and
-// every aggregator opened the file at Open.
-func (f *File) writeRun(buf []byte, off int64) error {
-	f.scr().ext[0] = Segment{Off: off, Len: int64(len(buf))}
-	_, err := f.h.WriteAtVec(buf, f.scr().ext[:])
-	return err
+// callEnd returns the end of the phase-2 call that starts at runs[i]:
+// the run ending before split and the run starting the wrapped last
+// domain are one call, which the file system serves as one request to
+// their common server; every other run is a call of its own.
+func callEnd(runs []sieveRun, i int, split int64) int {
+	if i+1 < len(runs) && runs[i].start < split && runs[i+1].start >= split {
+		return i + 2
+	}
+	return i + 1
 }
 
-// readRun fills buf from off as one one-extent vectored request on the
-// rank's clock; reads past EOF zero-fill.
-func (f *File) readRun(buf []byte, off int64) error {
-	f.scr().ext[0] = Segment{Off: off, Len: int64(len(buf))}
-	if _, err := f.h.ReadAtVec(buf, f.scr().ext[:]); err != io.EOF {
+// callExtents lists the file spans of a phase-2 call's runs in the
+// File's extent scratch, with their total length: the extents of the
+// one vectored request the call issues on the rank's clock, the unit of
+// a phase-2 sub-timeline. Phase 2 runs on aggregators only, and every
+// aggregator opened the file at Open.
+func (f *File) callExtents(call []sieveRun) ([]Segment, int64) {
+	exts := f.scr().ext[:0]
+	var n int64
+	for _, run := range call {
+		exts = append(exts, Segment{Off: run.start, Len: run.end - run.start})
+		n += run.end - run.start
+	}
+	return exts, n
+}
+
+// readExtents fills buf from exts as one vectored request on the rank's
+// clock; reads past EOF zero-fill.
+func (f *File) readExtents(buf []byte, exts []Segment) error {
+	if _, err := f.h.ReadAtVec(buf, exts); err != io.EOF {
 		return err
 	}
 	return nil
@@ -208,11 +224,11 @@ func (f *File) WriteAtAllOps(ops []BatchOp) error {
 	tr := f.sys.Tracer()
 	p1 := f.comm.Clock().Now()
 	flat := f.flattenOps(ops)
-	lo, _, domain, nAgg := f.collectiveRange(flat)
-	if nAgg == 0 {
+	d := f.collectiveRange(flat)
+	if d.n == 0 {
 		return nil // nothing to write anywhere
 	}
-	parcels := f.routeSegments(flat, lo, domain, nAgg)
+	parcels := f.routeSegments(flat, &d)
 	incoming := f.exchangeParcels(parcels, true)
 	if tr != nil {
 		tr.Emit(obs.PidRank(f.comm.Rank()), "mpiio", "phase1:write", p1, f.comm.Clock().Now(),
@@ -220,41 +236,52 @@ func (f *File) WriteAtAllOps(ops []BatchOp) error {
 	}
 
 	// Phase 2: aggregate and issue vectored contiguous writes. Every
-	// run is issued on its own sub-timeline forked at the phase-2 start
-	// — the runs cover disjoint file spans, so an aggregator drives them
+	// call is issued on its own sub-timeline forked at the phase-2 start
+	// — the calls cover disjoint file spans, so an aggregator drives them
 	// concurrently, shared I/O servers serializing contending requests
 	// in virtual time — and the rank's clock joins at the latest
 	// completion. Runs with small interior holes are data-sieved:
 	// read-modify-write of the whole span beats per-piece requests, and
-	// the read chains before the write within the run's sub-timeline.
+	// the read chains before the write within the call's sub-timeline.
 	if incoming != nil {
 		all := f.gatherAggSegs(incoming)
-		runs := sieveRunsInto(f.scr().runs[:0], all, f.sys.SieveGap())
+		split := d.split()
+		runs := sieveRunsInto(f.scr().runs[:0], all, f.sys.SieveGap(), split)
 		f.scr().runs = runs
 		clock := f.comm.Clock()
 		fork := clock.Now()
 		join := fork
-		for _, run := range runs {
-			f.scr().writeStage = grow(f.scr().writeStage, run.end-run.start)
+		for i := 0; i < len(runs); {
+			j := callEnd(runs, i, split)
+			exts, n := f.callExtents(runs[i:j])
+			f.scr().writeStage = grow(f.scr().writeStage, n)
 			buf := f.scr().writeStage
-			if run.holes {
-				if err := f.readRun(buf, run.start); err != nil {
-					return err
+			sieved := false
+			var pos int64
+			for k, run := range runs[i:j] {
+				part := buf[pos : pos+run.end-run.start]
+				pos += run.end - run.start
+				if run.holes {
+					sieved = true
+					if err := f.readExtents(part, exts[k:k+1]); err != nil {
+						return err
+					}
+				}
+				for _, a := range all[run.lo:run.hi] {
+					copy(part[a.seg.Off-run.start:], incoming[a.src].Bufs[a.srcIdx])
 				}
 			}
-			for _, a := range all[run.lo:run.hi] {
-				copy(buf[a.seg.Off-run.start:], incoming[a.src].Bufs[a.srcIdx])
-			}
-			if err := f.writeRun(buf, run.start); err != nil {
+			if _, err := f.h.WriteAtVec(buf, exts); err != nil {
 				return err
 			}
 			if tr != nil {
 				tr.Emit(obs.PidRank(f.comm.Rank()), "mpiio", "phase2:write-run", fork, clock.Now(),
-					obs.KV{Key: "bytes", Val: fmt.Sprint(run.end - run.start)},
-					obs.KV{Key: "sieved", Val: fmt.Sprint(run.holes)})
+					obs.KV{Key: "bytes", Val: fmt.Sprint(n)},
+					obs.KV{Key: "sieved", Val: fmt.Sprint(sieved)})
 			}
 			join = sim.MaxTime(join, clock.Now())
 			clock.Rebase(fork)
+			i = j
 		}
 		clock.AdvanceTo(join)
 	}
@@ -316,11 +343,11 @@ func (f *File) ReadAtAllOps(ops []BatchOp) error {
 	tr := f.sys.Tracer()
 	p1 := f.comm.Clock().Now()
 	flat := f.flattenOps(ops)
-	lo, _, domain, nAgg := f.collectiveRange(flat)
-	if nAgg == 0 {
+	d := f.collectiveRange(flat)
+	if d.n == 0 {
 		return nil
 	}
-	parcels := f.routeSegments(flat, lo, domain, nAgg)
+	parcels := f.routeSegments(flat, &d)
 	incoming := f.exchangeParcels(parcels, false)
 	if tr != nil {
 		tr.Emit(obs.PidRank(f.comm.Rank()), "mpiio", "phase1:read", p1, f.comm.Clock().Now(),
@@ -337,7 +364,8 @@ func (f *File) ReadAtAllOps(ops []BatchOp) error {
 	if incoming != nil {
 		replies := f.carveReplies(incoming)
 		all := f.gatherAggSegs(incoming)
-		runs := sieveRunsInto(f.scr().runs[:0], all, f.sys.SieveGap())
+		split := d.split()
+		runs := sieveRunsInto(f.scr().runs[:0], all, f.sys.SieveGap(), split)
 		f.scr().runs = runs
 		var need int64
 		for _, run := range runs {
@@ -345,7 +373,7 @@ func (f *File) ReadAtAllOps(ops []BatchOp) error {
 		}
 		f.scr().readArena = grow(f.scr().readArena, need)
 		arena := f.scr().readArena
-		// Forked sub-timeline per run, as on the write side: runs carve
+		// Forked sub-timeline per call, as on the write side: calls carve
 		// disjoint arena regions and file spans, so they are issued
 		// concurrently from the phase-2 fork point and the clock joins
 		// at the latest completion before the reply all-to-all.
@@ -353,21 +381,26 @@ func (f *File) ReadAtAllOps(ops []BatchOp) error {
 		fork := clock.Now()
 		join := fork
 		var cur int64
-		for _, run := range runs {
-			buf := arena[cur : cur+run.end-run.start]
-			cur += run.end - run.start
-			if err := f.readRun(buf, run.start); err != nil {
+		for i := 0; i < len(runs); {
+			j := callEnd(runs, i, split)
+			exts, n := f.callExtents(runs[i:j])
+			if err := f.readExtents(arena[cur:cur+n], exts); err != nil {
 				return err
 			}
 			if tr != nil {
 				tr.Emit(obs.PidRank(f.comm.Rank()), "mpiio", "phase2:read-run", fork, clock.Now(),
-					obs.KV{Key: "bytes", Val: fmt.Sprint(run.end - run.start)})
+					obs.KV{Key: "bytes", Val: fmt.Sprint(n)})
 			}
 			join = sim.MaxTime(join, clock.Now())
 			clock.Rebase(fork)
-			for _, a := range all[run.lo:run.hi] {
-				replies[a.src].Data[a.srcIdx] = buf[a.seg.Off-run.start : a.seg.Off-run.start+a.seg.Len]
+			for _, run := range runs[i:j] {
+				buf := arena[cur : cur+run.end-run.start]
+				cur += run.end - run.start
+				for _, a := range all[run.lo:run.hi] {
+					replies[a.src].Data[a.srcIdx] = buf[a.seg.Off-run.start : a.seg.Off-run.start+a.seg.Len]
+				}
 			}
+			i = j
 		}
 		clock.AdvanceTo(join)
 		for i := range replies {

@@ -15,12 +15,18 @@ import "sdm/internal/mpi"
 // equal shares rounded up to a whole number of stripes. Domains are
 // stripe-ALIGNED, so with at least as many aggregators as the extent
 // has stripes every phase-2 run lies inside one stripe, on one server.
+// An extent of one row of NumServers stripes plus the drift — it starts
+// inside a stripe and ends inside the stripe NumServers later — has its
+// first and last pieces on one server, next to each other in that
+// server's object: the last domain goes to the first domain's
+// aggregator, so that server takes one request, not two.
 // Phase 1: each rank routes segment descriptors (plus data, for writes)
 // to the owning aggregators with an all-to-all. Parcels carry
 // iovec-style buffer lists that alias the callers' staging buffers, so
 // no payload concatenation copy is made on the sending side.
 // Phase 2: aggregators coalesce the segments in their domain and issue
-// large vectored file-system requests; for reads the data flows back
+// large vectored file-system requests, one call per run — one for the
+// two runs at a wrapped extent's ends; for reads the data flows back
 // through a second all-to-all.
 // ---------------------------------------------------------------------------
 
@@ -76,12 +82,54 @@ func (p *ioParcel) bytes(withPayload bool) int64 {
 	return n
 }
 
-// domainOf returns the aggregator index owning byte offset off.
+// domainOf returns the index of the domain holding byte offset off.
 func domainOf(off, lo int64, domain int64) int {
 	if domain <= 0 {
 		return 0
 	}
 	return int((off - lo) / domain)
+}
+
+// domains is a collective's extent cut into file domains: domain k is
+// [lo + k·size, lo + (k+1)·size), served by aggregator k of n, the last
+// aggregator taking whatever lies past its domain. A nonzero wrap is the
+// last domain of a wrapped extent (see wrapDomain), served by
+// aggregator 0.
+type domains struct {
+	lo, size int64
+	n, wrap  int
+}
+
+// owner returns the aggregator serving domain k (k < n).
+func (d *domains) owner(k int) int {
+	if k == d.wrap {
+		return 0
+	}
+	return k
+}
+
+// split is the offset no phase-2 run crosses: where the wrapped last
+// domain starts, past every offset when there is none.
+func (d *domains) split() int64 {
+	if d.wrap == 0 {
+		return 1 << 62
+	}
+	return d.lo + int64(d.wrap)*d.size
+}
+
+// wrapDomain returns the last domain of an extent [lo, hi) cut into
+// one-stripe domains from alignedLo when the extent is one row of
+// servers stripes plus the drift: it starts inside its first stripe and
+// ends inside the stripe servers stripes later, so its first and last
+// pieces lie on one server, adjacent in that server's object. Otherwise
+// it returns 0. Longer extents keep their domains: sending every stripe
+// k and k+servers to one aggregator costs the import's history replay
+// more than it saves.
+func wrapDomain(lo, hi, alignedLo, size, unit int64, servers int) int {
+	if size != unit || lo == alignedLo || alignUp(hi-alignedLo, unit) != int64(servers+1)*unit {
+		return 0
+	}
+	return servers
 }
 
 // alignUp rounds n up to a multiple of align (align >= 1).
@@ -144,20 +192,20 @@ func (f *File) flattenOps(ops []BatchOp) []flatSeg {
 }
 
 // collectiveRange agrees on the global extent of this collective
-// operation and cuts it into file domains: [lo, hi) with lo aligned down
-// to the file's stripe unit, and the per-aggregator domain size, a whole
-// number of stripes.
-func (f *File) collectiveRange(flat []flatSeg) (lo, hi, domain int64, nAgg int) {
+// operation and cuts it into file domains: from the extent's start
+// aligned down to the file's stripe unit, each a whole number of
+// stripes. n is 0 when no rank has anything to move.
+func (f *File) collectiveRange(flat []flatSeg) domains {
 	myLo, myHi := int64(1<<62), int64(-1)
 	if len(flat) > 0 {
 		myLo = flat[0].seg.Off
 		last := flat[len(flat)-1].seg
 		myHi = last.Off + last.Len
 	}
-	lo = f.comm.AllreduceInt64(myLo, mpi.OpMin)
-	hi = f.comm.AllreduceInt64(myHi, mpi.OpMax)
+	lo := f.comm.AllreduceInt64(myLo, mpi.OpMin)
+	hi := f.comm.AllreduceInt64(myHi, mpi.OpMax)
 	if hi <= lo {
-		return 0, 0, 0, 0
+		return domains{}
 	}
 	if f.unit == 0 {
 		// No handle here. The allreduce above was a rendezvous the set
@@ -169,9 +217,10 @@ func (f *File) collectiveRange(flat []flatSeg) (lo, hi, domain int64, nAgg int) 
 			f.unit = f.sys.StripeSize()
 		}
 	}
-	nAgg = f.hints.CBNodes
-	lo, domain = fileDomains(lo, hi, f.unit, nAgg)
-	return lo, hi, domain, nAgg
+	d := domains{n: f.hints.CBNodes}
+	d.lo, d.size = fileDomains(lo, hi, f.unit, d.n)
+	d.wrap = wrapDomain(lo, hi, d.lo, d.size, f.unit, f.sys.Config().NumServers)
+	return d
 }
 
 // fileDomains cuts the extent [lo, hi) of a file striped by unit into
@@ -185,15 +234,16 @@ func fileDomains(lo, hi, unit int64, nAgg int) (alignedLo, domain int64) {
 	return alignedLo, domain
 }
 
-// routeSegments splits this rank's flattened segments across aggregator
-// domains, producing one parcel per domain in the File's reusable
+// routeSegments splits this rank's flattened segments across the
+// domains, producing one parcel per aggregator in the File's reusable
 // parcel scratch. A first pass counts the pieces each domain receives,
 // so that every parcel's Segs and Bufs are carved from two backing
 // arrays of the scratch bundle: two growths per bundle however many
 // aggregators the file has. Buffer pieces are split alongside their
 // segments and keep aliasing the callers' memory — the iovec-style
 // zero-copy routing.
-func (f *File) routeSegments(flat []flatSeg, lo, domain int64, nAgg int) []ioParcel {
+func (f *File) routeSegments(flat []flatSeg, d *domains) []ioParcel {
+	nAgg := d.n
 	sc := f.scr()
 	if cap(sc.parcels) < nAgg {
 		sc.parcels = make([]ioParcel, nAgg)
@@ -204,10 +254,10 @@ func (f *File) routeSegments(flat []flatSeg, lo, domain int64, nAgg int) []ioPar
 	clear(counts)
 	total := 0
 	for _, fs := range flat {
-		first := min(domainOf(fs.seg.Off, lo, domain), nAgg-1)
-		last := min(domainOf(fs.seg.Off+fs.seg.Len-1, lo, domain), nAgg-1)
+		first := min(domainOf(fs.seg.Off, d.lo, d.size), nAgg-1)
+		last := min(domainOf(fs.seg.Off+fs.seg.Len-1, d.lo, d.size), nAgg-1)
 		for k := first; k <= last; k++ {
-			counts[k]++
+			counts[d.owner(k)]++
 		}
 		total += last - first + 1
 	}
@@ -226,13 +276,13 @@ func (f *File) routeSegments(flat []flatSeg, lo, domain int64, nAgg int) []ioPar
 		remaining := fs.seg
 		buf := fs.buf
 		for remaining.Len > 0 {
-			agg := min(domainOf(remaining.Off, lo, domain), nAgg-1)
-			domainEnd := lo + int64(agg+1)*domain
+			k := min(domainOf(remaining.Off, d.lo, d.size), nAgg-1)
+			domainEnd := d.lo + int64(k+1)*d.size
 			take := remaining.Len
-			if remaining.Off+take > domainEnd && agg != nAgg-1 {
+			if remaining.Off+take > domainEnd && k != nAgg-1 {
 				take = domainEnd - remaining.Off
 			}
-			p := &parcels[agg]
+			p := &parcels[d.owner(k)]
 			p.Segs = append(p.Segs, Segment{Off: remaining.Off, Len: take})
 			p.Bufs = append(p.Bufs, buf[:take])
 			buf = buf[take:]

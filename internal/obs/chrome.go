@@ -13,14 +13,49 @@ import (
 // Timestamps are microseconds of virtual time; fractional values keep
 // nanosecond precision.
 type ChromeEvent struct {
-	Name string            `json:"name"`
-	Cat  string            `json:"cat,omitempty"`
-	Ph   string            `json:"ph"`
-	Ts   float64           `json:"ts"`
-	Dur  float64           `json:"dur,omitempty"`
-	Pid  int               `json:"pid"`
-	Tid  int               `json:"tid"`
-	Args map[string]string `json:"args,omitempty"`
+	Name string     `json:"name"`
+	Cat  string     `json:"cat,omitempty"`
+	Ph   string     `json:"ph"`
+	Ts   float64    `json:"ts"`
+	Dur  float64    `json:"dur,omitempty"`
+	Pid  int        `json:"pid"`
+	Tid  int        `json:"tid"`
+	Args ChromeArgs `json:"args,omitempty"`
+}
+
+// ChromeArgs are an event's "args". Reading accepts any JSON scalar as a
+// value and keeps its text: a string as itself, a number, true, false or
+// null as written — so a trace whose args are numbers, as the lifecycle
+// benchmark's span file has, reads like one whose args are strings.
+type ChromeArgs map[string]string
+
+// UnmarshalJSON reads an args object whose values are JSON scalars.
+func (a *ChromeArgs) UnmarshalJSON(data []byte) error {
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(data, &raw); err != nil {
+		return err
+	}
+	if raw == nil {
+		*a = nil
+		return nil
+	}
+	args := make(ChromeArgs, len(raw))
+	for k, v := range raw {
+		switch v[0] {
+		case '"':
+			var s string
+			if err := json.Unmarshal(v, &s); err != nil {
+				return err
+			}
+			args[k] = s
+		case '{', '[':
+			return fmt.Errorf("obs: arg %q is not a JSON scalar", k)
+		default:
+			args[k] = string(v)
+		}
+	}
+	*a = args
+	return nil
 }
 
 // ChromeTrace is the JSON-object form of a trace file, loadable by

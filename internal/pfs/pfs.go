@@ -599,6 +599,13 @@ func (h *Handle) charge(off, n int64, at sim.Time) sim.Time {
 		spans = s.spansInto(spans, h.totScratch, off, n, unit, h.f.first)
 	}
 	h.spanScratch = spans
+	return h.serve(spans, at)
+}
+
+// serve issues one request per span at virtual time `at` and returns the
+// latest completion.
+func (h *Handle) serve(spans []serverSpan, at sim.Time) sim.Time {
+	s := h.sys
 	done := at
 	for _, sp := range spans {
 		service := s.cfg.RequestLatency +
@@ -611,7 +618,7 @@ func (h *Handle) charge(off, n int64, at sim.Time) sim.Time {
 				d.Add(-service), d,
 				obs.KV{Key: "file", Val: h.name},
 				obs.KV{Key: "bytes", Val: fmt.Sprint(sp.bytes)},
-				obs.KV{Key: "unit", Val: fmt.Sprint(unit)})
+				obs.KV{Key: "unit", Val: fmt.Sprint(h.f.unit)})
 		}
 		if h := s.serviceHist; h != nil {
 			h.Observe(service)
@@ -627,15 +634,21 @@ func (h *Handle) charge(off, n int64, at sim.Time) sim.Time {
 // A request is one vectored call on a handle: a batch of (offset,
 // length) extents — the shape ROMIO's two-phase aggregators and
 // data-sieving layer produce — and a contiguous access is a batch of one
-// extent. Extents that are physically adjacent coalesce into one
+// extent. Extents that are adjacent in the file coalesce into one
 // contiguous span, and each I/O server is charged one request per span
-// it participates in. The call is issued at the handle's clock (time
-// zero on a handle without one, as staging opens them) and its spans are
-// serviced in order, span i+1 issued at span i's completion, chained
-// through the call rather than through the clock; the clock then
-// advances to the last completion. A request the rank does not wait for
-// is issued on a forked clock (sim.Clock.Rebase). One call is one stats
-// update and, in steady state, zero allocations.
+// it participates in. Consecutive spans that are adjacent in one
+// server's object instead — each inside one stripe, stripe j of the file
+// lying at (j/NumServers)·unit in its server's object — are one request
+// to that server: the tail of one stripe and the head of the stripe
+// NumServers later, which is how a collective over one row of stripes
+// plus a few bytes serves its two ends. The call is issued at the
+// handle's clock (time zero on a handle without one, as staging opens
+// them) and its requests are serviced in order, request i+1 issued at
+// request i's completion, chained through the call rather than through
+// the clock; the clock then advances to the last completion. A request
+// the rank does not wait for is issued on a forked clock
+// (sim.Clock.Rebase). One call is one stats update and, in steady state,
+// zero allocations.
 // ---------------------------------------------------------------------------
 
 // Extent is one (offset, length) piece of a vectored request.
@@ -678,6 +691,45 @@ func (h *Handle) coalesce(exts []Extent) ([]vecSpan, int64, error) {
 	return spans, pos, nil
 }
 
+// local reports where a span inside one stripe lies in its server's
+// object: the server, and the span's start and end there. ok is false
+// for a span that crosses a stripe boundary.
+func (h *Handle) local(sp vecSpan) (server int, lo, hi int64, ok bool) {
+	unit := h.f.unit
+	stripe, in := sp.off/unit, sp.off%unit
+	if in+sp.n > unit {
+		return 0, 0, 0, false
+	}
+	lo = stripe/int64(h.sys.cfg.NumServers)*unit + in
+	return h.sys.serverOf(stripe, h.f.first), lo, lo + sp.n, true
+}
+
+// requestEnd returns the end of the request that starts at spans[i]: the
+// spans after it that continue it in its server's object join it.
+func (h *Handle) requestEnd(spans []vecSpan, i int) int {
+	server, _, end, ok := h.local(spans[i])
+	j := i + 1
+	for ; ok && j < len(spans); j++ {
+		next, lo, hi, one := h.local(spans[j])
+		if !one || next != server || lo != end {
+			break
+		}
+		end = hi
+	}
+	return j
+}
+
+// chargeRequest charges the request req carrying n bytes: one span by
+// its stripes' servers, several spans as one request to their server.
+func (h *Handle) chargeRequest(req []vecSpan, n int64, at sim.Time) sim.Time {
+	if len(req) == 1 || n == 0 {
+		return h.charge(req[0].off, n, at)
+	}
+	server, _, _, _ := h.local(req[0])
+	h.spanScratch = append(h.spanScratch[:0], serverSpan{server: server, bytes: n})
+	return h.serve(h.spanScratch, at)
+}
+
 // start is the virtual time a request on this handle is issued at.
 func (h *Handle) start() sim.Time {
 	if h.clock == nil {
@@ -711,17 +763,26 @@ func (h *Handle) WriteAtVec(p []byte, exts []Extent) (int, error) {
 		return 0, fmt.Errorf("pfs: vectored write of %d extent bytes with %d payload bytes", total, len(p))
 	}
 	done := h.start()
-	for _, sp := range spans {
-		if err = h.f.writeAt(p[sp.pPos:sp.pPos+sp.n], sp.off); err != nil {
-			break
+	var reqs int64
+	for i := 0; i < len(spans) && err == nil; reqs++ {
+		j := h.requestEnd(spans, i)
+		var n int64
+		for _, sp := range spans[i:j] {
+			if err = h.f.writeAt(p[sp.pPos:sp.pPos+sp.n], sp.off); err != nil {
+				break
+			}
+			n += sp.n
 		}
-		done = h.charge(sp.off, sp.n, done)
+		if err == nil {
+			done = h.chargeRequest(spans[i:j], n, done)
+		}
+		i = j
 	}
 	h.finish(done)
 	if err != nil {
 		return 0, err
 	}
-	h.sys.stats.writeReqs.Add(int64(len(spans)))
+	h.sys.stats.writeReqs.Add(reqs)
 	h.sys.stats.bytesWritten.Add(total)
 	return int(total), nil
 }
@@ -743,25 +804,33 @@ func (h *Handle) ReadAtVec(p []byte, exts []Extent) (int, error) {
 		return 0, fmt.Errorf("pfs: vectored read of %d extent bytes into %d payload bytes", total, len(p))
 	}
 	done := h.start()
-	var read int64
-	for _, sp := range spans {
-		buf := p[sp.pPos : sp.pPos+sp.n]
-		n, rerr := h.f.readAt(buf, sp.off)
-		if int64(n) < sp.n {
-			clear(buf[n:])
-			if rerr != nil && rerr != io.EOF {
-				err = rerr
-				break
+	var read, reqs int64
+	for i := 0; i < len(spans) && err == nil; reqs++ {
+		j := h.requestEnd(spans, i)
+		var got int64
+		for _, sp := range spans[i:j] {
+			buf := p[sp.pPos : sp.pPos+sp.n]
+			n, rerr := h.f.readAt(buf, sp.off)
+			if int64(n) < sp.n {
+				clear(buf[n:])
+				if rerr != nil && rerr != io.EOF {
+					err = rerr
+					break
+				}
 			}
+			got += int64(n)
 		}
-		read += int64(n)
-		done = h.charge(sp.off, int64(n), done)
+		if err == nil {
+			read += got
+			done = h.chargeRequest(spans[i:j], got, done)
+		}
+		i = j
 	}
 	h.finish(done)
 	if err != nil {
 		return int(read), err
 	}
-	h.sys.stats.readRequests.Add(int64(len(spans)))
+	h.sys.stats.readRequests.Add(reqs)
 	h.sys.stats.bytesRead.Add(read)
 	if read < total {
 		return int(read), io.EOF

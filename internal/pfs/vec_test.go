@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"sdm/internal/obs"
 	"sdm/internal/sim"
 )
 
@@ -152,5 +153,80 @@ func TestVectoredOpsZeroAllocsSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state ReadAtVec allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// Consecutive extents of one call that are adjacent in one server's
+// object — stripe j lies at (j/NumServers)·unit there — are one request
+// to that server, carrying the same bytes: the tail of stripe 3 and the
+// head of stripe 7, both on server 3 of four. Extents on one server that
+// do not meet there, or meet only out of call order, stay two requests,
+// and extents adjacent in the file still coalesce.
+func TestVecServerAdjacentExtentsOneRequest(t *testing.T) {
+	const unit = 1024
+	tail := Extent{Off: 3*unit + 1000, Len: 24}
+	head := Extent{Off: 7 * unit, Len: 500}
+	for _, tc := range []struct {
+		name string
+		exts []Extent
+		reqs int64
+	}{
+		{"server-adjacent", []Extent{tail, head}, 1},
+		{"short of the stripe end", []Extent{{Off: tail.Off, Len: 20}, head}, 2},
+		{"a row apart", []Extent{tail, {Off: 11 * unit, Len: 500}}, 2},
+		{"out of call order", []Extent{head, tail}, 2},
+		{"file-adjacent", []Extent{{Off: 0, Len: 512}, {Off: 512, Len: 512}}, 1},
+	} {
+		sys := NewSystem(vecConfig())
+		tr := obs.NewTracer()
+		sys.SetTracer(tr)
+		clock := sim.NewClock()
+		h, _ := sys.Open("f", CreateMode, clock)
+		var n int64
+		for _, e := range tc.exts {
+			n += e.Len
+		}
+		payload := make([]byte, n)
+		for i := range payload {
+			payload[i] = byte(i%251 + 1)
+		}
+		if _, err := h.WriteAtVec(payload, tc.exts); err != nil {
+			t.Fatal(err)
+		}
+		if tc.reqs == 1 {
+			cfg := vecConfig()
+			if want := sim.Time(0).Add(cfg.RequestLatency + sim.TransferCost(n, 0, cfg.ServerBandwidth)); clock.Now() != want {
+				t.Errorf("%s: write took until %v, want one request's %v", tc.name, clock.Now(), want)
+			}
+		}
+		got := make([]byte, n)
+		if _, err := h.ReadAtVec(got, tc.exts); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, payload) {
+			t.Errorf("%s: read back different bytes", tc.name)
+		}
+		file, _ := sys.ReadFile("f")
+		pos := int64(0)
+		for _, e := range tc.exts {
+			if !bytes.Equal(file[e.Off:e.Off+e.Len], payload[pos:pos+e.Len]) {
+				t.Errorf("%s: extent at %d holds other bytes", tc.name, e.Off)
+			}
+			pos += e.Len
+		}
+		if st := sys.Stats(); st.WriteReqs != tc.reqs || st.ReadRequests != tc.reqs {
+			t.Errorf("%s: %d write and %d read requests, want %d", tc.name, st.WriteReqs, st.ReadRequests, tc.reqs)
+		}
+		if serves := len(tr.Spans()); serves != int(2*tc.reqs) {
+			t.Errorf("%s: servers took %d requests, want %d", tc.name, serves, 2*tc.reqs)
+		}
+		sys.SetTracer(nil)
+		if allocs := testing.AllocsPerRun(20, func() {
+			if _, err := h.WriteAtVec(payload, tc.exts); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: steady-state WriteAtVec allocated %.1f times per run, want 0", tc.name, allocs)
+		}
 	}
 }
