@@ -136,7 +136,9 @@ type Options struct {
 	// back-to-back over disjoint files. The bound counts read-ahead
 	// too: a sequential reader closing its Get steps with the
 	// synchronous EndStep has the following timesteps' reads issued
-	// ahead until this many tokens are outstanding.
+	// ahead until this many tokens are outstanding — from its first
+	// step when that step reads the run's first checkpoint, from its
+	// second sequential step otherwise.
 	StepPipelineDepth int
 	// AttachRun, when positive, attaches to an existing run_table row
 	// instead of registering a new run — the restart path: a process
@@ -226,7 +228,7 @@ type SDM struct {
 	// is the current step's list; the two swap at every get-only step, so
 	// their backing arrays are reused.
 	reader struct {
-		armed    bool // the step read its predecessor's successor: issue ahead
+		armed    bool // the step read the first checkpoint or its predecessor's successor: issue ahead
 		timestep int64
 		parts    []getPart // empty before the first get-only step
 	}

@@ -224,11 +224,23 @@ func TestReadAheadDifferential(t *testing.T) {
 func TestReadAheadMisprediction(t *testing.T) {
 	const n, steps, depth = 4, 8, 4
 	var wasted, tail [n]sim.Time
+	// A reader that starts mid-run, as a restart reading the last steps
+	// does, arms at its second sequential step.
+	raRun(t, n, steps, Options{Organization: Level1, StepPipelineDepth: depth}, true, func(a *raApp) {
+		a.get(3*raStride, 0)
+		if got := len(aheadTokens(a.s)); got != 0 {
+			t.Errorf("mid-run reader holds %d read-aheads after one step; arming needs two sequential steps", got)
+		}
+		a.get(4*raStride, 0)
+		if got := len(aheadTokens(a.s)); got != depth-1 {
+			t.Errorf("mid-run reader holds %d read-aheads after its successor, want %d", got, depth-1)
+		}
+	}, nil)
 	te := raRun(t, n, steps, Options{Organization: Level1, StepPipelineDepth: depth}, true, func(a *raApp) {
 		s, r := a.s, a.s.env.Comm.Rank()
 		a.get(0, 0)
-		if len(aheadTokens(s)) != 0 {
-			t.Errorf("read-ahead issued after one step; arming needs two sequential steps")
+		if got := len(aheadTokens(s)); got != depth-1 {
+			t.Errorf("the run's first timestep arms at once: %d read-aheads, want %d", got, depth-1)
 		}
 		a.get(raStride, 0)
 		ahead := aheadTokens(s)
@@ -257,7 +269,7 @@ func TestReadAheadMisprediction(t *testing.T) {
 		}
 		a.get(7*raStride, 0) // sequential again: would arm, but the run ends here
 		a.get(2*raStride, 0)
-		a.get(3*raStride, 0) // armed: issues 40, 50, 60, 70 — never consumed
+		a.get(3*raStride, 0) // armed: issues 40, 50, 60 — never consumed
 		for _, tok := range aheadTokens(s) {
 			tail[r] = sim.MaxTime(tail[r], tok.done)
 		}
@@ -294,6 +306,41 @@ func TestReadAheadMisprediction(t *testing.T) {
 	}, nil)
 	if got, want := te.fs.Stats().BytesRead, ref.fs.Stats().BytesRead; got <= want {
 		t.Fatalf("mispredicting run read %d bytes, the depth-1 run %d: wasted reads vanished", got, want)
+	}
+}
+
+// A sequential pass from the run's first checkpoint arms at that first
+// step: the window is in flight after get(0), and the pass delivers the
+// depth-1 run's bytes for the same read requests and bytes read — the
+// work is overlapped, not added — with every rank done no later.
+func TestReadAheadFromFirstTimestep(t *testing.T) {
+	const n, steps, depth = 4, 8, 4
+	for _, level := range []FileOrganization{Level1, Level3} {
+		t.Run(level.String(), func(t *testing.T) {
+			run := func(depth int) *testEnv {
+				return raRun(t, n, steps, Options{Organization: level, StepPipelineDepth: depth}, true, func(a *raApp) {
+					a.get(0, 0)
+					if got := len(aheadTokens(a.s)); got != depth-1 {
+						t.Errorf("depth %d: %d read-aheads after the first timestep, want %d", depth, got, depth-1)
+					}
+					for k := 1; k < steps; k++ {
+						a.get(int64(k*raStride), 0)
+					}
+				}, nil)
+			}
+			d1, d4 := run(1), run(depth)
+			filesEqual(t, "depth 4 vs depth 1", snapshotFiles(t, d1.fs), snapshotFiles(t, d4.fs))
+			s1, s4 := d1.fs.Stats(), d4.fs.Stats()
+			if s1.ReadRequests != s4.ReadRequests || s1.BytesRead != s4.BytesRead {
+				t.Fatalf("read requests/bytes differ: depth 1 %d/%d, depth %d %d/%d",
+					s1.ReadRequests, s1.BytesRead, depth, s4.ReadRequests, s4.BytesRead)
+			}
+			for r, c1 := range clocks(d1, n) {
+				if c4 := clocks(d4, n)[r]; c4 > c1 {
+					t.Errorf("rank %d ends at %v at depth %d, after depth 1's %v", r, c4, depth, c1)
+				}
+			}
+		})
 	}
 }
 
@@ -392,8 +439,8 @@ func TestReadAheadSpans(t *testing.T) {
 			reads = append(reads, s)
 		}
 	}
-	if want := steps - 2; len(ahead) != want {
-		t.Fatalf("rank 0 recorded %d readahead spans, want %d (every step after the two that arm)", len(ahead), want)
+	if want := steps - 1; len(ahead) != want {
+		t.Fatalf("rank 0 recorded %d readahead spans, want %d (every step after the first, which arms)", len(ahead), want)
 	}
 	overlap := false
 	for i := range ahead {

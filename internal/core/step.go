@@ -60,19 +60,24 @@ import (
 //
 // Read-ahead. The placement index knows every (dataset, timestep) of
 // the run, so a sequential reader's next checkpoint is a lookup, not a
-// guess: after a get-only step whose timestep is the index successor of
-// the previous get-only step's (same datasets), SDM issues the same
-// datasets' gets for the following timesteps — the issue half of the
-// ordinary get flush, each on its own forked sub-timeline — until
-// StepPipelineDepth tokens are outstanding. The Get step that arrives
+// guess. A get-only step arms the reader when its timestep is the first
+// of the index — the run's first checkpoint, as Linux readahead opens a
+// window at file offset 0 without waiting for a second read — or the
+// index successor of the previous get-only step's (same datasets). An
+// armed step's closing issues the same datasets' gets for the following
+// timesteps — the issue half of the ordinary get flush, each on its own
+// forked sub-timeline — until StepPipelineDepth tokens are outstanding.
+// A reader starting mid-run (a restart reading the last N steps) arms at
+// its second sequential step; a jump disarms. The Get step that arrives
 // for such a timestep adopts the token (no second flush, no second
 // token), joins it and decodes; any other get-only step joins and
-// discards what it skipped and takes the ordinary path. A read-ahead is
-// an ordinary token to Wait, DrainSteps, Finalize and the depth bound,
-// and a flush that writes a file a read-ahead has read joins and
-// discards it first, so a misprediction costs its virtual time and
-// never delivers stale bytes. Depth 1 leaves no room beside the step's
-// own token: nothing is issued.
+// discards what it skipped and takes the ordinary path; arming at the
+// first checkpoint costs a random reader at most one window of depth-1
+// reads per pass through it. A read-ahead is an ordinary token to Wait,
+// DrainSteps, Finalize and the depth bound, and a flush that writes a
+// file a read-ahead has read joins and discards it first, so a
+// misprediction costs its virtual time and never delivers stale bytes.
+// Depth 1 leaves no room beside the step's own token: nothing is issued.
 
 // StepToken is the handle of an asynchronous (split-collective) step
 // flush, returned by SDM.EndStepAsync. The flush has been issued; Wait
@@ -536,14 +541,18 @@ func (s *SDM) adoptAhead(ts int64, parts []getPart) *StepToken {
 }
 
 // noteGetStep feeds the sequential-read detector with a get-only step:
-// read-ahead is armed while each such step reads the datasets of the
-// previous one at that step's index successor. Every rank decides from
-// the collective call sequence and the placement index, so every rank
+// read-ahead is armed by a step at the first timestep of its first
+// part's index (a read at offset 0, as Linux readahead opens a window
+// there), and while each such step reads the datasets of the previous
+// one at that step's index successor. Every rank decides from the
+// collective call sequence and the placement index, so every rank
 // issues the same read-ahead collectives.
 func (s *SDM) noteGetStep(ts int64, parts []getPart) {
 	rd := &s.reader
-	next, ok := parts[0].g.index.successor(rd.timestep)
-	rd.armed = ok && next == ts && sameGets(rd.parts, parts)
+	idx := &parts[0].g.index
+	first := len(idx.steps) > 0 && idx.steps[0] == ts
+	next, ok := idx.successor(rd.timestep)
+	rd.armed = first || ok && next == ts && sameGets(rd.parts, parts)
 	rd.timestep = ts
 	rd.parts, s.getParts = parts, rd.parts
 }

@@ -13,6 +13,7 @@ package mpi
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"reflect"
 	"sync"
@@ -56,6 +57,8 @@ type World struct {
 	// it is only rewritten inside a rendezvous every rank has entered,
 	// which happens-after every rank consumed the previous result.
 	atMatrix [][]any
+	// mmResult is AllreduceMinMax's result, reused the same way.
+	mmResult [2]int64
 
 	aborted  atomic.Bool
 	abortMsg atomic.Value // string
@@ -162,6 +165,7 @@ type Comm struct {
 
 	atPayload alltoallPayload // reused Alltoall contribution
 	bcPayload bcastPayload    // reused Bcast contribution
+	mmPayload [2]int64        // reused AllreduceMinMax contribution
 }
 
 // Rank reports this process's rank in [0, Size).
@@ -547,6 +551,28 @@ func (c *Comm) AllreduceInt64(v int64, op Op) int64 {
 	return res.(int64)
 }
 
+// AllreduceMinMax reduces a (lo, hi) pair per rank to the minimum lo and
+// the maximum hi in one rendezvous, charged as one tree reduction of
+// both values. The contribution travels by pointer to the Comm's cached
+// pair and the result sits in the World's, so a call allocates nothing;
+// the World's pair is only rewritten inside the next AllreduceMinMax
+// every rank has entered, after this rank has copied it out.
+func (c *Comm) AllreduceMinMax(lo, hi int64) (int64, int64) {
+	cost := c.treeCost(16)
+	c.mmPayload = [2]int64{lo, hi}
+	res := c.exchange("AllreduceMinMax", &c.mmPayload, func(slots []any) (any, sim.Duration) {
+		out := &c.world.mmResult
+		*out = [2]int64{math.MaxInt64, math.MinInt64}
+		for _, s := range slots {
+			pl := s.(*[2]int64)
+			out[0], out[1] = min(out[0], pl[0]), max(out[1], pl[1])
+		}
+		return out, cost
+	})
+	mm := res.(*[2]int64)
+	return mm[0], mm[1]
+}
+
 // AllreduceFloat64 reduces one float64 per rank with op, result on all
 // ranks. Summation is performed in rank order for determinism.
 func (c *Comm) AllreduceFloat64(v float64, op Op) float64 {
@@ -584,14 +610,9 @@ func SendrecvSlice[T any](c *Comm, dst, sendTag int, s []T, src, recvTag int) ([
 }
 
 // BcastSlice broadcasts root's slice to all ranks. Non-root ranks may
-// pass nil.
+// pass nil: Bcast charges the size the root declares.
 func BcastSlice[T any](c *Comm, root int, s []T) []T {
-	n := len(s)
-	if c.Rank() != root {
-		n = 0
-	}
-	maxN := int(c.AllreduceInt64(int64(n), OpMax))
-	res := c.Bcast(root, s, sliceBytes[T](maxN))
+	res := c.Bcast(root, s, sliceBytes[T](len(s)))
 	if res == nil {
 		return nil
 	}

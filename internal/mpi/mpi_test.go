@@ -1,7 +1,9 @@
 package mpi
 
 import (
+	"math/rand/v2"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -284,6 +286,59 @@ func TestAllreduce(t *testing.T) {
 	})
 }
 
+// TestAllreduceMinMax: random (lo, hi) pairs per rank, some the empty
+// sentinel (1<<62, -1), reduce to the least lo and the greatest hi on
+// every rank, at the last arrival plus one 16-byte tree reduction, and a
+// steady-state call allocates nothing.
+func TestAllreduceMinMax(t *testing.T) {
+	const n, rounds = 8, 40
+	const emptyLo, emptyHi = int64(1 << 62), int64(-1)
+	rng := rand.New(rand.NewPCG(1, 2))
+	var lo, hi [rounds][n]int64
+	var delay [rounds][n]sim.Duration // compute before the call: staggered arrivals
+	var wantLo, wantHi [rounds]int64
+	for k := range rounds {
+		wantLo[k], wantHi[k] = emptyLo, emptyHi
+		for r := range n {
+			lo[k][r], hi[k][r] = emptyLo, emptyHi
+			if k > 0 && rng.IntN(3) != 0 { // round 0: no rank has data
+				lo[k][r] = rng.Int64N(1<<40) - 1<<39
+				hi[k][r] = lo[k][r] + rng.Int64N(1<<20)
+			}
+			wantLo[k], wantHi[k] = min(wantLo[k], lo[k][r]), max(wantHi[k], hi[k][r])
+			delay[k][r] = sim.Duration(rng.Int64N(int64(time.Millisecond)))
+		}
+	}
+	cfg := Config{Latency: time.Millisecond, Bandwidth: 1e9}
+	cost := 3 * (time.Millisecond + 16*time.Nanosecond) // log2(8) rounds of 16 bytes
+	run(t, n, cfg, func(c *Comm) {
+		r := c.Rank()
+		for k := range rounds {
+			start := c.Now() // every rank left the previous round together
+			c.Compute(delay[k][r])
+			gotLo, gotHi := c.AllreduceMinMax(lo[k][r], hi[k][r])
+			if gotLo != wantLo[k] || gotHi != wantHi[k] {
+				t.Errorf("round %d rank %d: (%d, %d), want (%d, %d)", k, r, gotLo, gotHi, wantLo[k], wantHi[k])
+			}
+			if want := start.Add(slices.Max(delay[k][:]) + cost); c.Now() != want {
+				t.Errorf("round %d rank %d: clock %v, want %v", k, r, c.Now(), want)
+			}
+		}
+		// Every rank makes the same 101 calls; AllocsPerRun counts the
+		// whole process's allocations, all ranks' included.
+		call := func() { c.AllreduceMinMax(int64(r), int64(r)) }
+		if r != 0 {
+			for range 101 { // AllocsPerRun's warm-up call and its 100 runs
+				call()
+			}
+			return
+		}
+		if allocs := testing.AllocsPerRun(100, call); allocs != 0 {
+			t.Errorf("AllreduceMinMax allocated %.2f times per call, want 0", allocs)
+		}
+	})
+}
+
 func TestCollectiveMismatchPanics(t *testing.T) {
 	w := NewWorld(2, fastConfig())
 	err := w.Run(func(c *Comm) {
@@ -362,9 +417,8 @@ func TestBcastTreeCost(t *testing.T) {
 			buf = make([]int64, 125_000) // 1 MB: 1ms per round at 1GB/s
 		}
 		BcastSlice(c, 0, buf)
-		// AllreduceInt64 in BcastSlice costs 3 rounds of (1ms + 8ns for
-		// its 8-byte payload); the Bcast itself 3 rounds of (1ms + 1ms).
-		want := sim.Time(3*(time.Millisecond+8*time.Nanosecond) + 3*2*time.Millisecond)
+		// One rendezvous charged the root's size: 3 rounds of (1ms + 1ms).
+		want := sim.Time(3 * 2 * time.Millisecond)
 		if c.Now() != want {
 			t.Errorf("clock %v, want %v", c.Now(), want)
 		}

@@ -191,3 +191,42 @@ func TestBatchedIndependentFallback(t *testing.T) {
 		t.Fatal("collective and independent batch writes differ")
 	}
 }
+
+// TestEmptyCollectiveOneReduction: a collective in which no rank has
+// anything to move costs exactly the extent agreement, one tree
+// reduction of the 16-byte (lo, hi) pair, for a write and for a read.
+func TestEmptyCollectiveOneReduction(t *testing.T) {
+	const ranks = 8
+	cfg := mpi.Config{Latency: 1_000_000, Bandwidth: 1e9}
+	oneReduction := 3 * sim.TransferCost(16, cfg.Latency, cfg.Bandwidth) // log2(8) rounds
+	err := mpi.NewWorld(ranks, cfg).Run(func(c *mpi.Comm) {
+		f, err := Open(c, costedSys(), "empty", pfs.CreateMode, Hints{})
+		if err != nil {
+			panic(err)
+		}
+		for _, ops := range [][]BatchOp{nil, {{Off: 64}}} { // no op; a zero-length op
+			for _, write := range []bool{true, false} {
+				c.Barrier()
+				start := c.Now()
+				if write {
+					err = f.WriteAtAllOps(ops)
+				} else {
+					err = f.ReadAtAllOps(ops)
+				}
+				if err != nil {
+					panic(err)
+				}
+				if got := c.Now().Sub(start); got != oneReduction {
+					t.Errorf("rank %d: empty collective (write %v, %d ops) took %v, want one reduction %v",
+						c.Rank(), write, len(ops), got, oneReduction)
+				}
+			}
+		}
+		if err := f.Close(); err != nil {
+			panic(err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

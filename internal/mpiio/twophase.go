@@ -1,17 +1,16 @@
 package mpiio
 
-import "sdm/internal/mpi"
-
 // ---------------------------------------------------------------------------
 // Two-phase collective I/O.
 //
 // Phase 0: every rank flattens its request — one operation or a whole
 // deferred-step batch of (view, offset, buffer) operations — into a
 // single sorted physical segment list (the same flattening feeds the
-// extent agreement and the routing) and the ranks agree (allreduce) on
-// the union's extent. The extent, its start aligned down to the file's
-// own stripe unit (fixed when the file was created; see
-// Hints.StripingUnit), is split into file domains, one per aggregator:
+// extent agreement and the routing) and the ranks agree on the union's
+// extent in one reduction (mpi.Comm.AllreduceMinMax: the least start
+// and the greatest end, one rendezvous). The extent, its start aligned
+// down to the file's own stripe unit (fixed when the file was created;
+// see Hints.StripingUnit), is split into file domains, one per aggregator:
 // equal shares rounded up to a whole number of stripes. Domains are
 // stripe-ALIGNED, so with at least as many aggregators as the extent
 // has stripes every phase-2 run lies inside one stripe, on one server.
@@ -202,13 +201,12 @@ func (f *File) collectiveRange(flat []flatSeg) domains {
 		last := flat[len(flat)-1].seg
 		myHi = last.Off + last.Len
 	}
-	lo := f.comm.AllreduceInt64(myLo, mpi.OpMin)
-	hi := f.comm.AllreduceInt64(myHi, mpi.OpMax)
+	lo, hi := f.comm.AllreduceMinMax(myLo, myHi)
 	if hi <= lo {
 		return domains{}
 	}
 	if f.unit == 0 {
-		// No handle here. The allreduce above was a rendezvous the set
+		// No handle here. The reduction above was a rendezvous the set
 		// members entered after opening (or creating) the file, so every
 		// rank now reads the same, final layout. (Domains only route: were
 		// the file unlinked meanwhile, the default unit is as correct.)
