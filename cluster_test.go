@@ -1,6 +1,7 @@
 package sdm_test
 
 import (
+	"strings"
 	"testing"
 
 	"sdm"
@@ -190,5 +191,42 @@ func TestPublicMeshgenAndPartitioner(t *testing.T) {
 	}
 	if v := partitioner.Random(10, 2, 1); v.Validate(2) != nil {
 		t.Fatal("random vector invalid")
+	}
+}
+
+// TestCollectiveErrorsNameTheCause: Initialize and every catalog call
+// do their database work on rank 0 and fail on every rank with it, so
+// every rank's error must name rank 0's cause.
+func TestCollectiveErrorsNameTheCause(t *testing.T) {
+	const procs = 4
+	cl := sdm.NewCluster(sdm.ClusterConfig{Procs: procs})
+	var attach, register [procs]error
+	err := cl.Run(func(p *sdm.Proc) {
+		_, attach[p.Rank()] = p.Initialize("attach", sdm.Options{AttachRun: 99})
+		s, err := p.Initialize("register", sdm.Options{})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer s.Finalize()
+		attrs := sdm.MakeDatalist("d")
+		attrs[0].GlobalSize = 8
+		if p.Rank() == 0 {
+			if _, err := cl.DB.Exec("DROP TABLE access_pattern_table"); err != nil {
+				t.Error(err)
+			}
+		}
+		_, register[p.Rank()] = s.SetAttributes(attrs)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := range procs {
+		if attach[r] == nil || !strings.Contains(attach[r].Error(), "no run 99") {
+			t.Errorf("rank %d: Initialize attaching to a missing run returned %v, want the missing run named", r, attach[r])
+		}
+		if register[r] == nil || !strings.Contains(register[r].Error(), "access_pattern_table") {
+			t.Errorf("rank %d: registering into a dropped table returned %v, want the table named", r, register[r])
+		}
 	}
 }

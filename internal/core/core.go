@@ -211,17 +211,21 @@ type SDM struct {
 	// implicitly Waits on just the conflicting token. tokens holds every
 	// unwaited token (bounded by Options.StepPipelineDepth) so
 	// EndStepAsync and Finalize can drain them in completion order.
-	// recScratch is the
-	// cross-group RecordWrites merge buffer. arenaPool recycles flush
-	// staging arenas across epochs: each in-flight token owns the
-	// arenas its flush staged through and returns them at Wait, so an
-	// N-deep pipeline reaches a steady state of ~N arenas instead of
-	// allocating one per step.
+	// recScratch is the cross-group RecordWrites merge buffer. arenaPool
+	// recycles staging arenas: a flush runs in host time inside
+	// EndStepAsync, so its arenas come back when it returns, and only a
+	// read-ahead token, whose bytes wait for the Get step that consumes
+	// them, holds arenas across calls.
 	pending    map[string]*StepToken
 	tokens     []*StepToken
 	tokenSeq   int64
 	recScratch []catalog.WriteRecord
 	arenaPool  [][]byte
+	// scratch is the rank's one mpiio staging bundle, installed on every
+	// file the Manager opens — group files, import files, the history
+	// replay. The rank runs their collectives one after another, so one
+	// bundle serves them all.
+	scratch mpiio.Scratch
 
 	// reader is the sequential-read detector behind read-ahead: the
 	// timestep and dataset list of the previous get-only step. getParts
@@ -255,8 +259,8 @@ func (s *SDM) pid() int { return obs.PidRank(s.env.Comm.Rank()) }
 
 // takeArena checks a staging arena of at least n bytes out of the
 // pool: the first pooled buffer large enough is reused; otherwise one
-// pooled buffer is replaced by a fresh allocation, keeping the pool
-// bounded by the pipeline depth.
+// pooled buffer is replaced by a fresh allocation, keeping the pool no
+// larger than the most arenas ever live at once.
 func (s *SDM) takeArena(n int64) []byte {
 	for i, buf := range s.arenaPool {
 		if int64(cap(buf)) >= n {
@@ -274,8 +278,8 @@ func (s *SDM) takeArena(n int64) []byte {
 	return make([]byte, n)
 }
 
-// putArena returns a staging arena to the pool (Wait and Finalize call
-// it when a token's flush is joined).
+// putArena returns a staging arena to the pool: when a step closes, when
+// a read-ahead token is joined, and when an import epoch ends.
 func (s *SDM) putArena(buf []byte) {
 	if cap(buf) > 0 {
 		s.arenaPool = append(s.arenaPool, buf)
@@ -319,12 +323,8 @@ func Initialize(env Env, app string, opts Options) (*SDM, error) {
 			runID, initErr = env.Catalog.RegisterRun(env.Comm.Clock(), app, 3, 0, 0, runStamp)
 		}
 	}
-	errFlag := int64(0)
-	if initErr != nil {
-		errFlag = 1
-	}
-	if env.Comm.AllreduceInt64(errFlag, mpi.OpMax) != 0 {
-		return nil, fmt.Errorf("core: Initialize: %v", initErr)
+	if msg := bcastErr(env.Comm, initErr); msg != "" {
+		return nil, fmt.Errorf("core: Initialize: %s", msg)
 	}
 	s.runID = env.Comm.Bcast(0, runID, 8).(int64)
 	return s, nil
@@ -337,21 +337,28 @@ func (s *SDM) RunID() int64 { return s.runID }
 // communication on SDM's).
 func (s *SDM) Comm() *mpi.Comm { return s.env.Comm }
 
-// catalogCall runs fn on rank 0 only and broadcasts success; other
+// catalogCall runs fn on rank 0 only and broadcasts its outcome; other
 // ranks wait. fn may be nil on non-zero ranks.
 func (s *SDM) catalogCall(fn func() error) error {
 	var err error
 	if s.env.Comm.Rank() == 0 {
 		err = fn()
 	}
-	flag := int64(0)
-	if err != nil {
-		flag = 1
-	}
-	if s.env.Comm.AllreduceInt64(flag, mpi.OpMax) != 0 {
-		return fmt.Errorf("core: metadata operation failed: %v", err)
+	if msg := bcastErr(s.env.Comm, err); msg != "" {
+		return fmt.Errorf("core: metadata operation failed: %s", msg)
 	}
 	return nil
+}
+
+// bcastErr broadcasts rank 0's error text, empty on success, so every
+// rank fails with the same cause. It is one rendezvous, charged as an
+// 8-byte status word: the text of a failure is not priced.
+func bcastErr(c *mpi.Comm, err error) string {
+	msg := ""
+	if err != nil {
+		msg = err.Error()
+	}
+	return c.Bcast(0, msg, 8).(string)
 }
 
 // Attr describes one dataset of a data group (the result of

@@ -57,9 +57,9 @@ type stepEpoch struct {
 	gets []pendingGet
 
 	// Flush staging arenas, checked out of the manager's arena pool at
-	// staging time and owned by the step token until Wait returns them
-	// (so N in-flight flushes keep N live snapshots while the pool
-	// recycles joined ones), plus flush scratch reused across epochs.
+	// staging time and returned when the step closes (a read-ahead token
+	// adopts its read arena instead), plus flush scratch reused across
+	// epochs.
 	arena     []byte
 	readArena []byte
 	placed    []placedOp
@@ -88,8 +88,8 @@ type placedOp struct {
 // step's close, and when queueing fails partway through a one-call
 // step. Queued entries are zeroed so their closures (and the caller
 // slices they capture) do not stay reachable through the reusable
-// backing arrays. Staging arenas not adopted by a token go back to the
-// pool.
+// backing arrays. Staging arenas not adopted by a read-ahead token go
+// back to the pool.
 func (g *Group) cancelStep() {
 	clear(g.ep.puts)
 	clear(g.ep.gets)
@@ -184,13 +184,13 @@ func (g *Group) groupByFile(placed []placedOp) []string {
 // order: each placed op installs its view on the open file (a rank pays
 // for a view only at its first install) and contributes one BatchOp.
 // The returned slice lives in the epoch's reusable ops scratch.
-func (g *Group) opsForFile(of *openFile, placed []placedOp, file string) []mpiio.BatchOp {
+func (g *Group) opsForFile(f *mpiio.File, placed []placedOp, file string) []mpiio.BatchOp {
 	ops := g.ep.ops[:0]
 	for i := range placed {
 		if placed[i].file != file {
 			continue
 		}
-		of.f.SetView(placed[i].disp, placed[i].v.dtype)
+		f.SetView(placed[i].disp, placed[i].v.dtype)
 		ops = append(ops, mpiio.BatchOp{
 			Disp: placed[i].disp, Type: placed[i].v.dtype,
 			Off: placed[i].off, Data: placed[i].data,
@@ -201,17 +201,14 @@ func (g *Group) opsForFile(of *openFile, placed []placedOp, file string) []mpiio
 }
 
 // closeIfLevel1 closes and forgets the file under Level-1 organization
-// (one file per write). The file's I/O scratch bundle returns to the
-// group's pool.
-func (g *Group) closeIfLevel1(of *openFile, file string) error {
+// (one file per write).
+func (g *Group) closeIfLevel1(f *mpiio.File, file string) error {
 	if g.s.opts.Organization != Level1 {
 		return nil
 	}
-	if err := of.f.Close(); err != nil {
+	if err := f.Close(); err != nil {
 		return err
 	}
-	g.scratch.Put(of.sc)
-	of.sc = nil
 	delete(g.files, file)
 	return nil
 }
@@ -307,19 +304,19 @@ func (g *Group) issueFiles(ts int64, write bool, cur *mpiio.Cursor) (sim.Time, e
 	placed := g.ep.placed
 	files := g.groupByFile(placed)
 	for n, file := range files {
-		of, err := g.open(file, cur)
+		f, err := g.open(file, cur)
 		fork := clock.Now()
 		if err == nil {
-			ops := g.opsForFile(of, placed, file)
+			ops := g.opsForFile(f, placed, file)
 			fork = clock.Now()
 			if write {
-				err = of.f.WriteAtAllOps(ops)
+				err = f.WriteAtAllOps(ops)
 			} else {
-				err = of.f.ReadAtAllOps(ops)
+				err = f.ReadAtAllOps(ops)
 			}
 		}
 		if err == nil {
-			err = g.closeIfLevel1(of, file)
+			err = g.closeIfLevel1(f, file)
 		}
 		if err != nil {
 			if write {

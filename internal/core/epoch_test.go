@@ -82,15 +82,15 @@ func legacyWrite(g *Group, dataset string, timestep int64, data []byte) error {
 	} else {
 		disp = physOff
 	}
-	of.f.SetView(disp, v.dtype)
+	of.SetView(disp, v.dtype)
 	buf := make([]byte, len(data))
 	permuteBytesToFile(v, data, buf)
 	g.s.env.Comm.ComputeItems(int64(len(data)), memCopyRate)
-	if err := of.f.WriteAtAllOps([]mpiio.BatchOp{{Disp: disp, Type: v.dtype, Off: logicalOff, Data: buf}}); err != nil {
+	if err := of.WriteAtAllOps([]mpiio.BatchOp{{Disp: disp, Type: v.dtype, Off: logicalOff, Data: buf}}); err != nil {
 		return err
 	}
 	if g.s.opts.Organization == Level1 {
-		if err := of.f.Close(); err != nil {
+		if err := of.Close(); err != nil {
 			return err
 		}
 		delete(g.files, file)
@@ -161,15 +161,15 @@ func legacyRead(g *Group, dataset string, timestep int64, out []byte) error {
 	default:
 		disp = rec.FileOffset
 	}
-	of.f.SetView(disp, v.dtype)
+	of.SetView(disp, v.dtype)
 	buf := make([]byte, len(out))
-	if err := of.f.ReadAtAllOps([]mpiio.BatchOp{{Disp: disp, Type: v.dtype, Off: logicalOff, Data: buf}}); err != nil {
+	if err := of.ReadAtAllOps([]mpiio.BatchOp{{Disp: disp, Type: v.dtype, Off: logicalOff, Data: buf}}); err != nil {
 		return err
 	}
 	permuteBytesFromFile(v, buf, out)
 	g.s.env.Comm.ComputeItems(int64(len(out)), memCopyRate)
 	if g.s.opts.Organization == Level1 {
-		if err := of.f.Close(); err != nil {
+		if err := of.Close(); err != nil {
 			return err
 		}
 		delete(g.files, rec.FileName)

@@ -22,7 +22,7 @@ type Group struct {
 	byName map[string]int
 	views  map[string]*View
 
-	files      map[string]*openFile
+	files      map[string]*mpiio.File
 	appendSlab map[string]int64 // per file: next slab index (uniform groups)
 	appendOff  map[string]int64 // per file: next byte offset (mixed groups)
 	index      placementIndex
@@ -46,11 +46,6 @@ type Group struct {
 	// ep is the group's share of the open step (SDM.BeginStep/EndStep)
 	// and its flush scratch.
 	ep stepEpoch
-
-	// Each open file checks its I/O scratch bundle out of the pool
-	// (returned at close), so per-file collectives from different
-	// in-flight epochs never share staging buffers.
-	scratch mpiio.ScratchPool
 }
 
 type writeKey struct {
@@ -91,11 +86,6 @@ func (x *placementIndex) successor(ts int64) (int64, bool) {
 	return x.steps[i], true
 }
 
-type openFile struct {
-	f  *mpiio.File
-	sc *mpiio.Scratch // checked out of the group's pool until close
-}
-
 // newGroup assembles a Group from attributes without touching the
 // catalog — the shared construction beneath SetAttributes (which
 // registers the datasets) and OpenGroup (which found them already
@@ -106,7 +96,7 @@ func (s *SDM) newGroup(attrs []Attr) (*Group, error) {
 		idx:        len(s.groups),
 		byName:     make(map[string]int),
 		views:      make(map[string]*View),
-		files:      make(map[string]*openFile),
+		files:      make(map[string]*mpiio.File),
 		appendSlab: make(map[string]int64),
 		appendOff:  make(map[string]int64),
 		index:      placementIndex{recs: make(map[writeKey]catalog.WriteRecord)},
@@ -505,41 +495,32 @@ func (g *Group) fileFor(di int, timestep int64) string {
 // the file, the next g.stripes servers from its first stripe on. A step
 // of one file is where its name hash puts it, as mpiio.Open puts any
 // file.
-func (g *Group) open(name string, cur *mpiio.Cursor) (*openFile, error) {
+func (g *Group) open(name string, cur *mpiio.Cursor) (*mpiio.File, error) {
 	hints := g.s.opts.Hints
 	if hints.CBNodes == 0 {
 		hints.CBNodes = g.cbNodes
 	}
 	hints.StripingUnit = g.stripeUnit
 	at := cur.Next(name, hints.CBNodes, g.stripes)
-	if of, ok := g.files[name]; ok {
-		return of, nil
+	if f, ok := g.files[name]; ok {
+		return f, nil
 	}
 	f, err := mpiio.OpenAt(g.s.env.Comm, g.s.env.FS, name, pfs.CreateMode, hints, at)
 	if err != nil {
 		return nil, err
 	}
-	// Check a staging-buffer bundle out of the group's pool for the
-	// file's lifetime: level-1 open-per-access patterns keep reusing one
-	// warmed-up bundle, while concurrently pipelined per-file flushes
-	// each hold their own.
-	sc := g.scratch.Get()
-	f.UseScratch(sc)
-	of := &openFile{f: f, sc: sc}
-	g.files[name] = of
-	return of, nil
+	f.UseScratch(&g.s.scratch)
+	g.files[name] = f
+	return f, nil
 }
 
-// closeFiles closes all cached handles (Finalize), returning their
-// scratch bundles to the pool.
+// closeFiles closes all cached handles (Finalize).
 func (g *Group) closeFiles() error {
 	var firstErr error
-	for name, of := range g.files {
-		if err := of.f.Close(); err != nil && firstErr == nil {
+	for name, f := range g.files {
+		if err := f.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
-		g.scratch.Put(of.sc)
-		of.sc = nil
 		delete(g.files, name)
 	}
 	return firstErr

@@ -87,6 +87,7 @@ func (s *SDM) MakeImportlist(fileName string, specs []ImportSpec) (*Importer, er
 	if err != nil {
 		return nil, err
 	}
+	f.UseScratch(&s.scratch)
 	imp.file = f
 	s.importers = append(s.importers, imp)
 	return imp, nil
@@ -190,9 +191,9 @@ func (imp *Importer) QueueView(name string, v *View) (*ImportHandle, error) {
 // overlap in virtual time, the shared PFS servers serializing where
 // they collide — before the view arrays are permuted into map-array
 // order. On the host the collectives run one after another through the
-// file's scratch and one pooled file-order arena, so only the result
-// buffers outlive the call. A one-array epoch charges exactly what the
-// sequential import did. Collective; flushing an empty queue is an
+// Manager's staging bundle and one pooled file-order arena, so only the
+// result buffers outlive the call. A one-array epoch charges exactly what
+// the sequential import did. Collective; flushing an empty queue is an
 // error.
 func (imp *Importer) Flush() error {
 	if imp.released {

@@ -364,6 +364,7 @@ func (s *SDM) loadIndexHistory(hist *catalog.IndexHistory, partVec []int32) (*In
 	if err != nil {
 		return nil, fmt.Errorf("core: history file missing: %w", err)
 	}
+	h.UseScratch(&s.scratch)
 	buf := make([]byte, myEdges*12)
 	if err := h.ReadAtAllOps([]mpiio.BatchOp{{Off: myOff * 12, Data: buf}}); err != nil {
 		return nil, fmt.Errorf("core: reading history: %w", err)

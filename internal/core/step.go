@@ -25,9 +25,12 @@ import (
 // flush's completion back into the rank's timeline, charging only
 // whatever the overlapped computation did not already cover. The work
 // itself still executes inside EndStepAsync in host time (the
-// simulation stays deterministic); only the cost model is split. A step
-// that queued nothing costs nothing: no rendezvous, no drain, no
-// registered token.
+// simulation stays deterministic); only the cost model is split. So the
+// flush's host buffers live as long as the call, as ROMIO keeps its
+// two-phase buffer for one collective: its staging arenas return to the
+// Manager's pool when EndStepAsync does, and every file goes through
+// the rank's one mpiio staging bundle. A step that queued nothing costs
+// nothing: no rendezvous, no drain, no registered token.
 //
 // Within a flush, each group is staged in turn on the main timeline and
 // every file it touches gets one merged collective, forked as soon as
@@ -56,7 +59,7 @@ import (
 // the file's own dependency chain; with StepPipelineDepth 1 this
 // reproduces the synchronous EndStep schedule bit-identically. Joins
 // happen in completion order — the earliest-finishing flush releases its
-// files and staging arenas first — not issue order.
+// files first — not issue order.
 //
 // Read-ahead. The placement index knows every (dataset, timestep) of
 // the run, so a sequential reader's next checkpoint is a lookup, not a
@@ -90,7 +93,7 @@ type StepToken struct {
 	seq      int64    // issue order, breaking completion-time ties
 	timestep int64    // the epoch's timestep, for diagnostics
 	files    []string // files claimed by the flush (writes)
-	arenas   [][]byte // staging arenas owned by the in-flight flush
+	arenas   [][]byte // a read-ahead's arenas, holding its bytes until delivery
 	done     sim.Time // flush completion on the forked timeline
 	err      error    // flush error, surfaced by Wait
 	waited   bool
@@ -166,9 +169,8 @@ func (t *StepToken) release() {
 // time (ties broken by issue order: s.tokens is kept in issue order, so
 // the first token at the earliest completion has the lowest seq).
 // Joining in completion order — not issue order — matters because a
-// join releases resources: the flushed files reopen for new epochs and
-// the staging arenas return to the pool at the virtual time their flush
-// actually finished.
+// join releases the flushed files for new epochs at the virtual time
+// their flush actually finished.
 func (s *SDM) waitEarliest() error {
 	earliest := s.tokens[0].done
 	for _, tok := range s.tokens[1:] {
@@ -266,16 +268,10 @@ func (g *Group) claimPutFiles(tok *StepToken) error {
 	return nil
 }
 
-// adopt moves the group's staging arenas into the token: an in-flight
-// flush owns the buffers its collectives were staged through until
-// Wait returns them to the manager's pool, so a later epoch stages
-// through a fresh (pooled) arena instead of scribbling over an
-// in-flight flush's memory.
+// adopt moves the group's read arena into a read-ahead token: its bytes
+// wait there for the Get step that consumes them, and Wait returns the
+// arena to the manager's pool.
 func (tok *StepToken) adopt(g *Group) {
-	if g.ep.arena != nil {
-		tok.arenas = append(tok.arenas, g.ep.arena)
-		g.ep.arena = nil
-	}
 	if g.ep.readArena != nil {
 		tok.arenas = append(tok.arenas, g.ep.readArena)
 		g.ep.readArena = nil
@@ -344,9 +340,6 @@ func (s *SDM) EndStepAsync() (*StepToken, error) {
 		}
 		fork = clock.Now()
 		tok.err = s.flushStep(tok, groups, parts)
-		for _, g := range groups {
-			tok.adopt(g)
-		}
 		s.tokens = append(s.tokens, tok)
 	}
 	tok.done = clock.Now()
@@ -399,9 +392,9 @@ func (s *SDM) flushStep(tok *StepToken, groups []*Group, parts []getPart) error 
 	}
 	s.recScratch = recs[:0]
 	// The rendezvous is how ranks agree on a write error (a failed file
-	// trims recs differently per rank) and what WriteAtAllOps' staging
-	// buffers rely on, so a step that queued puts always has it; one
-	// that queued none — the same on every rank — has nothing to record.
+	// trims recs differently per rank), so a step that queued puts always
+	// has it; one that queued none — the same on every rank — has nothing
+	// to record.
 	if wrote {
 		if err := s.catalogCall(func() error {
 			return s.env.Catalog.RecordWrites(clock, recs)
@@ -654,10 +647,9 @@ func (s *SDM) issueAhead(ts int64, parts []getPart) bool {
 // queue into their own group's epoch; EndStep (or EndStepAsync) then
 // flushes all groups in one rendezvous with a single execution-table
 // batch. A group registered while the step is open joins the next one.
-// Asynchronous flushes from earlier steps may still be outstanding: the
-// new step queues into fresh (pooled) staging arenas, and any file-level
-// conflict with an in-flight flush is resolved at flush time by waiting
-// on the conflicting token. Collective; every rank must open and close
+// Asynchronous flushes from earlier steps may still be outstanding: any
+// file-level conflict with an in-flight flush is resolved at flush time
+// by waiting on the conflicting token. Collective; every rank must open and close
 // the same steps with the same queued dataset sequence.
 func (s *SDM) BeginStep(timestep int64) error {
 	if s.step.open {

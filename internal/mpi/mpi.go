@@ -501,26 +501,6 @@ const (
 	OpMax
 )
 
-func reduceInt64(vals []any, op Op) int64 {
-	acc := vals[0].(int64)
-	for _, v := range vals[1:] {
-		x := v.(int64)
-		switch op {
-		case OpSum:
-			acc += x
-		case OpMin:
-			if x < acc {
-				acc = x
-			}
-		case OpMax:
-			if x > acc {
-				acc = x
-			}
-		}
-	}
-	return acc
-}
-
 func reduceFloat64(vals []any, op Op) float64 {
 	acc := vals[0].(float64)
 	for _, v := range vals[1:] {
@@ -539,16 +519,6 @@ func reduceFloat64(vals []any, op Op) float64 {
 		}
 	}
 	return acc
-}
-
-// AllreduceInt64 reduces one int64 per rank with op and returns the
-// result on every rank.
-func (c *Comm) AllreduceInt64(v int64, op Op) int64 {
-	cost := c.treeCost(8)
-	res := c.exchange("AllreduceInt64", v, func(slots []any) (any, sim.Duration) {
-		return reduceInt64(slots, op), cost
-	})
-	return res.(int64)
 }
 
 // AllreduceMinMax reduces a (lo, hi) pair per rank to the minimum lo and

@@ -230,3 +230,73 @@ func TestEmptyCollectiveOneReduction(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWriteBuffersFreeOnReturn pins the lifetime WriteAtAllOps promises:
+// once the call returns on a rank, no aggregator reads the rank's op
+// buffers again. Every rank scribbles over its ops' Data as soon as each
+// write returns, over two files sharing the rank's one staging bundle and
+// a two-rank aggregator set, and the files still hold the original bytes.
+// Under -race a buffer read after its owner's return is a reported race.
+func TestWriteBuffersFreeOnReturn(t *testing.T) {
+	const ranks, elems, rounds, nOps = 8, 64, 3, 2
+	const slab = elems * ranks * 8
+	sys := costedSys()
+	scratch := make([]Scratch, ranks)
+	want := func(file, off int) byte { return byte(file*97 + off*31 + off>>8) }
+	err := fastWorld(ranks).Run(func(c *mpi.Comm) {
+		var files [2]*File
+		for n := range files {
+			f, err := Open(c, sys, fmt.Sprint("f", n), pfs.CreateMode, Hints{CBNodes: 2})
+			if err != nil {
+				panic(err)
+			}
+			f.UseScratch(&scratch[c.Rank()])
+			files[n] = f
+		}
+		view := roundRobinView(c, elems)
+		for round := range rounds {
+			for n, f := range files {
+				f.SetView(0, view)
+				ops := make([]BatchOp, nOps)
+				for k := range ops {
+					s := round*nOps + k
+					data := make([]byte, elems*8)
+					for i := range data {
+						data[i] = want(n, s*slab+(i/8*ranks+c.Rank())*8+i%8)
+					}
+					ops[k] = BatchOp{Type: view, Off: int64(s * elems * 8), Data: data}
+				}
+				if err := f.WriteAtAllOps(ops); err != nil {
+					panic(err)
+				}
+				for k := range ops {
+					for i := range ops[k].Data {
+						ops[k].Data[i] = 0xff
+					}
+				}
+			}
+		}
+		for _, f := range files {
+			if err := f.Close(); err != nil {
+				panic(err)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := range 2 {
+		got, err := sys.ReadFile(fmt.Sprint("f", n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != rounds*nOps*slab {
+			t.Fatalf("f%d holds %d bytes, want %d", n, len(got), rounds*nOps*slab)
+		}
+		for o, b := range got {
+			if w := want(n, o); b != w {
+				t.Fatalf("f%d byte %d = %#x, want %#x: a buffer was read after its write returned", n, o, b, w)
+			}
+		}
+	}
+}

@@ -77,23 +77,25 @@ func (f *File) scr() *ioScratch {
 	return f.scratch
 }
 
-// ioScratch holds the per-File reusable buffers of the read/write hot
-// path, so steady-state operations stop allocating per call: the
-// flattened segment list, the phase-1 parcels, the aggregator's
-// gathered segments and sieve runs, the staging arenas, and the reply
-// plumbing. A File belongs to one rank goroutine, so reuse is
-// race-free locally.
+// ioScratch holds the reusable buffers of the read/write hot path, so
+// steady-state operations stop allocating per call: the flattened
+// segment list, the phase-1 parcels, the aggregator's gathered segments
+// and sieve runs, the staging arenas, and the reply plumbing. One bundle
+// serves every File of a rank that installs it (UseScratch), or one File
+// that installs none. A rank runs its collectives one after another, so
+// reuse is race-free locally.
 //
 // Cross-rank safety: parcels (with the routeSegs/routeBufs arrays their
 // lists are carved from), replies, and the read arena are referenced by
-// OTHER ranks during a collective operation. They are
-// reused only by the NEXT operation on this file, and every reuse
-// point is preceded by a rendezvous collective (the next operation's
-// Allreduce/Alltoall or the trailing Barrier) that every rank —
-// including every rank still holding a reference — must have entered
-// after it finished using the buffers. MPI's collective-ordering rule
-// (all ranks issue the same collective sequence) therefore guarantees
-// no rank still reads a buffer when its owner rewrites it.
+// OTHER ranks during a collective operation. They are reused only by the
+// NEXT operation on this rank, on whichever of its files, and every
+// reuse point is preceded by a rendezvous collective (the next
+// operation's AllreduceMinMax/Alltoall or the trailing Barrier) that
+// every rank — including every rank still holding a reference — must
+// have entered after it finished using the buffers. MPI's
+// collective-ordering rule (all ranks issue the same collective sequence
+// on the communicator) therefore guarantees no rank still reads a buffer
+// when its owner rewrites it.
 type ioScratch struct {
 	segs       []Segment   // flattened physical segments of one op
 	flat       []flatSeg   // merged (segment, buffer) list across the batch's ops
@@ -127,52 +129,17 @@ func grow(buf []byte, n int64) []byte {
 }
 
 // Scratch is a reusable bundle of I/O staging buffers that one rank
-// can share across sequentially-used Files via UseScratch, so
-// organizations that open and close a file per access (the paper's
-// level 1) keep their steady-state buffers across handles instead of
-// re-growing them on every open.
+// shares across all of its Files via UseScratch, as ROMIO keeps one
+// two-phase buffer per process: the rank's collectives run one after
+// another, so its files need no buffers of their own, and a file opened
+// and closed per access (the paper's level 1) finds them already grown.
 type Scratch struct{ s ioScratch }
 
-// UseScratch redirects f's staging buffers to sc. The caller must use
-// sc only from the rank goroutine owning f, and must not install it on
-// two Files whose operations interleave mid-collective (sequential
-// collective operations, the MPI norm, are safe).
+// UseScratch redirects f's staging buffers to sc. Every File sharing sc
+// must belong to the rank goroutine that owns it and to one
+// communicator, whose collective order makes the reuse safe (see
+// ioScratch).
 func (f *File) UseScratch(sc *Scratch) { f.scratch = &sc.s }
-
-// ScratchPool is a rank-local free list of Scratch bundles for callers
-// that keep several files' collectives in flight at once (an N-deep
-// step pipeline): each open file checks one bundle out and returns it
-// at close, so concurrent per-file collectives from different epochs
-// never share staging buffers, while sequential open/close patterns
-// (the paper's level 1) still reuse one warmed-up bundle. A pool
-// belongs to one rank goroutine; it is not safe for concurrent use.
-type ScratchPool struct{ free []*Scratch }
-
-// Get checks a Scratch out of the pool, allocating a fresh one when
-// the pool is empty.
-func (p *ScratchPool) Get() *Scratch {
-	if n := len(p.free); n > 0 {
-		sc := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		return sc
-	}
-	return &Scratch{}
-}
-
-// Put returns a Scratch to the pool. Safe per the ioScratch reuse
-// protocol: a pooled bundle is only touched again inside a collective
-// operation, whose leading rendezvous guarantees every rank holding a
-// reference into the old buffers has finished with them.
-func (p *ScratchPool) Put(sc *Scratch) {
-	if sc != nil {
-		p.free = append(p.free, sc)
-	}
-}
-
-// Size reports how many bundles are pooled (checked in), for tests
-// asserting steady-state reuse.
-func (p *ScratchPool) Size() int { return len(p.free) }
 
 // Placement is where one file's work lands: Rank is the first rank of
 // its aggregator set, and Server the I/O server of its first stripe if

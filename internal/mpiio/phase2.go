@@ -206,12 +206,9 @@ func (f *File) readExtents(buf []byte, exts []Segment) error {
 // space.
 //
 // Buffer lifetime: the ops' Data slices are aliased into phase-1
-// parcels (zero-copy, unlike the old concatenating path) and may still
-// be read by aggregator goroutines after this call returns on a
-// non-aggregator rank. Per the ioScratch reuse protocol, callers must
-// keep the buffers valid and unmodified until their next collective
-// operation on the communicator — the epoch engine satisfies this via
-// the execution-table rendezvous that follows every put flush.
+// parcels (zero-copy) and read by the aggregators in phase 2. Every
+// aggregator finishes phase 2 before it enters the trailing Barrier, so
+// the caller may reuse the buffers as soon as the call returns.
 func (f *File) WriteAtAllOps(ops []BatchOp) error {
 	if f.hints.DisableCollective {
 		h, err := f.handle()
