@@ -71,9 +71,9 @@ type stepEpoch struct {
 	fileOrd   []string
 }
 
-// placedOp is a queued operation after placement: where it lands and
-// the arena slice holding (writes) or receiving (reads) its file-order
-// bytes.
+// placedOp is a queued operation after placement: where it lands, the
+// arena slice holding (writes) or receiving (reads) its file-order
+// bytes, and when its file's collective completed.
 type placedOp struct {
 	file  string
 	v     *View
@@ -81,7 +81,8 @@ type placedOp struct {
 	off   int64
 	data  []byte
 	bytes int64
-	idx   int // index into puts/gets, for decode
+	idx   int      // index into puts/gets, for encode and decode
+	done  sim.Time // completion of the file's collective, stamped by issueFiles
 }
 
 // cancelStep drops everything queued in the group's epoch: at every
@@ -213,16 +214,14 @@ func (g *Group) closeIfLevel1(f *mpiio.File, file string) error {
 	return nil
 }
 
-// stagePuts performs the staging half of a put flush at timestep ts: it
+// stagePuts is the placement half of a put flush at timestep ts: it
 // places every queued put (allocating slabs in queue order, exactly as
-// the same sequence of one-operation steps would), then fuses each put's
-// permutation and serialization straight into the epoch arena through
-// the put's queued view, charging the memory-copy cost the staged bytes
-// represent. It fills g.ep.placed and g.ep.recs.
+// the same sequence of one-operation steps would) and carves its slice
+// of the epoch arena, filling g.ep.placed and g.ep.recs. The bytes are
+// encoded later, file by file, just before each file's collective
+// (encodeFile, from issueFiles).
 func (g *Group) stagePuts(ts int64) {
 	puts := g.ep.puts
-	clock := g.s.env.Comm.Clock()
-	t0 := clock.Now()
 	var total int64
 	for i := range puts {
 		total += puts[i].bytes
@@ -239,27 +238,44 @@ func (g *Group) stagePuts(ts int64) {
 	for i := range puts {
 		p := &puts[i]
 		a := g.attrs[p.di]
-		v := p.v
-		file := p.file
-		physOff := g.place(file, a.GlobalSize*a.Type.Size())
+		physOff := g.place(p.file, a.GlobalSize*a.Type.Size())
 		dst := arena[cur : cur+p.bytes]
 		cur += p.bytes
-		p.encode(v, dst)
-		g.s.env.Comm.ComputeItems(p.bytes, memCopyRate)
-		disp, off := g.viewPos(v, physOff)
-		placed = append(placed, placedOp{file: file, v: v, disp: disp, off: off, data: dst, idx: i})
+		disp, off := g.viewPos(p.v, physOff)
+		placed = append(placed, placedOp{file: p.file, v: p.v, disp: disp, off: off, data: dst, bytes: p.bytes, idx: i})
 		recs = append(recs, catalog.WriteRecord{
 			RunID: g.s.runID, Dataset: a.Name, Timestep: ts,
-			FileOffset: physOff, FileName: file,
+			FileOffset: physOff, FileName: p.file,
 		})
 	}
 	g.ep.placed = placed
 	g.ep.recs = recs
+}
+
+// encodeFile is the staging of one file's puts at timestep ts: each put
+// placed in file has its permutation and serialization fused straight
+// into its arena slice through the put's queued view, in queue order,
+// charging the memory-copy cost the staged bytes represent.
+func (g *Group) encodeFile(ts int64, file string) {
+	clock := g.s.env.Comm.Clock()
+	t0 := clock.Now()
+	var puts, bytes int64
+	for i := range g.ep.placed {
+		p := &g.ep.placed[i]
+		if p.file != file {
+			continue
+		}
+		g.ep.puts[p.idx].encode(p.v, p.data)
+		g.s.env.Comm.ComputeItems(p.bytes, memCopyRate)
+		puts++
+		bytes += p.bytes
+	}
 	if tr := g.s.tracer; tr != nil {
 		tr.Emit(g.s.pid(), "core", "stage", t0, clock.Now(),
+			obs.KV{Key: "file", Val: file},
 			obs.KV{Key: "step", Val: fmt.Sprint(ts)},
-			obs.KV{Key: "puts", Val: fmt.Sprint(len(puts))},
-			obs.KV{Key: "bytes", Val: fmt.Sprint(total)})
+			obs.KV{Key: "puts", Val: fmt.Sprint(puts)},
+			obs.KV{Key: "bytes", Val: fmt.Sprint(bytes)})
 	}
 }
 
@@ -282,13 +298,16 @@ func (g *Group) viewPos(v *View, fileOff int64) (disp, off int64) {
 // step's cursor cur in groupByFile order, and each on a sub-timeline
 // forked from the clock's current position: different files flow
 // through different collectives concurrently in virtual time, shared
-// PFS servers serializing where they collide. Opening the file and
-// installing views are blocking metadata operations (MPI_File_open is a
-// synchronous collective): they charge the main timeline. Only the data
-// collective — and, for level 1, the close that must follow it — runs
-// on the fork. It returns the join time (the latest file completion)
-// with the clock left at the fork point; the caller joins with
-// AdvanceTo. No clearing is needed on reads: the views' segments
+// PFS servers serializing where they collide. A write first encodes
+// the file's puts (encodeFile), so each file's collective forks right
+// after its own staging and overlaps the next file's. Encoding, opening
+// the file and installing views are main-timeline work (MPI_File_open
+// is a synchronous collective). Only the data collective — and, for level 1,
+// the close that must follow it — runs on the fork; its end is stamped
+// on the file's placed ops (placedOp.done), which is when a read's
+// bytes can be decoded. It returns the join time (the latest file
+// completion) with the clock left at the fork point; the caller joins
+// with AdvanceTo. No clearing is needed on reads: the views' segments
 // partition each request, so the collective (and the zero-filling
 // vectored fallback) overwrite every byte.
 //
@@ -304,6 +323,9 @@ func (g *Group) issueFiles(ts int64, write bool, cur *mpiio.Cursor) (sim.Time, e
 	placed := g.ep.placed
 	files := g.groupByFile(placed)
 	for n, file := range files {
+		if write {
+			g.encodeFile(ts, file)
+		}
 		f, err := g.open(file, cur)
 		fork := clock.Now()
 		if err == nil {
@@ -326,19 +348,25 @@ func (g *Group) issueFiles(ts int64, write bool, cur *mpiio.Cursor) (sim.Time, e
 			}
 			return sim.MaxTime(join, clock.Now()), err
 		}
+		done := clock.Now()
+		for i := range placed {
+			if placed[i].file == file {
+				placed[i].done = done
+			}
+		}
 		if tr := g.s.tracer; tr != nil {
 			name := "flush:read"
 			if write {
 				name = "flush:write"
 			}
-			tr.Emit(g.s.pid(), "core", name, fork, clock.Now(),
+			tr.Emit(g.s.pid(), "core", name, fork, done,
 				obs.KV{Key: "file", Val: file},
 				obs.KV{Key: "step", Val: fmt.Sprint(ts)})
 		}
 		if write {
 			g.s.flushedFiles.Add(1)
 		}
-		join = sim.MaxTime(join, clock.Now())
+		join = sim.MaxTime(join, done)
 		clock.Rebase(fork)
 	}
 	return join, nil
@@ -415,10 +443,12 @@ func (g *Group) lookupPlacements(keys []writeKey) ([]catalog.WriteRecord, error)
 // lives, carves a read arena and issues one merged collective read per
 // touched file (open and view charges on the main timeline, the data
 // collectives forked); it needs only the dataset list and the timestep.
-// Deliver joins the collectives and decodes the arena into the
-// caller's slices. EndStep runs them back to back; a read-ahead
-// (step.go) is an issue for a future timestep whose deliver runs when
-// the application's Get step for that timestep arrives.
+// Deliver decodes the arena into the caller's slices file by file, each
+// as its own collective completes (MPI_Waitany, not MPI_Waitall), so a
+// file's decode overlaps the collectives still in flight. EndStep runs
+// them back to back; a read-ahead (step.go) is an issue for a future
+// timestep whose deliver runs when the application's Get step for that
+// timestep arrives.
 
 // getPart is one group's share of a get flush: the datasets read, in
 // queue order.
@@ -504,13 +534,89 @@ func (g *Group) issueGets(tok *StepToken, ts int64, dis []int, cur *mpiio.Cursor
 	return g.issueFiles(ts, false, cur)
 }
 
-// deliverGets is the group's share of the deliver half, after the join:
-// it scatters the file-order bytes of placed (this flush's, or an
-// adopted read-ahead's) into the slices of the epoch's queued gets,
-// charging the memory-copy cost of each permutation.
-func (g *Group) deliverGets(placed []placedOp) {
-	for i := range placed {
-		g.ep.gets[placed[i].idx].decode(placed[i].v, placed[i].data)
-		g.s.env.Comm.ComputeItems(placed[i].bytes, memCopyRate)
+// deliverGets is the deliver half of the get flush of parts at timestep
+// ts, before its join: placed(i) is where part i's reads landed — this
+// flush's g.ep.placed, or an adopted read-ahead's copy. It walks the
+// reads' distinct completion times in ascending order, advancing the
+// clock to each and decoding the reads whose file completed then (ties
+// in read order, then queue order) into the slices of their group's
+// queued gets, each charged the memory-copy cost of its permutation.
+func (s *SDM) deliverGets(ts int64, parts []getPart, placed func(i int) []placedOp) {
+	clock := s.env.Comm.Clock()
+	ord := s.readOrder(parts)
+	var w completions
+	for {
+		for _, i := range ord {
+			ops := placed(i)
+			for k := range ops {
+				w.offer(ops[k].done)
+			}
+		}
+		if !w.next() {
+			return
+		}
+		clock.AdvanceTo(w.at)
+		for _, i := range ord {
+			ops := placed(i)
+			for k := range ops {
+				if ops[k].done == w.at && firstOfFile(ops, k) {
+					parts[i].g.decodeFile(ts, ops, k)
+				}
+			}
+		}
 	}
+}
+
+// firstOfFile reports whether ops[k] is the first of ops in its file.
+func firstOfFile(ops []placedOp, k int) bool {
+	for j := range k {
+		if ops[j].file == ops[k].file {
+			return false
+		}
+	}
+	return true
+}
+
+// decodeFile scatters the reads of ops[k]'s file, from ops[k] on, into
+// the slices of the epoch's queued gets, charging the memory-copy cost of
+// each permutation.
+func (g *Group) decodeFile(ts int64, ops []placedOp, k int) {
+	clock := g.s.env.Comm.Clock()
+	t0 := clock.Now()
+	file := ops[k].file
+	for j := k; j < len(ops); j++ {
+		if op := &ops[j]; op.file == file {
+			g.ep.gets[op.idx].decode(op.v, op.data)
+			g.s.env.Comm.ComputeItems(op.bytes, memCopyRate)
+		}
+	}
+	if tr := g.s.tracer; tr != nil {
+		tr.Emit(g.s.pid(), "core", "decode", t0, clock.Now(),
+			obs.KV{Key: "file", Val: file},
+			obs.KV{Key: "step", Val: fmt.Sprint(ts)})
+	}
+}
+
+// completions visits the distinct completion times of a flush's
+// collectives in ascending order without sorting or allocating. Each
+// round offers every time, then next moves at to the earliest time
+// offered that is later than the previous at, and reports false once no
+// such time was offered.
+type completions struct {
+	at, earliest sim.Time
+	begun, found bool
+}
+
+func (w *completions) offer(t sim.Time) {
+	if (!w.begun || t > w.at) && (!w.found || t < w.earliest) {
+		w.earliest, w.found = t, true
+	}
+}
+
+func (w *completions) next() bool {
+	if !w.found {
+		return false
+	}
+	w.at, w.begun, w.found = w.earliest, true, false
+	return true
 }

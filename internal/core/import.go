@@ -134,6 +134,7 @@ type ImportHandle struct {
 	start, count int64 // element range of a contiguous request
 	n            int64 // result size in bytes
 	buf          []byte
+	done         sim.Time // completion of the array's collective
 }
 
 // Bytes returns the imported elements in little-endian wire encoding:
@@ -186,15 +187,16 @@ func (imp *Importer) QueueView(name string, v *View) (*ImportHandle, error) {
 // Flush imports everything queued as one epoch, modelling
 // MPI_File_iread_at_all: each array's view definition is a blocking
 // metadata operation charged on the rank's main timeline, its
-// collective read then runs on a sub-timeline forked from there, and
-// the clock joins at the latest completion — the arrays' collectives
-// overlap in virtual time, the shared PFS servers serializing where
-// they collide — before the view arrays are permuted into map-array
-// order. On the host the collectives run one after another through the
-// Manager's staging bundle and one pooled file-order arena, so only the
-// result buffers outlive the call. A one-array epoch charges exactly what
-// the sequential import did. Collective; flushing an empty queue is an
-// error.
+// collective read then runs on a sub-timeline forked from there — the
+// arrays' collectives overlap in virtual time, the shared PFS servers
+// serializing where they collide — and each view array is permuted into
+// map-array order as soon as its own collective completes (MPI_Waitany):
+// the clock walks the completion times in ascending order, ties in
+// queue order, then joins at the latest. On the host the collectives
+// run one after another through the Manager's staging bundle and one
+// pooled file-order arena, so only the result buffers outlive the call.
+// A one-array epoch charges exactly what the sequential import did.
+// Collective; flushing an empty queue is an error.
 func (imp *Importer) Flush() error {
 	if imp.released {
 		return fmt.Errorf("core: import list already released")
@@ -231,11 +233,12 @@ func (imp *Importer) Flush() error {
 		imp.file.SetView(op.Disp, op.Type)
 		fork := clock.Now()
 		err := imp.file.ReadAtAllOps([]mpiio.BatchOp{op})
+		h.done = clock.Now()
 		if tr := s.tracer; tr != nil {
-			tr.Emit(s.pid(), "core", "import:read", fork, clock.Now(),
+			tr.Emit(s.pid(), "core", "import:read", fork, h.done,
 				obs.KV{Key: "array", Val: h.sp.Name})
 		}
-		join = sim.MaxTime(join, clock.Now())
+		join = sim.MaxTime(join, h.done)
 		if err != nil {
 			clock.AdvanceTo(join)
 			return err
@@ -246,12 +249,24 @@ func (imp *Importer) Flush() error {
 			permuteBytesFromFile(h.v, op.Data, h.buf)
 		}
 	}
-	clock.AdvanceTo(join)
-	for _, h := range queue {
-		if h.v != nil {
-			s.env.Comm.ComputeItems(h.n, memCopyRate)
+	var w completions
+	for {
+		for _, h := range queue {
+			if h.v != nil {
+				w.offer(h.done)
+			}
+		}
+		if !w.next() {
+			break
+		}
+		clock.AdvanceTo(w.at)
+		for _, h := range queue {
+			if h.v != nil && h.done == w.at {
+				s.env.Comm.ComputeItems(h.n, memCopyRate)
+			}
 		}
 	}
+	clock.AdvanceTo(join)
 	if tr := s.tracer; tr != nil {
 		tr.Emit(s.pid(), "core", "import:epoch", t0, clock.Now(),
 			obs.KV{Key: "arrays", Val: fmt.Sprint(len(queue))})

@@ -37,6 +37,10 @@ func OriginalImport(c *mpi.Comm, fs *pfs.System, fileName string, offset int64, 
 	return res, nil
 }
 
+// OriginalCopyOut charges a rank's copy of its own n bytes out of an
+// array OriginalImport broadcast whole, at the memory-copy rate.
+func OriginalCopyOut(c *mpi.Comm, n int64) { c.ComputeItems(n, memCopyRate) }
+
 // OriginalPartitionResult carries the original code's equivalent of an
 // index partition plus its phase timings, for head-to-head comparison
 // with PartitionIndex.

@@ -107,9 +107,13 @@ func aheadTokens(s *SDM) []*StepToken {
 
 // raRun writes `steps` checkpoints on a costed machine, synchronizes,
 // and runs body per rank; after (optional) runs once Finalize returned.
+// A tracer in opts also traces the file system and MPI-IO.
 func raRun(t *testing.T, n, steps int, opts Options, manager bool, body func(a *raApp), after func(a *raApp)) *testEnv {
 	t.Helper()
 	te := newCostedEnv(n)
+	if opts.Trace != nil {
+		te.fs.SetTracer(opts.Trace)
+	}
 	err := te.world.Run(func(c *mpi.Comm) {
 		s, err := Initialize(Env{Comm: c, FS: te.fs, Catalog: te.cat}, "ra", opts)
 		if err != nil {
@@ -502,16 +506,31 @@ func TestReadAheadDeterministic(t *testing.T) {
 // groupOrderGetStep is the reference the read order is measured against:
 // the open get-only step closed the way EndStep closed it before a get
 // flush ordered its groups, each group's collective issued in group
-// order. Only for a synchronous step with nothing in flight.
-func groupOrderGetStep(s *SDM) error {
+// order, every decode after the join. Only for a synchronous step with
+// nothing in flight.
+func groupOrderGetStep(s *SDM) error { return waitallGetStep(s, false) }
+
+// waitallGetStep closes the open get-only step the way EndStep closed it
+// before each file decoded as its collective completed: the groups'
+// collectives issued in read order (largest first) when readOrder is
+// set, in group order otherwise, then the join, then every decode
+// (MPI_Waitall). Only for a synchronous step with nothing in flight.
+func waitallGetStep(s *SDM, readOrder bool) error {
 	defer s.cancelStep()
 	ts := s.step.timestep
 	parts := s.collectGets(s.step.groups)
+	ord := make([]int, len(parts))
+	for i := range ord {
+		ord[i] = i
+	}
+	if readOrder {
+		ord = s.readOrder(parts)
+	}
 	tok := s.newToken(ts)
 	clock := s.env.Comm.Clock()
 	join := clock.Now()
 	cur := mpiio.NewCursor(s.env.Comm, s.env.FS)
-	for i := range parts {
+	for _, i := range ord {
 		j, err := parts[i].g.issueGets(tok, ts, parts[i].dis, &cur)
 		join = sim.MaxTime(join, j)
 		if err != nil {
@@ -520,7 +539,11 @@ func groupOrderGetStep(s *SDM) error {
 	}
 	clock.AdvanceTo(join)
 	for i := range parts {
-		parts[i].g.deliverGets(parts[i].g.ep.placed)
+		g := parts[i].g
+		for _, op := range g.ep.placed {
+			g.ep.gets[op.idx].decode(op.v, op.data)
+			s.env.Comm.ComputeItems(op.bytes, memCopyRate)
+		}
 	}
 	return nil
 }

@@ -32,14 +32,19 @@ import (
 // the rank's one mpiio staging bundle. A step that queued nothing costs
 // nothing: no rendezvous, no drain, no registered token.
 //
-// Within a flush, each group is staged in turn on the main timeline and
-// every file it touches gets one merged collective, forked as soon as
-// its data is staged — so one group's I/O overlaps the next group's
-// staging and the other files' collectives — and the whole step's
-// execution-table rows go to rank 0 in one RecordWrites batch issued
-// from the post-staging clock, overlapping the I/O join. Gets flush
-// after the puts are recorded, their per-file collectives forked the
-// same way. A get-only step records nothing and skips that rendezvous.
+// Within a flush, a step finishes file by file. Each group's puts are
+// placed (slabs, arena, records), then every file they touch is encoded
+// on the main timeline just before its one merged collective forks —
+// so one file's I/O overlaps the next file's encode and the other
+// files' collectives — and the whole step's execution-table rows go to
+// rank 0 in one RecordWrites batch issued once the last file has
+// forked, overlapping the I/O join. Gets flush after the puts are
+// recorded, their per-file collectives forked the same way, and each
+// file's reads are decoded as soon as its own collective completes
+// (MPI_Waitany, not MPI_Waitall): the clock walks the files' completion
+// times in ascending order, so only the last file's decode is exposed.
+// A read-ahead's adoption delivers the same way. A get-only step
+// records nothing and skips that rendezvous.
 //
 // Placement. A flush places the step's files as one set: one
 // mpiio.Cursor walks them in group order, then groupByFile order — the
@@ -320,12 +325,11 @@ func (s *SDM) EndStepAsync() (*StepToken, error) {
 	}
 	fork := clock.Now()
 	if tok != nil {
-		// A read-ahead issued this step's reads: its join and the
-		// decode into the step's queued gets are charged on the fork.
+		// A read-ahead issued this step's reads: the decodes into the
+		// step's queued gets, each file's as its collective completed,
+		// and the join are charged on the fork.
+		s.deliverGets(ts, parts, func(i int) []placedOp { return tok.ahead[i].placed })
 		clock.AdvanceTo(tok.done)
-		for i := range tok.ahead {
-			tok.ahead[i].g.deliverGets(tok.ahead[i].placed)
-		}
 		tok.ahead = nil
 	} else {
 		if err := s.drainToDepth(s.opts.StepPipelineDepth - 1); err != nil {
@@ -359,15 +363,16 @@ func (s *SDM) EndStepAsync() (*StepToken, error) {
 }
 
 // flushStep is a step's flush for token tok on the clock's current
-// timeline, returning the flush error. Writes: each group is staged in
-// order and its files' collectives forked from the post-staging time.
-// The records' contents (files, offsets) were fixed at staging time,
-// so the execution-table batch is issued from the post-staging clock —
-// before the I/O join — and the writes complete at the later of the
-// database round trip and the data collectives. Reads, after all puts
-// are recorded: lookups are main-timeline work, each file's collective
-// forks, then the join and the decodes. One cursor places every file the
-// flush touches (see the file comment).
+// timeline, returning the flush error. Writes: each group's puts are
+// placed, then each of its files is encoded and its collective forked
+// in turn. The records' contents (files, offsets) were fixed at
+// placement, so the execution-table batch is issued once every file has
+// forked — before the I/O join — and the writes complete at the later
+// of the database round trip and the data collectives. Reads, after all
+// puts are recorded: lookups are main-timeline work, each file's
+// collective forks, each file decodes as its collective completes, then
+// the join. One cursor places every file the flush touches (see the
+// file comment).
 func (s *SDM) flushStep(tok *StepToken, groups []*Group, parts []getPart) error {
 	clock := s.env.Comm.Clock()
 	join := clock.Now()
@@ -414,10 +419,8 @@ func (s *SDM) flushStep(tok *StepToken, groups []*Group, parts []getPart) error 
 			return err
 		}
 	}
+	s.deliverGets(tok.timestep, parts, func(i int) []placedOp { return parts[i].g.ep.placed })
 	clock.AdvanceTo(join)
-	for i := range parts {
-		parts[i].g.deliverGets(parts[i].g.ep.placed)
-	}
 	return nil
 }
 

@@ -233,20 +233,22 @@ func (f *FUN3D) ImportAndPartition(cl *sdm.Cluster, mode PartitionMode, register
 			importDur = orig.ImportTime
 			distrDur = orig.DistributeTime
 			// The eight data arrays also flow through rank 0 in the
-			// original application. (Each rank then copies out its own
-			// elements; that copy has never been charged — see ROADMAP.)
+			// original application, and each rank then copies out its
+			// own elements — the ones SDM's views import.
 			t0 := p.Comm.Now()
 			for k := 0; k < f.Cfg.EdgeArrays; k++ {
 				if _, err := core.OriginalImport(p.Comm, cl.FS, MshFileName,
 					f.Layout.EdgeDataOffset(k), f.Layout.NumEdges, 8); err != nil {
 					panic(err)
 				}
+				core.OriginalCopyOut(p.Comm, int64(len(ip.EdgeGlobal))*8)
 			}
 			for k := 0; k < f.Cfg.NodeArrays; k++ {
 				if _, err := core.OriginalImport(p.Comm, cl.FS, MshFileName,
 					f.Layout.NodeDataOffset(k), f.Layout.NumNodes, 8); err != nil {
 					panic(err)
 				}
+				core.OriginalCopyOut(p.Comm, int64(len(ip.Nodes))*8)
 			}
 			importDur += p.Comm.Now().Sub(t0)
 		case ModeSDM:
