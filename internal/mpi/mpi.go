@@ -57,8 +57,8 @@ type World struct {
 	// it is only rewritten inside a rendezvous every rank has entered,
 	// which happens-after every rank consumed the previous result.
 	atMatrix [][]any
-	// mmResult is AllreduceMinMax's result, reused the same way.
-	mmResult [2]int64
+	// mmResult is minMaxSum's result, reused the same way.
+	mmResult [3]int64
 
 	aborted  atomic.Bool
 	abortMsg atomic.Value // string
@@ -165,7 +165,7 @@ type Comm struct {
 
 	atPayload alltoallPayload // reused Alltoall contribution
 	bcPayload bcastPayload    // reused Bcast contribution
-	mmPayload [2]int64        // reused AllreduceMinMax contribution
+	mmPayload [3]int64        // reused minMaxSum contribution
 }
 
 // Rank reports this process's rank in [0, Size).
@@ -399,9 +399,26 @@ func (c *Comm) ringCost(total int64) sim.Duration {
 
 // Barrier blocks until every rank has entered it; all ranks leave at
 // the same virtual time, charged a dissemination-barrier cost.
-func (c *Comm) Barrier() {
+func (c *Comm) Barrier() { c.BarrierErr(nil) }
+
+// BarrierErr is a Barrier that also carries failures: every rank
+// passes its own error (nil if none) and gets back its own, or else the
+// lowest-ranked rank's non-nil one, so all ranks fail together when any
+// does. It is charged exactly as Barrier is.
+func (c *Comm) BarrierErr(err error) error {
 	cost := sim.Duration(log2ceil(c.world.size)) * c.world.cfg.Latency
-	c.exchange("Barrier", nil, func([]any) (any, sim.Duration) { return nil, cost })
+	first := c.exchange("Barrier", err, func(slots []any) (any, sim.Duration) {
+		for _, s := range slots {
+			if s != nil {
+				return s, cost
+			}
+		}
+		return nil, cost
+	})
+	if err != nil || first == nil {
+		return err
+	}
+	return first.(error)
 }
 
 // bcastPayload carries a rank's Bcast contribution through exchange
@@ -523,24 +540,39 @@ func reduceFloat64(vals []any, op Op) float64 {
 
 // AllreduceMinMax reduces a (lo, hi) pair per rank to the minimum lo and
 // the maximum hi in one rendezvous, charged as one tree reduction of
-// both values. The contribution travels by pointer to the Comm's cached
-// pair and the result sits in the World's, so a call allocates nothing;
-// the World's pair is only rewritten inside the next AllreduceMinMax
-// every rank has entered, after this rank has copied it out.
+// both values (16 bytes). It allocates nothing: see minMaxSum.
 func (c *Comm) AllreduceMinMax(lo, hi int64) (int64, int64) {
-	cost := c.treeCost(16)
-	c.mmPayload = [2]int64{lo, hi}
-	res := c.exchange("AllreduceMinMax", &c.mmPayload, func(slots []any) (any, sim.Duration) {
+	mm := c.minMaxSum("AllreduceMinMax", lo, hi, 0, 16)
+	return mm[0], mm[1]
+}
+
+// AllreduceMinMaxSum is AllreduceMinMax that also sums one count per
+// rank — a collective read's requested bytes — in the same rendezvous,
+// charged as one tree reduction of the three values (24 bytes).
+func (c *Comm) AllreduceMinMaxSum(lo, hi, n int64) (int64, int64, int64) {
+	mm := c.minMaxSum("AllreduceMinMaxSum", lo, hi, n, 24)
+	return mm[0], mm[1], mm[2]
+}
+
+// minMaxSum reduces (lo, hi, n) per rank to (min lo, max hi, Σ n) in
+// one rendezvous charged as a tree reduction of bytes. The contribution
+// travels by pointer to the Comm's cached triple and the result sits in
+// the World's, so a call allocates nothing; the World's triple is only
+// rewritten inside the next reduction every rank has entered, after
+// this rank has copied it out.
+func (c *Comm) minMaxSum(op string, lo, hi, n, bytes int64) [3]int64 {
+	cost := c.treeCost(bytes)
+	c.mmPayload = [3]int64{lo, hi, n}
+	res := c.exchange(op, &c.mmPayload, func(slots []any) (any, sim.Duration) {
 		out := &c.world.mmResult
-		*out = [2]int64{math.MaxInt64, math.MinInt64}
+		*out = [3]int64{math.MaxInt64, math.MinInt64, 0}
 		for _, s := range slots {
-			pl := s.(*[2]int64)
-			out[0], out[1] = min(out[0], pl[0]), max(out[1], pl[1])
+			pl := s.(*[3]int64)
+			out[0], out[1], out[2] = min(out[0], pl[0]), max(out[1], pl[1]), out[2]+pl[2]
 		}
 		return out, cost
 	})
-	mm := res.(*[2]int64)
-	return mm[0], mm[1]
+	return *res.(*[3]int64)
 }
 
 // AllreduceFloat64 reduces one float64 per rank with op, result on all

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"errors"
 	"math/rand/v2"
 	"runtime"
 	"slices"
@@ -225,6 +226,29 @@ func TestBarrierCost(t *testing.T) {
 	})
 }
 
+// TestBarrierErr: every rank leaves at the Barrier's cost with an error
+// when any rank brought one — its own, else the lowest-ranked — and with
+// nil when none did.
+func TestBarrierErr(t *testing.T) {
+	cfg := Config{Latency: time.Millisecond, Bandwidth: 0}
+	errs := []error{nil, errors.New("rank 1 failed"), nil, errors.New("rank 3 failed")}
+	run(t, 4, cfg, func(c *Comm) {
+		if err := c.BarrierErr(nil); err != nil {
+			t.Errorf("rank %d: no failure, got %v", c.Rank(), err)
+		}
+		want := errs[1]
+		if c.Rank() == 3 {
+			want = errs[3]
+		}
+		if err := c.BarrierErr(errs[c.Rank()]); err != want {
+			t.Errorf("rank %d: got %v, want %v", c.Rank(), err, want)
+		}
+		if c.Now() != sim.Time(4*time.Millisecond) { // two barriers of log2(4)=2 rounds
+			t.Errorf("rank %d: clock %v, want 4ms", c.Rank(), c.Now())
+		}
+	})
+}
+
 func TestBcast(t *testing.T) {
 	run(t, 6, fastConfig(), func(c *Comm) {
 		var payload []float64
@@ -283,17 +307,19 @@ func TestAllreduce(t *testing.T) {
 	})
 }
 
-// TestAllreduceMinMax: random (lo, hi) pairs per rank, some the empty
-// sentinel (1<<62, -1), reduce to the least lo and the greatest hi on
-// every rank, at the last arrival plus one 16-byte tree reduction, and a
-// steady-state call allocates nothing.
+// TestAllreduceMinMax: random (lo, hi, n) triples per rank, some the
+// empty sentinel (1<<62, -1, 0), reduce to the least lo, the greatest hi
+// and the sum of n on every rank, at the last arrival plus one tree
+// reduction — of 16 bytes for AllreduceMinMax, of 24 for
+// AllreduceMinMaxSum, the two alternating — and a steady-state call of
+// either allocates nothing.
 func TestAllreduceMinMax(t *testing.T) {
 	const n, rounds = 8, 40
 	const emptyLo, emptyHi = int64(1 << 62), int64(-1)
 	rng := rand.New(rand.NewPCG(1, 2))
-	var lo, hi [rounds][n]int64
+	var lo, hi, cnt [rounds][n]int64
 	var delay [rounds][n]sim.Duration // compute before the call: staggered arrivals
-	var wantLo, wantHi [rounds]int64
+	var wantLo, wantHi, wantSum [rounds]int64
 	for k := range rounds {
 		wantLo[k], wantHi[k] = emptyLo, emptyHi
 		for r := range n {
@@ -301,37 +327,52 @@ func TestAllreduceMinMax(t *testing.T) {
 			if k > 0 && rng.IntN(3) != 0 { // round 0: no rank has data
 				lo[k][r] = rng.Int64N(1<<40) - 1<<39
 				hi[k][r] = lo[k][r] + rng.Int64N(1<<20)
+				cnt[k][r] = rng.Int64N(1 << 20)
 			}
 			wantLo[k], wantHi[k] = min(wantLo[k], lo[k][r]), max(wantHi[k], hi[k][r])
+			wantSum[k] += cnt[k][r]
 			delay[k][r] = sim.Duration(rng.Int64N(int64(time.Millisecond)))
 		}
 	}
 	cfg := Config{Latency: time.Millisecond, Bandwidth: 1e9}
-	cost := 3 * (time.Millisecond + 16*time.Nanosecond) // log2(8) rounds of 16 bytes
+	cost := func(bytes time.Duration) sim.Duration {
+		return 3 * (time.Millisecond + bytes*time.Nanosecond) // log2(8) rounds
+	}
 	run(t, n, cfg, func(c *Comm) {
 		r := c.Rank()
 		for k := range rounds {
 			start := c.Now() // every rank left the previous round together
 			c.Compute(delay[k][r])
-			gotLo, gotHi := c.AllreduceMinMax(lo[k][r], hi[k][r])
-			if gotLo != wantLo[k] || gotHi != wantHi[k] {
-				t.Errorf("round %d rank %d: (%d, %d), want (%d, %d)", k, r, gotLo, gotHi, wantLo[k], wantHi[k])
+			gotLo, gotHi, gotSum, want := int64(0), int64(0), wantSum[k], cost(24)
+			if k%2 == 0 {
+				gotLo, gotHi = c.AllreduceMinMax(lo[k][r], hi[k][r])
+				gotSum, want = wantSum[k], cost(16)
+			} else {
+				gotLo, gotHi, gotSum = c.AllreduceMinMaxSum(lo[k][r], hi[k][r], cnt[k][r])
 			}
-			if want := start.Add(slices.Max(delay[k][:]) + cost); c.Now() != want {
+			if gotLo != wantLo[k] || gotHi != wantHi[k] || gotSum != wantSum[k] {
+				t.Errorf("round %d rank %d: (%d, %d, %d), want (%d, %d, %d)",
+					k, r, gotLo, gotHi, gotSum, wantLo[k], wantHi[k], wantSum[k])
+			}
+			if want := start.Add(slices.Max(delay[k][:]) + want); c.Now() != want {
 				t.Errorf("round %d rank %d: clock %v, want %v", k, r, c.Now(), want)
 			}
 		}
-		// Every rank makes the same 101 calls; AllocsPerRun counts the
-		// whole process's allocations, all ranks' included.
-		call := func() { c.AllreduceMinMax(int64(r), int64(r)) }
-		if r != 0 {
-			for range 101 { // AllocsPerRun's warm-up call and its 100 runs
-				call()
+		// Every rank makes the same 101 calls of each; AllocsPerRun counts
+		// the whole process's allocations, all ranks' included.
+		for _, call := range []func(){
+			func() { c.AllreduceMinMax(int64(r), int64(r)) },
+			func() { c.AllreduceMinMaxSum(int64(r), int64(r), 1) },
+		} {
+			if r != 0 {
+				for range 101 { // AllocsPerRun's warm-up call and its 100 runs
+					call()
+				}
+				continue
 			}
-			return
-		}
-		if allocs := testing.AllocsPerRun(100, call); allocs != 0 {
-			t.Errorf("AllreduceMinMax allocated %.2f times per call, want 0", allocs)
+			if allocs := testing.AllocsPerRun(100, call); allocs != 0 {
+				t.Errorf("extent reduction allocated %.2f times per call, want 0", allocs)
+			}
 		}
 	})
 }

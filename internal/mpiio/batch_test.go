@@ -194,11 +194,14 @@ func TestBatchedIndependentFallback(t *testing.T) {
 
 // TestEmptyCollectiveOneReduction: a collective in which no rank has
 // anything to move costs exactly the extent agreement, one tree
-// reduction of the 16-byte (lo, hi) pair, for a write and for a read.
+// reduction: of the 16-byte (lo, hi) pair for a write, of the 24-byte
+// (lo, hi, requested bytes) triple for a read.
 func TestEmptyCollectiveOneReduction(t *testing.T) {
 	const ranks = 8
 	cfg := mpi.Config{Latency: 1_000_000, Bandwidth: 1e9}
-	oneReduction := 3 * sim.TransferCost(16, cfg.Latency, cfg.Bandwidth) // log2(8) rounds
+	reduction := func(bytes int64) sim.Duration {
+		return 3 * sim.TransferCost(bytes, cfg.Latency, cfg.Bandwidth) // log2(8) rounds
+	}
 	err := mpi.NewWorld(ranks, cfg).Run(func(c *mpi.Comm) {
 		f, err := Open(c, costedSys(), "empty", pfs.CreateMode, Hints{})
 		if err != nil {
@@ -215,6 +218,10 @@ func TestEmptyCollectiveOneReduction(t *testing.T) {
 				}
 				if err != nil {
 					panic(err)
+				}
+				oneReduction := reduction(24)
+				if write {
+					oneReduction = reduction(16)
 				}
 				if got := c.Now().Sub(start); got != oneReduction {
 					t.Errorf("rank %d: empty collective (write %v, %d ops) took %v, want one reduction %v",

@@ -90,7 +90,7 @@ func (f *File) scr() *ioScratch {
 // OTHER ranks during a collective operation. They are reused only by the
 // NEXT operation on this rank, on whichever of its files, and every
 // reuse point is preceded by a rendezvous collective (the next
-// operation's AllreduceMinMax/Alltoall or the trailing Barrier) that
+// operation's extent reduction/Alltoall or the trailing Barrier) that
 // every rank — including every rank still holding a reference — must
 // have entered after it finished using the buffers. MPI's
 // collective-ordering rule (all ranks issue the same collective sequence

@@ -3,6 +3,7 @@ package mpiio
 import (
 	"fmt"
 	"io"
+	"strconv"
 
 	"sdm/internal/obs"
 	"sdm/internal/sim"
@@ -203,7 +204,8 @@ func (f *File) readExtents(buf []byte, exts []Segment) error {
 // collective per dataset. Every rank must call it with the same number
 // of batches per file (ops themselves may differ; pass an empty batch
 // to contribute nothing). Ops must not overlap each other in file
-// space.
+// space. An aggregator's file-system error reaches every rank through
+// the trailing Barrier, so all ranks return an error together.
 //
 // Buffer lifetime: the ops' Data slices are aliased into phase-1
 // parcels (zero-copy) and read by the aggregators in phase 2. Every
@@ -215,13 +217,12 @@ func (f *File) WriteAtAllOps(ops []BatchOp) error {
 		for i := 0; err == nil && i < len(ops); i++ {
 			_, err = h.WriteAtVec(ops[i].Data, f.opSegments(&ops[i]))
 		}
-		f.comm.Barrier()
-		return err
+		return f.comm.BarrierErr(err)
 	}
 	tr := f.sys.Tracer()
 	p1 := f.comm.Clock().Now()
 	flat := f.flattenOps(ops)
-	d := f.collectiveRange(flat)
+	d := f.collectiveRange(flat, false)
 	if d.n == 0 {
 		return nil // nothing to write anywhere
 	}
@@ -237,9 +238,8 @@ func (f *File) WriteAtAllOps(ops []BatchOp) error {
 	// — the calls cover disjoint file spans, so an aggregator drives them
 	// concurrently, shared I/O servers serializing contending requests
 	// in virtual time — and the rank's clock joins at the latest
-	// completion. Runs with small interior holes are data-sieved:
-	// read-modify-write of the whole span beats per-piece requests, and
-	// the read chains before the write within the call's sub-timeline.
+	// completion. A failed call ends phase 2 on this aggregator.
+	var err error
 	if incoming != nil {
 		all := f.gatherAggSegs(incoming)
 		split := d.split()
@@ -248,30 +248,12 @@ func (f *File) WriteAtAllOps(ops []BatchOp) error {
 		clock := f.comm.Clock()
 		fork := clock.Now()
 		join := fork
-		for i := 0; i < len(runs); {
+		for i := 0; i < len(runs) && err == nil; {
 			j := callEnd(runs, i, split)
-			exts, n := f.callExtents(runs[i:j])
-			f.scr().writeStage = grow(f.scr().writeStage, n)
-			buf := f.scr().writeStage
-			sieved := false
-			var pos int64
-			for k, run := range runs[i:j] {
-				part := buf[pos : pos+run.end-run.start]
-				pos += run.end - run.start
-				if run.holes {
-					sieved = true
-					if err := f.readExtents(part, exts[k:k+1]); err != nil {
-						return err
-					}
-				}
-				for _, a := range all[run.lo:run.hi] {
-					copy(part[a.seg.Off-run.start:], incoming[a.src].Bufs[a.srcIdx])
-				}
-			}
-			if _, err := f.h.WriteAtVec(buf, exts); err != nil {
-				return err
-			}
-			if tr != nil {
+			var n int64
+			var sieved bool
+			n, sieved, err = f.writeCall(runs[i:j], all, incoming)
+			if tr != nil && err == nil {
 				tr.Emit(obs.PidRank(f.comm.Rank()), "mpiio", "phase2:write-run", fork, clock.Now(),
 					obs.KV{Key: "bytes", Val: fmt.Sprint(n)},
 					obs.KV{Key: "sieved", Val: fmt.Sprint(sieved)})
@@ -282,8 +264,36 @@ func (f *File) WriteAtAllOps(ops []BatchOp) error {
 		}
 		clock.AdvanceTo(join)
 	}
-	f.comm.Barrier()
-	return nil
+	return f.comm.BarrierErr(err)
+}
+
+// writeCall stages one phase-2 call's runs from the incoming parcels
+// and writes them as one vectored request on the rank's clock,
+// returning its length and whether a run was sieved. Runs with small
+// interior holes are data-sieved: read-modify-write of the whole span
+// beats per-piece requests, and the read chains before the write on the
+// call's sub-timeline.
+func (f *File) writeCall(call []sieveRun, all []aggSeg, incoming []ioParcel) (int64, bool, error) {
+	exts, n := f.callExtents(call)
+	f.scr().writeStage = grow(f.scr().writeStage, n)
+	buf := f.scr().writeStage
+	sieved := false
+	var pos int64
+	for k, run := range call {
+		part := buf[pos : pos+run.end-run.start]
+		pos += run.end - run.start
+		if run.holes {
+			sieved = true
+			if err := f.readExtents(part, exts[k:k+1]); err != nil {
+				return n, sieved, err
+			}
+		}
+		for _, a := range all[run.lo:run.hi] {
+			copy(part[a.seg.Off-run.start:], incoming[a.src].Bufs[a.srcIdx])
+		}
+	}
+	_, err := f.h.WriteAtVec(buf, exts)
+	return n, sieved, err
 }
 
 // opSegments maps one op's logical range through its view into the
@@ -308,9 +318,11 @@ func (f *File) opSegments(op *BatchOp) []Segment {
 
 // readReply carries phase-2 data back to requesters: Data[i] answers
 // the i-th segment of the requester's parcel (parcels[agg].Segs[i],
-// scattered into parcels[agg].Bufs[i]).
+// scattered into parcels[agg].Bufs[i]). Err is the aggregator's
+// file-system error, which voids the whole reply.
 type readReply struct {
 	Data [][]byte
+	Err  error
 }
 
 func (r *readReply) bytes() int64 {
@@ -325,7 +337,19 @@ func (r *readReply) bytes() int64 {
 // two-phase collective, the read counterpart of WriteAtAllOps: each
 // op's Data receives the bytes its (Disp, Type, Off) range maps to.
 // Short reads (past EOF) zero-fill, mirroring a collective read of a
-// hole; an error is returned only for structural failures.
+// hole; an error is returned only for structural failures, and an
+// aggregator's file-system error reaches every rank in its reply.
+//
+// The extent agreement also sums the requested bytes. A dense read —
+// the requests tile the extent, as every checkpoint and restart read
+// does — lets each aggregator know its runs (its domains clipped to the
+// extent) as soon as the extent is agreed, so its phase 2 forks there
+// and overlaps the descriptor all-to-all, which then only routes the
+// replies. Any other read (ghost requests that overlap, holes), and an
+// aggregator whose runs fall short of its clipped domains, forks phase
+// 2 once the descriptors have arrived. Either way the host issues
+// the file requests after the exchange; only the virtual fork point
+// differs.
 func (f *File) ReadAtAllOps(ops []BatchOp) error {
 	if f.hints.DisableCollective {
 		h, err := f.handle()
@@ -334,28 +358,31 @@ func (f *File) ReadAtAllOps(ops []BatchOp) error {
 				err = e
 			}
 		}
-		f.comm.Barrier()
-		return err
+		return f.comm.BarrierErr(err)
 	}
 	tr := f.sys.Tracer()
-	p1 := f.comm.Clock().Now()
+	clock := f.comm.Clock()
+	p1 := clock.Now()
 	flat := f.flattenOps(ops)
-	d := f.collectiveRange(flat)
+	d := f.collectiveRange(flat, true)
 	if d.n == 0 {
 		return nil
 	}
+	agreed := clock.Now()
 	parcels := f.routeSegments(flat, &d)
 	incoming := f.exchangeParcels(parcels, false)
 	if tr != nil {
-		tr.Emit(obs.PidRank(f.comm.Rank()), "mpiio", "phase1:read", p1, f.comm.Clock().Now(),
-			obs.KV{Key: "file", Val: f.name})
+		tr.Emit(obs.PidRank(f.comm.Rank()), "mpiio", "phase1:read", p1, clock.Now(),
+			obs.KV{Key: "file", Val: f.name},
+			obs.KV{Key: "dense", Val: strconv.FormatBool(d.dense)})
 	}
 
 	// Phase 2: aggregators read their domains as spanning runs (data
 	// sieving through small holes) and split the data per requester.
 	// Reply slices alias the read arena; runs carve disjoint arena
 	// regions so replies stay intact for the whole operation. The other
-	// ranks send nothing back.
+	// ranks send nothing back. A failed call ends phase 2 on this
+	// aggregator and voids its replies.
 	anyReplies := f.nilParts()
 	var total int64
 	if incoming != nil {
@@ -368,23 +395,30 @@ func (f *File) ReadAtAllOps(ops []BatchOp) error {
 		for _, run := range runs {
 			need += run.end - run.start
 		}
+		// The runs lie in this aggregator's domains and do not overlap,
+		// so they cover its domains clipped to the extent — what a dense
+		// read knew to read at the agreement — exactly when their lengths
+		// sum to the clipped length.
+		fork := clock.Now()
+		if d.dense && need == d.clippedLen(f.aggIndex(f.comm.Rank())) {
+			fork = agreed
+		}
 		f.scr().readArena = grow(f.scr().readArena, need)
 		arena := f.scr().readArena
 		// Forked sub-timeline per call, as on the write side: calls carve
 		// disjoint arena regions and file spans, so they are issued
 		// concurrently from the phase-2 fork point and the clock joins
-		// at the latest completion before the reply all-to-all.
-		clock := f.comm.Clock()
-		fork := clock.Now()
-		join := fork
+		// at the latest completion — and no earlier than the exchange —
+		// before the reply all-to-all.
+		join := clock.Now()
+		clock.Rebase(fork)
 		var cur int64
-		for i := 0; i < len(runs); {
+		var err error
+		for i := 0; i < len(runs) && err == nil; {
 			j := callEnd(runs, i, split)
 			exts, n := f.callExtents(runs[i:j])
-			if err := f.readExtents(arena[cur:cur+n], exts); err != nil {
-				return err
-			}
-			if tr != nil {
+			err = f.readExtents(arena[cur:cur+n], exts)
+			if tr != nil && err == nil {
 				tr.Emit(obs.PidRank(f.comm.Rank()), "mpiio", "phase2:read-run", fork, clock.Now(),
 					obs.KV{Key: "bytes", Val: fmt.Sprint(n)})
 			}
@@ -401,6 +435,7 @@ func (f *File) ReadAtAllOps(ops []BatchOp) error {
 		}
 		clock.AdvanceTo(join)
 		for i := range replies {
+			replies[i].Err = err
 			anyReplies[i] = &replies[i]
 			total += replies[i].bytes()
 		}
@@ -412,6 +447,9 @@ func (f *File) ReadAtAllOps(ops []BatchOp) error {
 	// parcel k.
 	for k := range parcels {
 		reply := back[f.aggRank(k)].(*readReply)
+		if reply.Err != nil {
+			return reply.Err
+		}
 		for i, d := range reply.Data {
 			copy(parcels[k].Bufs[i], d)
 		}

@@ -87,7 +87,7 @@ func stripedRoundTrip(c *mpi.Comm, sys *pfs.System, name string, hints Hints, di
 		return [3]int64{}, fmt.Errorf("rank %d read back different bytes", c.Rank())
 	}
 	ops := []BatchOp{{Disp: f.disp, Type: f.filetype, Data: buf}}
-	d := f.collectiveRange(f.flattenOps(ops))
+	d := f.collectiveRange(f.flattenOps(ops), false)
 	if (f.h != nil) != (f.aggIndex(c.Rank()) < hints.CBNodes) {
 		return [3]int64{}, fmt.Errorf("rank %d: handle %v does not match set membership", c.Rank(), f.h != nil)
 	}

@@ -8,7 +8,9 @@ package mpiio
 // single sorted physical segment list (the same flattening feeds the
 // extent agreement and the routing) and the ranks agree on the union's
 // extent in one reduction (mpi.Comm.AllreduceMinMax: the least start
-// and the greatest end, one rendezvous). The extent, its start aligned
+// and the greatest end, one rendezvous; a read's reduction,
+// AllreduceMinMaxSum, also sums the bytes requested, and when the sum
+// is the extent's length the read is dense). The extent, its start aligned
 // down to the file's own stripe unit (fixed when the file was created;
 // see Hints.StripingUnit), is split into file domains, one per aggregator:
 // equal shares rounded up to a whole number of stripes. Domains are
@@ -26,7 +28,11 @@ package mpiio
 // Phase 2: aggregators coalesce the segments in their domain and issue
 // large vectored file-system requests, one call per run — one for the
 // two runs at a wrapped extent's ends; for reads the data flows back
-// through a second all-to-all.
+// through a second all-to-all. On a dense read an aggregator whose runs
+// are its domains clipped to the extent — known at the agreement — forks
+// its phase 2 there, in virtual time, overlapping phase 1, whose
+// exchange then only routes the replies; every other collective forks
+// phase 2 when phase 1 ends.
 // ---------------------------------------------------------------------------
 
 // BatchOp is one operation of a collective batch: data written to (or
@@ -93,10 +99,13 @@ func domainOf(off, lo int64, domain int64) int {
 // [lo + k·size, lo + (k+1)·size), served by aggregator k of n, the last
 // aggregator taking whatever lies past its domain. A nonzero wrap is the
 // last domain of a wrapped extent (see wrapDomain), served by
-// aggregator 0.
+// aggregator 0. [start, end) is the agreed extent itself; a read's is
+// dense when the ranks' requests tile it exactly.
 type domains struct {
-	lo, size int64
-	n, wrap  int
+	lo, size   int64
+	start, end int64
+	n, wrap    int
+	dense      bool
 }
 
 // owner returns the aggregator serving domain k (k < n).
@@ -114,6 +123,23 @@ func (d *domains) split() int64 {
 		return 1 << 62
 	}
 	return d.lo + int64(d.wrap)*d.size
+}
+
+// clippedLen returns the length of aggregator agg's domains clipped to
+// the agreed extent [start, end); the last domain runs to the end.
+func (d *domains) clippedLen(agg int) int64 {
+	var n int64
+	for k := range d.n {
+		if d.owner(k) != agg {
+			continue
+		}
+		hi := d.end
+		if k < d.n-1 {
+			hi = min(hi, d.lo+int64(k+1)*d.size)
+		}
+		n += max(0, hi-max(d.start, d.lo+int64(k)*d.size))
+	}
+	return n
 }
 
 // wrapDomain returns the last domain of an extent [lo, hi) cut into
@@ -193,15 +219,27 @@ func (f *File) flattenOps(ops []BatchOp) []flatSeg {
 // collectiveRange agrees on the global extent of this collective
 // operation and cuts it into file domains: from the extent's start
 // aligned down to the file's stripe unit, each a whole number of
-// stripes. n is 0 when no rank has anything to move.
-func (f *File) collectiveRange(flat []flatSeg) domains {
-	myLo, myHi := int64(1<<62), int64(-1)
+// stripes. n is 0 when no rank has anything to move. A read's agreement
+// also sums the bytes every rank requests, in the same reduction: when
+// the sum is the extent's length the requests tile it, and d.dense is
+// set. (A sum cannot tell an overlap from a hole of the same length;
+// ReadAtAllOps checks each aggregator's runs against its domains.)
+func (f *File) collectiveRange(flat []flatSeg, read bool) domains {
+	myLo, myHi, myLen := int64(1<<62), int64(-1), int64(0)
 	if len(flat) > 0 {
 		myLo = flat[0].seg.Off
 		last := flat[len(flat)-1].seg
 		myHi = last.Off + last.Len
 	}
-	lo, hi := f.comm.AllreduceMinMax(myLo, myHi)
+	var lo, hi, sum int64
+	if read {
+		for _, fs := range flat {
+			myLen += fs.seg.Len
+		}
+		lo, hi, sum = f.comm.AllreduceMinMaxSum(myLo, myHi, myLen)
+	} else {
+		lo, hi = f.comm.AllreduceMinMax(myLo, myHi)
+	}
 	if hi <= lo {
 		return domains{}
 	}
@@ -215,7 +253,7 @@ func (f *File) collectiveRange(flat []flatSeg) domains {
 			f.unit = f.sys.StripeSize()
 		}
 	}
-	d := domains{n: f.hints.CBNodes}
+	d := domains{n: f.hints.CBNodes, start: lo, end: hi, dense: read && sum == hi-lo}
 	d.lo, d.size = fileDomains(lo, hi, f.unit, d.n)
 	d.wrap = wrapDomain(lo, hi, d.lo, d.size, f.unit, f.sys.Config().NumServers)
 	return d
