@@ -294,10 +294,12 @@ func TestBundleSubsetReopenNoClobber(t *testing.T) {
 	}
 }
 
-// TestBundleMixedGroupSubsetRead writes a mixed-size group (byte-append
-// placement) and reopens a single dataset — now classified uniform —
-// verifying reads fall back to byte-addressed views when the recorded
-// offsets don't sit on the subset's slab grid.
+// TestBundleMixedGroupSubsetRead writes a group of two dataset sizes and
+// reopens a single dataset, whose recorded offsets are no multiple of
+// its own slab size: every slab reads back from its execution-table
+// offset. An append through the subset lands at the file's old end —
+// the next byte, with no hole — and every slab, old and new, of both
+// datasets still reads back.
 func TestBundleMixedGroupSubsetRead(t *testing.T) {
 	const (
 		procs = 4
@@ -392,9 +394,172 @@ func TestBundleMixedGroupSubsetRead(t *testing.T) {
 				}
 			}
 		}
+
+		extra := make([]float64, len(mapB))
+		for i, gi := range mapB {
+			extra[i] = demoValue("velocity", steps, gi)
+		}
+		if err := putAt(g, "b", steps, extra); err != nil {
+			t.Error(err)
+			return
+		}
+		ga, err := s.OpenGroup([]string{"a"})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		mapA := demoMap(p.Rank(), p.Size(), nA)
+		if _, err := ga.DataView([]string{"a"}, mapA); err != nil {
+			t.Error(err)
+			return
+		}
+		check := func(g *Group, ds, valueOf string, ts int64, mapArr []int32) {
+			got, err := getAt(g, ds, ts, len(mapArr))
+			if err != nil {
+				t.Errorf("read %s@%d after the append: %v", ds, ts, err)
+				return
+			}
+			for i, gi := range mapArr {
+				if want := demoValue(valueOf, ts, gi); got[i] != want {
+					t.Errorf("%s@%d elem %d = %g after the append, want %g", ds, ts, gi, got[i], want)
+					return
+				}
+			}
+		}
+		for ts := int64(0); ts <= steps; ts++ {
+			check(g, "b", "velocity", ts, mapB)
+		}
+		for ts := int64(0); ts < steps; ts++ {
+			check(ga, "a", "pressure", ts, mapA)
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Two steps of both datasets fill the file to 2·(1024+5120)·8 bytes;
+	// the append starts there.
+	rec, err := reader.Catalog.LookupWrite(nil, 1, "b", steps)
+	if err != nil || rec == nil {
+		t.Fatalf("lookup b@%d: %v, %v", steps, rec, err)
+	}
+	if want := int64(steps * (nA + nB) * 8); rec.FileOffset != want {
+		t.Errorf("subset append of b@%d at offset %d, want the old file size %d", steps, rec.FileOffset, want)
+	}
+}
+
+// TestRewriteReadsLatestAfterRestart rewrites one timestep of a dataset
+// and checks that its latest write is what reads return: in the writing
+// session, after a restart from the saved bundle, and through
+// Catalog.Slab (the resolver behind sdmd and the tools).
+func TestRewriteReadsLatestAfterRestart(t *testing.T) {
+	const (
+		procs   = 4
+		globalN = 1 << 10
+	)
+	fill := func(n int, v float64) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = v
+		}
+		return out
+	}
+	expect := func(p *Proc, g *Group, when string, want float64) {
+		n := len(demoMap(p.Rank(), p.Size(), globalN))
+		got, err := getAt(g, "p", 0, n)
+		if err != nil {
+			t.Errorf("%s: read p@0: %v", when, err)
+			return
+		}
+		for i, v := range got {
+			if v != want {
+				t.Errorf("%s: rank %d p@0 elem %d = %g, want %g", when, p.Rank(), i, v, want)
+				return
+			}
+		}
+	}
+	for _, level := range []FileOrganization{Level2, Level3} {
+		t.Run(level.String(), func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "bundle")
+			writer := NewCluster(ClusterConfig{Procs: procs})
+			err := writer.Run(func(p *Proc) {
+				s, err := p.Initialize("rewrite", Options{Organization: level})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer s.Finalize()
+				attrs := MakeDatalist("p", "q")
+				for i := range attrs {
+					attrs[i].GlobalSize = globalN
+				}
+				g, err := s.SetAttributes(attrs)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mapArr := demoMap(p.Rank(), p.Size(), globalN)
+				if _, err := g.DataView([]string{"p", "q"}, mapArr); err != nil {
+					t.Error(err)
+					return
+				}
+				for _, w := range []struct {
+					ds string
+					v  float64
+				}{{"p", 1}, {"q", 3}, {"p", 2}} {
+					if err := putAt(g, w.ds, 0, fill(len(mapArr), w.v)); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				expect(p, g, "writing session", 2)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := writer.SaveBundle(dir); err != nil {
+				t.Fatal(err)
+			}
+
+			reader, err := OpenBundle(dir, ClusterConfig{Procs: procs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = reader.Run(func(p *Proc) {
+				s, err := p.Initialize("rewrite", Options{Organization: level, AttachRun: 1})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer s.Finalize()
+				g, err := s.OpenGroup([]string{"p", "q"})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := g.DataView([]string{"p", "q"}, demoMap(p.Rank(), p.Size(), globalN)); err != nil {
+					t.Error(err)
+					return
+				}
+				expect(p, g, "after restart", 2)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// The rewrite is p's second slab in its file: after p and q
+			// under level 3, after p alone under level 2.
+			want := int64(2 * globalN * 8)
+			if level == Level2 {
+				want = globalN * 8
+			}
+			_, rec, err := reader.Catalog.Slab(nil, 1, "p", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.FileOffset != want {
+				t.Errorf("Catalog.Slab places p@0 at offset %d, want the rewrite's %d", rec.FileOffset, want)
+			}
+		})
 	}
 }
 

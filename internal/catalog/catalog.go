@@ -352,9 +352,10 @@ func (c *Catalog) RecordWrites(clock *sim.Clock, recs []WriteRecord) error {
 // LookupWrites resolves a batch of (dataset, timestep) placements in
 // one metadata round trip (the virtual cost is charged once), each
 // probe served by the execution table's composite
-// (runid, dataset, timestep) index. Missing entries come back as nil
-// slots, in key order; no keys is no round trip and an empty (non-nil)
-// answer.
+// (runid, dataset, timestep) index, which holds a key's rows in write
+// order. A rewritten key resolves to its last row, the latest write.
+// Missing entries come back as nil slots, in key order; no keys is no
+// round trip and an empty (non-nil) answer.
 func (c *Catalog) LookupWrites(clock *sim.Clock, runid int64, keys []WriteKey) ([]*WriteRecord, error) {
 	if len(keys) == 0 {
 		return []*WriteRecord{}, nil
@@ -363,18 +364,17 @@ func (c *Catalog) LookupWrites(clock *sim.Clock, runid int64, keys []WriteKey) (
 	c.lookupKeys.Add(int64(len(keys)))
 	out := make([]*WriteRecord, len(keys))
 	for i, k := range keys {
-		row, err := c.db.QueryRow(
+		rows, err := c.db.Query(
 			`SELECT runid, dataset, timestep, file_offset, file_name
 			 FROM execution_table
 			 WHERE runid = ? AND dataset = ? AND timestep = ?`, runid, k.Dataset, k.Timestep)
 		if err != nil {
 			return nil, err
 		}
-		if row == nil {
-			continue
+		if n := rows.Len(); n > 0 {
+			rec := scanWrite(rows.Data[n-1])
+			out[i] = &rec
 		}
-		rec := scanWrite(row)
-		out[i] = &rec
 	}
 	return out, nil
 }
@@ -390,8 +390,8 @@ func scanWrite(r []metadb.Value) WriteRecord {
 	}
 }
 
-// LookupWrite finds where a dataset's timestep was written; nil when
-// absent.
+// LookupWrite finds where a dataset's timestep was last written; nil
+// when absent.
 func (c *Catalog) LookupWrite(clock *sim.Clock, runid int64, dataset string, timestep int64) (*WriteRecord, error) {
 	recs, err := c.LookupWrites(clock, runid, []WriteKey{{Dataset: dataset, Timestep: timestep}})
 	if err != nil {
@@ -402,10 +402,11 @@ func (c *Catalog) LookupWrite(clock *sim.Clock, runid int64, dataset string, tim
 
 // Slab resolves one timestep of a dataset to what a reader needs to
 // fetch it: the dataset's registered shape (info.Bytes() is the slab's
-// length) and the execution_table row placing it in a file. This is the
-// one resolver behind sdmd's reads, the tools' local reads and the
-// examples' read-back checks, with a distinct NotFound for each way of
-// missing: no such run, dataset not registered, no write recorded.
+// length) and the execution_table row placing its latest write in a
+// file, as LookupWrites resolves it. This is the one resolver behind
+// sdmd's reads, the tools' local reads and the examples' read-back
+// checks, with a distinct NotFound for each way of missing: no such
+// run, dataset not registered, no write recorded.
 func (c *Catalog) Slab(clock *sim.Clock, runid int64, dataset string, timestep int64) (*DatasetInfo, *WriteRecord, error) {
 	info, err := c.LookupDataset(clock, runid, dataset)
 	if err != nil {
@@ -428,8 +429,9 @@ func (c *Catalog) Slab(clock *sim.Clock, runid int64, dataset string, timestep i
 }
 
 // WritesForRun lists all recorded writes of a run ordered by dataset
-// then timestep: the window under runid in the execution table's
-// composite index, which holds them in that order.
+// then timestep, a rewritten key's rows in write order: the window under
+// runid in the execution table's composite index, which holds them in
+// that order.
 func (c *Catalog) WritesForRun(clock *sim.Clock, runid int64) ([]WriteRecord, error) {
 	c.charge(clock)
 	rows, err := c.db.Query(

@@ -103,6 +103,54 @@ func TestExecutionRecords(t *testing.T) {
 	}
 }
 
+// TestRewriteResolvesToLatestRow: a (dataset, timestep) written several
+// times has one row per write. LookupWrites (and so LookupWrite and Slab)
+// resolves it to the last row, and WritesForRun lists its rows in write
+// order — more of them than one index leaf holds, interleaved with other
+// keys' rows and written both one at a time and in batches.
+func TestRewriteResolvesToLatestRow(t *testing.T) {
+	c := newCat(t)
+	const rewrites = 40
+	for i := range rewrites {
+		rec := WriteRecord{RunID: 1, Dataset: "p", Timestep: 10, FileOffset: int64(i) * 8, FileName: "g.dat"}
+		other := WriteRecord{RunID: 1, Dataset: "q", Timestep: int64(i), FileOffset: 1 << 20, FileName: "g.dat"}
+		var err error
+		if i%2 == 0 {
+			err = c.RecordWrites(nil, []WriteRecord{other, rec})
+		} else {
+			if err = c.RecordWrite(nil, rec); err == nil {
+				err = c.RecordWrite(nil, other)
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := c.LookupWrites(nil, 1, []WriteKey{{Dataset: "p", Timestep: 10}, {Dataset: "q", Timestep: 3}})
+	if err != nil || got[0] == nil || got[1] == nil {
+		t.Fatalf("lookup = %v, %v", got, err)
+	}
+	if want := int64(rewrites-1) * 8; got[0].FileOffset != want {
+		t.Errorf("p@10 resolves to offset %d, want the last write's %d", got[0].FileOffset, want)
+	}
+	if err := c.RegisterDataset(nil, DatasetInfo{RunID: 1, Dataset: "p", AccessPattern: "IRREGULAR",
+		DataType: "DOUBLE", StorageOrder: "ROW_MAJOR", GlobalSize: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, rec, err := c.Slab(nil, 1, "p", 10); err != nil || rec.FileOffset != got[0].FileOffset {
+		t.Errorf("Slab(p@10) = %+v, %v, want the last write", rec, err)
+	}
+	all, err := c.WritesForRun(nil, 1)
+	if err != nil || len(all) != 2*rewrites {
+		t.Fatalf("writes = %d rows, %v", len(all), err)
+	}
+	for i, rec := range all[:rewrites] {
+		if rec.Dataset != "p" || rec.FileOffset != int64(i)*8 {
+			t.Fatalf("row %d of p@10 = %+v, want offset %d: rows out of write order", i, rec, i*8)
+		}
+	}
+}
+
 func TestImportLifecycle(t *testing.T) {
 	c := newCat(t)
 	entries := []ImportEntry{

@@ -239,7 +239,7 @@ func TestGlobalFileOrderedByNodeNumber(t *testing.T) {
 
 func TestLevelFileAndViewCounts(t *testing.T) {
 	// 3 datasets x 3 timesteps, written and read back, on 2 ranks. Level
-	// 1: 9 files; Level 2: 3; Level 3 (uniform group): 1. p and q share
+	// 1: 9 files; Level 2: 3; Level 3 (one group): 1. p and q share
 	// one view and r has its own, so each rank installs 2 datatypes, on
 	// up to 9 files and at up to 9 displacements: a view is flattened once
 	// per datatype per rank, so every level charges 2 x 2 views.

@@ -73,16 +73,16 @@ type stepEpoch struct {
 
 // placedOp is a queued operation after placement: where it lands, the
 // arena slice holding (writes) or receiving (reads) its file-order
-// bytes, and when its file's collective completed.
+// bytes, and when its file's collective completed. disp is the slab's
+// execution-table byte offset, where its view is displaced to; the op
+// moves the view's bytes from logical offset 0.
 type placedOp struct {
-	file  string
-	v     *View
-	disp  int64
-	off   int64
-	data  []byte
-	bytes int64
-	idx   int      // index into puts/gets, for encode and decode
-	done  sim.Time // completion of the file's collective, stamped by issueFiles
+	file string
+	v    *View
+	disp int64
+	data []byte
+	idx  int      // index into puts/gets, for encode and decode
+	done sim.Time // completion of the file's collective, stamped by issueFiles
 }
 
 // cancelStep drops everything queued in the group's epoch: at every
@@ -192,10 +192,7 @@ func (g *Group) opsForFile(f *mpiio.File, placed []placedOp, file string) []mpii
 			continue
 		}
 		f.SetView(placed[i].disp, placed[i].v.dtype)
-		ops = append(ops, mpiio.BatchOp{
-			Disp: placed[i].disp, Type: placed[i].v.dtype,
-			Off: placed[i].off, Data: placed[i].data,
-		})
+		ops = append(ops, mpiio.BatchOp{Disp: placed[i].disp, Type: placed[i].v.dtype, Data: placed[i].data})
 	}
 	g.ep.ops = ops
 	return ops
@@ -238,14 +235,13 @@ func (g *Group) stagePuts(ts int64) {
 	for i := range puts {
 		p := &puts[i]
 		a := g.attrs[p.di]
-		physOff := g.place(p.file, a.GlobalSize*a.Type.Size())
+		off := g.place(p.file, a.GlobalSize*a.Type.Size())
 		dst := arena[cur : cur+p.bytes]
 		cur += p.bytes
-		disp, off := g.viewPos(p.v, physOff)
-		placed = append(placed, placedOp{file: p.file, v: p.v, disp: disp, off: off, data: dst, bytes: p.bytes, idx: i})
+		placed = append(placed, placedOp{file: p.file, v: p.v, disp: off, data: dst, idx: i})
 		recs = append(recs, catalog.WriteRecord{
 			RunID: g.s.runID, Dataset: a.Name, Timestep: ts,
-			FileOffset: physOff, FileName: p.file,
+			FileOffset: off, FileName: p.file,
 		})
 	}
 	g.ep.placed = placed
@@ -266,9 +262,9 @@ func (g *Group) encodeFile(ts int64, file string) {
 			continue
 		}
 		g.ep.puts[p.idx].encode(p.v, p.data)
-		g.s.env.Comm.ComputeItems(p.bytes, memCopyRate)
+		g.s.env.Comm.ComputeItems(int64(len(p.data)), memCopyRate)
 		puts++
-		bytes += p.bytes
+		bytes += int64(len(p.data))
 	}
 	if tr := g.s.tracer; tr != nil {
 		tr.Emit(g.s.pid(), "core", "stage", t0, clock.Now(),
@@ -277,20 +273,6 @@ func (g *Group) encodeFile(ts int64, file string) {
 			obs.KV{Key: "puts", Val: fmt.Sprint(puts)},
 			obs.KV{Key: "bytes", Val: fmt.Sprint(bytes)})
 	}
-}
-
-// viewPos is where a slab at byte offset fileOff of its file sits for
-// view v, as the view displacement and the offset within the view: in a
-// uniform group a slab on the group's slab grid is the view's n-th tile
-// (disp 0, so consecutive slabs share one installed view); anything
-// else — a mixed group, or a slab off this group's grid (written by a
-// differently-shaped group and reopened as a subset) — is
-// byte-addressed by the displacement.
-func (g *Group) viewPos(v *View, fileOff int64) (disp, off int64) {
-	if g.uniform && fileOff%g.slabSize == 0 {
-		return 0, fileOff / g.slabSize * int64(v.LocalSize()) * v.elemSize
-	}
-	return fileOff, 0
 }
 
 // issueFiles issues one merged collective per file g.ep.placed touches
@@ -451,10 +433,13 @@ func (g *Group) lookupPlacements(keys []writeKey) ([]catalog.WriteRecord, error)
 // timestep arrives.
 
 // getPart is one group's share of a get flush: the datasets read, in
-// queue order.
+// queue order, and once issued where their bytes land — placed[i] holds
+// the file-order bytes of dataset dis[i]: the group's g.ep.placed for an
+// ordinary flush, a read-ahead token's own copy for a read-ahead.
 type getPart struct {
-	g   *Group
-	dis []int
+	g      *Group
+	dis    []int
+	placed []placedOp
 }
 
 // bytes is the size of the part's read: its datasets' global slabs, the
@@ -491,10 +476,9 @@ func (g *Group) resolveGets(tok *StepToken, ts int64, dis []int) ([]catalog.Writ
 	return recs, nil
 }
 
-// stageGets carves the read arena and computes each read's position in
-// the view its get was queued with — recs[i] holds the slab of
-// g.ep.gets[i]; it fills g.ep.placed (placed[i] serves g.ep.gets[i]) and
-// g.ep.readArena.
+// stageGets carves the read arena and places each read at its slab's
+// execution-table offset — recs[i] holds the slab of g.ep.gets[i]; it
+// fills g.ep.placed (placed[i] serves g.ep.gets[i]) and g.ep.readArena.
 func (g *Group) stageGets(recs []catalog.WriteRecord) {
 	gets := g.ep.gets
 	var total int64
@@ -510,12 +494,10 @@ func (g *Group) stageGets(recs []catalog.WriteRecord) {
 	var cur int64
 	for i := range gets {
 		v := gets[i].v
-		rec := recs[i]
-		disp, off := g.viewPos(v, rec.FileOffset)
 		n := int64(v.LocalSize()) * v.elemSize
 		buf := arena[cur : cur+n]
 		cur += n
-		placed = append(placed, placedOp{file: rec.FileName, v: v, disp: disp, off: off, data: buf, bytes: n, idx: i})
+		placed = append(placed, placedOp{file: recs[i].FileName, v: v, disp: recs[i].FileOffset, data: buf, idx: i})
 	}
 	g.ep.placed = placed
 }
@@ -534,22 +516,20 @@ func (g *Group) issueGets(tok *StepToken, ts int64, dis []int, cur *mpiio.Cursor
 	return g.issueFiles(ts, false, cur)
 }
 
-// deliverGets is the deliver half of the get flush of parts at timestep
-// ts, before its join: placed(i) is where part i's reads landed — this
-// flush's g.ep.placed, or an adopted read-ahead's copy. It walks the
-// reads' distinct completion times in ascending order, advancing the
-// clock to each and decoding the reads whose file completed then (ties
-// in read order, then queue order) into the slices of their group's
-// queued gets, each charged the memory-copy cost of its permutation.
-func (s *SDM) deliverGets(ts int64, parts []getPart, placed func(i int) []placedOp) {
+// deliverGets is the deliver half of the get flush of the issued parts
+// at timestep ts, before its join. It walks the reads' distinct
+// completion times in ascending order, advancing the clock to each and
+// decoding the reads whose file completed then (ties in read order, then
+// queue order) into the slices of their group's queued gets, each
+// charged the memory-copy cost of its permutation.
+func (s *SDM) deliverGets(ts int64, parts []getPart) {
 	clock := s.env.Comm.Clock()
 	ord := s.readOrder(parts)
 	var w completions
 	for {
 		for _, i := range ord {
-			ops := placed(i)
-			for k := range ops {
-				w.offer(ops[k].done)
+			for _, op := range parts[i].placed {
+				w.offer(op.done)
 			}
 		}
 		if !w.next() {
@@ -557,7 +537,7 @@ func (s *SDM) deliverGets(ts int64, parts []getPart, placed func(i int) []placed
 		}
 		clock.AdvanceTo(w.at)
 		for _, i := range ord {
-			ops := placed(i)
+			ops := parts[i].placed
 			for k := range ops {
 				if ops[k].done == w.at && firstOfFile(ops, k) {
 					parts[i].g.decodeFile(ts, ops, k)
@@ -587,7 +567,7 @@ func (g *Group) decodeFile(ts int64, ops []placedOp, k int) {
 	for j := k; j < len(ops); j++ {
 		if op := &ops[j]; op.file == file {
 			g.ep.gets[op.idx].decode(op.v, op.data)
-			g.s.env.Comm.ComputeItems(op.bytes, memCopyRate)
+			g.s.env.Comm.ComputeItems(int64(len(op.data)), memCopyRate)
 		}
 	}
 	if tr := g.s.tracer; tr != nil {

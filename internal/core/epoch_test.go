@@ -57,6 +57,20 @@ func permuteBytesToFile(v *View, data, out []byte) {
 	}
 }
 
+// legacySlabGrid is the slab grid the pre-epoch paths addressed through:
+// a group whose datasets all share one type and global size ("uniform")
+// read and wrote slab k as tile k of a view installed at displacement 0,
+// slab being one dataset's global bytes.
+func legacySlabGrid(g *Group) (uniform bool, slab int64) {
+	a0 := g.attrs[0]
+	for _, a := range g.attrs {
+		if a.GlobalSize != a0.GlobalSize || a.Type != a0.Type {
+			return false, 0
+		}
+	}
+	return true, a0.GlobalSize * a0.Type.Size()
+}
+
 func legacyWrite(g *Group, dataset string, timestep int64, data []byte) error {
 	a, err := g.Attr(dataset)
 	if err != nil {
@@ -77,8 +91,8 @@ func legacyWrite(g *Group, dataset string, timestep int64, data []byte) error {
 		return err
 	}
 	var disp, logicalOff int64
-	if g.uniform {
-		logicalOff = physOff / g.slabSize * int64(v.LocalSize()) * v.elemSize
+	if uniform, slab := legacySlabGrid(g); uniform {
+		logicalOff = physOff / slab * int64(v.LocalSize()) * v.elemSize
 	} else {
 		disp = physOff
 	}
@@ -152,12 +166,12 @@ func legacyRead(g *Group, dataset string, timestep int64, out []byte) error {
 		return err
 	}
 	var disp, logicalOff int64
+	uniform, slab := legacySlabGrid(g)
 	switch {
 	case g.s.opts.Organization == Level1:
 		disp, logicalOff = 0, 0
-	case g.uniform && rec.FileOffset%g.slabSize == 0:
-		slab := rec.FileOffset / g.slabSize
-		logicalOff = slab * int64(v.LocalSize()) * v.elemSize
+	case uniform && rec.FileOffset%slab == 0:
+		logicalOff = rec.FileOffset / slab * int64(v.LocalSize()) * v.elemSize
 	default:
 		disp = rec.FileOffset
 	}

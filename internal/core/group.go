@@ -22,18 +22,14 @@ type Group struct {
 	byName map[string]int
 	views  map[string]*View
 
-	files      map[string]*mpiio.File
-	appendSlab map[string]int64 // per file: next slab index (uniform groups)
-	appendOff  map[string]int64 // per file: next byte offset (mixed groups)
-	index      placementIndex
+	files     map[string]*mpiio.File
+	appendOff map[string]int64 // per file: next byte offset
+	index     placementIndex
 
 	// fileNames resolves fileFor without formatting on the hot path: per
 	// dataset, the whole name under levels 2 and 3 (fixed for the group's
 	// lifetime) and the prefix up to the timestep under level 1.
 	fileNames []string
-
-	uniform  bool // all datasets same type and global size
-	slabSize int64
 
 	// stripeUnit and cbNodes are the layout the group's files are created
 	// with and the aggregator-set size they open with, each used when the
@@ -92,16 +88,14 @@ func (x *placementIndex) successor(ts int64) (int64, bool) {
 // registered).
 func (s *SDM) newGroup(attrs []Attr) (*Group, error) {
 	g := &Group{
-		s:          s,
-		idx:        len(s.groups),
-		byName:     make(map[string]int),
-		views:      make(map[string]*View),
-		files:      make(map[string]*mpiio.File),
-		appendSlab: make(map[string]int64),
-		appendOff:  make(map[string]int64),
-		index:      placementIndex{recs: make(map[writeKey]catalog.WriteRecord)},
+		s:         s,
+		idx:       len(s.groups),
+		byName:    make(map[string]int),
+		views:     make(map[string]*View),
+		files:     make(map[string]*mpiio.File),
+		appendOff: make(map[string]int64),
+		index:     placementIndex{recs: make(map[writeKey]catalog.WriteRecord)},
 	}
-	g.uniform = true
 	for i := range attrs {
 		a := attrs[i]
 		a.fill()
@@ -113,12 +107,6 @@ func (s *SDM) newGroup(attrs []Attr) (*Group, error) {
 		}
 		g.byName[a.Name] = len(g.attrs)
 		g.attrs = append(g.attrs, a)
-		if a.GlobalSize != attrs[0].GlobalSize || a.Type != attrs[0].Type {
-			g.uniform = false
-		}
-	}
-	if g.uniform {
-		g.slabSize = g.attrs[0].GlobalSize * g.attrs[0].Type.Size()
 	}
 	g.stripeUnit, g.cbNodes, g.stripes = g.layout()
 	g.fileNames = make([]string, len(g.attrs))
@@ -247,9 +235,10 @@ func (s *SDM) SetAttributes(attrs []Attr) (*Group, error) {
 // OpenGroup reopens datasets already registered for the attached run
 // (Options.AttachRun), reconstructing their attributes from
 // access_pattern_table instead of re-registering them. Rank 0 queries
-// the catalog and broadcasts; append state is primed from the
-// execution table so further writes extend the run's files rather
-// than overwrite them. Collective.
+// the catalog and broadcasts; each file's append cursor is primed from
+// the execution table and the file's size, so further writes extend the
+// run's files rather than overwrite them, and the placement index holds
+// each of the group's slabs at its latest write. Collective.
 func (s *SDM) OpenGroup(names []string) (*Group, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("core: OpenGroup with no dataset names")
@@ -309,13 +298,12 @@ func (s *SDM) OpenGroup(names []string) (*Group, error) {
 	g.primeAppendState(recs)
 	// Seed the placement index with the group's own rows, so the
 	// restart's Get steps resolve locally instead of paying a LookupWrites
-	// round trip and a broadcast per step for rows that just arrived. The
-	// first row of a rewritten slab wins, as it does in LookupWrites.
+	// round trip and a broadcast per step for rows that just arrived.
+	// WritesForRun lists a rewritten slab's rows in write order, so the
+	// latest write wins, as it does in the writing session and in
+	// LookupWrites.
 	for _, rec := range recs {
-		if _, ok := g.byName[rec.Dataset]; !ok {
-			continue
-		}
-		if _, dup := g.index.recs[writeKey{rec.Dataset, rec.Timestep}]; !dup {
+		if _, ok := g.byName[rec.Dataset]; ok {
 			g.index.add(rec)
 		}
 	}
@@ -323,43 +311,27 @@ func (s *SDM) OpenGroup(names []string) (*Group, error) {
 	return g, nil
 }
 
-// primeAppendState advances the per-file append cursors past
-// everything the old run wrote, so a reattached group's new writes
-// land after the existing data. Two signals are combined: exact slab
-// ends from the execution table for datasets this group knows, and
-// each file's current size as a floor — the latter protects datasets
-// that share the file but were not named in OpenGroup (a level-3
-// group reopened as a subset must not clobber its siblings).
+// primeAppendState sets each file's append cursor past everything the
+// old run wrote, so a reattached group's new writes land after the
+// existing data. Two signals are combined: exact slab ends from the
+// execution table for datasets this group knows, and each file's current
+// size as a floor — the latter protects datasets that share the file but
+// were not named in OpenGroup (a level-3 group reopened as a subset must
+// not clobber its siblings).
 func (g *Group) primeAppendState(recs []catalog.WriteRecord) {
 	if g.s.opts.Organization == Level1 {
 		return // file per timestep: nothing to collide with
 	}
-	ends := make(map[string]int64)
-	note := func(file string, end int64) {
-		if cur, ok := ends[file]; !ok || end > cur {
-			ends[file] = end
-		}
-	}
 	for _, rec := range recs {
+		var end int64 // unknown slab size; the size floor below covers it
 		if i, ok := g.byName[rec.Dataset]; ok {
-			a := g.attrs[i]
-			note(rec.FileName, rec.FileOffset+a.GlobalSize*a.Type.Size())
-		} else {
-			note(rec.FileName, 0) // unknown slab size; the size floor below covers it
+			end = rec.FileOffset + g.attrs[i].GlobalSize*g.attrs[i].Type.Size()
 		}
+		g.appendOff[rec.FileName] = max(g.appendOff[rec.FileName], end)
 	}
-	for file := range ends {
+	for file, end := range g.appendOff {
 		if sz, err := g.s.env.FS.FileSize(file); err == nil {
-			note(file, sz)
-		}
-	}
-	for file, end := range ends {
-		if g.uniform {
-			if slabs := (end + g.slabSize - 1) / g.slabSize; slabs > g.appendSlab[file] {
-				g.appendSlab[file] = slabs
-			}
-		} else if end > g.appendOff[file] {
-			g.appendOff[file] = end
+			g.appendOff[file] = max(end, sz)
 		}
 	}
 }
@@ -526,20 +498,15 @@ func (g *Group) closeFiles() error {
 	return firstErr
 }
 
-// place computes where one slab written to file lands: the physical
-// byte offset of the slab, recorded in the execution table — the next
-// slab of the grid in a uniform group, the next byte in a mixed one.
+// place computes where one slab written to file lands: the byte offset
+// the execution table records and the slab's view is displaced to — 0
+// under level 1 (a file per timestep), the file's next free byte
+// otherwise.
 func (g *Group) place(file string, slabBytes int64) int64 {
-	switch {
-	case g.s.opts.Organization == Level1:
+	if g.s.opts.Organization == Level1 {
 		return 0
-	case g.uniform:
-		slab := g.appendSlab[file]
-		g.appendSlab[file] = slab + 1
-		return slab * g.slabSize
-	default:
-		off := g.appendOff[file]
-		g.appendOff[file] = off + slabBytes
-		return off
 	}
+	off := g.appendOff[file]
+	g.appendOff[file] = off + slabBytes
+	return off
 }

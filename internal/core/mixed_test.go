@@ -4,9 +4,9 @@ import (
 	"testing"
 )
 
-// TestMixedGroupLevel3AppendsSlabs covers the non-uniform group path:
-// datasets of different global sizes in one level-3 file use
-// byte-append placement with per-write view displacement.
+// TestMixedGroupLevel3AppendsSlabs: datasets of different global sizes
+// in one level-3 file land back to back, each slab at the file's next
+// byte, read and written through its view displaced to that offset.
 func TestMixedGroupLevel3AppendsSlabs(t *testing.T) {
 	const nRanks = 2
 	te := newTestEnv(nRanks)

@@ -542,7 +542,7 @@ func waitallGetStep(s *SDM, readOrder bool) error {
 		g := parts[i].g
 		for _, op := range g.ep.placed {
 			g.ep.gets[op.idx].decode(op.v, op.data)
-			s.env.Comm.ComputeItems(op.bytes, memCopyRate)
+			s.env.Comm.ComputeItems(int64(len(op.data)), memCopyRate)
 		}
 	}
 	return nil

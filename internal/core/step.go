@@ -106,14 +106,7 @@ type StepToken struct {
 	// ahead is the issued, undelivered half of a read-ahead: per group,
 	// the datasets read and where their bytes sit in the token's arenas.
 	// Nil for ordinary tokens and once a Get step has adopted the token.
-	ahead []aheadPart
-}
-
-// aheadPart is one group's share of a read-ahead: placed[i] holds the
-// file-order bytes of dataset dis[i].
-type aheadPart struct {
-	getPart
-	placed []placedOp
+	ahead []getPart
 }
 
 // newToken allocates a token for a flush of the given timestep.
@@ -328,7 +321,7 @@ func (s *SDM) EndStepAsync() (*StepToken, error) {
 		// A read-ahead issued this step's reads: the decodes into the
 		// step's queued gets, each file's as its collective completed,
 		// and the join are charged on the fork.
-		s.deliverGets(ts, parts, func(i int) []placedOp { return tok.ahead[i].placed })
+		s.deliverGets(ts, tok.ahead)
 		clock.AdvanceTo(tok.done)
 		tok.ahead = nil
 	} else {
@@ -412,14 +405,16 @@ func (s *SDM) flushStep(tok *StepToken, groups []*Group, parts []getPart) error 
 		return flushErr
 	}
 	for _, i := range s.readOrder(parts) {
-		j, err := parts[i].g.issueGets(tok, tok.timestep, parts[i].dis, &cur)
+		g := parts[i].g
+		j, err := g.issueGets(tok, tok.timestep, parts[i].dis, &cur)
 		join = sim.MaxTime(join, j)
 		if err != nil {
 			clock.AdvanceTo(join)
 			return err
 		}
+		parts[i].placed = g.ep.placed
 	}
-	s.deliverGets(tok.timestep, parts, func(i int) []placedOp { return parts[i].g.ep.placed })
+	s.deliverGets(tok.timestep, parts)
 	clock.AdvanceTo(join)
 	return nil
 }
@@ -464,8 +459,7 @@ func (s *SDM) collectGets(groups []*Group) []getPart {
 			parts = append(parts, getPart{})
 		}
 		pt := &parts[len(parts)-1]
-		pt.g = g
-		pt.dis = pt.dis[:0]
+		pt.g, pt.dis, pt.placed = g, pt.dis[:0], nil
 		for i := range g.ep.gets {
 			pt.dis = append(pt.dis, g.ep.gets[i].di)
 		}
@@ -598,7 +592,7 @@ func (s *SDM) issueAhead(ts int64, parts []getPart) bool {
 		}
 	}
 	tok := s.newToken(ts)
-	tok.ahead = make([]aheadPart, len(parts)) // in group order, as the step's parts
+	tok.ahead = make([]getPart, len(parts)) // in group order, as the step's parts
 	clock := s.env.Comm.Clock()
 	fork := clock.Now()
 	join := fork
@@ -613,10 +607,7 @@ func (s *SDM) issueAhead(ts int64, parts []getPart) bool {
 		if err != nil {
 			break
 		}
-		tok.ahead[i] = aheadPart{
-			getPart: getPart{g: g, dis: slices.Clone(parts[i].dis)},
-			placed:  slices.Clone(g.ep.placed),
-		}
+		tok.ahead[i] = getPart{g: g, dis: slices.Clone(parts[i].dis), placed: slices.Clone(g.ep.placed)}
 	}
 	tok.done = join
 	if err != nil {
