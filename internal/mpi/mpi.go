@@ -501,11 +501,20 @@ func (c *Comm) Alltoall(parts []any, sendBytes int64) []any {
 				out[dst][src] = part
 			}
 		}
-		perPeer := maxBytes / int64(p)
-		cost := sim.Duration(p-1) * c.transferCost(perPeer)
-		return out, cost
+		// The matrix travels by pointer: boxing the slice itself would
+		// allocate once per call.
+		return &c.world.atMatrix, c.AlltoallCost(maxBytes)
 	})
-	return res.([][]any)[c.rank]
+	return (*res.(*[][]any))[c.rank]
+}
+
+// AlltoallCost is the virtual time an Alltoall takes once every rank
+// has arrived, when its largest sender sends maxSend bytes in all: a
+// pairwise exchange of p − 1 steps, each moving that sender's average
+// per-peer share.
+func (c *Comm) AlltoallCost(maxSend int64) sim.Duration {
+	p := int64(c.world.size)
+	return sim.Duration(p-1) * c.transferCost(maxSend/p)
 }
 
 // Op selects a reduction operator.

@@ -293,6 +293,45 @@ func TestAlltoallSlices(t *testing.T) {
 	})
 }
 
+// An Alltoall costs what AlltoallCost says for its largest sender, the
+// one formula callers plan with: with 4 ranks sending 0, 1000, 2000 and
+// 4000 bytes on a 10 µs, 100 MB/s network, 3·(10 µs + 1000 bytes) =
+// 60 µs after the last arrival; and a call allocates nothing.
+func TestAlltoallCost(t *testing.T) {
+	const n = 4
+	w := NewWorld(n, Config{Latency: 10_000, Bandwidth: 100e6})
+	parts := make([][]any, n)
+	for r := range parts {
+		parts[r] = make([]any, n)
+	}
+	sends := []int64{0, 1000, 2000, 4000}
+	err := w.Run(func(c *Comm) {
+		c.Compute(sim.Duration(c.Rank()) * 1000) // the last arrives at 3 µs
+		c.Alltoall(parts[c.Rank()], sends[c.Rank()])
+		if got := c.Now(); got != sim.Time(3000+60_000) {
+			t.Errorf("rank %d leaves at %v, want 63µs", c.Rank(), got)
+		}
+		if got := c.AlltoallCost(4000); got != 60_000 {
+			t.Errorf("AlltoallCost(4000) = %v, want 60µs", got)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(calls int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			w.Run(func(c *Comm) {
+				for range calls {
+					c.Alltoall(parts[c.Rank()], sends[c.Rank()])
+				}
+			})
+		})
+	}
+	if few, many := allocs(10), allocs(1000); many != few {
+		t.Errorf("a run of 1000 Alltoalls allocated %.0f times, of 10 %.0f", many, few)
+	}
+}
+
 func TestAllreduce(t *testing.T) {
 	run(t, 5, fastConfig(), func(c *Comm) {
 		if got := c.AllreduceFloat64(float64(c.Rank()), OpMax); got != 4 {

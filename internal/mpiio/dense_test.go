@@ -216,34 +216,55 @@ func spanArg(sp obs.Span, key string) string {
 // access fails — reads on one file system, writes on another — the
 // ranks outside the aggregator set still return, and with an error:
 // the failure rides the read's reply and the write's closing barrier.
+// A dense read of one-stripe domains on a file system with bandwidth
+// replies in rounds; there every rank runs every round (a rank that
+// skipped one would leave the others in its exchange) and returns the
+// error.
 func TestCollectiveErrorReachesEveryRank(t *testing.T) {
 	const ranks, elems = 4, 64
-	for _, op := range []store.Op{store.OpRead, store.OpWrite} {
-		t.Run(op.String(), func(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		op     store.Op
+		cfg    pfs.Config
+		net    mpi.Config
+		set    int
+		elems  int
+		rounds int // reply rounds an aggregator traces; 0 for a write
+	}{
+		{"read", store.OpRead, pfs.Config{NumServers: 4, StripeSize: 4096}, mpi.Config{}, 2, elems, 1},
+		{"write", store.OpWrite, pfs.Config{NumServers: 4, StripeSize: 4096}, mpi.Config{}, 2, elems, 0},
+		// Four 16 KiB stripes, one per aggregator: B is one page here,
+		// so each aggregator's stripe replies in four rounds.
+		{"read-in-rounds", store.OpRead, pfs.Config{NumServers: 4, StripeSize: 16384, ServerBandwidth: 35e6, RequestLatency: 800_000},
+			mpi.DefaultConfig(), ranks, 2048, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			faulty := store.NewFaulty(store.NewMem(), store.FaultConfig{
-				Seed: 1, Transient: 1, Ops: map[store.Op]bool{op: true},
+				Seed: 1, Transient: 1, Ops: map[store.Op]bool{tc.op: true},
 			})
-			sys := pfs.NewSystemOn(pfs.Config{NumServers: 4, StripeSize: 4096}, faulty)
-			if op == store.OpRead {
-				if err := sys.WriteFile("f", make([]byte, ranks*elems*8)); err != nil {
+			sys := pfs.NewSystemOn(tc.cfg, faulty)
+			if tc.op == store.OpRead {
+				if err := sys.WriteFile("f", make([]byte, ranks*tc.elems*8)); err != nil {
 					t.Fatal(err)
 				}
 			}
+			tr := obs.NewTracer()
+			sys.SetTracer(tr)
 			errs := make([]error, ranks)
 			done := make(chan error, 1)
 			go func() {
-				done <- fastWorld(ranks).Run(func(c *mpi.Comm) {
+				done <- mpi.NewWorld(ranks, tc.net).Run(func(c *mpi.Comm) {
 					mode := pfs.ReadWrite
-					if op == store.OpWrite {
+					if tc.op == store.OpWrite {
 						mode = pfs.CreateMode
 					}
-					f, err := Open(c, sys, "f", mode, Hints{CBNodes: 2})
+					f, err := Open(c, sys, "f", mode, Hints{CBNodes: tc.set})
 					if err != nil {
 						panic(err)
 					}
-					f.SetView(0, roundRobinView(c, elems))
-					buf := make([]byte, elems*8)
-					if op == store.OpRead {
+					f.SetView(0, roundRobinView(c, tc.elems))
+					buf := make([]byte, tc.elems*8)
+					if tc.op == store.OpRead {
 						errs[c.Rank()] = readAll(f, 0, buf)
 					} else {
 						errs[c.Rank()] = writeAll(f, 0, buf)
@@ -262,6 +283,20 @@ func TestCollectiveErrorReachesEveryRank(t *testing.T) {
 			for r, err := range errs {
 				if !errors.Is(err, store.ErrUnavailable) {
 					t.Errorf("rank %d returned %v, want the aggregators' %v", r, err, store.ErrUnavailable)
+				}
+			}
+			rounds := make(map[int]int) // per aggregator rank
+			for _, sp := range tr.Spans() {
+				if sp.Name == "phase2:reply" {
+					rounds[sp.Pid]++
+				}
+			}
+			if tc.rounds > 0 && len(rounds) != tc.set {
+				t.Errorf("%d ranks traced reply rounds, want the %d aggregators", len(rounds), tc.set)
+			}
+			for pid, n := range rounds {
+				if n != tc.rounds {
+					t.Errorf("rank lane %d ran %d reply rounds, want %d", pid, n, tc.rounds)
 				}
 			}
 		})

@@ -97,27 +97,28 @@ func (f *File) scr() *ioScratch {
 // on the communicator) therefore guarantees no rank still reads a buffer
 // when its owner rewrites it.
 type ioScratch struct {
-	segs       []Segment   // flattened physical segments of one op
-	flat       []flatSeg   // merged (segment, buffer) list across the batch's ops
-	flatAux    []flatSeg   // merge ping-pong buffer
-	opBounds   []int       // per-op run boundaries within flat
-	opBoundsAx []int       // merge ping-pong buffer
-	parcels    []ioParcel  // outgoing phase-1 parcels, one per aggregator index
-	routeN     []int       // routing: segment pieces per aggregator index
-	routeSegs  []Segment   // backing array the parcels' Segs are carved from
-	routeBufs  [][]byte    // backing array the parcels' Bufs are carved from
-	incoming   []ioParcel  // aggregator: received phase-1 parcels, one per rank
-	anyParts   []any       // boxing buffer for Alltoall, one per rank
-	aggs       []aggSeg    // aggregator: gathered incoming segments, sorted
-	aggsAux    []aggSeg    // merge ping-pong buffer
-	bounds     []int       // per-source run boundaries within aggs
-	boundsAux  []int       // merge ping-pong buffer
-	runs       []sieveRun  // aggregator: coalesced spanning runs
-	writeStage []byte      // aggregator: staging buffer, one run at a time
-	readArena  []byte      // aggregator: staging arena carved across runs
-	replies    []readReply // aggregator: read phase-2 replies, one per rank
-	replyData  [][]byte    // aggregator: backing array the replies' Data are carved from
-	ext        [2]Segment  // aggregator: the extents of one phase-2 call
+	segs       []Segment       // flattened physical segments of one op
+	flat       []flatSeg       // merged (segment, buffer) list across the batch's ops
+	flatAux    []flatSeg       // merge ping-pong buffer
+	opBounds   []int           // per-op run boundaries within flat
+	opBoundsAx []int           // merge ping-pong buffer
+	parcels    []ioParcel      // outgoing phase-1 parcels, one per aggregator index
+	routeN     []int           // routing: segment pieces per aggregator index
+	routeSegs  []Segment       // backing array the parcels' Segs are carved from
+	routeBufs  [][]byte        // backing array the parcels' Bufs are carved from
+	incoming   []ioParcel      // aggregator: received phase-1 parcels, one per rank
+	anyParts   []any           // boxing buffer for Alltoall, one per rank
+	aggs       []aggSeg        // aggregator: gathered incoming segments, sorted
+	aggsAux    []aggSeg        // merge ping-pong buffer
+	bounds     []int           // per-source run boundaries within aggs
+	boundsAux  []int           // merge ping-pong buffer
+	runs       []sieveRun      // aggregator: coalesced spanning runs
+	writeStage []byte          // aggregator: staging buffer, one run at a time
+	readArena  []byte          // aggregator: staging arena carved across runs
+	replies    [2][]readReply  // aggregator: a read round's replies, one per rank; rounds alternate tables
+	pieces     [2][]replyPiece // aggregator: backing arrays the replies' Pieces are carved from
+	replyN     []int           // aggregator: a round's pieces per rank
+	ext        [2]Segment      // aggregator: the extents of one phase-2 call
 }
 
 // grow returns buf resized to n bytes, reallocating only on growth.

@@ -6,14 +6,16 @@ import (
 	"strconv"
 
 	"sdm/internal/obs"
+	"sdm/internal/pfs"
 	"sdm/internal/sim"
 )
 
 // aggSeg tracks an incoming segment and its origin for the return trip.
 type aggSeg struct {
 	seg    Segment
-	src    int // requesting rank
-	srcIdx int // index within that rank's parcel
+	src    int   // requesting rank
+	srcIdx int   // index within that rank's parcel
+	pos    int64 // reads: where its bytes start in the aggregator's arena
 }
 
 // gatherAggSegs flattens incoming parcels into the File's reusable
@@ -316,22 +318,26 @@ func (f *File) opSegments(op *BatchOp) []Segment {
 	return segs
 }
 
-// readReply carries phase-2 data back to requesters: Data[i] answers
-// the i-th segment of the requester's parcel (parcels[agg].Segs[i],
-// scattered into parcels[agg].Bufs[i]). Err is the aggregator's
-// file-system error, which voids the whole reply.
+// readReply is one aggregator's reply round to one requester: the
+// pieces of the requester's segments the round carries. Err is the
+// aggregator's file-system error, which voids the whole reply; it rides
+// every round.
 type readReply struct {
-	Data [][]byte
-	Err  error
+	Pieces []replyPiece
+	Err    error
 }
 
-func (r *readReply) bytes() int64 {
-	var n int64
-	for _, d := range r.Data {
-		n += int64(len(d))
-	}
-	return n
+// replyPiece is bytes of one requested segment: Data belongs at byte
+// Off of segment Seg of the requester's parcel to this aggregator
+// (parcels[agg].Segs[Seg], scattered into parcels[agg].Bufs[Seg]).
+type replyPiece struct {
+	Seg  int
+	Off  int64
+	Data []byte
 }
+
+// pageBytes is the least reply round: one page.
+const pageBytes = 4096
 
 // ReadAtAllOps collectively fills a whole batch of operations as one
 // two-phase collective, the read counterpart of WriteAtAllOps: each
@@ -350,6 +356,14 @@ func (r *readReply) bytes() int64 {
 // 2 once the descriptors have arrived. Either way the host issues
 // the file requests after the exchange; only the virtual fork point
 // differs.
+//
+// The replies leave in rounds (see replyRounds): on a dense read of
+// one-stripe domains each aggregator's bytes stream off one server in
+// one request, and each round leaves once its bytes have landed, so the
+// reply overlaps the file access and only the last round is exposed.
+// Every other read replies in one round. An aggregator traces each
+// round as a phase2:reply span, from its wait for the round's bytes to
+// the end of the round's exchange.
 func (f *File) ReadAtAllOps(ops []BatchOp) error {
 	if f.hints.DisableCollective {
 		h, err := f.handle()
@@ -371,116 +385,273 @@ func (f *File) ReadAtAllOps(ops []BatchOp) error {
 	agreed := clock.Now()
 	parcels := f.routeSegments(flat, &d)
 	incoming := f.exchangeParcels(parcels, false)
+	exchanged := clock.Now()
 	if tr != nil {
-		tr.Emit(obs.PidRank(f.comm.Rank()), "mpiio", "phase1:read", p1, clock.Now(),
+		tr.Emit(obs.PidRank(f.comm.Rank()), "mpiio", "phase1:read", p1, exchanged,
 			obs.KV{Key: "file", Val: f.name},
 			obs.KV{Key: "dense", Val: strconv.FormatBool(d.dense)})
 	}
 
 	// Phase 2: aggregators read their domains as spanning runs (data
-	// sieving through small holes) and split the data per requester.
-	// Reply slices alias the read arena; runs carve disjoint arena
-	// regions so replies stay intact for the whole operation. The other
-	// ranks send nothing back. A failed call ends phase 2 on this
+	// sieving through small holes) into one arena, in file order. The
+	// other ranks read nothing. A failed call ends phase 2 on this
 	// aggregator and voids its replies.
-	anyReplies := f.nilParts()
-	var total int64
+	var rd aggRead
 	if incoming != nil {
-		replies := f.carveReplies(incoming)
-		all := f.gatherAggSegs(incoming)
-		split := d.split()
-		runs := sieveRunsInto(f.scr().runs[:0], all, f.sys.SieveGap(), split)
-		f.scr().runs = runs
-		var need int64
-		for _, run := range runs {
-			need += run.end - run.start
-		}
-		// The runs lie in this aggregator's domains and do not overlap,
-		// so they cover its domains clipped to the extent — what a dense
-		// read knew to read at the agreement — exactly when their lengths
-		// sum to the clipped length.
-		fork := clock.Now()
-		if d.dense && need == d.clippedLen(f.aggIndex(f.comm.Rank())) {
-			fork = agreed
-		}
-		f.scr().readArena = grow(f.scr().readArena, need)
-		arena := f.scr().readArena
-		// Forked sub-timeline per call, as on the write side: calls carve
-		// disjoint arena regions and file spans, so they are issued
-		// concurrently from the phase-2 fork point and the clock joins
-		// at the latest completion — and no earlier than the exchange —
-		// before the reply all-to-all.
-		join := clock.Now()
-		clock.Rebase(fork)
-		var cur int64
-		var err error
-		for i := 0; i < len(runs) && err == nil; {
-			j := callEnd(runs, i, split)
-			exts, n := f.callExtents(runs[i:j])
-			err = f.readExtents(arena[cur:cur+n], exts)
-			if tr != nil && err == nil {
-				tr.Emit(obs.PidRank(f.comm.Rank()), "mpiio", "phase2:read-run", fork, clock.Now(),
-					obs.KV{Key: "bytes", Val: fmt.Sprint(n)})
-			}
-			join = sim.MaxTime(join, clock.Now())
-			clock.Rebase(fork)
-			for _, run := range runs[i:j] {
-				buf := arena[cur : cur+run.end-run.start]
-				cur += run.end - run.start
-				for _, a := range all[run.lo:run.hi] {
-					replies[a.src].Data[a.srcIdx] = buf[a.seg.Off-run.start : a.seg.Off-run.start+a.seg.Len]
-				}
-			}
-			i = j
-		}
-		clock.AdvanceTo(join)
-		for i := range replies {
-			replies[i].Err = err
-			anyReplies[i] = &replies[i]
-			total += replies[i].bytes()
-		}
+		rd = f.readDomains(&d, incoming, agreed)
 	}
-	back := f.comm.Alltoall(anyReplies, total)
+	rounds, b := f.replyRounds(&d, agreed, exchanged)
+	per := b // bytes per round of this aggregator's reply, cut from its end
+	if !rd.streams {
+		per = rd.n // one round of everything, the last
+	}
 
-	// Scatter returned data into the callers' buffers through the
-	// destination slices recorded when routing: aggregator k answered
-	// parcel k.
-	for k := range parcels {
-		reply := back[f.aggRank(k)].(*readReply)
-		if reply.Err != nil {
-			return reply.Err
+	// Round q carries this aggregator's bytes [lo, hi) of its arena. A
+	// round's replies alternate between two tables: a peer may still be
+	// copying round q's pieces while this rank fills round q + 1's, but
+	// not round q − 1's, since every rank has entered round q's
+	// exchange.
+	var lo int64
+	var first int // the first aggregated segment not yet wholly sent
+	var err error
+	for q := range rounds {
+		start := clock.Now()
+		anyReplies := f.nilParts()
+		var sent int64
+		if incoming != nil {
+			hi := max(0, rd.n-int64(rounds-1-q)*per)
+			if hi > lo {
+				clock.AdvanceTo(rd.landed(f.h, hi))
+			}
+			first, sent = f.fillReplies(q%2, anyReplies, &rd, first, lo, hi)
+			lo = hi
 		}
-		for i, d := range reply.Data {
-			copy(parcels[k].Bufs[i], d)
+		back := f.comm.Alltoall(anyReplies, sent)
+		if tr != nil && incoming != nil {
+			tr.Emit(obs.PidRank(f.comm.Rank()), "mpiio", "phase2:reply", start, clock.Now(),
+				obs.KV{Key: "round", Val: strconv.Itoa(q)},
+				obs.KV{Key: "bytes", Val: strconv.FormatInt(sent, 10)})
+		}
+		// Scatter the round into the callers' buffers through the
+		// destination slices recorded when routing: aggregator k
+		// answered parcel k. Every rank runs every round, a failed one
+		// included, so none is left in the collective.
+		for k := range parcels {
+			reply := back[f.aggRank(k)].(*readReply)
+			if reply.Err != nil {
+				if err == nil {
+					err = reply.Err
+				}
+				continue
+			}
+			for _, pc := range reply.Pieces {
+				copy(parcels[k].Bufs[pc.Seg][pc.Off:], pc.Data)
+			}
 		}
 	}
-	return nil
+	return err
 }
 
-// carveReplies sizes the aggregator's reply table for one read: entry i
-// gets one (still nil) data slot per segment rank i requested, all
-// carved from a single backing array — one growth per bundle, however
-// many ranks ask.
-func (f *File) carveReplies(incoming []ioParcel) []readReply {
-	replies := f.scr().replies
-	if cap(replies) < len(incoming) {
-		replies = make([]readReply, len(incoming))
-		f.scr().replies = replies
+// aggRead is an aggregator's phase 2 of one read: its gathered
+// segments (each with its arena position), the arena holding the n
+// bytes its runs read, the time the last call completed, its error,
+// and whether its bytes streamed off one server as one request — then
+// the handle's Landed tells when each of them arrived.
+type aggRead struct {
+	all     []aggSeg
+	arena   []byte
+	n       int64
+	done    sim.Time
+	err     error
+	streams bool
+}
+
+// landed is when the first x bytes of the aggregator's arena had
+// arrived: as its one request streamed in, or all at the end.
+func (rd *aggRead) landed(h *pfs.Handle, x int64) sim.Time {
+	if rd.streams {
+		if t, ok := h.Landed(x); ok {
+			return t
+		}
 	}
-	replies = replies[:len(incoming)]
-	var total int
-	for i := range incoming {
-		total += len(incoming[i].Segs)
+	return rd.done
+}
+
+// readDomains runs an aggregator's phase 2: it reads its runs, one
+// vectored call each (the two runs at a wrapped extent's ends are one),
+// into the arena in file order, each call on a sub-timeline forked at
+// the phase-2 start; the calls cover disjoint file spans and arena
+// regions, so an aggregator drives them concurrently. The rank's clock
+// is left where it was.
+func (f *File) readDomains(d *domains, incoming []ioParcel, agreed sim.Time) aggRead {
+	tr := f.sys.Tracer()
+	clock := f.comm.Clock()
+	all := f.gatherAggSegs(incoming)
+	split := d.split()
+	runs := sieveRunsInto(f.scr().runs[:0], all, f.sys.SieveGap(), split)
+	f.scr().runs = runs
+	var need int64
+	for _, run := range runs {
+		need += run.end - run.start
 	}
-	if cap(f.scr().replyData) < total {
-		f.scr().replyData = make([][]byte, total)
+	// The runs lie in this aggregator's domains and do not overlap,
+	// so they cover its domains clipped to the extent — what a dense
+	// read knew to read at the agreement — exactly when their lengths
+	// sum to the clipped length.
+	back := clock.Now()
+	fork := back
+	early := d.dense && need == d.clippedLen(f.aggIndex(f.comm.Rank()))
+	if early {
+		fork = agreed
 	}
-	data := f.scr().replyData[:total]
-	clear(data)
-	for i := range incoming {
-		n := len(incoming[i].Segs)
-		replies[i].Data = data[:n:n]
-		data = data[n:]
+	f.scr().readArena = grow(f.scr().readArena, need)
+	rd := aggRead{all: all, arena: f.scr().readArena, n: need, done: fork}
+	clock.Rebase(fork)
+	var cur int64
+	calls := 0
+	for i := 0; i < len(runs) && rd.err == nil; calls++ {
+		j := callEnd(runs, i, split)
+		exts, n := f.callExtents(runs[i:j])
+		rd.err = f.readExtents(rd.arena[cur:cur+n], exts)
+		if tr != nil && rd.err == nil {
+			tr.Emit(obs.PidRank(f.comm.Rank()), "mpiio", "phase2:read-run", fork, clock.Now(),
+				obs.KV{Key: "bytes", Val: fmt.Sprint(n)})
+		}
+		rd.done = sim.MaxTime(rd.done, clock.Now())
+		clock.Rebase(fork)
+		for _, run := range runs[i:j] {
+			for k := run.lo; k < run.hi; k++ {
+				all[k].pos = cur + all[k].seg.Off - run.start
+			}
+			cur += run.end - run.start
+		}
+		i = j
 	}
-	return replies
+	clock.Rebase(back)
+	// One-stripe domains put a dense read's call on one server as one
+	// request, whose bytes land in arena order.
+	rd.streams = early && d.size == f.unit && calls == 1 && rd.err == nil
+	return rd
+}
+
+// replyRounds returns how many reply rounds a read runs, the same on
+// every rank, and the round size B. A dense read whose domains are one
+// stripe each replies in rounds: every rank knows each aggregator's
+// bytes (its clipped domains) at the agreement, and each aggregator
+// reads them as one request to one server, so they land in order. Each
+// aggregator cuts its bytes into rounds of B from the end — its last B
+// bytes go in the last round, the bytes before its first round's in
+// the first — so every aggregator's last round is the collective's, and
+// its rounds land at least one round's exchange apart (see roundBytes):
+// the exposed tail is one round's reply, not the whole of it. Every
+// other read, and a network too slow for rounds to hide anything,
+// replies in one round.
+//
+// The most bytes any aggregator holds need ⌈most / B⌉ rounds. But each
+// round past the first pays the exchange's latency once more, which
+// only a round still waiting for bytes hides. The largest share's last
+// byte cannot land before RequestLatency and its transfer time after
+// the agreement; a read runs only as many extra rounds as the time from
+// the end of the descriptor exchange to then pays for, and the rounds
+// it drops ride in the first. When the requests tile the extent no
+// rank then returns later than from one round: the first round plus
+// the extra rounds end by the one-round end, and every later round by
+// the last byte plus one round's exchange, since a round sends at most
+// B bytes and B bytes take as long to land as their exchange takes.
+func (f *File) replyRounds(d *domains, agreed, exchanged sim.Time) (int, int64) {
+	if !d.dense || d.size != f.unit {
+		return 1, 0
+	}
+	b := f.roundBytes()
+	if b == 0 {
+		return 1, 0
+	}
+	most := d.most()
+	c := f.comm.AlltoallCost
+	landed := agreed.Add(f.sys.Config().RequestLatency + f.sys.TransferTime(most))
+	bound := sim.MaxTime(exchanged, landed).Add(c(most))
+	extra := (most+b-1)/b - 1 // rounds after the first
+	for extra > 0 && exchanged.Add(c(most-extra*b)+sim.Duration(extra)*c(b)) > bound {
+		extra--
+	}
+	return int(extra) + 1, b
+}
+
+// roundBytes is a reply round's size B: the fewest bytes, and at least
+// a page, whose streaming off a server lasts at least as long as an
+// all-to-all whose largest sender sends them. It is a function of the
+// file system's profile and the communicator's size, 0 when no B
+// qualifies: on infinitely fast servers, whose bytes land all at once,
+// and on a network slower than a server.
+func (f *File) roundBytes() int64 {
+	if f.sys.Config().ServerBandwidth <= 0 {
+		return 0
+	}
+	fits := func(b int64) bool { return f.sys.TransferTime(b) >= f.comm.AlltoallCost(b) }
+	lo, hi := int64(pageBytes), int64(1)<<40
+	if !fits(hi) {
+		return 0
+	}
+	for lo < hi {
+		if mid := lo + (hi-lo)/2; fits(mid) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// fillReplies fills reply table t with the pieces of the aggregator's
+// arena bytes [lo, hi), one reply per rank, boxed into parts. Segments
+// are sorted by arena position, so the round's pieces start at the
+// first segment not wholly sent before lo, found from first on; it
+// returns that segment, where the next round's search starts, and the
+// bytes the round sends. Each reply's pieces are carved from one
+// backing array per table, counted first, so a round allocates nothing
+// once the tables have grown.
+func (f *File) fillReplies(t int, parts []any, rd *aggRead, first int, lo, hi int64) (int, int64) {
+	sc := f.scr()
+	size := len(parts)
+	if cap(sc.replies[t]) < size {
+		sc.replies[t] = make([]readReply, size)
+	}
+	if cap(sc.replyN) < size {
+		sc.replyN = make([]int, size)
+	}
+	replies, counts := sc.replies[t][:size], sc.replyN[:size]
+	clear(counts)
+	all := rd.all
+	total, last := 0, first
+	if rd.err == nil {
+		for first < len(all) && all[first].pos+all[first].seg.Len <= lo {
+			first++
+		}
+		for last = first; last < len(all) && all[last].pos < hi; last++ {
+			if a := &all[last]; a.pos+a.seg.Len > lo {
+				counts[a.src]++
+				total++
+			}
+		}
+	}
+	if cap(sc.pieces[t]) < total {
+		sc.pieces[t] = make([]replyPiece, total)
+	}
+	pieces := sc.pieces[t][:total]
+	for i, n := range counts {
+		replies[i] = readReply{Pieces: pieces[:0:n], Err: rd.err}
+		pieces = pieces[n:]
+		parts[i] = &replies[i]
+	}
+	var sent int64
+	for _, a := range all[first:last] {
+		from, to := max(a.pos, lo), min(a.pos+a.seg.Len, hi)
+		if from >= to {
+			continue
+		}
+		r := &replies[a.src]
+		r.Pieces = append(r.Pieces, replyPiece{Seg: a.srcIdx, Off: from - a.pos, Data: rd.arena[from:to]})
+		sent += to - from
+	}
+	return first, sent
 }

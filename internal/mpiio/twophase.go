@@ -126,20 +126,39 @@ func (d *domains) split() int64 {
 }
 
 // clippedLen returns the length of aggregator agg's domains clipped to
-// the agreed extent [start, end); the last domain runs to the end.
+// the agreed extent [start, end).
 func (d *domains) clippedLen(agg int) int64 {
 	var n int64
 	for k := range d.n {
-		if d.owner(k) != agg {
-			continue
+		if d.owner(k) == agg {
+			n += d.clipped(k)
 		}
-		hi := d.end
-		if k < d.n-1 {
-			hi = min(hi, d.lo+int64(k+1)*d.size)
-		}
-		n += max(0, hi-max(d.start, d.lo+int64(k)*d.size))
 	}
 	return n
+}
+
+// clipped returns the length of domain k clipped to the agreed extent;
+// the last domain runs to the end.
+func (d *domains) clipped(k int) int64 {
+	hi := d.end
+	if k < d.n-1 {
+		hi = min(hi, d.lo+int64(k+1)*d.size)
+	}
+	return max(0, hi-max(d.start, d.lo+int64(k)*d.size))
+}
+
+// most returns the most bytes any aggregator's clipped domains hold.
+func (d *domains) most() int64 {
+	var most, first int64 // first: aggregator 0's, with a wrapped last domain
+	for k := range d.n {
+		if d.owner(k) == 0 {
+			first += d.clipped(k)
+			most = max(most, first)
+		} else {
+			most = max(most, d.clipped(k))
+		}
+	}
+	return most
 }
 
 // wrapDomain returns the last domain of an extent [lo, hi) cut into

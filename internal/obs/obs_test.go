@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 
 	"sdm/internal/sim"
 )
@@ -182,6 +183,50 @@ func TestAnalyzeSelfTime(t *testing.T) {
 	}
 	if got := self["parent"].Total; got.Microseconds() != 100 {
 		t.Fatalf("parent total = %v, want 100µs", got)
+	}
+}
+
+// Two back-to-back serve windows from a Figure 6 trace: in microsecond
+// floats the first ends at 136515.184 + 7101.371 = 143616.55500000002,
+// past the second's start. In nanoseconds they touch, so neither nests
+// in the other and each span's self time is its whole duration.
+func TestAnalyzeBackToBackInNanoseconds(t *testing.T) {
+	ts, dur, next := 136515.184, 7101.371, 143616.555
+	if ts+dur <= next {
+		t.Fatal("the float sum no longer overshoots; the case tests nothing")
+	}
+	tr := &ChromeTrace{TraceEvents: []ChromeEvent{
+		{Name: "serve", Cat: "pfs", Ph: "X", Ts: ts, Dur: dur, Pid: PidServers, Tid: 3},
+		{Name: "serve", Cat: "pfs", Ph: "X", Ts: next, Dur: dur, Pid: PidServers, Tid: 3},
+	}}
+	a := Analyze(tr)
+	if len(a.SelfTimes) != 1 {
+		t.Fatalf("self times %+v, want one name", a.SelfTimes)
+	}
+	st := a.SelfTimes[0]
+	if want := 2 * 7101371 * time.Nanosecond; st.Total != want || st.Self != want {
+		t.Fatalf("serve total %v, self %v, want both %v", st.Total, st.Self, want)
+	}
+	if got := a.Servers[0].Busy; got != 2*7101371*time.Nanosecond {
+		t.Fatalf("server busy %v, want %v", got, 2*7101371*time.Nanosecond)
+	}
+}
+
+// A span that starts inside another on its lane but ends after it —
+// which this package's export never lays out on one lane, but a trace
+// from another writer can hold — is charged to the span it starts in
+// only for their overlap.
+func TestAnalyzeChargesOverlapOnly(t *testing.T) {
+	ct := &ChromeTrace{TraceEvents: []ChromeEvent{
+		{Name: "phase1", Ph: "X", Ts: 0, Dur: 100, Pid: 1},
+		{Name: "phase2", Ph: "X", Ts: 60, Dur: 90, Pid: 1},
+	}}
+	self := map[string]time.Duration{}
+	for _, st := range Analyze(ct).SelfTimes {
+		self[st.Name] = st.Self
+	}
+	if self["phase1"] != 60*time.Microsecond || self["phase2"] != 90*time.Microsecond {
+		t.Fatalf("self times %v, want phase1 60µs and phase2 90µs", self)
 	}
 }
 

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -50,14 +51,23 @@ type Analysis struct {
 
 // Analyze digests parsed Chrome events. Lane nesting (guaranteed by
 // the exporter's layout) makes self-time exact: a span's self time is
-// its duration minus the durations of spans nested inside it on the
-// same (pid, tid) lane.
+// its duration minus the time spans nested inside it on the same
+// (pid, tid) lane cover of it — all of a nested span, the overlap of
+// one that outlives it (a trace from another writer). Spans are nested
+// in whole nanoseconds, the resolution they were recorded at: the
+// exported microsecond floats are rounded back, since a start plus a
+// duration in floats can land a hair past the start of the span that
+// follows back to back.
 func Analyze(tr *ChromeTrace) *Analysis {
 	a := &Analysis{Procs: make(map[int]string)}
 	type lane struct{ pid, tid int }
-	byLane := make(map[lane][]*ChromeEvent)
+	type span struct {
+		ev         *ChromeEvent
+		start, end int64 // ns
+	}
+	byLane := make(map[lane][]span)
 	laneNames := make(map[lane]string)
-	var lo, hi float64
+	var lo, hi int64
 	first := true
 	for i := range tr.TraceEvents {
 		ev := &tr.TraceEvents[i]
@@ -72,33 +82,36 @@ func Analyze(tr *ChromeTrace) *Analysis {
 		case "X":
 			a.Spans++
 			k := lane{ev.Pid, ev.Tid}
-			byLane[k] = append(byLane[k], ev)
-			if first || ev.Ts < lo {
-				lo = ev.Ts
+			start := usToNs(ev.Ts)
+			sp := span{ev: ev, start: start, end: start + usToNs(ev.Dur)}
+			byLane[k] = append(byLane[k], sp)
+			if first || sp.start < lo {
+				lo = sp.start
 			}
-			if first || ev.Ts+ev.Dur > hi {
-				hi = ev.Ts + ev.Dur
+			if first || sp.end > hi {
+				hi = sp.end
 			}
 			first = false
 		}
 	}
 	if !first {
-		a.TraceSpan = usToDur(hi - lo)
+		a.TraceSpan = time.Duration(hi - lo)
 	}
 
 	agg := make(map[string]*SelfTime)
-	for _, evs := range byLane {
-		// Sort by (start asc, dur desc): parents precede children.
-		sort.SliceStable(evs, func(i, j int) bool {
-			if evs[i].Ts != evs[j].Ts {
-				return evs[i].Ts < evs[j].Ts
+	for _, spans := range byLane {
+		// Sort by (start asc, end desc): parents precede children.
+		sort.SliceStable(spans, func(i, j int) bool {
+			if spans[i].start != spans[j].start {
+				return spans[i].start < spans[j].start
 			}
-			return evs[i].Dur > evs[j].Dur
+			return spans[i].end > spans[j].end
 		})
-		// Stack of enclosing spans; subtract each child from its parent.
+		// Stack of enclosing spans; each child's overlap with its
+		// parent comes off the parent's self time.
 		type open struct {
-			ev    *ChromeEvent
-			child float64
+			span
+			child int64
 		}
 		var stack []open
 		flush := func(o open) {
@@ -109,22 +122,23 @@ func Analyze(tr *ChromeTrace) *Analysis {
 				agg[key] = st
 			}
 			st.Count++
-			st.Total += usToDur(o.ev.Dur)
-			st.Self += usToDur(o.ev.Dur - o.child)
+			st.Total += time.Duration(o.end - o.start)
+			st.Self += time.Duration(o.end - o.start - o.child)
 		}
-		for _, ev := range evs {
+		for _, sp := range spans {
 			for len(stack) > 0 {
 				top := stack[len(stack)-1]
-				if top.ev.Ts+top.ev.Dur > ev.Ts {
+				if top.end > sp.start {
 					break
 				}
 				flush(top)
 				stack = stack[:len(stack)-1]
 			}
 			if len(stack) > 0 {
-				stack[len(stack)-1].child += ev.Dur
+				parent := &stack[len(stack)-1]
+				parent.child += min(sp.end, parent.end) - sp.start
 			}
-			stack = append(stack, open{ev: ev})
+			stack = append(stack, open{span: sp})
 		}
 		for len(stack) > 0 {
 			flush(stack[len(stack)-1])
@@ -142,15 +156,15 @@ func Analyze(tr *ChromeTrace) *Analysis {
 	})
 
 	// Server utilization: every lane of the server pid.
-	for k, evs := range byLane {
+	for k, spans := range byLane {
 		if k.pid != PidServers {
 			continue
 		}
 		u := ServerUse{Pid: k.pid, Tid: k.tid, Name: laneNames[lane{k.pid, k.tid}], Span: a.TraceSpan}
-		for _, ev := range evs {
-			u.Busy += usToDur(ev.Dur)
+		for _, sp := range spans {
+			u.Busy += time.Duration(sp.end - sp.start)
 			u.Requests++
-			n, _ := strconv.ParseInt(ev.Args["bytes"], 10, 64)
+			n, _ := strconv.ParseInt(sp.ev.Args["bytes"], 10, 64)
 			u.Bytes += n
 		}
 		a.Servers = append(a.Servers, u)
@@ -159,8 +173,10 @@ func Analyze(tr *ChromeTrace) *Analysis {
 	return a
 }
 
-func usToDur(us float64) time.Duration {
-	return time.Duration(us * 1e3)
+// usToNs rounds exported microseconds back to the nanoseconds they
+// were recorded in.
+func usToNs(us float64) int64 {
+	return int64(math.Round(us * 1e3))
 }
 
 // WriteReport prints the analysis: top-N span self-time and per-server
@@ -235,7 +251,7 @@ func StepSummary(tr *ChromeTrace) string {
 			steps[st] = agg
 		}
 		agg.spans++
-		agg.dur += usToDur(ev.Dur)
+		agg.dur += time.Duration(usToNs(ev.Dur))
 	}
 	if len(steps) == 0 {
 		return ""

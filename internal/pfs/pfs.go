@@ -10,11 +10,16 @@
 // a configurable number of I/O servers; each server is a serial
 // resource (internal/sim.Resource) charging a fixed per-request latency
 // plus bytes/bandwidth, and a metadata server charges file-open, close,
-// and file-view costs. These are exactly the knobs the paper's
-// evaluation turns: low open/view cost on XFS (Figure 6's small
-// level-1/2/3 differences), request latency dominating small per-process
-// buffers (Figure 7's 32→64 process degradation), and serial-vs-parallel
-// access (Figure 5 and 7's original-vs-SDM gaps).
+// and file-view costs. A request's bytes reach the caller in order, at
+// the server's bandwidth, once the server has paid the request's
+// latency: its first x bytes have landed the transfer time of the rest
+// before it completes (Handle.Landed), which is what lets a collective
+// read forward a request's front while its tail is still streaming.
+// These are exactly the knobs the paper's evaluation turns: low
+// open/view cost on XFS (Figure 6's small level-1/2/3 differences),
+// request latency dominating small per-process buffers (Figure 7's
+// 32→64 process degradation), and serial-vs-parallel access (Figure 5
+// and 7's original-vs-SDM gaps).
 package pfs
 
 import (
@@ -347,6 +352,17 @@ type Handle struct {
 	vecScratch  []vecSpan
 	spanBuf     [2]serverSpan
 	vecBuf      [1]vecSpan
+
+	// last is the handle's latest request, for Landed.
+	last landing
+}
+
+// landing is when a request completed, how many bytes it carried and
+// over how many servers.
+type landing struct {
+	done    sim.Time
+	n       int64
+	servers int
 }
 
 // lookup returns the cached wrapper for name, opening the backend
@@ -607,9 +623,9 @@ func (h *Handle) charge(off, n int64, at sim.Time) sim.Time {
 func (h *Handle) serve(spans []serverSpan, at sim.Time) sim.Time {
 	s := h.sys
 	done := at
+	h.last = landing{done: at, servers: len(spans)}
 	for _, sp := range spans {
-		service := s.cfg.RequestLatency +
-			sim.TransferCost(sp.bytes, 0, s.cfg.ServerBandwidth)
+		service := s.cfg.RequestLatency + s.TransferTime(sp.bytes)
 		d := s.servers[sp.server].Acquire(at, service)
 		if s.tracer != nil {
 			// The service window is [d-service, d]: Acquire starts at
@@ -624,8 +640,27 @@ func (h *Handle) serve(spans []serverSpan, at sim.Time) sim.Time {
 			h.Observe(service)
 		}
 		done = sim.MaxTime(done, d)
+		h.last.n += sp.bytes
 	}
+	h.last.done = done
 	return done
+}
+
+// TransferTime is how long one server takes to stream n bytes: the part
+// of a request's service after its RequestLatency, zero on infinitely
+// fast servers (ServerBandwidth unset).
+func (s *System) TransferTime(n int64) sim.Duration {
+	return sim.TransferCost(n, 0, s.cfg.ServerBandwidth)
+}
+
+// Landed reports when the first x bytes of the handle's latest request
+// had reached the caller: its bytes arrive in order at the server's
+// bandwidth, so they land the transfer time of the bytes after them
+// before the request completes. ok is false when several servers
+// served the request, whose bytes do not arrive in one order.
+func (h *Handle) Landed(x int64) (at sim.Time, ok bool) {
+	l := h.last
+	return l.done.Add(-h.sys.TransferTime(l.n - min(max(x, 0), l.n))), l.servers <= 1
 }
 
 // ---------------------------------------------------------------------------

@@ -230,3 +230,54 @@ func TestVecServerAdjacentExtentsOneRequest(t *testing.T) {
 		}
 	}
 }
+
+// A request's bytes reach the caller in order at the server's bandwidth
+// once its latency is paid, wherever the request queued: on vecConfig's
+// 100 MB/s servers the first x of n bytes land 10·(n − x) ns before
+// the request completes. Bytes past end of file cost nothing and land
+// with the last byte read, and a request two servers serve has no one
+// order.
+func TestLandedStreamsInOrder(t *testing.T) {
+	sys := NewSystem(vecConfig())
+	if err := sys.WriteFile("f", make([]byte, 8192)); err != nil {
+		t.Fatal(err)
+	}
+	first, _ := sys.Open("f", ReadOnly, sim.NewClock())
+	if _, err := readAt(first, make([]byte, 512), 0); err != nil { // server 0 until 1 ms + 5120 ns
+		t.Fatal(err)
+	}
+	clock := sim.NewClock()
+	h, _ := sys.Open("f", ReadOnly, clock)
+	if _, err := readAt(h, make([]byte, 1000), 4096); err != nil { // stripe 4: server 0 again, queued
+		t.Fatal(err)
+	}
+	done := sim.Time(1_005_120 + 1_000_000 + 10_000)
+	if clock.Now() != done {
+		t.Fatalf("queued request completes at %v, want %v", clock.Now(), done)
+	}
+	for _, c := range []struct {
+		x    int64
+		want sim.Time
+	}{{-1, done - 10_000}, {0, done - 10_000}, {400, done - 6_000}, {1000, done}, {5000, done}} {
+		if got, ok := h.Landed(c.x); got != c.want || !ok {
+			t.Errorf("Landed(%d) = %v, %v; want %v, true", c.x, got, ok, c.want)
+		}
+	}
+	issued := clock.Now()
+	if _, err := readAt(h, make([]byte, 1000), 8000); err != io.EOF { // 192 bytes, stripe 7: server 3, idle
+		t.Fatalf("read past end of file: %v", err)
+	}
+	done = clock.Now()
+	if got, _ := h.Landed(0); got != issued.Add(time.Millisecond) {
+		t.Errorf("Landed(0) past end of file = %v, want the latency after issue, %v", got, issued.Add(time.Millisecond))
+	}
+	if got, _ := h.Landed(1000); got != done {
+		t.Errorf("Landed(1000) past end of file = %v, want %v", got, done)
+	}
+	if _, err := readAt(h, make([]byte, 1024), 512); err != nil { // stripes 0 and 1
+		t.Fatal(err)
+	}
+	if _, ok := h.Landed(512); ok {
+		t.Error("a two-server request reports an order")
+	}
+}

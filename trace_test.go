@@ -371,3 +371,36 @@ func TestClusterMetricsRegistry(t *testing.T) {
 		t.Fatalf("metadb.queries = %d, accessor says %d", got, want)
 	}
 }
+
+// Self times over a real Figure 6 trace: every case traced, the
+// Level-3 one analyzed. Back-to-back spans must not nest through the
+// exported floats' rounding, and a span that outlives the one it
+// starts in must not be charged to it in full: no self time is
+// negative, and none exceeds its total.
+func TestAnalyzeFigure6SelfTimes(t *testing.T) {
+	var fig *workloads.Figure
+	for i := range workloads.Figures {
+		if workloads.Figures[i].Name == "fig6" {
+			fig = &workloads.Figures[i]
+		}
+	}
+	var tr *sdm.Tracer
+	sc := workloads.Scale{NX: 16, Procs: 16, Steps: 4}
+	if _, err := fig.Run(sc, func(cfg sdm.ClusterConfig) *sdm.Cluster {
+		cl := sdm.NewCluster(cfg)
+		tr = sdm.NewTracer()
+		cl.SetTracer(tr)
+		return cl
+	}); err != nil {
+		t.Fatal(err)
+	}
+	a := obs.Analyze(tr.ChromeTrace())
+	if len(a.SelfTimes) == 0 {
+		t.Fatal("no spans")
+	}
+	for _, st := range a.SelfTimes {
+		if st.Self < 0 || st.Self > st.Total {
+			t.Errorf("%s/%s: self time %v of total %v", st.Cat, st.Name, st.Self, st.Total)
+		}
+	}
+}
