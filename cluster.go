@@ -139,10 +139,10 @@ func (p *Proc) Rank() int { return p.Comm.Rank() }
 // Size reports the world size.
 func (p *Proc) Size() int { return p.Comm.Size() }
 
-// Run executes fn once per rank concurrently and waits for completion.
-// It may be called repeatedly on one cluster; virtual clocks carry
-// over, modelling successive phases or application runs on the same
-// machine.
+// Run executes fn once per rank, the ranks taking turns (see
+// mpi.World.Run), and waits for completion. It may be called repeatedly
+// on one cluster; virtual clocks carry over, modelling successive phases
+// or application runs on the same machine.
 func (cl *Cluster) Run(fn func(*Proc)) error {
 	return cl.World.Run(func(c *mpi.Comm) {
 		fn(&Proc{Comm: c, cluster: cl})

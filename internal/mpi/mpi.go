@@ -1,6 +1,8 @@
 // Package mpi implements the message-passing substrate SDM runs on: an
 // in-process analogue of the MPI runtime the paper uses. Ranks are
-// goroutines; point-to-point messages move through per-rank mailboxes
+// goroutines that take turns (turns.go): one runs at a time, so the
+// order in which ranks reach a shared resource is a function of the
+// program. Point-to-point messages move through per-rank mailboxes
 // with MPI's non-overtaking tag-matching semantics; the collectives SDM
 // needs (Barrier, Bcast, Allgather, Alltoall, Allreduce, Sendrecv) are
 // provided with deterministic results.
@@ -15,9 +17,9 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"math/rand/v2"
 	"reflect"
 	"sync"
-	"sync/atomic"
 
 	"sdm/internal/sim"
 )
@@ -45,13 +47,18 @@ func DefaultConfig() Config {
 
 // World is a fixed-size group of simulated processes. It plays the role
 // of MPI_COMM_WORLD: create one per application run, then call Run with
-// the per-rank body.
+// the per-rank body. Only the rank holding the turn touches a World's
+// state, so none of it is locked.
 type World struct {
 	size  int
 	cfg   Config
-	boxes []*mailbox
+	boxes [][]message // undelivered messages, per receiving rank
 	rv    *rendezvous
 	comms []*Comm
+
+	turn  []chan struct{} // a rank runs once it receives on its channel
+	state []rankState
+	rng   *rand.Rand // nil: turns pass in rank order (see turnSeed)
 
 	// atMatrix is the Alltoall transpose matrix, reused across calls:
 	// it is only rewritten inside a rendezvous every rank has entered,
@@ -60,11 +67,11 @@ type World struct {
 	// mmResult is minMaxSum's result, reused the same way.
 	mmResult [3]int64
 
-	aborted  atomic.Bool
-	abortMsg atomic.Value // string
+	aborted  bool
+	abortMsg string
 
-	sentMsgs  atomic.Int64
-	sentBytes atomic.Int64
+	sentMsgs  int64
+	sentBytes int64
 }
 
 // NewWorld creates a world of n ranks. n must be positive.
@@ -72,15 +79,16 @@ func NewWorld(n int, cfg Config) *World {
 	if n <= 0 {
 		panic(fmt.Sprintf("mpi: NewWorld with non-positive size %d", n))
 	}
-	w := &World{size: n, cfg: cfg}
-	w.boxes = make([]*mailbox, n)
-	for i := range w.boxes {
-		w.boxes[i] = newMailbox()
-	}
-	w.rv = newRendezvous(n)
+	w := &World{size: n, cfg: cfg, boxes: make([][]message, n), state: make([]rankState, n)}
+	w.rv = &rendezvous{slots: make([]any, n), times: make([]sim.Time, n)}
 	w.comms = make([]*Comm, n)
+	w.turn = make([]chan struct{}, n)
 	for i := range w.comms {
 		w.comms[i] = &Comm{world: w, rank: i, clock: sim.NewClock()}
+		w.turn[i] = make(chan struct{}, 1) // a rank can hand the turn to itself
+	}
+	if turnSeed != 0 {
+		w.rng = rand.New(rand.NewPCG(turnSeed, turnSeed))
 	}
 	return w
 }
@@ -104,54 +112,57 @@ func (w *World) MaxTime() sim.Time {
 // contribute; SDM's ring index distribution, the paper's dominant
 // communication pattern, is pure point-to-point and is fully counted.
 func (w *World) Traffic() (bytes, messages int64) {
-	return w.sentBytes.Load(), w.sentMsgs.Load()
+	return w.sentBytes, w.sentMsgs
 }
 
-// Run executes fn once per rank, concurrently, and waits for all ranks
-// to finish. If any rank panics, the world is aborted (blocked ranks
-// are woken and fail too) and Run returns an error describing the first
-// panic. Run may be called repeatedly; clocks carry over, which lets a
-// harness phase several program stages through one world.
-func (w *World) Run(fn func(*Comm)) (err error) {
+// Run executes fn once per rank, the ranks taking turns from rank 0, and
+// waits for all ranks to finish. If any rank panics, or no unfinished
+// rank can run (a deadlock, named by what the ranks wait in), the world
+// is aborted (waiting ranks wake and fail too) and Run returns an error
+// describing the first failure. Run may be called repeatedly; clocks
+// carry over, which lets a harness phase several program stages through
+// one world.
+func (w *World) Run(fn func(*Comm)) error {
 	var wg sync.WaitGroup
-	var once sync.Once
 	wg.Add(w.size)
-	for r := 0; r < w.size; r++ {
-		c := w.comms[r]
+	for r, c := range w.comms {
+		w.state[r] = runnable
 		go func() {
 			defer wg.Done()
+			<-w.turn[r]
 			defer func() {
 				if p := recover(); p != nil {
-					msg := fmt.Sprintf("rank %d: %v", c.rank, p)
-					once.Do(func() { err = fmt.Errorf("mpi: %s", msg) })
-					w.abort(msg)
+					w.abort(fmt.Sprintf("rank %d: %v", r, p))
 				}
+				w.state[r] = done
+				w.handOff(r)
 			}()
 			fn(c)
 		}()
 	}
+	w.handOff(-1)
 	wg.Wait()
-	return err
+	if w.aborted {
+		return fmt.Errorf("mpi: %s", w.abortMsg)
+	}
+	return nil
 }
 
-// abort poisons the world so ranks blocked in Recv or collectives wake
-// up and panic instead of hanging forever.
+// abort poisons the world: every waiting rank becomes runnable, and a
+// rank that runs while the world is aborted panics instead of waiting.
+// The first reason is the one reported.
 func (w *World) abort(msg string) {
-	w.abortMsg.Store(msg)
-	w.aborted.Store(true)
-	for _, b := range w.boxes {
-		b.mu.Lock()
-		b.cond.Broadcast()
-		b.mu.Unlock()
+	if !w.aborted {
+		w.aborted, w.abortMsg = true, msg
 	}
-	w.rv.mu.Lock()
-	w.rv.cond.Broadcast()
-	w.rv.mu.Unlock()
+	for r := range w.state {
+		w.wake(r)
+	}
 }
 
 func (w *World) checkAbort() {
-	if w.aborted.Load() {
-		panic(fmt.Sprintf("world aborted: %v", w.abortMsg.Load()))
+	if w.aborted {
+		panic("world aborted: " + w.abortMsg)
 	}
 }
 
@@ -203,19 +214,6 @@ type message struct {
 	arrival sim.Time
 }
 
-// mailbox holds undelivered messages for one rank.
-type mailbox struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	queue []message
-}
-
-func newMailbox() *mailbox {
-	b := &mailbox{}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
 // Status describes a received message.
 type Status struct {
 	Source int
@@ -242,13 +240,10 @@ func (c *Comm) Send(dst, tag int, payload any, bytes int64) {
 }
 
 func (w *World) deliver(dst int, m message) {
-	w.sentMsgs.Add(1)
-	w.sentBytes.Add(m.bytes)
-	b := w.boxes[dst]
-	b.mu.Lock()
-	b.queue = append(b.queue, m)
-	b.cond.Broadcast()
-	b.mu.Unlock()
+	w.sentMsgs++
+	w.sentBytes += m.bytes
+	w.boxes[dst] = append(w.boxes[dst], m)
+	w.wake(dst)
 }
 
 // Recv blocks until a message matching (src, tag) is available and
@@ -258,19 +253,17 @@ func (w *World) deliver(dst int, m message) {
 // receiver's clock advances to the message arrival time if it was still
 // in flight.
 func (c *Comm) Recv(src, tag int) (any, Status) {
-	b := c.world.boxes[c.rank]
-	b.mu.Lock()
-	defer b.mu.Unlock()
+	w := c.world
 	for {
-		c.world.checkAbort()
-		for i, m := range b.queue {
+		w.checkAbort()
+		for i, m := range w.boxes[c.rank] {
 			if (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag) {
-				b.queue = append(b.queue[:i], b.queue[i+1:]...)
+				w.boxes[c.rank] = append(w.boxes[c.rank][:i], w.boxes[c.rank][i+1:]...)
 				c.clock.AdvanceTo(m.arrival)
 				return m.payload, Status{Source: m.src, Tag: m.tag, Bytes: m.bytes}
 			}
 		}
-		b.cond.Wait()
+		w.wait(c.rank)
 	}
 }
 
@@ -303,9 +296,6 @@ func (c *Comm) Sendrecv(dst, sendTag int, payload any, bytes int64, src, recvTag
 // ---------------------------------------------------------------------------
 
 type rendezvous struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	size    int
 	arrived int
 	gen     uint64
 	op      string
@@ -313,12 +303,6 @@ type rendezvous struct {
 	times   []sim.Time
 	result  any
 	doneAt  sim.Time
-}
-
-func newRendezvous(n int) *rendezvous {
-	r := &rendezvous{size: n, slots: make([]any, n), times: make([]sim.Time, n)}
-	r.cond = sync.NewCond(&r.mu)
-	return r
 }
 
 // exchange synchronizes all ranks. contribution is this rank's input;
@@ -329,19 +313,17 @@ func newRendezvous(n int) *rendezvous {
 func (c *Comm) exchange(op string, contribution any, combine func(slots []any) (any, sim.Duration)) any {
 	w := c.world
 	r := w.rv
-	r.mu.Lock()
-	w.checkAbortLocked(r)
+	w.checkAbort()
 	if r.arrived == 0 {
 		r.op = op
 	} else if r.op != op {
-		r.mu.Unlock()
 		panic(fmt.Sprintf("mpi: collective mismatch: rank %d called %s while %s in progress", c.rank, op, r.op))
 	}
 	myGen := r.gen
 	r.slots[c.rank] = contribution
 	r.times[c.rank] = c.clock.Now()
 	r.arrived++
-	if r.arrived == r.size {
+	if r.arrived == w.size {
 		var maxT sim.Time
 		for _, t := range r.times {
 			maxT = sim.MaxTime(maxT, t)
@@ -351,24 +333,16 @@ func (c *Comm) exchange(op string, contribution any, combine func(slots []any) (
 		r.doneAt = maxT.Add(cost)
 		r.arrived = 0
 		r.gen++
-		r.cond.Broadcast()
+		for rank := range w.state {
+			w.wake(rank)
+		}
 	} else {
 		for r.gen == myGen {
-			w.checkAbortLocked(r)
-			r.cond.Wait()
+			w.wait(c.rank)
 		}
 	}
-	res := r.result
 	c.clock.AdvanceTo(r.doneAt)
-	r.mu.Unlock()
-	return res
-}
-
-func (w *World) checkAbortLocked(r *rendezvous) {
-	if w.aborted.Load() {
-		r.mu.Unlock()
-		panic(fmt.Sprintf("world aborted: %v", w.abortMsg.Load()))
-	}
+	return r.result
 }
 
 // log2ceil returns ceil(log2(n)) for n >= 1.

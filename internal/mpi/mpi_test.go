@@ -3,7 +3,6 @@ package mpi
 import (
 	"errors"
 	"math/rand/v2"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -444,6 +443,39 @@ func TestPanicAbortsWorld(t *testing.T) {
 	}
 }
 
+// TestRunReportsDeadlock: when no unfinished rank can run, Run returns
+// an error naming what the ranks wait in instead of hanging.
+func TestRunReportsDeadlock(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		n    int
+		fn   func(*Comm)
+		want string
+	}{
+		{"rank 0 returns before a Barrier", 4, func(c *Comm) {
+			if c.Rank() != 0 {
+				c.Barrier()
+			}
+		}, "deadlock: 3 of 4 ranks wait in Barrier"},
+		{"each receives from the other", 2, func(c *Comm) {
+			c.Recv(1-c.Rank(), 0)
+		}, "deadlock: every unfinished rank waits in Recv"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			done := make(chan error, 1)
+			go func() { done <- NewWorld(tc.n, fastConfig()).Run(tc.fn) }()
+			select {
+			case err := <-done:
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("err = %v, want one containing %q", err, tc.want)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Run still waits after 10 s")
+			}
+		})
+	}
+}
+
 func TestSendToInvalidRank(t *testing.T) {
 	w := NewWorld(2, fastConfig())
 	err := w.Run(func(c *Comm) {
@@ -503,35 +535,34 @@ func TestBcastTreeCost(t *testing.T) {
 }
 
 // TestBcastChargesRootSize: when only the root knows the payload size,
-// the cost is the root's declared size whichever rank arrives last in
-// host order. The non-root ranks hold back until the root has entered
-// the rendezvous, so the last arriver — whose size used to be charged —
-// is never the root.
+// the cost is the root's declared size whichever rank arrives last. In
+// rank order and in the seeded turn orders below the last arriver —
+// whose size used to be charged — is not the root.
 func TestBcastChargesRootSize(t *testing.T) {
 	cfg := Config{Latency: time.Millisecond, Bandwidth: 1e9}
 	const root, size = 1, 1_000_000 // 1 ms per round at 1 GB/s
-	run(t, 8, cfg, func(c *Comm) {
-		var v any
-		bytes := int64(16)
-		if c.Rank() == root {
-			v, bytes = "payload", size
-		} else {
-			for rv := c.world.rv; ; runtime.Gosched() {
-				rv.mu.Lock()
-				arrived := rv.arrived
-				rv.mu.Unlock()
-				if arrived > 0 {
-					break
-				}
+	t.Cleanup(func() { turnSeed = 0 })
+	for _, seed := range []uint64{0, 2, 3, 4} { // 0: rank order
+		turnSeed = seed
+		var arrivals []int // ranks take turns: no rank runs between an append and its Bcast
+		run(t, 8, cfg, func(c *Comm) {
+			var v any
+			bytes := int64(16)
+			if c.Rank() == root {
+				v, bytes = "payload", size
 			}
+			arrivals = append(arrivals, c.Rank())
+			if got := c.Bcast(root, v, bytes); got != "payload" {
+				t.Errorf("rank %d received %v", c.Rank(), got)
+			}
+			if want := sim.Time(3 * 2 * time.Millisecond); c.Now() != want {
+				t.Errorf("rank %d clock %v, want %v (three rounds of the root's size)", c.Rank(), c.Now(), want)
+			}
+		})
+		if arrivals[len(arrivals)-1] == root {
+			t.Errorf("seed %d: the root arrived last (%v), so the order proves nothing", seed, arrivals)
 		}
-		if got := c.Bcast(root, v, bytes); got != "payload" {
-			t.Errorf("rank %d received %v", c.Rank(), got)
-		}
-		if want := sim.Time(3 * 2 * time.Millisecond); c.Now() != want {
-			t.Errorf("rank %d clock %v, want %v (three rounds of the root's size)", c.Rank(), c.Now(), want)
-		}
-	})
+	}
 }
 
 func TestLog2Ceil(t *testing.T) {

@@ -91,7 +91,10 @@ func (c *Clock) AdvanceTo(t Time) {
 // (shared Resources still serialize contending requests in virtual
 // time), and a join folds the latest completion back into the owning
 // timeline. Because the work itself still executes sequentially in host
-// time, fork/join changes only the cost model; determinism is untouched.
+// time, fork/join changes only the cost model. The result is still
+// deterministic because ranks take turns (internal/mpi): one rank runs at
+// a time, so the host order in which requests reach a Resource — the
+// order it serves them in — is a function of the program.
 //
 // The pattern is written directly on one clock with Time values, which
 // allocates nothing: fork := c.Now(); cost the branch; join =

@@ -102,7 +102,7 @@ func TestTracingBitIdenticalImport(t *testing.T) {
 	const procs = 8
 	// run does the ring distribution (registering its history) on one
 	// cluster and replays the history as a new job on a second one.
-	run := func(traced bool) (*sdm.Cluster, *sdm.Tracer, [2]*workloads.PartitionStats) {
+	run := func(traced bool) ([2]*sdm.Cluster, *sdm.Tracer, [2]*workloads.PartitionStats) {
 		var tr *sdm.Tracer
 		newCluster := func() *sdm.Cluster {
 			cl := sdm.NewCluster(sdm.Origin2000Config(procs))
@@ -131,10 +131,10 @@ func TestTracingBitIdenticalImport(t *testing.T) {
 		if st[0].FromHistory || !st[1].FromHistory {
 			t.Fatalf("history flags = %v, %v; want ring then replay", st[0].FromHistory, st[1].FromHistory)
 		}
-		return histCl, tr, st
+		return [2]*sdm.Cluster{ringCl, histCl}, tr, st
 	}
-	offCl, _, off := run(false)
-	onCl, tr, on := run(true)
+	offCls, _, off := run(false)
+	onCls, tr, on := run(true)
 	epochs := 0
 	for _, s := range tr.Spans() {
 		if s.Cat == "core" && s.Name == "import:epoch" {
@@ -151,14 +151,14 @@ func TestTracingBitIdenticalImport(t *testing.T) {
 			t.Fatalf("tracing perturbed import run %d:\noff %+v\non  %+v", i, *off[i], *on[i])
 		}
 	}
-	// Final clocks are compared on the history job only: the ring job's
-	// depend on the host order in which the ranks' asynchronous history
-	// writes reach the I/O servers.
-	for r := 0; r < procs; r++ {
-		if a, b := offCl.World.Comm(r).Now(), onCl.World.Comm(r).Now(); a != b {
-			t.Fatalf("rank %d virtual clock differs: off %v, on %v", r, a, b)
+	for job, offCl := range offCls {
+		for r := 0; r < procs; r++ {
+			if a, b := offCl.World.Comm(r).Now(), onCls[job].World.Comm(r).Now(); a != b {
+				t.Fatalf("job %d rank %d virtual clock differs: off %v, on %v", job, r, a, b)
+			}
 		}
 	}
+	offCl, onCl := offCls[1], onCls[1]
 	if a, b := offCl.FS.Stats(), onCl.FS.Stats(); a != b {
 		t.Fatalf("pfs stats differ:\noff %+v\non  %+v", a, b)
 	}
