@@ -196,37 +196,125 @@ func TestPublicMeshgenAndPartitioner(t *testing.T) {
 
 // TestCollectiveErrorsNameTheCause: Initialize and every catalog call
 // do their database work on rank 0 and fail on every rank with it, so
-// every rank's error must name rank 0's cause.
+// every rank's error must name rank 0's cause — and the job still ends
+// cleanly, every rank having skipped the same collectives. Each case
+// fails one rank-0 site: a missing run or dataset, or a table rank 0
+// drops just before the call.
 func TestCollectiveErrorsNameTheCause(t *testing.T) {
-	const procs = 4
-	cl := sdm.NewCluster(sdm.ClusterConfig{Procs: procs})
-	var attach, register [procs]error
-	err := cl.Run(func(p *sdm.Proc) {
-		_, attach[p.Rank()] = p.Initialize("attach", sdm.Options{AttachRun: 99})
-		s, err := p.Initialize("register", sdm.Options{})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		defer s.Finalize()
-		attrs := sdm.MakeDatalist("d")
-		attrs[0].GlobalSize = 8
-		if p.Rank() == 0 {
-			if _, err := cl.DB.Exec("DROP TABLE access_pattern_table"); err != nil {
-				t.Error(err)
-			}
-		}
-		_, register[p.Rank()] = s.SetAttributes(attrs)
-	})
-	if err != nil {
-		t.Fatal(err)
+	const procs, n = 4, 8
+	edges := make([]byte, 2*n*4) // two int32 edge arrays of n edges
+	imports := []sdm.ImportSpec{
+		{Name: "e1", Type: sdm.Integer, Length: n, Content: "INDEX"},
+		{Name: "e2", Type: sdm.Integer, FileOffset: n * 4, Length: n, Content: "INDEX"},
 	}
-	for r := range procs {
-		if attach[r] == nil || !strings.Contains(attach[r].Error(), "no run 99") {
-			t.Errorf("rank %d: Initialize attaching to a missing run returned %v, want the missing run named", r, attach[r])
-		}
-		if register[r] == nil || !strings.Contains(register[r].Error(), "access_pattern_table") {
-			t.Errorf("rank %d: registering into a dropped table returned %v, want the table named", r, register[r])
-		}
+	cases := []struct {
+		name string
+		opts sdm.Options
+		want string
+		// call runs on every rank of a fresh Manager; drop removes a
+		// catalog table (on rank 0, the rank that queries it).
+		call func(p *sdm.Proc, s *sdm.Manager, drop func(table string)) error
+	}{
+		{name: "Initialize", opts: sdm.Options{AttachRun: 99}, want: "no run 99"},
+		{name: "SetAttributes", want: `no such table "access_pattern_table"`,
+			call: func(p *sdm.Proc, s *sdm.Manager, drop func(string)) error {
+				attrs := sdm.MakeDatalist("d")
+				attrs[0].GlobalSize = n
+				drop("access_pattern_table")
+				_, err := s.SetAttributes(attrs)
+				return err
+			}},
+		{name: "OpenGroup", want: `dataset "missing" not registered for run 1`,
+			call: func(p *sdm.Proc, s *sdm.Manager, _ func(string)) error {
+				_, err := s.OpenGroup([]string{"missing"})
+				return err
+			}},
+		{name: "EndStep", want: `no such table "execution_table"`,
+			call: func(p *sdm.Proc, s *sdm.Manager, drop func(string)) error {
+				attrs := sdm.MakeDatalist("d")
+				attrs[0].GlobalSize = n
+				g, err := s.SetAttributes(attrs)
+				if err != nil {
+					return err
+				}
+				var m []int32
+				for i := p.Rank(); i < n; i += p.Size() {
+					m = append(m, int32(i))
+				}
+				if _, err := g.DataView([]string{"d"}, m); err != nil {
+					return err
+				}
+				d, err := sdm.DatasetOf[float64](g, "d")
+				if err != nil {
+					return err
+				}
+				if err := s.BeginStep(0); err != nil {
+					return err
+				}
+				if err := d.Put(make([]float64, len(m))); err != nil {
+					return err
+				}
+				drop("execution_table")
+				return s.EndStep()
+			}},
+		{name: "PartitionIndex", want: `no such table "index_table"`,
+			call: func(p *sdm.Proc, s *sdm.Manager, drop func(string)) error {
+				imp, err := s.MakeImportlist("edges.bin", imports)
+				if err != nil {
+					return err
+				}
+				drop("index_table")
+				_, err = s.PartitionIndex(imp, "e1", "e2", make([]int32, n))
+				return err
+			}},
+		{name: "MakeImportlist", want: `no such table "import_table"`,
+			call: func(p *sdm.Proc, s *sdm.Manager, drop func(string)) error {
+				drop("import_table")
+				_, err := s.MakeImportlist("edges.bin", imports)
+				return err
+			}},
+		{name: "Annotate", want: `no such table "annotation_table"`,
+			call: func(p *sdm.Proc, s *sdm.Manager, drop func(string)) error {
+				drop("annotation_table")
+				return s.Annotate(s.RunID(), "scope", "key", []byte("value"))
+			}},
+		{name: "Annotation", want: `no such table "annotation_table"`,
+			call: func(p *sdm.Proc, s *sdm.Manager, drop func(string)) error {
+				drop("annotation_table")
+				_, err := s.Annotation(s.RunID(), "scope", "key")
+				return err
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cl := sdm.NewCluster(sdm.ClusterConfig{Procs: procs})
+			if err := cl.StageFile("edges.bin", edges); err != nil {
+				t.Fatal(err)
+			}
+			var errs [procs]error
+			err := cl.Run(func(p *sdm.Proc) {
+				s, err := p.Initialize("errors", tc.opts)
+				if err == nil {
+					defer s.Finalize()
+					err = tc.call(p, s, func(table string) {
+						if p.Rank() != 0 {
+							return
+						}
+						if _, err := cl.DB.Exec("DROP TABLE " + table); err != nil {
+							t.Error(err)
+						}
+					})
+				}
+				errs[p.Rank()] = err
+			})
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			for r, err := range errs {
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("rank %d: %v, want an error naming %s", r, err, tc.want)
+				}
+			}
+		})
 	}
 }

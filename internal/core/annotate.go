@@ -1,6 +1,6 @@
 package core
 
-import "fmt"
+import "sdm/internal/sim"
 
 // Annotations implement the paper's "high-level description, together
 // with annotations": free-form metadata an application attaches to its
@@ -19,43 +19,17 @@ func (s *SDM) Annotate(runID int64, scope, key string, value []byte) error {
 // Annotation fetches one annotation (nil when absent). Collective;
 // rank 0 reads and broadcasts.
 func (s *SDM) Annotation(runID int64, scope, key string) ([]byte, error) {
-	type wire struct {
-		Val []byte
-		Err string
-	}
-	var w wire
-	if s.env.Comm.Rank() == 0 {
-		v, err := s.env.Catalog.GetAnnotation(s.env.Comm.Clock(), runID, scope, key)
-		if err != nil {
-			w.Err = err.Error()
-		}
-		w.Val = v
-	}
-	res := s.env.Comm.Bcast(0, w, int64(len(w.Val))+16).(wire)
-	if res.Err != "" {
-		return nil, fmt.Errorf("core: annotation lookup: %s", res.Err)
-	}
-	return res.Val, nil
+	return onRoot(s, "core: annotation lookup", func(clk *sim.Clock) ([]byte, int64, error) {
+		v, err := s.env.Catalog.GetAnnotation(clk, runID, scope, key)
+		return v, int64(len(v)) + 16, err
+	})
 }
 
 // Annotations lists a scope's annotations. Collective; rank 0 reads
 // and broadcasts.
 func (s *SDM) Annotations(runID int64, scope string) (map[string][]byte, error) {
-	type wire struct {
-		Vals map[string][]byte
-		Err  string
-	}
-	var w wire
-	if s.env.Comm.Rank() == 0 {
-		v, err := s.env.Catalog.Annotations(s.env.Comm.Clock(), runID, scope)
-		if err != nil {
-			w.Err = err.Error()
-		}
-		w.Vals = v
-	}
-	res := s.env.Comm.Bcast(0, w, 64).(wire)
-	if res.Err != "" {
-		return nil, fmt.Errorf("core: annotation list: %s", res.Err)
-	}
-	return res.Vals, nil
+	return onRoot(s, "core: annotation list", func(clk *sim.Clock) (map[string][]byte, int64, error) {
+		v, err := s.env.Catalog.Annotations(clk, runID, scope)
+		return v, 64, err
+	})
 }

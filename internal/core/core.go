@@ -25,8 +25,9 @@
 //	SDM_finalize              -> Finalize
 //
 // Every call is collective over the communicator unless noted. Database
-// access happens on rank 0 and results are broadcast, as the paper's
-// design (process 0 records offsets in the execution table) prescribes.
+// access happens on rank 0 and results are broadcast (onRoot), as the
+// paper's design (process 0 records offsets in the execution table)
+// prescribes.
 package core
 
 import (
@@ -304,29 +305,27 @@ func Initialize(env Env, app string, opts Options) (*SDM, error) {
 		s.stagedBytes = r.Counter("core.staged-bytes")
 		s.historyFallbacks = r.Counter("core.history-fallbacks")
 	}
-	var runID int64
-	var initErr error
-	if env.Comm.Rank() == 0 {
+	runID, err := onRoot(s, "core: Initialize", func(clk *sim.Clock) (int64, int64, error) {
 		if err := env.Catalog.EnsureSchema(); err != nil {
-			initErr = err
-		} else if opts.AttachRun > 0 {
-			run, err := env.Catalog.LookupRun(env.Comm.Clock(), opts.AttachRun)
-			switch {
-			case err != nil:
-				initErr = err
-			case run == nil:
-				initErr = fmt.Errorf("core: no run %d in run_table to attach to", opts.AttachRun)
-			default:
-				runID = run.RunID
-			}
-		} else {
-			runID, initErr = env.Catalog.RegisterRun(env.Comm.Clock(), app, 3, 0, 0, runStamp)
+			return 0, 8, err
 		}
+		if opts.AttachRun <= 0 {
+			id, err := env.Catalog.RegisterRun(clk, app, 3, 0, 0, runStamp)
+			return id, 8, err
+		}
+		run, err := env.Catalog.LookupRun(clk, opts.AttachRun)
+		if err == nil && run == nil {
+			err = fmt.Errorf("core: no run %d in run_table to attach to", opts.AttachRun)
+		}
+		if err != nil {
+			return 0, 8, err
+		}
+		return run.RunID, 8, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if msg := bcastErr(env.Comm, initErr); msg != "" {
-		return nil, fmt.Errorf("core: Initialize: %s", msg)
-	}
-	s.runID = env.Comm.Bcast(0, runID, 8).(int64)
+	s.runID = runID
 	return s, nil
 }
 
@@ -336,30 +335,6 @@ func (s *SDM) RunID() int64 { return s.runID }
 // Comm exposes the communicator (for applications layering extra
 // communication on SDM's).
 func (s *SDM) Comm() *mpi.Comm { return s.env.Comm }
-
-// catalogCall runs fn on rank 0 only and broadcasts its outcome; other
-// ranks wait. fn may be nil on non-zero ranks.
-func (s *SDM) catalogCall(fn func() error) error {
-	var err error
-	if s.env.Comm.Rank() == 0 {
-		err = fn()
-	}
-	if msg := bcastErr(s.env.Comm, err); msg != "" {
-		return fmt.Errorf("core: metadata operation failed: %s", msg)
-	}
-	return nil
-}
-
-// bcastErr broadcasts rank 0's error text, empty on success, so every
-// rank fails with the same cause. It is one rendezvous, charged as an
-// 8-byte status word: the text of a failure is not priced.
-func bcastErr(c *mpi.Comm, err error) string {
-	msg := ""
-	if err != nil {
-		msg = err.Error()
-	}
-	return c.Bcast(0, msg, 8).(string)
-}
 
 // Attr describes one dataset of a data group (the result of
 // SDM_make_datalist plus SDM_associate_attributes).

@@ -67,7 +67,6 @@ type stepEpoch struct {
 	recs      []catalog.WriteRecord
 	keys      []writeKey
 	resolved  []catalog.WriteRecord
-	lookup    []catalog.WriteKey
 	fileOrd   []string
 }
 
@@ -355,7 +354,7 @@ func (g *Group) issueFiles(ts int64, write bool, cur *mpiio.Cursor) (sim.Time, e
 }
 
 // cacheWrites adds the staged records to the group's placement index,
-// so same-session reads resolve placements without a catalog round trip.
+// where same-session reads resolve them.
 func (g *Group) cacheWrites() {
 	for i := range g.ep.recs {
 		g.index.add(g.ep.recs[i])
@@ -363,61 +362,20 @@ func (g *Group) cacheWrites() {
 }
 
 // lookupPlacements resolves where each queued (dataset, timestep) slab
-// lives: the rank-local placement index first, then one batched rank-0
-// catalog query (served by the execution table's composite index)
-// broadcast to all ranks. The result is in key order.
+// lives from the group's placement index alone, in key order. OpenGroup
+// seeds the index with the run's rows and each step's writes extend it
+// (cacheWrites), the same on every rank, so a miss fails every rank
+// alike and no catalog statement is issued.
 func (g *Group) lookupPlacements(keys []writeKey) ([]catalog.WriteRecord, error) {
 	out := g.ep.resolved[:0]
-	missing := 0
 	for _, k := range keys {
 		rec, ok := g.index.recs[k]
 		if !ok {
-			missing++
+			return nil, fmt.Errorf("core: no execution_table entry for dataset %q timestep %d", k.dataset, k.timestep)
 		}
 		out = append(out, rec)
 	}
 	g.ep.resolved = out
-	if missing == 0 {
-		return out, nil
-	}
-	type wire struct {
-		Recs []catalog.WriteRecord
-		Err  string
-	}
-	var w wire
-	if g.s.env.Comm.Rank() == 0 {
-		lk := g.ep.lookup[:0]
-		for _, k := range keys {
-			if _, ok := g.index.recs[k]; !ok {
-				lk = append(lk, catalog.WriteKey{Dataset: k.dataset, Timestep: k.timestep})
-			}
-		}
-		g.ep.lookup = lk
-		recs, err := g.s.env.Catalog.LookupWrites(g.s.env.Comm.Clock(), g.s.runID, lk)
-		if err != nil {
-			w.Err = err.Error()
-		} else {
-			for i, rec := range recs {
-				if rec == nil {
-					w.Err = fmt.Sprintf("core: no execution_table entry for dataset %q timestep %d",
-						lk[i].Dataset, lk[i].Timestep)
-					break
-				}
-				w.Recs = append(w.Recs, *rec)
-			}
-		}
-	}
-	res := g.s.env.Comm.Bcast(0, w, int64(missing)*64).(wire)
-	if res.Err != "" {
-		return nil, fmt.Errorf("%s", res.Err)
-	}
-	fill := 0
-	for i, k := range keys {
-		if _, ok := g.index.recs[k]; !ok {
-			out[i] = res.Recs[fill]
-			fill++
-		}
-	}
 	return out, nil
 }
 
@@ -454,10 +412,10 @@ func (p *getPart) bytes() int64 {
 }
 
 // resolveGets looks up where each dataset's slab of timestep ts lives
-// (placement index, then one batched catalog query) and resolves reads
-// landing in files with an asynchronous flush in flight from another
-// token: the conflicting token is implicitly waited. tok is the flush
-// being issued; its own claims — a put and a get of one file in the same epoch — are fine.
+// in the placement index and resolves reads landing in files with an
+// asynchronous flush in flight from another token: the conflicting
+// token is implicitly waited. tok is the flush being issued; its own
+// claims — a put and a get of one file in the same epoch — are fine.
 func (g *Group) resolveGets(tok *StepToken, ts int64, dis []int) ([]catalog.WriteRecord, error) {
 	keys := g.ep.keys[:0]
 	for _, di := range dis {

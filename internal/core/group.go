@@ -9,6 +9,7 @@ import (
 	"sdm/internal/catalog"
 	"sdm/internal/mpiio"
 	"sdm/internal/pfs"
+	"sdm/internal/sim"
 )
 
 // Group is a data group: datasets produced by the application that
@@ -54,9 +55,9 @@ type writeKey struct {
 // the distinct timesteps in ascending order. cacheWrites feeds it as
 // the session writes and OpenGroup seeds it from the rows rank 0
 // already broadcasts, so reads resolve placements — and a sequential
-// reader's next checkpoint — without a catalog round trip. Every rank
-// holds the same contents (both feeds are collective), which is what
-// lets all ranks take the same read-ahead decisions.
+// reader's next checkpoint — from it alone, with no catalog statement.
+// Every rank holds the same contents (both feeds are collective), which
+// is what lets all ranks take the same read-ahead decisions.
 type placementIndex struct {
 	recs  map[writeKey]catalog.WriteRecord
 	steps []int64
@@ -235,42 +236,36 @@ func (s *SDM) SetAttributes(attrs []Attr) (*Group, error) {
 // OpenGroup reopens datasets already registered for the attached run
 // (Options.AttachRun), reconstructing their attributes from
 // access_pattern_table instead of re-registering them. Rank 0 queries
-// the catalog and broadcasts; each file's append cursor is primed from
-// the execution table and the file's size, so further writes extend the
-// run's files rather than overwrite them, and the placement index holds
-// each of the group's slabs at its latest write. Collective.
+// the catalog and broadcasts in one rendezvous; each file's append
+// cursor is primed from the execution table and the file's size, so
+// further writes extend the run's files rather than overwrite them, and
+// the placement index holds each of the group's slabs at its latest
+// write. Collective.
 func (s *SDM) OpenGroup(names []string) (*Group, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("core: OpenGroup with no dataset names")
 	}
-	// Two broadcasts, as a receiver needs the row count before it can
-	// post the receive for the rows: a fixed-size header (attributes,
-	// error, count) and then the run's execution-table rows at the 64
-	// bytes per record lookupPlacements charges.
-	type wire struct {
-		Attrs []Attr
-		NRecs int
-		Err   string
+	// One broadcast carries the attributes and the run's execution-table
+	// rows: a 256-byte header and 64 bytes per row.
+	type opened struct {
+		attrs []Attr
+		recs  []catalog.WriteRecord
 	}
-	var w wire
-	var recs []catalog.WriteRecord
-	if s.env.Comm.Rank() == 0 {
+	res, err := onRoot(s, "core: OpenGroup", func(clk *sim.Clock) (opened, int64, error) {
+		var o opened
 		for _, n := range names {
-			info, err := s.env.Catalog.LookupDataset(s.env.Comm.Clock(), s.runID, n)
-			if err != nil {
-				w.Err = err.Error()
-				break
+			info, err := s.env.Catalog.LookupDataset(clk, s.runID, n)
+			if err == nil && info == nil {
+				err = fmt.Errorf("dataset %q not registered for run %d", n, s.runID)
 			}
-			if info == nil {
-				w.Err = fmt.Sprintf("core: dataset %q not registered for run %d", n, s.runID)
-				break
+			if err != nil {
+				return o, 0, err
 			}
 			t, err := ParseDataType(info.DataType)
 			if err != nil {
-				w.Err = err.Error()
-				break
+				return o, 0, err
 			}
-			w.Attrs = append(w.Attrs, Attr{
+			o.attrs = append(o.attrs, Attr{
 				Name:       info.Dataset,
 				Type:       t,
 				GlobalSize: info.GlobalSize,
@@ -278,31 +273,23 @@ func (s *SDM) OpenGroup(names []string) (*Group, error) {
 				Order:      info.StorageOrder,
 			})
 		}
-		if w.Err == "" {
-			var err error
-			if recs, err = s.env.Catalog.WritesForRun(s.env.Comm.Clock(), s.runID); err != nil {
-				w.Err = err.Error()
-			}
-			w.NRecs = len(recs)
-		}
-	}
-	res := s.env.Comm.Bcast(0, w, 256).(wire)
-	if res.Err != "" {
-		return nil, fmt.Errorf("%s", res.Err)
-	}
-	recs = s.env.Comm.Bcast(0, recs, 64*int64(res.NRecs)).([]catalog.WriteRecord)
-	g, err := s.newGroup(res.Attrs)
+		recs, err := s.env.Catalog.WritesForRun(clk, s.runID)
+		o.recs = recs
+		return o, 256 + 64*int64(len(recs)), err
+	})
 	if err != nil {
 		return nil, err
 	}
-	g.primeAppendState(recs)
-	// Seed the placement index with the group's own rows, so the
-	// restart's Get steps resolve locally instead of paying a LookupWrites
-	// round trip and a broadcast per step for rows that just arrived.
-	// WritesForRun lists a rewritten slab's rows in write order, so the
-	// latest write wins, as it does in the writing session and in
-	// LookupWrites.
-	for _, rec := range recs {
+	g, err := s.newGroup(res.attrs)
+	if err != nil {
+		return nil, err
+	}
+	g.primeAppendState(res.recs)
+	// Seed the placement index with the group's own rows: the restart's
+	// Get steps resolve from it alone (lookupPlacements). WritesForRun
+	// lists a rewritten slab's rows in write order, so the latest write
+	// wins, as it does in the writing session and in Catalog.Slab.
+	for _, rec := range res.recs {
 		if _, ok := g.byName[rec.Dataset]; ok {
 			g.index.add(rec)
 		}

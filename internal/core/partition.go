@@ -136,39 +136,18 @@ func (s *SDM) PartitionIndex(imp *Importer, edge1Name, edge2Name string, partVec
 // 0's alone and travels in the broadcast, so every rank takes the same
 // collective branch.
 func (s *SDM) lookupHistory(totalEdges int64) (*catalog.IndexHistory, error) {
-	type wire struct {
-		Hist catalog.IndexHistory
-		Hit  bool
-		Err  string
-	}
-	var w wire
-	c := s.env.Comm
-	if c.Rank() == 0 {
-		h, err := s.env.Catalog.LookupIndexHistory(c.Clock(), totalEdges, int64(c.Size()))
+	return onRoot(s, "core: history lookup", func(clk *sim.Clock) (*catalog.IndexHistory, int64, error) {
+		h, err := s.env.Catalog.LookupIndexHistory(clk, totalEdges, int64(s.env.Comm.Size()))
 		if err == nil && h != nil && !s.historyIntact(h) {
 			s.historyFallbacks.Add(1)
-			err = s.env.Catalog.DeleteIndexHistory(c.Clock(), h.FileName)
+			err = s.env.Catalog.DeleteIndexHistory(clk, h.FileName)
 			if rerr := s.env.FS.Remove(h.FileName); err == nil && !errors.Is(rerr, pfs.ErrNotExist) {
 				err = rerr
 			}
 			h = nil
 		}
-		if err != nil {
-			w.Err = err.Error()
-		} else if h != nil {
-			w.Hist = *h
-			w.Hit = true
-		}
-	}
-	res := c.Bcast(0, w, 128).(wire)
-	if res.Err != "" {
-		return nil, fmt.Errorf("core: history lookup: %s", res.Err)
-	}
-	if !res.Hit {
-		return nil, nil
-	}
-	h := res.Hist
-	return &h, nil
+		return h, 128, err
+	})
 }
 
 // historyIntact reports whether a registered history can be replayed:

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"sdm/internal/sim"
@@ -217,13 +218,13 @@ func TestWaitErrorReleasesClaims(t *testing.T) {
 
 		// The epoch claims a's file for the put, then fails flushing the
 		// get: timestep 99 of b was never written.
-		if err := s.BeginStep(0); err != nil {
+		if err := s.BeginStep(99); err != nil {
 			panic(err)
 		}
 		if err := da.Put(vals); err != nil {
 			panic(err)
 		}
-		if err := s.BeginStep(0); err == nil {
+		if err := s.BeginStep(99); err == nil {
 			panic("double BeginStep accepted")
 		}
 		if err := db.Get(vals); err != nil {
@@ -233,8 +234,26 @@ func TestWaitErrorReleasesClaims(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		if err := tok.Wait(); err == nil {
-			t.Error("flush of an unwritten timestep reported no error")
+		unwritten := func(err error) {
+			if err == nil || !strings.Contains(err.Error(), `dataset "b" timestep 99`) {
+				t.Errorf("rank %d: flush of an unwritten timestep reported %v, want b and 99 named", s.env.Comm.Rank(), err)
+			}
+		}
+		unwritten(tok.Wait())
+		// A read resolves from the placement index alone: the same miss
+		// in a get-only step fails every rank without a catalog statement.
+		if err := s.BeginStep(99); err != nil {
+			panic(err)
+		}
+		if err := db.Get(vals); err != nil {
+			panic(err)
+		}
+		queries := s.env.Catalog.DB().QueryCount()
+		unwritten(s.EndStep())
+		if s.env.Comm.Rank() == 0 {
+			if got := s.env.Catalog.DB().QueryCount(); got != queries {
+				t.Errorf("a get of an unwritten timestep issued %d catalog statements, want 0", got-queries)
+			}
 		}
 		if len(s.pending) != 0 {
 			t.Errorf("failed flush left %d files claimed in s.pending", len(s.pending))

@@ -1,5 +1,7 @@
 package mpiio
 
+import "fmt"
+
 // ---------------------------------------------------------------------------
 // Two-phase collective I/O.
 //
@@ -265,11 +267,11 @@ func (f *File) collectiveRange(flat []flatSeg, read bool) domains {
 	if f.unit == 0 {
 		// No handle here. The reduction above was a rendezvous the set
 		// members entered after opening (or creating) the file, so every
-		// rank now reads the same, final layout. (Domains only route: were
-		// the file unlinked meanwhile, the default unit is as correct.)
+		// rank now reads the same, final layout. A file that is not there
+		// has no unit the members are sure to share.
 		var ok bool
 		if f.unit, ok = f.sys.StripeUnit(f.name); !ok {
-			f.unit = f.sys.StripeSize()
+			panic(fmt.Sprintf("mpiio: collective on %q: no such file to learn its stripe unit from", f.name))
 		}
 	}
 	d := domains{n: f.hints.CBNodes, start: lo, end: hi, dense: read && sum == hi-lo}

@@ -216,10 +216,6 @@ func (s *System) SetTracer(t *obs.Tracer) {
 // the collective I/O layer emits its spans through it.
 func (s *System) Tracer() *obs.Tracer { return s.tracer }
 
-// StripeSize reports the file system's default stripe unit: the layout
-// of every file created without one of its own (see Create).
-func (s *System) StripeSize() int64 { return s.cfg.StripeSize }
-
 // SieveGap reports the data-sieving break-even gap: holes smaller than
 // this are cheaper to read through than to skip with a separate
 // request, because a request costs RequestLatency while reading a gap
