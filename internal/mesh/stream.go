@@ -1,19 +1,21 @@
 package mesh
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"math/bits"
+)
 
 // Streamed mesh generation.
 //
-// GenerateTet materializes every tetrahedron and dedups edges through a
-// map — fine at laptop scale, but the paper-scale nx=128 grid (~15M
-// unique edges) spends its time and memory almost entirely there. The
-// Kuhn (six-tet) triangulation has a closed-form edge set: node
+// The Kuhn (six-tet) triangulation has a closed-form edge set: node
 // (x,y,z) connects to its neighbours along the three axes, the three
 // face diagonals (+1,+1,0), (0,+1,+1), (+1,0,+1), and the body
 // diagonal (+1,+1,+1) — exactly the 19 intra-tet pairs of the six
 // simplices, deduplicated. Streaming that stencil in node-id order
-// yields the same edges in the same sorted order as GenerateTet, in
-// blocks, with no tet array and no map.
+// yields the unique edges in sorted order, in blocks, with no tet array
+// and no dedup pass; every generator in this package takes its edges
+// from it.
 
 // edgeStencil is the seven positive-direction neighbour offsets of the
 // Kuhn triangulation, in increasing node-id delta order (so emitting
@@ -22,6 +24,36 @@ import "fmt"
 var edgeStencil = [7][3]int{
 	{1, 0, 0}, {0, 1, 0}, {1, 1, 0},
 	{0, 0, 1}, {1, 0, 1}, {0, 1, 1}, {1, 1, 1},
+}
+
+// GridTooLargeError reports a grid whose node ids would not fit the
+// int32 ids every mesh array holds (more than math.MaxInt32 nodes,
+// e.g. 1291³). It is returned before anything is allocated or yielded.
+type GridTooLargeError struct {
+	NX, NY, NZ int
+	Nodes      uint64 // (nx+1)(ny+1)(nz+1), saturated at math.MaxUint64
+}
+
+func (e *GridTooLargeError) Error() string {
+	return fmt.Sprintf("mesh: %dx%dx%d grid has %d nodes, more than the %d an int32 node id addresses",
+		e.NX, e.NY, e.NZ, e.Nodes, math.MaxInt32)
+}
+
+// checkGrid rejects a grid dimension below 1 and a grid whose node ids
+// overflow int32.
+func checkGrid(nx, ny, nz int) error {
+	if nx < 1 || ny < 1 || nz < 1 {
+		return fmt.Errorf("mesh: grid dimensions must be >= 1, got %dx%dx%d", nx, ny, nz)
+	}
+	hi1, xy := bits.Mul64(uint64(nx)+1, uint64(ny)+1)
+	hi2, nodes := bits.Mul64(xy, uint64(nz)+1)
+	if hi1 != 0 || hi2 != 0 {
+		nodes = math.MaxUint64
+	}
+	if nodes > math.MaxInt32 {
+		return &GridTooLargeError{NX: nx, NY: ny, NZ: nz, Nodes: nodes}
+	}
+	return nil
 }
 
 // EdgeCount reports the number of unique edges GenerateTet(nx, ny, nz)
@@ -35,15 +67,16 @@ func EdgeCount(nx, ny, nz int) int64 {
 }
 
 // StreamTetEdges generates the unique edges of the nx x ny x nz Kuhn
-// triangulation in the exact sorted order GenerateTet produces, calling
+// triangulation, sorted by (edge1, edge2), calling
 // yield with reused blocks of at most blockEdges parallel (edge1,
 // edge2) entries. Neither the tetrahedra nor the full edge arrays are
 // materialized, so paper-scale meshes stream in O(blockEdges) memory.
 // yield must not retain the slices; returning an error aborts the
-// stream.
+// stream. A grid of more than math.MaxInt32 nodes is a
+// *GridTooLargeError.
 func StreamTetEdges(nx, ny, nz, blockEdges int, yield func(edge1, edge2 []int32) error) error {
-	if nx < 1 || ny < 1 || nz < 1 {
-		return fmt.Errorf("mesh: grid dimensions must be >= 1, got %dx%dx%d", nx, ny, nz)
+	if err := checkGrid(nx, ny, nz); err != nil {
+		return err
 	}
 	if blockEdges < 1 {
 		blockEdges = 1 << 18
@@ -84,14 +117,14 @@ func StreamTetEdges(nx, ny, nz, blockEdges int, yield func(edge1, edge2 []int32)
 	return flush()
 }
 
-// GenerateTetEdges builds the same mesh as GenerateTet — coordinates
-// and the sorted unique edge arrays — through the streamed stencil,
-// without materializing tetrahedra or an edge map. The returned mesh
-// has no Tets; use it for edge/node workloads (FUN3D) where the
-// triangulation itself is never consumed.
+// GenerateTetEdges builds the mesh's coordinates and its sorted unique
+// edge arrays from the streamed stencil. The returned mesh has no Tets
+// (GenerateTet adds them); use it for edge/node workloads (FUN3D) where
+// the triangulation itself is never consumed. A grid of more than
+// math.MaxInt32 nodes is a *GridTooLargeError.
 func GenerateTetEdges(nx, ny, nz int) (*Mesh, error) {
-	if nx < 1 || ny < 1 || nz < 1 {
-		return nil, fmt.Errorf("mesh: grid dimensions must be >= 1, got %dx%dx%d", nx, ny, nz)
+	if err := checkGrid(nx, ny, nz); err != nil {
+		return nil, err
 	}
 	px, py, pz := nx+1, ny+1, nz+1
 	m := &Mesh{Coords: make([][3]float64, 0, px*py*pz)}

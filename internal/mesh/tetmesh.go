@@ -9,9 +9,8 @@
 package mesh
 
 import (
-	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Mesh is an unstructured tetrahedral mesh. Edges are unique and
@@ -34,25 +33,14 @@ func (m *Mesh) NumEdges() int { return len(m.Edge1) }
 // unit cube and splits each hex into six tetrahedra — the standard
 // synthetic stand-in for an unstructured CFD grid: connectivity is
 // genuinely irregular (interior nodes have degree up to 14) while the
-// generator stays deterministic and scalable.
+// generator stays deterministic and scalable. The coordinates and edges
+// are GenerateTetEdges's; this adds the tetrahedra.
 func GenerateTet(nx, ny, nz int) (*Mesh, error) {
-	if nx < 1 || ny < 1 || nz < 1 {
-		return nil, fmt.Errorf("mesh: grid dimensions must be >= 1, got %dx%dx%d", nx, ny, nz)
+	m, err := GenerateTetEdges(nx, ny, nz)
+	if err != nil {
+		return nil, err
 	}
-	px, py, pz := nx+1, ny+1, nz+1
-	nNodes := px * py * pz
-	m := &Mesh{Coords: make([][3]float64, 0, nNodes)}
-	for z := 0; z < pz; z++ {
-		for y := 0; y < py; y++ {
-			for x := 0; x < px; x++ {
-				m.Coords = append(m.Coords, [3]float64{
-					float64(x) / float64(nx),
-					float64(y) / float64(ny),
-					float64(z) / float64(nz),
-				})
-			}
-		}
-	}
+	px, py := nx+1, ny+1
 	id := func(x, y, z int) int32 { return int32((z*py+y)*px + x) }
 
 	// Six-tet decomposition of each hex (the Kuhn triangulation),
@@ -76,86 +64,58 @@ func GenerateTet(nx, ny, nz int) (*Mesh, error) {
 			}
 		}
 	}
-	m.buildEdges()
 	return m, nil
-}
-
-// buildEdges extracts the unique undirected edges of all tetrahedra.
-func (m *Mesh) buildEdges() {
-	type pair struct{ a, b int32 }
-	seen := make(map[pair]struct{}, len(m.Tets)*6)
-	for _, t := range m.Tets {
-		for i := 0; i < 4; i++ {
-			for j := i + 1; j < 4; j++ {
-				a, b := t[i], t[j]
-				if a > b {
-					a, b = b, a
-				}
-				seen[pair{a, b}] = struct{}{}
-			}
-		}
-	}
-	pairs := make([]pair, 0, len(seen))
-	for p := range seen {
-		pairs = append(pairs, p)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].a != pairs[j].a {
-			return pairs[i].a < pairs[j].a
-		}
-		return pairs[i].b < pairs[j].b
-	})
-	m.Edge1 = make([]int32, len(pairs))
-	m.Edge2 = make([]int32, len(pairs))
-	for i, p := range pairs {
-		m.Edge1[i] = p.a
-		m.Edge2[i] = p.b
-	}
 }
 
 // BoundaryTriangles returns the triangular faces that belong to exactly
 // one tetrahedron — the surface mesh, which the Rayleigh–Taylor
 // application writes a dataset over ("a triangle data set associated
-// with triangles on tetrahedral faces").
+// with triangles on tetrahedral faces"), sorted by (a, b, c). Every
+// face (a < b < c) is bucketed by a with its (b, c) packed into one
+// key; a face whose key occurs once in its sorted bucket is boundary.
 func (m *Mesh) BoundaryTriangles() [][3]int32 {
-	type tri struct{ a, b, c int32 }
-	count := make(map[tri]int, len(m.Tets)*4)
-	norm := func(a, b, c int32) tri {
-		if a > b {
-			a, b = b, a
-		}
-		if b > c {
-			b, c = c, b
-		}
-		if a > b {
-			a, b = b, a
-		}
-		return tri{a, b, c}
-	}
+	// Of a sorted tet's nodes, each face's first is its smallest.
 	faces := [4][3]int{{0, 1, 2}, {0, 1, 3}, {0, 2, 3}, {1, 2, 3}}
+	// pos[a+2] counts the faces whose smallest node is a; after the
+	// prefix sum and the placement pass, bucket a is keys[pos[a]:pos[a+1]].
+	pos := make([]int, m.NumNodes()+2)
 	for _, t := range m.Tets {
+		slices.Sort(t[:])
 		for _, f := range faces {
-			count[norm(t[f[0]], t[f[1]], t[f[2]])]++
+			pos[int(t[f[0]])+2]++
 		}
 	}
-	var out []tri
-	for f, c := range count {
-		if c == 1 {
-			out = append(out, f)
+	for i := 2; i < len(pos); i++ {
+		pos[i] += pos[i-1]
+	}
+	keys := make([]uint64, 4*len(m.Tets))
+	for _, t := range m.Tets {
+		slices.Sort(t[:])
+		for _, f := range faces {
+			keys[pos[t[f[0]]+1]] = uint64(t[f[1]])<<32 | uint64(t[f[2]])
+			pos[t[f[0]]+1]++
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].a != out[j].a {
-			return out[i].a < out[j].a
+	// Sort each bucket and pack the keys that occur once to the front of
+	// keys; pos becomes the packed offsets.
+	k := 0
+	for a := range m.NumNodes() {
+		b := keys[pos[a]:pos[a+1]]
+		slices.Sort(b)
+		pos[a] = k
+		for i, key := range b {
+			if (i == 0 || key != b[i-1]) && (i+1 == len(b) || key != b[i+1]) {
+				keys[k] = key
+				k++
+			}
 		}
-		if out[i].b != out[j].b {
-			return out[i].b < out[j].b
+	}
+	pos[m.NumNodes()] = k
+	tris := make([][3]int32, 0, k)
+	for a := range m.NumNodes() {
+		for _, key := range keys[pos[a]:pos[a+1]] {
+			tris = append(tris, [3]int32{int32(a), int32(key >> 32), int32(uint32(key))})
 		}
-		return out[i].c < out[j].c
-	})
-	tris := make([][3]int32, len(out))
-	for i, f := range out {
-		tris[i] = [3]int32{f.a, f.b, f.c}
 	}
 	return tris
 }

@@ -9,7 +9,7 @@ package partition
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Graph is an undirected graph in compressed sparse row form. Vertex v
@@ -58,68 +58,88 @@ func (g *Graph) TotalVWgt() int64 {
 // FromEdges builds a CSR graph over nNodes vertices from an edge list
 // (the mesh's edge1/edge2 arrays). Self loops are dropped and duplicate
 // edges merge with accumulated weight, so irregular meshes with repeated
-// connectivity are handled.
+// connectivity are handled. The normalized edges are counting-sorted by
+// their smaller endpoint; each bucket is sorted and its repeats become
+// one weighted edge, so rows come out in ascending neighbour order.
 func FromEdges(nNodes int, edge1, edge2 []int32) (*Graph, error) {
 	if len(edge1) != len(edge2) {
 		return nil, fmt.Errorf("partition: edge1 has %d entries, edge2 %d", len(edge1), len(edge2))
 	}
-	type pair struct{ u, v int32 }
-	seen := make(map[pair]int32, len(edge1))
+	// pos[u+2] counts the edges whose smaller endpoint is u; after the
+	// prefix sum and the placement pass, bucket u is hi[pos[u]:pos[u+1]].
+	pos := make([]int32, nNodes+2)
 	for i := range edge1 {
 		u, v := edge1[i], edge2[i]
 		if u < 0 || v < 0 || int(u) >= nNodes || int(v) >= nNodes {
 			return nil, fmt.Errorf("partition: edge %d (%d,%d) out of range [0,%d)", i, u, v, nNodes)
 		}
+		if u != v {
+			pos[int(min(u, v))+2]++
+		}
+	}
+	for i := 2; i < len(pos); i++ {
+		pos[i] += pos[i-1]
+	}
+	hi := make([]int32, pos[nNodes+1])
+	for i := range edge1 {
+		u, v := edge1[i], edge2[i]
 		if u == v {
 			continue
 		}
 		if u > v {
 			u, v = v, u
 		}
-		seen[pair{u, v}]++
-	}
-	deg := make([]int32, nNodes)
-	for p := range seen {
-		deg[p.u]++
-		deg[p.v]++
+		hi[pos[u+1]] = v
+		pos[u+1]++
 	}
 	xadj := make([]int32, nNodes+1)
+	for u := range nNodes {
+		b := hi[pos[u]:pos[u+1]]
+		slices.Sort(b)
+		eachRun(b, func(v, _ int32) {
+			xadj[u+1]++
+			xadj[v+1]++
+		})
+	}
 	for i := 0; i < nNodes; i++ {
-		xadj[i+1] = xadj[i] + deg[i]
+		xadj[i+1] += xadj[i]
 	}
 	adj := make([]int32, xadj[nNodes])
 	ewgt := make([]int32, xadj[nNodes])
 	fill := make([]int32, nNodes)
-	// Deterministic order: sort the unique edges.
-	pairs := make([]pair, 0, len(seen))
-	for p := range seen {
-		pairs = append(pairs, p)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].u != pairs[j].u {
-			return pairs[i].u < pairs[j].u
-		}
-		return pairs[i].v < pairs[j].v
-	})
-	for _, p := range pairs {
-		w := seen[p]
-		adj[xadj[p.u]+fill[p.u]] = p.v
-		ewgt[xadj[p.u]+fill[p.u]] = w
-		fill[p.u]++
-		adj[xadj[p.v]+fill[p.v]] = p.u
-		ewgt[xadj[p.v]+fill[p.v]] = w
-		fill[p.v]++
+	for u := range int32(nNodes) {
+		eachRun(hi[pos[u]:pos[u+1]], func(v, w int32) {
+			adj[xadj[u]+fill[u]] = v
+			ewgt[xadj[u]+fill[u]] = w
+			fill[u]++
+			adj[xadj[v]+fill[v]] = u
+			ewgt[xadj[v]+fill[v]] = w
+			fill[v]++
+		})
 	}
 	return &Graph{XAdj: xadj, Adj: adj, EWgt: ewgt}, nil
 }
 
+// eachRun calls fn with each distinct value of the sorted slice b and
+// the number of times it occurs.
+func eachRun(b []int32, fn func(v, n int32)) {
+	for i := 0; i < len(b); {
+		j := i + 1
+		for j < len(b) && b[j] == b[i] {
+			j++
+		}
+		fn(b[i], int32(j-i))
+		i = j
+	}
+}
+
 // FromEdgeStream builds a CSR graph from an edge stream invoked twice
 // (a degree-counting pass, then a fill pass), so paper-scale meshes
-// partition without a dedup map or a second copy of the edge arrays.
-// The stream must produce unique normalized edges (u < v) in
-// nondecreasing (u, v) order — what mesh.StreamTetEdges and the arrays
-// GenerateTet builds provide — and must be deterministic across the two
-// passes. The result is identical to FromEdges over the same edges.
+// partition without sorting or copying the edge arrays. The stream must
+// produce unique normalized edges (u < v) in increasing (u, v) order —
+// what mesh.StreamTetEdges and every generated mesh's edge arrays
+// provide — and must be deterministic across the two passes. The result
+// is identical to FromEdges over the same edges.
 func FromEdgeStream(nNodes int, stream func(yield func(u, v int32) error) error) (*Graph, error) {
 	deg := make([]int32, nNodes)
 	var prevU, prevV int32 = -1, -1

@@ -133,16 +133,17 @@ func Multilevel(g *Graph, nparts int, opts Options) (Vector, error) {
 }
 
 // mlWorkspace holds the multilevel partitioner's reusable round
-// buffers: the matching and shuffle arrays and edge-triple scratch of
-// each coarsening round, and the weight/gain arrays of each refinement
+// buffers: the matching, shuffle and contraction arrays of each
+// coarsening round, and the weight/gain arrays of each refinement
 // sweep. One workspace serves a whole Multilevel call; rounds reuse the
 // grown capacity instead of reallocating per level.
 type mlWorkspace struct {
 	match    []int32
 	order    []int
-	triples  []cedge
-	deg      []int32
-	fill     []int32
+	mark     []int32 // coarse vertex -> 1 + the coarse row that last saw it
+	acc      []int32 // coarse vertex -> weight summed into the current row
+	adj      []int32 // coarse adjacency, before its exact-size copy
+	ewgt     []int32
 	weights  []int64
 	gains    []int64
 	growOrd  []int
@@ -157,13 +158,12 @@ func grow[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// cedge is one cross edge of the contracted graph during aggregation.
-type cedge struct {
-	u, v int32
-	w    int32
-}
-
-// coarsen contracts a heavy-edge matching of g.
+// coarsen contracts a heavy-edge matching of g. Each coarse row merges
+// the adjacency of its one or two fine vertices through a marker array
+// (METIS's contraction): O(|E|), with no sort over the level's edges
+// and no hash map. A row sums each weight from its own side, which the
+// symmetric graph makes equal to the other side's sum, and is sorted
+// ascending, so matching and refinement meet neighbours in id order.
 func coarsen(g *Graph, rng *sim.RNG, ws *mlWorkspace) (*Graph, []int32) {
 	n := g.NumVertices()
 	ws.match = grow(ws.match, n)
@@ -193,87 +193,62 @@ func coarsen(g *Graph, rng *sim.RNG, ws *mlWorkspace) (*Graph, []int32) {
 			match[u] = u
 		}
 	}
-	// Number coarse vertices.
+	// Number coarse vertices in order of their lower (or only) fine
+	// vertex u, the one with match[u] >= u.
 	cmap := make([]int32, n)
-	for i := range cmap {
-		cmap[i] = -1
-	}
 	var nc int32
 	for u := int32(0); u < int32(n); u++ {
-		if cmap[u] != -1 {
+		if match[u] >= u {
+			cmap[u], cmap[match[u]] = nc, nc
+			nc++
+		}
+	}
+	// Build the coarse rows in the same order: a neighbour's first
+	// sighting in row c marks it and appends it, and every sighting adds
+	// the fine edge's weight.
+	ws.mark = grow(ws.mark, int(nc))
+	mark := ws.mark
+	clear(mark)
+	ws.acc = grow(ws.acc, int(nc))
+	acc := ws.acc
+	ws.adj = grow(ws.adj, len(g.Adj))
+	ws.ewgt = grow(ws.ewgt, len(g.Adj))
+	cadj, cew := ws.adj, ws.ewgt
+	vwgt := make([]int32, nc)
+	xadj := make([]int32, nc+1)
+	var k int32
+	for u := int32(0); u < int32(n); u++ {
+		if match[u] < u {
 			continue
 		}
-		cmap[u] = nc
-		if match[u] != u && match[u] >= 0 {
-			cmap[match[u]] = nc
-		}
-		nc++
-	}
-	// Build the coarse graph. Cross edges are aggregated by sorting
-	// normalized (u, v, w) triples and merging equal pairs — the same
-	// deterministic (u, v)-ordered result the map-based version
-	// produced, without a per-level hash map.
-	vwgt := make([]int32, nc)
-	for u := int32(0); u < int32(n); u++ {
-		vwgt[cmap[u]] += g.vwgt(u)
-	}
-	triples := ws.triples[:0]
-	for u := int32(0); u < int32(n); u++ {
-		cu := cmap[u]
-		for i := g.XAdj[u]; i < g.XAdj[u+1]; i++ {
-			cv := cmap[g.Adj[i]]
-			if cu == cv {
-				continue
+		c := cmap[u]
+		for _, f := range [2]int32{u, match[u]} {
+			vwgt[c] += g.vwgt(f)
+			for i := g.XAdj[f]; i < g.XAdj[f+1]; i++ {
+				cv := cmap[g.Adj[i]]
+				if cv == c {
+					continue
+				}
+				if mark[cv] != c+1 {
+					mark[cv] = c + 1
+					acc[cv] = 0
+					cadj[k] = cv
+					k++
+				}
+				acc[cv] += g.ewgt(i)
 			}
-			a, b := cu, cv
-			if a > b {
-				a, b = b, a
+			if match[u] == u {
+				break
 			}
-			triples = append(triples, cedge{a, b, g.ewgt(i)})
 		}
-	}
-	ws.triples = triples
-	slices.SortFunc(triples, func(x, y cedge) int {
-		if x.u != y.u {
-			return int(x.u - y.u)
+		row := cadj[xadj[c]:k]
+		slices.Sort(row)
+		for j, cv := range row {
+			cew[xadj[c]+int32(j)] = acc[cv]
 		}
-		return int(x.v - y.v)
-	})
-	// Merge equal (u, v) runs in place, summing weights.
-	merged := triples[:0]
-	for _, t := range triples {
-		if k := len(merged); k > 0 && merged[k-1].u == t.u && merged[k-1].v == t.v {
-			merged[k-1].w += t.w
-		} else {
-			merged = append(merged, t)
-		}
+		xadj[c+1] = k
 	}
-	ws.deg = grow(ws.deg, int(nc))
-	deg := ws.deg
-	clear(deg)
-	for _, e := range merged {
-		deg[e.u]++
-		deg[e.v]++
-	}
-	xadj := make([]int32, nc+1)
-	for i := int32(0); i < nc; i++ {
-		xadj[i+1] = xadj[i] + deg[i]
-	}
-	adj := make([]int32, xadj[nc])
-	ew := make([]int32, xadj[nc])
-	ws.fill = grow(ws.fill, int(nc))
-	fill := ws.fill
-	clear(fill)
-	for _, e := range merged {
-		w := e.w / 2 // each fine edge contributes from both endpoints
-		adj[xadj[e.u]+fill[e.u]] = e.v
-		ew[xadj[e.u]+fill[e.u]] = w
-		fill[e.u]++
-		adj[xadj[e.v]+fill[e.v]] = e.u
-		ew[xadj[e.v]+fill[e.v]] = w
-		fill[e.v]++
-	}
-	return &Graph{XAdj: xadj, Adj: adj, VWgt: vwgt, EWgt: ew}, cmap
+	return &Graph{XAdj: xadj, Adj: slices.Clone(cadj[:k]), VWgt: vwgt, EWgt: slices.Clone(cew[:k])}, cmap
 }
 
 // growPartition seeds nparts regions and grows them by BFS, weight-

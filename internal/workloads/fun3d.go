@@ -66,7 +66,7 @@ const MshFileName = "uns3d.msh"
 // NewFUN3D generates the mesh and its data arrays. The mesh comes from
 // the streamed edge generator: FUN3D consumes edges and nodes, never
 // the tetrahedra, so paper-scale grids (nx=128, ~15M edges) skip the
-// tet array and the edge-dedup map entirely.
+// tet array entirely.
 func NewFUN3D(cfg FUN3DConfig) (*FUN3D, error) {
 	cfg.fill()
 	m, err := mesh.GenerateTetEdges(cfg.NX, cfg.NY, cfg.NZ)
@@ -122,7 +122,7 @@ func (f *FUN3D) PartVec(nparts int) ([]int32, error) {
 		return v, nil
 	}
 	// Stream the (already sorted, unique) edge arrays into the CSR
-	// builder: no dedup map, the partition-side memory peak at paper
+	// builder: no bucket pass, the partition-side memory peak at paper
 	// scale is the graph itself.
 	g, err := partition.FromEdgeStream(f.Mesh.NumNodes(), func(yield func(u, v int32) error) error {
 		for i := range f.Mesh.Edge1 {

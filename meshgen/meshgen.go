@@ -21,14 +21,18 @@ type MshLayout = mesh.MshLayout
 // one boundary-triangle dataset per checkpoint.
 type RT = mesh.RT
 
+// GridTooLargeError is the error every generator returns, before it
+// allocates anything, for a grid of more than math.MaxInt32 nodes.
+type GridTooLargeError = mesh.GridTooLargeError
+
 // GenerateTet builds a deterministic tetrahedral mesh over the unit
 // cube from an nx x ny x nz grid (six tets per hex).
 func GenerateTet(nx, ny, nz int) (*Mesh, error) { return mesh.GenerateTet(nx, ny, nz) }
 
 // GenerateTetEdges builds the same mesh as GenerateTet minus the
-// tetrahedra, through the streamed closed-form edge stencil — the
+// tetrahedra, from the streamed closed-form edge stencil — the
 // paper-scale path for edge/node workloads (~15M edges at nx=128 with
-// no tet array and no dedup map).
+// no tet array).
 func GenerateTetEdges(nx, ny, nz int) (*Mesh, error) { return mesh.GenerateTetEdges(nx, ny, nz) }
 
 // StreamTetEdges generates GenerateTet's unique sorted edges in reused

@@ -1,7 +1,9 @@
 package meshgen
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -54,6 +56,37 @@ func TestPublicSweepConservation(t *testing.T) {
 	for i := range pl {
 		if pl[i] != 0 || ql[i] != 0 {
 			t.Fatal("unowned nodes accumulated flux")
+		}
+	}
+}
+
+// TestPublicGridTooLarge: through the public surface too, a 1291³ grid
+// is a *GridTooLargeError before anything is allocated or yielded.
+func TestPublicGridTooLarge(t *testing.T) {
+	const n = 1291
+	calls := map[string]func() error{
+		"GenerateTet": func() error {
+			_, err := GenerateTet(n, n, n)
+			return err
+		},
+		"GenerateTetEdges": func() error {
+			_, err := GenerateTetEdges(n, n, n)
+			return err
+		},
+		"StreamTetEdges": func() error {
+			return StreamTetEdges(n, n, n, 0, func(e1, e2 []int32) error {
+				t.Fatal("an edge was yielded")
+				return nil
+			})
+		},
+	}
+	for name, call := range calls {
+		var big *GridTooLargeError
+		err := call()
+		if !errors.As(err, &big) || big.Nodes != 1292*1292*1292 {
+			t.Errorf("%s(%d³) = %v, want a *GridTooLargeError of %d nodes", name, n, err, 1292*1292*1292)
+		} else if !strings.Contains(err.Error(), "1291x1291x1291 grid has 2156689088 nodes") {
+			t.Errorf("%s(%d³): error %q does not name the grid and its node count", name, n, err)
 		}
 	}
 }

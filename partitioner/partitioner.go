@@ -26,7 +26,7 @@ func FromEdges(nNodes int, edge1, edge2 []int32) (*Graph, error) {
 
 // FromEdgeStream builds the same graph from a twice-invoked stream of
 // unique sorted normalized edges (meshgen.StreamTetEdges's shape), so
-// paper-scale meshes partition without a dedup map.
+// paper-scale meshes partition without a second copy of the edges.
 func FromEdgeStream(nNodes int, stream func(yield func(u, v int32) error) error) (*Graph, error) {
 	return partition.FromEdgeStream(nNodes, stream)
 }
