@@ -19,6 +19,7 @@ import (
 	"math/bits"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"sync"
 
 	"sdm/internal/sim"
@@ -258,7 +259,9 @@ func (c *Comm) Recv(src, tag int) (any, Status) {
 		w.checkAbort()
 		for i, m := range w.boxes[c.rank] {
 			if (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag) {
-				w.boxes[c.rank] = append(w.boxes[c.rank][:i], w.boxes[c.rank][i+1:]...)
+				// slices.Delete zeroes the vacated tail slot, so the
+				// mailbox does not pin a delivered payload.
+				w.boxes[c.rank] = slices.Delete(w.boxes[c.rank], i, i+1)
 				c.clock.AdvanceTo(m.arrival)
 				return m.payload, Status{Source: m.src, Tag: m.tag, Bytes: m.bytes}
 			}

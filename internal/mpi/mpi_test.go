@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"math/rand/v2"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"weak"
 
 	"sdm/internal/sim"
 )
@@ -501,6 +503,30 @@ func TestTrafficCounters(t *testing.T) {
 	if bytes != 800 || msgs != 1 {
 		t.Fatalf("traffic = %d bytes %d msgs, want 800, 1", bytes, msgs)
 	}
+}
+
+// A delivered payload must not stay reachable from its receiver's
+// mailbox: once the ranks drop it, it is collectable while the World is
+// still live.
+func TestRecvReleasesPayload(t *testing.T) {
+	w := NewWorld(2, fastConfig())
+	var sent weak.Pointer[[1 << 20]byte]
+	if err := w.Run(func(c *Comm) {
+		if c.Rank() == 0 {
+			p := new([1 << 20]byte)
+			sent = weak.Make(p)
+			c.Send(1, 0, p, int64(len(p)))
+		} else {
+			c.Recv(0, 0)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	if sent.Value() != nil {
+		t.Fatal("a delivered 1 MiB payload is still reachable from the World")
+	}
+	runtime.KeepAlive(w)
 }
 
 func TestRunRepeatedPhases(t *testing.T) {

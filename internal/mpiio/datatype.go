@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 
 	"sdm/internal/mpi"
 	"sdm/internal/pfs"
@@ -48,18 +47,16 @@ type Datatype struct {
 // lets File.SetView charge a rank for that flatten once. The first rank
 // takes an inline slot, so a type built and installed by one rank — every
 // view SDM builds — records it without allocating. Further ranks, when a
-// type is shared between rank goroutines, go to a list.
+// type is shared between ranks, go to a list. It takes no lock: only the
+// rank holding the turn (internal/mpi) calls in.
 type rankSet struct {
-	mu    sync.Mutex
 	first *mpi.Comm
 	more  []*mpi.Comm
 }
 
 // add records c and reports whether it was not recorded before. Each
-// rank is new exactly once, whatever order concurrent ranks arrive in.
+// rank is new exactly once, whatever order the ranks take their turns in.
 func (s *rankSet) add(c *mpi.Comm) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	switch {
 	case s.first == c || slices.Contains(s.more, c):
 		return false

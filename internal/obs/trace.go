@@ -77,8 +77,9 @@ type Span struct {
 func (s *Span) Dur() sim.Duration { return s.End.Sub(s.Start) }
 
 // Tracer records spans against virtual timestamps. Safe for concurrent
-// use (rank goroutines and the shared PFS emit concurrently); a nil
-// Tracer is the no-op default.
+// use: ranks take turns, but sdmd's request handlers emit their
+// host-time spans from goroutines of their own. A nil Tracer is the
+// no-op default.
 type Tracer struct {
 	mu      sync.Mutex
 	spans   []Span

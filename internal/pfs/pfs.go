@@ -26,8 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
 
 	"sdm/internal/obs"
 	"sdm/internal/sim"
@@ -93,49 +91,20 @@ type Stats struct {
 	BytesWritten int64
 }
 
-// atomicStats is the lock-free internal representation of Stats, so the
-// data path never serializes rank goroutines on a statistics mutex.
-type atomicStats struct {
-	opens        atomic.Int64
-	creates      atomic.Int64
-	closes       atomic.Int64
-	views        atomic.Int64
-	readRequests atomic.Int64
-	writeReqs    atomic.Int64
-	bytesRead    atomic.Int64
-	bytesWritten atomic.Int64
-}
-
-func (a *atomicStats) snapshot() Stats {
-	return Stats{
-		Opens:        a.opens.Load(),
-		Creates:      a.creates.Load(),
-		Closes:       a.closes.Load(),
-		Views:        a.views.Load(),
-		ReadRequests: a.readRequests.Load(),
-		WriteReqs:    a.writeReqs.Load(),
-		BytesRead:    a.bytesRead.Load(),
-		BytesWritten: a.bytesWritten.Load(),
-	}
-}
-
 // System is one parallel file system instance: a flat namespace of
-// striped files plus the simulated hardware. It is safe for concurrent
-// use by many rank goroutines. The namespace lives in the storage
-// backend; the files map caches open objects and is guarded by an
-// RWMutex taken only on open/remove operations. Per-file state is
-// guarded by each file's own lock, so with the default memory (and
-// dir) backends, rank goroutines doing data I/O on different files
-// never contend on a system-wide lock; the cas backend adds its own
-// chunk-pool lock beneath (see internal/store).
+// striped files plus the simulated hardware. The namespace lives in the
+// storage backend; the files map caches open objects. Nothing here is
+// locked: only the rank holding the turn (internal/mpi) calls in, or one
+// goroutine outside a World. Other goroutines — sdmd serving a bundle —
+// reach the bytes only through Backend, whose objects keep their own
+// locks.
 type System struct {
 	cfg     Config
 	backend store.Backend
-	mu      sync.RWMutex
 	files   map[string]*file
 	servers []*sim.Resource
 
-	stats atomicStats
+	stats Stats
 
 	// Observability (nil when off — the no-op default). tracer records
 	// each server's service windows as busy spans; serviceHist feeds the
@@ -181,23 +150,8 @@ func (s *System) Config() Config { return s.cfg }
 // Backend exposes the storage backend holding the file bytes.
 func (s *System) Backend() store.Backend { return s.backend }
 
-// Stats returns a single atomically consistent copy of the cumulative
-// activity counters: the eight fields are loaded repeatedly until two
-// consecutive reads agree, so a snapshot taken while rank goroutines
-// are mid-update never pairs a bumped request count with a not-yet
-// bumped byte count. At quiescence (where tests read it) the first
-// double-read already agrees.
-func (s *System) Stats() Stats {
-	prev := s.stats.snapshot()
-	for i := 0; i < 64; i++ {
-		cur := s.stats.snapshot()
-		if cur == prev {
-			return cur
-		}
-		prev = cur
-	}
-	return prev // writers never went quiet; return the latest view
-}
+// Stats returns a copy of the cumulative activity counters.
+func (s *System) Stats() Stats { return s.stats }
 
 // SetTracer attaches (or with nil, detaches) a span tracer. Each PFS
 // server becomes one trace lane under obs.PidServers carrying its
@@ -241,13 +195,13 @@ func (s *System) ChargeView(clock *sim.Clock) {
 	if clock != nil {
 		clock.Advance(s.cfg.ViewCost)
 	}
-	s.stats.views.Add(1)
+	s.stats.Views++
 }
 
 // RegisterMetrics registers the file system's counters and the
 // per-request service-time histogram with a metrics registry. The
-// existing atomic stats are exposed behind Stats as a snapshot source —
-// no hot-path changes.
+// counters are exposed behind Stats as a snapshot source — no hot-path
+// changes.
 func (s *System) RegisterMetrics(r *obs.Registry) {
 	if r == nil {
 		return
@@ -280,38 +234,13 @@ func (s *System) ResetSchedules() {
 	}
 }
 
-// file is the shared state of one open file: a lock serializing
-// mutation around the backend object holding the bytes, and the file's
-// layout. unit is the stripe unit and first the server holding stripe 0,
-// both fixed when the file is created and immutable afterwards, so
-// handles read them without the lock.
+// file is the shared state of one open file: the backend object holding
+// the bytes, and the file's layout. unit is the stripe unit and first the
+// server holding stripe 0, both fixed when the file is created.
 type file struct {
-	mu    sync.RWMutex
 	obj   store.Object
 	unit  int64
 	first int
-}
-
-func (f *file) writeAt(p []byte, off int64) error {
-	if len(p) == 0 {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	_, err := f.obj.WriteAt(p, off)
-	return err
-}
-
-func (f *file) readAt(p []byte, off int64) (int, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.obj.ReadAt(p, off)
-}
-
-func (f *file) size() int64 {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.obj.Size()
 }
 
 // Mode selects how a file is opened.
@@ -369,14 +298,6 @@ type landing struct {
 // the default unit from its name's starting server, as a copy to another
 // file system would be.
 func (s *System) lookup(name string, create bool, unit int64, first int) (*file, bool, error) {
-	s.mu.RLock()
-	f := s.files[name]
-	s.mu.RUnlock()
-	if f != nil {
-		return f, false, nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if f := s.files[name]; f != nil {
 		return f, false, nil
 	}
@@ -397,7 +318,7 @@ func (s *System) lookup(name string, create bool, unit int64, first int) (*file,
 	} else if unit <= 0 {
 		unit = s.cfg.StripeSize
 	}
-	f = &file{obj: obj, unit: unit, first: first}
+	f := &file{obj: obj, unit: unit, first: first}
 	s.files[name] = f
 	return f, created, nil
 }
@@ -428,14 +349,14 @@ func (s *System) open(name string, mode Mode, unit int64, first int, clock *sim.
 	}
 
 	if clock != nil {
-		// Opens charge a fixed metadata cost per process. Concurrent
-		// opens by many ranks proceed in parallel, matching the paper's
-		// observation that XFS file opens are cheap even collectively.
+		// Opens charge a fixed metadata cost per process. Opens by many
+		// ranks overlap in virtual time, matching the paper's observation
+		// that XFS file opens are cheap even collectively.
 		clock.Advance(s.cfg.OpenCost)
 	}
-	s.stats.opens.Add(1)
+	s.stats.Opens++
 	if created {
-		s.stats.creates.Add(1)
+		s.stats.Creates++
 	}
 	h := &Handle{sys: s, f: f, name: name, clock: clock, mode: mode}
 	h.spanScratch, h.vecScratch = h.spanBuf[:0], h.vecBuf[:0]
@@ -474,10 +395,7 @@ func NameHash(name string) uint64 {
 
 // Exists reports whether a file is present.
 func (s *System) Exists(name string) bool {
-	s.mu.RLock()
-	_, cached := s.files[name]
-	s.mu.RUnlock()
-	if cached {
+	if _, cached := s.files[name]; cached {
 		return true
 	}
 	_, err := s.backend.Stat(name)
@@ -489,10 +407,7 @@ func (s *System) Exists(name string) bool {
 // layout the way it learns of the file's existence. ok is false when the
 // file does not exist.
 func (s *System) StripeUnit(name string) (unit int64, ok bool) {
-	s.mu.RLock()
-	f := s.files[name]
-	s.mu.RUnlock()
-	if f != nil {
+	if f := s.files[name]; f != nil {
 		return f.unit, true
 	}
 	if _, err := s.backend.Stat(name); err != nil {
@@ -504,8 +419,6 @@ func (s *System) StripeUnit(name string) (unit int64, ok bool) {
 // Remove deletes a file from the namespace. With the memory backend,
 // open handles keep their data (POSIX-like unlink semantics).
 func (s *System) Remove(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if err := s.backend.Remove(name); err != nil {
 		if errors.Is(err, store.ErrNotExist) {
 			return fmt.Errorf("remove %q: %w", name, ErrNotExist)
@@ -527,11 +440,8 @@ func (s *System) List() []string {
 
 // FileSize reports a file's current size without opening it.
 func (s *System) FileSize(name string) (int64, error) {
-	s.mu.RLock()
-	f := s.files[name]
-	s.mu.RUnlock()
-	if f != nil {
-		return f.size(), nil
+	if f := s.files[name]; f != nil {
+		return f.obj.Size(), nil
 	}
 	n, err := s.backend.Stat(name)
 	if err != nil {
@@ -555,7 +465,7 @@ func (h *Handle) Close() error {
 	if h.clock != nil {
 		h.clock.Advance(h.sys.cfg.CloseCost)
 	}
-	h.sys.stats.closes.Add(1)
+	h.sys.stats.Closes++
 	return nil
 }
 
@@ -678,8 +588,9 @@ func (h *Handle) Landed(x int64) (at sim.Time, ok bool) {
 // request i's completion, chained through the call rather than through
 // the clock; the clock then advances to the last completion. A request
 // the rank does not wait for is issued on a forked clock
-// (sim.Clock.Rebase). One call is one stats update and, in steady state,
-// zero allocations.
+// (sim.Clock.Rebase). One call is one stats update — counting every
+// request it charged, also when a backend error stops it — and, in
+// steady state, zero allocations.
 // ---------------------------------------------------------------------------
 
 // Extent is one (offset, length) piece of a vectored request.
@@ -794,27 +705,29 @@ func (h *Handle) WriteAtVec(p []byte, exts []Extent) (int, error) {
 		return 0, fmt.Errorf("pfs: vectored write of %d extent bytes with %d payload bytes", total, len(p))
 	}
 	done := h.start()
-	var reqs int64
-	for i := 0; i < len(spans) && err == nil; reqs++ {
+	var reqs, written int64
+	for i := 0; i < len(spans) && err == nil; {
 		j := h.requestEnd(spans, i)
 		var n int64
 		for _, sp := range spans[i:j] {
-			if err = h.f.writeAt(p[sp.pPos:sp.pPos+sp.n], sp.off); err != nil {
+			if _, err = h.f.obj.WriteAt(p[sp.pPos:sp.pPos+sp.n], sp.off); err != nil {
 				break
 			}
 			n += sp.n
 		}
 		if err == nil {
 			done = h.chargeRequest(spans[i:j], n, done)
+			reqs++
+			written += n
 		}
 		i = j
 	}
 	h.finish(done)
+	h.sys.stats.WriteReqs += reqs
+	h.sys.stats.BytesWritten += written
 	if err != nil {
 		return 0, err
 	}
-	h.sys.stats.writeReqs.Add(reqs)
-	h.sys.stats.bytesWritten.Add(total)
 	return int(total), nil
 }
 
@@ -836,12 +749,12 @@ func (h *Handle) ReadAtVec(p []byte, exts []Extent) (int, error) {
 	}
 	done := h.start()
 	var read, reqs int64
-	for i := 0; i < len(spans) && err == nil; reqs++ {
+	for i := 0; i < len(spans) && err == nil; {
 		j := h.requestEnd(spans, i)
 		var got int64
 		for _, sp := range spans[i:j] {
 			buf := p[sp.pPos : sp.pPos+sp.n]
-			n, rerr := h.f.readAt(buf, sp.off)
+			n, rerr := h.f.obj.ReadAt(buf, sp.off)
 			if int64(n) < sp.n {
 				clear(buf[n:])
 				if rerr != nil && rerr != io.EOF {
@@ -852,17 +765,18 @@ func (h *Handle) ReadAtVec(p []byte, exts []Extent) (int, error) {
 			got += int64(n)
 		}
 		if err == nil {
-			read += got
 			done = h.chargeRequest(spans[i:j], got, done)
+			reqs++
+			read += got
 		}
 		i = j
 	}
 	h.finish(done)
+	h.sys.stats.ReadRequests += reqs
+	h.sys.stats.BytesRead += read
 	if err != nil {
 		return int(read), err
 	}
-	h.sys.stats.readRequests.Add(reqs)
-	h.sys.stats.bytesRead.Add(read)
 	if read < total {
 		return int(read), io.EOF
 	}
@@ -881,8 +795,10 @@ func (s *System) WriteFile(name string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	if err := h.f.writeAt(data, 0); err != nil {
-		return err
+	if len(data) > 0 {
+		if _, err := h.f.obj.WriteAt(data, 0); err != nil {
+			return err
+		}
 	}
 	return h.Close()
 }
@@ -896,11 +812,11 @@ func (s *System) ReadFile(name string) ([]byte, error) {
 		}
 		return nil, err // a real backend failure, not absence
 	}
-	buf := make([]byte, f.size())
+	buf := make([]byte, f.obj.Size())
 	if len(buf) == 0 {
 		return buf, nil
 	}
-	if _, err := f.readAt(buf, 0); err != nil && err != io.EOF {
+	if _, err := f.obj.ReadAt(buf, 0); err != nil && err != io.EOF {
 		return nil, err
 	}
 	return buf, nil

@@ -2,12 +2,14 @@ package pfs
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"testing"
 	"time"
 
 	"sdm/internal/obs"
 	"sdm/internal/sim"
+	"sdm/internal/store"
 )
 
 func vecConfig() Config {
@@ -279,5 +281,51 @@ func TestLandedStreamsInOrder(t *testing.T) {
 	}
 	if _, ok := h.Landed(512); ok {
 		t.Error("a two-server request reports an order")
+	}
+}
+
+// A backend error that stops a vectored call leaves the requests before
+// it charged to their servers and their bytes moved; Stats counts
+// exactly those, as the servers do.
+func TestVecStatsCountChargedRequestsOnError(t *testing.T) {
+	exts := []Extent{{Off: 0, Len: 100}, {Off: 1024, Len: 200}, {Off: 2048, Len: 300}} // stripes 0, 1, 2
+	charged := func(s *System) (reqs int64) {
+		for _, r := range s.servers {
+			_, n := r.Stats()
+			reqs += n
+		}
+		return reqs
+	}
+
+	// Write: the backend's Open (absent) and Create are ops 1 and 2, the
+	// three requests' writes ops 3 to 5; the crash at op 4 fails the second.
+	faulty := store.NewFaulty(store.NewMem(), store.FaultConfig{CrashAtOp: 4})
+	s := NewSystemOn(vecConfig(), faulty)
+	h, err := s.Open("f", CreateMode, sim.NewClock())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.WriteAtVec(make([]byte, 600), exts); !errors.Is(err, store.ErrCrashed) {
+		t.Fatalf("write across the crash: %v", err)
+	}
+	if st := s.Stats(); st.WriteReqs != 1 || st.BytesWritten != 100 || charged(s) != 1 {
+		t.Fatalf("after a failed write: %+v, %d requests charged; want 1 request of 100 bytes", st, charged(s))
+	}
+
+	// Read: the file is written on a clean backend first; the backend's
+	// Open is op 1, the three requests' reads ops 2 to 4.
+	mem := store.NewMem()
+	if err := NewSystemOn(vecConfig(), mem).WriteFile("f", make([]byte, 3072)); err != nil {
+		t.Fatal(err)
+	}
+	s = NewSystemOn(vecConfig(), store.NewFaulty(mem, store.FaultConfig{CrashAtOp: 3}))
+	if h, err = s.Open("f", ReadOnly, sim.NewClock()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.ReadAtVec(make([]byte, 600), exts); !errors.Is(err, store.ErrCrashed) {
+		t.Fatalf("read across the crash: %v", err)
+	}
+	if st := s.Stats(); st.ReadRequests != 1 || st.BytesRead != 100 || charged(s) != 1 {
+		t.Fatalf("after a failed read: %+v, %d requests charged; want 1 request of 100 bytes", st, charged(s))
 	}
 }

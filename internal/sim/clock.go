@@ -9,7 +9,6 @@ package sim
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -113,10 +112,10 @@ func (c *Clock) Rebase(t Time) { c.now = t }
 
 // Resource models a shared serial resource (an I/O server, a metadata
 // server, a shared link). Requests arriving while the resource is busy
-// queue behind it in virtual time. Resource is safe for concurrent use
-// by multiple ranks.
+// queue behind it in virtual time. It takes no lock: only the rank
+// holding the turn (internal/mpi), or one goroutine outside a World,
+// calls in.
 type Resource struct {
-	mu        sync.Mutex
 	busyUntil Time
 	busyTotal Duration // total busy time, for utilization reporting
 	requests  int64
@@ -129,31 +128,20 @@ func (r *Resource) Acquire(at Time, service Duration) Time {
 	if service < 0 {
 		service = 0
 	}
-	r.mu.Lock()
-	start := MaxTime(at, r.busyUntil)
-	done := start.Add(service)
+	done := MaxTime(at, r.busyUntil).Add(service)
 	r.busyUntil = done
 	r.busyTotal += service
 	r.requests++
-	r.mu.Unlock()
 	return done
 }
 
 // Stats reports the cumulative busy time and request count.
 func (r *Resource) Stats() (busy Duration, requests int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.busyTotal, r.requests
 }
 
 // Reset clears the resource schedule, for reuse between experiments.
-func (r *Resource) Reset() {
-	r.mu.Lock()
-	r.busyUntil = 0
-	r.busyTotal = 0
-	r.requests = 0
-	r.mu.Unlock()
-}
+func (r *Resource) Reset() { *r = Resource{} }
 
 // TransferCost returns the virtual time needed to move n bytes over a
 // channel with the given fixed latency and bandwidth (bytes/second).

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -163,28 +162,6 @@ func TestResourceReset(t *testing.T) {
 	}
 	if busy, n := r.Stats(); busy != 0 || n != 0 {
 		t.Fatal("Reset did not clear stats")
-	}
-}
-
-func TestResourceConcurrentTotal(t *testing.T) {
-	// Regardless of goroutine arrival order, a saturated resource must
-	// accumulate the exact total busy time.
-	var r Resource
-	var wg sync.WaitGroup
-	const workers, each = 16, 25
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < each; j++ {
-				r.Acquire(0, time.Millisecond)
-			}
-		}()
-	}
-	wg.Wait()
-	want := Time(workers * each * int(time.Millisecond))
-	if r.busyUntil != want {
-		t.Fatalf("busyUntil = %v, want %v", r.busyUntil, want)
 	}
 }
 

@@ -77,9 +77,9 @@ type Spec struct {
 //     returns (0, io.EOF). Zero-length reads return (0, nil).
 //
 // Offsets are non-negative; callers (the pfs layer) validate before
-// calling. Objects are not safe for concurrent mutation — the pfs
-// layer serializes writers per file — but concurrent readers are
-// allowed.
+// calling. Objects are not safe for concurrent mutation — ranks take
+// turns (internal/mpi), so one writer at a time reaches a file through
+// the pfs layer — but concurrent readers are allowed.
 type Object interface {
 	ReadAt(p []byte, off int64) (int, error)
 	WriteAt(p []byte, off int64) (int, error)
