@@ -2,8 +2,9 @@ package pfs
 
 import (
 	"fmt"
-	"sync"
 	"testing"
+
+	"sdm/internal/mpi"
 )
 
 // statsLE reports whether every field of a is <= the matching field of
@@ -15,10 +16,9 @@ func statsLE(a, b Stats) bool {
 		a.BytesRead <= b.BytesRead && a.BytesWritten <= b.BytesWritten
 }
 
-// Stats must stay monotonic and land on the exact totals while
-// rank goroutines hammer the counters — the race the consistent
-// snapshot closed (field-by-field reads could pair a bumped request
-// count with a stale byte count, or tear across a concurrent reset).
+// Stats snapshots taken by one rank while writer ranks take turns doing
+// I/O must stay monotonic, sit between the totals of the rounds the
+// barriers bracket, and land on the exact totals at the end.
 func TestStatsSnapshotUnderConcurrency(t *testing.T) {
 	s := NewSystem(freeConfig())
 	const (
@@ -26,60 +26,48 @@ func TestStatsSnapshotUnderConcurrency(t *testing.T) {
 		rounds  = 200
 		chunk   = 64
 	)
+	reader := writers // the last rank only takes snapshots
 
-	stop := make(chan struct{})
-	var readerWG sync.WaitGroup
-	var snapErr error
-	readerWG.Add(1)
-	go func() {
-		defer readerWG.Done()
-		prev := s.Stats()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			cur := s.Stats()
-			if !statsLE(prev, cur) {
-				snapErr = fmt.Errorf("snapshot went backwards:\nprev %+v\ncur  %+v", prev, cur)
-				return
-			}
-			prev = cur
-		}
-	}()
-
-	var writerWG sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		writerWG.Add(1)
-		go func(w int) {
-			defer writerWG.Done()
-			h, err := s.Open(fmt.Sprintf("f%d", w), CreateMode, nil)
+	w := mpi.NewWorld(writers+1, mpi.Config{})
+	err := w.Run(func(c *mpi.Comm) {
+		check := func(err error) {
 			if err != nil {
-				t.Error(err)
-				return
+				panic(err)
 			}
-			buf := make([]byte, chunk)
+		}
+		if c.Rank() == reader {
+			prev := s.Stats()
 			for i := 0; i < rounds; i++ {
-				if _, err := writeAt(h, buf, int64(i*chunk)); err != nil {
-					t.Error(err)
-					return
+				// Barrier i-1 has passed: every writer finished round
+				// i-1, none has gone past round i.
+				cur := s.Stats()
+				if !statsLE(prev, cur) {
+					panic(fmt.Sprintf("snapshot went backwards:\nprev %+v\ncur  %+v", prev, cur))
 				}
-				if _, err := readAt(h, buf, int64(i*chunk)); err != nil {
-					t.Error(err)
-					return
+				lo, hi := int64(writers*i), int64(writers*(i+1))
+				if cur.WriteReqs < lo || cur.WriteReqs > hi ||
+					cur.ReadRequests < lo || cur.ReadRequests > hi {
+					panic(fmt.Sprintf("round %d: snapshot %+v outside [%d, %d] requests", i, cur, lo, hi))
 				}
+				prev = cur
+				c.Barrier()
 			}
-			if err := h.Close(); err != nil {
-				t.Error(err)
-			}
-		}(w)
-	}
-	writerWG.Wait()
-	close(stop)
-	readerWG.Wait()
-	if snapErr != nil {
-		t.Fatal(snapErr)
+			return
+		}
+		h, err := s.Open(fmt.Sprintf("f%d", c.Rank()), CreateMode, nil)
+		check(err)
+		buf := make([]byte, chunk)
+		for i := 0; i < rounds; i++ {
+			_, err := writeAt(h, buf, int64(i*chunk))
+			check(err)
+			_, err = readAt(h, buf, int64(i*chunk))
+			check(err)
+			c.Barrier()
+		}
+		check(h.Close())
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	want := Stats{
