@@ -76,10 +76,6 @@ type BundleOptions struct {
 	// (default 8 MiB): flushes larger than this upload in PartSize
 	// pieces through a multipart session with per-part retry.
 	PartSize int64
-	// ObjCost prices the "obj" remote; nil or zero fields take
-	// objstore.DefaultCost. Only the first Dial of an endpoint sets
-	// its pricing.
-	ObjCost *ObjStoreCost
 	// Retry, when non-nil, wraps the bundle's backend in a store.Retry
 	// decorator so transient backend faults (store.ErrUnavailable) are
 	// masked by bounded backoff instead of failing the save or open.
@@ -270,20 +266,18 @@ func saveBundle(cl *Cluster, dir string, opts BundleOptions) error {
 		return fmt.Errorf("sdm: listing cluster files: %w", err)
 	}
 	plan := make([]bundlePlanEntry, 0, len(names))
-	files := make([]bundleFile, 0, len(names))
 	for _, name := range names {
 		data, err := cl.FS.ReadFile(name)
 		if err != nil {
 			return fmt.Errorf("sdm: reading %q for bundle: %w", name, err)
 		}
 		plan = append(plan, bundlePlanEntry{name: name, data: data})
-		files = append(files, bundleFile{Name: name, Size: int64(len(data))})
 	}
 	var catBuf bytes.Buffer
 	if err := cl.DB.Save(&catBuf); err != nil {
 		return fmt.Errorf("sdm: saving bundle catalog: %w", err)
 	}
-	if err := writeBundleWAL(dir, b, plan, files, catBuf.Bytes(), &opts); err != nil {
+	if err := writeBundleWAL(dir, b, plan, catBuf.Bytes(), &opts); err != nil {
 		return err
 	}
 	opts.Metrics.Counter("bundle.saves").Add(1)

@@ -19,9 +19,14 @@ import (
 // the four declarations of the spec fields (PR 21's parent): a MANIFEST.json
 // per backend kind, and two bundle directories whose second save
 // (crashOldFiles → crashNewFiles) was killed after its commit record
-// (wal-sealed, dir) and before it (wal-unsealed, cas). The tests below pin
-// that this build reads them, and writes the same JSON keys for the same
-// options.
+// (wal-sealed, dir) and before it (wal-unsealed, cas). wal-migrate-delta
+// was written by commit b8a8662, the last whose MigrateBundle copied only
+// an execution-table delta: a dir bundle holding crashOldFiles was
+// re-migrated from a source holding crashNewFiles and killed after its
+// commit record. Its log puts a.dat and new.dat only; its manifest also
+// names keep.dat, which that migration kept in place. The tests below
+// pin that this build reads them, and writes the same JSON keys for the
+// same options.
 const goldenFormat1 = "testdata/format1"
 
 var goldenOpts = map[string]BundleOptions{
@@ -100,6 +105,9 @@ func TestGoldenWAL(t *testing.T) {
 	}{
 		"wal-sealed":   {goldenOpts["dir"], true, "rolled-forward", crashNewFiles(), "new"},
 		"wal-unsealed": {goldenOpts["cas"], false, "rolled-back", crashOldFiles(), "old"},
+		// Rolling forward must keep what the manifest names but no put
+		// stages: applyWAL's keep-set is their union.
+		"wal-migrate-delta": {goldenOpts["dir"], true, "rolled-forward", crashNewFiles(), "new"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "bundle")

@@ -15,11 +15,6 @@ import (
 // migrate, recovery, GC and fsck work on a bundleStore and never ask
 // which kind it is (CI greps the rest of the package for the names).
 
-// ObjStoreCost re-exports objstore.CostModel: the latency, bandwidth,
-// and per-request pricing of a simulated remote object store (see
-// BundleOptions.ObjCost).
-type ObjStoreCost = objstore.CostModel
-
 // bundleStore is a bundle directory's byte store, decorated as the
 // options ask, plus the few things the protocol needs that differ by
 // kind — as plain functions, so callers call them whatever the kind.
@@ -55,9 +50,8 @@ func (o *BundleOptions) spec() store.Spec {
 // openBundleStore constructs the byte store sp names for a bundle
 // directory. opts, which may be nil, supplies what is not part of the
 // description: the fault-injection and retry decorators (injection sits
-// beneath retry, so retries mask injected faults), a remote's pricing,
-// and the metrics registry (metering sits on top, so a retried call
-// counts once).
+// beneath retry, so retries mask injected faults) and the metrics
+// registry (metering sits on top, so a retried call counts once).
 func openBundleStore(dir string, sp store.Spec, opts *BundleOptions) (*bundleStore, error) {
 	if opts == nil {
 		opts = &BundleOptions{}
@@ -93,11 +87,7 @@ func openBundleStore(dir string, sp store.Spec, opts *BundleOptions) (*bundleSto
 		// a save, a crash recovery, and a later open all dial the same
 		// simulated remote.
 		sp.Endpoint = bundleEndpoint(dir, sp.Endpoint)
-		var cost objstore.CostModel
-		if opts.ObjCost != nil {
-			cost = *opts.ObjCost
-		}
-		svc := objstore.DialCost(sp.Endpoint, cost)
+		svc := objstore.Dial(sp.Endpoint)
 		st.Backend = objstore.New(svc, objstore.Options{PartSize: sp.PartSize, Retry: opts.Retry})
 		st.audit = func(rep *FsckReport, _ func(string) bool, repair bool) { auditUploads(svc, rep, repair) }
 		st.abortUploads = func() { svc.AbortAllUploads() }

@@ -23,15 +23,17 @@ import (
 // writeBundleWAL runs the 3-phase crash-consistent commit of a bundle:
 // intents durable in the log before any data moves, all data staged
 // under scratch names, a sealed commit record, then the idempotent
-// apply. plan holds the files to (re)write; files, the new manifest's
-// inventory, may name more than plan stages — an incremental commit
-// (MigrateBundle's delta) keeps the unchanged ones in place, protected
-// from the apply sweep by the manifest inventory. Shared verbatim by SaveBundle and
+// apply. plan holds every file of the new bundle, and the manifest
+// lists exactly the plan. Shared verbatim by SaveBundle and
 // MigrateBundle so both get the same crash boundaries. With
 // opts.DisableWAL the log is the nil *store.WAL, which records nothing:
 // the same staging, syncs and renames run without intent records,
 // content hashes or log fsyncs.
-func writeBundleWAL(dir string, b *bundleStore, plan []bundlePlanEntry, files []bundleFile, catBytes []byte, opts *BundleOptions) error {
+func writeBundleWAL(dir string, b *bundleStore, plan []bundlePlanEntry, catBytes []byte, opts *BundleOptions) error {
+	files := make([]bundleFile, len(plan))
+	for i, e := range plan {
+		files[i] = bundleFile{Name: e.name, Size: int64(len(e.data))}
+	}
 	m := bundleManifest{Format: bundleFormat, CreatedAt: time.Now().UTC().Format(time.RFC3339), Spec: b.spec, Files: files}
 	manifestJSON, err := m.encode()
 	if err != nil {
@@ -156,9 +158,11 @@ type bundlePlanEntry struct {
 // sweeps ignore what is already gone.
 func applyWAL(dir string, b store.Backend, puts []store.WALPutRecord, catStage string, manifestJSON []byte, crash crashHook) error {
 	// The keep-set is the union of this save's puts and the manifest's
-	// full inventory: an incremental save (MigrateBundle's delta) only
-	// stages changed files, and the sweep must not reclaim the
-	// unchanged ones the manifest still names.
+	// inventory. A commit this build writes puts every file its manifest
+	// names, so the two agree; the union is for recovery of a log an
+	// earlier build's incremental migration left pending, whose manifest
+	// also names the files that migration kept in place — rolling it
+	// forward must not sweep them (testdata/format1/wal-migrate-delta).
 	want := make(map[string]bool, len(puts))
 	var m bundleManifest
 	if err := json.Unmarshal(manifestJSON, &m); err != nil {

@@ -143,6 +143,13 @@ func (w *World) Run(fn func(*Comm)) error {
 	}
 	w.handOff(-1)
 	wg.Wait()
+	// Every rank is done: the last collective's contributions and result
+	// would otherwise pin its payloads until the next one.
+	clear(w.rv.slots)
+	w.rv.result = nil
+	for _, row := range w.atMatrix {
+		clear(row)
+	}
 	if w.aborted {
 		return fmt.Errorf("mpi: %s", w.abortMsg)
 	}
@@ -449,7 +456,7 @@ type alltoallPayload struct {
 // sendBytes is the total payload this rank contributes, used for the
 // pairwise-exchange cost model. The result slice is the world's reused
 // transpose matrix row: it remains valid until this rank enters the
-// next Alltoall.
+// next Alltoall, or Run returns.
 func (c *Comm) Alltoall(parts []any, sendBytes int64) []any {
 	if len(parts) != c.world.size {
 		panic(fmt.Sprintf("mpi: Alltoall with %d parts for %d ranks", len(parts), c.world.size))
@@ -482,6 +489,7 @@ func (c *Comm) Alltoall(parts []any, sendBytes int64) []any {
 		// allocate once per call.
 		return &c.world.atMatrix, c.AlltoallCost(maxBytes)
 	})
+	c.atPayload.parts = nil // the parts are delivered; do not pin them until the next Alltoall
 	return (*res.(*[][]any))[c.rank]
 }
 

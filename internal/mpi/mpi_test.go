@@ -529,6 +529,55 @@ func TestRecvReleasesPayload(t *testing.T) {
 	runtime.KeepAlive(w)
 }
 
+// Nor may the last collective of a Run pin its payload: a 1 MiB value
+// that is the last Bcast, Allgather or Alltoall contribution is
+// collectable once Run returns, while the World is still live.
+func TestCollectiveReleasesPayload(t *testing.T) {
+	for name, call := range map[string]func(c *Comm, p *[1 << 20]byte){
+		"Bcast": func(c *Comm, p *[1 << 20]byte) {
+			var v any
+			if c.Rank() == 0 {
+				v = p
+			}
+			c.Bcast(0, v, int64(len(p)))
+		},
+		"Allgather": func(c *Comm, p *[1 << 20]byte) {
+			var v any
+			if c.Rank() == 0 {
+				v = p
+			}
+			c.Allgather(v, int64(len(p)))
+		},
+		"Alltoall": func(c *Comm, p *[1 << 20]byte) {
+			parts := make([]any, c.Size())
+			if c.Rank() == 0 {
+				parts[1] = p
+			}
+			c.Alltoall(parts, int64(len(p)))
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			w := NewWorld(2, fastConfig())
+			var sent weak.Pointer[[1 << 20]byte]
+			if err := w.Run(func(c *Comm) {
+				var p *[1 << 20]byte
+				if c.Rank() == 0 {
+					p = new([1 << 20]byte)
+					sent = weak.Make(p)
+				}
+				call(c, p)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			runtime.GC()
+			if sent.Value() != nil {
+				t.Fatalf("the last %s's 1 MiB payload is still reachable from the World", name)
+			}
+			runtime.KeepAlive(w)
+		})
+	}
+}
+
 func TestRunRepeatedPhases(t *testing.T) {
 	w := NewWorld(3, fastConfig())
 	var total atomic.Int64

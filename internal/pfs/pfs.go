@@ -726,7 +726,7 @@ func (h *Handle) WriteAtVec(p []byte, exts []Extent) (int, error) {
 	h.sys.stats.WriteReqs += reqs
 	h.sys.stats.BytesWritten += written
 	if err != nil {
-		return 0, err
+		return int(written), err
 	}
 	return int(total), nil
 }

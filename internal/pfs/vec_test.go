@@ -305,8 +305,8 @@ func TestVecStatsCountChargedRequestsOnError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.WriteAtVec(make([]byte, 600), exts); !errors.Is(err, store.ErrCrashed) {
-		t.Fatalf("write across the crash: %v", err)
+	if n, err := h.WriteAtVec(make([]byte, 600), exts); !errors.Is(err, store.ErrCrashed) || n != 100 {
+		t.Fatalf("write across the crash = %d, %v; want the first request's 100 bytes", n, err)
 	}
 	if st := s.Stats(); st.WriteReqs != 1 || st.BytesWritten != 100 || charged(s) != 1 {
 		t.Fatalf("after a failed write: %+v, %d requests charged; want 1 request of 100 bytes", st, charged(s))

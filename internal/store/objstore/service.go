@@ -179,17 +179,13 @@ var (
 // an "obj" backend reconnect to the same simulated remote across
 // Backend instances — and across simulated process crashes — through
 // this registry.
-func Dial(endpoint string) *Service { return DialCost(endpoint, CostModel{}) }
-
-// DialCost is Dial with explicit pricing for first creation; an
-// endpoint that already exists keeps its original cost model.
-func DialCost(endpoint string, cost CostModel) *Service {
+func Dial(endpoint string) *Service {
 	registryMu.Lock()
 	defer registryMu.Unlock()
 	if s, ok := registry[endpoint]; ok {
 		return s
 	}
-	s := NewService(cost)
+	s := NewService(CostModel{})
 	registry[endpoint] = s
 	return s
 }

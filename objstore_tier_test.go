@@ -24,8 +24,8 @@ import (
 
 // The tier suite covers the "obj" bundle backend and MigrateBundle:
 // crash consistency of multipart saves (at WAL boundaries and at every
-// remote request boundary), hot/cold round trips, incremental
-// migration by execution-table delta, and the cost pin — tiering moves
+// remote request boundary), hot/cold round trips, re-migration after
+// the source changed, and the cost pin — tiering moves
 // bytes in host time plus the remote's own timeline, never a rank
 // clock.
 
@@ -117,8 +117,12 @@ func TestMigrateBundleRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Incremental || st.FilesCopied != st.Files || st.FilesKept != 0 || st.BytesCopied == 0 {
-		t.Fatalf("full migration stats: %+v", st)
+	var size int64
+	for _, data := range files {
+		size += int64(len(data))
+	}
+	if st != (MigrateStats{FilesCopied: len(files), BytesCopied: size}) {
+		t.Fatalf("migration stats %+v, want %d files of %d bytes", st, len(files), size)
 	}
 	gotCold, marker := readBundleState(t, cold)
 	if marker != "hot" || !sameFiles(gotCold, files) {
@@ -130,7 +134,7 @@ func TestMigrateBundleRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rst.Files != st.Files || rst.FilesCopied != st.Files || rst.BytesCopied != st.BytesCopied {
+	if rst != st {
 		t.Fatalf("restore moved %+v, the migration out %+v: want the same files and bytes", rst, st)
 	}
 	gotBack, marker := readBundleState(t, back)
@@ -161,88 +165,78 @@ func TestMigrateBundleRoundTrip(t *testing.T) {
 	assertFsckClean(t, hot, "source after migration")
 }
 
-// TestMigrateBundleIncremental re-migrates after more writes landed in
-// the source and requires the copy to be delta-driven: only files new
-// execution rows touched (plus genuinely new ones) move; the static
-// file is kept in place and survives the apply sweep.
-func TestMigrateBundleIncremental(t *testing.T) {
+// TestMigrateBundleRemigration re-migrates into an existing destination
+// after a second run landed rows and an input was re-staged in place at
+// the same size — a rewrite no execution row records — and requires
+// every cold file to equal its source: a migration copies every file,
+// so no stale bytes stay in the tier.
+func TestMigrateBundleRemigration(t *testing.T) {
 	const procs, globalN, steps = 4, 1 << 10, 2
-	base := t.TempDir()
-	hot := filepath.Join(base, "hot")
-	cold := filepath.Join(base, "cold")
-	objOpts := BundleOptions{Backend: "obj", PartSize: 8 << 10}
+	for _, dstOpts := range []BundleOptions{{Backend: "dir"}, {Backend: "obj", PartSize: 8 << 10}} {
+		t.Run(dstOpts.Backend, func(t *testing.T) {
+			base := t.TempDir()
+			hot := filepath.Join(base, "hot")
+			cold := filepath.Join(base, "cold")
+			writer := NewCluster(ClusterConfig{Procs: procs})
+			if err := writer.StageFile("static.dat", crashPattern('S', 5000)); err != nil {
+				t.Fatal(err)
+			}
+			writeDemoRun(t, writer, globalN, steps)
+			if err := writer.SaveBundle(hot); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := MigrateBundle(hot, cold, dstOpts); err != nil {
+				t.Fatal(err)
+			}
 
-	writer := NewCluster(ClusterConfig{Procs: procs})
-	static := crashPattern('S', 5000)
-	if err := writer.StageFile("static.dat", static); err != nil {
-		t.Fatal(err)
-	}
-	writeDemoRun(t, writer, globalN, steps)
-	if err := writer.SaveBundle(hot); err != nil {
-		t.Fatal(err)
-	}
-	st, err := MigrateBundle(hot, cold, objOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Incremental || st.FilesCopied != st.Files {
-		t.Fatalf("first migration should copy everything: %+v", st)
-	}
+			writeDemoRun(t, writer, globalN, steps)
+			if err := writer.StageFile("static.dat", crashPattern('T', 5000)); err != nil {
+				t.Fatal(err)
+			}
+			if err := writer.SaveBundle(hot); err != nil {
+				t.Fatal(err)
+			}
+			st, err := MigrateBundle(hot, cold, dstOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertFsckClean(t, cold, "cold tier after re-migration")
 
-	// A second run lands fresh execution rows and files; re-save and
-	// re-migrate.
-	writeDemoRun(t, writer, globalN, steps)
-	if err := writer.SaveBundle(hot); err != nil {
-		t.Fatal(err)
-	}
-	st, err = MigrateBundle(hot, cold, objOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Incremental {
-		t.Fatalf("second migration was not incremental: %+v", st)
-	}
-	if st.DeltaRecords == 0 {
-		t.Fatalf("no execution-table delta detected across runs: %+v", st)
-	}
-	if st.FilesKept == 0 {
-		t.Fatalf("incremental migration kept nothing (static.dat should not re-copy): %+v", st)
-	}
-	if st.FilesCopied == 0 || st.FilesCopied >= st.Files {
-		t.Fatalf("incremental migration copied %d of %d files: %+v", st.FilesCopied, st.Files, st)
-	}
-	assertFsckClean(t, cold, "cold tier after incremental migration")
-
-	// The cold bundle equals the source file-for-file, including the
-	// kept static file and both runs' data.
-	hotCl, err := OpenBundle(hot, ClusterConfig{Procs: procs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	coldCl, err := OpenBundle(cold, ClusterConfig{Procs: procs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hotNames, coldNames := hotCl.ListFiles(), coldCl.ListFiles()
-	if fmt.Sprint(hotNames) != fmt.Sprint(coldNames) {
-		t.Fatalf("cold file list %v, hot %v", coldNames, hotNames)
-	}
-	for _, name := range hotNames {
-		want, err := hotCl.ReadFile(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := coldCl.ReadFile(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("file %q diverges after incremental migration", name)
-		}
-	}
-	runs, err := coldCl.Catalog.Runs(nil)
-	if err != nil || len(runs) != 2 {
-		t.Fatalf("cold catalog has %d runs (err %v), want 2", len(runs), err)
+			hotCl, err := OpenBundle(hot, ClusterConfig{Procs: procs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			coldCl, err := OpenBundle(cold, ClusterConfig{Procs: procs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hotNames, coldNames := hotCl.ListFiles(), coldCl.ListFiles()
+			if fmt.Sprint(hotNames) != fmt.Sprint(coldNames) {
+				t.Fatalf("cold file list %v, hot %v", coldNames, hotNames)
+			}
+			var size int64
+			for _, name := range hotNames {
+				want, err := hotCl.ReadFile(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := coldCl.ReadFile(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("cold %q diverges from its source after re-migration", name)
+				}
+				size += int64(len(want))
+			}
+			if st != (MigrateStats{FilesCopied: len(hotNames), BytesCopied: size}) {
+				t.Errorf("re-migration stats %+v, want %d files of %d bytes", st, len(hotNames), size)
+			}
+			runs, err := coldCl.Catalog.Runs(nil)
+			if err != nil || len(runs) != 2 {
+				t.Fatalf("cold catalog has %d runs (err %v), want 2", len(runs), err)
+			}
+		})
 	}
 }
 
