@@ -438,8 +438,8 @@ func TestBundleMixedGroupSubsetRead(t *testing.T) {
 	}
 	// Two steps of both datasets fill the file to 2·(1024+5120)·8 bytes;
 	// the append starts there.
-	rec, err := reader.Catalog.LookupWrite(nil, 1, "b", steps)
-	if err != nil || rec == nil {
+	_, rec, err := reader.Catalog.Slab(nil, 1, "b", steps)
+	if err != nil {
 		t.Fatalf("lookup b@%d: %v, %v", steps, rec, err)
 	}
 	if want := int64(steps * (nA + nB) * 8); rec.FileOffset != want {

@@ -120,17 +120,14 @@ type Proc struct {
 	cluster *Cluster
 }
 
-// Initialize creates this rank's Manager (the paper's SDM_initialize).
-// The cluster's tracer and metrics registry (SetTracer/SetMetrics) are
-// threaded into the Manager unless opts overrides them.
+// Initialize creates this rank's Manager (the paper's SDM_initialize)
+// on the cluster's substrates, with the cluster's tracer and metrics
+// registry (SetTracer/SetMetrics): the one way a Manager is observed.
 func (p *Proc) Initialize(app string, opts Options) (*Manager, error) {
-	if opts.Trace == nil {
-		opts.Trace = p.cluster.tracer
-	}
-	if opts.Metrics == nil {
-		opts.Metrics = p.cluster.metrics
-	}
-	return core.Initialize(core.Env{Comm: p.Comm, FS: p.cluster.FS, Catalog: p.cluster.Catalog}, app, opts)
+	cl := p.cluster
+	return core.Initialize(core.Env{
+		Comm: p.Comm, FS: cl.FS, Catalog: cl.Catalog, Trace: cl.tracer, Metrics: cl.metrics,
+	}, app, opts)
 }
 
 // Rank reports this process's rank.

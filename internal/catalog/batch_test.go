@@ -27,11 +27,15 @@ func TestRecordWritesBatch(t *testing.T) {
 	if got := clock.Now().Sub(before); got != AccessCost {
 		t.Fatalf("batched insert charged %v, want one AccessCost %v", got, AccessCost)
 	}
-	for i := range recs {
-		rec, err := c.LookupWrite(nil, 1, fmt.Sprintf("d%d", i), 10)
-		if err != nil {
-			t.Fatal(err)
-		}
+	keys := make([]WriteKey, len(recs))
+	for i := range keys {
+		keys[i] = WriteKey{Dataset: fmt.Sprintf("d%d", i), Timestep: 10}
+	}
+	got, err := c.LookupWrites(nil, 1, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range got {
 		if rec == nil || rec.FileOffset != int64(i)*4096 {
 			t.Fatalf("record %d = %+v", i, rec)
 		}
@@ -49,9 +53,9 @@ func TestLookupWritesBatchAndCompositeIndex(t *testing.T) {
 	c := newCat(t)
 	for ts := int64(0); ts < 8; ts++ {
 		for _, ds := range []string{"p", "q"} {
-			if err := c.RecordWrite(nil, WriteRecord{
+			if err := c.RecordWrites(nil, []WriteRecord{{
 				RunID: 1, Dataset: ds, Timestep: ts, FileOffset: ts * 100, FileName: "f",
-			}); err != nil {
+			}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -87,32 +91,32 @@ func TestLookupWritesBatchAndCompositeIndex(t *testing.T) {
 	}
 }
 
-// TestLookupWriteUsesCompositeIndex pins the single-probe path to the
-// composite index too: a run with a long per-dataset history must not
-// be scanned per probe.
+// TestLookupWriteUsesCompositeIndex pins the one-key probe (the one Slab
+// issues) to the composite index too: a run with a long per-dataset
+// history must not be scanned per probe.
 func TestLookupWriteUsesCompositeIndex(t *testing.T) {
 	c := newCat(t)
 	const steps = 40
 	for ts := int64(0); ts < steps; ts++ {
-		if err := c.RecordWrite(nil, WriteRecord{
+		if err := c.RecordWrites(nil, []WriteRecord{{
 			RunID: 1, Dataset: "p", Timestep: ts, FileOffset: ts, FileName: "f",
-		}); err != nil {
+		}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	st0 := c.db.StatsSnapshot()
-	rec, err := c.LookupWrite(nil, 1, "p", 17)
+	recs, err := c.LookupWrites(nil, 1, []WriteKey{{Dataset: "p", Timestep: 17}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec == nil || rec.FileOffset != 17 {
+	if rec := recs[0]; rec == nil || rec.FileOffset != 17 {
 		t.Fatalf("lookup = %+v", rec)
 	}
 	st := c.db.StatsSnapshot()
 	if got := st.RowsScanned - st0.RowsScanned; got != 1 {
-		t.Fatalf("LookupWrite scanned %d rows, want 1 via composite index", got)
+		t.Fatalf("a one-key LookupWrites scanned %d rows, want 1 via composite index", got)
 	}
 	if eq, hits := st.PlanEq-st0.PlanEq, st.IndexHits-st0.IndexHits; eq != 1 || hits != 1 {
-		t.Fatalf("LookupWrite ran %d equality plans with %d index hits, want 1 and 1", eq, hits)
+		t.Fatalf("a one-key LookupWrites ran %d equality plans with %d index hits, want 1 and 1", eq, hits)
 	}
 }

@@ -112,8 +112,8 @@ var schema = []string{
 	`CREATE TABLE IF NOT EXISTS execution_table (
 		runid INTEGER, dataset TEXT, timestep INTEGER,
 		file_offset INTEGER, file_name TEXT)`,
-	// The one index every statement on the table probes: LookupWrite(s)
-	// bind all three columns and WritesForRun the first, so each touches
+	// The one index every statement on the table probes: LookupWrites
+	// binds all three columns and WritesForRun the first, so each touches
 	// exactly the rows it returns. (Catalogs saved before PR 24 also list
 	// an index on dataset alone, which they keep; nothing binds it.)
 	`CREATE INDEX IF NOT EXISTS execution_run_ds_ts ON execution_table (runid, dataset, timestep)`,
@@ -200,15 +200,19 @@ func (c *Catalog) RegisterRun(clock *sim.Clock, app string, dimension, problemSi
 	return next, nil
 }
 
-// LookupRun fetches one run_table row.
-func (c *Catalog) LookupRun(clock *sim.Clock, runid int64) (*Run, error) {
+// FindRun fetches one run_table row; a run the table does not hold is
+// NotFound.
+func (c *Catalog) FindRun(clock *sim.Clock, runid int64) (*Run, error) {
 	c.charge(clock)
 	row, err := c.db.QueryRow(
 		`SELECT runid, application, dimension, problem_size, num_timesteps,
 		        year, month, day, hour, min
 		 FROM run_table WHERE runid = ?`, runid)
-	if err != nil || row == nil {
+	if err != nil {
 		return nil, err
+	}
+	if row == nil {
+		return nil, NotFound(fmt.Sprintf("no run %d in run_table", runid))
 	}
 	run := scanRun(row)
 	return &run, nil
@@ -225,15 +229,6 @@ func scanRun(r []metadb.Value) Run {
 		Stamp: time.Date(int(r[5].AsInt()), time.Month(r[6].AsInt()),
 			int(r[7].AsInt()), int(r[8].AsInt()), int(r[9].AsInt()), 0, 0, time.UTC),
 	}
-}
-
-// FindRun is LookupRun for a caller that needs the run to exist.
-func (c *Catalog) FindRun(clock *sim.Clock, runid int64) (*Run, error) {
-	run, err := c.LookupRun(clock, runid)
-	if err == nil && run == nil {
-		err = NotFound(fmt.Sprintf("run %d not found", runid))
-	}
-	return run, err
 }
 
 // Runs lists all registered runs in id order.
@@ -315,20 +310,11 @@ func (c *Catalog) Datasets(clock *sim.Clock, runid int64) ([]DatasetInfo, error)
 // execution_table
 // ---------------------------------------------------------------------------
 
-// RecordWrite inserts an execution_table row (done by process 0 in
-// SDM_write, per the paper).
-func (c *Catalog) RecordWrite(clock *sim.Clock, rec WriteRecord) error {
-	c.charge(clock)
-	_, err := c.db.Exec(
-		`INSERT INTO execution_table VALUES (?, ?, ?, ?, ?)`,
-		rec.RunID, rec.Dataset, rec.Timestep, rec.FileOffset, rec.FileName)
-	return err
-}
-
 // RecordWrites inserts a whole epoch's execution_table rows as one
 // batched statement — process 0 records every dataset of a deferred
-// step in a single database round trip, so the per-query virtual cost
-// is charged once for the batch instead of once per dataset.
+// step in a single database round trip (the paper's SDM_write, where
+// process 0 records the offsets), so the per-query virtual cost is
+// charged once for the batch instead of once per dataset.
 func (c *Catalog) RecordWrites(clock *sim.Clock, recs []WriteRecord) error {
 	if len(recs) == 0 {
 		return nil
@@ -390,16 +376,6 @@ func scanWrite(r []metadb.Value) WriteRecord {
 	}
 }
 
-// LookupWrite finds where a dataset's timestep was last written; nil
-// when absent.
-func (c *Catalog) LookupWrite(clock *sim.Clock, runid int64, dataset string, timestep int64) (*WriteRecord, error) {
-	recs, err := c.LookupWrites(clock, runid, []WriteKey{{Dataset: dataset, Timestep: timestep}})
-	if err != nil {
-		return nil, err
-	}
-	return recs[0], nil
-}
-
 // Slab resolves one timestep of a dataset to what a reader needs to
 // fetch it: the dataset's registered shape (info.Bytes() is the slab's
 // length) and the execution_table row placing its latest write in a
@@ -418,10 +394,11 @@ func (c *Catalog) Slab(clock *sim.Clock, runid int64, dataset string, timestep i
 		}
 		return nil, nil, NotFound(fmt.Sprintf("dataset %q not registered for run %d", dataset, runid))
 	}
-	rec, err := c.LookupWrite(clock, runid, dataset, timestep)
+	recs, err := c.LookupWrites(clock, runid, []WriteKey{{Dataset: dataset, Timestep: timestep}})
 	if err != nil {
 		return nil, nil, err
 	}
+	rec := recs[0]
 	if rec == nil {
 		return nil, nil, NotFound(fmt.Sprintf("no write recorded for run %d dataset %q timestep %d", runid, dataset, timestep))
 	}
@@ -512,8 +489,16 @@ func (c *Catalog) ReleaseImports(clock *sim.Clock, runid int64) error {
 // index_table + index_history_table
 // ---------------------------------------------------------------------------
 
+// historyScope is the annotation_table scope reserved for history
+// digests: one row per history, under runid 0, keyed by its file name.
+// The paper's two history tables stay as they were, so catalogs written
+// before the digest existed still load; their histories have none.
+const historyScope = "sdm.index-history"
+
 // RegisterIndexHistory records a new history (SDM_index_registry): one
-// index_table row plus one index_history_table row per rank.
+// index_table row plus one index_history_table row per rank, and its
+// digest, when it has one, as an annotation_table row — all one charged
+// call.
 func (c *Catalog) RegisterIndexHistory(clock *sim.Clock, h IndexHistory) error {
 	if int64(len(h.EdgeSizes)) != h.NProcs || int64(len(h.NodeSizes)) != h.NProcs {
 		return fmt.Errorf("catalog: history has %d/%d per-rank sizes for %d procs",
@@ -534,11 +519,17 @@ func (c *Catalog) RegisterIndexHistory(clock *sim.Clock, h IndexHistory) error {
 			return err
 		}
 	}
-	return nil
+	if h.Digest == "" {
+		return nil
+	}
+	_, err = c.db.Exec(`INSERT INTO annotation_table VALUES (0, ?, ?, ?)`,
+		historyScope, h.FileName, []byte(h.Digest))
+	return err
 }
 
-// LookupIndexHistory finds a history matching (problemSize, nprocs);
-// nil when none exists — the caller then falls back to the full ring
+// LookupIndexHistory finds a history matching (problemSize, nprocs),
+// with its digest (empty when it was registered without one); nil when
+// none exists — the caller then falls back to the full ring
 // distribution, exactly as SDM_import does.
 func (c *Catalog) LookupIndexHistory(clock *sim.Clock, problemSize, nprocs int64) (*IndexHistory, error) {
 	c.charge(clock)
@@ -567,6 +558,14 @@ func (c *Catalog) LookupIndexHistory(clock *sim.Clock, problemSize, nprocs int64
 		}
 		h.EdgeSizes[i] = r[1].AsInt()
 		h.NodeSizes[i] = r[2].AsInt()
+	}
+	digest, err := c.db.QueryRow(
+		`SELECT v FROM annotation_table WHERE runid = 0 AND scope = ? AND k = ?`, historyScope, h.FileName)
+	if err != nil {
+		return nil, err
+	}
+	if digest != nil {
+		h.Digest = string(digest[0].AsBlob())
 	}
 	return &h, nil
 }
@@ -598,14 +597,17 @@ func (c *Catalog) Histories(clock *sim.Clock) ([]IndexHistory, error) {
 	return out, nil
 }
 
-// DeleteIndexHistory removes a registered history and its per-rank
-// rows, used when a stale history must be invalidated.
+// DeleteIndexHistory removes a registered history, its per-rank rows
+// and its digest, used when a stale history must be invalidated.
 func (c *Catalog) DeleteIndexHistory(clock *sim.Clock, fileName string) error {
 	c.charge(clock)
 	if _, err := c.db.Exec(`DELETE FROM index_table WHERE registered_file_name = ?`, fileName); err != nil {
 		return err
 	}
-	_, err := c.db.Exec(`DELETE FROM index_history_table WHERE registered_file_name = ?`, fileName)
+	if _, err := c.db.Exec(`DELETE FROM index_history_table WHERE registered_file_name = ?`, fileName); err != nil {
+		return err
+	}
+	_, err := c.db.Exec(`DELETE FROM annotation_table WHERE runid = 0 AND scope = ? AND k = ?`, historyScope, fileName)
 	return err
 }
 

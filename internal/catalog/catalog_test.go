@@ -43,8 +43,8 @@ func TestRegisterRunSequence(t *testing.T) {
 	if id2 != 2 {
 		t.Fatalf("second run id = %d", id2)
 	}
-	run, err := c.LookupRun(nil, 1)
-	if err != nil || run == nil {
+	run, err := c.FindRun(nil, 1)
+	if err != nil {
 		t.Fatalf("lookup: %v", err)
 	}
 	if run.Application != "fun3d" || run.ProblemSize != 18_000_000 || run.Stamp != when {
@@ -54,7 +54,8 @@ func TestRegisterRunSequence(t *testing.T) {
 	if len(runs) != 2 || runs[1].Application != "rt" {
 		t.Fatalf("runs = %+v", runs)
 	}
-	if missing, err := c.LookupRun(nil, 99); err != nil || missing != nil {
+	var nf NotFound
+	if missing, err := c.FindRun(nil, 99); !errors.As(err, &nf) || missing != nil {
 		t.Fatalf("missing run: %v, %v", missing, err)
 	}
 }
@@ -86,15 +87,15 @@ func TestDatasetRegistration(t *testing.T) {
 func TestExecutionRecords(t *testing.T) {
 	c := newCat(t)
 	rec := WriteRecord{RunID: 1, Dataset: "p", Timestep: 10, FileOffset: 8192, FileName: "group0.dat"}
-	if err := c.RecordWrite(nil, rec); err != nil {
+	if err := c.RecordWrites(nil, []WriteRecord{rec}); err != nil {
 		t.Fatal(err)
 	}
-	_ = c.RecordWrite(nil, WriteRecord{RunID: 1, Dataset: "p", Timestep: 20, FileOffset: 16384, FileName: "group0.dat"})
-	got, err := c.LookupWrite(nil, 1, "p", 10)
-	if err != nil || got == nil || *got != rec {
+	_ = c.RecordWrites(nil, []WriteRecord{{RunID: 1, Dataset: "p", Timestep: 20, FileOffset: 16384, FileName: "group0.dat"}})
+	got, err := c.LookupWrites(nil, 1, []WriteKey{{Dataset: "p", Timestep: 10}, {Dataset: "p", Timestep: 30}})
+	if err != nil || got[0] == nil || *got[0] != rec {
 		t.Fatalf("lookup = %+v, %v", got, err)
 	}
-	if none, _ := c.LookupWrite(nil, 1, "p", 30); none != nil {
+	if got[1] != nil {
 		t.Fatal("phantom write record")
 	}
 	all, _ := c.WritesForRun(nil, 1)
@@ -104,7 +105,7 @@ func TestExecutionRecords(t *testing.T) {
 }
 
 // TestRewriteResolvesToLatestRow: a (dataset, timestep) written several
-// times has one row per write. LookupWrites (and so LookupWrite and Slab)
+// times has one row per write. LookupWrites (and so Slab)
 // resolves it to the last row, and WritesForRun lists its rows in write
 // order — more of them than one index leaf holds, interleaved with other
 // keys' rows and written both one at a time and in batches.
@@ -118,8 +119,8 @@ func TestRewriteResolvesToLatestRow(t *testing.T) {
 		if i%2 == 0 {
 			err = c.RecordWrites(nil, []WriteRecord{other, rec})
 		} else {
-			if err = c.RecordWrite(nil, rec); err == nil {
-				err = c.RecordWrite(nil, other)
+			if err = c.RecordWrites(nil, []WriteRecord{rec}); err == nil {
+				err = c.RecordWrites(nil, []WriteRecord{other})
 			}
 		}
 		if err != nil {
@@ -208,6 +209,37 @@ func TestIndexHistoryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestIndexHistoryDigest: a history's digest is recorded in the one
+// charged register call and read back by the one charged lookup; a
+// history registered without one reads back empty, and deleting a
+// history deletes its digest.
+func TestIndexHistoryDigest(t *testing.T) {
+	c := newCat(t)
+	h := IndexHistory{ProblemSize: 98, NumNodes: 27, NProcs: 2, Dimension: 1,
+		FileName: "h98", EdgeSizes: []int64{60, 50}, NodeSizes: []int64{15, 14}, Digest: "abc123"}
+	clock := sim.NewClock()
+	if err := c.RegisterIndexHistory(clock, h); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.LookupIndexHistory(clock, 98, 2)
+	if err != nil || got == nil || got.Digest != h.Digest {
+		t.Fatalf("lookup = %+v, %v; want digest %q", got, err, h.Digest)
+	}
+	if clock.Now() != sim.Time(2*AccessCost) {
+		t.Fatalf("register and lookup charged %v, want two calls", clock.Now())
+	}
+	if err := c.DeleteIndexHistory(nil, "h98"); err != nil {
+		t.Fatal(err)
+	}
+	h.Digest = ""
+	if err := c.RegisterIndexHistory(nil, h); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := c.LookupIndexHistory(nil, 98, 2); err != nil || got == nil || got.Digest != "" {
+		t.Fatalf("lookup after re-registering without a digest = %+v, %v", got, err)
+	}
+}
+
 func TestIndexHistoryKeyedByProcsAndSize(t *testing.T) {
 	c := newCat(t)
 	mk := func(size, procs int64) IndexHistory {
@@ -284,7 +316,7 @@ func TestAccessCostCharged(t *testing.T) {
 	}
 	before := clock.Now()
 	c.SetAccessCost(0)
-	_, _ = c.LookupRun(clock, 1)
+	_, _ = c.FindRun(clock, 1)
 	if clock.Now() != before {
 		t.Fatal("zero access cost still charged time")
 	}
@@ -367,7 +399,7 @@ func TestSlabNamesWhatIsMissing(t *testing.T) {
 	if err := c.RegisterDataset(nil, DatasetInfo{RunID: run, Dataset: "edges", DataType: "INTEGER", GlobalSize: 98}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.RecordWrite(nil, WriteRecord{RunID: run, Dataset: "edges", Timestep: 2, FileOffset: 784, FileName: "f.dat"}); err != nil {
+	if err := c.RecordWrites(nil, []WriteRecord{{RunID: run, Dataset: "edges", Timestep: 2, FileOffset: 784, FileName: "f.dat"}}); err != nil {
 		t.Fatal(err)
 	}
 	info, rec, err := c.Slab(nil, run, "edges", 2)

@@ -119,7 +119,10 @@ const (
 	memCopyRate = 150e6
 )
 
-// Options tunes an SDM instance.
+// Options tunes an SDM instance: its file layout, its collective-I/O
+// hints, its step pipeline and the run it attaches to. Observability is
+// the machine's, not an option: the tracer and the metrics registry come
+// in through Env.
 type Options struct {
 	// Organization selects the file layout (default Level3).
 	Organization FileOrganization
@@ -148,17 +151,6 @@ type Options struct {
 	// and the file organization should match the one the run was
 	// written with. See SDM.OpenGroup.
 	AttachRun int64
-	// Trace, when non-nil, records virtual-time spans for the rank's
-	// step pipeline (staging, per-file collective flushes, catalog
-	// batches) alongside whatever the substrates emit. The tracer only
-	// observes clock values — it never advances them — so enabling it
-	// leaves every simulated metric bit-identical. Nil disables tracing
-	// at zero cost.
-	Trace *obs.Tracer
-	// Metrics, when non-nil, registers the manager's counters (steps,
-	// flushed files, staged bytes, history fallbacks) with the registry.
-	// Nil disables collection.
-	Metrics *obs.Registry
 }
 
 func (o *Options) fill() {
@@ -176,10 +168,16 @@ var runStamp = time.Date(2001, 2, 20, 12, 0, 0, 0, time.UTC)
 
 // Env bundles the substrate an SDM instance runs on. The file system
 // and catalog are shared across ranks; the communicator is per rank.
+// Trace and Metrics are the machine's observability (sdm's
+// Proc.Initialize fills them from Cluster.SetTracer/SetMetrics); nil
+// turns it off at zero cost, and a tracer only observes clock values, so
+// a traced run's simulated metrics are bit-identical to an untraced one.
 type Env struct {
 	Comm    *mpi.Comm
 	FS      *pfs.System
 	Catalog *catalog.Catalog
+	Trace   *obs.Tracer   // spans: staging, per-file flushes, catalog batches
+	Metrics *obs.Registry // counters: steps, flushed files, staged bytes, history fallbacks
 }
 
 // SDM is one rank's handle on the data manager (the result of
@@ -205,19 +203,15 @@ type SDM struct {
 		timestep int64
 		groups   []*Group
 	}
-	// pending is the per-file dependency registry: it maps file names
-	// to the asynchronous step flush still in flight over them. Any
-	// number of tokens may be live as long as their target-file sets
-	// are disjoint; a flush (or read) that would touch a pending file
-	// implicitly Waits on just the conflicting token. tokens holds every
-	// unwaited token (bounded by Options.StepPipelineDepth) so
-	// EndStepAsync and Finalize can drain them in completion order.
+	// tokens holds every unwaited token (bounded by
+	// Options.StepPipelineDepth) in issue order: EndStepAsync and Finalize
+	// drain them in completion order, and they are the one record of which
+	// files a flush in flight writes or has read ahead (see step.go).
 	// recScratch is the cross-group RecordWrites merge buffer. arenaPool
 	// recycles staging arenas: a flush runs in host time inside
 	// EndStepAsync, so its arenas come back when it returns, and only a
 	// read-ahead token, whose bytes wait for the Get step that consumes
 	// them, holds arenas across calls.
-	pending    map[string]*StepToken
 	tokens     []*StepToken
 	tokenSeq   int64
 	recScratch []catalog.WriteRecord
@@ -243,15 +237,15 @@ type SDM struct {
 	readOrd    []int
 	readOrdBuf [4]int
 
-	// tracer and the manager-level counters. All stay nil when
-	// observability is off; obs methods no-op on nil receivers, so the
-	// hot paths need no second flag.
-	tracer       *obs.Tracer
+	// The manager-level counters, registered with env.Metrics. All stay
+	// nil when observability is off (as env.Trace does); obs methods no-op
+	// on nil receivers, so the hot paths need no second flag.
 	stepCount    *obs.Counter
 	flushedFiles *obs.Counter
 	stagedBytes  *obs.Counter
 	// historyFallbacks counts PartitionIndex calls that found a
-	// registered history but could not trust its file.
+	// registered history but could not trust it: its file is damaged, or
+	// it was computed from another partition or another edge import.
 	historyFallbacks *obs.Counter
 }
 
@@ -294,12 +288,11 @@ func Initialize(env Env, app string, opts Options) (*SDM, error) {
 	if env.Comm == nil || env.FS == nil || env.Catalog == nil {
 		return nil, fmt.Errorf("core: Env requires Comm, FS and Catalog")
 	}
-	s := &SDM{env: env, app: app, opts: opts, pending: make(map[string]*StepToken)}
-	s.tracer = opts.Trace
-	if s.tracer != nil {
-		s.tracer.NameProcess(s.pid(), fmt.Sprintf("rank %d", env.Comm.Rank()))
+	s := &SDM{env: env, app: app, opts: opts}
+	if env.Trace != nil {
+		env.Trace.NameProcess(s.pid(), fmt.Sprintf("rank %d", env.Comm.Rank()))
 	}
-	if r := opts.Metrics; r != nil {
+	if r := env.Metrics; r != nil {
 		s.stepCount = r.Counter("core.steps")
 		s.flushedFiles = r.Counter("core.flushed-files")
 		s.stagedBytes = r.Counter("core.staged-bytes")
@@ -313,12 +306,9 @@ func Initialize(env Env, app string, opts Options) (*SDM, error) {
 			id, err := env.Catalog.RegisterRun(clk, app, 3, 0, 0, runStamp)
 			return id, 8, err
 		}
-		run, err := env.Catalog.LookupRun(clk, opts.AttachRun)
-		if err == nil && run == nil {
-			err = fmt.Errorf("core: no run %d in run_table to attach to", opts.AttachRun)
-		}
+		run, err := env.Catalog.FindRun(clk, opts.AttachRun)
 		if err != nil {
-			return 0, 8, err
+			return 0, 8, fmt.Errorf("core: cannot attach: %w", err)
 		}
 		return run.RunID, 8, nil
 	})

@@ -11,6 +11,7 @@ import (
 	"sdm/internal/mesh"
 	"sdm/internal/metadb"
 	"sdm/internal/mpi"
+	"sdm/internal/obs"
 	"sdm/internal/pfs"
 )
 
@@ -19,6 +20,14 @@ type testEnv struct {
 	world *mpi.World
 	fs    *pfs.System
 	cat   *catalog.Catalog
+	// trace and metrics, when set, observe the managers run initializes.
+	trace   *obs.Tracer
+	metrics *obs.Registry
+}
+
+// env is rank c's Env on the test machine.
+func (te *testEnv) env(c *mpi.Comm) Env {
+	return Env{Comm: c, FS: te.fs, Catalog: te.cat, Trace: te.trace, Metrics: te.metrics}
 }
 
 func newTestEnv(n int) *testEnv {
@@ -33,7 +42,7 @@ func newTestEnv(n int) *testEnv {
 func (te *testEnv) run(t *testing.T, opts Options, fn func(s *SDM)) {
 	t.Helper()
 	err := te.world.Run(func(c *mpi.Comm) {
-		s, err := Initialize(Env{Comm: c, FS: te.fs, Catalog: te.cat}, "testapp", opts)
+		s, err := Initialize(te.env(c), "testapp", opts)
 		if err != nil {
 			panic(err)
 		}
@@ -320,8 +329,8 @@ func TestReadAcrossSessionsViaExecutionTable(t *testing.T) {
 	})
 	// New session: runID differs, so Read must find run 1's record.
 	// Reconstruct placement by querying the execution table for run 1.
-	rec, err := te.cat.LookupWrite(nil, 1, "p", 42)
-	if err != nil || rec == nil {
+	_, rec, err := te.cat.Slab(nil, 1, "p", 42)
+	if err != nil {
 		t.Fatalf("record missing: %v", err)
 	}
 	raw, err := te.fs.ReadFile(rec.FileName)

@@ -94,11 +94,11 @@ func TestDeliverAsFilesComplete(t *testing.T) {
 			var firstBytes [n]int64
 			for k, reference := range []bool{false, true} {
 				ends[k] = make([]sim.Time, n)
-				opts := Options{Organization: level}
+				var trk *obs.Tracer
 				if !reference {
-					opts.Trace = tr
+					trk = tr
 				}
-				envs[k] = raRun(t, n, steps, opts, true, func(a *raApp) {
+				envs[k] = raRunTraced(t, trk, n, steps, Options{Organization: level}, true, func(a *raApp) {
 					c := a.s.env.Comm
 					firstBytes[c.Rank()] = int64(len(a.maps[0])) * 8
 					a.begin(ts)

@@ -65,7 +65,6 @@ type stepEpoch struct {
 	placed    []placedOp
 	ops       []mpiio.BatchOp
 	recs      []catalog.WriteRecord
-	keys      []writeKey
 	resolved  []catalog.WriteRecord
 	fileOrd   []string
 }
@@ -265,7 +264,7 @@ func (g *Group) encodeFile(ts int64, file string) {
 		puts++
 		bytes += int64(len(p.data))
 	}
-	if tr := g.s.tracer; tr != nil {
+	if tr := g.s.env.Trace; tr != nil {
 		tr.Emit(g.s.pid(), "core", "stage", t0, clock.Now(),
 			obs.KV{Key: "file", Val: file},
 			obs.KV{Key: "step", Val: fmt.Sprint(ts)},
@@ -335,7 +334,7 @@ func (g *Group) issueFiles(ts int64, write bool, cur *mpiio.Cursor) (sim.Time, e
 				placed[i].done = done
 			}
 		}
-		if tr := g.s.tracer; tr != nil {
+		if tr := g.s.env.Trace; tr != nil {
 			name := "flush:read"
 			if write {
 				name = "flush:write"
@@ -359,24 +358,6 @@ func (g *Group) cacheWrites() {
 	for i := range g.ep.recs {
 		g.index.add(g.ep.recs[i])
 	}
-}
-
-// lookupPlacements resolves where each queued (dataset, timestep) slab
-// lives from the group's placement index alone, in key order. OpenGroup
-// seeds the index with the run's rows and each step's writes extend it
-// (cacheWrites), the same on every rank, so a miss fails every rank
-// alike and no catalog statement is issued.
-func (g *Group) lookupPlacements(keys []writeKey) ([]catalog.WriteRecord, error) {
-	out := g.ep.resolved[:0]
-	for _, k := range keys {
-		rec, ok := g.index.recs[k]
-		if !ok {
-			return nil, fmt.Errorf("core: no execution_table entry for dataset %q timestep %d", k.dataset, k.timestep)
-		}
-		out = append(out, rec)
-	}
-	g.ep.resolved = out
-	return out, nil
 }
 
 // A get flush has two halves. Issue resolves where each dataset's slab
@@ -412,22 +393,23 @@ func (p *getPart) bytes() int64 {
 }
 
 // resolveGets looks up where each dataset's slab of timestep ts lives
-// in the placement index and resolves reads landing in files with an
-// asynchronous flush in flight from another token: the conflicting
-// token is implicitly waited. tok is the flush being issued; its own
-// claims — a put and a get of one file in the same epoch — are fine.
-func (g *Group) resolveGets(tok *StepToken, ts int64, dis []int) ([]catalog.WriteRecord, error) {
-	keys := g.ep.keys[:0]
+// from the group's placement index alone, in dis order, then joins any
+// outstanding flush writing one of those files. OpenGroup seeds the
+// index with the run's rows and each step's writes extend it
+// (cacheWrites), the same on every rank, so a miss fails every rank
+// alike and no catalog statement is issued.
+func (g *Group) resolveGets(ts int64, dis []int) ([]catalog.WriteRecord, error) {
+	recs := g.ep.resolved[:0]
 	for _, di := range dis {
-		keys = append(keys, writeKey{g.attrs[di].Name, ts})
+		rec, ok := g.index.recs[writeKey{g.attrs[di].Name, ts}]
+		if !ok {
+			return nil, fmt.Errorf("core: no execution_table entry for dataset %q timestep %d", g.attrs[di].Name, ts)
+		}
+		recs = append(recs, rec)
 	}
-	g.ep.keys = keys
-	recs, err := g.lookupPlacements(keys)
-	if err != nil {
-		return nil, err
-	}
+	g.ep.resolved = recs
 	for i := range recs {
-		if err := g.s.awaitFile(recs[i].FileName, tok); err != nil {
+		if err := g.s.awaitFile(recs[i].FileName); err != nil {
 			return nil, err
 		}
 	}
@@ -461,12 +443,12 @@ func (g *Group) stageGets(recs []catalog.WriteRecord) {
 }
 
 // issueGets is the issue half of the group's get flush: datasets dis —
-// those of the step's queued gets — at timestep ts, for token tok, their
-// files placed by the step's cursor cur. It returns the join time (the
-// latest file completion) with the clock left at the fork point and the
-// staged reads in g.ep.placed / g.ep.readArena.
-func (g *Group) issueGets(tok *StepToken, ts int64, dis []int, cur *mpiio.Cursor) (sim.Time, error) {
-	recs, err := g.resolveGets(tok, ts, dis)
+// those of the step's queued gets — at timestep ts, their files placed
+// by the step's cursor cur. It returns the join time (the latest file
+// completion) with the clock left at the fork point and the staged reads
+// in g.ep.placed / g.ep.readArena.
+func (g *Group) issueGets(ts int64, dis []int, cur *mpiio.Cursor) (sim.Time, error) {
+	recs, err := g.resolveGets(ts, dis)
 	if err != nil {
 		return g.s.env.Comm.Clock().Now(), err
 	}
@@ -528,7 +510,7 @@ func (g *Group) decodeFile(ts int64, ops []placedOp, k int) {
 			g.s.env.Comm.ComputeItems(int64(len(op.data)), memCopyRate)
 		}
 	}
-	if tr := g.s.tracer; tr != nil {
+	if tr := g.s.env.Trace; tr != nil {
 		tr.Emit(g.s.pid(), "core", "decode", t0, clock.Now(),
 			obs.KV{Key: "file", Val: file},
 			obs.KV{Key: "step", Val: fmt.Sprint(ts)})

@@ -30,9 +30,10 @@ func newCostedEnv(n int) *testEnv {
 // ---------------------------------------------------------------------------
 // Legacy reference implementation.
 //
-// legacyWrite/legacyRead are verbatim copies of the pre-epoch Write and
-// Read paths (one collective per dataset per timestep, one
-// execution-table round trip each, recorded after the write joins).
+// legacyWrite/legacyRead are copies of the pre-epoch Write and Read
+// paths (one collective per dataset per timestep, one execution-table
+// round trip each — a one-row RecordWrites, a one-key LookupWrites —
+// recorded after the write joins).
 // They are kept here, in the test file only, as the differential
 // baseline single-operation epochs must match on bytes, file-system
 // requests and catalog statements, and never finish later than.
@@ -115,7 +116,7 @@ func legacyWrite(g *Group, dataset string, timestep int64, data []byte) error {
 	}
 	g.index.add(rec)
 	return g.s.catalogCall(func() error {
-		return g.s.env.Catalog.RecordWrite(g.s.env.Comm.Clock(), rec)
+		return g.s.env.Catalog.RecordWrites(g.s.env.Comm.Clock(), []catalog.WriteRecord{rec})
 	})
 }
 
@@ -130,14 +131,14 @@ func legacyLookupPlacement(g *Group, dataset string, timestep int64) (catalog.Wr
 	}
 	var w wire
 	if g.s.env.Comm.Rank() == 0 {
-		rec, err := g.s.env.Catalog.LookupWrite(g.s.env.Comm.Clock(), g.s.runID, dataset, timestep)
+		recs, err := g.s.env.Catalog.LookupWrites(g.s.env.Comm.Clock(), g.s.runID, []catalog.WriteKey{{Dataset: dataset, Timestep: timestep}})
 		switch {
 		case err != nil:
 			w.Err = err.Error()
-		case rec == nil:
+		case recs[0] == nil:
 			w.Err = fmt.Sprintf("no entry for %q %d", dataset, timestep)
 		default:
-			w.Rec = *rec
+			w.Rec = *recs[0]
 			w.Hit = true
 		}
 	}

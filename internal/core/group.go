@@ -286,7 +286,7 @@ func (s *SDM) OpenGroup(names []string) (*Group, error) {
 	}
 	g.primeAppendState(res.recs)
 	// Seed the placement index with the group's own rows: the restart's
-	// Get steps resolve from it alone (lookupPlacements). WritesForRun
+	// Get steps resolve from it alone (resolveGets). WritesForRun
 	// lists a rewritten slab's rows in write order, so the latest write
 	// wins, as it does in the writing session and in Catalog.Slab.
 	for _, rec := range res.recs {

@@ -28,6 +28,7 @@ type ImportSpec struct {
 type Importer struct {
 	s        *SDM
 	fileName string
+	size     int64 // the file's staged size when the list was made
 	specs    map[string]ImportSpec
 	file     *mpiio.File
 	queue    []*ImportHandle // the open import epoch, in queue order
@@ -46,6 +47,7 @@ func (s *SDM) MakeImportlist(fileName string, specs []ImportSpec) (*Importer, er
 	if err != nil {
 		return nil, err
 	}
+	imp.size = size
 	for _, sp := range specs {
 		if sp.Length <= 0 {
 			return nil, fmt.Errorf("core: import %q has non-positive length %d", sp.Name, sp.Length)
@@ -234,7 +236,7 @@ func (imp *Importer) Flush() error {
 		fork := clock.Now()
 		err := imp.file.ReadAtAllOps([]mpiio.BatchOp{op})
 		h.done = clock.Now()
-		if tr := s.tracer; tr != nil {
+		if tr := s.env.Trace; tr != nil {
 			tr.Emit(s.pid(), "core", "import:read", fork, h.done,
 				obs.KV{Key: "array", Val: h.sp.Name})
 		}
@@ -267,7 +269,7 @@ func (imp *Importer) Flush() error {
 		}
 	}
 	clock.AdvanceTo(join)
-	if tr := s.tracer; tr != nil {
+	if tr := s.env.Trace; tr != nil {
 		tr.Emit(s.pid(), "core", "import:epoch", t0, clock.Now(),
 			obs.KV{Key: "arrays", Val: fmt.Sprint(len(queue))})
 	}

@@ -133,7 +133,8 @@ const (
 func (fx *importFixture) run(t *testing.T, mode importMode, tr *obs.Tracer) [importRanks][][]byte {
 	t.Helper()
 	var out [importRanks][][]byte
-	fx.te.run(t, Options{Trace: tr}, func(s *SDM) {
+	fx.te.trace = tr
+	fx.te.run(t, Options{}, func(s *SDM) {
 		imp, err := s.MakeImportlist("uns3d.msh", fx.specs)
 		if err != nil {
 			panic(err)
@@ -419,9 +420,10 @@ func TestDamagedHistoryFallsBackToRing(t *testing.T) {
 				partVec[i] = int32((i * 7) % nRanks)
 			}
 			reg := obs.NewRegistry()
+			te.metrics = reg
 			var parts [4][nRanks]*IndexPartition
 			session := func(n int, register bool) {
-				te.run(t, Options{Metrics: reg}, func(s *SDM) {
+				te.run(t, Options{}, func(s *SDM) {
 					imp, err := s.MakeImportlist("uns3d.msh", edgeSpecs(layout))
 					if err != nil {
 						panic(err)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"sort"
@@ -40,6 +42,9 @@ type IndexPartition struct {
 	// FromHistory reports whether the partition was read from a history
 	// file instead of being computed by the ring distribution.
 	FromHistory bool
+	// digest names the inputs the partition was computed from
+	// (historyDigest), on rank 0 only; IndexRegistry records it.
+	digest string
 	// ImportTime and DistributeTime record the virtual time this rank
 	// spent importing edge arrays and distributing them — the two bars
 	// of the paper's Figure 5.
@@ -75,13 +80,29 @@ func (s *SDM) historyFileName(totalEdges int64) string {
 	return fmt.Sprintf("%s_hist_e%d_p%d.idx", s.app, totalEdges, s.env.Comm.Size())
 }
 
+// historyDigest names what a partition of the edge arrays e1 and e2 of
+// imp is computed from: the partition vector, and the edge import's
+// identity — the file's name and staged size, each array's offset and
+// length. The paper keys a history on problem size and process count
+// alone; a history replays only under the same digest, so another
+// partition vector, or another mesh with as many edges, is a miss rather
+// than another partition's edges.
+func historyDigest(imp *Importer, e1, e2 ImportSpec, partVec []int32) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%q %d %d %d %d %d %d\n", imp.fileName, imp.size,
+		e1.FileOffset, e1.Length, e2.FileOffset, e2.Length, len(partVec))
+	h.Write(int32sToBytes(partVec))
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // PartitionIndex distributes the edges named by edge1Name/edge2Name in
 // the import list across ranks using the partitioning vector. It first
 // consults the index tables for a history of this (problem size,
 // process count); on a hit the pre-partitioned edges are read
 // contiguously from the history file, skipping both the edge import and
-// the ring exchange — the paper's optimization. A history whose file is
-// damaged counts as a miss (see lookupHistory). Collective.
+// the ring exchange — the paper's optimization. A history computed from
+// other inputs, or whose file is damaged, counts as a miss (see
+// lookupHistory). Collective.
 func (s *SDM) PartitionIndex(imp *Importer, edge1Name, edge2Name string, partVec []int32) (*IndexPartition, error) {
 	sp1, err := imp.Spec(edge1Name)
 	if err != nil {
@@ -95,13 +116,21 @@ func (s *SDM) PartitionIndex(imp *Importer, edge1Name, edge2Name string, partVec
 		return nil, fmt.Errorf("core: edge arrays %q and %q have different lengths", edge1Name, edge2Name)
 	}
 	totalEdges := sp1.Length
+	var digest string // only rank 0 asks the catalog
+	if s.env.Comm.Rank() == 0 {
+		digest = historyDigest(imp, sp1, sp2, partVec)
+	}
 
-	hist, err := s.lookupHistory(totalEdges)
+	hist, err := s.lookupHistory(totalEdges, digest)
 	if err != nil {
 		return nil, err
 	}
 	if hist != nil {
-		return s.loadIndexHistory(hist, partVec)
+		ip, err := s.loadIndexHistory(hist, partVec)
+		if err == nil {
+			ip.digest = digest
+		}
+		return ip, err
 	}
 
 	// No usable history: import both edge blocks as one epoch and run
@@ -121,24 +150,31 @@ func (s *SDM) PartitionIndex(imp *Importer, edge1Name, edge2Name string, partVec
 	}
 	t1 := c.Now()
 	ip := s.distributeIndex(bytesToInt32s(h1.buf), bytesToInt32s(h2.buf), h1.start, totalEdges, partVec)
+	ip.digest = digest
 	ip.ImportTime = t1.Sub(t0)
 	ip.DistributeTime = c.Now().Sub(t1)
 	return ip, nil
 }
 
 // lookupHistory checks index_table for a usable history (rank 0
-// queries, result broadcast). A registered history whose file fails
-// historyIntact is invalidated — its rows deleted and its file removed
-// (uncharged, like the size check), so the caller's IndexRegistry
-// creates the same file name afresh, at its own length and layout,
-// rather than writing over a stale one in place — counted in
-// core.history-fallbacks, and reported as a miss. The decision is rank
-// 0's alone and travels in the broadcast, so every rank takes the same
-// collective branch.
-func (s *SDM) lookupHistory(totalEdges int64) (*catalog.IndexHistory, error) {
+// queries, result broadcast). A registered history computed from other
+// inputs than digest names (a history registered without a digest
+// included), or whose file fails historyIntact, is invalidated — its
+// rows deleted and its file removed (uncharged, like the size check), so
+// the caller's IndexRegistry creates the same file name afresh, at its
+// own length and layout, rather than writing over a stale one in place —
+// counted in core.history-fallbacks, and reported as a miss. The
+// decision is rank 0's alone and travels in the broadcast, so every rank
+// takes the same collective branch.
+//
+// The digest check costs no virtual time: the digest travels in the rows
+// LookupIndexHistory already reads in its one charged call, and hashing
+// the vector is host work on rank 0, unpriced like historyIntact's size
+// query.
+func (s *SDM) lookupHistory(totalEdges int64, digest string) (*catalog.IndexHistory, error) {
 	return onRoot(s, "core: history lookup", func(clk *sim.Clock) (*catalog.IndexHistory, int64, error) {
 		h, err := s.env.Catalog.LookupIndexHistory(clk, totalEdges, int64(s.env.Comm.Size()))
-		if err == nil && h != nil && !s.historyIntact(h) {
+		if err == nil && h != nil && (h.Digest != digest || !s.historyIntact(h)) {
 			s.historyFallbacks.Add(1)
 			err = s.env.Catalog.DeleteIndexHistory(clk, h.FileName)
 			if rerr := s.env.FS.Remove(h.FileName); err == nil && !errors.Is(rerr, pfs.ErrNotExist) {
@@ -323,6 +359,7 @@ func (s *SDM) IndexRegistry(ip *IndexPartition, totalEdges int64, partVec []int3
 			FileName:    name,
 			EdgeSizes:   edgeSizes,
 			NodeSizes:   nodeSizes,
+			Digest:      ip.digest,
 		})
 	})
 }

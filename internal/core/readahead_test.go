@@ -107,15 +107,22 @@ func aheadTokens(s *SDM) []*StepToken {
 
 // raRun writes `steps` checkpoints on a costed machine, synchronizes,
 // and runs body per rank; after (optional) runs once Finalize returned.
-// A tracer in opts also traces the file system and MPI-IO.
 func raRun(t *testing.T, n, steps int, opts Options, manager bool, body func(a *raApp), after func(a *raApp)) *testEnv {
 	t.Helper()
+	return raRunTraced(t, nil, n, steps, opts, manager, body, after)
+}
+
+// raRunTraced is raRun with the managers, the file system and MPI-IO
+// traced by tr (nil: untraced).
+func raRunTraced(t *testing.T, tr *obs.Tracer, n, steps int, opts Options, manager bool, body func(a *raApp), after func(a *raApp)) *testEnv {
+	t.Helper()
 	te := newCostedEnv(n)
-	if opts.Trace != nil {
-		te.fs.SetTracer(opts.Trace)
+	if tr != nil {
+		te.trace = tr
+		te.fs.SetTracer(tr)
 	}
 	err := te.world.Run(func(c *mpi.Comm) {
-		s, err := Initialize(Env{Comm: c, FS: te.fs, Catalog: te.cat}, "ra", opts)
+		s, err := Initialize(te.env(c), "ra", opts)
 		if err != nil {
 			panic(err)
 		}
@@ -282,8 +289,8 @@ func TestReadAheadMisprediction(t *testing.T) {
 		}
 	}, func(a *raApp) {
 		s, r := a.s, a.s.env.Comm.Rank()
-		if len(s.tokens) != 0 || len(s.pending) != 0 {
-			t.Errorf("after Finalize: %d tokens, %d pending files", len(s.tokens), len(s.pending))
+		if len(s.tokens) != 0 {
+			t.Errorf("after Finalize: %d tokens", len(s.tokens))
 		}
 		if now := s.env.Comm.Clock().Now(); now < tail[r] {
 			t.Errorf("rank %d finalized at %v, before its unconsumed read-aheads completed at %v", r, now, tail[r])
@@ -296,6 +303,12 @@ func TestReadAheadMisprediction(t *testing.T) {
 			if len(g.files) != 0 {
 				t.Errorf("%d files still open after Finalize", len(g.files))
 			}
+		}
+		// Nothing is left in flight: a new flush of p's first file issues
+		// without joining anything.
+		vals := make([]float64, len(a.maps[0]))
+		if err := flushJoinsNothing(s, a.ds[0], 0, vals); err != nil {
+			t.Errorf("rank %d: flush after Finalize: %v", r, err)
 		}
 	})
 	// The same sequence without read-ahead reads strictly fewer bytes:
@@ -415,7 +428,7 @@ func TestReadAheadViewChangeFallsBack(t *testing.T) {
 func TestReadAheadSpans(t *testing.T) {
 	const n, steps, depth = 4, 8, 4
 	run := func(tr *obs.Tracer) *testEnv {
-		return raRun(t, n, steps, Options{Organization: Level1, StepPipelineDepth: depth, Trace: tr}, true, func(a *raApp) {
+		return raRunTraced(t, tr, n, steps, Options{Organization: Level1, StepPipelineDepth: depth}, true, func(a *raApp) {
 			for k := 0; k < steps; k++ {
 				a.get(int64(k*raStride), 0)
 			}
@@ -526,12 +539,11 @@ func waitallGetStep(s *SDM, readOrder bool) error {
 	if readOrder {
 		ord = s.readOrder(parts)
 	}
-	tok := s.newToken(ts)
 	clock := s.env.Comm.Clock()
 	join := clock.Now()
 	cur := mpiio.NewCursor(s.env.Comm, s.env.FS)
 	for _, i := range ord {
-		j, err := parts[i].g.issueGets(tok, ts, parts[i].dis, &cur)
+		j, err := parts[i].g.issueGets(ts, parts[i].dis, &cur)
 		join = sim.MaxTime(join, j)
 		if err != nil {
 			return err
@@ -561,7 +573,7 @@ func TestReadLargestGroupFirst(t *testing.T) {
 			var ends [2][n]sim.Time
 			for k, reference := range []bool{false, true} {
 				tr := obs.NewTracer()
-				raRun(t, n, steps, Options{Organization: level, Trace: tr}, true, func(a *raApp) {
+				raRunTraced(t, tr, n, steps, Options{Organization: level}, true, func(a *raApp) {
 					a.begin(ts)
 					out := make([][]float64, a.nsets())
 					for j := range out {

@@ -58,13 +58,15 @@ import (
 // Dependencies between flushes are tracked per FILE, not per epoch:
 // any number of tokens may be in flight as long as their target-file
 // sets are disjoint (Options.StepPipelineDepth bounds the count), so a
-// file-per-timestep layout streams checkpoints back-to-back. A flush
-// that would touch a pending file implicitly Waits on just the
-// conflicting tokens, so pipelined loops over a shared file serialize on
-// the file's own dependency chain; with StepPipelineDepth 1 this
-// reproduces the synchronous EndStep schedule bit-identically. Joins
-// happen in completion order — the earliest-finishing flush releases its
-// files first — not issue order.
+// file-per-timestep layout streams checkpoints back-to-back. The list of
+// unwaited tokens is the only record: a token writes the files in its
+// files list, and a read-ahead has read those its ahead parts place. A
+// flush that would touch a file an outstanding token writes implicitly
+// Waits on just that token, so pipelined loops over a shared file
+// serialize on the file's own dependency chain; with StepPipelineDepth 1
+// this reproduces the synchronous EndStep schedule bit-identically.
+// Joins happen in completion order — the earliest-finishing flush
+// releases its files first — not issue order.
 //
 // Read-ahead. The placement index knows every (dataset, timestep) of
 // the run, so a sequential reader's next checkpoint is a lookup, not a
@@ -97,7 +99,7 @@ type StepToken struct {
 	s        *SDM
 	seq      int64    // issue order, breaking completion-time ties
 	timestep int64    // the epoch's timestep, for diagnostics
-	files    []string // files claimed by the flush (writes)
+	files    []string // files the flush writes, in claim order
 	arenas   [][]byte // a read-ahead's arenas, holding its bytes until delivery
 	done     sim.Time // flush completion on the forked timeline
 	err      error    // flush error, surfaced by Wait
@@ -125,11 +127,9 @@ func (t *StepToken) Wait() error {
 		return fmt.Errorf("core: Wait called twice on a step token")
 	}
 	t.waited = true
-	// Bookkeeping first, unconditionally: the file claims, the token
-	// registration, and the arena ownership are all released before the
-	// flush error is surfaced, so a failed flush never leaves files
-	// claimed in the pending registry.
-	t.release()
+	// Bookkeeping first, unconditionally: the token leaves the list of
+	// in-flight flushes — and with it its files — and its arenas return
+	// to the pool before the flush error is surfaced.
 	for i, tok := range t.s.tokens {
 		if tok == t {
 			t.s.tokens = append(t.s.tokens[:i], t.s.tokens[i+1:]...)
@@ -146,21 +146,11 @@ func (t *StepToken) Wait() error {
 	clock.AdvanceTo(t.done)
 	// The stall a join actually cost this rank — zero when the
 	// overlapped computation already covered the flush.
-	if tr := t.s.tracer; tr != nil && t.done > now {
+	if tr := t.s.env.Trace; tr != nil && t.done > now {
 		tr.Emit(t.s.pid(), "core", "wait", now, t.done,
 			obs.KV{Key: "step", Val: fmt.Sprint(t.timestep)})
 	}
 	return t.err
-}
-
-// release drops the token's file claims: at Wait, and when EndStepAsync
-// fails before the token is handed to the caller.
-func (t *StepToken) release() {
-	for _, f := range t.files {
-		if t.s.pending[f] == t {
-			delete(t.s.pending, f)
-		}
-	}
 }
 
 // waitEarliest joins the outstanding token with the earliest completion
@@ -202,64 +192,60 @@ func (s *SDM) drainToDepth(max int) error {
 // Local, like Wait.
 func (s *SDM) DrainSteps() error { return s.drainToDepth(0) }
 
-// awaitFile joins the outstanding flush of file, unless that flush is
-// tok's own.
-func (s *SDM) awaitFile(file string, tok *StepToken) error {
-	for {
-		other := s.pending[file]
-		if other == nil || other == tok {
-			return nil
-		}
-		if err := other.Wait(); err != nil {
-			return fmt.Errorf("core: implicit wait on the outstanding flush of %q: %w", file, err)
+// writer returns the outstanding flush that writes file, or nil. There
+// is at most one: every claim first waits for the previous writer.
+func (s *SDM) writer(file string) *StepToken {
+	for _, t := range s.tokens {
+		if slices.Contains(t.files, file) {
+			return t
 		}
 	}
-}
-
-// claimFile records tok as the in-flight flush owning file in the
-// per-file dependency registry. An outstanding read-ahead that has read
-// the file is joined and discarded (and the reader stops predicting
-// until its next sequential get-only step), and an outstanding
-// conflicting token is implicitly waited. Two groups writing one file
-// within a single cross-group step is an error: the conflict is inside
-// the epoch itself, so there is no token to wait on.
-func (s *SDM) claimFile(file string, tok *StepToken) error {
-	read := func(t *StepToken) bool {
-		for i := range t.ahead {
-			for j := range t.ahead[i].placed {
-				if t.ahead[i].placed[j].file == file {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	if s.discardAhead(read) {
-		s.reader.armed = false
-	}
-	if s.pending[file] == tok {
-		return fmt.Errorf("core: cross-group step writes %q from two groups in one epoch", file)
-	}
-	if err := s.awaitFile(file, tok); err != nil {
-		return err
-	}
-	s.pending[file] = tok
 	return nil
 }
 
-// claimPutFiles appends the epoch's distinct target files to tok.files
-// and claims each in the manager's per-file registry, implicitly
-// waiting on outstanding flushes that conflict. Claims are
-// released at Wait (or by release on a failed EndStepAsync).
+// awaitFile joins the outstanding flush that writes file, if any.
+func (s *SDM) awaitFile(file string) error {
+	if t := s.writer(file); t != nil {
+		if err := t.Wait(); err != nil {
+			return fmt.Errorf("core: implicit wait on the outstanding flush of %q: %w", file, err)
+		}
+	}
+	return nil
+}
+
+// claimPutFiles appends the epoch's distinct target files to tok.files,
+// which makes tok their writer once it joins s.tokens. For each file, an
+// outstanding read-ahead that has read it is joined and discarded (and
+// the reader stops predicting until its next sequential get-only step),
+// and the outstanding flush writing it is implicitly waited. Two groups
+// writing one file within a single cross-group step is an error: the
+// conflict is inside the epoch itself, so there is no token to wait on.
 func (g *Group) claimPutFiles(tok *StepToken) error {
+	s := g.s
 	start := len(tok.files)
 	for i := range g.ep.puts {
 		if file := g.ep.puts[i].file; !slices.Contains(tok.files[start:], file) {
 			tok.files = append(tok.files, file)
 		}
 	}
-	for _, f := range tok.files[start:] {
-		if err := g.s.claimFile(f, tok); err != nil {
+	for _, file := range tok.files[start:] {
+		read := func(t *StepToken) bool {
+			for i := range t.ahead {
+				for j := range t.ahead[i].placed {
+					if t.ahead[i].placed[j].file == file {
+						return true
+					}
+				}
+			}
+			return false
+		}
+		if s.discardAhead(read) {
+			s.reader.armed = false
+		}
+		if slices.Contains(tok.files[:start], file) {
+			return fmt.Errorf("core: cross-group step writes %q from two groups in one epoch", file)
+		}
+		if err := s.awaitFile(file); err != nil {
 			return err
 		}
 	}
@@ -331,7 +317,6 @@ func (s *SDM) EndStepAsync() (*StepToken, error) {
 		tok = s.newToken(ts)
 		for _, g := range groups {
 			if err := g.claimPutFiles(tok); err != nil {
-				tok.release()
 				return nil, err
 			}
 		}
@@ -347,7 +332,7 @@ func (s *SDM) EndStepAsync() (*StepToken, error) {
 		s.topUpAhead()
 	}
 	s.stepCount.Add(1)
-	if tr := s.tracer; tr != nil {
+	if tr := s.env.Trace; tr != nil {
 		tr.Emit(s.pid(), "core", "step", fork, tok.done,
 			obs.KV{Key: "step", Val: fmt.Sprint(ts)},
 			obs.KV{Key: "seq", Val: fmt.Sprint(tok.seq)})
@@ -406,7 +391,7 @@ func (s *SDM) flushStep(tok *StepToken, groups []*Group, parts []getPart) error 
 	}
 	for _, i := range s.readOrder(parts) {
 		g := parts[i].g
-		j, err := g.issueGets(tok, tok.timestep, parts[i].dis, &cur)
+		j, err := g.issueGets(tok.timestep, parts[i].dis, &cur)
 		join = sim.MaxTime(join, j)
 		if err != nil {
 			clock.AdvanceTo(join)
@@ -586,7 +571,7 @@ func (s *SDM) issueAhead(ts int64, parts []getPart) bool {
 		g := parts[i].g
 		for _, di := range parts[i].dis {
 			rec, ok := g.index.recs[writeKey{g.attrs[di].Name, ts}]
-			if !ok || s.pending[rec.FileName] != nil {
+			if !ok || s.writer(rec.FileName) != nil {
 				return false
 			}
 		}
@@ -601,7 +586,7 @@ func (s *SDM) issueAhead(ts int64, parts []getPart) bool {
 	for _, i := range s.readOrder(parts) {
 		g := parts[i].g
 		var j sim.Time
-		j, err = g.issueGets(tok, ts, parts[i].dis, &cur)
+		j, err = g.issueGets(ts, parts[i].dis, &cur)
 		join = sim.MaxTime(join, j)
 		tok.adopt(g)
 		if err != nil {
@@ -623,7 +608,7 @@ func (s *SDM) issueAhead(ts int64, parts []getPart) bool {
 	}
 	clock.Rebase(fork)
 	s.tokens = append(s.tokens, tok)
-	if tr := s.tracer; tr != nil {
+	if tr := s.env.Trace; tr != nil {
 		tr.Emit(s.pid(), "core", "readahead", fork, join,
 			obs.KV{Key: "step", Val: fmt.Sprint(ts)},
 			obs.KV{Key: "seq", Val: fmt.Sprint(tok.seq)})

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -193,6 +194,38 @@ func TestConflictImplicitlyWaits(t *testing.T) {
 	})
 }
 
+// flushJoinsNothing issues a one-put step of d at ts with EndStepAsync,
+// waits it, and fails if the flush joined an earlier one on its way: a
+// token outstanding before the call was waited by it, or the caller's
+// clock left the call point, which happens only when a claim or the
+// depth bound joins a flush.
+func flushJoinsNothing(s *SDM, d *Dataset[float64], ts int64, vals []float64) error {
+	before := slices.Clone(s.tokens)
+	clock := s.env.Comm.Clock()
+	at := clock.Now()
+	if err := s.BeginStep(ts); err != nil {
+		return err
+	}
+	if err := d.Put(vals); err != nil {
+		return err
+	}
+	tok, err := s.EndStepAsync()
+	if err != nil {
+		return err
+	}
+	joined := clock.Now() != at
+	for _, t := range before {
+		joined = joined || t.waited
+	}
+	if err := tok.Wait(); err != nil {
+		return err
+	}
+	if joined {
+		return fmt.Errorf("the flush of %s@%d joined an earlier flush", d.name, ts)
+	}
+	return nil
+}
+
 // TestWaitErrorReleasesClaims is the regression test for the claim
 // leak: a token whose flush failed must still release every file it
 // claimed when Wait surfaces the error, so later epochs on the same
@@ -255,11 +288,11 @@ func TestWaitErrorReleasesClaims(t *testing.T) {
 				t.Errorf("a get of an unwritten timestep issued %d catalog statements, want 0", got-queries)
 			}
 		}
-		if len(s.pending) != 0 {
-			t.Errorf("failed flush left %d files claimed in s.pending", len(s.pending))
-		}
 		if len(s.tokens) != 0 {
 			t.Errorf("failed flush left %d tokens registered", len(s.tokens))
+		}
+		if err := flushJoinsNothing(s, da, 1, vals); err != nil {
+			t.Errorf("rank %d: flush of a's file after the failed flush: %v", s.env.Comm.Rank(), err)
 		}
 		// The claimed file is free again: a fresh epoch over it works.
 		if err := da.PutAt(1, vals); err != nil {
@@ -598,9 +631,6 @@ func TestTokenRegistryRandomized(t *testing.T) {
 			// Registry clean after Finalize.
 			if mgr == nil {
 				t.Fatal("rank 0 manager not captured")
-			}
-			if len(mgr.pending) != 0 {
-				t.Fatalf("finalized manager still has %d pending file claims", len(mgr.pending))
 			}
 			if len(mgr.tokens) != 0 {
 				t.Fatalf("finalized manager still has %d live tokens", len(mgr.tokens))

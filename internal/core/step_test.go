@@ -254,7 +254,8 @@ func runHandleScript(t *testing.T, level FileOrganization, depth int, oneCall, a
 	const n = 3
 	te := newCostedEnv(n)
 	tr := obs.NewTracer()
-	te.run(t, Options{Organization: level, StepPipelineDepth: depth, Trace: tr}, func(s *SDM) {
+	te.trace = tr
+	te.run(t, Options{Organization: level, StepPipelineDepth: depth}, func(s *SDM) {
 		attrs := []Attr{{Name: "u", Type: Double, GlobalSize: 96}, {Name: "w", Type: Double, GlobalSize: 160}}
 		g, err := s.SetAttributes(attrs)
 		if err != nil {

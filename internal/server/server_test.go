@@ -74,10 +74,10 @@ func newFixture(t *testing.T, datasets []string, steps, global int64) *fixture {
 		var file []byte
 		for _, ds := range datasets {
 			slab := slabBytes(ds, ts, global)
-			if err := cat.RecordWrite(nil, catalog.WriteRecord{
+			if err := cat.RecordWrites(nil, []catalog.WriteRecord{{
 				RunID: runID, Dataset: ds, Timestep: ts,
 				FileOffset: int64(len(file)), FileName: name,
-			}); err != nil {
+			}}); err != nil {
 				t.Fatal(err)
 			}
 			fx.slabs[fmt.Sprintf("%s@%d", ds, ts)] = slab

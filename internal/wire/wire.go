@@ -164,6 +164,10 @@ type IndexHistory struct {
 	FileName    string  `json:"registered_file_name"`
 	EdgeSizes   []int64 `json:"-"` // per-rank partitioned edge count (incl. ghosts)
 	NodeSizes   []int64 `json:"-"` // per-rank partitioned node count (incl. ghosts)
+	// Digest names what the history was computed from (the partition
+	// vector and the edge import; see core's historyDigest). Off the wire,
+	// like the per-rank sizes; empty for a history registered without one.
+	Digest string `json:"-"`
 }
 
 // Reader is a run bundle as its readers see it — the catalog's listings

@@ -201,8 +201,8 @@ func (f *FUN3D) ImportAndPartition(cl *sdm.Cluster, mode PartitionMode, register
 	if err != nil {
 		return nil, err
 	}
+	// Rank 0 alone fills stats, read once Run has returned.
 	stats := &PartitionStats{}
-	var mu sync.Mutex
 	trafficBefore, _ := cl.World.Traffic()
 
 	err = cl.Run(func(p *sdm.Proc) {
@@ -297,14 +297,12 @@ func (f *FUN3D) ImportAndPartition(cl *sdm.Cluster, mode PartitionMode, register
 		maxImport := p.Comm.AllreduceFloat64(importDur.Seconds(), mpi.OpMax)
 		maxDistr := p.Comm.AllreduceFloat64(distrDur.Seconds(), mpi.OpMax)
 		if p.Rank() == 0 {
-			mu.Lock()
 			stats.ImportSec = maxImport
 			stats.DistributeSec = maxDistr
 			stats.TotalSec = maxImport + maxDistr
 			stats.FromHistory = ip.FromHistory
 			stats.LocalEdges = ip.NumEdges()
 			stats.LocalNodes = ip.NumNodes()
-			mu.Unlock()
 		}
 	})
 	if err != nil {
@@ -379,8 +377,8 @@ func (f *FUN3D) checkpoints(cl *sdm.Cluster, run checkpointRun) (*Fig6Stats, err
 	}
 	nNodes := int64(f.Mesh.NumNodes())
 	bigN := 5 * nNodes
+	// Rank 0 alone fills stats, read once Run has returned.
 	stats := &Fig6Stats{Level: level, Depth: depth}
-	var mu sync.Mutex
 	statsBefore := cl.FS.Stats()
 	filesBefore := make(map[string]bool)
 	for _, name := range cl.FS.List() {
@@ -510,10 +508,8 @@ func (f *FUN3D) checkpoints(cl *sdm.Cluster, run checkpointRun) (*Fig6Stats, err
 		readSec := p.Comm.AllreduceFloat64(t2.Sub(t1).Seconds(), mpi.OpMax)
 		if p.Rank() == 0 {
 			totalBytes := float64(steps) * (4*float64(nNodes) + float64(bigN)) * 8
-			mu.Lock()
 			stats.WriteMBps = totalBytes / 1e6 / writeSec
 			stats.ReadMBps = totalBytes / 1e6 / readSec
-			mu.Unlock()
 		}
 	})
 	if err != nil {

@@ -133,8 +133,8 @@ func (r *RTWorkload) WriteBandwidth(cl *sdm.Cluster, mode RTMode) (*RTStats, err
 	nNodes := int64(m.NumNodes())
 	nTris := int64(r.RT.NumTriangles())
 	steps := r.Cfg.Steps
+	// Rank 0 alone fills stats, read once Run has returned.
 	stats := &RTStats{Procs: cl.Procs()}
-	var mu sync.Mutex
 
 	err = cl.Run(func(p *sdm.Proc) {
 		level := sdm.Level2
@@ -251,11 +251,9 @@ func (r *RTWorkload) WriteBandwidth(cl *sdm.Cluster, mode RTMode) (*RTStats, err
 		writeSec := p.Comm.AllreduceFloat64(p.Comm.Now().Sub(t0).Seconds(), mpi.OpMax)
 		if p.Rank() == 0 {
 			totalBytes := float64(steps) * float64(nNodes+nTris) * 8
-			mu.Lock()
 			stats.TotalMB = totalBytes / 1e6
 			stats.WriteSec = writeSec
 			stats.MBps = totalBytes / 1e6 / writeSec
-			mu.Unlock()
 		}
 	})
 	if err != nil {

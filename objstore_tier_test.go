@@ -484,13 +484,9 @@ func TestObjstoreBundlePromotionServe(t *testing.T) {
 	want := map[key][]byte{}
 	for ts := int64(0); ts < steps; ts++ {
 		for _, ds := range []string{"pressure", "velocity"} {
-			info, err := cl.Catalog.LookupDataset(nil, at.Run.RunID, ds)
-			if err != nil || info == nil {
-				t.Fatalf("LookupDataset(%s): %v %v", ds, info, err)
-			}
-			rec, err := cl.Catalog.LookupWrite(nil, at.Run.RunID, ds, ts)
-			if err != nil || rec == nil {
-				t.Fatalf("LookupWrite(%s@%d): %v %v", ds, ts, rec, err)
+			info, rec, err := cl.Catalog.Slab(nil, at.Run.RunID, ds, ts)
+			if err != nil {
+				t.Fatalf("Slab(%s@%d): %v", ds, ts, err)
 			}
 			buf := make([]byte, info.GlobalSize*8)
 			h, err := cl.FS.Open(rec.FileName, pfs.ReadOnly, nil)

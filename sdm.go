@@ -55,7 +55,8 @@ import (
 type (
 	// Manager is the per-process SDM instance (SDM_initialize result).
 	Manager = core.SDM
-	// Options tunes a Manager (file organization, hints, cost model).
+	// Options tunes a Manager (file organization, hints, step pipeline,
+	// attach); observability is the cluster's (SetTracer/SetMetrics).
 	Options = core.Options
 	// Attr describes one dataset of a data group.
 	Attr = core.Attr
