@@ -38,7 +38,7 @@ func crashCluster(t *testing.T, files map[string][]byte, marker string) *Cluster
 	t.Helper()
 	cl := NewCluster(ClusterConfig{Procs: 2})
 	for name, data := range files {
-		if err := cl.StageFile(name, data); err != nil {
+		if err := cl.StageFile(name, bytes.NewReader(data)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -39,7 +39,7 @@ func determinismCluster(t *testing.T) *Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.StageFile("uns3d.msh", msh); err != nil {
+	if err := cl.StageFile("uns3d.msh", bytes.NewReader(msh)); err != nil {
 		t.Fatal(err)
 	}
 	specs := []ImportSpec{
@@ -75,7 +75,7 @@ func determinismCluster(t *testing.T) *Cluster {
 
 // createdAt matches the one field of a bundle allowed to differ between
 // two saves of one cluster: the manifest's wall-clock stamp.
-var createdAt = regexp.MustCompile(`"created_at":"[^"]*"`)
+var createdAt = regexp.MustCompile(`"created_at":\s*"[^"]*"`)
 
 // storedBytes is everything a bundle at dir stores, by name: each host
 // file under dir ("host/<path>", the manifest's created_at blanked) and,

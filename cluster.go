@@ -1,6 +1,8 @@
 package sdm
 
 import (
+	"io"
+
 	"sdm/internal/catalog"
 	"sdm/internal/core"
 	"sdm/internal/metadb"
@@ -146,11 +148,14 @@ func (cl *Cluster) Run(fn func(*Proc)) error {
 	})
 }
 
-// StageFile places data into the simulated file system without cost
-// accounting — the mechanism for providing externally created input
-// files (the paper's uns3d.msh).
-func (cl *Cluster) StageFile(name string, data []byte) error {
-	return cl.FS.WriteFile(name, data)
+// StageFile places what src writes into the simulated file system
+// without cost accounting — the mechanism for providing externally
+// created input files (the paper's uns3d.msh). src writes the file front
+// to back (a *bytes.Reader for bytes already in memory, a meshgen.Msh to
+// encode a mesh file straight into place); a file already under that
+// name is replaced.
+func (cl *Cluster) StageFile(name string, src io.WriterTo) error {
+	return cl.FS.WriteFile(name, src)
 }
 
 // ReadFile returns a stored file's contents without cost accounting,

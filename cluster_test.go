@@ -1,6 +1,7 @@
 package sdm_test
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -99,7 +100,7 @@ func TestAttachStorageSharesHistoryAcrossClusters(t *testing.T) {
 	}
 
 	base := sdm.NewCluster(sdm.ClusterConfig{Procs: 4})
-	if err := base.StageFile("uns3d.msh", msh); err != nil {
+	if err := base.StageFile("uns3d.msh", bytes.NewReader(msh)); err != nil {
 		t.Fatal(err)
 	}
 	runOnce := func(cl *sdm.Cluster) (fromHist bool) {
@@ -288,7 +289,7 @@ func TestCollectiveErrorsNameTheCause(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cl := sdm.NewCluster(sdm.ClusterConfig{Procs: procs})
-			if err := cl.StageFile("edges.bin", edges); err != nil {
+			if err := cl.StageFile("edges.bin", bytes.NewReader(edges)); err != nil {
 				t.Fatal(err)
 			}
 			var errs [procs]error

@@ -45,19 +45,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	edgeData := make([][]float64, *edgeArrays)
-	for k := range edgeData {
-		edgeData[k] = m.EdgeData(k)
-	}
-	nodeData := make([][]float64, *nodeArrays)
-	for k := range nodeData {
-		nodeData[k] = m.NodeData(k)
-	}
-	buf, layout, err := meshgen.EncodeMsh(m, edgeData, nodeData)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
+	// The file is encoded straight into the output, one data array at
+	// a time: at nx 128 the whole file would be 631 MB.
+	msh := meshgen.Msh{Mesh: m, EdgeArrays: *edgeArrays, NodeArrays: *nodeArrays,
+		EdgeData: m.EdgeData, NodeData: m.NodeData}
+	layout := msh.Layout()
+	if err := writeMsh(*out, msh); err != nil {
 		log.Fatal(err)
 	}
 	sidecar := fmt.Sprintf("edges %d\nnodes %d\nedgearrays %d\nnodearrays %d\n",
@@ -66,7 +59,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("wrote %s: %d nodes, %d edges, %.1f MB\n",
-		*out, layout.NumNodes, layout.NumEdges, float64(len(buf))/1e6)
+		*out, layout.NumNodes, layout.NumEdges, float64(layout.TotalSize())/1e6)
 
 	if *nparts > 1 {
 		g, err := partitioner.FromEdges(m.NumNodes(), m.Edge1, m.Edge2)
@@ -88,4 +81,17 @@ func main() {
 		fmt.Printf("wrote %s: edge cut %d, balance %.3f\n",
 			name, partitioner.EdgeCut(g, vec), partitioner.Balance(g, vec, *nparts))
 	}
+}
+
+// writeMsh encodes msh into the host file name.
+func writeMsh(name string, msh meshgen.Msh) error {
+	f, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := msh.WriteTo(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

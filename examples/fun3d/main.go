@@ -11,6 +11,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/binary"
 	"flag"
 	"fmt"
@@ -58,7 +59,7 @@ func main() {
 		partitioner.EdgeCut(graph, partVec), partitioner.Balance(graph, partVec, *procs))
 
 	cluster := sdm.NewCluster(sdm.Origin2000Config(*procs))
-	if err := cluster.StageFile("uns3d.msh", msh); err != nil {
+	if err := cluster.StageFile("uns3d.msh", bytes.NewReader(msh)); err != nil {
 		log.Fatal(err)
 	}
 

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"log"
@@ -45,7 +46,7 @@ func main() {
 	// mesh and history files, its database the metadata — the role of
 	// the machine's disks and MySQL instance between job submissions.
 	cluster := sdm.NewCluster(sdm.Origin2000Config(*procs))
-	if err := cluster.StageFile("uns3d.msh", msh); err != nil {
+	if err := cluster.StageFile("uns3d.msh", bytes.NewReader(msh)); err != nil {
 		log.Fatal(err)
 	}
 

@@ -377,7 +377,7 @@ func TestImportContiguousEqualDivision(t *testing.T) {
 	for i := range vals {
 		vals[i] = int32(i)
 	}
-	if err := te.fs.WriteFile("ext.dat", int32sToBytes(vals)); err != nil {
+	if err := te.fs.WriteFile("ext.dat", bytes.NewReader(int32sToBytes(vals))); err != nil {
 		t.Fatal(err)
 	}
 	te.run(t, Options{}, func(s *SDM) {
@@ -423,7 +423,7 @@ func TestImportViewIrregular(t *testing.T) {
 	for i := range vals {
 		vals[i] = float64(i) * 0.5
 	}
-	_ = te.fs.WriteFile("ext.dat", float64sToBytes(vals))
+	_ = te.fs.WriteFile("ext.dat", bytes.NewReader(float64sToBytes(vals)))
 	te.run(t, Options{}, func(s *SDM) {
 		imp, err := s.MakeImportlist("ext.dat", []ImportSpec{
 			{Name: "x", Type: Double, FileOffset: 0, Length: 20},
@@ -462,7 +462,7 @@ func TestImportViewIrregular(t *testing.T) {
 
 func TestImportViewTypeMismatch(t *testing.T) {
 	te := newTestEnv(1)
-	_ = te.fs.WriteFile("ext.dat", make([]byte, 160))
+	_ = te.fs.WriteFile("ext.dat", bytes.NewReader(make([]byte, 160)))
 	te.run(t, Options{}, func(s *SDM) {
 		imp, _ := s.MakeImportlist("ext.dat", []ImportSpec{
 			{Name: "x", Type: Double, FileOffset: 0, Length: 20},
@@ -490,7 +490,7 @@ func stageMesh(t *testing.T, fs *pfs.System, nx, ny, nz int) (*mesh.Mesh, mesh.M
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.WriteFile("uns3d.msh", buf); err != nil {
+	if err := fs.WriteFile("uns3d.msh", bytes.NewReader(buf)); err != nil {
 		t.Fatal(err)
 	}
 	return m, layout
@@ -648,7 +648,7 @@ func TestHistoryIgnoredForDifferentNprocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf, layout, _ := mesh.EncodeMsh(m, nil, nil)
-	_ = fs.WriteFile("uns3d.msh", buf)
+	_ = fs.WriteFile("uns3d.msh", bytes.NewReader(buf))
 	specs := []ImportSpec{
 		{Name: "edge1", Type: Integer, FileOffset: layout.Edge1Offset(), Length: layout.NumEdges, Content: "INDEX"},
 		{Name: "edge2", Type: Integer, FileOffset: layout.Edge2Offset(), Length: layout.NumEdges, Content: "INDEX"},
@@ -717,7 +717,7 @@ func TestFullPipelineMatchesSerial(t *testing.T) {
 	for _, nRanks := range []int{1, 2, 4, 8} {
 		te := newTestEnv(nRanks)
 		buf, layout, _ := mesh.EncodeMsh(m, [][]float64{x}, [][]float64{y})
-		_ = te.fs.WriteFile("uns3d.msh", buf)
+		_ = te.fs.WriteFile("uns3d.msh", bytes.NewReader(buf))
 		partVec := make([]int32, m.NumNodes())
 		for i := range partVec {
 			partVec[i] = int32((i / 3) % nRanks)
@@ -894,7 +894,7 @@ func TestFinalizeJoinsAsyncHistoryWrite(t *testing.T) {
 	cat := catalog.New(metadb.New())
 	m, _ := mesh.GenerateTet(6, 6, 6)
 	buf, layout, _ := mesh.EncodeMsh(m, nil, nil)
-	_ = fs.WriteFile("uns3d.msh", buf)
+	_ = fs.WriteFile("uns3d.msh", bytes.NewReader(buf))
 	w := mpi.NewWorld(2, mpi.Config{})
 	partVec := make([]int32, m.NumNodes())
 	for i := range partVec {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"sdm/internal/mesh"
@@ -123,7 +124,7 @@ func TestHistoryMissForAnotherMesh(t *testing.T) {
 	if otherLayout != layout {
 		t.Fatalf("second mesh layout %+v, want the first's %+v", otherLayout, layout)
 	}
-	if err := te.fs.WriteFile("other.msh", buf); err != nil {
+	if err := te.fs.WriteFile("other.msh", bytes.NewReader(buf)); err != nil {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()

@@ -80,7 +80,7 @@ func newImportFixture(t *testing.T) *importFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := te.fs.WriteFile("uns3d.msh", buf); err != nil {
+	if err := te.fs.WriteFile("uns3d.msh", bytes.NewReader(buf)); err != nil {
 		t.Fatal(err)
 	}
 	specs := []ImportSpec{
@@ -388,7 +388,7 @@ func TestDamagedHistoryFallsBackToRing(t *testing.T) {
 			if err := fs.Remove(name); err != nil {
 				t.Fatal(err)
 			}
-			if err := fs.WriteFile(name, data[:len(data)/2]); err != nil {
+			if err := fs.WriteFile(name, bytes.NewReader(data[:len(data)/2])); err != nil {
 				t.Fatal(err)
 			}
 		},
@@ -397,7 +397,7 @@ func TestDamagedHistoryFallsBackToRing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := fs.WriteFile(name, append(data, make([]byte, 24)...)); err != nil {
+			if err := fs.WriteFile(name, bytes.NewReader(append(data, make([]byte, 24)...))); err != nil {
 				t.Fatal(err)
 			}
 		},

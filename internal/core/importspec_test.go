@@ -18,7 +18,7 @@ func importBlocks(t *testing.T, size int, sp ImportSpec) (errs [2]error, blocks 
 	for i := range data {
 		data[i] = byte(i*7 + 1)
 	}
-	if err := te.fs.WriteFile("ext.dat", data); err != nil {
+	if err := te.fs.WriteFile("ext.dat", bytes.NewReader(data)); err != nil {
 		t.Fatal(err)
 	}
 	te.run(t, Options{}, func(s *SDM) {

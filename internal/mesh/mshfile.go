@@ -1,8 +1,10 @@
 package mesh
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 )
 
@@ -74,34 +76,94 @@ func (l MshLayout) fits(n int64) error {
 	return nil
 }
 
-// EncodeMsh serializes a mesh plus its data arrays into the msh layout.
+// mshChunk bounds the bytes Msh.WriteTo hands its writer in one Write.
+const mshChunk = 64 << 10
+
+// Msh is a msh file to be written: the mesh's edge1 and edge2 arrays,
+// then EdgeArrays per-edge and NodeArrays per-node double arrays.
+// WriteTo asks for data array k (EdgeData(k), NodeData(k)) only when it
+// writes it and keeps no reference to it afterwards, so a caller that
+// synthesizes the arrays holds one at a time, and the encoded file
+// exists whole only in its destination.
+type Msh struct {
+	Mesh                   *Mesh
+	EdgeArrays, NodeArrays int
+	EdgeData, NodeData     func(k int) []float64
+}
+
+// Layout is where WriteTo puts each array.
+func (f Msh) Layout() MshLayout {
+	return MshLayout{
+		NumEdges:   int64(f.Mesh.NumEdges()),
+		NumNodes:   int64(f.Mesh.NumNodes()),
+		EdgeArrays: f.EdgeArrays,
+		NodeArrays: f.NodeArrays,
+	}
+}
+
+// WriteTo encodes the file into w front to back, in Writes of at most
+// 64 KiB. A data array of the wrong length stops it with an error.
+func (f Msh) WriteTo(w io.Writer) (int64, error) {
+	l := f.Layout()
+	c := &chunkWriter{w: w, buf: make([]byte, mshChunk)}
+	putChunked(c, f.Mesh.Edge1, 4, PutInt32s)
+	putChunked(c, f.Mesh.Edge2, 4, PutInt32s)
+	for k := 0; k < f.EdgeArrays && c.err == nil; k++ {
+		c.array("edge", k, f.EdgeData(k), l.NumEdges)
+	}
+	for k := 0; k < f.NodeArrays && c.err == nil; k++ {
+		c.array("node", k, f.NodeData(k), l.NumNodes)
+	}
+	return c.n, c.err
+}
+
+// chunkWriter encodes arrays through one buffer into w, counting the
+// bytes written and stopping at the first error.
+type chunkWriter struct {
+	w   io.Writer
+	buf []byte
+	n   int64
+	err error
+}
+
+// array writes data array k of the given kind, which must hold want
+// values.
+func (c *chunkWriter) array(kind string, k int, d []float64, want int64) {
+	if int64(len(d)) != want {
+		c.err = fmt.Errorf("mesh: %s array %d has %d entries, want %d", kind, k, len(d), want)
+		return
+	}
+	putChunked(c, d, 8, PutFloat64s)
+}
+
+// putChunked encodes vals (size bytes each) with put and writes them
+// one buffer at a time.
+func putChunked[T int32 | float64](c *chunkWriter, vals []T, size int, put func([]byte, []T)) {
+	per := len(c.buf) / size
+	for len(vals) > 0 && c.err == nil {
+		k := min(per, len(vals))
+		put(c.buf, vals[:k])
+		m, err := c.w.Write(c.buf[:k*size])
+		c.n += int64(m)
+		c.err = err
+		vals = vals[k:]
+	}
+}
+
+// EncodeMsh serializes a mesh plus its data arrays into the msh layout,
+// in one buffer (Msh.WriteTo into memory).
 func EncodeMsh(m *Mesh, edgeData, nodeData [][]float64) ([]byte, MshLayout, error) {
-	layout := MshLayout{
-		NumEdges:   int64(m.NumEdges()),
-		NumNodes:   int64(m.NumNodes()),
-		EdgeArrays: len(edgeData),
-		NodeArrays: len(nodeData),
+	f := Msh{
+		Mesh: m, EdgeArrays: len(edgeData), NodeArrays: len(nodeData),
+		EdgeData: func(k int) []float64 { return edgeData[k] },
+		NodeData: func(k int) []float64 { return nodeData[k] },
 	}
-	for k, d := range edgeData {
-		if int64(len(d)) != layout.NumEdges {
-			return nil, layout, fmt.Errorf("mesh: edge array %d has %d entries, want %d", k, len(d), layout.NumEdges)
-		}
+	layout := f.Layout()
+	buf := bytes.NewBuffer(make([]byte, 0, layout.TotalSize()))
+	if _, err := f.WriteTo(buf); err != nil {
+		return nil, layout, err
 	}
-	for k, d := range nodeData {
-		if int64(len(d)) != layout.NumNodes {
-			return nil, layout, fmt.Errorf("mesh: node array %d has %d entries, want %d", k, len(d), layout.NumNodes)
-		}
-	}
-	buf := make([]byte, layout.TotalSize())
-	PutInt32s(buf[layout.Edge1Offset():], m.Edge1)
-	PutInt32s(buf[layout.Edge2Offset():], m.Edge2)
-	for k, d := range edgeData {
-		PutFloat64s(buf[layout.EdgeDataOffset(k):], d)
-	}
-	for k, d := range nodeData {
-		PutFloat64s(buf[layout.NodeDataOffset(k):], d)
-	}
-	return buf, layout, nil
+	return buf.Bytes(), layout, nil
 }
 
 // DecodeMsh parses a msh file given its layout (the layout itself lives

@@ -109,7 +109,7 @@ func TestDenseReadStartsAtAgreement(t *testing.T) {
 			for i := range file {
 				file[i] = byte(i*7 + i>>9)
 			}
-			if err := sys.WriteFile("f", file); err != nil {
+			if err := sys.WriteFile("f", bytes.NewReader(file)); err != nil {
 				t.Fatal(err)
 			}
 			tr := obs.NewTracer()
@@ -244,7 +244,7 @@ func TestCollectiveErrorReachesEveryRank(t *testing.T) {
 			})
 			sys := pfs.NewSystemOn(tc.cfg, faulty)
 			if tc.op == store.OpRead {
-				if err := sys.WriteFile("f", make([]byte, ranks*tc.elems*8)); err != nil {
+				if err := sys.WriteFile("f", bytes.NewReader(make([]byte, ranks*tc.elems*8))); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -175,7 +175,7 @@ func TestCollectiveAllEmpty(t *testing.T) {
 
 func TestReadAtAllZeroFillsPastEOF(t *testing.T) {
 	sys := freeSys()
-	_ = sys.WriteFile("f", []byte{9, 9})
+	_ = sys.WriteFile("f", bytes.NewReader([]byte{9, 9}))
 	runIO(t, 2, sys, func(c *mpi.Comm) {
 		f, _ := Open(c, sys, "f", pfs.ReadOnly, Hints{})
 		defer f.Close()

@@ -356,7 +356,7 @@ func TestReplyRoundsAllocateNothing(t *testing.T) {
 	allocs := make(map[float64]float64)
 	for _, bw := range []float64{0, 35e6} { // one round; four rounds of 4 KiB
 		sys := pfs.NewSystem(pfs.Config{NumServers: 4, StripeSize: 16384, ServerBandwidth: bw, RequestLatency: 800_000})
-		if err := sys.WriteFile("f", make([]byte, p*16384)); err != nil {
+		if err := sys.WriteFile("f", bytes.NewReader(make([]byte, p*16384))); err != nil {
 			t.Fatal(err)
 		}
 		tr := obs.NewTracer()

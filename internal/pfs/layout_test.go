@@ -172,7 +172,7 @@ func TestLayoutSingleStripeFastPath(t *testing.T) {
 func TestLayoutOpenAllocatesOnce(t *testing.T) {
 	s := NewSystem(Config{NumServers: 4, StripeSize: 4096, RequestLatency: time.Millisecond})
 	clock := sim.NewClock()
-	if err := s.WriteFile("f", make([]byte, 8192)); err != nil {
+	if err := s.WriteFile("f", bytes.NewReader(make([]byte, 8192))); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 1024)

@@ -783,11 +783,14 @@ func (h *Handle) ReadAtVec(p []byte, exts []Extent) (int, error) {
 	return int(read), nil
 }
 
-// WriteFile stores data as name without cost accounting, for staging
-// input files (the role of data created "outside of SDM" that import
-// reads). A file already under that name is replaced, not overwritten
-// in place: nothing of it shows through where the new one is shorter.
-func (s *System) WriteFile(name string, data []byte) error {
+// WriteFile stores what src writes as name without cost accounting, for
+// staging input files (the role of data created "outside of SDM" that
+// import reads). src writes the file front to back in Writes of any
+// size, each going straight into the file, so no caller has to hold the
+// whole file in one buffer. A file already under that name is replaced,
+// not overwritten in place: nothing of it shows through where the new
+// one is shorter. If src fails, the name is left with no file.
+func (s *System) WriteFile(name string, src io.WriterTo) error {
 	if err := s.Remove(name); err != nil && !errors.Is(err, ErrNotExist) {
 		return err
 	}
@@ -795,12 +798,23 @@ func (s *System) WriteFile(name string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	if len(data) > 0 {
-		if _, err := h.f.obj.WriteAt(data, 0); err != nil {
-			return err
-		}
+	if _, err := src.WriteTo(&appender{obj: h.f.obj}); err != nil {
+		h.Close()
+		return errors.Join(err, s.Remove(name))
 	}
 	return h.Close()
+}
+
+// appender writes each Write after the one before it, from offset 0.
+type appender struct {
+	obj store.Object
+	off int64
+}
+
+func (a *appender) Write(p []byte) (int, error) {
+	n, err := a.obj.WriteAt(p, a.off)
+	a.off += int64(n)
+	return n, err
 }
 
 // ReadFile returns a file's full contents without cost accounting.

@@ -99,7 +99,7 @@ func TestOpenMissingFile(t *testing.T) {
 
 func TestReadOnlyRejectsWrites(t *testing.T) {
 	s := NewSystem(freeConfig())
-	_ = s.WriteFile("f", []byte("x"))
+	_ = s.WriteFile("f", bytes.NewReader([]byte("x")))
 	h, _ := s.Open("f", ReadOnly, nil)
 	if _, err := writeAt(h, []byte("y"), 0); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("err = %v", err)
@@ -123,8 +123,8 @@ func TestClosedHandle(t *testing.T) {
 
 func TestRemoveAndList(t *testing.T) {
 	s := NewSystem(freeConfig())
-	_ = s.WriteFile("b", nil)
-	_ = s.WriteFile("a", nil)
+	_ = s.WriteFile("b", bytes.NewReader(nil))
+	_ = s.WriteFile("a", bytes.NewReader(nil))
 	if got := s.List(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Fatalf("List = %v", got)
 	}
@@ -144,10 +144,10 @@ func TestRemoveAndList(t *testing.T) {
 // regrows over them.
 func TestTruncate(t *testing.T) {
 	s := NewSystem(freeConfig())
-	if err := s.WriteFile("f", bytes.Repeat([]byte{0xEE}, 200_000)); err != nil {
+	if err := s.WriteFile("f", bytes.NewReader(bytes.Repeat([]byte{0xEE}, 200_000))); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteFile("f", make([]byte, 10)); err != nil {
+	if err := s.WriteFile("f", bytes.NewReader(make([]byte, 10))); err != nil {
 		t.Fatal(err)
 	}
 	if sz, err := s.FileSize("f"); err != nil || sz != 10 {
@@ -323,7 +323,7 @@ func TestStats(t *testing.T) {
 func TestWriteFileReadFile(t *testing.T) {
 	s := NewSystem(freeConfig())
 	payload := bytes.Repeat([]byte("xyz"), 50_000)
-	if err := s.WriteFile("stage", payload); err != nil {
+	if err := s.WriteFile("stage", bytes.NewReader(payload)); err != nil {
 		t.Fatal(err)
 	}
 	got, err := s.ReadFile("stage")
@@ -331,7 +331,7 @@ func TestWriteFileReadFile(t *testing.T) {
 		t.Fatalf("round trip failed: %v", err)
 	}
 	// WriteFile replaces content entirely.
-	if err := s.WriteFile("stage", []byte("tiny")); err != nil {
+	if err := s.WriteFile("stage", bytes.NewReader([]byte("tiny"))); err != nil {
 		t.Fatal(err)
 	}
 	got, _ = s.ReadFile("stage")
@@ -340,6 +340,49 @@ func TestWriteFileReadFile(t *testing.T) {
 	}
 	if sz, _ := s.FileSize("stage"); sz != 4 {
 		t.Fatalf("FileSize = %d", sz)
+	}
+}
+
+// chunkSource writes its bytes in Writes of at most chunk bytes, then
+// fails with err if that is set.
+type chunkSource struct {
+	data  []byte
+	chunk int
+	err   error
+}
+
+func (c chunkSource) WriteTo(w io.Writer) (int64, error) {
+	var n int64
+	for p := c.data; len(p) > 0; {
+		k := min(c.chunk, len(p))
+		m, err := w.Write(p[:k])
+		n += int64(m)
+		if err != nil {
+			return n, err
+		}
+		p = p[k:]
+	}
+	return n, c.err
+}
+
+// TestWriteFileInChunks: a file staged in small Writes is the
+// concatenation of them, and a source that fails leaves no file under
+// the name, not the old one and not a partial new one.
+func TestWriteFileInChunks(t *testing.T) {
+	s := NewSystem(freeConfig())
+	payload := bytes.Repeat([]byte("0123456789"), 3_000)
+	if err := s.WriteFile("stage", chunkSource{data: payload, chunk: 777}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.ReadFile("stage"); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("chunked staging read back %d bytes (%v), want %d", len(got), err, len(payload))
+	}
+	boom := errors.New("source failed")
+	if err := s.WriteFile("stage", chunkSource{data: payload[:1000], chunk: 100, err: boom}); !errors.Is(err, boom) {
+		t.Fatalf("failing source: %v, want %v", err, boom)
+	}
+	if _, err := s.ReadFile("stage"); !errors.Is(err, ErrNotExist) {
+		t.Fatalf("after a failed staging the name reads %v, want ErrNotExist", err)
 	}
 }
 

@@ -64,7 +64,7 @@ func TestConcurrentRankGoroutines(t *testing.T) {
 			_, err = sys.FileSize(private)
 			check(err)
 			scratch := fmt.Sprintf("scratch-%d-%d", rank, i)
-			check(sys.WriteFile(scratch, pattern[:16]))
+			check(sys.WriteFile(scratch, bytes.NewReader(pattern[:16])))
 			check(sys.Remove(scratch))
 			c.Barrier()
 		}

@@ -241,7 +241,7 @@ func TestVecServerAdjacentExtentsOneRequest(t *testing.T) {
 // order.
 func TestLandedStreamsInOrder(t *testing.T) {
 	sys := NewSystem(vecConfig())
-	if err := sys.WriteFile("f", make([]byte, 8192)); err != nil {
+	if err := sys.WriteFile("f", bytes.NewReader(make([]byte, 8192))); err != nil {
 		t.Fatal(err)
 	}
 	first, _ := sys.Open("f", ReadOnly, sim.NewClock())
@@ -315,7 +315,7 @@ func TestVecStatsCountChargedRequestsOnError(t *testing.T) {
 	// Read: the file is written on a clean backend first; the backend's
 	// Open is op 1, the three requests' reads ops 2 to 4.
 	mem := store.NewMem()
-	if err := NewSystemOn(vecConfig(), mem).WriteFile("f", make([]byte, 3072)); err != nil {
+	if err := NewSystemOn(vecConfig(), mem).WriteFile("f", bytes.NewReader(make([]byte, 3072))); err != nil {
 		t.Fatal(err)
 	}
 	s = NewSystemOn(vecConfig(), store.NewFaulty(mem, store.FaultConfig{CrashAtOp: 3}))

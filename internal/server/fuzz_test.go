@@ -52,7 +52,7 @@ func FuzzServeHTTP(f *testing.F) {
 	if err := cat.RecordWrites(nil, recs); err != nil {
 		f.Fatal(err)
 	}
-	if err := fs.WriteFile("fuzz_r1_g0.dat", bytes.Repeat([]byte{0xA5}, 6*slab)); err != nil {
+	if err := fs.WriteFile("fuzz_r1_g0.dat", bytes.NewReader(bytes.Repeat([]byte{0xA5}, 6*slab))); err != nil {
 		f.Fatal(err)
 	}
 	// A short idle timeout reaps the sessions the fuzzer attaches.

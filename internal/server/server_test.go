@@ -83,7 +83,7 @@ func newFixture(t *testing.T, datasets []string, steps, global int64) *fixture {
 			fx.slabs[fmt.Sprintf("%s@%d", ds, ts)] = slab
 			file = append(file, slab...)
 		}
-		if err := fs.WriteFile(name, file); err != nil {
+		if err := fs.WriteFile(name, bytes.NewReader(file)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -216,7 +216,7 @@ func (s *shape) ordered(metric string, factor float64, cases ...string) {
 
 // fun3dBench is what a FUN3D figure's body runs in: the workload at the
 // figure's scale and the cluster constructor. Every case gets a fresh
-// cluster with the mesh file staged.
+// cluster; only fig5, which imports the mesh file, stages it.
 type fun3dBench struct {
 	f          *FUN3D
 	sc         Scale
@@ -241,11 +241,7 @@ func (b *fun3dBench) checkpoints(run checkpointRun, tune func(*sdm.ClusterConfig
 	if tune != nil {
 		tune(&cfg)
 	}
-	cl := b.newCluster(cfg)
-	if err := b.f.Stage(cl); err != nil {
-		return nil, err
-	}
-	return b.f.checkpoints(cl, run)
+	return b.f.checkpoints(b.newCluster(cfg), run)
 }
 
 func fig5Rows(b *fun3dBench) ([]Row, error) {

@@ -57,7 +57,6 @@ type FUN3D struct {
 
 	mu       sync.Mutex
 	partVecs map[int][]int32
-	mshBuf   []byte // cached encoded mesh file; the mesh is immutable
 }
 
 // MshFileName is the staged mesh file's name, matching the paper.
@@ -74,42 +73,25 @@ func NewFUN3D(cfg FUN3DConfig) (*FUN3D, error) {
 		return nil, err
 	}
 	f := &FUN3D{Cfg: cfg, Mesh: m, partVecs: make(map[int][]int32)}
-	f.Layout = mesh.MshLayout{
-		NumEdges:   int64(m.NumEdges()),
-		NumNodes:   int64(m.NumNodes()),
-		EdgeArrays: cfg.EdgeArrays,
-		NodeArrays: cfg.NodeArrays,
-	}
+	f.Layout = f.msh().Layout()
 	return f, nil
 }
 
-// Stage encodes the mesh file and places it in the cluster's file
-// system as externally created input. The encoded bytes are cached:
-// the mesh is immutable, so repeated staging (one per experiment
-// cluster) reuses the same buffer instead of re-synthesizing the data
-// arrays and re-encoding the file each time.
-func (f *FUN3D) Stage(cl *sdm.Cluster) error {
-	f.mu.Lock()
-	if f.mshBuf == nil {
-		edgeData := make([][]float64, f.Cfg.EdgeArrays)
-		for k := range edgeData {
-			edgeData[k] = f.Mesh.EdgeData(k)
-		}
-		nodeData := make([][]float64, f.Cfg.NodeArrays)
-		for k := range nodeData {
-			nodeData[k] = f.Mesh.NodeData(k)
-		}
-		buf, layout, err := mesh.EncodeMsh(f.Mesh, edgeData, nodeData)
-		if err != nil {
-			f.mu.Unlock()
-			return err
-		}
-		f.mshBuf = buf
-		f.Layout = layout
+// msh is the mesh file: the edges, then the configured data arrays,
+// each synthesized when it is written.
+func (f *FUN3D) msh() mesh.Msh {
+	return mesh.Msh{
+		Mesh: f.Mesh, EdgeArrays: f.Cfg.EdgeArrays, NodeArrays: f.Cfg.NodeArrays,
+		EdgeData: f.Mesh.EdgeData, NodeData: f.Mesh.NodeData,
 	}
-	buf := f.mshBuf
-	f.mu.Unlock()
-	return cl.StageFile(MshFileName, buf)
+}
+
+// Stage places the mesh file in the cluster's file system as
+// externally created input. It encodes the file straight into place,
+// one data array at a time, and keeps nothing: each call synthesizes
+// the data arrays again.
+func (f *FUN3D) Stage(cl *sdm.Cluster) error {
+	return cl.StageFile(MshFileName, f.msh())
 }
 
 // PartVec returns (and caches) the MeTis-style partitioning vector for

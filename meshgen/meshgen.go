@@ -44,8 +44,14 @@ func StreamTetEdges(nx, ny, nz, blockEdges int, yield func(edge1, edge2 []int32)
 // EdgeCount reports GenerateTet's unique edge count in closed form.
 func EdgeCount(nx, ny, nz int) int64 { return mesh.EdgeCount(nx, ny, nz) }
 
+// Msh is a uns3d.msh file to be written: its WriteTo encodes the mesh's
+// edges and then each data array, asking for the array only when it
+// writes it, straight into an io.Writer (a host file, or a cluster's
+// file system through sdm.Cluster.StageFile).
+type Msh = mesh.Msh
+
 // EncodeMsh serializes a mesh and its per-edge/per-node double arrays
-// into the uns3d.msh layout.
+// into the uns3d.msh layout, in one buffer.
 func EncodeMsh(m *Mesh, edgeData, nodeData [][]float64) ([]byte, MshLayout, error) {
 	return mesh.EncodeMsh(m, edgeData, nodeData)
 }

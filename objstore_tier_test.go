@@ -178,7 +178,7 @@ func TestMigrateBundleRemigration(t *testing.T) {
 			hot := filepath.Join(base, "hot")
 			cold := filepath.Join(base, "cold")
 			writer := NewCluster(ClusterConfig{Procs: procs})
-			if err := writer.StageFile("static.dat", crashPattern('S', 5000)); err != nil {
+			if err := writer.StageFile("static.dat", bytes.NewReader(crashPattern('S', 5000))); err != nil {
 				t.Fatal(err)
 			}
 			writeDemoRun(t, writer, globalN, steps)
@@ -190,7 +190,7 @@ func TestMigrateBundleRemigration(t *testing.T) {
 			}
 
 			writeDemoRun(t, writer, globalN, steps)
-			if err := writer.StageFile("static.dat", crashPattern('T', 5000)); err != nil {
+			if err := writer.StageFile("static.dat", bytes.NewReader(crashPattern('T', 5000))); err != nil {
 				t.Fatal(err)
 			}
 			if err := writer.SaveBundle(hot); err != nil {

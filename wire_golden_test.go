@@ -129,7 +129,7 @@ func writeWireBundle(t *testing.T, dir string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.StageFile("uns3d.msh", msh); err != nil {
+	if err := cl.StageFile("uns3d.msh", bytes.NewReader(msh)); err != nil {
 		t.Fatal(err)
 	}
 	specs := []sdm.ImportSpec{
