@@ -16,6 +16,7 @@ package catalog
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -490,15 +491,59 @@ func (c *Catalog) ReleaseImports(clock *sim.Clock, runid int64) error {
 // ---------------------------------------------------------------------------
 
 // historyScope is the annotation_table scope reserved for history
-// digests: one row per history, under runid 0, keyed by its file name.
-// The paper's two history tables stay as they were, so catalogs written
-// before the digest existed still load; their histories have none.
+// digests: one row per history, under runid 0, keyed by its file name,
+// holding historyNote. The paper's two history tables stay as they were,
+// so catalogs written before the digest existed still load; their
+// histories have none.
 const historyScope = "sdm.index-history"
+
+// historyNote is a history's annotation value: its digest, then, when it
+// has a block table, a line with the file's content digest and a line
+// with each rank's block length. A value written before block tables
+// existed is the digest alone.
+func historyNote(h IndexHistory) []byte {
+	if h.BlockSizes == nil {
+		return []byte(h.Digest)
+	}
+	b := fmt.Appendf(nil, "%s\n%s\n", h.Digest, h.Content)
+	for i, n := range h.BlockSizes {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, n, 10)
+	}
+	return b
+}
+
+// readHistoryNote fills h's digest and block table from historyNote's
+// value. A block table that does not parse reads as none, so the
+// history is replayed by no one.
+func readHistoryNote(h *IndexHistory, v []byte) {
+	digest, rest, table := strings.Cut(string(v), "\n")
+	h.Digest = digest
+	if !table {
+		return
+	}
+	content, lens, ok := strings.Cut(rest, "\n")
+	if !ok {
+		return
+	}
+	fields := strings.Fields(lens)
+	sizes := make([]int64, len(fields))
+	for i, f := range fields {
+		n, err := strconv.ParseInt(f, 10, 64)
+		if err != nil {
+			return
+		}
+		sizes[i] = n
+	}
+	h.Content, h.BlockSizes = content, sizes
+}
 
 // RegisterIndexHistory records a new history (SDM_index_registry): one
 // index_table row plus one index_history_table row per rank, and its
-// digest, when it has one, as an annotation_table row — all one charged
-// call.
+// digest and block table, when it has them, as an annotation_table row
+// — all one charged call.
 func (c *Catalog) RegisterIndexHistory(clock *sim.Clock, h IndexHistory) error {
 	if int64(len(h.EdgeSizes)) != h.NProcs || int64(len(h.NodeSizes)) != h.NProcs {
 		return fmt.Errorf("catalog: history has %d/%d per-rank sizes for %d procs",
@@ -519,18 +564,18 @@ func (c *Catalog) RegisterIndexHistory(clock *sim.Clock, h IndexHistory) error {
 			return err
 		}
 	}
-	if h.Digest == "" {
+	if h.Digest == "" && h.BlockSizes == nil {
 		return nil
 	}
 	_, err = c.db.Exec(`INSERT INTO annotation_table VALUES (0, ?, ?, ?)`,
-		historyScope, h.FileName, []byte(h.Digest))
+		historyScope, h.FileName, historyNote(h))
 	return err
 }
 
 // LookupIndexHistory finds a history matching (problemSize, nprocs),
-// with its digest (empty when it was registered without one); nil when
-// none exists — the caller then falls back to the full ring
-// distribution, exactly as SDM_import does.
+// with its digest and block table (empty when it was registered without
+// them); nil when none exists — the caller then falls back to the full
+// ring distribution, exactly as SDM_import does.
 func (c *Catalog) LookupIndexHistory(clock *sim.Clock, problemSize, nprocs int64) (*IndexHistory, error) {
 	c.charge(clock)
 	row, err := c.db.QueryRow(
@@ -565,7 +610,7 @@ func (c *Catalog) LookupIndexHistory(clock *sim.Clock, problemSize, nprocs int64
 		return nil, err
 	}
 	if digest != nil {
-		h.Digest = string(digest[0].AsBlob())
+		readHistoryNote(&h, digest[0].AsBlob())
 	}
 	return &h, nil
 }

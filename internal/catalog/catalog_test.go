@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -237,6 +238,39 @@ func TestIndexHistoryDigest(t *testing.T) {
 	}
 	if got, err := c.LookupIndexHistory(nil, 98, 2); err != nil || got == nil || got.Digest != "" {
 		t.Fatalf("lookup after re-registering without a digest = %+v, %v", got, err)
+	}
+}
+
+// TestIndexHistoryBlockTable: a history's block lengths and content
+// digest ride in its digest's annotation row, in the same one charged
+// register and lookup calls. A row holding a digest alone — written
+// before block tables — or a block table that does not parse reads back
+// with no block table.
+func TestIndexHistoryBlockTable(t *testing.T) {
+	c := newCat(t)
+	h := IndexHistory{ProblemSize: 98, NumNodes: 27, NProcs: 2, Dimension: 1,
+		FileName: "h98", EdgeSizes: []int64{60, 50}, NodeSizes: []int64{15, 14}, Digest: "abc123",
+		BlockSizes: []int64{216, 0}, Content: "c0ffee"}
+	clock := sim.NewClock()
+	if err := c.RegisterIndexHistory(clock, h); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.LookupIndexHistory(clock, 98, 2)
+	if err != nil || got == nil || got.Digest != h.Digest || got.Content != h.Content ||
+		!reflect.DeepEqual(got.BlockSizes, h.BlockSizes) {
+		t.Fatalf("lookup = %+v, %v; want %+v", got, err, h)
+	}
+	if clock.Now() != sim.Time(2*AccessCost) {
+		t.Fatalf("register and lookup charged %v, want two calls", clock.Now())
+	}
+	for _, note := range []string{"abc123", "abc123\nc0ffee\n216 x", "abc123\nc0ffee"} {
+		if err := c.PutAnnotation(nil, 0, historyScope, "h98", []byte(note)); err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.LookupIndexHistory(nil, 98, 2)
+		if err != nil || got == nil || got.Digest != "abc123" || got.BlockSizes != nil || got.Content != "" {
+			t.Fatalf("note %q: lookup = %+v, %v; want the digest and no block table", note, got, err)
+		}
 	}
 }
 

@@ -430,7 +430,7 @@ func TestHistoryFileSpreadsEvenly(t *testing.T) {
 			cfg.NumServers, cfg.StripeSize = tc.servers, tc.stripe
 			te := newCostedEnv(n)
 			te.fs = pfs.NewSystem(cfg)
-			m, layout := stageMesh(t, te.fs, 20, 20, 20)
+			m, layout := stageMesh(t, te.fs, 30, 30, 30)
 			partVec := make([]int32, m.NumNodes())
 			for i := range partVec {
 				partVec[i] = int32(i * n / len(partVec))

@@ -371,8 +371,8 @@ func TestImportEpochMisuse(t *testing.T) {
 	})
 }
 
-// A truncated, extended or missing history file must not load as a
-// partition of zero-filled or stray edges: PartitionIndex falls back to
+// A truncated, extended, damaged or missing history file must not load
+// as a partition of zero-filled or stray edges: PartitionIndex falls back to
 // the ring distribution, counts the fallback and invalidates the stale
 // registration and file, so the application's usual
 // `if !ip.FromHistory { IndexRegistry }` creates the history afresh —
@@ -398,6 +398,16 @@ func TestDamagedHistoryFallsBackToRing(t *testing.T) {
 				t.Fatal(err)
 			}
 			if err := fs.WriteFile(name, bytes.NewReader(append(data, make([]byte, 24)...))); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"same size, one byte flipped": func(t *testing.T, fs *pfs.System, name string) {
+			data, err := fs.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[len(data)/2] ^= 0x10
+			if err := fs.WriteFile(name, bytes.NewReader(data)); err != nil {
 				t.Fatal(err)
 			}
 		},

@@ -2,9 +2,12 @@ package core
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"sort"
 
 	"sdm/internal/catalog"
@@ -80,19 +83,50 @@ func (s *SDM) historyFileName(totalEdges int64) string {
 	return fmt.Sprintf("%s_hist_e%d_p%d.idx", s.app, totalEdges, s.env.Comm.Size())
 }
 
+// hashChunk bounds the host buffer that hashes file content: the
+// digests below stream their bytes through it, never holding a file.
+const hashChunk = 64 << 10
+
 // historyDigest names what a partition of the edge arrays e1 and e2 of
-// imp is computed from: the partition vector, and the edge import's
-// identity — the file's name and staged size, each array's offset and
-// length. The paper keys a history on problem size and process count
-// alone; a history replays only under the same digest, so another
-// partition vector, or another mesh with as many edges, is a miss rather
-// than another partition's edges.
-func historyDigest(imp *Importer, e1, e2 ImportSpec, partVec []int32) string {
+// imp is computed from: the partition vector, and the edge import — the
+// file's name and staged size, each array's offset and length, and the
+// content of both arrays. The paper keys a history on problem size and
+// process count alone; a history replays only under the same digest, so
+// another partition vector, or another mesh with as many edges (staged
+// under any name), is a miss rather than another partition's edges. The
+// arrays are read from the file system's backend in hashChunk pieces:
+// host work on rank 0, unpriced like the rest of the digest.
+func (s *SDM) historyDigest(imp *Importer, e1, e2 ImportSpec, partVec []int32) (string, error) {
 	h := sha256.New()
 	fmt.Fprintf(h, "%q %d %d %d %d %d %d\n", imp.fileName, imp.size,
 		e1.FileOffset, e1.Length, e2.FileOffset, e2.Length, len(partVec))
 	h.Write(int32sToBytes(partVec))
-	return hex.EncodeToString(h.Sum(nil))
+	obj, err := s.env.FS.Backend().Open(imp.fileName)
+	if err != nil {
+		return "", err
+	}
+	buf := make([]byte, hashChunk)
+	for _, sp := range []ImportSpec{e1, e2} {
+		if _, err := io.CopyBuffer(h, io.NewSectionReader(obj, sp.FileOffset, sp.Length*sp.Type.Size()), buf); err != nil {
+			return "", err
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// blockSum is a history block's share of its file's content digest: the
+// first eight bytes of the block's SHA-256, sum.
+func blockSum(sum []byte) int64 { return int64(binary.LittleEndian.Uint64(sum)) }
+
+// contentDigest is a history file's content digest: the SHA-256 of its
+// blocks' sums in rank order.
+func contentDigest(sums []int64) string {
+	b := make([]byte, 0, 8*len(sums))
+	for _, v := range sums {
+		b = binary.LittleEndian.AppendUint64(b, uint64(v))
+	}
+	d := sha256.Sum256(b)
+	return hex.EncodeToString(d[:])
 }
 
 // PartitionIndex distributes the edges named by edge1Name/edge2Name in
@@ -116,12 +150,7 @@ func (s *SDM) PartitionIndex(imp *Importer, edge1Name, edge2Name string, partVec
 		return nil, fmt.Errorf("core: edge arrays %q and %q have different lengths", edge1Name, edge2Name)
 	}
 	totalEdges := sp1.Length
-	var digest string // only rank 0 asks the catalog
-	if s.env.Comm.Rank() == 0 {
-		digest = historyDigest(imp, sp1, sp2, partVec)
-	}
-
-	hist, err := s.lookupHistory(totalEdges, digest)
+	hist, digest, err := s.lookupHistory(imp, sp1, sp2, partVec)
 	if err != nil {
 		return nil, err
 	}
@@ -156,24 +185,30 @@ func (s *SDM) PartitionIndex(imp *Importer, edge1Name, edge2Name string, partVec
 	return ip, nil
 }
 
-// lookupHistory checks index_table for a usable history (rank 0
-// queries, result broadcast). A registered history computed from other
-// inputs than digest names (a history registered without a digest
-// included), or whose file fails historyIntact, is invalidated — its
-// rows deleted and its file removed (uncharged, like the size check), so
-// the caller's IndexRegistry creates the same file name afresh, at its
-// own length and layout, rather than writing over a stale one in place —
-// counted in core.history-fallbacks, and reported as a miss. The
-// decision is rank 0's alone and travels in the broadcast, so every rank
-// takes the same collective branch.
+// lookupHistory checks index_table for a usable history of the edge
+// arrays e1 and e2 of imp (rank 0 queries, result broadcast) and returns
+// it with historyDigest's name for those inputs, on rank 0 only. A
+// registered history computed from other inputs (a history registered
+// without a digest included), or whose file fails historyIntact, is
+// invalidated — its rows deleted and its file removed (uncharged, like
+// the size check), so the caller's IndexRegistry creates the same file
+// name afresh, at its own length and layout, rather than writing over a
+// stale one in place — counted in core.history-fallbacks, and reported
+// as a miss. The decision is rank 0's alone and travels in the
+// broadcast, so every rank takes the same collective branch.
 //
-// The digest check costs no virtual time: the digest travels in the rows
+// The digest checks cost no virtual time: the digests travel in the rows
 // LookupIndexHistory already reads in its one charged call, and hashing
-// the vector is host work on rank 0, unpriced like historyIntact's size
-// query.
-func (s *SDM) lookupHistory(totalEdges int64, digest string) (*catalog.IndexHistory, error) {
-	return onRoot(s, "core: history lookup", func(clk *sim.Clock) (*catalog.IndexHistory, int64, error) {
-		h, err := s.env.Catalog.LookupIndexHistory(clk, totalEdges, int64(s.env.Comm.Size()))
+// the inputs and the history file is host work on rank 0, unpriced like
+// historyIntact's size query.
+func (s *SDM) lookupHistory(imp *Importer, e1, e2 ImportSpec, partVec []int32) (*catalog.IndexHistory, string, error) {
+	var digest string
+	hist, err := onRoot(s, "core: history lookup", func(clk *sim.Clock) (*catalog.IndexHistory, int64, error) {
+		var err error
+		if digest, err = s.historyDigest(imp, e1, e2, partVec); err != nil {
+			return nil, 0, err
+		}
+		h, err := s.env.Catalog.LookupIndexHistory(clk, e1.Length, int64(s.env.Comm.Size()))
 		if err == nil && h != nil && (h.Digest != digest || !s.historyIntact(h)) {
 			s.historyFallbacks.Add(1)
 			err = s.env.Catalog.DeleteIndexHistory(clk, h.FileName)
@@ -184,24 +219,47 @@ func (s *SDM) lookupHistory(totalEdges int64, digest string) (*catalog.IndexHist
 		}
 		return h, 128, err
 	})
+	return hist, digest, err
 }
 
 // historyIntact reports whether a registered history can be replayed:
-// it must describe this communicator, and its file must hold exactly
-// the registered edges. Collective reads zero-fill past EOF, so a
-// truncated, half-written, or missing history file would otherwise
-// load as a partition of (0,0,0) edges with no error. The check is a
-// local size query — no virtual-time charge.
+// it must describe this communicator with a block table — a history
+// without one holds the old 12 B/edge records — and its file must hold
+// exactly the registered blocks: its size is the sum of the block
+// lengths, and its bytes hash to the content digest recorded at
+// registration. Collective reads zero-fill past EOF, so a truncated,
+// half-written, or missing history file would otherwise load as zeros
+// with no error, and a damaged one as other edges. The checks are host
+// work on rank 0 — a local size query, then the file streamed through
+// the hash in hashChunk pieces — with no virtual-time charge.
 func (s *SDM) historyIntact(hist *catalog.IndexHistory) bool {
-	if len(hist.EdgeSizes) != s.env.Comm.Size() {
+	p := s.env.Comm.Size()
+	if len(hist.EdgeSizes) != p || len(hist.BlockSizes) != p {
 		return false
 	}
-	var edges int64
-	for _, n := range hist.EdgeSizes {
-		edges += n
-	}
 	size, err := s.env.FS.FileSize(hist.FileName)
-	return err == nil && size == edges*12
+	if err != nil {
+		return false
+	}
+	obj, err := s.env.FS.Backend().Open(hist.FileName)
+	if err != nil {
+		return false
+	}
+	buf := make([]byte, hashChunk)
+	sums := make([]int64, p)
+	var off int64
+	for r, n := range hist.BlockSizes {
+		if n < 0 || n > size-off || hist.EdgeSizes[r] < 0 {
+			return false
+		}
+		h := sha256.New()
+		if _, err := io.CopyBuffer(h, io.NewSectionReader(obj, off, n), buf); err != nil {
+			return false
+		}
+		sums[r] = blockSum(h.Sum(nil))
+		off += n
+	}
+	return off == size && contentDigest(sums) == hist.Content
 }
 
 // distributeIndex is the ring-oriented edge distribution of the paper:
@@ -303,50 +361,51 @@ func (s *SDM) buildPartition(keptG, kept1, kept2 []int32, partVec []int32) *Inde
 // index_table / index_history_table. Optional, as in the paper.
 // Collective.
 //
-// The history file is laid out like a group's step (stripeUnit): the
-// replay reads all of it in one collective, so its whole extent,
-// 12·ΣEdgeSizes bytes, is spread evenly over the servers, in rows of
-// NumServers stripes under the file system's default unit. Its first
-// stripe is where its name hash puts it, as for any one-file placement.
+// Each rank's block is encodeHistoryBlock's varints. One Allgather
+// carries every rank's edge count, node count, block length and block
+// sum, so each rank knows its offset and rank 0 the block table and the
+// file's content digest (contentDigest), which it records beside the
+// history's digest in the one charged catalog call. The history file is
+// laid out like a group's step (stripeUnit): the replay reads all of it
+// in one collective, so its whole extent, the sum of the block lengths,
+// is spread evenly over the servers, in rows of NumServers stripes under
+// the file system's default unit. Its first stripe is where its name
+// hash puts it, as for any one-file placement.
 func (s *SDM) IndexRegistry(ip *IndexPartition, totalEdges int64, partVec []int32) error {
 	c := s.env.Comm
-	edgeCounts := mpi.AllgatherSlice(c, []int64{int64(ip.NumEdges())})
-	nodeCounts := mpi.AllgatherSlice(c, []int64{int64(ip.NumNodes())})
-	var myOff, edges int64
+	block := encodeHistoryBlock(ip)
+	c.ComputeItems(int64(len(block)), memCopyRate)
+	sum := sha256.Sum256(block)
+	all := mpi.AllgatherSlice(c, []int64{int64(ip.NumEdges()), int64(ip.NumNodes()), int64(len(block)), blockSum(sum[:])})
+	var myOff, extent int64
 	edgeSizes := make([]int64, c.Size())
 	nodeSizes := make([]int64, c.Size())
-	for r := 0; r < c.Size(); r++ {
-		edgeSizes[r] = edgeCounts[r][0]
-		nodeSizes[r] = nodeCounts[r][0]
-		edges += edgeSizes[r]
+	blockSizes := make([]int64, c.Size())
+	sums := make([]int64, c.Size())
+	for r, v := range all {
+		edgeSizes[r], nodeSizes[r], blockSizes[r], sums[r] = v[0], v[1], v[2], v[3]
 		if r < c.Rank() {
-			myOff += edgeCounts[r][0]
+			myOff += v[2]
 		}
+		extent += v[2]
 	}
 
 	name := s.historyFileName(totalEdges)
 	cur := mpiio.NewCursor(c, s.env.FS)
-	h, err := s.env.FS.Create(name, s.stripeUnit(edges*12), cur.Next(name, 0, 0).Server, c.Clock())
+	f, err := s.env.FS.Create(name, s.stripeUnit(extent), cur.Next(name, 0, 0).Server, c.Clock())
 	if err != nil {
 		return err
 	}
-	// Serialize this rank's block: gid, u, v per edge.
-	rec := make([]int32, 0, ip.NumEdges()*3)
-	for i := range ip.EdgeGlobal {
-		rec = append(rec, ip.EdgeGlobal[i], ip.Edge1G[i], ip.Edge2G[i])
-	}
-	payload := int32sToBytes(rec)
-	c.ComputeItems(int64(len(payload)), memCopyRate)
 	// Asynchronous write, on a sub-timeline forked here: the server is
 	// scheduled now, the rank goes on from the fork point, and Finalize
 	// joins the completion.
 	fork := c.Now()
-	if _, err := h.WriteAtVec(payload, []pfs.Extent{{Off: myOff * 12, Len: int64(len(payload))}}); err != nil {
+	if _, err := f.WriteAtVec(block, []pfs.Extent{{Off: myOff, Len: int64(len(block))}}); err != nil {
 		return err
 	}
 	s.asyncDone = append(s.asyncDone, c.Now())
 	c.Clock().Rebase(fork)
-	if err := h.Close(); err != nil {
+	if err := f.Close(); err != nil {
 		return err
 	}
 
@@ -360,45 +419,128 @@ func (s *SDM) IndexRegistry(ip *IndexPartition, totalEdges int64, partVec []int3
 			EdgeSizes:   edgeSizes,
 			NodeSizes:   nodeSizes,
 			Digest:      ip.digest,
+			BlockSizes:  blockSizes,
+			Content:     contentDigest(sums),
 		})
 	})
 }
 
-// loadIndexHistory reconstructs the partition from a history file: a
-// contiguous collective read of each rank's pre-partitioned block plus
-// a local pass to rebuild node sets — no ring communication, no
-// full-mesh scan.
+// loadIndexHistory reconstructs the partition from a history file: one
+// contiguous collective read of each rank's block, its decode
+// (decodeHistoryBlock, charged at memCopyRate over the block's bytes, as
+// IndexRegistry's encode is), and a local pass to rebuild node sets — no
+// ring communication, no full-mesh scan. A block that does not decode to
+// this rank's edges is an error.
 func (s *SDM) loadIndexHistory(hist *catalog.IndexHistory, partVec []int32) (*IndexPartition, error) {
 	c := s.env.Comm
 	t0 := c.Now()
-	var myOff int64
-	for r := 0; r < c.Rank(); r++ {
-		myOff += hist.EdgeSizes[r]
-	}
-	myEdges := hist.EdgeSizes[c.Rank()]
 	h, err := mpiio.Open(c, s.env.FS, hist.FileName, pfs.ReadOnly, s.opts.Hints)
 	if err != nil {
 		return nil, fmt.Errorf("core: history file missing: %w", err)
 	}
 	h.UseScratch(&s.scratch)
-	buf := make([]byte, myEdges*12)
-	if err := h.ReadAtAllOps([]mpiio.BatchOp{{Off: myOff * 12, Data: buf}}); err != nil {
+	var myOff int64
+	for r := 0; r < c.Rank(); r++ {
+		myOff += hist.BlockSizes[r]
+	}
+	block := make([]byte, hist.BlockSizes[c.Rank()])
+	if err := h.ReadAtAllOps([]mpiio.BatchOp{{Off: myOff, Data: block}}); err != nil {
 		return nil, fmt.Errorf("core: reading history: %w", err)
 	}
 	if err := h.Close(); err != nil {
 		return nil, err
 	}
-	rec := bytesToInt32s(buf)
-	keptG := make([]int32, myEdges)
-	kept1 := make([]int32, myEdges)
-	kept2 := make([]int32, myEdges)
-	for i := int64(0); i < myEdges; i++ {
-		keptG[i] = rec[i*3]
-		kept1[i] = rec[i*3+1]
-		kept2[i] = rec[i*3+2]
+	keptG, kept1, kept2, err := decodeHistoryBlock(block, hist.EdgeSizes[c.Rank()], hist.ProblemSize, partVec, int32(c.Rank()))
+	if err != nil {
+		return nil, fmt.Errorf("core: history %q: %w", hist.FileName, err)
 	}
+	c.ComputeItems(int64(len(block)), memCopyRate)
 	ip := s.buildPartition(keptG, kept1, kept2, partVec)
 	ip.FromHistory = true
 	ip.DistributeTime = c.Now().Sub(t0)
 	return ip, nil
+}
+
+// A history block is a rank's kept edges in the order the ring
+// distribution found them, three zigzag varints per edge: the edge id's
+// difference from the previous edge's id, the first endpoint's
+// difference from the previous edge's first endpoint (both from 0 for
+// the first edge), and the second endpoint's difference from the first.
+// Ring order keeps ids ascending within each rank's block of the edge
+// arrays and a mesh numbers neighbours close together, so most varints
+// are one byte: about 3.6 bytes an edge on the FUN3D meshes, against
+// twelve for three int32s.
+
+// encodeHistoryBlock is this rank's history block.
+func encodeHistoryBlock(ip *IndexPartition) []byte {
+	b := make([]byte, 0, 4*len(ip.EdgeGlobal))
+	var g, u int64
+	for i, e := range ip.EdgeGlobal {
+		e1, e2 := int64(ip.Edge1G[i]), int64(ip.Edge2G[i])
+		b = binary.AppendVarint(b, int64(e)-g)
+		b = binary.AppendVarint(b, e1-u)
+		b = binary.AppendVarint(b, e2-e1)
+		g, u = int64(e), e1
+	}
+	return b
+}
+
+// errHistoryBlock is the error of a history block that is not a valid
+// block of this rank's edges (decodeHistoryBlock).
+var errHistoryBlock = errors.New("malformed history block")
+
+// decodeHistoryBlock decodes rank me's history block, which holds the
+// given number of edges: their ids, and their endpoints as global node
+// ids. It is total: a
+// block that ends inside a varint or an edge, holds a varint longer
+// than its value needs or than 64 bits, an edge id outside
+// [0, totalEdges), a node outside [0, len(partVec)), an edge touching
+// no node partVec gives me, or bytes after the last edge is an
+// errHistoryBlock, never a panic.
+func decodeHistoryBlock(block []byte, edges, totalEdges int64, partVec []int32, me int32) (keptG, kept1, kept2 []int32, err error) {
+	fail := func(format string, args ...any) ([]int32, []int32, []int32, error) {
+		return nil, nil, nil, fmt.Errorf("%w: %s", errHistoryBlock, fmt.Sprintf(format, args...))
+	}
+	// Every edge takes at least three bytes, which bounds what a hostile
+	// edge count can make this allocate.
+	if edges < 0 || edges > int64(len(block))/3 {
+		return fail("%d edges in %d bytes", edges, len(block))
+	}
+	totalEdges = min(totalEdges, math.MaxInt32+1) // ids are int32s
+	nodes := int64(len(partVec))
+	keptG = make([]int32, edges)
+	kept1 = make([]int32, edges)
+	kept2 = make([]int32, edges)
+	var pos int
+	var g, u int64
+	for i := range keptG {
+		var d [3]int64
+		for k := range d {
+			x, n := binary.Varint(block[pos:])
+			switch {
+			case n == 0:
+				return fail("edge %d: block ends inside a varint", i)
+			case n < 0 || (n > 1 && block[pos+n-1] == 0):
+				return fail("edge %d: overlong varint at byte %d", i, pos)
+			}
+			d[k], pos = x, pos+n
+		}
+		// Each sum starts in range, so an overflowing delta wraps it
+		// negative and the range checks refuse it.
+		g, u = g+d[0], u+d[1]
+		v := u + d[2]
+		switch {
+		case g < 0 || g >= totalEdges:
+			return fail("edge %d: id %d outside [0, %d)", i, g, totalEdges)
+		case u < 0 || u >= nodes || v < 0 || v >= nodes:
+			return fail("edge %d: node (%d, %d) outside [0, %d)", i, u, v, nodes)
+		case partVec[u] != me && partVec[v] != me:
+			return fail("edge %d: (%d, %d) touches no node of rank %d", i, u, v, me)
+		}
+		keptG[i], kept1[i], kept2[i] = int32(g), int32(u), int32(v)
+	}
+	if pos != len(block) {
+		return fail("%d bytes after the last edge", len(block)-pos)
+	}
+	return keptG, kept1, kept2, nil
 }

@@ -168,6 +168,12 @@ type IndexHistory struct {
 	// vector and the edge import; see core's historyDigest). Off the wire,
 	// like the per-rank sizes; empty for a history registered without one.
 	Digest string `json:"-"`
+	// BlockSizes is the byte length of each rank's block of the history
+	// file, and Content a digest of those blocks' bytes (see core's
+	// IndexRegistry). Off the wire; nil and empty for a history
+	// registered without a block table.
+	BlockSizes []int64 `json:"-"`
+	Content    string  `json:"-"`
 }
 
 // Reader is a run bundle as its readers see it — the catalog's listings
