@@ -2,10 +2,15 @@
 // database (the MySQL stand-in). Statements may span multiple lines
 // and are terminated by ';' (a final unterminated statement executes
 // at EOF, so piped one-liners still work); results print after each
-// complete statement. EXPLAIN SELECT … prints the query plan (which
+// complete statement. It speaks the catalog's dialect (README, "The
+// catalog's SQL dialect"): CREATE TABLE / INDEX, DROP TABLE, INSERT,
+// SELECT with comparisons joined by AND and an ascending ORDER BY,
+// DELETE, and EXPLAIN SELECT …, which prints the query plan (which
 // index serves the query and why, with a rows-scanned estimate)
-// instead of rows. With -db it operates on a saved catalog snapshot
-// and persists changes back with \w.
+// instead of rows. UPDATE, DESC, LIMIT, OR, NOT, IS NULL and
+// arithmetic are refused with an error naming them. With -db it
+// operates on a saved catalog snapshot and persists changes back
+// with \w.
 //
 // Meta commands (on their own line): \t lists tables, \d <table>
 // shows columns, \stats prints the engine's query statistics

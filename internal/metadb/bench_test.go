@@ -55,7 +55,7 @@ func BenchmarkSelectByKeyScan(b *testing.B) {
 }
 
 func BenchmarkParseStatement(b *testing.B) {
-	const q = `SELECT a, b FROM t WHERE x = ? AND y > 3 ORDER BY a DESC LIMIT 10`
+	const q = `SELECT a, b FROM t WHERE x = ? AND y > 3 ORDER BY a, b`
 	for i := 0; i < b.N; i++ {
 		if _, _, err := parse(q); err != nil {
 			b.Fatal(err)
@@ -67,7 +67,7 @@ func BenchmarkOrderBy(b *testing.B) {
 	db := benchDB(b, false, 5_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.Query(`SELECT k FROM t ORDER BY v DESC LIMIT 100`); err != nil {
+		if _, err := db.Query(`SELECT k FROM t ORDER BY v`); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -12,7 +12,7 @@ import (
 // and readers scale: every SELECT/EXPLAIN runs against an immutable
 // MVCC snapshot obtained with one atomic pointer load, so readers
 // never block the writer and never observe a half-applied multi-row
-// batch. Writers — INSERT/UPDATE/DELETE, DDL and Load — build the next
+// batch. Writers — INSERT/DELETE, DDL and Load — build the next
 // version copy-on-write one at a time (see mvcc.go).
 type DB struct {
 	state atomic.Pointer[dbState]
@@ -168,8 +168,8 @@ func convertArgs(nparams int, args []any) ([]Value, error) {
 	return vals, nil
 }
 
-// Exec runs a statement that returns no rows (DDL, INSERT, UPDATE,
-// DELETE) and reports the number of affected rows.
+// Exec runs a statement that returns no rows (DDL, INSERT, DELETE) and
+// reports the number of affected rows.
 func (db *DB) Exec(src string, args ...any) (int, error) {
 	stmt, nparams, err := db.prepare(src)
 	if err != nil {
@@ -195,8 +195,6 @@ func (db *DB) execStmt(stmt statement, params []Value) (int, error) {
 		return 0, db.execDropTable(cur, s)
 	case insertStmt:
 		return db.execInsert(cur, s, params)
-	case updateStmt:
-		return db.execUpdate(cur, s, params)
 	case deleteStmt:
 		return db.execDelete(cur, s, params)
 	case selectStmt:
@@ -272,7 +270,7 @@ func (db *DB) Columns(tableName string) ([]string, error) {
 // returns the rows it keeps — as the ORDER BY wants them where the plan
 // serves it (reported as ordered), in insertion order otherwise — and
 // accounts the rows examined so callers can verify scans were avoided.
-func (db *DB) matchingRows(t *tableData, where expr, params []Value, orderBy []orderKey) (out []rowEntry, ordered bool, err error) {
+func (db *DB) matchingRows(t *tableData, where expr, params []Value, orderBy []string) (out []rowEntry, ordered bool, err error) {
 	if err := t.validateColumns(where); err != nil {
 		return nil, false, err
 	}
@@ -304,38 +302,10 @@ func (db *DB) matchingRows(t *tableData, where expr, params []Value, orderBy []o
 	if err != nil {
 		return nil, false, err
 	}
-	switch {
-	case !plan.ordered:
-		if plan.def != nil {
-			slices.SortFunc(out, rowEntry.cmp)
-		}
-	case orderBy[0].desc:
-		backwards(out, plan.def.colPos[len(plan.def.cols)-len(orderBy):])
+	if !plan.ordered && plan.def != nil {
+		slices.SortFunc(out, rowEntry.cmp)
 	}
 	return out, plan.ordered, nil
-}
-
-// backwards turns rows in ascending index order into what a stable
-// descending sort of rows in insertion order yields: the groups of rows
-// equal in cols last to first, ids still ascending inside each.
-func backwards(rows []rowEntry, cols []int) {
-	same := func(a, b rowEntry) bool {
-		for _, c := range cols {
-			if compare(a.vals[c], b.vals[c]) != 0 {
-				return false
-			}
-		}
-		return true
-	}
-	slices.Reverse(rows)
-	for lo := 0; lo < len(rows); {
-		hi := lo + 1
-		for hi < len(rows) && same(rows[lo], rows[hi]) {
-			hi++
-		}
-		slices.Reverse(rows[lo:hi])
-		lo = hi
-	}
 }
 
 func (db *DB) execSelect(st *dbState, s selectStmt, params []Value) (*Rows, error) {
@@ -436,19 +406,15 @@ func (db *DB) execSelect(st *dbState, s selectStmt, params []Value) (*Rows, erro
 		db.orderSkips.Add(1)
 	} else if len(s.orderBy) > 0 {
 		pos := make([]int, len(s.orderBy))
-		for i, k := range s.orderBy {
+		for i, col := range s.orderBy {
 			var ok bool
-			if pos[i], ok = t.colIdx[normalizeIdent(k.col)]; !ok {
-				return nil, fmt.Errorf("metadb: ORDER BY unknown column %q", k.col)
+			if pos[i], ok = t.colIdx[normalizeIdent(col)]; !ok {
+				return nil, fmt.Errorf("metadb: ORDER BY unknown column %q", col)
 			}
 		}
 		slices.SortStableFunc(matched, func(a, b rowEntry) int {
-			for i, k := range s.orderBy {
-				c := compare(a.vals[pos[i]], b.vals[pos[i]])
-				if k.desc {
-					c = -c
-				}
-				if c != 0 {
+			for _, p := range pos {
+				if c := compare(a.vals[p], b.vals[p]); c != 0 {
 					return c
 				}
 			}
@@ -467,23 +433,6 @@ func (db *DB) execSelect(st *dbState, s selectStmt, params []Value) (*Rows, erro
 			row[i] = v
 		}
 		res.Data = append(res.Data, row)
-	}
-
-	if s.limit != nil {
-		lv, err := (&evalCtx{params: params}).eval(s.limit)
-		if err != nil {
-			return nil, err
-		}
-		if lv.Kind() != KindInt {
-			return nil, fmt.Errorf("metadb: LIMIT must be an integer")
-		}
-		n := int(lv.AsInt())
-		if n < 0 {
-			n = 0
-		}
-		if n < len(res.Data) {
-			res.Data = res.Data[:n]
-		}
 	}
 	return res, nil
 }

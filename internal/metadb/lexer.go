@@ -39,9 +39,9 @@ var keywords = map[string]bool{
 	"IF": true, "NOT": true, "EXISTS": true,
 	"INSERT": true, "INTO": true, "VALUES": true,
 	"SELECT": true, "FROM": true, "WHERE": true,
-	"ORDER": true, "BY": true, "ASC": true, "DESC": true, "LIMIT": true,
-	"UPDATE": true, "SET": true, "DELETE": true, "EXPLAIN": true,
-	"AND": true, "OR": true, "IS": true, "NULL": true,
+	"ORDER": true, "BY": true, "ASC": true,
+	"UPDATE": true, "DELETE": true, "EXPLAIN": true,
+	"AND": true, "NULL": true,
 	"INTEGER": true, "INT": true, "REAL": true, "DOUBLE": true,
 	"TEXT": true, "VARCHAR": true, "BLOB": true,
 	// Aggregate function names (COUNT/MAX/MIN) are deliberately NOT
@@ -125,7 +125,7 @@ func lex(src string) ([]token, error) {
 				}
 			}
 			switch c {
-			case '(', ')', ',', '*', '=', '<', '>', '+', '-', '/', ';', '.':
+			case '(', ')', ',', '*', '=', '<', '>', '-', ';', '.':
 				toks = append(toks, token{tokSymbol, string(c), i})
 				i++
 			default:

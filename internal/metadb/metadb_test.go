@@ -67,20 +67,17 @@ func TestWhereFilters(t *testing.T) {
 	if rows.Len() != 1 || rows.Data[0][0].AsInt() != 3 {
 		t.Fatalf("rows = %+v", rows.Data)
 	}
-	rows = mustQuery(t, db, `SELECT runid FROM runs WHERE dataset = 'p' OR runid = 2`)
-	if rows.Len() != 3 {
-		t.Fatalf("OR returned %d rows", rows.Len())
-	}
-	rows = mustQuery(t, db, `SELECT runid FROM runs WHERE NOT (dataset = 'p')`)
-	if rows.Len() != 1 || rows.Data[0][0].AsInt() != 2 {
-		t.Fatalf("NOT returned %+v", rows.Data)
+	// Written constant-first, a comparison is answered all the same.
+	rows = mustQuery(t, db, `SELECT runid FROM runs WHERE 30 < size AND dataset != 'q'`)
+	if rows.Len() != 1 || rows.Data[0][0].AsInt() != 3 {
+		t.Fatalf("constant-first rows = %+v", rows.Data)
 	}
 }
 
 func TestParameters(t *testing.T) {
 	db := sampleDB(t)
 	rows := mustQuery(t, db, `SELECT size FROM runs WHERE dataset = ? AND runid = ?`, "p", 3)
-	if rows.Len() != 1 || rows.Data[0][0].AsReal() != 36.25 {
+	if rows.Len() != 1 || rows.Data[0][0].real() != 36.25 {
 		t.Fatalf("rows = %+v", rows.Data)
 	}
 	if _, err := db.Query(`SELECT * FROM runs WHERE runid = ?`); err == nil {
@@ -103,48 +100,28 @@ func TestStringEscapes(t *testing.T) {
 
 func TestOrderBy(t *testing.T) {
 	db := sampleDB(t)
-	rows := mustQuery(t, db, `SELECT runid FROM runs ORDER BY size DESC`)
+	rows := mustQuery(t, db, `SELECT runid FROM runs ORDER BY size`)
 	got := [3]int64{rows.Data[0][0].AsInt(), rows.Data[1][0].AsInt(), rows.Data[2][0].AsInt()}
-	if got != [3]int64{2, 3, 1} {
+	if got != [3]int64{1, 3, 2} {
 		t.Fatalf("order = %v", got)
 	}
-	// Multi-key: dataset ASC then runid DESC.
-	rows = mustQuery(t, db, `SELECT runid FROM runs ORDER BY dataset ASC, runid DESC`)
-	got = [3]int64{rows.Data[0][0].AsInt(), rows.Data[1][0].AsInt(), rows.Data[2][0].AsInt()}
-	if got != [3]int64{3, 1, 2} {
-		t.Fatalf("multi-key order = %v", got)
+	// Multi-key: dataset, then runid.
+	mustExec(t, db, `INSERT INTO runs (runid, dataset) VALUES (0, 'q')`)
+	rows = mustQuery(t, db, `SELECT runid FROM runs ORDER BY dataset ASC, runid`)
+	var keys []int64
+	for _, r := range rows.Data {
+		keys = append(keys, r[0].AsInt())
+	}
+	if fmt.Sprint(keys) != "[1 3 0 2]" {
+		t.Fatalf("multi-key order = %v", keys)
 	}
 }
 
 func TestOrderByUnprojectedColumn(t *testing.T) {
 	db := sampleDB(t)
-	rows := mustQuery(t, db, `SELECT dataset FROM runs ORDER BY size DESC`)
-	if rows.Data[0][0].AsText() != "q" {
+	rows := mustQuery(t, db, `SELECT dataset FROM runs ORDER BY size`)
+	if rows.Data[2][0].AsText() != "q" {
 		t.Fatalf("rows = %+v", rows.Data)
-	}
-}
-
-func TestLimit(t *testing.T) {
-	db := sampleDB(t)
-	rows := mustQuery(t, db, `SELECT runid FROM runs ORDER BY runid LIMIT 2`)
-	if rows.Len() != 2 || rows.Data[1][0].AsInt() != 2 {
-		t.Fatalf("rows = %+v", rows.Data)
-	}
-	rows = mustQuery(t, db, `SELECT runid FROM runs LIMIT 0`)
-	if rows.Len() != 0 {
-		t.Fatal("LIMIT 0 returned rows")
-	}
-}
-
-func TestUpdate(t *testing.T) {
-	db := sampleDB(t)
-	n := mustExec(t, db, `UPDATE runs SET size = size + 1 WHERE dataset = 'p'`)
-	if n != 2 {
-		t.Fatalf("updated %d rows", n)
-	}
-	rows := mustQuery(t, db, `SELECT size FROM runs WHERE runid = 1`)
-	if rows.Data[0][0].AsReal() != 22.5 {
-		t.Fatalf("size = %v", rows.Data[0][0])
 	}
 }
 
@@ -169,7 +146,7 @@ func TestAggregates(t *testing.T) {
 	db := sampleDB(t)
 	rows := mustQuery(t, db, `SELECT COUNT(*), MAX(runid), MIN(size) FROM runs`)
 	r := rows.Data[0]
-	if r[0].AsInt() != 3 || r[1].AsInt() != 3 || r[2].AsReal() != 21.5 {
+	if r[0].AsInt() != 3 || r[1].AsInt() != 3 || r[2].real() != 21.5 {
 		t.Fatalf("aggregates = %v", r)
 	}
 	rows = mustQuery(t, db, `SELECT COUNT(payload) FROM runs`)
@@ -188,48 +165,33 @@ func TestAggregates(t *testing.T) {
 func TestNullSemantics(t *testing.T) {
 	db := sampleDB(t)
 	// Comparisons with NULL never match.
-	rows := mustQuery(t, db, `SELECT runid FROM runs WHERE payload = NULL`)
-	if rows.Len() != 0 {
-		t.Fatal("= NULL matched rows")
+	for _, op := range []string{"=", "!=", "<", ">="} {
+		if rows := mustQuery(t, db, `SELECT runid FROM runs WHERE payload `+op+` NULL`); rows.Len() != 0 {
+			t.Fatalf("%s NULL matched %d rows", op, rows.Len())
+		}
 	}
-	rows = mustQuery(t, db, `SELECT runid FROM runs WHERE payload IS NULL`)
-	if rows.Len() != 3 {
-		t.Fatalf("IS NULL found %d rows", rows.Len())
+	// A NULL cell fails every comparison, and sorts first.
+	mustExec(t, db, `INSERT INTO runs VALUES (NULL, 'r', 1.0, NULL)`)
+	if rows := mustQuery(t, db, `SELECT dataset FROM runs WHERE runid != 2 AND runid < 9`); rows.Len() != 2 {
+		t.Fatalf("comparisons with a NULL runid matched %d rows, want 2", rows.Len())
 	}
-	rows = mustQuery(t, db, `SELECT runid FROM runs WHERE payload IS NOT NULL`)
-	if rows.Len() != 0 {
-		t.Fatal("IS NOT NULL matched rows")
-	}
-}
-
-func TestArithmetic(t *testing.T) {
-	db := New()
-	mustExec(t, db, `CREATE TABLE t (a INTEGER, b REAL)`)
-	mustExec(t, db, `INSERT INTO t VALUES (7, 2.5)`)
-	rows := mustQuery(t, db, `SELECT a + 1, a * 2, a - 10, b * a, a / 2 FROM t`)
-	r := rows.Data[0]
-	if r[0].AsInt() != 8 || r[1].AsInt() != 14 || r[2].AsInt() != -3 {
-		t.Fatalf("int arithmetic = %v", r)
-	}
-	if r[3].AsReal() != 17.5 {
-		t.Fatalf("mixed mult = %v", r[3])
-	}
-	if r[4].AsInt() != 3 { // integer division
-		t.Fatalf("int div = %v", r[4])
-	}
-	rows = mustQuery(t, db, `SELECT a / 0 FROM t`)
-	if !rows.Data[0][0].IsNull() {
-		t.Fatal("division by zero should be NULL")
+	if rows := mustQuery(t, db, `SELECT dataset FROM runs ORDER BY runid`); rows.Data[0][0].AsText() != "r" {
+		t.Fatalf("ORDER BY runid put %v first, want the NULL row", rows.Data[0])
 	}
 }
 
+// TestUnaryMinusAndParens: a minus sign folds into the number after
+// it, and parentheses group comparisons.
 func TestUnaryMinusAndParens(t *testing.T) {
 	db := New()
-	mustExec(t, db, `CREATE TABLE t (a INTEGER)`)
-	mustExec(t, db, `INSERT INTO t VALUES (-5)`)
-	rows := mustQuery(t, db, `SELECT a FROM t WHERE a = -(2 + 3)`)
-	if rows.Len() != 1 {
-		t.Fatal("unary minus / parens broken")
+	mustExec(t, db, `CREATE TABLE t (a INTEGER, b REAL)`)
+	mustExec(t, db, `INSERT INTO t VALUES (-5, -2.5e-1), (-9223372036854775808, 0.5)`)
+	rows := mustQuery(t, db, `SELECT a, b FROM t WHERE (a = - 5) AND (b < -0.2)`)
+	if rows.Len() != 1 || rows.Data[0][1].real() != -0.25 {
+		t.Fatalf("negative literals matched %v", rows.Data)
+	}
+	if rows := mustQuery(t, db, `SELECT a FROM t WHERE a < -5`); rows.Len() != 1 || rows.Data[0][0].AsInt() != -1<<63 {
+		t.Fatalf("the least INTEGER literal = %v", rows.Data)
 	}
 }
 
@@ -243,7 +205,7 @@ func TestTypeCoercion(t *testing.T) {
 	if r[0].Kind() != KindInt || r[0].AsInt() != 3 {
 		t.Fatalf("i = %v (%v)", r[0], r[0].Kind())
 	}
-	if r[1].Kind() != KindReal || r[1].AsReal() != 4.0 {
+	if r[1].Kind() != KindReal || r[1].real() != 4.0 {
 		t.Fatalf("r = %v", r[1])
 	}
 	if r[2].Kind() != KindBlob || string(r[2].AsBlob()) != "text-as-blob" {
@@ -288,11 +250,12 @@ func TestIndexCorrectness(t *testing.T) {
 			t.Fatal("index changed results")
 		}
 	}
-	// Index must track updates and deletes.
-	mustExec(t, db, `UPDATE t SET k = 99 WHERE v = 'row7'`)
+	// Index must track a row moved to a new key, and deletes.
+	mustExec(t, db, `DELETE FROM t WHERE v = 'row7'`)
+	mustExec(t, db, `INSERT INTO t VALUES (99, 'row7')`)
 	rows := mustQuery(t, db, `SELECT v FROM t WHERE k = 99`)
 	if rows.Len() != 1 || rows.Data[0][0].AsText() != "row7" {
-		t.Fatalf("after update: %+v", rows.Data)
+		t.Fatalf("after the move: %+v", rows.Data)
 	}
 	mustExec(t, db, `DELETE FROM t WHERE k = 99`)
 	if mustQuery(t, db, `SELECT v FROM t WHERE k = 99`).Len() != 0 {
@@ -381,6 +344,44 @@ func TestErrorCases(t *testing.T) {
 	}
 }
 
+// refused is one statement per construct outside the dialect, with the
+// word or operator its error must name.
+var refused = []struct{ sql, names string }{
+	{`UPDATE t SET y = 'e' WHERE x = 2`, `"UPDATE"`},
+	{`SELECT x FROM t ORDER BY x DESC`, `"DESC"`},
+	{`SELECT x FROM t WHERE x = 1 OR x = 2`, `"OR"`},
+	{`DELETE FROM t WHERE NOT x = 1`, `"NOT"`},
+	{`SELECT x FROM t WHERE y IS NULL`, `"IS"`},
+	{`DELETE FROM t WHERE y IS NOT NULL`, `"IS"`},
+	{`SELECT x + 1 FROM t`, `'+'`},
+	{`INSERT INTO t (x) VALUES (2 - 1)`, `"-"`},
+	{`DELETE FROM t WHERE x * 2 = 4`, `"*"`},
+	{`SELECT MAX(x / 2) FROM t`, `'/'`},
+	{`SELECT -x FROM t`, `"-"`},
+	{`INSERT INTO t (x) VALUES (-(1))`, `"-"`},
+	{`SELECT x FROM t LIMIT 1`, `"LIMIT"`},
+}
+
+// TestRemovedSyntaxRefused: a statement outside the dialect fails with
+// an error naming what it used, and leaves the database as it was, to
+// the byte of its snapshot.
+func TestRemovedSyntaxRefused(t *testing.T) {
+	db := New()
+	mustExec(t, db, `CREATE TABLE t (x INTEGER, y TEXT)`)
+	mustExec(t, db, `CREATE INDEX t_x ON t (x)`)
+	mustExec(t, db, `INSERT INTO t VALUES (1, 'a'), (2, NULL), (-3, 'c')`)
+	image := saved(t, db)
+	for _, tc := range refused {
+		got := answer(db, tc.sql)
+		if !strings.Contains(got, "metadb: ") || !strings.Contains(got, tc.names) {
+			t.Errorf("%s answered %q, want an error naming %s", tc.sql, got, tc.names)
+		}
+		if after := saved(t, db); !bytes.Equal(after, image) {
+			t.Errorf("%s changed the snapshot", tc.sql)
+		}
+	}
+}
+
 func TestCaseInsensitivity(t *testing.T) {
 	db := New()
 	mustExec(t, db, `create table MyTable (MyCol integer)`)
@@ -433,7 +434,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("restored rows = %+v", rows.Data)
 	}
 	other := mustQuery(t, db2, `SELECT x, b FROM other`)
-	if other.Data[0][0].AsReal() != 1.5 || !bytes.Equal(other.Data[0][1].AsBlob(), []byte{9, 8, 7}) {
+	if other.Data[0][0].real() != 1.5 || !bytes.Equal(other.Data[0][1].AsBlob(), []byte{9, 8, 7}) {
 		t.Fatalf("other = %+v", other.Data)
 	}
 	// Index still used and correct after reload (update/delete paths).

@@ -220,20 +220,6 @@ func (te *tableEdit) remove(id int64, row []Value) {
 	}
 }
 
-// replace swaps a row's values in place (same id). Every index is given
-// the entry of the new values — moved, where they differ in its columns
-// — so none keeps the old row alive through its key.
-func (te *tableEdit) replace(id int64, old, row []Value) {
-	te.t.rows.put(te.gen, rowEntry{id, row})
-	for i := range te.t.defs {
-		was, is := te.t.defs[i].entry(id, old), te.t.defs[i].entry(id, row)
-		if was.cmp(is) != 0 {
-			te.t.idx[i].del(te.gen, was)
-		}
-		te.t.idx[i].put(te.gen, is)
-	}
-}
-
 // ---------------------------------------------------------------------------
 // DDL
 // ---------------------------------------------------------------------------
@@ -361,54 +347,6 @@ eval:
 		db.publish(cur, t.name, te.t)
 	}
 	return n, evalErr
-}
-
-func (db *DB) execUpdate(cur *dbState, s updateStmt, params []Value) (int, error) {
-	t, ok := cur.tables[normalizeIdent(s.table)]
-	if !ok {
-		return 0, fmt.Errorf("metadb: no such table %q", s.table)
-	}
-	matched, _, err := db.matchingRows(t, s.where, params, nil)
-	if err != nil || len(matched) == 0 {
-		return 0, err
-	}
-	te := db.newTableEdit(t)
-	ctx := &evalCtx{t: t, params: params}
-	for i, m := range matched {
-		newRow, err := ctx.setRow(s, m.vals)
-		if err != nil {
-			// The rows before it stay updated (and are published together).
-			if i > 0 {
-				db.publish(cur, t.name, te.t)
-			}
-			return 0, err
-		}
-		te.replace(m.id, m.vals, newRow)
-	}
-	db.publish(cur, t.name, te.t)
-	return len(matched), nil
-}
-
-// setRow returns a copy of row with an UPDATE's SET clauses applied.
-func (ctx *evalCtx) setRow(s updateStmt, row []Value) ([]Value, error) {
-	ctx.row = row
-	newRow := slices.Clone(row)
-	for _, sc := range s.sets {
-		pos, ok := ctx.t.colIdx[normalizeIdent(sc.col)]
-		if !ok {
-			return nil, fmt.Errorf("metadb: no column %q in table %q", sc.col, s.table)
-		}
-		v, err := ctx.eval(sc.val)
-		if err != nil {
-			return nil, err
-		}
-		cv, err := coerce(v, ctx.t.cols[pos].kind)
-		if err != nil {
-			return nil, err
-		}
-		newRow[pos] = cv
-	}
-	return newRow, nil
 }
 
 func (db *DB) execDelete(cur *dbState, s deleteStmt, params []Value) (int, error) {

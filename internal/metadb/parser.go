@@ -48,28 +48,11 @@ type selectItem struct {
 	name string // output column label
 }
 
-type orderKey struct {
-	col  string
-	desc bool
-}
-
 type selectStmt struct {
 	items   []selectItem
 	table   string
 	where   expr
-	orderBy []orderKey
-	limit   expr
-}
-
-type setClause struct {
-	col string
-	val expr
-}
-
-type updateStmt struct {
-	table string
-	sets  []setClause
-	where expr
+	orderBy []string // columns, each ascending
 }
 
 type deleteStmt struct {
@@ -88,7 +71,6 @@ func (createIndexStmt) stmtNode() {}
 func (dropTableStmt) stmtNode()   {}
 func (insertStmt) stmtNode()      {}
 func (selectStmt) stmtNode()      {}
-func (updateStmt) stmtNode()      {}
 func (deleteStmt) stmtNode()      {}
 func (explainStmt) stmtNode()     {}
 
@@ -103,21 +85,11 @@ type binExpr struct {
 	op   string
 	l, r expr
 }
-type unaryExpr struct {
-	op string
-	e  expr
-}
-type isNullExpr struct {
-	e      expr
-	negate bool
-}
 
-func (litExpr) exprNode()    {}
-func (colExpr) exprNode()    {}
-func (paramExpr) exprNode()  {}
-func (binExpr) exprNode()    {}
-func (unaryExpr) exprNode()  {}
-func (isNullExpr) exprNode() {}
+func (litExpr) exprNode()   {}
+func (colExpr) exprNode()   {}
+func (paramExpr) exprNode() {}
+func (binExpr) exprNode()   {}
 
 // ---------------------------------------------------------------------------
 // Parser: recursive descent over the token stream.
@@ -212,8 +184,6 @@ func (p *parser) parseStatement() (statement, error) {
 		return p.parseInsert()
 	case "SELECT":
 		return p.parseSelect()
-	case "UPDATE":
-		return p.parseUpdate()
 	case "DELETE":
 		return p.parseDelete()
 	case "EXPLAIN":
@@ -467,23 +437,12 @@ func (p *parser) parseSelect() (statement, error) {
 			if err != nil {
 				return nil, err
 			}
-			key := orderKey{col: col}
-			if p.acceptKeyword("DESC") {
-				key.desc = true
-			} else {
-				p.acceptKeyword("ASC")
-			}
-			stmt.orderBy = append(stmt.orderBy, key)
+			p.acceptKeyword("ASC")
+			stmt.orderBy = append(stmt.orderBy, col)
 			if p.acceptSymbol(",") {
 				continue
 			}
 			break
-		}
-	}
-	if p.acceptKeyword("LIMIT") {
-		stmt.limit, err = p.parseExpr()
-		if err != nil {
-			return nil, err
 		}
 	}
 	return stmt, nil
@@ -530,44 +489,6 @@ func (p *parser) parseSelectItem() (selectItem, error) {
 	return selectItem{expr: e, name: name}, nil
 }
 
-func (p *parser) parseUpdate() (statement, error) {
-	p.next() // UPDATE
-	table, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("SET"); err != nil {
-		return nil, err
-	}
-	var sets []setClause
-	for {
-		col, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectSymbol("="); err != nil {
-			return nil, err
-		}
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		sets = append(sets, setClause{col, e})
-		if p.acceptSymbol(",") {
-			continue
-		}
-		break
-	}
-	stmt := updateStmt{table: table, sets: sets}
-	if p.acceptKeyword("WHERE") {
-		stmt.where, err = p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-	}
-	return stmt, nil
-}
-
 func (p *parser) parseDelete() (statement, error) {
 	p.next() // DELETE
 	if err := p.expectKeyword("FROM"); err != nil {
@@ -590,40 +511,16 @@ func (p *parser) parseDelete() (statement, error) {
 
 // Expression grammar, lowest precedence first:
 //
-//	expr     := orExpr
-//	orExpr   := andExpr (OR andExpr)*
-//	andExpr  := notExpr (AND notExpr)*
-//	notExpr  := NOT notExpr | cmpExpr
-//	cmpExpr  := addExpr (( = | != | <> | < | <= | > | >= ) addExpr
-//	           | IS [NOT] NULL)?
-//	addExpr  := mulExpr (( + | - ) mulExpr)*
-//	mulExpr  := unary (( * | / ) unary)*
-//	unary    := - unary | primary
-//	primary  := literal | ? | ident | ( expr )
-func (p *parser) parseExpr() (expr, error) { return p.parseOr() }
-
-func (p *parser) parseOr() (expr, error) {
-	l, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.acceptKeyword("OR") {
-		r, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		l = binExpr{"OR", l, r}
-	}
-	return l, nil
-}
-
-func (p *parser) parseAnd() (expr, error) {
-	l, err := p.parseNot()
+//	expr     := cmpExpr (AND cmpExpr)*
+//	cmpExpr  := primary (( = | != | <> | < | <= | > | >= ) primary)?
+//	primary  := literal | - number | ? | ident | ( expr )
+func (p *parser) parseExpr() (expr, error) {
+	l, err := p.parseCmp()
 	if err != nil {
 		return nil, err
 	}
 	for p.acceptKeyword("AND") {
-		r, err := p.parseNot()
+		r, err := p.parseCmp()
 		if err != nil {
 			return nil, err
 		}
@@ -632,35 +529,17 @@ func (p *parser) parseAnd() (expr, error) {
 	return l, nil
 }
 
-func (p *parser) parseNot() (expr, error) {
-	if p.acceptKeyword("NOT") {
-		e, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		return unaryExpr{"NOT", e}, nil
-	}
-	return p.parseCmp()
-}
-
 func (p *parser) parseCmp() (expr, error) {
-	l, err := p.parseAdd()
+	l, err := p.parsePrimary()
 	if err != nil {
 		return nil, err
-	}
-	if p.acceptKeyword("IS") {
-		negate := p.acceptKeyword("NOT")
-		if err := p.expectKeyword("NULL"); err != nil {
-			return nil, err
-		}
-		return isNullExpr{l, negate}, nil
 	}
 	t := p.peek()
 	if t.kind == tokSymbol {
 		switch t.text {
 		case "=", "!=", "<>", "<", "<=", ">", ">=":
 			p.next()
-			r, err := p.parseAdd()
+			r, err := p.parsePrimary()
 			if err != nil {
 				return nil, err
 			}
@@ -674,73 +553,30 @@ func (p *parser) parseCmp() (expr, error) {
 	return l, nil
 }
 
-func (p *parser) parseAdd() (expr, error) {
-	l, err := p.parseMul()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t := p.peek()
-		if t.kind == tokSymbol && (t.text == "+" || t.text == "-") {
-			p.next()
-			r, err := p.parseMul()
-			if err != nil {
-				return nil, err
-			}
-			l = binExpr{t.text, l, r}
-			continue
-		}
-		return l, nil
-	}
-}
-
-func (p *parser) parseMul() (expr, error) {
-	l, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t := p.peek()
-		if t.kind == tokSymbol && (t.text == "*" || t.text == "/") {
-			p.next()
-			r, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			l = binExpr{t.text, l, r}
-			continue
-		}
-		return l, nil
-	}
-}
-
-func (p *parser) parseUnary() (expr, error) {
-	if p.peek().kind == tokSymbol && p.peek().text == "-" {
-		p.next()
-		e, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return unaryExpr{"-", e}, nil
-	}
-	return p.parsePrimary()
-}
-
+// parsePrimary reads one operand. A minus sign belongs to the number
+// after it, so negative literals stay typeable with no arithmetic.
 func (p *parser) parsePrimary() (expr, error) {
 	t := p.peek()
+	sign := ""
+	if t.kind == tokSymbol && t.text == "-" {
+		if n := p.toks[p.pos+1]; n.kind == tokInt || n.kind == tokFloat {
+			p.next()
+			t, sign = n, "-"
+		}
+	}
 	switch t.kind {
 	case tokInt:
 		p.next()
-		v, err := strconv.ParseInt(t.text, 10, 64)
+		v, err := strconv.ParseInt(sign+t.text, 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("metadb: bad integer literal %q", t.text)
+			return nil, fmt.Errorf("metadb: bad integer literal %q", sign+t.text)
 		}
 		return litExpr{Int(v)}, nil
 	case tokFloat:
 		p.next()
-		v, err := strconv.ParseFloat(t.text, 64)
+		v, err := strconv.ParseFloat(sign+t.text, 64)
 		if err != nil {
-			return nil, fmt.Errorf("metadb: bad float literal %q", t.text)
+			return nil, fmt.Errorf("metadb: bad float literal %q", sign+t.text)
 		}
 		return litExpr{Real(v)}, nil
 	case tokString:
@@ -757,7 +593,7 @@ func (p *parser) parsePrimary() (expr, error) {
 	case tokKeyword:
 		if t.text == "NULL" {
 			p.next()
-			return litExpr{Null()}, nil
+			return litExpr{}, nil
 		}
 	case tokSymbol:
 		if t.text == "(" {

@@ -29,8 +29,8 @@ import (
 //	             bytes shared with it (each at most maxShared) | length of
 //	             what lies between, and it
 //
-// A typed column carries no per-cell kind: INSERT and UPDATE coerce
-// every cell to its column's kind, so NULL is the only exception.
+// A typed column carries no per-cell kind: INSERT coerces every cell to
+// its column's kind, so NULL is the only exception.
 // Rows serialize in insertion order and indexes by sorted key; row ids
 // are not stored, Load numbers the rows from 0.
 //

@@ -191,7 +191,7 @@ func TestLoadHostileInput(t *testing.T) {
 func TestLoadV1CoercesOffKindCells(t *testing.T) {
 	db := loaded(t, v1Image([]Kind{KindReal, KindBlob}, 1, v1Int(3), v1Text(2, "hi")))
 	row, err := db.QueryRow(`SELECT a, b FROM t`)
-	if err != nil || row[0].Kind() != KindReal || row[0].AsReal() != 3 || row[1].Kind() != KindBlob || string(row[1].AsBlob()) != "hi" {
+	if err != nil || row[0].Kind() != KindReal || row[0].real() != 3 || row[1].Kind() != KindBlob || string(row[1].AsBlob()) != "hi" {
 		t.Fatalf("coerced row = %v, %v", row, err)
 	}
 	err = New().Load(bytes.NewReader(v1Image([]Kind{KindInt}, 1, v1Text(2, "hi"))))

@@ -12,54 +12,39 @@ import (
 // ---------------------------------------------------------------------------
 
 // colBound is one `col OP const` conjunct extracted from a WHERE
-// clause, with OP normalized so the column is on the left and the
-// constant evaluated.
+// clause, with the constant evaluated.
 type colBound struct {
 	col string
 	op  string
 	v   Value
 }
 
-// flipOp mirrors a comparison when the column sits on the right-hand
-// side (`5 < col` becomes `col > 5`).
-func flipOp(op string) string {
-	switch op {
-	case "<":
-		return ">"
-	case "<=":
-		return ">="
-	case ">":
-		return "<"
-	case ">=":
-		return "<="
-	}
-	return op // "=" is symmetric
-}
-
 // collectBounds walks the top-level AND conjuncts of a WHERE clause and
-// gathers every indexable `col OP const` comparison: one whose constant
-// evaluates, and for a range is not NULL (which no value lies beside).
+// gathers every indexable `col OP const` comparison: the column on the
+// left, a literal or parameter on the right, and for a range not NULL
+// (which no value lies beside). A comparison written constant-first is
+// answered by the scan it leaves the statement to.
 func (ctx *evalCtx) collectBounds(where expr, bounds []colBound) []colBound {
 	b, ok := where.(binExpr)
 	if !ok {
 		return bounds
 	}
-	if b.op == "AND" {
+	switch b.op {
+	case "AND":
 		bounds = ctx.collectBounds(b.l, bounds)
 		return ctx.collectBounds(b.r, bounds)
-	}
-	switch b.op {
 	case "=", "<", "<=", ">", ">=":
 	default:
 		return bounds
 	}
-	col, op, e := b.l, b.op, b.r
-	if _, ok := col.(colExpr); !ok {
-		col, op, e = b.r, flipOp(b.op), b.l
+	c, ok := b.l.(colExpr)
+	if !ok {
+		return bounds
 	}
-	if c, ok := col.(colExpr); ok && isConstExpr(e) {
-		if v, err := ctx.eval(e); err == nil && (op == "=" || !v.IsNull()) {
-			bounds = append(bounds, colBound{normalizeIdent(c.name), op, v})
+	switch b.r.(type) {
+	case litExpr, paramExpr:
+		if v, err := ctx.eval(b.r); err == nil && (b.op == "=" || !v.IsNull()) {
+			bounds = append(bounds, colBound{normalizeIdent(c.name), b.op, v})
 		}
 	}
 	return bounds
@@ -92,8 +77,8 @@ type queryPlan struct {
 	lo, hi       *Value // bounds on the column after them
 	loInc, hiInc bool
 
-	// ordered: the walk yields rows in the statement's ORDER BY order
-	// (group by group backwards, for DESC), so no sort is needed.
+	// ordered: the walk yields rows in the statement's ORDER BY order,
+	// so no sort is needed.
 	ordered bool
 }
 
@@ -173,15 +158,15 @@ func (p *queryPlan) bound(bounds []colBound, col string) {
 
 // serves reports whether rows walked in the order of index d, all alike
 // in its first nEq columns, come out as the ORDER BY wants them: it
-// names the index's remaining columns — after any of the bound ones,
-// which order nothing — all ascending or all descending.
-func (d *indexDef) serves(nEq int, orderBy []orderKey) bool {
+// names the index's remaining columns, after any of the bound ones,
+// which order nothing.
+func (d *indexDef) serves(nEq int, orderBy []string) bool {
 	first := len(d.cols) - len(orderBy)
 	if len(orderBy) == 0 || first < 0 || first > nEq {
 		return false
 	}
-	for i, k := range orderBy {
-		if normalizeIdent(k.col) != d.cols[first+i] || k.desc != orderBy[0].desc {
+	for i, col := range orderBy {
+		if normalizeIdent(col) != d.cols[first+i] {
 			return false
 		}
 	}
@@ -194,13 +179,13 @@ func (d *indexDef) serves(nEq int, orderBy []orderKey) bool {
 // three, the first two, or runid alone. Among equal runs, an index the
 // run covers whole comes first, then one whose next column `<`, `<=`,
 // `>`, `>=` conjuncts bound on both sides (BETWEEN-shaped
-// `lo <= col AND col <= hi` pairs), then on one, then the lexically
+// `col >= lo AND col <= hi` pairs), then on one, then the lexically
 // smallest key, for determinism. With no such index every row is a
 // candidate, and an ORDER BY whose columns are an index's is served by
 // walking that index instead of the table. The candidates a plan
 // yields may over-approximate; matchingRows re-evaluates the complete
 // predicate.
-func (t *tableData) planFor(where expr, params []Value, orderBy []orderKey) queryPlan {
+func (t *tableData) planFor(where expr, params []Value, orderBy []string) queryPlan {
 	bounds := (&evalCtx{params: params}).collectBounds(where, nil)
 	eqOn := func(col string) int {
 		return slices.IndexFunc(bounds, func(b colBound) bool { return b.op == "=" && b.col == col })

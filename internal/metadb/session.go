@@ -36,8 +36,8 @@ func (s *Session) prepare(src string) (statement, int, error) {
 	return stmt, nparams, nil
 }
 
-// Exec runs a statement that returns no rows (DDL, INSERT, UPDATE,
-// DELETE) and reports the number of affected rows.
+// Exec runs a statement that returns no rows (DDL, INSERT, DELETE) and
+// reports the number of affected rows.
 func (s *Session) Exec(src string, args ...any) (int, error) {
 	stmt, nparams, err := s.prepare(src)
 	if err != nil {

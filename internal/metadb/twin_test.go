@@ -104,11 +104,8 @@ func TestOneTotalOrder(t *testing.T) {
 		}
 		for _, q := range []string{
 			`SELECT label, x FROM m ORDER BY x`,
-			`SELECT label, x FROM m ORDER BY x DESC`,
 			`SELECT label, x FROM m WHERE n = 0 ORDER BY x`,
-			`SELECT label, x FROM m WHERE n = 0 ORDER BY x DESC`,
 			`SELECT label FROM m ORDER BY n, x`,
-			`SELECT label FROM m ORDER BY n DESC, x DESC`,
 			`SELECT MIN(x), MAX(x), COUNT(x) FROM m`,
 		} {
 			tw.run(q)

@@ -1,15 +1,18 @@
 // Package metadb is an embedded relational database with a small SQL
 // dialect, standing in for the MySQL instance the paper stores SDM's
-// metadata in. It supports CREATE TABLE / CREATE INDEX / INSERT /
-// SELECT / UPDATE / DELETE with WHERE filters, ORDER BY, LIMIT and `?`
-// parameter placeholders, ordered indexes used automatically for
-// equality, leading-prefix and range lookups and for ORDER BY, and
-// binary snapshot persistence.
+// metadata in. The dialect is the SQL the program issues, and README's
+// catalog section lists it: CREATE TABLE / CREATE INDEX (IF NOT
+// EXISTS), DROP TABLE, multi-row INSERT, SELECT of columns, COUNT, MIN
+// and MAX with WHERE comparisons joined by AND and an ascending ORDER
+// BY, DELETE, EXPLAIN SELECT and `?` parameter placeholders. Ordered
+// indexes serve equality, leading-prefix and range lookups and ORDER
+// BY, and a database saves to and loads from a binary snapshot.
 //
-// The subset is exactly what SDM's six metadata tables need (run_table,
+// The subset is what SDM's seven metadata tables need (run_table,
 // access_pattern_table, execution_table, import_table, index_table,
-// index_history_table — see internal/catalog), but the engine is
-// general: any schema of INTEGER / REAL / TEXT / BLOB columns works.
+// index_history_table, annotation_table — see internal/catalog), but
+// the engine is general: any schema of INTEGER / REAL / TEXT / BLOB
+// columns works.
 package metadb
 
 import (
@@ -57,9 +60,6 @@ type Value struct {
 	s    string // TEXT: the text; BLOB: the bytes
 }
 
-// Null returns the SQL NULL value.
-func Null() Value { return Value{} }
-
 // Int wraps an int64.
 func Int(v int64) Value { return Value{kind: KindInt, n: uint64(v)} }
 
@@ -84,14 +84,6 @@ func (v Value) AsInt() int64 {
 		return int64(v.real())
 	}
 	return v.int()
-}
-
-// AsReal returns the floating contents (integers widen).
-func (v Value) AsReal() float64 {
-	if v.kind == KindInt {
-		return float64(v.int())
-	}
-	return v.real()
 }
 
 // AsText returns the string contents.
@@ -130,9 +122,6 @@ func (v Value) String() string {
 	}
 	return "?"
 }
-
-// numeric reports whether v participates in arithmetic.
-func (v Value) numeric() bool { return v.kind == KindInt || v.kind == KindReal }
 
 // compare is the one order over values: what =, <, ORDER BY, MIN and
 // MAX decide by and what every index files its rows in. It is total.
@@ -206,7 +195,7 @@ func coerce(v Value, k Kind) (Value, error) {
 func GoValue(v any) (Value, error) {
 	switch x := v.(type) {
 	case nil:
-		return Null(), nil
+		return Value{}, nil
 	case Value:
 		return x, nil
 	case int:

@@ -167,8 +167,8 @@ type PartitionStats struct {
 	FromHistory    bool
 	ImportSec      float64 // reading edges + the eight data arrays
 	DistributeSec  float64 // partitioning the edges
-	TotalSec       float64
-	LocalEdges     int // rank-0 partitioned edge count, for sanity
+	TotalSec       float64 // the slowest rank's import and distribution together
+	LocalEdges     int     // rank-0 partitioned edge count, for sanity
 	LocalNodes     int
 	CommBytesDelta int64 // point-to-point traffic generated
 }
@@ -278,10 +278,13 @@ func (f *FUN3D) ImportAndPartition(cl *sdm.Cluster, mode PartitionMode, register
 
 		maxImport := p.Comm.AllreduceFloat64(importDur.Seconds(), mpi.OpMax)
 		maxDistr := p.Comm.AllreduceFloat64(distrDur.Seconds(), mpi.OpMax)
+		// The slowest rank's whole import, not the sum of two maxima that
+		// different ranks may reach.
+		maxTotal := p.Comm.AllreduceFloat64((importDur + distrDur).Seconds(), mpi.OpMax)
 		if p.Rank() == 0 {
 			stats.ImportSec = maxImport
 			stats.DistributeSec = maxDistr
-			stats.TotalSec = maxImport + maxDistr
+			stats.TotalSec = maxTotal
 			stats.FromHistory = ip.FromHistory
 			stats.LocalEdges = ip.NumEdges()
 			stats.LocalNodes = ip.NumNodes()

@@ -114,21 +114,29 @@ run "$bin/sdmls" -sql 'SELECT id, name, payload FROM obs' "$root/internal/metadb
 # ...and a snapshot cut short is refused, not listed as a shorter table.
 head -c 300 "$root/internal/metadb/testdata/golden_v1.mdb" >"$t/cut.mdb"
 fails "$bin/sdmls" -sql 'SELECT id FROM obs' "$t/cut.mdb"
-# The SQL a user can type at the shell: DDL, DML, range and ordered
-# plans, EXPLAIN, the meta commands, and a write-back.
+# The SQL a user can type at the shell is the dialect the program
+# issues: DDL, INSERT and DELETE, range and ordered plans, aggregates,
+# EXPLAIN, the meta commands, and a write-back. Its one error is the
+# missing table.
+sql_session() { # <output file> <sdmsql args...>, statements on stdin
+	local out="$1"
+	shift
+	"$bin/sdmsql" "$@" >"$out" 2>&1 || { log "smoke failed: sdmsql $*"; cat "$out" >&2; exit 1; }
+	cat "$out" >>"$t/smoke.log"
+}
 cp "$t/bundle/catalog.db" "$t/scratch.db"
-run "$bin/sdmsql" -db "$t/scratch.db" <<'SQL'
+sql_session "$t/sql-kept.out" -db "$t/scratch.db" <<'SQL'
 CREATE TABLE t (x INTEGER, y TEXT, z REAL);
 CREATE INDEX t_x ON t (x);
 INSERT INTO t (x, y, z) VALUES (1, 'a', 0.5);
-INSERT INTO t (x, y, z) VALUES (2, 'b', 1.5);
-INSERT INTO t (x, y, z) VALUES (3, 'c;d', 2.5);
-SELECT * FROM t WHERE x >= 2 AND x < 3 ORDER BY x DESC LIMIT 1;
+INSERT INTO t (x, y, z) VALUES (2, 'b', 1.5), (3, 'c;d', 2.5), (-1, NULL, -0.5);
+SELECT * FROM t WHERE x >= 2 AND x < 3 ORDER BY x;
 SELECT COUNT(*), MAX(x), MIN(z) FROM t
   WHERE y != 'a';
-SELECT y, x + z FROM t WHERE z > 1;
+SELECT y, z FROM t WHERE z > 1 ORDER BY y, x ASC;
 EXPLAIN SELECT * FROM t WHERE x > 1;
-UPDATE t SET y = 'e' WHERE x = 2;
+DELETE FROM t WHERE x = 2;
+INSERT INTO t VALUES (2, 'e', 1.5);
 DELETE FROM t WHERE x = 1;
 SELECT COUNT(*) FROM run_table;
 \t
@@ -138,6 +146,35 @@ DROP TABLE t;
 \w
 SELECT * FROM nosuch
 SQL
+if [ "$(grep -c 'error:' "$t/sql-kept.out")" -ne 1 ] || ! grep -q 'error:.*nosuch' "$t/sql-kept.out"; then
+	log "sdmsql refused statements of its dialect (only the missing table may fail):"
+	grep 'error:' "$t/sql-kept.out" >&2
+	exit 1
+fi
+# Everything outside the dialect is refused, one error per statement.
+cat >"$t/refused.sql" <<'SQL'
+UPDATE t SET y = 'e' WHERE x = 2;
+SELECT * FROM t ORDER BY x DESC;
+SELECT * FROM t LIMIT 1;
+SELECT * FROM t WHERE x = 1 OR x = 2;
+SELECT * FROM t WHERE NOT x = 1;
+SELECT * FROM t WHERE y IS NULL;
+DELETE FROM t WHERE y IS NOT NULL;
+SELECT y, x + z FROM t;
+INSERT INTO t (x) VALUES (2 - 1);
+SELECT * FROM t WHERE x * 2 = 4;
+SELECT MAX(x / 2) FROM t;
+DELETE FROM t WHERE x = -(1);
+SQL
+{
+	echo "CREATE TABLE t (x INTEGER, y TEXT, z REAL);"
+	cat "$t/refused.sql"
+} | sql_session "$t/sql-refused.out"
+if [ "$(grep -c 'error:' "$t/sql-refused.out")" -ne "$(grep -c ';$' "$t/refused.sql")" ]; then
+	log "sdmsql answered statements outside its dialect:"
+	cat "$t/sql-refused.out" >&2
+	exit 1
+fi
 
 log "smokes: sdmd + remote sdmcat/sdmls"
 port=$((20000 + $$ % 20000))
