@@ -107,7 +107,12 @@ func writeBundleWAL(dir string, b *bundleStore, plan []bundlePlanEntry, catBytes
 			return err
 		}
 	}
-	if err := writeFileSync(filepath.Join(dir, bundleCatalogStage), catBytes); err != nil {
+	catStage := filepath.Join(dir, bundleCatalogStage)
+	err = os.WriteFile(catStage, catBytes, 0o644)
+	if err == nil {
+		err = store.Fsync(catStage)
+	}
+	if err != nil {
 		return fmt.Errorf("sdm: staging bundle catalog: %w", err)
 	}
 	if err := opts.crashFn.at("stage-catalog"); err != nil {
@@ -227,7 +232,10 @@ func applyWAL(dir string, b store.Backend, puts []store.WALPutRecord, catStage s
 		return err
 	}
 	tmp := filepath.Join(dir, bundleManifestName+".tmp")
-	if err := writeFileSync(tmp, manifestJSON); err != nil {
+	if err := os.WriteFile(tmp, manifestJSON, 0o644); err != nil {
+		return err
+	}
+	if err := store.Fsync(tmp); err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, filepath.Join(dir, bundleManifestName)); err != nil {
@@ -236,7 +244,7 @@ func applyWAL(dir string, b store.Backend, puts []store.WALPutRecord, catStage s
 	if err := crash.at("apply-manifest"); err != nil {
 		return err
 	}
-	if err := syncDir(dir); err != nil {
+	if err := store.Fsync(dir); err != nil {
 		return err
 	}
 	// A save without a log (BundleOptions.DisableWAL) has none to retire.
@@ -362,36 +370,6 @@ func recoverBundleLocked(dir string, rep *FsckReport) error {
 	// forward.
 	b.abortUploads()
 	return applyWAL(dir, b, puts, catStage, manifestJSON, nil)
-}
-
-// writeFileSync writes data to path and fsyncs it before closing.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// syncDir fsyncs a directory so renamed entries inside it are durable.
-func syncDir(dir string) error {
-	f, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = f.Sync()
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 func sha256hex(data []byte) string {

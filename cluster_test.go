@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sdm"
+	"sdm/internal/mesh"
 	"sdm/meshgen"
 	"sdm/partitioner"
 )
@@ -172,12 +173,12 @@ func TestPublicMeshgenAndPartitioner(t *testing.T) {
 	if len(p) != m.NumNodes() || len(q) != m.NumNodes() {
 		t.Fatal("sweep result sizes wrong")
 	}
-	// Encode/decode through the public API.
+	// Encode through the public API, decode with the reference decoder.
 	buf, layout, err := meshgen.EncodeMsh(m, [][]float64{m.EdgeData(0)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e1, _, ed, _, err := meshgen.DecodeMsh(buf, layout)
+	e1, _, ed, _, err := mesh.DecodeMsh(buf, layout)
 	if err != nil || len(e1) != m.NumEdges() || len(ed) != 1 {
 		t.Fatalf("decode: %v", err)
 	}

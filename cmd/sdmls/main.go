@@ -7,13 +7,12 @@
 // Usage:
 //
 //	sdmls [-table all|runs|datasets|writes|imports|histories] catalog.db
-//	sdmls -sql 'SELECT * FROM run_table' catalog.db
 //	sdmls -remote http://host:8080 [-bundle name] [-table ...]
 //
 // With -remote the tables come from a running sdmd daemon via the
 // client SDK — the same wire.Reader the local catalog sits behind, so
-// the print path cannot tell them apart; -sql is local-only (the daemon
-// does not expose raw SQL).
+// the print path cannot tell them apart. Raw SQL over a local snapshot
+// is sdmsql's: echo 'SELECT * FROM run_table' | sdmsql -db catalog.db.
 package main
 
 import (
@@ -23,7 +22,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"strings"
 	"text/tabwriter"
 
 	"sdm/internal/catalog"
@@ -51,7 +49,6 @@ func (u usage) Error() string { return "usage: " + string(u) }
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("sdmls", flag.ExitOnError)
 	table := fs.String("table", "all", "which table(s) to show")
-	sql := fs.String("sql", "", "run a raw SQL query instead (local only)")
 	remote := fs.String("remote", "", "read from a sdmd daemon at this base URL instead of a local catalog.db")
 	bundle := fs.String("bundle", "", "with -remote: bundle name on a multi-bundle daemon")
 	fs.Parse(args)
@@ -62,9 +59,6 @@ func run(args []string, stdout io.Writer) error {
 		if fs.NArg() != 0 {
 			return usage("sdmls -remote URL [-bundle name] [-table name]")
 		}
-		if *sql != "" {
-			return errors.New("-sql needs a local catalog.db (the daemon does not expose raw SQL)")
-		}
 		var opts []sdmclient.Option
 		if *bundle != "" {
 			opts = append(opts, sdmclient.WithBundle(*bundle))
@@ -72,7 +66,7 @@ func run(args []string, stdout io.Writer) error {
 		b = sdmclient.New(*remote, opts...)
 	default:
 		if fs.NArg() != 1 {
-			return usage("sdmls [-table name | -sql query] catalog.db")
+			return usage("sdmls [-table name] catalog.db")
 		}
 		if *bundle != "" {
 			return errors.New("-bundle requires -remote")
@@ -85,9 +79,6 @@ func run(args []string, stdout io.Writer) error {
 		db := metadb.New()
 		if err := db.Load(f); err != nil {
 			return err
-		}
-		if *sql != "" {
-			return runSQL(stdout, db, *sql)
 		}
 		// A catalog with no file system beside it: every listing works,
 		// only ReadDataset (which sdmls never calls) needs the bytes.
@@ -178,22 +169,4 @@ func describe(err error) string {
 		return fmt.Sprintf("sdmls: cannot reach daemon: %v", err)
 	}
 	return fmt.Sprintf("sdmls: %v", err)
-}
-
-// runSQL executes one raw query against a loaded local snapshot.
-func runSQL(stdout io.Writer, db *metadb.DB, sql string) error {
-	rows, err := db.Query(sql)
-	if err != nil {
-		return err
-	}
-	w := tabwriter.NewWriter(stdout, 0, 4, 2, ' ', 0)
-	fmt.Fprintln(w, strings.Join(rows.Columns, "\t"))
-	for _, row := range rows.Data {
-		cells := make([]string, len(row))
-		for i, v := range row {
-			cells[i] = v.String()
-		}
-		fmt.Fprintln(w, strings.Join(cells, "\t"))
-	}
-	return w.Flush()
 }

@@ -50,10 +50,4 @@ func TestGoldenText(t *testing.T) {
 			t.Errorf("%s sdmls printed\n%s\nwant\n%s", where, got.Bytes(), want)
 		}
 	}
-
-	var got bytes.Buffer
-	err = run([]string{"-sql", "SELECT runid, application FROM run_table ORDER BY runid", filepath.Join(dir, "catalog.db")}, &got)
-	if err != nil || got.String() != "runid  application\n1      restartdemo\n2      historydemo\n" {
-		t.Errorf("-sql printed %q (%v)", got.String(), err)
-	}
 }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"sdm/internal/catalog"
 	"sdm/internal/mpi"
@@ -325,7 +324,6 @@ func (s *SDM) buildPartition(keptG, kept1, kept2 []int32, partVec []int32) *Inde
 			nodes = append(nodes, int32(node))
 		}
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
 	owned := make([]bool, len(nodes))
 	var ownedNodes []int32
 	g2l := make(map[int32]int32, len(nodes))

@@ -369,16 +369,10 @@ func (c *Comm) treeCost(bytes int64) sim.Duration {
 	return sim.Duration(log2ceil(c.world.size)) * c.transferCost(bytes)
 }
 
-// ringCost models a ring collective in which total bytes flow through
-// every rank across p-1 rounds.
-func (c *Comm) ringCost(total int64) sim.Duration {
-	p := c.world.size
-	if p <= 1 {
-		return 0
-	}
-	perRound := total / int64(p)
-	round := c.transferCost(perRound)
-	return sim.Duration(p-1) * round
+// ringCost models a ring collective of p − 1 rounds, each moving round
+// bytes.
+func (c *Comm) ringCost(round int64) sim.Duration {
+	return sim.Duration(c.world.size-1) * c.transferCost(round)
 }
 
 // Barrier blocks until every rank has entered it; all ranks leave at
@@ -428,19 +422,6 @@ func (c *Comm) Bcast(root int, v any, bytes int64) any {
 	})
 	c.bcPayload.v = nil // the result is out; do not pin the value until the next Bcast
 	return res
-}
-
-// Allgather collects one value from every rank, in rank order, and
-// delivers the full array to all ranks (ring algorithm cost).
-func (c *Comm) Allgather(v any, bytes int64) []any {
-	total := bytes * int64(c.world.size)
-	cost := c.ringCost(total)
-	res := c.exchange("Allgather", v, func(slots []any) (any, sim.Duration) {
-		out := make([]any, len(slots))
-		copy(out, slots)
-		return out, cost
-	})
-	return res.([]any)
 }
 
 // alltoallPayload carries each rank's outgoing parts through exchange.
@@ -616,14 +597,18 @@ func BcastSlice[T any](c *Comm, root int, s []T) []T {
 }
 
 // AllgatherSlice gathers each rank's slice; the result on every rank
-// holds rank i's contribution at index i.
+// holds rank i's contribution at index i. It is charged as a ring:
+// p − 1 rounds, each moving the largest contribution, whichever rank
+// holds it.
 func AllgatherSlice[T any](c *Comm, s []T) [][]T {
-	res := c.Allgather(s, sliceBytes[T](len(s)))
-	out := make([][]T, len(res))
-	for i, v := range res {
-		if v != nil {
+	res := c.exchange("Allgather", s, func(slots []any) (any, sim.Duration) {
+		out := make([][]T, len(slots))
+		longest := 0
+		for i, v := range slots {
 			out[i] = v.([]T)
+			longest = max(longest, len(out[i]))
 		}
-	}
-	return out
+		return out, c.ringCost(sliceBytes[T](longest))
+	})
+	return slices.Clone(res.([][]T))
 }

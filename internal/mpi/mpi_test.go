@@ -277,6 +277,40 @@ func TestAllgather(t *testing.T) {
 	})
 }
 
+// TestAllgatherChargesLongestSlice: unequal slices cost p − 1 ring
+// rounds of the longest, the same clocks whichever rank holds it and
+// whichever rank arrives last; equal slices cost p − 1 rounds of one.
+func TestAllgatherChargesLongestSlice(t *testing.T) {
+	const n = 4
+	cfg := DefaultConfig()
+	round := func(elems int) sim.Duration { return sim.TransferCost(int64(elems)*8, cfg.Latency, cfg.Bandwidth) }
+	clocks := func(long int) []sim.Time {
+		got := make([]sim.Time, n)
+		run(t, n, cfg, func(c *Comm) {
+			s := make([]int64, 4)
+			if c.Rank() == long {
+				s = make([]int64, 1000)
+			}
+			AllgatherSlice(c, s)
+			got[c.Rank()] = c.Clock().Now()
+		})
+		return got
+	}
+	want := sim.Time(0).Add((n - 1) * round(1000))
+	for long := range n {
+		for r, got := range clocks(long) {
+			if got != want {
+				t.Errorf("rank %d holds the long slice: rank %d's clock %v, want %v", long, r, got, want)
+			}
+		}
+	}
+	for r, got := range clocks(-1) {
+		if want := sim.Time(0).Add((n - 1) * round(4)); got != want {
+			t.Errorf("equal slices: rank %d's clock %v, want %v", r, got, want)
+		}
+	}
+}
+
 func TestAlltoallSlices(t *testing.T) {
 	const n = 4
 	run(t, n, fastConfig(), func(c *Comm) {
@@ -542,11 +576,11 @@ func TestCollectiveReleasesPayload(t *testing.T) {
 			c.Bcast(0, v, int64(len(p)))
 		},
 		"Allgather": func(c *Comm, p *[1 << 20]byte) {
-			var v any
+			var s []byte
 			if c.Rank() == 0 {
-				v = p
+				s = p[:]
 			}
-			c.Allgather(v, int64(len(p)))
+			AllgatherSlice(c, s)
 		},
 		"Alltoall": func(c *Comm, p *[1 << 20]byte) {
 			parts := make([]any, c.Size())

@@ -133,38 +133,25 @@ const (
 	SizeFloat64 = 8
 )
 
-// Indexed places blocks of old at displacements measured in units of
-// old's extent (MPI_Type_indexed). blocklens and displs must have equal
-// length. This is the constructor SDM uses for irregular map arrays:
-// blocklens of 1 at each global node index.
-func Indexed(blocklens, displs []int, old *Datatype) *Datatype {
-	if len(blocklens) != len(displs) {
-		panic(fmt.Sprintf("mpiio: Indexed with %d blocklens, %d displs", len(blocklens), len(displs)))
-	}
+// IndexedBlock places blocks of blocklen elements of old at
+// displacements measured in units of old's extent
+// (MPI_Type_create_indexed_block). This is the constructor SDM uses for
+// irregular map arrays: a block of 1 at each global node index.
+func IndexedBlock(blocklen int, displs []int, old *Datatype) *Datatype {
 	segs := make([]Segment, 0, len(displs)*len(old.segs))
 	extent := int64(0)
-	for k, disp := range displs {
-		for j := 0; j < blocklens[k]; j++ {
+	for _, disp := range displs {
+		for j := 0; j < blocklen; j++ {
 			base := int64(disp+j) * old.extent
 			for _, s := range old.segs {
 				segs = append(segs, Segment{Off: base + s.Off, Len: s.Len})
 			}
 		}
-		if e := int64(disp+blocklens[k]) * old.extent; e > extent {
+		if e := int64(disp+blocklen) * old.extent; e > extent {
 			extent = e
 		}
 	}
 	return newDatatype(segs, extent)
-}
-
-// IndexedBlock is Indexed with a constant block length
-// (MPI_Type_create_indexed_block), the common map-array case.
-func IndexedBlock(blocklen int, displs []int, old *Datatype) *Datatype {
-	lens := make([]int, len(displs))
-	for i := range lens {
-		lens[i] = blocklen
-	}
-	return Indexed(lens, displs, old)
 }
 
 // Resized returns old with its extent changed

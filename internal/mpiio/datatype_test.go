@@ -41,11 +41,15 @@ func TestIndexedAdjacentCoalesce(t *testing.T) {
 	}
 }
 
+// TestIndexedVariableBlocks: blocks longer than one element.
 func TestIndexedVariableBlocks(t *testing.T) {
-	d := Indexed([]int{2, 1}, []int{0, 4}, Bytes(4))
-	want := []Segment{{Off: 0, Len: 8}, {Off: 16, Len: 4}}
+	d := IndexedBlock(2, []int{0, 4}, Bytes(4))
+	want := []Segment{{Off: 0, Len: 8}, {Off: 16, Len: 8}}
 	if got := segsOf(d); !reflect.DeepEqual(got, want) {
 		t.Fatalf("segs = %v", got)
+	}
+	if d.size != 16 || d.extent != 24 {
+		t.Fatalf("size=%d extent=%d", d.size, d.extent)
 	}
 }
 
@@ -55,7 +59,7 @@ func TestOverlapPanics(t *testing.T) {
 			t.Fatal("overlapping segments did not panic")
 		}
 	}()
-	Indexed([]int{2, 1}, []int{0, 1}, Bytes(4)) // block 0 covers elem 0-1, block 1 at elem 1
+	IndexedBlock(2, []int{0, 1}, Bytes(4)) // block 0 covers elem 0-1, block 1 elem 1-2
 }
 
 func TestMapRangeContiguous(t *testing.T) {

@@ -87,9 +87,10 @@ func TestFromEdgesMatchesFrozen(t *testing.T) {
 
 // TestPartitionVectorsMatchFrozen: the partition vectors every workload
 // computes are bit-identical to the frozen builders' and partitioner's.
-// FUN3D streams GenerateTetEdges's edges into FromEdgeStream (nx 8, 16,
-// 32 and the lifecycle benchmark's nx 40 at 64 ranks); RT builds
-// FromEdges over GenerateTet's edges (Figure 7's 32 and 64 ranks).
+// FUN3D builds FromEdges over GenerateTetEdges's edges (nx 8, 16, 32 and
+// the lifecycle benchmark's nx 40 at 64 ranks), checked against the
+// frozen stream builder; RT builds FromEdges over GenerateTet's edges
+// (Figure 7's 32 and 64 ranks), checked against the frozen map builder.
 func TestPartitionVectorsMatchFrozen(t *testing.T) {
 	type tc struct {
 		app    string
@@ -112,11 +113,10 @@ func TestPartitionVectorsMatchFrozen(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				stream := streamOf(m.Edge1, m.Edge2)
-				if got, err = FromEdgeStream(m.NumNodes(), stream); err != nil {
+				if got, err = FromEdges(m.NumNodes(), m.Edge1, m.Edge2); err != nil {
 					t.Fatal(err)
 				}
-				want, err = frozenFromEdgeStream(m.NumNodes(), stream)
+				want, err = frozenFromEdgeStream(m.NumNodes(), streamOf(m.Edge1, m.Edge2))
 			} else {
 				m, err := mesh.GenerateTet(c.nx, c.nx, c.nx)
 				if err != nil {
@@ -164,10 +164,11 @@ func firstDiff(a, b Vector) int {
 // TestSetupAllocsConstant: building a graph and contracting it cost a
 // fixed number of allocations, whatever the graph's size — a hash map
 // or a per-row allocation coming back would grow the count with it.
-// FromEdges allocates its bucket offsets, buckets, fill cursors, the
-// three CSR arrays and the Graph (7); one coarsen round with a warmed
-// workspace allocates cmap, the vertex weights, the three CSR arrays
-// and the Graph (6).
+// FromEdges over a mesh's sorted edges allocates its bucket offsets,
+// fill cursors, the three CSR arrays and the Graph (6), and over the
+// same edges reversed also the buckets (7); one coarsen round with a
+// warmed workspace allocates cmap, the vertex weights, the three CSR
+// arrays and the Graph (6).
 func TestSetupAllocsConstant(t *testing.T) {
 	for _, nx := range []int{6, 12} {
 		m, err := mesh.GenerateTet(nx, nx, nx)
@@ -175,12 +176,21 @@ func TestSetupAllocsConstant(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := m.NumNodes()
-		if a := testing.AllocsPerRun(5, func() {
-			if _, err := FromEdges(n, m.Edge1, m.Edge2); err != nil {
-				t.Fatal(err)
+		for _, in := range []struct {
+			name         string
+			edge1, edge2 []int32
+			want         float64
+		}{
+			{"sorted", m.Edge1, m.Edge2, 6},
+			{"reversed", m.Edge2, m.Edge1, 7},
+		} {
+			if a := testing.AllocsPerRun(5, func() {
+				if _, err := FromEdges(n, in.edge1, in.edge2); err != nil {
+					t.Fatal(err)
+				}
+			}); a != in.want {
+				t.Errorf("nx %d: FromEdges over %s edges made %v allocations, want %v", nx, in.name, a, in.want)
 			}
-		}); a != 7 {
-			t.Errorf("nx %d: FromEdges made %v allocations, want 7", nx, a)
 		}
 		g, err := FromEdges(n, m.Edge1, m.Edge2)
 		if err != nil {

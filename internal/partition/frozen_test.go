@@ -154,7 +154,9 @@ func frozenMultilevel(g *Graph, nparts int, opts Options) (Vector, error) {
 		}
 		return v, nil
 	}
-	opts.fill(nparts)
+	if opts.Seed == 0 {
+		opts.Seed = 1
+	}
 
 	// Workspace buffers shared across coarsening and refinement rounds,
 	// so the multilevel hierarchy allocates per-level state only for
@@ -170,7 +172,7 @@ func frozenMultilevel(g *Graph, nparts int, opts Options) (Vector, error) {
 	var levels []level
 	cur := g
 	rng := sim.NewRNG(opts.Seed)
-	for cur.NumVertices() > opts.CoarsenTo {
+	for cur.NumVertices() > max(coarsenPerPart*nparts, 64) {
 		coarse, cmap := frozenCoarsen(cur, rng, ws)
 		if coarse.NumVertices() >= cur.NumVertices()*95/100 {
 			break // matching stalled; further coarsening is pointless
@@ -428,7 +430,7 @@ func frozenRefine(g *Graph, part Vector, nparts int, opts Options, ws *frozenWor
 		weights[part[u]] += int64(g.vwgt(int32(u)))
 	}
 	total := g.TotalVWgt()
-	maxW := int64(float64(total) / float64(nparts) * opts.ImbalanceTol)
+	maxW := int64(float64(total) / float64(nparts) * imbalanceTol)
 	if maxW <= 0 {
 		maxW = 1
 	}
@@ -436,7 +438,7 @@ func frozenRefine(g *Graph, part Vector, nparts int, opts Options, ws *frozenWor
 	gains := ws.gains
 	clear(gains)
 	parts := ws.adjParts[:0] // adjacent-part scratch, reused across vertices
-	for pass := 0; pass < opts.RefinePasses; pass++ {
+	for pass := 0; pass < refinePasses; pass++ {
 		moved := 0
 		for u := 0; u < n; u++ {
 			pu := part[u]

@@ -58,16 +58,76 @@ func (g *Graph) TotalVWgt() int64 {
 // FromEdges builds a CSR graph over nNodes vertices from an edge list
 // (the mesh's edge1/edge2 arrays). Self loops are dropped and duplicate
 // edges merge with accumulated weight, so irregular meshes with repeated
-// connectivity are handled. The normalized edges are counting-sorted by
-// their smaller endpoint; each bucket is sorted and its repeats become
-// one weighted edge, so rows come out in ascending neighbour order.
+// connectivity are handled. Rows come out in ascending neighbour order:
+// the normalized edges are grouped by their smaller endpoint into sorted
+// buckets whose repeats become one weighted edge. Edges already in that
+// form — in range, normalized (u < v), unique and sorted, as every
+// generated mesh's are — are their own buckets, with no copy and no sort.
 func FromEdges(nNodes int, edge1, edge2 []int32) (*Graph, error) {
 	if len(edge1) != len(edge2) {
 		return nil, fmt.Errorf("partition: edge1 has %d entries, edge2 %d", len(edge1), len(edge2))
 	}
-	// pos[u+2] counts the edges whose smaller endpoint is u; after the
-	// prefix sum and the placement pass, bucket u is hi[pos[u]:pos[u+1]].
+	// Bucket u is hi[pos[u]:pos[u+1]]; xadj[u+1] counts u's neighbours
+	// until the prefix sum turns it into row u's end.
 	pos := make([]int32, nNodes+2)
+	xadj := make([]int32, nNodes+1)
+	hi := edge2
+	if !directEdges(nNodes, edge1, edge2, pos, xadj) {
+		clear(pos)
+		clear(xadj)
+		var err error
+		if hi, err = bucketEdges(nNodes, edge1, edge2, pos, xadj); err != nil {
+			return nil, err
+		}
+	}
+	for i := 0; i < nNodes; i++ {
+		xadj[i+1] += xadj[i]
+	}
+	adj := make([]int32, xadj[nNodes])
+	ewgt := make([]int32, xadj[nNodes])
+	fill := make([]int32, nNodes)
+	for u := range int32(nNodes) {
+		eachRun(hi[pos[u]:pos[u+1]], func(v, w int32) {
+			adj[xadj[u]+fill[u]] = v
+			ewgt[xadj[u]+fill[u]] = w
+			fill[u]++
+			adj[xadj[v]+fill[v]] = u
+			ewgt[xadj[v]+fill[v]] = w
+			fill[v]++
+		})
+	}
+	return &Graph{XAdj: xadj, Adj: adj, EWgt: ewgt}, nil
+}
+
+// directEdges sets FromEdges's bucket offsets and degree counts for
+// edges that are in range, normalized (u < v), unique and sorted, and
+// are therefore their own buckets. At the first edge that is not, it
+// stops and reports false, leaving pos and deg partly counted.
+func directEdges(nNodes int, edge1, edge2, pos, deg []int32) bool {
+	var prevU, prevV int32 = -1, -1
+	for i := range edge1 {
+		u, v := edge1[i], edge2[i]
+		if u < 0 || u >= v || int(v) >= nNodes || u < prevU || (u == prevU && v <= prevV) {
+			return false
+		}
+		prevU, prevV = u, v
+		pos[u+1]++
+		deg[u+1]++
+		deg[v+1]++
+	}
+	for i := 1; i < len(pos); i++ {
+		pos[i] += pos[i-1]
+	}
+	return true
+}
+
+// bucketEdges counting-sorts the normalized edges, self loops dropped,
+// by their smaller endpoint, sorts each bucket and counts each distinct
+// edge in deg. It returns the larger endpoints with pos set so that
+// bucket u is hi[pos[u]:pos[u+1]].
+func bucketEdges(nNodes int, edge1, edge2, pos, deg []int32) ([]int32, error) {
+	// pos[u+2] counts the edges whose smaller endpoint is u; after the
+	// prefix sum the placement pass advances pos[u+1] to bucket u's end.
 	for i := range edge1 {
 		u, v := edge1[i], edge2[i]
 		if u < 0 || v < 0 || int(u) >= nNodes || int(v) >= nNodes {
@@ -92,32 +152,15 @@ func FromEdges(nNodes int, edge1, edge2 []int32) (*Graph, error) {
 		hi[pos[u+1]] = v
 		pos[u+1]++
 	}
-	xadj := make([]int32, nNodes+1)
 	for u := range nNodes {
 		b := hi[pos[u]:pos[u+1]]
 		slices.Sort(b)
 		eachRun(b, func(v, _ int32) {
-			xadj[u+1]++
-			xadj[v+1]++
+			deg[u+1]++
+			deg[v+1]++
 		})
 	}
-	for i := 0; i < nNodes; i++ {
-		xadj[i+1] += xadj[i]
-	}
-	adj := make([]int32, xadj[nNodes])
-	ewgt := make([]int32, xadj[nNodes])
-	fill := make([]int32, nNodes)
-	for u := range int32(nNodes) {
-		eachRun(hi[pos[u]:pos[u+1]], func(v, w int32) {
-			adj[xadj[u]+fill[u]] = v
-			ewgt[xadj[u]+fill[u]] = w
-			fill[u]++
-			adj[xadj[v]+fill[v]] = u
-			ewgt[xadj[v]+fill[v]] = w
-			fill[v]++
-		})
-	}
-	return &Graph{XAdj: xadj, Adj: adj, EWgt: ewgt}, nil
+	return hi, nil
 }
 
 // eachRun calls fn with each distinct value of the sorted slice b and
@@ -131,65 +174,6 @@ func eachRun(b []int32, fn func(v, n int32)) {
 		fn(b[i], int32(j-i))
 		i = j
 	}
-}
-
-// FromEdgeStream builds a CSR graph from an edge stream invoked twice
-// (a degree-counting pass, then a fill pass), so paper-scale meshes
-// partition without sorting or copying the edge arrays. The stream must
-// produce unique normalized edges (u < v) in increasing (u, v) order —
-// what mesh.StreamTetEdges and every generated mesh's edge arrays
-// provide — and must be deterministic across the two passes. The result
-// is identical to FromEdges over the same edges.
-func FromEdgeStream(nNodes int, stream func(yield func(u, v int32) error) error) (*Graph, error) {
-	deg := make([]int32, nNodes)
-	var prevU, prevV int32 = -1, -1
-	count := func(u, v int32) error {
-		if u < 0 || v < 0 || int(u) >= nNodes || int(v) >= nNodes {
-			return fmt.Errorf("partition: edge (%d,%d) out of range [0,%d)", u, v, nNodes)
-		}
-		if u >= v {
-			return fmt.Errorf("partition: edge stream must be normalized (u < v), got (%d,%d)", u, v)
-		}
-		if u < prevU || (u == prevU && v <= prevV) {
-			return fmt.Errorf("partition: edge stream not sorted/unique at (%d,%d)", u, v)
-		}
-		prevU, prevV = u, v
-		deg[u]++
-		deg[v]++
-		return nil
-	}
-	if err := stream(count); err != nil {
-		return nil, err
-	}
-	xadj := make([]int32, nNodes+1)
-	for i := 0; i < nNodes; i++ {
-		xadj[i+1] = xadj[i] + deg[i]
-	}
-	adj := make([]int32, xadj[nNodes])
-	ewgt := make([]int32, xadj[nNodes])
-	fill := make([]int32, nNodes)
-	edges := int64(xadj[nNodes]) / 2
-	var seen int64
-	fillOne := func(u, v int32) error {
-		seen++
-		if seen > edges {
-			return fmt.Errorf("partition: edge stream grew between passes")
-		}
-		adj[xadj[u]+fill[u]] = v
-		ewgt[xadj[u]+fill[u]] = 1
-		fill[u]++
-		adj[xadj[v]+fill[v]] = u
-		ewgt[xadj[v]+fill[v]] = 1
-		fill[v]++
-		return nil
-	}
-	if err := stream(fillOne); err != nil {
-		return nil, err
-	}
-	if seen != edges {
-		return nil, fmt.Errorf("partition: edge stream shrank between passes (%d of %d edges)", seen, edges)
-	}
-	return &Graph{XAdj: xadj, Adj: adj, EWgt: ewgt}, nil
 }
 
 // Vector is a partitioning vector: Vector[node] is the rank the node is

@@ -39,35 +39,19 @@ func Random(n, nparts int, seed uint64) Vector {
 
 // Options tunes the multilevel partitioner.
 type Options struct {
-	// CoarsenTo stops coarsening when the graph has at most this many
-	// vertices (default 30*nparts).
-	CoarsenTo int
-	// RefinePasses bounds boundary-refinement sweeps per level
-	// (default 4).
-	RefinePasses int
-	// ImbalanceTol is the allowed max/avg part weight (default 1.05).
-	ImbalanceTol float64
-	// Seed drives matching and growing order.
+	// Seed drives matching and growing order (0 means 1).
 	Seed uint64
 }
 
-func (o *Options) fill(nparts int) {
-	if o.CoarsenTo <= 0 {
-		o.CoarsenTo = 30 * nparts
-		if o.CoarsenTo < 64 {
-			o.CoarsenTo = 64
-		}
-	}
-	if o.RefinePasses <= 0 {
-		o.RefinePasses = 4
-	}
-	if o.ImbalanceTol <= 1 {
-		o.ImbalanceTol = 1.05
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-}
+// The partitioner's fixed tuning: coarsening stops at coarsenPerPart
+// vertices per part (never below 64), each level runs at most
+// refinePasses boundary-refinement sweeps, and a part may weigh
+// imbalanceTol times the average.
+const (
+	coarsenPerPart = 30
+	refinePasses   = 4
+	imbalanceTol   = 1.05
+)
 
 // Multilevel partitions g into nparts parts with a MeTis-style
 // multilevel scheme and returns the partitioning vector.
@@ -90,7 +74,9 @@ func Multilevel(g *Graph, nparts int, opts Options) (Vector, error) {
 		}
 		return v, nil
 	}
-	opts.fill(nparts)
+	if opts.Seed == 0 {
+		opts.Seed = 1
+	}
 
 	// Workspace buffers shared across coarsening and refinement rounds,
 	// so the multilevel hierarchy allocates per-level state only for
@@ -106,7 +92,7 @@ func Multilevel(g *Graph, nparts int, opts Options) (Vector, error) {
 	var levels []level
 	cur := g
 	rng := sim.NewRNG(opts.Seed)
-	for cur.NumVertices() > opts.CoarsenTo {
+	for cur.NumVertices() > max(coarsenPerPart*nparts, 64) {
 		coarse, cmap := coarsen(cur, rng, ws)
 		if coarse.NumVertices() >= cur.NumVertices()*95/100 {
 			break // matching stalled; further coarsening is pointless
@@ -117,7 +103,7 @@ func Multilevel(g *Graph, nparts int, opts Options) (Vector, error) {
 
 	// Initial partition on the coarsest graph.
 	part := growPartition(cur, nparts, rng, ws)
-	refine(cur, part, nparts, opts, ws)
+	refine(cur, part, nparts, ws)
 
 	// Uncoarsening: project and refine at each finer level.
 	for i := len(levels) - 1; i >= 0; i-- {
@@ -127,7 +113,7 @@ func Multilevel(g *Graph, nparts int, opts Options) (Vector, error) {
 			finerPart[v] = part[lv.cmap[v]]
 		}
 		part = finerPart
-		refine(lv.finer, part, nparts, opts, ws)
+		refine(lv.finer, part, nparts, ws)
 	}
 	return part, nil
 }
@@ -330,7 +316,7 @@ func growPartition(g *Graph, nparts int, rng *sim.RNG, ws *mlWorkspace) Vector {
 
 // refine runs boundary FM-style passes: move boundary vertices to the
 // neighbouring part with the best edge-cut gain, subject to balance.
-func refine(g *Graph, part Vector, nparts int, opts Options, ws *mlWorkspace) {
+func refine(g *Graph, part Vector, nparts int, ws *mlWorkspace) {
 	n := g.NumVertices()
 	ws.weights = grow(ws.weights, nparts)
 	weights := ws.weights
@@ -339,7 +325,7 @@ func refine(g *Graph, part Vector, nparts int, opts Options, ws *mlWorkspace) {
 		weights[part[u]] += int64(g.vwgt(int32(u)))
 	}
 	total := g.TotalVWgt()
-	maxW := int64(float64(total) / float64(nparts) * opts.ImbalanceTol)
+	maxW := int64(float64(total) / float64(nparts) * imbalanceTol)
 	if maxW <= 0 {
 		maxW = 1
 	}
@@ -347,7 +333,7 @@ func refine(g *Graph, part Vector, nparts int, opts Options, ws *mlWorkspace) {
 	gains := ws.gains
 	clear(gains)
 	parts := ws.adjParts[:0] // adjacent-part scratch, reused across vertices
-	for pass := 0; pass < opts.RefinePasses; pass++ {
+	for pass := 0; pass < refinePasses; pass++ {
 		moved := 0
 		for u := 0; u < n; u++ {
 			pu := part[u]

@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -63,8 +64,8 @@ type chunk struct {
 // CAS is the content-addressed backend: every object is a sequence of
 // fixed-size chunks keyed by SHA-256 of their raw bytes, shared across
 // objects with reference counting — the datamon-cafs storage model
-// scaled down to the simulator. With a non-empty root the pool and the
-// object manifest persist to disk (chunks under root/chunks, manifest
+// scaled down to the simulator. The pool and the object manifest
+// persist under a root directory (chunks under root/chunks, manifest
 // at root/objects.json, written by Sync), so run bundles can be
 // reopened by a later OS process.
 //
@@ -75,7 +76,7 @@ type chunk struct {
 // either way.
 type CAS struct {
 	mu     sync.Mutex
-	root   string // "" = memory-only
+	root   string
 	opts   CASOptions
 	pool   map[chunkKey]*chunk
 	objs   map[string]*casObject
@@ -84,18 +85,17 @@ type CAS struct {
 
 // OpenCAS opens (creating if needed) a content-addressed backend
 // rooted at root; an existing manifest restores the namespace, with
-// chunk payloads loaded lazily on first read. An empty root keeps
-// everything in memory.
+// chunk payloads loaded lazily on first read.
 func OpenCAS(root string, opts CASOptions) (*CAS, error) {
+	if root == "" {
+		return nil, errors.New("store: a cas needs a root directory")
+	}
 	opts.fill()
 	c := &CAS{
 		root: root,
 		opts: opts,
 		pool: make(map[chunkKey]*chunk),
 		objs: make(map[string]*casObject),
-	}
-	if root == "" {
-		return c, nil
 	}
 	if err := os.MkdirAll(filepath.Join(root, "chunks"), 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating cas root: %w", err)
@@ -250,7 +250,7 @@ func (c *CAS) deref(ch *chunk) {
 		return
 	}
 	delete(c.pool, ch.key)
-	if ch.onDisk && c.root != "" {
+	if ch.onDisk {
 		_ = os.Remove(c.chunkPath(ch.key))
 	}
 }
@@ -464,10 +464,10 @@ func (c *CAS) CheckRefs() error {
 
 // GC sweeps the chunk pool: every object for which live reports false
 // is removed (releasing its chunk references, exactly as Remove would),
-// refcount consistency is verified, and — for disk-rooted pools — chunk
-// files on disk that no pool entry references (left by a crashed
-// process whose manifest update never landed) are deleted. Run bundles
-// drive it with the manifest's file list as the live set.
+// refcount consistency is verified, and chunk files on disk that no
+// pool entry references (left by a crashed process whose manifest
+// update never landed) are deleted. Run bundles drive it with the
+// manifest's file list as the live set.
 func (c *CAS) GC(live func(name string) bool) (GCStats, error) {
 	var st GCStats
 	c.mu.Lock()
@@ -498,58 +498,40 @@ func (c *CAS) GC(live func(name string) bool) (GCStats, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.root == "" {
-		return st, nil
-	}
-	dirs, err := os.ReadDir(filepath.Join(c.root, "chunks"))
+	orphans, err := c.orphanFiles()
 	if err != nil {
-		if os.IsNotExist(err) {
-			return st, nil
-		}
-		return st, fmt.Errorf("store: gc scanning chunk dir: %w", err)
+		return st, err
 	}
-	for _, d := range dirs {
-		if !d.IsDir() {
-			continue
+	for _, path := range orphans {
+		if err := os.Remove(path); err != nil {
+			return st, fmt.Errorf("store: gc removing orphan chunk: %w", err)
 		}
-		sub := filepath.Join(c.root, "chunks", d.Name())
-		files, err := os.ReadDir(sub)
-		if err != nil {
-			return st, fmt.Errorf("store: gc scanning %s: %w", sub, err)
-		}
-		for _, f := range files {
-			kb, err := hex.DecodeString(f.Name())
-			if err == nil && len(kb) == sha256.Size {
-				if _, ok := c.pool[chunkKey(kb)]; ok {
-					continue
-				}
-			}
-			if err := os.Remove(filepath.Join(sub, f.Name())); err != nil {
-				return st, fmt.Errorf("store: gc removing orphan chunk: %w", err)
-			}
-			st.OrphansRemoved++
-		}
+		st.OrphansRemoved++
 	}
 	return st, nil
 }
 
 // OrphanChunkFiles counts on-disk chunk files no pool entry references
 // (left by an interrupted save) without removing them — GC's sweep as
-// a dry run, for fsck's verify mode. Memory-only pools report zero.
+// a dry run, for fsck's verify mode.
 func (c *CAS) OrphanChunkFiles() (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.root == "" {
-		return 0, nil
-	}
-	orphans := 0
+	orphans, err := c.orphanFiles()
+	return len(orphans), err
+}
+
+// orphanFiles lists the chunk files under the root that no pool entry
+// references. Callers hold c.mu.
+func (c *CAS) orphanFiles() ([]string, error) {
 	dirs, err := os.ReadDir(filepath.Join(c.root, "chunks"))
 	if err != nil {
 		if os.IsNotExist(err) {
-			return 0, nil
+			return nil, nil
 		}
-		return 0, fmt.Errorf("store: scanning chunk dir: %w", err)
+		return nil, fmt.Errorf("store: scanning chunk dir: %w", err)
 	}
+	var orphans []string
 	for _, d := range dirs {
 		if !d.IsDir() {
 			continue
@@ -557,7 +539,7 @@ func (c *CAS) OrphanChunkFiles() (int, error) {
 		sub := filepath.Join(c.root, "chunks", d.Name())
 		files, err := os.ReadDir(sub)
 		if err != nil {
-			return orphans, fmt.Errorf("store: scanning %s: %w", sub, err)
+			return nil, fmt.Errorf("store: scanning %s: %w", sub, err)
 		}
 		for _, f := range files {
 			kb, err := hex.DecodeString(f.Name())
@@ -566,7 +548,7 @@ func (c *CAS) OrphanChunkFiles() (int, error) {
 					continue
 				}
 			}
-			orphans++
+			orphans = append(orphans, filepath.Join(sub, f.Name()))
 		}
 	}
 	return orphans, nil
@@ -601,14 +583,13 @@ func (c *CAS) chunkPath(key chunkKey) string {
 }
 
 // Sync writes unpersisted chunks and the object manifest to the root,
-// atomically replacing the previous manifest. Memory-only backends
-// no-op.
+// atomically replacing the previous manifest, and fsyncs every file it
+// wrote and every directory that gained an entry, so a manifest that
+// reaches the disk names only chunks that did too.
 func (c *CAS) Sync() error {
-	if c.root == "" {
-		return nil
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	grown := map[string]bool{}
 	for _, ch := range c.pool {
 		if ch.onDisk {
 			continue
@@ -620,10 +601,19 @@ func (c *CAS) Sync() error {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			return err
 		}
-		if err := os.WriteFile(path, ch.data, 0o644); err != nil {
+		if err := writeFileSync(path, ch.data); err != nil {
 			return err
 		}
 		ch.onDisk = true
+		grown[filepath.Dir(path)] = true
+	}
+	if len(grown) > 0 {
+		grown[filepath.Join(c.root, "chunks")] = true
+	}
+	for dir := range grown {
+		if err := Fsync(dir); err != nil {
+			return err
+		}
 	}
 	m := casManifest{
 		Format:    1,
@@ -655,10 +645,13 @@ func (c *CAS) Sync() error {
 		return err
 	}
 	tmp := filepath.Join(c.root, casManifestName+".tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := writeFileSync(tmp, data); err != nil {
 		return err
 	}
-	return os.Rename(tmp, filepath.Join(c.root, casManifestName))
+	if err := os.Rename(tmp, filepath.Join(c.root, casManifestName)); err != nil {
+		return err
+	}
+	return Fsync(c.root)
 }
 
 // loadManifest restores the namespace from a previous Sync, if any.

@@ -2,16 +2,92 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
+	"os"
 	"testing"
 )
+
+// openCAS opens a content-addressed backend rooted in a fresh temp
+// directory.
+func openCAS(t *testing.T, opts CASOptions) *CAS {
+	t.Helper()
+	c, err := OpenCAS(t.TempDir(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestOpenCASNeedsRoot: a CAS is always rooted on a directory.
+func TestOpenCASNeedsRoot(t *testing.T) {
+	if c, err := OpenCAS("", CASOptions{}); err == nil || c != nil {
+		t.Fatalf("OpenCAS(\"\") = %v, %v; want a refusal", c, err)
+	}
+}
+
+// TestCASSyncFailsOnFailedFileSync: Sync fsyncs every chunk file it
+// writes, and a failing fsync is Sync's error, not a silently
+// undurable save.
+func TestCASSyncFailsOnFailedFileSync(t *testing.T) {
+	c := openCAS(t, CASOptions{ChunkSize: 64})
+	o, err := c.Create("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := o.WriteAt(bytes.Repeat([]byte{7}, 200), 0); err != nil {
+		t.Fatal(err)
+	}
+	errSync := errors.New("fsync failed")
+	real := Fsync
+	defer func() { Fsync = real }()
+	var files, dirs int
+	Fsync = func(path string) error {
+		fi, err := os.Stat(path)
+		if err != nil {
+			return err
+		}
+		if fi.IsDir() {
+			dirs++
+			return real(path)
+		}
+		files++
+		return errSync
+	}
+	if err := c.Sync(); !errors.Is(err, errSync) {
+		t.Fatalf("Sync with failing file fsyncs = %v, want %v", err, errSync)
+	}
+	if files != 1 {
+		t.Errorf("Sync went on after a failed file fsync: %d file fsyncs", files)
+	}
+
+	// With fsync working, the new chunk files, their directories and
+	// chunks/, the manifest and the root are all synced.
+	Fsync = func(path string) error {
+		if fi, err := os.Stat(path); err == nil && fi.IsDir() {
+			dirs++
+		} else {
+			files++
+		}
+		return real(path)
+	}
+	files, dirs = 0, 0
+	if err := c.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	// 200 bytes of one value in 64-byte chunks: a full chunk (three
+	// slots) and an 8-byte tail, two distinct chunks.
+	if files != 2+1 || dirs < 1+1+1 {
+		t.Errorf("Sync fsynced %d files and %d directories, want 3 files and at least 3 directories", files, dirs)
+	}
+}
 
 // TestCASDedupRatio writes many objects sharing identical content and
 // asserts the pool stores each distinct chunk once: stored bytes must
 // be a small fraction of logical bytes.
 func TestCASDedupRatio(t *testing.T) {
-	c, _ := OpenCAS("", CASOptions{})
+	c := openCAS(t, CASOptions{})
 	payload := make([]byte, 8*DefaultChunkSize)
 	rand.New(rand.NewSource(1)).Read(payload)
 	const copies = 10
@@ -46,7 +122,7 @@ func TestCASDedupRatio(t *testing.T) {
 // smooth simulation fields) and asserts flate pulls stored bytes well
 // below logical bytes even without any duplication.
 func TestCASCompressionRatio(t *testing.T) {
-	c, _ := OpenCAS("", CASOptions{Compress: true})
+	c := openCAS(t, CASOptions{Compress: true})
 	payload := make([]byte, 16*DefaultChunkSize)
 	for i := range payload {
 		payload[i] = byte(i / 1024) // long runs: highly compressible
@@ -146,7 +222,7 @@ func TestCASPersistRoundTrip(t *testing.T) {
 // identical objects keeps the shared chunks; removing both empties the
 // pool.
 func TestCASRemoveReclaims(t *testing.T) {
-	c, _ := OpenCAS("", CASOptions{ChunkSize: 256})
+	c := openCAS(t, CASOptions{ChunkSize: 256})
 	payload := bytes.Repeat([]byte("chunky"), 200)
 	for _, name := range []string{"a", "b"} {
 		o, err := c.Create(name)

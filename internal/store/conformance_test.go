@@ -37,12 +37,6 @@ func newObjBackend() *objstore.Backend {
 // flush), and fault-injected flavors of each family behind a retry
 // layer — the conformance suite demands those behave byte- and
 // error-identically to the clean backends.
-// memCAS is a memory-only content-addressed backend (no root).
-func memCAS() store.Backend {
-	c, _ := store.OpenCAS("", store.CASOptions{ChunkSize: 512})
-	return c
-}
-
 func backendsUnderTest(t *testing.T) map[string]store.Backend {
 	t.Helper()
 	diskDir, err := store.NewDir(filepath.Join(t.TempDir(), "dir"))
@@ -53,16 +47,19 @@ func backendsUnderTest(t *testing.T) map[string]store.Backend {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diskCAS, err := store.OpenCAS(filepath.Join(t.TempDir(), "cas"), store.CASOptions{ChunkSize: 512, Compress: true})
-	if err != nil {
-		t.Fatal(err)
+	openCAS := func(opts store.CASOptions) store.Backend {
+		c, err := store.OpenCAS(t.TempDir(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
 	}
 	m := map[string]store.Backend{
 		"mem":          store.NewMem(),
 		"dir":          diskDir,
 		"dir-atomic":   atomicDir,
-		"cas-mem":      memCAS(),
-		"cas-disk-zip": diskCAS,
+		"cas":          openCAS(store.CASOptions{ChunkSize: 512}),
+		"cas-disk-zip": openCAS(store.CASOptions{ChunkSize: 512, Compress: true}),
 		"obj":          newObjBackend(),
 	}
 
@@ -87,7 +84,7 @@ func backendsUnderTest(t *testing.T) map[string]store.Backend {
 		t.Fatal(err)
 	}
 	addFaulty("dir", faultyDir, 12)
-	addFaulty("cas-mem", memCAS(), 13)
+	addFaulty("cas", openCAS(store.CASOptions{ChunkSize: 512}), 13)
 	addFaulty("obj", newObjBackend(), 14)
 	t.Cleanup(func() {
 		if t.Failed() {

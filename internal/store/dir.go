@@ -259,25 +259,11 @@ func (d *Dir) Sync() error {
 		}
 		delete(d.pending, name)
 	}
-	if err := syncDir(d.root); err != nil {
+	if err := Fsync(d.root); err != nil {
 		return err
 	}
 	d.dirty = false
 	return nil
-}
-
-// syncDir fsyncs a directory so the entries created, renamed and
-// removed in it are durable. A variable so a test can count the calls.
-var syncDir = func(dir string) error {
-	df, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = df.Sync()
-	if cerr := df.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // dirObject wraps one *os.File. Size is tracked in memory (the pfs

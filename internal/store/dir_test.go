@@ -9,9 +9,9 @@ import "testing"
 // that follows still fsyncs the root.
 func TestDirSyncMakesRenamesAndRemovesDurable(t *testing.T) {
 	calls := 0
-	real := syncDir
-	syncDir = func(dir string) error { calls++; return real(dir) }
-	defer func() { syncDir = real }()
+	real := Fsync
+	Fsync = func(dir string) error { calls++; return real(dir) }
+	defer func() { Fsync = real }()
 
 	d, err := NewDirOpts(t.TempDir(), DirOptions{AtomicWrites: true})
 	if err != nil {

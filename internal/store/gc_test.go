@@ -24,7 +24,7 @@ func fillObject(t *testing.T, b Backend, name string, data []byte) {
 // objects and their now-unreferenced chunks while shared chunks and
 // live objects survive intact, with refcounts consistent throughout.
 func TestCASGCReclaimsDeadObjects(t *testing.T) {
-	c, _ := OpenCAS("", CASOptions{ChunkSize: 64})
+	c := openCAS(t, CASOptions{ChunkSize: 64})
 	pattern := func(seed byte) []byte { // 4 distinct 64-byte chunks
 		out := make([]byte, 256)
 		for i := range out {
@@ -137,7 +137,7 @@ func TestCASGCSweepsOrphanChunkFiles(t *testing.T) {
 // TestCheckRefsDetectsCorruption: a manually corrupted refcount is
 // reported, not silently accepted.
 func TestCheckRefsDetectsCorruption(t *testing.T) {
-	c, _ := OpenCAS("", CASOptions{ChunkSize: 64})
+	c := openCAS(t, CASOptions{ChunkSize: 64})
 	fillObject(t, c, "a", bytes.Repeat([]byte{1}, 64))
 	c.mu.Lock()
 	for _, ch := range c.pool {
@@ -153,7 +153,7 @@ func TestCheckRefsDetectsCorruption(t *testing.T) {
 // followed by a partial-live GC keeps refcounts consistent and every
 // survivor byte-identical to a model map.
 func TestCASGCRandomizedConsistency(t *testing.T) {
-	c, _ := OpenCAS("", CASOptions{ChunkSize: 32})
+	c := openCAS(t, CASOptions{ChunkSize: 32})
 	model := make(map[string][]byte)
 	rng := uint64(12345)
 	next := func(n int) int {

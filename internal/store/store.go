@@ -18,8 +18,7 @@
 //   - CAS: content-addressed storage in the style of datamon's cafs —
 //     objects are sequences of fixed-size chunks keyed by SHA-256, so
 //     identical chunks are stored once (dedup) and chunks can be
-//     flate-compressed. Rootable on a directory for durability or kept
-//     in memory.
+//     flate-compressed. Rooted on a directory, for durability.
 //
 // The run-bundle layer (sdm.SaveBundle / sdm.OpenBundle) persists a
 // cluster's PFS contents through a Dir or CAS backend (or objstore's
@@ -29,7 +28,10 @@
 // retries (Retry) and the bundle layer's metering are hooks over it.
 package store
 
-import "errors"
+import (
+	"errors"
+	"os"
+)
 
 // Errors returned by backends.
 var (
@@ -108,7 +110,33 @@ type Backend interface {
 	Rename(oldName, newName string) error
 	// List returns all object names in lexical order.
 	List() ([]string, error)
-	// Sync flushes durable state (chunk files, manifests) for backends
-	// that buffer; a no-op for Mem and Dir.
+	// Sync makes what was written durable: an atomic Dir fsyncs and
+	// promotes its pending files, a CAS writes and fsyncs its new chunk
+	// files and its manifest. A no-op for Mem and for a plain Dir, whose
+	// writes go straight to the host file system.
 	Sync() error
+}
+
+// Fsync flushes a file or a directory to stable storage: a file's
+// bytes, or a directory's entries (created, renamed and removed). It is
+// the one fsync of the store and bundle layers, a variable so a test
+// can count or fail the calls.
+var Fsync = func(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// writeFileSync writes data to path and fsyncs it.
+func writeFileSync(path string, data []byte) error {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		return err
+	}
+	return Fsync(path)
 }

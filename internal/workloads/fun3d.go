@@ -103,17 +103,7 @@ func (f *FUN3D) PartVec(nparts int) ([]int32, error) {
 	if v, ok := f.partVecs[nparts]; ok {
 		return v, nil
 	}
-	// Stream the (already sorted, unique) edge arrays into the CSR
-	// builder: no bucket pass, the partition-side memory peak at paper
-	// scale is the graph itself.
-	g, err := partition.FromEdgeStream(f.Mesh.NumNodes(), func(yield func(u, v int32) error) error {
-		for i := range f.Mesh.Edge1 {
-			if err := yield(f.Mesh.Edge1[i], f.Mesh.Edge2[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	g, err := partition.FromEdges(f.Mesh.NumNodes(), f.Mesh.Edge1, f.Mesh.Edge2)
 	if err != nil {
 		return nil, err
 	}

@@ -1,9 +1,7 @@
 package workloads
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sync"
 
 	"sdm"
@@ -270,8 +268,6 @@ func rtFileName(dataset string, ts int) string {
 // (non-SDM) write path.
 func float64sToBytesW(vals []float64) []byte {
 	out := make([]byte, len(vals)*8)
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(v))
-	}
+	mesh.PutFloat64s(out, vals)
 	return out
 }

@@ -29,21 +29,6 @@ type GridTooLargeError = mesh.GridTooLargeError
 // cube from an nx x ny x nz grid (six tets per hex).
 func GenerateTet(nx, ny, nz int) (*Mesh, error) { return mesh.GenerateTet(nx, ny, nz) }
 
-// GenerateTetEdges builds the same mesh as GenerateTet minus the
-// tetrahedra, from the streamed closed-form edge stencil — the
-// paper-scale path for edge/node workloads (~15M edges at nx=128 with
-// no tet array).
-func GenerateTetEdges(nx, ny, nz int) (*Mesh, error) { return mesh.GenerateTetEdges(nx, ny, nz) }
-
-// StreamTetEdges generates GenerateTet's unique sorted edges in reused
-// blocks of at most blockEdges entries, in O(blockEdges) memory.
-func StreamTetEdges(nx, ny, nz, blockEdges int, yield func(edge1, edge2 []int32) error) error {
-	return mesh.StreamTetEdges(nx, ny, nz, blockEdges, yield)
-}
-
-// EdgeCount reports GenerateTet's unique edge count in closed form.
-func EdgeCount(nx, ny, nz int) int64 { return mesh.EdgeCount(nx, ny, nz) }
-
 // Msh is a uns3d.msh file to be written: its WriteTo encodes the mesh's
 // edges and then each data array, asking for the array only when it
 // writes it, straight into an io.Writer (a host file, or a cluster's
@@ -54,11 +39,6 @@ type Msh = mesh.Msh
 // into the uns3d.msh layout, in one buffer.
 func EncodeMsh(m *Mesh, edgeData, nodeData [][]float64) ([]byte, MshLayout, error) {
 	return mesh.EncodeMsh(m, edgeData, nodeData)
-}
-
-// DecodeMsh parses a uns3d.msh file given its layout.
-func DecodeMsh(buf []byte, layout MshLayout) (edge1, edge2 []int32, edgeData, nodeData [][]float64, err error) {
-	return mesh.DecodeMsh(buf, layout)
 }
 
 // NewRT builds the Rayleigh–Taylor workload on a mesh.

@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"sdm/internal/mesh"
 )
 
 func TestPublicSurface(t *testing.T) {
@@ -19,7 +21,7 @@ func TestPublicSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e1, e2, ed, nd, err := DecodeMsh(buf, layout)
+	e1, e2, ed, nd, err := mesh.DecodeMsh(buf, layout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,16 +70,6 @@ func TestPublicGridTooLarge(t *testing.T) {
 		"GenerateTet": func() error {
 			_, err := GenerateTet(n, n, n)
 			return err
-		},
-		"GenerateTetEdges": func() error {
-			_, err := GenerateTetEdges(n, n, n)
-			return err
-		},
-		"StreamTetEdges": func() error {
-			return StreamTetEdges(n, n, n, 0, func(e1, e2 []int32) error {
-				t.Fatal("an edge was yielded")
-				return nil
-			})
 		},
 	}
 	for name, call := range calls {

@@ -24,13 +24,6 @@ func FromEdges(nNodes int, edge1, edge2 []int32) (*Graph, error) {
 	return partition.FromEdges(nNodes, edge1, edge2)
 }
 
-// FromEdgeStream builds the same graph from a twice-invoked stream of
-// unique sorted normalized edges (meshgen.StreamTetEdges's shape), so
-// paper-scale meshes partition without a second copy of the edges.
-func FromEdgeStream(nNodes int, stream func(yield func(u, v int32) error) error) (*Graph, error) {
-	return partition.FromEdgeStream(nNodes, stream)
-}
-
 // Multilevel partitions g into nparts with heavy-edge-matching
 // coarsening, greedy growing, and boundary refinement.
 func Multilevel(g *Graph, nparts int, opts Options) (Vector, error) {

@@ -107,23 +107,29 @@ run "$bin/sdmls" "$t/bundle/catalog.db"
 fails "$bin/sdmcat" -dataset pressure -timestep 99 "$t/bundle" # no write recorded: catalog.NotFound, said locally
 fails "$bin/sdmcat" -list                                       # no bundle named: usage, exit 2
 fails "$bin/sdmls"
-run "$bin/sdmls" -sql 'SELECT runid, dataset FROM execution_table WHERE timestep = 1' "$t/bundle/catalog.db"
-# A catalog.db of a bundle saved before PR 18 is an MDB1 snapshot;
-# nothing in the tree writes one any more, so the golden stands in.
-run "$bin/sdmls" -sql 'SELECT id, name, payload FROM obs' "$root/internal/metadb/testdata/golden_v1.mdb"
-# ...and a snapshot cut short is refused, not listed as a shorter table.
-head -c 300 "$root/internal/metadb/testdata/golden_v1.mdb" >"$t/cut.mdb"
-fails "$bin/sdmls" -sql 'SELECT id FROM obs' "$t/cut.mdb"
-# The SQL a user can type at the shell is the dialect the program
-# issues: DDL, INSERT and DELETE, range and ordered plans, aggregates,
-# EXPLAIN, the meta commands, and a write-back. Its one error is the
-# missing table.
 sql_session() { # <output file> <sdmsql args...>, statements on stdin
 	local out="$1"
 	shift
 	"$bin/sdmsql" "$@" >"$out" 2>&1 || { log "smoke failed: sdmsql $*"; cat "$out" >&2; exit 1; }
 	cat "$out" >>"$t/smoke.log"
 }
+# Raw SQL over a saved snapshot: a bundle's catalog and, since nothing
+# in the tree writes an MDB1 snapshot (a bundle saved before PR 18) any
+# more, the golden one. Each query must answer rows, not an error...
+sql_session "$t/sql-bundle.out" -db "$t/bundle/catalog.db" <<<'SELECT runid, dataset FROM execution_table WHERE timestep = 1'
+sql_session "$t/sql-v1.out" -db "$root/internal/metadb/testdata/golden_v1.mdb" <<<'SELECT id, name, payload FROM obs'
+if grep -q -e 'error:' -e '^(0 rows)' "$t/sql-bundle.out" "$t/sql-v1.out"; then
+	log "sdmsql answered a saved snapshot's query with an error or no rows:"
+	cat "$t/sql-bundle.out" "$t/sql-v1.out" >&2
+	exit 1
+fi
+# ...and a snapshot cut short is refused, not read as a shorter table.
+head -c 300 "$root/internal/metadb/testdata/golden_v1.mdb" >"$t/cut.mdb"
+fails "$bin/sdmsql" -db "$t/cut.mdb" <<<'SELECT id FROM obs'
+# The SQL a user can type at the shell is the dialect the program
+# issues: DDL, INSERT and DELETE, range and ordered plans, aggregates,
+# EXPLAIN, the meta commands, and a write-back. Its one error is the
+# missing table.
 cp "$t/bundle/catalog.db" "$t/scratch.db"
 sql_session "$t/sql-kept.out" -db "$t/scratch.db" <<'SQL'
 CREATE TABLE t (x INTEGER, y TEXT, z REAL);

@@ -15,11 +15,9 @@ import (
 	"sdm/meshgen"
 )
 
-// VTK cell type ids for the cells this exporter emits.
-const (
-	vtkTriangle = 5
-	vtkTetra    = 10
-)
+// vtkTetra is the VTK cell type id of a tetrahedron, the one cell this
+// exporter emits.
+const vtkTetra = 10
 
 // Field is one named scalar array to attach to the grid.
 type Field struct {
@@ -55,29 +53,6 @@ func WriteTetMesh(w io.Writer, m *meshgen.Mesh, title string, fields ...Field) e
 		fmt.Fprintln(bw, vtkTetra)
 	}
 	if err := writeFields(bw, m.NumNodes(), len(m.Tets), fields); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// WriteSurface writes the boundary-triangle surface of a mesh (the
-// grid the RT application's triangle dataset lives on) with optional
-// fields.
-func WriteSurface(w io.Writer, m *meshgen.Mesh, tris [][3]int32, title string, fields ...Field) error {
-	bw := bufio.NewWriter(w)
-	if err := writeHeader(bw, title); err != nil {
-		return err
-	}
-	writePoints(bw, m)
-	fmt.Fprintf(bw, "CELLS %d %d\n", len(tris), len(tris)*4)
-	for _, t := range tris {
-		fmt.Fprintf(bw, "3 %d %d %d\n", t[0], t[1], t[2])
-	}
-	fmt.Fprintf(bw, "CELL_TYPES %d\n", len(tris))
-	for range tris {
-		fmt.Fprintln(bw, vtkTriangle)
-	}
-	if err := writeFields(bw, m.NumNodes(), len(tris), fields); err != nil {
 		return err
 	}
 	return bw.Flush()

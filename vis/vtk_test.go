@@ -58,28 +58,6 @@ func TestWriteTetMeshStructure(t *testing.T) {
 	}
 }
 
-func TestWriteSurface(t *testing.T) {
-	m := testMesh(t)
-	tris := m.BoundaryTriangles()
-	cellVals := make([]float64, len(tris))
-	var buf bytes.Buffer
-	err := WriteSurface(&buf, m, tris, "",
-		Field{Name: "indicator", Assoc: PerCell, Data: cellVals})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, fmt.Sprintf("CELLS %d %d", len(tris), len(tris)*4)) {
-		t.Error("triangle cells header wrong")
-	}
-	if !strings.Contains(out, fmt.Sprintf("CELL_DATA %d", len(tris))) {
-		t.Error("cell data header missing")
-	}
-	if !strings.Contains(out, "SDM export") {
-		t.Error("default title missing")
-	}
-}
-
 func TestFieldSizeValidation(t *testing.T) {
 	m := testMesh(t)
 	var buf bytes.Buffer
@@ -87,8 +65,7 @@ func TestFieldSizeValidation(t *testing.T) {
 	if err == nil {
 		t.Fatal("short field accepted")
 	}
-	err = WriteSurface(&buf, m, m.BoundaryTriangles(), "x",
-		Field{Name: "bad", Assoc: PerCell, Data: []float64{1}})
+	err = WriteTetMesh(&buf, m, "x", Field{Name: "bad", Assoc: PerCell, Data: []float64{1}})
 	if err == nil {
 		t.Fatal("short cell field accepted")
 	}
