@@ -64,10 +64,7 @@ func openBundleStore(dir string, sp store.Spec, opts *BundleOptions) (*bundleSto
 	st.gc = func(live func(string) bool) (store.GCStats, error) { return sweepUnnamed(st.Backend, live) }
 	switch sp.Backend {
 	case "dir":
-		// Atomic writes: host-dir objects are staged in temp files and
-		// promoted by fsync + rename at Sync, so host-dir bundles are
-		// torn-write safe even outside the WAL path.
-		b, err := store.NewDirOpts(dataDir, store.DirOptions{AtomicWrites: true})
+		b, err := store.NewDir(dataDir)
 		if err != nil {
 			return nil, err
 		}

@@ -11,6 +11,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"sdm/internal/store/objstore"
 )
 
 // writeDemoRun drives a small two-dataset, multi-timestep run and
@@ -1037,5 +1039,150 @@ func TestDisableWALSameBundle(t *testing.T) {
 			}
 			assertFsckClean(t, dirs[true], "WAL-less re-save") // an unswept gone.dat would be an orphan
 		})
+	}
+}
+
+// TestUnsavedRunLeavesBundle: a run on a reopened bundle that never
+// saves leaves the bundle as it was saved, for every backend kind — a
+// run that creates a file (Level 1) and one that appends to a saved
+// file (Level 3) alike. Every host file of the bundle (and, for obj,
+// every remote blob) keeps its bytes; the only thing the run may leave
+// on the host is a store's unpromoted staging. fsck stays clean, and a
+// fresh open reads every saved step and lists only the manifest's files.
+func TestUnsavedRunLeavesBundle(t *testing.T) {
+	const (
+		procs   = 4
+		globalN = 1 << 12
+		steps   = 2
+	)
+	// remoteBlobs reads every blob an obj bundle's remote holds.
+	remoteBlobs := func(dir string) map[string][]byte {
+		t.Helper()
+		m, err := readManifest(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string][]byte{}
+		if m.Spec.Backend != "obj" {
+			return out
+		}
+		svc := objstore.Dial(m.Spec.Endpoint)
+		keys, _, err := svc.List("", "", 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range keys {
+			size, _, err := svc.Head(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[k] = make([]byte, size)
+			if _, err := svc.Get(k, 0, out[k]); err != nil && size > 0 {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	// attach runs fn on every rank over the demo run's two datasets.
+	attach := func(cl *Cluster, level FileOrganization, fn func(g *Group, mapArr []int32)) {
+		t.Helper()
+		err := cl.Run(func(p *Proc) {
+			s, err := p.Initialize("bundledemo", Options{Organization: level, AttachRun: 1})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer s.Finalize()
+			g, err := s.OpenGroup([]string{"pressure", "velocity"})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			mapArr := demoMap(p.Rank(), p.Size(), globalN)
+			if _, err := g.DataView([]string{"pressure", "velocity"}, mapArr); err != nil {
+				t.Error(err)
+				return
+			}
+			fn(g, mapArr)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, opts := range []BundleOptions{
+		{Backend: "dir"},
+		{Backend: "cas", Compress: true},
+		{Backend: "obj", PartSize: 16 << 10},
+	} {
+		for _, level := range []FileOrganization{Level1, Level3} {
+			t.Run(fmt.Sprintf("%s/level%d", opts.Backend, level), func(t *testing.T) {
+				dir := filepath.Join(t.TempDir(), "bundle")
+				writer := NewCluster(ClusterConfig{Procs: procs})
+				writeDemoRunOpts(t, writer, globalN, steps, Options{Organization: level})
+				if err := writer.SaveBundleOpts(dir, opts); err != nil {
+					t.Fatal(err)
+				}
+				saved, savedBlobs := treeDigest(t, dir), remoteBlobs(dir)
+				savedNames := writer.ListFiles()
+
+				// Reopen, attach, put one more step of both datasets, and
+				// do not save.
+				run, err := OpenBundle(dir, ClusterConfig{Procs: procs})
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := len(run.ListFiles())
+				attach(run, level, func(g *Group, mapArr []int32) {
+					for _, ds := range []string{"pressure", "velocity"} {
+						vals := make([]float64, len(mapArr))
+						for i, gi := range mapArr {
+							vals[i] = demoValue(ds, steps, gi)
+						}
+						if err := putAt(g, ds, steps, vals); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				})
+				if created := len(run.ListFiles()) > before; created != (level == Level1) {
+					t.Fatalf("the unsaved run created files: %v, want %v", created, level == Level1)
+				}
+
+				if blobs := remoteBlobs(dir); !reflect.DeepEqual(blobs, savedBlobs) {
+					t.Errorf("the unsaved run changed the remote: %d blobs, saved %d", len(blobs), len(savedBlobs))
+				}
+				// fsck's store sweeps the run's unpromoted staging, if any;
+				// then every host file is as saved.
+				assertFsckClean(t, dir, "after an unsaved run")
+				if treeDigest(t, dir) != saved {
+					t.Error("the unsaved run changed the bundle's host files")
+				}
+
+				fresh, err := OpenBundle(dir, ClusterConfig{Procs: procs})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := fresh.ListFiles(); fmt.Sprint(got) != fmt.Sprint(savedNames) {
+					t.Errorf("reopened bundle lists %v, saved %v", got, savedNames)
+				}
+				attach(fresh, level, func(g *Group, mapArr []int32) {
+					for ts := int64(0); ts < steps; ts++ {
+						for _, ds := range []string{"pressure", "velocity"} {
+							got, err := getAt(g, ds, ts, len(mapArr))
+							if err != nil {
+								t.Errorf("read %s@%d: %v", ds, ts, err)
+								return
+							}
+							for i, gi := range mapArr {
+								if want := demoValue(ds, ts, gi); got[i] != want {
+									t.Errorf("%s@%d elem %d = %g, want %g", ds, ts, gi, got[i], want)
+									return
+								}
+							}
+						}
+					}
+				})
+			})
+		}
 	}
 }

@@ -17,6 +17,10 @@
 // (plan-kind counts and writer waits included), \w writes
 // the database back to the -db file, \q quits.
 //
+// A session whose input is not a terminal (a script) exits 1 if any
+// statement or meta command failed, as the sqlite3 shell does; an
+// interactive session exits 0.
+//
 // Usage:
 //
 //	sdmsql [-db catalog.db]
@@ -25,6 +29,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -55,6 +60,11 @@ func main() {
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	interactive := isTerminal()
+	failed := false
+	fail := func(err error) {
+		fmt.Println("error:", err)
+		failed = true
+	}
 	var pending strings.Builder
 	prompt := func() {
 		if !interactive {
@@ -67,6 +77,7 @@ func main() {
 		}
 	}
 	prompt()
+loop:
 	for sc.Scan() {
 		raw := sc.Text()
 		line := strings.TrimSpace(raw)
@@ -77,7 +88,7 @@ func main() {
 				prompt()
 				continue
 			case line == `\q`:
-				return
+				break loop
 			case line == `\t`:
 				for _, t := range db.TableNames() {
 					fmt.Println(t)
@@ -87,7 +98,7 @@ func main() {
 			case strings.HasPrefix(line, `\d `):
 				cols, err := db.Columns(strings.TrimSpace(line[3:]))
 				if err != nil {
-					fmt.Println("error:", err)
+					fail(err)
 				} else {
 					for _, c := range cols {
 						fmt.Println(c)
@@ -101,9 +112,9 @@ func main() {
 				continue
 			case line == `\w`:
 				if *dbPath == "" {
-					fmt.Println("error: no -db path to write to")
+					fail(errors.New("no -db path to write to"))
 				} else if err := save(db, *dbPath); err != nil {
-					fmt.Println("error:", err)
+					fail(err)
 				} else {
 					fmt.Printf("wrote %s\n", *dbPath)
 				}
@@ -121,14 +132,21 @@ func main() {
 			pending.WriteString(rest)
 		}
 		for _, stmt := range stmts {
-			execute(db, stmt)
+			if err := execute(db, stmt); err != nil {
+				fail(err)
+			}
 		}
 		prompt()
 	}
 	// EOF flushes an unterminated trailing statement, keeping
 	// `echo 'SELECT ...' | sdmsql` working without a semicolon.
 	if tail := strings.TrimSpace(pending.String()); tail != "" {
-		execute(db, tail)
+		if err := execute(db, tail); err != nil {
+			fail(err)
+		}
+	}
+	if failed && !interactive {
+		os.Exit(1)
 	}
 }
 
@@ -156,13 +174,13 @@ func splitStatements(src string) (stmts []string, rest string) {
 	return stmts, src[start:]
 }
 
-func execute(db *metadb.DB, stmt string) {
+// execute runs one statement and prints its rows or its count.
+func execute(db *metadb.DB, stmt string) error {
 	upper := strings.ToUpper(strings.TrimSpace(stmt))
 	if strings.HasPrefix(upper, "SELECT") || strings.HasPrefix(upper, "EXPLAIN") {
 		rows, err := db.Query(stmt)
 		if err != nil {
-			fmt.Println("error:", err)
-			return
+			return err
 		}
 		w := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
 		fmt.Fprintln(w, strings.Join(rows.Columns, "\t"))
@@ -175,14 +193,14 @@ func execute(db *metadb.DB, stmt string) {
 		}
 		w.Flush()
 		fmt.Printf("(%d rows)\n", rows.Len())
-		return
+		return nil
 	}
 	n, err := db.Exec(stmt)
 	if err != nil {
-		fmt.Println("error:", err)
-		return
+		return err
 	}
 	fmt.Printf("ok (%d rows affected)\n", n)
+	return nil
 }
 
 // printStats dumps one consistent snapshot of the engine's counters,

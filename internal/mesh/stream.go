@@ -6,21 +6,21 @@ import (
 	"math/bits"
 )
 
-// Streamed mesh generation.
+// Mesh generation from a closed-form stencil.
 //
 // The Kuhn (six-tet) triangulation has a closed-form edge set: node
 // (x,y,z) connects to its neighbours along the three axes, the three
 // face diagonals (+1,+1,0), (0,+1,+1), (+1,0,+1), and the body
 // diagonal (+1,+1,+1) — exactly the 19 intra-tet pairs of the six
-// simplices, deduplicated. Streaming that stencil in node-id order
-// yields the unique edges in sorted order, in blocks, with no tet array
-// and no dedup pass; every generator in this package takes its edges
-// from it.
+// simplices, deduplicated. Walking that stencil in node-id order
+// yields the unique edges in sorted order, with no tet array and no
+// dedup pass; every generator in this package takes its edges from
+// GenerateTetEdges, which does.
 
 // edgeStencil is the seven positive-direction neighbour offsets of the
 // Kuhn triangulation, in increasing node-id delta order (so emitting
-// them per node in id order produces a globally (edge1, edge2)-sorted
-// stream).
+// them per node in id order produces globally (edge1, edge2)-sorted
+// edges).
 var edgeStencil = [7][3]int{
 	{1, 0, 0}, {0, 1, 0}, {1, 1, 0},
 	{0, 0, 1}, {1, 0, 1}, {0, 1, 1}, {1, 1, 1},
@@ -28,7 +28,7 @@ var edgeStencil = [7][3]int{
 
 // GridTooLargeError reports a grid whose node ids would not fit the
 // int32 ids every mesh array holds (more than math.MaxInt32 nodes,
-// e.g. 1291³). It is returned before anything is allocated or yielded.
+// e.g. 1291³). It is returned before anything is allocated.
 type GridTooLargeError struct {
 	NX, NY, NZ int
 	Nodes      uint64 // (nx+1)(ny+1)(nz+1), saturated at math.MaxUint64
@@ -66,68 +66,23 @@ func EdgeCount(nx, ny, nz int) int64 {
 		ex*ey*ez // body diagonal
 }
 
-// StreamTetEdges generates the unique edges of the nx x ny x nz Kuhn
-// triangulation, sorted by (edge1, edge2), calling
-// yield with reused blocks of at most blockEdges parallel (edge1,
-// edge2) entries. Neither the tetrahedra nor the full edge arrays are
-// materialized, so paper-scale meshes stream in O(blockEdges) memory.
-// yield must not retain the slices; returning an error aborts the
-// stream. A grid of more than math.MaxInt32 nodes is a
-// *GridTooLargeError.
-func StreamTetEdges(nx, ny, nz, blockEdges int, yield func(edge1, edge2 []int32) error) error {
-	if err := checkGrid(nx, ny, nz); err != nil {
-		return err
-	}
-	if blockEdges < 1 {
-		blockEdges = 1 << 18
-	}
-	px, py, pz := nx+1, ny+1, nz+1
-	e1 := make([]int32, 0, blockEdges)
-	e2 := make([]int32, 0, blockEdges)
-	flush := func() error {
-		if len(e1) == 0 {
-			return nil
-		}
-		if err := yield(e1, e2); err != nil {
-			return err
-		}
-		e1, e2 = e1[:0], e2[:0]
-		return nil
-	}
-	for z := 0; z < pz; z++ {
-		for y := 0; y < py; y++ {
-			for x := 0; x < px; x++ {
-				id := int32((z*py+y)*px + x)
-				for _, d := range edgeStencil {
-					tx, ty, tz := x+d[0], y+d[1], z+d[2]
-					if tx >= px || ty >= py || tz >= pz {
-						continue
-					}
-					e1 = append(e1, id)
-					e2 = append(e2, int32((tz*py+ty)*px+tx))
-					if len(e1) == blockEdges {
-						if err := flush(); err != nil {
-							return err
-						}
-					}
-				}
-			}
-		}
-	}
-	return flush()
-}
-
 // GenerateTetEdges builds the mesh's coordinates and its sorted unique
-// edge arrays from the streamed stencil. The returned mesh has no Tets
-// (GenerateTet adds them); use it for edge/node workloads (FUN3D) where
-// the triangulation itself is never consumed. A grid of more than
-// math.MaxInt32 nodes is a *GridTooLargeError.
+// edge arrays from the stencil, in one pass over the nodes. The returned
+// mesh has no Tets (GenerateTet adds them); use it for edge/node
+// workloads (FUN3D) where the triangulation itself is never consumed. A
+// grid of more than math.MaxInt32 nodes is a *GridTooLargeError,
+// returned before anything is allocated.
 func GenerateTetEdges(nx, ny, nz int) (*Mesh, error) {
 	if err := checkGrid(nx, ny, nz); err != nil {
 		return nil, err
 	}
 	px, py, pz := nx+1, ny+1, nz+1
-	m := &Mesh{Coords: make([][3]float64, 0, px*py*pz)}
+	n := EdgeCount(nx, ny, nz)
+	m := &Mesh{
+		Coords: make([][3]float64, 0, px*py*pz),
+		Edge1:  make([]int32, 0, n),
+		Edge2:  make([]int32, 0, n),
+	}
 	for z := 0; z < pz; z++ {
 		for y := 0; y < py; y++ {
 			for x := 0; x < px; x++ {
@@ -136,19 +91,17 @@ func GenerateTetEdges(nx, ny, nz int) (*Mesh, error) {
 					float64(y) / float64(ny),
 					float64(z) / float64(nz),
 				})
+				id := int32((z*py+y)*px + x)
+				for _, d := range edgeStencil {
+					tx, ty, tz := x+d[0], y+d[1], z+d[2]
+					if tx >= px || ty >= py || tz >= pz {
+						continue
+					}
+					m.Edge1 = append(m.Edge1, id)
+					m.Edge2 = append(m.Edge2, int32((tz*py+ty)*px+tx))
+				}
 			}
 		}
-	}
-	n := EdgeCount(nx, ny, nz)
-	m.Edge1 = make([]int32, 0, n)
-	m.Edge2 = make([]int32, 0, n)
-	err := StreamTetEdges(nx, ny, nz, 1<<18, func(e1, e2 []int32) error {
-		m.Edge1 = append(m.Edge1, e1...)
-		m.Edge2 = append(m.Edge2, e2...)
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return m, nil
 }

@@ -74,8 +74,8 @@ func TestBoundaryTrianglesMatchesFrozen(t *testing.T) {
 
 // TestGridTooLarge: a grid whose node ids overflow int32 is refused
 // with a *GridTooLargeError naming its node count, before any
-// coordinate is allocated or any edge yielded. 1291³ would otherwise
-// allocate tens of GB of coordinates, or stream wrapped ids.
+// coordinate or edge is allocated. 1291³ would otherwise allocate tens
+// of GB of coordinates and edges with wrapped ids.
 func TestGridTooLarge(t *testing.T) {
 	const n = 1291
 	const nodes = uint64(n+1) * (n + 1) * (n + 1)
@@ -89,13 +89,6 @@ func TestGridTooLarge(t *testing.T) {
 			t.Fatalf("error %q (Nodes %d) does not name the %d nodes", err, big.Nodes, nodes)
 		}
 	}
-	t.Run("StreamTetEdges", func(t *testing.T) {
-		err := StreamTetEdges(n, n, n, 0, func(e1, e2 []int32) error {
-			t.Fatal("an edge was yielded")
-			return nil
-		})
-		check(t, err)
-	})
 	t.Run("GenerateTetEdges", func(t *testing.T) {
 		m, err := GenerateTetEdges(n, n, n)
 		if m != nil {
@@ -124,68 +117,31 @@ func TestGridTooLarge(t *testing.T) {
 	}
 }
 
-// TestStreamBlocksAndAbort checks block sizing and early abort.
-func TestStreamBlocksAndAbort(t *testing.T) {
-	var blocks, edges int
-	err := StreamTetEdges(3, 3, 3, 7, func(e1, e2 []int32) error {
-		if len(e1) != len(e2) || len(e1) == 0 || len(e1) > 7 {
-			t.Fatalf("bad block size %d/%d", len(e1), len(e2))
-		}
-		blocks++
-		edges += len(e1)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(edges) != EdgeCount(3, 3, 3) {
-		t.Fatalf("streamed %d edges, want %d", edges, EdgeCount(3, 3, 3))
-	}
-	if blocks < 2 {
-		t.Fatalf("expected multiple blocks, got %d", blocks)
-	}
-	wantErr := fmt.Errorf("stop")
-	calls := 0
-	err = StreamTetEdges(3, 3, 3, 7, func(e1, e2 []int32) error {
-		calls++
-		return wantErr
-	})
-	if err != wantErr || calls != 1 {
-		t.Fatalf("abort: err=%v calls=%d", err, calls)
-	}
-}
-
-// TestStreamPaperScale runs the paper-scale nx=128 grid (~15M edges)
-// through the stream in O(block) memory: the count must match the
-// closed form and the stream must stay sorted and in range. Gated out
-// of -short so the ordinary test cycle stays fast.
+// TestStreamPaperScale builds the paper-scale nx=128 grid (~15M edges):
+// the count must match the closed form and the edges must be sorted and
+// in range. Gated out of -short so the ordinary test cycle stays fast.
 func TestStreamPaperScale(t *testing.T) {
 	if testing.Short() {
-		t.Skip("paper-scale mesh stream (nx=128) skipped in -short")
+		t.Skip("paper-scale mesh (nx=128) skipped in -short")
 	}
 	const nx = 128
-	nNodes := int64(nx+1) * (nx + 1) * (nx + 1)
-	var n int64
-	var prev1, prev2 int32 = -1, -1
-	err := StreamTetEdges(nx, nx, nx, 1<<20, func(e1, e2 []int32) error {
-		for i := range e1 {
-			if e1[i] < prev1 || (e1[i] == prev1 && e2[i] <= prev2) {
-				return fmt.Errorf("stream unsorted at edge %d: (%d,%d) after (%d,%d)",
-					n+int64(i), e1[i], e2[i], prev1, prev2)
-			}
-			if e1[i] >= e2[i] || int64(e2[i]) >= nNodes {
-				return fmt.Errorf("edge (%d,%d) malformed", e1[i], e2[i])
-			}
-			prev1, prev2 = e1[i], e2[i]
-		}
-		n += int64(len(e1))
-		return nil
-	})
+	m, err := GenerateTetEdges(nx, nx, nx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := EdgeCount(nx, nx, nx); n != want {
-		t.Fatalf("streamed %d edges, closed form says %d", n, want)
+	nNodes := int32(m.NumNodes())
+	e1, e2 := m.Edge1, m.Edge2
+	for i := range e1 {
+		if i > 0 && (e1[i] < e1[i-1] || (e1[i] == e1[i-1] && e2[i] <= e2[i-1])) {
+			t.Fatalf("edges unsorted at %d: (%d,%d) after (%d,%d)", i, e1[i], e2[i], e1[i-1], e2[i-1])
+		}
+		if e1[i] >= e2[i] || e2[i] >= nNodes {
+			t.Fatalf("edge (%d,%d) malformed", e1[i], e2[i])
+		}
+	}
+	n := int64(len(e1))
+	if want := EdgeCount(nx, nx, nx); n != want || int64(len(e2)) != want {
+		t.Fatalf("%d/%d edges, closed form says %d", n, len(e2), want)
 	}
 	if n < 14_000_000 {
 		t.Fatalf("paper-scale mesh has only %d edges", n)

@@ -32,7 +32,8 @@ func newObjBackend() *objstore.Backend {
 
 // backendsUnderTest builds one of every backend flavor, including a
 // cas with a deliberately small chunk size so op sequences cross chunk
-// boundaries, a disk-rooted compressed cas, an atomic-writes dir, the
+// boundaries, a disk-rooted compressed cas, a host dir (twice: once
+// opened through the compatibility DirOptions entry point), the
 // simulated remote object store (write-back staging + multipart
 // flush), and fault-injected flavors of each family behind a retry
 // layer — the conformance suite demands those behave byte- and

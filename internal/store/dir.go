@@ -2,10 +2,11 @@ package store
 
 import (
 	"fmt"
+	"io"
 	"net/url"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -22,63 +23,56 @@ import (
 // simulation scale; a descriptor cache would be needed before
 // pointing this at bundles with tens of thousands of files).
 //
-// With DirOptions.AtomicWrites, newly created objects accumulate in a
-// host temp file and are promoted to their real file name by fsync +
-// os.Rename when Sync runs, so a crash mid-save leaves either the old
-// file or the new one — never a torn hybrid. Bundle saves run in this
-// mode; the live pfs path keeps the plain in-place mode (its objects
-// are mutated incrementally over a run, not written once).
+// An object's file changes only at Sync. Written bytes accumulate in a
+// host staging file — a created object's from its first byte, an
+// existing object's from its first WriteAt, which copies the file
+// there — and Sync promotes every staged object to its real file name
+// by fsync + os.Rename. A crash mid-save therefore leaves either the
+// old file or the new one, never a torn hybrid, and a process that
+// never syncs leaves every promoted file as it found it.
 type Dir struct {
 	mu      sync.Mutex
 	root    string
-	atomic  bool
-	pending map[string]*dirObject // created but not yet promoted (atomic mode)
-	// dirty records that the namespace changed (Create, Remove, Rename)
-	// since the last Sync, whose directory fsync must then run even with
-	// nothing left to promote.
+	pending map[string]*dirObject // staged, not yet promoted
+	// dirty records that the namespace changed (a staged object, Remove,
+	// Rename) since the last Sync, whose directory fsync must then run
+	// even with nothing left to promote.
 	dirty bool
 }
 
-// DirOptions tunes a host-directory backend.
+// DirOptions is accepted for compatibility and ignored: every Dir
+// stages its writes until Sync.
 type DirOptions struct {
-	// AtomicWrites stages every Create in a temp file promoted to its
-	// final name by Sync (fsync + rename), making single-shot writers
-	// like the bundle save path torn-write safe.
+	// AtomicWrites is ignored.
 	AtomicWrites bool
 }
 
 // NewDir opens (creating if needed) a directory-backed store rooted at
-// root. Existing files in the directory become the initial namespace.
+// root. Existing files in the directory become the initial namespace;
+// staging files a crashed or unsaved predecessor left behind were never
+// promoted, so they belong to no object and are removed.
 func NewDir(root string) (*Dir, error) {
-	return NewDirOpts(root, DirOptions{})
-}
-
-// NewDirOpts is NewDir with explicit options.
-func NewDirOpts(root string, opts DirOptions) (*Dir, error) {
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating dir root: %w", err)
 	}
-	d := &Dir{root: root, atomic: opts.AtomicWrites}
-	if d.atomic {
-		d.pending = make(map[string]*dirObject)
-		// Sweep temp files a crashed predecessor left behind; they were
-		// never promoted, so they belong to no object.
-		entries, err := os.ReadDir(root)
-		if err != nil {
-			return nil, err
-		}
-		for _, e := range entries {
-			if strings.HasPrefix(e.Name(), dirTempPrefix) {
-				_ = os.Remove(filepath.Join(root, e.Name()))
-			}
+	entries, err := os.ReadDir(root)
+	if err != nil {
+		return nil, err
+	}
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), dirTempPrefix) {
+			_ = os.Remove(filepath.Join(root, e.Name()))
 		}
 	}
-	return d, nil
+	return &Dir{root: root, pending: make(map[string]*dirObject)}, nil
 }
 
-// dirTempPrefix marks unpromoted staging files in atomic mode. It
-// contains a character PathEscape always escapes in object names, so
-// no escaped object name can collide with a temp file.
+// NewDirOpts is NewDir; opts is ignored.
+func NewDirOpts(root string, opts DirOptions) (*Dir, error) { return NewDir(root) }
+
+// dirTempPrefix marks unpromoted staging files. It contains a character
+// PathEscape always escapes in object names, so no escaped object name
+// can collide with a staging file.
 const dirTempPrefix = "%tmp%"
 
 // hostPath maps an object name to its file path under the root.
@@ -91,46 +85,36 @@ func (d *Dir) tempPath(name string) string {
 	return filepath.Join(d.root, dirTempPrefix+url.PathEscape(name))
 }
 
-// Create makes an empty object, failing if one exists. In atomic mode
-// the bytes land in a temp file until the next Sync promotes them.
+// Create makes an empty object, failing if one exists. Its bytes land
+// in a staging file until the next Sync promotes them.
 func (d *Dir) Create(name string) (Object, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.dirty = true
-	path := d.hostPath(name)
-	if d.atomic {
-		if _, ok := d.pending[name]; ok {
-			return nil, fmt.Errorf("create %q: %w", name, ErrExist)
-		}
-		if _, err := os.Stat(path); err == nil {
-			return nil, fmt.Errorf("create %q: %w", name, ErrExist)
-		}
-		f, err := os.OpenFile(d.tempPath(name), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-		if err != nil {
-			return nil, err
-		}
-		o := &dirObject{f: f, final: path}
-		d.pending[name] = o
-		return o, nil
+	if _, ok := d.pending[name]; ok {
+		return nil, fmt.Errorf("create %q: %w", name, ErrExist)
 	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	if _, err := os.Stat(d.hostPath(name)); err == nil {
+		return nil, fmt.Errorf("create %q: %w", name, ErrExist)
+	}
+	f, err := os.OpenFile(d.tempPath(name), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		if os.IsExist(err) {
-			return nil, fmt.Errorf("create %q: %w", name, ErrExist)
-		}
 		return nil, err
 	}
-	return &dirObject{f: f}, nil
+	o := &dirObject{d: d, name: name, f: f}
+	d.pending[name] = o
+	return o, nil
 }
 
-// Open returns an existing object.
+// Open returns an existing object: a staged one itself, a promoted one
+// over its file opened read-only (its first WriteAt stages it).
 func (d *Dir) Open(name string) (Object, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if o, ok := d.pending[name]; ok {
 		return o, nil
 	}
-	f, err := os.OpenFile(d.hostPath(name), os.O_RDWR, 0o644)
+	f, err := os.Open(d.hostPath(name))
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, fmt.Errorf("open %q: %w", name, ErrNotExist)
@@ -142,7 +126,7 @@ func (d *Dir) Open(name string) (Object, error) {
 		f.Close()
 		return nil, err
 	}
-	return &dirObject{f: f, size: info.Size()}, nil
+	return &dirObject{d: d, name: name, f: f, size: info.Size()}, nil
 }
 
 // Stat reports an object's size.
@@ -163,47 +147,55 @@ func (d *Dir) Stat(name string) (int64, error) {
 	return info.Size(), nil
 }
 
-// Remove deletes an object's file. Objects already open keep their
-// data through the underlying descriptor (on POSIX hosts).
+// Remove deletes an object: its staging and its promoted file, when it
+// has them. Objects already open keep their data through the underlying
+// descriptor (on POSIX hosts).
 func (d *Dir) Remove(name string) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.dirty = true
-	if _, ok := d.pending[name]; ok {
+	_, staged := d.pending[name]
+	if staged {
 		delete(d.pending, name)
-		return os.Remove(d.tempPath(name))
+		if err := os.Remove(d.tempPath(name)); err != nil {
+			return err
+		}
 	}
 	if err := os.Remove(d.hostPath(name)); err != nil {
-		if os.IsNotExist(err) {
+		if !os.IsNotExist(err) {
+			return err
+		}
+		if !staged {
 			return fmt.Errorf("remove %q: %w", name, ErrNotExist)
 		}
-		return err
 	}
 	return nil
 }
 
 // Rename atomically moves an object to a new name (os.Rename, which
-// replaces any existing destination). A pending object is retargeted:
-// its temp file stays put and the next Sync promotes it to the new
-// final path.
+// replaces any existing destination). A staged object is retargeted:
+// its staging file moves with it and the next Sync promotes it to the
+// new name.
 func (d *Dir) Rename(oldName, newName string) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.dirty = true
-	if o, ok := d.pending[oldName]; ok {
+	o, staged := d.pending[oldName]
+	if staged {
 		if err := os.Rename(d.tempPath(oldName), d.tempPath(newName)); err != nil {
 			return err
 		}
-		o.final = d.hostPath(newName)
+		o.name = newName
 		delete(d.pending, oldName)
 		d.pending[newName] = o
-		return nil
 	}
 	if err := os.Rename(d.hostPath(oldName), d.hostPath(newName)); err != nil {
-		if os.IsNotExist(err) {
+		if !os.IsNotExist(err) {
+			return err
+		}
+		if !staged {
 			return fmt.Errorf("rename %q: %w", oldName, ErrNotExist)
 		}
-		return err
 	}
 	return nil
 }
@@ -231,20 +223,17 @@ func (d *Dir) List() ([]string, error) {
 		}
 		names = append(names, name)
 	}
-	sort.Strings(names)
-	return names, nil
+	slices.Sort(names)
+	// A staged existing object is listed once, not also by its file.
+	return slices.Compact(names), nil
 }
 
-// Sync promotes pending objects in atomic mode: each temp file is
-// fsynced, renamed onto its final path, and the root directory is
-// fsynced, so promoted files survive a crash whole — and so do the
-// Renames and Removes of objects promoted earlier, which leave nothing
-// pending. In plain mode writes go straight to the host file system
-// and Sync is a no-op.
+// Sync promotes every staged object: each staging file is fsynced,
+// renamed onto its object's file, and the root directory is fsynced, so
+// promoted files survive a crash whole — and so do the Renames and
+// Removes of objects promoted earlier, which leave nothing staged. An
+// object written after Sync stages again.
 func (d *Dir) Sync() error {
-	if !d.atomic {
-		return nil
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if !d.dirty {
@@ -254,7 +243,7 @@ func (d *Dir) Sync() error {
 		if err := o.f.Sync(); err != nil {
 			return fmt.Errorf("store: syncing %q: %w", name, err)
 		}
-		if err := os.Rename(d.tempPath(name), o.final); err != nil {
+		if err := os.Rename(d.tempPath(name), d.hostPath(name)); err != nil {
 			return fmt.Errorf("store: promoting %q: %w", name, err)
 		}
 		delete(d.pending, name)
@@ -266,12 +255,15 @@ func (d *Dir) Sync() error {
 	return nil
 }
 
-// dirObject wraps one *os.File. Size is tracked in memory (the pfs
-// layer serializes mutation) so the hot path avoids a stat per call.
+// dirObject wraps one *os.File: the object's staging file while it is
+// staged, else its promoted file, which WriteAt never touches. Size is
+// tracked in memory (the pfs layer serializes mutation) so the hot path
+// avoids a stat per call.
 type dirObject struct {
-	f     *os.File
-	size  int64
-	final string // promotion target while pending (atomic mode)
+	d    *Dir
+	name string
+	f    *os.File
+	size int64
 }
 
 func (o *dirObject) Size() int64 { return o.size }
@@ -279,6 +271,9 @@ func (o *dirObject) Size() int64 { return o.size }
 func (o *dirObject) WriteAt(p []byte, off int64) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
+	}
+	if err := o.stage(); err != nil {
+		return 0, err
 	}
 	n, err := o.f.WriteAt(p, off)
 	if end := off + int64(n); end > o.size {
@@ -292,4 +287,33 @@ func (o *dirObject) ReadAt(p []byte, off int64) (int, error) {
 		return 0, nil
 	}
 	return o.f.ReadAt(p, off)
+}
+
+// stage makes o staged before a write: a promoted object's bytes are
+// copied into its staging file, which o then reads and writes in place
+// of the promoted file until Sync promotes it.
+func (o *dirObject) stage() error {
+	d := o.d
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	switch p := d.pending[o.name]; {
+	case p == o:
+		return nil
+	case p != nil:
+		return fmt.Errorf("store: write %q: staged through another handle", o.name)
+	}
+	tmp, err := os.OpenFile(d.tempPath(o.name), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := io.Copy(tmp, io.NewSectionReader(o.f, 0, o.size)); err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return fmt.Errorf("store: staging %q: %w", o.name, err)
+	}
+	o.f.Close()
+	o.f = tmp
+	d.pending[o.name] = o
+	d.dirty = true
+	return nil
 }

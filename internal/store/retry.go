@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -90,15 +91,18 @@ func backoffDelay(p *RetryPolicy, n int, jitter float64) time.Duration {
 // uses to retry individual part uploads and aborts, and the one loop
 // Retry runs every operation under. Transient errors (IsTransient) are
 // re-issued within the attempt/backoff/deadline bounds; anything else
-// surfaces immediately. On exhaustion the returned *ExhaustedError wraps
-// the last underlying error.
+// surfaces immediately, and so does an *ExhaustedError from fn: a loop
+// beneath this one (the objstore backend's, under a Retry decorator)
+// already gave up. On exhaustion the returned *ExhaustedError wraps the
+// last underlying error.
 func (p RetryPolicy) Do(op Op, fn func() error) error {
 	p.fill()
 	var rng *rand.Rand // seeded at the first retry: most operations never need one
 	start := time.Now()
 	for attempt := 1; ; attempt++ {
 		err := fn()
-		if err == nil || !IsTransient(err) {
+		var inner *ExhaustedError
+		if err == nil || !IsTransient(err) || errors.As(err, &inner) {
 			return err
 		}
 		if attempt >= p.MaxAttempts || time.Since(start) >= p.MaxElapsed {

@@ -69,3 +69,46 @@ func TestPolicyDoRecovers(t *testing.T) {
 		t.Fatalf("calls=%d err=%v", calls, err)
 	}
 }
+
+// TestPolicyDoExhaustionIsFinal: an *ExhaustedError from the operation
+// means a retry loop beneath this one already gave up, so it surfaces
+// after one call instead of being retried again.
+func TestPolicyDoExhaustionIsFinal(t *testing.T) {
+	inner := &ExhaustedError{Op: OpStat, Attempts: 3, Err: ErrUnavailable}
+	calls := 0
+	err := RetryPolicy{MaxAttempts: 5, Sleep: func(time.Duration) {}}.Do(OpOpen, func() error {
+		calls++
+		return fmt.Errorf("open: %w", inner)
+	})
+	if calls != 1 {
+		t.Fatalf("calls = %d, want 1", calls)
+	}
+	var ex *ExhaustedError
+	if !errors.As(err, &ex) || ex != inner {
+		t.Fatalf("err = %v, want the inner exhaustion", err)
+	}
+}
+
+// TestRetryMasksInjectedTransients: a transient Faulty injects beneath
+// the decorator is still retried away.
+func TestRetryMasksInjectedTransients(t *testing.T) {
+	f := NewFaulty(NewMem(), FaultConfig{Seed: 5, Transient: 0.5, Ops: AllOps()})
+	r := WithRetry(f, RetryPolicy{MaxAttempts: 25, NamespaceOps: true, Sleep: func(time.Duration) {}})
+	for i := 0; i < 20; i++ {
+		name := fmt.Sprintf("o%d", i)
+		o, err := r.Create(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := o.WriteAt([]byte(name), 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Stat(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if f.Stats().Transient == 0 || r.Stats().Retries == 0 || r.Stats().Exhausted != 0 {
+		t.Fatalf("injected %d transients, retry stats %+v: want some, all masked",
+			f.Stats().Transient, r.Stats())
+	}
+}

@@ -110,10 +110,9 @@ type Backend interface {
 	Rename(oldName, newName string) error
 	// List returns all object names in lexical order.
 	List() ([]string, error)
-	// Sync makes what was written durable: an atomic Dir fsyncs and
-	// promotes its pending files, a CAS writes and fsyncs its new chunk
-	// files and its manifest. A no-op for Mem and for a plain Dir, whose
-	// writes go straight to the host file system.
+	// Sync makes what was written durable: a Dir fsyncs and promotes
+	// its staged files, a CAS writes and fsyncs its new chunk files and
+	// its manifest. A no-op for Mem.
 	Sync() error
 }
 

@@ -262,6 +262,39 @@ func TestMigrateBundleErrors(t *testing.T) {
 	}
 }
 
+// TestMigrateRetriesOnceOverRemote: the retry decorator stacked on an
+// obj bundle does not re-run the remote's own retry loop after that
+// loop gave up. A migration out of a one-file obj bundle whose remote
+// fails every request makes MaxAttempts requests, not their square, and
+// its error names one exhaustion.
+func TestMigrateRetriesOnceOverRemote(t *testing.T) {
+	base := t.TempDir()
+	src := filepath.Join(base, "src")
+	one := map[string][]byte{"a.dat": crashPattern('A', 3000)}
+	if err := crashCluster(t, one, "v").SaveBundleOpts(src, BundleOptions{Backend: "obj"}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := readManifest(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := objstore.Dial(m.Spec.Endpoint)
+	svc.SetFaults(1, 1)
+	defer svc.SetFaults(0, 0)
+	before := svc.Stats().Requests
+	retry := &RetryPolicy{MaxAttempts: 3, Sleep: func(time.Duration) {}}
+	_, err = MigrateBundle(src, filepath.Join(base, "dst"), BundleOptions{Backend: "dir", Retry: retry})
+	if err == nil {
+		t.Fatal("migration from a remote that fails every request succeeded")
+	}
+	if got := svc.Stats().Requests - before; got != 3 {
+		t.Errorf("migration made %d remote requests, want 3", got)
+	}
+	if n := strings.Count(err.Error(), "retry exhausted"); n != 1 {
+		t.Errorf("error names %d exhaustions, want 1: %v", n, err)
+	}
+}
+
 // TestMigrateBundleRandomizedFaults is the round-trip property test:
 // random file sets (including an empty file) migrate hot → cold → hot
 // through fault-injecting decorators and a fault-injecting remote, and

@@ -107,17 +107,18 @@ run "$bin/sdmls" "$t/bundle/catalog.db"
 fails "$bin/sdmcat" -dataset pressure -timestep 99 "$t/bundle" # no write recorded: catalog.NotFound, said locally
 fails "$bin/sdmcat" -list                                       # no bundle named: usage, exit 2
 fails "$bin/sdmls"
-sql_session() { # <output file> <sdmsql args...>, statements on stdin
-	local out="$1"
-	shift
-	"$bin/sdmsql" "$@" >"$out" 2>&1 || { log "smoke failed: sdmsql $*"; cat "$out" >&2; exit 1; }
+sql_session() { # <expected exit status> <output file> <sdmsql args...>, statements on stdin
+	local want="$1" out="$2" got=0
+	shift 2
+	"$bin/sdmsql" "$@" >"$out" 2>&1 || got=$?
+	[ "$got" -eq "$want" ] || { log "smoke failed: sdmsql $* exited $got, want $want"; cat "$out" >&2; exit 1; }
 	cat "$out" >>"$t/smoke.log"
 }
 # Raw SQL over a saved snapshot: a bundle's catalog and, since nothing
 # in the tree writes an MDB1 snapshot (a bundle saved before PR 18) any
 # more, the golden one. Each query must answer rows, not an error...
-sql_session "$t/sql-bundle.out" -db "$t/bundle/catalog.db" <<<'SELECT runid, dataset FROM execution_table WHERE timestep = 1'
-sql_session "$t/sql-v1.out" -db "$root/internal/metadb/testdata/golden_v1.mdb" <<<'SELECT id, name, payload FROM obs'
+sql_session 0 "$t/sql-bundle.out" -db "$t/bundle/catalog.db" <<<'SELECT runid, dataset FROM execution_table WHERE timestep = 1'
+sql_session 0 "$t/sql-v1.out" -db "$root/internal/metadb/testdata/golden_v1.mdb" <<<'SELECT id, name, payload FROM obs'
 if grep -q -e 'error:' -e '^(0 rows)' "$t/sql-bundle.out" "$t/sql-v1.out"; then
 	log "sdmsql answered a saved snapshot's query with an error or no rows:"
 	cat "$t/sql-bundle.out" "$t/sql-v1.out" >&2
@@ -129,9 +130,9 @@ fails "$bin/sdmsql" -db "$t/cut.mdb" <<<'SELECT id FROM obs'
 # The SQL a user can type at the shell is the dialect the program
 # issues: DDL, INSERT and DELETE, range and ordered plans, aggregates,
 # EXPLAIN, the meta commands, and a write-back. Its one error is the
-# missing table.
+# missing table, so the script exits 1.
 cp "$t/bundle/catalog.db" "$t/scratch.db"
-sql_session "$t/sql-kept.out" -db "$t/scratch.db" <<'SQL'
+sql_session 1 "$t/sql-kept.out" -db "$t/scratch.db" <<'SQL'
 CREATE TABLE t (x INTEGER, y TEXT, z REAL);
 CREATE INDEX t_x ON t (x);
 INSERT INTO t (x, y, z) VALUES (1, 'a', 0.5);
@@ -157,7 +158,8 @@ if [ "$(grep -c 'error:' "$t/sql-kept.out")" -ne 1 ] || ! grep -q 'error:.*nosuc
 	grep 'error:' "$t/sql-kept.out" >&2
 	exit 1
 fi
-# Everything outside the dialect is refused, one error per statement.
+# Everything outside the dialect is refused, one error per statement
+# (and the script exits 1).
 cat >"$t/refused.sql" <<'SQL'
 UPDATE t SET y = 'e' WHERE x = 2;
 SELECT * FROM t ORDER BY x DESC;
@@ -175,7 +177,7 @@ SQL
 {
 	echo "CREATE TABLE t (x INTEGER, y TEXT, z REAL);"
 	cat "$t/refused.sql"
-} | sql_session "$t/sql-refused.out"
+} | sql_session 1 "$t/sql-refused.out"
 if [ "$(grep -c 'error:' "$t/sql-refused.out")" -ne "$(grep -c ';$' "$t/refused.sql")" ]; then
 	log "sdmsql answered statements outside its dialect:"
 	cat "$t/sql-refused.out" >&2
