@@ -1,7 +1,6 @@
 package sdm
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -36,12 +35,12 @@ import (
 //	                      "cas" = SHA-256-chunked content-addressed
 //	                      pool with dedup and optional compression
 //
-// Saves are crash-consistent: SaveBundle appends intent records (the
-// planned file set, staging names, content hashes, the catalog
-// snapshot) to wal.log and fsyncs them before mutating any data, then
-// stages every object under a scratch name, and only after a sealed
-// commit record is durable promotes the staged objects onto their
-// final names. OpenBundle (and sdmfsck) replays or rolls back the log,
+// Saves are crash-consistent: SaveBundle appends intent records (each
+// file's final name, staging name and size, and the catalog snapshot's
+// staging file) to wal.log and fsyncs them before mutating any data,
+// then streams every file into an object under a scratch name, and only
+// after a sealed commit record is durable promotes the staged objects
+// onto their final names. OpenBundle (and sdmfsck) replays or rolls back the log,
 // so a process killed at any byte offset of a save leaves either the
 // old bundle or the new one — never a hybrid.
 
@@ -87,8 +86,7 @@ type BundleOptions struct {
 	Faults *FaultConfig
 	// DisableWAL skips the write-ahead log and nothing else: the save
 	// still stages every object, syncs, and promotes by rename, but
-	// writes no intent or commit records, hashes nothing and pays no log
-	// fsyncs — so a crash mid-save can leave a hybrid bundle that no
+	// writes no intent or commit records and pays no log fsyncs — so a crash mid-save can leave a hybrid bundle that no
 	// recovery repairs. Only for pricing the log on ephemeral
 	// directories.
 	DisableWAL bool
@@ -236,7 +234,10 @@ func bundleLock(dir string) *sync.Mutex {
 // ---------------------------------------------------------------------------
 
 // saveBundle copies the cluster's catalog and file bytes into dir,
-// crash-consistently unless opts.DisableWAL.
+// crash-consistently unless opts.DisableWAL. Each file streams from the
+// cluster's store into the bundle's piece by piece, and the catalog
+// snapshot straight into its stage file: a save holds one piece of one
+// file, never the cluster's files.
 func saveBundle(cl *Cluster, dir string, opts BundleOptions) error {
 	mu := bundleLock(dir)
 	mu.Lock()
@@ -254,30 +255,24 @@ func saveBundle(cl *Cluster, dir string, opts BundleOptions) error {
 		return err
 	}
 
-	// Snapshot the cluster: file bytes and the catalog dump, hashed so
-	// the WAL's intent records pin content, not just names.
-	//
 	// List through the backend directly so namespace errors surface
 	// (pfs.List's no-error signature would silently read as an empty
 	// cluster — and the stale-object sweep must never run on a
 	// spuriously empty listing).
-	names, err := cl.FS.Backend().List()
+	src := cl.FS.Backend()
+	names, err := src.List()
 	if err != nil {
 		return fmt.Errorf("sdm: listing cluster files: %w", err)
 	}
-	plan := make([]bundlePlanEntry, 0, len(names))
-	for _, name := range names {
-		data, err := cl.FS.ReadFile(name)
+	files := make([]bundleFile, len(names))
+	for i, name := range names {
+		size, err := src.Stat(name)
 		if err != nil {
 			return fmt.Errorf("sdm: reading %q for bundle: %w", name, err)
 		}
-		plan = append(plan, bundlePlanEntry{name: name, data: data})
+		files[i] = bundleFile{Name: name, Size: size}
 	}
-	var catBuf bytes.Buffer
-	if err := cl.DB.Save(&catBuf); err != nil {
-		return fmt.Errorf("sdm: saving bundle catalog: %w", err)
-	}
-	if err := writeBundleWAL(dir, b, plan, catBuf.Bytes(), &opts); err != nil {
+	if err := writeBundleWAL(dir, b, src, files, cl.DB.Save, &opts); err != nil {
 		return err
 	}
 	opts.Metrics.Counter("bundle.saves").Add(1)

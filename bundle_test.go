@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -850,7 +851,7 @@ func TestLayoutNeverChangesBytes(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				files[name] = sha256hex(data)
+				files[name] = fmt.Sprintf("%x", sha256.Sum256(data))
 				want := unit
 				if unit == 0 {
 					want = 104_858 // 1 MiB over ten servers, rounded up to a byte
@@ -1045,7 +1046,7 @@ func TestDisableWALSameBundle(t *testing.T) {
 // TestUnsavedRunLeavesBundle: a run on a reopened bundle that never
 // saves leaves the bundle as it was saved, for every backend kind — a
 // run that creates a file (Level 1) and one that appends to a saved
-// file (Level 3) alike. Every host file of the bundle (and, for obj,
+// file (Level 3) alike, each also re-staging a saved input file. Every host file of the bundle (and, for obj,
 // every remote blob) keeps its bytes; the only thing the run may leave
 // on the host is a store's unpromoted staging. fsck stays clean, and a
 // fresh open reads every saved step and lists only the manifest's files.
@@ -1119,6 +1120,10 @@ func TestUnsavedRunLeavesBundle(t *testing.T) {
 				dir := filepath.Join(t.TempDir(), "bundle")
 				writer := NewCluster(ClusterConfig{Procs: procs})
 				writeDemoRunOpts(t, writer, globalN, steps, Options{Organization: level})
+				input := bytes.Repeat([]byte("saved input "), 1000)
+				if err := writer.StageFile("in.dat", bytes.NewReader(input)); err != nil {
+					t.Fatal(err)
+				}
 				if err := writer.SaveBundleOpts(dir, opts); err != nil {
 					t.Fatal(err)
 				}
@@ -1144,6 +1149,9 @@ func TestUnsavedRunLeavesBundle(t *testing.T) {
 						}
 					}
 				})
+				if err := run.StageFile("in.dat", bytes.NewReader([]byte("restaged"))); err != nil {
+					t.Fatal(err)
+				}
 				if created := len(run.ListFiles()) > before; created != (level == Level1) {
 					t.Fatalf("the unsaved run created files: %v, want %v", created, level == Level1)
 				}
@@ -1165,6 +1173,9 @@ func TestUnsavedRunLeavesBundle(t *testing.T) {
 				if got := fresh.ListFiles(); fmt.Sprint(got) != fmt.Sprint(savedNames) {
 					t.Errorf("reopened bundle lists %v, saved %v", got, savedNames)
 				}
+				if got, err := fresh.FS.ReadFile("in.dat"); err != nil || !bytes.Equal(got, input) {
+					t.Errorf("reopened bundle's in.dat reads %d bytes (%v), saved %d", len(got), err, len(input))
+				}
 				attach(fresh, level, func(g *Group, mapArr []int32) {
 					for ts := int64(0); ts < steps; ts++ {
 						for _, ds := range []string{"pressure", "velocity"} {
@@ -1185,4 +1196,54 @@ func TestUnsavedRunLeavesBundle(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestSaveHoldsOnePiece: a save streams each file into the bundle
+// through one buffer of bundleCopyPiece bytes instead of holding the
+// cluster's files in memory, and a migration streams the bundle's files
+// the same way: at every staged file, the live heap is within one piece
+// (and slack) of what it was before the save.
+func TestSaveHoldsOnePiece(t *testing.T) {
+	const files, size = 8, 8 << 20
+	cl := NewCluster(ClusterConfig{Procs: 1})
+	data := make([]byte, size)
+	for i := 0; i < files; i++ {
+		data[0] = byte(i)
+		if err := cl.StageFile(fmt.Sprintf("f%d.dat", i), bytes.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data = nil
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	const bound = bundleCopyPiece + 4<<20
+	measure := func(what string, run func(BundleOptions) error) {
+		base, points, peak := heap(), 0, int64(0)
+		opts := BundleOptions{Backend: "dir"}
+		opts.crashFn = func(point string) error {
+			if strings.HasPrefix(point, "stage:") {
+				points++
+				peak = max(peak, heap()-base)
+			}
+			return nil
+		}
+		if err := run(opts); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%s: live heap at most %d B over its start", what, peak)
+		if points != files || peak > bound {
+			t.Errorf("%s: live heap up to %d B over its start at %d stage points, want at most %d at %d", what, peak, points, bound, files)
+		}
+	}
+	src := filepath.Join(t.TempDir(), "src")
+	measure("save", func(opts BundleOptions) error { return cl.SaveBundleOpts(src, opts) })
+	measure("migrate", func(opts BundleOptions) error {
+		_, err := MigrateBundle(src, filepath.Join(t.TempDir(), "dst"), opts)
+		return err
+	})
+	runtime.KeepAlive(cl)
 }

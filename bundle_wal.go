@@ -1,11 +1,10 @@
 package sdm
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -23,18 +22,16 @@ import (
 // writeBundleWAL runs the 3-phase crash-consistent commit of a bundle:
 // intents durable in the log before any data moves, all data staged
 // under scratch names, a sealed commit record, then the idempotent
-// apply. plan holds every file of the new bundle, and the manifest
-// lists exactly the plan. Shared verbatim by SaveBundle and
-// MigrateBundle so both get the same crash boundaries. With
-// opts.DisableWAL the log is the nil *store.WAL, which records nothing:
-// the same staging, syncs and renames run without intent records,
-// content hashes or log fsyncs.
-func writeBundleWAL(dir string, b *bundleStore, plan []bundlePlanEntry, catBytes []byte, opts *BundleOptions) error {
-	files := make([]bundleFile, len(plan))
-	for i, e := range plan {
-		files[i] = bundleFile{Name: e.name, Size: int64(len(e.data))}
-	}
-	m := bundleManifest{Format: bundleFormat, CreatedAt: time.Now().UTC().Format(time.RFC3339), Spec: b.spec, Files: files}
+// apply. files lists every file of the new bundle, exactly as the
+// manifest will; each is streamed from src into dst through one reused
+// buffer of bundleCopyPiece bytes, after a check that src holds the
+// listed size, and catalog writes the catalog snapshot straight into its
+// stage file. Shared verbatim by SaveBundle and MigrateBundle so both get
+// the same crash boundaries. With opts.DisableWAL the log is the nil
+// *store.WAL, which records nothing: the same staging, syncs and renames
+// run without intent records or log fsyncs.
+func writeBundleWAL(dir string, dst *bundleStore, src store.Backend, files []bundleFile, catalog func(io.Writer) error, opts *BundleOptions) error {
+	m := bundleManifest{Format: bundleFormat, CreatedAt: time.Now().UTC().Format(time.RFC3339), Spec: dst.spec, Files: files}
 	manifestJSON, err := m.encode()
 	if err != nil {
 		return err
@@ -42,39 +39,31 @@ func writeBundleWAL(dir string, b *bundleStore, plan []bundlePlanEntry, catBytes
 	// Intent phase: every record describing the new bundle is durable
 	// in the log before a single data byte moves.
 	var w *store.WAL
-	hash := func([]byte) string { return "" }
 	if !opts.DisableWAL {
-		var err error
 		if w, err = store.CreateWAL(filepath.Join(dir, bundleWALName)); err != nil {
 			return err
 		}
 		defer w.Close()
-		hash = sha256hex
 	}
-	if err := w.Append(store.WALBegin, store.WALBeginRecord{Format: bundleFormat, Spec: b.spec}); err != nil {
+	if err := w.Append(store.WALBegin, store.WALBeginRecord{Format: bundleFormat, Spec: dst.spec}); err != nil {
 		return err
 	}
 	if err := opts.crashFn.at("wal-begin"); err != nil {
 		return err
 	}
-	puts := make([]store.WALPutRecord, len(plan))
-	for i, e := range plan {
-		puts[i] = store.WALPutRecord{
-			Name:   e.name,
-			Stage:  bundleStagePrefix + e.name,
-			Size:   int64(len(e.data)),
-			SHA256: hash(e.data),
-		}
+	puts := make([]store.WALPutRecord, len(files))
+	var piece int64
+	for i, f := range files {
+		puts[i] = store.WALPutRecord{Name: f.Name, Stage: bundleStagePrefix + f.Name, Size: f.Size}
 		if err := w.Append(store.WALPut, puts[i]); err != nil {
 			return err
 		}
-		if err := opts.crashFn.at("wal-put:" + e.name); err != nil {
+		if err := opts.crashFn.at("wal-put:" + f.Name); err != nil {
 			return err
 		}
+		piece = max(piece, min(f.Size, bundleCopyPiece))
 	}
-	if err := w.Append(store.WALCatalog, store.WALCatalogRecord{
-		Stage: bundleCatalogStage, SHA256: hash(catBytes),
-	}); err != nil {
+	if err := w.Append(store.WALCatalog, store.WALCatalogRecord{Stage: bundleCatalogStage}); err != nil {
 		return err
 	}
 	if err := w.Sync(); err != nil {
@@ -86,29 +75,34 @@ func writeBundleWAL(dir string, b *bundleStore, plan []bundlePlanEntry, catBytes
 
 	// Staging phase: all data lands under scratch names; the old
 	// bundle's objects are never touched.
-	for i, e := range plan {
-		obj, err := b.Create(puts[i].Stage)
+	buf := make([]byte, piece)
+	for i, f := range files {
+		obj, err := dst.Create(puts[i].Stage)
 		if errors.Is(err, store.ErrExist) {
 			// A stage name an earlier, unlogged save left behind.
-			if err := b.Remove(puts[i].Stage); err != nil {
+			if err := dst.Remove(puts[i].Stage); err != nil {
 				return fmt.Errorf("sdm: clearing stale stage %q: %w", puts[i].Stage, err)
 			}
-			obj, err = b.Create(puts[i].Stage)
+			obj, err = dst.Create(puts[i].Stage)
+		}
+		if err == nil {
+			err = copyObject(obj, src, f, buf)
 		}
 		if err != nil {
-			return fmt.Errorf("sdm: staging %q in bundle: %w", e.name, err)
+			return fmt.Errorf("sdm: staging %q in bundle: %w", f.Name, err)
 		}
-		if len(e.data) > 0 {
-			if _, err := obj.WriteAt(e.data, 0); err != nil {
-				return fmt.Errorf("sdm: staging %q in bundle: %w", e.name, err)
-			}
-		}
-		if err := opts.crashFn.at("stage:" + e.name); err != nil {
+		if err := opts.crashFn.at("stage:" + f.Name); err != nil {
 			return err
 		}
 	}
 	catStage := filepath.Join(dir, bundleCatalogStage)
-	err = os.WriteFile(catStage, catBytes, 0o644)
+	cf, err := os.OpenFile(catStage, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err == nil {
+		err = catalog(cf)
+		if cerr := cf.Close(); err == nil {
+			err = cerr
+		}
+	}
 	if err == nil {
 		err = store.Fsync(catStage)
 	}
@@ -118,7 +112,7 @@ func writeBundleWAL(dir string, b *bundleStore, plan []bundlePlanEntry, catBytes
 	if err := opts.crashFn.at("stage-catalog"); err != nil {
 		return err
 	}
-	if err := b.Sync(); err != nil {
+	if err := dst.Sync(); err != nil {
 		return fmt.Errorf("sdm: syncing staged bundle data: %w", err)
 	}
 	if err := opts.crashFn.at("data-synced"); err != nil {
@@ -136,7 +130,7 @@ func writeBundleWAL(dir string, b *bundleStore, plan []bundlePlanEntry, catBytes
 	if err := opts.crashFn.at("wal-committed"); err != nil {
 		return err
 	}
-	if err := applyWAL(dir, b, puts, bundleCatalogStage, manifestJSON, opts.crashFn); err != nil {
+	if err := applyWAL(dir, dst, puts, bundleCatalogStage, manifestJSON, opts.crashFn); err != nil {
 		return err
 	}
 	if w != nil {
@@ -146,10 +140,36 @@ func writeBundleWAL(dir string, b *bundleStore, plan []bundlePlanEntry, catBytes
 	return w.Close()
 }
 
-// bundlePlanEntry is one file of a save's snapshot.
-type bundlePlanEntry struct {
-	name string
-	data []byte
+// bundleCopyPiece is the most of one file a save or a migration holds at
+// a time. A power of two, so each chunk of a cas destination is written
+// whole, once.
+const bundleCopyPiece = 8 << 20
+
+// copyObject streams f from src into dst through buf, once src confirms
+// f's size: the size is the manifest's word on a migration, and nothing
+// is read on it alone.
+func copyObject(dst store.Object, src store.Backend, f bundleFile, buf []byte) error {
+	obj, err := src.Open(f.Name)
+	if err != nil {
+		return err
+	}
+	if got := obj.Size(); got != f.Size {
+		return fmt.Errorf("store holds %d bytes, manifest says %d", got, f.Size)
+	}
+	for off := int64(0); off < f.Size; {
+		p := buf[:min(int64(len(buf)), f.Size-off)]
+		if n, err := obj.ReadAt(p, off); n < len(p) {
+			if err == nil || err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+		if _, err := dst.WriteAt(p, off); err != nil {
+			return err
+		}
+		off += int64(len(p))
+	}
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -370,9 +390,4 @@ func recoverBundleLocked(dir string, rep *FsckReport) error {
 	// forward.
 	b.abortUploads()
 	return applyWAL(dir, b, puts, catStage, manifestJSON, nil)
-}
-
-func sha256hex(data []byte) string {
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
 }

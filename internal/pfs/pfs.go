@@ -787,23 +787,36 @@ func (h *Handle) ReadAtVec(p []byte, exts []Extent) (int, error) {
 // staging input files (the role of data created "outside of SDM" that
 // import reads). src writes the file front to back in Writes of any
 // size, each going straight into the file, so no caller has to hold the
-// whole file in one buffer. A file already under that name is replaced,
-// not overwritten in place: nothing of it shows through where the new
-// one is shorter. If src fails, the name is left with no file.
+// whole file in one buffer. The bytes land under a scratch name that
+// then replaces name by rename, so nothing of an old file shows through
+// where the new one is shorter, and the old file is never removed: a
+// store that stages renames until its Sync (a reopened bundle's) keeps
+// the saved file, and a failing src leaves the old file whole.
 func (s *System) WriteFile(name string, src io.WriterTo) error {
-	if err := s.Remove(name); err != nil && !errors.Is(err, ErrNotExist) {
+	scratch := writeFileScratch + name
+	if err := s.Remove(scratch); err != nil && !errors.Is(err, ErrNotExist) {
 		return err
 	}
-	h, err := s.Open(name, CreateMode, nil)
+	h, err := s.Open(scratch, CreateMode, nil)
 	if err != nil {
 		return err
 	}
-	if _, err := src.WriteTo(&appender{obj: h.f.obj}); err != nil {
-		h.Close()
-		return errors.Join(err, s.Remove(name))
+	_, err = src.WriteTo(&appender{obj: h.f.obj})
+	h.Close()
+	if err != nil {
+		return errors.Join(err, s.Remove(scratch))
 	}
-	return h.Close()
+	delete(s.files, scratch)
+	delete(s.files, name)
+	if err := s.backend.Rename(scratch, name); err != nil {
+		return fmt.Errorf("pfs: %w", err)
+	}
+	return nil
 }
+
+// writeFileScratch prefixes the name WriteFile writes a file under before
+// it replaces the real one. Reserved: no other file name starts with it.
+const writeFileScratch = ".stage~"
 
 // appender writes each Write after the one before it, from offset 0.
 type appender struct {

@@ -366,8 +366,9 @@ func (c chunkSource) WriteTo(w io.Writer) (int64, error) {
 }
 
 // TestWriteFileInChunks: a file staged in small Writes is the
-// concatenation of them, and a source that fails leaves no file under
-// the name, not the old one and not a partial new one.
+// concatenation of them, and a source that fails leaves the old file
+// whole (or no file, where there was none): no partial new file, and no
+// scratch name in the listing.
 func TestWriteFileInChunks(t *testing.T) {
 	s := NewSystem(freeConfig())
 	payload := bytes.Repeat([]byte("0123456789"), 3_000)
@@ -378,11 +379,19 @@ func TestWriteFileInChunks(t *testing.T) {
 		t.Fatalf("chunked staging read back %d bytes (%v), want %d", len(got), err, len(payload))
 	}
 	boom := errors.New("source failed")
-	if err := s.WriteFile("stage", chunkSource{data: payload[:1000], chunk: 100, err: boom}); !errors.Is(err, boom) {
-		t.Fatalf("failing source: %v, want %v", err, boom)
+	for _, name := range []string{"stage", "fresh"} {
+		if err := s.WriteFile(name, chunkSource{data: payload[:1000], chunk: 100, err: boom}); !errors.Is(err, boom) {
+			t.Fatalf("failing source: %v, want %v", err, boom)
+		}
 	}
-	if _, err := s.ReadFile("stage"); !errors.Is(err, ErrNotExist) {
-		t.Fatalf("after a failed staging the name reads %v, want ErrNotExist", err)
+	if got, err := s.ReadFile("stage"); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("after a failed staging the old file reads %d bytes (%v), want its %d", len(got), err, len(payload))
+	}
+	if _, err := s.ReadFile("fresh"); !errors.Is(err, ErrNotExist) {
+		t.Fatalf("after a failed staging a new name reads %v, want ErrNotExist", err)
+	}
+	if got := s.List(); len(got) != 1 || got[0] != "stage" {
+		t.Fatalf("after failed stagings the system lists %q, want only the old file", got)
 	}
 }
 

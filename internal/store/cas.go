@@ -81,6 +81,10 @@ type CAS struct {
 	pool   map[chunkKey]*chunk
 	objs   map[string]*casObject
 	inflIn bytes.Reader // reusable compressed-input reader
+	// freed holds the chunks whose last reference went while their file
+	// was on disk. The manifest on disk may still name them, so their
+	// files go only once Sync has replaced it.
+	freed []chunkKey
 }
 
 // OpenCAS opens (creating if needed) a content-addressed backend
@@ -239,8 +243,8 @@ func (c *CAS) put(raw []byte) *chunk {
 	return ch
 }
 
-// deref drops one reference, reclaiming the chunk (and its disk file)
-// when the last reference goes. Callers hold c.mu.
+// deref drops one reference, reclaiming the chunk when the last
+// reference goes (its disk file at the next Sync). Callers hold c.mu.
 func (c *CAS) deref(ch *chunk) {
 	if ch == nil {
 		return
@@ -251,7 +255,7 @@ func (c *CAS) deref(ch *chunk) {
 	}
 	delete(c.pool, ch.key)
 	if ch.onDisk {
-		_ = os.Remove(c.chunkPath(ch.key))
+		c.freed = append(c.freed, ch.key)
 	}
 }
 
@@ -585,7 +589,9 @@ func (c *CAS) chunkPath(key chunkKey) string {
 // Sync writes unpersisted chunks and the object manifest to the root,
 // atomically replacing the previous manifest, and fsyncs every file it
 // wrote and every directory that gained an entry, so a manifest that
-// reaches the disk names only chunks that did too.
+// reaches the disk names only chunks that did too. Only then does it
+// delete the files of chunks freed since the last Sync, so until a Sync
+// the files on disk are the last synced state, whole.
 func (c *CAS) Sync() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -651,7 +657,20 @@ func (c *CAS) Sync() error {
 	if err := os.Rename(tmp, filepath.Join(c.root, casManifestName)); err != nil {
 		return err
 	}
-	return Fsync(c.root)
+	if err := Fsync(c.root); err != nil {
+		return err
+	}
+	// No durable manifest names a freed chunk now; one a later write
+	// interned again is back in the pool, its file rewritten above.
+	for _, key := range c.freed {
+		if _, live := c.pool[key]; !live {
+			if err := os.Remove(c.chunkPath(key)); err != nil && !os.IsNotExist(err) {
+				return err
+			}
+		}
+	}
+	c.freed = nil
+	return nil
 }
 
 // loadManifest restores the namespace from a previous Sync, if any.

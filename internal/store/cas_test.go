@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -246,5 +247,68 @@ func TestCASRemoveReclaims(t *testing.T) {
 	}
 	if after := c.Stats(); after.UniqueChunks != 0 || after.StoredBytes != 0 {
 		t.Fatalf("pool not reclaimed: %+v", after)
+	}
+}
+
+// TestCASChunkFilesGoOnlyAtSync: replacing a synced object frees its
+// chunks, but their files stay until the next Sync has replaced the
+// manifest that names them, so a process that never syncs leaves the
+// synced state readable; that Sync then deletes them.
+func TestCASChunkFilesGoOnlyAtSync(t *testing.T) {
+	root := t.TempDir()
+	c, err := OpenCAS(root, CASOptions{ChunkSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(name string, data []byte) {
+		t.Helper()
+		o, err := c.Create(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := o.WriteAt(data, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	chunkFiles := func() int {
+		t.Helper()
+		files, err := filepath.Glob(filepath.Join(root, "chunks", "*", "*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(files)
+	}
+	old := bytes.Repeat([]byte("o"), 128)
+	write("a", old)
+	if err := c.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	write("b", []byte("new"))
+	if err := c.Rename("b", "a"); err != nil {
+		t.Fatal(err)
+	}
+	if n := chunkFiles(); n != 1 {
+		t.Fatalf("before Sync the root holds %d chunk files, want the synced 1", n)
+	}
+	reader, err := OpenCAS(root, CASOptions{ChunkSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := reader.Open("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(old))
+	if _, err := o.ReadAt(got, 0); err != nil && err != io.EOF || !bytes.Equal(got, old) {
+		t.Fatalf("the synced object reads %q (%v) before Sync, want %q", got, err, old)
+	}
+	if err := c.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if n := chunkFiles(); n != 1 {
+		t.Fatalf("after Sync the root holds %d chunk files, want the new object's 1", n)
+	}
+	if n, err := c.OrphanChunkFiles(); err != nil || n != 0 {
+		t.Fatalf("after Sync %d orphan chunk files (%v), want 0", n, err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 
@@ -436,10 +437,11 @@ func (o *object) WriteAt(p []byte, off int64) (int, error) {
 	if err := o.materialize(); err != nil {
 		return 0, err
 	}
-	if end := off + int64(len(p)); end > int64(len(o.buf)) {
-		grown := make([]byte, end)
-		copy(grown, o.buf)
-		o.buf = grown
+	if end := int(off) + len(p); end > len(o.buf) {
+		// Grown geometrically, so an object written front to back in
+		// pieces is copied O(1) times per byte. The bytes past len were
+		// never written, so a gap still reads as zeros.
+		o.buf = slices.Grow(o.buf, end-len(o.buf))[:end]
 	}
 	copy(o.buf[off:], p)
 	return len(p), nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -265,6 +266,42 @@ func TestBackendWriteBackStaging(t *testing.T) {
 	got := make([]byte, 5)
 	if _, err := o.ReadAt(got, 0); err != nil || string(got) != "HEllo" {
 		t.Fatalf("after fetch-modify-flush: %q err=%v", got, err)
+	}
+}
+
+// TestBackendWriteInPiecesAllocatesLinearly: an object written front to
+// back in small pieces, as a staged input file or a streamed bundle
+// copy writes it, grows its staging buffer geometrically, so the bytes
+// allocated stay within a small multiple of the object, and a gap left
+// by a later write past the end still reads as zeros.
+func TestBackendWriteInPiecesAllocatesLinearly(t *testing.T) {
+	const size, piece = 16 << 20, 64 << 10
+	b := testBackend(NewService(CostModel{}), 1<<20)
+	o, err := b.Create("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := bytes.Repeat([]byte{1}, piece)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for off := int64(0); off < size; off += piece {
+		if _, err := o.WriteAt(p, off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 8*size {
+		t.Fatalf("writing %d B in %d B pieces allocated %d B, want at most %d", size, piece, got, 8*size)
+	}
+	if _, err := o.WriteAt([]byte{2}, size+piece); err != nil {
+		t.Fatal(err)
+	}
+	gap := make([]byte, piece+1)
+	if _, err := o.ReadAt(gap, size); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gap[:piece], make([]byte, piece)) || gap[piece] != 2 {
+		t.Fatal("the gap before a write past the end does not read as zeros")
 	}
 }
 

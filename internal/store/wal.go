@@ -40,7 +40,7 @@ const (
 	// WALBegin opens a save: backend parameters and save epoch.
 	WALBegin byte = 1
 	// WALPut declares one object's staging intent: final name, staged
-	// name, size, content hash.
+	// name, size.
 	WALPut byte = 2
 	// WALCatalog declares the catalog snapshot's staging file.
 	WALCatalog byte = 3
@@ -57,19 +57,19 @@ type WALBeginRecord struct {
 }
 
 // WALPutRecord is the payload of a WALPut record: the intent to
-// replace Name with the bytes staged under Stage.
+// replace Name with the bytes staged under Stage. Logs written by
+// earlier builds also carry a "sha256" key, which nothing read;
+// decoding ignores it.
 type WALPutRecord struct {
-	Name   string `json:"name"`
-	Stage  string `json:"stage"`
-	Size   int64  `json:"size"`
-	SHA256 string `json:"sha256"`
+	Name  string `json:"name"`
+	Stage string `json:"stage"`
+	Size  int64  `json:"size"`
 }
 
 // WALCatalogRecord is the payload of a WALCatalog record: the catalog
 // snapshot staged in host file Stage (relative to the bundle dir).
 type WALCatalogRecord struct {
-	Stage  string `json:"stage"`
-	SHA256 string `json:"sha256"`
+	Stage string `json:"stage"`
 }
 
 // WALCommitRecord is the payload of a WALCommit record. Manifest holds

@@ -20,15 +20,15 @@ func writeTestWAL(t *testing.T) string {
 		t.Fatal(err)
 	}
 	puts := []WALPutRecord{
-		{Name: "a", Stage: ".wal~a", Size: 100, SHA256: "aa"},
-		{Name: "dir/b", Stage: ".wal~dir/b", Size: 0, SHA256: "bb"},
+		{Name: "a", Stage: ".wal~a", Size: 100},
+		{Name: "dir/b", Stage: ".wal~dir/b", Size: 0},
 	}
 	for _, p := range puts {
 		if err := w.Append(WALPut, p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Append(WALCatalog, WALCatalogRecord{Stage: "catalog.db.wal", SHA256: "cc"}); err != nil {
+	if err := w.Append(WALCatalog, WALCatalogRecord{Stage: "catalog.db.wal"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Append(WALCommit, WALCommitRecord{Manifest: []byte(`{"format":1}`)}); err != nil {

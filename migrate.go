@@ -7,8 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-
-	"sdm/internal/store"
 )
 
 // MigrateBundle moves a saved bundle between storage tiers — hot
@@ -21,7 +19,9 @@ import (
 // copies every file of the cluster: nothing records whether a file's
 // bytes changed since an earlier migration (a file rewritten in place
 // at the same size lands no execution row), so keeping a destination
-// file could leave stale bytes in the tier. The catalog is copied
+// file could leave stale bytes in the tier. Each file streams from the
+// source store into the destination's piece by piece, once the source
+// store confirms the size the manifest gives it. The catalog is copied
 // verbatim, so a migrated bundle answers every metadata query
 // identically to its source.
 //
@@ -33,26 +33,6 @@ import (
 type MigrateStats struct {
 	FilesCopied int
 	BytesCopied int64
-}
-
-// readBundleObject reads one object's full contents from a backend.
-func readBundleObject(b store.Backend, name string, size int64) ([]byte, error) {
-	obj, err := b.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	// The size is the manifest's word; the allocation below trusts only
-	// what the store confirms.
-	if got := obj.Size(); got != size {
-		return nil, fmt.Errorf("store holds %d bytes, manifest says %d", got, size)
-	}
-	data := make([]byte, size)
-	if size > 0 {
-		if _, err := obj.ReadAt(data, 0); err != nil && err != io.EOF {
-			return nil, err
-		}
-	}
-	return data, nil
 }
 
 // MigrateBundle migrates the bundle in srcDir into dstDir under opts'
@@ -95,10 +75,11 @@ func MigrateBundle(srcDir, dstDir string, opts BundleOptions) (MigrateStats, err
 	if err != nil {
 		return st, err
 	}
-	catBytes, err := os.ReadFile(filepath.Join(srcDir, bundleCatalogName))
+	cat, err := os.Open(filepath.Join(srcDir, bundleCatalogName))
 	if err != nil {
 		return st, fmt.Errorf("sdm: migrate: reading source catalog: %w", err)
 	}
+	defer cat.Close()
 
 	// An existing destination this build cannot read, or of another
 	// kind, is never swept.
@@ -111,22 +92,16 @@ func MigrateBundle(srcDir, dstDir string, opts BundleOptions) (MigrateStats, err
 			dstM.Backend, want)
 	}
 
-	plan := make([]bundlePlanEntry, 0, len(srcM.Files))
+	st.FilesCopied = len(srcM.Files)
 	for _, f := range srcM.Files {
-		data, err := readBundleObject(srcB, f.Name, f.Size)
-		if err != nil {
-			return st, fmt.Errorf("sdm: migrate: reading %q from source: %w", f.Name, err)
-		}
-		plan = append(plan, bundlePlanEntry{name: f.Name, data: data})
-		st.BytesCopied += int64(len(data))
+		st.BytesCopied += f.Size
 	}
-	st.FilesCopied = len(plan)
-
 	dstB, err := openBundleStore(dstDir, opts.spec(), &opts)
 	if err != nil {
 		return st, err
 	}
-	if err := writeBundleWAL(dstDir, dstB, plan, catBytes, &opts); err != nil {
+	copyCatalog := func(w io.Writer) error { _, err := io.Copy(w, cat); return err }
+	if err := writeBundleWAL(dstDir, dstB, srcB, srcM.Files, copyCatalog, &opts); err != nil {
 		return st, err
 	}
 	opts.Metrics.Counter("bundle.migrations").Add(1)
