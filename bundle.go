@@ -93,8 +93,8 @@ type BundleOptions struct {
 	// Metrics, when non-nil, counts the bundle's store-backend
 	// operations (namespace ops, errors, data-plane bytes) and WAL
 	// records into the registry under "bundle.*". On open, the metered
-	// backend stays installed beneath the cluster's file system, so the
-	// run's backend traffic keeps counting.
+	// backend is the base of the cluster's Mem: the run's reads of saved
+	// files keep counting, its writes never reach it.
 	Metrics *obs.Registry
 
 	// crashFn, set by crash-matrix tests, is called at every WAL
@@ -371,7 +371,7 @@ func openBundle(dir string, cfg ClusterConfig, opts BundleOptions) (*Cluster, er
 	return &Cluster{
 		cfg:     cfg,
 		World:   mpi.NewWorld(cfg.Procs, cfg.Network),
-		FS:      pfs.NewSystemOn(cfg.Storage, b.Backend),
+		FS:      pfs.NewSystemOn(cfg.Storage, store.NewMemOver(b.Backend)),
 		DB:      db,
 		Catalog: cat,
 	}, nil

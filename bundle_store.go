@@ -144,11 +144,12 @@ func sweepUnnamed(b store.Backend, live func(string) bool) (store.GCStats, error
 	return gs, nil
 }
 
-// auditCAS is fsck's content-addressed phase: the chunk refcount audit
-// and the orphan chunk-file scan (repair reclaims them via GC).
+// auditCAS is fsck's content-addressed phase: the chunk reference audit
+// (refcounts, and lost chunk files no repair brings back) and the
+// orphan chunk-file scan (repair reclaims them via GC).
 func auditCAS(cas *store.CAS, rep *FsckReport, live func(string) bool, repair bool) {
 	if err := cas.CheckRefs(); err != nil {
-		rep.errorf("cas refcount audit: %v", err)
+		rep.errorf("cas reference audit: %v", err)
 	}
 	orphans, err := cas.OrphanChunkFiles()
 	if err != nil {

@@ -1,6 +1,9 @@
 package sdm
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"strings"
@@ -111,4 +114,63 @@ func TestFsckAbandonedUploads(t *testing.T) {
 		t.Fatalf("fsck -repair: %+v (err %v), want one repair and no error", rep, err)
 	}
 	assertFsckClean(t, dir, "after repair")
+}
+
+// TestFsckNamesLostCASChunk: fsck names the file whose cas chunk file is
+// gone — and only it — in verify and in repair mode alike, since no
+// repair brings the bytes back.
+func TestFsckNamesLostCASChunk(t *testing.T) {
+	const chunk = 4096
+	dir := filepath.Join(t.TempDir(), "bundle")
+	cl := NewCluster(ClusterConfig{Procs: 1})
+	for _, name := range []string{"a.dat", "b.dat"} {
+		if err := cl.StageFile(name, bytes.NewReader(bytes.Repeat([]byte(name[:1]), chunk))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cl.SaveBundleOpts(dir, BundleOptions{Backend: "cas", ChunkSize: chunk}); err != nil {
+		t.Fatal(err)
+	}
+	assertFsckClean(t, dir, "fresh cas bundle")
+	key := sha256.Sum256(bytes.Repeat([]byte("a"), chunk))
+	h := hex.EncodeToString(key[:])
+	if err := os.Remove(filepath.Join(dir, bundleDataDir, "chunks", h[:2], h)); err != nil {
+		t.Fatal(err)
+	}
+	for _, repair := range []bool{false, true} {
+		rep, err := FsckBundle(dir, repair)
+		if err != nil || len(rep.Errors) != 1 || !strings.Contains(rep.Errors[0], `objects ["a.dat"]`) {
+			t.Fatalf("fsck (repair %v) with a.dat's chunk file gone: errors %v (err %v), want one naming a.dat", repair, rep.Errors, err)
+		}
+	}
+}
+
+// TestDirBundleSweepsOldStaging: a dir bundle whose data dir holds a
+// staging file an earlier build's store left unpromoted opens, lists
+// only the manifest's files and fscks clean; opening the store removes
+// the file.
+func TestDirBundleSweepsOldStaging(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "bundle")
+	cl := NewCluster(ClusterConfig{Procs: 1})
+	if err := cl.StageFile("a.dat", strings.NewReader("saved")); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.SaveBundleOpts(dir, BundleOptions{Backend: "dir"}); err != nil {
+		t.Fatal(err)
+	}
+	stale := filepath.Join(dir, bundleDataDir, "%tmp%x")
+	if err := os.WriteFile(stale, []byte("unpromoted"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run, err := OpenBundle(dir, ClusterConfig{Procs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := run.ListFiles(); len(got) != 1 || got[0] != "a.dat" {
+		t.Errorf("the reopened bundle lists %v, want [a.dat]", got)
+	}
+	assertFsckClean(t, dir, "after an earlier build's staging file")
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Errorf("the staging file is still there (%v)", err)
+	}
 }

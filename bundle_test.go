@@ -13,7 +13,10 @@ import (
 	"strings"
 	"testing"
 
+	"sdm/internal/store"
 	"sdm/internal/store/objstore"
+	"sdm/meshgen"
+	"sdm/partitioner"
 )
 
 // writeDemoRun drives a small two-dataset, multi-timestep run and
@@ -1046,10 +1049,12 @@ func TestDisableWALSameBundle(t *testing.T) {
 // TestUnsavedRunLeavesBundle: a run on a reopened bundle that never
 // saves leaves the bundle as it was saved, for every backend kind — a
 // run that creates a file (Level 1) and one that appends to a saved
-// file (Level 3) alike, each also re-staging a saved input file. Every host file of the bundle (and, for obj,
-// every remote blob) keeps its bytes; the only thing the run may leave
-// on the host is a store's unpromoted staging. fsck stays clean, and a
-// fresh open reads every saved step and lists only the manifest's files.
+// file (Level 3) alike, each also re-staging a saved input file; a run
+// that removes a saved file; and a run whose import of a changed mesh
+// invalidates the saved index history, removing its file. Every host
+// file of the bundle (and, for obj, every remote blob) keeps its bytes,
+// fsck stays clean, and a fresh open reads every saved step and lists
+// only the manifest's files.
 func TestUnsavedRunLeavesBundle(t *testing.T) {
 	const (
 		procs   = 4
@@ -1110,13 +1115,51 @@ func TestUnsavedRunLeavesBundle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	mesh, err := meshgen.GenerateTet(2, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graph, err := partitioner.FromEdges(mesh.NumNodes(), mesh.Edge1, mesh.Edge2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vec, err := partitioner.Multilevel(graph, procs, partitioner.Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	changed := *mesh
+	changed.Edge1, changed.Edge2 = mesh.Edge2, mesh.Edge1
+	// runs are what the reopened run does before it ends unsaved; a nil
+	// run puts one more step and re-stages the input.
+	runs := []struct {
+		name  string
+		level FileOrganization
+		run   func(t *testing.T, cl *Cluster)
+	}{
+		{"level1", Level1, nil},
+		{"level3", Level3, nil},
+		{"remove", Level1, func(t *testing.T, cl *Cluster) {
+			if err := cl.FS.Remove("in.dat"); err != nil {
+				t.Fatal(err)
+			}
+			if cl.FS.Exists("in.dat") {
+				t.Fatal("the run still sees the file it removed")
+			}
+		}},
+		{"stale-history", Level1, func(t *testing.T, cl *Cluster) {
+			if partitionMesh(t, cl, &changed, vec) {
+				t.Fatal("a changed mesh replayed the saved history")
+			}
+		}},
+	}
 	for _, opts := range []BundleOptions{
 		{Backend: "dir"},
 		{Backend: "cas", Compress: true},
 		{Backend: "obj", PartSize: 16 << 10},
 	} {
-		for _, level := range []FileOrganization{Level1, Level3} {
-			t.Run(fmt.Sprintf("%s/level%d", opts.Backend, level), func(t *testing.T) {
+		for _, r := range runs {
+			t.Run(opts.Backend+"/"+r.name, func(t *testing.T) {
+				level := r.level
 				dir := filepath.Join(t.TempDir(), "bundle")
 				writer := NewCluster(ClusterConfig{Procs: procs})
 				writeDemoRunOpts(t, writer, globalN, steps, Options{Organization: level})
@@ -1124,47 +1167,53 @@ func TestUnsavedRunLeavesBundle(t *testing.T) {
 				if err := writer.StageFile("in.dat", bytes.NewReader(input)); err != nil {
 					t.Fatal(err)
 				}
+				if partitionMesh(t, writer, mesh, vec) {
+					t.Fatal("a cold run found a history")
+				}
 				if err := writer.SaveBundleOpts(dir, opts); err != nil {
 					t.Fatal(err)
 				}
 				saved, savedBlobs := treeDigest(t, dir), remoteBlobs(dir)
 				savedNames := writer.ListFiles()
 
-				// Reopen, attach, put one more step of both datasets, and
-				// do not save.
+				// Reopen, change the files, and do not save.
 				run, err := OpenBundle(dir, ClusterConfig{Procs: procs})
 				if err != nil {
 					t.Fatal(err)
 				}
-				before := len(run.ListFiles())
-				attach(run, level, func(g *Group, mapArr []int32) {
-					for _, ds := range []string{"pressure", "velocity"} {
-						vals := make([]float64, len(mapArr))
-						for i, gi := range mapArr {
-							vals[i] = demoValue(ds, steps, gi)
+				if r.run != nil {
+					r.run(t, run)
+				} else {
+					// Put one more step of both datasets and re-stage the
+					// input.
+					before := len(run.ListFiles())
+					attach(run, level, func(g *Group, mapArr []int32) {
+						for _, ds := range []string{"pressure", "velocity"} {
+							vals := make([]float64, len(mapArr))
+							for i, gi := range mapArr {
+								vals[i] = demoValue(ds, steps, gi)
+							}
+							if err := putAt(g, ds, steps, vals); err != nil {
+								t.Error(err)
+								return
+							}
 						}
-						if err := putAt(g, ds, steps, vals); err != nil {
-							t.Error(err)
-							return
-						}
+					})
+					if err := run.StageFile("in.dat", bytes.NewReader([]byte("restaged"))); err != nil {
+						t.Fatal(err)
 					}
-				})
-				if err := run.StageFile("in.dat", bytes.NewReader([]byte("restaged"))); err != nil {
-					t.Fatal(err)
-				}
-				if created := len(run.ListFiles()) > before; created != (level == Level1) {
-					t.Fatalf("the unsaved run created files: %v, want %v", created, level == Level1)
+					if created := len(run.ListFiles()) > before; created != (level == Level1) {
+						t.Fatalf("the unsaved run created files: %v, want %v", created, level == Level1)
+					}
 				}
 
 				if blobs := remoteBlobs(dir); !reflect.DeepEqual(blobs, savedBlobs) {
 					t.Errorf("the unsaved run changed the remote: %d blobs, saved %d", len(blobs), len(savedBlobs))
 				}
-				// fsck's store sweeps the run's unpromoted staging, if any;
-				// then every host file is as saved.
-				assertFsckClean(t, dir, "after an unsaved run")
 				if treeDigest(t, dir) != saved {
 					t.Error("the unsaved run changed the bundle's host files")
 				}
+				assertFsckClean(t, dir, "after an unsaved run")
 
 				fresh, err := OpenBundle(dir, ClusterConfig{Procs: procs})
 				if err != nil {
@@ -1175,6 +1224,9 @@ func TestUnsavedRunLeavesBundle(t *testing.T) {
 				}
 				if got, err := fresh.FS.ReadFile("in.dat"); err != nil || !bytes.Equal(got, input) {
 					t.Errorf("reopened bundle's in.dat reads %d bytes (%v), saved %d", len(got), err, len(input))
+				}
+				if !partitionMesh(t, fresh, mesh, vec) {
+					t.Error("reopened bundle's history does not replay")
 				}
 				attach(fresh, level, func(g *Group, mapArr []int32) {
 					for ts := int64(0); ts < steps; ts++ {
@@ -1196,6 +1248,109 @@ func TestUnsavedRunLeavesBundle(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestBundleOpenersKeepOwnWrites: two clusters opened on one saved
+// bundle each write the same file through their own store, and each
+// reads back only its own write; the bundle keeps its bytes.
+func TestBundleOpenersKeepOwnWrites(t *testing.T) {
+	for _, opts := range []BundleOptions{{Backend: "dir"}, {Backend: "cas"}, {Backend: "obj"}} {
+		t.Run(opts.Backend, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "bundle")
+			writer := NewCluster(ClusterConfig{Procs: 1})
+			if err := writer.StageFile("f.dat", strings.NewReader("oooooooooooooooo")); err != nil {
+				t.Fatal(err)
+			}
+			if err := writer.SaveBundleOpts(dir, opts); err != nil {
+				t.Fatal(err)
+			}
+			saved := treeDigest(t, dir)
+			open := func() store.Object {
+				cl, err := OpenBundle(dir, ClusterConfig{Procs: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				obj, err := cl.FS.Backend().Open("f.dat")
+				if err != nil {
+					t.Fatal(err)
+				}
+				return obj
+			}
+			openers := []struct {
+				obj         store.Object
+				data        string
+				off         int64
+				name, reads string
+			}{
+				{open(), "AAAA", 0, "A", "AAAAoooooooooooo"},
+				{open(), "BBBB", 10, "B", "ooooooooooBBBBoo"},
+			}
+			for _, o := range openers {
+				if _, err := o.obj.WriteAt([]byte(o.data), o.off); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, o := range openers {
+				got := make([]byte, o.obj.Size())
+				if _, err := o.obj.ReadAt(got, 0); err != nil {
+					t.Fatal(err)
+				}
+				if string(got) != o.reads {
+					t.Errorf("opener %s reads %q, want %q", o.name, got, o.reads)
+				}
+			}
+			if treeDigest(t, dir) != saved {
+				t.Error("the openers changed the bundle's host files")
+			}
+		})
+	}
+}
+
+// partitionMesh stages m as uns3d.msh on cl, imports its edge arrays and
+// partitions them by vec on every rank, registering the index history
+// when none was replayed. It reports whether one was.
+func partitionMesh(t *testing.T, cl *Cluster, m *meshgen.Mesh, vec []int32) (fromHist bool) {
+	t.Helper()
+	msh, layout, err := meshgen.EncodeMsh(m, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.StageFile("uns3d.msh", bytes.NewReader(msh)); err != nil {
+		t.Fatal(err)
+	}
+	err = cl.Run(func(p *Proc) {
+		s, err := p.Initialize("historydemo", Options{})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer s.Finalize()
+		imp, err := s.MakeImportlist("uns3d.msh", []ImportSpec{
+			{Name: "edge1", Type: Integer, FileOffset: layout.Edge1Offset(), Length: layout.NumEdges, Content: "INDEX"},
+			{Name: "edge2", Type: Integer, FileOffset: layout.Edge2Offset(), Length: layout.NumEdges, Content: "INDEX"},
+		})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		ip, err := s.PartitionIndex(imp, "edge1", "edge2", vec)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if p.Rank() == 0 {
+			fromHist = ip.FromHistory
+		}
+		if !ip.FromHistory {
+			if err := s.IndexRegistry(ip, layout.NumEdges, vec); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fromHist
 }
 
 // TestSaveHoldsOnePiece: a save streams each file into the bundle

@@ -194,7 +194,8 @@ func (cl *Cluster) SaveBundleOpts(dir string, opts BundleOptions) error {
 // on top of a saved bundle: any interrupted save is first rolled
 // forward or back through the write-ahead log, then the metadata
 // catalog is loaded from the bundle's snapshot and the file system
-// serves the bundle's bytes through its storage backend.
+// runs on a store.Mem over the bundle's storage backend, so the bundle
+// changes only when it is saved.
 // Options.AttachRun plus Manager.OpenGroup then reopen an earlier
 // run's datasets for reading or appending.
 func OpenBundle(dir string, cfg ClusterConfig) (*Cluster, error) {

@@ -2,7 +2,8 @@
 // bundle's consistency: the write-ahead log is replayed or rolled
 // back, the manifest's file inventory is checked against the backend,
 // the catalog snapshot is loaded, and content-addressed bundles get a
-// chunk refcount audit plus an orphan chunk-file sweep.
+// chunk reference audit (refcounts, lost chunk files) plus an orphan
+// chunk-file sweep.
 //
 // Usage:
 //

@@ -52,8 +52,9 @@ func (r *FsckReport) repairedf(format string, args ...any) {
 //   - file inventory: every manifest file exists in the backend at the
 //     manifest's size; backend objects the manifest does not name are
 //     orphans (repair removes them).
-//   - cas bundles: chunk refcount audit (store.CAS.CheckRefs) and an
-//     orphan chunk-file sweep (repair reclaims them via GC).
+//   - cas bundles: chunk reference audit (store.CAS.CheckRefs: refcounts
+//     and lost chunk files) and an orphan chunk-file sweep (repair
+//     reclaims them via GC).
 //   - obj bundles: abandoned multipart upload sessions on the remote —
 //     half-staged parts a crashed save left behind — are reported
 //     (repair aborts them).

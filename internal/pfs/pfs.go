@@ -789,9 +789,8 @@ func (h *Handle) ReadAtVec(p []byte, exts []Extent) (int, error) {
 // size, each going straight into the file, so no caller has to hold the
 // whole file in one buffer. The bytes land under a scratch name that
 // then replaces name by rename, so nothing of an old file shows through
-// where the new one is shorter, and the old file is never removed: a
-// store that stages renames until its Sync (a reopened bundle's) keeps
-// the saved file, and a failing src leaves the old file whole.
+// where the new one is shorter, and a failing src leaves the old file
+// whole.
 func (s *System) WriteFile(name string, src io.WriterTo) error {
 	scratch := writeFileScratch + name
 	if err := s.Remove(scratch); err != nil && !errors.Is(err, ErrNotExist) {
@@ -801,7 +800,7 @@ func (s *System) WriteFile(name string, src io.WriterTo) error {
 	if err != nil {
 		return err
 	}
-	_, err = src.WriteTo(&appender{obj: h.f.obj})
+	_, err = src.WriteTo(io.NewOffsetWriter(h.f.obj, 0))
 	h.Close()
 	if err != nil {
 		return errors.Join(err, s.Remove(scratch))
@@ -817,18 +816,6 @@ func (s *System) WriteFile(name string, src io.WriterTo) error {
 // writeFileScratch prefixes the name WriteFile writes a file under before
 // it replaces the real one. Reserved: no other file name starts with it.
 const writeFileScratch = ".stage~"
-
-// appender writes each Write after the one before it, from offset 0.
-type appender struct {
-	obj store.Object
-	off int64
-}
-
-func (a *appender) Write(p []byte) (int, error) {
-	n, err := a.obj.WriteAt(p, a.off)
-	a.off += int64(n)
-	return n, err
-}
 
 // ReadFile returns a file's full contents without cost accounting.
 func (s *System) ReadFile(name string) ([]byte, error) {

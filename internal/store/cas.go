@@ -11,6 +11,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -440,11 +441,19 @@ type GCStats struct {
 // count must equal the number of object slots naming it, every
 // referenced chunk must be in the pool, and no entry may linger at zero
 // references. It is the invariant GC (and every Remove) preserves.
-func (c *CAS) CheckRefs() error {
+// It also names the objects that reference a chunk whose file should be
+// on disk and is gone: their bytes can no longer be read.
+func (c *CAS) CheckRefs() error { return c.checkRefs(true) }
+
+// checkRefs is CheckRefs, checking chunk files only if files is set:
+// GC sweeps a pool whatever its lost files.
+func (c *CAS) checkRefs(files bool) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	want := make(map[chunkKey]int64, len(c.pool))
+	var lost []string
 	for name, o := range c.objs {
+		gone := false
 		for i, ch := range o.chunks {
 			if ch == nil {
 				continue
@@ -453,6 +462,13 @@ func (c *CAS) CheckRefs() error {
 				return fmt.Errorf("store: object %q slot %d references chunk %s missing from the pool", name, i, ch.key.hex())
 			}
 			want[ch.key]++
+			if files && ch.onDisk && !gone {
+				_, err := os.Stat(c.chunkPath(ch.key))
+				gone = err != nil
+			}
+		}
+		if gone {
+			lost = append(lost, name)
 		}
 	}
 	for key, ch := range c.pool {
@@ -462,6 +478,10 @@ func (c *CAS) CheckRefs() error {
 		if ch.refs <= 0 {
 			return fmt.Errorf("store: chunk %s lingers at refcount %d", key.hex(), ch.refs)
 		}
+	}
+	if lost != nil {
+		slices.Sort(lost)
+		return fmt.Errorf("store: chunk files gone for objects %q", lost)
 	}
 	return nil
 }
@@ -497,7 +517,7 @@ func (c *CAS) GC(live func(name string) bool) (GCStats, error) {
 		st.ObjectsRemoved++
 	}
 	c.mu.Unlock()
-	if err := c.CheckRefs(); err != nil {
+	if err := c.checkRefs(false); err != nil {
 		return st, err
 	}
 	c.mu.Lock()

@@ -33,9 +33,10 @@ func newObjBackend() *objstore.Backend {
 // backendsUnderTest builds one of every backend flavor, including a
 // cas with a deliberately small chunk size so op sequences cross chunk
 // boundaries, a disk-rooted compressed cas, a host dir (twice: once
-// opened through the compatibility DirOptions entry point), the
-// simulated remote object store (write-back staging + multipart
-// flush), and fault-injected flavors of each family behind a retry
+// opened through the compatibility DirOptions entry point), a Mem over
+// an empty host dir (an opened bundle's store), the simulated remote
+// object store (write-back staging + multipart flush), and
+// fault-injected flavors of each family behind a retry
 // layer — the conformance suite demands those behave byte- and
 // error-identically to the clean backends.
 func backendsUnderTest(t *testing.T) map[string]store.Backend {
@@ -45,6 +46,10 @@ func backendsUnderTest(t *testing.T) map[string]store.Backend {
 		t.Fatal(err)
 	}
 	atomicDir, err := store.NewDirOpts(filepath.Join(t.TempDir(), "adir"), store.DirOptions{AtomicWrites: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	overDir, err := store.NewDir(filepath.Join(t.TempDir(), "base"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,6 +64,7 @@ func backendsUnderTest(t *testing.T) map[string]store.Backend {
 		"mem":          store.NewMem(),
 		"dir":          diskDir,
 		"dir-atomic":   atomicDir,
+		"mem-over-dir": store.NewMemOver(overDir),
 		"cas":          openCAS(store.CASOptions{ChunkSize: 512}),
 		"cas-disk-zip": openCAS(store.CASOptions{ChunkSize: 512, Compress: true}),
 		"obj":          newObjBackend(),

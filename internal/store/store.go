@@ -12,7 +12,8 @@
 // Three implementations are provided:
 //
 //   - Mem: sparse in-memory pages — the original volatile store, and
-//     still the default for benchmarks.
+//     still the default for benchmarks; over a base (NewMemOver), the
+//     copy-on-write layer an opened bundle runs on.
 //   - Dir: one host file per object under a root directory, making a
 //     simulated file system's contents durable across OS processes.
 //   - CAS: content-addressed storage in the style of datamon's cafs —
@@ -110,9 +111,9 @@ type Backend interface {
 	Rename(oldName, newName string) error
 	// List returns all object names in lexical order.
 	List() ([]string, error)
-	// Sync makes what was written durable: a Dir fsyncs and promotes
-	// its staged files, a CAS writes and fsyncs its new chunk files and
-	// its manifest. A no-op for Mem.
+	// Sync makes what was written durable: a Dir fsyncs the files
+	// written since its last Sync and its root, a CAS writes and fsyncs
+	// its new chunk files and its manifest. A no-op for Mem.
 	Sync() error
 }
 

@@ -572,3 +572,63 @@ func TestObjstoreBundlePromotionServe(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestObjstoreRestartReadRequests: a restart read of an obj bundle —
+// open, attach, read every saved step — costs the remote the requests it
+// cost when the cluster ran on the bundle's backend itself: the Mem
+// over it opens each file in the base once, with no Stat first, and
+// reads in place. The counts are what this test measured on a cluster
+// running on the backend directly: one HEAD and one GET per file.
+func TestObjstoreRestartReadRequests(t *testing.T) {
+	const procs, globalN, steps = 4, 1 << 10, 2
+	const wantHeads, wantGets = 4, 4
+	dir := filepath.Join(t.TempDir(), "bundle")
+	writer := NewCluster(ClusterConfig{Procs: procs})
+	writeDemoRunOpts(t, writer, globalN, steps, Options{Organization: Level1})
+	if err := writer.SaveBundleOpts(dir, BundleOptions{Backend: "obj"}); err != nil {
+		t.Fatal(err)
+	}
+	svc := objstore.Dial(bundleEndpoint(dir, ""))
+	before := svc.Stats()
+	cl, err := OpenBundle(dir, ClusterConfig{Procs: procs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = cl.Run(func(p *Proc) {
+		s, err := p.Initialize("bundledemo", Options{Organization: Level1, AttachRun: 1})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer s.Finalize()
+		g, err := s.OpenGroup([]string{"pressure", "velocity"})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		mapArr := demoMap(p.Rank(), p.Size(), globalN)
+		if _, err := g.DataView([]string{"pressure", "velocity"}, mapArr); err != nil {
+			t.Error(err)
+			return
+		}
+		for ts := int64(0); ts < steps; ts++ {
+			for _, ds := range []string{"pressure", "velocity"} {
+				got, err := getAt(g, ds, ts, len(mapArr))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if want := demoValue(ds, ts, mapArr[0]); got[0] != want {
+					t.Errorf("%s@%d elem %d = %g, want %g", ds, ts, mapArr[0], got[0], want)
+				}
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := svc.Stats()
+	if heads, gets := after.Heads-before.Heads, after.Gets-before.Gets; heads != wantHeads || gets != wantGets {
+		t.Errorf("restart read: %d HEADs and %d GETs, want %d and %d", heads, gets, wantHeads, wantGets)
+	}
+}
