@@ -146,7 +146,7 @@ const bundleFormat = 1
 // ManifestError reports a MANIFEST.json that cannot be acted on:
 // unreadable, not JSON, or of a format this build does not understand.
 // Everything that derives a live set from the manifest and then removes
-// what is not in it (GC, the migrate and fsck sweeps) stops on it.
+// what is not in it (the migrate and fsck sweeps) stops on it.
 type ManifestError struct {
 	Path   string
 	Format int   // the manifest's format when it parsed but is unsupported
@@ -196,12 +196,12 @@ func (m *bundleManifest) encode() ([]byte, error) {
 // Per-directory serialization
 // ---------------------------------------------------------------------------
 
-// Bundle mutations (save, GC, recovery, fsck) on one directory must
-// not interleave: a GC computing its live set from the manifest while
-// a save is staging fresh objects would reclaim the save's data. One
-// mutex per cleaned absolute path serializes them, so the manifest
-// snapshot and the live-set computation happen under the same lock as
-// any racing save.
+// Bundle mutations (save, migration, recovery, fsck) on one directory
+// must not interleave: an fsck repair computing its live set from the
+// manifest while a save is staging fresh objects would remove the
+// save's data. One mutex per cleaned absolute path serializes them, so
+// the manifest snapshot and the live-set computation happen under the
+// same lock as any racing save.
 var (
 	bundleLocksMu sync.Mutex
 	bundleLocks   = map[string]*sync.Mutex{}
@@ -277,60 +277,6 @@ func saveBundle(cl *Cluster, dir string, opts BundleOptions) error {
 	}
 	opts.Metrics.Counter("bundle.saves").Add(1)
 	return nil
-}
-
-// RecoverBundle finishes or rolls back an interrupted SaveBundle in
-// dir: a save that reached its WAL commit point is rolled forward to
-// the new bundle, anything earlier is rolled back to the old one.
-// OpenBundle runs it implicitly; sdmfsck runs it under -repair.
-func RecoverBundle(dir string) error {
-	mu := bundleLock(dir)
-	mu.Lock()
-	defer mu.Unlock()
-	return recoverBundleLocked(dir, nil)
-}
-
-// ---------------------------------------------------------------------------
-// GC
-// ---------------------------------------------------------------------------
-
-// GCBundle garbage-collects a saved bundle's storage, driven by its
-// manifest: objects the manifest does not name are removed, and for
-// content-addressed bundles the chunk pool is swept — refcounts are
-// verified and on-disk chunk files no live object references (left by
-// an interrupted save) are reclaimed. The bundle's durable state is
-// re-synced afterwards, so a following OpenBundle sees exactly the
-// manifest's files. GC holds the bundle lock for its whole run: the
-// manifest snapshot and the live-set computation are atomic against a
-// racing SaveBundle, so a save's freshly staged objects can never be
-// swept.
-func GCBundle(dir string) (store.GCStats, error) {
-	var st store.GCStats
-	mu := bundleLock(dir)
-	mu.Lock()
-	defer mu.Unlock()
-	if err := recoverBundleLocked(dir, nil); err != nil {
-		return st, fmt.Errorf("sdm: recovering before gc: %w", err)
-	}
-	m, err := readManifest(dir)
-	if err != nil {
-		return st, fmt.Errorf("sdm: bundle gc: %w", err)
-	}
-	live := make(map[string]bool, len(m.Files))
-	for _, f := range m.Files {
-		live[f.Name] = true
-	}
-	b, err := openBundleStore(dir, m.Spec, nil)
-	if err != nil {
-		return st, err
-	}
-	if st, err = b.gc(func(name string) bool { return live[name] }); err != nil {
-		return st, fmt.Errorf("sdm: bundle gc: %w", err)
-	}
-	if err := b.Sync(); err != nil {
-		return st, fmt.Errorf("sdm: bundle gc sync: %w", err)
-	}
-	return st, nil
 }
 
 // ---------------------------------------------------------------------------

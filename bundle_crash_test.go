@@ -306,11 +306,12 @@ func TestBundleCrashWALTruncation(t *testing.T) {
 	}
 }
 
-// TestBundleCrashGCSaveRace is the regression test for GC reclaiming a
-// concurrent save's freshly staged objects: a save and a GC race on
-// the same directory, and whichever order the lock serializes them in,
-// the save's state must land intact.
-func TestBundleCrashGCSaveRace(t *testing.T) {
+// TestBundleCrashRepairSaveRace: fsck's repair removes what the
+// manifest does not name, so it must never remove a concurrent save's
+// freshly staged objects. A save and a repair race on the same
+// directory, and whichever order the lock serializes them in, the
+// save's state must land intact and the repair find nothing wrong.
+func TestBundleCrashRepairSaveRace(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "bundle")
 	opts := BundleOptions{Backend: "cas", ChunkSize: 512}
 	if err := crashCluster(t, crashOldFiles(), "v0").SaveBundleOpts(dir, opts); err != nil {
@@ -325,7 +326,8 @@ func TestBundleCrashGCSaveRace(t *testing.T) {
 		marker := fmt.Sprintf("v%d", i)
 		cl := crashCluster(t, files, marker)
 		var wg sync.WaitGroup
-		var saveErr, gcErr error
+		var saveErr, fsckErr error
+		var rep *FsckReport
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
@@ -333,14 +335,14 @@ func TestBundleCrashGCSaveRace(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			_, gcErr = GCBundle(dir)
+			rep, fsckErr = FsckBundle(dir, true)
 		}()
 		wg.Wait()
 		if saveErr != nil {
 			t.Fatalf("round %d: save: %v", i, saveErr)
 		}
-		if gcErr != nil {
-			t.Fatalf("round %d: gc: %v", i, gcErr)
+		if fsckErr != nil || len(rep.Errors) != 0 || rep.Orphans != 0 {
+			t.Fatalf("round %d: fsck -repair: %+v (err %v), want nothing to repair", i, rep, fsckErr)
 		}
 		got, gotMarker := readBundleState(t, dir)
 		if gotMarker != marker || !sameFiles(got, files) {

@@ -12,7 +12,7 @@ import (
 
 // This file is the bundle layer's one seam to its byte store: the only
 // place that names a backend kind or a kind's concrete type. Save,
-// migrate, recovery, GC and fsck work on a bundleStore and never ask
+// migrate, recovery and fsck work on a bundleStore and never ask
 // which kind it is (CI greps the rest of the package for the names).
 
 // bundleStore is a bundle directory's byte store, decorated as the
@@ -24,11 +24,8 @@ type bundleStore struct {
 	// begin record carry it, so that whoever reads either reopens this
 	// store: only the fields the kind uses, the endpoint resolved.
 	spec store.Spec
-	// gc removes every object live does not name and whatever else the
-	// kind strands (cas: chunk files no live object references).
-	gc func(live func(name string) bool) (store.GCStats, error)
 	// audit is fsck's kind-specific phase, after the inventory check.
-	audit func(rep *FsckReport, live func(name string) bool, repair bool)
+	audit func(rep *FsckReport, repair bool)
 	// abortUploads discards the upload sessions a dead writer left on a
 	// remote, which outlives the process that died. Callers hold the
 	// bundle lock, so no live save owns a session.
@@ -58,10 +55,9 @@ func openBundleStore(dir string, sp store.Spec, opts *BundleOptions) (*bundleSto
 	}
 	dataDir := filepath.Join(dir, bundleDataDir)
 	st := &bundleStore{
-		audit:        func(*FsckReport, func(string) bool, bool) {},
+		audit:        func(*FsckReport, bool) {},
 		abortUploads: func() {},
 	}
-	st.gc = func(live func(string) bool) (store.GCStats, error) { return sweepUnnamed(st.Backend, live) }
 	switch sp.Backend {
 	case "dir":
 		b, err := store.NewDir(dataDir)
@@ -77,8 +73,7 @@ func openBundleStore(dir string, sp store.Spec, opts *BundleOptions) (*bundleSto
 		}
 		st.Backend = cas
 		sp.Endpoint, sp.PartSize = "", 0
-		st.gc = cas.GC
-		st.audit = func(rep *FsckReport, live func(string) bool, repair bool) { auditCAS(cas, rep, live, repair) }
+		st.audit = func(rep *FsckReport, repair bool) { auditCAS(cas, rep, repair) }
 	case "obj":
 		// The endpoint defaults to a pure function of the bundle path, so
 		// a save, a crash recovery, and a later open all dial the same
@@ -86,7 +81,7 @@ func openBundleStore(dir string, sp store.Spec, opts *BundleOptions) (*bundleSto
 		sp.Endpoint = bundleEndpoint(dir, sp.Endpoint)
 		svc := objstore.Dial(sp.Endpoint)
 		st.Backend = objstore.New(svc, objstore.Options{PartSize: sp.PartSize, Retry: opts.Retry})
-		st.audit = func(rep *FsckReport, _ func(string) bool, repair bool) { auditUploads(svc, rep, repair) }
+		st.audit = func(rep *FsckReport, repair bool) { auditUploads(svc, rep, repair) }
 		st.abortUploads = func() { svc.AbortAllUploads() }
 		registerObjstoreMetrics(opts.Metrics, svc)
 	default:
@@ -124,30 +119,10 @@ func guessSpec(dir string) store.Spec {
 	return store.Spec{Backend: "dir"}
 }
 
-// sweepUnnamed is the gc of a store with no structure beyond its
-// namespace: list, and remove what live does not name.
-func sweepUnnamed(b store.Backend, live func(string) bool) (store.GCStats, error) {
-	var gs store.GCStats
-	names, err := b.List()
-	if err != nil {
-		return gs, fmt.Errorf("listing: %w", err)
-	}
-	for _, n := range names {
-		if live(n) {
-			continue
-		}
-		if err := b.Remove(n); err != nil {
-			return gs, fmt.Errorf("removing %q: %w", n, err)
-		}
-		gs.ObjectsRemoved++
-	}
-	return gs, nil
-}
-
 // auditCAS is fsck's content-addressed phase: the chunk reference audit
 // (refcounts, and lost chunk files no repair brings back) and the
-// orphan chunk-file scan (repair reclaims them via GC).
-func auditCAS(cas *store.CAS, rep *FsckReport, live func(string) bool, repair bool) {
+// orphan chunk-file scan, whose files repair removes.
+func auditCAS(cas *store.CAS, rep *FsckReport, repair bool) {
 	if err := cas.CheckRefs(); err != nil {
 		rep.errorf("cas reference audit: %v", err)
 	}
@@ -161,16 +136,15 @@ func auditCAS(cas *store.CAS, rep *FsckReport, live func(string) bool, repair bo
 	}
 	rep.Orphans += orphans
 	if !repair {
-		rep.errorf("cas: %d orphan chunk files on disk (repair reclaims them)", orphans)
+		rep.errorf("cas: %d orphan chunk files on disk (repair removes them)", orphans)
 		return
 	}
-	gs, err := cas.GC(live)
+	removed, err := cas.RemoveOrphanChunkFiles()
 	if err != nil {
-		rep.errorf("cas gc: %v", err)
+		rep.errorf("cas: %v", err)
 		return
 	}
-	rep.repairedf("cas gc reclaimed %d orphan chunk files (%d chunks, %d bytes)",
-		gs.OrphansRemoved, gs.ChunksReclaimed, gs.BytesReclaimed)
+	rep.repairedf("cas: removed %d orphan chunk files", removed)
 }
 
 // auditUploads is fsck's remote phase: multipart sessions no live save

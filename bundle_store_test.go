@@ -71,8 +71,9 @@ func TestRollbackTornLogGuessesStore(t *testing.T) {
 			if err := os.Truncate(filepath.Join(dir, bundleWALName), 3); err != nil {
 				t.Fatal(err)
 			}
-			if err := RecoverBundle(dir); err != nil {
-				t.Fatal(err)
+			rep, err := FsckBundle(dir, true)
+			if err != nil || rep.WALAction != "rolled-back" {
+				t.Fatalf("fsck -repair: %+v (err %v), want a rollback", rep, err)
 			}
 			for _, gone := range []string{bundleWALName, bundleCatalogStage} {
 				if _, err := os.Stat(filepath.Join(dir, gone)); !os.IsNotExist(err) {

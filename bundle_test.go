@@ -3,6 +3,7 @@ package sdm
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -10,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -615,59 +617,189 @@ func readDemoRun(t *testing.T, cl *Cluster, globalN, steps int) {
 	}
 }
 
-// TestBundleGC: orphan chunk files (an interrupted save) and objects
-// missing from the manifest are reclaimed by GCBundle, after which the
-// bundle still opens and reads back correctly.
-func TestBundleGC(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "bundle")
+// TestFsckRepairReclaimsOrphans: what a crash strands — an object the
+// manifest does not name on any kind of store, and on cas a chunk file
+// no pool entry names — is removed by FsckBundle(dir, true), the one
+// cleanup, and by nothing else. The repair reports exactly the planted
+// orphan, leaves the bundle as the save left it, and the run reads back.
+func TestFsckRepairReclaimsOrphans(t *testing.T) {
 	cl := NewCluster(ClusterConfig{Procs: 4})
 	writeDemoRun(t, cl, 1<<12, 2)
-	if err := cl.SaveBundleOpts(dir, BundleOptions{Backend: "cas"}); err != nil {
-		t.Fatal(err)
+	staleObject := func(t *testing.T, _ string, b *bundleStore) {
+		o, err := b.Create("stale.dat")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := o.WriteAt([]byte("leftover"), 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Sync(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Plant an orphan chunk file, as an interrupted save would leave.
-	orphan := filepath.Join(dir, "data", "chunks", "zz", strings.Repeat("ab", 32))
-	if err := os.MkdirAll(filepath.Dir(orphan), 0o755); err != nil {
-		t.Fatal(err)
+	orphanChunk := func(t *testing.T, dir string, _ *bundleStore) {
+		orphan := filepath.Join(dir, bundleDataDir, "chunks", "zz", strings.Repeat("ab", 32))
+		if err := os.MkdirAll(filepath.Dir(orphan), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(orphan, []byte("stale"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := os.WriteFile(orphan, []byte("stale"), 0o644); err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		name, backend string
+		plant         func(t *testing.T, dir string, b *bundleStore)
+	}{
+		{"dir/object", "dir", staleObject},
+		{"cas/object", "cas", staleObject},
+		{"obj/object", "obj", staleObject},
+		{"cas/chunk-file", "cas", orphanChunk},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "bundle")
+			if err := cl.SaveBundleOpts(dir, BundleOptions{Backend: c.backend}); err != nil {
+				t.Fatal(err)
+			}
+			saved := treeDigest(t, dir)
+			m, err := readManifest(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := openBundleStore(dir, m.Spec, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.plant(t, dir, b)
+			rep, err := FsckBundle(dir, true)
+			if err != nil || len(rep.Errors) != 0 || rep.Orphans != 1 || len(rep.Repaired) != 1 {
+				t.Fatalf("fsck -repair: %+v (err %v), want the one planted orphan removed", rep, err)
+			}
+			assertFsckClean(t, dir, "after repair")
+			if got := treeDigest(t, dir); got != saved {
+				t.Error("the repaired bundle's files differ from the saved ones")
+			}
+			assertNoGarbage(t, dir, "after repair")
+			cl2, err := OpenBundle(dir, ClusterConfig{Procs: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			readDemoRun(t, cl2, 1<<12, 2)
+		})
 	}
-	st, err := GCBundle(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.OrphansRemoved != 1 || st.ObjectsRemoved != 0 {
-		t.Fatalf("gc stats %+v, want exactly the planted orphan removed", st)
-	}
-	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
-		t.Fatal("orphan chunk survived GCBundle")
-	}
-	// The bundle still opens and the run reads back.
-	cl2, err := OpenBundle(dir, ClusterConfig{Procs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	readDemoRun(t, cl2, 1<<12, 2)
+}
 
-	// A dir-backed bundle prunes objects the manifest does not name.
-	dir2 := filepath.Join(t.TempDir(), "bundle2")
-	if err := cl.SaveBundle(dir2); err != nil {
-		t.Fatal(err)
-	}
-	stale := filepath.Join(dir2, "data", "stale.dat")
-	if err := os.WriteFile(stale, []byte("leftover"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st2, err := GCBundle(dir2)
+// assertNoGarbage fails unless the bundle's store holds exactly the
+// manifest's objects and, on cas, its root exactly the pool's chunk
+// files.
+func assertNoGarbage(t *testing.T, dir, ctx string) {
+	t.Helper()
+	m, err := readManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.ObjectsRemoved != 1 {
-		t.Fatalf("dir bundle gc stats %+v, want one stale object removed", st2)
+	b, err := openBundleStore(dir, m.Spec, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Fatal("stale object survived dir-bundle gc")
+	names, err := b.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, f := range m.Files {
+		want = append(want, f.Name)
+	}
+	slices.Sort(names)
+	slices.Sort(want)
+	if !slices.Equal(names, want) {
+		t.Fatalf("%s: the store holds %q, the manifest names %q", ctx, names, want)
+	}
+	if m.Spec.Backend != "cas" {
+		return
+	}
+	root := filepath.Join(dir, bundleDataDir)
+	raw, err := os.ReadFile(filepath.Join(root, "objects.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pool struct{ Pool map[string]json.RawMessage }
+	if err := json.Unmarshal(raw, &pool); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(root, "chunks", "*", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if _, ok := pool.Pool[filepath.Base(f)]; !ok {
+			t.Errorf("%s: chunk file %s lies outside the pool", ctx, filepath.Base(f))
+		}
+	}
+	if len(files) != len(pool.Pool) {
+		t.Errorf("%s: %d chunk files for %d pool entries", ctx, len(files), len(pool.Pool))
+	}
+}
+
+// TestCommittedBundleHoldsNoGarbage: every save sweeps up after itself,
+// so only a crash leaves anything for fsck's repair to remove. Three
+// saves go into one bundle of each kind — a fresh save; an in-place
+// save after a remove, a rewrite and an add; a save from a reopened
+// cluster after another remove and add — and after each one a strict
+// fsck finds no orphan and the store holds nothing the manifest does
+// not name.
+func TestCommittedBundleHoldsNoGarbage(t *testing.T) {
+	stage := func(t *testing.T, cl *Cluster, name string, tag byte) {
+		t.Helper()
+		if err := cl.StageFile(name, bytes.NewReader(crashPattern(tag, 2500))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	remove := func(t *testing.T, cl *Cluster, name string) {
+		t.Helper()
+		if err := cl.FS.Remove(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, opts := range []BundleOptions{
+		{Backend: "dir"},
+		{Backend: "cas", ChunkSize: 512},
+		{Backend: "obj", PartSize: 1 << 10},
+	} {
+		t.Run(opts.Backend, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "bundle")
+			save := func(cl *Cluster, ctx string, want ...string) {
+				t.Helper()
+				if err := cl.SaveBundleOpts(dir, opts); err != nil {
+					t.Fatal(err)
+				}
+				rep, err := FsckBundle(dir, false)
+				if err != nil || len(rep.Errors) != 0 || rep.Orphans != 0 {
+					t.Fatalf("%s: fsck %+v (err %v), want clean with no orphan", ctx, rep, err)
+				}
+				assertNoGarbage(t, dir, ctx)
+				if got := cl.ListFiles(); !slices.Equal(got, want) {
+					t.Fatalf("%s: saved %q, want %q", ctx, got, want)
+				}
+			}
+			cl := NewCluster(ClusterConfig{Procs: 2})
+			for i, name := range []string{"a.dat", "b.dat", "c.dat"} {
+				stage(t, cl, name, byte('a'+i))
+			}
+			save(cl, "fresh save", "a.dat", "b.dat", "c.dat")
+
+			remove(t, cl, "a.dat")
+			stage(t, cl, "b.dat", 'B')
+			stage(t, cl, "d.dat", 'd')
+			save(cl, "in-place save", "b.dat", "c.dat", "d.dat")
+
+			reopened, err := OpenBundle(dir, ClusterConfig{Procs: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			remove(t, reopened, "c.dat")
+			stage(t, reopened, "e.dat", 'e')
+			save(reopened, "reopened save", "b.dat", "d.dat", "e.dat")
+		})
 	}
 }
 
@@ -912,7 +1044,7 @@ func futureBundle(t *testing.T, dir string, files map[string][]byte) {
 }
 
 // TestUnsupportedManifestStopsDestructivePaths: everything that derives
-// a live set from MANIFEST.json and removes what is not in it — GC, a
+// a live set from MANIFEST.json and removes what is not in it — a
 // migration reading it as source, a migration sweeping it as existing
 // destination, fsck in repair mode — refuses a manifest of a format it
 // does not understand and leaves the bundle byte-identical.
@@ -939,11 +1071,8 @@ func TestUnsupportedManifestStopsDestructivePaths(t *testing.T) {
 			t.Fatalf("%s changed the other bundle", op)
 		}
 	}
-	_, err := GCBundle(future)
-	refused("GCBundle", err)
-
 	dst := filepath.Join(base, "dst")
-	_, err = MigrateBundle(future, dst, BundleOptions{Backend: "dir"})
+	_, err := MigrateBundle(future, dst, BundleOptions{Backend: "dir"})
 	refused("MigrateBundle (source)", err)
 	if _, err := os.Stat(filepath.Join(dst, bundleManifestName)); !os.IsNotExist(err) {
 		t.Errorf("a destination bundle was committed from an unreadable source (stat: %v)", err)

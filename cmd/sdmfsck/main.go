@@ -22,7 +22,7 @@ import (
 )
 
 func main() {
-	repair := flag.Bool("repair", false, "fix what can be fixed: replay/roll back the WAL, remove orphans, GC the cas pool")
+	repair := flag.Bool("repair", false, "fix what can be fixed: replay/roll back the WAL, remove orphan objects, cas chunk files and abandoned uploads")
 	quiet := flag.Bool("q", false, "print nothing on a clean bundle")
 	flag.Parse()
 	if flag.NArg() != 1 {

@@ -43,7 +43,9 @@ func (r *FsckReport) repairedf(format string, args ...any) {
 	r.Repaired = append(r.Repaired, fmt.Sprintf(format, args...))
 }
 
-// FsckBundle verifies (and with repair, fixes) a saved bundle:
+// FsckBundle verifies (and with repair, fixes) a saved bundle. Repair
+// is the bundle's one cleanup: saves, roll-forwards and rollbacks sweep
+// up after themselves, so only a crash leaves what it removes.
 //
 //   - write-ahead log: a pending wal.log is reported; repair mode
 //     replays a committed save or rolls an uncommitted one back.
@@ -53,14 +55,15 @@ func (r *FsckReport) repairedf(format string, args ...any) {
 //     manifest's size; backend objects the manifest does not name are
 //     orphans (repair removes them).
 //   - cas bundles: chunk reference audit (store.CAS.CheckRefs: refcounts
-//     and lost chunk files) and an orphan chunk-file sweep (repair
-//     reclaims them via GC).
+//     and lost chunk files) and the chunk files no pool entry names
+//     (store.CAS.OrphanChunkFiles; repair removes them unless the
+//     refcounts are inconsistent).
 //   - obj bundles: abandoned multipart upload sessions on the remote —
 //     half-staged parts a crashed save left behind — are reported
 //     (repair aborts them).
 //
 // It holds the bundle lock throughout, so it is safe against
-// concurrent saves and GCs.
+// concurrent saves, migrations and other fscks.
 func FsckBundle(dir string, repair bool) (*FsckReport, error) {
 	rep := &FsckReport{}
 	mu := bundleLock(dir)
@@ -155,7 +158,7 @@ func FsckBundle(dir string, repair bool) (*FsckReport, error) {
 
 	// Phases 5 and 6: what only this kind of store can get wrong — see
 	// the list above.
-	b.audit(rep, func(name string) bool { return live[name] }, repair)
+	b.audit(rep, repair)
 	if repair {
 		if err := b.Sync(); err != nil {
 			rep.errorf("backend sync: %v", err)

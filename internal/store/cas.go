@@ -422,34 +422,24 @@ func (o *casObject) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Durability
+// Audit
 // ---------------------------------------------------------------------------
-
-// ---------------------------------------------------------------------------
-// Garbage collection
-// ---------------------------------------------------------------------------
-
-// GCStats reports what a garbage-collection sweep reclaimed.
-type GCStats struct {
-	ObjectsRemoved  int   // named objects dropped by the live filter
-	ChunksReclaimed int   // pool entries whose last reference went with them
-	BytesReclaimed  int64 // stored bytes of those chunks
-	OrphansRemoved  int   // on-disk chunk files no pool entry references
-}
 
 // CheckRefs verifies refcount consistency: every pool entry's reference
 // count must equal the number of object slots naming it, every
 // referenced chunk must be in the pool, and no entry may linger at zero
-// references. It is the invariant GC (and every Remove) preserves.
+// references. It is the invariant every Remove preserves.
 // It also names the objects that reference a chunk whose file should be
 // on disk and is gone: their bytes can no longer be read.
-func (c *CAS) CheckRefs() error { return c.checkRefs(true) }
-
-// checkRefs is CheckRefs, checking chunk files only if files is set:
-// GC sweeps a pool whatever its lost files.
-func (c *CAS) checkRefs(files bool) error {
+func (c *CAS) CheckRefs() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.checkRefs(true)
+}
+
+// checkRefs is CheckRefs, checking chunk files only if files is set:
+// orphan removal needs sound refcounts, not every file. Callers hold c.mu.
+func (c *CAS) checkRefs(files bool) error {
 	want := make(map[chunkKey]int64, len(c.pool))
 	var lost []string
 	for name, o := range c.objs {
@@ -486,58 +476,8 @@ func (c *CAS) checkRefs(files bool) error {
 	return nil
 }
 
-// GC sweeps the chunk pool: every object for which live reports false
-// is removed (releasing its chunk references, exactly as Remove would),
-// refcount consistency is verified, and chunk files on disk that no
-// pool entry references (left by a crashed process whose manifest
-// update never landed) are deleted. Run bundles drive it with the
-// manifest's file list as the live set.
-func (c *CAS) GC(live func(name string) bool) (GCStats, error) {
-	var st GCStats
-	c.mu.Lock()
-	names := make([]string, 0, len(c.objs))
-	for n := range c.objs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		if live != nil && live(n) {
-			continue
-		}
-		o := c.objs[n]
-		for _, ch := range o.chunks {
-			if ch != nil && ch.refs == 1 {
-				st.ChunksReclaimed++
-				st.BytesReclaimed += ch.stored
-			}
-			c.deref(ch)
-		}
-		o.chunks, o.size = nil, 0
-		delete(c.objs, n)
-		st.ObjectsRemoved++
-	}
-	c.mu.Unlock()
-	if err := c.checkRefs(false); err != nil {
-		return st, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	orphans, err := c.orphanFiles()
-	if err != nil {
-		return st, err
-	}
-	for _, path := range orphans {
-		if err := os.Remove(path); err != nil {
-			return st, fmt.Errorf("store: gc removing orphan chunk: %w", err)
-		}
-		st.OrphansRemoved++
-	}
-	return st, nil
-}
-
 // OrphanChunkFiles counts on-disk chunk files no pool entry references
-// (left by an interrupted save) without removing them — GC's sweep as
-// a dry run, for fsck's verify mode.
+// (left by an interrupted save) without removing them.
 func (c *CAS) OrphanChunkFiles() (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -545,8 +485,30 @@ func (c *CAS) OrphanChunkFiles() (int, error) {
 	return len(orphans), err
 }
 
+// RemoveOrphanChunkFiles deletes the files OrphanChunkFiles counts and
+// returns how many went. It deletes nothing while the refcounts are
+// inconsistent: a file is judged by the pool, so the pool must be sound.
+func (c *CAS) RemoveOrphanChunkFiles() (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.checkRefs(false); err != nil {
+		return 0, fmt.Errorf("store: keeping orphan chunk files: %w", err)
+	}
+	orphans, err := c.orphanFiles()
+	if err != nil {
+		return 0, err
+	}
+	for i, path := range orphans {
+		if err := os.Remove(path); err != nil {
+			return i, fmt.Errorf("store: removing orphan chunk file: %w", err)
+		}
+	}
+	return len(orphans), nil
+}
+
 // orphanFiles lists the chunk files under the root that no pool entry
-// references. Callers hold c.mu.
+// references. A chunk freed since the last Sync is not one: the manifest
+// on disk may still name it, and Sync deletes its file. Callers hold c.mu.
 func (c *CAS) orphanFiles() ([]string, error) {
 	dirs, err := os.ReadDir(filepath.Join(c.root, "chunks"))
 	if err != nil {
@@ -554,6 +516,10 @@ func (c *CAS) orphanFiles() ([]string, error) {
 			return nil, nil
 		}
 		return nil, fmt.Errorf("store: scanning chunk dir: %w", err)
+	}
+	freed := make(map[chunkKey]bool, len(c.freed))
+	for _, key := range c.freed {
+		freed[key] = true
 	}
 	var orphans []string
 	for _, d := range dirs {
@@ -568,7 +534,7 @@ func (c *CAS) orphanFiles() ([]string, error) {
 		for _, f := range files {
 			kb, err := hex.DecodeString(f.Name())
 			if err == nil && len(kb) == sha256.Size {
-				if _, ok := c.pool[chunkKey(kb)]; ok {
+				if _, ok := c.pool[chunkKey(kb)]; ok || freed[chunkKey(kb)] {
 					continue
 				}
 			}

@@ -55,7 +55,7 @@ func IsTransient(err error) bool { return errors.Is(err, ErrUnavailable) }
 
 // Spec names a bundle's byte store and its geometry. It is recorded twice,
 // under the same JSON keys — in the bundle manifest and in the write-ahead
-// log's begin record — so open, GC, fsck and crash recovery all rebuild the
+// log's begin record — so open, fsck and crash recovery all rebuild the
 // store a save wrote through. Which fields a kind reads is the bundle
 // layer's business (its one constructor); this package only carries them.
 type Spec struct {
