@@ -28,7 +28,7 @@ func BenchmarkFigures(b *testing.B) {
 		b.Run(fig.Name, func(b *testing.B) {
 			sums := map[string]float64{}
 			for i := 0; i < b.N; i++ {
-				rows, err := fig.Run(benchScale, sdm.NewCluster)
+				rows, err := fig.Run(&workloads.Inputs{Scale: benchScale}, sdm.NewCluster)
 				if err != nil {
 					b.Fatal(err)
 				}

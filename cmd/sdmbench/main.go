@@ -141,6 +141,7 @@ func main() {
 
 	selected := false
 	var broken []string
+	in := &workloads.Inputs{Scale: sc}
 	for i := range workloads.Figures {
 		fig := &workloads.Figures[i]
 		if *experiment != "all" && *experiment != fig.Name &&
@@ -148,7 +149,7 @@ func main() {
 			continue
 		}
 		selected = true
-		rows, err := fig.Run(sc, newCluster)
+		rows, err := fig.Run(in, newCluster)
 		if err != nil {
 			log.Fatalf("%s: %v", fig.Name, err)
 		}

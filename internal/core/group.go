@@ -1,9 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 
 	"sdm/internal/catalog"
@@ -389,7 +389,8 @@ func newView(mapArr []int32, elemSize, globalN int64) (*View, error) {
 	for i := range perm {
 		perm[i] = int32(i)
 	}
-	sort.Slice(perm, func(a, b int) bool { return mapArr[perm[a]] < mapArr[perm[b]] })
+	// Equal keys are refused below, so their order never matters.
+	slices.SortFunc(perm, func(a, b int32) int { return cmp.Compare(mapArr[a], mapArr[b]) })
 	displs := make([]int, len(mapArr))
 	for i, p := range perm {
 		gidx := mapArr[p]

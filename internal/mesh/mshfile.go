@@ -84,7 +84,10 @@ const mshChunk = 64 << 10
 // WriteTo asks for data array k (EdgeData(k), NodeData(k)) only when it
 // writes it and keeps no reference to it afterwards, so a caller that
 // synthesizes the arrays holds one at a time, and the encoded file
-// exists whole only in its destination.
+// exists whole only in its destination. With Mesh.EdgeData and
+// Mesh.NodeData as the synthesizers, each array is made afresh on every
+// write, its sines and cosines looked up in a memo that lives for that
+// one call (see trigMemo): the bytes are those of direct evaluation.
 type Msh struct {
 	Mesh                   *Mesh
 	EdgeArrays, NodeArrays int

@@ -44,15 +44,23 @@ func (r *RT) Mesh() *Mesh { return r.mesh }
 // NumTriangles reports the boundary triangle count.
 func (r *RT) NumTriangles() int { return len(r.tris) }
 
-// interfaceHeight is the perturbed interface z-position at (x, y) and
-// time t: a single-mode perturbation growing exponentially (linear
-// regime) and saturating (nonlinear regime).
-func (r *RT) interfaceHeight(x, y, t float64) float64 {
+// amplitude is the interface perturbation's amplitude at time t,
+// growing exponentially (linear regime) and saturating (nonlinear
+// regime).
+func (r *RT) amplitude(t float64) float64 {
 	amp := r.amp0 * math.Exp(r.growth*t)
 	if amp > 0.25 {
 		amp = 0.25 + 0.1*math.Tanh((amp-0.25)*4) // saturation
 	}
-	return 0.5 + amp*math.Cos(r.waveNumX*x)*math.Cos(r.waveNumY*y)
+	return amp
+}
+
+// interfaceHeight is the perturbed interface z-position at (x, y) for
+// perturbation amplitude amp: a single-mode perturbation, its cosines
+// taken through cos, a trigMemo of math.Cos (the lattice repeats a few
+// x and y values, see Mesh.EdgeData).
+func (r *RT) interfaceHeight(amp, x, y float64, cos *trigMemo) float64 {
+	return 0.5 + amp*cos.at(r.waveNumX*x)*cos.at(r.waveNumY*y)
 }
 
 // NodeDataset returns the density field at checkpoint time t: heavy
@@ -60,8 +68,11 @@ func (r *RT) interfaceHeight(x, y, t float64) float64 {
 func (r *RT) NodeDataset(t float64) []float64 {
 	out := make([]float64, r.mesh.NumNodes())
 	rhoH, rhoL := 1+r.atwood, 1-r.atwood
+	amp := r.amplitude(t)
+	var cos trigMemo
+	cos.reset(math.Cos)
 	for i, c := range r.mesh.Coords {
-		h := r.interfaceHeight(c[0], c[1], t)
+		h := r.interfaceHeight(amp, c[0], c[1], &cos)
 		s := math.Tanh((c[2] - h) * 20) // -1 below, +1 above
 		out[i] = (rhoH+rhoL)/2 + s*(rhoH-rhoL)/2
 	}
@@ -73,6 +84,9 @@ func (r *RT) NodeDataset(t float64) []float64 {
 // the application visualizes.
 func (r *RT) TriangleDataset(t float64) []float64 {
 	out := make([]float64, len(r.tris))
+	amp := r.amplitude(t)
+	var cos trigMemo
+	cos.reset(math.Cos)
 	for i, tri := range r.tris {
 		var cx, cy, cz float64
 		for _, n := range tri {
@@ -81,7 +95,7 @@ func (r *RT) TriangleDataset(t float64) []float64 {
 			cz += r.mesh.Coords[n][2]
 		}
 		cx, cy, cz = cx/3, cy/3, cz/3
-		h := r.interfaceHeight(cx, cy, t)
+		h := r.interfaceHeight(amp, cx, cy, &cos)
 		out[i] = math.Exp(-(cz - h) * (cz - h) * 50)
 	}
 	return out
@@ -90,11 +104,7 @@ func (r *RT) TriangleDataset(t float64) []float64 {
 // MixingWidth is a scalar diagnostic (the vertical extent over which
 // densities are mixed), handy for example programs to print progress.
 func (r *RT) MixingWidth(t float64) float64 {
-	amp := r.amp0 * math.Exp(r.growth*t)
-	if amp > 0.25 {
-		amp = 0.25 + 0.1*math.Tanh((amp-0.25)*4)
-	}
-	return 2 * amp
+	return 2 * r.amplitude(t)
 }
 
 func (r *RT) String() string {

@@ -122,27 +122,75 @@ func (m *Mesh) BoundaryTriangles() [][3]int32 {
 
 // EdgeData synthesizes a deterministic per-edge double array (array k
 // of the FUN3D import set): a smooth function of the edge midpoint so
-// values are meaningful for the sweep kernel and reproducible.
+// values are meaningful for the sweep kernel and reproducible. A
+// lattice's midpoints repeat a few values per axis, so the sine and the
+// cosine go through a trigMemo each and are evaluated once per distinct
+// argument; the values are bit-identical to evaluating every edge.
 func (m *Mesh) EdgeData(k int) []float64 {
 	out := make([]float64, m.NumEdges())
 	phase := float64(k+1) * 0.7
+	var sin, cos trigMemo
+	sin.reset(math.Sin)
+	cos.reset(math.Cos)
 	for i := range out {
 		a, b := m.Coords[m.Edge1[i]], m.Coords[m.Edge2[i]]
 		mx := (a[0] + b[0]) / 2
 		my := (a[1] + b[1]) / 2
 		mz := (a[2] + b[2]) / 2
-		out[i] = math.Sin(phase+3*mx) * math.Cos(phase+2*my) * (1 + mz)
+		out[i] = sin.at(phase+3*mx) * cos.at(phase+2*my) * (1 + mz)
 	}
 	return out
 }
 
 // NodeData synthesizes a deterministic per-node double array (array k
-// of the FUN3D import set).
+// of the FUN3D import set), its cosine through a trigMemo as in
+// EdgeData.
 func (m *Mesh) NodeData(k int) []float64 {
 	out := make([]float64, m.NumNodes())
 	phase := float64(k+1) * 1.3
+	var cos trigMemo
+	cos.reset(math.Cos)
 	for i, c := range m.Coords {
-		out[i] = math.Cos(phase+2*c[0]+c[1]) * (1 + c[2]*c[2])
+		out[i] = cos.at(phase+2*c[0]+c[1]) * (1 + c[2]*c[2])
 	}
 	return out
+}
+
+// memoBits sizes a trigMemo: 4096 slots of 16 bytes, small enough to
+// live on the caller's stack.
+const memoBits = 12
+
+// trigMemo remembers a pure function's value at recently seen
+// arguments, keyed by the argument's exact float64 bits. It is a
+// direct-mapped table: each argument hashes to one slot, a hit returns
+// the stored value, and a miss (or two arguments sharing a slot)
+// evaluates and overwrites. Equal bits give equal values, so what at
+// returns is bit-identical to calling the function, whatever the
+// arguments. reset fills every slot with the function's value at +0,
+// so no slot is ever empty.
+type trigMemo struct {
+	fn    func(float64) float64
+	slots [1 << memoBits]struct {
+		bits uint64
+		val  float64
+	}
+}
+
+// reset makes fn the memo's function and forgets every argument but +0.
+func (t *trigMemo) reset(fn func(float64) float64) {
+	t.fn = fn
+	v := fn(0)
+	for i := range t.slots {
+		t.slots[i].bits, t.slots[i].val = 0, v
+	}
+}
+
+// at returns fn(x).
+func (t *trigMemo) at(x float64) float64 {
+	b := math.Float64bits(x)
+	s := &t.slots[(b*0x9E3779B97F4A7C15)>>(64-memoBits)]
+	if s.bits != b {
+		s.bits, s.val = b, t.fn(x)
+	}
+	return s.val
 }

@@ -31,8 +31,9 @@ func outcome(t *testing.T) map[string]string {
 			return cl
 		}
 	}
+	in := &workloads.Inputs{Scale: turnScale}
 	for _, fig := range workloads.Figures {
-		rows, err := fig.Run(turnScale, record(fig.Name))
+		rows, err := fig.Run(in, record(fig.Name))
 		if err != nil {
 			t.Fatalf("%s: %v", fig.Name, err)
 		}

@@ -13,6 +13,7 @@
 package mpiio
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -84,7 +85,9 @@ func newDatatype(segs []Segment, extent int64) *Datatype {
 		}
 		sorted = append(sorted, s)
 	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Off < sorted[j].Off })
+	// Equal offsets overlap and are refused below, so their order never
+	// matters.
+	slices.SortFunc(sorted, func(a, b Segment) int { return cmp.Compare(a.Off, b.Off) })
 	coalesced := make([]Segment, 0, len(sorted))
 	for _, s := range sorted {
 		if n := len(coalesced); n > 0 {

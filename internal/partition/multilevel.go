@@ -2,7 +2,6 @@ package partition
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"sdm/internal/sim"
@@ -80,18 +79,41 @@ func Multilevel(g *Graph, nparts int, opts Options) (Vector, error) {
 
 	// Workspace buffers shared across coarsening and refinement rounds,
 	// so the multilevel hierarchy allocates per-level state only for
-	// what it must keep (the coarse graphs and projection maps).
-	ws := &mlWorkspace{}
+	// what it must keep (the coarse graphs and projection maps). The
+	// vertex states are sized once for the finest level.
+	ws := &mlWorkspace{state: make([]vertexState, n)}
 
-	// Coarsening phase: build a hierarchy of smaller graphs.
-	type level struct {
-		g     *Graph
-		cmap  []int32 // fine vertex -> coarse vertex
-		finer *Graph
+	rng := sim.NewRNG(opts.Seed)
+	levels, cur := coarsenAll(g, nparts, rng, ws)
+
+	// Initial partition on the coarsest graph, every vertex still to be
+	// scanned.
+	part := growPartition(cur, nparts, rng, ws)
+	clear(ws.state)
+	refine(cur, part, nparts, ws)
+
+	// Uncoarsening: project and refine at each finer level.
+	for i := len(levels) - 1; i >= 0; i-- {
+		part = uncoarsen(levels[i], part, ws)
+		refine(levels[i].finer, part, nparts, ws)
 	}
+	return part, nil
+}
+
+// level is one step of the coarsening hierarchy.
+type level struct {
+	g     *Graph
+	cmap  []int32 // fine vertex -> coarse vertex
+	finer *Graph
+}
+
+// coarsenAll is the coarsening phase: it contracts g until the graph
+// has at most coarsenPerPart vertices per part (or 64, if that is more)
+// or a round stops shrinking it, and returns the levels, finest first,
+// with the coarsest graph.
+func coarsenAll(g *Graph, nparts int, rng *sim.RNG, ws *mlWorkspace) ([]level, *Graph) {
 	var levels []level
 	cur := g
-	rng := sim.NewRNG(opts.Seed)
 	for cur.NumVertices() > max(coarsenPerPart*nparts, 64) {
 		coarse, cmap := coarsen(cur, rng, ws)
 		if coarse.NumVertices() >= cur.NumVertices()*95/100 {
@@ -100,41 +122,60 @@ func Multilevel(g *Graph, nparts int, opts Options) (Vector, error) {
 		levels = append(levels, level{g: coarse, cmap: cmap, finer: cur})
 		cur = coarse
 	}
+	return levels, cur
+}
 
-	// Initial partition on the coarsest graph.
-	part := growPartition(cur, nparts, rng, ws)
-	refine(cur, part, nparts, ws)
-
-	// Uncoarsening: project and refine at each finer level.
-	for i := len(levels) - 1; i >= 0; i-- {
-		lv := levels[i]
-		finerPart := make(Vector, lv.finer.NumVertices())
-		for v := range finerPart {
-			finerPart[v] = part[lv.cmap[v]]
-		}
-		part = finerPart
-		refine(lv.finer, part, nparts, ws)
+// uncoarsen projects the coarse level's parts and states onto its
+// finer graph. A coarse vertex whose neighbours all share its part has
+// fine vertices whose neighbours do too, so interior carries over; a
+// fine vertex of any other coarse vertex is to be scanned. The states
+// project in place: cmap[v] <= v, so a descending pass reads each
+// coarse state before the fine one overwrites its slot.
+func uncoarsen(lv level, part Vector, ws *mlWorkspace) Vector {
+	finerPart := make(Vector, lv.finer.NumVertices())
+	for v := range finerPart {
+		finerPart[v] = part[lv.cmap[v]]
 	}
-	return part, nil
+	for v := len(finerPart) - 1; v >= 0; v-- {
+		if ws.state[lv.cmap[v]] == interior {
+			ws.state[v] = interior
+		} else {
+			ws.state[v] = unsettled
+		}
+	}
+	return finerPart
 }
 
 // mlWorkspace holds the multilevel partitioner's reusable round
 // buffers: the matching, shuffle and contraction arrays of each
-// coarsening round, and the weight/gain arrays of each refinement
-// sweep. One workspace serves a whole Multilevel call; rounds reuse the
-// grown capacity instead of reallocating per level.
+// coarsening round, and the weight/gain arrays and vertex states of
+// each refinement sweep. One workspace serves a whole Multilevel call;
+// rounds reuse the grown capacity instead of reallocating per level.
 type mlWorkspace struct {
 	match    []int32
 	order    []int
-	mark     []int32 // coarse vertex -> 1 + the coarse row that last saw it
+	mark     []int32 // coarse vertex -> 1 + the coarse row that last saw it; then the transpose's fill cursor
 	acc      []int32 // coarse vertex -> weight summed into the current row
-	adj      []int32 // coarse adjacency, before its exact-size copy
+	rows     []int32 // coarse vertex -> end of its unsorted row in adj
+	adj      []int32 // coarse adjacency in unsorted rows, before the transpose
 	ewgt     []int32
 	weights  []int64
 	gains    []int64
 	growOrd  []int
 	adjParts []int32
+	state    []vertexState
 }
+
+// vertexState says whether a refinement pass must scan a vertex. A scan
+// moves a vertex only to a neighbouring part with a positive gain, so
+// one in either settled state would stay put.
+type vertexState uint8
+
+const (
+	unsettled vertexState = iota // scan it
+	interior                     // every neighbour shares its part
+	noGain                       // no neighbouring part gains: a boundary vertex that stays until a neighbour moves
+)
 
 // grow returns buf resized to n, reallocating only on growth.
 func grow[T any](buf []T, n int) []T {
@@ -146,16 +187,24 @@ func grow[T any](buf []T, n int) []T {
 
 // coarsen contracts a heavy-edge matching of g. Each coarse row merges
 // the adjacency of its one or two fine vertices through a marker array
-// (METIS's contraction): O(|E|), with no sort over the level's edges
-// and no hash map. A row sums each weight from its own side, which the
-// symmetric graph makes equal to the other side's sum, and is sorted
-// ascending, so matching and refinement meet neighbours in id order.
+// (METIS's contraction): O(|E|), with no sort and no hash map. A row
+// sums each weight from its own side and comes out in first-sighting
+// order; one counting transpose then makes every row ascending, so
+// matching and refinement meet neighbours in id order. The graph is
+// symmetric, so row c of the transpose holds row c's neighbours, and
+// the weight summed from the other side equals the one summed from c's.
 func coarsen(g *Graph, rng *sim.RNG, ws *mlWorkspace) (*Graph, []int32) {
 	n := g.NumVertices()
 	ws.match = grow(ws.match, n)
 	match := ws.match
 	for i := range match {
 		match[i] = -1
+	}
+	// No neighbour beats one joined by the graph's heaviest edge, so a
+	// row's scan stops there; every edge of a mesh's own graph weighs 1.
+	heaviest := int32(1)
+	for _, w := range g.EWgt {
+		heaviest = max(heaviest, w)
 	}
 	ws.order = grow(ws.order, n)
 	order := rng.PermInto(ws.order)
@@ -170,6 +219,9 @@ func coarsen(g *Graph, rng *sim.RNG, ws *mlWorkspace) (*Graph, []int32) {
 			v := g.Adj[i]
 			if match[v] == -1 && v != u && g.ewgt(i) > bestW {
 				best, bestW = v, g.ewgt(i)
+				if bestW == heaviest {
+					break
+				}
 			}
 		}
 		if best >= 0 {
@@ -197,9 +249,11 @@ func coarsen(g *Graph, rng *sim.RNG, ws *mlWorkspace) (*Graph, []int32) {
 	clear(mark)
 	ws.acc = grow(ws.acc, int(nc))
 	acc := ws.acc
+	ws.rows = grow(ws.rows, int(nc))
+	rows := ws.rows
 	ws.adj = grow(ws.adj, len(g.Adj))
 	ws.ewgt = grow(ws.ewgt, len(g.Adj))
-	cadj, cew := ws.adj, ws.ewgt
+	radj, rew := ws.adj, ws.ewgt
 	vwgt := make([]int32, nc)
 	xadj := make([]int32, nc+1)
 	var k int32
@@ -208,6 +262,7 @@ func coarsen(g *Graph, rng *sim.RNG, ws *mlWorkspace) (*Graph, []int32) {
 			continue
 		}
 		c := cmap[u]
+		start := k
 		for _, f := range [2]int32{u, match[u]} {
 			vwgt[c] += g.vwgt(f)
 			for i := g.XAdj[f]; i < g.XAdj[f+1]; i++ {
@@ -218,7 +273,7 @@ func coarsen(g *Graph, rng *sim.RNG, ws *mlWorkspace) (*Graph, []int32) {
 				if mark[cv] != c+1 {
 					mark[cv] = c + 1
 					acc[cv] = 0
-					cadj[k] = cv
+					radj[k] = cv
 					k++
 				}
 				acc[cv] += g.ewgt(i)
@@ -227,14 +282,29 @@ func coarsen(g *Graph, rng *sim.RNG, ws *mlWorkspace) (*Graph, []int32) {
 				break
 			}
 		}
-		row := cadj[xadj[c]:k]
-		slices.Sort(row)
-		for j, cv := range row {
-			cew[xadj[c]+int32(j)] = acc[cv]
+		for j := start; j < k; j++ {
+			rew[j] = acc[radj[j]]
+			xadj[radj[j]+1]++ // row c appears once in each of its neighbours' rows
 		}
-		xadj[c+1] = k
+		rows[c] = k
 	}
-	return &Graph{XAdj: xadj, Adj: slices.Clone(cadj[:k]), VWgt: vwgt, EWgt: slices.Clone(cew[:k])}, cmap
+	// Transpose: visiting the rows in ascending c appends c to each
+	// neighbour's row, so every row fills in ascending order.
+	for c := range nc {
+		xadj[c+1] += xadj[c]
+	}
+	next := mark
+	copy(next, xadj[:nc])
+	adj, ewgt := make([]int32, k), make([]int32, k)
+	var j int32
+	for c := range nc {
+		for ; j < rows[c]; j++ {
+			cv := radj[j]
+			adj[next[cv]], ewgt[next[cv]] = c, rew[j]
+			next[cv]++
+		}
+	}
+	return &Graph{XAdj: xadj, Adj: adj, VWgt: vwgt, EWgt: ewgt}, cmap
 }
 
 // growPartition seeds nparts regions and grows them by BFS, weight-
@@ -315,65 +385,96 @@ func growPartition(g *Graph, nparts int, rng *sim.RNG, ws *mlWorkspace) Vector {
 }
 
 // refine runs boundary FM-style passes: move boundary vertices to the
-// neighbouring part with the best edge-cut gain, subject to balance.
+// neighbouring part with the best edge-cut gain, subject to balance,
+// until a pass moves none or refinePasses have run.
 func refine(g *Graph, part Vector, nparts int, ws *mlWorkspace) {
-	n := g.NumVertices()
+	maxW := partWeights(g, part, nparts, ws)
+	for range refinePasses {
+		if refinePass(g, part, maxW, ws) == 0 {
+			break
+		}
+	}
+}
+
+// partWeights sums each part's vertex weight into ws.weights and
+// returns the weight a part may reach.
+func partWeights(g *Graph, part Vector, nparts int, ws *mlWorkspace) int64 {
 	ws.weights = grow(ws.weights, nparts)
 	weights := ws.weights
 	clear(weights)
-	for u := 0; u < n; u++ {
+	for u := range g.NumVertices() {
 		weights[part[u]] += int64(g.vwgt(int32(u)))
 	}
-	total := g.TotalVWgt()
-	maxW := int64(float64(total) / float64(nparts) * imbalanceTol)
+	maxW := int64(float64(g.TotalVWgt()) / float64(nparts) * imbalanceTol)
 	if maxW <= 0 {
 		maxW = 1
 	}
 	ws.gains = grow(ws.gains, nparts)
-	gains := ws.gains
-	clear(gains)
+	clear(ws.gains)
+	return maxW
+}
+
+// refinePass scans every unsettled vertex, in id order, moves it where
+// the gain is best, and returns how many moved. A settled vertex's
+// gains depend only on its neighbours' parts, so until one of them
+// moves a scan could not move it: skipping it scans, gains and moves
+// exactly as a full sweep would. A scan settles a vertex that it
+// leaves with no gain anywhere; a move unsettles the mover's
+// neighbours.
+func refinePass(g *Graph, part Vector, maxW int64, ws *mlWorkspace) int {
+	weights, gains, state := ws.weights, ws.gains, ws.state
 	parts := ws.adjParts[:0] // adjacent-part scratch, reused across vertices
-	for pass := 0; pass < refinePasses; pass++ {
-		moved := 0
-		for u := 0; u < n; u++ {
-			pu := part[u]
-			// Compute connectivity to each adjacent part.
-			parts = parts[:0]
-			for i := g.XAdj[u]; i < g.XAdj[u+1]; i++ {
-				pv := part[g.Adj[i]]
-				if gains[pv] == 0 {
-					parts = append(parts, pv)
-				}
-				gains[pv] += int64(g.ewgt(i))
+	moved := 0
+	for u := range int32(g.NumVertices()) {
+		if state[u] != unsettled {
+			continue
+		}
+		pu := part[u]
+		// Compute connectivity to each adjacent part.
+		parts = parts[:0]
+		for i := g.XAdj[u]; i < g.XAdj[u+1]; i++ {
+			pv := part[g.Adj[i]]
+			if gains[pv] == 0 {
+				parts = append(parts, pv)
 			}
-			internal := gains[pu]
-			bestPart := pu
-			bestGain := int64(0)
-			for _, pv := range parts {
-				if pv == pu {
-					continue
-				}
-				gain := gains[pv] - internal
-				w := int64(g.vwgt(int32(u)))
-				if gain > bestGain && weights[pv]+w <= maxW && weights[pu]-w > 0 {
-					bestGain = gain
-					bestPart = pv
-				}
+			gains[pv] += int64(g.ewgt(i))
+		}
+		internal := gains[pu]
+		bestPart := pu
+		bestGain := int64(0)
+		boundary, gainful := false, false
+		w := int64(g.vwgt(u))
+		for _, pv := range parts {
+			if pv == pu {
+				continue
 			}
-			for _, pv := range parts {
-				gains[pv] = 0
-			}
-			if bestPart != pu {
-				w := int64(g.vwgt(int32(u)))
-				weights[pu] -= w
-				weights[bestPart] += w
-				part[u] = bestPart
-				moved++
+			gain := gains[pv] - internal
+			boundary = true
+			gainful = gainful || gain > 0
+			if gain > bestGain && weights[pv]+w <= maxW && weights[pu]-w > 0 {
+				bestGain = gain
+				bestPart = pv
 			}
 		}
-		if moved == 0 {
-			break
+		for _, pv := range parts {
+			gains[pv] = 0
+		}
+		switch {
+		case !boundary:
+			state[u] = interior
+		case !gainful:
+			state[u] = noGain
+		}
+		if bestPart != pu {
+			weights[pu] -= w
+			weights[bestPart] += w
+			part[u] = bestPart
+			for i := g.XAdj[u]; i < g.XAdj[u+1]; i++ {
+				state[g.Adj[i]] = unsettled
+			}
+			moved++
 		}
 	}
 	ws.adjParts = parts[:0]
+	return moved
 }

@@ -25,6 +25,32 @@ type Scale struct {
 // total, see workloads_test.go).
 var PaperScale = Scale{NX: 32, Procs: 64, Steps: 2, RTNX: 40, RTSteps: 5, PipeSteps: 8}
 
+// Inputs is what the figures of one scale run on: the scale and its
+// FUN3D workload, generated on first use and shared by every FUN3D
+// figure after it, so the mesh and its partition vector are computed
+// once per scale, not once per figure. The figures only read it: the
+// partition vectors are pure and no simulated charge reads host time,
+// so sharing changes no row. Figure 7, the one RT figure, generates its
+// workload itself, which then lives no longer than the figure. The zero
+// value of the unexported fields is an empty cache. Not safe for
+// concurrent use.
+type Inputs struct {
+	Scale Scale
+	fun3d *FUN3D
+}
+
+// FUN3D returns the scale's FUN3D workload.
+func (in *Inputs) FUN3D() (*FUN3D, error) {
+	if in.fun3d == nil {
+		f, err := NewFUN3D(FUN3DConfig{NX: in.Scale.NX, NY: in.Scale.NX, NZ: in.Scale.NX})
+		if err != nil {
+			return nil, err
+		}
+		in.fun3d = f
+	}
+	return in.fun3d, nil
+}
+
 // Row is one measured case of a figure.
 type Row struct {
 	Case    string
@@ -43,8 +69,9 @@ type Figure struct {
 	Workload string   // "fun3d" or "rt"
 	Columns  []string // table columns after the case: keys of Metrics or Shown
 	Claim    string   // what Shape checks, in words
-	// Run measures every case, each on a cluster from newCluster.
-	Run    func(sc Scale, newCluster func(sdm.ClusterConfig) *sdm.Cluster) ([]Row, error)
+	// Run measures every case on the inputs' scale, each on a cluster
+	// from newCluster.
+	Run    func(in *Inputs, newCluster func(sdm.ClusterConfig) *sdm.Cluster) ([]Row, error)
 	claims func(*shape)
 }
 
@@ -224,13 +251,13 @@ type fun3dBench struct {
 }
 
 // onFUN3D makes a Figure.Run of a body over the FUN3D workload.
-func onFUN3D(body func(*fun3dBench) ([]Row, error)) func(Scale, func(sdm.ClusterConfig) *sdm.Cluster) ([]Row, error) {
-	return func(sc Scale, newCluster func(sdm.ClusterConfig) *sdm.Cluster) ([]Row, error) {
-		f, err := NewFUN3D(FUN3DConfig{NX: sc.NX, NY: sc.NX, NZ: sc.NX})
+func onFUN3D(body func(*fun3dBench) ([]Row, error)) func(*Inputs, func(sdm.ClusterConfig) *sdm.Cluster) ([]Row, error) {
+	return func(in *Inputs, newCluster func(sdm.ClusterConfig) *sdm.Cluster) ([]Row, error) {
+		f, err := in.FUN3D()
 		if err != nil {
 			return nil, err
 		}
-		return body(&fun3dBench{f, sc, newCluster})
+		return body(&fun3dBench{f, in.Scale, newCluster})
 	}
 }
 
@@ -309,7 +336,8 @@ func shown(st *Fig6Stats) map[string]any {
 		"views": st.FileViews, "fs write reqs": st.WriteReqs}
 }
 
-func fig7Rows(sc Scale, newCluster func(sdm.ClusterConfig) *sdm.Cluster) ([]Row, error) {
+func fig7Rows(in *Inputs, newCluster func(sdm.ClusterConfig) *sdm.Cluster) ([]Row, error) {
+	sc := in.Scale
 	r, err := NewRT(RTConfig{NX: sc.RTNX, NY: sc.RTNX, NZ: sc.RTNX, Steps: sc.RTSteps})
 	if err != nil {
 		return nil, err

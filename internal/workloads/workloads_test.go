@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"reflect"
 	"testing"
 
 	"sdm"
@@ -205,10 +206,11 @@ func TestFiguresPaperScaleShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper scale; skipped with -short")
 	}
+	in := &Inputs{Scale: PaperScale}
 	for i := range Figures {
 		fig := &Figures[i]
 		t.Run(fig.Name, func(t *testing.T) {
-			rows, err := fig.Run(PaperScale, sdm.NewCluster)
+			rows, err := fig.Run(in, sdm.NewCluster)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -216,6 +218,28 @@ func TestFiguresPaperScaleShape(t *testing.T) {
 				t.Errorf("%s: %v\nclaim: %s", fig.Name, err, fig.Claim)
 			}
 		})
+	}
+}
+
+// TestSharedInputsChangeNoRow: every figure run on one shared Inputs,
+// as cmd/sdmbench runs them, gives exactly the rows it gives on inputs
+// of its own.
+func TestSharedInputsChangeNoRow(t *testing.T) {
+	sc := Scale{NX: 8, Procs: 8, Steps: 2, RTNX: 6, RTSteps: 2, PipeSteps: 2}
+	shared := &Inputs{Scale: sc}
+	for i := range Figures {
+		fig := &Figures[i]
+		got, err := fig.Run(shared, sdm.NewCluster)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fig.Run(&Inputs{Scale: sc}, sdm.NewCluster)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: rows on shared inputs differ from rows on fresh ones:\n%v\n%v", fig.Name, got, want)
+		}
 	}
 }
 

@@ -386,7 +386,7 @@ func TestAnalyzeFigure6SelfTimes(t *testing.T) {
 	}
 	var tr *sdm.Tracer
 	sc := workloads.Scale{NX: 16, Procs: 16, Steps: 4}
-	if _, err := fig.Run(sc, func(cfg sdm.ClusterConfig) *sdm.Cluster {
+	if _, err := fig.Run(&workloads.Inputs{Scale: sc}, func(cfg sdm.ClusterConfig) *sdm.Cluster {
 		cl := sdm.NewCluster(cfg)
 		tr = sdm.NewTracer()
 		cl.SetTracer(tr)
