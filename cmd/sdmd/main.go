@@ -35,7 +35,6 @@ func main() {
 	addr := flag.String("addr", "localhost:8080", "listen address")
 	cacheMB := flag.Int64("cache-mb", 64, "block cache capacity in MiB")
 	blockKB := flag.Int64("block-kb", 256, "block cache granularity in KiB")
-	idle := flag.Duration("idle-timeout", server.DefaultIdleTimeout, "reap sessions idle for this long")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: sdmd [flags] BUNDLEDIR [BUNDLEDIR...]\n\n")
 		fmt.Fprintf(os.Stderr, "Serve SDM run bundles over HTTP.\n\n")
@@ -49,10 +48,9 @@ func main() {
 
 	metrics := obs.NewRegistry()
 	srv := server.New(server.Config{
-		CacheBytes:  *cacheMB << 20,
-		BlockSize:   *blockKB << 10,
-		IdleTimeout: *idle,
-		Metrics:     metrics,
+		CacheBytes: *cacheMB << 20,
+		BlockSize:  *blockKB << 10,
+		Metrics:    metrics,
 	})
 
 	for _, dir := range flag.Args() {

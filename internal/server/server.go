@@ -3,11 +3,11 @@
 // catalog + store-backed file bytes) and serves them to many
 // concurrent clients. The paper's SDM is a single-process library
 // where a "second user" is a second process opening the bundle
-// directory; sdmd turns that into a service — session-scoped
-// AttachRun, dataset/timestep listing backed by server-side batched
-// LookupWrites, and streamed ranged dataset reads through a bounded
-// read-through block cache (LRU over file blocks, singleflight on
-// miss), so N readers of a hot timestep cost one backend read, not N.
+// directory; sdmd turns that into a service — run and dataset listing,
+// server-side batched LookupWrites, and streamed ranged dataset reads
+// that name their bundle and run, through a bounded read-through block
+// cache (LRU over file blocks, singleflight on miss), so N readers of a
+// hot timestep cost one backend read, not N.
 //
 // Layering (in the style of datamon's httpd/web/sdk split): this
 // package is the daemon core over internal/catalog + internal/pfs;
@@ -113,11 +113,13 @@ func (src Source) ReadDataset(run int64, dataset string, timestep int64) ([]byte
 }
 
 // slabInside refuses a placement its file cannot hold: the catalog row
-// is outside input as much as a query string is.
+// is outside input as much as a query string is. Checked as
+// full > size-off, never off+full, which an offset near 2^63 wraps
+// negative to slip past.
 func slabInside(rec *wire.WriteRecord, full, size int64) error {
-	if rec.FileOffset+full > size {
-		return errRange("file %q holds %d bytes, slab needs [%d,%d)",
-			rec.FileName, size, rec.FileOffset, rec.FileOffset+full)
+	if rec.FileOffset < 0 || full < 0 || full > size-rec.FileOffset {
+		return errRange("file %q holds %d bytes, slab needs %d at offset %d",
+			rec.FileName, size, full, rec.FileOffset)
 	}
 	return nil
 }
@@ -177,9 +179,6 @@ type Config struct {
 	CacheBytes int64
 	// BlockSize is the cache granularity (default DefaultBlockSize).
 	BlockSize int64
-	// IdleTimeout reaps sessions untouched for this long (default
-	// DefaultIdleTimeout).
-	IdleTimeout time.Duration
 	// Metrics, when non-nil, receives the server's counters and gauges
 	// under "server.*" and is dumped by GET /v1/metrics.
 	Metrics *obs.Registry
@@ -197,9 +196,8 @@ type Server struct {
 	mounts map[string]*mount
 	order  []string // mount order; order[0] is the default bundle
 
-	cache    *BlockCache
-	sessions *sessionTable
-	mux      *http.ServeMux
+	cache *BlockCache
+	mux   *http.ServeMux
 
 	metrics *obs.Registry
 	tracer  *obs.Tracer
@@ -215,12 +213,11 @@ type Server struct {
 // New builds a Server; mount bundles with Mount before serving.
 func New(cfg Config) *Server {
 	s := &Server{
-		mounts:   make(map[string]*mount),
-		cache:    NewBlockCache(cfg.BlockSize, cfg.CacheBytes),
-		sessions: newSessionTable(cfg.IdleTimeout),
-		metrics:  cfg.Metrics,
-		tracer:   cfg.Tracer,
-		started:  time.Now(),
+		mounts:  make(map[string]*mount),
+		cache:   NewBlockCache(cfg.BlockSize, cfg.CacheBytes),
+		metrics: cfg.Metrics,
+		tracer:  cfg.Tracer,
+		started: time.Now(),
 	}
 	if r := cfg.Metrics; r != nil {
 		s.requests = r.Counter("server.requests")
@@ -230,7 +227,6 @@ func New(cfg Config) *Server {
 		s.lookups = r.Counter("server.lookup-keys")
 		s.latency = r.Histogram("server.request-ns")
 		s.cache.RegisterMetrics(r)
-		s.sessions.registerMetrics(r)
 	}
 	if s.tracer != nil {
 		s.tracer.NameProcess(obs.PidSDMD, "sdmd")
@@ -269,9 +265,6 @@ func (s *Server) Bundles() []string {
 // CacheStats snapshots the block cache.
 func (s *Server) CacheStats() wire.CacheStats { return s.cache.Stats() }
 
-// ActiveSessions reports the number of live sessions.
-func (s *Server) ActiveSessions() int { return s.sessions.active() }
-
 // ---------------------------------------------------------------------------
 // HTTP plumbing
 // ---------------------------------------------------------------------------
@@ -285,9 +278,6 @@ func (s *Server) routes() {
 	mux.HandleFunc("GET /v1/runs/{run}/imports", runListing(s, Source.Imports))
 	mux.HandleFunc("GET /v1/histories", bundleListing(s, Source.Histories))
 	mux.HandleFunc("POST /v1/runs/{run}/lookup", s.handleLookup)
-	mux.HandleFunc("POST /v1/sessions", s.handleAttach)
-	mux.HandleFunc("GET /v1/sessions/{id}", s.handleSessionInfo)
-	mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleDetach)
 	mux.HandleFunc("GET /v1/read/{run}/{dataset}/{timestep}", s.handleRead)
 	mux.HandleFunc("GET /v1/cache", s.handleCache)
 	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
@@ -353,8 +343,9 @@ func errRange(format string, args ...any) *httpError {
 	return &httpError{http.StatusRequestedRangeNotSatisfiable, wire.CodeRange, fmt.Sprintf(format, args...)}
 }
 
-// fail writes the error envelope, mapping untyped errors to 500.
-func fail(w http.ResponseWriter, err error) {
+// refusal maps an error to the status and code it is answered with: a
+// typed refusal as it is, catalog.NotFound as 404, anything else as 500.
+func refusal(err error) *httpError {
 	he, ok := err.(*httpError)
 	var missing catalog.NotFound
 	switch {
@@ -364,6 +355,12 @@ func fail(w http.ResponseWriter, err error) {
 	default:
 		he = &httpError{http.StatusInternalServerError, wire.CodeInternal, err.Error()}
 	}
+	return he
+}
+
+// fail writes the error envelope.
+func fail(w http.ResponseWriter, err error) {
+	he := refusal(err)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(he.status)
 	_ = json.NewEncoder(w).Encode(wire.Error{Code: he.code, Message: he.msg})
@@ -485,75 +482,6 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 }
 
 // ---------------------------------------------------------------------------
-// Sessions
-// ---------------------------------------------------------------------------
-
-func (s *Server) handleAttach(w http.ResponseWriter, r *http.Request) {
-	var req wire.AttachRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		fail(w, errBadRequest("bad attach body: %v", err))
-		return
-	}
-	// The body's bundle field wins over ?bundle= (they should agree).
-	if req.Bundle != "" {
-		q := r.URL.Query()
-		q.Set("bundle", req.Bundle)
-		r.URL.RawQuery = q.Encode()
-	}
-	m, err := s.bundleFor(r)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	runID := req.Run
-	if runID == 0 {
-		runs, err := m.src.Runs()
-		if err != nil {
-			fail(w, err)
-			return
-		}
-		if len(runs) == 0 {
-			fail(w, errNotFound("bundle %q has no runs", m.name))
-			return
-		}
-		runID = runs[len(runs)-1].RunID
-	}
-	run, err := m.src.Catalog.FindRun(nil, runID)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	infos, err := m.src.Datasets(runID)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	sess, err := s.sessions.attach(m.name, runID)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	reply(w, wire.AttachResponse{Session: sess.id, Bundle: m.name, Run: *run, Datasets: infos})
-}
-
-func (s *Server) handleSessionInfo(w http.ResponseWriter, r *http.Request) {
-	sess, idle, err := s.sessions.touch(r.PathValue("id"))
-	if err != nil {
-		fail(w, errNotFound("%v", err))
-		return
-	}
-	reply(w, wire.SessionInfo{Session: sess.id, Bundle: sess.bundle, Run: sess.run, IdleMS: idle.Milliseconds()})
-}
-
-func (s *Server) handleDetach(w http.ResponseWriter, r *http.Request) {
-	if err := s.sessions.detach(r.PathValue("id")); err != nil {
-		fail(w, errNotFound("%v", err))
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// ---------------------------------------------------------------------------
 // Reads
 // ---------------------------------------------------------------------------
 
@@ -573,21 +501,6 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	dataset := r.PathValue("dataset")
-
-	// A session header scopes the read: it must be live, and it must
-	// match the (bundle, run) being read.
-	if id := r.Header.Get(wire.SessionHeader); id != "" {
-		sess, _, err := s.sessions.touch(id)
-		if err != nil {
-			fail(w, errNotFound("%v", err))
-			return
-		}
-		if sess.bundle != m.name || sess.run != runID {
-			fail(w, errBadRequest("session %s is attached to bundle %q run %d, not bundle %q run %d",
-				id, sess.bundle, sess.run, m.name, runID))
-			return
-		}
-	}
 
 	info, rec, err := m.src.Catalog.Slab(nil, runID, dataset, ts)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -48,13 +49,19 @@ func slabBytes(dataset string, ts, global int64) []byte {
 
 func newFixture(t *testing.T, datasets []string, steps, global int64) *fixture {
 	t.Helper()
+	return newFixtureOn(t, store.NewMem(), datasets, steps, global)
+}
+
+// newFixtureOn builds the fixture's files on the given store backend.
+func newFixtureOn(t *testing.T, be store.Backend, datasets []string, steps, global int64) *fixture {
+	t.Helper()
 	db := metadb.New()
 	cat := catalog.New(db)
 	if err := cat.EnsureSchema(); err != nil {
 		t.Fatal(err)
 	}
 	cat.SetAccessCost(0)
-	fs := pfs.NewSystemOn(pfs.DefaultConfig(), store.NewMem())
+	fs := pfs.NewSystemOn(pfs.DefaultConfig(), be)
 
 	runID, err := cat.RegisterRun(nil, "fixture", 3, global, steps, time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC))
 	if err != nil {
@@ -245,6 +252,13 @@ func TestReadBytesIdentical(t *testing.T) {
 	if !bytes.Equal(got, want[100:600]) {
 		t.Fatal("ranged read differs from slab slice")
 	}
+	// n = 0 is an empty range, not "to the end"; n < 0 is.
+	if got, err := c.ReadRange(fx.run, "pressure", 1, 100, 0); err != nil || len(got) != 0 {
+		t.Fatalf("zero-length range: %d bytes, err %v", len(got), err)
+	}
+	if got, err := c.ReadRange(fx.run, "pressure", 1, 100, -1); err != nil || !bytes.Equal(got, want[100:]) {
+		t.Fatalf("range to the end: %d bytes, err %v", len(got), err)
+	}
 }
 
 // TestReadRangeOverflowRejected drives the crafted ?off=&len= queries
@@ -288,62 +302,118 @@ func TestDatasetNameEscaping(t *testing.T) {
 	}
 }
 
-func TestSessionLifecycle(t *testing.T) {
+// TestSessionPathsAreNoEndpoint: sdmd keeps no per-client state. The
+// /v1/sessions paths get the catch-all's not_found envelope, and a read
+// carrying an X-Sdm-Session header is served the bytes of one without.
+func TestSessionPathsAreNoEndpoint(t *testing.T) {
 	fx := newFixture(t, []string{"pressure"}, 2, 32)
-	srv, hs := newServer(t, server.Config{}, fx)
+	_, hs := newServer(t, server.Config{}, fx)
+	for _, rq := range []struct{ method, path string }{
+		{http.MethodPost, "/v1/sessions"},
+		{http.MethodGet, "/v1/sessions/x"},
+		{http.MethodDelete, "/v1/sessions/x"},
+	} {
+		req, _ := http.NewRequest(rq.method, hs.URL+rq.path, strings.NewReader(`{"run":1}`))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var we wire.Error
+		err = json.NewDecoder(resp.Body).Decode(&we)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusNotFound || we.Code != wire.CodeNotFound || we.Message == "" {
+			t.Errorf("%s %s: status %d, body %+v (%v)", rq.method, rq.path, resp.StatusCode, we, err)
+		}
+	}
+
+	read := func(session string) []byte {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodGet, fmt.Sprintf("%s/v1/read/%d/pressure/1", hs.URL, fx.run), nil)
+		if session != "" {
+			req.Header.Set("X-Sdm-Session", session)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("read with session %q: status %d, err %v", session, resp.StatusCode, err)
+		}
+		return body
+	}
+	plain := read("")
+	if !bytes.Equal(plain, fx.slabs["pressure@1"]) {
+		t.Fatal("read differs from the slab")
+	}
+	for _, id := range []string{"0123456789abcdef01234567", "nosuch", " "} {
+		if !bytes.Equal(read(id), plain) {
+			t.Errorf("read with session %q differs from one without", id)
+		}
+	}
+}
+
+// TestHostileFileOffsetIsARangeError: a catalog row is outside input. A
+// write record whose file_offset is negative or so near 2^63 that the
+// slab's end wraps, or whose dataset has a negative size, is a range
+// refusal on the local read path and a 416 over HTTP — never a panic in
+// the cas object beneath.
+func TestHostileFileOffsetIsARangeError(t *testing.T) {
+	cas, err := store.OpenCAS(t.TempDir(), store.CASOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx := newFixtureOn(t, cas, []string{"pressure"}, 1, 16)
+	cat := fx.src.Catalog
+	file := fmt.Sprintf("run%d.ts0.data", fx.run)
+	hostile := []struct {
+		dataset    string
+		global     int64
+		fileOffset int64
+	}{
+		{"negative", 16, -64},
+		{"wrapping", 16, math.MaxInt64 - 64},
+		{"unsized", -2, 0},
+	}
+	for _, h := range hostile {
+		if err := cat.RegisterDataset(nil, catalog.DatasetInfo{RunID: fx.run, Dataset: h.dataset,
+			AccessPattern: "IRREGULAR", DataType: "DOUBLE", StorageOrder: "ROW_MAJOR", GlobalSize: h.global}); err != nil {
+			t.Fatal(err)
+		}
+		if err := cat.RecordWrites(nil, []catalog.WriteRecord{{RunID: fx.run, Dataset: h.dataset,
+			Timestep: 0, FileOffset: h.fileOffset, FileName: file}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, hs := newServer(t, server.Config{}, fx)
 	c := sdmclient.New(hs.URL)
-
-	at, err := c.Attach(sdmclient.AttachOptions{}) // 0 = latest run
-	if err != nil {
-		t.Fatal(err)
+	for _, h := range hostile {
+		if _, err := fx.src.ReadDataset(fx.run, h.dataset, 0); err == nil || server.WireCode(err) != wire.CodeRange {
+			t.Errorf("local read of %s: %v, want a range refusal", h.dataset, err)
+		}
+		resp, err := http.Get(fmt.Sprintf("%s/v1/read/%d/%s/0", hs.URL, fx.run, h.dataset))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var we wire.Error
+		err = json.NewDecoder(resp.Body).Decode(&we)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusRequestedRangeNotSatisfiable || we.Code != wire.CodeRange {
+			t.Errorf("HTTP read of %s: status %d, body %+v (%v)", h.dataset, resp.StatusCode, we, err)
+		}
+		if _, err := c.ReadDataset(fx.run, h.dataset, 0); !errors.Is(err, sdmclient.ErrRange) {
+			t.Errorf("client read of %s: %v, want ErrRange", h.dataset, err)
+		}
 	}
-	if at.Run.RunID != fx.run || len(at.Datasets) != 1 || at.Session == "" {
-		t.Fatalf("attach = %+v", at)
-	}
-	if srv.ActiveSessions() != 1 {
-		t.Fatalf("active sessions = %d, want 1", srv.ActiveSessions())
-	}
-
-	// Reads ride the session; a session pinned to another run is
-	// rejected rather than silently read across.
-	if _, err := c.ReadDataset(fx.run, "pressure", 1); err != nil {
-		t.Fatal(err)
-	}
-	req, _ := http.NewRequest(http.MethodGet,
-		fmt.Sprintf("%s/v1/read/%d/pressure/0", hs.URL, fx.run+1), nil)
-	req.Header.Set(wire.SessionHeader, at.Session)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("cross-run session read: status %d, want 400", resp.StatusCode)
-	}
-
-	if err := c.Detach(); err != nil {
-		t.Fatal(err)
-	}
-	if srv.ActiveSessions() != 0 {
-		t.Fatalf("active sessions after detach = %d, want 0", srv.ActiveSessions())
-	}
-	// A forged/expired session is a 404, and reads carrying it fail.
-	req, _ = http.NewRequest(http.MethodGet,
-		fmt.Sprintf("%s/v1/read/%d/pressure/0", hs.URL, fx.run), nil)
-	req.Header.Set(wire.SessionHeader, at.Session)
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("detached session read: status %d, want 404", resp.StatusCode)
+	// The well-placed slab beside them still reads.
+	if got, err := fx.src.ReadDataset(fx.run, "pressure", 0); err != nil || !bytes.Equal(got, fx.slabs["pressure@0"]) {
+		t.Fatalf("local read of pressure: %v", err)
 	}
 }
 
 // TestConcurrentClients is the acceptance-bar race test: >= 8
-// concurrent clients mixing list, lookup, attach/detach, and reads
-// against one daemon. Run under -race it pins "catalog and cache are
+// concurrent clients mixing list, lookup, and reads against one daemon. Run under -race it pins "catalog and cache are
 // safe for concurrent readers".
 func TestConcurrentClients(t *testing.T) {
 	fx := newFixture(t, []string{"pressure", "velocity"}, 4, 256)
@@ -358,11 +428,6 @@ func TestConcurrentClients(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			c := sdmclient.New(hs.URL)
-			at, err := c.Attach(sdmclient.AttachOptions{})
-			if err != nil {
-				t.Errorf("attach: %v", err)
-				return
-			}
 			for op := 0; op < 40; op++ {
 				switch rng.Intn(4) {
 				case 0:
@@ -371,7 +436,7 @@ func TestConcurrentClients(t *testing.T) {
 						return
 					}
 				case 1:
-					if _, err := c.Lookup(at.Run.RunID, []wire.WriteKey{
+					if _, err := c.Lookup(fx.run, []wire.WriteKey{
 						{Dataset: "pressure", Timestep: rng.Int63n(4)},
 						{Dataset: "velocity", Timestep: rng.Int63n(4)},
 					}); err != nil {
@@ -381,7 +446,7 @@ func TestConcurrentClients(t *testing.T) {
 				case 2:
 					ds := []string{"pressure", "velocity"}[rng.Intn(2)]
 					ts := rng.Int63n(4)
-					got, err := c.ReadDataset(at.Run.RunID, ds, ts)
+					got, err := c.ReadDataset(fx.run, ds, ts)
 					if err != nil {
 						t.Errorf("read %s@%d: %v", ds, ts, err)
 						return
@@ -391,22 +456,16 @@ func TestConcurrentClients(t *testing.T) {
 						return
 					}
 				case 3:
-					if _, err := c.Datasets(at.Run.RunID); err != nil {
+					if _, err := c.Datasets(fx.run); err != nil {
 						t.Errorf("datasets: %v", err)
 						return
 					}
 				}
 			}
-			if err := c.Detach(); err != nil {
-				t.Errorf("detach: %v", err)
-			}
 		}(int64(1000 + i))
 	}
 	wg.Wait()
 
-	if n := srv.ActiveSessions(); n != 0 {
-		t.Fatalf("%d sessions leaked", n)
-	}
 	snap := reg.Snapshot()
 	if snap["server.requests"] == 0 || snap["server.bytes-served"] == 0 {
 		t.Fatalf("metrics unwired: %v", snap)

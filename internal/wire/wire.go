@@ -5,9 +5,10 @@
 // decodes into them). It imports nothing of SDM's, so every layer can
 // import it. The protocol is deliberately plain: JSON for metadata,
 // application/octet-stream for dataset bytes, standard HTTP status
-// codes for errors (404 for unknown runs/datasets/timesteps/sessions
-// and for paths that are no endpoint, 400 for malformed requests, 416
-// for out-of-range reads), so a dataset is one curl away.
+// codes for errors (404 for unknown bundles/runs/datasets/timesteps and
+// for paths that are no endpoint, 400 for malformed requests, 416 for
+// out-of-range reads), so a dataset is one curl away. Every request
+// names what it reads; the daemon keeps no per-client state.
 //
 // Endpoints (all under /v1):
 //
@@ -18,9 +19,6 @@
 //	GET    /v1/runs/{run}/imports                  import_table
 //	GET    /v1/histories                           index_table
 //	POST   /v1/runs/{run}/lookup                   batched LookupWrites
-//	POST   /v1/sessions                            attach to a run
-//	GET    /v1/sessions/{id}                       session keepalive/info
-//	DELETE /v1/sessions/{id}                       detach
 //	GET    /v1/read/{run}/{dataset}/{timestep}     dataset bytes (?off=&len=)
 //	GET    /v1/cache                               block-cache statistics
 //	GET    /v1/metrics                             metrics registry dump (text)
@@ -30,10 +28,6 @@
 package wire
 
 import "time"
-
-// SessionHeader carries a session id on read requests, scoping the
-// read to an attached run and refreshing the session's idle deadline.
-const SessionHeader = "X-Sdm-Session"
 
 // Error is the JSON body of every non-2xx response.
 type Error struct {
@@ -187,31 +181,6 @@ type Reader interface {
 	Imports(run int64) ([]ImportEntry, error)
 	Histories() ([]IndexHistory, error)
 	ReadDataset(run int64, dataset string, timestep int64) ([]byte, error)
-}
-
-// AttachRequest opens a session on a run (the network form of
-// Options.AttachRun).
-type AttachRequest struct {
-	Bundle string `json:"bundle,omitempty"`
-	Run    int64  `json:"run"` // 0 = the bundle's latest run
-}
-
-// AttachResponse carries the new session plus everything a client
-// needs to start reading: the run row and its registered datasets,
-// resolved server-side so attaching costs one round trip.
-type AttachResponse struct {
-	Session  string    `json:"session"`
-	Bundle   string    `json:"bundle"`
-	Run      Run       `json:"run"`
-	Datasets []Dataset `json:"datasets"`
-}
-
-// SessionInfo reports one live session (GET /v1/sessions/{id}).
-type SessionInfo struct {
-	Session string `json:"session"`
-	Bundle  string `json:"bundle"`
-	Run     int64  `json:"run"`
-	IdleMS  int64  `json:"idle_ms"`
 }
 
 // CacheStats reports the read-through block cache's state

@@ -27,8 +27,6 @@ func TestGoldensRoundTrip(t *testing.T) {
 		"lookup.json":           &wire.LookupResponse{},
 		"lookup-empty.req.json": &wire.LookupRequest{},
 		"lookup-empty.json":     &wire.LookupResponse{},
-		"attach.req.json":       &wire.AttachRequest{},
-		"attach.json":           &wire.AttachResponse{},
 	} {
 		raw, err := os.ReadFile(filepath.Join("../../testdata/wire1", name))
 		if err != nil {

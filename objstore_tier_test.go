@@ -502,9 +502,13 @@ func TestObjstoreBundlePromotionServe(t *testing.T) {
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
 	c := sdmclient.New(hs.URL)
-	at, err := c.Attach(sdmclient.AttachOptions{})
-	if err != nil {
-		t.Fatal(err)
+	runs, err := c.Runs()
+	if err != nil || len(runs) == 0 {
+		t.Fatalf("runs = %v, %v", runs, err)
+	}
+	run := runs[len(runs)-1].RunID
+	if dss, err := c.Datasets(run); err != nil || len(dss) != 2 {
+		t.Fatalf("run %d lists datasets %v (%v), want 2", run, dss, err)
 	}
 
 	// Ground truth first, read locally through the catalog (these reads
@@ -517,7 +521,7 @@ func TestObjstoreBundlePromotionServe(t *testing.T) {
 	want := map[key][]byte{}
 	for ts := int64(0); ts < steps; ts++ {
 		for _, ds := range []string{"pressure", "velocity"} {
-			info, rec, err := cl.Catalog.Slab(nil, at.Run.RunID, ds, ts)
+			info, rec, err := cl.Catalog.Slab(nil, run, ds, ts)
 			if err != nil {
 				t.Fatalf("Slab(%s@%d): %v", ds, ts, err)
 			}
@@ -536,7 +540,7 @@ func TestObjstoreBundlePromotionServe(t *testing.T) {
 	baseGets := svc.Stats().Gets
 	for ts := int64(0); ts < steps; ts++ {
 		for _, ds := range []string{"pressure", "velocity"} {
-			got, err := c.ReadDataset(at.Run.RunID, ds, ts)
+			got, err := c.ReadDataset(run, ds, ts)
 			if err != nil {
 				t.Fatalf("cold remote read %s@%d: %v", ds, ts, err)
 			}
@@ -553,7 +557,7 @@ func TestObjstoreBundlePromotionServe(t *testing.T) {
 	hitsBefore := srv.CacheStats().Hits
 	for ts := int64(0); ts < steps; ts++ {
 		for _, ds := range []string{"pressure", "velocity"} {
-			got, err := c.ReadDataset(at.Run.RunID, ds, ts)
+			got, err := c.ReadDataset(run, ds, ts)
 			if err != nil {
 				t.Fatalf("warm remote read %s@%d: %v", ds, ts, err)
 			}
@@ -567,9 +571,6 @@ func TestObjstoreBundlePromotionServe(t *testing.T) {
 	}
 	if hits := srv.CacheStats().Hits; hits <= hitsBefore {
 		t.Fatalf("warm pass added no block-cache hits (before %d, after %d)", hitsBefore, hits)
-	}
-	if err := c.Detach(); err != nil {
-		t.Fatal(err)
 	}
 }
 

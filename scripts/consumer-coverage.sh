@@ -200,7 +200,7 @@ run cmp "$t/remote.bin" "$t/local.bin"
 run "$bin/sdmls" -remote "http://127.0.0.1:$port"
 fails "$bin/sdmcat" -remote "http://127.0.0.1:$port" -dataset nosuch -timestep 1
 # The operator endpoints, as CI's curl probes them, and the refusals:
-# a malformed run id, an unknown session, an unsatisfiable range.
+# a malformed run id, a path that is no endpoint, an unsatisfiable range.
 for path in ping cache metrics; do
 	run curl -sf "http://127.0.0.1:$port/v1/$path"
 done

@@ -4,15 +4,15 @@
 // -remote modes of sdmcat and sdmls are built on, so every consumer
 // maps HTTP status codes to Go errors the same way: a refused
 // connection surfaces as ErrUnreachable ("is sdmd running?"), an
-// unknown run/dataset/timestep/session as ErrNotFound — two very
-// different operator problems that must not read alike.
+// unknown run/dataset/timestep as ErrNotFound — two very different
+// operator problems that must not read alike.
 //
 //	c := sdmclient.New("http://localhost:8080")
-//	at, err := c.Attach(sdmclient.AttachOptions{})   // latest run
-//	buf, err := c.ReadDataset(at.Run.RunID, "pressure", 2)
+//	runs, err := c.Runs()
+//	buf, err := c.ReadDataset(runs[len(runs)-1].RunID, "pressure", 2)
 //
-// A Client is safe for concurrent use by multiple goroutines; the
-// attached session (at most one per Client) is mutex-guarded.
+// Every call names the run it reads, so a Client holds no state beyond
+// its address and is safe for concurrent use by multiple goroutines.
 package sdmclient
 
 import (
@@ -25,7 +25,6 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"sdm/internal/wire"
@@ -36,8 +35,8 @@ var (
 	// ErrUnreachable wraps transport failures: the daemon is down,
 	// the address is wrong, or the network ate the connection.
 	ErrUnreachable = errors.New("sdmd unreachable")
-	// ErrNotFound maps HTTP 404: the run, dataset, timestep, bundle,
-	// or session does not exist on a perfectly healthy daemon.
+	// ErrNotFound maps HTTP 404: the run, dataset, timestep or bundle
+	// does not exist on a perfectly healthy daemon.
 	ErrNotFound = errors.New("not found")
 	// ErrBadRequest maps HTTP 400.
 	ErrBadRequest = errors.New("bad request")
@@ -50,10 +49,6 @@ type Client struct {
 	base   string
 	bundle string
 	http   *http.Client
-
-	mu      sync.Mutex
-	session string
-	run     int64
 }
 
 // A Client reads a bundle the way server.Source reads one opened in
@@ -106,11 +101,6 @@ func (c *Client) url(path string) string {
 // ErrUnreachable, non-2xx → the sentinel for its status, with the
 // server's message attached. On success the caller owns the body.
 func (c *Client) do(req *http.Request) (*http.Response, error) {
-	c.mu.Lock()
-	if c.session != "" {
-		req.Header.Set(wire.SessionHeader, c.session)
-	}
-	c.mu.Unlock()
 	resp, err := c.http.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s (is sdmd running at %s?)", ErrUnreachable, err, c.base)
@@ -219,55 +209,14 @@ func (c *Client) Lookup(run int64, keys []wire.WriteKey) ([]*wire.WriteRecord, e
 	return out.Records, err
 }
 
-// AttachOptions selects what to attach to.
-type AttachOptions struct {
-	// Run picks a run id; 0 attaches to the bundle's latest run.
-	Run int64
-}
+// Detach does nothing and returns nil: the daemon keeps no per-client
+// state to release. It stays only while the lifecycle benchmark's serve
+// stage calls it (ROADMAP item 4(n)).
+func (c *Client) Detach() error { return nil }
 
-// Attach opens a session on a run (the network form of
-// Options.AttachRun). The session id rides every subsequent request
-// from this client in the X-Sdm-Session header until Detach.
-func (c *Client) Attach(opts AttachOptions) (wire.AttachResponse, error) {
-	var out wire.AttachResponse
-	err := c.postJSON("/v1/sessions", wire.AttachRequest{Bundle: c.bundle, Run: opts.Run}, &out)
-	if err != nil {
-		return out, err
-	}
-	c.mu.Lock()
-	c.session = out.Session
-	c.run = out.Run.RunID
-	c.mu.Unlock()
-	return out, nil
-}
-
-// Detach ends the client's session. Detaching an expired or already
-// detached session returns ErrNotFound; the client forgets the session
-// either way.
-func (c *Client) Detach() error {
-	c.mu.Lock()
-	id := c.session
-	c.session = ""
-	c.run = 0
-	c.mu.Unlock()
-	if id == "" {
-		return nil
-	}
-	req, err := http.NewRequest(http.MethodDelete, c.url("/v1/sessions/"+url.PathEscape(id)), nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.do(req)
-	if err != nil {
-		return err
-	}
-	resp.Body.Close()
-	return nil
-}
-
-// OpenDataset streams one written slab: the full global array of a
-// dataset at a timestep, or the [off, off+n) byte range of it when n
-// is positive. The caller must Close the reader. Size is the exact
+// OpenDataset streams one written slab: the [off, off+n) byte range of
+// a dataset's global array at a timestep, or everything from off to the
+// end when n < 0. The caller must Close the reader. Size is the exact
 // byte length of the stream.
 func (c *Client) OpenDataset(run int64, dataset string, timestep, off, n int64) (rd io.ReadCloser, size int64, err error) {
 	// Dataset names are user data; escape so '/', '?', '%', and spaces
@@ -277,7 +226,7 @@ func (c *Client) OpenDataset(run int64, dataset string, timestep, off, n int64) 
 	if off != 0 {
 		params = append(params, "off="+strconv.FormatInt(off, 10))
 	}
-	if n > 0 {
+	if n >= 0 {
 		params = append(params, "len="+strconv.FormatInt(n, 10))
 	}
 	if len(params) > 0 {

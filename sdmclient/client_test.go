@@ -43,7 +43,6 @@ func replay(t *testing.T) *httptest.Server {
 		"GET /v1/runs/2/imports":  {reply: "run2-imports.json"},
 		"GET /v1/histories":       {reply: "histories.json"},
 		"POST /v1/runs/1/lookup":  {reply: "lookup.json", want: "lookup.req.json"},
-		"POST /v1/sessions":       {reply: "attach.json", want: "attach.req.json"},
 	}
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rt, ok := routes[r.Method+" "+r.URL.Path]
@@ -118,12 +117,6 @@ func TestTypedCallsDecodeGoldens(t *testing.T) {
 	reencodes(t, "lookup.json", wire.LookupResponse{Records: recs}, err)
 	if len(recs) != 2 || recs[0] == nil || recs[0].FileOffset != 4096 || recs[1] != nil {
 		t.Errorf("lookup = %+v", recs)
-	}
-
-	at, err := c.Attach(sdmclient.AttachOptions{Run: 1})
-	reencodes(t, "attach.json", at, err)
-	if at.Session != "SESSION" || at.Run.RunID != 1 || len(at.Datasets) != 2 {
-		t.Errorf("attach = %+v", at)
 	}
 }
 

@@ -42,19 +42,20 @@ func TestServeBundleOverHTTP(t *testing.T) {
 	defer hs.Close()
 
 	c := sdmclient.New(hs.URL)
-	at, err := c.Attach(sdmclient.AttachOptions{})
-	if err != nil {
-		t.Fatal(err)
+	runs, err := c.Runs()
+	if err != nil || len(runs) == 0 {
+		t.Fatalf("runs = %v, %v", runs, err)
 	}
-	if len(at.Datasets) != 2 {
-		t.Fatalf("attach saw %d datasets, want 2", len(at.Datasets))
+	run := runs[len(runs)-1].RunID
+	if dss, err := c.Datasets(run); err != nil || len(dss) != 2 {
+		t.Fatalf("run %d lists datasets %v (%v), want 2", run, dss, err)
 	}
 
 	cl.Catalog.SetAccessCost(0)
 	for ts := int64(0); ts < steps; ts++ {
 		for _, ds := range []string{"pressure", "velocity"} {
 			// Local read, exactly as sdmcat computes it.
-			info, rec, err := cl.Catalog.Slab(nil, at.Run.RunID, ds, ts)
+			info, rec, err := cl.Catalog.Slab(nil, run, ds, ts)
 			if err != nil {
 				t.Fatalf("Slab(%s@%d): %v", ds, ts, err)
 			}
@@ -67,7 +68,7 @@ func TestServeBundleOverHTTP(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			got, err := c.ReadDataset(at.Run.RunID, ds, ts)
+			got, err := c.ReadDataset(run, ds, ts)
 			if err != nil {
 				t.Fatalf("remote read %s@%d: %v", ds, ts, err)
 			}
@@ -82,7 +83,7 @@ func TestServeBundleOverHTTP(t *testing.T) {
 	before := srv.CacheStats()
 	for ts := int64(0); ts < steps; ts++ {
 		for _, ds := range []string{"pressure", "velocity"} {
-			if _, err := c.ReadDataset(at.Run.RunID, ds, ts); err != nil {
+			if _, err := c.ReadDataset(run, ds, ts); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -90,8 +91,5 @@ func TestServeBundleOverHTTP(t *testing.T) {
 	after := srv.CacheStats()
 	if after.Hits <= before.Hits {
 		t.Fatalf("warm pass added no cache hits: before %+v after %+v", before, after)
-	}
-	if err := c.Detach(); err != nil {
-		t.Fatal(err)
 	}
 }
