@@ -207,6 +207,7 @@ type SDM struct {
 	// Options.StepPipelineDepth) in issue order: EndStepAsync and Finalize
 	// drain them in completion order, and they are the one record of which
 	// files a flush in flight writes or has read ahead (see step.go).
+	// spares lists the flights waited tokens handed back.
 	// recScratch is the cross-group RecordWrites merge buffer. arenaPool
 	// recycles staging arenas: a flush runs in host time inside
 	// EndStepAsync, so its arenas come back when it returns, and only a
@@ -214,6 +215,7 @@ type SDM struct {
 	// them, holds arenas across calls.
 	tokens     []*StepToken
 	tokenSeq   int64
+	spares     *flight
 	recScratch []catalog.WriteRecord
 	arenaPool  [][]byte
 	// scratch is the rank's one mpiio staging bundle, installed on every
@@ -223,9 +225,9 @@ type SDM struct {
 	scratch mpiio.Scratch
 
 	// reader is the sequential-read detector behind read-ahead: the
-	// timestep and dataset list of the previous get-only step. getParts
-	// is the current step's list; the two swap at every get-only step, so
-	// their backing arrays are reused.
+	// timestep and a copy of the dataset list of the previous get-only
+	// step. getParts is the current step's list; both keep their backing
+	// arrays across steps.
 	reader struct {
 		armed    bool // the step read the first checkpoint or its predecessor's successor: issue ahead
 		timestep int64

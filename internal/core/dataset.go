@@ -50,56 +50,69 @@ func DatasetOf[T Element](g *Group, name string) (*Dataset[T], error) {
 	return &Dataset[T]{g: g, name: name}, nil
 }
 
-// encodeElems returns the fused permute-and-serialize closure for a
-// Put: at flush time, file-order slot i receives vals[perm[i]] in the
-// dataset's little-endian wire encoding — one pass instead of the old
-// convert-then-permute pair.
-func encodeElems[T Element](vals []T) func(v *View, dst []byte) {
+// elems is the caller's slice a queued Put encodes from or a queued Get
+// decodes into, held by its element type: t names the one field set.
+type elems struct {
+	t   DataType
+	f64 []float64
+	i32 []int32
+	i64 []int64
+}
+
+// elemsOf holds vals by its element type.
+func elemsOf[T Element](vals []T) elems {
 	switch vs := any(vals).(type) {
 	case []float64:
-		return func(v *View, dst []byte) {
-			for i, p := range v.perm {
-				binary.LittleEndian.PutUint64(dst[i*8:], math.Float64bits(vs[p]))
-			}
-		}
+		return elems{t: Double, f64: vs}
 	case []int32:
-		return func(v *View, dst []byte) {
-			for i, p := range v.perm {
-				binary.LittleEndian.PutUint32(dst[i*4:], uint32(vs[p]))
-			}
+		return elems{t: Integer, i32: vs}
+	default:
+		return elems{t: Long, i64: any(vals).([]int64)}
+	}
+}
+
+// encode is a Put's fused permute-and-serialize, run at flush time:
+// file-order slot i of dst receives element v.perm[i] in the dataset's
+// little-endian wire encoding — one pass instead of the old
+// convert-then-permute pair.
+func (e *elems) encode(v *View, dst []byte) {
+	switch e.t {
+	case Integer:
+		vs := e.i32
+		for i, p := range v.perm {
+			binary.LittleEndian.PutUint32(dst[i*4:], uint32(vs[p]))
+		}
+	case Long:
+		vs := e.i64
+		for i, p := range v.perm {
+			binary.LittleEndian.PutUint64(dst[i*8:], uint64(vs[p]))
 		}
 	default:
-		vi := any(vals).([]int64)
-		return func(v *View, dst []byte) {
-			for i, p := range v.perm {
-				binary.LittleEndian.PutUint64(dst[i*8:], uint64(vi[p]))
-			}
+		vs := e.f64
+		for i, p := range v.perm {
+			binary.LittleEndian.PutUint64(dst[i*8:], math.Float64bits(vs[p]))
 		}
 	}
 }
 
-// decodeElems is the inverse: file-order slot i scatters to
-// out[perm[i]].
-func decodeElems[T Element](out []T) func(v *View, src []byte) {
-	switch vs := any(out).(type) {
-	case []float64:
-		return func(v *View, src []byte) {
-			for i, p := range v.perm {
-				vs[p] = math.Float64frombits(binary.LittleEndian.Uint64(src[i*8:]))
-			}
+// decode is the inverse, a Get's delivery: file-order slot i of src
+// scatters to element v.perm[i].
+func (e *elems) decode(v *View, src []byte) {
+	switch e.t {
+	case Integer:
+		vs := e.i32
+		for i, p := range v.perm {
+			vs[p] = int32(binary.LittleEndian.Uint32(src[i*4:]))
 		}
-	case []int32:
-		return func(v *View, src []byte) {
-			for i, p := range v.perm {
-				vs[p] = int32(binary.LittleEndian.Uint32(src[i*4:]))
-			}
+	case Long:
+		vs := e.i64
+		for i, p := range v.perm {
+			vs[p] = int64(binary.LittleEndian.Uint64(src[i*8:]))
 		}
 	default:
-		vi := any(out).([]int64)
-		return func(v *View, src []byte) {
-			for i, p := range v.perm {
-				vi[p] = int64(binary.LittleEndian.Uint64(src[i*8:]))
-			}
+		vs := e.f64
+		for i, p := range v.perm {
+			vs[p] = math.Float64frombits(binary.LittleEndian.Uint64(src[i*8:]))
 		}
 	}
 }
@@ -110,7 +123,7 @@ func decodeElems[T Element](out []T) func(v *View, src []byte) {
 // unmodified until EndStep, which performs the write. Returns an error
 // outside an open step.
 func (d *Dataset[T]) Put(vals []T) error {
-	return d.g.enqueuePut(d.name, len(vals), encodeElems(vals))
+	return d.g.enqueue(true, d.name, len(vals), elemsOf(vals))
 }
 
 // Get queues a read of the dataset at the step's timestep: out
@@ -118,7 +131,7 @@ func (d *Dataset[T]) Put(vals []T) error {
 // the view installed now, when EndStep flushes. Returns an error
 // outside an open step.
 func (d *Dataset[T]) Get(out []T) error {
-	return d.g.enqueueGet(d.name, len(out), decodeElems(out))
+	return d.g.enqueue(false, d.name, len(out), elemsOf(out))
 }
 
 // PutAt writes one timestep as a one-operation step: SDM_write in one

@@ -21,9 +21,9 @@ import (
 // decodes nothing before the last file completes.
 func flattenAhead(s *SDM) {
 	for _, t := range aheadTokens(s) {
-		for i := range t.ahead {
-			for j := range t.ahead[i].placed {
-				t.ahead[i].placed[j].done = t.done
+		for i := range t.fl.ahead {
+			for j := range t.fl.ahead[i].placed {
+				t.fl.ahead[i].placed[j].done = t.done
 			}
 		}
 	}

@@ -25,36 +25,32 @@ import (
 // flight instead of after it, so it never finishes later. The
 // differential tests in epoch_test.go pin both.
 
-// pendingPut is one queued deferred write. encode performs the fused
-// permute-and-serialize from the caller's values into a file-order
-// byte slice of the step's staging arena through v, the view installed
-// when the Put was queued; it runs at EndStep, so the caller's slice
-// must stay valid (and unmodified) until then.
-type pendingPut struct {
-	di     int
-	v      *View
-	bytes  int64
-	file   string // target file, resolved once at queue time
-	encode func(v *View, dst []byte)
-}
-
-// pendingGet is one queued deferred read. decode scatters file-order
-// bytes, read through v (the view installed when the Get was queued),
-// back into the caller's slice when the get flush delivers.
-type pendingGet struct {
-	di     int
-	v      *View
-	decode func(v *View, src []byte)
+// pendingOp is one queued deferred Put or Get: the dataset, v, the view
+// installed when it was queued (the one it flushes through, whatever
+// DataView installs before EndStep), and vals, the caller's slice. A
+// Put's bytes are encoded from vals into a file-order slice of the
+// step's staging arena at EndStep, so the slice must stay valid (and
+// unmodified) until then; it also carries its staged size and its
+// target file, resolved once at queue time. A Get's file-order bytes are
+// decoded back into vals when its file's collective completes.
+type pendingOp struct {
+	di    int
+	v     *View
+	vals  elems
+	bytes int64
+	file  string
 }
 
 // stepEpoch is a group's share of the open step — its queued puts and
-// gets — plus the flush scratch reused across steps (staging arena,
-// placement lists, batch-op and record buffers). Queueing still costs
-// one small closure per Put/Get; the bulk staging and collective
-// plumbing beneath is allocation-free in steady state.
+// gets — plus the flush scratch reused across steps (staging arenas,
+// placement lists, batch-op and record buffers). newGroup sizes the
+// lists for one op per dataset, so a step that queues each dataset at
+// most once — every step the applications take — never grows them, and
+// queueing, staging and the collective plumbing beneath allocate
+// nothing in steady state.
 type stepEpoch struct {
-	puts []pendingPut
-	gets []pendingGet
+	puts []pendingOp
+	gets []pendingOp
 
 	// Flush staging arenas, checked out of the manager's arena pool at
 	// staging time and returned when the step closes (a read-ahead token
@@ -65,8 +61,21 @@ type stepEpoch struct {
 	placed    []placedOp
 	ops       []mpiio.BatchOp
 	recs      []catalog.WriteRecord
-	resolved  []catalog.WriteRecord
 	fileOrd   []string
+}
+
+// newStepEpoch returns an epoch whose lists hold nd ops without growing;
+// the puts and the gets share one backing array.
+func newStepEpoch(nd int) stepEpoch {
+	queued := make([]pendingOp, 2*nd)
+	return stepEpoch{
+		puts:    queued[:0:nd],
+		gets:    queued[nd:nd],
+		placed:  make([]placedOp, 0, nd),
+		ops:     make([]mpiio.BatchOp, 0, nd),
+		recs:    make([]catalog.WriteRecord, 0, nd),
+		fileOrd: make([]string, 0, nd),
+	}
 }
 
 // placedOp is a queued operation after placement: where it lands, the
@@ -85,10 +94,9 @@ type placedOp struct {
 
 // cancelStep drops everything queued in the group's epoch: at every
 // step's close, and when queueing fails partway through a one-call
-// step. Queued entries are zeroed so their closures (and the caller
-// slices they capture) do not stay reachable through the reusable
-// backing arrays. Staging arenas not adopted by a read-ahead token go
-// back to the pool.
+// step. Queued entries are zeroed so the caller slices they hold do not
+// stay reachable through the reusable backing arrays. Staging arenas not
+// adopted by a read-ahead token go back to the pool.
 func (g *Group) cancelStep() {
 	clear(g.ep.puts)
 	clear(g.ep.gets)
@@ -133,27 +141,24 @@ func (g *Group) prepareOp(verb, dataset string, n int) (int, *View, error) {
 	return di, v, nil
 }
 
-// enqueuePut queues a deferred write of n view-mapped elements whose
-// file-order bytes encode will produce at flush time.
-func (g *Group) enqueuePut(dataset string, n int, encode func(v *View, dst []byte)) error {
-	di, v, err := g.prepareOp("Put", dataset, n)
+// enqueue queues a deferred write (put) or read of n view-mapped
+// elements, encoded from or decoded into vals at flush time.
+func (g *Group) enqueue(put bool, dataset string, n int, vals elems) error {
+	verb := "Get"
+	if put {
+		verb = "Put"
+	}
+	di, v, err := g.prepareOp(verb, dataset, n)
 	if err != nil {
 		return err
 	}
-	g.ep.puts = append(g.ep.puts, pendingPut{
-		di: di, v: v, bytes: int64(n) * v.elemSize, file: g.fileFor(di, g.s.step.timestep), encode: encode,
+	if !put {
+		g.ep.gets = append(g.ep.gets, pendingOp{di: di, v: v, vals: vals})
+		return nil
+	}
+	g.ep.puts = append(g.ep.puts, pendingOp{
+		di: di, v: v, vals: vals, bytes: int64(n) * v.elemSize, file: g.fileFor(di, g.s.step.timestep),
 	})
-	return nil
-}
-
-// enqueueGet queues a deferred read of n view-mapped elements to be
-// scattered through decode at flush time.
-func (g *Group) enqueueGet(dataset string, n int, decode func(v *View, src []byte)) error {
-	di, v, err := g.prepareOp("Get", dataset, n)
-	if err != nil {
-		return err
-	}
-	g.ep.gets = append(g.ep.gets, pendingGet{di: di, v: v, decode: decode})
 	return nil
 }
 
@@ -259,7 +264,7 @@ func (g *Group) encodeFile(ts int64, file string) {
 		if p.file != file {
 			continue
 		}
-		g.ep.puts[p.idx].encode(p.v, p.data)
+		g.ep.puts[p.idx].vals.encode(p.v, p.data)
 		g.s.env.Comm.ComputeItems(int64(len(p.data)), memCopyRate)
 		puts++
 		bytes += int64(len(p.data))
@@ -392,54 +397,43 @@ func (p *getPart) bytes() int64 {
 	return n
 }
 
-// resolveGets looks up where each dataset's slab of timestep ts lives
-// from the group's placement index alone, in dis order, then joins any
-// outstanding flush writing one of those files. OpenGroup seeds the
-// index with the run's rows and each step's writes extend it
-// (cacheWrites), the same on every rank, so a miss fails every rank
-// alike and no catalog statement is issued.
-func (g *Group) resolveGets(ts int64, dis []int) ([]catalog.WriteRecord, error) {
-	recs := g.ep.resolved[:0]
-	for _, di := range dis {
+// stageGets places the reads of datasets dis — those of g.ep.gets, in
+// queue order — at timestep ts: it looks up where each dataset's slab
+// lives from the group's placement index alone, joins any outstanding
+// flush writing one of those files, then carves the read arena. It fills
+// g.ep.placed (placed[i] serves g.ep.gets[i]) and g.ep.readArena.
+// OpenGroup seeds the index with the run's rows and each step's writes
+// extend it (cacheWrites), the same on every rank, so a miss fails every
+// rank alike and no catalog statement is issued.
+func (g *Group) stageGets(ts int64, dis []int) error {
+	placed := g.ep.placed[:0]
+	var total int64
+	for i, di := range dis {
 		rec, ok := g.index.recs[writeKey{g.attrs[di].Name, ts}]
 		if !ok {
-			return nil, fmt.Errorf("core: no execution_table entry for dataset %q timestep %d", g.attrs[di].Name, ts)
+			return fmt.Errorf("core: no execution_table entry for dataset %q timestep %d", g.attrs[di].Name, ts)
 		}
-		recs = append(recs, rec)
+		v := g.ep.gets[i].v
+		placed = append(placed, placedOp{file: rec.FileName, v: v, disp: rec.FileOffset, idx: i})
+		total += int64(v.LocalSize()) * v.elemSize
 	}
-	g.ep.resolved = recs
-	for i := range recs {
-		if err := g.s.awaitFile(recs[i].FileName); err != nil {
-			return nil, err
+	g.ep.placed = placed
+	for i := range placed {
+		if err := g.s.awaitFile(placed[i].file); err != nil {
+			return err
 		}
-	}
-	return recs, nil
-}
-
-// stageGets carves the read arena and places each read at its slab's
-// execution-table offset — recs[i] holds the slab of g.ep.gets[i]; it
-// fills g.ep.placed (placed[i] serves g.ep.gets[i]) and g.ep.readArena.
-func (g *Group) stageGets(recs []catalog.WriteRecord) {
-	gets := g.ep.gets
-	var total int64
-	for i := range gets {
-		total += int64(gets[i].v.LocalSize()) * gets[i].v.elemSize
 	}
 	if g.ep.readArena != nil {
 		g.s.putArena(g.ep.readArena)
 	}
 	g.ep.readArena = g.s.takeArena(total)
-	arena := g.ep.readArena
-	placed := g.ep.placed[:0]
 	var cur int64
-	for i := range gets {
-		v := gets[i].v
-		n := int64(v.LocalSize()) * v.elemSize
-		buf := arena[cur : cur+n]
+	for i := range placed {
+		n := int64(placed[i].v.LocalSize()) * placed[i].v.elemSize
+		placed[i].data = g.ep.readArena[cur : cur+n]
 		cur += n
-		placed = append(placed, placedOp{file: recs[i].FileName, v: v, disp: recs[i].FileOffset, data: buf, idx: i})
 	}
-	g.ep.placed = placed
+	return nil
 }
 
 // issueGets is the issue half of the group's get flush: datasets dis —
@@ -448,11 +442,9 @@ func (g *Group) stageGets(recs []catalog.WriteRecord) {
 // completion) with the clock left at the fork point and the staged reads
 // in g.ep.placed / g.ep.readArena.
 func (g *Group) issueGets(ts int64, dis []int, cur *mpiio.Cursor) (sim.Time, error) {
-	recs, err := g.resolveGets(ts, dis)
-	if err != nil {
+	if err := g.stageGets(ts, dis); err != nil {
 		return g.s.env.Comm.Clock().Now(), err
 	}
-	g.stageGets(recs)
 	return g.issueFiles(ts, false, cur)
 }
 
@@ -506,7 +498,7 @@ func (g *Group) decodeFile(ts int64, ops []placedOp, k int) {
 	file := ops[k].file
 	for j := k; j < len(ops); j++ {
 		if op := &ops[j]; op.file == file {
-			g.ep.gets[op.idx].decode(op.v, op.data)
+			g.ep.gets[op.idx].vals.decode(op.v, op.data)
 			g.s.env.Comm.ComputeItems(int64(len(op.data)), memCopyRate)
 		}
 	}

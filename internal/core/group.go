@@ -63,6 +63,10 @@ type placementIndex struct {
 	steps []int64
 }
 
+// indexRows is how many timesteps a placement index holds before it
+// first grows.
+const indexRows = 16
+
 // add records rec, replacing an earlier placement of the same slab.
 func (x *placementIndex) add(rec catalog.WriteRecord) {
 	x.recs[writeKey{rec.Dataset, rec.Timestep}] = rec
@@ -95,7 +99,12 @@ func (s *SDM) newGroup(attrs []Attr) (*Group, error) {
 		views:     make(map[string]*View),
 		files:     make(map[string]*mpiio.File),
 		appendOff: make(map[string]int64),
-		index:     placementIndex{recs: make(map[writeKey]catalog.WriteRecord)},
+		attrs:     make([]Attr, 0, len(attrs)),
+		// Sized for the run's first indexRows timesteps of every dataset.
+		index: placementIndex{
+			recs:  make(map[writeKey]catalog.WriteRecord, indexRows*len(attrs)),
+			steps: make([]int64, 0, indexRows),
+		},
 	}
 	for i := range attrs {
 		a := attrs[i]
@@ -109,16 +118,23 @@ func (s *SDM) newGroup(attrs []Attr) (*Group, error) {
 		g.byName[a.Name] = len(g.attrs)
 		g.attrs = append(g.attrs, a)
 	}
+	g.ep = newStepEpoch(len(g.attrs))
 	g.stripeUnit, g.cbNodes, g.stripes = g.layout()
 	g.fileNames = make([]string, len(g.attrs))
-	for i, a := range g.attrs {
-		switch s.opts.Organization {
-		case Level1:
-			g.fileNames[i] = fmt.Sprintf("%s_r%d_%s_t", s.app, s.runID, a.Name)
-		case Level2:
-			g.fileNames[i] = fmt.Sprintf("%s_r%d_%s.dat", s.app, s.runID, a.Name)
-		default:
-			g.fileNames[i] = fmt.Sprintf("%s_r%d_g%d.dat", s.app, s.runID, g.idx)
+	prefix := s.app + "_r" + strconv.FormatInt(s.runID, 10) + "_"
+	switch s.opts.Organization {
+	case Level1, Level2:
+		suffix := "_t"
+		if s.opts.Organization == Level2 {
+			suffix = ".dat"
+		}
+		for i, a := range g.attrs {
+			g.fileNames[i] = prefix + a.Name + suffix
+		}
+	default:
+		name := prefix + "g" + strconv.Itoa(g.idx) + ".dat"
+		for i := range g.fileNames {
+			g.fileNames[i] = name
 		}
 	}
 	return g, nil
@@ -286,7 +302,7 @@ func (s *SDM) OpenGroup(names []string) (*Group, error) {
 	}
 	g.primeAppendState(res.recs)
 	// Seed the placement index with the group's own rows: the restart's
-	// Get steps resolve from it alone (resolveGets). WritesForRun
+	// Get steps resolve from it alone (stageGets). WritesForRun
 	// lists a rewritten slab's rows in write order, so the latest write
 	// wins, as it does in the writing session and in Catalog.Slab.
 	for _, rec := range res.recs {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"sdm/internal/catalog"
 	"sdm/internal/mpi"
@@ -308,37 +309,41 @@ func (s *SDM) distributeIndex(block1, block2 []int32, start, totalEdges int64, p
 }
 
 // buildPartition derives node sets and localized edges from the kept
-// edge list.
+// edge list. Every endpoint occurrence is sorted by node, as a node id
+// above its position among the endpoints; walking the partitioning
+// vector beside them in node order yields the rank's nodes in ascending
+// order — the endpoints merged with the nodes the vector gives the rank
+// (a rank can own isolated nodes that no local edge touches) — and each
+// occurrence its node's local index.
 func (s *SDM) buildPartition(keptG, kept1, kept2 []int32, partVec []int32) *IndexPartition {
 	me := int32(s.env.Comm.Rank())
-	present := make(map[int32]bool, len(kept1)*2)
+	occ := make([]uint64, 0, 2*len(kept1))
 	for i := range kept1 {
-		present[kept1[i]] = true
-		present[kept2[i]] = true
+		occ = append(occ, uint64(kept1[i])<<32|uint64(2*i), uint64(kept2[i])<<32|uint64(2*i+1))
 	}
-	// Owned nodes come from the partitioning vector; a rank can own
-	// isolated nodes that no local edge touches.
-	var nodes []int32
-	for node, r := range partVec {
-		if r == me || present[int32(node)] {
-			nodes = append(nodes, int32(node))
-		}
-	}
-	owned := make([]bool, len(nodes))
-	var ownedNodes []int32
-	g2l := make(map[int32]int32, len(nodes))
-	for i, n := range nodes {
-		g2l[n] = int32(i)
-		owned[i] = partVec[n] == me
-		if owned[i] {
-			ownedNodes = append(ownedNodes, n)
-		}
-	}
+	slices.Sort(occ)
 	e1l := make([]int32, len(kept1))
 	e2l := make([]int32, len(kept2))
-	for i := range kept1 {
-		e1l[i] = g2l[kept1[i]]
-		e2l[i] = g2l[kept2[i]]
+	var nodes, ownedNodes []int32
+	var owned []bool
+	j := 0
+	for node, r := range partVec {
+		if r != me && (j == len(occ) || occ[j]>>32 != uint64(node)) {
+			continue
+		}
+		local := int32(len(nodes))
+		nodes = append(nodes, int32(node))
+		owned = append(owned, r == me)
+		if r == me {
+			ownedNodes = append(ownedNodes, int32(node))
+		}
+		for ; j < len(occ) && occ[j]>>32 == uint64(node); j++ {
+			if at := uint32(occ[j]); at%2 == 0 {
+				e1l[at/2] = local
+			} else {
+				e2l[at/2] = local
+			}
+		}
 	}
 	s.env.Comm.ComputeItems(int64(len(kept1)+len(nodes)), edgeScanRate)
 	return &IndexPartition{

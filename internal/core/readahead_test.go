@@ -98,7 +98,7 @@ func (a *raApp) getN(ts int64, n, rev int) {
 func aheadTokens(s *SDM) []*StepToken {
 	var out []*StepToken
 	for _, t := range s.tokens {
-		if t.ahead != nil {
+		if t.reading() {
 			out = append(out, t)
 		}
 	}
@@ -261,7 +261,7 @@ func TestReadAheadMisprediction(t *testing.T) {
 		held := map[*byte]bool{}
 		for _, tok := range ahead {
 			wasted[r] = sim.MaxTime(wasted[r], tok.done)
-			for _, buf := range tok.arenas {
+			for _, buf := range tok.fl.arenas {
 				held[&buf[:1][0]] = true
 			}
 		}
@@ -553,7 +553,7 @@ func waitallGetStep(s *SDM, readOrder bool) error {
 	for i := range parts {
 		g := parts[i].g
 		for _, op := range g.ep.placed {
-			g.ep.gets[op.idx].decode(op.v, op.data)
+			g.ep.gets[op.idx].vals.decode(op.v, op.data)
 			s.env.Comm.ComputeItems(int64(len(op.data)), memCopyRate)
 		}
 	}

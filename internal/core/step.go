@@ -99,23 +99,62 @@ type StepToken struct {
 	s        *SDM
 	seq      int64    // issue order, breaking completion-time ties
 	timestep int64    // the epoch's timestep, for diagnostics
-	files    []string // files the flush writes, in claim order
-	arenas   [][]byte // a read-ahead's arenas, holding its bytes until delivery
 	done     sim.Time // flush completion on the forked timeline
 	err      error    // flush error, surfaced by Wait
 	waited   bool
 
-	// ahead is the issued, undelivered half of a read-ahead: per group,
-	// the datasets read and where their bytes sit in the token's arenas.
-	// Nil for ordinary tokens and once a Get step has adopted the token.
-	ahead []getPart
+	// fl holds what the flush keeps until Wait: nil for a step that
+	// queued nothing, and from the adoption of a read-ahead on.
+	fl *flight
 }
 
-// newToken allocates a token for a flush of the given timestep.
+// flight is what an issued flush holds until its token is waited: the
+// files it writes, in claim order, and for a read-ahead its undelivered
+// reads and the arenas holding their bytes. Wait hands it back to the
+// Manager, whose next flush takes it with every list's backing array, so
+// a steady-state step allocates its token and nothing else.
+type flight struct {
+	files  []string
+	arenas [][]byte
+
+	// ahead is the issued, undelivered half of a read-ahead: per group,
+	// the datasets read and where their bytes sit in arenas. Empty for
+	// ordinary flushes and once a Get step has adopted the token; its
+	// slots keep their lists' backing arrays for the next read-ahead.
+	ahead []getPart
+
+	next     *flight   // the next spare, while the flight is one
+	filesBuf [4]string // files' first backing array: a step of up to four files
+}
+
+// newToken allocates a token for a flush of the given timestep, holding
+// a flight from the Manager's spares.
 func (s *SDM) newToken(timestep int64) *StepToken {
 	s.tokenSeq++
-	return &StepToken{s: s, seq: s.tokenSeq, timestep: timestep}
+	tok := &StepToken{s: s, seq: s.tokenSeq, timestep: timestep, fl: s.spares}
+	if tok.fl != nil {
+		s.spares, tok.fl.next = tok.fl.next, nil
+	} else {
+		tok.fl = &flight{}
+		tok.fl.files = tok.fl.filesBuf[:0]
+	}
+	return tok
 }
+
+// release returns the flight's arenas to the Manager's pool and the
+// flight, emptied, to its spares.
+func (s *SDM) release(fl *flight) {
+	for _, a := range fl.arenas {
+		s.putArena(a)
+	}
+	clear(fl.arenas)
+	clear(fl.files)
+	fl.files, fl.arenas, fl.ahead = fl.files[:0], fl.arenas[:0], fl.ahead[:0]
+	fl.next, s.spares = s.spares, fl
+}
+
+// reading reports whether t is an undelivered read-ahead.
+func (t *StepToken) reading() bool { return t.fl != nil && len(t.fl.ahead) > 0 }
 
 // Wait joins the asynchronous flush: the rank's clock advances to the
 // flush completion time if the computation since EndStepAsync has not
@@ -136,11 +175,10 @@ func (t *StepToken) Wait() error {
 			break
 		}
 	}
-	for i, a := range t.arenas {
-		t.s.putArena(a)
-		t.arenas[i] = nil
+	if t.fl != nil { // an unconsumed read-ahead is discarded, its cost joined below
+		t.s.release(t.fl)
+		t.fl = nil
 	}
-	t.ahead = nil // an unconsumed read-ahead is discarded, its cost joined below
 	clock := t.s.env.Comm.Clock()
 	now := clock.Now()
 	clock.AdvanceTo(t.done)
@@ -196,7 +234,7 @@ func (s *SDM) DrainSteps() error { return s.drainToDepth(0) }
 // is at most one: every claim first waits for the previous writer.
 func (s *SDM) writer(file string) *StepToken {
 	for _, t := range s.tokens {
-		if slices.Contains(t.files, file) {
+		if t.fl != nil && slices.Contains(t.fl.files, file) {
 			return t
 		}
 	}
@@ -221,18 +259,19 @@ func (s *SDM) awaitFile(file string) error {
 // writing one file within a single cross-group step is an error: the
 // conflict is inside the epoch itself, so there is no token to wait on.
 func (g *Group) claimPutFiles(tok *StepToken) error {
-	s := g.s
-	start := len(tok.files)
+	s, fl := g.s, tok.fl
+	start := len(fl.files)
 	for i := range g.ep.puts {
-		if file := g.ep.puts[i].file; !slices.Contains(tok.files[start:], file) {
-			tok.files = append(tok.files, file)
+		if file := g.ep.puts[i].file; !slices.Contains(fl.files[start:], file) {
+			fl.files = append(fl.files, file)
 		}
 	}
-	for _, file := range tok.files[start:] {
+	for _, file := range fl.files[start:] {
 		read := func(t *StepToken) bool {
-			for i := range t.ahead {
-				for j := range t.ahead[i].placed {
-					if t.ahead[i].placed[j].file == file {
+			ahead := t.fl.ahead
+			for i := range ahead {
+				for j := range ahead[i].placed {
+					if ahead[i].placed[j].file == file {
 						return true
 					}
 				}
@@ -242,7 +281,7 @@ func (g *Group) claimPutFiles(tok *StepToken) error {
 		if s.discardAhead(read) {
 			s.reader.armed = false
 		}
-		if slices.Contains(tok.files[:start], file) {
+		if slices.Contains(fl.files[:start], file) {
 			return fmt.Errorf("core: cross-group step writes %q from two groups in one epoch", file)
 		}
 		if err := s.awaitFile(file); err != nil {
@@ -257,7 +296,7 @@ func (g *Group) claimPutFiles(tok *StepToken) error {
 // arena to the manager's pool.
 func (tok *StepToken) adopt(g *Group) {
 	if g.ep.readArena != nil {
-		tok.arenas = append(tok.arenas, g.ep.readArena)
+		tok.fl.arenas = append(tok.fl.arenas, g.ep.readArena)
 		g.ep.readArena = nil
 	}
 }
@@ -307,9 +346,12 @@ func (s *SDM) EndStepAsync() (*StepToken, error) {
 		// A read-ahead issued this step's reads: the decodes into the
 		// step's queued gets, each file's as its collective completed,
 		// and the join are charged on the fork.
-		s.deliverGets(ts, tok.ahead)
+		s.deliverGets(ts, tok.fl.ahead)
 		clock.AdvanceTo(tok.done)
-		tok.ahead = nil
+		// Delivered, the token holds nothing until its Wait: its flight
+		// and arenas go back now, for the read-ahead topUpAhead issues.
+		s.release(tok.fl)
+		tok.fl = nil
 	} else {
 		if err := s.drainToDepth(s.opts.StepPipelineDepth - 1); err != nil {
 			return nil, err
@@ -438,18 +480,27 @@ func (s *SDM) collectGets(groups []*Group) []getPart {
 		if len(g.ep.gets) == 0 {
 			continue
 		}
-		if n := len(parts); n < cap(parts) {
-			parts = parts[:n+1] // revive the slot with its dataset list's backing array
-		} else {
-			parts = append(parts, getPart{})
-		}
+		parts = nextPart(parts, g)
 		pt := &parts[len(parts)-1]
-		pt.g, pt.dis, pt.placed = g, pt.dis[:0], nil
 		for i := range g.ep.gets {
 			pt.dis = append(pt.dis, g.ep.gets[i].di)
 		}
 	}
 	s.getParts = parts
+	return parts
+}
+
+// nextPart appends a part for g to parts, reviving the slot past the end
+// with its lists' backing arrays (emptied) when there is one. A new slot
+// sizes its dataset list for every dataset of g.
+func nextPart(parts []getPart, g *Group) []getPart {
+	if n := len(parts); n < cap(parts) {
+		parts = parts[:n+1]
+	} else {
+		parts = append(parts, getPart{dis: make([]int, 0, len(g.attrs))})
+	}
+	pt := &parts[len(parts)-1]
+	pt.g, pt.dis, pt.placed = g, pt.dis[:0], pt.placed[:0]
 	return parts
 }
 
@@ -465,11 +516,11 @@ func sameGets(a, b []getPart) bool {
 // get-only step: same timestep, same datasets, through the views the
 // step's gets were queued with.
 func (t *StepToken) serves(ts int64, parts []getPart) bool {
-	if t.ahead == nil || t.timestep != ts || len(t.ahead) != len(parts) {
+	if !t.reading() || t.timestep != ts || len(t.fl.ahead) != len(parts) {
 		return false
 	}
 	for i := range parts {
-		a := &t.ahead[i]
+		a := &t.fl.ahead[i]
 		if a.g != parts[i].g || !slices.Equal(a.dis, parts[i].dis) {
 			return false
 		}
@@ -489,7 +540,7 @@ func (s *SDM) discardAhead(drop func(t *StepToken) bool) bool {
 	dropped := false
 	for i := 0; i < len(s.tokens); {
 		t := s.tokens[i]
-		if t.ahead == nil || !drop(t) {
+		if !t.reading() || !drop(t) {
 			i++
 			continue
 		}
@@ -529,7 +580,11 @@ func (s *SDM) noteGetStep(ts int64, parts []getPart) {
 	next, ok := idx.successor(rd.timestep)
 	rd.armed = first || ok && next == ts && sameGets(rd.parts, parts)
 	rd.timestep = ts
-	rd.parts, s.getParts = parts, rd.parts
+	rd.parts = rd.parts[:0]
+	for i := range parts {
+		rd.parts = nextPart(rd.parts, parts[i].g)
+		rd.parts[i].dis = append(rd.parts[i].dis, parts[i].dis...)
+	}
 }
 
 // topUpAhead issues read-aheads for the armed reader's following
@@ -544,7 +599,7 @@ func (s *SDM) topUpAhead() {
 	}
 	last := rd.timestep
 	for _, t := range s.tokens {
-		if t.ahead != nil {
+		if t.reading() {
 			last = t.timestep // the far end of the issued window
 		}
 	}
@@ -577,7 +632,12 @@ func (s *SDM) issueAhead(ts int64, parts []getPart) bool {
 		}
 	}
 	tok := s.newToken(ts)
-	tok.ahead = make([]getPart, len(parts)) // in group order, as the step's parts
+	// In group order, as the step's parts.
+	ahead := tok.fl.ahead[:0]
+	for i := range parts {
+		ahead = nextPart(ahead, parts[i].g)
+	}
+	tok.fl.ahead = ahead
 	clock := s.env.Comm.Clock()
 	fork := clock.Now()
 	join := fork
@@ -592,7 +652,8 @@ func (s *SDM) issueAhead(ts int64, parts []getPart) bool {
 		if err != nil {
 			break
 		}
-		tok.ahead[i] = getPart{g: g, dis: slices.Clone(parts[i].dis), placed: slices.Clone(g.ep.placed)}
+		ahead[i].dis = append(ahead[i].dis, parts[i].dis...)
+		ahead[i].placed = append(ahead[i].placed, g.ep.placed...)
 	}
 	tok.done = join
 	if err != nil {
@@ -600,9 +661,7 @@ func (s *SDM) issueAhead(ts int64, parts []getPart) bool {
 		// application's own Get of this timestep takes the ordinary path
 		// and surfaces the error itself. Stop predicting.
 		clock.AdvanceTo(join)
-		for _, a := range tok.arenas {
-			s.putArena(a)
-		}
+		s.release(tok.fl)
 		s.reader.armed = false
 		return false
 	}
@@ -639,7 +698,7 @@ func (s *SDM) BeginStep(timestep int64) error {
 }
 
 // cancelStep closes the open step and drops everything its groups
-// queued, releasing the closures and the caller slices they capture.
+// queued, releasing the caller slices they hold.
 func (s *SDM) cancelStep() {
 	for _, g := range s.step.groups {
 		g.cancelStep()

@@ -553,8 +553,8 @@ func TestFinalizeCancelsOpenStep(t *testing.T) {
 			t.Errorf("rank %d: step still open after Finalize", r)
 		}
 		for _, p := range g.ep.puts[:cap(g.ep.puts)] {
-			if p.encode != nil {
-				t.Errorf("rank %d: the cancelled step still holds its Put's closure", r)
+			if p.vals.f64 != nil || p.vals.i32 != nil || p.vals.i64 != nil {
+				t.Errorf("rank %d: the cancelled step still holds its Put's slice", r)
 			}
 		}
 	}

@@ -69,10 +69,12 @@ func (s *rankSet) add(c *mpi.Comm) bool {
 	return true
 }
 
-// newDatatype normalizes segments: sorts, validates non-overlap,
-// coalesces adjacency, and builds the prefix table.
+// newDatatype normalizes segments in place — it takes ownership of
+// segs: drops empty ones, sorts, validates non-overlap, coalesces
+// adjacency — then keeps them in an array of their own length and
+// builds the prefix table.
 func newDatatype(segs []Segment, extent int64) *Datatype {
-	sorted := make([]Segment, 0, len(segs))
+	sorted := segs[:0]
 	for _, s := range segs {
 		if s.Len < 0 {
 			panic(fmt.Sprintf("mpiio: negative segment length %d", s.Len))
@@ -88,7 +90,7 @@ func newDatatype(segs []Segment, extent int64) *Datatype {
 	// Equal offsets overlap and are refused below, so their order never
 	// matters.
 	slices.SortFunc(sorted, func(a, b Segment) int { return cmp.Compare(a.Off, b.Off) })
-	coalesced := make([]Segment, 0, len(sorted))
+	coalesced := sorted[:0]
 	for _, s := range sorted {
 		if n := len(coalesced); n > 0 {
 			last := &coalesced[n-1]
@@ -102,6 +104,10 @@ func newDatatype(segs []Segment, extent int64) *Datatype {
 		}
 		coalesced = append(coalesced, s)
 	}
+	if len(coalesced) < cap(coalesced) {
+		// Keep no more than the segments: a type lives as long as its view.
+		coalesced = slices.Clone(coalesced)
+	}
 	var size int64
 	prefix := make([]int64, len(coalesced)+1)
 	for i, s := range coalesced {
@@ -109,13 +115,15 @@ func newDatatype(segs []Segment, extent int64) *Datatype {
 		size += s.Len
 	}
 	prefix[len(coalesced)] = size
-	if len(coalesced) > 0 {
-		last := coalesced[len(coalesced)-1]
-		if minExtent := last.Off + last.Len; extent < minExtent {
-			extent = minExtent
-		}
+	return &Datatype{segs: coalesced, prefix: prefix, size: size, extent: max(extent, segsEnd(coalesced))}
+}
+
+// segsEnd returns the end of the last of sorted segments, 0 for none.
+func segsEnd(segs []Segment) int64 {
+	if n := len(segs); n > 0 {
+		return segs[n-1].Off + segs[n-1].Len
 	}
-	return &Datatype{segs: coalesced, prefix: prefix, size: size, extent: extent}
+	return 0
 }
 
 // Bytes returns a contiguous type of n bytes.
@@ -163,9 +171,28 @@ func IndexedBlock(blocklen int, displs []int, old *Datatype) *Datatype {
 // the extent becomes the full global array size so consecutive logical
 // slabs land in consecutive global slabs.
 func Resized(old *Datatype, extent int64) *Datatype {
-	segs := make([]Segment, len(old.segs))
-	copy(segs, old.segs)
-	return newDatatype(segs, extent)
+	// The segments and the prefix table are never written once built, so
+	// the two types share them.
+	return &Datatype{segs: old.segs, prefix: old.prefix, size: old.size, extent: max(extent, segsEnd(old.segs))}
+}
+
+// segCount bounds the segments mapRangeInto appends for n logical bytes
+// from logical: the type's segments the range touches, counted before
+// adjacent ones coalesce across tile boundaries.
+func (d *Datatype) segCount(logical, n int64) int {
+	if n <= 0 || d.size == 0 {
+		return 0
+	}
+	last, lastSeg := d.locate(logical + n - 1)
+	first, firstSeg := d.locate(logical)
+	return int(last-first)*len(d.segs) + lastSeg - firstSeg + 1
+}
+
+// locate returns the tile holding logical byte l of the tiling and the
+// index of the segment holding it within the tile.
+func (d *Datatype) locate(l int64) (tile int64, seg int) {
+	within := l % d.size
+	return l / d.size, sort.Search(len(d.segs), func(k int) bool { return d.prefix[k+1] > within })
 }
 
 // mapRangeInto translates a logical range of the tiled datatype into
@@ -173,9 +200,8 @@ func Resized(old *Datatype, extent int64) *Datatype {
 // displacement of tile 0; logical byte L of the view corresponds to the
 // L-th data byte of the infinite tiling. The appended segments are
 // absolute, sorted, and coalesced across tile boundaries where
-// physically adjacent. Steady-state callers that keep a scratch slice
-// (pass dst[:0]) flatten a request without allocating once the scratch
-// has grown to the request's segment count.
+// physically adjacent. Callers that keep a scratch slice sized by
+// segCount (and pass dst[:0]) flatten a request without allocating.
 func (d *Datatype) mapRangeInto(dst []Segment, disp, logical, n int64) []Segment {
 	if n <= 0 {
 		return dst
@@ -184,10 +210,8 @@ func (d *Datatype) mapRangeInto(dst []Segment, disp, logical, n int64) []Segment
 		panic("mpiio: I/O through a zero-size filetype")
 	}
 	base := len(dst)
-	tile := logical / d.size
+	tile, i := d.locate(logical)
 	within := logical % d.size
-	// Binary search for the segment containing `within`.
-	i := sort.Search(len(d.segs), func(k int) bool { return d.prefix[k+1] > within })
 	for n > 0 {
 		seg := d.segs[i]
 		segOff := within - d.prefix[i] // offset into this segment's data

@@ -129,6 +129,13 @@ func grow(buf []byte, n int64) []byte {
 	return buf[:n]
 }
 
+// ample is the capacity an aggregator's segment lists take when they
+// must grow to n: an eighth more. An aggregator's share of a step's
+// segments moves a little from one step to the next — a level-2 or
+// level-3 step starts a few bytes further into its stripe than the last
+// — so the headroom lets the following steps fit without reallocating.
+func ample(n int) int { return n + n/8 }
+
 // Scratch is a reusable bundle of I/O staging buffers that one rank
 // shares across all of its Files via UseScratch, as ROMIO keeps one
 // two-phase buffer per process: the rank's collectives run one after

@@ -25,20 +25,18 @@ type aggSeg struct {
 // merge of the per-source runs rather than a full sort. Ties take the
 // lower source rank first, making aggregation deterministic.
 func (f *File) gatherAggSegs(incoming []ioParcel) []aggSeg {
-	// Size the lists from the incoming counts: a rank's first duty as an
-	// aggregator then costs one allocation each, not a doubling series.
-	var total, sources int
+	// Size the lists from the incoming counts, and the run boundaries for
+	// a run per rank: a rank's first duty as an aggregator then costs one
+	// allocation each, not a doubling series.
+	var total int
 	for src := range incoming {
-		if n := len(incoming[src].Segs); n > 0 {
-			total += n
-			sources++
-		}
+		total += len(incoming[src].Segs)
 	}
 	if cap(f.scr().aggs) < total {
-		f.scr().aggs = make([]aggSeg, 0, total)
+		f.scr().aggs = make([]aggSeg, 0, ample(total))
 	}
-	if cap(f.scr().bounds) < sources+1 {
-		f.scr().bounds = make([]int, 0, sources+1)
+	if cap(f.scr().bounds) < len(incoming)+1 {
+		f.scr().bounds = make([]int, 0, len(incoming)+1)
 	}
 	all := f.scr().aggs[:0]
 	bounds := f.scr().bounds[:0]
@@ -63,11 +61,11 @@ func (f *File) gatherAggSegs(incoming []ioParcel) []aggSeg {
 		return all
 	}
 	if cap(f.scr().aggsAux) < len(all) {
-		f.scr().aggsAux = make([]aggSeg, len(all))
+		f.scr().aggsAux = make([]aggSeg, len(all), cap(all))
 	}
 	aux := f.scr().aggsAux[:len(all)]
 	if cap(f.scr().boundsAux) < len(bounds) {
-		f.scr().boundsAux = make([]int, 0, len(bounds))
+		f.scr().boundsAux = make([]int, 0, cap(bounds))
 	}
 	res := mergeSortedRuns(all, aux, bounds, f.scr().boundsAux[:0],
 		func(a, b aggSeg) bool { return a.seg.Off < b.seg.Off })
@@ -305,7 +303,7 @@ func (f *File) writeCall(call []sieveRun, all []aggSeg, incoming []ioParcel) (in
 // with the op's Data already concatenated in segment order. The result
 // is valid until the next opSegments call on this File.
 func (f *File) opSegments(op *BatchOp) []Segment {
-	segs := f.scr().segs[:0]
+	segs := room(f.scr().segs, op.segCount())
 	n := int64(len(op.Data))
 	if op.Type == nil {
 		if n > 0 {
@@ -635,7 +633,8 @@ func (f *File) fillReplies(t int, parts []any, rd *aggRead, first int, lo, hi in
 		}
 	}
 	if cap(sc.pieces[t]) < total {
-		sc.pieces[t] = make([]replyPiece, total)
+		// A segment is at most one piece of a round.
+		sc.pieces[t] = make([]replyPiece, ample(len(all)))
 	}
 	pieces := sc.pieces[t][:total]
 	for i, n := range counts {

@@ -89,6 +89,23 @@ func (p *ioParcel) bytes(withPayload bool) int64 {
 	return n
 }
 
+// segCount bounds the segments the op maps to (see opSegments).
+func (op *BatchOp) segCount() int {
+	if op.Type == nil {
+		return min(len(op.Data), 1)
+	}
+	return op.Type.segCount(op.Off, int64(len(op.Data)))
+}
+
+// room returns s emptied, with capacity for n elements: reallocated, to
+// exactly n, only when it has less.
+func room[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
+}
+
 // domainOf returns the index of the domain holding byte offset off.
 func domainOf(off, lo int64, domain int64) int {
 	if domain <= 0 {
@@ -195,8 +212,12 @@ func alignDown(n, align int64) int64 {
 // construction; when ops interleave in file space, a bottom-up merge of
 // the per-op runs restores global order.
 func (f *File) flattenOps(ops []BatchOp) []flatSeg {
-	flat := f.scr().flat[:0]
-	bounds := f.scr().opBounds[:0]
+	n := 0
+	for i := range ops {
+		n += ops[i].segCount()
+	}
+	flat := room(f.scr().flat, n)
+	bounds := room(f.scr().opBounds, len(ops)+1)
 	sorted := true
 	for i := range ops {
 		op := &ops[i]
@@ -319,8 +340,12 @@ func (f *File) routeSegments(flat []flatSeg, d *domains) []ioParcel {
 		total += last - first + 1
 	}
 	if cap(sc.routeSegs) < total {
-		sc.routeSegs = make([]Segment, total)
-		sc.routeBufs = make([][]byte, total)
+		// Room for the most pieces flat's disjoint segments can be cut
+		// into, one more per domain boundary, so that the same ops fit
+		// wherever a later collective's domains fall.
+		n := max(total, len(flat)+nAgg-1)
+		sc.routeSegs = make([]Segment, n)
+		sc.routeBufs = make([][]byte, n)
 	}
 	segs, bufs := sc.routeSegs[:total], sc.routeBufs[:total]
 	for k, n := range counts {

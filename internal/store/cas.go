@@ -348,6 +348,9 @@ func (o *casObject) WriteAt(p []byte, off int64) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
 	}
+	if off < 0 {
+		return 0, fmt.Errorf("store: write at negative offset %d", off)
+	}
 	c := o.cas
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -385,6 +388,9 @@ func (o *casObject) WriteAt(p []byte, off int64) (int, error) {
 func (o *casObject) ReadAt(p []byte, off int64) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
+	}
+	if off < 0 {
+		return 0, fmt.Errorf("store: read at negative offset %d", off)
 	}
 	c := o.cas
 	c.mu.Lock()

@@ -171,6 +171,14 @@ func TestConformanceScripted(t *testing.T) {
 				t.Fatalf("size after straddle = %d", o.Size())
 			}
 
+			// A negative offset is an error, and the object is unchanged.
+			if n, err := o.ReadAt(buf, -1); n != 0 || err == nil {
+				t.Fatalf("read at -1 = (%d, %v), want an error", n, err)
+			}
+			if n, err := o.WriteAt([]byte("Q"), -1); n != 0 || err == nil || o.Size() != 1007 {
+				t.Fatalf("write at -1 = (%d, %v), size %d; want an error, size 1007", n, err, o.Size())
+			}
+
 			// Flush, then reread clean — on write-back backends this is
 			// the staged-to-remote transition and the read is a ranged
 			// GET — then dirty the object again and check the re-staged

@@ -186,6 +186,9 @@ func (o *memObject) WriteAt(p []byte, off int64) (int, error) {
 	if n == 0 {
 		return 0, nil
 	}
+	if off < 0 {
+		return 0, fmt.Errorf("store: write at negative offset %d", off)
+	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if err := o.copyUp(); err != nil {
@@ -210,6 +213,9 @@ func (o *memObject) WriteAt(p []byte, off int64) (int, error) {
 func (o *memObject) ReadAt(p []byte, off int64) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
+	}
+	if off < 0 {
+		return 0, fmt.Errorf("store: read at negative offset %d", off)
 	}
 	o.mu.RLock()
 	defer o.mu.RUnlock()
