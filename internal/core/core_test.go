@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"sdm/internal/catalog"
@@ -960,4 +963,72 @@ func TestInitializeValidation(t *testing.T) {
 			t.Error("missing catalog accepted")
 		}
 	})
+}
+
+// TestReadOfRemovedFileFails removes the file a run wrote timestep 1
+// to and reads that timestep back in a job attached to the run: on every
+// level each rank's read fails with an error naming the file, and the
+// read creates no file in its place (a read once created it, empty, and
+// returned zeros).
+func TestReadOfRemovedFileFails(t *testing.T) {
+	const nRanks, globalN = 4, 64
+	for _, level := range []FileOrganization{Level1, Level2, Level3} {
+		t.Run(level.String(), func(t *testing.T) {
+			te := newTestEnv(nRanks)
+			var file string
+			te.run(t, Options{Organization: level}, func(s *SDM) {
+				g, err := s.SetAttributes([]Attr{{Name: "a", Type: Double, GlobalSize: globalN}})
+				if err != nil {
+					panic(err)
+				}
+				m := roundRobinMap(s.Comm().Rank(), nRanks, globalN)
+				if _, err := g.DataView([]string{"a"}, m); err != nil {
+					panic(err)
+				}
+				for ts := range int64(2) {
+					vals := make([]float64, len(m))
+					for i, gi := range m {
+						vals[i] = float64(gi) + float64(ts)
+					}
+					if err := putAt(g, "a", ts, vals); err != nil {
+						panic(err)
+					}
+				}
+				if s.Comm().Rank() == 0 {
+					file = g.index.recs[writeKey{"a", 1}].FileName
+				}
+			})
+			if err := te.fs.Remove(file); err != nil {
+				t.Fatal(err)
+			}
+			errs := make([]error, nRanks)
+			err := te.world.Run(func(c *mpi.Comm) {
+				s, err := Initialize(te.env(c), "testapp", Options{Organization: level, AttachRun: 1})
+				if err != nil {
+					panic(err)
+				}
+				defer s.Finalize()
+				g, err := s.OpenGroup([]string{"a"})
+				if err != nil {
+					panic(err)
+				}
+				m := roundRobinMap(c.Rank(), nRanks, globalN)
+				if _, err := g.DataView([]string{"a"}, m); err != nil {
+					panic(err)
+				}
+				_, errs[c.Rank()] = getAt(g, "a", 1, len(m))
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r, err := range errs {
+				if err == nil || !errors.Is(err, pfs.ErrNotExist) || !strings.Contains(err.Error(), file) {
+					t.Errorf("rank %d: read of removed %s returned %v, want an error naming it", r, file, err)
+				}
+			}
+			if slices.Contains(te.fs.List(), file) {
+				t.Errorf("the failed read created %s", file)
+			}
+		})
+	}
 }

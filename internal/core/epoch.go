@@ -202,7 +202,9 @@ func (g *Group) opsForFile(f *mpiio.File, placed []placedOp, file string) []mpii
 }
 
 // closeIfLevel1 closes and forgets the file under Level-1 organization
-// (one file per write).
+// (one file per write) and keeps it as the group's spare. Callers close
+// only a file whose collective succeeded: a failed one stays among the
+// group's files until Finalize and is never reused.
 func (g *Group) closeIfLevel1(f *mpiio.File, file string) error {
 	if g.s.opts.Organization != Level1 {
 		return nil
@@ -211,6 +213,7 @@ func (g *Group) closeIfLevel1(f *mpiio.File, file string) error {
 		return err
 	}
 	delete(g.files, file)
+	g.spare = f
 	return nil
 }
 
@@ -311,7 +314,7 @@ func (g *Group) issueFiles(ts int64, write bool, cur *mpiio.Cursor) (sim.Time, e
 		if write {
 			g.encodeFile(ts, file)
 		}
-		f, err := g.open(file, cur)
+		f, err := g.open(file, write, cur)
 		fork := clock.Now()
 		if err == nil {
 			ops := g.opsForFile(f, placed, file)

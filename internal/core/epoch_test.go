@@ -87,7 +87,7 @@ func legacyWrite(g *Group, dataset string, timestep int64, data []byte) error {
 	file := g.fileFor(g.byName[dataset], timestep)
 	physOff := g.place(file, a.GlobalSize*a.Type.Size())
 	alone := mpiio.NewCursor(g.s.env.Comm, g.s.env.FS) // one file: where its name hash puts it
-	of, err := g.open(file, &alone)
+	of, err := g.open(file, true, &alone)
 	if err != nil {
 		return err
 	}
@@ -162,7 +162,7 @@ func legacyRead(g *Group, dataset string, timestep int64, out []byte) error {
 		return err
 	}
 	alone := mpiio.NewCursor(g.s.env.Comm, g.s.env.FS)
-	of, err := g.open(rec.FileName, &alone)
+	of, err := g.open(rec.FileName, false, &alone)
 	if err != nil {
 		return err
 	}

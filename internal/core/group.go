@@ -32,6 +32,14 @@ type Group struct {
 	// lifetime) and the prefix up to the timestep under level 1.
 	fileNames []string
 
+	// spare is the last level-1 file the group closed after a successful
+	// collective, which its next open reuses: a level-1 file is opened,
+	// used by one collective and closed before the next one opens
+	// (issueFiles), so one is enough. Nothing else keeps a pointer to a
+	// closed file — the buffers other ranks read during a collective
+	// belong to the rank's shared mpiio.Scratch, not to the file.
+	spare *mpiio.File
+
 	// stripeUnit and cbNodes are the layout the group's files are created
 	// with and the aggregator-set size they open with, each used when the
 	// caller left the matching Hints field at zero; stripes is how many
@@ -448,8 +456,9 @@ func permuteBytesFromFile(v *View, fileData, out []byte) {
 // fileFor determines which file a write of dataset di at timestep goes
 // to under the group's organization level. Levels 2 and 3 return the
 // name resolved at registration; level 1 appends the timestep to the
-// dataset's prefix, one string per call — enqueuePut resolves it once
-// per queued put and the claim and the placement share that.
+// dataset's prefix, a name the file system holds once for all ranks
+// (pfs.System.Name) — enqueue resolves it once per queued put and the
+// claim, the placement and the execution-table row share that.
 func (g *Group) fileFor(di int, timestep int64) string {
 	if g.s.opts.Organization != Level1 {
 		return g.fileNames[di]
@@ -458,12 +467,16 @@ func (g *Group) fileFor(di int, timestep int64) string {
 	b := append(buf[:0], g.fileNames[di]...)
 	b = strconv.AppendInt(b, timestep, 10)
 	b = append(b, ".dat"...)
-	return string(b)
+	return g.s.env.FS.Name(b)
 }
 
-// open returns the cached handle for a file, opening it on first use.
-// Level 1 callers close immediately after the access; levels 2 and 3
-// keep handles open until Finalize, which is where the paper's
+// open returns the cached handle for a file, opening it on first use: a
+// write creates the file if it is missing, a read opens it without
+// creating it — read-only under level 1, where the file is closed after
+// the read, read-write otherwise, where the handle stays for later
+// writes — so a read of a missing file fails on every rank before any
+// collective. Level 1 callers close immediately after the access; levels
+// 2 and 3 keep handles open until Finalize, which is where the paper's
 // open-cost differences between levels come from.
 //
 // Every file of a step takes its place from the step's cursor, opened
@@ -471,7 +484,7 @@ func (g *Group) fileFor(di int, timestep int64) string {
 // the file, the next g.stripes servers from its first stripe on. A step
 // of one file is where its name hash puts it, as mpiio.Open puts any
 // file.
-func (g *Group) open(name string, cur *mpiio.Cursor) (*mpiio.File, error) {
+func (g *Group) open(name string, write bool, cur *mpiio.Cursor) (*mpiio.File, error) {
 	hints := g.s.opts.Hints
 	if hints.CBNodes == 0 {
 		hints.CBNodes = g.cbNodes
@@ -481,11 +494,24 @@ func (g *Group) open(name string, cur *mpiio.Cursor) (*mpiio.File, error) {
 	if f, ok := g.files[name]; ok {
 		return f, nil
 	}
-	f, err := mpiio.OpenAt(g.s.env.Comm, g.s.env.FS, name, pfs.CreateMode, hints, at)
+	mode := pfs.CreateMode
+	if !write {
+		mode = pfs.ReadWrite
+		if g.s.opts.Organization == Level1 {
+			mode = pfs.ReadOnly
+		}
+	}
+	f := g.spare
+	g.spare = nil
+	var err error
+	if f != nil {
+		err = f.Reopen(name, mode, hints, at)
+	} else if f, err = mpiio.OpenAt(g.s.env.Comm, g.s.env.FS, name, mode, hints, at); err == nil {
+		f.UseScratch(&g.s.scratch)
+	}
 	if err != nil {
 		return nil, err
 	}
-	f.UseScratch(&g.s.scratch)
 	g.files[name] = f
 	return f, nil
 }

@@ -53,8 +53,11 @@ type File struct {
 	mode pfs.Mode
 	unit int64 // the file's stripe unit; 0 until this rank has learned it
 	// h is nil on a rank outside the aggregator set that has made no
-	// independent access.
+	// independent access. idle is the closed handle of the file f was
+	// before a Reopen, which f's next open in the file system reopens
+	// instead of allocating one.
 	h      *pfs.Handle
+	idle   *pfs.Handle
 	closed bool
 	comm   *mpi.Comm
 	hints  Hints
@@ -218,20 +221,43 @@ func Open(c *mpi.Comm, sys *pfs.System, name string, mode pfs.Mode, hints Hints)
 // from an uncharged existence check, so that a failed open fails on
 // every rank before any of them enters a collective operation.
 func OpenAt(c *mpi.Comm, sys *pfs.System, name string, mode pfs.Mode, hints Hints, at Placement) (*File, error) {
+	f := &File{comm: c, sys: sys, closed: true}
+	if err := f.Reopen(name, mode, hints, at); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// Reopen opens name on f's communicator and file system exactly as
+// OpenAt would, reusing f, which must be closed: a caller that opens and
+// closes one file after another (the paper's level 1) needs a single
+// File. Collective, like OpenAt. The staging bundle f uses stays with it.
+// On an error f stays closed.
+func (f *File) Reopen(name string, mode pfs.Mode, hints Hints, at Placement) error {
+	if !f.closed {
+		return fmt.Errorf("mpiio: reopen %q: %q is still open", name, f.name)
+	}
+	c, sys := f.comm, f.sys
 	if n := sys.Config().NumServers; at.Rank < 0 || at.Rank >= c.Size() || at.Server < 0 || at.Server >= n {
-		return nil, fmt.Errorf("mpiio: open %q at rank %d, server %d: outside %d ranks and %d servers",
+		return fmt.Errorf("mpiio: open %q at rank %d, server %d: outside %d ranks and %d servers",
 			name, at.Rank, at.Server, c.Size(), n)
 	}
 	hints.CBNodes = setSize(hints.CBNodes, c.Size())
-	f := &File{sys: sys, name: name, mode: mode, comm: c, hints: hints, rot: at.Rank, first: at.Server}
+	idle := f.idle
+	if f.h != nil {
+		idle = f.h
+	}
+	*f = File{sys: sys, name: name, mode: mode, comm: c, hints: hints, rot: at.Rank, first: at.Server,
+		closed: true, idle: idle, scratch: f.scratch}
 	if f.aggIndex(c.Rank()) < hints.CBNodes {
 		if err := f.open(true); err != nil {
-			return nil, err
+			return err
 		}
 	} else if mode != pfs.CreateMode && !sys.Exists(name) {
-		return nil, fmt.Errorf("open %q: %w", name, pfs.ErrNotExist)
+		return fmt.Errorf("open %q: %w", name, pfs.ErrNotExist)
 	}
-	return f, nil
+	f.closed = false
+	return nil
 }
 
 // aggRank returns the rank aggregating file domain k.
@@ -249,17 +275,20 @@ func (f *File) aggIndex(rank int) int {
 // non-member's deferred one.
 func (f *File) open(member bool) error {
 	t0 := f.comm.Now()
-	var h *pfs.Handle
+	h := f.idle
 	var err error
-	if f.mode == pfs.CreateMode {
+	switch {
+	case h != nil:
+		err = h.Reopen(f.name, f.mode, f.hints.StripingUnit, f.first)
+	case f.mode == pfs.CreateMode:
 		h, err = f.sys.Create(f.name, f.hints.StripingUnit, f.first, f.comm.Clock())
-	} else {
+	default:
 		h, err = f.sys.Open(f.name, f.mode, f.comm.Clock())
 	}
 	if err != nil {
 		return err
 	}
-	f.h = h
+	f.h, f.idle = h, nil
 	f.unit = h.StripeUnit()
 	if tr := f.sys.Tracer(); tr != nil {
 		tr.Emit(obs.PidRank(f.comm.Rank()), "mpiio", "open", t0, f.comm.Now(),

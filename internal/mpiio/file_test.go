@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -487,5 +488,117 @@ func TestTwoPhaseRandomLayoutsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReopenMatchesFreshOpen runs one sequence of opens, each a file
+// with its own name, placement, mode, aggregator set and view, on two
+// twin systems: on one every rank reopens a single File after closing
+// it, on the other every open is a fresh OpenAt. The file contents, the
+// bytes each read returns, every rank's clock and the file systems'
+// counters must be the same.
+func TestReopenMatchesFreshOpen(t *testing.T) {
+	const p, elems = 6, 300
+	type access struct {
+		name  string
+		mode  pfs.Mode
+		hints Hints
+		at    Placement
+		disp  int64
+		block bool // each rank's elements are one block, not round-robin
+		write bool
+		indep bool // one rank outside the set also writes independently
+	}
+	seq := []access{
+		{name: "a", mode: pfs.CreateMode, hints: Hints{CBNodes: 2, StripingUnit: 4096}, at: Placement{Rank: 1, Server: 2}, write: true},
+		{name: "b", mode: pfs.CreateMode, hints: Hints{CBNodes: 3}, at: Placement{Rank: 4, Server: 0}, disp: 512, block: true, write: true, indep: true},
+		{name: "a", mode: pfs.ReadOnly, at: Placement{Rank: 2, Server: 1}},
+		{name: "b", mode: pfs.ReadWrite, hints: Hints{CBNodes: 1}, at: Placement{Rank: 0, Server: 3}, disp: 512, block: true},
+	}
+	view := func(c *mpi.Comm, a access) *Datatype {
+		displs := make([]int, elems)
+		for k := range displs {
+			if a.block {
+				displs[k] = c.Rank()*elems + k
+			} else {
+				displs[k] = k*c.Size() + c.Rank()
+			}
+		}
+		return IndexedBlock(1, displs, Bytes(8))
+	}
+	type result struct {
+		clocks [p]sim.Time
+		reads  [p][][]byte
+		stats  pfs.Stats
+		files  map[string][]byte
+	}
+	run := func(reopen bool) result {
+		cfg := pfs.DefaultConfig()
+		cfg.NumServers = 4
+		sys := pfs.NewSystem(cfg)
+		var res result
+		err := mpi.NewWorld(p, mpi.DefaultConfig()).Run(func(c *mpi.Comm) {
+			var sc Scratch
+			var f *File
+			for i, a := range seq {
+				var err error
+				if reopen && f != nil {
+					err = f.Reopen(a.name, a.mode, a.hints, a.at)
+				} else if f, err = OpenAt(c, sys, a.name, a.mode, a.hints, a.at); err == nil {
+					f.UseScratch(&sc)
+				}
+				if err != nil {
+					t.Errorf("rank %d, access %d: %v", c.Rank(), i, err)
+					return
+				}
+				dt := view(c, a)
+				f.SetView(a.disp, dt)
+				buf := make([]byte, elems*8)
+				if a.write {
+					for k := range buf {
+						buf[k] = byte(i*31 + c.Rank()*7 + k)
+					}
+					err = f.WriteAtAllOps([]BatchOp{{Disp: a.disp, Type: dt, Data: buf}})
+					if err == nil && a.indep && c.Rank() == (a.at.Rank+a.hints.CBNodes)%p {
+						err = f.WriteAt(int64(len(buf)), buf[:64])
+					}
+				} else {
+					err = f.ReadAtAllOps([]BatchOp{{Disp: a.disp, Type: dt, Data: buf}})
+					res.reads[c.Rank()] = append(res.reads[c.Rank()], buf)
+				}
+				if err == nil {
+					err = f.Close()
+				}
+				if err != nil {
+					t.Errorf("rank %d, access %d: %v", c.Rank(), i, err)
+					return
+				}
+			}
+			res.clocks[c.Rank()] = c.Now()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.stats = sys.Stats()
+		res.files = map[string][]byte{}
+		for _, name := range sys.List() {
+			if res.files[name], err = sys.ReadFile(name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return res
+	}
+	fresh, reused := run(false), run(true)
+	if reused.clocks != fresh.clocks {
+		t.Errorf("rank clocks: reopened %v, fresh %v", reused.clocks, fresh.clocks)
+	}
+	if reused.stats != fresh.stats {
+		t.Errorf("pfs.Stats: reopened %+v, fresh %+v", reused.stats, fresh.stats)
+	}
+	if len(fresh.files) != 2 || !reflect.DeepEqual(reused.files, fresh.files) {
+		t.Errorf("files differ: reopened %d, fresh %d", len(reused.files), len(fresh.files))
+	}
+	if !reflect.DeepEqual(reused.reads, fresh.reads) {
+		t.Error("reads through a reopened File returned other bytes than through fresh ones")
 	}
 }

@@ -102,6 +102,7 @@ type System struct {
 	cfg     Config
 	backend store.Backend
 	files   map[string]*file
+	names   map[string]string // Name's table
 	servers []*sim.Resource
 
 	stats Stats
@@ -136,6 +137,7 @@ func NewSystemOn(cfg Config, backend store.Backend) *System {
 		cfg:     cfg,
 		backend: backend,
 		files:   make(map[string]*file),
+		names:   make(map[string]string),
 	}
 	s.servers = make([]*sim.Resource, cfg.NumServers)
 	for i := range s.servers {
@@ -270,8 +272,8 @@ type Handle struct {
 	// operations so the steady-state I/O path allocates nothing. The span
 	// lists start in the embedded buffers — a request inside one stripe
 	// needs one span, a contiguous vectored call one run — so an open is a
-	// single allocation; totScratch exists only once a request has
-	// crossed a stripe boundary.
+	// single allocation, and a Reopen none; totScratch exists only once a
+	// request has crossed a stripe boundary.
 	totScratch  []int64
 	spanScratch []serverSpan
 	vecScratch  []vecSpan
@@ -327,7 +329,11 @@ func (s *System) lookup(name string, create bool, unit int64, first int) (*file,
 // cost to the opening rank's clock. A file it creates is laid out by the
 // system defaults: the default unit, from its name's starting server.
 func (s *System) Open(name string, mode Mode, clock *sim.Clock) (*Handle, error) {
-	return s.open(name, mode, 0, s.startingServer(name), clock)
+	h := new(Handle)
+	if err := s.open(h, name, mode, 0, s.startingServer(name), clock); err != nil {
+		return nil, err
+	}
+	return h, nil
 }
 
 // Create is Open in CreateMode for a caller that chooses the layout: a
@@ -336,16 +342,32 @@ func (s *System) Open(name string, mode Mode, clock *sim.Clock) (*Handle, error)
 // fixed at creation; on a file that already exists unit and first are
 // ignored, as ROMIO's striping hints are.
 func (s *System) Create(name string, unit int64, first int, clock *sim.Clock) (*Handle, error) {
-	if first < 0 || first >= s.cfg.NumServers {
-		return nil, fmt.Errorf("pfs: create %q: starting server %d outside [0, %d)", name, first, s.cfg.NumServers)
+	h := new(Handle)
+	if err := s.open(h, name, CreateMode, unit, first, clock); err != nil {
+		return nil, err
 	}
-	return s.open(name, CreateMode, unit, first, clock)
+	return h, nil
 }
 
-func (s *System) open(name string, mode Mode, unit int64, first int, clock *sim.Clock) (*Handle, error) {
+// Reopen opens name on h's file system and clock, reusing h, which must
+// be closed: in CreateMode as Create would, with unit and first, and in
+// any other mode as Open would, ignoring them. On an error h stays
+// closed.
+func (h *Handle) Reopen(name string, mode Mode, unit int64, first int) error {
+	if !h.closed {
+		return fmt.Errorf("pfs: reopen %q: %q is still open", name, h.name)
+	}
+	return h.sys.open(h, name, mode, unit, first, h.clock)
+}
+
+// open opens name into h, charging the open to clock.
+func (s *System) open(h *Handle, name string, mode Mode, unit int64, first int, clock *sim.Clock) error {
+	if mode == CreateMode && (first < 0 || first >= s.cfg.NumServers) {
+		return fmt.Errorf("pfs: create %q: starting server %d outside [0, %d)", name, first, s.cfg.NumServers)
+	}
 	f, created, err := s.lookup(name, mode == CreateMode, unit, first)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	if clock != nil {
@@ -358,9 +380,12 @@ func (s *System) open(name string, mode Mode, unit int64, first int, clock *sim.
 	if created {
 		s.stats.Creates++
 	}
-	h := &Handle{sys: s, f: f, name: name, clock: clock, mode: mode}
-	h.spanScratch, h.vecScratch = h.spanBuf[:0], h.vecBuf[:0]
-	return h, nil
+	if h.spanScratch == nil {
+		h.spanScratch, h.vecScratch = h.spanBuf[:0], h.vecBuf[:0]
+	}
+	*h = Handle{sys: s, f: f, name: name, clock: clock, mode: mode,
+		totScratch: h.totScratch, spanScratch: h.spanScratch, vecScratch: h.vecScratch}
+	return nil
 }
 
 // startingServer is the I/O server holding the first stripe of a file
@@ -393,13 +418,26 @@ func NameHash(name string) uint64 {
 	return h
 }
 
-// Exists reports whether a file is present.
+// Exists reports whether a file is present. It looks the file up as an
+// open does, so the open that usually follows it asks the backend
+// nothing more: on a remote tier, one request finds the file whichever
+// of the two comes first.
 func (s *System) Exists(name string) bool {
-	if _, cached := s.files[name]; cached {
-		return true
-	}
-	_, err := s.backend.Stat(name)
+	_, _, err := s.lookup(name, false, 0, 0)
 	return err == nil
+}
+
+// Name returns the file name spelled by b as one string that every
+// caller passing the same bytes shares: the ranks of a job name the same
+// files, and a name each of them forms costs one string in all, not one
+// per rank. A name is kept until its file is removed.
+func (s *System) Name(b []byte) string {
+	if name, ok := s.names[string(b)]; ok {
+		return name
+	}
+	name := string(b)
+	s.names[name] = name
+	return name
 }
 
 // StripeUnit reports the stripe unit of an existing file without opening
@@ -426,6 +464,7 @@ func (s *System) Remove(name string) error {
 		return fmt.Errorf("pfs: %w", err)
 	}
 	delete(s.files, name)
+	delete(s.names, name)
 	return nil
 }
 

@@ -65,6 +65,8 @@ func (m *Mem) Create(name string) (Object, error) {
 }
 
 // Open returns an existing object, opening a base one in the base once.
+// A missing one is ErrNotExist itself, which names no object: a file
+// system asks Open before every create, and the miss allocates nothing.
 func (m *Mem) Open(name string) (Object, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -77,7 +79,7 @@ func (m *Mem) open(name string) (Object, error) {
 		return o, nil
 	}
 	if m.base == nil || m.hidden[name] {
-		return nil, fmt.Errorf("open %q: %w", name, ErrNotExist)
+		return nil, ErrNotExist
 	}
 	bo, err := m.base.Open(name)
 	if err != nil {
@@ -125,7 +127,9 @@ func (m *Mem) Rename(oldName, newName string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	obj, err := m.open(oldName)
-	if err != nil {
+	if errors.Is(err, ErrNotExist) {
+		return fmt.Errorf("rename %q: %w", oldName, err)
+	} else if err != nil {
 		return err
 	}
 	o := obj.(*memObject)
