@@ -44,14 +44,6 @@ import (
 // so a process killed at any byte offset of a save leaves either the
 // old bundle or the new one — never a hybrid.
 
-// RetryPolicy re-exports store.RetryPolicy: bounded, idempotence-aware
-// retries for bundle backends (see BundleOptions.Retry).
-type RetryPolicy = store.RetryPolicy
-
-// FaultConfig re-exports store.FaultConfig: deterministic seeded fault
-// injection for bundle backends (see BundleOptions.Faults).
-type FaultConfig = store.FaultConfig
-
 // BundleOptions tunes how a bundle stores file bytes.
 type BundleOptions struct {
 	// Backend selects the byte store: "dir" (default, one host file
@@ -75,15 +67,6 @@ type BundleOptions struct {
 	// (default 8 MiB): flushes larger than this upload in PartSize
 	// pieces through a multipart session with per-part retry.
 	PartSize int64
-	// Retry, when non-nil, wraps the bundle's backend in a store.Retry
-	// decorator so transient backend faults (store.ErrUnavailable) are
-	// masked by bounded backoff instead of failing the save or open.
-	Retry *RetryPolicy
-	// Faults, when non-nil, wraps the backend in a store.Faulty fault
-	// injector beneath the retry layer — the test/bench hook for
-	// driving the save/open path through torn writes, partial reads,
-	// and transient unavailability.
-	Faults *FaultConfig
 	// DisableWAL skips the write-ahead log and nothing else: the save
 	// still stages every object, syncs, and promotes by rename, but
 	// writes no intent or commit records and pays no log fsyncs — so a crash mid-save can leave a hybrid bundle that no
@@ -101,6 +84,9 @@ type BundleOptions struct {
 	// boundary of the save; a non-nil return aborts the save on the
 	// spot, simulating a process killed at that boundary.
 	crashFn crashHook
+	// faults, set by fault-injection tests, wraps the bundle's backend
+	// (in a store.Faulty) beneath the metering.
+	faults func(store.Backend) store.Backend
 }
 
 type crashHook func(point string) error

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"sdm/internal/store"
 )
 
 // The crash suite simulates a process killed mid-SaveBundle — at every
@@ -352,56 +354,60 @@ func TestBundleCrashRepairSaveRace(t *testing.T) {
 	}
 }
 
-// TestBundleCrashSaveUnderFaults drives the whole save/open path
-// through a fault-injecting backend behind retries and demands the
-// result is indistinguishable from a clean save: same files, same
-// catalog, fsck-clean — and that faults actually fired.
+// TestBundleCrashSaveUnderFaults saves over an old bundle through a
+// backend that injects transient failures, torn writes and partial
+// reads, which nothing masks, once per injection seed of a sweep.
+// Whatever the faults do to a save, the bundle stays whole: once a
+// repairing fsck has run it is fsck-clean, and it holds either the new
+// state, equal to a clean save of it, or — only if the save failed —
+// the old one.
 func TestBundleCrashSaveUnderFaults(t *testing.T) {
-	files := crashNewFiles()
+	const seeds = 20
+	oldFiles, newFiles := crashOldFiles(), crashNewFiles()
 	for _, backend := range []string{"dir", "cas"} {
 		t.Run(backend, func(t *testing.T) {
 			cleanDir := filepath.Join(t.TempDir(), "clean")
-			faultDir := filepath.Join(t.TempDir(), "faulty")
-			if err := crashCluster(t, files, "v").SaveBundleOpts(cleanDir, BundleOptions{Backend: backend}); err != nil {
+			if err := crashCluster(t, newFiles, "new").SaveBundleOpts(cleanDir, BundleOptions{Backend: backend}); err != nil {
 				t.Fatal(err)
 			}
-			// Ops nil = the idempotent set, which the default retry
-			// policy masks without namespace-op opt-in.
-			faults := FaultConfig{Seed: 21, Transient: 0.05, TornWrite: 0.1, PartialRead: 0.1}
-			retry := RetryPolicy{MaxAttempts: 25, Seed: 21}
-			err := crashCluster(t, files, "v").SaveBundleOpts(faultDir, BundleOptions{
-				Backend: backend, Faults: &faults, Retry: &retry,
-			})
-			if err != nil {
-				t.Fatalf("save under faults: %v", err)
-			}
-
 			cleanFiles, cleanMarker := readBundleState(t, cleanDir)
-			// Read back through a faulty backend too: the open path
-			// masks injected read faults the same way.
-			cl, err := OpenBundleOpts(faultDir, ClusterConfig{Procs: 2}, BundleOptions{Faults: &faults, Retry: &retry})
-			if err != nil {
-				t.Fatalf("open under faults: %v", err)
-			}
-			gotFiles := map[string][]byte{}
-			for _, name := range cl.ListFiles() {
-				data, err := cl.ReadFile(name)
-				if err != nil {
-					t.Fatalf("reading %q under faults: %v", name, err)
+			var injected, failed int64
+			for seed := int64(21); seed < 21+seeds; seed++ {
+				dir := filepath.Join(t.TempDir(), "faulty")
+				if err := crashCluster(t, oldFiles, "old").SaveBundleOpts(dir, BundleOptions{Backend: backend}); err != nil {
+					t.Fatal(err)
 				}
-				gotFiles[name] = data
+				// Ops nil = the idempotent set: open, stat, list, sync,
+				// read and write.
+				var faulty *store.Faulty
+				opts := BundleOptions{Backend: backend}
+				opts.faults = func(b store.Backend) store.Backend {
+					faulty = store.NewFaulty(b, store.FaultConfig{Seed: seed, Transient: 0.05, TornWrite: 0.1, PartialRead: 0.1})
+					return faulty
+				}
+				saveErr := crashCluster(t, newFiles, "new").SaveBundleOpts(dir, opts)
+				injected += faulty.Stats().Transient
+				if saveErr != nil {
+					failed++
+				}
+
+				rep, err := FsckBundle(dir, true)
+				if err != nil || len(rep.Errors) != 0 {
+					t.Fatalf("seed %d: fsck -repair after the save: %+v (err %v)", seed, rep, err)
+				}
+				assertFsckClean(t, dir, fmt.Sprintf("seed %d", seed))
+				got, marker := readBundleState(t, dir)
+				switch {
+				case marker == cleanMarker && sameFiles(got, cleanFiles):
+				case saveErr != nil && marker == "old" && sameFiles(got, oldFiles):
+				default:
+					t.Fatalf("seed %d: save (err %v) left marker %q and a file set equal to neither state", seed, saveErr, marker)
+				}
 			}
-			row, err := cl.DB.QueryRow(`SELECT version FROM crash_marker`)
-			if err != nil {
-				t.Fatal(err)
+			if injected == 0 || failed == 0 {
+				t.Fatalf("%d injected faults failed %d of %d saves — the sweep never exercised a failed save", injected, failed, seeds)
 			}
-			if marker := row[0].AsText(); marker != cleanMarker {
-				t.Fatalf("marker %q under faults, %q clean", marker, cleanMarker)
-			}
-			if !sameFiles(gotFiles, cleanFiles) {
-				t.Fatal("bundle saved under faults diverges from the clean save")
-			}
-			assertFsckClean(t, faultDir, "save under faults")
+			t.Logf("%d injected faults failed %d of %d saves", injected, failed, seeds)
 		})
 	}
 }

@@ -46,9 +46,8 @@ func (o *BundleOptions) spec() store.Spec {
 
 // openBundleStore constructs the byte store sp names for a bundle
 // directory. opts, which may be nil, supplies what is not part of the
-// description: the fault-injection and retry decorators (injection sits
-// beneath retry, so retries mask injected faults) and the metrics
-// registry (metering sits on top, so a retried call counts once).
+// description: the tests' fault injector and the metrics registry
+// (metering sits on top, so it counts the failures injected beneath).
 func openBundleStore(dir string, sp store.Spec, opts *BundleOptions) (*bundleStore, error) {
 	if opts == nil {
 		opts = &BundleOptions{}
@@ -80,7 +79,7 @@ func openBundleStore(dir string, sp store.Spec, opts *BundleOptions) (*bundleSto
 		// simulated remote.
 		sp.Endpoint = bundleEndpoint(dir, sp.Endpoint)
 		svc := objstore.Dial(sp.Endpoint)
-		st.Backend = objstore.New(svc, objstore.Options{PartSize: sp.PartSize, Retry: opts.Retry})
+		st.Backend = objstore.New(svc, objstore.Options{PartSize: sp.PartSize})
 		st.audit = func(rep *FsckReport, repair bool) { auditUploads(svc, rep, repair) }
 		st.abortUploads = func() { svc.AbortAllUploads() }
 		registerObjstoreMetrics(opts.Metrics, svc)
@@ -88,11 +87,8 @@ func openBundleStore(dir string, sp store.Spec, opts *BundleOptions) (*bundleSto
 		return nil, fmt.Errorf("sdm: unknown bundle backend %q (want \"dir\", \"cas\", or \"obj\")", sp.Backend)
 	}
 	st.spec = sp
-	if opts.Faults != nil {
-		st.Backend = store.NewFaulty(st.Backend, *opts.Faults)
-	}
-	if opts.Retry != nil {
-		st.Backend = store.WithRetry(st.Backend, *opts.Retry)
+	if opts.faults != nil {
+		st.Backend = opts.faults(st.Backend)
 	}
 	if opts.Metrics != nil {
 		st.Backend = store.Wrap(st.Backend, meterHook(opts.Metrics))

@@ -204,12 +204,10 @@ func OpenBundle(dir string, cfg ClusterConfig) (*Cluster, error) {
 	return openBundle(dir, cfg, BundleOptions{})
 }
 
-// OpenBundleOpts is OpenBundle with storage-stack decorators: a
-// non-nil opts.Retry wraps the bundle's backend in store.Retry so
-// transient faults are masked on the read path, and opts.Faults
-// injects faults beneath it (tests). The bundle's own format fields
-// (Backend, Compress, ChunkSize) are taken from the saved manifest and
-// ignored here.
+// OpenBundleOpts is OpenBundle with options: a non-nil opts.Metrics
+// meters the bundle's backend. The bundle's own format fields (Backend,
+// Compress, ChunkSize, Endpoint, PartSize) are taken from the saved
+// manifest and ignored here.
 func OpenBundleOpts(dir string, cfg ClusterConfig, opts BundleOptions) (*Cluster, error) {
 	return openBundle(dir, cfg, opts)
 }

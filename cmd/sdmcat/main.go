@@ -47,7 +47,8 @@ func main() {
 	}
 }
 
-// usage is the error of a command line that names no bundle (exit 2).
+// usage is the error of a command line that names no bundle, or a
+// negative -head (exit 2).
 type usage string
 
 func (u usage) Error() string { return "usage: " + string(u) }
@@ -64,6 +65,9 @@ func run(args []string, stdout io.Writer) error {
 	remote := fs.String("remote", "", "read from a sdmd daemon at this base URL instead of a local bundle")
 	bundle := fs.String("bundle", "", "with -remote: bundle name on a multi-bundle daemon")
 	fs.Parse(args)
+	if *head < 0 {
+		return usage(fmt.Sprintf("sdmcat -head %d: want a count of values, or 0 for all", *head))
+	}
 
 	b, err := open(*remote, *bundle, fs.Args())
 	if err != nil {

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -54,5 +56,14 @@ func TestGoldenText(t *testing.T) {
 				t.Errorf("%s sdmcat %v printed\n%s\nwant\n%s", where, args, got.Bytes(), want)
 			}
 		}
+	}
+}
+
+// TestNegativeHeadRefused: -head below zero is a usage error, not a
+// request for every value.
+func TestNegativeHeadRefused(t *testing.T) {
+	err := run([]string{"-dataset", "pressure", "-head", "-3", "bundle"}, io.Discard)
+	if !errors.As(err, new(usage)) {
+		t.Fatalf("run(-head -3) = %v, want a usage error", err)
 	}
 }

@@ -22,6 +22,8 @@ import (
 	"io"
 	"log"
 	"os"
+	"slices"
+	"strings"
 	"text/tabwriter"
 
 	"sdm/internal/catalog"
@@ -41,17 +43,24 @@ func main() {
 	}
 }
 
-// usage is the error of a command line that names no catalog (exit 2).
+// usage is the error of a command line that names no catalog, or an
+// unknown table (exit 2).
 type usage string
 
 func (u usage) Error() string { return "usage: " + string(u) }
 
+// tables are the values -table takes.
+var tables = []string{"all", "runs", "datasets", "writes", "imports", "histories"}
+
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("sdmls", flag.ExitOnError)
-	table := fs.String("table", "all", "which table(s) to show")
+	table := fs.String("table", "all", "which table(s) to show: "+strings.Join(tables, ", "))
 	remote := fs.String("remote", "", "read from a sdmd daemon at this base URL instead of a local catalog.db")
 	bundle := fs.String("bundle", "", "with -remote: bundle name on a multi-bundle daemon")
 	fs.Parse(args)
+	if !slices.Contains(tables, *table) {
+		return usage(fmt.Sprintf("sdmls -table %q: want one of %s", *table, strings.Join(tables, ", ")))
+	}
 
 	var b wire.Reader
 	switch {

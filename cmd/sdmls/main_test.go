@@ -2,9 +2,12 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"sdm"
@@ -49,5 +52,14 @@ func TestGoldenText(t *testing.T) {
 		if !bytes.Equal(got.Bytes(), want) {
 			t.Errorf("%s sdmls printed\n%s\nwant\n%s", where, got.Bytes(), want)
 		}
+	}
+}
+
+// TestUnknownTableRefused: a -table that names no table is a usage
+// error naming the valid ones, not an empty listing.
+func TestUnknownTableRefused(t *testing.T) {
+	err := run([]string{"-table", "bogus", "catalog.db"}, io.Discard)
+	if !errors.As(err, new(usage)) || !strings.Contains(err.Error(), "runs, datasets, writes, imports, histories") {
+		t.Fatalf("run(-table bogus) = %v, want a usage error naming the tables", err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"sdm/internal/sim"
 	"sdm/internal/store"
@@ -26,15 +25,12 @@ func TestCostIdenticalAcrossBackends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A fault-injected backend behind retries must cost the same too:
-	// injection and masking happen in host time, never virtual time, so
-	// sim metrics stay bit-identical to the clean run.
-	faulty := store.NewFaulty(store.NewMem(), store.FaultConfig{
-		Seed:        31,
-		Transient:   0.1,
-		TornWrite:   0.2,
-		PartialRead: 0.2,
-	})
+	// An object store over a remote that fails requests transiently must
+	// cost the same too: its retries happen in host time and on the
+	// remote's own timeline, never on the rank clock, so sim metrics stay
+	// bit-identical to the clean run.
+	faulting := objstore.NewService(objstore.CostModel{})
+	faulting.SetFaults(0.1, 31)
 	backends := map[string]store.Backend{
 		"mem": store.NewMem(),
 		"dir": diskDir,
@@ -43,14 +39,11 @@ func TestCostIdenticalAcrossBackends(t *testing.T) {
 		// remote timeline; none of that may reach the rank clock.
 		"obj": objstore.New(objstore.NewService(objstore.CostModel{}),
 			objstore.Options{PartSize: 96 << 10}),
-		"faulty-retry": store.WithRetry(faulty, store.RetryPolicy{
-			MaxAttempts: 25,
-			Sleep:       func(time.Duration) {},
-		}),
+		"obj-faulty-retry": objstore.New(faulting, objstore.Options{PartSize: 96 << 10}),
 	}
 	t.Cleanup(func() {
-		if !t.Failed() && faulty.Stats().Transient == 0 {
-			t.Error("faulty-retry backend saw zero injected faults — cost identity was not exercised")
+		if !t.Failed() && faulting.Stats().TransientInjected == 0 {
+			t.Error("obj-faulty-retry backend saw zero injected faults — cost identity was not exercised")
 		}
 	})
 
@@ -76,8 +69,17 @@ func TestCostIdenticalAcrossBackends(t *testing.T) {
 		if _, err := writeAt(h, payload[:70000], 1<<20); err != nil {
 			t.Fatal(err)
 		}
+		// A flush between the writes and again before the reads: on
+		// the object store, what follows fetches the flushed object
+		// and reads it back with ranged GETs.
+		if err := b.Sync(); err != nil {
+			t.Fatal(err)
+		}
 		exts := []Extent{{Off: 0, Len: 5000}, {Off: 5000, Len: 5000}, {Off: 600000, Len: 8000}}
 		if _, err := h.WriteAtVec(payload[:18000], exts); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Sync(); err != nil {
 			t.Fatal(err)
 		}
 		buf := make([]byte, 256*1024)

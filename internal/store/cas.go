@@ -345,16 +345,16 @@ func (o *casObject) grow(n int64) {
 }
 
 func (o *casObject) WriteAt(p []byte, off int64) (int, error) {
-	if len(p) == 0 {
+	n := len(p)
+	if n == 0 {
 		return 0, nil
 	}
-	if off < 0 {
-		return 0, fmt.Errorf("store: write at negative offset %d", off)
+	if err := checkWrite(off, n); err != nil {
+		return 0, err
 	}
 	c := o.cas
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := len(p)
 	if end := off + int64(n); end > o.size {
 		o.grow(end)
 	}

@@ -8,38 +8,33 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"sdm/internal/store"
 	"sdm/internal/store/objstore"
 )
 
-func noSleep(time.Duration) {}
-
-// newObjBackend builds an objstore adapter over a fresh simulated
-// remote, with a small part size so ordinary test objects cross
-// multipart boundaries and a tiny list page so List paginates.
-func newObjBackend() *objstore.Backend {
-	return objstore.New(objstore.NewService(objstore.CostModel{}), objstore.Options{
-		PartSize: 1024,
-		PageSize: 3,
-		Retry:    &store.RetryPolicy{MaxAttempts: 8, Sleep: noSleep},
-	})
+// newObjBackend builds an objstore adapter over svc, with a small part
+// size so ordinary test objects cross multipart boundaries and a tiny
+// list page so List paginates.
+func newObjBackend(svc *objstore.Service) *objstore.Backend {
+	return objstore.New(svc, objstore.Options{PartSize: 1024, PageSize: 3})
 }
 
 // backendsUnderTest builds one of every backend flavor, including a
 // cas with a deliberately small chunk size so op sequences cross chunk
 // boundaries, a disk-rooted compressed cas, a host dir (twice: once
 // opened through the compatibility DirOptions entry point), a Mem over
-// an empty host dir (an opened bundle's store), the simulated remote
-// object store (write-back staging + multipart flush), and
-// fault-injected flavors of each family behind a retry
-// layer — the conformance suite demands those behave byte- and
-// error-identically to the clean backends.
-func backendsUnderTest(t *testing.T) map[string]store.Backend {
+// an empty host dir (an opened bundle's store), and the simulated remote
+// object store (write-back staging + multipart flush) twice: once over a
+// clean remote and once over a remote that fails requests transiently,
+// which the backend's retry loop must hide — the conformance suite
+// demands that flavor behave byte- and error-identically to the clean
+// backends. The second result is that faulting remote.
+func backendsUnderTest(t *testing.T) (map[string]store.Backend, *objstore.Service) {
 	t.Helper()
 	diskDir, err := store.NewDir(filepath.Join(t.TempDir(), "dir"))
 	if err != nil {
@@ -60,52 +55,32 @@ func backendsUnderTest(t *testing.T) map[string]store.Backend {
 		}
 		return c
 	}
-	m := map[string]store.Backend{
-		"mem":          store.NewMem(),
-		"dir":          diskDir,
-		"dir-atomic":   atomicDir,
-		"mem-over-dir": store.NewMemOver(overDir),
-		"cas":          openCAS(store.CASOptions{ChunkSize: 512}),
-		"cas-disk-zip": openCAS(store.CASOptions{ChunkSize: 512, Compress: true}),
-		"obj":          newObjBackend(),
-	}
+	faulting := objstore.NewService(objstore.CostModel{})
+	faulting.SetFaults(0.05, 14)
+	return map[string]store.Backend{
+		"mem":              store.NewMem(),
+		"dir":              diskDir,
+		"dir-atomic":       atomicDir,
+		"mem-over-dir":     store.NewMemOver(overDir),
+		"cas":              openCAS(store.CASOptions{ChunkSize: 512}),
+		"cas-disk-zip":     openCAS(store.CASOptions{ChunkSize: 512, Compress: true}),
+		"obj":              newObjBackend(objstore.NewService(objstore.CostModel{})),
+		"obj-faulty-retry": newObjBackend(faulting),
+	}, faulting
+}
 
-	// The op sequences and the injection PRNGs are both seeded, so the
-	// number of injected faults per test is deterministic — the cleanup
-	// assertion below cannot flake, only catch a vacuous configuration.
-	var injected []*store.Faulty
-	addFaulty := func(name string, inner store.Backend, seed int64) {
-		f := store.NewFaulty(inner, store.FaultConfig{
-			Seed:        seed,
-			Transient:   0.05,
-			TornWrite:   0.1,
-			PartialRead: 0.1,
-			Ops:         store.AllOps(),
-		})
-		injected = append(injected, f)
-		m[name+"-faulty-retry"] = store.WithRetry(f, store.RetryPolicy{MaxAttempts: 25, NamespaceOps: true, Sleep: noSleep})
+// requireInjected fails t unless the faulting remote of
+// backendsUnderTest injected faults. The op sequences and the remote's
+// injection PRNG are both seeded, so the count is deterministic: the
+// check cannot flake, only catch a test too short to exercise the
+// retry loop.
+func requireInjected(t *testing.T, faulting *objstore.Service) {
+	t.Helper()
+	if n := faulting.Stats().TransientInjected; n == 0 {
+		t.Error("the faulting remote injected zero faults — its flavor was not exercised under failure")
+	} else {
+		t.Logf("the faulting remote injected %d faults", n)
 	}
-	addFaulty("mem", store.NewMem(), 11)
-	faultyDir, err := store.NewDir(filepath.Join(t.TempDir(), "fdir"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	addFaulty("dir", faultyDir, 12)
-	addFaulty("cas", openCAS(store.CASOptions{ChunkSize: 512}), 13)
-	addFaulty("obj", newObjBackend(), 14)
-	t.Cleanup(func() {
-		if t.Failed() {
-			return
-		}
-		var total int64
-		for _, f := range injected {
-			total += f.Stats().Transient
-		}
-		if total == 0 {
-			t.Error("fault-injected flavors saw zero injected faults — conformance coverage is vacuous")
-		}
-	})
-	return m
 }
 
 // TestConformanceScripted runs one fixed op sequence — extending
@@ -113,7 +88,8 @@ func backendsUnderTest(t *testing.T) map[string]store.Backend {
 // mid-script flush with clean rereads and re-dirtying — against every
 // backend and demands byte- and error-identical results.
 func TestConformanceScripted(t *testing.T) {
-	for name, b := range backendsUnderTest(t) {
+	backends, _ := backendsUnderTest(t)
+	for name, b := range backends {
 		t.Run(name, func(t *testing.T) {
 			if _, err := b.Open("missing"); !errors.Is(err, store.ErrNotExist) {
 				t.Fatalf("Open(missing) = %v, want ErrNotExist", err)
@@ -178,6 +154,14 @@ func TestConformanceScripted(t *testing.T) {
 			if n, err := o.WriteAt([]byte("Q"), -1); n != 0 || err == nil || o.Size() != 1007 {
 				t.Fatalf("write at -1 = (%d, %v), size %d; want an error, size 1007", n, err, o.Size())
 			}
+			// So is a write whose end would pass the largest offset. Only
+			// overflowing ends are tried: a large valid offset would make a
+			// backend allocate up to it.
+			for _, off := range []int64{math.MaxInt64 - 10, math.MaxInt64} {
+				if n, err := o.WriteAt(make([]byte, 100), off); n != 0 || err == nil || o.Size() != 1007 {
+					t.Fatalf("write of 100 bytes at %d = (%d, %v), size %d; want an error, size 1007", off, n, err, o.Size())
+				}
+			}
 
 			// Flush, then reread clean — on write-back backends this is
 			// the staged-to-remote transition and the read is a ranged
@@ -233,7 +217,8 @@ func TestConformanceRandomized(t *testing.T) {
 		nObjects = 5
 		maxSize  = 10000
 	)
-	for name, b := range backendsUnderTest(t) {
+	backends, faulting := backendsUnderTest(t)
+	for name, b := range backends {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(42))
 			type modelObj struct {
@@ -313,6 +298,9 @@ func TestConformanceRandomized(t *testing.T) {
 					t.Fatalf("%s: final contents diverge from model", name)
 				}
 			}
+			if b == backends["obj-faulty-retry"] {
+				requireInjected(t, faulting)
+			}
 		})
 	}
 }
@@ -322,7 +310,7 @@ func TestConformanceRandomized(t *testing.T) {
 // — the bundle guarantee that data written under one backend reads
 // back the same under another.
 func TestCrossBackendIdenticalBytes(t *testing.T) {
-	backends := backendsUnderTest(t)
+	backends, faulting := backendsUnderTest(t)
 	results := make(map[string][]byte)
 	for name, b := range backends {
 		o, err := b.Create("x")
@@ -357,4 +345,61 @@ func TestCrossBackendIdenticalBytes(t *testing.T) {
 			t.Errorf("%s bytes differ from mem reference (%d vs %d bytes)", name, len(got), len(ref))
 		}
 	}
+	requireInjected(t, faulting)
+}
+
+// TestConformanceSelfRename: renaming an object onto its own name
+// leaves it as it was, and renaming a missing one onto itself is
+// ErrNotExist. On the object store this is checked twice, through the
+// Backend that holds the object's handle and through a fresh Backend
+// over the same remote, which knows the object only remotely.
+func TestConformanceSelfRename(t *testing.T) {
+	check := func(t *testing.T, b store.Backend) {
+		t.Helper()
+		if err := b.Rename("x", "x"); err != nil {
+			t.Fatalf("Rename(x, x) = %v", err)
+		}
+		if sz, err := b.Stat("x"); sz != 5 || err != nil {
+			t.Fatalf("Stat(x) after self-rename = (%d, %v)", sz, err)
+		}
+		o, err := b.Open("x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 5)
+		if n, err := o.ReadAt(buf, 0); n != 5 || err != nil || string(buf) != "hello" {
+			t.Fatalf("read after self-rename = (%d, %v, %q)", n, err, buf[:n])
+		}
+		if names, err := b.List(); err != nil || fmt.Sprint(names) != "[x]" {
+			t.Fatalf("List after self-rename = %v (%v)", names, err)
+		}
+		if err := b.Rename("missing", "missing"); !errors.Is(err, store.ErrNotExist) {
+			t.Fatalf("Rename(missing, missing) = %v, want ErrNotExist", err)
+		}
+	}
+	create := func(t *testing.T, b store.Backend) {
+		t.Helper()
+		o, err := b.Create("x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := o.WriteAt([]byte("hello"), 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	backends, _ := backendsUnderTest(t)
+	for name, b := range backends {
+		t.Run(name, func(t *testing.T) {
+			create(t, b)
+			check(t, b)
+		})
+	}
+	t.Run("obj-fresh-backend", func(t *testing.T) {
+		svc := objstore.NewService(objstore.CostModel{})
+		create(t, newObjBackend(svc))
+		check(t, newObjBackend(svc))
+	})
 }

@@ -209,7 +209,9 @@ func (o *dirObject) WriteAt(p []byte, off int64) (int, error) {
 	o.d.written[o] = true
 	o.d.mu.Unlock()
 	n, err := o.f.WriteAt(p, off)
-	o.size = max(o.size, off+int64(n))
+	if n > 0 {
+		o.size = max(o.size, off+int64(n))
+	}
 	return n, err
 }
 

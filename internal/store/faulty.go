@@ -6,8 +6,8 @@ import (
 	"sync"
 )
 
-// Op classifies backend operations for fault eligibility and retry
-// policy.
+// Op classifies backend operations, for fault eligibility and for the
+// hooks of wrapped backends.
 type Op uint8
 
 // Backend and object operations.
@@ -33,25 +33,13 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
-// idempotentOps are safe to re-issue blindly: re-running them cannot
-// change the outcome (WriteAt rewrites the same bytes at the same
-// offset; reads, stats, syncs are naturally idempotent).
-// Create/Remove/Rename are namespace mutations whose retry needs
-// knowledge of where the failure hit — see RetryPolicy.NamespaceOps.
+// idempotentOps is Faulty's default injection set: the operations whose
+// re-issue cannot change the outcome (WriteAt rewrites the same bytes at
+// the same offset; reads, stats, syncs are naturally idempotent), unlike
+// the namespace mutations Create, Remove and Rename.
 var idempotentOps = map[Op]bool{
 	OpOpen: true, OpStat: true, OpList: true, OpSync: true,
 	OpRead: true, OpWrite: true,
-}
-
-// AllOps returns a FaultConfig.Ops set with every operation
-// fault-eligible — the broadest injection surface, used by the
-// conformance suite.
-func AllOps() map[Op]bool {
-	m := make(map[Op]bool, numOps)
-	for op := Op(0); op < numOps; op++ {
-		m[op] = true
-	}
-	return m
 }
 
 // FaultConfig scripts a Faulty decorator. All injection is driven by
@@ -79,7 +67,7 @@ type FaultConfig struct {
 	CrashAtOp int64
 	// Ops restricts which operations are eligible for Transient
 	// injection. Nil means the idempotent set (open, stat, list, sync,
-	// read, write), which a default Retry fully masks.
+	// read, write).
 	Ops map[Op]bool
 }
 
@@ -95,10 +83,10 @@ type FaultStats struct {
 // Faulty decorates a Backend with deterministic, seeded fault
 // injection: transient ErrUnavailable failures, torn writes, partial
 // reads, and a crash-at-op-N kill switch after which every operation
-// fails with ErrCrashed. It is the storage layer's adversary — the
-// conformance suite and the bundle crash tests drive saves through it
-// and assert that Retry plus the WAL mask or recover every injected
-// fault.
+// fails with ErrCrashed. It is a test fake: nothing masks its faults,
+// so the pfs and mpiio tests use it to make an operation fail, and the
+// bundle tests save through it to show that a failed save leaves the
+// old bundle whole.
 type Faulty struct {
 	Backend // the wrapped store, every operation routed through hook
 	cfg     FaultConfig

@@ -190,8 +190,8 @@ func (o *memObject) WriteAt(p []byte, off int64) (int, error) {
 	if n == 0 {
 		return 0, nil
 	}
-	if off < 0 {
-		return 0, fmt.Errorf("store: write at negative offset %d", off)
+	if err := checkWrite(off, n); err != nil {
+		return 0, err
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()

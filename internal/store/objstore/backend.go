@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -20,11 +21,6 @@ type Options struct {
 	PartSize int64
 	// PageSize bounds List pagination per request (default 1000).
 	PageSize int
-	// Retry bounds per-request retries inside flush and list — part
-	// uploads, completes, aborts — independent of any store.Retry
-	// decorator wrapped around the whole Backend. Nil takes a modest
-	// default policy.
-	Retry *store.RetryPolicy
 }
 
 func (o *Options) fill() {
@@ -34,9 +30,44 @@ func (o *Options) fill() {
 	if o.PageSize <= 0 {
 		o.PageSize = 1000
 	}
-	if o.Retry == nil {
-		o.Retry = &store.RetryPolicy{}
+}
+
+// Attempts is how many times a Backend issues one remote request before
+// it gives up on transient failures. The remote is simulated and its
+// faults are seeded per-request coin flips, so there is nothing to wait
+// for between attempts: a retry is re-issued at once.
+const Attempts = 8
+
+// ExhaustedError reports a remote request that failed transiently on
+// every one of its Attempts. Unwrap yields the last failure, so a caller
+// can still tell a transient remote (store.ErrUnavailable) from a dead
+// one (store.ErrCrashed).
+type ExhaustedError struct {
+	Op  store.Op
+	Err error // the last attempt's error
+}
+
+func (e *ExhaustedError) Error() string {
+	return fmt.Sprintf("objstore: %s retry exhausted after %d attempts: %v", e.Op, Attempts, e.Err)
+}
+
+// Unwrap exposes the last underlying error to errors.Is/As.
+func (e *ExhaustedError) Unwrap() error { return e.Err }
+
+// retry runs one remote request, re-issuing it while it fails with a
+// transient error (store.IsTransient), up to Attempts in all. Any other
+// error surfaces at once. Every request it is given is idempotent: Head,
+// Get, List and Copy are pure or rewrite the same bytes, a part upload
+// replaces the same part number, and a fault on any other request fires
+// before the request executes.
+func retry(op store.Op, fn func() error) error {
+	var err error
+	for range Attempts {
+		if err = fn(); !store.IsTransient(err) {
+			return err
+		}
 	}
+	return &ExhaustedError{Op: op, Err: err}
 }
 
 // Backend adapts a Service to the random-access store.Backend contract
@@ -66,15 +97,11 @@ func New(svc *Service, opts Options) *Backend {
 	return &Backend{svc: svc, opts: opts, handles: make(map[string]*object)}
 }
 
-// The one-shot request primitives below run under the backend's retry
-// policy so transient remote failures are masked at the request layer,
-// matching flush and List. All four are idempotent: Head, ranged Get,
-// and Copy are pure or overwrite-same-bytes; Delete's transients fire
-// before the request executes (reply loss is injected only for part
-// uploads).
+// The one-shot request primitives below run under retry, like every
+// request of flush and List.
 
 func (b *Backend) svcHead(name string) (size, gen int64, err error) {
-	err = b.opts.Retry.Do(store.OpStat, func() (e error) {
+	err = retry(store.OpStat, func() (e error) {
 		size, gen, e = b.svc.Head(name)
 		return
 	})
@@ -82,7 +109,7 @@ func (b *Backend) svcHead(name string) (size, gen int64, err error) {
 }
 
 func (b *Backend) svcGet(name string, off int64, p []byte) (n int, err error) {
-	err = b.opts.Retry.Do(store.OpRead, func() (e error) {
+	err = retry(store.OpRead, func() (e error) {
 		n, e = b.svc.Get(name, off, p)
 		return
 	})
@@ -90,13 +117,13 @@ func (b *Backend) svcGet(name string, off int64, p []byte) (n int, err error) {
 }
 
 func (b *Backend) svcDelete(name string) error {
-	return b.opts.Retry.Do(store.OpRemove, func() error {
+	return retry(store.OpRemove, func() error {
 		return b.svc.Delete(name)
 	})
 }
 
 func (b *Backend) svcCopy(src, dst string) (gen int64, err error) {
-	err = b.opts.Retry.Do(store.OpRename, func() (e error) {
+	err = retry(store.OpRename, func() (e error) {
 		gen, e = b.svc.Copy(src, dst)
 		return
 	})
@@ -203,6 +230,15 @@ func (b *Backend) Rename(oldName, newName string) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	o, ok := b.handles[oldName]
+	if oldName == newName {
+		// Copy + Delete would delete the object: moving it onto itself
+		// only asks that it exist.
+		if ok {
+			return nil
+		}
+		_, _, err := b.svcHead(oldName)
+		return err
+	}
 	if !ok {
 		// Purely remote rename.
 		if _, err := b.svcCopy(oldName, newName); err != nil {
@@ -248,7 +284,7 @@ func (b *Backend) List() ([]string, error) {
 			keys []string
 			more bool
 		)
-		err := b.opts.Retry.Do(store.OpList, func() (e error) {
+		err := retry(store.OpList, func() (e error) {
 			keys, more, e = b.svc.List("", after, b.opts.PageSize)
 			return
 		})
@@ -299,11 +335,10 @@ func (b *Backend) Sync() error {
 }
 
 // flush uploads a dirty object: one conditional PUT up to PartSize,
-// multipart beyond it. Parts retry individually under the backend's
-// retry policy — safe because UploadPart is idempotent per part
-// number — and a failed upload aborts its session so the remote holds
-// no half-staged state. On success the handle turns clean at the new
-// generation and drops its buffer.
+// multipart beyond it. Parts retry individually — safe because
+// UploadPart is idempotent per part number — and a failed upload aborts
+// its session so the remote holds no half-staged state. On success the
+// handle turns clean at the new generation and drops its buffer.
 func (o *object) flush() error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -316,7 +351,7 @@ func (o *object) flush() error {
 		err error
 	)
 	if int64(len(data)) <= b.opts.PartSize {
-		err = b.opts.Retry.Do(store.OpSync, func() (e error) {
+		err = retry(store.OpSync, func() (e error) {
 			gen, e = b.svc.Put(o.name, data, o.gen)
 			return
 		})
@@ -338,7 +373,7 @@ func (o *object) flush() error {
 func (o *object) flushMultipart(data []byte) (int64, error) {
 	b := o.b
 	var id string
-	err := b.opts.Retry.Do(store.OpSync, func() (e error) {
+	err := retry(store.OpSync, func() (e error) {
 		id, e = b.svc.BeginUpload(o.name)
 		return
 	})
@@ -352,7 +387,7 @@ func (o *object) flushMultipart(data []byte) (int64, error) {
 				end = int64(len(data))
 			}
 			part, num := data[off:end], i+1
-			if err := b.opts.Retry.Do(store.OpWrite, func() error {
+			if err := retry(store.OpWrite, func() error {
 				return b.svc.UploadPart(id, num, part)
 			}); err != nil {
 				return err
@@ -364,7 +399,7 @@ func (o *object) flushMultipart(data []byte) (int64, error) {
 		return 0, o.abort(id, uerr)
 	}
 	var gen int64
-	if cerr := b.opts.Retry.Do(store.OpSync, func() (e error) {
+	if cerr := retry(store.OpSync, func() (e error) {
 		gen, e = b.svc.CompleteUpload(id, o.gen)
 		return
 	}); cerr != nil {
@@ -376,9 +411,9 @@ func (o *object) flushMultipart(data []byte) (int64, error) {
 // abort tears down a failed upload session and composes the final
 // error: the upload failure stays the unwrap chain; an abort that
 // itself gives up is reported alongside with its own underlying cause
-// (store.ExhaustedError keeps it visible).
+// (ExhaustedError keeps it visible).
 func (o *object) abort(id string, uploadErr error) error {
-	aerr := o.b.opts.Retry.Do(store.OpRemove, func() error {
+	aerr := retry(store.OpRemove, func() error {
 		return o.b.svc.AbortUpload(id)
 	})
 	if aerr != nil {
@@ -426,8 +461,8 @@ func (o *object) ReadAt(p []byte, off int64) (int, error) {
 // the object was clean (fetch-modify-flush). Writes past the end
 // zero-fill the gap.
 func (o *object) WriteAt(p []byte, off int64) (int, error) {
-	if off < 0 {
-		return 0, fmt.Errorf("objstore: negative offset %d", off)
+	if off < 0 || off > math.MaxInt64-int64(len(p)) {
+		return 0, fmt.Errorf("objstore: write of %d bytes at offset %d is out of range", len(p), off)
 	}
 	if len(p) == 0 {
 		return 0, nil

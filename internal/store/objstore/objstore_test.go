@@ -3,6 +3,7 @@ package objstore
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"runtime"
 	"strings"
@@ -12,13 +13,8 @@ import (
 	"sdm/internal/store"
 )
 
-func noSleep(time.Duration) {}
-
 func testBackend(svc *Service, partSize int64) *Backend {
-	return New(svc, Options{
-		PartSize: partSize,
-		Retry:    &store.RetryPolicy{MaxAttempts: 8, Sleep: noSleep},
-	})
+	return New(svc, Options{PartSize: partSize})
 }
 
 func TestServiceConditionalPut(t *testing.T) {
@@ -351,17 +347,13 @@ func TestBackendFlushRetriesParts(t *testing.T) {
 	}
 }
 
-// TestBackendAbortSurfacesUnderlyingError is the regression test for
-// the Retry fix: when a multipart upload fails and the abort path
-// gives up too, the error must still unwrap to the real underlying
-// cause (ErrUnavailable), not just report deadline exhaustion — and an
-// *ExhaustedError must be extractable with the attempt count.
+// TestBackendAbortSurfacesUnderlyingError: when a multipart upload
+// fails and the abort gives up too, the error still unwraps to the real
+// underlying cause (ErrUnavailable), an *ExhaustedError naming the part
+// upload can be extracted, and the abort failure is reported alongside.
 func TestBackendAbortSurfacesUnderlyingError(t *testing.T) {
 	s := NewService(CostModel{})
-	b := New(s, Options{
-		PartSize: 8,
-		Retry:    &store.RetryPolicy{MaxAttempts: 3, Sleep: noSleep},
-	})
+	b := testBackend(s, 8)
 	o, _ := b.Create("big")
 	if _, err := o.WriteAt(bytes.Repeat([]byte("y"), 100), 0); err != nil {
 		t.Fatal(err)
@@ -376,16 +368,100 @@ func TestBackendAbortSurfacesUnderlyingError(t *testing.T) {
 	if !errors.Is(err, store.ErrUnavailable) {
 		t.Fatalf("error must unwrap to the transient cause, got: %v", err)
 	}
-	var ex *store.ExhaustedError
+	var ex *ExhaustedError
 	if !errors.As(err, &ex) {
-		t.Fatalf("error must carry *store.ExhaustedError, got: %v", err)
+		t.Fatalf("error must carry *ExhaustedError, got: %v", err)
 	}
-	if ex.Attempts != 3 || ex.Err == nil {
-		t.Fatalf("exhausted detail: attempts=%d err=%v", ex.Attempts, ex.Err)
+	if ex.Op != store.OpWrite || ex.Err == nil {
+		t.Fatalf("exhausted detail: op=%v err=%v", ex.Op, ex.Err)
 	}
 	if !strings.Contains(err.Error(), "abort") {
 		t.Fatalf("abort failure must be reported alongside: %v", err)
 	}
+}
+
+// TestRetryExhaustion: a request the remote fails every time is issued
+// exactly Attempts times, then gives up as an *ExhaustedError.
+func TestRetryExhaustion(t *testing.T) {
+	s := NewService(CostModel{})
+	b := testBackend(s, 1<<20)
+	s.SetFaults(1, 2)
+	_, err := b.Stat("a")
+	if got := s.Stats().Requests; got != Attempts {
+		t.Fatalf("%d requests, want %d", got, Attempts)
+	}
+	var ex *ExhaustedError
+	if !errors.As(err, &ex) || ex.Op != store.OpStat || !errors.Is(err, store.ErrUnavailable) {
+		t.Fatalf("stat = %v, want an exhausted stat unwrapping to ErrUnavailable", err)
+	}
+	if !strings.Contains(err.Error(), "retry exhausted") {
+		t.Fatalf("error does not say it gave up: %v", err)
+	}
+}
+
+// TestRetrySurfacesLastError: an exhausted request keeps the last
+// attempt's error itself, so errors.Is still reaches the transient cause.
+func TestRetrySurfacesLastError(t *testing.T) {
+	calls := 0
+	var last error
+	err := retry(store.OpWrite, func() error {
+		calls++
+		last = fmt.Errorf("part %d refused: %w", calls, store.ErrUnavailable)
+		return last
+	})
+	if calls != Attempts {
+		t.Fatalf("calls = %d, want %d", calls, Attempts)
+	}
+	var ex *ExhaustedError
+	if !errors.As(err, &ex) {
+		t.Fatalf("want *ExhaustedError, got %T: %v", err, err)
+	}
+	if ex.Op != store.OpWrite || ex.Err != last {
+		t.Fatalf("exhausted detail: op=%v err=%v, want the last error %v", ex.Op, ex.Err, last)
+	}
+	if !errors.Is(err, store.ErrUnavailable) {
+		t.Fatalf("must unwrap to the underlying cause: %v", err)
+	}
+}
+
+// TestRetryRecovers: a request that fails transiently and then succeeds
+// returns nil, after exactly the attempts it took.
+func TestRetryRecovers(t *testing.T) {
+	calls := 0
+	err := retry(store.OpRead, func() error {
+		calls++
+		if calls < 3 {
+			return store.ErrUnavailable
+		}
+		return nil
+	})
+	if err != nil || calls != 3 {
+		t.Fatalf("calls=%d err=%v", calls, err)
+	}
+}
+
+// TestRetryFailsFastOnNonTransient: a missing object and a crashed
+// remote answer after one request, unwrapped — only transient failures
+// are retried.
+func TestRetryFailsFastOnNonTransient(t *testing.T) {
+	s := NewService(CostModel{})
+	b := testBackend(s, 1<<20)
+	check := func(want error) {
+		t.Helper()
+		before := s.Stats().Requests
+		_, err := b.Stat("a")
+		var ex *ExhaustedError
+		if !errors.Is(err, want) || errors.As(err, &ex) {
+			t.Fatalf("stat = %v, want %v and no exhaustion", err, want)
+		}
+		if got := s.Stats().Requests - before; got != 1 {
+			t.Fatalf("%v took %d requests, want 1", want, got)
+		}
+	}
+	check(store.ErrNotExist)
+	s.CrashAfter(1)
+	check(store.ErrCrashed)
+	s.Revive()
 }
 
 func TestBackendRename(t *testing.T) {

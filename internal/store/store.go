@@ -25,12 +25,14 @@
 // cluster's PFS contents through a Dir or CAS backend (or objstore's
 // simulated remote) so a later process can reopen earlier results by
 // name through the metadata catalog; a Spec is what it records to find
-// the store again. Wrap is the one decorator: fault injection (Faulty),
-// retries (Retry) and the bundle layer's metering are hooks over it.
+// the store again. Wrap is the one decorator: fault injection (Faulty)
+// and the bundle layer's metering are hooks over it.
 package store
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"os"
 )
 
@@ -39,12 +41,13 @@ var (
 	ErrNotExist = errors.New("store: object does not exist")
 	ErrExist    = errors.New("store: object already exists")
 	// ErrUnavailable marks a transient backend failure: the operation
-	// did not (fully) happen but may succeed if retried. Injected by
-	// Faulty, masked by Retry.
+	// did not (fully) happen but may succeed if retried. The objstore
+	// remote's injected faults raise it, and the objstore backend
+	// retries them; Faulty injects it too, and nothing retries those.
 	ErrUnavailable = errors.New("store: backend temporarily unavailable")
 	// ErrCrashed marks a permanently dead backend (Faulty's
-	// crash-at-op-N): no operation will ever succeed again. Retry fails
-	// fast on it rather than burning its attempt budget.
+	// crash-at-op-N, or a crashed objstore remote): no operation will
+	// ever succeed again, so it is never retried.
 	ErrCrashed = errors.New("store: backend crashed")
 )
 
@@ -52,6 +55,15 @@ var (
 // backend failure rather than a semantic error (ErrNotExist/ErrExist)
 // or a dead backend (ErrCrashed).
 func IsTransient(err error) bool { return errors.Is(err, ErrUnavailable) }
+
+// checkWrite refuses a write of n bytes at off that starts before offset
+// 0 or ends past the largest int64 offset.
+func checkWrite(off int64, n int) error {
+	if off < 0 || off > math.MaxInt64-int64(n) {
+		return fmt.Errorf("store: write of %d bytes at offset %d is out of range", n, off)
+	}
+	return nil
+}
 
 // Spec names a bundle's byte store and its geometry. It is recorded twice,
 // under the same JSON keys — in the bundle manifest and in the write-ahead

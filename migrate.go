@@ -71,7 +71,7 @@ func MigrateBundle(srcDir, dstDir string, opts BundleOptions) (MigrateStats, err
 	if err != nil {
 		return st, fmt.Errorf("sdm: migrate: source bundle: %w", err)
 	}
-	srcB, err := openBundleStore(srcDir, srcM.Spec, &BundleOptions{Faults: opts.Faults, Retry: opts.Retry})
+	srcB, err := openBundleStore(srcDir, srcM.Spec, nil)
 	if err != nil {
 		return st, err
 	}

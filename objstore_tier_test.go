@@ -12,7 +12,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"sdm/internal/pfs"
 	"sdm/internal/server"
@@ -262,11 +261,10 @@ func TestMigrateBundleErrors(t *testing.T) {
 	}
 }
 
-// TestMigrateRetriesOnceOverRemote: the retry decorator stacked on an
-// obj bundle does not re-run the remote's own retry loop after that
-// loop gave up. A migration out of a one-file obj bundle whose remote
-// fails every request makes MaxAttempts requests, not their square, and
-// its error names one exhaustion.
+// TestMigrateRetriesOnceOverRemote: the remote's requests retry in one
+// loop. A migration out of a one-file obj bundle whose remote fails
+// every request makes objstore.Attempts requests, and its error names
+// one exhaustion.
 func TestMigrateRetriesOnceOverRemote(t *testing.T) {
 	base := t.TempDir()
 	src := filepath.Join(base, "src")
@@ -282,27 +280,28 @@ func TestMigrateRetriesOnceOverRemote(t *testing.T) {
 	svc.SetFaults(1, 1)
 	defer svc.SetFaults(0, 0)
 	before := svc.Stats().Requests
-	retry := &RetryPolicy{MaxAttempts: 3, Sleep: func(time.Duration) {}}
-	_, err = MigrateBundle(src, filepath.Join(base, "dst"), BundleOptions{Backend: "dir", Retry: retry})
+	_, err = MigrateBundle(src, filepath.Join(base, "dst"), BundleOptions{Backend: "dir"})
 	if err == nil {
 		t.Fatal("migration from a remote that fails every request succeeded")
 	}
-	if got := svc.Stats().Requests - before; got != 3 {
-		t.Errorf("migration made %d remote requests, want 3", got)
+	if got := svc.Stats().Requests - before; got != objstore.Attempts {
+		t.Errorf("migration made %d remote requests, want %d", got, objstore.Attempts)
 	}
 	if n := strings.Count(err.Error(), "retry exhausted"); n != 1 {
 		t.Errorf("error names %d exhaustions, want 1: %v", n, err)
+	}
+	if !errors.Is(err, store.ErrUnavailable) {
+		t.Errorf("error does not unwrap to the remote's transient failure: %v", err)
 	}
 }
 
 // TestMigrateBundleRandomizedFaults is the round-trip property test:
 // random file sets (including an empty file) migrate hot → cold → hot
-// through fault-injecting decorators and a fault-injecting remote, and
-// every round must come back byte-identical with the catalog verbatim
-// and all three tiers fsck-clean.
+// through a remote that fails requests transiently, and every round
+// must come back byte-identical with the catalog verbatim and all three
+// tiers fsck-clean.
 func TestMigrateBundleRandomizedFaults(t *testing.T) {
 	rng := rand.New(rand.NewSource(1009))
-	noSleep := func(time.Duration) {}
 	var injected int64
 	for round := 0; round < 4; round++ {
 		files := map[string][]byte{}
@@ -324,23 +323,16 @@ func TestMigrateBundleRandomizedFaults(t *testing.T) {
 			t.Fatalf("round %d: %v", round, err)
 		}
 
-		// Faults on both sides of the wire: the decorator injects torn
-		// writes and partial reads beneath the retry layer, and the
-		// remote itself injects transient request failures (including
-		// reply-lost part uploads).
-		faults := &FaultConfig{Seed: int64(100 + round), Transient: 0.08, TornWrite: 0.1, PartialRead: 0.1}
-		retry := &RetryPolicy{MaxAttempts: 30, Seed: int64(round), Sleep: noSleep}
+		// The remote injects transient request failures (including
+		// reply-lost part uploads), which its backend's retry loop hides.
 		svc := objstore.Dial(bundleEndpoint(cold, ""))
 		svc.SetFaults(0.05, int64(round+7))
 
-		objOpts := BundleOptions{
-			Backend: "obj", PartSize: int64(512 + rng.Intn(2048)),
-			Faults: faults, Retry: retry,
-		}
+		objOpts := BundleOptions{Backend: "obj", PartSize: int64(512 + rng.Intn(2048))}
 		if _, err := MigrateBundle(hot, cold, objOpts); err != nil {
 			t.Fatalf("round %d: hot→cold under faults: %v", round, err)
 		}
-		if _, err := MigrateBundle(cold, back, BundleOptions{Backend: "dir", Faults: faults, Retry: retry}); err != nil {
+		if _, err := MigrateBundle(cold, back, BundleOptions{Backend: "dir"}); err != nil {
 			t.Fatalf("round %d: cold→hot under faults: %v", round, err)
 		}
 		svc.SetFaults(0, 0)

@@ -28,9 +28,26 @@
 # Everything it writes goes to a temp dir; nothing is left in the
 # checkout. Takes a couple of minutes. Needs the go toolchain and curl.
 #
+# With -programs it is a report of what programs execute: it skips the
+# test stages (1-3) and runs stage 4's smokes, `sdmbench -experiment
+# all`, and a cover build of the lifecycle benchmark on every
+# BENCHMARK.json workload for 3 s at --trace 0 and --trace 1, then
+# prints every function no program executed. It compares nothing with
+# the allow file and exits 0 unless a program fails.
+#
 #   scripts/consumer-coverage.sh            # list + check
 #   scripts/consumer-coverage.sh > list.txt # keep the list
+#   scripts/consumer-coverage.sh -programs  # what no program executes
 set -euo pipefail
+programs=""
+case "${1:-}" in
+"") ;;
+-programs) programs=1 ;;
+*)
+	echo "usage: $0 [-programs]" >&2
+	exit 2
+	;;
+esac
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$root"
@@ -46,7 +63,7 @@ mkdir -p "$work/prof" "$work/bin" "$work/covdata" "$work/tmp"
 log() { echo "consumer-coverage: $*" >&2; }
 
 # --- 1. every package's tests, minus the package's own lines -------------
-for pkg in $(go list -f '{{if or .TestGoFiles .XTestGoFiles}}{{.ImportPath}}{{end}}' ./...); do
+[ -n "$programs" ] || for pkg in $(go list -f '{{if or .TestGoFiles .XTestGoFiles}}{{.ImportPath}}{{end}}' ./...); do
 	log "tests of $pkg"
 	out="$work/prof/test-$(echo "$pkg" | tr '/' '_').out"
 	go test -count=1 -coverpkg=./... -coverprofile="$out.all" "$pkg" >"$work/tmp/test.log" 2>&1 ||
@@ -56,17 +73,19 @@ for pkg in $(go list -f '{{if or .TestGoFiles .XTestGoFiles}}{{.ImportPath}}{{en
 	rm -f "$out.all"
 done
 
-# --- 2. the root benchmarks (figure workloads) count for every package ---
-log "root benchmarks"
-go test -run '^$' -bench . -benchtime=1x -coverpkg=./... \
-	-coverprofile="$work/prof/rootbench.out" . >"$work/tmp/bench.log" 2>&1 ||
-	{ cat "$work/tmp/bench.log" >&2; exit 1; }
+if [ -z "$programs" ]; then
+	# --- 2. the root benchmarks (figure workloads) count for every package ---
+	log "root benchmarks"
+	go test -run '^$' -bench . -benchtime=1x -coverpkg=./... \
+		-coverprofile="$work/prof/rootbench.out" . >"$work/tmp/bench.log" 2>&1 ||
+		{ cat "$work/tmp/bench.log" >&2; exit 1; }
 
-# --- 3. the lifecycle benchmark module ------------------------------------
-log "benchmark/ module tests"
-(cd benchmark && go test -count=1 -coverpkg=sdm/... \
-	-coverprofile="$work/prof/benchmod.out" ./... >"$work/tmp/benchmod.log" 2>&1) ||
-	{ cat "$work/tmp/benchmod.log" >&2; exit 1; }
+	# --- 3. the lifecycle benchmark module ------------------------------------
+	log "benchmark/ module tests"
+	(cd benchmark && go test -count=1 -coverpkg=sdm/... \
+		-coverprofile="$work/prof/benchmod.out" ./... >"$work/tmp/benchmod.log" 2>&1) ||
+		{ cat "$work/tmp/benchmod.log" >&2; exit 1; }
+fi
 
 # --- 4. cmd/ and examples/ binaries through the CI smokes -----------------
 log "building cover binaries"
@@ -107,6 +126,8 @@ run "$bin/sdmls" "$t/bundle/catalog.db"
 fails "$bin/sdmcat" -dataset pressure -timestep 99 "$t/bundle" # no write recorded: catalog.NotFound, said locally
 fails "$bin/sdmcat" -list                                       # no bundle named: usage, exit 2
 fails "$bin/sdmls"
+fails "$bin/sdmls" -table bogus "$t/bundle/catalog.db"                  # no such table: usage, exit 2
+fails "$bin/sdmcat" -dataset pressure -timestep 2 -head -3 "$t/bundle" # negative count: usage, exit 2
 sql_session() { # <expected exit status> <output file> <sdmsql args...>, statements on stdin
 	local want="$1" out="$2" got=0
 	shift 2
@@ -225,6 +246,17 @@ rm "$t/BENCH_3.json" # written before the gate fired; BENCH_2 is the baseline ag
 echo 'pipeline/* — smoke: two checkpoints instead of four' >"$t/BENCH_MOVED"
 run "$bin/sdmbench" -experiment pipeline -nx 12 -procs 8 -pipesteps 2 -json "$t/BENCH_4.json"
 run "$bin/sdmtrace" "$t/pipe-trace.json"
+
+if [ -n "$programs" ]; then
+	log "programs: sdmbench -experiment all, the lifecycle benchmark per workload"
+	run "$bin/sdmbench" -experiment all
+	(cd benchmark && go build -cover -coverpkg=sdm/... -o "$bin/sdm-benchmark" .)
+	for w in $(sed -n '/"workloads"/,/]/s/^ *"name": "\([^"]*\)".*/\1/p' BENCHMARK.json); do
+		for trace in 0 1; do
+			run "$bin/sdm-benchmark" --workload "$w" --seed 1 --seconds 3 --trace "$trace" --root "$t/bench-$w-$trace"
+		done
+	done
+fi
 unset GOCOVERDIR
 go tool covdata textfmt -i="$work/covdata" -o "$work/prof/binaries.out"
 
@@ -245,6 +277,7 @@ go tool cover -func="$work/merged.out" |
 	done | sort -u >"$work/list.txt"
 
 cat "$work/list.txt"
+[ -z "$programs" ] || exit 0
 
 # --- 6. gate against the allow file ---------------------------------------
 [ -f "$allow" ] || { log "no $allow; $(wc -l <"$work/list.txt") functions listed, nothing to compare"; exit 0; }
