@@ -52,7 +52,8 @@ type BundleOptions struct {
 	// semantics — write-back staging, multipart PUTs, priced requests
 	// on its own remote timeline).
 	Backend string
-	// Compress flate-compresses cas chunks (ignored for "dir").
+	// Compress stores each cas chunk byte-shuffled or plain flate,
+	// whichever is smaller (ignored for "dir").
 	Compress bool
 	// ChunkSize overrides the cas chunk granularity (default 64 KiB).
 	ChunkSize int64

@@ -183,11 +183,12 @@ func (cl *Cluster) SaveBundle(dir string) error {
 }
 
 // SaveBundleOpts is SaveBundle with an explicit storage choice —
-// BundleOptions{Backend: "cas", Compress: true} stores deduplicated,
-// compressed SHA-256 chunks. A re-save into the same directory copies
-// every file again: dir and obj write every byte anew, cas reads and
-// hashes every byte but stores only chunks it does not hold yet. A save
-// that writes only what changed is still open (ROADMAP item 21(b)).
+// BundleOptions{Backend: "cas", Compress: true} stores deduplicated
+// SHA-256 chunks, each byte-shuffled or plain flate, whichever is
+// smaller. A re-save into the same directory copies every file again:
+// dir and obj write every byte anew, cas reads and hashes every byte
+// but stores only chunks it does not hold yet. A save that writes only
+// what changed is still open (ROADMAP item 21(b)).
 func (cl *Cluster) SaveBundleOpts(dir string, opts BundleOptions) error {
 	return saveBundle(cl, dir, opts)
 }

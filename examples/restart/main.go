@@ -60,7 +60,7 @@ func main() {
 	phase := flag.String("phase", "both", "write, read, or both")
 	procs := flag.Int("procs", 4, "simulated process count (must match across phases)")
 	backend := flag.String("backend", "cas", "bundle storage: dir or cas")
-	compress := flag.Bool("compress", true, "flate-compress cas chunks")
+	compress := flag.Bool("compress", true, "compress cas chunks (byte-shuffled or plain flate per chunk, whichever is smaller)")
 	flag.Parse()
 
 	switch *phase {

@@ -25,8 +25,9 @@ const DefaultChunkSize = 64 * 1024
 type CASOptions struct {
 	// ChunkSize is the fixed chunk granularity (default 64 KiB).
 	ChunkSize int64
-	// Compress flate-compresses chunks that shrink, trading CPU for
-	// stored bytes (scientific checkpoints are often highly redundant).
+	// Compress stores each chunk byte-shuffled or plain flate,
+	// whichever is smaller, or raw if neither shrinks it: CPU for stored
+	// bytes (scientific checkpoints are often highly redundant).
 	Compress bool
 }
 
@@ -44,6 +45,7 @@ type CASStats struct {
 	UniqueChunks     int   // distinct chunks in the pool
 	ChunkRefs        int64 // total references from objects to chunks
 	CompressedChunks int   // chunks stored flate-compressed
+	ShuffledChunks   int   // of those, chunks byte-shuffled before deflating
 }
 
 // chunkKey is a SHA-256 digest used as the pool map key.
@@ -52,13 +54,15 @@ type chunkKey [sha256.Size]byte
 func (k chunkKey) hex() string { return hex.EncodeToString(k[:]) }
 
 // chunk is one deduplicated pool entry. data holds the stored form
-// (raw or compressed); nil with onDisk set means it loads lazily.
+// (raw, or deflated, byte-shuffled first if shuffled is set); nil with
+// onDisk set means it loads lazily.
 type chunk struct {
 	key        chunkKey
 	refs       int64
 	data       []byte
 	stored     int64 // len of the stored form (known even when lazy)
 	compressed bool
+	shuffled   bool
 	onDisk     bool
 }
 
@@ -76,12 +80,19 @@ type chunk struct {
 // the benchmark hot path, and virtual-time metrics are unaffected
 // either way.
 type CAS struct {
-	mu     sync.Mutex
-	root   string
-	opts   CASOptions
-	pool   map[chunkKey]*chunk
-	objs   map[string]*casObject
-	inflIn bytes.Reader // reusable compressed-input reader
+	mu   sync.Mutex
+	root string
+	opts CASOptions
+	pool map[chunkKey]*chunk
+	objs map[string]*casObject
+	// The codec, reused for every chunk: a deflater writing into zbuf,
+	// an inflater reading inflIn, and a chunk-long scratch for the
+	// shuffled form.
+	zw     *flate.Writer
+	zbuf   bytes.Buffer
+	zr     io.ReadCloser
+	inflIn bytes.Reader
+	shuf   []byte
 	// freed holds the chunks whose last reference went while their file
 	// was on disk. The manifest on disk may still name them, so their
 	// files go only once Sync has replaced it.
@@ -124,6 +135,9 @@ func (c *CAS) Stats() CASStats {
 		st.ChunkRefs += ch.refs
 		if ch.compressed {
 			st.CompressedChunks++
+		}
+		if ch.shuffled {
+			st.ShuffledChunks++
 		}
 	}
 	return st
@@ -232,9 +246,8 @@ func (c *CAS) put(raw []byte) *chunk {
 	}
 	ch := &chunk{key: key, refs: 1}
 	if c.opts.Compress {
-		if z := deflateBytes(raw); int64(len(z)) < int64(len(raw)) {
-			ch.data, ch.compressed = z, true
-		}
+		ch.data, ch.shuffled = c.deflate(raw)
+		ch.compressed = ch.data != nil
 	}
 	if ch.data == nil {
 		ch.data = append([]byte(nil), raw...)
@@ -260,50 +273,128 @@ func (c *CAS) deref(ch *chunk) {
 	}
 }
 
+// deflate returns raw's smaller deflated form, plain or byte-shuffled
+// (and which), or nil if neither is shorter than raw. Both forms are
+// deflated into zbuf one after the other, and the winner is copied
+// out. Callers hold c.mu.
+func (c *CAS) deflate(raw []byte) (z []byte, shuffled bool) {
+	c.zbuf.Reset()
+	if c.zw == nil {
+		c.zw, _ = flate.NewWriter(&c.zbuf, flate.BestSpeed) // fails only for a bad level
+	}
+	c.deflateInto(raw)
+	plain := c.zbuf.Len()
+	c.deflateInto(shuffle8(c.scratch(len(raw)), raw))
+	out := c.zbuf.Bytes()
+	if shuffled = len(out)-plain < plain; shuffled {
+		out = out[plain:]
+	} else {
+		out = out[:plain]
+	}
+	if len(out) >= len(raw) {
+		return nil, false
+	}
+	return bytes.Clone(out), shuffled
+}
+
+// deflateInto appends raw's flate stream to zbuf. Writes to a
+// bytes.Buffer cannot fail. Callers hold c.mu.
+func (c *CAS) deflateInto(raw []byte) {
+	c.zw.Reset(&c.zbuf)
+	c.zw.Write(raw)
+	c.zw.Close()
+}
+
+// scratch returns the reusable n-byte shuffle buffer. Callers hold c.mu.
+func (c *CAS) scratch(n int) []byte {
+	if cap(c.shuf) < n {
+		c.shuf = make([]byte, n)
+	}
+	return c.shuf[:n]
+}
+
+// shuffle8 writes src into dst (of equal length) with byte b of every
+// 8-byte element grouped together, b = 0..7; a tail shorter than 8
+// bytes stays in place. It returns dst.
+func shuffle8(dst, src []byte) []byte {
+	m := len(src) / 8
+	for b := range 8 {
+		col := dst[b*m : (b+1)*m]
+		for i := range col {
+			col[i] = src[i*8+b]
+		}
+	}
+	copy(dst[m*8:], src[m*8:])
+	return dst
+}
+
+// unshuffle8 undoes shuffle8.
+func unshuffle8(dst, src []byte) {
+	m := len(src) / 8
+	for b := range 8 {
+		for i, v := range src[b*m : (b+1)*m] {
+			dst[i*8+b] = v
+		}
+	}
+	copy(dst[m*8:], src[m*8:])
+}
+
 // decodeInto materializes a chunk's raw bytes into dst (len chunkSize):
-// zeros for holes, lazy-loading and decompressing stored forms.
-// Callers hold c.mu.
+// zeros for holes, lazy-loading and decoding stored forms. A chunk
+// loaded from its file must hash to its address, so a damaged file is
+// an error, never other bytes. Callers hold c.mu.
 func (c *CAS) decodeInto(dst []byte, ch *chunk) error {
 	if ch == nil {
 		clear(dst)
 		return nil
 	}
-	if ch.data == nil {
-		if !ch.onDisk {
-			return fmt.Errorf("store: cas chunk %s lost", ch.key.hex())
-		}
-		data, err := os.ReadFile(c.chunkPath(ch.key))
-		if err != nil {
-			return fmt.Errorf("store: loading cas chunk: %w", err)
-		}
-		ch.data = data
+	if ch.data != nil {
+		return c.decode(dst, ch.data, ch)
 	}
-	if !ch.compressed {
-		copy(dst, ch.data)
-		return nil
+	if !ch.onDisk {
+		return fmt.Errorf("store: cas chunk %s lost", ch.key.hex())
 	}
-	c.inflIn.Reset(ch.data)
-	r := flate.NewReader(&c.inflIn)
-	defer r.Close()
-	if _, err := io.ReadFull(r, dst); err != nil {
-		return fmt.Errorf("store: inflating cas chunk %s: %w", ch.key.hex(), err)
+	data, err := os.ReadFile(c.chunkPath(ch.key))
+	if err != nil {
+		return fmt.Errorf("store: loading cas chunk: %w", err)
 	}
+	if err := c.decode(dst, data, ch); err != nil {
+		return err
+	}
+	if sha256.Sum256(dst) != ch.key {
+		return fmt.Errorf("store: cas chunk %s does not hash to its address", ch.key.hex())
+	}
+	ch.data = data
 	return nil
 }
 
-func deflateBytes(raw []byte) []byte {
-	var buf bytes.Buffer
-	w, err := flate.NewWriter(&buf, flate.BestSpeed)
-	if err != nil {
+// decode writes the raw bytes of data, ch's stored form, into dst.
+// Callers hold c.mu.
+func (c *CAS) decode(dst, data []byte, ch *chunk) error {
+	if !ch.compressed {
+		if len(data) != len(dst) {
+			return fmt.Errorf("store: cas chunk %s holds %d bytes, want %d", ch.key.hex(), len(data), len(dst))
+		}
+		copy(dst, data)
 		return nil
 	}
-	if _, err := w.Write(raw); err != nil {
-		return nil
+	c.inflIn.Reset(data)
+	if c.zr == nil {
+		c.zr = flate.NewReader(&c.inflIn)
+	} else if err := c.zr.(flate.Resetter).Reset(&c.inflIn, nil); err != nil {
+		return err
 	}
-	if err := w.Close(); err != nil {
-		return nil
+	out := dst
+	if ch.shuffled {
+		out = c.scratch(len(dst))
 	}
-	return buf.Bytes()
+	if _, err := io.ReadFull(c.zr, out); err != nil {
+		return fmt.Errorf("store: inflating cas chunk %s: %w", ch.key.hex(), err)
+	}
+	if ch.shuffled {
+		unshuffle8(dst, out)
+	}
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -552,6 +643,11 @@ func (c *CAS) orphanFiles() ([]string, error) {
 
 const casManifestName = "objects.json"
 
+// casFormat is the manifest format Sync writes and the newest that
+// loadManifest reads. Format 2 added byte-shuffled chunks; a format-1
+// manifest names none and loads unchanged.
+const casFormat = 2
+
 // casManifest is the persisted namespace: every object's chunk-key
 // sequence plus a pool table recording each chunk's stored form.
 type casManifest struct {
@@ -565,6 +661,7 @@ type casManifest struct {
 type casPoolEntry struct {
 	Stored     int64 `json:"stored"`
 	Compressed bool  `json:"compressed,omitempty"`
+	Shuffled   bool  `json:"shuffled,omitempty"` // deflated byte-shuffled
 }
 
 type casManifestObject struct {
@@ -614,14 +711,14 @@ func (c *CAS) Sync() error {
 		}
 	}
 	m := casManifest{
-		Format:    1,
+		Format:    casFormat,
 		ChunkSize: c.opts.ChunkSize,
 		Compress:  c.opts.Compress,
 		Pool:      make(map[string]casPoolEntry, len(c.pool)),
 		Objects:   make([]casManifestObject, 0, len(c.objs)),
 	}
 	for key, ch := range c.pool {
-		m.Pool[key.hex()] = casPoolEntry{Stored: ch.stored, Compressed: ch.compressed}
+		m.Pool[key.hex()] = casPoolEntry{Stored: ch.stored, Compressed: ch.compressed, Shuffled: ch.shuffled}
 	}
 	names := make([]string, 0, len(c.objs))
 	for n := range c.objs {
@@ -678,6 +775,9 @@ func (c *CAS) loadManifest() error {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return fmt.Errorf("store: corrupt cas manifest: %w", err)
 	}
+	if m.Format > casFormat {
+		return fmt.Errorf("store: corrupt cas manifest: format %d, this build reads up to %d", m.Format, casFormat)
+	}
 	if m.ChunkSize > 0 {
 		c.opts.ChunkSize = m.ChunkSize
 	}
@@ -687,8 +787,11 @@ func (c *CAS) loadManifest() error {
 		if err != nil || len(kb) != sha256.Size {
 			return fmt.Errorf("store: cas manifest has bad chunk key %q", hexKey)
 		}
+		if pe.Shuffled && !pe.Compressed {
+			return fmt.Errorf("store: corrupt cas manifest: chunk %s is shuffled but not compressed", hexKey)
+		}
 		key := chunkKey(kb)
-		c.pool[key] = &chunk{key: key, stored: pe.Stored, compressed: pe.Compressed, onDisk: true}
+		c.pool[key] = &chunk{key: key, stored: pe.Stored, compressed: pe.Compressed, shuffled: pe.Shuffled, onDisk: true}
 	}
 	for _, mo := range m.Objects {
 		o := &casObject{cas: c, name: mo.Name, size: mo.Size}

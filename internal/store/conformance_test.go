@@ -11,6 +11,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"sdm/internal/store"
@@ -402,4 +403,39 @@ func TestConformanceSelfRename(t *testing.T) {
 		create(t, newObjBackend(svc))
 		check(t, newObjBackend(svc))
 	})
+}
+
+// TestConformanceFarWrite: on the in-memory flavours, a write at 1 TiB
+// holds one page, not the hole before it, and reads back beside a
+// zero-filled hole. (The other flavours are left out on purpose: a cas
+// keeps a slot per chunk of the hole, and a host file or a staged remote
+// object may not be sparse.)
+func TestConformanceFarWrite(t *testing.T) {
+	const off = 1 << 40
+	backends, _ := backendsUnderTest(t)
+	for _, name := range []string{"mem", "mem-over-dir"} {
+		b := backends[name]
+		t.Run(name, func(t *testing.T) {
+			o, err := b.Create("far")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := o.WriteAt([]byte("far"), off); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 2*64<<10 {
+				t.Errorf("a 3-byte write at %d allocated %d bytes, want one 64 KiB page", off, grew)
+			}
+			if sz := o.Size(); sz != off+3 {
+				t.Fatalf("size = %d, want %d", sz, off+3)
+			}
+			buf := make([]byte, 8)
+			if n, err := o.ReadAt(buf, off-5); n != 8 || err != nil || string(buf) != "\x00\x00\x00\x00\x00far" {
+				t.Fatalf("read across the hole's end = (%d, %v, %q)", n, err, buf[:n])
+			}
+		})
+	}
 }

@@ -59,7 +59,7 @@ func (m *Mem) Create(name string) (Object, error) {
 	} else if err != nil {
 		return nil, err
 	}
-	o := &memObject{pages: make(map[int64][]byte)}
+	o := &memObject{}
 	m.objs[name] = o
 	return o, nil
 }
@@ -172,11 +172,36 @@ func (m *Mem) Sync() error { return nil }
 
 // memObject stores bytes as sparse fixed-size pages or, until its first
 // WriteAt, reads its base object; mu guards the swap against readers.
+// Page 0 has a field of its own, so a one-page object allocates its
+// object and its page; the map is made at the first page past it.
 type memObject struct {
 	mu    sync.RWMutex
 	base  Object
+	page0 []byte
 	pages map[int64][]byte
 	size  int64
+}
+
+// page returns page i, nil if it was never written. Callers hold o.mu.
+func (o *memObject) page(i int64) []byte {
+	if i == 0 {
+		return o.page0
+	}
+	return o.pages[i]
+}
+
+// newPage allocates page i. Callers hold o.mu for writing.
+func (o *memObject) newPage(i int64) []byte {
+	buf := make([]byte, memPageSize)
+	switch {
+	case i == 0:
+		o.page0 = buf
+	case o.pages == nil:
+		o.pages = map[int64][]byte{i: buf}
+	default:
+		o.pages[i] = buf
+	}
+	return buf
 }
 
 func (o *memObject) Size() int64 {
@@ -202,10 +227,9 @@ func (o *memObject) WriteAt(p []byte, off int64) (int, error) {
 	for len(p) > 0 {
 		page, po := off/memPageSize, off%memPageSize
 		k := min(int64(len(p)), memPageSize-po)
-		buf := o.pages[page]
+		buf := o.page(page)
 		if buf == nil {
-			buf = make([]byte, memPageSize)
-			o.pages[page] = buf
+			buf = o.newPage(page)
 		}
 		copy(buf[po:po+k], p[:k])
 		p = p[k:]
@@ -233,7 +257,7 @@ func (o *memObject) ReadAt(p []byte, off int64) (int, error) {
 	for read := int64(0); read < want; {
 		page, po := (off+read)/memPageSize, (off+read)%memPageSize
 		n := min(want-read, memPageSize-po)
-		if buf := o.pages[page]; buf != nil {
+		if buf := o.page(page); buf != nil {
 			copy(p[read:read+n], buf[po:po+n])
 		} else {
 			clear(p[read : read+n])
@@ -252,11 +276,11 @@ func (o *memObject) copyUp() error {
 	if o.base == nil {
 		return nil
 	}
-	cp := &memObject{pages: make(map[int64][]byte)}
+	cp := &memObject{}
 	src := io.NewSectionReader(o.base, 0, o.size)
 	if _, err := io.CopyBuffer(io.NewOffsetWriter(cp, 0), src, make([]byte, memPageSize)); err != nil {
 		return fmt.Errorf("store: copying base object: %w", err)
 	}
-	o.base, o.pages = nil, cp.pages
+	o.base, o.page0, o.pages = nil, cp.page0, cp.pages
 	return nil
 }

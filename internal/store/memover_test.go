@@ -235,3 +235,30 @@ func TestMemAllocsPerOp(t *testing.T) {
 		}
 	}
 }
+
+// TestMemOnePageObjectAllocs: a Mem object of one page costs two
+// allocations, the object and its page; the page map comes only with a
+// page past the first.
+func TestMemOnePageObjectAllocs(t *testing.T) {
+	const runs = 100
+	m := store.NewMem()
+	names := make([]string, runs+1)
+	for i := range names {
+		names[i] = fmt.Sprint(i)
+	}
+	p := bytes.Repeat([]byte{1}, 39<<10)
+	i := 0
+	n := testing.AllocsPerRun(runs, func() {
+		o, err := m.Create(names[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := o.WriteAt(p, 0); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if n != 2 {
+		t.Errorf("a one-page object allocates %v times, want 2", n)
+	}
+}

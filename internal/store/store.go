@@ -18,8 +18,9 @@
 //     simulated file system's contents durable across OS processes.
 //   - CAS: content-addressed storage in the style of datamon's cafs —
 //     objects are sequences of fixed-size chunks keyed by SHA-256, so
-//     identical chunks are stored once (dedup) and chunks can be
-//     flate-compressed. Rooted on a directory, for durability.
+//     identical chunks are stored once (dedup) and each chunk can be
+//     compressed, byte-shuffled or plain flate, whichever is smaller.
+//     Rooted on a directory, for durability.
 //
 // The run-bundle layer (sdm.SaveBundle / sdm.OpenBundle) persists a
 // cluster's PFS contents through a Dir or CAS backend (or objstore's
